@@ -32,7 +32,6 @@ func ablationCluster(b *testing.B, mutate func(*hurricane.ClusterConfig)) *hurri
 			OverloadThreshold: 0.5,
 		},
 		Master: hurricane.MasterConfig{
-			PollInterval:     time.Millisecond,
 			CloneInterval:    2 * time.Millisecond,
 			DisableHeuristic: true,
 		},

@@ -189,7 +189,6 @@ func engineCluster(b *testing.B) *hurricane.Cluster {
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
-			PollInterval:  time.Millisecond,
 			CloneInterval: 5 * time.Millisecond,
 		},
 	})
@@ -294,7 +293,6 @@ func BenchmarkEngineSkewedShuffle(b *testing.B) {
 					OverloadThreshold: 0.1,
 				},
 				Master: hurricane.MasterConfig{
-					PollInterval:     time.Millisecond,
 					CloneInterval:    2 * time.Millisecond,
 					DisableHeuristic: true, // let the shuffle producers clone freely (both variants)
 					DisableSplitting: disableSplitting,

@@ -32,8 +32,8 @@
 // BENCH_plan.json.
 //
 // "vector" runs the data-plane benchmark on the real engine — the
-// Zipf(1.3) groupby with row-at-a-time versus vectorized batch versus
-// batch + heavy-key dense slots — and writes BENCH_vector.json.
+// Zipf(1.3) groupby with row-at-a-time versus vectorized batch — and
+// writes BENCH_vector.json.
 // "vector-check" re-runs the row and batch variants once and fails when
 // the batch/row speedup regresses >15% against the committed baseline.
 //

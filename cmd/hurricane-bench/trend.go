@@ -39,13 +39,12 @@ type trendMetric struct {
 // adding a row; trend-check fails when a registered file disappears, so
 // removing one is an explicit edit here, not a silent drop.
 var trendMetrics = []trendMetric{
-	{Bench: "shuffle", File: "BENCH_shuffle.json", Key: "speedup_static_over_skew_aware", Better: "up", TolRel: 0.15},
+	{Bench: "shuffle", File: "BENCH_shuffle.json", Key: "speedup_skew_aware_over_static", Better: "up", TolRel: 0.15},
 	{Bench: "policy", File: "BENCH_policy.json", Key: "speedup_all_over_none", Better: "up", TolRel: 0.15},
 	{Bench: "sched", File: "BENCH_sched.json", Key: "uni_speedup_fair_over_none", Better: "up", TolRel: 0.15},
 	{Bench: "stream", File: "BENCH_stream.json", Key: "median_speedup_warm_over_cold", Better: "up", TolRel: 0.10},
 	{Bench: "plan", File: "BENCH_plan.json", Key: "speedup_planner_over_naive", Better: "up", TolRel: 0.15},
 	{Bench: "vector", File: "BENCH_vector.json", Key: "speedup_batch_over_row", Better: "up", TolRel: 0.15},
-	{Bench: "vector", File: "BENCH_vector.json", Key: "speedup_heavy_over_batch", Better: "up", TolRel: 0.10},
 	{Bench: "wire", File: "BENCH_wire_baseline.json", Key: "telemetry_overhead_pct", Better: "down", TolAbs: 5},
 }
 

@@ -18,52 +18,42 @@ import (
 // vectorBench measures what the vectorized data plane buys the skewed
 // groupby. The same logical job — Zipf(1.3) keyed aggregation with zero
 // simulated per-record cost, so codec/routing/sketch work IS the
-// workload — runs in three configurations on identical data and an
+// workload — runs in two configurations on identical data and an
 // identical static cluster layout (splitting, isolation, and the
 // overload heuristic disabled; aggregate NoClone), so the only variable
 // is the data plane:
 //
 //   - row: GroupByApp — record-at-a-time ForEach + PartitionedWriter.Write
 //     (per-record routing, per-record sketch sampling, row chunks).
-//   - batch: GroupByBatchApp with heavy slots off — whole column batches
-//     through ForEachBatch + WriteBatch (one routing pass and one bulk
-//     sketch feed per batch, columnar chunks), every key on the hash-map
-//     path.
-//   - batch_heavy: the same plus the Zhang & Ross-style skew exploit —
-//     the edge's final merged producer sketch (republished by the master
-//     at seal, before consumers are scheduled) promotes the heavy-hitter
-//     keys to dense pre-allocated accumulator slots, so the dominant
-//     share of records never hashes.
+//   - batch: GroupByBatchApp — whole column batches through ForEachBatch
+//     and WriteBatch (one routing pass and one bulk sketch feed per batch,
+//     columnar chunks).
 //
 // Reported: median of 3 end-to-end runs per variant; every run verifies
 // every per-key count against ground truth, so the comparison never
 // trades correctness for speed. Throughput is mb_per_s over the 16-byte
 // logical tuples, matching the policy-ablation benchmark's convention.
-// Absolute throughput varies with the container; the batch/row and
-// heavy/batch ratios are the stable quantities (vector-check enforces
-// the first).
+// Absolute throughput varies with the container; the batch/row ratio is
+// the stable quantity (vector-check enforces it).
 //
 // Setting HURRICANE_BENCH_CPUPROFILE=<path> writes a CPU profile of one
-// batch_heavy run (the first iteration) for the checked-in pprof
-// summary.
+// batch run (the first iteration) for the checked-in pprof summary;
+// HURRICANE_BENCH_PROFILE_MODE=row profiles the row variant instead.
 func vectorBench() error {
-	fmt.Printf("vector: %d Zipf(1.3) tuples over %d keys, row vs batch vs batch+heavy-slot groupby\n",
+	fmt.Printf("vector: %d Zipf(1.3) tuples over %d keys, row vs batch groupby\n",
 		vecRecords, vecKeys)
-	row, batch, heavy, err := vectorVariants(vecIters)
+	row, batch, err := vectorVariants(vecIters)
 	if err != nil {
 		return err
 	}
 	speedup := batch.MBPerS / row.MBPerS
-	heavySpeedup := heavy.MBPerS / batch.MBPerS
 	fmt.Printf("  row:         %5dms  %6.2f MB/s\n", row.ElapsedMS, row.MBPerS)
 	fmt.Printf("  batch:       %5dms  %6.2f MB/s  (%.2fx row)\n", batch.ElapsedMS, batch.MBPerS, speedup)
-	fmt.Printf("  batch+heavy: %5dms  %6.2f MB/s  (%.2fx batch, heavy-slot hit rate %.1f%%)\n",
-		heavy.ElapsedMS, heavy.MBPerS, heavySpeedup, 100*heavy.HeavyHitRate)
 
 	doc := map[string]any{
 		"benchmark": "vector",
 		"description": fmt.Sprintf(
-			"Vectorized data plane on the Zipf(s=1.3) keyed groupby (%d records, %d keys, top key ~34%%, %d base partitions, one compute node with one slot pinned to GOMAXPROCS(1), 256KB chunks, zero simulated record cost — codec/routing/sketch work is the workload). Static layout in all variants (splitting/isolation/heuristic disabled, aggregate NoClone), so the only variable is the data plane: 'row' is record-at-a-time ForEach + PartitionedWriter.Write on row chunks; 'batch' moves whole column batches (ForEachBatch with scratch-backed column decode + WriteBatch on the uint64-native routing path: one routing pass, bulk column-major scatter, and one bulk sketch feed per batch) with every key on the aggregate's hash-map path; 'batch_heavy' additionally seeds dense heavy-key accumulator slots (Zhang & Ross style) from the edge's final merged producer sketch, which the master republishes at seal before consumers are scheduled. Median of %d runs per variant; every run verifies every per-key count against ground truth. mb_per_s is over the 16-byte logical tuples.",
+			"Vectorized data plane on the Zipf(s=1.3) keyed groupby (%d records, %d keys, top key ~34%%, %d base partitions, one compute node with one slot pinned to GOMAXPROCS(1), 256KB chunks, zero simulated record cost — codec/routing/sketch work is the workload). Static layout in all variants (splitting/isolation/heuristic disabled, aggregate NoClone), so the only variable is the data plane: 'row' is record-at-a-time ForEach + PartitionedWriter.Write on row chunks; 'batch' moves whole column batches (ForEachBatch with scratch-backed column decode + WriteBatch on the uint64-native routing path: one routing pass, bulk column-major scatter, and one bulk sketch feed per batch). Median of %d runs per variant; every run verifies every per-key count against ground truth. mb_per_s is over the 16-byte logical tuples.",
 			vecRecords, vecKeys, vecParts, vecIters),
 		"environment": map[string]string{
 			"go":   runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -71,11 +61,10 @@ func vectorBench() error {
 		},
 		"command": "hurricane-bench vector",
 		"results": map[string]any{
-			"row": row, "batch": batch, "batch_heavy": heavy,
+			"row": row, "batch": batch,
 		},
-		"speedup_batch_over_row":   speedup,
-		"speedup_heavy_over_batch": heavySpeedup,
-		"notes":                    "Absolute MB/s depends on the container; the ratios are the stable quantities and 'hurricane-bench vector-check' guards the batch/row one in CI (fresh ratio >= 0.6x the committed ratio; observed cross-run spread on a busy shared host is roughly 2.7x-3.5x, so the guard trips on real regressions, not scheduler noise). The row path pays codec framing, partition-map consultation, count-min sampling, and chunk-writer append per record; the batch path pays them per batch and ships columns, so the speedup is the per-record overhead's share of the row path's runtime. The heavy-slot variant resolves the keys that dominate a Zipf stream in dense pre-seeded accumulator slots instead of the hash map; the metrics record its hit rate (55% of records here). At this 64-key cardinality the consumer's last-key memo already absorbs most consecutive repeats, so heavy slots roughly tie the batch baseline on wall time (0.9x-1.2x across runs) — their headroom grows with group cardinality, when the tail map stops fitting in cache.",
+		"speedup_batch_over_row": speedup,
+		"notes":                  "Absolute MB/s depends on the container; the ratios are the stable quantities and 'hurricane-bench vector-check' guards the batch/row one in CI (fresh ratio >= 0.6x the committed ratio; observed cross-run spread on a busy shared host is roughly 2.7x-3.5x, so the guard trips on real regressions, not scheduler noise). The row path pays codec framing, partition-map consultation, count-min sampling, and chunk-writer append per record; the batch path pays them per batch and ships columns, so the speedup is the per-record overhead's share of the row path's runtime.",
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -144,19 +133,16 @@ type vectorVariant struct {
 	// BatchChunks counts batch-encoded chunks the shuffle writers
 	// inserted (0 in the row variant, by construction).
 	BatchChunks float64 `json:"batch_chunks"`
-	// HeavyHitRate is dense-slot hits over lookups in the aggregate
-	// stage (0 outside batch_heavy).
-	HeavyHitRate float64 `json:"heavy_hit_rate"`
 	benchObs
 }
 
-// vectorVariants runs the three variants in interleaved rounds
-// (row, batch, batch_heavy, row, batch, ...) and reports each variant's
-// median over iters rounds. Interleaving matters on shared hosts: a
-// noisy stretch degrades all three variants evenly instead of poisoning
-// one variant's entire median window. The oracle verifies every run; the
-// CPU-profile hook (if armed) captures the first batch_heavy iteration.
-func vectorVariants(iters int) (row, batch, heavy vectorVariant, err error) {
+// vectorVariants runs the two variants in interleaved rounds
+// (row, batch, row, batch, ...) and reports each variant's median over
+// iters rounds. Interleaving matters on shared hosts: a noisy stretch
+// degrades both variants evenly instead of poisoning one variant's
+// entire median window. The oracle verifies every run; the CPU-profile
+// hook (if armed) captures the first batch iteration.
+func vectorVariants(iters int) (row, batch vectorVariant, err error) {
 	// This is a single-core throughput benchmark: one compute slot already
 	// serializes every task, so running the support goroutines (master,
 	// storage, pollers) on a second P only adds cross-thread futex wakeups
@@ -169,18 +155,18 @@ func vectorVariants(iters int) (row, batch, heavy vectorVariant, err error) {
 	}
 	profileMode := os.Getenv("HURRICANE_BENCH_PROFILE_MODE")
 	if profileMode == "" {
-		profileMode = "batch_heavy"
+		profileMode = "batch"
 	}
 	samples := map[string][]vectorVariant{}
 	for i := 0; i < iters; i++ {
-		for _, mode := range []string{"row", "batch", "batch_heavy"} {
+		for _, mode := range []string{"row", "batch"} {
 			var p *profileHook
 			if mode == profileMode {
 				p = hook
 			}
 			v, err := runVectorVariant(mode, p)
 			if err != nil {
-				return row, batch, heavy, fmt.Errorf("%s run %d: %w", mode, i, err)
+				return row, batch, fmt.Errorf("%s run %d: %w", mode, i, err)
 			}
 			samples[mode] = append(samples[mode], v)
 		}
@@ -189,7 +175,7 @@ func vectorVariants(iters int) (row, batch, heavy vectorVariant, err error) {
 		sort.Slice(vs, func(a, b int) bool { return vs[a].MBPerS > vs[b].MBPerS })
 		return vs[len(vs)/2]
 	}
-	return median(samples["row"]), median(samples["batch"]), median(samples["batch_heavy"]), nil
+	return median(samples["row"]), median(samples["batch"]), nil
 }
 
 // profileHook captures one CPU profile across the first run it sees.
@@ -263,9 +249,7 @@ func runVectorVariant(mode string, profile *profileHook) (vectorVariant, error) 
 	case "row":
 		app = apps.GroupByApp(vecParts, false, true, 0)
 	case "batch":
-		app = apps.GroupByBatchApp(vecParts, false, true, 0, false)
-	case "batch_heavy":
-		app = apps.GroupByBatchApp(vecParts, false, true, 0, true)
+		app = apps.GroupByBatchApp(vecParts, false, true, 0)
 	default:
 		return out, fmt.Errorf("unknown vector variant %q", mode)
 	}
@@ -281,7 +265,7 @@ func runVectorVariant(mode string, profile *profileHook) (vectorVariant, error) 
 	want := workload.KeyCounts(tuples)
 
 	// The source layout is part of the data plane under test: the row
-	// variant reads the classic row-framed source, the batch variants a
+	// variant reads the classic row-framed source, the batch variant a
 	// batch-encoded columnar one (identical logical content).
 	store := cluster.Store()
 	load := apps.LoadGroupBy
@@ -316,19 +300,10 @@ func runVectorVariant(mode string, profile *profileHook) (vectorVariant, error) 
 	}
 
 	out.benchObs = captureObs(cluster, cluster.Primary(), false)
-	var hits, lookups float64
 	for series, v := range out.Metrics {
-		switch {
-		case hasMetricName(series, "hurricane_chunk_batches_total"):
+		if hasMetricName(series, "hurricane_chunk_batches_total") {
 			out.BatchChunks += v
-		case hasMetricName(series, "hurricane_agg_heavy_slot_hits_total"):
-			hits += v
-		case hasMetricName(series, "hurricane_agg_heavy_slot_lookups_total"):
-			lookups += v
 		}
-	}
-	if lookups > 0 {
-		out.HeavyHitRate = hits / lookups
 	}
 	switch mode {
 	case "row":
@@ -339,9 +314,6 @@ func runVectorVariant(mode string, profile *profileHook) (vectorVariant, error) 
 		if out.BatchChunks == 0 {
 			return out, fmt.Errorf("%s variant moved no batch chunks — fell back to rows", mode)
 		}
-	}
-	if mode == "batch_heavy" && out.HeavyHitRate == 0 {
-		return out, fmt.Errorf("batch_heavy variant recorded no dense-slot hits — warm sketch not seen")
 	}
 	return out, nil
 }

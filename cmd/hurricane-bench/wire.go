@@ -123,7 +123,7 @@ func wireBench() error {
 			"telemetry_off": off,
 		},
 		"telemetry_overhead_pct": overheadPct,
-		"notes": "This file is the committed baseline for the ROADMAP wire-path target (≥5x fewer round trips per consumed chunk): compare future transport work against ops_per_run and wire bytes here, not wall clock alone. The per-op table localizes where the wire budget goes today — read/advance round trips per consumed chunk dominate op count; sketch pushes and pmap polls ride the same connections. Telemetry overhead is the median-over-median elapsed ratio of interleaved runs; the meters themselves are a few atomic adds per op, so the bar is ≤3%.",
+		"notes":                  "This file is the committed baseline for the ROADMAP wire-path target (≥5x fewer round trips per consumed chunk): compare future transport work against ops_per_run and wire bytes here, not wall clock alone. The per-op table localizes where the wire budget goes today — read/advance round trips per consumed chunk dominate op count; sketch pushes and pmap polls ride the same connections. Telemetry overhead is the median-over-median elapsed ratio of interleaved runs; the meters themselves are a few atomic adds per op, so the bar is ≤3%.",
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

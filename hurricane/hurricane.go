@@ -34,7 +34,6 @@ package hurricane
 
 import (
 	"context"
-	"io"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -233,25 +232,7 @@ func PairOf[A, B any](a Codec[A], b Codec[B]) Codec[Pair[A, B]] {
 // time from the shared input bag, any number of clones can run the same
 // loop concurrently.
 func ForEach[T any](tc *TaskCtx, input int, codec Codec[T], fn func(T) error) error {
-	it := chunk.NewIterator(codec, func() (chunk.Chunk, error) {
-		c, err := tc.Remove(input)
-		if err == bag.ErrEmpty {
-			return nil, io.EOF
-		}
-		return c, err
-	})
-	for {
-		v, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
+	return ForEachBatch(tc, input, codec, each(fn))
 }
 
 // ForEachScan reads scan input i in full (without consuming it), decoding
@@ -260,25 +241,7 @@ func ForEach[T any](tc *TaskCtx, input int, codec Codec[T], fn func(T) error) er
 // lookup state (a hash join's build side, PageRank's rank vector) is
 // distributed to clones.
 func ForEachScan[T any](tc *TaskCtx, scanInput int, codec Codec[T], fn func(T) error) error {
-	it := chunk.NewIterator(codec, func() (chunk.Chunk, error) {
-		c, err := tc.Scan(scanInput)
-		if err == bag.ErrEmpty {
-			return nil, io.EOF
-		}
-		return c, err
-	})
-	for {
-		v, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
+	return forEachVec(func() (Chunk, error) { return tc.Scan(scanInput) }, codec, each(fn))
 }
 
 // Writer writes typed records to one of a task's outputs.
@@ -328,29 +291,18 @@ func Load[T any](ctx context.Context, store *Store, bagName string, codec Codec[
 // codec falls back to Load. Results are interchangeable with Load's —
 // every reader accepts both layouts on the same bag.
 func LoadBatch[T any](ctx context.Context, store *Store, bagName string, codec Codec[T], values []T) error {
-	cc, ok := chunk.ColumnarOf(codec)
+	ins := store.Bag(bagName).Inserter(ctx)
+	w, ok := chunk.NewBatchWriter(codec, 0, store.ChunkSize(), ins.Insert)
 	if !ok {
 		return Load(ctx, store, bagName, codec, values)
 	}
-	h := store.Bag(bagName)
-	ins := h.Inserter(ctx)
-	b := chunk.GetBatchBuilder(0, chunk.KindsOf(cc))
-	defer chunk.PutBatchBuilder(b)
-	size := store.ChunkSize()
 	for _, v := range values {
-		cc.EncodeColumn(b, 0, v)
-		b.EndRow()
-		if b.Size() >= size {
-			if err := ins.Insert(b.Encode()); err != nil {
-				return err
-			}
-			b.Clear()
-		}
-	}
-	if b.Rows() > 0 {
-		if err := ins.Insert(b.Encode()); err != nil {
+		if err := w.Write(v); err != nil {
 			return err
 		}
+	}
+	if err := w.Close(); err != nil {
+		return err
 	}
 	return ins.Close()
 }
@@ -365,6 +317,7 @@ func Seal(ctx context.Context, store *Store, bagName string) error {
 // decoding with codec. Use it to fetch job results after Run returns.
 func Collect[T any](ctx context.Context, store *Store, bagName string, codec Codec[T]) ([]T, error) {
 	sc := store.Scanner(bagName)
+	d := chunk.NewDecoder(codec)
 	var out []T
 	for {
 		c, err := sc.Next(ctx)
@@ -374,16 +327,8 @@ func Collect[T any](ctx context.Context, store *Store, bagName string, codec Cod
 		if err != nil {
 			return nil, err
 		}
-		vals, err := decodeAll(codec, c)
-		if err != nil {
+		if out, err = d.Decode(c, out); err != nil {
 			return nil, err
 		}
-		out = append(out, vals...)
 	}
-}
-
-func decodeAll[T any](codec Codec[T], c chunk.Chunk) ([]T, error) {
-	// The iterator dispatches per chunk, so collected bags may hold row
-	// and batch chunks in any mix.
-	return chunk.NewSliceIterator(codec, []chunk.Chunk{c}).Collect()
 }

@@ -38,7 +38,6 @@ func TestProfileZipfGroupBy(t *testing.T) {
 			OverloadThreshold: 1.5,
 		},
 		Master: hurricane.MasterConfig{
-			PollInterval:  time.Millisecond,
 			CloneInterval: 5 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},

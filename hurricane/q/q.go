@@ -104,10 +104,11 @@ func (d *Dataset[T]) Sink(bag string) *Dataset[T] {
 }
 
 // anyCodec adapts a typed codec to the planner's untyped record plane.
-// When the wrapped codec supports the columnar batch layout it also
-// satisfies plan.ColumnarAnyCodec, which makes the compiled stages run
-// vectorized batch loops; row-only codecs leave cc nil (ColKinds returns
-// nil) and the stages keep the record-at-a-time path.
+// Reading goes through a chunk.Decoder each worker constructs for itself
+// (NewDecoderAny). When the wrapped codec supports the columnar batch
+// layout the adapter also satisfies plan.ColumnarAnyCodec and the compiled
+// stages write batch chunks; row-only codecs leave cc nil (ColKinds
+// returns nil) and the stages write rows.
 type anyCodec[T any] struct {
 	c     hurricane.Codec[T]
 	cc    chunk.ColumnCodec[T]
@@ -124,29 +125,26 @@ func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] {
 }
 
 func (a anyCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
-func (a anyCodec[T]) DecodeAny(rec []byte) (any, error) {
-	v, _, err := a.c.Decode(rec)
-	if err != nil {
-		return nil, err
+
+func (a anyCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
+	d := chunk.NewDecoder(a.c)
+	var vals []T
+	return func(c chunk.Chunk, out []any) ([]any, error) {
+		var err error
+		if vals, err = d.Decode(c, vals[:0]); err != nil {
+			return out, err
+		}
+		for _, v := range vals {
+			out = append(out, v)
+		}
+		return out, nil
 	}
-	return v, nil
 }
 
 func (a anyCodec[T]) ColKinds() []chunk.ColKind { return a.kinds }
 
 func (a anyCodec[T]) EncodeColumnAny(b *chunk.BatchBuilder, v any) {
 	a.cc.EncodeColumn(b, 0, v.(T))
-}
-
-func (a anyCodec[T]) DecodeBatchAny(bt *chunk.Batch, out []any) ([]any, error) {
-	vals, _, err := a.cc.DecodeColumn(bt, 0, nil)
-	if err != nil {
-		return out, err
-	}
-	for _, v := range vals {
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // Scan reads a source bag. Load and seal it (hurricane.Load /

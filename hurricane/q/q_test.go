@@ -28,7 +28,6 @@ func testClusterConfig() hurricane.ClusterConfig {
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
-			PollInterval:    time.Millisecond,
 			CloneInterval:   5 * time.Millisecond,
 			SplitInterval:   5 * time.Millisecond,
 			SplitImbalance:  1.5,

@@ -2,7 +2,9 @@ package q_test
 
 import (
 	"context"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,5 +70,118 @@ func TestVectorizedPlanOracle(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Fatal("no batch chunks recorded — the compiled plan fell back to rows")
+	}
+}
+
+// rowOnly hides a codec's columnar methods, so the planner sees a row-only
+// record codec: stages write row chunks and read batch chunks by
+// re-framing them.
+type rowOnly[T any] struct{ hurricane.Codec[T] }
+
+// TestConcurrentWorkersOwnTheirDecoders: one compiled plan object is shared
+// by every worker of every stage, codec adapters included, while decode
+// scratch must not be. The join stage of this plan consumes a four-way
+// partitioned edge, so four workers run it at once — proven by a rendezvous
+// inside the stage — each scanning the batch-encoded build side and
+// draining batch chunks of the probe edge through the same adapter. Run
+// under -race; the output must equal the serial join, for the columnar
+// codec and for a row-only view of it.
+func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
+	const workers = 4
+	build := make([]tuple, 256)
+	for k := range build {
+		build[k] = tuple{First: uint64(k), Second: uint64(k) * 1000}
+	}
+	gen := workload.RelationGen{Keys: len(build), S: 0.9, Seed: 23}
+	var probe []tuple
+	var want []string
+	for _, tu := range gen.Generate(40000) {
+		probe = append(probe, tuple{First: tu.Key, Second: tu.Payload})
+		want = append(want, string(tupleCodec.Encode(nil, tuple{First: tu.Key, Second: build[tu.Key].Second + tu.Payload})))
+	}
+	sort.Strings(want)
+
+	for name, codec := range map[string]hurricane.Codec[tuple]{
+		"columnar": tupleCodec,
+		"row-only": rowOnly[tuple]{tupleCodec},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			cluster, err := hurricane.NewCluster(testClusterConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Shutdown()
+
+			// The rendezvous: each join worker, at its first record, waits
+			// until `workers` of them have arrived.
+			var arrived atomic.Int32
+			met := make(chan struct{})
+			p := q.New("conc")
+			joined := q.Join(q.Scan(p, "R", codec), q.Scan(p, "S", codec),
+				func(b tuple) uint64 { return b.First },
+				func(s tuple) uint64 { return s.First },
+				codec,
+				func(b, s tuple, emit func(tuple) error) error {
+					return emit(tuple{First: s.First, Second: b.Second + s.Second})
+				},
+				q.WithStrategy(q.JoinRepartition))
+			q.MapPerWorker(joined, codec, func() func(tuple) tuple {
+				first := true
+				return func(v tuple) tuple {
+					if first {
+						first = false
+						if arrived.Add(1) == workers {
+							close(met)
+						}
+						select {
+						case <-met:
+						case <-time.After(20 * time.Second):
+						}
+					}
+					return v
+				}
+			}).Sink("out")
+			c, err := p.Compile(q.Options{Parts: workers, SketchEvery: 256, PollEvery: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			store := cluster.Store()
+			for bag, vals := range map[string][]tuple{"R": build, "S": probe} {
+				if err := hurricane.LoadBatch(ctx, store, bag, tupleCodec, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := hurricane.Seal(ctx, store, bag); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Run(ctx, cluster); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-met:
+			default:
+				t.Fatalf("only %d join workers ever ran at once, want %d", arrived.Load(), workers)
+			}
+			out, err := hurricane.Collect(ctx, store, c.SinkBag("out"), codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, len(out))
+			for i, v := range out {
+				got[i] = string(tupleCodec.Encode(nil, v))
+			}
+			sort.Strings(got)
+			if len(got) != len(want) {
+				t.Fatalf("%d joined records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("joined records differ from the serial join at sorted position %d", i)
+				}
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ func NewPartitionedWriterWith[T any](tc *TaskCtx, out int, codec Codec[T], key f
 		SketchEvery: spec.SketchEvery,
 		Obs:         tc.Obs(),
 		Job:         tc.Job(),
-		OnSpans:     tc.ShuffleSpanHook(),
+		OnSpans:     tc.AddShuffleSpan,
 	})
 	pw := &PartitionedWriter[T]{w: w, codec: codec, key: key, chunkSize: tc.Store().ChunkSize()}
 	// pw.close (not w.Close) so pending batch builders flush before the

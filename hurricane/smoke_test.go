@@ -21,7 +21,6 @@ func testClusterConfig() ClusterConfig {
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Master: MasterConfig{
-			PollInterval:  time.Millisecond,
 			CloneInterval: 5 * time.Millisecond,
 		},
 	}

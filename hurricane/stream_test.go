@@ -151,148 +151,3 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		t.Fatalf("no skew memory captured: %+v", st)
 	}
 }
-
-// TestStreamWarmSketchReseedsFastPath: warm start must re-seed the
-// consumer-side heavy-key fast path, not just the partition map. Window 0
-// streams Zipf(1.3) keys; window 1 streams only uniform tail keys, none
-// of which clears the heavy-hitter threshold on its own — so the only way
-// window 1's aggregate workers can observe heavy keys at task start
-// (hurricane.WarmTopKeys64 seeding dense accumulator slots) is the
-// previous window's sketch being pushed into the new edge's sketch slot
-// before the job starts. Each worker reports the warm key count it saw
-// alongside its record count, so the assertion is exact, not racy.
-func TestStreamWarmSketchReseedsFastPath(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	cluster, err := hurricane.NewCluster(hurricane.ClusterConfig{
-		StorageNodes: 2,
-		ComputeNodes: 2,
-		SlotsPerNode: 2,
-		ChunkSize:    8 << 10,
-		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
-			HeartbeatInterval: 5 * time.Millisecond,
-		},
-		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	type marker = hurricane.Pair[uint64, int64]
-	markerCodec := hurricane.PairOf(hurricane.Uint64Of, hurricane.Int64Of)
-
-	app := hurricane.NewApp("warmslots")
-	app.SourceBag("win")
-	app.AddBag(hurricane.BagSpec{Name: "wshuf", Partitions: 2, SketchEvery: 256, PollEvery: 128})
-	app.Bag("wout")
-	app.AddTask(hurricane.TaskSpec{
-		Name:    "shuffle",
-		Inputs:  []string{"win"},
-		Outputs: []string{"wshuf"},
-		Run: func(tc *hurricane.TaskCtx) error {
-			pw := hurricane.NewPartitionedWriter(tc, 0, hurricane.Uint64Of,
-				hurricane.Uint64Key(func(k uint64) uint64 { return k }))
-			return hurricane.ForEachBatch(tc, 0, hurricane.Uint64Of, pw.WriteBatch)
-		},
-	})
-	app.AddTask(hurricane.TaskSpec{
-		Name:    "aggregate",
-		Inputs:  []string{"wshuf"},
-		Outputs: []string{"wout"},
-		Run: func(tc *hurricane.TaskCtx) error {
-			warm := hurricane.WarmTopKeys64(tc, 0, 8, 0.05)
-			hs := hurricane.NewHeavySlots[int64](warm)
-			var n int64
-			if err := hurricane.ForEachBatch(tc, 0, hurricane.Uint64Of, func(ks []uint64) error {
-				for _, k := range ks {
-					if a, ok := hs.Slot(k); ok {
-						*a++
-					}
-					n++
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			return hurricane.NewWriter(tc, 0, markerCodec).Write(marker{First: uint64(len(warm)), Second: n})
-		},
-	})
-
-	const origin = int64(1_000_000_000_000)
-	gen := workload.RelationGen{Keys: 64, S: 1.3, Seed: 31}
-	hot := gen.Generate(4000)
-	src := &clickSource{}
-	mkBatch := func(w int, keys []uint64) []hurricane.StreamRecord {
-		batch := make([]hurricane.StreamRecord, len(keys))
-		for i, k := range keys {
-			batch[i] = hurricane.StreamRecord{
-				Time: origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(len(keys)+1),
-				Data: hurricane.Uint64Of.Encode(nil, k),
-			}
-		}
-		return batch
-	}
-	w0 := make([]uint64, len(hot))
-	for i, tu := range hot {
-		w0[i] = tu.Key
-	}
-	// Window 1: 200 records over 50 uniform keys — 2% each, under the 5%
-	// warm threshold, and disjoint from window 0's key range.
-	w1 := make([]uint64, 200)
-	for i := range w1 {
-		w1[i] = 1_000 + uint64(i%50)
-	}
-	src.batches = append(src.batches, mkBatch(0, w0), mkBatch(1, w1))
-
-	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
-		Name:        "warmslots",
-		App:         app,
-		Sources:     map[string]hurricane.StreamSource{"win": src},
-		Window:      time.Second,
-		Origin:      origin,
-		MaxInFlight: 1,
-		Master: &hurricane.MasterConfig{
-			CloneInterval:   10 * time.Millisecond,
-			SplitInterval:   5 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 1024,
-			SplitFan:        4,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := cluster.Store()
-	for w, wantRecords := range []int64{int64(len(w0)), int64(len(w1))} {
-		res, err := h.Next(ctx)
-		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
-		}
-		if res.Err != nil {
-			t.Fatalf("window %d failed: %v", w, res.Err)
-		}
-		marks, err := hurricane.Collect(ctx, store, res.Bag("wout"), markerCodec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		warmSeen := false
-		for _, m := range marks {
-			total += m.Second
-			if m.First > 0 {
-				warmSeen = true
-			}
-		}
-		if total != wantRecords {
-			t.Fatalf("window %d consumed %d records, want %d", w, total, wantRecords)
-		}
-		if w == 1 && !warmSeen {
-			t.Fatal("window 1 workers saw no warm heavy keys — cross-window skew memory did not reach the consumer fast path")
-		}
-	}
-	if err := h.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -23,7 +23,6 @@ func testCluster(t *testing.T, mutate func(*hurricane.ClusterConfig)) *hurricane
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
-			PollInterval:  time.Millisecond,
 			CloneInterval: 5 * time.Millisecond,
 		},
 	}

@@ -8,16 +8,11 @@ import (
 
 // GroupByBatchApp is GroupByApp on the vectorized data plane: the shuffle
 // stage partitions whole column batches (one routing pass and one bulk
-// sketch feed per batch) and the aggregate stage consumes batches, with
-// the heavy-hitter keys of the edge's warm sketch promoted to dense
-// accumulator slots à la Zhang & Ross — the skew the mitigation policies
-// act on is the same skew the aggregation exploits. Partial outputs are
-// bit-compatible with GroupByApp's, so CollectGroupBy merges results from
-// either (or both) and serves as the cross-implementation oracle.
-//
-// heavySlots selects the skew-exploiting fast path; with it off every key
-// takes the hash-map path, which is the heavy-slot ablation's baseline.
-func GroupByBatchApp(parts int, spread, noClone bool, recordCostNS int, heavySlots bool) *hurricane.App {
+// sketch feed per batch) and the aggregate stage consumes batches. Partial
+// outputs are bit-compatible with GroupByApp's, so CollectGroupBy merges
+// results from either (or both) and serves as the cross-implementation
+// oracle.
+func GroupByBatchApp(parts int, spread, noClone bool, recordCostNS int) *hurricane.App {
 	app := hurricane.NewApp("groupby")
 	app.SourceBag(GroupByIn)
 	app.AddBag(hurricane.BagSpec{Name: GroupByShuf, Partitions: parts, Spread: spread})
@@ -44,33 +39,20 @@ func GroupByBatchApp(parts int, spread, noClone bool, recordCostNS int, heavySlo
 				n   int64
 				hll *hurricane.HLL
 			}
-			var hs *hurricane.HeavySlots[agg]
-			if heavySlots {
-				// Warm TopKeys from the edge's merged sketch: consumers
-				// are scheduled after the edge seals, at which point the
-				// master has republished the final merged producer sketch
-				// (or, on a warm-started streaming window, the previous
-				// window's memory) — so the heavy hitters are known before
-				// the first batch arrives.
-				hs = hurricane.NewHeavySlots[agg](
-					hurricane.WarmTopKeys64(tc, 0, 16, 0.02))
-			}
 			groups := make(map[uint64]*agg)
 			var owedNS int64
 			// Last-key memo: on a skewed stream consecutive records repeat
 			// keys often (the repeat probability is the distribution's
 			// collision probability, concentrated further by partitioning),
 			// so remembering the previous record's accumulator skips the
-			// slot probe and map lookup for those runs.
+			// map lookup for those runs.
 			var lastKey uint64
 			var lastAgg *agg
 			if err := hurricane.ForEachBatch(tc, 0, tupleCodec, func(ts []joinPair) error {
 				for i := range ts {
 					t := &ts[i]
 					var a *agg
-					if s, ok := hs.Slot(t.First); ok {
-						a = s
-					} else if lastAgg != nil && t.First == lastKey {
+					if lastAgg != nil && t.First == lastKey {
 						a = lastAgg
 					} else if a = groups[t.First]; a == nil {
 						a = &agg{}
@@ -97,29 +79,13 @@ func GroupByBatchApp(parts int, spread, noClone bool, recordCostNS int, heavySlo
 			if owedNS > 0 {
 				time.Sleep(time.Duration(owedNS))
 			}
-			hs.FlushMetrics(tc, hurricane.EdgeOf(tc.InputName(0)))
 			w := hurricane.NewWriter(tc, 0, groupByOutCodec)
-			emit := func(k uint64, a *agg) error {
-				return w.Write(hurricane.Pair[uint64, hurricane.Pair[int64, []byte]]{
+			for k, a := range groups {
+				err := w.Write(hurricane.Pair[uint64, hurricane.Pair[int64, []byte]]{
 					First:  k,
 					Second: hurricane.Pair[int64, []byte]{First: a.n, Second: a.hll.Encode()},
 				})
-			}
-			var emitErr error
-			hs.Each(func(k uint64, a *agg) {
-				if a.n == 0 || emitErr != nil {
-					return // slot seeded but no records reached this worker
-				}
-				if _, dup := groups[k]; dup {
-					return // defensive: map path never holds heavy keys
-				}
-				emitErr = emit(k, a)
-			})
-			if emitErr != nil {
-				return emitErr
-			}
-			for k, a := range groups {
-				if err := emit(k, a); err != nil {
+				if err != nil {
 					return err
 				}
 			}

@@ -53,8 +53,8 @@ func checkGroupByEquiv(t *testing.T, batch, row map[uint64]GroupByResult) {
 }
 
 // TestGroupByBatchEquivalenceStatic: on static partitioning, the batched
-// groupby (heavy slots on and off) is bit-identical to the row-path
-// oracle, and the data actually moved as batch chunks.
+// groupby is bit-identical to the row-path oracle, and the data actually
+// moved as batch chunks.
 func TestGroupByBatchEquivalenceStatic(t *testing.T) {
 	gen := workload.RelationGen{Keys: 64, S: 1.3, Seed: 11}
 	tuples := gen.Generate(30000)
@@ -65,18 +65,16 @@ func TestGroupByBatchEquivalenceStatic(t *testing.T) {
 	row, _ := runGroupBy(t, GroupByApp(4, false, true, 0), tuples, static)
 	checkGroupByCounts(t, row, groundTruthCounts(tuples))
 
-	for _, heavy := range []bool{false, true} {
-		batch, cluster := runGroupBy(t, GroupByBatchApp(4, false, true, 0, heavy), tuples, static)
-		checkGroupByEquiv(t, batch, row)
-		var batches float64
-		for series, v := range cluster.Observer().Registry().Snapshot() {
-			if strings.HasPrefix(series, "hurricane_chunk_batches_total") {
-				batches += v
-			}
+	batch, cluster := runGroupBy(t, GroupByBatchApp(4, false, true, 0), tuples, static)
+	checkGroupByEquiv(t, batch, row)
+	var batches float64
+	for series, v := range cluster.Observer().Registry().Snapshot() {
+		if strings.HasPrefix(series, "hurricane_chunk_batches_total") {
+			batches += v
 		}
-		if batches == 0 {
-			t.Fatalf("heavy=%v: no batch chunks recorded — shuffle fell back to rows", heavy)
-		}
+	}
+	if batches == 0 {
+		t.Fatal("no batch chunks recorded — shuffle fell back to rows")
 	}
 }
 
@@ -97,7 +95,7 @@ func TestGroupByBatchEquivalenceMitigated(t *testing.T) {
 	checkGroupByCounts(t, row, groundTruthCounts(tuples))
 
 	for attempt := 0; attempt < 5; attempt++ {
-		batch, cluster := runGroupBy(t, GroupByBatchApp(4, true, true, 0, true), tuples, nil)
+		batch, cluster := runGroupBy(t, GroupByBatchApp(4, true, true, 0), tuples, nil)
 		checkGroupByEquiv(t, batch, row)
 		st := cluster.Master().Stats()
 		if st.Splits+st.Isolations >= 1 {

@@ -6,15 +6,15 @@
 // uvarints, fixed columns hold 8-byte little-endian values, and blob
 // columns come in (lengths, bytes) pairs. Because every row codec in this
 // package encodes a value as the concatenation of its fields' encodings,
-// a batch is generically convertible back to row records (BatchReader)
-// without knowing the schema — that conversion is the universal row↔batch
-// adapter at boundaries that are not batch-capable yet.
+// a batch is generically convertible back to row records (batchReader)
+// without knowing the schema — that conversion is how a Decoder reads
+// batch chunks through a row-only codec.
 //
 // Batch chunks are self-identifying: they open with a magic prefix that
 // no valid row chunk can produce (an empty record followed by an
 // overlong uvarint), so a row Reader pointed at a batch fails with
-// ErrCorrupt instead of silently misparsing, and batch-aware consumers
-// dispatch per chunk — mixing row and batch chunks in one bag is legal.
+// ErrCorrupt instead of silently misparsing, and a Decoder dispatches per
+// chunk — mixing row and batch chunks in one bag is legal.
 package chunk
 
 import (
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -64,8 +65,8 @@ const (
 func (k ColKind) valid() bool { return k >= ColVarint && k <= ColBytes }
 
 // IsBatch reports whether c is a batch chunk. Row and batch chunks are
-// mutually exclusive, so this is the dispatch point for every consumer
-// that understands both formats.
+// mutually exclusive; readers do not ask — they hand the chunk to a
+// Decoder, which does.
 func IsBatch(c Chunk) bool {
 	return len(c) > len(batchMagic) && string(c[:len(batchMagic)]) == string(batchMagic[:])
 }
@@ -144,6 +145,11 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 			return nil, fmt.Errorf("%w: bytes column without length column", ErrCorrupt)
 		case kind == ColFixed8 && size != rows*8:
 			return nil, fmt.Errorf("%w: fixed column size %d for %d rows", ErrCorrupt, size, rows)
+		case kind != ColBytes && size < rows:
+			// Every row takes at least a byte of a varint or length
+			// column, so the chunk's own size bounds what a decoder
+			// allocates for the row count it claims.
+			return nil, fmt.Errorf("%w: column of %d bytes for %d rows", ErrCorrupt, size, rows)
 		}
 		pendLen = kind == ColLen
 		into.Cols = append(into.Cols, Col{Kind: kind, Data: c[off:end]})
@@ -386,13 +392,11 @@ func BulkOf[T any](c ColumnCodec[T]) (BulkColumnCodec[T], bool) {
 	return nil, false
 }
 
-// ScratchColumnCodec is an optional ColumnCodec extension for callers
-// that own their resolved view exclusively (one decode stream, one
-// goroutine): DecodeColumnScratch is DecodeColumn with the intermediate
-// column vectors drawn from per-stream scratch instead of allocated per
-// batch. Shared wrappers — e.g. the query planner's compiled codecs,
-// which fan one resolved view out to concurrent workers — must keep
-// calling the stateless DecodeColumn.
+// ScratchColumnCodec is an optional ColumnCodec extension for a resolved
+// view that one goroutine owns exclusively: DecodeColumnScratch is
+// DecodeColumn with the intermediate column vectors drawn from per-stream
+// scratch instead of allocated per batch. A Decoder is such an owner — it
+// resolves its own view — and is how readers reach this path.
 type ScratchColumnCodec[T any] interface {
 	DecodeColumnScratch(bt *Batch, col int, out []T) ([]T, int, error)
 }
@@ -411,7 +415,7 @@ func (Uint64Codec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
 
 func (Uint64Codec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int, error) {
 	data := bt.Cols[col].Data
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i, off := 0, 0; i < bt.Rows; i++ {
 		// Single-byte values dominate varint columns in practice (group
 		// IDs, counts, enum-ish keys). Scan them eight at a time: one
@@ -458,7 +462,7 @@ func (Int64Codec) EncodeColumn(b *BatchBuilder, col int, v int64) int {
 
 func (Int64Codec) DecodeColumn(bt *Batch, col int, out []int64) ([]int64, int, error) {
 	data := bt.Cols[col].Data
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i, off := 0, 0; i < bt.Rows; i++ {
 		v, n := binary.Varint(data[off:])
 		if n <= 0 {
@@ -484,7 +488,7 @@ func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64
 	if len(data) != bt.Rows*8 {
 		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
 	}
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i := 0; i < bt.Rows; i++ {
 		out = append(out, binary.LittleEndian.Uint64(data[i*8:]))
 	}
@@ -505,7 +509,7 @@ func (Float64Codec) DecodeColumn(bt *Batch, col int, out []float64) ([]float64, 
 	if len(data) != bt.Rows*8 {
 		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
 	}
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i := 0; i < bt.Rows; i++ {
 		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:])))
 	}
@@ -553,7 +557,7 @@ func (StringCodec) DecodeColumn(bt *Batch, col int, out []string) ([]string, int
 	// One string conversion for the whole column; rows are substring
 	// slices of it.
 	all := string(bt.Cols[col+1].Data)
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i := 0; i < len(spans); i += 2 {
 		out = append(out, all[spans[i]:spans[i+1]])
 	}
@@ -579,7 +583,7 @@ func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int,
 		return out, col, err
 	}
 	data := bt.Cols[col+1].Data
-	out = growCap(out, bt.Rows)
+	out = slices.Grow(out, bt.Rows)
 	for i := 0; i < len(spans); i += 2 {
 		out = append(out, data[spans[i]:spans[i+1]:spans[i+1]])
 	}
@@ -754,7 +758,7 @@ func (c resolvedPairCodec[A, B]) DecodeColumnScratch(bt *Batch, col int, out []P
 	if len(as) != len(bs) {
 		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
 	}
-	out = growCap(out, len(as))
+	out = slices.Grow(out, len(as))
 	for i := range as {
 		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
 	}
@@ -778,8 +782,7 @@ func (c PairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]P
 
 func pairDecodeColumn[A, B any](ca ColumnCodec[A], cb ColumnCodec[B], bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
 	// The half-column temporaries are allocated per call on purpose:
-	// resolved wrappers are shared across concurrent workers by the query
-	// planner's compiled codecs, so DecodeColumn must stay stateless.
+	// DecodeColumn is the stateless entry point, safe on a shared view.
 	as, col, err := ca.DecodeColumn(bt, col, make([]A, 0, bt.Rows))
 	if err != nil {
 		return out, col, err
@@ -791,7 +794,7 @@ func pairDecodeColumn[A, B any](ca ColumnCodec[A], cb ColumnCodec[B], bt *Batch,
 	if len(as) != len(bs) {
 		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
 	}
-	out = growCap(out, len(as))
+	out = slices.Grow(out, len(as))
 	for i := range as {
 		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
 	}
@@ -819,20 +822,11 @@ func (KVCodec) DecodeColumn(bt *Batch, col int, out []KV) ([]KV, int, error) {
 	if err != nil {
 		return out, col, err
 	}
-	out = growCap(out, len(keys))
+	out = slices.Grow(out, len(keys))
 	for i := range keys {
 		out = append(out, KV{Key: keys[i], Value: vals[i]})
 	}
 	return out, col, nil
-}
-
-func growCap[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	grown := make([]T, len(s), len(s)+n)
-	copy(grown, s)
-	return grown
 }
 
 // ---- batch writer ----
@@ -902,28 +896,19 @@ func (w *BatchWriter[T]) Close() error {
 
 // ---- generic batch → row adapter ----
 
-// BatchReader re-frames a decoded batch as row-encoded records without
+// batchReader re-frames a decoded batch as row-encoded records without
 // knowing the schema: each record is the concatenation of the row's
 // per-column encodings, which is exactly the row format every codec in
-// this package produces. The returned record is valid until the next call
-// to Next or Reset.
-type BatchReader struct {
+// this package produces. It is the Decoder's path for row-only codecs.
+type batchReader struct {
 	bt      *Batch
 	row     int
 	offs    []int
 	pendLen uint64
-	buf     []byte
 }
 
-// NewBatchReader returns a BatchReader over bt.
-func NewBatchReader(bt *Batch) *BatchReader {
-	r := new(BatchReader)
-	r.Reset(bt)
-	return r
-}
-
-// Reset re-points the reader at bt, retaining allocations.
-func (r *BatchReader) Reset(bt *Batch) {
+// reset re-points the reader at bt, retaining allocations.
+func (r *batchReader) reset(bt *Batch) {
 	r.bt, r.row, r.pendLen = bt, 0, 0
 	r.offs = r.offs[:0]
 	for range bt.Cols {
@@ -931,41 +916,40 @@ func (r *BatchReader) Reset(bt *Batch) {
 	}
 }
 
-// Next returns the next row as a row-encoded record, or io.EOF after the
-// last row. The record aliases an internal buffer reused across calls.
-func (r *BatchReader) Next() ([]byte, error) {
+// next appends the next row, as a row-encoded record, to dst and returns
+// the grown slice, or io.EOF after the last row.
+func (r *batchReader) next(dst []byte) ([]byte, error) {
 	if r.row >= r.bt.Rows {
-		return nil, io.EOF
+		return dst, io.EOF
 	}
-	r.buf = r.buf[:0]
 	for i, col := range r.bt.Cols {
 		data, off := col.Data, r.offs[i]
 		switch col.Kind {
 		case ColVarint, ColLen:
 			v, n := binary.Uvarint(data[off:])
 			if n <= 0 {
-				return nil, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, r.row)
+				return dst, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, r.row)
 			}
-			r.buf = append(r.buf, data[off:off+n]...)
+			dst = append(dst, data[off:off+n]...)
 			r.offs[i] = off + n
 			if col.Kind == ColLen {
 				r.pendLen = v
 			}
 		case ColFixed8:
 			if off+8 > len(data) {
-				return nil, fmt.Errorf("%w: fixed column underflow at row %d", ErrCorrupt, r.row)
+				return dst, fmt.Errorf("%w: fixed column underflow at row %d", ErrCorrupt, r.row)
 			}
-			r.buf = append(r.buf, data[off:off+8]...)
+			dst = append(dst, data[off:off+8]...)
 			r.offs[i] = off + 8
 		case ColBytes:
 			end := off + int(r.pendLen)
 			if int(r.pendLen) < 0 || end < off || end > len(data) {
-				return nil, fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, r.row)
+				return dst, fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, r.row)
 			}
-			r.buf = append(r.buf, data[off:end]...)
+			dst = append(dst, data[off:end]...)
 			r.offs[i] = end
 		}
 	}
 	r.row++
-	return r.buf, nil
+	return dst, nil
 }

@@ -75,7 +75,7 @@ func TestBatchRoundTripColumnar(t *testing.T) {
 }
 
 // TestBatchRowAdapter checks the generic batch→row re-framing: records
-// produced by BatchReader must be byte-identical to the codec's row
+// produced by batchReader must be byte-identical to the codec's row
 // encoding, so any row-format consumer can read batch chunks unchanged.
 func TestBatchRowAdapter(t *testing.T) {
 	rows := testRows(200)
@@ -204,9 +204,10 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			if err != nil {
 				return
 			}
-			br := NewBatchReader(bt)
+			var br batchReader
+			br.reset(bt)
 			for {
-				if _, err := br.Next(); err != nil {
+				if _, err := br.next(nil); err != nil {
 					break
 				}
 			}

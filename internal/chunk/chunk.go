@@ -110,7 +110,7 @@ func (r *Reader) Reset(c Chunk) { r.data, r.off = c, 0 }
 // Next returns the next record, or io.EOF when the chunk is exhausted.
 // The returned slice aliases the chunk; callers must not modify it.
 // Pointing a row Reader at a columnar batch chunk returns ErrCorrupt —
-// batch-capable consumers must dispatch on IsBatch first.
+// a Decoder reads both layouts.
 func (r *Reader) Next() ([]byte, error) {
 	if r.off == 0 && IsBatch(r.data) {
 		return nil, fmt.Errorf("%w: batch chunk read through row reader", ErrCorrupt)
@@ -156,40 +156,4 @@ func Count(c Chunk) (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-// Records returns all records framed in c. Batch chunks are re-framed
-// through the generic batch→row adapter; those records are copies (the
-// adapter reuses its buffer), while row-chunk records alias c.
-func Records(c Chunk) ([][]byte, error) {
-	if IsBatch(c) {
-		bt, err := DecodeBatch(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		br := NewBatchReader(bt)
-		out := make([][]byte, 0, bt.Rows)
-		for {
-			rec, err := br.Next()
-			if err != nil {
-				if err == io.EOF {
-					return out, nil
-				}
-				return nil, err
-			}
-			out = append(out, append([]byte(nil), rec...))
-		}
-	}
-	r := NewReader(c)
-	var out [][]byte
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, err
-		}
-		out = append(out, rec)
-	}
 }

@@ -102,10 +102,10 @@ func (StringCodec) Decode(record []byte) (string, int, error) {
 	if n <= 0 {
 		return "", 0, ErrShortRecord
 	}
-	end := n + int(size)
-	if end > len(record) {
+	if size > uint64(len(record)-n) {
 		return "", 0, ErrShortRecord
 	}
+	end := n + int(size)
 	return string(record[n:end]), end, nil
 }
 
@@ -122,10 +122,10 @@ func (BytesCodec) Decode(record []byte) ([]byte, int, error) {
 	if n <= 0 {
 		return nil, 0, ErrShortRecord
 	}
-	end := n + int(size)
-	if end > len(record) {
+	if size > uint64(len(record)-n) {
 		return nil, 0, ErrShortRecord
 	}
+	end := n + int(size)
 	return record[n:end], end, nil
 }
 
@@ -215,112 +215,42 @@ func (t *TypedWriter[T]) Write(v T) error {
 // Flush emits any buffered partial chunk.
 func (t *TypedWriter[T]) Flush() error { return t.W.Flush() }
 
-// Iterator deserializes values of type T from a stream of chunks. Row and
-// batch chunks may be freely mixed in one stream: batch chunks decode
-// through the codec's columnar path when it has one, and through the
-// generic batch→row adapter otherwise.
+// Iterator deserializes values of type T from a sequence of chunks: a
+// cursor over a Decoder's output, one chunk's values at a time. Row and
+// batch chunks may be freely mixed.
 type Iterator[T any] struct {
-	Codec Codec[T]
-	// Next fetches the next chunk, returning io.EOF at end of stream.
-	Source func() (Chunk, error)
-
-	r   *Reader
-	vec []T
-	vi  int
-	bt  Batch
-	br  *BatchReader
-}
-
-// NewIterator returns an Iterator decoding values from chunks supplied by
-// source.
-func NewIterator[T any](codec Codec[T], source func() (Chunk, error)) *Iterator[T] {
-	return &Iterator[T]{Codec: codec, Source: source}
+	chunks []Chunk
+	d      *Decoder[T]
+	vec    []T
+	vi     int
 }
 
 // NewSliceIterator returns an Iterator over a fixed set of chunks.
 func NewSliceIterator[T any](codec Codec[T], chunks []Chunk) *Iterator[T] {
-	i := 0
-	return NewIterator(codec, func() (Chunk, error) {
-		if i >= len(chunks) {
-			return nil, io.EOF
-		}
-		c := chunks[i]
-		i++
-		return c, nil
-	})
+	return &Iterator[T]{chunks: chunks, d: NewDecoder(codec)}
 }
 
-// Next returns the next decoded value, or io.EOF at end of stream.
+// Next returns the next decoded value, or io.EOF after the last chunk. A
+// chunk is decoded whole before its first value is returned, so a corrupt
+// chunk yields its error in place of all of its values.
 func (it *Iterator[T]) Next() (T, error) {
-	var zero T
-	for {
-		if it.vi < len(it.vec) {
-			v := it.vec[it.vi]
-			it.vi++
-			return v, nil
+	for it.vi >= len(it.vec) {
+		var zero T
+		if len(it.chunks) == 0 {
+			return zero, io.EOF
 		}
-		if it.r != nil {
-			rec, err := it.r.Next()
-			if err == nil {
-				v, _, derr := it.Codec.Decode(rec)
-				return v, derr
-			}
-			if err != io.EOF {
-				return zero, err
-			}
-			it.r = nil
-		}
-		c, err := it.Source()
-		if err != nil {
+		c := it.chunks[0]
+		it.chunks = it.chunks[1:]
+		var err error
+		it.vi = 0
+		if it.vec, err = it.d.Decode(c, it.vec[:0]); err != nil {
+			it.vec = it.vec[:0]
 			return zero, err
 		}
-		if IsBatch(c) {
-			if err := it.loadBatch(c); err != nil {
-				return zero, err
-			}
-			continue
-		}
-		if it.r == nil {
-			it.r = NewReader(c)
-		} else {
-			it.r.Reset(c)
-		}
 	}
-}
-
-// loadBatch decodes one batch chunk into the iterator's value vector.
-func (it *Iterator[T]) loadBatch(c Chunk) error {
-	bt, err := DecodeBatch(c, &it.bt)
-	if err != nil {
-		return err
-	}
-	it.vec, it.vi = it.vec[:0], 0
-	if cc, ok := ColumnarOf(it.Codec); ok {
-		it.vec, _, err = cc.DecodeColumn(bt, 0, it.vec)
-		return err
-	}
-	// Row↔batch adapter: re-frame rows and decode each through the row
-	// codec. Records are copied because Decode may alias them (the
-	// adapter reuses its buffer across rows).
-	if it.br == nil {
-		it.br = NewBatchReader(bt)
-	} else {
-		it.br.Reset(bt)
-	}
-	for {
-		rec, err := it.br.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		v, _, err := it.Codec.Decode(append([]byte(nil), rec...))
-		if err != nil {
-			return err
-		}
-		it.vec = append(it.vec, v)
-	}
+	v := it.vec[it.vi]
+	it.vi++
+	return v, nil
 }
 
 // Collect drains the iterator into a slice.

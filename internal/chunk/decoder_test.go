@@ -1,0 +1,293 @@
+package chunk
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"testing"
+)
+
+// Records returns c's records in row encoding: a row chunk's frames, or a
+// batch chunk's rows re-framed by the adapter the Decoder uses for
+// row-only codecs.
+func Records(c Chunk) ([][]byte, error) {
+	var out [][]byte
+	if !IsBatch(c) {
+		r := NewReader(c)
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				return out, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, rec)
+		}
+	}
+	bt, err := DecodeBatch(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	var br batchReader
+	br.reset(bt)
+	for {
+		rec, err := br.next(nil)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
+// rowOnly hides a codec's columnar methods, leaving a codec the Decoder
+// can only read batch chunks with through the re-framing adapter.
+type rowOnly[T any] struct{ Codec[T] }
+
+// layouts writes vals three ways: row chunks, batch chunks, and a stream
+// that switches from one to the other. Small chunks force several of each.
+func layouts[T any](t *testing.T, codec Codec[T], vals []T) map[string][]Chunk {
+	t.Helper()
+	var rows, batches []Chunk
+	tw := NewTypedWriter(codec, 96, func(c Chunk) error { rows = append(rows, c); return nil })
+	bw, ok := NewBatchWriter(codec, 0, 96, func(c Chunk) error { batches = append(batches, c); return nil })
+	if !ok {
+		t.Fatal("codec is not columnar")
+	}
+	for _, v := range vals {
+		if err := tw.Write(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Write(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 2 || len(batches) < 2 {
+		t.Fatalf("want several chunks per layout, got %d row, %d batch", len(rows), len(batches))
+	}
+	// Mixed: one stream whose first half is row chunks and second half
+	// batch chunks, so value order is preserved across the switch.
+	var mixed []Chunk
+	half := len(vals) / 2
+	mw := NewTypedWriter(codec, 96, func(c Chunk) error { mixed = append(mixed, c); return nil })
+	for _, v := range vals[:half] {
+		if err := mw.Write(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mb, _ := NewBatchWriter(codec, 0, 96, func(c Chunk) error { mixed = append(mixed, c); return nil })
+	for _, v := range vals[half:] {
+		if err := mb.Write(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]Chunk{"rows": rows, "batches": batches, "mixed": mixed}
+}
+
+// checkReaders asserts that every layout of vals reads back equal through
+// a Decoder and through an Iterator, under the codec itself and under its
+// row-only view. Equality is by re-encoding, which every codec defines.
+func checkReaders[T any](t *testing.T, codec Codec[T], vals []T) {
+	t.Helper()
+	same := func(what string, got []T) {
+		t.Helper()
+		if len(got) != len(vals) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(vals))
+		}
+		for i := range vals {
+			if !bytes.Equal(codec.Encode(nil, got[i]), codec.Encode(nil, vals[i])) {
+				t.Fatalf("%s: value %d = %v, want %v", what, i, got[i], vals[i])
+			}
+		}
+	}
+	for layout, chunks := range layouts(t, codec, vals) {
+		for view, c := range map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}} {
+			d := NewDecoder(c)
+			var got []T
+			for _, ch := range chunks {
+				var err error
+				if got, err = d.Decode(ch, got); err != nil {
+					t.Fatalf("%s/%s: Decode: %v", layout, view, err)
+				}
+			}
+			same(layout+"/"+view+"/Decoder", got)
+			got, err := NewSliceIterator(c, chunks).Collect()
+			if err != nil {
+				t.Fatalf("%s/%s: Iterator: %v", layout, view, err)
+			}
+			same(layout+"/"+view+"/Iterator", got)
+		}
+	}
+}
+
+// TestDecoderLayouts is the table for the one-reader seam: every built-in
+// codec, native and row-only, over row, batch and mixed streams.
+func TestDecoderLayouts(t *testing.T) {
+	const n = 200
+	seq := func(f func(i int)) {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+	}
+	t.Run("int64", func(t *testing.T) {
+		var vs []int64
+		seq(func(i int) { vs = append(vs, int64(i-n/2)*(1<<uint(i%50))) })
+		checkReaders[int64](t, Int64Codec{}, append(vs, math.MinInt64, math.MaxInt64))
+	})
+	t.Run("uint64", func(t *testing.T) {
+		var vs []uint64
+		seq(func(i int) { vs = append(vs, uint64(i)<<uint(i%57)) })
+		checkReaders[uint64](t, Uint64Codec{}, append(vs, math.MaxUint64))
+	})
+	t.Run("uint64fixed", func(t *testing.T) {
+		var vs []uint64
+		seq(func(i int) { vs = append(vs, uint64(i)*0x9e3779b97f4a7c15) })
+		checkReaders[uint64](t, Uint64FixedCodec{}, vs)
+	})
+	t.Run("float64", func(t *testing.T) {
+		var vs []float64
+		seq(func(i int) { vs = append(vs, float64(i)/7-3) })
+		checkReaders[float64](t, Float64Codec{}, append(vs, math.Inf(1), math.NaN()))
+	})
+	t.Run("string", func(t *testing.T) {
+		var vs []string
+		seq(func(i int) { vs = append(vs, string(bytes.Repeat([]byte{'a' + byte(i%26)}, i%9))) })
+		checkReaders[string](t, StringCodec{}, vs)
+	})
+	t.Run("bytes", func(t *testing.T) {
+		var vs [][]byte
+		seq(func(i int) { vs = append(vs, bytes.Repeat([]byte{byte(i)}, i%11)) })
+		checkReaders[[]byte](t, BytesCodec{}, vs)
+	})
+	t.Run("kv", func(t *testing.T) {
+		var vs []KV
+		seq(func(i int) {
+			vs = append(vs, KV{Key: string(rune('k' + i%5)), Value: bytes.Repeat([]byte{byte(i)}, i%6)})
+		})
+		checkReaders[KV](t, KVCodec{}, vs)
+	})
+	t.Run("pair", func(t *testing.T) {
+		checkReaders[kvTestRow](t, kvTestCodec, testRows(n))
+	})
+}
+
+// TestDecodeAccumulatesGeometrically: Collect decodes chunk after chunk
+// into one growing slice. That slice must grow like append, not be
+// reallocated to the exact size once per chunk.
+func TestDecodeAccumulatesGeometrically(t *testing.T) {
+	chunks := encodeBatch(t, testRows(20000), 1<<10)
+	d := NewDecoder[kvTestRow](kvTestCodec)
+	var out []kvTestRow
+	grows := 0
+	for _, c := range chunks {
+		before := cap(out)
+		var err error
+		if out, err = d.Decode(c, out); err != nil {
+			t.Fatal(err)
+		}
+		if cap(out) != before {
+			grows++
+		}
+	}
+	if len(chunks) < 200 || grows > 40 {
+		t.Fatalf("%d reallocations over %d chunks", grows, len(chunks))
+	}
+}
+
+// TestDecoderRejectsForeignBatch: a well-formed batch of another schema is
+// corrupt to this reader, not an index out of range in a column decoder.
+func TestDecoderRejectsForeignBatch(t *testing.T) {
+	var narrow []Chunk
+	w, _ := NewBatchWriter[uint64](Uint64Codec{}, 0, DefaultSize, func(c Chunk) error {
+		narrow = append(narrow, c)
+		return nil
+	})
+	for i := uint64(0); i < 10; i++ {
+		if err := w.Write(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Decoder[kvTestRow]{
+		"native":   NewDecoder[kvTestRow](kvTestCodec),
+		"row-only": NewDecoder[kvTestRow](rowOnly[kvTestRow]{kvTestCodec}),
+	} {
+		if _, err := d.Decode(narrow[0], nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: one-column batch through a four-column codec: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// FuzzDecoder damages chunks of both layouts — one flipped byte, then a
+// truncation — and feeds raw fuzz bytes as a chunk of their own. Decode,
+// under the columnar codec and its row-only view, must return values or an
+// error wrapping ErrCorrupt; it must never panic, and a claimed row count
+// must never make it allocate beyond what the chunk's bytes can hold.
+func FuzzDecoder(f *testing.F) {
+	f.Add(uint64(1), int64(-5), []byte("payload"), uint16(3), byte(0x80), uint16(0))
+	f.Add(uint64(0), int64(0), []byte{}, uint16(14), byte(0xff), uint16(5))
+	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0x80}, 32), uint16(20), byte(1), uint16(40))
+	// A blob length prefix flipped to overflow int once added to its offset.
+	f.Add(^uint64(0), int64(math.MinInt64+54), []byte("0"), uint16(8), byte(0xc3), uint16(4))
+	f.Fuzz(func(t *testing.T, k uint64, v int64, payload []byte, pos uint16, flip byte, cut uint16) {
+		rows := []kvTestRow{
+			{First: k, Second: Pair[int64, []byte]{First: v, Second: payload}},
+			{First: k ^ 0xdead, Second: Pair[int64, []byte]{First: -v, Second: nil}},
+		}
+		var rowChunks []Chunk
+		tw := NewTypedWriter[kvTestRow](kvTestCodec, DefaultSize, func(c Chunk) error {
+			rowChunks = append(rowChunks, c)
+			return nil
+		})
+		for _, r := range rows {
+			if err := tw.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		damage := func(c Chunk) Chunk {
+			c = append(Chunk(nil), c...)
+			c[int(pos)%len(c)] ^= flip
+			return c[:len(c)-int(cut)%len(c)]
+		}
+		inputs := []Chunk{
+			damage(rowChunks[0]),
+			damage(encodeBatch(t, rows, DefaultSize)[0]),
+			Chunk(payload),
+			append(append(Chunk(nil), batchMagic[:]...), payload...),
+		}
+		native := NewDecoder[kvTestRow](kvTestCodec)
+		reframing := NewDecoder[kvTestRow](rowOnly[kvTestRow]{kvTestCodec})
+		for i, c := range inputs {
+			for _, d := range []*Decoder[kvTestRow]{native, reframing} {
+				got, err := d.Decode(c, nil)
+				if err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("input %d: error %v does not wrap ErrCorrupt", i, err)
+				}
+				if cap(got) > 2*len(c)+8 { // slack for append's doubling
+					t.Fatalf("input %d: %d-byte chunk decoded into room for %d rows", i, len(c), cap(got))
+				}
+			}
+		}
+	})
+}

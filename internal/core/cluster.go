@@ -49,36 +49,18 @@ type ClusterConfig struct {
 
 	// Obs, when set, is the observer every layer of the cluster reports
 	// into. When nil (the default) the cluster creates its own with
-	// obs.DefaultTraceCap, so observability is on out of the box; set
-	// DisableObs to run with no observer at all (every instrumented path
-	// degrades to nil-safe no-ops).
+	// obs.DefaultTraceCap: observability is always on.
 	Obs *obs.Observer
-	// DisableObs turns observability off entirely.
-	DisableObs bool
-	// DisableSpans turns off the task profiler (per-phase span
-	// accounting on every worker, collected into JobHandle.Profile).
-	// Spans are on by default and cost two or three clock reads per
-	// chunk; this knob exists for overhead A/B measurements.
-	DisableSpans bool
 	// SlowOpThreshold is the storage-op duration at which the transport
 	// and storage-node meters emit EvStorageSlowOp trace events (0 =
 	// transport.DefaultSlowOp, negative disables them).
 	SlowOpThreshold time.Duration
-	// DisableWireTelemetry leaves the in-proc transport and storage
-	// nodes unmetered (no hurricane_storage_op_* series) while keeping
-	// the rest of the observer wiring. The wire-bench A/B uses it to
-	// price the storage-tier meters in isolation.
-	DisableWireTelemetry bool
 	// SampleInterval is the continuous-telemetry cadence: the cluster's
 	// sampler snapshots the metrics registry plus the captured skew
 	// state into the time-series Recorder and evaluates the watchdog
 	// rules on every tick. 0 selects DefaultSampleInterval; negative
-	// disables the sampler (as does DisableSampler or DisableObs).
+	// disables the sampler.
 	SampleInterval time.Duration
-	// DisableSampler turns the time-series recorder and watchdogs off
-	// while keeping the rest of the observer. This is the overhead A/B
-	// knob (HURRICANE_NOSAMPLER in the benches).
-	DisableSampler bool
 }
 
 // DefaultSampleInterval is the sampler cadence when
@@ -124,7 +106,7 @@ type Cluster struct {
 
 	reg    *sched.Registry
 	leases *sched.Leases
-	obs    *obs.Observer // nil when ClusterConfig.DisableObs
+	obs    *obs.Observer
 	rec    *obs.Recorder // nil when the sampler is disabled
 	watch  *obs.Watch    // ditto
 
@@ -140,12 +122,11 @@ type Cluster struct {
 func newCluster(cfg ClusterConfig) *Cluster {
 	ctx, cancel := context.WithCancel(context.Background())
 	o := cfg.Obs
-	if o == nil && !cfg.DisableObs {
+	if o == nil {
 		o = obs.New(obs.DefaultTraceCap)
 	}
 	cfg.Obs = o
 	cfg.Node.Obs = o // workers report shuffle-edge bytes/records
-	cfg.Node.DisableSpans = cfg.DisableSpans
 	c := &Cluster{
 		cfg:        cfg,
 		obs:        o,
@@ -159,7 +140,7 @@ func newCluster(cfg ClusterConfig) *Cluster {
 	}
 	c.reg.Bind(o)
 	c.leases.Bind(o)
-	if o != nil && !cfg.DisableSampler && cfg.SampleInterval >= 0 {
+	if cfg.SampleInterval >= 0 {
 		c.rec = obs.NewRecorder(0)
 		c.rec.AddSource(obs.RegistrySource(o.Registry()))
 		c.rec.AddSource(c.skewSource())
@@ -177,9 +158,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TransportLatency > 0 {
 		c.inproc.SetLatency(cfg.TransportLatency)
 	}
-	if !cfg.DisableWireTelemetry {
-		c.inproc.Bind(transport.NewMeter(c.obs, "inproc", "", cfg.SlowOpThreshold))
-	}
+	c.inproc.Bind(transport.NewMeter(c.obs, "inproc", "", cfg.SlowOpThreshold))
 	names := make([]string, 0, cfg.StorageNodes)
 	for i := 0; i < cfg.StorageNodes; i++ {
 		name := fmt.Sprintf("storage-%d", i)
@@ -188,9 +167,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			opts = append(opts, storage.WithDir(fmt.Sprintf("%s/%s", cfg.DiskDir, name)))
 		}
 		node := storage.NewNode(name, opts...)
-		if !cfg.DisableWireTelemetry {
-			node.Bind(c.obs, cfg.SlowOpThreshold)
-		}
+		node.Bind(c.obs, cfg.SlowOpThreshold)
 		c.storages[name] = node
 		c.inproc.Register(name, node)
 		names = append(names, name)
@@ -228,14 +205,13 @@ func NewClusterOverStore(store *bag.Store, cfg ClusterConfig) *Cluster {
 func (c *Cluster) Store() *bag.Store { return c.store }
 
 // Observer exposes the cluster's observer: the metrics registry and
-// event trace every layer reports into. Nil when observability was
-// disabled (ClusterConfig.DisableObs).
+// event trace every layer reports into.
 func (c *Cluster) Observer() *obs.Observer { return c.obs }
 
 // Recorder exposes the cluster's time-series recorder — the sampled
-// history behind /debug/timeseries. Nil when the sampler is disabled
-// (DisableObs, DisableSampler, or a negative SampleInterval); a nil
-// *Recorder is itself a no-op, so callers may use it unconditionally.
+// history behind /debug/timeseries. Nil when the sampler is disabled (a
+// negative SampleInterval); a nil *Recorder is itself a no-op, so callers
+// may use it unconditionally.
 func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 
 // Watch exposes the cluster's watchdog (nil when the sampler is
@@ -243,7 +219,7 @@ func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 func (c *Cluster) Watch() *obs.Watch { return c.watch }
 
 // Trace returns the cluster-wide skew-event trace, oldest first,
-// across all jobs. Nil-safe: an unobserved cluster returns nil.
+// across all jobs.
 func (c *Cluster) Trace() []obs.Event {
 	return c.obs.Tracer().Events("", "")
 }
@@ -338,15 +314,8 @@ func (c *Cluster) samplerLoop() {
 	}
 }
 
-// ---- ClusterControl (legacy, job-agnostic: used by masters constructed
-// directly against the cluster; jobs submitted normally get a job-scoped
-// jobControl instead) ----
-
-// KillTask implements ClusterControl across all jobs.
-func (c *Cluster) KillTask(spec string, epoch int) { c.killTask("", spec, epoch) }
-
-// killTask terminates running workers of (spec, epoch) on every live
-// compute node; job scopes the kill ("" = any job).
+// killTask terminates the job's running workers of (spec, epoch) on every
+// live compute node.
 func (c *Cluster) killTask(job, spec string, epoch int) {
 	c.mu.Lock()
 	nodes := make([]*ComputeNode, 0, len(c.computes))
@@ -370,12 +339,7 @@ func (c *Cluster) yieldWorker(job, node, bpID string) bool {
 	return n.Yield(job, bpID)
 }
 
-// YieldWorker implements ClusterControl across all jobs.
-func (c *Cluster) YieldWorker(node, bpID string) bool {
-	return c.yieldWorker("", node, bpID)
-}
-
-// FreeSlots implements ClusterControl. Draining nodes claim nothing, so
+// FreeSlots counts idle worker slots. Draining nodes claim nothing, so
 // their slots are not counted.
 func (c *Cluster) FreeSlots() int {
 	c.mu.Lock()
@@ -390,7 +354,7 @@ func (c *Cluster) FreeSlots() int {
 	return free
 }
 
-// TotalSlots implements ClusterControl.
+// TotalSlots counts the worker slots of non-draining nodes.
 func (c *Cluster) TotalSlots() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -563,9 +527,7 @@ func (c *Cluster) AddStorageNode() string {
 		opts = append(opts, storage.WithDir(fmt.Sprintf("%s/%s", c.cfg.DiskDir, name)))
 	}
 	node := storage.NewNode(name, opts...)
-	if !c.cfg.DisableWireTelemetry {
-		node.Bind(c.obs, c.cfg.SlowOpThreshold)
-	}
+	node.Bind(c.obs, c.cfg.SlowOpThreshold)
 	c.storages[name] = node
 	c.inproc.Register(name, node)
 	c.store.AddNode(name)

@@ -270,50 +270,3 @@ func TestContinuousTelemetryLiveCluster(t *testing.T) {
 		t.Fatal("/debug/dash not the dashboard page")
 	}
 }
-
-// TestDisableObs: with observability off, every surface degrades to
-// empty-but-valid rather than panicking.
-func TestDisableObs(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := testClusterConfig()
-	cfg.DisableObs = true
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	var proc atomic.Int64
-	h, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "q"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadIntsBag(t, ctx, cluster.Store(), h.Bag("in"), 2000)
-	if err := h.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Metrics(); len(got) != 0 {
-		t.Fatalf("disabled observer produced metrics: %v", got)
-	}
-	if got := h.Trace(); got != nil {
-		t.Fatalf("disabled observer produced trace: %v", got)
-	}
-	srv := httptest.NewServer(cluster.DebugHandler())
-	defer srv.Close()
-	// No observer means no sampler either; the telemetry endpoints still
-	// answer with empty documents.
-	if cluster.Recorder() != nil || cluster.Watch() != nil {
-		t.Fatal("unobserved cluster has a recorder/watch")
-	}
-	for _, path := range []string{"/metrics", "/debug/timeseries", "/debug/alerts", "/debug/dash"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s on unobserved cluster: status %d", path, resp.StatusCode)
-		}
-	}
-}

@@ -246,10 +246,4 @@ func TestClusterConfigDefaults(t *testing.T) {
 		mc.SplitFan < 2 || mc.IsolateFraction == 0 {
 		t.Fatalf("master defaults not filled: %+v", mc)
 	}
-	// PollInterval is deliberately NOT filled: the control loop is
-	// event-driven, and the knob only pins the fallback timer when the
-	// caller sets it explicitly.
-	if mc.PollInterval != 0 {
-		t.Fatalf("PollInterval should stay a compatibility knob, got %v", mc.PollInterval)
-	}
 }

@@ -156,13 +156,13 @@ func (h *JobHandle) Master() *Master { return h.currentMaster() }
 // Metrics snapshots the cluster registry's view of this job: every
 // series labeled job=<id> (with the label stripped from the returned
 // names) plus the unlabeled cluster-wide series. Histograms flatten to
-// _count/_sum/_p50/_p95/_p99. Nil when observability is disabled.
+// _count/_sum/_p50/_p95/_p99.
 func (h *JobHandle) Metrics() map[string]float64 {
 	return h.c.obs.Registry().SnapshotFor("job", h.id)
 }
 
 // Trace returns the job's slice of the cluster-wide event trace, oldest
-// first. Nil-safe: an unobserved cluster returns nil.
+// first.
 func (h *JobHandle) Trace() []obs.Event {
 	return h.c.obs.Tracer().Events(h.id, "")
 }
@@ -170,9 +170,7 @@ func (h *JobHandle) Trace() []obs.Event {
 // Profile returns the job's measured execution profile: per-stage phase
 // spans, the critical path through the task DAG, and per-edge skew
 // attribution. Nil while the job is still queued; partial while it runs;
-// complete once Done. Spans are collected unless
-// ClusterConfig.DisableSpans was set, in which case the profile has no
-// stages.
+// complete once Done.
 func (h *JobHandle) Profile() *obs.Profile {
 	m := h.currentMaster()
 	if m == nil {

@@ -47,11 +47,6 @@ type MasterConfig struct {
 	// Empty defaults to the application name.
 	Job string
 
-	// PollInterval is a compatibility knob from the polling era: the
-	// control loop is event-driven (it blocks on telemetry signals), and a
-	// non-zero PollInterval merely pins the loop's idle fallback timer to
-	// this period. Zero selects an adaptive coarse fallback.
-	PollInterval time.Duration
 	// CloneInterval is the minimum gap between successive clones of one
 	// task. The paper sends clone messages at least 2 seconds apart.
 	CloneInterval time.Duration
@@ -711,12 +706,9 @@ func (m *Master) staleBlueprint(bp *Blueprint) bool {
 
 // fallbackInterval is the idle loop's timer: the loop is event-driven,
 // and this bounds how long it sleeps when no telemetry arrives (all nodes
-// silent). PollInterval, when set, pins it for compatibility; otherwise a
-// coarse default is clamped by the deadlines that must not be overslept.
+// silent): a coarse default clamped by the deadlines that must not be
+// overslept.
 func (m *Master) fallbackInterval() time.Duration {
-	if m.cfg.PollInterval > 0 {
-		return m.cfg.PollInterval
-	}
 	d := 50 * time.Millisecond
 	if m.cfg.FailTimeout > 0 && m.cfg.FailTimeout/4 < d {
 		d = m.cfg.FailTimeout / 4
@@ -1395,31 +1387,18 @@ func (m *Master) finishTask(st *taskState) error {
 		// purpose. Capture the final merged sketch first — short jobs
 		// (streaming windows) often seal before the hub's rate-limited
 		// fetch ever ran, and this is the last chance to learn the
-		// edge's key distribution for EdgeMemory — then wipe the
-		// per-writer slot state and republish the merged view under a
-		// single sentinel writer. The republish is what the consumer
-		// side's warm fast path (WarmTopKeys64 seeding dense heavy-key
-		// accumulator slots) reads: consumers of a partitioned edge are
-		// scheduled only after the edge seals (§4.1), so without it the
-		// sketch would always be gone before any consumer could look.
-		// Best-effort throughout (the sketch is advisory); the merged
-		// copy is deleted with the rest of the job's derived state on
-		// Discard/Reset.
+		// edge's key distribution for EdgeMemory — then wipe the slot.
+		// The fetch is best-effort (the sketch is advisory).
 		if edge := m.edges[b]; edge != nil {
-			stats, err := m.store.FetchSketch(m.ctx, b)
-			if err != nil || stats.Total() == 0 {
-				stats = nil
-			}
-			if stats != nil && m.wantsStats {
-				m.mu.Lock()
-				edge.lastStats = stats
-				m.mu.Unlock()
+			if m.wantsStats {
+				if stats, err := m.store.FetchSketch(m.ctx, b); err == nil && stats.Total() > 0 {
+					m.mu.Lock()
+					edge.lastStats = stats
+					m.mu.Unlock()
+				}
 			}
 			if err := m.store.DeleteSketch(m.ctx, b); err != nil {
 				return err
-			}
-			if stats != nil {
-				_ = m.store.PushSketch(m.ctx, b, "!final", stats)
 			}
 		}
 	}

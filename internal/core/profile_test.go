@@ -49,12 +49,7 @@ func TestSpanSnapshotAccounting(t *testing.T) {
 		t.Fatalf("compute not clamped: %d", s.ComputeNS)
 	}
 
-	// Disabled or never-started workers produce no snapshot.
-	tc.spanOff = true
-	if tc.spanSnapshot() != nil {
-		t.Fatal("snapshot with spans off")
-	}
-	tc.spanOff = false
+	// Never-started workers produce no snapshot.
 	tc.spanStartNS = 0
 	if tc.spanSnapshot() != nil {
 		t.Fatal("snapshot for never-started worker")
@@ -159,39 +154,5 @@ func TestProfileEndpointLiveCluster(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", resp.StatusCode)
-	}
-}
-
-// TestProfileDisableSpans: with the profiler off the job still completes
-// and Profile degrades to a stage-less (but well-formed) profile.
-func TestProfileDisableSpans(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := testClusterConfig()
-	cfg.DisableSpans = true
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	var proc atomic.Int64
-	h, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "quiet"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadIntsBag(t, ctx, cluster.Store(), h.Bag("in"), 2000)
-	if err := h.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	p := h.Profile()
-	if p == nil {
-		t.Fatal("profile nil for finished job")
-	}
-	if len(p.Stages) != 0 || len(p.Critical) != 0 {
-		t.Fatalf("spans collected despite DisableSpans: %s", p)
-	}
-	if p.WallNS <= 0 {
-		t.Fatalf("wall %d", p.WallNS)
 	}
 }

@@ -106,9 +106,6 @@ type NodeConfig struct {
 	// Obs is the cluster observer workers report shuffle-edge byte and
 	// record counts into; nil disables worker-side metrics.
 	Obs *obs.Observer
-	// DisableSpans turns off the task profiler's per-phase span
-	// accounting (on by default; see ClusterConfig.DisableSpans).
-	DisableSpans bool
 }
 
 func (c *NodeConfig) fill() {
@@ -258,13 +255,12 @@ func (n *ComputeNode) Slots() int { return n.slots }
 // master invokes this during failure recovery to terminate all running
 // clones of a failed task (§4.4); the wait guarantees no straggling
 // worker touches the task's bags after the master starts scrubbing them.
-// Task names are only unique within a job, so the kill is job-scoped
-// ("" matches any job — the legacy single-job control path).
+// Task names are only unique within a job, so the kill is job-scoped.
 func (n *ComputeNode) KillTask(job, spec string, epoch int) {
 	n.mu.Lock()
 	var victims []*worker
 	for _, we := range n.workers {
-		if (job == "" || we.b.job == job) && we.w.bp.Spec == spec && we.w.bp.Epoch == epoch {
+		if we.b.job == job && we.w.bp.Spec == spec && we.w.bp.Epoch == epoch {
 			victims = append(victims, we.w)
 		}
 	}
@@ -304,14 +300,6 @@ func (n *ComputeNode) KillJob(job string) {
 func (n *ComputeNode) Yield(job, bpID string) bool {
 	n.mu.Lock()
 	we := n.workers[job+"/"+bpID]
-	if we == nil && job == "" {
-		for _, cand := range n.workers {
-			if cand.w.bp.ID == bpID {
-				we = cand
-				break
-			}
-		}
-	}
 	n.mu.Unlock()
 	if we == nil {
 		return false
@@ -425,7 +413,6 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 	// re-check observes the detach. Both orders kill the worker before
 	// it touches the job's bags.
 	w := runWorkerGated(n.ctx, bp, n.store, b.app, n.cfg.Obs, b.job)
-	w.tc.spanOff = n.cfg.DisableSpans // before release: the gate orders this write
 	key := b.job + "/" + bp.ID
 	n.mu.Lock()
 	n.workers[key] = &workerEntry{w: w, b: b}

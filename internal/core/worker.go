@@ -44,11 +44,8 @@ type TaskCtx struct {
 	// lifetime. Plain fields on purpose: they are written only by the
 	// worker goroutine (the shuffle writers a task owns run on it too) and
 	// read by the completion path after the done channel closes, which
-	// orders the accesses. spanOff disables the extra bookkeeping
-	// (ClusterConfig.DisableSpans); it is set before the worker's gate
-	// opens, never after.
+	// orders the accesses.
 	spans       spanAcc
-	spanOff     bool
 	spanStartNS int64 // unix ns when the worker got its first control
 	spanEndNS   int64 // unix ns when the task function (and finish) returned
 	queueNS     int64 // blueprint publication to worker start
@@ -254,9 +251,6 @@ func (tc *TaskCtx) OnFinish(fn func() error) {
 // shuffle writer's close hook; custom tasks driving a shuffle.Writer
 // directly may call it too. Worker goroutine only.
 func (tc *TaskCtx) AddShuffleSpan(ns, records int64, parts map[string]int64) {
-	if tc.spanOff {
-		return
-	}
 	tc.spans.shuffleNS += ns
 	tc.spans.records += records
 	if len(parts) > 0 {
@@ -269,25 +263,11 @@ func (tc *TaskCtx) AddShuffleSpan(ns, records int64, parts map[string]int64) {
 	}
 }
 
-// SpansEnabled reports whether the task profiler is recording phase
-// spans for this worker (on unless ClusterConfig.DisableSpans).
-func (tc *TaskCtx) SpansEnabled() bool { return !tc.spanOff }
-
-// ShuffleSpanHook returns AddShuffleSpan in the shape
-// shuffle.WriterConfig.OnSpans wants, or nil when span profiling is off —
-// a nil hook keeps clock reads off the writer's flush path entirely.
-func (tc *TaskCtx) ShuffleSpanHook() func(flushNS, records int64, parts map[string]int64) {
-	if tc.spanOff {
-		return nil
-	}
-	return tc.AddShuffleSpan
-}
-
 // spanSnapshot assembles the worker's TaskSpans record for the done
 // event. Call only after the worker goroutine exited; returns nil when
-// span profiling is disabled or the worker never started.
+// the worker never started.
 func (tc *TaskCtx) spanSnapshot() *obs.TaskSpans {
-	if tc.spanOff || tc.spanStartNS == 0 {
+	if tc.spanStartNS == 0 {
 		return nil
 	}
 	s := &obs.TaskSpans{
@@ -415,17 +395,15 @@ func runWorkerGated(ctx context.Context, bp *Blueprint, store *bag.Store, app *A
 			w.err = wctx.Err()
 			return
 		}
-		if !w.tc.spanOff {
-			now := time.Now().UnixNano()
-			w.tc.spanStartNS = now
-			// Queue wait: blueprint publication to worker start. Master
-			// and node clocks are shared in-process; a recovered
-			// blueprint without a stamp contributes zero.
-			if bp.ScheduledAt > 0 && now > bp.ScheduledAt {
-				w.tc.queueNS = now - bp.ScheduledAt
-			}
-			defer func() { w.tc.spanEndNS = time.Now().UnixNano() }()
+		now := time.Now().UnixNano()
+		w.tc.spanStartNS = now
+		// Queue wait: blueprint publication to worker start. Master and
+		// node clocks are shared in-process; a recovered blueprint
+		// without a stamp contributes zero.
+		if bp.ScheduledAt > 0 && now > bp.ScheduledAt {
+			w.tc.queueNS = now - bp.ScheduledAt
 		}
+		defer func() { w.tc.spanEndNS = time.Now().UnixNano() }()
 		spec := app.Task(bp.Spec)
 		if spec == nil {
 			w.err = fmt.Errorf("core: unknown task spec %q", bp.Spec)
@@ -449,12 +427,10 @@ func runWorkerGated(ctx context.Context, bp *Blueprint, store *bag.Store, app *A
 		preW, preS := w.tc.spans.writeNS, w.tc.spans.shuffleNS
 		fstart := time.Now()
 		w.err = w.tc.finish()
-		if !w.tc.spanOff {
-			fin := time.Since(fstart).Nanoseconds()
-			fin -= (w.tc.spans.writeNS - preW) + (w.tc.spans.shuffleNS - preS)
-			if fin > 0 {
-				w.tc.spans.finalizeNS += fin
-			}
+		fin := time.Since(fstart).Nanoseconds()
+		fin -= (w.tc.spans.writeNS - preW) + (w.tc.spans.shuffleNS - preS)
+		if fin > 0 {
+			w.tc.spans.finalizeNS += fin
 		}
 	}()
 	return w

@@ -101,9 +101,7 @@ func (h *Hub) signal() {
 // Nudge wakes the control loop without carrying data — compute nodes
 // call it after inserting work-bag records (task started / completed) so
 // the master's event-driven loop re-scans immediately instead of waiting
-// out its idle fallback timer. (There is no polling cadence left to wait
-// on; MasterConfig.PollInterval survives only as a compatibility knob
-// pinning that fallback timer.)
+// out its idle fallback timer.
 func (h *Hub) Nudge() { h.signal() }
 
 // noteSignalLocked timestamps the arrival of a buffered (data-carrying)

@@ -37,7 +37,7 @@ const (
 // Rule is one declarative watchdog condition.
 type Rule struct {
 	// Name identifies the rule in alerts, traces, and metrics labels.
-	Name string `json:"name"`
+	Name string   `json:"name"`
 	Kind RuleKind `json:"kind"`
 	// Series is the metric base name (no labels) a threshold/rate rule
 	// watches; every label-set of the metric is evaluated independently.

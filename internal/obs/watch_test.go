@@ -107,7 +107,7 @@ func TestWatchRatioRule(t *testing.T) {
 	}
 	// Labels must join: a p99 with no matching p50 label-set is skipped.
 	w.Eval(view(2, map[string]float64{
-		"hurricane_core_task_span_ns_p99" + lbl: 1e7,
+		"hurricane_core_task_span_ns_p99" + lbl:        1e7,
 		`hurricane_core_task_span_ns_p50{job="other"}`: 1e6,
 	}, nil))
 	if s := w.Snapshot(); len(s.Alerts) != 0 {

@@ -3,7 +3,6 @@ package plan
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -581,11 +580,12 @@ func (c *compiler) emitTask(s *stage) {
 }
 
 // runStage executes one compiled stage inside a worker. All per-run
-// state (aggregation maps, top-k buffers, build tables) is created here,
-// so any number of workers run the same stage concurrently. Stages whose
-// input codec supports the columnar batch layout run the vectorized loop
-// (vector.go); everything else streams record-at-a-time. Both paths
-// produce identical records — the choice is purely physical.
+// state (decoder, aggregation maps, top-k buffers, build tables) is
+// created here, so any number of workers run the same stage concurrently.
+// Every stage is the same loop: decode a chunk into a record vector, run
+// the vectorizable prefix (Filter/Map) over the whole vector, feed the
+// survivors to the per-record tail and the sink. A finalize stage differs
+// only in what the vector is — the merged partials instead of a chunk.
 func runStage(tc *core.TaskCtx, s *stage) error {
 	builds := make(map[*Node]map[uint64][]any, len(s.scans))
 	for i, b := range s.scans {
@@ -603,21 +603,45 @@ func runStage(tc *core.TaskCtx, s *stage) error {
 	if err != nil {
 		return err
 	}
-	if in := columnarOf(s.inCodec); in != nil && !s.finalize {
-		// Batch loop: the vectorizable prefix runs over whole vectors;
-		// the remaining ops and the sink form the per-record tail.
-		feed, finishAll := pipeline(lowerOps(s.ops[vecPrefixLen(s.ops):], builds), sinkFn)
-		return runStageVec(tc, s, in, feed, finishAll)
+	n := vecPrefixLen(s.ops)
+	kernels := lowerVecOps(s.ops[:n])
+	feed, finishAll := pipeline(lowerOps(s.ops[n:], builds), sinkFn)
+	run := func(vec []any) error {
+		var err error
+		for _, k := range kernels {
+			if len(vec) == 0 {
+				break
+			}
+			if vec, err = k(vec); err != nil {
+				return err
+			}
+		}
+		for _, v := range vec {
+			if err := feed(v); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	feed, finishAll := pipeline(lowerOps(s.ops, builds), sinkFn)
+	consume := func() (chunk.Chunk, error) { return tc.Remove(0) }
 	if s.finalize {
-		if err := drainFinalized(tc, s, feed); err != nil {
+		// Drain the partial bag completely, merge by key, and run the
+		// finalized records through in key order. The stage is NoClone, so
+		// this worker sees every partial.
+		g := s.inNode.gb
+		merged := make(map[uint64]any)
+		if err := forEachVec(consume, s.inCodec, mergePartials(g, merged)); err != nil {
 			return err
 		}
-	} else {
-		if err := forEachConsume(tc, 0, s.inCodec, feed); err != nil {
+		vec := make([]any, 0, len(merged))
+		for _, k := range sortedKeys(merged) {
+			vec = append(vec, g.MakePartial(k, merged[k]))
+		}
+		if err := run(vec); err != nil {
 			return err
 		}
+	} else if err := forEachVec(consume, s.inCodec, run); err != nil {
+		return err
 	}
 	return finishAll()
 }
@@ -648,7 +672,7 @@ func stageSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
 		SketchEvery: spec.SketchEvery,
 		Obs:         tc.Obs(),
 		Job:         tc.Job(),
-		OnSpans:     tc.ShuffleSpanHook(),
+		OnSpans:     tc.AddShuffleSpan,
 	})
 	tc.OnFinish(w.Close)
 	var rbuf []byte
@@ -669,92 +693,42 @@ func KeyBytes(k uint64) []byte {
 	return b[:]
 }
 
-// forEachConsume streams the consumed input through fn.
-func forEachConsume(tc *core.TaskCtx, input int, codec AnyCodec, fn func(any) error) error {
+// forEachVec decodes every chunk next yields, until bag.ErrEmpty, through
+// a decoder of its own and hands fn the records. The vector is reused
+// between calls.
+func forEachVec(next func() (chunk.Chunk, error), codec AnyCodec, fn func(vec []any) error) error {
+	decode := codec.NewDecoderAny()
+	var vec []any
 	for {
-		ch, err := tc.Remove(input)
+		c, err := next()
 		if err == bag.ErrEmpty {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := feedChunk(ch, codec, fn); err != nil {
+		if vec, err = decode(c, vec[:0]); err != nil {
+			return err
+		}
+		if err := fn(vec); err != nil {
 			return err
 		}
 	}
 }
 
-// forEachScan streams scan input i through fn (reading, not consuming).
-func forEachScan(tc *core.TaskCtx, scanInput int, codec AnyCodec, fn func(any) error) error {
-	for {
-		ch, err := tc.Scan(scanInput)
-		if err == bag.ErrEmpty {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := feedChunk(ch, codec, fn); err != nil {
-			return err
-		}
-	}
-}
-
-// feedChunk streams one chunk's records through fn. Batch chunks decode
-// through the codec's columnar path when it has one, and re-frame
-// record-at-a-time otherwise — the row↔batch adapter that lets finalize
-// stages, join build loads, and row-only codecs read batch-encoded bags.
-func feedChunk(ch chunk.Chunk, codec AnyCodec, fn func(any) error) error {
-	if chunk.IsBatch(ch) {
-		if cc := columnarOf(codec); cc != nil {
-			var bt chunk.Batch
-			p, err := chunk.DecodeBatch(ch, &bt)
-			if err != nil {
-				return err
-			}
-			vec, err := cc.DecodeBatchAny(p, nil)
-			if err != nil {
-				return err
-			}
-			for _, v := range vec {
-				if err := fn(v); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		recs, err := chunk.Records(ch)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			v, err := codec.DecodeAny(rec)
-			if err != nil {
-				return err
-			}
-			if err := fn(v); err != nil {
-				return err
+// mergePartials returns a vector body folding GroupBy partials into
+// merged, one accumulator per key.
+func mergePartials(g *GroupBySpec, merged map[uint64]any) func([]any) error {
+	return func(vec []any) error {
+		for _, v := range vec {
+			k, acc := g.SplitPartial(v)
+			if prev, ok := merged[k]; ok {
+				merged[k] = g.Merge(prev, acc)
+			} else {
+				merged[k] = acc
 			}
 		}
 		return nil
-	}
-	r := chunk.NewReader(ch)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		v, err := codec.DecodeAny(rec)
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
 	}
 }
 
@@ -762,61 +736,28 @@ func feedChunk(ch chunk.Chunk, codec AnyCodec, fn func(any) error) error {
 // GroupBy build side is finalized while loading (partials of one key
 // merge into a single accumulator before keying).
 func loadBuild(tc *core.TaskCtx, scanInput int, b scanSide) (map[uint64][]any, error) {
+	scan := func() (chunk.Chunk, error) { return tc.Scan(scanInput) }
+	out := make(map[uint64][]any)
 	if b.node.kind == opGroupBy {
 		g := b.node.gb
 		merged := make(map[uint64]any)
-		if err := forEachScan(tc, scanInput, b.node.codec, func(v any) error {
-			k, acc := g.SplitPartial(v)
-			if prev, ok := merged[k]; ok {
-				merged[k] = g.Merge(prev, acc)
-			} else {
-				merged[k] = acc
-			}
-			return nil
-		}); err != nil {
+		if err := forEachVec(scan, b.node.codec, mergePartials(g, merged)); err != nil {
 			return nil, err
 		}
-		out := make(map[uint64][]any, len(merged))
 		for k, acc := range merged {
 			rec := g.MakePartial(k, acc)
 			out[b.joinKey(rec)] = append(out[b.joinKey(rec)], rec)
 		}
 		return out, nil
 	}
-	out := make(map[uint64][]any)
-	if err := forEachScan(tc, scanInput, b.node.codec, func(v any) error {
-		k := b.joinKey(v)
-		out[k] = append(out[k], v)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// drainFinalized drains a GroupBy partial bag completely, merges
-// partials by key, and feeds the finalized records through the pipeline
-// in key order. The stage is NoClone, so one worker sees every partial.
-func drainFinalized(tc *core.TaskCtx, s *stage, feed func(any) error) error {
-	g := s.inNode.gb
-	merged := make(map[uint64]any)
-	if err := forEachConsume(tc, 0, s.inCodec, func(v any) error {
-		k, acc := g.SplitPartial(v)
-		if prev, ok := merged[k]; ok {
-			merged[k] = g.Merge(prev, acc)
-		} else {
-			merged[k] = acc
+	err := forEachVec(scan, b.node.codec, func(vec []any) error {
+		for _, v := range vec {
+			k := b.joinKey(v)
+			out[k] = append(out[k], v)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	for _, k := range sortedKeys(merged) {
-		if err := feed(g.MakePartial(k, merged[k])); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return out, err
 }
 
 // ---- explain ----

@@ -29,15 +29,24 @@
 // typed, generic public surface is package repro/hurricane/q.
 package plan
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/chunk"
+)
 
 // AnyCodec is the untyped record codec the planner threads between
 // operators. The typed q package adapts chunk.Codec[T] implementations.
+// An AnyCodec is shared by every worker of every stage that names it, so
+// it holds no decode state itself: each worker asks it for a decoder.
 type AnyCodec interface {
 	// EncodeAny appends the encoded record to dst.
 	EncodeAny(dst []byte, v any) []byte
-	// DecodeAny parses one whole record.
-	DecodeAny(record []byte) (any, error)
+	// NewDecoderAny returns a decoder for one worker's read stream: it
+	// appends every record of a chunk, row or batch layout, to out. The
+	// returned function owns scratch and must not be shared between
+	// goroutines.
+	NewDecoderAny() func(c chunk.Chunk, out []any) ([]any, error)
 }
 
 // opKind enumerates the logical operators.

@@ -10,13 +10,23 @@ import (
 	"repro/internal/sketch"
 )
 
-// tCodec adapts a typed chunk codec for tests.
+// tCodec adapts a typed chunk codec for tests. It is row-only to the
+// planner: no ColKinds, and its decoder sees only the row methods.
 type tCodec[T any] struct{ c chunk.Codec[T] }
 
+// rowOnly hides a codec's columnar methods.
+type rowOnly[T any] struct{ chunk.Codec[T] }
+
 func (a tCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
-func (a tCodec[T]) DecodeAny(rec []byte) (any, error) {
-	v, _, err := a.c.Decode(rec)
-	return v, err
+func (a tCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
+	d := chunk.NewDecoder[T](rowOnly[T]{a.c})
+	return func(c chunk.Chunk, out []any) ([]any, error) {
+		vals, err := d.Decode(c, nil)
+		for _, v := range vals {
+			out = append(out, v)
+		}
+		return out, err
+	}
 }
 
 var (

@@ -3,34 +3,29 @@ package plan
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
-	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/shuffle"
 )
 
-// Vectorized stage execution. When a stage's record codec supports the
-// columnar batch chunk layout (ColumnarAnyCodec), the compiled stage runs
-// a batch loop instead of the record-at-a-time pipeline: input chunks
-// decode one column vector at a time, the fused prefix of narrow
-// operators applies over whole vectors (Filter as a selection pass that
-// compacts the vector in place, Map as an in-place column transform), and
-// the stage tail — per-record operators like FlatMap/Join/GroupBy/TopK,
-// then the sink — consumes the surviving vector. Output batches the same
-// way: a plain sink packs records into per-chunk column builders, an edge
-// sink buffers records and routes them through the shuffle writer's
-// one-pass batch partitioner. Every boundary falls back to rows — row
-// chunks decode inside the batch loop, batch chunks decode inside the row
-// loop (feedChunk), and row-only codecs keep the original pipeline — so
-// batch and row stages interoperate on the same bags and the results are
-// bit-identical either way.
+// Vectorized stage execution. Every compiled stage runs one batch loop
+// (runStage): input chunks of either layout decode into a record vector
+// through the worker's own decoder, the fused prefix of narrow operators
+// applies over whole vectors (Filter as a selection pass that compacts
+// the vector in place, Map as an in-place column transform), and the
+// stage tail — per-record operators like FlatMap/Join/GroupBy/TopK, then
+// the sink — consumes the surviving vector. Output batches when the
+// output codec supports the columnar layout (ColumnarAnyCodec): a plain
+// sink packs records into per-chunk column builders, an edge sink buffers
+// records and routes them through the shuffle writer's one-pass batch
+// partitioner; row-only output codecs write row chunks. Readers accept
+// both layouts on any bag, so the results are identical either way.
 
-// ColumnarAnyCodec is the optional columnar extension of AnyCodec. The
-// typed adapter in hurricane/q implements it whenever the wrapped
+// ColumnarAnyCodec is the optional batch-output extension of AnyCodec.
+// The typed adapter in hurricane/q implements it whenever the wrapped
 // chunk.Codec supports the batch layout; ColKinds returning nil means
-// "row only", and the compiled stages keep the record-at-a-time path.
+// "row only", and the stage's sink writes row chunks.
 type ColumnarAnyCodec interface {
 	AnyCodec
 	// ColKinds returns the batch column layout, or nil when the wrapped
@@ -39,8 +34,6 @@ type ColumnarAnyCodec interface {
 	// EncodeColumnAny appends one record's fields to the builder's
 	// columns; the caller ends the row.
 	EncodeColumnAny(b *chunk.BatchBuilder, v any)
-	// DecodeBatchAny appends a decoded batch's records to out.
-	DecodeBatchAny(bt *chunk.Batch, out []any) ([]any, error)
 }
 
 // columnarOf resolves the batch-capable view of a codec, nil when the
@@ -107,71 +100,6 @@ func lowerVecOps(ops []*Node) []vecKernel {
 	return out
 }
 
-// runStageVec is the batch-loop body of runStage: decode a vector per
-// chunk, run the vectorized prefix, feed survivors to the per-record
-// tail. The vector is reused across chunks.
-func runStageVec(tc *core.TaskCtx, s *stage, in ColumnarAnyCodec,
-	feed func(any) error, finishAll func() error) error {
-	kernels := lowerVecOps(s.ops[:vecPrefixLen(s.ops)])
-	var (
-		vec []any
-		bt  chunk.Batch
-	)
-	for {
-		c, err := tc.Remove(0)
-		if err == bag.ErrEmpty {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		vec, err = decodeVec(c, in, &bt, vec[:0])
-		if err != nil {
-			return err
-		}
-		for _, k := range kernels {
-			if len(vec) == 0 {
-				break
-			}
-			if vec, err = k(vec); err != nil {
-				return err
-			}
-		}
-		for _, v := range vec {
-			if err := feed(v); err != nil {
-				return err
-			}
-		}
-	}
-	return finishAll()
-}
-
-// decodeVec decodes one chunk — batch or row — into a record vector.
-func decodeVec(c chunk.Chunk, in ColumnarAnyCodec, bt *chunk.Batch, vec []any) ([]any, error) {
-	if chunk.IsBatch(c) {
-		p, err := chunk.DecodeBatch(c, bt)
-		if err != nil {
-			return vec, err
-		}
-		return in.DecodeBatchAny(p, vec)
-	}
-	r := chunk.NewReader(c)
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				return vec, nil
-			}
-			return vec, err
-		}
-		v, err := in.DecodeAny(rec)
-		if err != nil {
-			return vec, err
-		}
-		vec = append(vec, v)
-	}
-}
-
 // stageVecSink is stageSink with batch output: when the stage's output
 // codec is columnar, records pack into column builders (a plain bag gets
 // one builder, an edge sink scatters routed batches into per-partition
@@ -205,7 +133,7 @@ func stageVecSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
 			SketchEvery: spec.SketchEvery,
 			Obs:         tc.Obs(),
 			Job:         tc.Job(),
-			OnSpans:     tc.ShuffleSpanHook(),
+			OnSpans:     tc.AddShuffleSpan,
 		}),
 		kinds:     oc.ColKinds(),
 		leaves:    make(map[shuffle.RouteRef]*chunk.BatchBuilder),

@@ -153,10 +153,8 @@ func PMapBag(bag string) string { return bag + "!pmap" }
 // dedicated bag. Fan > 1 spreads the key's records round-robin over fan
 // bags — only valid on edges whose consumer declared record-level
 // parallelism safe (BagSpec.Spread). Key carries the raw key bytes when
-// the isolating party knew them: routing only ever consults Hash, but
-// consumers warm-starting their heavy-key fast path (HeavySlots) read
-// the keys back out of the published map — the partition-map control bag
-// outlives the edge's sketch slot, which the master wipes at seal.
+// the isolating party knew them. Routing only ever consults Hash; the
+// bytes make a published map say which key it isolated.
 type Isolation struct {
 	Hash uint64 `json:"hash"`
 	Fan  int    `json:"fan"`

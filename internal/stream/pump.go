@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
-	"repro/internal/sketch"
 )
 
 // srcState is the pump's bookkeeping for one source: the high-water event
@@ -614,12 +613,10 @@ func (h *Handle) captureMemory(lw *window) {
 }
 
 // normalizeMemory rewrites a captured edge's per-partition Counts keys
-// from the window's physical leaf names to template-relative ones. The
-// memory is re-pushed into successive windows' sketch slots (seedEdges),
-// so without the rewrite each window would add a fresh set of prefixed
-// keys and the map would grow without bound; with it, counts from any
-// number of windows collapse onto the same template leaves. The stats
-// struct is copied — the master's own memory must not be mutated.
+// from the window's physical leaf names to template-relative ones, so
+// the stream's memory is keyed the same way whichever window it came
+// from. The stats struct is copied — the master's own memory must not be
+// mutated.
 func normalizeMemory(em core.EdgeMemory, prefix string) core.EdgeMemory {
 	if em.Stats == nil || len(em.Stats.Counts) == 0 {
 		return em
@@ -632,22 +629,6 @@ func normalizeMemory(em core.EdgeMemory, prefix string) core.EdgeMemory {
 	st.Counts = counts
 	em.Stats = &st
 	return em
-}
-
-// reprefixStats maps template-relative Counts keys onto a window's
-// physical leaf names — the inverse of normalizeMemory, applied when the
-// remembered stats are pushed into that window's sketch slot.
-func reprefixStats(st *sketch.EdgeStats, prefix string) *sketch.EdgeStats {
-	if len(st.Counts) == 0 {
-		return st
-	}
-	counts := make(map[string]uint64, len(st.Counts))
-	for leaf, n := range st.Counts {
-		counts[prefix+leaf] = n
-	}
-	out := *st
-	out.Counts = counts
-	return &out
 }
 
 // seedEdges warm-starts the window's partitioned shuffle edges from the
@@ -689,19 +670,6 @@ func (h *Handle) seedEdges(lw *window) {
 			continue
 		}
 		phys := lw.job + "/" + b
-		// Push the remembered sketch into the new window's edge slot under
-		// a control writer ID before any of the window's own producers
-		// exist. Consumers that pull warm heavy-hitter keys at task start
-		// (hurricane.WarmTopKeys64 seeding dense aggregation slots) then
-		// see the previous window's distribution immediately instead of
-		// racing the first producer pushes — and as the key mix drifts,
-		// each window re-seeds the next from what it actually observed.
-		// Counts keys are re-prefixed to this window's leaves so merged
-		// per-partition counts stay name-consistent. Best-effort, like the
-		// map seed below.
-		if em.Stats != nil && em.Stats.Total() > 0 {
-			_ = h.store.PushSketch(h.ctx, phys, "!warm", reprefixStats(em.Stats, lw.job+"/"))
-		}
 		seed := shuffle.WarmStart(em.PMap, em.Stats, phys, spec.Partitions, iso, fan, spec.Spread)
 		if seed == nil {
 			continue

@@ -15,10 +15,10 @@ import (
 
 func TestFrameBytes(t *testing.T) {
 	cases := []struct{ n, want int }{
-		{0, 1},        // empty body, 1-byte length prefix
+		{0, 1}, // empty body, 1-byte length prefix
 		{1, 2},
-		{127, 128},    // largest 1-byte uvarint
-		{128, 130},    // first 2-byte uvarint
+		{127, 128}, // largest 1-byte uvarint
+		{128, 130}, // first 2-byte uvarint
 		{16383, 16385},
 		{16384, 16387},
 	}
@@ -45,10 +45,10 @@ func TestMeterAccounting(t *testing.T) {
 		m.End(op, "b", start, bytesIn, bytesOut, err)
 	}
 	end(OpInsert, 10, 20, nil)
-	end(OpInsert, 1, 2, ErrAgain)   // retry, not an error
-	end(OpInsert, 0, 3, ErrFailed)  // error
-	end(OpRemove, 5, 0, ErrEmpty)   // empty counts as success
-	end(Op(0), 7, 7, nil)           // unknown op: bytes only
+	end(OpInsert, 1, 2, ErrAgain)  // retry, not an error
+	end(OpInsert, 0, 3, ErrFailed) // error
+	end(OpRemove, 5, 0, ErrEmpty)  // empty counts as success
+	end(Op(0), 7, 7, nil)          // unknown op: bytes only
 
 	snap := o.Registry().Snapshot()
 	wants := map[string]float64{

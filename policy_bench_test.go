@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"os"
 	"testing"
 	"time"
 
@@ -70,19 +69,6 @@ func BenchmarkPolicyAblation(b *testing.B) {
 				cfg := masterCfg()
 				cfg.Policies = v.policies(cfg)
 				cluster, err := hurricane.NewCluster(hurricane.ClusterConfig{
-					// Observability stays on (the shipping default) so the
-					// recorded numbers include its cost; HURRICANE_NOOBS=1
-					// re-runs the ablation with the observer disabled to
-					// re-measure that overhead (within run noise, per the
-					// A/B recorded in BENCH_policy.json).
-					// HURRICANE_NOSPANS=1 disables only the task
-					// profiler's span accounting, for the
-					// profiler_overhead A/B recorded alongside it.
-					// HURRICANE_NOSAMPLER=1 disables only the time-series
-					// sampler + watchdogs, for the sampler_overhead A/B.
-					DisableObs:     os.Getenv("HURRICANE_NOOBS") != "",
-					DisableSpans:   os.Getenv("HURRICANE_NOSPANS") != "",
-					DisableSampler: os.Getenv("HURRICANE_NOSAMPLER") != "",
 					StorageNodes: 4,
 					ComputeNodes: 4,
 					SlotsPerNode: 2,
