@@ -310,8 +310,6 @@ func BenchmarkEngineSkewedShuffle(b *testing.B) {
 				b.Fatal(err)
 			}
 			app := apps.GroupByApp(parts, true, true, 5000)
-			spec := app.BagSpecFor(apps.GroupByShuf)
-			spec.SketchEvery, spec.PollEvery = 512, 256
 			if err := cluster.Run(ctx, app); err != nil {
 				b.Fatal(err)
 			}

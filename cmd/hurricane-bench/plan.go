@@ -140,7 +140,6 @@ func planBench() error {
 			// this Zipf(1.3) domain that pre-isolates the top two keys
 			// (~26% and ~10% of the stream) instead of only the first.
 			IsolateFraction: 0.3,
-			SketchEvery:     512, PollEvery: 256,
 		}
 		if naive {
 			opts.Static = true

@@ -88,8 +88,6 @@ func schedBench() error {
 		// fair-share lease must contain once the uniform job arrives.
 		newApp := func(shuffleCost int) *core.App {
 			app := apps.GroupByAppCosts(parts, true, false, shuffleCost, recordCost)
-			spec := app.BagSpecFor(apps.GroupByShuf)
-			spec.SketchEvery, spec.PollEvery = 512, 256
 			return app
 		}
 		hSkew, err := cluster.SubmitJob(ctx, newApp(skewProduce), core.JobConfig{Name: "skew"})

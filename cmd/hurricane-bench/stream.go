@@ -83,8 +83,6 @@ func streamBench() error {
 		defer cluster.Shutdown()
 
 		app := apps.ClickStreamApp(parts, true, recordCost)
-		spec := app.BagSpecFor(apps.ClickStreamShuf)
-		spec.SketchEvery, spec.PollEvery = 512, 256
 
 		origin := int64(1_000_000_000_000)
 		src := &apps.ClickStreamSource{

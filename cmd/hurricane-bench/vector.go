@@ -253,13 +253,6 @@ func runVectorVariant(mode string, profile *profileHook) (vectorVariant, error) 
 	default:
 		return out, fmt.Errorf("unknown vector variant %q", mode)
 	}
-	// Sketch pushes serialize the count-min sketch; at 1.6M records a
-	// per-512 cadence would spend more time marshalling stats than
-	// moving data. Both variants pay the same cadence, so this only
-	// removes shared constant overhead from the comparison.
-	spec := app.BagSpecFor(apps.GroupByShuf)
-	spec.SketchEvery, spec.PollEvery = 65536, 16384
-
 	gen := workload.RelationGen{Keys: vecKeys, S: 1.3, Seed: 47}
 	tuples := gen.Generate(vecRecords)
 	want := workload.KeyCounts(tuples)

@@ -27,8 +27,8 @@ import (
 // The workload is the Zipf(1.3) shuffle groupby — the same job
 // hurricane-run executes — but against REAL TCP storage nodes: each
 // storage.Node sits behind its own transport.TCPServer on a loopback
-// port, and every bag op (insert, read, advance, seal, sketch push, pmap
-// poll) crosses the wire. Every run verifies per-key counts against
+// port, and every bag op (insert, read, advance, seal, the producers'
+// control exchange) crosses the wire. Every run verifies per-key counts against
 // ground truth.
 //
 // Two variants run interleaved (alternating order, so clock drift and
@@ -111,7 +111,7 @@ func wireBench() error {
 	doc := map[string]any{
 		"benchmark": "wire",
 		"description": fmt.Sprintf(
-			"Wire-path baseline for the TCP storage tier: the Zipf(s=%.1f) shuffle groupby (%d records, %d-key domain, %d base partitions, producer sketches and hot-partition splits active) runs with compute nodes and master in-process but every bag on %d real storage.Node processes-worth of state behind transport.TCPServer loopback listeners — every insert/read/advance/seal/sketch/pmap op crosses TCP (%dKiB chunks). Interleaved A/B, %d pairs in alternating order: telemetry-on binds the full Meter surface (client+server+node roles), telemetry-off binds none. Per-run verification of every per-key count against ground truth. Reported: median elapsed per variant; the on-median's client-side per-op latency p50/p99 (full session: load+run+collect share the wire path), op throughput and wire bytes over the groupby run itself, and the on/off median overhead ratio.",
+			"Wire-path baseline for the TCP storage tier: the Zipf(s=%.1f) shuffle groupby (%d records, %d-key domain, %d base partitions, producer sketches and hot-partition splits active) runs with compute nodes and master in-process but every bag on %d real storage.Node processes-worth of state behind transport.TCPServer loopback listeners — every insert/read/advance/seal/sketch op crosses TCP (%dKiB chunks). Interleaved A/B, %d pairs in alternating order: telemetry-on binds the full Meter surface (client+server+node roles), telemetry-off binds none. Per-run verification of every per-key count against ground truth. Reported: median elapsed per variant; the on-median's client-side per-op latency p50/p99 (full session: load+run+collect share the wire path), op throughput and wire bytes over the groupby run itself, and the on/off median overhead ratio.",
 			zipfS, records, keyDomain, parts, storageN, chunkSize>>10, pairs),
 		"environment": map[string]string{
 			"go":   runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -123,7 +123,7 @@ func wireBench() error {
 			"telemetry_off": off,
 		},
 		"telemetry_overhead_pct": overheadPct,
-		"notes":                  "This file is the committed baseline for the ROADMAP wire-path target (≥5x fewer round trips per consumed chunk): compare future transport work against ops_per_run and wire bytes here, not wall clock alone. The per-op table localizes where the wire budget goes today — read/advance round trips per consumed chunk dominate op count; sketch pushes and pmap polls ride the same connections. Telemetry overhead is the median-over-median elapsed ratio of interleaved runs; the meters themselves are a few atomic adds per op, so the bar is ≤3%.",
+		"notes":                  "This file is the committed baseline for the ROADMAP wire-path target (≥5x fewer round trips per consumed chunk): compare future transport work against ops_per_run and wire bytes here, not wall clock alone. The per-op table localizes where the wire budget goes today — read/advance round trips per consumed chunk dominate op count; the producers' sketch exchanges and the master's pmap scans ride the same connections. Telemetry overhead is the median-over-median elapsed ratio of interleaved runs; the meters themselves are a few atomic adds per op, so the bar is ≤3%.",
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -233,8 +233,6 @@ func wireRunOnce(telemetry bool, records, keyDomain int, zipfS float64, parts, s
 	defer cluster.Shutdown()
 
 	app := apps.GroupByApp(parts, true, false, 0)
-	spec := app.BagSpecFor(apps.GroupByShuf)
-	spec.SketchEvery, spec.PollEvery = 512, 256
 
 	before := o.Registry().Snapshot()
 	start := time.Now()

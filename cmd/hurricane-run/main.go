@@ -225,7 +225,7 @@ func main() {
 }
 
 // runGroupBy executes the skew-aware shuffle groupby against the remote
-// storage tier: partition bags, the pmap control bag, and OpSketch pushes
+// storage tier: partition bags, the pmap control bag, and OpSketch exchanges
 // all travel over TCP.
 func runGroupBy(ctx context.Context, store *bag.Store, names []string, records int, skew float64, computes, slots, parts int) {
 	fmt.Printf("generating %d tuples (s=%.1f), loading onto %d storage nodes...\n",
@@ -252,8 +252,6 @@ func runGroupBy(ctx context.Context, store *bag.Store, names []string, records i
 		},
 	})
 	app := apps.GroupByApp(parts, true, false, 0)
-	spec := app.BagSpecFor(apps.GroupByShuf)
-	spec.SketchEvery, spec.PollEvery = 512, 256
 	start := time.Now()
 	if err := cluster.Run(ctx, app); err != nil {
 		log.Fatal(err)

@@ -34,7 +34,7 @@ func runQuery(ctx context.Context, store *bag.Store, names []string, records int
 	wantPerKey := workload.KeyCounts(s)
 
 	c, err := apps.HashJoinPlan().Compile(q.Options{
-		Parts: parts, SketchEvery: 512, PollEvery: 256,
+		Parts: parts,
 		Stats: apps.JoinWarmStats(r, s),
 	})
 	if err != nil {

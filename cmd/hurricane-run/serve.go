@@ -303,8 +303,6 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
 	want := workload.KeyCounts(tuples)
 	app := apps.GroupByApp(parts, true, false, 0)
-	spec := app.BagSpecFor(apps.GroupByShuf)
-	spec.SketchEvery, spec.PollEvery = 512, 256
 	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight, TraceID: req.Trace})
 	if err != nil {
 		return err
@@ -349,7 +347,7 @@ func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
 	want := workload.KeyCounts(tuples)
 	compiled, err := apps.GroupByPlan().Compile(q.Options{
-		Parts: parts, SketchEvery: 512, PollEvery: 256,
+		Parts: parts,
 	})
 	if err != nil {
 		return err

@@ -42,8 +42,6 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 	defer cluster.Shutdown()
 
 	app := apps.ClickStreamApp(parts, true, 0)
-	bspec := app.BagSpecFor(apps.ClickStreamShuf)
-	bspec.SketchEvery, bspec.PollEvery = 512, 256
 
 	origin := int64(1_000_000_000_000)
 	src := &apps.ClickStreamSource{

@@ -46,8 +46,6 @@ func runWindowed() {
 	// The per-window DAG: geolocate → region-partitioned shuffle →
 	// per-region count + distinct-IP HLL.
 	app := apps.ClickStreamApp(parts, true, 0)
-	spec := app.BagSpecFor(apps.ClickStreamShuf)
-	spec.SketchEvery, spec.PollEvery = 512, 256
 
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:        "clicks",

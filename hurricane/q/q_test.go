@@ -120,7 +120,7 @@ func TestQueryGroupByOracle(t *testing.T) {
 		return cluster.Master().EdgeMemory()
 	}
 
-	mem := run(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128})
+	mem := run(q.Options{Parts: 4})
 	if len(mem) == 0 {
 		t.Fatal("first run left no edge memory")
 	}
@@ -128,14 +128,14 @@ func TestQueryGroupByOracle(t *testing.T) {
 	// Repeated query: recompile with the finished run's memory and check
 	// the planner pre-seeds the edge before verifying correctness again.
 	warm := q.StatsFromMemory(mem, "")
-	c2, err := countPlan("cnt").Compile(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128, Stats: warm})
+	c2, err := countPlan("cnt").Compile(q.Options{Parts: 4, Stats: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c2.Seeds) == 0 {
 		t.Fatalf("warm recompilation produced no seed maps; explain:\n%s", c2.Explain())
 	}
-	run(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128, Stats: warm})
+	run(q.Options{Parts: 4, Stats: warm})
 }
 
 // TestJoinStrategiesIdenticalResults runs the same logical join under
@@ -203,7 +203,7 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := joinPlan("j"+tc.name, tc.strat).Compile(q.Options{
-				Parts: 4, SketchEvery: 256, PollEvery: 128, Stats: tc.stats,
+				Parts: 4, Stats: tc.stats,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +291,7 @@ func TestTopKPipeline(t *testing.T) {
 	src := q.Scan(p, "in", tupleCodec)
 	cnt := q.CountByKey(src, func(t tuple) uint64 { return t.First })
 	q.TopK(cnt, 3, less).Sink("out")
-	c, err := p.Compile(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128})
+	c, err := p.Compile(q.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestPlanAsStreamWindowDAG(t *testing.T) {
 	gen := workload.RelationGen{Keys: 64, S: 1.3, Seed: 13}
 	all := gen.Generate(windows * perWindow)
 
-	c, err := countPlan("winq").Compile(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128})
+	c, err := countPlan("winq").Compile(q.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestVectorizedPlanOracle(t *testing.T) {
 		return tuple{First: t.First * 2, Second: t.Second}
 	})
 	q.CountByKey(doubled, func(t tuple) uint64 { return t.First }).Sink("out")
-	c, err := p.Compile(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128})
+	c, err := p.Compile(q.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 					return v
 				}
 			}).Sink("out")
-			c, err := p.Compile(q.Options{Parts: workers, SketchEvery: 256, PollEvery: 128})
+			c, err := p.Compile(q.Options{Parts: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,22 +79,10 @@ func NewPartitionedWriter[T any](tc *TaskCtx, out int, codec Codec[T], key func(
 // partitioner (nil means the default HashPartitioner). All producers of an
 // edge must use the same partitioner.
 func NewPartitionedWriterWith[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) []byte, part Partitioner) *PartitionedWriter[T] {
-	spec := tc.OutputBagSpec(out)
-	if spec == nil || spec.Partitions <= 0 {
+	w := tc.ShuffleWriter(out, part)
+	if w == nil {
 		panic(fmt.Sprintf("hurricane: output bag %q is not partitioned", tc.OutputName(out)))
 	}
-	w := shuffle.NewWriter(tc.Context(), shuffle.WriterConfig{
-		Store:       tc.Store(),
-		Edge:        tc.OutputName(out),
-		Parts:       spec.Partitions,
-		WriterID:    tc.Blueprint().ID,
-		Partitioner: part,
-		PollEvery:   spec.PollEvery,
-		SketchEvery: spec.SketchEvery,
-		Obs:         tc.Obs(),
-		Job:         tc.Job(),
-		OnSpans:     tc.AddShuffleSpan,
-	})
 	pw := &PartitionedWriter[T]{w: w, codec: codec, key: key, chunkSize: tc.Store().ChunkSize()}
 	// pw.close (not w.Close) so pending batch builders flush before the
 	// shuffle writer's inserters shut down.

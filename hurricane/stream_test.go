@@ -82,8 +82,6 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 	}
 
 	app := apps.ClickStreamApp(parts, true, 0)
-	spec := app.BagSpecFor(apps.ClickStreamShuf)
-	spec.SketchEvery, spec.PollEvery = 256, 128
 
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "clicks",

@@ -132,8 +132,6 @@ func TestGroupByRuntimeSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		app := GroupByApp(parts, false, false, 0)
-		spec := app.BagSpecFor(GroupByShuf)
-		spec.SketchEvery, spec.PollEvery = 256, 128
 		if err := cluster.Run(ctx, app); err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +172,6 @@ func TestGroupByHeavyKeyIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		app := GroupByApp(parts, true, false, 0) // Spread: per-key partials merge downstream
-		spec := app.BagSpecFor(GroupByShuf)
-		spec.SketchEvery, spec.PollEvery = 256, 128
 		if err := cluster.Run(ctx, app); err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +208,6 @@ func TestHashJoinShuffleCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := HashJoinShuffleApp(4)
-	spec := app.BagSpecFor(JoinShufBag)
-	spec.SketchEvery, spec.PollEvery = 256, 128
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,6 @@ func runGroupBy(t *testing.T, app *hurricane.App, tuples []workload.Tuple,
 	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	spec := app.BagSpecFor(GroupByShuf)
-	spec.SketchEvery, spec.PollEvery = 256, 128
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestGroupByPlanMatchesHandWiredOracle(t *testing.T) {
 
 	// Planner run on a fresh cluster, same input.
 	planCluster := testCluster(t, nil)
-	c, err := GroupByPlan().Compile(q.Options{Parts: 4, SketchEvery: 256, PollEvery: 128})
+	c, err := GroupByPlan().Compile(q.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	stats.Records[JoinBagR] = int64(len(r) + 10000) // known, too large to broadcast
 	stats.Edges[JoinBagS] = sb.Stats()
 	c, err := HashJoinPlan().Compile(q.Options{
-		Parts: 4, SketchEvery: 256, PollEvery: 128,
+		Parts:               4,
 		BroadcastMaxRecords: 1000,
 		Stats:               stats,
 	})

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -218,7 +219,18 @@ func (s *Store) removeLock(slot int) *sync.Mutex {
 // of a bag under a distinct key so that one physical node can host several
 // slots (primary for its own, backup for neighbours).
 func slotBag(name string, slot int) string {
-	return fmt.Sprintf("%s#%d", name, slot)
+	return name + "#" + strconv.Itoa(slot)
+}
+
+// slotBags returns the bag's key on each of m slots. Bag and Scanner
+// handles hold the list so the data path (insert, remove, readAt) formats
+// no name per request.
+func slotBags(name string, m int) []string {
+	out := make([]string, m)
+	for slot := range out {
+		out[slot] = slotBag(name, slot)
+	}
+	return out
 }
 
 // callSlot issues req against the slot's primary, failing over to backups
@@ -261,8 +273,15 @@ func (s *Store) callSlotServed(ctx context.Context, slot int, req *transport.Req
 // broadcastSlot issues req to every live replica of a slot, failing if any
 // live replica fails.
 func (s *Store) broadcastSlot(ctx context.Context, slot int, req *transport.Request) error {
+	_, err := s.broadcastSlotReply(ctx, slot, req)
+	return err
+}
+
+// broadcastSlotReply is broadcastSlot returning the reply of the first live
+// replica — the one callSlot would have asked.
+func (s *Store) broadcastSlotReply(ctx context.Context, slot int, req *transport.Request) (*transport.Response, error) {
 	reps := s.replicas(slot)
-	var ok int
+	var first *transport.Response
 	for _, n := range reps {
 		s.mu.RLock()
 		isDown := s.down[n]
@@ -276,17 +295,19 @@ func (s *Store) broadcastSlot(ctx context.Context, slot int, req *transport.Requ
 				s.MarkDown(n)
 				continue
 			}
-			return err
+			return nil, err
 		}
 		if err := resp.Error(); err != nil {
-			return err
+			return nil, err
 		}
-		ok++
+		if first == nil {
+			first = resp
+		}
 	}
-	if ok == 0 {
-		return fmt.Errorf("bag: slot %d: %w", slot, transport.ErrNodeDown)
+	if first == nil {
+		return nil, fmt.Errorf("bag: slot %d: %w", slot, transport.ErrNodeDown)
 	}
-	return nil
+	return first, nil
 }
 
 // permFor returns the bag's pseudorandom cyclic permutation of logical
@@ -307,6 +328,7 @@ func (s *Store) Bag(name string) *Bag {
 		store: s,
 		name:  name,
 		perm:  perm,
+		slots: slotBags(name, len(perm)),
 		pos:   rand.Intn(len(perm)), // writers start at random offsets
 	}
 }
@@ -424,25 +446,43 @@ func (st Stats) RemainingBytes() int64 { return st.TotalBytes - st.ReadBytes }
 // permutation); all producers and the master agree on it by construction.
 func (s *Store) sketchSlot(name string) int { return s.permFor(name)[0] }
 
-// PushSketch stores a producer's cumulative shuffle-edge statistics under
-// (edge, writerID) on the edge's home slot. Producers push their full
-// cumulative stats each time, so a re-push replaces the previous value and
-// storage-side merging across producers never double-counts.
-func (s *Store) PushSketch(ctx context.Context, edge, writerID string, st *sketch.EdgeStats) error {
-	data, err := st.Encode()
-	if err != nil {
-		return err
+// ExchangeSketch is a producer's control exchange for a shuffle edge (see
+// transport.OpSketch): it leaves the producer's cumulative stats blob
+// (nil to report nothing yet) under (edge, writerID) on the edge's home
+// slot — a re-push replaces the previous blob, so storage-side merging
+// across producers never double-counts — and returns the newest published
+// partition map, encoded, if its version is above mapVersion (nil
+// otherwise). stats passes to the storage node: the caller must not write
+// to it afterwards.
+func (s *Store) ExchangeSketch(ctx context.Context, edge, writerID string, stats []byte, mapVersion int) ([]byte, error) {
+	if writerID == "" {
+		return nil, errors.New("bag: sketch exchange without a writer ID")
 	}
+	resp, err := s.broadcastSlotReply(ctx, s.sketchSlot(edge), &transport.Request{
+		Op: transport.OpSketch, Bag: edge, Dst: writerID, Data: stats, Arg: int64(mapVersion),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Data, nil
+}
+
+// PublishSketchMap leaves an encoded partition map of the given version on
+// the edge's home slot, where producers' exchanges pick it up. The slot
+// keeps the newest version it has seen, so publishing is idempotent and
+// order-insensitive.
+func (s *Store) PublishSketchMap(ctx context.Context, edge string, version int, pmap []byte) error {
 	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge, Dst: writerID, Data: data,
+		Op: transport.OpSketch, Bag: edge, Data: pmap, Arg: int64(version),
 	})
 }
 
-// DeleteSketch drops the edge's sketch state on its home slot. The master
-// calls it when an edge's producers finish (the stats have served their
-// purpose) and when failure recovery discards the edge's data (so stale
-// cumulative pushes from an aborted epoch cannot double-count records the
-// restarted producers will re-push).
+// DeleteSketch drops the edge's control state — producer stats and the
+// published map — on its home slot. The master calls it when an edge's
+// producers finish (the state has served its purpose) and when failure
+// recovery discards the edge's data (so stale cumulative pushes from an
+// aborted epoch cannot double-count records the restarted producers will
+// re-push; the master then publishes its current map again).
 func (s *Store) DeleteSketch(ctx context.Context, edge string) error {
 	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
 		Op: transport.OpSketch, Bag: edge, Arg: transport.SketchClear,

@@ -28,7 +28,8 @@ type Bag struct {
 	store *Store
 	name  string
 	perm  []int
-	pos   int // next insert position within perm
+	slots []string // per-slot bag keys, index = logical slot
+	pos   int      // next insert position within perm
 
 	cons     *consumer // lazily started remove pipeline
 	quiesced bool      // wind down instead of fetching more (Quiesce)
@@ -46,6 +47,7 @@ func (b *Bag) Store() *Store { return b.store }
 func (b *Bag) refresh() {
 	if m := b.store.NumSlots(); m != len(b.perm) {
 		b.perm = b.store.permFor(b.name)
+		b.slots = slotBags(b.name, m)
 	}
 }
 
@@ -62,7 +64,7 @@ func (b *Bag) nextSlot() int {
 // to every replica of the slot before Insert returns.
 func (b *Bag) Insert(ctx context.Context, c chunk.Chunk) error {
 	slot := b.nextSlot()
-	req := &transport.Request{Op: transport.OpInsert, Bag: slotBag(b.name, slot), Data: c}
+	req := &transport.Request{Op: transport.OpInsert, Bag: b.slots[slot], Data: c}
 	return b.store.broadcastSlot(ctx, slot, req)
 }
 
@@ -156,7 +158,7 @@ func (b *Bag) removeFromSlot(ctx context.Context, slot int) (*transport.Response
 	}
 	resp, served, err := b.store.callSlotServed(ctx, slot, &transport.Request{
 		Op:  transport.OpRemove,
-		Bag: slotBag(b.name, slot),
+		Bag: b.slots[slot],
 	})
 	if err != nil {
 		return nil, "", err
@@ -188,7 +190,7 @@ func (b *Bag) syncPointer(ctx context.Context, slot int, pos int64, servedBy str
 		}
 		resp, err := b.store.cfg.Client.Call(ctx, n, &transport.Request{
 			Op:  transport.OpAdvance,
-			Bag: slotBag(b.name, slot),
+			Bag: b.slots[slot],
 			Arg: pos,
 		})
 		if err != nil {
@@ -428,6 +430,7 @@ func (i *Inserter) Insert(c chunk.Chunk) error {
 	// Slot selection must happen synchronously to preserve the cyclic
 	// order; only the RPC itself is asynchronous.
 	slot := i.b.nextSlot()
+	bagKey := i.b.slots[slot] // read here: the handle's goroutine owns slots
 	select {
 	case i.sem <- struct{}{}:
 	case <-i.ctx.Done():
@@ -439,7 +442,7 @@ func (i *Inserter) Insert(c chunk.Chunk) error {
 			<-i.sem
 			i.wg.Done()
 		}()
-		req := &transport.Request{Op: transport.OpInsert, Bag: slotBag(i.b.name, slot), Data: c}
+		req := &transport.Request{Op: transport.OpInsert, Bag: bagKey, Data: c}
 		if err := i.b.store.broadcastSlot(i.ctx, slot, req); err != nil {
 			i.setErr(err)
 		}

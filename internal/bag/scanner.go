@@ -16,16 +16,19 @@ import (
 type Scanner struct {
 	store  *Store
 	name   string
-	cursor []int64 // per-slot next chunk index
-	slot   int     // round-robin position
+	cursor []int64  // per-slot next chunk index
+	slots  []string // per-slot bag keys
+	slot   int      // round-robin position
 }
 
 // Scanner returns a new scanner positioned at the start of the bag.
 func (s *Store) Scanner(name string) *Scanner {
+	m := s.NumSlots()
 	return &Scanner{
 		store:  s,
 		name:   name,
-		cursor: make([]int64, s.NumSlots()),
+		cursor: make([]int64, m),
+		slots:  slotBags(name, m),
 	}
 }
 
@@ -37,6 +40,7 @@ func (sc *Scanner) Next(ctx context.Context) (chunk.Chunk, error) {
 		grown := make([]int64, m)
 		copy(grown, sc.cursor)
 		sc.cursor = grown
+		sc.slots = slotBags(sc.name, m)
 	}
 	m := len(sc.cursor)
 	sealedAndDone := 0
@@ -44,7 +48,7 @@ func (sc *Scanner) Next(ctx context.Context) (chunk.Chunk, error) {
 		slot := (sc.slot + i) % m
 		resp, err := sc.store.callSlot(ctx, slot, &transport.Request{
 			Op:  transport.OpReadAt,
-			Bag: slotBag(sc.name, slot),
+			Bag: sc.slots[slot],
 			Arg: sc.cursor[slot],
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -49,6 +50,12 @@ type Blueprint struct {
 	// start. Zero (e.g. a blueprint from an older encoding) reads as
 	// "unknown" and contributes no queue wait.
 	ScheduledAt int64 `json:"scheduledAt,omitempty"`
+	// StatsInterval is the interval at which the issuing master fetches
+	// shuffle-edge statistics (MasterConfig.SplitInterval). The worker's
+	// partitioned writers pace their control exchanges by it, so control
+	// traffic follows the master's clock. Zero reads as "unknown" and the
+	// writers fall back to shuffle.DefaultStatsInterval.
+	StatsInterval time.Duration `json:"statsInterval,omitempty"`
 }
 
 // blueprintID formats the canonical worker-instance identifier.

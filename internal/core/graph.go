@@ -80,12 +80,6 @@ type BagSpec struct {
 	// join probes); leave false if a consumer must see all records of a
 	// key.
 	Spread bool
-	// SketchEvery / PollEvery tune the producer-side control cadences for
-	// a partitioned bag: records between sketch pushes and between
-	// partition-map polls. 0 uses the shuffle package defaults; tests and
-	// latency-sensitive edges lower them.
-	SketchEvery int
-	PollEvery   int
 }
 
 // App is an application graph: a DAG of tasks and bags (§2.1). Build one

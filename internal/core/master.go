@@ -1267,6 +1267,8 @@ func (m *Master) blueprintFor(st *taskState, w int, inputs []string) *Blueprint 
 		Outputs:     outputs,
 		ScanInputs:  st.spec.ScanInputs,
 		ScheduledAt: time.Now().UnixNano(),
+
+		StatsInterval: m.cfg.SplitInterval,
 	}
 }
 
@@ -1334,6 +1336,8 @@ func (m *Master) completionPass() (int, error) {
 				Inputs:      partials,
 				Outputs:     st.spec.Outputs,
 				ScheduledAt: time.Now().UnixNano(),
+
+				StatsInterval: m.cfg.SplitInterval,
 			}
 			if err := m.wb.pushReady(m.ctx, mbp); err != nil {
 				return changed, err

@@ -553,7 +553,7 @@ func TestRawDiscardClearsSketches(t *testing.T) {
 	// A producer pushes cumulative edge stats while the job runs.
 	st := sketch.NewEdgeStats()
 	st.Counts["shuf.p0"] = 1000
-	if err := cluster.Store().PushSketch(ctx, "shuf", "w0", st); err != nil {
+	if _, err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", st.AppendTo(nil), 1); err != nil {
 		t.Fatal(err)
 	}
 	// Source never loads; cancel the job so Discard becomes legal.

@@ -166,12 +166,14 @@ func (m *Master) recoverNode(node string) {
 			// Discarding a shuffle edge's data also discards its sketch
 			// state: the restarted producers re-push from zero, and stale
 			// cumulative stats from the aborted epoch must not
-			// double-count the records they will re-write.
-			if m.edges[b] != nil {
+			// double-count the records they will re-write. The map goes
+			// with it, so it is announced again: the refinements stand.
+			if edge := m.edges[b]; edge != nil {
 				if err := m.store.DeleteSketch(m.ctx, b); err != nil {
 					m.failRecovery(err)
 					return
 				}
+				m.announceMap(edge)
 			}
 		}
 		for _, b := range plan.rewind {

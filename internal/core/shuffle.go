@@ -101,17 +101,38 @@ func edgeNames(edges map[string]*shuffleEdge) []string {
 // edge state. During normal operation the master only sees its own
 // publications; after a master crash the replay reconstructs the split
 // history exactly (the pmap bag is append-only and versions are ordered).
+// A map adopted from the bag — a predecessor's, whose crash may have cut
+// its publish short — is announced to the producers again.
 func (m *Master) adoptPublishedMaps(edge *shuffleEdge) error {
-	return drainPartitionMaps(m.ctx, edge.scan, func(pm *shuffle.PartitionMap) {
+	adopted := false
+	err := drainPartitionMaps(m.ctx, edge.scan, func(pm *shuffle.PartitionMap) {
 		if pm.Bag != edge.name {
 			return
 		}
 		m.mu.Lock()
 		if pm.Version > edge.pmap.Version {
 			edge.pmap = pm
+			adopted = true
 		}
 		m.mu.Unlock()
 	})
+	if adopted {
+		m.announceMap(edge)
+	}
+	return err
+}
+
+// announceMap leaves the edge's current map on the edge's home slot, where
+// the producers' control exchanges find it. Idempotent (the slot keeps the
+// newest version) and best-effort: a producer that misses a map routes by
+// an older one, which costs balance, never correctness.
+func (m *Master) announceMap(edge *shuffleEdge) {
+	m.mu.Lock()
+	pm := edge.pmap
+	m.mu.Unlock()
+	if pm.Version > 1 { // everyone derives version 1 locally
+		_ = m.store.PublishSketchMap(m.ctx, edge.name, pm.Version, pm.Encode())
+	}
 }
 
 func drainPartitionMaps(ctx context.Context, sc *bag.Scanner, fn func(*shuffle.PartitionMap)) error {
@@ -215,7 +236,7 @@ func (m *Master) applyIsolate(act ctrl.IsolateKey) (bool, error) {
 }
 
 // publishSeeds publishes the submission's warm-start seed maps
-// (MasterConfig.Seeds) into their edges' control bags. It runs in the
+// (MasterConfig.Seeds) for their edges. It runs in the
 // master's goroutine before the first scheduling pass, so no producer
 // can route a record before the seed is visible — and it never blocks
 // the cluster lock. Each edge first replays maps already published
@@ -246,7 +267,7 @@ func (m *Master) publishSeeds() {
 // first, adopt second: producers must never observe a map the master (and
 // a recovered successor) would not also know about.
 func (m *Master) publishMap(edge *shuffleEdge, next *shuffle.PartitionMap) error {
-	if err := m.store.Bag(shuffle.PMapBag(edge.name)).Insert(m.ctx, next.Encode()); err != nil {
+	if err := shuffle.Publish(m.ctx, m.store, next); err != nil {
 		return err
 	}
 	m.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/obs"
+	"repro/internal/shuffle"
 )
 
 // TaskCtx is the execution context handed to a TaskFunc. It exposes the
@@ -236,6 +237,32 @@ func (tc *TaskCtx) OutputBagSpec(i int) *BagSpec {
 		return nil
 	}
 	return tc.app.BagSpecFor(tc.OutputName(i))
+}
+
+// ShuffleWriter returns a new partitioned writer for output i routing by
+// part (nil means the default hash partitioner), or nil if the output is
+// not declared as a partitioned bag. Every engine surface that writes a
+// shuffle edge — the typed PartitionedWriter, the planner's stage sinks —
+// gets its writer here, so all of them identify the producer the same way,
+// pace their control exchanges by the master's stats interval, and report
+// into the worker's profile. The caller registers the writer's Close (or
+// its own flush wrapping it) with OnFinish.
+func (tc *TaskCtx) ShuffleWriter(i int, part shuffle.Partitioner) *shuffle.Writer {
+	spec := tc.OutputBagSpec(i)
+	if spec == nil || spec.Partitions <= 0 {
+		return nil
+	}
+	return shuffle.NewWriter(tc.ctx, shuffle.WriterConfig{
+		Store:         tc.store,
+		Edge:          tc.OutputName(i),
+		Parts:         spec.Partitions,
+		WriterID:      tc.bp.ID,
+		Partitioner:   part,
+		StatsInterval: tc.bp.StatsInterval,
+		Obs:           tc.obs,
+		Job:           tc.job,
+		OnSpans:       tc.AddShuffleSpan,
+	})
 }
 
 // OnFinish registers fn to run (on the worker goroutine) after the task

@@ -120,6 +120,11 @@ func CounterSeries(series string) bool {
 // while HTTP scrapes read concurrently.
 type Recorder struct {
 	start time.Time
+	// now is the recorder's clock (time.Now outside tests). Rates divide
+	// by the gap between two samples on it, and two samples within one
+	// microsecond derive none, so a test that asserts on rates steps a
+	// clock of its own instead of hoping the wall clock moved.
+	now func() time.Time
 
 	mu            sync.Mutex
 	cap           int
@@ -138,6 +143,7 @@ func NewRecorder(pointsPerSeries int) *Recorder {
 	}
 	return &Recorder{
 		start:  time.Now(),
+		now:    time.Now,
 		cap:    pointsPerSeries,
 		series: make(map[string]*seriesRing),
 	}
@@ -159,7 +165,7 @@ func (r *Recorder) NowUs() int64 {
 	if r == nil {
 		return 0
 	}
-	return time.Since(r.start).Microseconds()
+	return r.now().Sub(r.start).Microseconds()
 }
 
 // ring returns the series' ring, creating it if the series cap allows.

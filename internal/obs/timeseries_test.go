@@ -48,6 +48,14 @@ func TestRecorderSeriesCap(t *testing.T) {
 
 func TestRecorderCounterRates(t *testing.T) {
 	r := NewRecorder(0)
+	// A stepped clock: every reading is 250 ms after the previous one. On
+	// the wall clock two back-to-back samples can share a microsecond, and
+	// then no rate is derived.
+	clock := r.start
+	r.now = func() time.Time {
+		clock = clock.Add(250 * time.Millisecond)
+		return clock
+	}
 	var ops float64
 	r.AddSource(func(emit func(string, float64)) {
 		emit("hurricane_x_ops_total", ops)
@@ -65,10 +73,9 @@ func TestRecorderCounterRates(t *testing.T) {
 	if !ok {
 		t.Fatalf("no rate for counter series; rates = %v", v2.Rates)
 	}
-	// 200 ops over the inter-sample gap; just check it is positive and
-	// finite — wall time between samples is not controlled.
-	if rate <= 0 {
-		t.Fatalf("rate = %v, want > 0", rate)
+	// 200 ops over the 250 ms between the two samples.
+	if rate != 800 {
+		t.Fatalf("rate = %v, want 800/s", rate)
 	}
 	if _, ok := v2.Rates["hurricane_x_inflight"]; ok {
 		t.Fatal("gauge series derived a rate")

@@ -35,10 +35,6 @@ type Options struct {
 	// partitioning with one reducer per partition. This is the baseline
 	// the adaptive plans are benchmarked against.
 	Static bool
-	// SketchEvery / PollEvery tune the producer-side control cadences of
-	// inserted shuffle edges (0 = shuffle package defaults).
-	SketchEvery int
-	PollEvery   int
 	// Stats supplies compile-time statistics (nil = none: joins
 	// repartition unless pinned or known-small, and no edges are
 	// pre-seeded).
@@ -416,13 +412,7 @@ func (c *compiler) declareEdge(name string, spread bool) {
 	if c.bags[name] {
 		return
 	}
-	c.app.AddBag(core.BagSpec{
-		Name:        name,
-		Partitions:  c.opts.Parts,
-		Spread:      spread,
-		SketchEvery: c.opts.SketchEvery,
-		PollEvery:   c.opts.PollEvery,
-	})
+	c.app.AddBag(core.BagSpec{Name: name, Partitions: c.opts.Parts, Spread: spread})
 	c.bags[name] = true
 }
 
@@ -658,22 +648,11 @@ func stageSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
 			return w.Append(buf)
 		}, nil
 	}
-	spec := tc.OutputBagSpec(0)
-	if spec == nil || spec.Partitions <= 0 {
+	w := tc.ShuffleWriter(0, nil)
+	if w == nil {
 		return nil, fmt.Errorf("plan: stage %s output %q is not partitioned", s.name, tc.OutputName(0))
 	}
 	key := s.edgeKeyFn
-	w := shuffle.NewWriter(tc.Context(), shuffle.WriterConfig{
-		Store:       tc.Store(),
-		Edge:        tc.OutputName(0),
-		Parts:       spec.Partitions,
-		WriterID:    tc.Blueprint().ID,
-		PollEvery:   spec.PollEvery,
-		SketchEvery: spec.SketchEvery,
-		Obs:         tc.Obs(),
-		Job:         tc.Job(),
-		OnSpans:     tc.AddShuffleSpan,
-	})
 	tc.OnFinish(w.Close)
 	var rbuf []byte
 	var kb [8]byte

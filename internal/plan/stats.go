@@ -165,8 +165,8 @@ func (c *compiler) seedEdge(edge string, in *Node, spread bool) {
 
 // ---- execution helpers ----
 
-// Seed publishes the compiled seed partition maps into the edges'
-// control bags, with bagName mapping each declared edge name to its
+// Seed publishes the compiled seed partition maps for their edges
+// (shuffle.Publish), with bagName mapping each declared edge name to its
 // physical (e.g. job-namespaced) name. Run and Submit do NOT use this —
 // they hand the seeds to the scheduler (JobConfig.Seeds), which
 // publishes them after admission and before the master starts; Seed is
@@ -183,7 +183,7 @@ func (ph *Physical) Seed(ctx context.Context, store *bag.Store, bagName func(str
 		phys := bagName(name)
 		sm := seed.Clone()
 		sm.Bag = phys
-		if err := store.Bag(shuffle.PMapBag(phys)).Insert(ctx, sm.Encode()); err != nil {
+		if err := shuffle.Publish(ctx, store, sm); err != nil {
 			return fmt.Errorf("plan: seeding edge %q: %w", phys, err)
 		}
 	}

@@ -118,23 +118,12 @@ func stageVecSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
 		tc.OnFinish(sink.close)
 		return sink.append, nil
 	}
-	spec := tc.OutputBagSpec(0)
-	if spec == nil || spec.Partitions <= 0 {
+	w := tc.ShuffleWriter(0, nil)
+	if w == nil {
 		return nil, fmt.Errorf("plan: stage %s output %q is not partitioned", s.name, tc.OutputName(0))
 	}
 	sink := &edgeVecSink{
-		oc: oc, key: s.edgeKeyFn,
-		w: shuffle.NewWriter(tc.Context(), shuffle.WriterConfig{
-			Store:       tc.Store(),
-			Edge:        tc.OutputName(0),
-			Parts:       spec.Partitions,
-			WriterID:    tc.Blueprint().ID,
-			PollEvery:   spec.PollEvery,
-			SketchEvery: spec.SketchEvery,
-			Obs:         tc.Obs(),
-			Job:         tc.Job(),
-			OnSpans:     tc.AddShuffleSpan,
-		}),
+		oc: oc, key: s.edgeKeyFn, w: w,
 		kinds:     oc.ColKinds(),
 		leaves:    make(map[shuffle.RouteRef]*chunk.BatchBuilder),
 		chunkSize: tc.Store().ChunkSize(),

@@ -12,19 +12,17 @@ import (
 // appends each row into a per-partition batch builder, and hands the
 // encoded batch chunks back through InsertBatchChunk — so the per-record
 // work drops to one route computation and a few column appends, with the
-// control-plane duties (map polling, sketch feeding, stat pushes) paid
-// once per batch instead of amortized per record.
+// sketch fed once per batch and the control exchange checked once per
+// batch instead of amortized per record.
 
 // PartitionBatch computes the routing vector for a batch of n records in
-// one pass. The partition map is polled at most once per batch, and the
-// per-key counts of the whole batch are fed to the edge's count-min
-// sketch in bulk — exact counts per distinct key, not the 1-in-N sampling
-// of the row path. The returned slice is reused by the next call.
+// one pass. The partition map is fixed for the batch (the control exchange
+// runs, if due, before the first record is routed), and the per-key counts
+// of the whole batch are fed to the edge's count-min sketch in bulk — exact
+// counts per distinct key, not the 1-in-N sampling of the row path. The
+// returned slice is reused by the next call.
 func (w *Writer) PartitionBatch(n int, key func(i int) []byte) []RouteRef {
-	if w.n == 0 || w.n-w.lastPoll >= uint64(w.cfg.PollEvery) {
-		w.pollMap()
-		w.lastPoll = w.n
-	}
+	w.exchangeIfDue()
 	if cap(w.refs) < n {
 		w.refs = make([]RouteRef, n)
 	}
@@ -66,10 +64,6 @@ func (w *Writer) PartitionBatch(n int, key func(i int) []byte) []RouteRef {
 	}
 	w.n += uint64(n)
 	w.drainBatchCounts()
-	if w.n-w.lastPush >= uint64(w.cfg.SketchEvery) {
-		w.pushStats()
-		w.lastPush = w.n
-	}
 	return w.refs
 }
 
@@ -81,10 +75,7 @@ func (w *Writer) PartitionBatch(n int, key func(i int) []byte) []RouteRef {
 // when a count slot is first claimed.
 func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	n := len(keys)
-	if w.n == 0 || w.n-w.lastPoll >= uint64(w.cfg.PollEvery) {
-		w.pollMap()
-		w.lastPoll = w.n
-	}
+	w.exchangeIfDue()
 	if cap(w.refs) < n {
 		w.refs = make([]RouteRef, n)
 	}
@@ -119,10 +110,6 @@ func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	}
 	w.n += uint64(n)
 	w.drainBatchCounts()
-	if w.n-w.lastPush >= uint64(w.cfg.SketchEvery) {
-		w.pushStats()
-		w.lastPush = w.n
-	}
 	return w.refs
 }
 

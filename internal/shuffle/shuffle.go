@@ -12,9 +12,13 @@
 // re-hashing a hot partition into finer sub-partitions ("<bag>.p<i>.s<j>")
 // or isolating a heavy-hitter key into a dedicated bag ("<bag>.h<k>",
 // optionally spread record-wise over "<bag>.h<k>.s<j>" when the edge
-// declares per-key atomicity unnecessary). New map versions are published
-// through an ordinary bag ("<bag>!pmap") that producers poll, so the
-// mechanism works unchanged over the in-process and TCP transports.
+// declares per-key atomicity unnecessary). A new map version is published
+// twice (Publish): appended to an ordinary bag ("<bag>!pmap"), the durable
+// history a recovered master replays, and left on the edge's home storage
+// slot, where each producer's periodic control exchange — one OpSketch call
+// that also delivers the producer's statistics — picks it up. Both are
+// plain storage-protocol traffic, so the mechanism works unchanged over the
+// in-process and TCP transports.
 //
 // Correctness invariant: every record is routed to exactly one physical
 // bag, every physical bag in the final map is sealed by the master and
@@ -24,10 +28,13 @@
 package shuffle
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/bag"
 )
 
 // Partitioner maps a record key to one of n partitions. Implementations
@@ -145,9 +152,23 @@ func EdgeOf(leaf string) string {
 	return leaf
 }
 
-// PMapBag names the control bag through which the master publishes
-// partition-map revisions to producers.
+// PMapBag names the control bag that holds an edge's partition-map
+// history: every published version, in order, for a recovered master to
+// replay. Producers do not read it; they learn of new versions through
+// their control exchange with the edge's home slot.
 func PMapBag(bag string) string { return bag + "!pmap" }
+
+// Publish makes a partition map (a refinement or a warm-start seed) take
+// effect for its edge, pm.Bag: durable history first, then the home slot
+// producers exchange with — a producer must never route by a map that a
+// recovered master would not also find. Every publisher goes through here.
+func Publish(ctx context.Context, store *bag.Store, pm *PartitionMap) error {
+	data := pm.Encode()
+	if err := store.Bag(PMapBag(pm.Bag)).Insert(ctx, data); err != nil {
+		return err
+	}
+	return store.PublishSketchMap(ctx, pm.Bag, pm.Version, data)
+}
 
 // Isolation diverts one heavy-hitter key (identified by KeyHash) to a
 // dedicated bag. Fan > 1 spreads the key's records round-robin over fan

@@ -11,14 +11,20 @@ import (
 	"repro/internal/sketch"
 )
 
-// Default writer cadences, in records. A map poll costs one OpReadAt
-// probe per storage slot (the scanner must check every slot of the
-// control bag); a sketch push is one RPC. At the default cadences that is
-// well under one control RPC per data chunk inserted.
-const (
-	DefaultPollEvery   = 1024
-	DefaultSketchEvery = 4096
-)
+// DefaultStatsInterval stands in for WriterConfig.StatsInterval where the
+// writer does not know its master's: the paper's 2 s decision cadence
+// (§4.2).
+const DefaultStatsInterval = 2 * time.Second
+
+// exchangesPerInterval is how many control exchanges a writer makes, at
+// most, per master stats fetch: enough that the stats a fetch merges are
+// never staler than a quarter of the master's own period, few enough that
+// control traffic is set by the master's clock and not by the record rate.
+const exchangesPerInterval = 4
+
+// rowCheckEvery is how many records the row path writes between looks at
+// the clock (the batch path looks once per batch).
+const rowCheckEvery = 1024
 
 // DefaultSketchSample feeds every 8th record into the count-min sketch
 // (with weight 8), keeping the sketch off the per-record hot path while
@@ -44,9 +50,11 @@ type WriterConfig struct {
 	WriterID string
 	// Partitioner overrides the base partitioner (default HashPartitioner).
 	Partitioner Partitioner
-	// PollEvery / SketchEvery override the control-traffic cadences.
-	PollEvery   int
-	SketchEvery int
+	// StatsInterval is the interval at which the edge's master fetches the
+	// merged producer stats (MasterConfig.SplitInterval; the engine fills it
+	// in). The writer makes its control exchange at most four times per
+	// interval. Zero means DefaultStatsInterval.
+	StatsInterval time.Duration
 	// SketchSample overrides the 1-in-N sketch sampling rate.
 	SketchSample int
 	// Obs, when set, receives the edge's record/byte counters (flushed at
@@ -73,16 +81,20 @@ type leafOut struct {
 }
 
 // Writer routes records to the physical partition bags of one shuffle
-// edge. It adopts new partition-map versions published by the master
-// mid-stream and feeds key counts into the edge's count-min sketch, which
-// is what makes the shuffle skew-aware. A Writer is used by one producer
-// worker goroutine; concurrent producer workers each create their own
-// (their sketch pushes merge storage-side).
+// edge and feeds key counts into the edge's count-min sketch, which is
+// what makes the shuffle skew-aware. Its whole control plane is one
+// exchange with the edge's home slot (bag.Store.ExchangeSketch): it leaves
+// its cumulative stats there for the master and gets back the newest
+// partition map if the master has published one since. The exchange is
+// gated on time, not on records — before the first record, then at most
+// once per gate at a batch boundary, and once more at Close — so its cost
+// follows the master's decision cadence whatever the record rate. A Writer
+// is used by one producer worker goroutine; concurrent producer workers
+// each create their own (their stats merge storage-side).
 type Writer struct {
-	ctx  context.Context
-	cfg  WriterConfig
-	pm   *PartitionMap
-	scan *bag.Scanner
+	ctx context.Context
+	cfg WriterConfig
+	pm  *PartitionMap
 	// outs caches one write pipeline per routing decision. RouteRefs are
 	// name-stable across map versions (refinements only add partitions),
 	// so the cache survives map adoption.
@@ -95,17 +107,18 @@ type Writer struct {
 	bytes uint64 // record payload bytes written
 	rr    int    // round-robin counter for spread isolations
 
-	// Batch-path state (see batch.go): routing-vector scratch, per-batch
-	// key count aggregation for bulk sketch feeds, and cadence watermarks
-	// (the row path uses modulo cadences; batches advance n in jumps).
+	gate      time.Duration // minimum gap between exchanges
+	exchanged time.Time     // when the last exchange started; zero before the first
+	statsLen  int           // size of the last stats blob, to size the next
+
+	// Batch-path state (see batch.go): routing-vector scratch and per-batch
+	// key count aggregation for bulk sketch feeds.
 	refs      []RouteRef
 	batchTab  []batchSlot // open-addressed count table, reused across batches
 	batchLive []int32     // occupied batchTab slots, for drain + reset
 	lastSlot  *batchSlot  // count slot of the previous record, if still live
 	lastHash  uint64      // its routing hash (slot identity check)
 	batches   uint64
-	lastPoll  uint64
-	lastPush  uint64
 
 	// flushNS accumulates time blocked inserting flushed chunks and
 	// draining pipelines — the profiler's shuffle phase. Only advanced
@@ -115,16 +128,13 @@ type Writer struct {
 
 // NewWriter creates a writer for the edge. The initial routing table is
 // the locally derived base map; newer versions are adopted from the
-// edge's partition-map bag as they appear.
+// edge's home slot as the control exchange brings them.
 func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = HashPartitioner{}
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = DefaultPollEvery
-	}
-	if cfg.SketchEvery <= 0 {
-		cfg.SketchEvery = DefaultSketchEvery
+	if cfg.StatsInterval <= 0 {
+		cfg.StatsInterval = DefaultStatsInterval
 	}
 	if cfg.SketchSample <= 0 {
 		cfg.SketchSample = DefaultSketchSample
@@ -133,7 +143,8 @@ func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 		ctx:      ctx,
 		cfg:      cfg,
 		pm:       BaseMap(cfg.Edge, cfg.Parts),
-		scan:     cfg.Store.Scanner(PMapBag(cfg.Edge)),
+		gate:     cfg.StatsInterval / exchangesPerInterval,
+		statsLen: 5 << 10, // first guess: a byte per fresh sketch counter, and change
 		outs:     make(map[RouteRef]*leafOut),
 		stats:    sketch.NewEdgeStats(),
 		heavyIdx: make(map[string]int),
@@ -145,8 +156,8 @@ func (w *Writer) Map() *PartitionMap { return w.pm }
 
 // Write routes one record by key to its physical partition bag.
 func (w *Writer) Write(key, rec []byte) error {
-	if w.n%uint64(w.cfg.PollEvery) == 0 {
-		w.pollMap()
+	if w.n%rowCheckEvery == 0 {
+		w.exchangeIfDue()
 	}
 	ref := w.pm.RouteRefWith(w.cfg.Partitioner, key, w.rr)
 	w.rr++
@@ -164,9 +175,6 @@ func (w *Writer) Write(key, rec []byte) error {
 	}
 	w.n++
 	out.count++
-	if w.n%uint64(w.cfg.SketchEvery) == 0 {
-		w.pushStats()
-	}
 	return nil
 }
 
@@ -213,41 +221,53 @@ func (w *Writer) noteHeavy(key []byte) {
 	})
 }
 
-// pollMap adopts the newest partition map published for the edge, if any.
-// Failures are ignored: routing by a stale map is always correct, only
-// less balanced.
-func (w *Writer) pollMap() {
-	_, _ = w.scan.Drain(w.ctx, func(c chunk.Chunk) error {
-		pm, err := DecodePartitionMap(c)
-		if err != nil || pm.Bag != w.cfg.Edge {
-			return nil // ignore foreign/corrupt records
-		}
-		if pm.Version > w.pm.Version {
-			w.pm = pm
-			w.cfg.Obs.Emit(obs.EvMapRevision, w.cfg.Job, w.cfg.Edge,
-				fmt.Sprintf("adopted version=%d writer=%s", pm.Version, w.cfg.WriterID))
-		}
-		return nil
-	})
+// exchangeIfDue runs the control exchange if the writer has never made one
+// (so the first record already routes by the newest map, a warm-start seed
+// included) or the gate has passed since the last.
+func (w *Writer) exchangeIfDue() {
+	if w.exchanged.IsZero() || time.Since(w.exchanged) >= w.gate {
+		w.exchange()
+	}
 }
 
-// pushStats pushes the writer's cumulative stats to the edge's sketch home
-// slot. Best-effort: detection is advisory. Per-leaf counts live on the
-// leaf pipelines during writing and are snapshotted here.
-func (w *Writer) pushStats() {
-	counts := make(map[string]uint64, len(w.outs))
-	for _, out := range w.outs {
-		counts[out.name] = out.count
+// exchange leaves the writer's cumulative stats on the edge's home slot and
+// adopts the partition map that comes back, if one does. Per-leaf counts
+// live on the leaf pipelines during writing and are snapshotted here.
+// Best-effort throughout: detection is advisory, and routing by a stale map
+// is always correct, only less balanced.
+func (w *Writer) exchange() {
+	w.exchanged = time.Now()
+	var stats []byte
+	if w.n > 0 {
+		counts := make(map[string]uint64, len(w.outs))
+		for _, out := range w.outs {
+			counts[out.name] = out.count
+		}
+		w.stats.Counts = counts
+		// A blob of its own per exchange: the storage node keeps the one
+		// it is given (transport.Request.Data).
+		stats = w.stats.AppendTo(make([]byte, 0, w.statsLen+w.statsLen/8))
+		w.statsLen = len(stats)
 	}
-	w.stats.Counts = counts
-	_ = w.cfg.Store.PushSketch(w.ctx, w.cfg.Edge, w.cfg.WriterID, w.stats)
+	newer, err := w.cfg.Store.ExchangeSketch(w.ctx, w.cfg.Edge, w.cfg.WriterID, stats, w.pm.Version)
+	if err != nil || len(newer) == 0 {
+		return
+	}
+	pm, err := DecodePartitionMap(newer)
+	if err != nil || pm.Bag != w.cfg.Edge || pm.Version <= w.pm.Version {
+		return // ignore foreign/corrupt/stale maps
+	}
+	w.pm = pm
+	w.cfg.Obs.Emit(obs.EvMapRevision, w.cfg.Job, w.cfg.Edge,
+		fmt.Sprintf("adopted version=%d writer=%s", pm.Version, w.cfg.WriterID))
 }
 
 // Close flushes every partition bag's buffered chunks, waits for all
-// outstanding inserts, and pushes the final sketch update. It must be
-// called (and its error checked) before the producer reports completion —
-// the engine's TaskCtx.OnFinish hook does this automatically for writers
-// created through the public API.
+// outstanding inserts, and makes a final exchange, whatever the gate says,
+// so the stats the master fetches afterwards are the writer's exact totals.
+// It must be called (and its error checked) before the producer reports
+// completion — the engine's TaskCtx.OnFinish hook does this automatically
+// for writers created through the public API.
 func (w *Writer) Close() error {
 	var firstErr error
 	for _, out := range w.outs {
@@ -268,7 +288,7 @@ func (w *Writer) Close() error {
 			firstErr = fmt.Errorf("shuffle: closing %s: %w", out.name, err)
 		}
 	}
-	w.pushStats()
+	w.exchange()
 	w.flushMetrics()
 	if w.cfg.OnSpans != nil {
 		parts := make(map[string]int64, len(w.outs))

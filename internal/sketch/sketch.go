@@ -14,7 +14,6 @@ package sketch
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -105,15 +104,18 @@ func (c *CountMin) Merge(other *CountMin) error {
 	return nil
 }
 
-// Encode serializes the sketch as one record.
-func (c *CountMin) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(c.width))
+// AppendTo appends the sketch's encoding to buf.
+func (c *CountMin) AppendTo(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(c.width))
 	buf = binary.AppendUvarint(buf, uint64(c.depth))
 	for _, v := range c.counts {
 		buf = binary.AppendUvarint(buf, v)
 	}
 	return buf
 }
+
+// Encode serializes the sketch as one record.
+func (c *CountMin) Encode() []byte { return c.AppendTo(nil) }
 
 // DecodeCountMin parses an encoded sketch.
 func DecodeCountMin(data []byte) (*CountMin, error) {
@@ -131,6 +133,11 @@ func DecodeCountMin(data []byte) (*CountMin, error) {
 	// w ≈ 2^63 would overflow w*d past the guard and panic NewCountMin.
 	if w == 0 || d == 0 || w > 1<<28 || d > 64 || w*d > 1<<28 {
 		return nil, fmt.Errorf("sketch: implausible count-min dimensions %dx%d", w, d)
+	}
+	// Every counter takes at least one byte: reject dimensions the record
+	// cannot hold before allocating the matrix.
+	if w*d > uint64(len(data)) {
+		return nil, fmt.Errorf("sketch: truncated count-min record")
 	}
 	c := NewCountMin(int(w), int(d))
 	for i := range c.counts {
@@ -188,12 +195,8 @@ func (e *EdgeStats) Total() uint64 {
 // MaxHeavyKeys by count). Merging per-producer stats this way yields the
 // same result as a single producer having observed the union.
 func (e *EdgeStats) Merge(other *EdgeStats) error {
-	if e.Counts == nil {
-		e.Counts = make(map[string]uint64)
-	}
-	for k, v := range other.Counts {
-		e.Counts[k] += v
-	}
+	// The sketch merge is the only step that can fail, so it goes first: a
+	// failed Merge leaves e as it was.
 	if other.CM != nil {
 		if e.CM == nil {
 			e.CM = NewCountMin(other.CM.width, other.CM.depth)
@@ -201,6 +204,12 @@ func (e *EdgeStats) Merge(other *EdgeStats) error {
 		if err := e.CM.Merge(other.CM); err != nil {
 			return err
 		}
+	}
+	if e.Counts == nil {
+		e.Counts = make(map[string]uint64)
+	}
+	for k, v := range other.Counts {
+		e.Counts[k] += v
 	}
 	if len(other.Heavy) > 0 {
 		byKey := make(map[string]uint64, len(e.Heavy)+len(other.Heavy))
@@ -309,35 +318,97 @@ func (b *StatsBuilder) Stats() *EdgeStats {
 	return e
 }
 
-// edgeStatsWire is the serialized form; the count-min sketch travels as its
-// own binary encoding inside the JSON envelope.
-type edgeStatsWire struct {
-	Counts map[string]uint64 `json:"counts,omitempty"`
-	CM     []byte            `json:"cm,omitempty"`
-	Heavy  []HeavyKey        `json:"heavy,omitempty"`
+// statsFormat leads every encoded EdgeStats. It is not a printable
+// character, so no text format is ever mistaken for a stats record.
+const statsFormat = 0x01
+
+// AppendTo appends the stats' binary encoding to buf: the format byte, the
+// partition counts, the heavy-hitter candidates, and the count-min sketch
+// (absent when CM is nil) — uvarints and length-prefixed strings throughout,
+// no intermediate buffers, so a producer that sizes buf by its previous
+// push encodes with one allocation.
+func (e *EdgeStats) AppendTo(buf []byte) []byte {
+	buf = append(buf, statsFormat)
+	buf = binary.AppendUvarint(buf, uint64(len(e.Counts)))
+	for name, n := range e.Counts {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		buf = binary.AppendUvarint(buf, n)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(e.Heavy)))
+	for _, h := range e.Heavy {
+		buf = binary.AppendUvarint(buf, uint64(len(h.Key)))
+		buf = append(buf, h.Key...)
+		buf = binary.AppendUvarint(buf, h.Count)
+	}
+	if e.CM != nil {
+		buf = e.CM.AppendTo(buf)
+	}
+	return buf
 }
 
 // Encode serializes the stats as one record.
-func (e *EdgeStats) Encode() ([]byte, error) {
-	w := edgeStatsWire{Counts: e.Counts, Heavy: e.Heavy}
-	if e.CM != nil {
-		w.CM = e.CM.Encode()
-	}
-	return json.Marshal(&w)
-}
+func (e *EdgeStats) Encode() ([]byte, error) { return e.AppendTo(nil), nil }
 
-// DecodeEdgeStats parses an encoded stats record.
+// DecodeEdgeStats parses an encoded stats record. The result shares no
+// memory with data.
 func DecodeEdgeStats(data []byte) (*EdgeStats, error) {
-	var w edgeStatsWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("sketch: bad edge-stats record: %v", err)
+	bad := func(what string) (*EdgeStats, error) {
+		return nil, fmt.Errorf("sketch: bad edge-stats record: %s", what)
 	}
-	e := &EdgeStats{Counts: w.Counts, Heavy: w.Heavy}
-	if e.Counts == nil {
-		e.Counts = make(map[string]uint64)
+	if len(data) == 0 || data[0] != statsFormat {
+		return bad("unknown format")
 	}
-	if len(w.CM) > 0 {
-		cm, err := DecodeCountMin(w.CM)
+	data = data[1:]
+	// field reads one length-prefixed byte string followed by a uvarint.
+	field := func() (key []byte, n uint64, ok bool) {
+		size, k := binary.Uvarint(data)
+		if k <= 0 || size > uint64(len(data)-k) {
+			return nil, 0, false
+		}
+		key, data = data[k:k+int(size)], data[k+int(size):]
+		n, k = binary.Uvarint(data)
+		if k <= 0 {
+			return nil, 0, false
+		}
+		data = data[k:]
+		return key, n, true
+	}
+	// count reads an entry count; every entry takes at least two bytes,
+	// so a count the record cannot hold is rejected before allocating.
+	count := func() (int, bool) {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k)/2 {
+			return 0, false
+		}
+		data = data[k:]
+		return int(n), true
+	}
+	e := &EdgeStats{}
+	n, ok := count()
+	if !ok {
+		return bad("partition counts")
+	}
+	e.Counts = make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		name, c, ok := field()
+		if !ok {
+			return bad("partition counts")
+		}
+		e.Counts[string(name)] = c
+	}
+	if n, ok = count(); !ok {
+		return bad("heavy keys")
+	}
+	for i := 0; i < n; i++ {
+		key, c, ok := field()
+		if !ok {
+			return bad("heavy keys")
+		}
+		e.Heavy = append(e.Heavy, HeavyKey{Key: append([]byte(nil), key...), Count: c})
+	}
+	if len(data) > 0 {
+		cm, err := DecodeCountMin(data)
 		if err != nil {
 			return nil, err
 		}

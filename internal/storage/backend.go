@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -18,11 +19,24 @@ type memBackend struct {
 	readSize  int64
 }
 
+// insert keeps the slice it is given: a chunk is immutable once emitted
+// and belongs to whoever receives it (see transport.Request.Data).
 func (m *memBackend) insert(chunk []byte) error {
-	c := append([]byte(nil), chunk...)
+	c := rightSize(chunk)
 	m.chunks = append(m.chunks, c)
 	m.totalSize += int64(len(c))
 	return nil
+}
+
+// rightSize returns b, or a copy of it when b's backing array is well above
+// its length. Stored payloads stay for the life of a bag, and the common
+// oversized one is a flushed partial chunk — a few records in a buffer of
+// the full chunk size — which would pin that whole buffer.
+func rightSize(b []byte) []byte {
+	if cap(b)-len(b) <= len(b)/4 {
+		return b
+	}
+	return bytes.Clone(b)
 }
 
 func (m *memBackend) remove() ([]byte, bool, error) {

@@ -59,12 +59,10 @@ type Node struct {
 	bags     map[string]*bagState
 	draining bool
 
-	// sketches holds shuffle-edge statistics: edge name -> producer
-	// worker ID -> that producer's latest cumulative stats push. Producers
-	// push cumulative (not delta) stats, so a re-push replaces rather than
-	// accumulates, and a fetch merges across producers.
+	// sketches holds the control state of the shuffle edges homed on this
+	// node (see transport.OpSketch).
 	sketchMu sync.Mutex
-	sketches map[string]map[string][]byte
+	sketches map[string]*edgeState
 
 	newBackend func(bag string) (backend, error)
 
@@ -79,6 +77,18 @@ type Node struct {
 	// goroutine; the node only holds the handles for DebugHandler.
 	rec   atomic.Pointer[obs.Recorder]
 	watch atomic.Pointer[obs.Watch]
+}
+
+// edgeState is one shuffle edge's control state: each producer's latest
+// cumulative stats blob, exactly as it arrived — producers push cumulative
+// (not delta) stats, so a re-push replaces rather than accumulates, and
+// only a fetch decodes and merges — and the newest partition map the
+// master published, handed back to producers that hold an older version.
+// The node never looks inside either kind of blob on the exchange path.
+type edgeState struct {
+	writers     map[string][]byte
+	pmap        []byte
+	pmapVersion int64
 }
 
 // Option configures a Node.
@@ -100,7 +110,7 @@ func NewNode(name string, opts ...Option) *Node {
 	n := &Node{
 		name:     name,
 		bags:     make(map[string]*bagState),
-		sketches: make(map[string]map[string][]byte),
+		sketches: make(map[string]*edgeState),
 		newBackend: func(string) (backend, error) {
 			return &memBackend{}, nil
 		},
@@ -490,54 +500,77 @@ func (n *Node) handleRename(req *transport.Request) *transport.Response {
 	return &transport.Response{Status: transport.StatusOK}
 }
 
-// handleSketch serves the shuffle-edge statistics protocol. A request with
-// a payload stores the producer's (req.Dst) cumulative stats for the edge
-// (req.Bag); a request without a payload returns the merge of every
-// producer's stats. Sketch state is advisory — it only steers the master's
-// split decisions — so it is deliberately not replicated or persisted.
+// handleSketch serves the shuffle-edge control exchange; the four request
+// forms are described at transport.OpSketch. Edge state is advisory — it
+// only steers routing balance and the master's split decisions — so it is
+// deliberately not persisted.
 func (n *Node) handleSketch(req *transport.Request) *transport.Response {
-	if len(req.Data) > 0 {
-		// Validate before storing so a fetch never fails on a corrupt blob.
-		if _, err := sketch.DecodeEdgeStats(req.Data); err != nil {
-			return errResp(err)
-		}
+	switch {
+	case req.Dst != "":
+		// Producer exchange: keep the stats as received, answer with the
+		// map if the producer's is stale.
 		n.sketchMu.Lock()
 		defer n.sketchMu.Unlock()
-		byWriter, ok := n.sketches[req.Bag]
-		if !ok {
-			byWriter = make(map[string][]byte)
-			n.sketches[req.Bag] = byWriter
+		es := n.edge(req.Bag)
+		if len(req.Data) > 0 {
+			es.writers[req.Dst] = rightSize(req.Data)
 		}
-		byWriter[req.Dst] = append([]byte(nil), req.Data...)
+		resp := &transport.Response{Status: transport.StatusOK}
+		if es.pmapVersion > req.Arg {
+			resp.Data = es.pmap
+		}
+		return resp
+	case len(req.Data) > 0:
+		// Map publish. Versions only grow, so a late or repeated publish
+		// of an older map is dropped.
+		n.sketchMu.Lock()
+		defer n.sketchMu.Unlock()
+		if es := n.edge(req.Bag); req.Arg > es.pmapVersion {
+			es.pmap, es.pmapVersion = rightSize(req.Data), req.Arg
+		}
 		return &transport.Response{Status: transport.StatusOK}
-	}
-	if req.Arg == transport.SketchClear {
+	case req.Arg == transport.SketchClear:
 		n.sketchMu.Lock()
 		delete(n.sketches, req.Bag)
 		n.sketchMu.Unlock()
 		return &transport.Response{Status: transport.StatusOK}
 	}
 	n.sketchMu.Lock()
-	blobs := make([][]byte, 0, len(n.sketches[req.Bag]))
-	for _, b := range n.sketches[req.Bag] {
-		blobs = append(blobs, b)
+	var blobs [][]byte
+	if es := n.sketches[req.Bag]; es != nil {
+		blobs = make([][]byte, 0, len(es.writers))
+		for _, b := range es.writers {
+			blobs = append(blobs, b)
+		}
 	}
 	n.sketchMu.Unlock()
+	return &transport.Response{Status: transport.StatusOK, Data: mergeStats(blobs).AppendTo(nil)}
+}
+
+// edge returns the edge's control state, creating it. Callers hold
+// sketchMu.
+func (n *Node) edge(name string) *edgeState {
+	es := n.sketches[name]
+	if es == nil {
+		es = &edgeState{writers: make(map[string][]byte)}
+		n.sketches[name] = es
+	}
+	return es
+}
+
+// mergeStats decodes and merges the producers' stats blobs. Blobs are
+// stored unvalidated, so this is where a corrupt one surfaces: it is
+// skipped — as is one whose sketch dimensions disagree with the others' —
+// and the remaining producers still merge. Stats are advisory; one bad
+// producer must not blind the master to the rest.
+func mergeStats(blobs [][]byte) *sketch.EdgeStats {
 	merged := sketch.NewEdgeStats()
 	for _, b := range blobs {
-		st, err := sketch.DecodeEdgeStats(b)
-		if err != nil {
-			return errResp(err)
-		}
-		if err := merged.Merge(st); err != nil {
-			return errResp(err)
+		if st, err := sketch.DecodeEdgeStats(b); err == nil {
+			_ = merged.Merge(st) // a failed Merge leaves merged untouched: skipped
 		}
 	}
-	data, err := merged.Encode()
-	if err != nil {
-		return errResp(err)
-	}
-	return &transport.Response{Status: transport.StatusOK, Data: data}
+	return merged
 }
 
 // handleReadAt returns chunk req.Arg without consuming it, supporting

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -367,15 +368,16 @@ func TestNodeSketchPushFetch(t *testing.T) {
 		t.Fatalf("merged count-min undercounts: %d", est)
 	}
 
-	// Corrupt pushes are rejected and never poison fetches.
+	// A push is stored as received, unvalidated: a corrupt blob is accepted
+	// and skipped when a fetch merges, and the other writers still merge.
 	resp := n.Handle(&transport.Request{
 		Op: transport.OpSketch, Bag: "shuf", Dst: "w2", Data: []byte("{"),
 	})
-	if resp.Status != transport.StatusErr {
-		t.Fatalf("corrupt push accepted: %+v", resp)
+	if !resp.OK() {
+		t.Fatalf("push is not validated, yet: %+v", resp)
 	}
-	if st := fetch(); st.Counts["shuf.p0"] != 170 {
-		t.Fatalf("fetch after corrupt push: %v", st.Counts)
+	if st := fetch(); st.Counts["shuf.p0"] != 170 || st.Counts["shuf.p1"] != 30 {
+		t.Fatalf("fetch with one corrupt writer: %v", st.Counts)
 	}
 
 	// Sketch state is per-edge.
@@ -385,14 +387,21 @@ func TestNodeSketchPushFetch(t *testing.T) {
 		t.Fatalf("edges share sketch state")
 	}
 
-	// A crafted blob with overflowing count-min dimensions is rejected,
-	// not a panic (the TCP server has no recover).
-	resp = n.Handle(&transport.Request{
-		Op: transport.OpSketch, Bag: "shuf", Dst: "w3",
-		Data: []byte(`{"cm":"gICAgICAgICAAQI="}`), // width=1<<63, depth=2
-	})
-	if resp.Status != transport.StatusErr {
-		t.Fatalf("overflowing dimensions accepted: %+v", resp)
+	// So is a crafted blob with overflowing count-min dimensions, and one
+	// whose sketch dimensions disagree with the others' (it must not leave
+	// its counts behind either): skipped, not a panic (the TCP server has
+	// no recover), not a failed merge.
+	huge := append([]byte{0x01, 0, 0}, binary.AppendUvarint(binary.AppendUvarint(nil, 1<<63), 2)...)
+	odd := sketch.NewEdgeStats()
+	odd.Counts["shuf.p0"] = 1 << 40
+	odd.CM = sketch.NewCountMin(8, 2)
+	for writer, blob := range map[string][]byte{"w3": huge, "w4": odd.AppendTo(nil)} {
+		if resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Dst: writer, Data: blob}); !resp.OK() {
+			t.Fatalf("push %s: %+v", writer, resp)
+		}
+	}
+	if st := fetch(); st.Counts["shuf.p0"] != 170 || st.Counts["shuf.p1"] != 30 {
+		t.Fatalf("fetch with three bad writers: %v", st.Counts)
 	}
 
 	// SketchClear drops the edge's state.
@@ -403,6 +412,73 @@ func TestNodeSketchPushFetch(t *testing.T) {
 	}
 	if st := fetch(); st.Total() != 0 {
 		t.Fatalf("state survived clear: %v", st.Counts)
+	}
+}
+
+// TestNodeSketchExchange: a producer's exchange gets the published map back
+// exactly when the map is newer than the version the producer holds, the
+// node keeps only the newest published version, a stats-less exchange
+// stores nothing, and clear forgets the map with the stats.
+func TestNodeSketchExchange(t *testing.T) {
+	n := NewNode("s0")
+	exchange := func(writer string, stats []byte, held int64) []byte {
+		t.Helper()
+		resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Dst: writer, Data: stats, Arg: held})
+		if !resp.OK() {
+			t.Fatalf("exchange: %+v", resp)
+		}
+		return resp.Data
+	}
+	publish := func(version int64, blob string) {
+		t.Helper()
+		if resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Data: []byte(blob), Arg: version}); !resp.OK() {
+			t.Fatalf("publish: %+v", resp)
+		}
+	}
+	if got := exchange("w0", nil, 1); got != nil {
+		t.Fatalf("map %q before any publish", got)
+	}
+	publish(3, "v3")
+	publish(2, "v2") // late: dropped
+	if got := exchange("w0", nil, 1); string(got) != "v3" {
+		t.Fatalf("held 1, got %q, want v3", got)
+	}
+	if got := exchange("w0", nil, 3); got != nil {
+		t.Fatalf("held 3, got %q, want nothing", got)
+	}
+	// Stats-less exchanges stored nothing; a map is not a writer.
+	resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf"})
+	if st, err := sketch.DecodeEdgeStats(resp.Data); err != nil || st.Total() != 0 {
+		t.Fatalf("fetch after stats-less exchanges: %v, %v", st, err)
+	}
+	n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Arg: transport.SketchClear})
+	if got := exchange("w0", nil, 1); got != nil {
+		t.Fatalf("map %q survived clear", got)
+	}
+}
+
+// TestStoredPayloadsAreKeptNotCopied pins the ownership rule on the node: an
+// inserted chunk and a pushed blob are kept as the slice that arrived, and a
+// payload in a mostly empty buffer — a flushed partial chunk — is copied to
+// its size so it cannot pin the buffer.
+func TestStoredPayloadsAreKeptNotCopied(t *testing.T) {
+	n := NewNode("s0")
+	full := bytes.Repeat([]byte{7}, 4096)
+	insert(t, n, "b#0", full)
+	partial := make([]byte, 100, 64<<10)
+	insert(t, n, "b#0", partial)
+	for i, in := range [][]byte{full, partial} {
+		resp := n.Handle(&transport.Request{Op: transport.OpReadAt, Bag: "b#0", Arg: int64(i)})
+		if !resp.OK() || !bytes.Equal(resp.Data, in) {
+			t.Fatalf("chunk %d read back differently", i)
+		}
+		kept := &resp.Data[0] == &in[0]
+		if wantKept := i == 0; kept != wantKept {
+			t.Fatalf("chunk %d (len %d cap %d): kept=%v, want %v", i, len(in), cap(in), kept, wantKept)
+		}
+		if cap(resp.Data) > 2*len(resp.Data) {
+			t.Fatalf("chunk %d of %d bytes pins %d", i, len(resp.Data), cap(resp.Data))
+		}
 	}
 }
 

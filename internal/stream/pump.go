@@ -674,7 +674,7 @@ func (h *Handle) seedEdges(lw *window) {
 		if seed == nil {
 			continue
 		}
-		if err := h.store.Bag(shuffle.PMapBag(phys)).Insert(h.ctx, seed.Encode()); err != nil {
+		if err := shuffle.Publish(h.ctx, h.store, seed); err != nil {
 			continue
 		}
 		lw.res.Seeded = true

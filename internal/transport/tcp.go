@@ -78,10 +78,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 1<<20)
-	bw := bufio.NewWriterSize(conn, 1<<20)
-	var buf []byte
+	br := bufio.NewReaderSize(conn, connReadBuffer)
+	head := make([]byte, headRoom, 128)
 	for {
+		// Every request gets a body of its own: the decoded request's
+		// Data aliases it, and the handler may keep it.
 		body, err := readMessage(br)
 		if err != nil {
 			return
@@ -95,14 +96,15 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		} else {
 			resp = s.Handler.Handle(req)
 		}
-		buf = EncodeResponse(buf[:0], resp)
 		var op Op
 		var bag string
 		if req != nil {
 			op, bag = req.Op, req.Bag
 		}
-		m.End(op, bag, start, frameBytes(len(body)), frameBytes(len(buf)), resp.Error())
-		if err := writeMessage(bw, buf); err != nil {
+		head = appendResponseHead(head[:headRoom], resp)
+		out, werr := writeMessage(conn, head, resp.Data)
+		m.End(op, bag, start, frameBytes(len(body)), frameBytes(out), resp.Error())
+		if werr != nil {
 			return
 		}
 	}
@@ -137,9 +139,9 @@ type TCPClient struct {
 }
 
 type tcpConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c    net.Conn
+	br   *bufio.Reader
+	head []byte // request head scratch, headRoom bytes of prefix room in front
 	// m is the meter that counted this connection's open, captured at
 	// dial time so the close decrement lands on the same gauge even if
 	// the client is re-bound meanwhile.
@@ -213,10 +215,10 @@ func (c *TCPClient) get(node string) (*tcpConn, error) {
 	}
 	m.ConnOpened()
 	return &tcpConn{
-		c:  conn,
-		br: bufio.NewReaderSize(conn, 1<<20),
-		bw: bufio.NewWriterSize(conn, 1<<20),
-		m:  m,
+		c:    conn,
+		br:   bufio.NewReaderSize(conn, connReadBuffer),
+		head: make([]byte, headRoom, 128),
+		m:    m,
 	}, nil
 }
 
@@ -240,7 +242,11 @@ func (c *TCPClient) Call(ctx context.Context, node string, req *Request) (*Respo
 }
 
 // call is Call without the telemetry wrapper; it returns the wire bytes
-// read and written alongside the response.
+// read and written alongside the response. The context bounds the whole
+// round trip: its deadline is the connection's, and cancelling it expires
+// the connection's deadline so a caller blocked on a silent server returns
+// at once. A connection that was interrupted mid-message is closed, never
+// pooled — the next caller would read the abandoned reply.
 func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *Response, in, out int, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
@@ -249,27 +255,37 @@ func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		tc.c.SetDeadline(deadline)
-	} else {
-		tc.c.SetDeadline(zeroTime)
-	}
-	body := EncodeRequest(nil, req)
-	out = frameBytes(len(body))
-	if err := writeMessage(tc.bw, body); err != nil {
+	deadline, _ := ctx.Deadline() // zero clears a pooled connection's deadline
+	tc.c.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { tc.c.SetDeadline(expired) })
+	fail := func(err error) (*Response, int, int, error) {
+		stop()
 		tc.close()
-		return nil, 0, out, ErrNodeDown
+		if ctx.Err() != nil {
+			err = ctx.Err() // the caller gave up; the node is not to blame
+		}
+		return nil, in, out, err
+	}
+	tc.head = appendRequestHead(tc.head[:headRoom], req)
+	n, err := writeMessage(tc.c, tc.head, req.Data)
+	out = frameBytes(n)
+	if err != nil {
+		return fail(ErrNodeDown)
 	}
 	respBody, err := readMessage(tc.br)
 	if err != nil {
-		tc.close()
-		return nil, 0, out, ErrNodeDown
+		return fail(ErrNodeDown)
 	}
 	in = frameBytes(len(respBody))
 	resp, err = DecodeResponse(respBody)
 	if err != nil {
+		return fail(err)
+	}
+	if !stop() {
+		// Cancelled after the reply arrived: the reply stands, but the
+		// deadline may have been expired under the connection.
 		tc.close()
-		return nil, in, out, err
+		return resp, in, out, nil
 	}
 	c.put(node, tc)
 	return resp, in, out, nil
@@ -289,5 +305,6 @@ func (c *TCPClient) Close() error {
 	return nil
 }
 
-// zeroTime clears a connection deadline.
-var zeroTime = time.Time{}
+// expired is a connection deadline in the past: setting it fails the
+// connection's pending and future reads and writes.
+var expired = time.Unix(1, 0)

@@ -35,14 +35,24 @@ const (
 	OpReadAt                // read chunk at index without consuming (shared scans)
 	OpPing                  // liveness probe
 	OpAdvance               // move the read pointer forward monotonically (replica sync)
-	// OpSketch carries shuffle-edge statistics. With a payload it pushes a
-	// producer's edge stats (partition counts + count-min sketch), which
-	// the storage node merges into its per-edge state; without a payload
-	// it fetches the merged stats, which the application master uses to
-	// detect hot partitions worth splitting; with Arg == SketchClear it
-	// drops the edge's stats (job completion / failure recovery).
-	// Request.Dst carries the producer's worker identifier so repeated
-	// cumulative pushes replace rather than double-count.
+	// OpSketch is the control exchange of one shuffle edge (Request.Bag),
+	// served by the edge's home slot. It is the only control traffic a
+	// producer generates, and it has four forms:
+	//
+	//   - producer exchange: Dst names the producer worker, Data is its
+	//     cumulative edge stats (partition counts + count-min sketch; empty
+	//     to report nothing yet) and Arg is the partition-map version the
+	//     producer routes by. The node keeps the blob as received, in place
+	//     of the producer's previous one — pushes are cumulative, so a
+	//     re-push replaces rather than double-counts — and the reply's Data
+	//     carries the newest published map if its version is above Arg.
+	//   - map publish: Dst is empty, Data is an encoded partition map and
+	//     Arg its version; the node keeps it if it is the newest it has seen.
+	//   - fetch: Dst and Data are empty, Arg is 0; the reply's Data is the
+	//     merge of every producer's stats, which the application master
+	//     reads to detect hot partitions worth splitting.
+	//   - clear: Dst and Data are empty, Arg is SketchClear; the node
+	//     forgets the edge (job completion / failure recovery).
 	OpSketch
 	// OpDeletePrefix garbage collects every bag (and every shuffle-edge
 	// sketch) whose name starts with Request.Bag. The multi-job scheduler
@@ -52,8 +62,8 @@ const (
 	OpDeletePrefix
 )
 
-// SketchClear, passed in Request.Arg with a payload-less OpSketch, drops
-// the edge's sketch state instead of fetching it.
+// SketchClear, passed in Request.Arg of an OpSketch with neither producer
+// nor payload, drops the edge's state instead of fetching its stats.
 const SketchClear int64 = 1
 
 var opNames = map[Op]string{
@@ -73,9 +83,12 @@ func (o Op) String() string {
 
 // Request is a storage-protocol request.
 type Request struct {
-	Op   Op
-	Bag  string // target bag identifier
-	Data []byte // chunk payload for OpInsert
+	Op  Op
+	Bag string // target bag identifier
+	// Data is the payload: the chunk for OpInsert, a stats or map blob for
+	// OpSketch. It is immutable once the request is passed to a Client, and
+	// the receiving node may keep it: callers never write to it again.
+	Data []byte
 	Arg  int64  // operation argument (e.g. chunk index for OpReadAt)
 	Dst  string // destination bag name for OpRename
 }
@@ -94,7 +107,10 @@ const (
 type Response struct {
 	Status int
 	Err    string
-	Data   []byte // chunk payload for OpRemove / OpReadAt
+	// Data is the payload: the chunk for OpRemove / OpReadAt, a blob for
+	// OpSketch. Immutable like Request.Data: a node may hand one stored
+	// slice to any number of readers, so nobody writes to it.
+	Data []byte
 	// Sample results (OpSample) and general numeric results.
 	TotalChunks int64 // chunks ever inserted
 	ReadChunks  int64 // chunks already consumed

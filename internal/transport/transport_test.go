@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -306,5 +307,86 @@ func TestHandlerFunc(t *testing.T) {
 	resp := h.Handle(&Request{Data: []byte("z")})
 	if string(resp.Data) != "z" {
 		t.Fatal("HandlerFunc broken")
+	}
+}
+
+// TestTCPCallHonoursCancel: a cancelled context — not only an expired
+// deadline — must release a caller blocked on a node that does not answer
+// (bag's consumer stops with cancel-then-wait), and the interrupted
+// connection, which will still receive the abandoned reply, must not go
+// back to the pool.
+func TestTCPCallHonoursCancel(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := NewTCPServer(HandlerFunc(func(req *Request) *Response {
+		if req.Op == OpRemove {
+			entered <- struct{}{}
+			<-release
+			return &Response{Status: StatusOK, Data: []byte("stale reply")}
+		}
+		return &Response{Status: StatusOK, Data: []byte("fresh reply")}
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(release) // unblock the handler before srv.Close waits for it
+	client := NewTCPClient(map[string]string{"node": addr})
+	defer client.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.Call(ctx, "node", &Request{Op: OpRemove, Bag: "b"})
+		done <- err
+	}()
+	<-entered // the request is on the server; the caller is blocked reading
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call returned %v, want context.Canceled (ErrNodeDown would mark a healthy node down)", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled call still blocked on the stalled node")
+	}
+	client.mu.Lock()
+	pooled := len(client.idle["node"])
+	client.mu.Unlock()
+	if pooled != 0 {
+		t.Fatalf("%d interrupted connection(s) back in the pool", pooled)
+	}
+	// The next call dials afresh and reads its own reply.
+	resp, err := client.Call(context.Background(), "node", &Request{Op: OpPing})
+	if err != nil || string(resp.Data) != "fresh reply" {
+		t.Fatalf("call after cancel: %v, %+v", err, resp)
+	}
+}
+
+// TestTCPLargePayloadBothWays: payloads far above the connection read
+// buffer travel intact in both directions through the vectored write and the
+// direct read, back to back on one pooled connection.
+func TestTCPLargePayloadBothWays(t *testing.T) {
+	srv := NewTCPServer(&echoHandler{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewTCPClient(map[string]string{"node": addr})
+	defer client.Close()
+	for _, size := range []int{0, 1, connReadBuffer - 1, connReadBuffer, connReadBuffer + 1, 1 << 20, 3<<20 + 17} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*31 + size)
+		}
+		resp, err := client.Call(context.Background(), "node", &Request{Op: OpInsert, Bag: "b", Dst: "d", Arg: -5, Data: payload})
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if !bytes.Equal(resp.Data, payload) {
+			t.Fatalf("size %d: payload changed on the wire", size)
+		}
 	}
 }

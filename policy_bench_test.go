@@ -89,8 +89,6 @@ func BenchmarkPolicyAblation(b *testing.B) {
 					b.Fatal(err)
 				}
 				app := apps.GroupByApp(parts, true, true, 5000)
-				spec := app.BagSpecFor(apps.GroupByShuf)
-				spec.SketchEvery, spec.PollEvery = 512, 256
 				if err := cluster.Run(ctx, app); err != nil {
 					b.Fatal(err)
 				}
