@@ -31,12 +31,6 @@
 // heavy-hitter keys) on Zipf(1.3) probe keys — and writes
 // BENCH_plan.json.
 //
-// "vector" runs the data-plane benchmark on the real engine — the
-// Zipf(1.3) groupby with row-at-a-time versus vectorized batch — and
-// writes BENCH_vector.json.
-// "vector-check" re-runs the row and batch variants once and fails when
-// the batch/row speedup regresses >15% against the committed baseline.
-//
 // "wire" runs the wire-path benchmark against REAL TCP storage nodes on
 // loopback — the Zipf(1.3) groupby with every bag op crossing the wire —
 // reporting per-op client latency p50/p99, op throughput, wire bytes,
@@ -134,8 +128,6 @@ var engineBenches = map[string]func() error{
 	"sched":           schedBench,
 	"stream":          streamBench,
 	"plan":            planBench,
-	"vector":          vectorBench,
-	"vector-check":    vectorCheck,
 	"wire":            wireBench,
 	"trend":           trendCmd,
 	"trend-check":     trendCheckCmd,

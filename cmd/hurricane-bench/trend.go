@@ -44,7 +44,6 @@ var trendMetrics = []trendMetric{
 	{Bench: "sched", File: "BENCH_sched.json", Key: "uni_speedup_fair_over_none", Better: "up", TolRel: 0.15},
 	{Bench: "stream", File: "BENCH_stream.json", Key: "median_speedup_warm_over_cold", Better: "up", TolRel: 0.10},
 	{Bench: "plan", File: "BENCH_plan.json", Key: "speedup_planner_over_naive", Better: "up", TolRel: 0.15},
-	{Bench: "vector", File: "BENCH_vector.json", Key: "speedup_batch_over_row", Better: "up", TolRel: 0.15},
 	{Bench: "wire", File: "BENCH_wire_baseline.json", Key: "telemetry_overhead_pct", Better: "down", TolAbs: 5},
 }
 

@@ -34,6 +34,7 @@ package hurricane
 
 import (
 	"context"
+	"reflect"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -244,67 +245,60 @@ func ForEachScan[T any](tc *TaskCtx, scanInput int, codec Codec[T], fn func(T) e
 	return forEachVec(func() (Chunk, error) { return tc.Scan(scanInput) }, codec, each(fn))
 }
 
-// Writer writes typed records to one of a task's outputs.
-type Writer[T any] struct {
-	tc    *TaskCtx
-	out   int
-	codec Codec[T]
-	buf   []byte
+// Writer writes typed records to one of a task's outputs through a
+// chunk.Encoder, so the chunks take the layout the codec has: column batches
+// for a columnar codec, row chunks for a row-only one.
+type Writer[T any] struct{ enc *chunk.Encoder[T] }
+
+// NewWriter returns a typed record writer for output out. Writers for one
+// output and codec share the worker's open chunk — making one per record is
+// as cheap as keeping one — and the engine flushes it when the task
+// completes.
+func NewWriter[T any](tc *TaskCtx, out int, codec Codec[T]) *Writer[T] {
+	open := tc.OutputEncoders(out)
+	for _, o := range *open {
+		if enc, ok := o.(*chunk.Encoder[T]); ok && sameCodec(enc.Codec(), codec) {
+			return &Writer[T]{enc: enc}
+		}
+	}
+	enc := chunk.NewEncoder(codec, tc.Store().ChunkSize(), func(c Chunk, _ int) error {
+		return tc.Insert(out, c)
+	})
+	*open = append(*open, enc)
+	tc.OnFinish(enc.Close)
+	return &Writer[T]{enc: enc}
 }
 
-// NewWriter returns a typed record writer for output out. The engine
-// flushes partially filled chunks automatically when the task completes.
-func NewWriter[T any](tc *TaskCtx, out int, codec Codec[T]) *Writer[T] {
-	return &Writer[T]{tc: tc, out: out, codec: codec}
-}
+// sameCodec reports whether two codecs are the same value. Codecs that
+// cannot be compared (a struct holding a slice or a func) are never the
+// same: their writers get an encoder each.
+func sameCodec(a, b any) bool { return reflect.ValueOf(a).Comparable() && a == b }
 
 // Write appends one record to the output.
-func (w *Writer[T]) Write(v T) error {
-	w.buf = w.codec.Encode(w.buf[:0], v)
-	return w.tc.Writer(w.out).Append(w.buf)
-}
+func (w *Writer[T]) Write(v T) error { return w.enc.Append(v) }
 
-// Load inserts values into the named bag as framed records, one bag handle
-// streaming chunks across all storage nodes. Call Seal when the bag's
-// contents are complete.
+// Load inserts values into the named bag, one bag handle streaming chunks
+// across all storage nodes; like every writer it goes through a
+// chunk.Encoder, so the chunks are column batches unless the codec is
+// row-only. Call Seal when the bag's contents are complete.
 func Load[T any](ctx context.Context, store *Store, bagName string, codec Codec[T], values []T) error {
-	h := store.Bag(bagName)
-	ins := h.Inserter(ctx)
-	w := chunk.NewTypedWriter(codec, store.ChunkSize(), func(c chunk.Chunk) error {
-		return ins.Insert(c)
-	})
-	for _, v := range values {
-		if err := w.Write(v); err != nil {
-			return err
-		}
+	ins := store.Bag(bagName).Inserter(ctx)
+	enc := chunk.NewEncoder(codec, store.ChunkSize(), func(c Chunk, _ int) error { return ins.Insert(c) })
+	err := enc.AppendRows(values, nil)
+	if cerr := enc.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		return err
+	if cerr := ins.Close(); err == nil {
+		err = cerr
 	}
-	return ins.Close()
+	return err
 }
 
-// LoadBatch is Load on the vectorized data plane: values pack into
-// batch-encoded columnar chunks, so batch-capable readers (ForEachBatch,
-// the planner's batch loops) decode whole column vectors instead of
-// re-framing record-at-a-time. Requires a columnar codec; a row-only
-// codec falls back to Load. Results are interchangeable with Load's —
-// every reader accepts both layouts on the same bag.
+// LoadBatch is Load: the layout of a bag's chunks follows its codec, not
+// the function that loaded it. The name remains for callers written when
+// the two differed.
 func LoadBatch[T any](ctx context.Context, store *Store, bagName string, codec Codec[T], values []T) error {
-	ins := store.Bag(bagName).Inserter(ctx)
-	w, ok := chunk.NewBatchWriter(codec, 0, store.ChunkSize(), ins.Insert)
-	if !ok {
-		return Load(ctx, store, bagName, codec, values)
-	}
-	for _, v := range values {
-		if err := w.Write(v); err != nil {
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return ins.Close()
+	return Load(ctx, store, bagName, codec, values)
 }
 
 // Seal marks the named bag complete. Source bags must be sealed before the

@@ -27,6 +27,7 @@ import (
 	"repro/hurricane"
 	"repro/internal/chunk"
 	"repro/internal/plan"
+	"repro/internal/shuffle"
 )
 
 // Re-exported planner types; the q functions below are the typed surface
@@ -104,27 +105,13 @@ func (d *Dataset[T]) Sink(bag string) *Dataset[T] {
 }
 
 // anyCodec adapts a typed codec to the planner's untyped record plane.
-// Reading goes through a chunk.Decoder each worker constructs for itself
-// (NewDecoderAny). When the wrapped codec supports the columnar batch
-// layout the adapter also satisfies plan.ColumnarAnyCodec and the compiled
-// stages write batch chunks; row-only codecs leave cc nil (ColKinds
-// returns nil) and the stages write rows.
-type anyCodec[T any] struct {
-	c     hurricane.Codec[T]
-	cc    chunk.ColumnCodec[T]
-	kinds []chunk.ColKind
-}
+// Both directions go through state each worker constructs for itself: a
+// chunk.Decoder per read stream (NewDecoderAny), a chunk.Encoder per write
+// stream (NewEncoderAny) — which is also where the layout of the chunks a
+// compiled stage writes is decided, from the codec alone.
+type anyCodec[T any] struct{ c hurricane.Codec[T] }
 
-func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] {
-	a := anyCodec[T]{c: c}
-	if cc, ok := chunk.ColumnarOf(c); ok {
-		a.cc = cc
-		a.kinds = chunk.KindsOf(cc)
-	}
-	return a
-}
-
-func (a anyCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
+func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] { return anyCodec[T]{c: c} }
 
 func (a anyCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
 	d := chunk.NewDecoder(a.c)
@@ -141,10 +128,8 @@ func (a anyCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
 	}
 }
 
-func (a anyCodec[T]) ColKinds() []chunk.ColKind { return a.kinds }
-
-func (a anyCodec[T]) EncodeColumnAny(b *chunk.BatchBuilder, v any) {
-	a.cc.EncodeColumn(b, 0, v.(T))
+func (a anyCodec[T]) NewEncoderAny(size int, emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
+	return chunk.NewAnyEncoder(a.c, size, emit)
 }
 
 // Scan reads a source bag. Load and seal it (hurricane.Load /

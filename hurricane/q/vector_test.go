@@ -78,6 +78,30 @@ func TestVectorizedPlanOracle(t *testing.T) {
 // re-framing them.
 type rowOnly[T any] struct{ hurricane.Codec[T] }
 
+// rendezvous returns a MapPerWorker factory whose workers each wait, at
+// their first record, until n of them have arrived: past it, n workers of
+// the stage are running at once. met closes when they have.
+func rendezvous(n int32) (meet func() func(tuple) tuple, met chan struct{}, arrived *atomic.Int32) {
+	arrived, met = new(atomic.Int32), make(chan struct{})
+	meet = func() func(tuple) tuple {
+		first := true
+		return func(v tuple) tuple {
+			if first {
+				first = false
+				if arrived.Add(1) == n {
+					close(met)
+				}
+				select {
+				case <-met:
+				case <-time.After(20 * time.Second):
+				}
+			}
+			return v
+		}
+	}
+	return meet, met, arrived
+}
+
 // TestConcurrentWorkersOwnTheirDecoders: one compiled plan object is shared
 // by every worker of every stage, codec adapters included, while decode
 // scratch must not be. The join stage of this plan consumes a four-way
@@ -114,10 +138,7 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 			}
 			defer cluster.Shutdown()
 
-			// The rendezvous: each join worker, at its first record, waits
-			// until `workers` of them have arrived.
-			var arrived atomic.Int32
-			met := make(chan struct{})
+			meet, met, arrived := rendezvous(workers)
 			p := q.New("conc")
 			joined := q.Join(q.Scan(p, "R", codec), q.Scan(p, "S", codec),
 				func(b tuple) uint64 { return b.First },
@@ -127,22 +148,7 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 					return emit(tuple{First: s.First, Second: b.Second + s.Second})
 				},
 				q.WithStrategy(q.JoinRepartition))
-			q.MapPerWorker(joined, codec, func() func(tuple) tuple {
-				first := true
-				return func(v tuple) tuple {
-					if first {
-						first = false
-						if arrived.Add(1) == workers {
-							close(met)
-						}
-						select {
-						case <-met:
-						case <-time.After(20 * time.Second):
-						}
-					}
-					return v
-				}
-			}).Sink("out")
+			q.MapPerWorker(joined, codec, meet).Sink("out")
 			c, err := p.Compile(q.Options{Parts: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -182,6 +188,85 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 					t.Fatalf("joined records differ from the serial join at sorted position %d", i)
 				}
 			}
+		})
+	}
+}
+
+// TestConcurrentWorkersOwnTheirEncoders is the write-side twin: the codec
+// adapters of a compiled plan are shared by every worker, the encoders they
+// hand out (NewEncoderAny) must not be. Four join workers — running at
+// once, by the same rendezvous — each scatter their output into the
+// four-way edge of a CountByKey through leaf encoders of their own, and the
+// count workers behind it each write the sink through one more. Run under
+// -race; the counts must equal the serial ones, with the edge's records
+// under the columnar codec (batch chunks) and under a row-only view of it
+// (row chunks).
+func TestConcurrentWorkersOwnTheirEncoders(t *testing.T) {
+	const workers = 4
+	build := make([]tuple, 256)
+	for k := range build {
+		build[k] = tuple{First: uint64(k), Second: 1}
+	}
+	gen := workload.RelationGen{Keys: len(build), S: 0.9, Seed: 31}
+	var probe []tuple
+	want := make(map[uint64]int64)
+	for _, tu := range gen.Generate(40000) {
+		probe = append(probe, tuple{First: tu.Key, Second: tu.Payload})
+		want[tu.Key%64]++
+	}
+
+	for name, codec := range map[string]hurricane.Codec[tuple]{
+		"columnar": tupleCodec,
+		"row-only": rowOnly[tuple]{tupleCodec},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			cluster, err := hurricane.NewCluster(testClusterConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Shutdown()
+
+			meet, met, arrived := rendezvous(workers)
+			p := q.New("concw")
+			joined := q.Join(q.Scan(p, "R", codec), q.Scan(p, "S", codec),
+				func(b tuple) uint64 { return b.First },
+				func(s tuple) uint64 { return s.First },
+				codec,
+				func(b, s tuple, emit func(tuple) error) error {
+					return emit(tuple{First: s.First % 64, Second: b.Second})
+				},
+				q.WithStrategy(q.JoinRepartition))
+			q.CountByKey(q.MapPerWorker(joined, codec, meet), func(v tuple) uint64 { return v.First }).Sink("out")
+			c, err := p.Compile(q.Options{Parts: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			store := cluster.Store()
+			for bag, vals := range map[string][]tuple{"R": build, "S": probe} {
+				if err := hurricane.Load(ctx, store, bag, codec, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := hurricane.Seal(ctx, store, bag); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Run(ctx, cluster); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-met:
+			default:
+				t.Fatalf("only %d join workers ever ran at once, want %d", arrived.Load(), workers)
+			}
+			got, err := q.CollectGrouped(ctx, store, c.SinkBag("out"), hurricane.Int64Of,
+				func(a, b int64) int64 { return a + b })
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyCounts(t, got, want)
 		})
 	}
 }

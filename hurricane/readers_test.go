@@ -38,11 +38,14 @@ func checkTaskReaders[T any](t *testing.T, ctx context.Context, cluster *hurrica
 	store := cluster.Store()
 	want := encodings(codec, vals)
 	half := len(vals) / 2
+	// A bag's layout follows the codec that wrote it: the row-only view
+	// writes row chunks, the codec itself batch chunks.
+	rows := rowOnly[T]{codec}
 	layouts := map[string]func(bag string) error{
-		"rows":    func(bag string) error { return hurricane.Load(ctx, store, bag, codec, vals) },
-		"batches": func(bag string) error { return hurricane.LoadBatch(ctx, store, bag, codec, vals) },
+		"rows":    func(bag string) error { return hurricane.Load[T](ctx, store, bag, rows, vals) },
+		"batches": func(bag string) error { return hurricane.Load(ctx, store, bag, codec, vals) },
 		"mixed": func(bag string) error {
-			if err := hurricane.Load(ctx, store, bag, codec, vals[:half]); err != nil {
+			if err := hurricane.Load[T](ctx, store, bag, rows, vals[:half]); err != nil {
 				return err
 			}
 			return hurricane.LoadBatch(ctx, store, bag, codec, vals[half:])

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/chunk"
 	"repro/internal/shuffle"
 )
 
@@ -28,43 +27,13 @@ type HashPartitioner = shuffle.HashPartitioner
 
 // PartitionedWriter routes typed records by key into the physical
 // partition bags of a partitioned output, adopting partition-map updates
-// published by the master mid-stream. Create one per producer worker with
+// published by the master mid-stream. It is a shuffle.Scatter: Write and
+// WriteBatch are one path — the same routing, the same exact key counts for
+// the edge's sketch, the same per-leaf chunk.Encoder, so the same chunks —
+// taken a record or a batch at a time. Create one per producer worker with
 // NewPartitionedWriter; the engine flushes it automatically when the task
 // completes.
-type PartitionedWriter[T any] struct {
-	w     *shuffle.Writer
-	codec Codec[T]
-	key   func(T) []byte
-	buf   []byte
-	kbuf  []byte
-
-	// Batch scatter state (see batch.go): the codec's columnar view,
-	// resolved lazily on the first WriteBatch, and one pooled batch
-	// builder per routing decision. Base partitions — the overwhelmingly
-	// common routing outcome — index a dense slice; isolation and
-	// sub-partition refs take the map (a struct-keyed map lookup per
-	// record is measurable at batch rates).
-	cc         chunk.ColumnCodec[T]
-	kinds      []chunk.ColKind
-	baseLeaves []*chunk.BatchBuilder
-	leaves     map[shuffle.RouteRef]*chunk.BatchBuilder
-	chunkSize  int
-	rowOnly    bool
-
-	// keyU64, when set (NewPartitionedWriterUint64), unlocks the
-	// uint64-native batch routing path: WriteBatch hashes and counts keys
-	// as words instead of materializing an 8-byte encoding per record.
-	// Placement is identical to the generic path by construction.
-	keyU64  func(T) uint64
-	u64keys []uint64
-
-	// Bulk-encode scatter state: the codec's bulk view (nil when any
-	// component codec lacks one) and reusable per-leaf row-index lists,
-	// dense for base partitions, mapped for isolation/sub-partition refs.
-	bulk    chunk.BulkColumnCodec[T]
-	baseIdx [][]int32
-	mapIdx  map[shuffle.RouteRef][]int32
-}
+type PartitionedWriter[T any] struct{ s *shuffle.Scatter[T] }
 
 // NewPartitionedWriter returns a partitioned writer for output out, which
 // must be declared with BagSpec.Partitions > 0 (it panics otherwise, like
@@ -83,35 +52,32 @@ func NewPartitionedWriterWith[T any](tc *TaskCtx, out int, codec Codec[T], key f
 	if w == nil {
 		panic(fmt.Sprintf("hurricane: output bag %q is not partitioned", tc.OutputName(out)))
 	}
-	pw := &PartitionedWriter[T]{w: w, codec: codec, key: key, chunkSize: tc.Store().ChunkSize()}
-	// pw.close (not w.Close) so pending batch builders flush before the
-	// shuffle writer's inserters shut down.
-	tc.OnFinish(pw.close)
-	return pw
+	s := shuffle.NewScatter(w, codec, key)
+	tc.OnFinish(s.Close)
+	return &PartitionedWriter[T]{s: s}
 }
 
 // Write routes one record to its partition.
-func (pw *PartitionedWriter[T]) Write(v T) error {
-	pw.kbuf = append(pw.kbuf[:0], pw.key(v)...)
-	pw.buf = pw.codec.Encode(pw.buf[:0], v)
-	return pw.w.Write(pw.kbuf, pw.buf)
-}
+func (pw *PartitionedWriter[T]) Write(v T) error { return pw.s.Write(v) }
+
+// WriteBatch routes a batch of records; it is Write over each of them, with
+// the per-record dispatch paid once per partition per few thousand records.
+func (pw *PartitionedWriter[T]) WriteBatch(vs []T) error { return pw.s.WriteBatch(vs) }
 
 // NewPartitionedWriterUint64 is NewPartitionedWriter for uint64-keyed
 // records (keys identified by their 8-byte little-endian encoding, the
-// Uint64Key convention). Row-path Write behaves exactly like
-// NewPartitionedWriter with Uint64Key(key); WriteBatch additionally
-// routes on the key words directly, skipping the per-record byte
-// round-trip.
+// Uint64Key convention). Placement is exactly NewPartitionedWriter's with
+// Uint64Key(key); routing hashes and counts the key words directly,
+// skipping the per-record byte round-trip.
 func NewPartitionedWriterUint64[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) uint64) *PartitionedWriter[T] {
 	pw := NewPartitionedWriterWith(tc, out, codec, Uint64Key(key), nil)
-	pw.keyU64 = key
+	pw.s.KeyUint64(key)
 	return pw
 }
 
 // Uint64Key adapts a uint64-keyed extractor into the []byte key form
-// PartitionedWriter expects (little-endian, allocation-free at the call
-// site via the writer's internal buffer).
+// PartitionedWriter expects (little-endian; the returned bytes are valid
+// until the next call).
 func Uint64Key[T any](f func(T) uint64) func(T) []byte {
 	var buf [8]byte
 	return func(v T) []byte {

@@ -233,3 +233,77 @@ func TestSmokeConcatClones(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWriterSharesOpenChunk: a body that asks for a writer per record —
+// the package documentation's own example does — still fills one chunk per
+// output and codec, not one chunk per writer; and "the same codec" means the
+// same value, never merely the same record type.
+func TestNewWriterSharesOpenChunk(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cfg := testClusterConfig()
+	cfg.ComputeNodes, cfg.SlotsPerNode = 1, 1
+	cfg.Master.DisableCloning = true
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	const n = 50 // far less than a chunk of either codec
+	app := NewApp("perrecord").SourceBag("in").Bag("varint").Bag("fixed")
+	app.AddTask(TaskSpec{
+		Name: "fan", Inputs: []string{"in"}, Outputs: []string{"varint", "fixed"},
+		Run: func(tc *TaskCtx) error {
+			return ForEach(tc, 0, Uint64Of, func(v uint64) error {
+				if err := NewWriter(tc, 0, Uint64Of).Write(v); err != nil {
+					return err
+				}
+				return NewWriter(tc, 1, Uint64FixedOf).Write(v)
+			})
+		},
+	})
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	store := cluster.Store()
+	if err := Load(ctx, store, "in", Uint64Of, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := Seal(ctx, store, "in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Run(ctx, app); err != nil {
+		t.Fatal(err)
+	}
+	for bagName, codec := range map[string]Codec[uint64]{"varint": Uint64Of, "fixed": Uint64FixedOf} {
+		st, err := store.Sample(ctx, bagName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Collect(ctx, store, bagName, codec)
+		if err != nil || len(got) != n || st.TotalChunks != 1 {
+			t.Fatalf("%s: %d records in %d chunks (%v), want %d in one", bagName, len(got), st.TotalChunks, err, n)
+		}
+	}
+
+	type sliceCodec struct {
+		Codec[uint64]
+		tags []string
+	}
+	for _, c := range []struct {
+		a, b any
+		same bool
+	}{
+		{Uint64Of, Uint64Of, true},
+		{Uint64Of, Uint64FixedOf, false},
+		{PairOf(Uint64Of, Int64Of), PairOf(Uint64Of, Int64Of), true},
+		{PairOf[uint64, uint64](Uint64Of, Uint64Of), PairOf[uint64, uint64](Uint64Of, Uint64FixedOf), false},
+		{sliceCodec{Codec: Uint64Of}, sliceCodec{Codec: Uint64Of}, false}, // not comparable: never shared
+	} {
+		if got := sameCodec(c.a, c.b); got != c.same {
+			t.Errorf("sameCodec(%#v, %#v) = %v, want %v", c.a, c.b, got, c.same)
+		}
+	}
+}

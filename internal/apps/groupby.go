@@ -150,21 +150,6 @@ func LoadGroupByInto(ctx context.Context, store *hurricane.Store, bagName string
 	return hurricane.Seal(ctx, store, bagName)
 }
 
-// LoadGroupByBatch is LoadGroupBy on the vectorized data plane: the
-// source relation lands as batch-encoded columnar chunks, so the shuffle
-// stage's ForEachBatch decodes whole column vectors instead of re-framing
-// row records.
-func LoadGroupByBatch(ctx context.Context, store *hurricane.Store, tuples []workload.Tuple) error {
-	pairs := make([]joinPair, len(tuples))
-	for i, t := range tuples {
-		pairs[i] = joinPair{First: t.Key, Second: t.Payload}
-	}
-	if err := hurricane.LoadBatch(ctx, store, GroupByIn, tupleCodec, pairs); err != nil {
-		return err
-	}
-	return hurricane.Seal(ctx, store, GroupByIn)
-}
-
 // GroupByResult is the final aggregate for one key.
 type GroupByResult struct {
 	Count    int64

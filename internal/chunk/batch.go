@@ -189,7 +189,7 @@ func batchRows(c Chunk) (int, error) {
 // BatchBuilder accumulates column vectors for one batch. Values are
 // appended field-by-field through a ColumnCodec's EncodeColumn, rows are
 // delimited with EndRow, and Encode serializes the whole batch in a
-// single allocation. Builders are reusable (Clear) and poolable
+// single allocation. Builders are reusable (Clear) and pooled
 // (GetBatchBuilder/PutBatchBuilder).
 type BatchBuilder struct {
 	tag   uint64
@@ -197,14 +197,7 @@ type BatchBuilder struct {
 	cols  [][]byte
 	rows  int
 	bytes int
-}
-
-// NewBatchBuilder returns a builder for batches with the given schema tag
-// and column kinds.
-func NewBatchBuilder(tag uint64, kinds []ColKind) *BatchBuilder {
-	b := new(BatchBuilder)
-	b.Reset(tag, kinds)
-	return b
+	marks []int // column lengths and byte count at the last mark
 }
 
 // Reset re-targets the builder at a new schema, keeping column capacity.
@@ -230,9 +223,28 @@ func (b *BatchBuilder) Clear() {
 func (b *BatchBuilder) Rows() int { return b.rows }
 
 // Size reports the encoded size estimate: column payload bytes plus the
-// per-batch header overhead. Writers flush when it reaches the chunk size.
+// per-batch header overhead. An Encoder flushes when it reaches the chunk size.
 func (b *BatchBuilder) Size() int {
 	return b.bytes + len(batchMagic) + 1 + 3*binary.MaxVarintLen64 + len(b.kinds)*(1+binary.MaxVarintLen64)
+}
+
+// mark remembers the builder's extent so that rollback can drop whatever
+// is appended after it — how an Encoder un-appends a record it finds too
+// large only once its columns are in.
+func (b *BatchBuilder) mark() {
+	b.marks = b.marks[:0]
+	for _, c := range b.cols {
+		b.marks = append(b.marks, len(c))
+	}
+	b.marks = append(b.marks, b.bytes)
+}
+
+// rollback truncates every column back to the last mark.
+func (b *BatchBuilder) rollback() {
+	for i := range b.cols {
+		b.cols[i] = b.cols[i][:b.marks[i]]
+	}
+	b.bytes = b.marks[len(b.cols)]
 }
 
 // EndRow marks the current row complete. Every column must have received
@@ -375,9 +387,9 @@ func columnarView[T any](c Codec[T]) (ColumnCodec[T], bool) {
 // per record, and the caller accounts rows once with EndRows. BulkOK
 // reports whether this instance really supports the path (composite
 // codecs lose it when a component lacks it); check it before use. Bulk
-// views carry per-stream scratch: resolve one per producer (ColumnarOf +
-// BulkOf) and never share it across concurrent workers — unlike
-// EncodeColumn/DecodeColumn, EncodeRows is not stateless.
+// views carry per-stream scratch: an Encoder resolves one of its own
+// (ColumnarOf + BulkOf) and is never shared across concurrent workers —
+// unlike EncodeColumn/DecodeColumn, EncodeRows is not stateless.
 type BulkColumnCodec[T any] interface {
 	BulkOK() bool
 	EncodeRows(b *BatchBuilder, col int, vs []T, idx []int32) int
@@ -827,71 +839,6 @@ func (KVCodec) DecodeColumn(bt *Batch, col int, out []KV) ([]KV, int, error) {
 		out = append(out, KV{Key: keys[i], Value: vals[i]})
 	}
 	return out, col, nil
-}
-
-// ---- batch writer ----
-
-// BatchWriter serializes values of type T into batch chunks through a
-// columnar codec, one column section per field, flushing when the
-// builder's size estimate reaches Size.
-type BatchWriter[T any] struct {
-	Size  int
-	Emit  func(Chunk) error
-	codec ColumnCodec[T]
-	b     *BatchBuilder
-	tag   uint64
-}
-
-// NewBatchWriter returns a BatchWriter emitting batch chunks of roughly
-// size bytes through emit, or ok=false when codec is not columnar — the
-// caller falls back to the row TypedWriter.
-func NewBatchWriter[T any](codec Codec[T], tag uint64, size int, emit func(Chunk) error) (*BatchWriter[T], bool) {
-	cc, ok := ColumnarOf(codec)
-	if !ok {
-		return nil, false
-	}
-	if size <= 0 {
-		size = DefaultSize
-	}
-	return &BatchWriter[T]{
-		Size:  size,
-		Emit:  emit,
-		codec: cc,
-		b:     GetBatchBuilder(tag, KindsOf(cc)),
-		tag:   tag,
-	}, true
-}
-
-// Write appends one value as a row of the current batch.
-func (w *BatchWriter[T]) Write(v T) error {
-	w.codec.EncodeColumn(w.b, 0, v)
-	w.b.EndRow()
-	if w.b.Size() >= w.Size {
-		return w.Flush()
-	}
-	return nil
-}
-
-// Flush emits the buffered batch, if any.
-func (w *BatchWriter[T]) Flush() error {
-	if w.b.Rows() == 0 {
-		return nil
-	}
-	c := w.b.Encode()
-	w.b.Clear()
-	if w.Emit == nil {
-		return nil
-	}
-	return w.Emit(c)
-}
-
-// Close flushes and returns the builder to the pool. The writer must not
-// be used afterwards.
-func (w *BatchWriter[T]) Close() error {
-	err := w.Flush()
-	PutBatchBuilder(w.b)
-	w.b = nil
-	return err
 }
 
 // ---- generic batch → row adapter ----

@@ -30,17 +30,12 @@ func testRows(n int) []kvTestRow {
 func encodeBatch(t testing.TB, rows []kvTestRow, size int) []Chunk {
 	t.Helper()
 	var chunks []Chunk
-	w, ok := NewBatchWriter[kvTestRow](kvTestCodec, 42, size, func(c Chunk) error {
+	w := NewEncoder[kvTestRow](kvTestCodec, size, func(c Chunk, _ int) error {
 		chunks = append(chunks, c)
 		return nil
 	})
-	if !ok {
-		t.Fatal("kvTestCodec should be columnar")
-	}
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.AppendRows(rows, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

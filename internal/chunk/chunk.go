@@ -91,9 +91,6 @@ func (w *Writer) Flush() error {
 	return w.Emit(c)
 }
 
-// Len reports the number of buffered (not yet emitted) bytes.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Reader iterates over the records framed inside a chunk.
 type Reader struct {
 	data Chunk

@@ -52,50 +52,34 @@ type rowOnly[T any] struct{ Codec[T] }
 // that switches from one to the other. Small chunks force several of each.
 func layouts[T any](t *testing.T, codec Codec[T], vals []T) map[string][]Chunk {
 	t.Helper()
-	var rows, batches []Chunk
-	tw := NewTypedWriter(codec, 96, func(c Chunk) error { rows = append(rows, c); return nil })
-	bw, ok := NewBatchWriter(codec, 0, 96, func(c Chunk) error { batches = append(batches, c); return nil })
-	if !ok {
-		t.Fatal("codec is not columnar")
-	}
-	for _, v := range vals {
-		if err := tw.Write(v); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Write(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 2 || len(batches) < 2 {
-		t.Fatalf("want several chunks per layout, got %d row, %d batch", len(rows), len(batches))
-	}
-	// Mixed: one stream whose first half is row chunks and second half
-	// batch chunks, so value order is preserved across the switch.
-	var mixed []Chunk
+	var rows, batches, mixed []Chunk
 	half := len(vals) / 2
-	mw := NewTypedWriter(codec, 96, func(c Chunk) error { mixed = append(mixed, c); return nil })
-	for _, v := range vals[:half] {
-		if err := mw.Write(v); err != nil {
+	// Layout follows the codec: the row-only view writes row chunks, the
+	// codec itself batch chunks. Mixed is one stream whose first half is
+	// row chunks and second half batch chunks, so value order is preserved
+	// across the switch.
+	for _, w := range []struct {
+		codec Codec[T]
+		vals  []T
+		into  *[]Chunk
+	}{
+		{rowOnly[T]{codec}, vals, &rows},
+		{codec, vals, &batches},
+		{rowOnly[T]{codec}, vals[:half], &mixed},
+		{codec, vals[half:], &mixed},
+	} {
+		e := NewEncoder(w.codec, 96, func(c Chunk, _ int) error { *w.into = append(*w.into, c); return nil })
+		for _, v := range w.vals {
+			if err := e.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := mw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mb, _ := NewBatchWriter(codec, 0, 96, func(c Chunk) error { mixed = append(mixed, c); return nil })
-	for _, v := range vals[half:] {
-		if err := mb.Write(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mb.Close(); err != nil {
-		t.Fatal(err)
+	if len(rows) < 2 || len(batches) < 2 || IsBatch(rows[0]) || !IsBatch(batches[0]) {
+		t.Fatalf("want several chunks per layout, got %d row, %d batch", len(rows), len(batches))
 	}
 	return map[string][]Chunk{"rows": rows, "batches": batches, "mixed": mixed}
 }
@@ -136,55 +120,62 @@ func checkReaders[T any](t *testing.T, codec Codec[T], vals []T) {
 	}
 }
 
+// stockCase is one built-in codec with a value set, closed over its type so
+// the reader and the writer tables can range over all of them.
+type stockCase struct {
+	name    string
+	readers func(t *testing.T)
+	writers func(t *testing.T)
+}
+
+func stock[T any](name string, codec Codec[T], vals []T) stockCase {
+	return stockCase{
+		name:    name,
+		readers: func(t *testing.T) { checkReaders(t, codec, vals) },
+		writers: func(t *testing.T) { checkWriters(t, codec, 128, vals) },
+	}
+}
+
+// stockCases is every built-in codec over values that exercise its
+// encoding's edges.
+func stockCases() []stockCase {
+	const n = 200
+	var (
+		ints   []int64
+		uints  []uint64
+		fixed  []uint64
+		floats []float64
+		strs   []string
+		blobs  [][]byte
+		kvs    []KV
+	)
+	for i := 0; i < n; i++ {
+		ints = append(ints, int64(i-n/2)*(1<<uint(i%50)))
+		uints = append(uints, uint64(i)<<uint(i%57))
+		fixed = append(fixed, uint64(i)*0x9e3779b97f4a7c15)
+		floats = append(floats, float64(i)/7-3)
+		strs = append(strs, string(bytes.Repeat([]byte{'a' + byte(i%26)}, i%9)))
+		blobs = append(blobs, bytes.Repeat([]byte{byte(i)}, i%11))
+		kvs = append(kvs, KV{Key: string(rune('k' + i%5)), Value: bytes.Repeat([]byte{byte(i)}, i%6)})
+	}
+	return []stockCase{
+		stock[int64]("int64", Int64Codec{}, append(ints, math.MinInt64, math.MaxInt64)),
+		stock[uint64]("uint64", Uint64Codec{}, append(uints, math.MaxUint64)),
+		stock[uint64]("uint64fixed", Uint64FixedCodec{}, fixed),
+		stock[float64]("float64", Float64Codec{}, append(floats, math.Inf(1), math.NaN())),
+		stock[string]("string", StringCodec{}, strs),
+		stock[[]byte]("bytes", BytesCodec{}, blobs),
+		stock[KV]("kv", KVCodec{}, kvs),
+		stock[kvTestRow]("pair", kvTestCodec, testRows(n)),
+	}
+}
+
 // TestDecoderLayouts is the table for the one-reader seam: every built-in
 // codec, native and row-only, over row, batch and mixed streams.
 func TestDecoderLayouts(t *testing.T) {
-	const n = 200
-	seq := func(f func(i int)) {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+	for _, c := range stockCases() {
+		t.Run(c.name, c.readers)
 	}
-	t.Run("int64", func(t *testing.T) {
-		var vs []int64
-		seq(func(i int) { vs = append(vs, int64(i-n/2)*(1<<uint(i%50))) })
-		checkReaders[int64](t, Int64Codec{}, append(vs, math.MinInt64, math.MaxInt64))
-	})
-	t.Run("uint64", func(t *testing.T) {
-		var vs []uint64
-		seq(func(i int) { vs = append(vs, uint64(i)<<uint(i%57)) })
-		checkReaders[uint64](t, Uint64Codec{}, append(vs, math.MaxUint64))
-	})
-	t.Run("uint64fixed", func(t *testing.T) {
-		var vs []uint64
-		seq(func(i int) { vs = append(vs, uint64(i)*0x9e3779b97f4a7c15) })
-		checkReaders[uint64](t, Uint64FixedCodec{}, vs)
-	})
-	t.Run("float64", func(t *testing.T) {
-		var vs []float64
-		seq(func(i int) { vs = append(vs, float64(i)/7-3) })
-		checkReaders[float64](t, Float64Codec{}, append(vs, math.Inf(1), math.NaN()))
-	})
-	t.Run("string", func(t *testing.T) {
-		var vs []string
-		seq(func(i int) { vs = append(vs, string(bytes.Repeat([]byte{'a' + byte(i%26)}, i%9))) })
-		checkReaders[string](t, StringCodec{}, vs)
-	})
-	t.Run("bytes", func(t *testing.T) {
-		var vs [][]byte
-		seq(func(i int) { vs = append(vs, bytes.Repeat([]byte{byte(i)}, i%11)) })
-		checkReaders[[]byte](t, BytesCodec{}, vs)
-	})
-	t.Run("kv", func(t *testing.T) {
-		var vs []KV
-		seq(func(i int) {
-			vs = append(vs, KV{Key: string(rune('k' + i%5)), Value: bytes.Repeat([]byte{byte(i)}, i%6)})
-		})
-		checkReaders[KV](t, KVCodec{}, vs)
-	})
-	t.Run("pair", func(t *testing.T) {
-		checkReaders[kvTestRow](t, kvTestCodec, testRows(n))
-	})
 }
 
 // TestDecodeAccumulatesGeometrically: Collect decodes chunk after chunk
@@ -214,12 +205,12 @@ func TestDecodeAccumulatesGeometrically(t *testing.T) {
 // corrupt to this reader, not an index out of range in a column decoder.
 func TestDecoderRejectsForeignBatch(t *testing.T) {
 	var narrow []Chunk
-	w, _ := NewBatchWriter[uint64](Uint64Codec{}, 0, DefaultSize, func(c Chunk) error {
+	w := NewEncoder[uint64](Uint64Codec{}, DefaultSize, func(c Chunk, _ int) error {
 		narrow = append(narrow, c)
 		return nil
 	})
 	for i := uint64(0); i < 10; i++ {
-		if err := w.Write(i); err != nil {
+		if err := w.Append(i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,6 +52,15 @@ func loadInts(t *testing.T, ctx context.Context, store *bag.Store, bagName strin
 // injection. processed counts records seen by the copy stage (>= n after
 // restarts).
 func sumApp(processed *atomic.Int64) *App {
+	open := make(chan struct{})
+	close(open)
+	return gatedSumApp(processed, open)
+}
+
+// gatedSumApp is sumApp whose copy workers, having drained their input,
+// finish only once gate is closed: until then every node that ran one holds
+// work the master has not seen completed.
+func gatedSumApp(processed *atomic.Int64, gate <-chan struct{}) *App {
 	app := NewApp("fault")
 	app.SourceBag("in").Bag("mid").Bag("out")
 	app.AddTask(TaskSpec{
@@ -63,7 +72,12 @@ func sumApp(processed *atomic.Int64) *App {
 			for {
 				c, err := tc.Remove(0)
 				if err == bag.ErrEmpty {
-					return w.Flush()
+					select {
+					case <-gate:
+						return w.Flush()
+					case <-tc.Context().Done():
+						return tc.Context().Err()
+					}
 				}
 				if err != nil {
 					return err
@@ -244,7 +258,11 @@ func TestComputeNodeCrashByHeartbeat(t *testing.T) {
 
 	const n = 20000
 	var processed atomic.Int64
-	app := sumApp(&processed)
+	// No copy worker finishes before the crash: a worker that RunningOn
+	// names could otherwise complete before FailTimeout expires, leaving
+	// the crashed node nothing to recover.
+	crashed := make(chan struct{})
+	app := gatedSumApp(&processed, crashed)
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Start(ctx, app); err != nil {
 		t.Fatal(err)
@@ -255,9 +273,8 @@ func TestComputeNodeCrashByHeartbeat(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Crash the node that is actually running the copy task, so there is
-	// always something to recover. notify=false: the master must detect
-	// the silence itself via the heartbeat timeout.
+	// Crash a node that is running the copy task. notify=false: the master
+	// must detect the silence itself via the heartbeat timeout.
 	var victim string
 	for victim == "" {
 		if ctx.Err() != nil {
@@ -271,6 +288,7 @@ func TestComputeNodeCrashByHeartbeat(t *testing.T) {
 	if err := cluster.CrashComputeNode(victim, false); err != nil {
 		t.Fatal(err)
 	}
+	close(crashed)
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

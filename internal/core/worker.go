@@ -28,7 +28,9 @@ type TaskCtx struct {
 	scans []*bag.Scanner
 
 	writers   []*chunk.Writer
+	encoders  [][]any
 	inserters []*bag.Inserter
+	shuffles  []*shuffle.Writer
 	onFinish  []func() error
 
 	// load accounting (nanoseconds)
@@ -71,6 +73,7 @@ func newTaskCtx(ctx context.Context, bp *Blueprint, store *bag.Store, app *App, 
 		tc.scans = append(tc.scans, store.Scanner(sc))
 	}
 	tc.writers = make([]*chunk.Writer, len(tc.outs))
+	tc.encoders = make([][]any, len(tc.outs))
 	tc.inserters = make([]*bag.Inserter, len(tc.outs))
 	tc.last.Store(time.Now().UnixNano())
 	return tc
@@ -203,6 +206,13 @@ func (tc *TaskCtx) Writer(i int) *chunk.Writer {
 	return tc.writers[i]
 }
 
+// OutputEncoders returns the list of typed encoders the worker holds open
+// on output i, for the typed writer layer (hurricane.NewWriter) to search
+// and extend: every writer a task body makes for one output and codec then
+// shares one open chunk, however often the body asks for a writer. Whoever
+// adds an encoder registers its Close with OnFinish. Worker goroutine only.
+func (tc *TaskCtx) OutputEncoders(i int) *[]any { return &tc.encoders[i] }
+
 // InputName returns the bag name behind input i.
 func (tc *TaskCtx) InputName(i int) string { return tc.ins[i].Name() }
 
@@ -252,7 +262,7 @@ func (tc *TaskCtx) ShuffleWriter(i int, part shuffle.Partitioner) *shuffle.Write
 	if spec == nil || spec.Partitions <= 0 {
 		return nil
 	}
-	return shuffle.NewWriter(tc.ctx, shuffle.WriterConfig{
+	w := shuffle.NewWriter(tc.ctx, shuffle.WriterConfig{
 		Store:         tc.store,
 		Edge:          tc.OutputName(i),
 		Parts:         spec.Partitions,
@@ -263,6 +273,8 @@ func (tc *TaskCtx) ShuffleWriter(i int, part shuffle.Partitioner) *shuffle.Write
 		Job:           tc.job,
 		OnSpans:       tc.AddShuffleSpan,
 	})
+	tc.shuffles = append(tc.shuffles, w)
+	return w
 }
 
 // OnFinish registers fn to run (on the worker goroutine) after the task
@@ -369,10 +381,22 @@ func (tc *TaskCtx) finish() error {
 	return nil
 }
 
-// close releases consumer pipelines.
+// close releases consumer pipelines and waits out the inserts the worker
+// still has in flight — after a successful finish there are none; a killed
+// or failed worker leaves them behind its pipelined inserters. Whoever
+// waits for the worker to be done (KillTask, ahead of a recovery's Discard
+// of the task's outputs) then knows nothing of it can still land in a bag.
 func (tc *TaskCtx) close() {
 	for _, in := range tc.ins {
 		in.CloseConsumer()
+	}
+	for _, ins := range tc.inserters {
+		if ins != nil {
+			ins.Close()
+		}
+	}
+	for _, w := range tc.shuffles {
+		w.Drain()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/shuffle"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -203,5 +204,73 @@ func TestLoadSnapshotBusyFraction(t *testing.T) {
 	busy = tc.loadSnapshot()
 	if busy > 0.2 {
 		t.Fatalf("busy fraction %.2f after pure waiting", busy)
+	}
+}
+
+// heldInserts is a transport client whose inserts wait for release.
+type heldInserts struct {
+	transport.Client
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (h *heldInserts) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpInsert {
+		h.arrived <- struct{}{}
+		<-h.release
+	}
+	return h.Client.Call(ctx, node, req)
+}
+
+// TestKilledWorkerLeavesNoInsertInFlight: a recovery kills a task's workers,
+// waits for them to be done, and then discards the task's output bags. An
+// insert a killed worker had handed to its pipelined inserter must
+// therefore have landed by the time the worker is done — landing after the
+// discard, its chunk would be counted twice once the restarted task has
+// written it again. (Seen as a wrong sum, once in 300 runs of
+// TestComputeNodeCrashByHeartbeat under -race: the heartbeat timeout fired
+// while healthy copy workers were still inserting.) The worker here writes
+// one chunk to a plain output and one through a shuffle writer.
+func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
+	tr := transport.NewInProc()
+	tr.Register("s0", storage.NewNode("s0"))
+	held := &heldInserts{Client: tr, arrived: make(chan struct{}, 2), release: make(chan struct{})}
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: held, ChunkSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := NewApp("w")
+	app.SourceBag("in").Bag("out")
+	app.AddBag(BagSpec{Name: "edge", Partitions: 2})
+	app.AddTask(TaskSpec{Name: "t", Inputs: []string{"in"}, Outputs: []string{"out", "edge"},
+		Run: func(tc *TaskCtx) error {
+			if err := tc.Insert(0, chunk.Chunk("\x01a")); err != nil {
+				return err
+			}
+			ref := shuffle.RouteRef{Iso: -1, Part: 0, Sub: -1}
+			if err := tc.ShuffleWriter(1, nil).InsertBatchChunk(ref, chunk.Chunk("\x01b"), 1); err != nil {
+				return err
+			}
+			<-tc.Context().Done()
+			return tc.Context().Err()
+		}})
+	if err := app.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bp := &Blueprint{ID: "t/w0@e0", Spec: "t", Inputs: []string{"in"}, Outputs: []string{"out", "edge"}}
+	w := runWorker(context.Background(), bp, store, app)
+	<-held.arrived
+	<-held.arrived
+	w.kill()
+	select {
+	case <-w.done:
+		t.Fatal("worker reported done with two inserts still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(held.release)
+	select {
+	case <-w.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never finished after its inserts landed")
 	}
 }

@@ -589,7 +589,7 @@ func runStage(tc *core.TaskCtx, s *stage) error {
 			}
 		}
 	}
-	sinkFn, err := stageVecSink(tc, s)
+	sinkFn, err := openSink(tc, s)
 	if err != nil {
 		return err
 	}
@@ -636,31 +636,28 @@ func runStage(tc *core.TaskCtx, s *stage) error {
 	return finishAll()
 }
 
-// stageSink builds the tail write function: a partitioned shuffle writer
-// when the stage feeds an edge, a plain record writer otherwise.
-func stageSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
-	codec := s.outCodec
+// openSink builds the stage's tail write function. Either kind of output
+// is written through encoders this worker asks the output codec for — one
+// for a plain bag, one per leaf for a shuffle edge, where the scatter
+// routes each record by its key word as it is emitted — so the chunks take
+// the codec's layout, and a record is encoded when emitted, never kept.
+func openSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
+	size := tc.Store().ChunkSize()
 	if s.edgeKeyFn == nil {
-		w := tc.Writer(0)
-		var buf []byte
-		return func(v any) error {
-			buf = codec.EncodeAny(buf[:0], v)
-			return w.Append(buf)
-		}, nil
+		enc := s.outCodec.NewEncoderAny(size, func(c chunk.Chunk, _ int) error { return tc.Insert(0, c) })
+		tc.OnFinish(enc.Close)
+		return enc.Append, nil
 	}
 	w := tc.ShuffleWriter(0, nil)
 	if w == nil {
 		return nil, fmt.Errorf("plan: stage %s output %q is not partitioned", s.name, tc.OutputName(0))
 	}
-	key := s.edgeKeyFn
-	tc.OnFinish(w.Close)
-	var rbuf []byte
-	var kb [8]byte
-	return func(v any) error {
-		binary.LittleEndian.PutUint64(kb[:], key(v))
-		rbuf = codec.EncodeAny(rbuf[:0], v)
-		return w.Write(kb[:], rbuf)
-	}, nil
+	sc := shuffle.NewScatterOf(w, func(emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
+		return s.outCodec.NewEncoderAny(size, emit)
+	}, nil)
+	sc.KeyUint64(s.edgeKeyFn)
+	tc.OnFinish(sc.Close)
+	return sc.Write, nil
 }
 
 // KeyBytes returns the canonical routing-key byte encoding of a uint64

@@ -33,20 +33,26 @@ import (
 	"fmt"
 
 	"repro/internal/chunk"
+	"repro/internal/shuffle"
 )
 
 // AnyCodec is the untyped record codec the planner threads between
 // operators. The typed q package adapts chunk.Codec[T] implementations.
 // An AnyCodec is shared by every worker of every stage that names it, so
-// it holds no decode state itself: each worker asks it for a decoder.
+// it holds no decode or encode state itself: each worker asks it for a
+// decoder per read stream and an encoder per write stream.
 type AnyCodec interface {
-	// EncodeAny appends the encoded record to dst.
-	EncodeAny(dst []byte, v any) []byte
 	// NewDecoderAny returns a decoder for one worker's read stream: it
 	// appends every record of a chunk, row or batch layout, to out. The
 	// returned function owns scratch and must not be shared between
 	// goroutines.
 	NewDecoderAny() func(c chunk.Chunk, out []any) ([]any, error)
+	// NewEncoderAny returns an encoder for one of a worker's write streams
+	// (its plain output, or one leaf of the shuffle edge it feeds): records
+	// appended to it are cut into chunks of size bytes, in whichever layout
+	// the wrapped codec has, and handed to emit. It owns a column builder
+	// and must not be shared between goroutines.
+	NewEncoderAny(size int, emit func(c chunk.Chunk, rows int) error) shuffle.LeafEncoder[any]
 }
 
 // opKind enumerates the logical operators.

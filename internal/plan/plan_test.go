@@ -11,13 +11,15 @@ import (
 )
 
 // tCodec adapts a typed chunk codec for tests. It is row-only to the
-// planner: no ColKinds, and its decoder sees only the row methods.
+// planner: its decoder and encoder see only the row methods.
 type tCodec[T any] struct{ c chunk.Codec[T] }
 
 // rowOnly hides a codec's columnar methods.
 type rowOnly[T any] struct{ chunk.Codec[T] }
 
-func (a tCodec[T]) EncodeAny(dst []byte, v any) []byte { return a.c.Encode(dst, v.(T)) }
+func (a tCodec[T]) NewEncoderAny(size int, emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
+	return chunk.NewAnyEncoder[T](rowOnly[T]{a.c}, size, emit)
+}
 func (a tCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
 	d := chunk.NewDecoder[T](rowOnly[T]{a.c})
 	return func(c chunk.Chunk, out []any) ([]any, error) {

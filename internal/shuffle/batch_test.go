@@ -2,6 +2,8 @@ package shuffle
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bag"
@@ -27,27 +29,29 @@ func TestEdgeOf(t *testing.T) {
 	}
 }
 
-func newBatchTestStore(t *testing.T) *bag.Store {
+// newTestStore is an in-proc bag store over nodes storage nodes.
+func newTestStore(t testing.TB, nodes, chunkSize int) *bag.Store {
 	t.Helper()
 	tr := transport.NewInProc()
-	names := []string{"s0", "s1"}
-	for _, n := range names {
-		tr.Register(n, storage.NewNode(n))
+	var names []string
+	for i := 0; i < nodes; i++ {
+		names = append(names, fmt.Sprintf("s%d", i))
+		tr.Register(names[i], storage.NewNode(names[i]))
 	}
-	st, err := bag.NewStore(bag.Config{Nodes: names, Client: tr, ChunkSize: 1 << 10})
+	st, err := bag.NewStore(bag.Config{Nodes: names, Client: tr, ChunkSize: chunkSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// TestPartitionBatchMatchesRowRouting pins the core batch-path contract:
-// the routing vector for a batch is exactly what per-record Write calls
-// would have decided, per-leaf counts stay exact, and the bulk sketch
-// feed gives the edge's sketch exact per-key counts.
+// TestPartitionBatchMatchesRowRouting pins the routing contract: a
+// writer's routing decision is exactly the partition map's, per-leaf counts
+// stay exact, and the count table gives the edge's sketch exact per-key
+// counts.
 func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 	ctx := context.Background()
-	st := newBatchTestStore(t)
+	st := newTestStore(t, 2, 1<<10)
 	w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
 
 	const n = 1000
@@ -55,14 +59,12 @@ func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(uint64(i % 37))
 	}
-	refs := w.PartitionBatch(n, func(i int) []byte { return keys[i] })
-	if len(refs) != n {
-		t.Fatalf("got %d refs, want %d", len(refs), n)
-	}
+	refs := make([]RouteRef, n)
 	want := BaseMap("e", 4)
-	for i, ref := range refs {
-		if wref := want.RouteRefWith(HashPartitioner{}, keys[i], i); ref != wref {
-			t.Fatalf("row %d routed %+v, want %+v", i, ref, wref)
+	for i := range refs {
+		refs[i] = w.RouteKey(keys[i])
+		if got, leaf := want.RefName(refs[i]), want.Route(keys[i], i); got != leaf {
+			t.Fatalf("row %d routed to %s, the map says %s", i, got, leaf)
 		}
 	}
 
@@ -72,7 +74,7 @@ func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 		perRef[ref]++
 	}
 	for ref, rows := range perRef {
-		b := chunk.NewBatchBuilder(0, []chunk.ColKind{chunk.ColVarint})
+		b := chunk.GetBatchBuilder(0, []chunk.ColKind{chunk.ColVarint})
 		for i := 0; i < rows; i++ {
 			b.AppendUvarint(0, uint64(i))
 			b.EndRow()
@@ -126,7 +128,7 @@ func TestPartitionBatchUint64MatchesGeneric(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	st := newBatchTestStore(t)
+	st := newTestStore(t, 2, 1<<10)
 	wg := NewWriter(ctx, WriterConfig{Store: st, Edge: "eg", Parts: 4, WriterID: "w0"})
 	wu := NewWriter(ctx, WriterConfig{Store: st, Edge: "eu", Parts: 4, WriterID: "w0"})
 
@@ -137,11 +139,9 @@ func TestPartitionBatchUint64MatchesGeneric(t *testing.T) {
 		words[i] = uint64(i % 37)
 		keys[i] = key(words[i])
 	}
-	gRefs := wg.PartitionBatch(n, func(i int) []byte { return keys[i] })
-	uRefs := wu.PartitionBatchUint64(words)
-	for i := range gRefs {
-		if gRefs[i] != uRefs[i] {
-			t.Fatalf("row %d: uint64 path routed %+v, generic %+v", i, uRefs[i], gRefs[i])
+	for i, uRef := range wu.PartitionBatchUint64(words) {
+		if gRef := wg.RouteKey(keys[i]); gRef != uRef {
+			t.Fatalf("row %d: uint64 path routed %+v, generic %+v", i, uRef, gRef)
 		}
 	}
 	if err := wu.Close(); err != nil {
@@ -157,5 +157,23 @@ func TestPartitionBatchUint64MatchesGeneric(t *testing.T) {
 		if c := est.CM.Estimate(key(i)); c < n/37 {
 			t.Fatalf("key %d sketch estimate %d below exact count", i, c)
 		}
+	}
+}
+
+// BenchmarkRouteUint64 is the routing path's per-record cost on a
+// Zipf(1.3) key stream over 2^16 keys: hash, route, exact key count, and
+// the count table's drains into the sketch.
+func BenchmarkRouteUint64(b *testing.B) {
+	st := newTestStore(b, 1, 0)
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.3, 1, 1<<16-1)
+	keys := make([]uint64, 1<<20)
+	for i := range keys {
+		keys[i] = z.Uint64()
+	}
+	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 4096 {
+		lo := i % len(keys)
+		w.PartitionBatchUint64(keys[lo : lo+4096])
 	}
 }

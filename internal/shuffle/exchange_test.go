@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/bag"
+	"repro/internal/chunk"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -77,7 +79,8 @@ func exchangeStore(t *testing.T, tcp bool) (*bag.Store, *countingClient) {
 }
 
 // feeder drives a writer one batch at a time through the row or the batch
-// path; a batch is what lies between two looks at the exchange gate.
+// path; a batch is tickEvery records, what lies between two looks at the
+// exchange gate on either path.
 type feeder struct {
 	w     *Writer
 	batch bool
@@ -89,14 +92,14 @@ func (f *feeder) writeBatch(t *testing.T) {
 	t.Helper()
 	if f.batch {
 		f.keys = f.keys[:0]
-		for i := 0; i < 256; i++ {
+		for i := 0; i < tickEvery; i++ {
 			f.keys = append(f.keys, f.next%97)
 			f.next++
 		}
 		f.w.PartitionBatchUint64(f.keys) // routing only: nothing to insert
 		return
 	}
-	for i := 0; i < rowCheckEvery; i++ {
+	for i := 0; i < tickEvery; i++ {
 		if err := f.w.Write(key(f.next%97), []byte("r")); err != nil {
 			t.Fatal(err)
 		}
@@ -216,8 +219,8 @@ func TestCloseLeavesExactCounts(t *testing.T) {
 				total++
 			}
 			if batch {
-				// The batch path counts records when their chunks are handed
-				// over; route-only batches carry none, so hand over the counts.
+				// Records are counted when their chunks are handed over;
+				// route-only batches carry none, so hand over the counts.
 				for leaf, n := range countsOf(base, first, f.next) {
 					ref := RouteRef{Iso: -1, Part: partOf(base, leaf), Sub: -1}
 					if err := w.InsertBatchChunk(ref, []byte{0}, int(n)); err != nil {
@@ -282,7 +285,55 @@ func TestCorruptWriterIsSkippedAtFetch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch failed on one corrupt writer: %v", err)
 	}
-	if got.Total() != 2*rowCheckEvery {
-		t.Fatalf("fetched total %d, want the two honest writers' %d", got.Total(), 2*rowCheckEvery)
+	if got.Total() != 2*tickEvery {
+		t.Fatalf("fetched total %d, want the two honest writers' %d", got.Total(), 2*tickEvery)
+	}
+}
+
+// TestShuffleBytesCountEncodedChunks: hurricane_shuffle_bytes_total has one
+// meaning — encoded chunk bytes handed to the edge's inserters — whichever
+// layout the codec writes and whichever API wrote the record, so it equals
+// the bytes the edge's leaf bags hold.
+func TestShuffleBytesCountEncodedChunks(t *testing.T) {
+	const n = 20000
+	for view, codec := range views[tuple](tupleCodec) {
+		st := newTestStore(t, 1, 1<<10)
+		o := obs.New(0)
+		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", Obs: o, Job: "j"})
+		s := NewScatter(w, codec, tupleKey)
+		var batch []tuple
+		for i := 0; i < n; i++ {
+			v := tuple{First: uint64(i % 97), Second: uint64(i)}
+			if i%3 == 0 { // a third of the records one at a time
+				if err := s.Write(v); err != nil {
+					t.Fatal(err)
+				}
+			} else if batch = append(batch, v); len(batch) == 500 {
+				if err := s.WriteBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+		if err := s.WriteBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var stored, rows uint64
+		for _, cs := range leafChunks(t, st, w.Map()) {
+			for _, c := range cs {
+				r, _ := chunk.Count(c)
+				rows += uint64(r)
+				stored += uint64(len(c))
+			}
+		}
+		counted := o.Counter("hurricane_shuffle_bytes_total", "job", "j", "edge", "e").Value()
+		records := o.Counter("hurricane_shuffle_records_total", "job", "j", "edge", "e").Value()
+		if counted != stored || records != n || rows != n {
+			t.Fatalf("%s: counter says %d bytes of %d records, the leaf bags hold %d bytes of %d records (wrote %d)",
+				view, counted, records, stored, rows, n)
+		}
 	}
 }

@@ -1,0 +1,190 @@
+package shuffle
+
+import "repro/internal/chunk"
+
+// scatterBlock is how many records of a WriteBatch are routed and grouped
+// at a time: the routing vector, key words and per-leaf index lists stay a
+// few tens of KB however large the caller's batch.
+const scatterBlock = 4096
+
+// A Scatter is the one path from typed records to the leaf bags of a
+// shuffle edge: route a record through the Writer, append it to the
+// encoder of the leaf it routed to, and hand each chunk an encoder cuts to
+// Writer.InsertBatchChunk. The typed PartitionedWriter is a Scatter[T], the
+// query planner's edge sinks are a Scatter[any] over per-worker encoders
+// (AnyCodec.NewEncoderAny), and Writer.Write is a Scatter[[]byte]. Write is
+// the one-record view — route now, encode now, nothing of the record
+// retained — and WriteBatch the same path in blocks, through the encoders'
+// AppendRows. Which layout a leaf's chunks take is the encoder's business
+// (chunk.Encoder: it follows the codec); the Scatter never asks. It owns one
+// encoder per leaf it has routed to and belongs to one producer goroutine,
+// like its Writer.
+type Scatter[T any] struct {
+	w      *Writer
+	newEnc func(emit func(chunk.Chunk, int) error) LeafEncoder[T]
+	key    func(T) []byte
+	keyU64 func(T) uint64 // optional: route on key words, not bytes
+
+	// Base partitions — the overwhelmingly common routing outcome — index
+	// a dense slice; sub-partition and isolation refs take the map (a
+	// struct-keyed map lookup per record is measurable).
+	base  []*scatterLeaf[T]
+	other map[RouteRef]*scatterLeaf[T]
+
+	words   []uint64          // WriteBatch scratch: a block's key words,
+	refs    []RouteRef        // or its routing vector under byte keys
+	touched []*scatterLeaf[T] // leaves the current block has rows for
+}
+
+// A LeafEncoder is what a Scatter appends one leaf's records to:
+// *chunk.Encoder[T], or an adapter that unboxes records for one
+// (chunk.AnyEncoder). Close emits the open chunk, if it holds any records.
+type LeafEncoder[T any] interface {
+	Append(v T) error
+	// AppendRows appends vs[idx[0]], vs[idx[1]], ... in that order.
+	AppendRows(vs []T, idx []int32) error
+	Close() error
+}
+
+// scatterLeaf is one leaf's encoder and, during a WriteBatch block, the
+// block's row indices routed to it.
+type scatterLeaf[T any] struct {
+	enc LeafEncoder[T]
+	idx []int32
+}
+
+// NewScatter returns a Scatter writing codec's values to w's edge, keyed by
+// key.
+func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Scatter[T] {
+	size := w.cfg.Store.ChunkSize()
+	return NewScatterOf(w, func(emit func(chunk.Chunk, int) error) LeafEncoder[T] {
+		return chunk.NewEncoder(codec, size, emit)
+	}, key)
+}
+
+// NewScatterOf is NewScatter with the leaf encoders made by newEnc, for
+// callers whose records are not the codec's own type. newEnc is called once
+// per leaf, on the producer's goroutine.
+func NewScatterOf[T any](w *Writer, newEnc func(emit func(chunk.Chunk, int) error) LeafEncoder[T], key func(T) []byte) *Scatter[T] {
+	return &Scatter[T]{w: w, newEnc: newEnc, key: key}
+}
+
+// KeyUint64 makes the scatter route on uint64 key words: key must agree
+// with the byte key under the Uint64Key convention (8 bytes little-endian),
+// so placement is unchanged and only the byte round trip goes.
+func (s *Scatter[T]) KeyUint64(key func(T) uint64) { s.keyU64 = key }
+
+// Write routes one record and appends it to its leaf's open chunk.
+func (s *Scatter[T]) Write(v T) error {
+	var ref RouteRef
+	if s.keyU64 != nil {
+		ref = s.w.RouteUint64(s.keyU64(v))
+	} else {
+		ref = s.w.RouteKey(s.key(v))
+	}
+	return s.leaf(ref).enc.Append(v)
+}
+
+// WriteBatch routes vs and appends each leaf's rows, in stream order, with
+// one AppendRows per leaf per block.
+func (s *Scatter[T]) WriteBatch(vs []T) error {
+	for len(vs) > 0 {
+		blk := vs[:min(len(vs), scatterBlock)]
+		vs = vs[len(blk):]
+		var refs []RouteRef
+		if s.keyU64 != nil {
+			s.words = s.words[:0]
+			for i := range blk {
+				s.words = append(s.words, s.keyU64(blk[i]))
+			}
+			refs = s.w.PartitionBatchUint64(s.words)
+		} else {
+			refs = s.refs[:0]
+			for i := range blk {
+				refs = append(refs, s.w.RouteKey(s.key(blk[i])))
+			}
+			s.refs = refs
+		}
+		for i, ref := range refs {
+			var l *scatterLeaf[T]
+			if ref.Iso < 0 && ref.Sub < 0 && ref.Part < len(s.base) {
+				l = s.base[ref.Part] // the common case, without a call
+			}
+			if l == nil {
+				l = s.leaf(ref)
+			}
+			if len(l.idx) == 0 {
+				s.touched = append(s.touched, l)
+			}
+			l.idx = append(l.idx, int32(i))
+		}
+		var firstErr error
+		for _, l := range s.touched {
+			if firstErr == nil {
+				firstErr = l.enc.AppendRows(blk, l.idx)
+			}
+			l.idx = l.idx[:0]
+		}
+		s.touched = s.touched[:0]
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+	return nil
+}
+
+// leaf returns the leaf ref addresses, opening it on first use.
+func (s *Scatter[T]) leaf(ref RouteRef) *scatterLeaf[T] {
+	dense := ref.Iso < 0 && ref.Sub < 0
+	if dense && ref.Part < len(s.base) && s.base[ref.Part] != nil {
+		return s.base[ref.Part]
+	}
+	if l := s.other[ref]; l != nil {
+		return l
+	}
+	l := &scatterLeaf[T]{enc: s.newEnc(func(c chunk.Chunk, rows int) error {
+		return s.w.InsertBatchChunk(ref, c, rows)
+	})}
+	if dense {
+		for ref.Part >= len(s.base) {
+			s.base = append(s.base, nil)
+		}
+		s.base[ref.Part] = l
+		return l
+	}
+	if s.other == nil {
+		s.other = make(map[RouteRef]*scatterLeaf[T])
+	}
+	s.other[ref] = l
+	return l
+}
+
+// flush closes every leaf encoder, handing their open chunks to the writer.
+func (s *Scatter[T]) flush() error {
+	var firstErr error
+	for _, l := range s.other {
+		s.base = append(s.base, l)
+	}
+	for _, l := range s.base {
+		if l == nil {
+			continue
+		}
+		if err := l.enc.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	s.base, s.other = nil, nil
+	return firstErr
+}
+
+// Close flushes the leaf encoders, then closes the writer — in that order,
+// so the last chunks reach the inserters before they shut down and the
+// final exchange carries their counts. Register it as the task's finish
+// hook.
+func (s *Scatter[T]) Close() error {
+	err := s.flush()
+	if cerr := s.w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/bag"
 )
@@ -253,27 +252,17 @@ func (pm *PartitionMap) RefName(ref RouteRef) string {
 // supplies a round-robin counter so a heavy key's records spread evenly;
 // any value is correct, placement only affects balance.
 func (pm *PartitionMap) Route(key []byte, rr int) string {
-	return pm.RouteWith(HashPartitioner{}, key, rr)
+	return pm.RefName(pm.routeRefHashed(HashPartitioner{}, key, KeyHash(key), rr))
 }
 
-// RouteWith is Route with a caller-supplied base partitioner.
-func (pm *PartitionMap) RouteWith(part Partitioner, key []byte, rr int) string {
-	return pm.RefName(pm.RouteRefWith(part, key, rr))
-}
-
-// RouteRefWith computes the routing decision for a key. Isolation matching
-// and sub-partition re-hashing are partitioner-independent, so a custom
-// partitioner only chooses the base partition. (The master's heavy-hitter
-// attribution assumes the default hash partitioner; with a custom one,
-// attribution may pick the re-hash action instead of isolation, which
-// affects balance but never correctness.)
-func (pm *PartitionMap) RouteRefWith(part Partitioner, key []byte, rr int) RouteRef {
-	return pm.routeRefHashed(part, key, KeyHash(key), rr)
-}
-
-// routeRefHashed is RouteRefWith with the key hash computed by the
-// caller, for batch paths that reuse one hash per record for both
-// routing and sketch aggregation.
+// routeRefHashed computes the routing decision for a key whose KeyHash the
+// caller already has (a Writer reuses it for the exact key count).
+// Isolation matching and sub-partition re-hashing are
+// partitioner-independent, so a custom partitioner only chooses the base
+// partition. (The master's heavy-hitter attribution assumes the default
+// hash partitioner; with a custom one, attribution may pick the re-hash
+// action instead of isolation, which affects balance but never
+// correctness.)
 func (pm *PartitionMap) routeRefHashed(part Partitioner, key []byte, hash uint64, rr int) RouteRef {
 	if len(pm.Isolated) > 0 {
 		if i, iso := pm.isolation(hash); iso != nil {
@@ -379,15 +368,4 @@ func DecodePartitionMap(data []byte) (*PartitionMap, error) {
 		return nil, fmt.Errorf("shuffle: partition map with base %d", pm.Base)
 	}
 	return &pm, nil
-}
-
-// SortedSplitKeys returns the split partition indices in order (for
-// deterministic iteration in logs and tests).
-func (pm *PartitionMap) SortedSplitKeys() []int {
-	out := make([]int, 0, len(pm.Splits))
-	for p := range pm.Splits {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -22,16 +22,6 @@ const DefaultStatsInterval = 2 * time.Second
 // control traffic is set by the master's clock and not by the record rate.
 const exchangesPerInterval = 4
 
-// rowCheckEvery is how many records the row path writes between looks at
-// the clock (the batch path looks once per batch).
-const rowCheckEvery = 1024
-
-// DefaultSketchSample feeds every 8th record into the count-min sketch
-// (with weight 8), keeping the sketch off the per-record hot path while
-// leaving heavy-hitter estimates unbiased. Partition counts stay exact —
-// they are one map increment.
-const DefaultSketchSample = 8
-
 // heavyAdmitFraction admits a key into the heavy-hitter candidate list
 // when its estimated count exceeds 1/heavyAdmitFraction of the records
 // written so far.
@@ -55,8 +45,6 @@ type WriterConfig struct {
 	// in). The writer makes its control exchange at most four times per
 	// interval. Zero means DefaultStatsInterval.
 	StatsInterval time.Duration
-	// SketchSample overrides the 1-in-N sketch sampling rate.
-	SketchSample int
 	// Obs, when set, receives the edge's record/byte counters (flushed at
 	// Close, off the per-record hot path) and map-adoption trace events.
 	// Job labels the series.
@@ -70,60 +58,68 @@ type WriterConfig struct {
 	OnSpans func(flushNS, records int64, parts map[string]int64)
 }
 
-// leafOut is the write pipeline for one physical partition bag: a chunk
-// framer flushing into a pipelined inserter, plus the exact count of
-// records routed there (the master's primary load signal).
+// leafOut is the write pipeline for one physical partition bag: a pipelined
+// inserter plus the exact count of records handed to it (the master's
+// primary load signal).
 type leafOut struct {
 	name  string
-	w     *chunk.Writer
 	ins   *bag.Inserter
 	count uint64
 }
 
 // Writer routes records to the physical partition bags of one shuffle
 // edge and feeds key counts into the edge's count-min sketch, which is
-// what makes the shuffle skew-aware. Its whole control plane is one
+// what makes the shuffle skew-aware. It has two halves. Routing (route.go)
+// decides, per record, which leaf bag takes it and counts its key exactly.
+// Insertion (InsertBatchChunk) takes the chunks those records were encoded
+// into — by a Scatter's leaf encoders, whatever the layout — and owns the
+// per-leaf inserters and record counts. Its whole control plane is one
 // exchange with the edge's home slot (bag.Store.ExchangeSketch): it leaves
 // its cumulative stats there for the master and gets back the newest
 // partition map if the master has published one since. The exchange is
 // gated on time, not on records — before the first record, then at most
-// once per gate at a batch boundary, and once more at Close — so its cost
-// follows the master's decision cadence whatever the record rate. A Writer
-// is used by one producer worker goroutine; concurrent producer workers
-// each create their own (their stats merge storage-side).
+// once per gate at a tick, and once more at Close — so its cost follows the
+// master's decision cadence whatever the record rate. A Writer is used by
+// one producer worker goroutine; concurrent producer workers each create
+// their own (their stats merge storage-side).
 type Writer struct {
 	ctx context.Context
 	cfg WriterConfig
-	pm  *PartitionMap
-	// outs caches one write pipeline per routing decision. RouteRefs are
+
+	// The routing table and its shape, set together by adopt.
+	pm    *PartitionMap
+	plain bool    // default partitioner, no splits, no isolations
+	base  uint64  // pm.Base
+	mask  uint64  // base-1 when base is a power of two above one, else 0
+	kb    [8]byte // a uint64 key's bytes, for routeRefined
+
+	// outs caches one insert pipeline per routing decision. RouteRefs are
 	// name-stable across map versions (refinements only add partitions),
 	// so the cache survives map adoption.
 	outs map[RouteRef]*leafOut
+	// raw is the scatter behind Write: records that are already bytes.
+	raw *Scatter[[]byte]
 
 	stats    *sketch.EdgeStats
 	heavyIdx map[string]int // key -> index into stats.Heavy
 
-	n     uint64 // records written
-	bytes uint64 // record payload bytes written
-	rr    int    // round-robin counter for spread isolations
+	n       uint64 // records routed
+	bytes   uint64 // encoded chunk bytes handed to the inserters
+	batches uint64 // of those chunks, the batch-layout ones
 
 	gate      time.Duration // minimum gap between exchanges
 	exchanged time.Time     // when the last exchange started; zero before the first
 	statsLen  int           // size of the last stats blob, to size the next
 
-	// Batch-path state (see batch.go): routing-vector scratch and per-batch
-	// key count aggregation for bulk sketch feeds.
-	refs      []RouteRef
-	batchTab  []batchSlot // open-addressed count table, reused across batches
-	batchLive []int32     // occupied batchTab slots, for drain + reset
-	lastSlot  *batchSlot  // count slot of the previous record, if still live
-	lastHash  uint64      // its routing hash (slot identity check)
-	batches   uint64
+	// Routing scratch (route.go): the routing vector of the last
+	// PartitionBatchUint64 and the exact key count table between drains.
+	refs     []RouteRef
+	one      [1]uint64 // RouteUint64's one-key batch
+	tab      []countSlot
+	live     []int32    // occupied tab slots, for drain + reset
+	lastSlot *countSlot // count slot of the previous record, if still live
 
-	// flushNS accumulates time blocked inserting flushed chunks and
-	// draining pipelines — the profiler's shuffle phase. Only advanced
-	// when cfg.OnSpans is set.
-	flushNS int64
+	flushNS int64 // see timed
 }
 
 // NewWriter creates a writer for the edge. The initial routing table is
@@ -136,67 +132,74 @@ func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 	if cfg.StatsInterval <= 0 {
 		cfg.StatsInterval = DefaultStatsInterval
 	}
-	if cfg.SketchSample <= 0 {
-		cfg.SketchSample = DefaultSketchSample
-	}
-	return &Writer{
+	w := &Writer{
 		ctx:      ctx,
 		cfg:      cfg,
-		pm:       BaseMap(cfg.Edge, cfg.Parts),
 		gate:     cfg.StatsInterval / exchangesPerInterval,
 		statsLen: 5 << 10, // first guess: a byte per fresh sketch counter, and change
 		outs:     make(map[RouteRef]*leafOut),
 		stats:    sketch.NewEdgeStats(),
 		heavyIdx: make(map[string]int),
 	}
+	w.adopt(BaseMap(cfg.Edge, cfg.Parts))
+	return w
 }
 
 // Map returns the writer's current partition map (for tests/inspection).
 func (w *Writer) Map() *PartitionMap { return w.pm }
 
-// Write routes one record by key to its physical partition bag.
+// rawRecord frames records that are already encoded. It is row-only, so
+// Write's leaf encoders take their row arm.
+type rawRecord struct{}
+
+func (rawRecord) Encode(buf, rec []byte) []byte          { return append(buf, rec...) }
+func (rawRecord) Decode(rec []byte) ([]byte, int, error) { return rec, len(rec), nil }
+
+// Write routes one already-encoded record by key into a row chunk of its
+// physical partition bag: a Scatter whose records are bytes, so it shares
+// every step — route, key count, leaf encoder, insert — with the typed
+// writers above it.
 func (w *Writer) Write(key, rec []byte) error {
-	if w.n%rowCheckEvery == 0 {
-		w.exchangeIfDue()
+	if w.raw == nil {
+		w.raw = NewScatter[[]byte](w, rawRecord{}, nil)
 	}
-	ref := w.pm.RouteRefWith(w.cfg.Partitioner, key, w.rr)
-	w.rr++
+	return w.raw.leaf(w.RouteKey(key)).enc.Append(rec)
+}
+
+// InsertBatchChunk hands one encoded chunk of rows records, row or batch
+// layout, to the inserter of the leaf ref addresses. This is where a
+// scatter's leaf encoders flush, and the one place the edge's byte and
+// per-leaf record counts advance — so every producer API is
+// indistinguishable to the control plane and to the metrics.
+func (w *Writer) InsertBatchChunk(ref RouteRef, c chunk.Chunk, rows int) error {
 	out := w.outs[ref]
 	if out == nil {
-		out = w.newLeaf(ref)
+		name := w.pm.RefName(ref)
+		out = &leafOut{name: name, ins: w.cfg.Store.Bag(name).Inserter(w.ctx)}
+		w.outs[ref] = out
 	}
-	if err := out.w.Append(rec); err != nil {
+	if err := w.timed(func() error { return out.ins.Insert(c) }); err != nil {
 		return err
 	}
-	w.bytes += uint64(len(rec))
-	if w.n%uint64(w.cfg.SketchSample) == 0 {
-		w.stats.CM.Add(key, uint64(w.cfg.SketchSample))
-		w.noteHeavy(key)
+	out.count += uint64(rows)
+	w.bytes += uint64(len(c))
+	if chunk.IsBatch(c) {
+		w.batches++
 	}
-	w.n++
-	out.count++
 	return nil
 }
 
-// newLeaf creates the write pipeline for a routing decision.
-func (w *Writer) newLeaf(ref RouteRef) *leafOut {
-	name := w.pm.RefName(ref)
-	ins := w.cfg.Store.Bag(name).Inserter(w.ctx)
-	out := &leafOut{
-		name: name,
-		ins:  ins,
-		w: chunk.NewWriter(w.cfg.Store.ChunkSize(), func(c chunk.Chunk) error {
-			if w.cfg.OnSpans == nil {
-				return ins.Insert(c)
-			}
-			start := time.Now()
-			err := ins.Insert(c)
-			w.flushNS += time.Since(start).Nanoseconds()
-			return err
-		}),
+// timed runs fn — an insert, or the wait for the inserts outstanding — and,
+// while span profiling is on, credits its wall time to the profiler's
+// shuffle phase. Without cfg.OnSpans it reads no clock.
+func (w *Writer) timed(fn func() error) error {
+	if w.cfg.OnSpans == nil {
+		return fn()
 	}
-	w.outs[ref] = out
-	return out
+	start := time.Now()
+	err := fn()
+	w.flushNS += time.Since(start).Nanoseconds()
+	return err
 }
 
 // noteHeavy maintains the heavy-hitter candidate list: a key whose
@@ -221,10 +224,13 @@ func (w *Writer) noteHeavy(key []byte) {
 	})
 }
 
-// exchangeIfDue runs the control exchange if the writer has never made one
-// (so the first record already routes by the newest map, a warm-start seed
-// included) or the gate has passed since the last.
-func (w *Writer) exchangeIfDue() {
+// tick is the work a writer does once per tickEvery records, ahead of the
+// first of them: the exact key counts of the stretch just routed go to the
+// sketch, and the control exchange runs if it has never run (so the first
+// record already routes by the newest map, a warm-start seed included) or
+// its gate has passed.
+func (w *Writer) tick() {
+	w.drainCounts()
 	if w.exchanged.IsZero() || time.Since(w.exchanged) >= w.gate {
 		w.exchange()
 	}
@@ -257,37 +263,29 @@ func (w *Writer) exchange() {
 	if err != nil || pm.Bag != w.cfg.Edge || pm.Version <= w.pm.Version {
 		return // ignore foreign/corrupt/stale maps
 	}
-	w.pm = pm
+	w.adopt(pm)
 	w.cfg.Obs.Emit(obs.EvMapRevision, w.cfg.Job, w.cfg.Edge,
 		fmt.Sprintf("adopted version=%d writer=%s", pm.Version, w.cfg.WriterID))
 }
 
-// Close flushes every partition bag's buffered chunks, waits for all
+// Close flushes the raw-record scatter's open chunks, waits for all
 // outstanding inserts, and makes a final exchange, whatever the gate says,
 // so the stats the master fetches afterwards are the writer's exact totals.
-// It must be called (and its error checked) before the producer reports
-// completion — the engine's TaskCtx.OnFinish hook does this automatically
-// for writers created through the public API.
+// A typed Scatter over this writer closes its own leaf encoders first
+// (Scatter.Close). It must be called (and its error checked) before the
+// producer reports completion — the engine's TaskCtx.OnFinish hook does
+// this automatically for writers created through the public API.
 func (w *Writer) Close() error {
 	var firstErr error
-	for _, out := range w.outs {
-		if err := out.w.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shuffle: flushing %s: %w", out.name, err)
+	if w.raw != nil {
+		if err := w.raw.flush(); err != nil {
+			firstErr = fmt.Errorf("shuffle: flushing %s: %w", w.cfg.Edge, err)
 		}
 	}
-	for _, out := range w.outs {
-		var t0 time.Time
-		if w.cfg.OnSpans != nil {
-			t0 = time.Now()
-		}
-		err := out.ins.Close()
-		if w.cfg.OnSpans != nil {
-			w.flushNS += time.Since(t0).Nanoseconds()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shuffle: closing %s: %w", out.name, err)
-		}
+	if err := w.timed(w.Drain); err != nil && firstErr == nil {
+		firstErr = err
 	}
+	w.drainCounts()
 	w.exchange()
 	w.flushMetrics()
 	if w.cfg.OnSpans != nil {
@@ -296,6 +294,20 @@ func (w *Writer) Close() error {
 			parts[out.name] = int64(out.count)
 		}
 		w.cfg.OnSpans(w.flushNS, int64(w.n), parts)
+	}
+	return firstErr
+}
+
+// Drain waits for every insert the writer has handed to its leaf inserters
+// and returns the first error among them. Close drains; a producer that is
+// killed instead calls Drain alone, so that nothing of it is still on its
+// way into a leaf bag once it is gone.
+func (w *Writer) Drain() error {
+	var firstErr error
+	for _, out := range w.outs {
+		if err := out.ins.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("shuffle: closing %s: %w", out.name, err)
+		}
 	}
 	return firstErr
 }
