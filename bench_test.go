@@ -1,8 +1,7 @@
-// Package repro's top-level benchmark suite regenerates every table and
-// figure of the paper's evaluation (§5). Each benchmark runs the
-// corresponding experiment from internal/experiments and reports the
-// headline quantity as a custom metric, printing the full table the first
-// time it runs. The same rows are available from cmd/hurricane-bench.
+// Package repro's top-level benchmarks run the paper's applications end
+// to end on the embedded engine at laptop scale. The paper's tables and
+// figures, which are simulated, have one entry point: cmd/hurricane-bench
+// (table1 … utilization).
 //
 // Run all of them with:
 //
@@ -12,169 +11,13 @@ package repro
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/hurricane"
 	"repro/internal/apps"
-	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-var printOnce sync.Map
-
-func printFirst(b *testing.B, key, out string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		b.Logf("\n%s", out)
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: ClickLog runtime over uniform
-// inputs from 320 MB to 3.2 TB on the simulated 32-machine cluster.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		printFirst(b, "table1", experiments.FormatTable1(rows))
-		b.ReportMetric(rows[len(rows)-1].Runtime, "3.2TB-runtime-s")
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: Hurricane vs Spark vs Hadoop on
-// uniform ClickLog inputs.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2()
-		printFirst(b, "table2", experiments.FormatTable2(rows))
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3: HashJoin, Hurricane vs Spark, two
-// relation-size pairs at s=0 and s=1.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
-		printFirst(b, "table3", experiments.FormatTable3(rows))
-		for _, r := range rows {
-			if r.System == "Hurricane" && r.Join == "32GB x 320GB" && r.Skew == 1 {
-				b.ReportMetric(r.Runtime, "join-skewed-s")
-			}
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4: PageRank, Hurricane vs GraphX on
-// R-MAT graphs of scale 24/27/30.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table4()
-		printFirst(b, "table4", experiments.FormatTable4(rows))
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5: ClickLog slowdown vs skew across
-// input sizes; the reported metric is the worst-case slowdown (paper:
-// ≤2.4×).
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := experiments.Figure5()
-		printFirst(b, "fig5", experiments.FormatFigure5(cells))
-		worst := 0.0
-		for _, c := range cells {
-			if c.Slowdown > worst {
-				worst = c.Slowdown
-			}
-		}
-		b.ReportMetric(worst, "worst-slowdown-x")
-	}
-}
-
-// BenchmarkFigure6 regenerates Figure 6: the static-partitioning sweep,
-// Hurricane vs HurricaneNC against the Amdahl bound.
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure6()
-		printFirst(b, "fig6", experiments.FormatFigure6(rows))
-	}
-}
-
-// BenchmarkFigures78 regenerates Figures 7 and 8: the cloning × spreading
-// ablation on 8 machines.
-func BenchmarkFigures78(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figures78()
-		printFirst(b, "fig78", experiments.FormatFigures78(rows))
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9: the throughput-over-time trace
-// with the cloning ramp and merge tail (320 GB, s=1).
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure9()
-		printFirst(b, "fig9", experiments.FormatTimeline(
-			"Figure 9: ClickLog throughput over time (320GB, s=1, 32 machines)", res))
-		b.ReportMetric(float64(res.Clones), "clones")
-		b.ReportMetric(res.Runtime, "runtime-s")
-	}
-}
-
-// BenchmarkFigure10 regenerates Figure 10: the batch sampling factor
-// sweep; the metric is the normalized runtime at b=10 (paper: ≈0.67×).
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure10()
-		printFirst(b, "fig10", experiments.FormatFigure10(rows))
-		for _, r := range rows {
-			if r.B == 10 {
-				b.ReportMetric(r.Normalized, "b10-normalized-x")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure11 regenerates Figure 11: throughput under compute-node
-// and master crashes.
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure11()
-		printFirst(b, "fig11", experiments.FormatTimeline(
-			"Figure 11: throughput with compute-node and master crashes (320GB)", res))
-		b.ReportMetric(res.Runtime, "runtime-s")
-	}
-}
-
-// BenchmarkFigure12 regenerates Figure 12: the three-system skew
-// comparison with Spark's OOM crash at 32 GB, s=1.
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := experiments.Figure12()
-		printFirst(b, "fig12", experiments.FormatFigure12(cells))
-	}
-}
-
-// BenchmarkStorageScaling regenerates §5.2's storage scaling experiment
-// (330 MB/s → 10.53 GB/s read bandwidth, 31.9× at 32 machines).
-func BenchmarkStorageScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.StorageScaling()
-		printFirst(b, "scaling", experiments.FormatScaling(rows))
-		b.ReportMetric(rows[len(rows)-1].Speedup, "speedup-32x")
-	}
-}
-
-// BenchmarkBatchSamplingUtilization evaluates Eq. 1 (ρ(b,m)) at the
-// paper's quoted points.
-func BenchmarkBatchSamplingUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.BatchUtilization(32)
-		printFirst(b, "util", experiments.FormatUtilization(rows, 32))
-		b.ReportMetric(sim.Utilization(10, 32)*100, "rho-b10-pct")
-	}
-}
-
-// ---- real-engine benchmarks (laptop scale, actual execution) ----
 
 func engineCluster(b *testing.B) *hurricane.Cluster {
 	b.Helper()
@@ -309,7 +152,7 @@ func BenchmarkEngineSkewedShuffle(b *testing.B) {
 			if err := apps.LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 				b.Fatal(err)
 			}
-			app := apps.GroupByApp(parts, true, true, 5000)
+			app := apps.GroupByApp(parts, true, true, 0, 5000)
 			if err := cluster.Run(ctx, app); err != nil {
 				b.Fatal(err)
 			}

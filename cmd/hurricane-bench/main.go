@@ -30,19 +30,6 @@
 // statistics-driven physical planning (skewed join with pre-isolated
 // heavy-hitter keys) on Zipf(1.3) probe keys — and writes
 // BENCH_plan.json.
-//
-// "wire" runs the wire-path benchmark against REAL TCP storage nodes on
-// loopback — the Zipf(1.3) groupby with every bag op crossing the wire —
-// reporting per-op client latency p50/p99, op throughput, wire bytes,
-// and an interleaved telemetry-on/off A/B pricing the storage-tier
-// meters — and writes BENCH_wire_baseline.json, the baseline for the
-// ROADMAP wire-path optimisation target.
-//
-// "trend" aggregates the headline ratio of every committed BENCH_*.json
-// into BENCH_TREND.json plus a markdown table (BENCH_TREND.md) — the
-// machine-checkable perf history. "trend-check" recomputes the headlines
-// from the documents in the tree and fails when one regressed past its
-// committed trend value minus tolerance; CI runs it on every push.
 package main
 
 import (
@@ -128,9 +115,6 @@ var engineBenches = map[string]func() error{
 	"sched":           schedBench,
 	"stream":          streamBench,
 	"plan":            planBench,
-	"wire":            wireBench,
-	"trend":           trendCmd,
-	"trend-check":     trendCheckCmd,
 }
 
 // validExperiments lists every runnable experiment name for error

@@ -189,7 +189,7 @@ func planBench() error {
 		}
 		st := cluster.Master().Stats()
 		out.Splits, out.Isolations, out.Clones = st.Splits, st.Isolations, st.Clones
-		out.benchObs = captureObs(cluster, cluster.Primary(), false)
+		out.benchObs = captureObs(cluster, cluster.Job(c.App.Name()), false)
 		return out, nil
 	}
 

@@ -87,7 +87,7 @@ func schedBench() error {
 		// itself across every idle slot — precisely the behavior the
 		// fair-share lease must contain once the uniform job arrives.
 		newApp := func(shuffleCost int) *core.App {
-			app := apps.GroupByAppCosts(parts, true, false, shuffleCost, recordCost)
+			app := apps.GroupByApp(parts, true, false, shuffleCost, recordCost)
 			return app
 		}
 		hSkew, err := cluster.SubmitJob(ctx, newApp(skewProduce), core.JobConfig{Name: "skew"})

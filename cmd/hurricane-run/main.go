@@ -251,7 +251,7 @@ func runGroupBy(ctx context.Context, store *bag.Store, names []string, records i
 			OverloadThreshold: 0.5,
 		},
 	})
-	app := apps.GroupByApp(parts, true, false, 0)
+	app := apps.GroupByApp(parts, true, false, 0, 0)
 	start := time.Now()
 	if err := cluster.Run(ctx, app); err != nil {
 		log.Fatal(err)

@@ -302,7 +302,7 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 	}
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
 	want := workload.KeyCounts(tuples)
-	app := apps.GroupByApp(parts, true, false, 0)
+	app := apps.GroupByApp(parts, true, false, 0, 0)
 	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight, TraceID: req.Trace})
 	if err != nil {
 		return err

@@ -95,7 +95,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := cluster.Start(ctx, app); err != nil {
+	job, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{Raw: true, Retain: true})
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -119,14 +120,14 @@ func main() {
 
 	waitProgress(n / 5)
 	fmt.Printf("t+%-4d crash the application master (replay from done bag)\n", processed.Load())
-	if err := cluster.CrashMaster(); err != nil {
+	if err := job.CrashMaster(); err != nil {
 		log.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	cluster.RecoverMaster(ctx)
+	job.RecoverMaster(ctx)
 	fmt.Println("       master recovered")
 
-	if err := cluster.Wait(ctx); err != nil {
+	if err := job.Wait(ctx); err != nil {
 		log.Fatal(err)
 	}
 	out, err := hurricane.Collect(ctx, store, "out", hurricane.Int64Of)
@@ -139,7 +140,7 @@ func main() {
 	}
 	fmt.Printf("\nfinal sum %d (expected %d) — processed %d records for %d inputs\n",
 		got, want, processed.Load(), n)
-	fmt.Printf("master stats: %+v\n", cluster.Master().Stats())
+	fmt.Printf("master stats: %+v\n", job.Master().Stats())
 	if got != want {
 		log.Fatal("WRONG RESULT")
 	}

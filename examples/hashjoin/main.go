@@ -1,7 +1,7 @@
 // HashJoin: the paper's second workload (§5.3), expressed through the
 // query planner instead of hand-wired stages — roughly a third of the
 // user-facing code the stage-level version needed (that wiring survives
-// as the oracle in internal/apps.HashJoinApp / HashJoinShuffleApp).
+// as the oracle in internal/apps.HashJoinApp).
 //
 // The program declares WHAT to compute — join R and S on the tuple key —
 // and the planner decides HOW: it consults warm statistics (here, a

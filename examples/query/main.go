@@ -139,7 +139,7 @@ func main() {
 	}
 	// The run's mitigation story, from the job's metrics snapshot (the
 	// same per-job series /metrics serves, with the job label stripped).
-	m := cluster.Primary().Metrics()
+	m := cluster.Job(c.App.Name()).Metrics()
 	fmt.Printf("mitigation: %.0f splits, %.0f isolations, %.0f clones; %.0f tasks finished, %.0f control snapshots\n",
 		m["hurricane_core_splits_total"], m["hurricane_core_isolations_total"],
 		m["hurricane_core_clones_total"], m["hurricane_core_tasks_finished_total"],

@@ -54,7 +54,7 @@ func TestProfileZipfGroupBy(t *testing.T) {
 	// the wall clock.
 	tuples := workload.ZipfTuples(20000, 64, 1.3, 7)
 	want := workload.KeyCounts(tuples)
-	app := apps.GroupByApp(4, true, false, 12000)
+	app := apps.GroupByApp(4, true, false, 0, 12000)
 
 	// Load and seal the source before submitting: the master defers
 	// scheduling until its source bags seal, and that wait is (by

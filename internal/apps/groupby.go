@@ -23,33 +23,28 @@ var groupByOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 // GroupByApp builds a skewed keyed aggregation (the clicklog-sessionization
 // shape) on the skew-aware shuffle: a shuffle task routes tuples by key
 // onto a partitioned bag, and per-partition aggregate workers count
-// records and estimate distinct payloads per key. All per-key results are
-// *mergeable partials* (counts add, HLL registers max), so the engine is
-// free to spread a heavy-hitter key's records across several consumers
-// (BagSpec.Spread) — the paper's §2.3 requirement that concurrent workers'
-// partial results support merging, applied to partitions instead of
-// clones.
+// records and estimate distinct payloads per key. Both stages move a
+// column batch at a time. All per-key results are *mergeable partials*
+// (counts add, HLL registers max), so the engine is free to spread a
+// heavy-hitter key's records across several consumers (BagSpec.Spread) —
+// the paper's §2.3 requirement that concurrent workers' partial results
+// support merging, applied to partitions instead of clones. It is the
+// hand-wired oracle GroupByPlan is checked against.
 // noClone disables cloning of the aggregate stage only: that is the
 // classic static-partitioning configuration (one reducer per partition),
 // the baseline skew-aware splitting is measured against.
 //
-// recordCostNS simulates per-record aggregation cost: the worker sleeps
-// the accumulated cost in coarse batches. This models aggregations
-// dominated by per-record latency (external lookups, remote state,
-// parsing pipelines) and makes end-to-end wall clock scale with how
-// evenly records spread across consumer slots — exactly what partitioning
-// controls — rather than with the host's core count. 0 disables it; the
-// skewed-shuffle benchmark uses it so consumer load dominates runtime.
-func GroupByApp(parts int, spread, noClone bool, recordCostNS int) *hurricane.App {
-	return GroupByAppCosts(parts, spread, noClone, 0, recordCostNS)
-}
-
-// GroupByAppCosts is GroupByApp with separate simulated per-record costs
-// for the shuffle (producer) and aggregate (consumer) stages. A non-zero
-// shuffle cost makes the producers CPU-bound, so they trip overload
-// detection and clone — which is what the multi-job co-run benchmark
-// needs from its badly behaved neighbor.
-func GroupByAppCosts(parts int, spread, noClone bool, shuffleCostNS, recordCostNS int) *hurricane.App {
+// shuffleCostNS and recordCostNS simulate a per-record cost in the
+// shuffle (producer) and aggregate (consumer) stage: the worker sleeps
+// the accumulated cost in coarse batches. A consumer cost models
+// aggregations dominated by per-record latency (external lookups, remote
+// state, parsing pipelines) and makes end-to-end wall clock scale with
+// how evenly records spread across consumer slots — exactly what
+// partitioning controls — rather than with the host's core count. A
+// producer cost makes the producers trip overload detection and clone,
+// which is what the multi-job co-run benchmark needs from its badly
+// behaved neighbor. 0 disables either.
+func GroupByApp(parts int, spread, noClone bool, shuffleCostNS, recordCostNS int) *hurricane.App {
 	app := hurricane.NewApp("groupby")
 	app.SourceBag(GroupByIn)
 	app.AddBag(hurricane.BagSpec{Name: GroupByShuf, Partitions: parts, Spread: spread})
@@ -60,19 +55,15 @@ func GroupByAppCosts(parts int, spread, noClone bool, shuffleCostNS, recordCostN
 		Inputs:  []string{GroupByIn},
 		Outputs: []string{GroupByShuf},
 		Run: func(tc *hurricane.TaskCtx) error {
-			pw := hurricane.NewPartitionedWriter(tc, 0, tupleCodec,
-				hurricane.Uint64Key(func(t joinPair) uint64 { return t.First }))
-			var owedNS int64
-			return hurricane.ForEach(tc, 0, tupleCodec, func(t joinPair) error {
-				if shuffleCostNS > 0 {
-					owedNS += int64(shuffleCostNS)
-					if owedNS >= 500_000 {
-						time.Sleep(time.Duration(owedNS))
-						owedNS = 0
-					}
-				}
-				return pw.Write(t)
+			pw := hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec,
+				func(t joinPair) uint64 { return t.First })
+			cost := simulatedCost{perRecordNS: shuffleCostNS}
+			err := hurricane.ForEachBatch(tc, 0, tupleCodec, func(ts []joinPair) error {
+				cost.pay(len(ts))
+				return pw.WriteBatch(ts)
 			})
+			cost.settle()
+			return err
 		},
 	})
 
@@ -87,42 +78,41 @@ func GroupByAppCosts(parts int, spread, noClone bool, shuffleCostNS, recordCostN
 				hll *hurricane.HLL
 			}
 			groups := make(map[uint64]*agg)
-			var pbuf [8]byte
-			var owedNS int64
-			if err := hurricane.ForEach(tc, 0, tupleCodec, func(t joinPair) error {
-				a := groups[t.First]
-				if a == nil {
-					a = &agg{hll: hurricane.NewHLL(10)}
-					groups[t.First] = a
-				}
-				a.n++
-				for i := 0; i < 8; i++ {
-					pbuf[i] = byte(t.Second >> (8 * i))
-				}
-				a.hll.Add(pbuf[:])
-				if recordCostNS > 0 {
-					// Pay the simulated per-record cost in ≥0.5ms batches
-					// (fine-grained sleeps undershoot on coarse timers).
-					owedNS += int64(recordCostNS)
-					if owedNS >= 500_000 {
-						time.Sleep(time.Duration(owedNS))
-						owedNS = 0
+			cost := simulatedCost{perRecordNS: recordCostNS}
+			// Last-key memo: on a skewed stream consecutive records repeat
+			// keys often (the repeat probability is the distribution's
+			// collision probability, concentrated further by partitioning),
+			// so remembering the previous record's accumulator skips the
+			// map lookup for those runs.
+			var lastKey uint64
+			var lastAgg *agg
+			if err := hurricane.ForEachBatch(tc, 0, tupleCodec, func(ts []joinPair) error {
+				for i := range ts {
+					t := &ts[i]
+					a := lastAgg
+					if a == nil || t.First != lastKey {
+						if a = groups[t.First]; a == nil {
+							a = &agg{hll: hurricane.NewHLL(10)}
+							groups[t.First] = a
+						}
+						lastKey, lastAgg = t.First, a
 					}
+					a.n++
+					a.hll.AddUint64(t.Second)
 				}
+				cost.pay(len(ts))
 				return nil
 			}); err != nil {
 				return err
 			}
-			if owedNS > 0 {
-				time.Sleep(time.Duration(owedNS))
-			}
+			cost.settle()
 			w := hurricane.NewWriter(tc, 0, groupByOutCodec)
 			for k, a := range groups {
-				rec := hurricane.Pair[uint64, hurricane.Pair[int64, []byte]]{
+				err := w.Write(hurricane.Pair[uint64, hurricane.Pair[int64, []byte]]{
 					First:  k,
 					Second: hurricane.Pair[int64, []byte]{First: a.n, Second: a.hll.Encode()},
-				}
-				if err := w.Write(rec); err != nil {
+				})
+				if err != nil {
 					return err
 				}
 			}
@@ -130,6 +120,27 @@ func GroupByAppCosts(parts int, spread, noClone bool, shuffleCostNS, recordCostN
 		},
 	})
 	return app
+}
+
+// simulatedCost pays a per-record cost by sleeping: in batches of at least
+// 0.5ms, because fine-grained sleeps undershoot on coarse timers.
+type simulatedCost struct {
+	perRecordNS int
+	owedNS      int64
+}
+
+func (c *simulatedCost) pay(records int) {
+	c.owedNS += int64(c.perRecordNS) * int64(records)
+	if c.owedNS >= 500_000 {
+		c.settle()
+	}
+}
+
+func (c *simulatedCost) settle() {
+	if c.owedNS > 0 {
+		time.Sleep(time.Duration(c.owedNS))
+		c.owedNS = 0
+	}
 }
 
 // LoadGroupBy loads and seals the groupby source relation.

@@ -49,7 +49,8 @@ type joinPair = hurricane.Pair[uint64, uint64]
 // larger relation S is partitioned correspondingly and streamed, with
 // matches emitted as output. Skewed keys inflate some partitions' hit
 // rates; Hurricane handles them by cloning the affected join tasks —
-// clones split the streaming side chunk-by-chunk.
+// clones split the streaming side chunk-by-chunk. It is the hand-wired
+// oracle HashJoinPlan is checked against.
 func HashJoinApp(parts int, noClone bool) *hurricane.App {
 	app := hurricane.NewApp("hashjoin")
 	app.SourceBag(JoinBagR).SourceBag(JoinBagS)
@@ -61,37 +62,26 @@ func HashJoinApp(parts int, noClone bool) *hurricane.App {
 		sParts[p] = JoinPartS(p)
 	}
 
-	partitionBody := func(outs []*hurricane.Writer[joinPair]) func(joinPair) error {
-		return func(t joinPair) error {
-			return outs[int(t.First%uint64(parts))].Write(t)
-		}
+	for _, side := range []struct {
+		task, in string
+		outs     []string
+	}{{"partitionR", JoinBagR, rParts}, {"partitionS", JoinBagS, sParts}} {
+		app.AddTask(hurricane.TaskSpec{
+			Name:    side.task,
+			Inputs:  []string{side.in},
+			Outputs: side.outs,
+			NoClone: noClone,
+			Run: func(tc *hurricane.TaskCtx) error {
+				ws := make([]*hurricane.Writer[joinPair], parts)
+				for p := range ws {
+					ws[p] = hurricane.NewWriter(tc, p, tupleCodec)
+				}
+				return hurricane.ForEach(tc, 0, tupleCodec, func(t joinPair) error {
+					return ws[int(t.First%uint64(parts))].Write(t)
+				})
+			},
+		})
 	}
-	app.AddTask(hurricane.TaskSpec{
-		Name:    "partitionR",
-		Inputs:  []string{JoinBagR},
-		Outputs: rParts,
-		NoClone: noClone,
-		Run: func(tc *hurricane.TaskCtx) error {
-			ws := make([]*hurricane.Writer[joinPair], parts)
-			for p := range ws {
-				ws[p] = hurricane.NewWriter(tc, p, tupleCodec)
-			}
-			return hurricane.ForEach(tc, 0, tupleCodec, partitionBody(ws))
-		},
-	})
-	app.AddTask(hurricane.TaskSpec{
-		Name:    "partitionS",
-		Inputs:  []string{JoinBagS},
-		Outputs: sParts,
-		NoClone: noClone,
-		Run: func(tc *hurricane.TaskCtx) error {
-			ws := make([]*hurricane.Writer[joinPair], parts)
-			for p := range ws {
-				ws[p] = hurricane.NewWriter(tc, p, tupleCodec)
-			}
-			return hurricane.ForEach(tc, 0, tupleCodec, partitionBody(ws))
-		},
-	})
 
 	for p := 0; p < parts; p++ {
 		p := p
@@ -129,78 +119,6 @@ func HashJoinApp(parts int, noClone bool) *hurricane.App {
 		})
 	}
 	return app
-}
-
-// Shuffle-path hash join bag names.
-const (
-	JoinShufBag = "s.shuf"       // partitioned probe-side shuffle edge
-	JoinShufOut = "joinshuf.out" // join output (concatenated)
-)
-
-// HashJoinShuffleApp is the hash join ported to the skew-aware shuffle
-// subsystem. Instead of the static per-partition task fan of HashJoinApp,
-// the probe relation S is routed by join key through a partitioned bag:
-// one shuffle task feeds P physical partitions (split further at runtime
-// when keys are skewed), and each join worker owns one partition, probing
-// against the full build relation R scanned as shared state. Join output
-// is record-parallel — each probe tuple matches independently — so the
-// edge declares Spread and heavy-hitter keys may be fanned across
-// workers.
-func HashJoinShuffleApp(parts int) *hurricane.App {
-	app := hurricane.NewApp("hashjoin-shuffle")
-	app.SourceBag(JoinBagR).SourceBag(JoinBagS)
-	app.AddBag(hurricane.BagSpec{Name: JoinShufBag, Partitions: parts, Spread: true})
-	app.Bag(JoinShufOut)
-
-	app.AddTask(hurricane.TaskSpec{
-		Name:    "partitionS",
-		Inputs:  []string{JoinBagS},
-		Outputs: []string{JoinShufBag},
-		Run: func(tc *hurricane.TaskCtx) error {
-			pw := hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec,
-				func(t joinPair) uint64 { return t.First })
-			return hurricane.ForEach(tc, 0, tupleCodec, pw.Write)
-		},
-	})
-	app.AddTask(hurricane.TaskSpec{
-		Name:       "join",
-		Inputs:     []string{JoinShufBag}, // one worker per physical partition
-		ScanInputs: []string{JoinBagR},    // build side: scanned in full by every worker
-		Outputs:    []string{JoinShufOut},
-		Run: func(tc *hurricane.TaskCtx) error {
-			build := make(map[uint64][]uint64)
-			if err := hurricane.ForEachScan(tc, 0, tupleCodec, func(t joinPair) error {
-				build[t.First] = append(build[t.First], t.Second)
-				return nil
-			}); err != nil {
-				return err
-			}
-			w := hurricane.NewWriter(tc, 0, matchCodec)
-			return hurricane.ForEach(tc, 0, tupleCodec, func(t joinPair) error {
-				for _, rp := range build[t.First] {
-					m := hurricane.Pair[uint64, hurricane.Pair[uint64, uint64]]{
-						First:  t.First,
-						Second: hurricane.Pair[uint64, uint64]{First: rp, Second: t.Second},
-					}
-					if err := w.Write(m); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	})
-	return app
-}
-
-// JoinShuffleResultCount totals the emitted matches of the shuffle-path
-// join.
-func JoinShuffleResultCount(ctx context.Context, store *hurricane.Store) (int64, error) {
-	vals, err := hurricane.Collect(ctx, store, JoinShufOut, matchCodec)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(vals)), nil
 }
 
 // LoadRelations loads and seals both join relations.

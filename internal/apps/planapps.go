@@ -7,8 +7,8 @@ import (
 )
 
 // The query-planner reimplementations of the hand-wired workloads. The
-// hand-wired apps (GroupByApp, HashJoinShuffleApp) stay as the oracles:
-// tests run both forms on identical input and assert identical results,
+// hand-wired apps (GroupByApp, HashJoinApp) stay as the oracles: tests
+// run both forms on identical input and assert identical results,
 // so the planner is continuously verified against the low-level wiring
 // it replaces. New scenarios should start here, not at the stage API —
 // see the README's query-planner section.
@@ -46,16 +46,6 @@ func (gbAggCodec) Decode(record []byte) (*gbAgg, int, error) {
 	return &gbAgg{N: n, HLL: hll}, used + m, nil
 }
 
-// payloadBytes encodes a tuple payload for HLL observation, matching the
-// hand-wired aggregate's byte layout.
-func payloadBytes(p uint64) []byte {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(p >> (8 * i))
-	}
-	return b[:]
-}
-
 // GroupByPlan is GroupByApp as a declarative query: scan the tuples,
 // aggregate per key (count + HLL distinct payloads) behind a planner-
 // inserted shuffle edge, sink the mergeable partials into GroupByOut.
@@ -71,7 +61,7 @@ func GroupByPlan() *q.Plan {
 		func() *gbAgg { return &gbAgg{HLL: hurricane.NewHLL(10)} },
 		func(a *gbAgg, t joinPair) *gbAgg {
 			a.N++
-			a.HLL.Add(payloadBytes(t.Second))
+			a.HLL.AddUint64(t.Second)
 			return a
 		},
 		func(a, b *gbAgg) *gbAgg {
@@ -104,12 +94,15 @@ func JoinWarmStats(r, s []workload.Tuple) *q.Stats {
 	return stats
 }
 
-// HashJoinPlan is HashJoinShuffleApp as a declarative query: join the
-// probe relation S against the build relation R on the tuple key,
-// emitting the same (key, (payloadR, payloadS)) matches into JoinShufOut.
-// The physical strategy — repartition, broadcast, or skewed — is the
+// JoinShufOut is HashJoinPlan's sink: every match in one bag.
+const JoinShufOut = "joinshuf.out"
+
+// HashJoinPlan is HashJoinApp as a declarative query: join the probe
+// relation S against the build relation R on the tuple key, emitting the
+// same (key, (payloadR, payloadS)) matches into JoinShufOut. The
+// physical strategy — repartition, broadcast, or skewed — is the
 // planner's call (or the caller's, via q.WithStrategy); the hand-wired
-// app pins what the planner would call a repartition join with Spread.
+// app pins a static fan of one join task per hash partition.
 func HashJoinPlan(opts ...q.JoinOption) *q.Plan {
 	p := q.New("hashjoinq")
 	build := q.Scan(p, JoinBagR, tupleCodec)

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"sort"
 	"testing"
 
 	"repro/hurricane"
@@ -24,7 +25,7 @@ func TestGroupByPlanMatchesHandWiredOracle(t *testing.T) {
 	if err := LoadGroupBy(ctx, oracleCluster.Store(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracleCluster.Run(ctx, GroupByApp(4, true, false, 0)); err != nil {
+	if err := oracleCluster.Run(ctx, GroupByApp(4, true, false, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	oracle, err := CollectGroupBy(ctx, oracleCluster.Store())
@@ -57,9 +58,34 @@ func TestGroupByPlanMatchesHandWiredOracle(t *testing.T) {
 	}
 }
 
+// collectMatches reads the join matches out of bags, sorted, so two runs'
+// outputs compare as multisets.
+func collectMatches(t *testing.T, store *hurricane.Store, bags ...string) []hurricane.Pair[uint64, hurricane.Pair[uint64, uint64]] {
+	t.Helper()
+	var out []hurricane.Pair[uint64, hurricane.Pair[uint64, uint64]]
+	for _, b := range bags {
+		ms, err := hurricane.Collect(testCtx(t), store, b, MatchCodec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ms...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.First != b.First {
+			return a.First < b.First
+		}
+		if a.Second.First != b.Second.First {
+			return a.Second.First < b.Second.First
+		}
+		return a.Second.Second < b.Second.Second
+	})
+	return out
+}
+
 // TestHashJoinPlanMatchesHandWiredOracle runs the planner-built join and
-// the hand-wired shuffle join on identical skewed relations and asserts
-// both produce exactly the ground-truth number of matches.
+// the hand-wired HashJoinApp on identical skewed relations and asserts
+// both produce the ground-truth number of matches and the same matches.
 func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	ctx := testCtx(t)
 	rGen := workload.RelationGen{Keys: 512, S: 0, Seed: 23}
@@ -68,33 +94,30 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	s := sGen.Generate(20000)
 	want := workload.JoinCount(r, s)
 
+	const parts = 4
 	oracleCluster := testCluster(t, nil)
 	if err := LoadRelations(ctx, oracleCluster.Store(), r, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracleCluster.Run(ctx, HashJoinShuffleApp(4)); err != nil {
+	if err := oracleCluster.Run(ctx, HashJoinApp(parts, false)); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := JoinShuffleResultCount(ctx, oracleCluster.Store())
-	if err != nil {
-		t.Fatal(err)
+	outs := make([]string, parts)
+	for p := range outs {
+		outs[p] = JoinOut(p)
 	}
-	if oracle != want {
-		t.Fatalf("hand-wired join produced %d matches, want %d", oracle, want)
+	oracle := collectMatches(t, oracleCluster.Store(), outs...)
+	if int64(len(oracle)) != want {
+		t.Fatalf("hand-wired join produced %d matches, want %d", len(oracle), want)
 	}
 
 	planCluster := testCluster(t, nil)
 	// Warm statistics from the probe relation put the planner on the
 	// skewed path — the adaptive counterpart of the hand-wired app.
-	sb := hurricane.NewStatsBuilder()
-	for _, tup := range s {
-		sb.Add(q.KeyBytes(tup.Key), 1)
-	}
-	stats := q.NewStats()
+	stats := JoinWarmStats(r, s)
 	stats.Records[JoinBagR] = int64(len(r) + 10000) // known, too large to broadcast
-	stats.Edges[JoinBagS] = sb.Stats()
 	c, err := HashJoinPlan().Compile(q.Options{
-		Parts:               4,
+		Parts:               parts,
 		BroadcastMaxRecords: 1000,
 		Stats:               stats,
 	})
@@ -110,11 +133,13 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	if err := c.Run(ctx, planCluster); err != nil {
 		t.Fatal(err)
 	}
-	got, err := JoinShuffleResultCount(ctx, planCluster.Store())
-	if err != nil {
-		t.Fatal(err)
+	got := collectMatches(t, planCluster.Store(), c.SinkBag(JoinShufOut))
+	if len(got) != len(oracle) {
+		t.Fatalf("plan join produced %d matches, hand-wired %d (want %d)", len(got), len(oracle), want)
 	}
-	if got != want {
-		t.Fatalf("plan join produced %d matches, want %d (oracle %d)", got, want, oracle)
+	for i := range got {
+		if got[i] != oracle[i] {
+			t.Fatalf("match %d of %d (sorted): plan %v, hand-wired %v", i, len(got), got[i], oracle[i])
+		}
 	}
 }

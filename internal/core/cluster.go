@@ -113,7 +113,7 @@ type Cluster struct {
 	mu          sync.Mutex
 	computes    map[string]*ComputeNode
 	jobs        map[string]*JobHandle
-	primary     *JobHandle // job driving the legacy Start/Wait/Master API
+	primary     *JobHandle // most recent Raw submission: what Wait and Master read
 	poolStarted bool
 	nextComp    int
 	nextStor    int
@@ -224,9 +224,10 @@ func (c *Cluster) Trace() []obs.Event {
 	return c.obs.Tracer().Events("", "")
 }
 
-// Master returns the primary job's current application master (nil
-// before Start). Jobs submitted through SubmitJob carry their own
-// master; reach it through the JobHandle.
+// Master returns the current application master of the most recent Raw
+// submission — what Start, Run and a compiled plan's Run make — or nil
+// before one. Every job carries its own master; reach it, and crash or
+// recover it, through the JobHandle.
 func (c *Cluster) Master() *Master {
 	c.mu.Lock()
 	h := c.primary
@@ -234,17 +235,7 @@ func (c *Cluster) Master() *Master {
 	if h == nil {
 		return nil
 	}
-	return h.currentMaster()
-}
-
-// Primary returns the handle of the cluster's primary job — the one
-// driving the Start/Run/Wait API — or nil before Start. Its Metrics and
-// Trace accessors are the embedded way to read a finished run's
-// mitigation story without mounting the HTTP debug surface.
-func (c *Cluster) Primary() *JobHandle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.primary
+	return h.Master()
 }
 
 // Job returns the handle of a submitted job, or nil.
@@ -374,32 +365,17 @@ func (c *Cluster) totalSlotsLocked() int {
 
 // ---- lifecycle ----
 
-// Start submits the app as the cluster's primary job (no bag
-// namespacing, work bags retained — the paper's single-job deployment)
-// and begins execution. Source bags must be loaded and sealed
-// beforehand. Unlike the single-job engine this no longer excludes other
-// jobs: SubmitJob may run further jobs alongside it.
+// Start submits the app with no bag namespacing and its work bags
+// retained — the paper's single-job deployment — and begins execution.
+// Source bags must be loaded and sealed beforehand. It excludes no other
+// job: SubmitJob may run further jobs alongside it.
 func (c *Cluster) Start(ctx context.Context, app *App) error {
-	return c.StartWith(ctx, app, JobConfig{})
+	_, err := c.SubmitJob(ctx, app, JobConfig{Raw: true, Retain: true})
+	return err
 }
 
-// StartWith is Start with an explicit job configuration — the query
-// planner uses it to carry seed partition maps into the submission.
-// Raw and Retain are forced: the primary job keeps the paper's flat
-// naming and retained work bags regardless of cfg.
-func (c *Cluster) StartWith(ctx context.Context, app *App, cfg JobConfig) error {
-	cfg.Raw, cfg.Retain = true, true
-	h, err := c.SubmitJob(ctx, app, cfg)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.primary = h
-	c.mu.Unlock()
-	return nil
-}
-
-// Wait blocks until the primary job completes and returns its error.
+// Wait blocks until the most recent Raw submission completes and returns
+// its error.
 func (c *Cluster) Wait(ctx context.Context) error {
 	c.mu.Lock()
 	h := c.primary
@@ -433,7 +409,7 @@ func (c *Cluster) Shutdown() {
 	var masters []*Master
 	var queued []*JobHandle
 	for _, h := range c.jobs {
-		if m := h.currentMaster(); m != nil {
+		if m := h.Master(); m != nil {
 			masters = append(masters, m)
 		} else {
 			queued = append(queued, h)
@@ -596,75 +572,6 @@ func (c *Cluster) CrashStorageNode(name string) error {
 	c.inproc.Crash(name)
 	c.store.MarkDown(name)
 	return nil
-}
-
-// CrashMaster stops the primary job's master, preserving its durable
-// state in the work bags. Compute nodes keep executing tasks from the
-// ready bag.
-func (c *Cluster) CrashMaster() error {
-	m := c.Master()
-	if m == nil {
-		return fmt.Errorf("core: no master running")
-	}
-	m.Stop()
-	return nil
-}
-
-// RecoverMaster starts a fresh master for the primary job that rebuilds
-// its execution-graph state by replaying the work bags (§4.4: "when the
-// application master fails, we restart it and replay the done work
-// bag").
-func (c *Cluster) RecoverMaster(ctx context.Context) *Master {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.primary
-	if h == nil {
-		return nil
-	}
-	mcfg := c.cfg.Master
-	if h.cfg.Master != nil {
-		mcfg = *h.cfg.Master
-	}
-	mcfg.Job = h.id
-	mcfg.Obs = c.obs
-	mcfg.TraceID = h.cfg.TraceID
-	m := NewMaster(h.app, c.store, &jobControl{c: c, job: h.id}, mcfg)
-	h.mu.Lock()
-	old := h.master
-	h.mu.Unlock()
-	// Carry over node liveness. A node known dead must have its recovery
-	// re-run: the previous master may have crashed between detecting the
-	// failure and completing (or even starting) the recovery, and the
-	// pending-recovery queue died with it. recoverNode derives the
-	// affected tasks from the running work bag, so re-running it is safe
-	// whether the old master finished the recovery or never began.
-	if old != nil {
-		old.mu.Lock()
-		var dead []string
-		for n, ns := range old.nodes {
-			copied := *ns
-			m.nodes[n] = &copied
-			if ns.dead {
-				dead = append(dead, n)
-			}
-		}
-		old.mu.Unlock()
-		for _, n := range dead {
-			m.enqueueRecovery(n)
-		}
-	}
-	h.mu.Lock()
-	h.master = m
-	oldSwap := h.swap
-	h.swap = make(chan struct{})
-	h.mu.Unlock()
-	close(oldSwap) // wake the supervisor onto the new master
-	// Point compute nodes' control plane at the new master.
-	for _, n := range c.computes {
-		n.setMaster(h.id, m)
-	}
-	m.Start(ctx)
-	return m
 }
 
 // ComputeNodeNames lists current compute nodes.

@@ -95,7 +95,7 @@ func (c *Cluster) SkewReport(ctx context.Context) []SkewEdge {
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
 	var out []SkewEdge
 	for _, h := range jobs {
-		m := h.currentMaster()
+		m := h.Master()
 		if m == nil {
 			continue
 		}
@@ -173,7 +173,7 @@ func (c *Cluster) skewSource() obs.Source {
 		}
 		c.mu.Unlock()
 		for _, h := range jobs {
-			m := h.currentMaster()
+			m := h.Master()
 			if m == nil {
 				continue
 			}

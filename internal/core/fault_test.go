@@ -326,12 +326,12 @@ func TestMasterCrashRecovery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := cluster.CrashMaster(); err != nil {
+	if err := cluster.Job(app.Name()).CrashMaster(); err != nil {
 		t.Fatal(err)
 	}
 	// Compute nodes keep draining the ready bag during the outage.
 	time.Sleep(20 * time.Millisecond)
-	cluster.RecoverMaster(ctx)
+	cluster.Job(app.Name()).RecoverMaster(ctx)
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

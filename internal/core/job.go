@@ -151,7 +151,11 @@ func (h *JobHandle) Stats() JobStats {
 // is queued). After completion it still holds the final masters' state —
 // the streaming subsystem reads EdgeMemory from it to warm-start the next
 // window.
-func (h *JobHandle) Master() *Master { return h.currentMaster() }
+func (h *JobHandle) Master() *Master {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.master
+}
 
 // Metrics snapshots the cluster registry's view of this job: every
 // series labeled job=<id> (with the label stripped from the returned
@@ -172,7 +176,7 @@ func (h *JobHandle) Trace() []obs.Event {
 // attribution. Nil while the job is still queued; partial while it runs;
 // complete once Done.
 func (h *JobHandle) Profile() *obs.Profile {
-	m := h.currentMaster()
+	m := h.Master()
 	if m == nil {
 		return nil
 	}
@@ -204,13 +208,6 @@ func (h *JobHandle) Explain() string {
 		return f(p)
 	}
 	return p.String()
-}
-
-// currentMaster returns the job's master (nil while queued).
-func (h *JobHandle) currentMaster() *Master {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.master
 }
 
 // finish records completion exactly once.
@@ -324,9 +321,6 @@ func (h *JobHandle) Reset(ctx context.Context) error {
 	h.c.mu.Lock()
 	if h.c.jobs[h.id] == h {
 		delete(h.c.jobs, h.id)
-	}
-	if h.c.primary == h {
-		h.c.primary = nil
 	}
 	h.c.mu.Unlock()
 	return nil
@@ -525,20 +519,22 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 		done:   make(chan struct{}),
 	}
 	c.jobs[h.id] = h
+	if cfg.Raw {
+		c.primary = h
+	}
 	if start {
 		c.startJobLocked(ctx, h)
 	}
 	return h, nil
 }
 
-// startJobLocked moves an admitted job into execution: build its master
-// behind a job-scoped control adapter (handing it the job's seed
-// partition maps, which the master publishes from its own goroutine
-// before its first scheduling pass — a blocking storage write under
-// c.mu could wedge the whole scheduler), bind it to every compute node,
-// and begin supervision. Caller holds c.mu.
-func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
-	c.ensurePoolLocked()
+// newJobMaster builds a master for the job behind a job-scoped control
+// adapter — for its first start and for every recovery alike. The master
+// is handed the job's seed partition maps, which it publishes from its
+// own goroutine before its first scheduling pass (a blocking storage
+// write under c.mu could wedge the whole scheduler); a recovered
+// successor skips the ones its predecessor already published.
+func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	mcfg := c.cfg.Master
 	if h.cfg.Master != nil {
 		mcfg = *h.cfg.Master
@@ -552,7 +548,15 @@ func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
 			mcfg.Seeds[h.Bag(name)] = seed
 		}
 	}
-	m := NewMaster(h.app, c.store, &jobControl{c: c, job: h.id}, mcfg)
+	return NewMaster(h.app, c.store, &jobControl{c: c, job: h.id}, mcfg)
+}
+
+// startJobLocked moves an admitted job into execution: build its master,
+// bind it to every compute node, and begin supervision. Caller holds
+// c.mu.
+func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
+	c.ensurePoolLocked()
+	m := c.newJobMaster(h)
 	c.leases.Add(h.id, c.reg.Weight(h.id))
 	h.mu.Lock()
 	h.master = m
@@ -563,6 +567,65 @@ func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
 	}
 	m.Start(ctx)
 	go c.supervise(h)
+}
+
+// CrashMaster stops the job's master, preserving its durable state in the
+// work bags. Compute nodes keep executing tasks from the ready bag.
+func (h *JobHandle) CrashMaster() error {
+	m := h.Master()
+	if m == nil {
+		return fmt.Errorf("core: job %q has no master running", h.id)
+	}
+	m.Stop()
+	return nil
+}
+
+// RecoverMaster starts a fresh master for the job that rebuilds its
+// execution-graph state by replaying the work bags (§4.4: "when the
+// application master fails, we restart it and replay the done work
+// bag"). It returns nil for a job that is not running.
+func (h *JobHandle) RecoverMaster(ctx context.Context) *Master {
+	c := h.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h.mu.Lock()
+	old, state := h.master, h.state
+	h.mu.Unlock()
+	if state != sched.StateRunning {
+		return nil
+	}
+	m := c.newJobMaster(h)
+	// Carry over node liveness. A node known dead must have its recovery
+	// re-run: the previous master may have crashed between detecting the
+	// failure and completing (or even starting) the recovery, and the
+	// pending-recovery queue died with it. recoverNode derives the
+	// affected tasks from the running work bag, so re-running it is safe
+	// whether the old master finished the recovery or never began.
+	old.mu.Lock()
+	var dead []string
+	for n, ns := range old.nodes {
+		copied := *ns
+		m.nodes[n] = &copied
+		if ns.dead {
+			dead = append(dead, n)
+		}
+	}
+	old.mu.Unlock()
+	for _, n := range dead {
+		m.enqueueRecovery(n)
+	}
+	h.mu.Lock()
+	h.master = m
+	oldSwap := h.swap
+	h.swap = make(chan struct{})
+	h.mu.Unlock()
+	close(oldSwap) // wake the supervisor onto the new master
+	// Point compute nodes' control plane at the new master.
+	for _, n := range c.computes {
+		n.setMaster(h.id, m)
+	}
+	m.Start(ctx)
+	return m
 }
 
 // supervise waits for the job's (current) master to complete the job,
@@ -585,14 +648,17 @@ func (c *Cluster) supervise(h *JobHandle) {
 	}
 }
 
-// finalizeJob releases a completed job's slots and name bindings, admits
-// queued jobs the freed concurrency slot allows, and garbage collects
-// the job's work bags unless retained.
+// finalizeJob releases a completed job's slots and name bindings, garbage
+// collects the job's work bags unless retained, and admits queued jobs
+// the freed concurrency slot allows. The job reports completion only
+// after the nodes have let go of its ready bag and after the collection:
+// a caller that Waits, Resets and resubmits under the same name must not
+// have its successor's freshly pushed blueprints claimed through this
+// job's bindings or deleted by its late collection.
 func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 	c.mu.Lock()
 	nodes := make([]*ComputeNode, 0, len(c.computes))
 	for _, n := range c.computes {
-		n.Detach(h.id)
 		nodes = append(nodes, n)
 	}
 	c.leases.Remove(h.id)
@@ -604,6 +670,9 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 		}
 	}
 	c.mu.Unlock()
+	for _, n := range nodes {
+		n.Detach(h.id)
+	}
 	if jobErr != nil {
 		// A failed job's workers will never be rescheduled; reap them so
 		// their slots return to the pool.
@@ -611,10 +680,10 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 			n.KillJob(h.id)
 		}
 	}
-	h.finish(jobErr)
 	if !h.cfg.Retain {
 		c.gcJob(h)
 	}
+	h.finish(jobErr)
 	c.mu.Lock()
 	for _, nh := range toStart {
 		c.startJobLocked(nh.subCtx, nh)

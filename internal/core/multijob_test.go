@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/sched"
 	"repro/internal/sketch"
+	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // loadIntsBag loads n int64 records into a named bag and seals it.
@@ -162,6 +165,161 @@ func TestResetStaleHandleDiscard(t *testing.T) {
 	}
 	if err := h2.Discard(ctx); err != nil {
 		t.Fatalf("live handle Discard: %v", err)
+	}
+}
+
+// heldReadyOp is a storage handler that, once armed, holds the first
+// request of one kind against a ready work bag until release is closed,
+// and reports the first insert into a ready bag that arrives behind it
+// and after the bag was deleted — a successor's blueprint, not one of the
+// job's own.
+type heldReadyOp struct {
+	inner   transport.Handler
+	op      transport.Op
+	armed   atomic.Bool
+	first   atomic.Bool   // set by the one request that is held
+	held    atomic.Bool   // true while it is
+	deleted atomic.Bool   // a ready-bag delete has arrived
+	entered chan struct{} // closed when the held request arrives
+	release chan struct{} // closed by the test to let it through
+	pushed  chan struct{} // closed by the successor's first blueprint
+	push    sync.Once
+}
+
+func (h *heldReadyOp) Handle(req *transport.Request) *transport.Response {
+	if !strings.Contains(req.Bag, "!ready#") {
+		return h.inner.Handle(req)
+	}
+	if req.Op == transport.OpDelete {
+		h.deleted.Store(true)
+	}
+	if req.Op == h.op && h.armed.Load() && h.first.CompareAndSwap(false, true) {
+		h.held.Store(true)
+		close(h.entered)
+		<-h.release
+		resp := h.inner.Handle(req)
+		h.held.Store(false)
+		return resp
+	}
+	resp := h.inner.Handle(req)
+	if req.Op == transport.OpInsert && h.held.Load() && h.deleted.Load() {
+		h.push.Do(func() { close(h.pushed) })
+	}
+	return resp
+}
+
+// TestResubmitWhilePredecessorLetsGo: everything a finished job still
+// does to its ready bag must be over before the job reports completion,
+// because a caller that Waits, Resets and resubmits the same name at once
+// gets the same ready bag. The storage tier stalls one request of the
+// finished job — the ready-bag delete of its work-bag collection, or a
+// node's poll for blueprints through the job's binding — and lets it
+// through once the successor's first blueprint sits behind it (or, when
+// completion correctly waits, after a pause in which no successor can
+// have been submitted). The successor must not lose that blueprint.
+func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   transport.Op
+	}{
+		{"late collection", transport.OpDelete},
+		{"poll in flight", transport.OpRemove},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			hd := &heldReadyOp{
+				inner: storage.NewNode("storage-0"), op: tc.op,
+				entered: make(chan struct{}), release: make(chan struct{}), pushed: make(chan struct{}),
+			}
+			inproc := transport.NewInProc()
+			inproc.Register("storage-0", hd)
+			store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testClusterConfig()
+			// Slow claims: the successor's blueprint must still be in the
+			// ready bag when the stalled request lands.
+			cfg.Node.PollInterval = 50 * time.Millisecond
+			cluster := NewClusterOverStore(store, cfg)
+			defer cluster.Shutdown()
+
+			const n = 2000
+			var proc1, proc2 atomic.Int64
+			gate := make(chan struct{})
+			h1, err := cluster.SubmitJob(ctx, gatedSumApp(&proc1, gate), JobConfig{Name: "w"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadIntsBag(t, ctx, store, h1.Bag("in"), n)
+			for proc1.Load() < n {
+				if ctx.Err() != nil {
+					t.Fatal("timed out waiting for the first job's copy stage")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			hd.armed.Store(true)
+			if tc.op == transport.OpRemove {
+				// The poll to stall is one made while the job is bound.
+				select {
+				case <-hd.entered:
+				case <-ctx.Done():
+					t.Fatal("no node polled the ready bag")
+				}
+			}
+			close(gate)
+
+			result := make(chan error, 1)
+			go func() {
+				if err := h1.Wait(ctx); err != nil {
+					result <- err
+					return
+				}
+				// The stalled request is to be the finished job's, not one of
+				// Reset's own.
+				select {
+				case <-hd.entered:
+				case <-ctx.Done():
+				}
+				if err := h1.Reset(ctx); err != nil {
+					result <- err
+					return
+				}
+				h2, err := cluster.SubmitJob(ctx, sumApp(&proc2), JobConfig{Name: "w"})
+				if err != nil {
+					result <- err
+					return
+				}
+				wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+				defer wcancel()
+				result <- h2.Wait(wctx)
+			}()
+
+			// The job's work is over once its master is done; what follows is
+			// the letting go.
+			select {
+			case <-h1.Master().Done():
+			case <-ctx.Done():
+				t.Fatal("the first job never completed")
+			}
+			select {
+			case <-hd.entered:
+			case <-ctx.Done():
+				t.Fatal("the stalled request never arrived")
+			}
+			select {
+			case <-hd.pushed:
+			case <-time.After(200 * time.Millisecond):
+			}
+			close(hd.release)
+			if err := <-result; err != nil {
+				t.Fatalf("resubmitted job: %v (a blueprint of its was lost to its predecessor)", err)
+			}
+			if proc2.Load() != n {
+				t.Fatalf("resubmitted job processed %d records, want %d", proc2.Load(), n)
+			}
+		})
 	}
 }
 

@@ -45,6 +45,24 @@ type binding struct {
 
 	mu     sync.RWMutex
 	master masterAPI
+
+	// claim orders this binding's polls of the ready bag against its
+	// Detach: once Detach returns no poll through the binding is in flight
+	// and none will start. A successor job that reuses the name — and so
+	// the ready bag — can therefore never lose a blueprint to it.
+	claim    sync.Mutex
+	detached bool
+}
+
+// pollReady removes one blueprint from the job's ready bag; a detached
+// binding finds none.
+func (b *binding) pollReady(ctx context.Context) (*Blueprint, error) {
+	b.claim.Lock()
+	defer b.claim.Unlock()
+	if b.detached {
+		return nil, bag.ErrAgain
+	}
+	return b.wb.pollReady(ctx, b.ready)
 }
 
 func (b *binding) getMaster() masterAPI {
@@ -152,12 +170,20 @@ func (n *ComputeNode) Attach(job string, app *App, wb *workBags, master masterAP
 	n.bindings[job] = b
 }
 
-// Detach unbinds a completed job. Workers of the job still running are
-// left to finish; their completion reports go to the captured binding.
+// Detach unbinds a completed job, waiting out a poll of its ready bag
+// that is in flight (a storage round trip: call it without the cluster
+// lock). Workers of the job still running are left to finish; their
+// completion reports go to the captured binding.
 func (n *ComputeNode) Detach(job string) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	b := n.bindings[job]
 	delete(n.bindings, job)
+	n.mu.Unlock()
+	if b != nil {
+		b.claim.Lock()
+		b.detached = true
+		b.claim.Unlock()
+	}
 }
 
 // setMaster repoints a job's control plane at a new master (master
@@ -363,7 +389,7 @@ func (n *ComputeNode) scheduleLoop() {
 			if n.leases != nil && !n.leases.Acquire(b.job) {
 				continue // over lease with a starved neighbor
 			}
-			bp, err := b.wb.pollReady(n.ctx, b.ready)
+			bp, err := b.pollReady(n.ctx)
 			if err != nil {
 				// ErrAgain: nothing ready. ErrEmpty cannot normally happen
 				// (the ready bag is never sealed); treat both as idle.

@@ -349,18 +349,29 @@ func TestStorageScalingShape(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	// Formatting must include headline strings and not panic.
+	// Formatting must say first that the numbers are simulated, include
+	// headline strings, and not panic.
 	checks := []struct {
 		out  string
 		want string
 	}{
 		{FormatTable1(Table1()), "Table 1"},
 		{FormatTable2(Table2()), "Hadoop"},
-		{FormatUtilization(BatchUtilization(32), 32), "rho"},
-		{FormatScaling(StorageScaling()), "Speedup"},
+		{FormatTable3(Table3()), "Table 3"},
+		{FormatTable4(Table4()), "Table 4"},
+		{FormatFigure5(Figure5()), "Figure 5"},
+		{FormatFigure6(Figure6()), "Figure 6"},
+		{FormatFigures78(Figures78()), "Figure 7"},
+		{FormatTimeline("Figure 9", Figure9()), "Figure 9"},
 		{FormatFigure10(Figure10()), "b=10"},
+		{FormatFigure12(Figure12()), "Figure 12"},
+		{FormatScaling(StorageScaling()), "Speedup"},
+		{FormatUtilization(BatchUtilization(32), 32), "rho"},
 	}
 	for _, c := range checks {
+		if !strings.HasPrefix(c.out, SimulatedNote) {
+			t.Errorf("formatted output does not open with the simulated note:\n%s", c.out)
+		}
 		if !strings.Contains(c.out, c.want) {
 			t.Errorf("formatted output missing %q:\n%s", c.want, c.out)
 		}

@@ -418,140 +418,148 @@ func (c *compiler) declareEdge(name string, spread bool) {
 
 // ---- task synthesis ----
 
-// opExec is one operator lowered to executable form: a per-record hook
-// plus an optional finish hook flushing operator state (aggregates, top-k
-// heaps) into the rest of the pipeline.
-type opExec struct {
-	fn     func(v any, emit func(any) error) error
-	finish func(emit func(any) error) error
+// maxVector bounds the buffer of an operator that emits several records
+// per input record: past it the operator hands on what it has before it
+// takes more input, so a probe vector of a heavy many-to-many join key
+// never materializes all its matches at once.
+const maxVector = 1 << 14
+
+// kernel is one operator lowered to executable form, over record vectors.
+type kernel struct {
+	// run takes an input vector and returns the operator's output for its
+	// first used records. The output is the input itself, compacted or
+	// rewritten in place, or a buffer the kernel owns; either is valid
+	// until the kernel's next call. Only an operator emitting several
+	// records per input record stops short of len(in) (maxVector).
+	run func(in []any) (out []any, used int, err error)
+	// finish, when set, returns what the operator held back — aggregates,
+	// the top k — once its input is exhausted.
+	finish func() []any
 }
 
-// lowerOps compiles a stage's operator chain. Join ops resolve their
-// build map through builds (hash-loaded at task start).
-func lowerOps(ops []*Node, builds map[*Node]map[uint64][]any) []opExec {
-	out := make([]opExec, 0, len(ops))
+// lowerOps compiles a stage's operator chain, once per worker run: the
+// per-worker factories run here and operator state lives in the kernels,
+// so clones get their own. Join ops resolve their build table through
+// builds (hash-loaded at task start).
+func lowerOps(ops []*Node, builds map[*Node]map[uint64][]any) []kernel {
+	out := make([]kernel, 0, len(ops))
 	for _, n := range ops {
 		switch n.kind {
 		case opFilter:
 			pred := n.filterF()
-			out = append(out, opExec{fn: func(v any, emit func(any) error) error {
-				if !pred(v) {
-					return nil
+			out = append(out, kernel{run: func(in []any) ([]any, int, error) {
+				kept := in[:0]
+				for _, v := range in {
+					if pred(v) {
+						kept = append(kept, v)
+					}
 				}
-				return emit(v)
+				return kept, len(in), nil
 			}})
 		case opMap:
 			fn := n.mapF()
-			out = append(out, opExec{fn: func(v any, emit func(any) error) error {
-				m, err := fn(v)
-				if err != nil {
-					return err
+			out = append(out, kernel{run: func(in []any) ([]any, int, error) {
+				for i, v := range in {
+					m, err := fn(v)
+					if err != nil {
+						return nil, 0, err
+					}
+					in[i] = m
 				}
-				return emit(m)
+				return in, len(in), nil
 			}})
 		case opFlatMap:
-			fn := n.flatF()
-			out = append(out, opExec{fn: func(v any, emit func(any) error) error {
-				return fn(v, emit)
-			}})
-		case opGroupBy:
-			g := n.gb
-			groups := make(map[uint64]any)
-			out = append(out, opExec{
-				fn: func(v any, emit func(any) error) error {
-					k := g.Key(v)
-					acc, ok := groups[k]
-					if !ok {
-						acc = g.Init()
-					}
-					groups[k] = g.Add(acc, v)
-					return nil
-				},
-				finish: func(emit func(any) error) error {
-					for _, k := range sortedKeys(groups) {
-						if err := emit(g.MakePartial(k, groups[k])); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-			})
+			out = append(out, expand(n.flatF()))
 		case opJoin:
-			j := n.join
-			node := n
-			out = append(out, opExec{fn: func(v any, emit func(any) error) error {
-				for _, b := range builds[node][j.ProbeKey(v)] {
+			j, table := n.join, builds[n]
+			out = append(out, expand(func(v any, emit func(any) error) error {
+				for _, b := range table[j.ProbeKey(v)] {
 					if err := j.Join(b, v, emit); err != nil {
 						return err
 					}
 				}
 				return nil
-			}})
+			}))
+		case opGroupBy:
+			g := n.gb
+			groups := make(map[uint64]any)
+			out = append(out, kernel{
+				run: func(in []any) ([]any, int, error) {
+					for _, v := range in {
+						k := g.Key(v)
+						acc, ok := groups[k]
+						if !ok {
+							acc = g.Init()
+						}
+						groups[k] = g.Add(acc, v)
+					}
+					return nil, len(in), nil
+				},
+				finish: func() []any { return partialsOf(g, groups) },
+			})
 		case opTopK:
 			k, less := n.k, n.less
 			var top []any
-			out = append(out, opExec{
-				fn: func(v any, emit func(any) error) error {
-					// Insertion into a k-bounded, descending-sorted slice:
-					// k is small, the input is already aggregated.
-					i := sort.Search(len(top), func(i int) bool { return less(top[i], v) })
-					if i >= k {
-						return nil
-					}
-					top = append(top, nil)
-					copy(top[i+1:], top[i:])
-					top[i] = v
-					if len(top) > k {
-						top = top[:k]
-					}
-					return nil
-				},
-				finish: func(emit func(any) error) error {
-					for _, v := range top {
-						if err := emit(v); err != nil {
-							return err
+			out = append(out, kernel{
+				run: func(in []any) ([]any, int, error) {
+					for _, v := range in {
+						// Insertion into a k-bounded, descending-sorted slice:
+						// k is small, the input is already aggregated.
+						i := sort.Search(len(top), func(i int) bool { return less(top[i], v) })
+						if i >= k {
+							continue
+						}
+						top = append(top, nil)
+						copy(top[i+1:], top[i:])
+						top[i] = v
+						if len(top) > k {
+							top = top[:k]
 						}
 					}
-					return nil
+					return nil, len(in), nil
 				},
+				finish: func() []any { return top },
 			})
 		}
 	}
 	return out
 }
 
-func sortedKeys(m map[uint64]any) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// pipeline composes lowered ops into a feed function and a finish
-// cascade: finishing op i flushes its state through ops i+1.. into the
-// sink.
-func pipeline(ops []opExec, sink func(any) error) (feed func(any) error, finishAll func() error) {
-	into := make([]func(any) error, len(ops)+1)
-	into[len(ops)] = sink
-	for i := len(ops) - 1; i >= 0; i-- {
-		op, next := ops[i], into[i+1]
-		into[i] = func(v any) error { return op.fn(v, next) }
-	}
-	feed = into[0]
-	finishAll = func() error {
-		for i, op := range ops {
-			if op.finish == nil {
-				continue
-			}
-			if err := op.finish(into[i+1]); err != nil {
-				return err
-			}
-		}
+// expand lowers an operator that emits any number of records per input
+// record — each emits those of one — into a buffer the kernel owns.
+func expand(each func(v any, emit func(any) error) error) kernel {
+	var buf []any
+	emit := func(v any) error {
+		buf = append(buf, v)
 		return nil
 	}
-	return feed, finishAll
+	return kernel{run: func(in []any) ([]any, int, error) {
+		buf = buf[:0]
+		for i, v := range in {
+			if err := each(v, emit); err != nil {
+				return nil, 0, err
+			}
+			if len(buf) >= maxVector {
+				return buf, i + 1, nil
+			}
+		}
+		return buf, len(in), nil
+	}}
+}
+
+// partialsOf boxes one accumulator per key into partial records, in key
+// order.
+func partialsOf(g *GroupBySpec, accs map[uint64]any) []any {
+	keys := make([]uint64, 0, len(accs))
+	for k := range accs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	vec := make([]any, len(keys))
+	for i, k := range keys {
+		vec[i] = g.MakePartial(k, accs[k])
+	}
+	return vec
 }
 
 // emitTask lowers one stage into a core TaskSpec.
@@ -572,10 +580,10 @@ func (c *compiler) emitTask(s *stage) {
 // runStage executes one compiled stage inside a worker. All per-run
 // state (decoder, aggregation maps, top-k buffers, build tables) is
 // created here, so any number of workers run the same stage concurrently.
-// Every stage is the same loop: decode a chunk into a record vector, run
-// the vectorizable prefix (Filter/Map) over the whole vector, feed the
-// survivors to the per-record tail and the sink. A finalize stage differs
-// only in what the vector is — the merged partials instead of a chunk.
+// Every stage is the same loop, all of it per vector: decode a chunk into
+// a record vector, run it through the kernels in order, write what comes
+// out to the sink. A finalize stage differs only in what the vector is —
+// the merged partials instead of a chunk.
 func runStage(tc *core.TaskCtx, s *stage) error {
 	builds := make(map[*Node]map[uint64][]any, len(s.scans))
 	for i, b := range s.scans {
@@ -589,30 +597,36 @@ func runStage(tc *core.TaskCtx, s *stage) error {
 			}
 		}
 	}
-	sinkFn, err := openSink(tc, s)
+	sink, err := openSink(tc, s)
 	if err != nil {
 		return err
 	}
-	n := vecPrefixLen(s.ops)
-	kernels := lowerVecOps(s.ops[:n])
-	feed, finishAll := pipeline(lowerOps(s.ops[n:], builds), sinkFn)
-	run := func(vec []any) error {
-		var err error
-		for _, k := range kernels {
-			if len(vec) == 0 {
-				break
-			}
-			if vec, err = k(vec); err != nil {
+	kernels := lowerOps(s.ops, builds)
+	// push runs vec through kernels[from:] and into the sink.
+	var push func(from int, vec []any) error
+	push = func(from int, vec []any) error {
+		for i := from; i < len(kernels) && len(vec) > 0; {
+			out, used, err := kernels[i].run(vec)
+			if err != nil {
 				return err
 			}
-		}
-		for _, v := range vec {
-			if err := feed(v); err != nil {
+			if used == len(vec) {
+				vec, i = out, i+1
+				continue
+			}
+			// The kernel's buffer filled part-way through vec: send that
+			// on, then give it the rest.
+			if err := push(i+1, out); err != nil {
 				return err
 			}
+			vec = vec[used:]
 		}
-		return nil
+		if len(vec) == 0 {
+			return nil
+		}
+		return sink(vec)
 	}
+	run := func(vec []any) error { return push(0, vec) }
 	consume := func() (chunk.Chunk, error) { return tc.Remove(0) }
 	if s.finalize {
 		// Drain the partial bag completely, merge by key, and run the
@@ -623,30 +637,37 @@ func runStage(tc *core.TaskCtx, s *stage) error {
 		if err := forEachVec(consume, s.inCodec, mergePartials(g, merged)); err != nil {
 			return err
 		}
-		vec := make([]any, 0, len(merged))
-		for _, k := range sortedKeys(merged) {
-			vec = append(vec, g.MakePartial(k, merged[k]))
-		}
-		if err := run(vec); err != nil {
+		if err := run(partialsOf(g, merged)); err != nil {
 			return err
 		}
 	} else if err := forEachVec(consume, s.inCodec, run); err != nil {
 		return err
 	}
-	return finishAll()
+	// Finishing kernel i flushes its state through kernels i+1.. into the
+	// sink.
+	for i, k := range kernels {
+		if k.finish == nil {
+			continue
+		}
+		if err := push(i+1, k.finish()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// openSink builds the stage's tail write function. Either kind of output
-// is written through encoders this worker asks the output codec for — one
-// for a plain bag, one per leaf for a shuffle edge, where the scatter
-// routes each record by its key word as it is emitted — so the chunks take
-// the codec's layout, and a record is encoded when emitted, never kept.
-func openSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
+// openSink builds the stage's tail write function, which takes a vector
+// at a time. Either kind of output is written through encoders this worker
+// asks the output codec for — one for a plain bag, one per leaf for a
+// shuffle edge, where the scatter routes each record by its key word — so
+// the chunks take the codec's layout, and a record is encoded when
+// written, never kept.
+func openSink(tc *core.TaskCtx, s *stage) (func([]any) error, error) {
 	size := tc.Store().ChunkSize()
 	if s.edgeKeyFn == nil {
 		enc := s.outCodec.NewEncoderAny(size, func(c chunk.Chunk, _ int) error { return tc.Insert(0, c) })
 		tc.OnFinish(enc.Close)
-		return enc.Append, nil
+		return func(vec []any) error { return enc.AppendRows(vec, nil) }, nil
 	}
 	w := tc.ShuffleWriter(0, nil)
 	if w == nil {
@@ -657,7 +678,7 @@ func openSink(tc *core.TaskCtx, s *stage) (func(any) error, error) {
 	}, nil)
 	sc.KeyUint64(s.edgeKeyFn)
 	tc.OnFinish(sc.Close)
-	return sc.Write, nil
+	return sc.WriteBatch, nil
 }
 
 // KeyBytes returns the canonical routing-key byte encoding of a uint64

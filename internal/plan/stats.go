@@ -190,16 +190,15 @@ func (ph *Physical) Seed(ctx context.Context, store *bag.Store, bagName func(str
 	return nil
 }
 
-// Run executes the compiled plan as the cluster's single (primary) job:
-// the Cluster.Run shape with the seed maps carried in the submission,
-// so the scheduler publishes them after admission and before the job's
-// master starts. Source bags must be loaded and sealed.
+// Run executes the compiled plan the way Cluster.Run executes an app —
+// flat bag names, work bags retained — and waits for it: a Submit and a
+// Wait. Source bags must be loaded and sealed.
 func (ph *Physical) Run(ctx context.Context, c *core.Cluster) error {
-	ph.traceDecisions(c.Observer(), ph.App.Name())
-	if err := c.StartWith(ctx, ph.App, core.JobConfig{Seeds: ph.Seeds}); err != nil {
+	h, err := ph.Submit(ctx, c, core.JobConfig{Raw: true, Retain: true})
+	if err != nil {
 		return err
 	}
-	return c.Wait(ctx)
+	return h.Wait(ctx)
 }
 
 // traceDecisions records the compiled join strategies (with the stats

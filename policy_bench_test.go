@@ -88,7 +88,7 @@ func BenchmarkPolicyAblation(b *testing.B) {
 				if err := apps.LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 					b.Fatal(err)
 				}
-				app := apps.GroupByApp(parts, true, true, 5000)
+				app := apps.GroupByApp(parts, true, true, 0, 5000)
 				if err := cluster.Run(ctx, app); err != nil {
 					b.Fatal(err)
 				}
