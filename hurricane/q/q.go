@@ -25,9 +25,7 @@ import (
 	"context"
 
 	"repro/hurricane"
-	"repro/internal/chunk"
 	"repro/internal/plan"
-	"repro/internal/shuffle"
 )
 
 // Re-exported planner types; the q functions below are the typed surface
@@ -104,54 +102,31 @@ func (d *Dataset[T]) Sink(bag string) *Dataset[T] {
 	return d
 }
 
-// anyCodec adapts a typed codec to the planner's untyped record plane.
-// Both directions go through state each worker constructs for itself: a
-// chunk.Decoder per read stream (NewDecoderAny), a chunk.Encoder per write
-// stream (NewEncoderAny) — which is also where the layout of the chunks a
-// compiled stage writes is decided, from the codec alone.
-type anyCodec[T any] struct{ c hurricane.Codec[T] }
-
-func codecOf[T any](c hurricane.Codec[T]) anyCodec[T] { return anyCodec[T]{c: c} }
-
-func (a anyCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
-	d := chunk.NewDecoder(a.c)
-	var vals []T
-	return func(c chunk.Chunk, out []any) ([]any, error) {
-		var err error
-		if vals, err = d.Decode(c, vals[:0]); err != nil {
-			return out, err
-		}
-		for _, v := range vals {
-			out = append(out, v)
-		}
-		return out, nil
-	}
-}
-
-func (a anyCodec[T]) NewEncoderAny(size int, emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
-	return chunk.NewAnyEncoder(a.c, size, emit)
-}
+// The operators below hand the planner typed functions as they are: each
+// plan constructor closes over them in a kernel that works on []T vectors,
+// so a compiled stage never boxes a record. The only type erasure is the
+// *plan.Node a Dataset[T] wraps, undone once per operator when a worker
+// wires its stage.
 
 // Scan reads a source bag. Load and seal it (hurricane.Load /
 // hurricane.Seal) before the compiled job runs — under the JobHandle.Bag
 // name for namespaced submissions.
 func Scan[T any](p *Plan, bag string, codec hurricane.Codec[T]) *Dataset[T] {
-	return &Dataset[T]{p: p, n: p.p.Scan(bag, codecOf(codec))}
+	return &Dataset[T]{p: p, n: plan.Scan(p.p, bag, codec)}
 }
 
 // Filter keeps the records pred accepts. pred is shared by every worker
 // of the compiled stage (originals and clones alike) and must be
 // stateless; see MapPerWorker for stateful per-record operators.
 func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
-	return &Dataset[T]{p: d.p, n: d.p.p.Filter(d.n, func(v any) bool { return pred(v.(T)) })}
+	return &Dataset[T]{p: d.p, n: plan.Filter(d.p.p, d.n, pred)}
 }
 
 // Map transforms each record. fn is shared by every worker of the
 // compiled stage and must be stateless; use MapPerWorker for stateful
 // transforms.
 func Map[T, U any](d *Dataset[T], codec hurricane.Codec[U], fn func(T) U) *Dataset[U] {
-	n := d.p.p.Map(d.n, codecOf(codec), func(v any) (any, error) { return fn(v.(T)), nil })
-	return &Dataset[U]{p: d.p, n: n}
+	return MapPerWorker(d, codec, func() func(T) U { return fn })
 }
 
 // MapPerWorker is Map with worker-local state: factory runs once per
@@ -160,9 +135,9 @@ func Map[T, U any](d *Dataset[T], codec hurricane.Codec[U], fn func(T) U) *Datas
 // cost accounting, caches, counters — which would race if one closure
 // were shared across concurrent clones.
 func MapPerWorker[T, U any](d *Dataset[T], codec hurricane.Codec[U], factory func() func(T) U) *Dataset[U] {
-	n := d.p.p.MapPerWorker(d.n, codecOf(codec), func() func(any) (any, error) {
+	n := plan.MapPerWorker(d.p.p, d.n, codec, func() func(T) (U, error) {
 		fn := factory()
-		return func(v any) (any, error) { return fn(v.(T)), nil }
+		return func(v T) (U, error) { return fn(v), nil }
 	})
 	return &Dataset[U]{p: d.p, n: n}
 }
@@ -171,10 +146,7 @@ func MapPerWorker[T, U any](d *Dataset[T], codec hurricane.Codec[U], factory fun
 // every worker of the compiled stage and must be stateless; see
 // MapPerWorker for stateful per-record operators.
 func FlatMap[T, U any](d *Dataset[T], codec hurricane.Codec[U], fn func(T, func(U) error) error) *Dataset[U] {
-	n := d.p.p.FlatMap(d.n, codecOf(codec), func(v any, emit func(any) error) error {
-		return fn(v.(T), func(u U) error { return emit(u) })
-	})
-	return &Dataset[U]{p: d.p, n: n}
+	return &Dataset[U]{p: d.p, n: plan.FlatMap(d.p.p, d.n, codec, fn)}
 }
 
 // AggregateByKey groups records by key behind a partitioned shuffle edge
@@ -193,22 +165,8 @@ func AggregateByKey[T, A any](
 	add func(A, T) A,
 	merge func(A, A) A,
 ) *Dataset[hurricane.Pair[uint64, A]] {
-	partialCodec := hurricane.PairOf(hurricane.Uint64Of, accCodec)
-	spec := plan.GroupBySpec{
-		Key:          func(v any) uint64 { return key(v.(T)) },
-		Init:         func() any { return init() },
-		Add:          func(acc, rec any) any { return add(acc.(A), rec.(T)) },
-		Merge:        func(a, b any) any { return merge(a.(A), b.(A)) },
-		PartialCodec: codecOf(partialCodec),
-		MakePartial: func(k uint64, acc any) any {
-			return hurricane.Pair[uint64, A]{First: k, Second: acc.(A)}
-		},
-		SplitPartial: func(p any) (uint64, any) {
-			pp := p.(hurricane.Pair[uint64, A])
-			return pp.First, pp.Second
-		},
-	}
-	return &Dataset[hurricane.Pair[uint64, A]]{p: d.p, n: d.p.p.GroupBy(d.n, spec)}
+	spec := plan.GroupBySpec[T, A]{Key: key, AccCodec: accCodec, Init: init, Add: add, Merge: merge}
+	return &Dataset[hurricane.Pair[uint64, A]]{p: d.p, n: plan.GroupBy(d.p.p, d.n, spec)}
 }
 
 // CountByKey counts records per key — AggregateByKey with an int64
@@ -222,16 +180,16 @@ func CountByKey[T any](d *Dataset[T], key func(T) uint64) *Dataset[hurricane.Pai
 }
 
 // JoinOption tweaks one join.
-type JoinOption func(*plan.JoinSpec)
+type JoinOption func(*JoinStrategy)
 
 // WithStrategy pins the physical join strategy instead of letting
 // statistics decide.
 func WithStrategy(s JoinStrategy) JoinOption {
-	return func(spec *plan.JoinSpec) { spec.Strategy = s }
+	return func(strategy *JoinStrategy) { *strategy = s }
 }
 
-// Join equi-joins two datasets: build (hash-loaded in memory by every
-// join worker) and probe (streamed). The physical strategy — shuffled
+// Join equi-joins two datasets: build (loaded into an in-memory table by
+// every join worker) and probe (streamed). The physical strategy — shuffled
 // repartition, broadcast, or a skewed join that pre-isolates
 // heavy-hitter probe keys onto spread fragment consumers — is chosen per
 // edge from compile-time statistics unless pinned with WithStrategy.
@@ -246,18 +204,11 @@ func Join[L, R, O any](
 	join func(L, R, func(O) error) error,
 	opts ...JoinOption,
 ) *Dataset[O] {
-	spec := plan.JoinSpec{
-		BuildKey: func(v any) uint64 { return buildKey(v.(L)) },
-		ProbeKey: func(v any) uint64 { return probeKey(v.(R)) },
-		Codec:    codecOf(codec),
-		Join: func(b, p any, emit func(any) error) error {
-			return join(b.(L), p.(R), func(o O) error { return emit(o) })
-		},
-	}
+	spec := plan.JoinSpec[L, R, O]{BuildKey: buildKey, ProbeKey: probeKey, Codec: codec, Join: join}
 	for _, o := range opts {
-		o(&spec)
+		o(&spec.Strategy)
 	}
-	return &Dataset[O]{p: build.p, n: build.p.p.Join(build.n, probe.n, spec)}
+	return &Dataset[O]{p: build.p, n: plan.Join(build.p.p, build.n, probe.n, spec)}
 }
 
 // TopK keeps the k greatest records under less (less(a, b) reports a
@@ -265,8 +216,7 @@ func Join[L, R, O any](
 // merges upstream AggregateByKey partials first, so ranking happens over
 // finalized per-key values.
 func TopK[T any](d *Dataset[T], k int, less func(a, b T) bool) *Dataset[T] {
-	n := d.p.p.TopK(d.n, k, func(a, b any) bool { return less(a.(T), b.(T)) })
-	return &Dataset[T]{p: d.p, n: n}
+	return &Dataset[T]{p: d.p, n: plan.TopK(d.p.p, d.n, k, less)}
 }
 
 // CollectGrouped reads a sunk AggregateByKey bag and merges its partials

@@ -103,11 +103,11 @@ func rendezvous(n int32) (meet func() func(tuple) tuple, met chan struct{}, arri
 }
 
 // TestConcurrentWorkersOwnTheirDecoders: one compiled plan object is shared
-// by every worker of every stage, codec adapters included, while decode
-// scratch must not be. The join stage of this plan consumes a four-way
+// by every worker of every stage, codecs included, while decode scratch
+// must not be. The join stage of this plan consumes a four-way
 // partitioned edge, so four workers run it at once — proven by a rendezvous
 // inside the stage — each scanning the batch-encoded build side and
-// draining batch chunks of the probe edge through the same adapter. Run
+// draining batch chunks of the probe edge through the same codec. Run
 // under -race; the output must equal the serial join, for the columnar
 // codec and for a row-only view of it.
 func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
@@ -192,10 +192,10 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorkersOwnTheirEncoders is the write-side twin: the codec
-// adapters of a compiled plan are shared by every worker, the encoders they
-// hand out (NewEncoderAny) must not be. Four join workers — running at
-// once, by the same rendezvous — each scatter their output into the
+// TestConcurrentWorkersOwnTheirEncoders is the write-side twin: the codecs
+// of a compiled plan are shared by every worker, the encoders built from
+// them must not be. Four join workers — running at once, by the same
+// rendezvous — each scatter their output into the
 // four-way edge of a CountByKey through leaf encoders of their own, and the
 // count workers behind it each write the sink through one more. Run under
 // -race; the counts must equal the serial ones, with the edge's records

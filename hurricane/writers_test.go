@@ -3,6 +3,7 @@ package hurricane_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -217,4 +218,92 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 			}
 		}
 	}
+
+	// The bytes a compiled plan writes are part of its contract too: a
+	// one-worker join of the same stream against four build records per key
+	// must leave exactly the sink chunks it left before compiled plans
+	// carried typed vectors (digest taken at PR 16).
+	const goldenJoinSink = "7:fcae94b90950a80694b0727fabf8d2547200d340ae03d0fd97ce6092d288227d"
+	if got := compiledJoinSinkDigest(t, stream); got != goldenJoinSink {
+		t.Errorf("compiled join sink chunks digest %s, golden %s", got, goldenJoinSink)
+	}
+}
+
+// sinkTap keeps every chunk inserted into one bag.
+type sinkTap struct {
+	transport.Client
+	bag    string
+	mu     sync.Mutex
+	chunks []chunk.Chunk
+}
+
+func (c *sinkTap) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
+	if name, _, _ := strings.Cut(req.Bag, "#"); req.Op == transport.OpInsert && name == c.bag {
+		c.mu.Lock()
+		c.chunks = append(c.chunks, req.Data)
+		c.mu.Unlock()
+	}
+	return c.Client.Call(ctx, node, req)
+}
+
+// compiledJoinSinkDigest runs build ⋈ probe as a compiled plan on one
+// worker slot with every mitigation off and digests the sink's chunks: the
+// SHA-256 of their SHA-256s in sorted order (the four join workers run one
+// after another, in no fixed order). A bag hands its chunks out in no fixed
+// order either, so the chunk size is one that keeps each source and each
+// edge partition a single chunk — every worker sees its records in stream
+// order — while the join's output, four times its input, is cut into
+// several chunks per worker.
+func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
+	t.Helper()
+	var build []tuple
+	for k := uint64(0); k < 4096; k++ {
+		for d := uint64(0); d < 4; d++ {
+			build = append(build, tuple{First: k, Second: k*3 + d})
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	inproc := transport.NewInProc()
+	inproc.Register("s0", storage.NewNode("s0"))
+	tap := &sinkTap{Client: inproc, bag: "joined"}
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: tap, ChunkSize: 1 << 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
+		ComputeNodes: 1, SlotsPerNode: 1,
+		Node:   core.NodeConfig{PollInterval: time.Millisecond, HeartbeatInterval: 2 * time.Millisecond},
+		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true, DisableSplitting: true},
+	})
+	defer cluster.Shutdown()
+	for name, recs := range map[string][]tuple{"R": build, "S": probe} {
+		if err := hurricane.LoadBatch(ctx, store, name, tupleCodec, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := hurricane.Seal(ctx, store, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := q.New("golden")
+	key := func(v tuple) uint64 { return v.First }
+	matches := hurricane.PairOf(hurricane.Uint64Of, hurricane.PairOf(hurricane.Uint64FixedOf, hurricane.Uint64FixedOf))
+	q.Join(q.Scan(p, "R", tupleCodec), q.Scan(p, "S", tupleCodec), key, key, matches,
+		func(b, s tuple, emit func(hurricane.Pair[uint64, tuple]) error) error {
+			return emit(hurricane.Pair[uint64, tuple]{First: s.First, Second: tuple{First: b.Second, Second: s.Second}})
+		}).Sink("joined")
+	compiled, err := p.Compile(q.Options{Parts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compiled.Run(ctx, cluster); err != nil {
+		t.Fatal(err)
+	}
+	sums := make([]string, len(tap.chunks))
+	for i, c := range tap.chunks {
+		sum := sha256.Sum256(c)
+		sums[i] = string(sum[:])
+	}
+	sort.Strings(sums)
+	return fmt.Sprintf("%d:%x", len(sums), sha256.Sum256([]byte(strings.Join(sums, ""))))
 }

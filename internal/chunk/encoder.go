@@ -168,33 +168,3 @@ func (e *Encoder[T]) Close() error {
 	}
 	return err
 }
-
-// AnyEncoder is an Encoder of boxed values, for the query planner's untyped
-// record plane: each value must hold a T.
-type AnyEncoder[T any] struct {
-	*Encoder[T]
-	vals []T
-}
-
-// NewAnyEncoder returns NewEncoder(codec, size, emit) taking boxed values.
-func NewAnyEncoder[T any](codec Codec[T], size int, emit func(c Chunk, rows int) error) *AnyEncoder[T] {
-	return &AnyEncoder[T]{Encoder: NewEncoder(codec, size, emit)}
-}
-
-// Append adds one boxed value.
-func (e *AnyEncoder[T]) Append(v any) error { return e.Encoder.Append(v.(T)) }
-
-// AppendRows adds the selected boxed values of vs (all when idx is nil).
-func (e *AnyEncoder[T]) AppendRows(vs []any, idx []int32) error {
-	e.vals = e.vals[:0]
-	if idx == nil {
-		for _, v := range vs {
-			e.vals = append(e.vals, v.(T))
-		}
-	} else {
-		for _, i := range idx {
-			e.vals = append(e.vals, vs[i].(T))
-		}
-	}
-	return e.Encoder.AppendRows(e.vals, nil)
-}

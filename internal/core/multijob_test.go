@@ -323,6 +323,90 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 	}
 }
 
+// heldClaim is a storage handler that holds the reply to the first
+// successful remove from a ready work bag — a blueprint that now exists
+// only in that reply — until release is closed.
+type heldClaim struct {
+	inner   transport.Handler
+	first   atomic.Bool
+	entered chan struct{} // closed when the claim is held
+	release chan struct{} // closed by the test to deliver it
+}
+
+func (h *heldClaim) Handle(req *transport.Request) *transport.Response {
+	resp := h.inner.Handle(req)
+	if req.Op == transport.OpRemove && strings.Contains(req.Bag, "!ready#") && resp.OK() && h.first.CompareAndSwap(false, true) {
+		close(h.entered)
+		<-h.release
+	}
+	return resp
+}
+
+// TestStopWaitsForClaimInFlight: a graceful Stop must not cancel a node
+// whose schedule loop has taken a blueprint out of the ready bag but not
+// yet registered its worker — the node looks idle, and a blueprint dropped
+// there is in no bag the master will ever look at. The storage tier holds
+// the reply carrying the job's first blueprint until the node has been told
+// to stop; the job must still finish, every record processed once.
+func TestStopWaitsForClaimInFlight(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hd := &heldClaim{inner: storage.NewNode("storage-0"), entered: make(chan struct{}), release: make(chan struct{})}
+	inproc := transport.NewInProc()
+	inproc.Register("storage-0", hd)
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testClusterConfig()
+	cfg.ComputeNodes = 1
+	cluster := NewClusterOverStore(store, cfg)
+	defer cluster.Shutdown()
+
+	const n = 2000
+	var proc atomic.Int64
+	h, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadIntsBag(t, ctx, store, h.Bag("in"), n)
+	select {
+	case <-hd.entered:
+	case <-ctx.Done():
+		t.Fatal("no node claimed the job's first blueprint")
+	}
+	// The rest of the job needs somewhere to run once compute-0 is gone.
+	if _, err := cluster.AddComputeNode(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cluster.mu.Lock()
+	victim := cluster.computes["compute-0"]
+	cluster.mu.Unlock()
+	removed := make(chan error, 1)
+	go func() { removed <- cluster.RemoveComputeNode("compute-0") }()
+	for !victim.Draining() {
+		if ctx.Err() != nil {
+			t.Fatal("compute-0 never began to drain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Long enough for a Stop that saw no workers to have cancelled the node.
+	time.Sleep(30 * cfg.Node.PollInterval)
+	close(hd.release)
+
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer wcancel()
+	if err := h.Wait(wctx); err != nil {
+		t.Fatalf("job: %v (the blueprint claimed while the node was stopped was lost)", err)
+	}
+	if err := <-removed; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readSumBag(t, ctx, store, h.Bag("out")), int64(n)*(n-1)/2; got != want || proc.Load() != n {
+		t.Fatalf("sum = %d over %d processed records, want %d over %d", got, proc.Load(), want, n)
+	}
+}
+
 // TestSubmitCollisionValidation: the registry rejects, with a clear
 // error, submissions whose physical bag names could cross-talk with a
 // live job's — including names only derived at runtime.

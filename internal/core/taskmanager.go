@@ -107,6 +107,12 @@ type ComputeNode struct {
 	workers  map[string]*workerEntry // keyed by job + "/" + blueprint ID
 	crashed  bool
 	draining bool
+	// claiming is set while the schedule loop is between deciding to claim
+	// (not draining, a slot free) and having either registered the claimed
+	// blueprint's worker or given the claim up: a blueprint it has already
+	// removed from a ready bag exists nowhere else, so Stop waits this out
+	// like a running worker.
+	claiming bool
 }
 
 // NodeConfig tunes a compute node's scheduling and monitoring loops.
@@ -216,7 +222,7 @@ func (n *ComputeNode) Stop() {
 	n.BeginDrain()
 	for {
 		n.mu.Lock()
-		idle := len(n.workers) == 0
+		idle := len(n.workers) == 0 && !n.claiming
 		n.mu.Unlock()
 		if idle {
 			break
@@ -377,6 +383,7 @@ func (n *ComputeNode) scheduleLoop() {
 		if n.draining {
 			free = 0 // no new claims while draining
 		}
+		n.claiming = free > 0 // under the lock that read draining: see Stop
 		n.mu.Unlock()
 		if free <= 0 {
 			if !sleepCtx(n.ctx, n.cfg.PollInterval) {
@@ -402,6 +409,9 @@ func (n *ComputeNode) scheduleLoop() {
 			claimed = true
 			break
 		}
+		n.mu.Lock()
+		n.claiming = false
+		n.mu.Unlock()
 		if !claimed {
 			if !sleepCtx(n.ctx, n.cfg.PollInterval) {
 				return

@@ -14,9 +14,9 @@ import (
 // critical-path footer.
 func TestExplainAnalyzePinned(t *testing.T) {
 	p := New("j")
-	r := p.Scan("relR", pairCodec)
-	s := p.Scan("relS", pairCodec)
-	j := p.Join(r, s, joinSpec(JoinAuto))
+	r := Scan(p, "relR", pairCodec)
+	s := Scan(p, "relS", pairCodec)
+	j := Join(p, r, s, joinSpec(JoinAuto))
 	p.Sink(j, "out")
 	ph, err := Compile(p, Options{Parts: 4, Stats: withRecords(zipfStats("relS", 200000), "relR", 1<<20)})
 	if err != nil {

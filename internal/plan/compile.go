@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/shuffle"
@@ -129,25 +128,31 @@ type compiler struct {
 
 // stage is one task under construction.
 type stage struct {
-	name      string
-	head      string // scan | edge | finalize | topk
-	consume   string // consumed bag
-	inCodec   AnyCodec
-	inNode    *Node // node whose records enter the stage
-	finalize  bool  // drain + merge groupby partials before streaming
-	scans     []scanSide
-	ops       []*Node // operator chain applied to entering records
-	out       string  // output bag
-	outCodec  AnyCodec
-	edgeKeyFn func(any) uint64 // non-nil when the tail writes a shuffle edge
-	inEdge    bool             // consume is a partitioned edge
-	noClone   bool
+	name     string
+	head     string // scan | edge | finalize | topk
+	consume  string // consumed bag
+	inNode   *Node  // node whose records enter the stage
+	finalize bool   // drain + merge groupby partials before streaming
+	scans    []scanSide
+	ops      []*Node // operator chain applied to entering records
+	out      string  // output bag
+	edgeKey  any     // non-nil when the tail writes a shuffle edge: the consuming wide node's edgeKey
+	inEdge   bool    // consume is a partitioned edge
+	noClone  bool
 }
 
+// last returns the node whose records leave the stage.
+func (s *stage) last() *Node {
+	if len(s.ops) > 0 {
+		return s.ops[len(s.ops)-1]
+	}
+	return s.inNode
+}
+
+// scanSide is one join's build side, read in full by every worker.
 type scanSide struct {
 	bagName string
-	node    *Node            // build-side node (codec + finalize info)
-	joinKey func(any) uint64 // the consuming join's BuildKey
+	join    *Node // the join it feeds; join.in[0] holds the build records
 }
 
 // Compile lowers the logical plan into an executable Physical.
@@ -213,7 +218,7 @@ func (c *compiler) newStage(n *Node) *stage {
 // forces NoClone (one worker must see every partial of a key).
 func (c *compiler) readerStage(n *Node) *stage {
 	s := c.newStage(n)
-	s.consume, s.inCodec, s.inNode = c.materialized(n), n.codec, n
+	s.consume, s.inNode = c.materialized(n), n
 	if n.kind == opGroupBy {
 		s.head, s.finalize, s.noClone = "finalize", true, true
 	} else {
@@ -227,7 +232,7 @@ func (c *compiler) readerStage(n *Node) *stage {
 // materialized (GroupBy partials).
 func (c *compiler) producerStage(n *Node) *stage {
 	if n.kind != opGroupBy {
-		if s := c.stageOf[n]; s != nil && s.out == "" && s.edgeKeyFn == nil {
+		if s := c.stageOf[n]; s != nil && s.out == "" {
 			return s
 		}
 	}
@@ -271,7 +276,7 @@ func (c *compiler) build() error {
 				continue
 			}
 			s := c.newStage(n)
-			s.head, s.consume, s.inCodec, s.inNode = "scan", n.bag, n.codec, n
+			s.head, s.consume, s.inNode = "scan", n.bag, n
 
 		case opFilter, opMap, opFlatMap:
 			// Narrow operators fuse into the stage producing their input.
@@ -286,13 +291,12 @@ func (c *compiler) build() error {
 			up := c.producerStage(n.in[0])
 			spread := !c.opts.Static
 			c.declareEdge(edge, spread)
-			up.out, up.outCodec = edge, n.in[0].codec
-			up.edgeKeyFn = n.gb.Key
+			up.out, up.edgeKey = edge, n.edgeKey
 			c.seedEdge(edge, n.in[0], spread)
 			// Consumer side: the aggregate stage (one worker per physical
 			// partition; clones allowed — partials merge downstream).
 			s := c.newStage(n)
-			s.head, s.consume, s.inCodec, s.inNode = "edge", edge, n.in[0].codec, n.in[0]
+			s.head, s.consume, s.inNode = "edge", edge, n.in[0]
 			s.inEdge = true
 			s.noClone = c.opts.Static
 			s.ops = append(s.ops, n)
@@ -300,7 +304,7 @@ func (c *compiler) build() error {
 		case opJoin:
 			info := strategies[n]
 			build, probe := n.in[0], n.in[1]
-			bs := scanSide{bagName: c.materialized(build), node: build, joinKey: n.join.BuildKey}
+			bs := scanSide{bagName: c.materialized(build), join: n}
 			if info.Strategy == JoinBroadcast {
 				// No shuffle: the join fuses into the probe-side stage;
 				// clones split the probe chunk-by-chunk and each scans the
@@ -317,13 +321,12 @@ func (c *compiler) build() error {
 			up := c.producerStage(probe)
 			spread := !c.opts.Static
 			c.declareEdge(info.Edge, spread)
-			up.out, up.outCodec = info.Edge, probe.codec
-			up.edgeKeyFn = n.join.ProbeKey
+			up.out, up.edgeKey = info.Edge, n.edgeKey
 			if info.Strategy == JoinSkewed {
 				c.seedEdge(info.Edge, probe, spread)
 			}
 			s := c.newStage(n)
-			s.head, s.consume, s.inCodec, s.inNode = "edge", info.Edge, probe.codec, probe
+			s.head, s.consume, s.inNode = "edge", info.Edge, probe
 			s.inEdge = true
 			s.noClone = c.opts.Static
 			s.scans = append(s.scans, bs)
@@ -346,15 +349,11 @@ func (c *compiler) build() error {
 		if s.out != "" {
 			continue
 		}
-		last := s.inNode
-		if len(s.ops) > 0 {
-			last = s.ops[len(s.ops)-1]
-		}
-		if name, ok := c.sinkFor(last); ok {
+		if name, ok := c.sinkFor(s.last()); ok {
 			c.ph.sinks[name] = name
-			s.out, s.outCodec = name, last.codec
+			s.out = name
 		} else {
-			s.out, s.outCodec = c.materialized(last), last.codec
+			s.out = c.materialized(s.last())
 		}
 		c.declareBag(s.out)
 	}
@@ -369,7 +368,7 @@ func (c *compiler) build() error {
 		c.emitTask(s)
 		info := StageInfo{
 			Task: s.name, Head: s.head, Consumes: s.consume, Output: s.out,
-			ConsumesEdge: s.inEdge, WritesEdge: s.edgeKeyFn != nil, NoClone: s.noClone,
+			ConsumesEdge: s.inEdge, WritesEdge: s.edgeKey != nil, NoClone: s.noClone,
 		}
 		for _, b := range s.scans {
 			info.Scans = append(info.Scans, b.bagName)
@@ -418,150 +417,6 @@ func (c *compiler) declareEdge(name string, spread bool) {
 
 // ---- task synthesis ----
 
-// maxVector bounds the buffer of an operator that emits several records
-// per input record: past it the operator hands on what it has before it
-// takes more input, so a probe vector of a heavy many-to-many join key
-// never materializes all its matches at once.
-const maxVector = 1 << 14
-
-// kernel is one operator lowered to executable form, over record vectors.
-type kernel struct {
-	// run takes an input vector and returns the operator's output for its
-	// first used records. The output is the input itself, compacted or
-	// rewritten in place, or a buffer the kernel owns; either is valid
-	// until the kernel's next call. Only an operator emitting several
-	// records per input record stops short of len(in) (maxVector).
-	run func(in []any) (out []any, used int, err error)
-	// finish, when set, returns what the operator held back — aggregates,
-	// the top k — once its input is exhausted.
-	finish func() []any
-}
-
-// lowerOps compiles a stage's operator chain, once per worker run: the
-// per-worker factories run here and operator state lives in the kernels,
-// so clones get their own. Join ops resolve their build table through
-// builds (hash-loaded at task start).
-func lowerOps(ops []*Node, builds map[*Node]map[uint64][]any) []kernel {
-	out := make([]kernel, 0, len(ops))
-	for _, n := range ops {
-		switch n.kind {
-		case opFilter:
-			pred := n.filterF()
-			out = append(out, kernel{run: func(in []any) ([]any, int, error) {
-				kept := in[:0]
-				for _, v := range in {
-					if pred(v) {
-						kept = append(kept, v)
-					}
-				}
-				return kept, len(in), nil
-			}})
-		case opMap:
-			fn := n.mapF()
-			out = append(out, kernel{run: func(in []any) ([]any, int, error) {
-				for i, v := range in {
-					m, err := fn(v)
-					if err != nil {
-						return nil, 0, err
-					}
-					in[i] = m
-				}
-				return in, len(in), nil
-			}})
-		case opFlatMap:
-			out = append(out, expand(n.flatF()))
-		case opJoin:
-			j, table := n.join, builds[n]
-			out = append(out, expand(func(v any, emit func(any) error) error {
-				for _, b := range table[j.ProbeKey(v)] {
-					if err := j.Join(b, v, emit); err != nil {
-						return err
-					}
-				}
-				return nil
-			}))
-		case opGroupBy:
-			g := n.gb
-			groups := make(map[uint64]any)
-			out = append(out, kernel{
-				run: func(in []any) ([]any, int, error) {
-					for _, v := range in {
-						k := g.Key(v)
-						acc, ok := groups[k]
-						if !ok {
-							acc = g.Init()
-						}
-						groups[k] = g.Add(acc, v)
-					}
-					return nil, len(in), nil
-				},
-				finish: func() []any { return partialsOf(g, groups) },
-			})
-		case opTopK:
-			k, less := n.k, n.less
-			var top []any
-			out = append(out, kernel{
-				run: func(in []any) ([]any, int, error) {
-					for _, v := range in {
-						// Insertion into a k-bounded, descending-sorted slice:
-						// k is small, the input is already aggregated.
-						i := sort.Search(len(top), func(i int) bool { return less(top[i], v) })
-						if i >= k {
-							continue
-						}
-						top = append(top, nil)
-						copy(top[i+1:], top[i:])
-						top[i] = v
-						if len(top) > k {
-							top = top[:k]
-						}
-					}
-					return nil, len(in), nil
-				},
-				finish: func() []any { return top },
-			})
-		}
-	}
-	return out
-}
-
-// expand lowers an operator that emits any number of records per input
-// record — each emits those of one — into a buffer the kernel owns.
-func expand(each func(v any, emit func(any) error) error) kernel {
-	var buf []any
-	emit := func(v any) error {
-		buf = append(buf, v)
-		return nil
-	}
-	return kernel{run: func(in []any) ([]any, int, error) {
-		buf = buf[:0]
-		for i, v := range in {
-			if err := each(v, emit); err != nil {
-				return nil, 0, err
-			}
-			if len(buf) >= maxVector {
-				return buf, i + 1, nil
-			}
-		}
-		return buf, len(in), nil
-	}}
-}
-
-// partialsOf boxes one accumulator per key into partial records, in key
-// order.
-func partialsOf(g *GroupBySpec, accs map[uint64]any) []any {
-	keys := make([]uint64, 0, len(accs))
-	for k := range accs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	vec := make([]any, len(keys))
-	for i, k := range keys {
-		vec[i] = g.MakePartial(k, accs[k])
-	}
-	return vec
-}
-
 // emitTask lowers one stage into a core TaskSpec.
 func (c *compiler) emitTask(s *stage) {
 	spec := core.TaskSpec{
@@ -577,108 +432,57 @@ func (c *compiler) emitTask(s *stage) {
 	c.app.AddTask(spec)
 }
 
-// runStage executes one compiled stage inside a worker. All per-run
-// state (decoder, aggregation maps, top-k buffers, build tables) is
-// created here, so any number of workers run the same stage concurrently.
-// Every stage is the same loop, all of it per vector: decode a chunk into
-// a record vector, run it through the kernels in order, write what comes
-// out to the sink. A finalize stage differs only in what the vector is —
-// the merged partials instead of a chunk.
+// runStage executes one compiled stage inside a worker. All per-run state
+// (decoder, kernels with their buffers and aggregation state, build tables,
+// encoders) is created here, so any number of workers run the same stage
+// concurrently. Every stage is the same pipeline, all of it per vector:
+// decode a chunk into a record vector, hand it through the kernels in order,
+// write what comes out to the sink. It is wired back to front — each kernel
+// is given its downstream vector function — which is the only place record
+// types are erased. A finalize stage differs only in what the vector is: the
+// merged partials instead of a chunk.
 func runStage(tc *core.TaskCtx, s *stage) error {
-	builds := make(map[*Node]map[uint64][]any, len(s.scans))
+	tables := make(map[*Node]any, len(s.scans))
 	for i, b := range s.scans {
-		m, err := loadBuild(tc, i, b)
+		t, err := b.join.loadTable(func() (chunk.Chunk, error) { return tc.Scan(i) })
 		if err != nil {
 			return err
 		}
-		for _, op := range s.ops {
-			if op.kind == opJoin && op.in[0] == b.node {
-				builds[op] = m
-			}
-		}
+		tables[b.join] = t
 	}
-	sink, err := openSink(tc, s)
+	down, err := s.last().rec.sink(tc, s.edgeKey)
 	if err != nil {
+		return fmt.Errorf("plan: stage %s: %w", s.name, err)
+	}
+	kernels := make([]kernel, len(s.ops))
+	for i := len(s.ops) - 1; i >= 0; i-- {
+		kernels[i] = s.ops[i].wire(down, tables[s.ops[i]])
+		down = kernels[i].in
+	}
+	if err := s.inNode.read(func() (chunk.Chunk, error) { return tc.Remove(0) }, s.finalize, down); err != nil {
 		return err
 	}
-	kernels := lowerOps(s.ops, builds)
-	// push runs vec through kernels[from:] and into the sink.
-	var push func(from int, vec []any) error
-	push = func(from int, vec []any) error {
-		for i := from; i < len(kernels) && len(vec) > 0; {
-			out, used, err := kernels[i].run(vec)
-			if err != nil {
-				return err
-			}
-			if used == len(vec) {
-				vec, i = out, i+1
-				continue
-			}
-			// The kernel's buffer filled part-way through vec: send that
-			// on, then give it the rest.
-			if err := push(i+1, out); err != nil {
-				return err
-			}
-			vec = vec[used:]
-		}
-		if len(vec) == 0 {
-			return nil
-		}
-		return sink(vec)
-	}
-	run := func(vec []any) error { return push(0, vec) }
-	consume := func() (chunk.Chunk, error) { return tc.Remove(0) }
-	if s.finalize {
-		// Drain the partial bag completely, merge by key, and run the
-		// finalized records through in key order. The stage is NoClone, so
-		// this worker sees every partial.
-		g := s.inNode.gb
-		merged := make(map[uint64]any)
-		if err := forEachVec(consume, s.inCodec, mergePartials(g, merged)); err != nil {
-			return err
-		}
-		if err := run(partialsOf(g, merged)); err != nil {
-			return err
-		}
-	} else if err := forEachVec(consume, s.inCodec, run); err != nil {
-		return err
-	}
-	// Finishing kernel i flushes its state through kernels i+1.. into the
-	// sink.
-	for i, k := range kernels {
+	// In operator order, so what kernel i held back still passes through
+	// kernels i+1.. before they finish.
+	for _, k := range kernels {
 		if k.finish == nil {
 			continue
 		}
-		if err := push(i+1, k.finish()); err != nil {
+		if err := k.finish(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// openSink builds the stage's tail write function, which takes a vector
-// at a time. Either kind of output is written through encoders this worker
-// asks the output codec for — one for a plain bag, one per leaf for a
-// shuffle edge, where the scatter routes each record by its key word — so
-// the chunks take the codec's layout, and a record is encoded when
-// written, never kept.
-func openSink(tc *core.TaskCtx, s *stage) (func([]any) error, error) {
-	size := tc.Store().ChunkSize()
-	if s.edgeKeyFn == nil {
-		enc := s.outCodec.NewEncoderAny(size, func(c chunk.Chunk, _ int) error { return tc.Insert(0, c) })
-		tc.OnFinish(enc.Close)
-		return func(vec []any) error { return enc.AppendRows(vec, nil) }, nil
+// read hands down n's materialized records, a vector per chunk of src — or,
+// merged (a GroupBy's partials; the reading stage is NoClone, so this worker
+// sees every one), one vector of finalized records in key order.
+func (n *Node) read(src chunkSource, merged bool, down any) error {
+	if merged {
+		return n.readMerged(src, down)
 	}
-	w := tc.ShuffleWriter(0, nil)
-	if w == nil {
-		return nil, fmt.Errorf("plan: stage %s output %q is not partitioned", s.name, tc.OutputName(0))
-	}
-	sc := shuffle.NewScatterOf(w, func(emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
-		return s.outCodec.NewEncoderAny(size, emit)
-	}, nil)
-	sc.KeyUint64(s.edgeKeyFn)
-	tc.OnFinish(sc.Close)
-	return sc.WriteBatch, nil
+	return n.rec.read(src, down)
 }
 
 // KeyBytes returns the canonical routing-key byte encoding of a uint64
@@ -688,73 +492,6 @@ func KeyBytes(k uint64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], k)
 	return b[:]
-}
-
-// forEachVec decodes every chunk next yields, until bag.ErrEmpty, through
-// a decoder of its own and hands fn the records. The vector is reused
-// between calls.
-func forEachVec(next func() (chunk.Chunk, error), codec AnyCodec, fn func(vec []any) error) error {
-	decode := codec.NewDecoderAny()
-	var vec []any
-	for {
-		c, err := next()
-		if err == bag.ErrEmpty {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if vec, err = decode(c, vec[:0]); err != nil {
-			return err
-		}
-		if err := fn(vec); err != nil {
-			return err
-		}
-	}
-}
-
-// mergePartials returns a vector body folding GroupBy partials into
-// merged, one accumulator per key.
-func mergePartials(g *GroupBySpec, merged map[uint64]any) func([]any) error {
-	return func(vec []any) error {
-		for _, v := range vec {
-			k, acc := g.SplitPartial(v)
-			if prev, ok := merged[k]; ok {
-				merged[k] = g.Merge(prev, acc)
-			} else {
-				merged[k] = acc
-			}
-		}
-		return nil
-	}
-}
-
-// loadBuild hash-loads a join build side: join key -> build records. A
-// GroupBy build side is finalized while loading (partials of one key
-// merge into a single accumulator before keying).
-func loadBuild(tc *core.TaskCtx, scanInput int, b scanSide) (map[uint64][]any, error) {
-	scan := func() (chunk.Chunk, error) { return tc.Scan(scanInput) }
-	out := make(map[uint64][]any)
-	if b.node.kind == opGroupBy {
-		g := b.node.gb
-		merged := make(map[uint64]any)
-		if err := forEachVec(scan, b.node.codec, mergePartials(g, merged)); err != nil {
-			return nil, err
-		}
-		for k, acc := range merged {
-			rec := g.MakePartial(k, acc)
-			out[b.joinKey(rec)] = append(out[b.joinKey(rec)], rec)
-		}
-		return out, nil
-	}
-	err := forEachVec(scan, b.node.codec, func(vec []any) error {
-		for _, v := range vec {
-			k := b.joinKey(v)
-			out[k] = append(out[k], v)
-		}
-		return nil
-	})
-	return out, err
 }
 
 // ---- explain ----

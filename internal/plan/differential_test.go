@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"testing"
@@ -14,97 +16,186 @@ import (
 	"repro/internal/core"
 )
 
-// interpret is the naive reference for a logical plan: one goroutine, one
-// node at a time in creation order, one record at a time, every
-// intermediate result a slice in memory. A GroupBy node's value is one
-// finalized partial per key. It returns each sink's records.
-func interpret(p *Plan, sources map[string][]any) (map[string][]any, error) {
-	vals := make(map[*Node][]any)
-	for _, n := range p.nodes {
-		var out []any
-		emit := func(v any) error {
-			out = append(out, v)
-			return nil
-		}
-		switch n.Kind() {
-		case "scan":
-			out = sources[n.bag]
-		case "filter":
-			pred := n.filterF()
-			for _, v := range vals[n.in[0]] {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-		case "map":
-			fn := n.mapF()
-			for _, v := range vals[n.in[0]] {
-				m, err := fn(v)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, m)
-			}
-		case "flatmap":
-			fn := n.flatF()
-			for _, v := range vals[n.in[0]] {
-				if err := fn(v, emit); err != nil {
-					return nil, err
-				}
-			}
-		case "groupby":
-			out = groupNaive(n.gb, vals[n.in[0]])
-		case "join":
-			for _, pr := range vals[n.in[1]] {
-				for _, b := range vals[n.in[0]] {
-					if n.join.BuildKey(b) == n.join.ProbeKey(pr) {
-						if err := n.join.Join(b, pr, emit); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-		case "topk":
-			out = append(out, vals[n.in[0]]...)
-			sort.SliceStable(out, func(i, j int) bool { return n.less(out[j], out[i]) })
-			if len(out) > n.k {
-				out = out[:n.k]
-			}
-		}
-		vals[n] = out
-	}
-	sinks := make(map[string][]any)
-	for _, s := range p.sinks {
-		sinks[s.bag] = vals[s.node]
-	}
-	return sinks, nil
+// ds is one dataset of a differential case in both worlds: the node the
+// generic constructors built, and eval — the naive reference for it: one
+// goroutine, one record at a time, every intermediate result a slice in
+// memory, no engine kernel called. A GroupBy's value is one finalized
+// partial per key.
+type ds[T any] struct {
+	n     *Node
+	codec chunk.Codec[T]
+	eval  func() ([]T, error)
+	// settle is what a reader of the directly sunk dataset must do to its
+	// records: merge a GroupBy's partials per key. Nil otherwise.
+	settle func([]T) []T
 }
 
-// groupNaive aggregates recs by key into one partial per key.
-func groupNaive(g *GroupBySpec, recs []any) []any {
-	accs := make(map[uint64]any)
+// world is one differential case under construction.
+type world struct {
+	p     *Plan
+	loads map[string]func(ctx context.Context, store *bag.Store) error
+	sinks map[string]sinkD
+}
+
+// sinkD is one sink: the interpreter's records, and how to read the
+// compiled plan's.
+type sinkD struct {
+	want func() ([]string, error)
+	got  func(ctx context.Context, store *bag.Store, bagName string) ([]string, error)
+}
+
+func scanD[T any](w *world, name string, codec chunk.Codec[T], recs []T) ds[T] {
+	w.loads[name] = func(ctx context.Context, store *bag.Store) error {
+		return loadBag(ctx, store, name, codec, recs)
+	}
+	return ds[T]{n: Scan(w.p, name, codec), codec: codec, eval: func() ([]T, error) { return recs, nil }}
+}
+
+func filterD[T any](w *world, in ds[T], pred func(T) bool) ds[T] {
+	return ds[T]{n: Filter(w.p, in.n, pred), codec: in.codec, eval: func() ([]T, error) {
+		recs, err := in.eval()
+		var out []T
+		for _, v := range recs {
+			if pred(v) {
+				out = append(out, v)
+			}
+		}
+		return out, err
+	}}
+}
+
+func mapD[T, U any](w *world, in ds[T], codec chunk.Codec[U], fn func(T) (U, error)) ds[U] {
+	return flatD(in, Map(w.p, in.n, codec, fn), codec, func(v T, emit func(U) error) error {
+		u, err := fn(v)
+		if err != nil {
+			return err
+		}
+		return emit(u)
+	})
+}
+
+func flatMapD[T, U any](w *world, in ds[T], codec chunk.Codec[U], fn func(T, func(U) error) error) ds[U] {
+	return flatD(in, FlatMap(w.p, in.n, codec, fn), codec, fn)
+}
+
+// flatD is the interpreter for a per-record operator.
+func flatD[T, U any](in ds[T], n *Node, codec chunk.Codec[U], each func(T, func(U) error) error) ds[U] {
+	return ds[U]{n: n, codec: codec, eval: func() ([]U, error) {
+		recs, err := in.eval()
+		if err != nil {
+			return nil, err
+		}
+		var out []U
+		for _, v := range recs {
+			if err := each(v, func(u U) error { out = append(out, u); return nil }); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}}
+}
+
+// foldByKey aggregates recs into one (key, accumulator) per key, in
+// first-seen order.
+func foldByKey[T, A any](recs []T, key func(T) uint64, fresh func(T) A, add func(A, T) A) []chunk.Pair[uint64, A] {
+	accs := make(map[uint64]A)
 	var order []uint64
 	for _, v := range recs {
-		k := g.Key(v)
-		acc, ok := accs[k]
-		if !ok {
-			acc = g.Init()
+		k := key(v)
+		if acc, ok := accs[k]; ok {
+			accs[k] = add(acc, v)
+		} else {
+			accs[k] = fresh(v)
 			order = append(order, k)
 		}
-		accs[k] = g.Add(acc, v)
 	}
-	out := make([]any, 0, len(order))
-	for _, k := range order {
-		out = append(out, g.MakePartial(k, accs[k]))
+	out := make([]chunk.Pair[uint64, A], len(order))
+	for i, k := range order {
+		out[i] = chunk.Pair[uint64, A]{First: k, Second: accs[k]}
 	}
 	return out
 }
 
-// runCompiled loads sources into a fresh cluster of the given worker
+func groupByD[T, A any](w *world, in ds[T], spec GroupBySpec[T, A]) ds[chunk.Pair[uint64, A]] {
+	type partial = chunk.Pair[uint64, A]
+	codec := chunk.Codec[partial](chunk.PairCodec[uint64, A]{A: chunk.Uint64Codec{}, B: spec.AccCodec})
+	return ds[partial]{n: GroupBy(w.p, in.n, spec), codec: codec,
+		eval: func() ([]partial, error) {
+			recs, err := in.eval()
+			return foldByKey(recs, spec.Key, func(v T) A { return spec.Add(spec.Init(), v) }, spec.Add), err
+		},
+		settle: func(recs []partial) []partial {
+			return foldByKey(recs, func(v partial) uint64 { return v.First },
+				func(v partial) A { return v.Second }, func(a A, v partial) A { return spec.Merge(a, v.Second) })
+		},
+	}
+}
+
+func joinD[L, R, O any](w *world, build ds[L], probe ds[R], spec JoinSpec[L, R, O]) ds[O] {
+	return flatD(probe, Join(w.p, build.n, probe.n, spec), spec.Codec, func(pr R, emit func(O) error) error {
+		rows, err := build.eval()
+		if err != nil {
+			return err
+		}
+		for _, b := range rows {
+			if spec.BuildKey(b) == spec.ProbeKey(pr) {
+				if err := spec.Join(b, pr, emit); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
+func topKD[T any](w *world, in ds[T], k int, less func(a, b T) bool) ds[T] {
+	return ds[T]{n: TopK(w.p, in.n, k, less), codec: in.codec, eval: func() ([]T, error) {
+		recs, err := in.eval()
+		out := append([]T(nil), recs...)
+		sort.SliceStable(out, func(i, j int) bool { return less(out[j], out[i]) })
+		if len(out) > k {
+			out = out[:k]
+		}
+		return out, err
+	}}
+}
+
+// sinkTo sinks d into bagName in both worlds.
+func sinkTo[T any](w *world, d ds[T], bagName string) {
+	w.p.Sink(d.n, bagName)
+	w.sinks[bagName] = sinkD{
+		want: func() ([]string, error) {
+			recs, err := d.eval()
+			return canonical(recs), err
+		},
+		got: func(ctx context.Context, store *bag.Store, physical string) ([]string, error) {
+			var recs []T
+			dec, sc := chunk.NewDecoder(d.codec), store.Scanner(physical)
+			for {
+				c, err := sc.Next(ctx)
+				if err == bag.ErrEmpty || err == bag.ErrAgain {
+					break
+				}
+				if err != nil {
+					return nil, err
+				}
+				if recs, err = dec.Decode(c, recs); err != nil {
+					return nil, err
+				}
+			}
+			if d.settle != nil {
+				recs = d.settle(recs)
+			}
+			return canonical(recs), nil
+		},
+	}
+}
+
+// runCompiled loads the sources into a fresh cluster of the given worker
 // count, runs the compiled plan, and returns each sink's records — with a
 // directly sunk GroupBy's partials merged per key, as a reader of that
 // sink must.
-func runCompiled(t *testing.T, p *Plan, sources map[string][]any, workers int) (map[string][]any, error) {
+func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -122,57 +213,29 @@ func runCompiled(t *testing.T, p *Plan, sources map[string][]any, workers int) (
 	}
 	defer cluster.Shutdown()
 	store := cluster.Store()
-	for name, recs := range sources {
-		h := store.Bag(name)
-		enc := pairCodec.NewEncoderAny(store.ChunkSize(), func(c chunk.Chunk, _ int) error { return h.Insert(ctx, c) })
-		if err := enc.AppendRows(recs, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Seal(ctx, name); err != nil {
+	for _, load := range w.loads {
+		if err := load(ctx, store); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ph, err := Compile(p, Options{Parts: 3})
+	ph, err := Compile(w.p, Options{Parts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ph.Run(ctx, cluster); err != nil {
 		return nil, err
 	}
-	sinks := make(map[string][]any)
-	for _, s := range p.sinks {
-		var recs []any
-		decode := s.node.codec.NewDecoderAny()
-		sc := store.Scanner(ph.SinkBag(s.bag))
-		for {
-			c, err := sc.Next(ctx)
-			if err == bag.ErrEmpty || err == bag.ErrAgain {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recs, err = decode(c, recs); err != nil {
-				t.Fatal(err)
-			}
+	sinks := make(map[string][]string)
+	for name, s := range w.sinks {
+		if sinks[name], err = s.got(ctx, store, ph.SinkBag(name)); err != nil {
+			t.Fatal(err)
 		}
-		if g := s.node.gb; g != nil {
-			merged := make(map[uint64]any)
-			if err := mergePartials(g, merged)(recs); err != nil {
-				t.Fatal(err)
-			}
-			recs = partialsOf(g, merged)
-		}
-		sinks[s.bag] = recs
 	}
 	return sinks, nil
 }
 
 // canonical renders records order-independently.
-func canonical(recs []any) []string {
+func canonical[T any](recs []T) []string {
 	out := make([]string, len(recs))
 	for i, v := range recs {
 		out[i] = fmt.Sprint(v)
@@ -181,145 +244,259 @@ func canonical(recs []any) []string {
 	return out
 }
 
+// Record types the tuple plans never exercise.
+type (
+	word  = chunk.Pair[string, string]                     // string keys and values
+	match = chunk.Pair[uint64, tuple]                      // a nested Pair
+	blob  = chunk.Pair[uint64, []byte]                     // byte payloads, under a row-only codec
+	tally = chunk.Pair[uint64, chunk.Pair[uint64, string]] // an accumulator that is a record itself
+)
+
+var (
+	wordCodec  chunk.Codec[word]  = chunk.PairCodec[string, string]{A: chunk.StringCodec{}, B: chunk.StringCodec{}}
+	matchCodec chunk.Codec[match] = chunk.PairCodec[uint64, tuple]{A: chunk.Uint64Codec{}, B: chunk.PairCodec[uint64, uint64]{A: chunk.Uint64FixedCodec{}, B: chunk.Uint64FixedCodec{}}}
+	blobCodec  chunk.Codec[blob]  = rowOnly[blob]{chunk.PairCodec[uint64, []byte]{A: chunk.Uint64Codec{}, B: chunk.BytesCodec{}}}
+)
+
+func wordKey(v word) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(v.First))
+	return h.Sum64()
+}
+
 // TestCompiledPlansMatchInterpreter runs every operator in every chain
 // position the compiler fuses differently — after a vector-preserving
 // operator, after an expanding one, after an absorbing one, across a
-// finalize boundary — on 1 and 4 workers, and compares each sink with the
-// naive interpreter's.
+// finalize boundary — over records of several shapes and every build-side
+// shape the join table must get right, on 1 and 4 workers, and compares
+// each sink with the naive interpreter's.
 func TestCompiledPlansMatchInterpreter(t *testing.T) {
-	key := func(v any) uint64 { return v.(tuple).First }
-	odd := func(v any) bool { return v.(tuple).Second%2 == 1 }
-	none := func(any) bool { return false }
-	double := func(v any) (any, error) {
-		tu := v.(tuple)
-		return tuple{First: tu.First, Second: 2 * tu.Second}, nil
-	}
+	odd := func(v tuple) bool { return v.Second%2 == 1 }
+	none := func(tuple) bool { return false }
+	double := func(v tuple) (tuple, error) { return tuple{First: v.First, Second: 2 * v.Second}, nil }
 	errBoom := errors.New("boom at payload 777")
-	boom := func(v any) (any, error) {
-		if v.(tuple).Second == 777 {
-			return nil, errBoom
+	boom := func(v tuple) (tuple, error) {
+		if v.Second == 777 {
+			return tuple{}, errBoom
 		}
 		return v, nil
 	}
-	repeat := func(times uint64) func(any, func(any) error) error {
-		return func(v any, emit func(any) error) error {
-			tu := v.(tuple)
+	repeat := func(times uint64) func(tuple, func(tuple) error) error {
+		return func(v tuple, emit func(tuple) error) error {
 			for i := uint64(0); i < times; i++ {
-				if err := emit(tuple{First: tu.First, Second: tu.Second*times + i}); err != nil {
+				if err := emit(tuple{First: v.First, Second: v.Second*times + i}); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	}
-	countToTuple := func(v any) (any, error) {
-		kc := v.(keyCount)
-		return tuple{First: kc.First, Second: uint64(kc.Second)}, nil
-	}
-	bySecondThenKey := func(a, b any) bool {
-		x, y := a.(tuple), b.(tuple)
+	countToTuple := func(kc keyCount) (tuple, error) { return tuple{First: kc.First, Second: uint64(kc.Second)}, nil }
+	bySecondThenKey := func(x, y tuple) bool {
 		if x.Second != y.Second {
 			return x.Second < y.Second
 		}
 		return x.First > y.First
 	}
 	// A join whose build records are a GroupBy's finalized partials.
-	countJoin := JoinSpec{
-		BuildKey: func(v any) uint64 { return v.(keyCount).First },
-		ProbeKey: key,
+	countJoin := JoinSpec[keyCount, tuple, tuple]{
+		BuildKey: func(v keyCount) uint64 { return v.First },
+		ProbeKey: tupleKey,
 		Codec:    pairCodec,
-		Join: func(b, pr any, emit func(any) error) error {
-			return emit(tuple{First: pr.(tuple).First, Second: pr.(tuple).Second + uint64(b.(keyCount).Second)})
+		Join: func(b keyCount, pr tuple, emit func(tuple) error) error {
+			return emit(tuple{First: pr.First, Second: pr.Second + uint64(b.Second)})
 		},
+	}
+	// A join into a nested record that keeps both payloads.
+	matchJoin := JoinSpec[tuple, tuple, match]{
+		BuildKey: tupleKey, ProbeKey: tupleKey, Codec: matchCodec,
+		Join: func(b, pr tuple, emit func(match) error) error {
+			return emit(match{First: pr.First, Second: tuple{First: b.Second, Second: pr.Second}})
+		},
+		Strategy: JoinRepartition,
 	}
 
 	// S: 1500 probe tuples, keys skewed toward 0, payloads 0..1499 (so
-	// exactly one is 777). R: 40 build keys, every fourth one twice.
-	sources := map[string][]any{"R": nil, "S": nil}
+	// exactly one is 777). R: 40 build keys, every fourth one twice. H: key
+	// 0 three thousand times over — one probe record past maxVector — and
+	// odd keys once. W, B: S as words and as byte payloads of 0..9 bytes.
+	var recsS, recsR, recsH []tuple
+	var recsW []word
+	var recsB []blob
 	x := uint64(1)
 	for i := uint64(0); i < 1500; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		k := (x >> 33) % 64
-		sources["S"] = append(sources["S"], tuple{First: k * k / 64, Second: i})
+		k = k * k / 64
+		recsS = append(recsS, tuple{First: k, Second: i})
+		recsW = append(recsW, word{First: fmt.Sprintf("w%d", k), Second: fmt.Sprintf("v%04d", i)})
+		recsB = append(recsB, blob{First: k, Second: bytes.Repeat([]byte{byte(i)}, int(i%10))})
 	}
 	for k := uint64(0); k < 40; k++ {
-		sources["R"] = append(sources["R"], tuple{First: k, Second: 1000 + k})
+		recsR = append(recsR, tuple{First: k, Second: 1000 + k})
 		if k%4 == 0 {
-			sources["R"] = append(sources["R"], tuple{First: k, Second: 2000 + k})
+			recsR = append(recsR, tuple{First: k, Second: 2000 + k})
 		}
 	}
+	for i := uint64(0); i < 3000; i++ {
+		recsH = append(recsH, tuple{First: 0, Second: i})
+		if i < 64 && i%2 == 1 {
+			recsH = append(recsH, tuple{First: i, Second: 5000 + i})
+		}
+	}
+	S := func(w *world) ds[tuple] { return scanD(w, "S", pairCodec, recsS) }
+	R := func(w *world) ds[tuple] { return scanD(w, "R", pairCodec, recsR) }
 
 	cases := []struct {
 		name  string
-		build func(p *Plan)
+		build func(w *world)
 		fails error
 	}{
-		{name: "filter-map", build: func(p *Plan) {
-			p.Sink(p.Map(p.Filter(p.Scan("S", pairCodec), odd), pairCodec, double), "out")
+		{name: "filter-map", build: func(w *world) {
+			sinkTo(w, mapD(w, filterD(w, S(w), odd), pairCodec, double), "out")
 		}},
-		{name: "flatmap-filter-map", build: func(p *Plan) {
-			fm := p.FlatMap(p.Scan("S", pairCodec), pairCodec, repeat(3))
-			p.Sink(p.Map(p.Filter(fm, odd), pairCodec, double), "out")
+		{name: "flatmap-filter-map", build: func(w *world) {
+			fm := flatMapD(w, S(w), pairCodec, repeat(3))
+			sinkTo(w, mapD(w, filterD(w, fm, odd), pairCodec, double), "out")
 		}},
-		{name: "flatmap-past-maxVector-filter", build: func(p *Plan) {
+		{name: "flatmap-past-maxVector-filter", build: func(w *world) {
 			// 2000 records out per record in: one input vector overflows
 			// the operator's buffer several times.
-			fm := p.FlatMap(p.Filter(p.Scan("R", pairCodec), odd), pairCodec, repeat(2000))
-			p.Sink(p.Filter(fm, func(v any) bool { return v.(tuple).Second%97 == 0 }), "out")
+			fm := flatMapD(w, filterD(w, R(w), odd), pairCodec, repeat(2000))
+			sinkTo(w, filterD(w, fm, func(v tuple) bool { return v.Second%97 == 0 }), "out")
 		}},
-		{name: "groupby-sunk", build: func(p *Plan) {
-			p.Sink(p.GroupBy(p.Map(p.Scan("S", pairCodec), pairCodec, double), countSpec()), "out")
+		{name: "groupby-sunk", build: func(w *world) {
+			sinkTo(w, groupByD(w, mapD(w, S(w), pairCodec, double), countSpec()), "out")
 		}},
-		{name: "groupby-map-topk", build: func(p *Plan) {
-			g := p.GroupBy(p.Scan("S", pairCodec), countSpec())
-			p.Sink(p.TopK(p.Map(g, pairCodec, countToTuple), 5, bySecondThenKey), "out")
+		{name: "groupby-map-topk", build: func(w *world) {
+			g := groupByD(w, S(w), countSpec())
+			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 5, bySecondThenKey), "out")
 		}},
-		{name: "topk-on-scan", build: func(p *Plan) {
-			p.Sink(p.TopK(p.Scan("S", pairCodec), 7, bySecondThenKey), "out")
+		{name: "topk-on-scan", build: func(w *world) {
+			sinkTo(w, topKD(w, S(w), 7, bySecondThenKey), "out")
 		}},
-		{name: "join-map", build: func(p *Plan) {
-			j := p.Join(p.Scan("R", pairCodec), p.Scan("S", pairCodec), joinSpec(JoinRepartition))
-			p.Sink(p.Map(j, pairCodec, double), "out")
+		{name: "join-map", build: func(w *world) {
+			sinkTo(w, mapD(w, joinD(w, R(w), S(w), joinSpec(JoinRepartition)), pairCodec, double), "out")
 		}},
-		{name: "filter-broadcastjoin-flatmap-filter", build: func(p *Plan) {
-			j := p.Join(p.Scan("R", pairCodec), p.Filter(p.Scan("S", pairCodec), odd), joinSpec(JoinBroadcast))
-			p.Sink(p.Filter(p.FlatMap(j, pairCodec, repeat(2)), odd), "out")
+		{name: "filter-broadcastjoin-flatmap-filter", build: func(w *world) {
+			j := joinD(w, R(w), filterD(w, S(w), odd), joinSpec(JoinBroadcast))
+			sinkTo(w, filterD(w, flatMapD(w, j, pairCodec, repeat(2)), odd), "out")
 		}},
-		{name: "join-groupby", build: func(p *Plan) {
-			j := p.Join(p.Scan("R", pairCodec), p.Scan("S", pairCodec), joinSpec(JoinRepartition))
-			p.Sink(p.GroupBy(j, countSpec()), "out")
+		{name: "join-groupby", build: func(w *world) {
+			sinkTo(w, groupByD(w, joinD(w, R(w), S(w), joinSpec(JoinRepartition)), countSpec()), "out")
 		}},
-		{name: "join-build-is-groupby", build: func(p *Plan) {
-			counts := p.GroupBy(p.Scan("R", pairCodec), countSpec())
-			p.Sink(p.Join(counts, p.Scan("S", pairCodec), countJoin), "out")
+		{name: "join-build-is-groupby", build: func(w *world) {
+			sinkTo(w, joinD(w, groupByD(w, R(w), countSpec()), S(w), countJoin), "out")
 		}},
-		{name: "empty-vectors-groupby-map-topk", build: func(p *Plan) {
-			nothing := p.Filter(p.Scan("S", pairCodec), none)
-			g := p.GroupBy(p.Map(nothing, pairCodec, double), countSpec())
-			p.Sink(p.TopK(p.Map(g, pairCodec, countToTuple), 3, bySecondThenKey), "out")
+		{name: "empty-vectors-groupby-map-topk", build: func(w *world) {
+			g := groupByD(w, mapD(w, filterD(w, S(w), none), pairCodec, double), countSpec())
+			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 3, bySecondThenKey), "out")
 		}},
-		{name: "empty-vectors-join-flatmap", build: func(p *Plan) {
-			j := p.Join(p.Scan("R", pairCodec), p.Filter(p.Scan("S", pairCodec), none), joinSpec(JoinRepartition))
-			p.Sink(p.FlatMap(j, pairCodec, repeat(2)), "out")
+		{name: "empty-vectors-join-flatmap", build: func(w *world) {
+			j := joinD(w, R(w), filterD(w, S(w), none), joinSpec(JoinRepartition))
+			sinkTo(w, flatMapD(w, j, pairCodec, repeat(2)), "out")
 		}},
-		{name: "map-errors-mid-vector", fails: errBoom, build: func(p *Plan) {
-			p.Sink(p.Filter(p.Map(p.Scan("S", pairCodec), pairCodec, boom), odd), "out")
+		{name: "map-errors-mid-vector", fails: errBoom, build: func(w *world) {
+			sinkTo(w, filterD(w, mapD(w, S(w), pairCodec, boom), odd), "out")
 		}},
-		{name: "map-errors-after-join", fails: errBoom, build: func(p *Plan) {
-			j := p.Join(p.Scan("R", pairCodec), p.Scan("S", pairCodec), JoinSpec{
-				BuildKey: key, ProbeKey: key, Codec: pairCodec,
-				Join: func(_, pr any, emit func(any) error) error { return emit(pr) },
+		{name: "map-errors-after-join", fails: errBoom, build: func(w *world) {
+			j := joinD(w, R(w), S(w), JoinSpec[tuple, tuple, tuple]{
+				BuildKey: tupleKey, ProbeKey: tupleKey, Codec: pairCodec,
+				Join: func(_, pr tuple, emit func(tuple) error) error { return emit(pr) },
 			})
-			p.Sink(p.Map(j, pairCodec, boom), "out")
+			sinkTo(w, mapD(w, j, pairCodec, boom), "out")
+		}},
+
+		// Record shapes.
+		{name: "strings-filter-groupby-topk", build: func(w *world) {
+			// Longest value per word, then the three greatest words.
+			kept := filterD(w, scanD(w, "W", wordCodec, recsW), func(v word) bool { return !strings.HasSuffix(v.Second, "3") })
+			longest := groupByD(w, kept, GroupBySpec[word, chunk.Pair[uint64, string]]{
+				Key:      wordKey,
+				AccCodec: chunk.PairCodec[uint64, string]{A: chunk.Uint64Codec{}, B: chunk.StringCodec{}},
+				Init:     func() chunk.Pair[uint64, string] { return chunk.Pair[uint64, string]{} },
+				Add: func(a chunk.Pair[uint64, string], v word) chunk.Pair[uint64, string] {
+					return chunk.Pair[uint64, string]{First: a.First + 1, Second: max(a.Second, v.First+"="+v.Second)}
+				},
+				Merge: func(a, b chunk.Pair[uint64, string]) chunk.Pair[uint64, string] {
+					return chunk.Pair[uint64, string]{First: a.First + b.First, Second: max(a.Second, b.Second)}
+				},
+			})
+			sinkTo(w, topKD(w, longest, 3, func(a, b tally) bool { return a.Second.Second < b.Second.Second }), "out")
+		}},
+		{name: "strings-join-strings", build: func(w *world) {
+			// Words against themselves, thinned: string build rows in the table.
+			thin := func(v word) bool { return strings.HasSuffix(v.Second, "7") }
+			j := joinD(w, filterD(w, scanD(w, "W2", wordCodec, recsW), thin), scanD(w, "W", wordCodec, recsW),
+				JoinSpec[word, word, word]{
+					BuildKey: wordKey, ProbeKey: wordKey, Codec: wordCodec,
+					Join: func(b, pr word, emit func(word) error) error {
+						return emit(word{First: pr.First, Second: b.Second + "+" + pr.Second})
+					},
+				})
+			sinkTo(w, j, "out")
+		}},
+		{name: "nested-pair-join-map-groupby", build: func(w *world) {
+			flat := mapD(w, joinD(w, R(w), S(w), matchJoin), pairCodec, func(m match) (tuple, error) {
+				return tuple{First: m.First % 7, Second: m.Second.First + m.Second.Second}, nil
+			})
+			sinkTo(w, groupByD(w, flat, countSpec()), "out")
+		}},
+		{name: "bytes-rowonly-flatmap-join", build: func(w *world) {
+			// Byte payloads alias their chunk all the way through a FlatMap,
+			// a shuffle edge and the build table.
+			halves := flatMapD(w, scanD(w, "B", blobCodec, recsB), blobCodec, func(v blob, emit func(blob) error) error {
+				if err := emit(blob{First: v.First, Second: v.Second[:len(v.Second)/2]}); err != nil {
+					return err
+				}
+				return emit(blob{First: v.First, Second: v.Second[len(v.Second)/2:]})
+			})
+			build := filterD(w, scanD(w, "B2", blobCodec, recsB), func(v blob) bool { return len(v.Second) == 9 })
+			sinkTo(w, joinD(w, build, halves, JoinSpec[blob, blob, blob]{
+				BuildKey: func(v blob) uint64 { return v.First }, ProbeKey: func(v blob) uint64 { return v.First }, Codec: blobCodec,
+				Join: func(b, pr blob, emit func(blob) error) error {
+					return emit(blob{First: pr.First, Second: append(append([]byte(nil), b.Second[:2]...), pr.Second...)})
+				},
+			}), "out")
+		}},
+
+		// Build-side shapes.
+		{name: "join-many-to-many-past-maxVector", build: func(w *world) {
+			// Three thousand build rows under key 0: every probe record of
+			// that key overflows the join's buffer by itself. Absent probe
+			// keys (the even ones) match nothing.
+			j := joinD(w, scanD(w, "H", pairCodec, recsH), S(w), joinSpec(JoinRepartition))
+			sinkTo(w, filterD(w, j, func(v tuple) bool { return v.Second%97 == 0 }), "out")
+		}},
+		{name: "join-empty-build", build: func(w *world) {
+			sinkTo(w, joinD(w, filterD(w, R(w), none), S(w), joinSpec(JoinRepartition)), "out")
+		}},
+		{name: "join-no-probe-key-in-build", build: func(w *world) {
+			far := mapD(w, R(w), pairCodec, func(v tuple) (tuple, error) { return tuple{First: v.First + 1000, Second: v.Second}, nil })
+			sinkTo(w, joinD(w, far, S(w), joinSpec(JoinBroadcast)), "out")
+		}},
+		{name: "two-joins-share-build-scan", build: func(w *world) {
+			// One Scan node is the build side of a shuffled join and of the
+			// broadcast join fused behind it, under different build keys.
+			r := R(w)
+			byPayload := joinSpec(JoinBroadcast)
+			byPayload.BuildKey = func(v tuple) uint64 { return v.Second % 50 }
+			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec(JoinRepartition)), byPayload), "out")
 		}},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%dw", tc.name, workers), func(t *testing.T) {
-				p := New("d")
-				tc.build(p)
-				want, wantErr := interpret(p, sources)
-				got, err := runCompiled(t, p, sources, workers)
+				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}}
+				tc.build(w)
+				want := make(map[string][]string)
+				var wantErr error
+				for name, s := range w.sinks {
+					if want[name], wantErr = s.want(); wantErr != nil {
+						break
+					}
+				}
+				got, err := runCompiled(t, w, workers)
 				if tc.fails != nil {
 					if !errors.Is(wantErr, tc.fails) {
 						t.Fatalf("interpreter: err = %v, want %v", wantErr, tc.fails)
@@ -332,8 +509,8 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 				if wantErr != nil || err != nil {
 					t.Fatalf("interpreter err %v, compiled plan err %v", wantErr, err)
 				}
-				for sink, recs := range want {
-					w, g := canonical(recs), canonical(got[sink])
+				for sink, w := range want {
+					g := got[sink]
 					if len(w) != len(g) {
 						t.Fatalf("sink %s: %d records, interpreter has %d", sink, len(g), len(w))
 					}

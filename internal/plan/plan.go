@@ -25,35 +25,22 @@
 //     SplitPartition/IsolateKey policies, so a skewed join emerges
 //     mid-run even when compile-time statistics were absent.
 //
-// The package is untyped (records travel as `any` plus an AnyCodec); the
-// typed, generic public surface is package repro/hurricane/q.
+// Records are typed end to end. The generic constructors below (Scan,
+// Filter, Map, ... — package repro/hurricane/q is the public surface over
+// them) capture each operator's record types in a kernel factory; the graph,
+// validation, stage formation and the stage loop see a Node, not its types.
+// The one interface conversion per operator happens when a worker wires its
+// stage (runStage): each kernel is handed its downstream func([]U) error,
+// and from there a chunk decodes into a []T, travels through the kernels as
+// typed vectors, and is encoded from one — no record is ever boxed.
 package plan
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/chunk"
-	"repro/internal/shuffle"
 )
-
-// AnyCodec is the untyped record codec the planner threads between
-// operators. The typed q package adapts chunk.Codec[T] implementations.
-// An AnyCodec is shared by every worker of every stage that names it, so
-// it holds no decode or encode state itself: each worker asks it for a
-// decoder per read stream and an encoder per write stream.
-type AnyCodec interface {
-	// NewDecoderAny returns a decoder for one worker's read stream: it
-	// appends every record of a chunk, row or batch layout, to out. The
-	// returned function owns scratch and must not be shared between
-	// goroutines.
-	NewDecoderAny() func(c chunk.Chunk, out []any) ([]any, error)
-	// NewEncoderAny returns an encoder for one of a worker's write streams
-	// (its plain output, or one leaf of the shuffle edge it feeds): records
-	// appended to it are cut into chunks of size bytes, in whichever layout
-	// the wrapped codec has, and handed to emit. It owns a column builder
-	// and must not be shared between goroutines.
-	NewEncoderAny(size int, emit func(c chunk.Chunk, rows int) error) shuffle.LeafEncoder[any]
-}
 
 // opKind enumerates the logical operators.
 type opKind int
@@ -88,27 +75,23 @@ func (k opKind) String() string {
 	return "?"
 }
 
-// GroupBySpec is the untyped description of a keyed aggregation. The
-// aggregate must be mergeable (§2.3): Add folds one record into an
-// accumulator, Merge reconciles two accumulators of the same key — which
-// is what lets the engine spread a heavy key's records across several
-// consumers and reconcile downstream.
-type GroupBySpec struct {
+// GroupBySpec describes a keyed aggregation of T records into A
+// accumulators. The aggregate must be mergeable (§2.3): Add folds one
+// record into an accumulator, Merge reconciles two accumulators of the same
+// key — which is what lets the engine spread a heavy key's records across
+// several consumers and reconcile downstream.
+type GroupBySpec[T, A any] struct {
 	// Key extracts the routing key of an input record.
-	Key func(any) uint64
+	Key func(T) uint64
+	// AccCodec encodes an accumulator; the node's output records are
+	// (key, accumulator) partials under PairCodec{Uint64Codec, AccCodec}.
+	AccCodec chunk.Codec[A]
 	// Init returns a fresh accumulator.
-	Init func() any
+	Init func() A
 	// Add folds one record into an accumulator, returning it.
-	Add func(acc, rec any) any
+	Add func(A, T) A
 	// Merge reconciles two accumulators for the same key.
-	Merge func(a, b any) any
-	// PartialCodec encodes one (key, accumulator) partial record — the
-	// GroupBy node's output record type.
-	PartialCodec AnyCodec
-	// MakePartial boxes a (key, accumulator) into a partial record.
-	MakePartial func(key uint64, acc any) any
-	// SplitPartial unboxes a partial record.
-	SplitPartial func(partial any) (uint64, any)
+	Merge func(A, A) A
 }
 
 // JoinStrategy is a physical join implementation.
@@ -142,52 +125,50 @@ func (s JoinStrategy) String() string {
 	return "?"
 }
 
-// JoinSpec is the untyped description of an equi-join. The build side is
-// hash-loaded in memory by every join worker (a scan input); the probe
-// side streams. Join emissions must be record-parallel — each probe
-// record's matches are independent — which is what makes record-level
-// spreading of a heavy probe key safe.
-type JoinSpec struct {
+// JoinSpec describes an equi-join of L build records with R probe records
+// into O output records. The build side is loaded into a table in memory by
+// every join worker (a scan input); the probe side streams. Join emissions
+// must be record-parallel — each probe record's matches are independent —
+// which is what makes record-level spreading of a heavy probe key safe.
+type JoinSpec[L, R, O any] struct {
 	// BuildKey / ProbeKey extract the join key from each side's records.
-	BuildKey func(any) uint64
-	ProbeKey func(any) uint64
+	BuildKey func(L) uint64
+	ProbeKey func(R) uint64
 	// Codec encodes the join's output records.
-	Codec AnyCodec
+	Codec chunk.Codec[O]
 	// Join emits the matches of one (build, probe) record pair.
-	Join func(build, probe any, emit func(any) error) error
+	Join func(build L, probe R, emit func(O) error) error
 	// Strategy overrides the planner's choice for this join (JoinAuto
 	// lets statistics decide).
 	Strategy JoinStrategy
 }
 
-// Node is one operator of the logical plan tree.
+// Node is one operator of the logical plan tree. Its record types live in
+// rec and in the closures the constructors filled in; everything that holds
+// a vector function as `any` is asserted once, when a worker wires a stage.
 type Node struct {
 	id    int
 	owner *Plan
 	kind  opKind
 	in    []*Node // operand nodes: 1 for narrow ops, [build, probe] for join
-	codec AnyCodec
+	rec   records // the node's record type: how its records are read and written
+	err   error   // what the constructor found wrong, reported by Validate
 
-	// scan
-	bag string
+	bag string // scan
 
-	// Narrow ops are stored as per-worker factories: the compiler calls
-	// the factory once per worker run. Only MapPerWorker exposes the
-	// factory form — Filter/Map/FlatMap wrap a single shared closure, so
-	// their user functions must be stateless (safe for concurrent use by
-	// clones); a stateful per-record operator goes through MapPerWorker,
-	// whose factory gives each worker its own state.
-	filterF func() func(any) bool
-	mapF    func() func(any) (any, error)
-	flatF   func() func(any, func(any) error) error
+	// wire builds the operator's kernel for one worker run (see kernel).
+	// Filter/Map/FlatMap close over one shared user function, which must
+	// therefore be stateless (safe for concurrent use by clones); a
+	// stateful per-record operator goes through MapPerWorker, whose factory
+	// runs inside wire and gives each worker its own state.
+	wire func(down, table any) kernel
 
-	// wide ops
-	gb   *GroupBySpec
-	join *JoinSpec
-
-	// topk
-	k    int
-	less func(a, b any) bool
+	// Wide ops. edgeKey is a func(T) uint64 over the records crossing the
+	// operator's shuffle edge (GroupBy's Key, Join's ProbeKey).
+	edgeKey    any
+	readMerged func(next chunkSource, down any) error       // groupby: finalized read
+	strategy   JoinStrategy                                 // join
+	loadTable  func(src chunkSource) (table any, err error) // join: build side -> *joinTable[L]
 }
 
 // ID returns the node's plan-unique id (creation order, so ids are
@@ -223,64 +204,218 @@ func (p *Plan) add(n *Node) *Node {
 	return n
 }
 
-// Scan reads a source bag of records decoded by codec. The bag must be
-// loaded and sealed by the caller before the compiled job runs.
-func (p *Plan) Scan(bag string, codec AnyCodec) *Node {
-	return p.add(&Node{kind: opScan, bag: bag, codec: codec})
+// holds reports, as an error for Validate, an operand whose records are not
+// T. (A nil or codec-less operand is Validate's to report.)
+func holds[T any](in *Node) error {
+	if in == nil || in.rec == nil {
+		return nil
+	}
+	if _, ok := in.rec.(recs[T]); !ok {
+		return fmt.Errorf("reads %T records, but node %d (%s) holds %T", *new(T), in.id, in.kind, in.rec)
+	}
+	return nil
 }
 
-// Filter keeps the records pred accepts. pred is shared by all workers
-// of the stage and must be stateless.
-func (p *Plan) Filter(in *Node, pred func(any) bool) *Node {
-	return p.add(&Node{kind: opFilter, in: []*Node{in}, codec: in.codec,
-		filterF: func() func(any) bool { return pred }})
+// recordsOf returns the record type of an operator that keeps its input's.
+func recordsOf(in *Node) records {
+	if in == nil {
+		return nil
+	}
+	return in.rec
+}
+
+// Scan reads a source bag of records decoded by codec. The bag must be
+// loaded and sealed by the caller before the compiled job runs.
+func Scan[T any](p *Plan, bag string, codec chunk.Codec[T]) *Node {
+	return p.add(&Node{kind: opScan, bag: bag, rec: recsOf(codec)})
+}
+
+// Filter keeps the records pred accepts, compacting each vector in place.
+// pred is shared by all workers of the stage and must be stateless.
+func Filter[T any](p *Plan, in *Node, pred func(T) bool) *Node {
+	n := &Node{kind: opFilter, in: []*Node{in}, rec: recordsOf(in), err: holds[T](in)}
+	n.wire = func(down, _ any) kernel {
+		next := down.(func([]T) error)
+		return kernel{in: func(vec []T) error {
+			kept := vec[:0]
+			for _, v := range vec {
+				if pred(v) {
+					kept = append(kept, v)
+				}
+			}
+			return next(kept)
+		}}
+	}
+	return p.add(n)
 }
 
 // Map transforms each record; codec encodes the transformed records.
-func (p *Plan) Map(in *Node, codec AnyCodec, fn func(any) (any, error)) *Node {
-	return p.MapPerWorker(in, codec, func() func(any) (any, error) { return fn })
+func Map[T, U any](p *Plan, in *Node, codec chunk.Codec[U], fn func(T) (U, error)) *Node {
+	return MapPerWorker(p, in, codec, func() func(T) (U, error) { return fn })
 }
 
 // MapPerWorker is Map with worker-local state: factory runs once per
 // worker (original or clone), and the returned function transforms that
-// worker's records. Use it for operators that batch or count across
-// records — shared closures would race across concurrent clones.
-func (p *Plan) MapPerWorker(in *Node, codec AnyCodec, factory func() func(any) (any, error)) *Node {
-	return p.add(&Node{kind: opMap, in: []*Node{in}, codec: codec, mapF: factory})
+// worker's records into a vector the kernel owns. Use it for operators that
+// batch or count across records — shared closures would race across
+// concurrent clones.
+func MapPerWorker[T, U any](p *Plan, in *Node, codec chunk.Codec[U], factory func() func(T) (U, error)) *Node {
+	n := &Node{kind: opMap, in: []*Node{in}, rec: recsOf(codec), err: holds[T](in)}
+	n.wire = func(down, _ any) kernel {
+		next, fn := down.(func([]U) error), factory()
+		var out []U
+		return kernel{in: func(vec []T) error {
+			out = out[:0]
+			for _, v := range vec {
+				u, err := fn(v)
+				if err != nil {
+					return err
+				}
+				out = append(out, u)
+			}
+			return next(out)
+		}}
+	}
+	return p.add(n)
 }
 
 // FlatMap emits zero or more records per input record. fn is shared by
 // all workers of the stage and must be stateless.
-func (p *Plan) FlatMap(in *Node, codec AnyCodec, fn func(any, func(any) error) error) *Node {
-	return p.add(&Node{kind: opFlatMap, in: []*Node{in}, codec: codec,
-		flatF: func() func(any, func(any) error) error { return fn }})
+func FlatMap[T, U any](p *Plan, in *Node, codec chunk.Codec[U], fn func(T, func(U) error) error) *Node {
+	n := &Node{kind: opFlatMap, in: []*Node{in}, rec: recsOf(codec), err: holds[T](in)}
+	n.wire = func(down, _ any) kernel {
+		return kernel{in: expand(down.(func([]U) error), fn)}
+	}
+	return p.add(n)
 }
 
 // GroupBy aggregates records by key behind a partitioned shuffle edge.
-// The node's output records are *mergeable partials* (spec.PartialCodec):
-// a key spread across several consumers, or refined mid-stream, appears
-// as several partials that merge downstream (in a finalize stage, or at
+// The node's output records are *mergeable partials*, Pair[uint64, A]: a
+// key spread across several consumers, or refined mid-stream, appears as
+// several partials that merge downstream (in a finalize stage, or at
 // collect time for a directly sunk GroupBy).
-func (p *Plan) GroupBy(in *Node, spec GroupBySpec) *Node {
-	s := spec
-	return p.add(&Node{kind: opGroupBy, in: []*Node{in}, codec: spec.PartialCodec, gb: &s})
+func GroupBy[T, A any](p *Plan, in *Node, spec GroupBySpec[T, A]) *Node {
+	type partial = chunk.Pair[uint64, A]
+	n := &Node{kind: opGroupBy, in: []*Node{in}, err: holds[T](in)}
+	if spec.Key == nil || spec.AccCodec == nil || spec.Init == nil || spec.Add == nil || spec.Merge == nil {
+		n.err = fmt.Errorf("incomplete GroupBySpec")
+		return p.add(n)
+	}
+	rec := recsOf[partial](chunk.PairCodec[uint64, A]{A: chunk.Uint64Codec{}, B: spec.AccCodec})
+	n.rec, n.edgeKey = rec, spec.Key
+	n.wire = func(down, _ any) kernel {
+		next := down.(func([]partial) error)
+		var g groups[A]
+		return kernel{
+			in: func(vec []T) error {
+				for _, v := range vec {
+					acc, fresh := g.acc(spec.Key(v))
+					if fresh {
+						*acc = spec.Init()
+					}
+					*acc = spec.Add(*acc, v)
+				}
+				return nil
+			},
+			finish: func() error { return next(g.sorted()) },
+		}
+	}
+	// Drain the partial bag completely, merge by key, and hand on the
+	// finalized records in key order.
+	n.readMerged = func(src chunkSource, down any) error {
+		next := down.(func([]partial) error)
+		var g groups[A]
+		err := rec.read(src, func(vec []partial) error {
+			for _, v := range vec {
+				if acc, fresh := g.acc(v.First); fresh {
+					*acc = v.Second
+				} else {
+					*acc = spec.Merge(*acc, v.Second)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return next(g.sorted())
+	}
+	return p.add(n)
 }
 
-// Join equi-joins two inputs: build (hash-loaded by every worker) and
-// probe (streamed). The physical strategy — repartition, broadcast, or
+// Join equi-joins two inputs: build (loaded into a table by every worker)
+// and probe (streamed). The physical strategy — repartition, broadcast, or
 // skewed — is chosen at compile time per edge from statistics unless
 // spec.Strategy pins it.
-func (p *Plan) Join(build, probe *Node, spec JoinSpec) *Node {
-	s := spec
-	return p.add(&Node{kind: opJoin, in: []*Node{build, probe}, codec: spec.Codec, join: &s})
+func Join[L, R, O any](p *Plan, build, probe *Node, spec JoinSpec[L, R, O]) *Node {
+	n := &Node{kind: opJoin, in: []*Node{build, probe}, err: holds[R](probe), strategy: spec.Strategy}
+	if spec.BuildKey == nil || spec.ProbeKey == nil || spec.Codec == nil || spec.Join == nil {
+		n.err = fmt.Errorf("incomplete JoinSpec")
+		return p.add(n)
+	}
+	if n.err == nil {
+		n.err = holds[L](build)
+	}
+	n.rec, n.edgeKey = recsOf(spec.Codec), spec.ProbeKey
+	n.loadTable = func(src chunkSource) (any, error) {
+		var rows []L
+		err := build.read(src, build.kind == opGroupBy, func(vec []L) error {
+			rows = append(rows, vec...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return newJoinTable(rows, spec.BuildKey)
+	}
+	n.wire = func(down, table any) kernel {
+		t := table.(*joinTable[L])
+		return kernel{in: expand(down.(func([]O) error), func(r R, emit func(O) error) error {
+			for _, b := range t.lookup(spec.ProbeKey(r)) {
+				if err := spec.Join(b, r, emit); err != nil {
+					return err
+				}
+			}
+			return nil
+		})}
+	}
+	return p.add(n)
 }
 
 // TopK keeps the k greatest records under less (less(a, b) reports a
 // ranking below b). It compiles to a single-worker finalize stage: top-k
 // needs a total view, and its input is already aggregated, so a serial
 // tail is the honest physical form.
-func (p *Plan) TopK(in *Node, k int, less func(a, b any) bool) *Node {
-	return p.add(&Node{kind: opTopK, in: []*Node{in}, codec: in.codec, k: k, less: less})
+func TopK[T any](p *Plan, in *Node, k int, less func(a, b T) bool) *Node {
+	n := &Node{kind: opTopK, in: []*Node{in}, rec: recordsOf(in), err: holds[T](in)}
+	if k <= 0 || less == nil {
+		n.err = fmt.Errorf("TopK needs k > 0 and a less function")
+	}
+	n.wire = func(down, _ any) kernel {
+		next := down.(func([]T) error)
+		var top []T
+		return kernel{
+			in: func(vec []T) error {
+				for _, v := range vec {
+					// Insertion into a k-bounded, descending-sorted slice:
+					// k is small, the input is already aggregated.
+					i := sort.Search(len(top), func(i int) bool { return less(top[i], v) })
+					if i >= k {
+						continue
+					}
+					top = append(top, v)
+					copy(top[i+1:], top[i:])
+					top[i] = v
+					if len(top) > k {
+						top = top[:k]
+					}
+				}
+				return nil
+			},
+			finish: func() error { return next(top) },
+		}
+	}
+	return p.add(n)
 }
 
 // Sink materializes a node's records into a named output bag. A plan
@@ -321,32 +456,11 @@ func (p *Plan) analyze() (*analysis, error) {
 	}
 	a := &analysis{uses: make(map[*Node][]use)}
 	for _, n := range p.nodes {
-		switch n.kind {
-		case opScan:
-			if n.bag == "" {
-				return nil, fmt.Errorf("plan %q: scan with empty bag name", p.name)
-			}
-		case opGroupBy:
-			g := n.gb
-			if g.Key == nil || g.Init == nil || g.Add == nil || g.Merge == nil ||
-				g.PartialCodec == nil || g.MakePartial == nil || g.SplitPartial == nil {
-				return nil, fmt.Errorf("plan %q: node %d: incomplete GroupBySpec", p.name, n.id)
-			}
-		case opJoin:
-			j := n.join
-			if j.BuildKey == nil || j.ProbeKey == nil || j.Codec == nil || j.Join == nil {
-				return nil, fmt.Errorf("plan %q: node %d: incomplete JoinSpec", p.name, n.id)
-			}
-			if n.in[0] == n.in[1] {
-				return nil, fmt.Errorf("plan %q: node %d: self-join of one node (scan the bag twice instead)", p.name, n.id)
-			}
-		case opTopK:
-			if n.k <= 0 || n.less == nil {
-				return nil, fmt.Errorf("plan %q: node %d: TopK needs k > 0 and a less function", p.name, n.id)
-			}
+		if n.kind == opScan && n.bag == "" {
+			return nil, fmt.Errorf("plan %q: scan with empty bag name", p.name)
 		}
-		if n.codec == nil {
-			return nil, fmt.Errorf("plan %q: node %d (%s) has no codec", p.name, n.id, n.kind)
+		if n.kind == opJoin && n.in[0] == n.in[1] {
+			return nil, fmt.Errorf("plan %q: node %d: self-join of one node (scan the bag twice instead)", p.name, n.id)
 		}
 		for i, in := range n.in {
 			if in == nil {
@@ -357,6 +471,12 @@ func (p *Plan) analyze() (*analysis, error) {
 					p.name, n.id, n.kind, in.owner.name)
 			}
 			a.uses[in] = append(a.uses[in], use{consumer: n, scan: n.kind == opJoin && i == 0})
+		}
+		if n.err != nil {
+			return nil, fmt.Errorf("plan %q: node %d (%s): %w", p.name, n.id, n.kind, n.err)
+		}
+		if n.rec == nil {
+			return nil, fmt.Errorf("plan %q: node %d (%s) has no codec", p.name, n.id, n.kind)
 		}
 	}
 	seen := make(map[string]bool, len(p.sinks))

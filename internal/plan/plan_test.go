@@ -10,55 +10,38 @@ import (
 	"repro/internal/sketch"
 )
 
-// tCodec adapts a typed chunk codec for tests. It is row-only to the
-// planner: its decoder and encoder see only the row methods.
-type tCodec[T any] struct{ c chunk.Codec[T] }
-
-// rowOnly hides a codec's columnar methods.
+// rowOnly hides a codec's columnar methods: the plans of these tests write
+// row chunks and read batch chunks by re-framing them.
 type rowOnly[T any] struct{ chunk.Codec[T] }
-
-func (a tCodec[T]) NewEncoderAny(size int, emit func(chunk.Chunk, int) error) shuffle.LeafEncoder[any] {
-	return chunk.NewAnyEncoder[T](rowOnly[T]{a.c}, size, emit)
-}
-func (a tCodec[T]) NewDecoderAny() func(chunk.Chunk, []any) ([]any, error) {
-	d := chunk.NewDecoder[T](rowOnly[T]{a.c})
-	return func(c chunk.Chunk, out []any) ([]any, error) {
-		vals, err := d.Decode(c, nil)
-		for _, v := range vals {
-			out = append(out, v)
-		}
-		return out, err
-	}
-}
-
-var (
-	pairCodec = tCodec[chunk.Pair[uint64, uint64]]{chunk.PairCodec[uint64, uint64]{A: chunk.Uint64Codec{}, B: chunk.Uint64Codec{}}}
-	cntCodec  = tCodec[chunk.Pair[uint64, int64]]{chunk.PairCodec[uint64, int64]{A: chunk.Uint64Codec{}, B: chunk.Int64Codec{}}}
-)
 
 type tuple = chunk.Pair[uint64, uint64]
 type keyCount = chunk.Pair[uint64, int64]
 
+var (
+	pairCodec chunk.Codec[tuple]    = rowOnly[tuple]{chunk.PairCodec[uint64, uint64]{A: chunk.Uint64Codec{}, B: chunk.Uint64Codec{}}}
+	cntCodec  chunk.Codec[keyCount] = rowOnly[keyCount]{chunk.PairCodec[uint64, int64]{A: chunk.Uint64Codec{}, B: chunk.Int64Codec{}}}
+)
+
+func tupleKey(v tuple) uint64 { return v.First }
+
 // countSpec is a count-by-key GroupBySpec for tests.
-func countSpec() GroupBySpec {
-	return GroupBySpec{
-		Key:          func(v any) uint64 { return v.(tuple).First },
-		Init:         func() any { return int64(0) },
-		Add:          func(acc, _ any) any { return acc.(int64) + 1 },
-		Merge:        func(a, b any) any { return a.(int64) + b.(int64) },
-		PartialCodec: cntCodec,
-		MakePartial:  func(k uint64, acc any) any { return keyCount{First: k, Second: acc.(int64)} },
-		SplitPartial: func(p any) (uint64, any) { pp := p.(keyCount); return pp.First, pp.Second },
+func countSpec() GroupBySpec[tuple, int64] {
+	return GroupBySpec[tuple, int64]{
+		Key:      tupleKey,
+		AccCodec: rowOnly[int64]{chunk.Int64Codec{}},
+		Init:     func() int64 { return 0 },
+		Add:      func(acc int64, _ tuple) int64 { return acc + 1 },
+		Merge:    func(a, b int64) int64 { return a + b },
 	}
 }
 
-func joinSpec(strategy JoinStrategy) JoinSpec {
-	return JoinSpec{
-		BuildKey: func(v any) uint64 { return v.(tuple).First },
-		ProbeKey: func(v any) uint64 { return v.(tuple).First },
+func joinSpec(strategy JoinStrategy) JoinSpec[tuple, tuple, tuple] {
+	return JoinSpec[tuple, tuple, tuple]{
+		BuildKey: tupleKey,
+		ProbeKey: tupleKey,
 		Codec:    pairCodec,
-		Join: func(b, p any, emit func(any) error) error {
-			return emit(tuple{First: p.(tuple).First, Second: b.(tuple).Second + p.(tuple).Second})
+		Join: func(b, p tuple, emit func(tuple) error) error {
+			return emit(tuple{First: p.First, Second: b.Second + p.Second})
 		},
 		Strategy: strategy,
 	}
@@ -97,9 +80,9 @@ func findStage(ph *Physical, out string) *StageInfo {
 
 func TestCompileFusesNarrowChain(t *testing.T) {
 	p := New("fuse")
-	src := p.Scan("in", pairCodec)
-	f := p.Filter(src, func(v any) bool { return v.(tuple).First%2 == 0 })
-	m := p.Map(f, pairCodec, func(v any) (any, error) { return v, nil })
+	src := Scan(p, "in", pairCodec)
+	f := Filter(p, src, func(v tuple) bool { return v.First%2 == 0 })
+	m := Map(p, f, pairCodec, func(v tuple) (tuple, error) { return v, nil })
 	p.Sink(m, "out")
 	ph, err := Compile(p, Options{})
 	if err != nil {
@@ -122,8 +105,8 @@ func TestCompileFusesNarrowChain(t *testing.T) {
 
 func TestCompileInsertsShuffleAtGroupBy(t *testing.T) {
 	p := New("gb")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
 	p.Sink(g, "out")
 	ph, err := Compile(p, Options{Parts: 8})
 	if err != nil {
@@ -152,9 +135,9 @@ func TestCompileInsertsShuffleAtGroupBy(t *testing.T) {
 
 func TestCompileFinalizeAfterGroupBy(t *testing.T) {
 	p := New("fin")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
-	m := p.Map(g, cntCodec, func(v any) (any, error) { return v, nil })
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
+	m := Map(p, g, cntCodec, func(v keyCount) (keyCount, error) { return v, nil })
 	p.Sink(m, "out")
 	ph, err := Compile(p, Options{})
 	if err != nil {
@@ -174,9 +157,9 @@ func TestCompileFinalizeAfterGroupBy(t *testing.T) {
 
 func TestCompileTopKIsSerialFinalize(t *testing.T) {
 	p := New("tk")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
-	tk := p.TopK(g, 3, func(a, b any) bool { return a.(keyCount).Second < b.(keyCount).Second })
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
+	tk := TopK(p, g, 3, func(a, b keyCount) bool { return a.Second < b.Second })
 	p.Sink(tk, "out")
 	ph, err := Compile(p, Options{})
 	if err != nil {
@@ -194,8 +177,8 @@ func TestCompileTopKIsSerialFinalize(t *testing.T) {
 // fail App.Validate with "writes source bag").
 func TestCompileTopKDirectlyOnScan(t *testing.T) {
 	p := New("tks")
-	src := p.Scan("in", pairCodec)
-	tk := p.TopK(src, 2, func(a, b any) bool { return a.(tuple).Second < b.(tuple).Second })
+	src := Scan(p, "in", pairCodec)
+	tk := TopK(p, src, 2, func(a, b tuple) bool { return a.Second < b.Second })
 	p.Sink(tk, "out")
 	ph, err := Compile(p, Options{})
 	if err != nil {
@@ -214,8 +197,8 @@ func TestCompileTopKDirectlyOnScan(t *testing.T) {
 // default — it requests isolation without record-level spreading.
 func TestExplicitFanOneHonored(t *testing.T) {
 	p := New("fan1")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
 	p.Sink(g, "out")
 	ph, err := Compile(p, Options{Parts: 4, Fan: 1, Stats: zipfStats("in", 100000)})
 	if err != nil {
@@ -234,8 +217,8 @@ func TestExplicitFanOneHonored(t *testing.T) {
 
 func TestCompileStaticMode(t *testing.T) {
 	p := New("st")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
 	p.Sink(g, "out")
 	ph, err := Compile(p, Options{Static: true, Stats: zipfStats("in", 100000)})
 	if err != nil {
@@ -256,8 +239,8 @@ func TestCompileStaticMode(t *testing.T) {
 
 func TestCompileGroupBySeedsFromWarmStats(t *testing.T) {
 	p := New("warm")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
 	p.Sink(g, "out")
 	ph, err := Compile(p, Options{Parts: 4, Stats: zipfStats("in", 100000)})
 	if err != nil {
@@ -281,9 +264,9 @@ func TestCompileGroupBySeedsFromWarmStats(t *testing.T) {
 func TestJoinStrategySelection(t *testing.T) {
 	build := func() (*Plan, *Node) {
 		p := New("j")
-		r := p.Scan("relR", pairCodec)
-		s := p.Scan("relS", pairCodec)
-		j := p.Join(r, s, joinSpec(JoinAuto))
+		r := Scan(p, "relR", pairCodec)
+		s := Scan(p, "relS", pairCodec)
+		j := Join(p, r, s, joinSpec(JoinAuto))
 		p.Sink(j, "out")
 		return p, j
 	}
@@ -378,9 +361,9 @@ func withRecords(s *Stats, bag string, n int64) *Stats {
 
 func TestPinnedStrategyOverridesStats(t *testing.T) {
 	p := New("pin")
-	r := p.Scan("relR", pairCodec)
-	s := p.Scan("relS", pairCodec)
-	j := p.Join(r, s, joinSpec(JoinBroadcast))
+	r := Scan(p, "relR", pairCodec)
+	s := Scan(p, "relS", pairCodec)
+	j := Join(p, r, s, joinSpec(JoinBroadcast))
 	p.Sink(j, "out")
 	// Stats say "huge build side" — the pin must win anyway.
 	ph, err := Compile(p, Options{Stats: &Stats{Records: map[string]int64{"relR": 1 << 30}}})
@@ -407,8 +390,8 @@ func TestStatsFromMemoryRekeysAndSeeds(t *testing.T) {
 	}
 
 	p := New("warm")
-	src := p.Scan("in", pairCodec)
-	g := p.GroupBy(src, countSpec())
+	src := Scan(p, "in", pairCodec)
+	g := GroupBy(p, src, countSpec())
 	p.Sink(g, "out")
 	ph, err := Compile(p, Options{Parts: 4, Stats: st})
 	if err != nil {
@@ -429,16 +412,16 @@ func TestStatsFromMemoryRekeysAndSeeds(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	t.Run("no sink", func(t *testing.T) {
 		p := New("v")
-		p.Scan("in", pairCodec)
+		Scan(p, "in", pairCodec)
 		if _, err := Compile(p, Options{}); err == nil {
 			t.Fatal("want error for plan without sinks")
 		}
 	})
 	t.Run("double consume", func(t *testing.T) {
 		p := New("v")
-		src := p.Scan("in", pairCodec)
-		a := p.Filter(src, func(any) bool { return true })
-		b := p.Filter(src, func(any) bool { return true })
+		src := Scan(p, "in", pairCodec)
+		a := Filter(p, src, func(tuple) bool { return true })
+		b := Filter(p, src, func(tuple) bool { return true })
 		p.Sink(a, "outA")
 		p.Sink(b, "outB")
 		if _, err := Compile(p, Options{}); err == nil || !strings.Contains(err.Error(), "consumed") {
@@ -448,18 +431,26 @@ func TestValidationErrors(t *testing.T) {
 	t.Run("cross-plan dataset", func(t *testing.T) {
 		p1 := New("v1")
 		p2 := New("v2")
-		foreign := p2.Scan("other", pairCodec)
-		mine := p1.Scan("in", pairCodec)
-		j := p1.Join(foreign, mine, joinSpec(JoinAuto))
+		foreign := Scan(p2, "other", pairCodec)
+		mine := Scan(p1, "in", pairCodec)
+		j := Join(p1, foreign, mine, joinSpec(JoinAuto))
 		p1.Sink(j, "out")
 		if _, err := Compile(p1, Options{}); err == nil || !strings.Contains(err.Error(), "cross") {
 			t.Fatalf("want cross-plan error, got %v", err)
 		}
 	})
+	t.Run("record type mismatch", func(t *testing.T) {
+		p := New("v")
+		counts := GroupBy(p, Scan(p, "in", pairCodec), countSpec())
+		p.Sink(Filter(p, counts, func(tuple) bool { return true }), "out")
+		if _, err := Compile(p, Options{}); err == nil || !strings.Contains(err.Error(), "holds") {
+			t.Fatalf("want record-type error, got %v", err)
+		}
+	})
 	t.Run("self join", func(t *testing.T) {
 		p := New("v")
-		src := p.Scan("in", pairCodec)
-		j := p.Join(src, src, joinSpec(JoinAuto))
+		src := Scan(p, "in", pairCodec)
+		j := Join(p, src, src, joinSpec(JoinAuto))
 		p.Sink(j, "out")
 		if _, err := Compile(p, Options{}); err == nil {
 			t.Fatal("want self-join error")
@@ -469,9 +460,9 @@ func TestValidationErrors(t *testing.T) {
 
 func TestExplainMentionsDecisions(t *testing.T) {
 	p := New("ex")
-	r := p.Scan("relR", pairCodec)
-	s := p.Scan("relS", pairCodec)
-	j := p.Join(r, s, joinSpec(JoinAuto))
+	r := Scan(p, "relR", pairCodec)
+	s := Scan(p, "relS", pairCodec)
+	j := Join(p, r, s, joinSpec(JoinAuto))
 	p.Sink(j, "out")
 	ph, err := Compile(p, Options{Parts: 4, Stats: withRecords(zipfStats("relS", 200000), "relR", 1<<20)})
 	if err != nil {

@@ -110,7 +110,7 @@ func (c *compiler) warmEdgeStats(edge string, in *Node) *sketch.EdgeStats {
 // SplitPartition/IsolateKey policies upgrade it mid-run when the live
 // count-min sketch reveals skew the compile-time statistics missed.
 func (c *compiler) decideJoin(n *Node) JoinInfo {
-	info := JoinInfo{Node: n.id, Strategy: n.join.Strategy, Edge: c.p.edgeName(n)}
+	info := JoinInfo{Node: n.id, Strategy: n.strategy, Edge: c.p.edgeName(n)}
 	if info.Strategy != JoinAuto {
 		info.Reason = "pinned by JoinSpec.Strategy"
 		if info.Strategy == JoinBroadcast {

@@ -10,18 +10,17 @@ const scatterBlock = 4096
 // A Scatter is the one path from typed records to the leaf bags of a
 // shuffle edge: route a record through the Writer, append it to the
 // encoder of the leaf it routed to, and hand each chunk an encoder cuts to
-// Writer.InsertBatchChunk. The typed PartitionedWriter is a Scatter[T], the
-// query planner's edge sinks are a Scatter[any] over per-worker encoders
-// (AnyCodec.NewEncoderAny), and Writer.Write is a Scatter[[]byte]. Write is
-// the one-record view — route now, encode now, nothing of the record
-// retained — and WriteBatch the same path in blocks, through the encoders'
-// AppendRows. Which layout a leaf's chunks take is the encoder's business
-// (chunk.Encoder: it follows the codec); the Scatter never asks. It owns one
-// encoder per leaf it has routed to and belongs to one producer goroutine,
-// like its Writer.
+// Writer.InsertBatchChunk. The typed PartitionedWriter is a Scatter[T], a
+// compiled plan's edge sink is a Scatter of the stage's output record type,
+// and Writer.Write is a Scatter[[]byte]. Write is the one-record view —
+// route now, encode now, nothing of the record retained — and WriteBatch
+// the same path in blocks, through the encoders' AppendRows. Which layout a
+// leaf's chunks take is the encoder's business (chunk.Encoder: it follows
+// the codec); the Scatter never asks. It owns one encoder per leaf it has
+// routed to and belongs to one producer goroutine, like its Writer.
 type Scatter[T any] struct {
 	w      *Writer
-	newEnc func(emit func(chunk.Chunk, int) error) LeafEncoder[T]
+	codec  chunk.Codec[T]
 	key    func(T) []byte
 	keyU64 func(T) uint64 // optional: route on key words, not bytes
 
@@ -36,37 +35,17 @@ type Scatter[T any] struct {
 	touched []*scatterLeaf[T] // leaves the current block has rows for
 }
 
-// A LeafEncoder is what a Scatter appends one leaf's records to:
-// *chunk.Encoder[T], or an adapter that unboxes records for one
-// (chunk.AnyEncoder). Close emits the open chunk, if it holds any records.
-type LeafEncoder[T any] interface {
-	Append(v T) error
-	// AppendRows appends vs[idx[0]], vs[idx[1]], ... in that order.
-	AppendRows(vs []T, idx []int32) error
-	Close() error
-}
-
 // scatterLeaf is one leaf's encoder and, during a WriteBatch block, the
 // block's row indices routed to it.
 type scatterLeaf[T any] struct {
-	enc LeafEncoder[T]
+	enc *chunk.Encoder[T]
 	idx []int32
 }
 
 // NewScatter returns a Scatter writing codec's values to w's edge, keyed by
-// key.
+// key (nil when KeyUint64 supplies the key).
 func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Scatter[T] {
-	size := w.cfg.Store.ChunkSize()
-	return NewScatterOf(w, func(emit func(chunk.Chunk, int) error) LeafEncoder[T] {
-		return chunk.NewEncoder(codec, size, emit)
-	}, key)
-}
-
-// NewScatterOf is NewScatter with the leaf encoders made by newEnc, for
-// callers whose records are not the codec's own type. newEnc is called once
-// per leaf, on the producer's goroutine.
-func NewScatterOf[T any](w *Writer, newEnc func(emit func(chunk.Chunk, int) error) LeafEncoder[T], key func(T) []byte) *Scatter[T] {
-	return &Scatter[T]{w: w, newEnc: newEnc, key: key}
+	return &Scatter[T]{w: w, codec: codec, key: key}
 }
 
 // KeyUint64 makes the scatter route on uint64 key words: key must agree
@@ -142,7 +121,7 @@ func (s *Scatter[T]) leaf(ref RouteRef) *scatterLeaf[T] {
 	if l := s.other[ref]; l != nil {
 		return l
 	}
-	l := &scatterLeaf[T]{enc: s.newEnc(func(c chunk.Chunk, rows int) error {
+	l := &scatterLeaf[T]{enc: chunk.NewEncoder(s.codec, s.w.cfg.Store.ChunkSize(), func(c chunk.Chunk, rows int) error {
 		return s.w.InsertBatchChunk(ref, c, rows)
 	})}
 	if dense {
