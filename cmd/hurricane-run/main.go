@@ -88,6 +88,28 @@ import (
 	"repro/internal/workload"
 )
 
+// runConfig is the cluster every mode of this command runs on: the
+// engine's defaults at a cadence that suits jobs lasting seconds, not
+// hours, and refinement thresholds that let a few hundred thousand records
+// show a split. A mode adds only what it alone needs.
+func runConfig(computes, slots int) core.ClusterConfig {
+	return core.ClusterConfig{
+		ComputeNodes: computes,
+		SlotsPerNode: slots,
+		Master: core.MasterConfig{
+			CloneInterval:   50 * time.Millisecond,
+			SplitInterval:   20 * time.Millisecond,
+			SplitImbalance:  1.5,
+			SplitMinRecords: 4096,
+			SplitFan:        4,
+		},
+		Node: core.NodeConfig{
+			MonitorInterval:   25 * time.Millisecond,
+			OverloadThreshold: 0.5,
+		},
+	}
+}
+
 func main() {
 	storageFlag := flag.String("storage", "", "comma-separated name=addr storage nodes")
 	job := flag.String("job", "clicklog", "job to run: clicklog | groupby | query (with -submit: sqsum | groupby)")
@@ -189,15 +211,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
-		ComputeNodes: *computes,
-		SlotsPerNode: *slots,
-		Master:       core.MasterConfig{CloneInterval: 50 * time.Millisecond},
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-	})
+	cluster := core.NewClusterOverStore(store, runConfig(*computes, *slots))
 	start := time.Now()
 	if err := cluster.Run(ctx, apps.ClickLogApp(regions, hostBits, false)); err != nil {
 		log.Fatal(err)
@@ -236,21 +250,7 @@ func runGroupBy(ctx context.Context, store *bag.Store, names []string, records i
 		log.Fatal(err)
 	}
 
-	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
-		ComputeNodes: computes,
-		SlotsPerNode: slots,
-		Master: core.MasterConfig{
-			CloneInterval:   50 * time.Millisecond,
-			SplitInterval:   20 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 4096,
-			SplitFan:        4,
-		},
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-	})
+	cluster := core.NewClusterOverStore(store, runConfig(computes, slots))
 	app := apps.GroupByApp(parts, true, false, 0, 0)
 	start := time.Now()
 	if err := cluster.Run(ctx, app); err != nil {

@@ -45,21 +45,7 @@ func runQuery(ctx context.Context, store *bag.Store, names []string, records int
 	if err := apps.LoadRelations(ctx, store, r, s); err != nil {
 		log.Fatal(err)
 	}
-	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
-		ComputeNodes: computes,
-		SlotsPerNode: slots,
-		Master: core.MasterConfig{
-			CloneInterval:   50 * time.Millisecond,
-			SplitInterval:   20 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 4096,
-			SplitFan:        4,
-		},
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-	})
+	cluster := core.NewClusterOverStore(store, runConfig(computes, slots))
 	defer cluster.Shutdown()
 
 	start := time.Now()

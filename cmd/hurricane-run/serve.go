@@ -95,20 +95,10 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 	if client != nil {
 		client.Bind(transport.NewMeter(o, "client", "", 0))
 	}
-	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
-		ComputeNodes: computes,
-		SlotsPerNode: slots,
-		Master: core.MasterConfig{
-			CloneInterval: 50 * time.Millisecond,
-			SplitInterval: 20 * time.Millisecond,
-		},
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-		Sched: sched.Config{Interval: 10 * time.Millisecond},
-		Obs:   o,
-	})
+	cfg := runConfig(computes, slots)
+	cfg.Sched = sched.Config{Interval: 10 * time.Millisecond}
+	cfg.Obs = o
+	cluster := core.NewClusterOverStore(store, cfg)
 	defer cluster.Shutdown()
 
 	boundDebug := ""

@@ -31,14 +31,7 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 	}
 	truth := apps.ClickStreamTruth(gen, windows, perWindow)
 
-	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
-		ComputeNodes: computes,
-		SlotsPerNode: slots,
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-	})
+	cluster := core.NewClusterOverStore(store, runConfig(computes, slots))
 	defer cluster.Shutdown()
 
 	app := apps.ClickStreamApp(parts, true, 0)
@@ -55,13 +48,6 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 		Sources: map[string]hurricane.StreamSource{apps.ClickStreamIn: src},
 		Window:  time.Second,
 		Origin:  origin,
-		Master: &core.MasterConfig{
-			CloneInterval:   50 * time.Millisecond,
-			SplitInterval:   20 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 4096,
-			SplitFan:        4,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

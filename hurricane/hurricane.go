@@ -143,8 +143,8 @@ const (
 // Select policies per job through MasterConfig.Policies: nil installs the
 // default set derived from the flags (DisableCloning, SpeculativeCloning,
 // DisableSplitting); an explicit empty slice disables all mitigation. A
-// custom policy implements Policy — and EdgeStatsConsumer if it reads
-// shuffle-edge sketches — and composes freely with the built-ins:
+// custom policy implements Policy (its snapshots carry every active
+// shuffle edge's merged sketch) and composes freely with the built-ins:
 //
 //	cfg.Master.Policies = append(
 //		hurricane.DefaultPolicies(cfg.Master),
@@ -173,9 +173,6 @@ type (
 	EdgeTel = ctrl.EdgeTel
 	// PolicyConfig carries the tuning knobs shared by built-in policies.
 	PolicyConfig = ctrl.Config
-	// EdgeStatsConsumer marks policies that need shuffle-edge sketches
-	// fetched into their snapshots.
-	EdgeStatsConsumer = ctrl.EdgeStatsConsumer
 	// ClonePolicy is the paper's reactive cloning mitigation (§4.2).
 	ClonePolicy = ctrl.ClonePolicy
 	// SpeculativePolicy proactively clones stragglers (§3.5).

@@ -18,13 +18,6 @@ import (
 // sketch and splits hot partitions at runtime, so skewed keyed workloads
 // spread across consumers instead of serializing on one bag.
 
-// Partitioner maps a record key to one of n base partitions. Implementations
-// must be deterministic and shared by all producers of an edge.
-type Partitioner = shuffle.Partitioner
-
-// HashPartitioner is the default partitioner (FNV-1a modulo n).
-type HashPartitioner = shuffle.HashPartitioner
-
 // PartitionedWriter routes typed records by key into the physical
 // partition bags of a partitioned output, adopting partition-map updates
 // published by the master mid-stream. It is a shuffle.Scatter: Write and
@@ -37,18 +30,12 @@ type PartitionedWriter[T any] struct{ s *shuffle.Scatter[T] }
 
 // NewPartitionedWriter returns a partitioned writer for output out, which
 // must be declared with BagSpec.Partitions > 0 (it panics otherwise, like
-// a type error). key extracts the routing key from a record; records with
-// equal keys land in the same partition unless the master isolates the key
-// with record-level spreading (BagSpec.Spread).
+// a type error). key extracts the routing key from a record; a record's
+// base partition is the hash of its key, so records with equal keys land
+// in the same partition unless the master isolates the key with
+// record-level spreading (BagSpec.Spread).
 func NewPartitionedWriter[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) []byte) *PartitionedWriter[T] {
-	return NewPartitionedWriterWith(tc, out, codec, key, nil)
-}
-
-// NewPartitionedWriterWith is NewPartitionedWriter with a custom base
-// partitioner (nil means the default HashPartitioner). All producers of an
-// edge must use the same partitioner.
-func NewPartitionedWriterWith[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) []byte, part Partitioner) *PartitionedWriter[T] {
-	w := tc.ShuffleWriter(out, part)
+	w := tc.ShuffleWriter(out)
 	if w == nil {
 		panic(fmt.Sprintf("hurricane: output bag %q is not partitioned", tc.OutputName(out)))
 	}
@@ -70,7 +57,7 @@ func (pw *PartitionedWriter[T]) WriteBatch(vs []T) error { return pw.s.WriteBatc
 // Uint64Key(key); routing hashes and counts the key words directly,
 // skipping the per-record byte round-trip.
 func NewPartitionedWriterUint64[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) uint64) *PartitionedWriter[T] {
-	pw := NewPartitionedWriterWith(tc, out, codec, Uint64Key(key), nil)
+	pw := NewPartitionedWriter(tc, out, codec, Uint64Key(key))
 	pw.s.KeyUint64(key)
 	return pw
 }

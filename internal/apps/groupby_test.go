@@ -14,12 +14,11 @@ import (
 // partitioner routes to base partition `target` of `parts` — the
 // deterministic way to pile many medium keys onto one partition.
 func keysInPartition(parts, target, count int) []uint64 {
-	part := shuffle.HashPartitioner{}
 	var out []uint64
 	var b [8]byte
 	for k := uint64(1); len(out) < count; k++ {
 		binary.LittleEndian.PutUint64(b[:], k)
-		if part.Partition(b[:], parts) == target {
+		if int(shuffle.KeyHash(b[:])%uint64(parts)) == target {
 			out = append(out, k)
 		}
 	}

@@ -533,38 +533,3 @@ func (s *Store) Sample(ctx context.Context, name string) (Stats, error) {
 	}
 	return st, nil
 }
-
-// SampleSlots samples only k randomly chosen slots and extrapolates,
-// matching the paper's "sampling the input bag on a few storage nodes".
-func (s *Store) SampleSlots(ctx context.Context, name string, k int) (Stats, error) {
-	m := s.NumSlots()
-	if k <= 0 || k >= m {
-		return s.Sample(ctx, name)
-	}
-	var st Stats
-	st.Sealed = true
-	perm := rand.Perm(m)[:k]
-	for _, slot := range perm {
-		resp, err := s.callSlot(ctx, slot, &transport.Request{
-			Op:  transport.OpSample,
-			Bag: slotBag(name, slot),
-		})
-		if err != nil {
-			return st, err
-		}
-		if err := resp.Error(); err != nil {
-			return st, err
-		}
-		st.TotalChunks += resp.TotalChunks
-		st.ReadChunks += resp.ReadChunks
-		st.TotalBytes += resp.TotalBytes
-		st.ReadBytes += resp.ReadBytes
-		st.Sealed = st.Sealed && resp.Sealed
-	}
-	scale := float64(m) / float64(k)
-	st.TotalChunks = int64(float64(st.TotalChunks) * scale)
-	st.ReadChunks = int64(float64(st.ReadChunks) * scale)
-	st.TotalBytes = int64(float64(st.TotalBytes) * scale)
-	st.ReadBytes = int64(float64(st.ReadBytes) * scale)
-	return st, nil
-}

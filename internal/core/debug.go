@@ -1,19 +1,19 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strings"
-	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/obs"
-	"repro/internal/sketch"
 )
 
 // The live debug surface. DebugHandler serves the cluster's observability
@@ -23,7 +23,7 @@ import (
 //	/debug/trace         the skew-event trace as JSON (?job=, ?type=, and
 //	                     ?trace= — the submitter-minted causal ID — filter)
 //	/debug/skew          per-edge heavy-hitter table and partition heat, from
-//	                     the live merged producer sketches
+//	                     the control plane's last record of each edge
 //	/debug/profile/<job> the job's execution profile (JobHandle.Profile) as
 //	                     JSON: per-stage phase spans, critical path, edge skew
 //	/debug/explain/<job> the job's EXPLAIN ANALYZE as text (the compiled
@@ -63,7 +63,7 @@ type PartitionHeat struct {
 	Share   float64 `json:"share"`
 }
 
-// SkewEdge is the live skew picture of one partitioned shuffle edge.
+// SkewEdge is the skew picture of one partitioned shuffle edge.
 type SkewEdge struct {
 	Job     string `json:"job"`
 	Edge    string `json:"edge"`
@@ -79,123 +79,98 @@ type SkewEdge struct {
 	Heavy []HeavyHitter `json:"heavy,omitempty"`
 }
 
-// SkewReport assembles the live skew picture across every job the
-// cluster knows: for each partitioned edge, the current partition map
-// (base layout, splits, isolations) joined with the freshest merged
-// producer sketch — fetched live from storage when available, falling
-// back to the master's last captured stats (a sealed edge's sketch state
-// is deleted at seal time). Edges that never saw a record are skipped.
-func (c *Cluster) SkewReport(ctx context.Context) []SkewEdge {
+// edgeRecords visits the control plane's last record (ctrl.Hub.Edges) of
+// every partitioned edge that has seen a record, jobs and edges in name
+// order. It reads memory only: what the operator surfaces show is what the
+// controllers last saw, and showing it costs the storage tier nothing.
+func (c *Cluster) edgeRecords(visit func(job string, e *ctrl.EdgeTel, h ctrl.Heat)) {
 	c.mu.Lock()
-	jobs := make([]*JobHandle, 0, len(c.jobs))
-	for _, h := range c.jobs {
-		jobs = append(jobs, h)
-	}
+	jobs := slices.SortedFunc(maps.Values(c.jobs), func(a, b *JobHandle) int { return cmp.Compare(a.id, b.id) })
 	c.mu.Unlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
-	var out []SkewEdge
 	for _, h := range jobs {
 		m := h.Master()
 		if m == nil {
 			continue
 		}
-		mem := m.EdgeMemory()
-		names := make([]string, 0, len(mem))
-		for name := range mem {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			em := mem[name]
-			stats := em.Stats
-			if fresh, err := c.store.FetchSketch(ctx, name); err == nil && fresh != nil && fresh.Total() > 0 {
-				stats = fresh
+		edges := m.hub.Edges()
+		for _, name := range slices.Sorted(maps.Keys(edges)) {
+			e := edges[name]
+			if heat := ctrl.EdgeHeat(&e); heat.Records > 0 {
+				visit(h.id, &e, heat)
 			}
-			se := SkewEdge{Job: h.id, Edge: name}
-			if em.PMap != nil {
-				se.Version = em.PMap.Version
-				se.Base = em.PMap.Base
-				se.Isolated = len(em.PMap.Isolated)
-				if len(em.PMap.Splits) > 0 {
-					se.Splits = make(map[int]int, len(em.PMap.Splits))
-					for p, fan := range em.PMap.Splits {
-						se.Splits[p] = fan
-					}
-				}
-			}
-			if stats == nil || stats.Total() == 0 {
-				continue
-			}
-			se.Records = stats.Total()
-			total := float64(se.Records)
-			for bag, n := range stats.Counts {
-				se.Partitions = append(se.Partitions, PartitionHeat{
-					Bag: bag, Records: n, Share: float64(n) / total,
-				})
-			}
-			sort.Slice(se.Partitions, func(i, j int) bool {
-				a, b := se.Partitions[i], se.Partitions[j]
-				if a.Records != b.Records {
-					return a.Records > b.Records
-				}
-				return a.Bag < b.Bag
-			})
-			for _, hk := range stats.TopKeys(sketch.MaxHeavyKeys, 0) {
-				hh := HeavyHitter{
-					Key:   hex.EncodeToString(hk.Key),
-					Count: hk.Count,
-					Share: float64(hk.Count) / total,
-				}
-				if len(hk.Key) == 8 {
-					u := binary.LittleEndian.Uint64(hk.Key)
-					hh.KeyUint64 = &u
-				}
-				se.Heavy = append(se.Heavy, hh)
-			}
-			out = append(out, se)
 		}
 	}
+}
+
+// SkewReport renders the skew picture of every partitioned edge that has
+// seen a record: the partition map (base layout, splits, isolations) and
+// merged producer sketch of the control plane's last record of the edge —
+// taken by its rate-limited fetch while the edge is produced, and once
+// more when it seals.
+func (c *Cluster) SkewReport() []SkewEdge {
+	var out []SkewEdge
+	c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {
+		se := SkewEdge{
+			Job: job, Edge: e.Name, Records: heat.Records, Version: e.PMap.Version,
+			Base: e.PMap.Base, Splits: maps.Clone(e.PMap.Splits), Isolated: len(e.PMap.Isolated),
+		}
+		for bag, n := range e.Stats.Counts {
+			se.Partitions = append(se.Partitions, PartitionHeat{Bag: bag, Records: n, Share: heat.Share(n)})
+		}
+		slices.SortFunc(se.Partitions, func(a, b PartitionHeat) int {
+			return cmp.Or(cmp.Compare(b.Records, a.Records), cmp.Compare(a.Bag, b.Bag))
+		})
+		for _, hk := range heat.Heavy {
+			hh := HeavyHitter{
+				Key:   hex.EncodeToString(hk.Key),
+				Count: hk.Count,
+				Share: heat.Share(hk.Count),
+			}
+			if len(hk.Key) == 8 {
+				u := binary.LittleEndian.Uint64(hk.Key)
+				hh.KeyUint64 = &u
+			}
+			se.Heavy = append(se.Heavy, hh)
+		}
+		out = append(out, se)
+	})
 	return out
 }
 
-// skewSource feeds the time-series recorder the per-edge heat shares on
-// every sample tick: the top partition's share of the edge's records and
-// the top heavy key's share, labeled by job and edge. It reads only the
-// masters' captured EdgeMemory stats — deliberately never the live
-// sketch bags, so sampling stays off the wire (SkewReport pays that cost
-// on demand; a 4 Hz sampler must not).
-func (c *Cluster) skewSource() obs.Source {
+// heatSeries is the series the heat alert watches: an edge's hottest
+// refinable leaf over its mean leaf load, the quantity the split policy
+// holds against SplitImbalance.
+const heatSeries = "hurricane_skew_partition_imbalance"
+
+// heatRule is the watchdog's shuffle-heat rule. Its threshold is the
+// cluster's SplitImbalance and skewSource emits heatSeries only for edges
+// past the cluster's SplitMinRecords, so the alert holds on a sample when
+// the refinement policies' detection held on the record it was taken from
+// (but for exactly SplitImbalance, where the policies want strictly more).
+func heatRule(splitImbalance float64) obs.Rule {
+	return obs.Rule{
+		Name: "shuffle-heat-imbalance", Kind: obs.KindThreshold,
+		Series: heatSeries, Threshold: splitImbalance, For: 2,
+		Help: "an edge's hottest refinable partition holds >= SplitImbalance x the mean partition load — what the split and isolate policies act on",
+	}
+}
+
+// skewSource feeds the time-series recorder the heat of every edge record
+// (ctrl.EdgeHeat) on every sample tick, labeled by job and edge: the
+// hottest refinable partition's imbalance and share, and the top heavy
+// key's share.
+func (c *Cluster) skewSource(splitMinRecords int) obs.Source {
 	return func(emit func(string, float64)) {
-		c.mu.Lock()
-		jobs := make([]*JobHandle, 0, len(c.jobs))
-		for _, h := range c.jobs {
-			jobs = append(jobs, h)
-		}
-		c.mu.Unlock()
-		for _, h := range jobs {
-			m := h.Master()
-			if m == nil {
-				continue
+		c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {
+			lbl := fmt.Sprintf("{edge=%q,job=%q}", e.Name, job)
+			emit("hurricane_skew_partition_top_share"+lbl, heat.Share(heat.LeafRecords))
+			if heat.Records >= uint64(splitMinRecords) {
+				emit(heatSeries+lbl, heat.Imbalance)
 			}
-			for name, em := range m.EdgeMemory() {
-				stats := em.Stats
-				if stats == nil || stats.Total() == 0 {
-					continue
-				}
-				total := float64(stats.Total())
-				var top uint64
-				for _, n := range stats.Counts {
-					if n > top {
-						top = n
-					}
-				}
-				lbl := fmt.Sprintf("{edge=%q,job=%q}", name, h.id)
-				emit("hurricane_skew_partition_top_share"+lbl, float64(top)/total)
-				if hk := stats.TopKeys(1, 0); len(hk) > 0 {
-					emit("hurricane_skew_key_top_share"+lbl, float64(hk[0].Count)/total)
-				}
+			if len(heat.Heavy) > 0 {
+				emit("hurricane_skew_key_top_share"+lbl, heat.Share(heat.Heavy[0].Count))
 			}
-		}
+		})
 	}
 }
 
@@ -224,9 +199,7 @@ func (c *Cluster) DebugHandler() http.Handler {
 		writeJSON(w, resp)
 	})
 	mux.HandleFunc("/debug/skew", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-		defer cancel()
-		report := c.SkewReport(ctx)
+		report := c.SkewReport()
 		if report == nil {
 			report = []SkewEdge{}
 		}

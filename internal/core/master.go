@@ -12,7 +12,6 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
-	"repro/internal/sketch"
 )
 
 // ClusterControl is the interface through which the master exerts
@@ -58,8 +57,6 @@ type MasterConfig struct {
 	StorageBandwidth float64
 	// DisableCloning turns cloning off entirely (HurricaneNC, Fig. 6).
 	DisableCloning bool
-	// SampleSlots limits input-bag sampling to k random slots (0 = all).
-	SampleSlots int
 	// DisableHeuristic makes the master accept every rate-limited clone
 	// request without evaluating Eq. 2 (used in ablations and tests).
 	DisableHeuristic bool
@@ -102,9 +99,9 @@ type MasterConfig struct {
 	// Policies selects the mitigation strategies the control plane runs
 	// for this job. Nil installs the default set derived from the flags
 	// above (DefaultPolicies); an explicit empty slice disables all
-	// mitigation. Custom policies implement ctrl.Policy; policies that
-	// read shuffle-edge sketches should also implement
-	// ctrl.EdgeStatsConsumer so the telemetry hub fetches them.
+	// mitigation. Custom policies implement ctrl.Policy; whenever a chain
+	// is installed its snapshots carry the merged sketch of every active
+	// shuffle edge, fetched once per SplitInterval.
 	Policies []ctrl.Policy
 
 	// Seeds are warm-start partition maps for the job's partitioned
@@ -272,9 +269,6 @@ type Master struct {
 
 	hub      *ctrl.Hub
 	policies []ctrl.Policy
-	// wantsStats: some installed policy consumes shuffle-edge sketches, so
-	// the hub fetches them and finishTask captures a final EdgeMemory copy.
-	wantsStats bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -420,34 +414,25 @@ func NewMaster(app *App, store *bag.Store, control ClusterControl, cfg MasterCon
 	if m.policies == nil {
 		m.policies = DefaultPolicies(cfg)
 	}
-	hubCfg := ctrl.HubConfig{FetchInterval: cfg.SplitInterval, Obs: cfg.Obs, Job: cfg.Job}
-	m.wantsStats = wantsEdgeStats(m.policies)
-	if m.wantsStats && len(m.edges) > 0 {
-		hubCfg.FetchStats = func(ctx context.Context, edge string) (*sketch.EdgeStats, error) {
-			return store.FetchSketch(ctx, edge)
-		}
-	}
-	hubCfg.SampleBag = func(ctx context.Context, bagName string) (*ctrl.BagTel, error) {
-		stats, err := store.SampleSlots(ctx, bagName, cfg.SampleSlots)
-		if err != nil {
-			return nil, err
-		}
-		return &ctrl.BagTel{ReadBytes: stats.ReadBytes, RemainingBytes: stats.RemainingBytes()}, nil
-	}
-	m.hub = ctrl.NewHub(hubCfg)
+	m.hub = ctrl.NewHub(ctrl.HubConfig{
+		FetchStats:    store.FetchSketch,
+		FetchInterval: cfg.SplitInterval,
+		SampleBag: func(ctx context.Context, bagName string) (*ctrl.BagTel, error) {
+			stats, err := store.Sample(ctx, bagName)
+			if err != nil {
+				return nil, err
+			}
+			return &ctrl.BagTel{ReadBytes: stats.ReadBytes, RemainingBytes: stats.RemainingBytes()}, nil
+		},
+		Obs: cfg.Obs,
+		Job: cfg.Job,
+	})
 	return m
 }
 
-// wantsEdgeStats reports whether any installed policy consumes shuffle
-// edge sketches; if none does, the hub skips the storage-tier fetches.
-func wantsEdgeStats(policies []ctrl.Policy) bool {
-	for _, p := range policies {
-		if c, ok := p.(ctrl.EdgeStatsConsumer); ok && c.WantsEdgeStats() {
-			return true
-		}
-	}
-	return false
-}
+// Config returns the master's configuration with every default filled in:
+// the thresholds its policies and seeds run under.
+func (m *Master) Config() MasterConfig { return m.cfg }
 
 // WorkBags exposes the app's work-bag interface (used by compute nodes).
 func (m *Master) WorkBags() *workBags { return m.wb }
@@ -847,18 +832,6 @@ func (m *Master) controlPass() (int, error) {
 		return 0, nil
 	}
 	snap := m.hub.Snapshot(m.ctx, m.fillSnapshot)
-	// Retain fetched edge sketches as skew memory: the hub only carries
-	// them in the snapshot, but EdgeMemory must outlive the job.
-	for name, tel := range snap.Edges {
-		if tel.Stats == nil {
-			continue
-		}
-		if edge := m.edges[name]; edge != nil {
-			m.mu.Lock()
-			edge.lastStats = tel.Stats
-			m.mu.Unlock()
-		}
-	}
 	// Propose and arbitrate separately (ctrl.Evaluate fuses the two) so
 	// the proposed-versus-surviving gap is observable: the suppressed
 	// counter is the arbiter's work — duplicate clones collapsed, clone
@@ -911,23 +884,7 @@ func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
 		snap.Tasks[name] = t
 	}
 	for name, edge := range m.edges {
-		active := true
-		for _, p := range edge.producers {
-			if m.tasks[p].finished {
-				active = false // producers finishing: map is (about to be) final
-				break
-			}
-		}
-		if edge.consumer != "" && m.tasks[edge.consumer].scheduled {
-			active = false
-		}
-		snap.Edges[name] = &ctrl.EdgeTel{
-			Name:         name,
-			PMap:         edge.pmap,
-			Spread:       edge.spec.Spread,
-			Active:       active,
-			Unsplittable: edge.splitTried,
-		}
+		snap.Edges[name] = m.edgeTelLocked(edge)
 	}
 }
 
@@ -1388,19 +1345,19 @@ func (m *Master) finishTask(st *taskState) error {
 		}
 		// A sealed shuffle edge splits no further, so its per-writer
 		// sketch state on the storage tier has served its routing
-		// purpose. Capture the final merged sketch first — short jobs
-		// (streaming windows) often seal before the hub's rate-limited
-		// fetch ever ran, and this is the last chance to learn the
-		// edge's key distribution for EdgeMemory — then wipe the slot.
-		// The fetch is best-effort (the sketch is advisory).
+		// purpose. Hand the hub the edge's final map and merged sketch
+		// first — short jobs (streaming windows) often seal before the
+		// hub's rate-limited fetch ever ran, and this is the last chance
+		// to learn the edge's key distribution — then wipe the slot. The
+		// fetch is best-effort (the sketch is advisory).
 		if edge := m.edges[b]; edge != nil {
-			if m.wantsStats {
-				if stats, err := m.store.FetchSketch(m.ctx, b); err == nil && stats.Total() > 0 {
-					m.mu.Lock()
-					edge.lastStats = stats
-					m.mu.Unlock()
-				}
+			m.mu.Lock()
+			tel := m.edgeTelLocked(edge)
+			m.mu.Unlock()
+			if stats, err := m.store.FetchSketch(m.ctx, b); err == nil && stats.Total() > 0 {
+				tel.Stats = stats
 			}
+			m.hub.ObserveEdge(*tel)
 			if err := m.store.DeleteSketch(m.ctx, b); err != nil {
 				return err
 			}

@@ -261,7 +261,13 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 			}
 			hd.armed.Store(true)
 			if tc.op == transport.OpRemove {
-				// The poll to stall is one made while the job is bound.
+				// The poll to stall is one made while the job is bound. The
+				// gated copy workers and their clones may hold every slot,
+				// and a node without a free slot does not poll: a node added
+				// now has free slots and is bound to the job.
+				if _, err := cluster.AddComputeNode(ctx); err != nil {
+					t.Fatal(err)
+				}
 				select {
 				case <-hd.entered:
 				case <-ctx.Done():

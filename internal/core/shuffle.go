@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -24,15 +25,15 @@ type EdgeMemory struct {
 	Stats *sketch.EdgeStats
 }
 
-// EdgeMemory snapshots the master's per-edge skew memory, keyed by the
-// (namespaced) logical bag name. Valid at any time; most useful after the
-// job completes, when every edge's map is final.
+// EdgeMemory is the map and stats of the control plane's last record of
+// every edge (ctrl.Hub.Edges), keyed by the (namespaced) logical bag
+// name. Valid at any time; most useful after the job completes, when every
+// edge has been recorded with its final map and stats.
 func (m *Master) EdgeMemory() map[string]EdgeMemory {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]EdgeMemory, len(m.edges))
-	for name, e := range m.edges {
-		out[name] = EdgeMemory{PMap: e.pmap, Stats: e.lastStats}
+	edges := m.hub.Edges()
+	out := make(map[string]EdgeMemory, len(edges))
+	for name, e := range edges {
+		out[name] = EdgeMemory{PMap: e.PMap, Stats: e.Stats}
 	}
 	return out
 }
@@ -52,14 +53,6 @@ type shuffleEdge struct {
 	consumer  string // consuming task name, or ""
 
 	splitTried map[string]bool // leaves that cannot be refined further
-
-	// lastStats is the most recent merged producer sketch observed for the
-	// edge (refreshed from control-plane fetches and captured one final
-	// time when the edge seals, just before its storage-side sketch state
-	// is deleted). It survives job completion so Master.EdgeMemory can hand
-	// it to a successor — the streaming subsystem's cross-window skew
-	// memory. Guarded by m.mu.
-	lastStats *sketch.EdgeStats
 }
 
 // newShuffleEdges builds edge state for every partitioned bag of the app.
@@ -89,12 +82,7 @@ func newShuffleEdges(app *App, store *bag.Store) map[string]*shuffleEdge {
 
 // edgeNames returns the edge map's keys in deterministic order.
 func edgeNames(edges map[string]*shuffleEdge) []string {
-	out := make([]string, 0, len(edges))
-	for n := range edges {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(edges))
 }
 
 // adoptPublishedMaps folds newer published partition-map versions into the
@@ -147,21 +135,30 @@ func drainPartitionMaps(ctx context.Context, sc *bag.Scanner, fn func(*shuffle.P
 	return err
 }
 
-// edgeStillActive reports whether partition-map refinements of the edge
-// can still take effect: producers running, consumer not yet scheduled
-// (the worker↔partition assignment is fixed from then on).
+// edgeTelLocked is the master's authoritative state of one edge, to which
+// the hub adds the stats. Active means partition-map refinements can still
+// take effect: no producer finished (the map is about to be final), consumer
+// not scheduled (that fixes the worker↔partition assignment). Holds m.mu.
+func (m *Master) edgeTelLocked(edge *shuffleEdge) *ctrl.EdgeTel {
+	active := edge.consumer == "" || !m.tasks[edge.consumer].scheduled
+	for _, p := range edge.producers {
+		active = active && !m.tasks[p].finished
+	}
+	return &ctrl.EdgeTel{
+		Name:         edge.name,
+		PMap:         edge.pmap,
+		Spread:       edge.spec.Spread,
+		Active:       active,
+		Unsplittable: edge.splitTried,
+	}
+}
+
+// edgeStillActive reports whether a refinement of the edge can still be
+// applied (edgeTelLocked's Active, read now).
 func (m *Master) edgeStillActive(edge *shuffleEdge) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, p := range edge.producers {
-		if m.tasks[p].finished {
-			return false
-		}
-	}
-	if edge.consumer != "" && m.tasks[edge.consumer].scheduled {
-		return false
-	}
-	return true
+	return m.edgeTelLocked(edge).Active
 }
 
 // applySplit applies a SplitPartition action: re-hash one hot base

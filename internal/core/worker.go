@@ -249,15 +249,14 @@ func (tc *TaskCtx) OutputBagSpec(i int) *BagSpec {
 	return tc.app.BagSpecFor(tc.OutputName(i))
 }
 
-// ShuffleWriter returns a new partitioned writer for output i routing by
-// part (nil means the default hash partitioner), or nil if the output is
-// not declared as a partitioned bag. Every engine surface that writes a
+// ShuffleWriter returns a new partitioned writer for output i, or nil if
+// the output is not declared as a partitioned bag. Every engine surface that writes a
 // shuffle edge — the typed PartitionedWriter, the planner's stage sinks —
 // gets its writer here, so all of them identify the producer the same way,
 // pace their control exchanges by the master's stats interval, and report
 // into the worker's profile. The caller registers the writer's Close (or
 // its own flush wrapping it) with OnFinish.
-func (tc *TaskCtx) ShuffleWriter(i int, part shuffle.Partitioner) *shuffle.Writer {
+func (tc *TaskCtx) ShuffleWriter(i int) *shuffle.Writer {
 	spec := tc.OutputBagSpec(i)
 	if spec == nil || spec.Partitions <= 0 {
 		return nil
@@ -267,7 +266,6 @@ func (tc *TaskCtx) ShuffleWriter(i int, part shuffle.Partitioner) *shuffle.Write
 		Edge:          tc.OutputName(i),
 		Parts:         spec.Partitions,
 		WriterID:      tc.bp.ID,
-		Partitioner:   part,
 		StatsInterval: tc.bp.StatsInterval,
 		Obs:           tc.obs,
 		Job:           tc.job,

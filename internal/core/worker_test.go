@@ -248,7 +248,7 @@ func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
 				return err
 			}
 			ref := shuffle.RouteRef{Iso: -1, Part: 0, Sub: -1}
-			if err := tc.ShuffleWriter(1, nil).InsertBatchChunk(ref, chunk.Chunk("\x01b"), 1); err != nil {
+			if err := tc.ShuffleWriter(1).InsertBatchChunk(ref, chunk.Chunk("\x01b"), 1); err != nil {
 				return err
 			}
 			<-tc.Context().Done()

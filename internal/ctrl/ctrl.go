@@ -14,6 +14,11 @@
 //
 //   - the Hub ingests telemetry signals as they arrive (event-driven, not
 //     polled), batches them, and builds versioned Snapshots on demand;
+//   - the Hub also owns what is known about a partitioned shuffle edge: its
+//     last record of every edge (Edges) carries the edge's current map and
+//     last merged stats, and EdgeHeat says how hot that makes it. The
+//     refinement policies, the operator surfaces and every warm start read
+//     that one record through that one function;
 //   - a Policy inspects a Snapshot and proposes Actions;
 //   - Arbitrate resolves conflicts between concurrently proposed Actions
 //     (clone-vs-split on one edge, duplicate clones, slot budgets) in one
@@ -128,6 +133,45 @@ type EdgeTel struct {
 	Unsplittable map[string]bool
 }
 
+// Heat is how hot an edge's record makes it: the one set of numbers the
+// refinement policies, the skew time series, the heat alert and /debug/skew
+// read, so that none of them can disagree about an edge.
+type Heat struct {
+	// Records is the number of records the edge's producers have reported.
+	Records uint64
+	// Leaf is the hottest leaf of the current map that can still be
+	// refined (not Unsplittable) and LeafRecords its load; "" and 0 when no
+	// such leaf has taken a record.
+	Leaf        string
+	LeafRecords uint64
+	// Imbalance is LeafRecords over the mean load per leaf of the current
+	// map: the quantity SplitImbalance bounds.
+	Imbalance float64
+	// Heavy are the sketch's heavy-hitter candidates, heaviest first.
+	Heavy []sketch.HeavyKey
+}
+
+// Share is n records' fraction of the edge's records.
+func (h Heat) Share(n uint64) float64 { return float64(n) / float64(h.Records) }
+
+// EdgeHeat computes the heat of one edge record. An edge without a map,
+// without stats or without records has the zero Heat.
+func EdgeHeat(e *EdgeTel) Heat {
+	if e.Stats == nil || e.PMap == nil || e.Stats.Total() == 0 {
+		return Heat{}
+	}
+	h := Heat{Records: e.Stats.Total()}
+	leaves := e.PMap.Leaves()
+	for _, l := range leaves {
+		if c := e.Stats.Counts[l]; c > h.LeafRecords && !e.Unsplittable[l] {
+			h.Leaf, h.LeafRecords = l, c
+		}
+	}
+	h.Imbalance = float64(h.LeafRecords) * float64(len(leaves)) / float64(h.Records)
+	h.Heavy = e.Stats.TopKeys(sketch.MaxHeavyKeys, 0)
+	return h
+}
+
 // BagTel is a sampled depth probe of one bag, used by the Eq. 2 cloning
 // heuristic.
 type BagTel struct {
@@ -171,8 +215,8 @@ type Snapshot struct {
 
 	// SampleBag lazily probes a bag's depth (read/remaining bytes). It
 	// returns nil when the probe fails or no prober is configured; the
-	// cloning heuristic then declines to clone, exactly like a failed
-	// SampleSlots RPC did. Results are memoized per snapshot.
+	// cloning heuristic then declines to clone. Results are memoized per
+	// snapshot.
 	SampleBag func(bag string) *BagTel
 }
 
@@ -294,13 +338,6 @@ type Policy interface {
 	Name() string
 	// Evaluate proposes mitigation actions for one snapshot.
 	Evaluate(snap *Snapshot) []Action
-}
-
-// EdgeStatsConsumer is implemented by policies that read EdgeTel.Stats.
-// The telemetry hub only pays for storage-tier sketch fetches when at
-// least one installed policy declares the need.
-type EdgeStatsConsumer interface {
-	WantsEdgeStats() bool
 }
 
 // Arbitrate resolves conflicts among the actions proposed by all policies

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"context"
+	"maps"
 	"sync"
 	"time"
 
@@ -24,8 +25,8 @@ type SampleBagFunc func(ctx context.Context, bag string) (*BagTel, error)
 
 // HubConfig wires a Hub to its telemetry sources.
 type HubConfig struct {
-	// FetchStats fetches merged edge sketches; nil disables edge
-	// statistics entirely (no refinement policy will see fresh stats).
+	// FetchStats fetches merged edge sketches for every active edge; nil
+	// disables edge statistics entirely (no policy will see fresh stats).
 	FetchStats FetchStatsFunc
 	// FetchInterval rate-limits sketch fetches per edge: a fetch makes the
 	// storage node decode and merge every producer's sketch blob, far too
@@ -58,6 +59,7 @@ type Hub struct {
 	overloads []Overload
 	dropped   int // overload signals dropped under pressure
 	lastFetch map[string]time.Time
+	edges     map[string]EdgeTel // the last record of every edge seen
 	// firstSignal is when the oldest still-undrained buffered signal
 	// arrived; Snapshot observes the drain delay as snapshot lag.
 	firstSignal time.Time
@@ -78,6 +80,7 @@ func NewHub(cfg HubConfig) *Hub {
 		wake:       make(chan struct{}, 1),
 		nodes:      make(map[string]NodeTel),
 		lastFetch:  make(map[string]time.Time),
+		edges:      make(map[string]EdgeTel),
 		mSnapshots: cfg.Obs.Counter("hurricane_ctrl_snapshots_total", job...),
 		mOverloads: cfg.Obs.Counter("hurricane_ctrl_overloads_total", job...),
 		mDropped:   cfg.Obs.Counter("hurricane_ctrl_overloads_dropped_total", job...),
@@ -145,11 +148,35 @@ func (h *Hub) Dropped() int {
 	return h.dropped
 }
 
+// ObserveEdge makes e the hub's record of its edge. A record without
+// stats keeps the stats of the one it replaces: no fresh evidence is not
+// an empty edge. Snapshot calls it for every edge it builds; the master
+// calls it once more when an edge seals, with the edge's final map and
+// stats, before the storage tier drops the producers' sketches.
+func (h *Hub) ObserveEdge(e EdgeTel) {
+	e.Unsplittable = maps.Clone(e.Unsplittable) // the owner keeps writing its own
+	h.mu.Lock()
+	if e.Stats == nil {
+		e.Stats = h.edges[e.Name].Stats
+	}
+	h.edges[e.Name] = e
+	h.mu.Unlock()
+}
+
+// Edges returns the hub's last record of every edge it has seen, keyed by
+// edge name. The records outlive the job: their maps and stats are what a
+// later run warm-starts from.
+func (h *Hub) Edges() map[string]EdgeTel {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return maps.Clone(h.edges)
+}
+
 // Snapshot drains the batched signals into a new versioned Snapshot. The
 // fill callback lets the owner (the master) contribute its authoritative
 // task and edge state; afterwards the hub fetches merged sketches for
-// active edges whose per-edge rate limit has elapsed and installs the
-// memoized bag-depth prober.
+// active edges whose per-edge rate limit has elapsed, records every edge
+// (ObserveEdge) and installs the memoized bag-depth prober.
 func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 	h.mu.Lock()
 	h.version++
@@ -198,6 +225,9 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 			}
 			e.Stats = stats
 		}
+	}
+	for _, e := range snap.Edges {
+		h.ObserveEdge(*e)
 	}
 
 	if snap.SampleBag == nil && h.cfg.SampleBag != nil {

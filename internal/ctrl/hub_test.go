@@ -3,9 +3,11 @@ package ctrl
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/shuffle"
 	"repro/internal/sketch"
 )
 
@@ -96,6 +98,70 @@ func TestHubFetchRateLimit(t *testing.T) {
 	}
 	if snap.Edges["shuf"].Stats != nil {
 		t.Fatal("stale round must carry nil stats (no fresh evidence)")
+	}
+
+	// The hub's own record of the edge keeps the last stats it saw, and
+	// takes the seal-time observation in their place.
+	rec := h.Edges()
+	if rec["shuf"].Stats == nil || rec["shuf"].Stats.Counts["shuf.p0"] != 42 || !rec["shuf"].Active {
+		t.Fatalf("edge record lost the fetched stats: %+v", rec["shuf"])
+	}
+	if e, ok := rec["idle"]; !ok || e.Stats != nil {
+		t.Fatalf("never-fetched edge: recorded=%v stats=%v", ok, e.Stats)
+	}
+	final := sketch.NewEdgeStats()
+	final.Counts["shuf.p0"] = 99
+	tried := map[string]bool{"shuf.p0": true}
+	h.ObserveEdge(EdgeTel{Name: "shuf", Stats: final, Unsplittable: tried})
+	tried["shuf.p1"] = true // the owner's set keeps changing; the record's must not
+	if e := h.Edges()["shuf"]; e.Stats.Counts["shuf.p0"] != 99 || e.Active || len(e.Unsplittable) != 1 {
+		t.Fatalf("edge record after the seal-time observation: %+v", e)
+	}
+}
+
+// TestHubEdgesConcurrent: the edge records are read from other goroutines
+// (the sampler, HTTP handlers, a stream's watcher) while the control loop
+// snapshots and the seal-time observation lands. Run under -race.
+func TestHubEdgesConcurrent(t *testing.T) {
+	h := NewHub(HubConfig{
+		FetchStats: func(ctx context.Context, edge string) (*sketch.EdgeStats, error) {
+			s := sketch.NewEdgeStats()
+			s.Counts[edge+".p0"] = 1
+			return s, nil
+		},
+	})
+	tried := map[string]bool{} // owned by the snapshotting goroutine, as in the master
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			tried[fmt.Sprintf("shuf.p%d", i)] = true
+			h.Snapshot(context.Background(), func(snap *Snapshot) {
+				snap.Edges["shuf"] = &EdgeTel{Name: "shuf", PMap: shuffle.BaseMap("shuf", 4), Active: true, Unsplittable: tried}
+			})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			h.ObserveEdge(EdgeTel{Name: "sealed", PMap: shuffle.BaseMap("sealed", 2)})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			for _, e := range h.Edges() {
+				EdgeHeat(&e)
+				for range e.Unsplittable {
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	if e := h.Edges()["shuf"]; e.Stats == nil || len(e.Unsplittable) != rounds {
+		t.Fatalf("last record: stats=%v unsplittable=%d", e.Stats, len(e.Unsplittable))
 	}
 }
 

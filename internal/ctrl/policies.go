@@ -163,49 +163,35 @@ func cloneWorthwhile(cfg *Config, snap *Snapshot, input string, t *TaskTel) bool
 
 // ---- shuffle-edge refinement ----
 
-// hotLeaf finds the hottest refinable leaf of an edge and reports whether
-// it crosses the imbalance threshold. Both refinement policies share this
-// detection so their proposals name the same partition and Arbitrate can
-// resolve the preference.
-func hotLeaf(cfg *Config, e *EdgeTel) (leaf string, count uint64, ok bool) {
-	if !e.Active || e.Stats == nil || e.PMap == nil {
-		return "", 0, false
+// hotLeaf is EdgeHeat plus the policy thresholds: it reports the edge's
+// heat and whether its hottest refinable leaf crosses the imbalance
+// threshold on an edge that is still active and past SplitMinRecords. Both
+// refinement policies share this detection so their proposals name the
+// same partition and Arbitrate can resolve the preference.
+func hotLeaf(cfg *Config, e *EdgeTel) (Heat, bool) {
+	if !e.Active {
+		return Heat{}, false
 	}
-	total := e.Stats.Total()
-	if total < uint64(cfg.SplitMinRecords) {
-		return "", 0, false
-	}
-	leaves := e.PMap.Leaves()
-	mean := float64(total) / float64(len(leaves))
-	for _, l := range leaves {
-		if c := e.Stats.Counts[l]; c > count && !e.Unsplittable[l] {
-			leaf, count = l, c
-		}
-	}
-	if leaf == "" || float64(count) <= cfg.SplitImbalance*mean {
-		return "", 0, false
-	}
-	return leaf, count, true
+	h := EdgeHeat(e)
+	return h, h.Leaf != "" && h.Records >= uint64(cfg.SplitMinRecords) && h.Imbalance > cfg.SplitImbalance
 }
 
 // dominantKey returns the heaviest non-isolated heavy-hitter candidate
-// routed to the given leaf, if one accounts for at least IsolateFraction
-// of the leaf's records. Candidates come pre-ranked from the sketch
-// API's first-class extraction (TopKeys), so the first survivor of the
-// leaf/isolation filters is the dominant one.
-func dominantKey(cfg *Config, e *EdgeTel, leaf string, leafCount uint64) *sketch.HeavyKey {
-	for _, hk := range e.Stats.TopKeys(sketch.MaxHeavyKeys, 0) {
+// routed to the edge's hot leaf, if one accounts for at least
+// IsolateFraction of the leaf's records. Candidates come ranked, so the
+// first survivor of the leaf/isolation filters is the dominant one.
+func dominantKey(cfg *Config, e *EdgeTel, h Heat) *sketch.HeavyKey {
+	for i, hk := range h.Heavy {
 		if e.PMap.IsIsolated(shuffle.KeyHash(hk.Key)) {
 			continue
 		}
-		if e.PMap.LeafForKey(hk.Key) != leaf {
+		if e.PMap.LeafForKey(hk.Key) != h.Leaf {
 			continue
 		}
-		if float64(hk.Count) < cfg.IsolateFraction*float64(leafCount) {
+		if float64(hk.Count) < cfg.IsolateFraction*float64(h.LeafRecords) {
 			return nil
 		}
-		hk := hk
-		return &hk
+		return &h.Heavy[i]
 	}
 	return nil
 }
@@ -221,28 +207,25 @@ type SplitPartitionPolicy struct {
 // Name implements Policy.
 func (*SplitPartitionPolicy) Name() string { return "split-partition" }
 
-// WantsEdgeStats implements EdgeStatsConsumer.
-func (*SplitPartitionPolicy) WantsEdgeStats() bool { return true }
-
 // Evaluate implements Policy.
 func (p *SplitPartitionPolicy) Evaluate(snap *Snapshot) []Action {
 	var out []Action
 	for _, name := range snap.EdgeNames() {
 		e := snap.Edges[name]
-		leaf, _, ok := hotLeaf(&p.Cfg, e)
-		if !ok {
+		h, hot := hotLeaf(&p.Cfg, e)
+		if !hot {
 			continue
 		}
-		part, isBase := e.PMap.BasePartitionIndex(leaf)
+		part, isBase := e.PMap.BasePartitionIndex(h.Leaf)
 		if !isBase {
 			// A sub-partition or isolated bag still hot: re-hashing cannot
 			// refine it further. If IsolateKeyPolicy has a dominant key to
 			// extract, its proposal wins in arbitration; otherwise the
 			// master records the leaf as unrefinable.
-			out = append(out, MarkUnsplittable{Edge: name, Leaf: leaf})
+			out = append(out, MarkUnsplittable{Edge: name, Leaf: h.Leaf})
 			continue
 		}
-		out = append(out, SplitPartition{Edge: name, Partition: part, Fan: p.Cfg.SplitFan, Leaf: leaf})
+		out = append(out, SplitPartition{Edge: name, Partition: part, Fan: p.Cfg.SplitFan, Leaf: h.Leaf})
 	}
 	return out
 }
@@ -257,19 +240,16 @@ type IsolateKeyPolicy struct {
 // Name implements Policy.
 func (*IsolateKeyPolicy) Name() string { return "isolate-key" }
 
-// WantsEdgeStats implements EdgeStatsConsumer.
-func (*IsolateKeyPolicy) WantsEdgeStats() bool { return true }
-
 // Evaluate implements Policy.
 func (p *IsolateKeyPolicy) Evaluate(snap *Snapshot) []Action {
 	var out []Action
 	for _, name := range snap.EdgeNames() {
 		e := snap.Edges[name]
-		leaf, count, ok := hotLeaf(&p.Cfg, e)
-		if !ok {
+		h, hot := hotLeaf(&p.Cfg, e)
+		if !hot {
 			continue
 		}
-		top := dominantKey(&p.Cfg, e, leaf, count)
+		top := dominantKey(&p.Cfg, e, h)
 		if top == nil {
 			continue
 		}

@@ -58,17 +58,17 @@ func runningTask(name string) *TaskTel {
 // the real partitioner, so the resulting trace is exactly what producers
 // would report.
 func zipfKeyNames(base, keys, hotK, target int) [][]byte {
-	part := shuffle.HashPartitioner{}
+	part := func(key []byte) int { return int(shuffle.KeyHash(key) % uint64(base)) }
 	names := make([][]byte, 0, keys)
 	for next := 0; len(names) < hotK; next++ {
 		cand := []byte(fmt.Sprintf("key-%06d", next))
-		if part.Partition(cand, base) == target {
+		if part(cand) == target {
 			names = append(names, cand)
 		}
 	}
 	for next := 1 << 20; len(names) < keys; next++ {
 		cand := []byte(fmt.Sprintf("key-%06d", next))
-		if part.Partition(cand, base) != target {
+		if part(cand) != target {
 			names = append(names, cand)
 		}
 	}

@@ -67,18 +67,13 @@ type Rule struct {
 	Help string `json:"help,omitempty"`
 }
 
-// DefaultRules returns the engine's built-in watchdogs. Thresholds are
-// deliberately conservative — these flag conditions the control plane
-// should already be mitigating (heat imbalance, stragglers) or that mean
-// telemetry itself is degrading (trace drops, slow storage ops).
+// DefaultRules returns the built-in watchdogs every process runs.
+// Thresholds are deliberately conservative — these flag conditions the
+// control plane should already be mitigating (stragglers) or that mean
+// telemetry itself is degrading (trace drops, slow storage ops). A cluster
+// adds the shuffle-heat rule, whose threshold is its split policy's.
 func DefaultRules() []Rule {
 	return []Rule{
-		{
-			Name: "shuffle-heat-imbalance", Kind: KindThreshold,
-			Series:    "hurricane_skew_partition_top_share",
-			Threshold: 0.5, NumMin: 0.01, For: 2,
-			Help: "one partition of a shuffle edge holds >=50% of the edge's records",
-		},
 		{
 			Name: "straggler-task-time", Kind: KindRatio,
 			Num: "hurricane_core_task_span_ns_p99", Den: "hurricane_core_task_span_ns_p50",

@@ -133,7 +133,7 @@ func TestWatchDefaultRulesCoverBuiltins(t *testing.T) {
 		names[r.Name] = true
 	}
 	for _, want := range []string{
-		"shuffle-heat-imbalance", "straggler-task-time",
+		"straggler-task-time",
 		"storage-slow-ops", "lease-starvation", "trace-drops",
 	} {
 		if !names[want] {

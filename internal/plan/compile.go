@@ -92,8 +92,9 @@ type Physical struct {
 	Stages []StageInfo
 	Joins  []JoinInfo
 	// Seeds are warm-start partition maps derived from compile-time
-	// statistics, keyed by (unprefixed) edge bag name. Publish them with
-	// Seed before the job's producers start.
+	// statistics, keyed by (unprefixed) edge bag name. Run and Submit put
+	// them in the submission (core.JobConfig.Seeds); the job's master
+	// publishes them before its producers start.
 	Seeds map[string]*shuffle.PartitionMap
 
 	sinks map[string]string // sink name -> physical bag name

@@ -84,7 +84,7 @@ func (r recs[T]) sink(tc *core.TaskCtx, edgeKey any) (any, error) {
 		tc.OnFinish(enc.Close)
 		return func(vec []T) error { return enc.AppendRows(vec, nil) }, nil
 	}
-	w := tc.ShuffleWriter(0, nil)
+	w := tc.ShuffleWriter(0)
 	if w == nil {
 		return nil, fmt.Errorf("output %q is not partitioned", tc.OutputName(0))
 	}

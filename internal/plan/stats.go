@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bag"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
@@ -164,31 +163,6 @@ func (c *compiler) seedEdge(edge string, in *Node, spread bool) {
 }
 
 // ---- execution helpers ----
-
-// Seed publishes the compiled seed partition maps for their edges
-// (shuffle.Publish), with bagName mapping each declared edge name to its
-// physical (e.g. job-namespaced) name. Run and Submit do NOT use this —
-// they hand the seeds to the scheduler (JobConfig.Seeds), which
-// publishes them after admission and before the master starts; Seed is
-// for custom execution surfaces that manage their own namespace. Never
-// publish into a namespace the scheduler has not granted you — that
-// could write into a live name-owner's control bags. Producers and the
-// master adopt any published map version over the locally derived base
-// map whenever it arrives; a late seed costs only the placement of the
-// records routed before it (refinement only redirects records not yet
-// written), never correctness.
-func (ph *Physical) Seed(ctx context.Context, store *bag.Store, bagName func(string) string) error {
-	for _, name := range sortedSeedNames(ph.Seeds) {
-		seed := ph.Seeds[name]
-		phys := bagName(name)
-		sm := seed.Clone()
-		sm.Bag = phys
-		if err := shuffle.Publish(ctx, store, sm); err != nil {
-			return fmt.Errorf("plan: seeding edge %q: %w", phys, err)
-		}
-	}
-	return nil
-}
 
 // Run executes the compiled plan the way Cluster.Run executes an app —
 // flat bag names, work bags retained — and waits for it: a Submit and a

@@ -17,15 +17,14 @@ import (
 const tickEvery = 1024
 
 // adopt makes pm the writer's routing table and decides the routing shape
-// once per map, not once per record or per batch: plain means the default
-// partitioner over a map without splits or isolations, where a route is
-// the key hash reduced to a base partition — by mask when the partition
-// count is a power of two above one (the 64-bit divide is otherwise the
-// largest single instruction on the routing path).
+// once per map, not once per record or per batch: plain means a map
+// without splits or isolations, where a route is the key hash reduced to a
+// base partition — by mask when the partition count is a power of two
+// above one (the 64-bit divide is otherwise the largest single instruction
+// on the routing path).
 func (w *Writer) adopt(pm *PartitionMap) {
 	w.pm = pm
-	_, defaultPart := w.cfg.Partitioner.(HashPartitioner)
-	w.plain = defaultPart && len(pm.Isolated) == 0 && len(pm.Splits) == 0
+	w.plain = len(pm.Isolated) == 0 && len(pm.Splits) == 0
 	w.base, w.mask = uint64(pm.Base), 0
 	if w.base&(w.base-1) == 0 {
 		w.mask = w.base - 1
@@ -45,11 +44,11 @@ func (w *Writer) routePlain(hash uint64) (ref RouteRef, ok bool) {
 	return RouteRef{Iso: -1, Part: int(hash % w.base), Sub: -1}, true
 }
 
-// routeRefined routes under a refined map or a custom partitioner, the only
-// cases that read the key. The record's ordinal spreads an isolated key's
-// records round-robin, so placement depends on the stream alone.
+// routeRefined routes under a refined map, the only case that reads the
+// key. The record's ordinal spreads an isolated key's records round-robin,
+// so placement depends on the stream alone.
 func (w *Writer) routeRefined(key []byte, hash uint64) RouteRef {
-	return w.pm.routeRefHashed(w.cfg.Partitioner, key, hash, int(w.n))
+	return w.pm.routeRefHashed(key, hash, int(w.n))
 }
 
 // RouteKey routes and counts one record by its key bytes. The record is the

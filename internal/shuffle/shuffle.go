@@ -36,20 +36,6 @@ import (
 	"repro/internal/bag"
 )
 
-// Partitioner maps a record key to one of n partitions. Implementations
-// must be deterministic and agree across all producers of an edge.
-type Partitioner interface {
-	Partition(key []byte, n int) int
-}
-
-// HashPartitioner is the default Partitioner: FNV-1a modulo n.
-type HashPartitioner struct{}
-
-// Partition implements Partitioner.
-func (HashPartitioner) Partition(key []byte, n int) int {
-	return int(KeyHash(key) % uint64(n))
-}
-
 // FNV-1a constants. The hash loops are open-coded rather than built on
 // hash/fnv because KeyHash sits on the per-record routing path: the
 // stdlib constructor materializes a hash.Hash64 allocation per call,
@@ -59,8 +45,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// KeyHash is the canonical 64-bit key hash used for partition routing
-// and for identifying isolated heavy-hitter keys in the partition map.
+// KeyHash is the canonical 64-bit key hash used for partition routing —
+// a key's base partition is KeyHash modulo the edge's base partition
+// count, for every producer, the master and the planner alike — and for
+// identifying isolated heavy-hitter keys in the partition map.
 // It is a word-at-a-time FNV-1a variant with a murmur3-style finalizer:
 // one multiply per 8 bytes instead of one per byte (routing hashes every
 // record, and typical keys are 8-byte words), and the finalizer repairs
@@ -247,23 +235,20 @@ func (pm *PartitionMap) RefName(ref RouteRef) string {
 	return PartitionBag(pm.Bag, ref.Part)
 }
 
-// Route returns the physical bag for a key under the default hash
-// partitioner. rr disambiguates spread isolations (fan > 1): the caller
-// supplies a round-robin counter so a heavy key's records spread evenly;
-// any value is correct, placement only affects balance.
+// Route returns the physical bag for a key. rr disambiguates spread
+// isolations (fan > 1): the caller supplies a round-robin counter so a
+// heavy key's records spread evenly; any value is correct, placement only
+// affects balance.
 func (pm *PartitionMap) Route(key []byte, rr int) string {
-	return pm.RefName(pm.routeRefHashed(HashPartitioner{}, key, KeyHash(key), rr))
+	return pm.RefName(pm.routeRefHashed(key, KeyHash(key), rr))
 }
 
 // routeRefHashed computes the routing decision for a key whose KeyHash the
-// caller already has (a Writer reuses it for the exact key count).
-// Isolation matching and sub-partition re-hashing are
-// partitioner-independent, so a custom partitioner only chooses the base
-// partition. (The master's heavy-hitter attribution assumes the default
-// hash partitioner; with a custom one, attribution may pick the re-hash
-// action instead of isolation, which affects balance but never
-// correctness.)
-func (pm *PartitionMap) routeRefHashed(part Partitioner, key []byte, hash uint64, rr int) RouteRef {
+// caller already has (a Writer reuses it for the exact key count): the
+// key's isolation if it has one, else its base partition — the hash modulo
+// Base — and, where that partition is split, the sub-partition an
+// independently salted hash of the key selects.
+func (pm *PartitionMap) routeRefHashed(key []byte, hash uint64, rr int) RouteRef {
 	if len(pm.Isolated) > 0 {
 		if i, iso := pm.isolation(hash); iso != nil {
 			if iso.Fan <= 1 {
@@ -275,12 +260,7 @@ func (pm *PartitionMap) routeRefHashed(part Partitioner, key []byte, hash uint64
 			return RouteRef{Iso: i, Part: rr % iso.Fan, Sub: -1}
 		}
 	}
-	var p int
-	if _, isDefault := part.(HashPartitioner); isDefault {
-		p = int(hash % uint64(pm.Base)) // reuse the isolation-check hash
-	} else {
-		p = part.Partition(key, pm.Base)
-	}
+	p := int(hash % uint64(pm.Base))
 	if fan := pm.Splits[p]; fan > 1 {
 		return RouteRef{Iso: -1, Part: p, Sub: int(subHash(key) % uint64(fan))}
 	}

@@ -19,11 +19,13 @@ import "repro/internal/sketch"
 //     shape the IsolateKeyPolicy applies at runtime.
 //
 // prev may be nil (no predecessor map) and stats may be nil (no sketch
-// was captured); base is the new edge's declared base partition count. A
-// predecessor map with a different base cannot be transplanted — its
-// split indices would refine the wrong key ranges — so only the stats are
-// used then. Returns nil when nothing was learned (seeding a plain base
-// map would be pure control-bag noise).
+// was captured); base is the new edge's declared base partition count, and
+// isolateFraction and fan come filled in from the config the new edge's
+// job runs under (core.MasterConfig, plan.Options). A predecessor map with
+// a different base cannot be transplanted — its split indices would refine
+// the wrong key ranges — so only the stats are used then. Returns nil when
+// nothing was learned (seeding a plain base map would be pure control-bag
+// noise).
 func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base int, isolateFraction float64, fan int, spread bool) *PartitionMap {
 	if base < 1 {
 		base = 1
@@ -36,9 +38,6 @@ func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base 
 	}
 	seed.Bag = newBag
 	if stats != nil {
-		if isolateFraction <= 0 {
-			isolateFraction = 0.5
-		}
 		if fan < 1 || !spread {
 			fan = 1
 		}

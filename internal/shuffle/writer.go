@@ -38,8 +38,6 @@ type WriterConfig struct {
 	// WriterID identifies this producer worker for cumulative sketch
 	// pushes (typically the worker's blueprint ID).
 	WriterID string
-	// Partitioner overrides the base partitioner (default HashPartitioner).
-	Partitioner Partitioner
 	// StatsInterval is the interval at which the edge's master fetches the
 	// merged producer stats (MasterConfig.SplitInterval; the engine fills it
 	// in). The writer makes its control exchange at most four times per
@@ -88,7 +86,7 @@ type Writer struct {
 
 	// The routing table and its shape, set together by adopt.
 	pm    *PartitionMap
-	plain bool    // default partitioner, no splits, no isolations
+	plain bool    // no splits, no isolations
 	base  uint64  // pm.Base
 	mask  uint64  // base-1 when base is a power of two above one, else 0
 	kb    [8]byte // a uint64 key's bytes, for routeRefined
@@ -126,9 +124,6 @@ type Writer struct {
 // the locally derived base map; newer versions are adopted from the
 // edge's home slot as the control exchange brings them.
 func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = HashPartitioner{}
-	}
 	if cfg.StatsInterval <= 0 {
 		cfg.StatsInterval = DefaultStatsInterval
 	}

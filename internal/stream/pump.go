@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/bag"
@@ -485,15 +484,19 @@ func (h *Handle) submitter() {
 	}
 }
 
-// submitWindow seeds the window's shuffle edges from cross-window skew
-// memory and submits the window job. Submissions are serialized because
-// they all validate the one shared App template.
+// submitWindow submits the window job, its shuffle edges warm-started from
+// cross-window skew memory: the seeds travel in the submission, so the
+// window's own master publishes them into the namespace the scheduler
+// granted it and a rejected submission writes nothing. Submissions are
+// serialized because they all validate the one shared App template.
 func (h *Handle) submitWindow(lw *window) error {
 	lw.res.Attempts++
 	if lw.res.SubmittedAt.IsZero() {
 		lw.res.SubmittedAt = time.Now()
 	}
-	h.seedEdges(lw)
+	h.mu.Lock()
+	seeds := h.seeds // replaced whole by captureMemory, never written
+	h.mu.Unlock()
 	h.submitLock.Lock()
 	job, err := h.c.SubmitJob(h.ctx, h.spec.App, core.JobConfig{
 		Name:   lw.job,
@@ -501,12 +504,17 @@ func (h *Handle) submitWindow(lw *window) error {
 		Retain: true, // the stream GCs through WindowResult.Discard, not the scheduler
 		Weight: h.spec.Weight,
 		Master: h.spec.Master,
+		Seeds:  seeds,
 	})
 	h.submitLock.Unlock()
 	if err != nil {
 		return fmt.Errorf("stream: submitting window %d: %w", lw.res.Index, err)
 	}
 	lw.res.job = job
+	if len(seeds) > 0 {
+		lw.res.Seeded = true
+		h.mWarm.Inc()
+	}
 	return nil
 }
 
@@ -587,9 +595,11 @@ func (h *Handle) finishWindow(lw *window, err error) {
 
 // ---- cross-window skew memory ----
 
-// captureMemory lifts the finished window's per-edge partition maps and
-// merged sketches into the stream's skew memory, keyed by the template
-// bag name (the job prefix stripped).
+// captureMemory turns the finished window's edge records — each edge's
+// final partition map and merged sketch, as its master's control plane
+// last saw them — into the seed maps later windows are submitted with
+// (shuffle.WarmStart, under the thresholds the window's master ran with),
+// keyed by the template bag name.
 func (h *Handle) captureMemory(lw *window) {
 	m := lw.res.job.Master()
 	if m == nil {
@@ -598,88 +608,25 @@ func (h *Handle) captureMemory(lw *window) {
 	st := m.Stats()
 	lw.res.Splits, lw.res.Isolations = st.Splits, st.Isolations
 	mem := m.EdgeMemory()
-	if len(mem) == 0 {
+	if h.spec.ColdStart || len(mem) == 0 {
 		return
+	}
+	cfg := m.Config()
+	seeds := make(map[string]*shuffle.PartitionMap)
+	for _, b := range h.spec.App.Bags() {
+		spec := h.spec.App.BagSpecFor(b)
+		em, ok := mem[lw.res.job.Bag(b)]
+		if spec.Partitions <= 0 || !ok {
+			continue
+		}
+		seed := shuffle.WarmStart(em.PMap, em.Stats, b, spec.Partitions, cfg.IsolateFraction, cfg.SplitFan, spec.Spread)
+		if seed != nil {
+			seeds[b] = seed
+		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if lw.res.Index < h.memoryWin {
-		return // an earlier window finishing late must not regress memory
-	}
-	h.memoryWin = lw.res.Index
-	for name, em := range mem {
-		h.memory[strings.TrimPrefix(name, lw.job+"/")] = normalizeMemory(em, lw.job+"/")
-	}
-}
-
-// normalizeMemory rewrites a captured edge's per-partition Counts keys
-// from the window's physical leaf names to template-relative ones, so
-// the stream's memory is keyed the same way whichever window it came
-// from. The stats struct is copied — the master's own memory must not be
-// mutated.
-func normalizeMemory(em core.EdgeMemory, prefix string) core.EdgeMemory {
-	if em.Stats == nil || len(em.Stats.Counts) == 0 {
-		return em
-	}
-	counts := make(map[string]uint64, len(em.Stats.Counts))
-	for leaf, n := range em.Stats.Counts {
-		counts[strings.TrimPrefix(leaf, prefix)] += n
-	}
-	st := *em.Stats
-	st.Counts = counts
-	em.Stats = &st
-	return em
-}
-
-// seedEdges warm-starts the window's partitioned shuffle edges from the
-// stream's skew memory by publishing seed partition maps into the
-// window's edge control bags before the job is submitted — the new
-// master and its producers adopt any published version over the locally
-// derived base map. Best-effort: a failed seed merely costs the window a
-// cold start.
-func (h *Handle) seedEdges(lw *window) {
-	if h.spec.ColdStart {
-		return
-	}
-	h.mu.Lock()
-	if h.memoryWin < 0 {
-		h.mu.Unlock()
-		return
-	}
-	mem := make(map[string]core.EdgeMemory, len(h.memory))
-	for k, v := range h.memory {
-		mem[k] = v
-	}
-	h.mu.Unlock()
-	fan, iso := 2, 0.5
-	if h.spec.Master != nil {
-		if h.spec.Master.SplitFan > 1 {
-			fan = h.spec.Master.SplitFan
-		}
-		if h.spec.Master.IsolateFraction > 0 {
-			iso = h.spec.Master.IsolateFraction
-		}
-	}
-	for _, b := range h.spec.App.Bags() {
-		spec := h.spec.App.BagSpecFor(b)
-		if spec.Partitions <= 0 {
-			continue
-		}
-		em, ok := mem[b]
-		if !ok {
-			continue
-		}
-		phys := lw.job + "/" + b
-		seed := shuffle.WarmStart(em.PMap, em.Stats, phys, spec.Partitions, iso, fan, spec.Spread)
-		if seed == nil {
-			continue
-		}
-		if err := shuffle.Publish(h.ctx, h.store, seed); err != nil {
-			continue
-		}
-		lw.res.Seeded = true
-	}
-	if lw.res.Seeded {
-		h.mWarm.Inc()
+	if lw.res.Index >= h.memoryWin { // an earlier window finishing late must not regress memory
+		h.memoryWin, h.seeds = lw.res.Index, seeds
 	}
 }

@@ -24,11 +24,13 @@
 //   - records arriving after their window sealed go to a late-record side
 //     channel: folded into the next open window (default) or surfaced in a
 //     per-window late bag the application reads itself;
-//   - cross-window skew memory: when a window finishes, its masters' final
-//     partition maps and merged edge sketches (core.EdgeMemory) warm-start
-//     the next window's partitioner via shuffle.WarmStart — known-hot keys
-//     are pre-split and pre-isolated instead of rediscovered from scratch
-//     inside every window.
+//   - cross-window skew memory: when a window finishes, its master's final
+//     partition maps and merged edge sketches (core.EdgeMemory) become seed
+//     maps via shuffle.WarmStart, and every later window's submission
+//     carries them (core.JobConfig.Seeds) for its own master to publish —
+//     known-hot keys are pre-split and pre-isolated instead of rediscovered
+//     from scratch inside every window, and the stream itself writes
+//     nothing into a window's namespace but its source records.
 //
 // A failed window job is retried in place: core.JobHandle.Reset rewinds
 // the window's sealed source bags and wipes every derived bag, so the
@@ -47,6 +49,7 @@ import (
 	"repro/internal/bag"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/shuffle"
 )
 
 // Record is one source record: an event-time stamp (unix nanoseconds) and
@@ -115,8 +118,7 @@ type Spec struct {
 	// from the plain base partition map (the baseline the streaming
 	// benchmark measures warm-start against).
 	ColdStart bool
-	// Master overrides the cluster's MasterConfig for window jobs; its
-	// SplitFan and IsolateFraction also parameterize warm-start seeding.
+	// Master overrides the cluster's MasterConfig for window jobs.
 	Master *core.MasterConfig
 	// Weight is the fair-share weight of each window job.
 	Weight int
@@ -161,8 +163,9 @@ type WindowResult struct {
 	// SubmittedAt−SealedAt is time spent queued behind the in-flight cap.
 	SealedAt, SubmittedAt, DoneAt time.Time
 	// Seeded reports whether cross-window skew memory warm-started this
-	// window's shuffle edges; Splits and Isolations count the refinements
-	// the window's own master still performed at runtime.
+	// window's shuffle edges (its submission carried seed maps); Splits
+	// and Isolations count the refinements the window's own master still
+	// performed at runtime.
 	Seeded             bool
 	Splits, Isolations int
 
@@ -286,7 +289,7 @@ type Handle struct {
 	nextDeliver int
 	completed   int
 	failedCount int
-	memory      map[string]core.EdgeMemory
+	seeds       map[string]*shuffle.PartitionMap // from window memoryWin, by template bag
 	memoryWin   int
 	draining    bool
 	finished    bool
@@ -374,7 +377,6 @@ func Run(ctx context.Context, c *core.Cluster, spec Spec) (*Handle, error) {
 		open:      make(map[int]*window),
 		sealedRes: make(map[int]*WindowResult),
 		results:   make(map[int]*WindowResult),
-		memory:    make(map[string]core.EdgeMemory),
 		memoryWin: -1,
 	}
 	h.cond = sync.NewCond(&h.mu)
