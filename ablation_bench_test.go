@@ -26,7 +26,6 @@ func ablationCluster(b *testing.B, mutate func(*hurricane.ClusterConfig)) *hurri
 		SlotsPerNode: 2,
 		ChunkSize:    32 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   2 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 			OverloadThreshold: 0.5,

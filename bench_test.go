@@ -27,7 +27,6 @@ func engineCluster(b *testing.B) *hurricane.Cluster {
 		SlotsPerNode: 2,
 		ChunkSize:    64 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   5 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
@@ -130,7 +129,6 @@ func BenchmarkEngineSkewedShuffle(b *testing.B) {
 				SlotsPerNode: 2,
 				ChunkSize:    4 << 10,
 				Node: hurricane.NodeConfig{
-					PollInterval:      time.Millisecond,
 					MonitorInterval:   2 * time.Millisecond,
 					HeartbeatInterval: 2 * time.Millisecond,
 					OverloadThreshold: 0.1,

@@ -123,7 +123,6 @@ func planBench() error {
 			ChunkSize:    8 << 10,
 			Master:       mcfg,
 			Node: hurricane.NodeConfig{
-				PollInterval:      time.Millisecond,
 				MonitorInterval:   2 * time.Millisecond,
 				HeartbeatInterval: 2 * time.Millisecond,
 				OverloadThreshold: 0.1,

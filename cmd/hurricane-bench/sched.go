@@ -59,7 +59,6 @@ func schedBench() error {
 			SlotsPerNode: 2,
 			ChunkSize:    4 << 10,
 			Node: core.NodeConfig{
-				PollInterval:      time.Millisecond,
 				MonitorInterval:   2 * time.Millisecond,
 				HeartbeatInterval: 2 * time.Millisecond,
 				OverloadThreshold: 0.1,

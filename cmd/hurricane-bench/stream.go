@@ -71,7 +71,6 @@ func streamBench() error {
 			SlotsPerNode: 2,
 			ChunkSize:    8 << 10,
 			Node: hurricane.NodeConfig{
-				PollInterval:      time.Millisecond,
 				HeartbeatInterval: 2 * time.Millisecond,
 				MonitorInterval:   2 * time.Millisecond,
 			},

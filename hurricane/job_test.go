@@ -24,7 +24,6 @@ func TestSubmitJobConcurrent(t *testing.T) {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},

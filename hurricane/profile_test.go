@@ -26,7 +26,6 @@ func TestProfileZipfGroupBy(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   2 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 			// Reactive cloning off: a late-started clone can become a

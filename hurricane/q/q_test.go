@@ -23,7 +23,6 @@ func testClusterConfig() hurricane.ClusterConfig {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   5 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},

@@ -142,7 +142,6 @@ func TestReadersAgreeAcrossLayouts(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    256, // several chunks of each layout per bag
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},

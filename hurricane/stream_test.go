@@ -45,7 +45,6 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    8 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			HeartbeatInterval: 5 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},

@@ -156,7 +156,7 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		}
 		cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 			ComputeNodes: 1, SlotsPerNode: 2,
-			Node:   core.NodeConfig{PollInterval: time.Millisecond, HeartbeatInterval: 2 * time.Millisecond},
+			Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
 			Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true, DisableSplitting: true},
 		})
 		if err := hurricane.Load(ctx, store, "in", tupleCodec, stream); err != nil {
@@ -168,6 +168,7 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		if err := run(ctx, cluster); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		noFallbackClaims(t, cluster)
 		cluster.Shutdown()
 		cancel()
 
@@ -273,7 +274,7 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
 	}
 	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 		ComputeNodes: 1, SlotsPerNode: 1,
-		Node:   core.NodeConfig{PollInterval: time.Millisecond, HeartbeatInterval: 2 * time.Millisecond},
+		Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
 		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true, DisableSplitting: true},
 	})
 	defer cluster.Shutdown()
@@ -299,6 +300,7 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
 	if err := compiled.Run(ctx, cluster); err != nil {
 		t.Fatal(err)
 	}
+	noFallbackClaims(t, cluster)
 	sums := make([]string, len(tap.chunks))
 	for i, c := range tap.chunks {
 		sum := sha256.Sum256(c)
@@ -306,4 +308,13 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
 	}
 	sort.Strings(sums)
 	return fmt.Sprintf("%d:%x", len(sums), sha256.Sum256([]byte(strings.Join(sums, ""))))
+}
+
+// noFallbackClaims asserts that every task of the cluster's jobs was
+// dispatched by a wake: none was found by the compute nodes' fallback sweep.
+func noFallbackClaims(t *testing.T, c *core.Cluster) {
+	t.Helper()
+	if n := c.Observer().Counter("hurricane_core_fallback_claims_total").Value(); n != 0 {
+		t.Errorf("hurricane_core_fallback_claims_total = %d, want 0", n)
+	}
 }

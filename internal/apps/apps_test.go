@@ -18,7 +18,6 @@ func testCluster(t *testing.T, mutate func(*hurricane.ClusterConfig)) *hurricane
 		SlotsPerNode: 2,
 		ChunkSize:    2 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   5 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},

@@ -106,6 +106,7 @@ type Cluster struct {
 
 	reg    *sched.Registry
 	leases *sched.Leases
+	wake   *wake // shared by the nodes' claim loops and the jobs' work bags
 	obs    *obs.Observer
 	rec    *obs.Recorder // nil when the sampler is disabled
 	watch  *obs.Watch    // ditto
@@ -137,6 +138,7 @@ func newCluster(cfg ClusterConfig) *Cluster {
 		poolCancel: cancel,
 		reg:        sched.NewRegistry(cfg.Sched),
 		leases:     sched.NewLeases(cfg.Sched.DisableFairShare),
+		wake:       newWake(),
 	}
 	c.reg.Bind(o)
 	c.leases.Bind(o)
@@ -276,7 +278,7 @@ func (c *Cluster) ensurePoolLocked() {
 	c.poolStarted = true
 	for i := 0; i < c.cfg.ComputeNodes; i++ {
 		name := fmt.Sprintf("compute-%d", i)
-		node := NewComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.cfg.Node)
+		node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.cfg.Node)
 		c.computes[name] = node
 		node.Start(c.poolCtx)
 	}
@@ -454,7 +456,7 @@ func (c *Cluster) AddComputeNode(ctx context.Context) (string, error) {
 	}
 	name := fmt.Sprintf("compute-%d", c.nextComp)
 	c.nextComp++
-	node := NewComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.cfg.Node)
+	node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.cfg.Node)
 	c.computes[name] = node
 	for _, h := range c.jobs {
 		h.mu.Lock()
@@ -465,6 +467,7 @@ func (c *Cluster) AddComputeNode(ctx context.Context) (string, error) {
 	}
 	node.Start(c.poolCtx)
 	c.leases.SetTotal(c.totalSlotsLocked())
+	c.wake.raise() // shares grew: a lease-gated node may claim now
 	return name, nil
 }
 

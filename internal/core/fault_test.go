@@ -17,7 +17,6 @@ func testClusterConfig() ClusterConfig {
 		SlotsPerNode: 2,
 		ChunkSize:    1 << 10,
 		Node: NodeConfig{
-			PollInterval:      time.Millisecond,
 			MonitorInterval:   5 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond,
 		},

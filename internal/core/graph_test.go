@@ -236,7 +236,7 @@ func TestClusterConfigDefaults(t *testing.T) {
 	}
 	nc := NodeConfig{}
 	nc.fill()
-	if nc.PollInterval == 0 || nc.MonitorInterval == 0 || nc.OverloadThreshold == 0 {
+	if nc.MonitorInterval == 0 || nc.OverloadThreshold == 0 {
 		t.Fatalf("node defaults not filled: %+v", nc)
 	}
 	mc := MasterConfig{}

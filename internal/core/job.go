@@ -367,7 +367,7 @@ func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
 			}
 		}
 	}
-	wb := newWorkBags(store, app.Name())
+	wb := newWorkBags(store, app.Name(), nil)
 	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
 		if err := store.Delete(ctx, n); err != nil {
 			return err
@@ -435,7 +435,7 @@ func appClaims(app *App) sched.NameClaims {
 			c.Derived = append(c.Derived, spec.Outputs[0]+"~p")
 		}
 	}
-	wb := newWorkBags(nil, app.Name())
+	wb := newWorkBags(nil, app.Name(), nil)
 	c.Exact = append(c.Exact, wb.readyName(), wb.runningName(), wb.doneName())
 	return c
 }
@@ -548,7 +548,7 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 			mcfg.Seeds[h.Bag(name)] = seed
 		}
 	}
-	return NewMaster(h.app, c.store, &jobControl{c: c, job: h.id}, mcfg)
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, mcfg)
 }
 
 // startJobLocked moves an admitted job into execution: build its master,
@@ -565,6 +565,7 @@ func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
 	for _, n := range c.computes {
 		n.Attach(h.id, h.app, m.WorkBags(), m)
 	}
+	c.wake.raise() // a resumed job's ready bag may already hold blueprints
 	m.Start(ctx)
 	go c.supervise(h)
 }
@@ -662,6 +663,7 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 		nodes = append(nodes, n)
 	}
 	c.leases.Remove(h.id)
+	c.wake.raise() // the finished job's share went to its neighbors
 	admit := c.reg.Finish(h.id, jobErr != nil)
 	var toStart []*JobHandle
 	for _, id := range admit {
@@ -698,7 +700,7 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 func (c *Cluster) gcJob(h *JobHandle) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	wb := newWorkBags(c.store, h.app.Name())
+	wb := newWorkBags(c.store, h.app.Name(), nil)
 	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
 		_ = c.store.Delete(ctx, n)
 	}
@@ -734,14 +736,18 @@ func (c *Cluster) schedPass() {
 	}
 	ctx, cancel := context.WithTimeout(c.poolCtx, 5*time.Second)
 	defer cancel()
+	moved := false
 	for _, it := range items {
 		pending := 0
 		if st, err := c.store.Sample(ctx, it.ready); err == nil {
 			pending = int(st.RemainingChunks())
 		}
-		c.leases.SetDemand(it.h.id, pending)
+		moved = c.leases.SetDemand(it.h.id, pending) || moved
 	}
 	if c.leases.FairShare() {
+		if moved && len(items) > 1 {
+			c.wake.raise() // who is starved changed: a denied claim may pass now
+		}
 		plan := c.leases.Plan()
 		for _, it := range items {
 			if n := plan[it.h.id]; n > 0 {

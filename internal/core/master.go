@@ -297,7 +297,7 @@ type Master struct {
 	readyScan *bag.Scanner
 
 	// edges tracks the app's partitioned shuffle bags (core/shuffle.go).
-	// Accessed only from the master loop goroutine after NewMaster, except
+	// Accessed only from the master loop goroutine after newMaster, except
 	// for pmap which is swapped under m.mu.
 	edges map[string]*shuffleEdge
 
@@ -376,9 +376,9 @@ func (mo *masterObs) emit(typ obs.EventType, subject, detail string) {
 	mo.o.Emit(typ, mo.job, subject, detail)
 }
 
-// NewMaster creates a master for the app. The caller must have validated
-// the app and sealed its source bags.
-func NewMaster(app *App, store *bag.Store, control ClusterControl, cfg MasterConfig) *Master {
+// newMaster creates a master for the app, raising the cluster's wake wk for
+// each blueprint it pushes. The app is validated, its source bags sealed.
+func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg MasterConfig) *Master {
 	cfg.fill()
 	if cfg.Job == "" {
 		cfg.Job = app.Name()
@@ -386,7 +386,7 @@ func NewMaster(app *App, store *bag.Store, control ClusterControl, cfg MasterCon
 	m := &Master{
 		app:        app,
 		store:      store,
-		wb:         newWorkBags(store, app.Name()),
+		wb:         newWorkBags(store, app.Name(), wk),
 		cfg:        cfg,
 		control:    control,
 		tasks:      make(map[string]*taskState),

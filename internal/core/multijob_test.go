@@ -172,7 +172,9 @@ func TestResetStaleHandleDiscard(t *testing.T) {
 // request of one kind against a ready work bag until release is closed,
 // and reports the first insert into a ready bag that arrives behind it
 // and after the bag was deleted — a successor's blueprint, not one of the
-// job's own.
+// job's own. From then on it shows every other poll an empty ready bag:
+// dispatch is event-driven, and the successor's blueprint must still be in
+// the bag when the stalled request lands.
 type heldReadyOp struct {
 	inner   transport.Handler
 	op      transport.Op
@@ -201,8 +203,12 @@ func (h *heldReadyOp) Handle(req *transport.Request) *transport.Response {
 		h.held.Store(false)
 		return resp
 	}
+	successor := h.held.Load() && h.deleted.Load()
+	if req.Op == transport.OpRemove && successor {
+		return &transport.Response{Status: transport.StatusAgain}
+	}
 	resp := h.inner.Handle(req)
-	if req.Op == transport.OpInsert && h.held.Load() && h.deleted.Load() {
+	if req.Op == transport.OpInsert && successor {
 		h.push.Do(func() { close(h.pushed) })
 	}
 	return resp
@@ -238,11 +244,7 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testClusterConfig()
-			// Slow claims: the successor's blueprint must still be in the
-			// ready bag when the stalled request lands.
-			cfg.Node.PollInterval = 50 * time.Millisecond
-			cluster := NewClusterOverStore(store, cfg)
+			cluster := NewClusterOverStore(store, testClusterConfig())
 			defer cluster.Shutdown()
 
 			const n = 2000
@@ -397,7 +399,7 @@ func TestStopWaitsForClaimInFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Long enough for a Stop that saw no workers to have cancelled the node.
-	time.Sleep(30 * cfg.Node.PollInterval)
+	time.Sleep(30 * time.Millisecond)
 	close(hd.release)
 
 	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
@@ -786,7 +788,9 @@ func TestRawDiscardClearsSketches(t *testing.T) {
 		AddBag(BagSpec{Name: "shuf", Partitions: 2, Spread: true}).Bag("out")
 	app.AddTask(TaskSpec{
 		Name: "route", Inputs: []string{"in"}, Outputs: []string{"shuf"},
-		Run: func(tc *TaskCtx) error { return nil },
+		// Runs until the job is cancelled: two empty stages would be over
+		// before the cancel below.
+		Run: func(tc *TaskCtx) error { <-tc.Context().Done(); return tc.Context().Err() },
 	})
 	app.AddTask(TaskSpec{
 		Name: "drain", Inputs: []string{"shuf"}, Outputs: []string{"out"},
@@ -804,7 +808,7 @@ func TestRawDiscardClearsSketches(t *testing.T) {
 	if _, err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", st.AppendTo(nil), 1); err != nil {
 		t.Fatal(err)
 	}
-	// Source never loads; cancel the job so Discard becomes legal.
+	// Cancel the job so Discard becomes legal.
 	jobCancel()
 	if err := h.Wait(ctx); err == nil {
 		t.Fatal("cancelled job reported success")

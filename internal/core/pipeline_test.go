@@ -204,7 +204,7 @@ func TestPipelinedNotReadyWithoutProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Shutdown()
-	m := NewMaster(app, cluster.Store(), &jobControl{c: cluster, job: "t"}, MasterConfig{})
+	m := newMaster(app, cluster.Store(), &jobControl{c: cluster, job: "t"}, cluster.wake, MasterConfig{})
 	if m.producersScheduled("src") {
 		t.Fatal("source bag must not be streamable")
 	}

@@ -86,16 +86,20 @@ type workerEntry struct {
 
 // ComputeNode is a Hurricane compute node: it runs a task manager that
 // removes blueprints from the ready work bags of every job bound to it
-// and executes them on local worker slots (§3.1). With several jobs
-// bound, claims are gated by the scheduler's slot leases: each claimed
-// slot is billed to the owning job, and claim order follows fair-share
-// priority so freed slots flow to the job furthest below its share.
+// and executes them on local worker slots (§3.1), woken by the cluster's
+// wake rather than a timer (scheduleLoop). With several jobs bound, claims
+// are gated by the scheduler's slot leases: each claimed slot is billed to
+// the owning job, and claim order follows fair-share priority so freed
+// slots flow to the job furthest below its share.
 type ComputeNode struct {
 	name   string
 	slots  int
 	store  *bag.Store
 	cfg    NodeConfig
-	leases *sched.Leases // nil: no lease gating (direct construction)
+	leases *sched.Leases
+	wake   *wake // the cluster's; see scheduleLoop
+	// fallbackClaims: claims the fallback sweep made with no wake raised.
+	fallbackClaims *obs.Counter
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -107,18 +111,21 @@ type ComputeNode struct {
 	workers  map[string]*workerEntry // keyed by job + "/" + blueprint ID
 	crashed  bool
 	draining bool
-	// claiming is set while the schedule loop is between deciding to claim
+	// sweep is held while the schedule loop is between deciding to claim
 	// (not draining, a slot free) and having either registered the claimed
 	// blueprint's worker or given the claim up: a blueprint it has already
 	// removed from a ready bag exists nowhere else, so Stop waits this out
 	// like a running worker.
-	claiming bool
+	sweep sync.Mutex
 }
 
-// NodeConfig tunes a compute node's scheduling and monitoring loops.
+// claimFallback is how long a lost wake can go unnoticed: a blocked claim
+// loop sweeps the ready bags this often regardless (the master's idle timer
+// is of the same order). A variable only so that tests can stretch it.
+var claimFallback = 50 * time.Millisecond
+
+// NodeConfig tunes a compute node's monitoring loop (dispatch has no knob).
 type NodeConfig struct {
-	// PollInterval is the delay between ready-bag sweeps when idle.
-	PollInterval time.Duration
 	// MonitorInterval is how often worker load is sampled. The paper
 	// sends clone messages at least 2 seconds apart; tests shrink this.
 	MonitorInterval time.Duration
@@ -133,9 +140,6 @@ type NodeConfig struct {
 }
 
 func (c *NodeConfig) fill() {
-	if c.PollInterval <= 0 {
-		c.PollInterval = 5 * time.Millisecond
-	}
 	if c.MonitorInterval <= 0 {
 		c.MonitorInterval = 2 * time.Second // paper default
 	}
@@ -150,20 +154,22 @@ func (c *NodeConfig) fill() {
 	}
 }
 
-// NewComputeNode creates a compute node with the given number of worker
+// newComputeNode creates a compute node with the given number of worker
 // slots. Jobs are connected with Attach; call Start to begin executing
-// tasks. leases, when non-nil, gates claims by the scheduler's
-// fair-share slot leasing.
-func NewComputeNode(name string, slots int, store *bag.Store, leases *sched.Leases, cfg NodeConfig) *ComputeNode {
+// tasks. leases gates claims by the scheduler's fair-share slot leasing;
+// wk is the wake of the cluster the node serves.
+func newComputeNode(name string, slots int, store *bag.Store, leases *sched.Leases, wk *wake, cfg NodeConfig) *ComputeNode {
 	cfg.fill()
 	return &ComputeNode{
-		name:     name,
-		slots:    slots,
-		store:    store,
-		cfg:      cfg,
-		leases:   leases,
-		bindings: make(map[string]*binding),
-		workers:  make(map[string]*workerEntry),
+		name:           name,
+		slots:          slots,
+		store:          store,
+		cfg:            cfg,
+		leases:         leases,
+		wake:           wk,
+		fallbackClaims: cfg.Obs.Counter("hurricane_core_fallback_claims_total"),
+		bindings:       make(map[string]*binding),
+		workers:        make(map[string]*workerEntry),
 	}
 }
 
@@ -220,14 +226,11 @@ func (n *ComputeNode) Start(parent context.Context) {
 // completed").
 func (n *ComputeNode) Stop() {
 	n.BeginDrain()
-	for {
-		n.mu.Lock()
-		idle := len(n.workers) == 0 && !n.claiming
-		n.mu.Unlock()
-		if idle {
-			break
-		}
-		time.Sleep(n.cfg.PollInterval)
+	n.sweep.Lock() // a claim in flight registers its worker; none starts after
+	n.sweep.Unlock()
+	// Every worker's exit raises the wake, taken before each look.
+	for exited := n.wake.wait(); n.Running() > 0; exited = n.wake.wait() {
+		<-exited
 	}
 	if n.cancel != nil {
 		n.cancel()
@@ -354,7 +357,7 @@ func (n *ComputeNode) pickBindings() []*binding {
 	n.rot++
 	bs := make([]*binding, 0, len(ids))
 	if len(ids) > 0 {
-		if n.leases != nil && n.leases.FairShare() {
+		if n.leases.FairShare() {
 			prio := n.leases.Priorities(ids)
 			sort.SliceStable(ids, func(a, b int) bool {
 				return prio[ids[a]] < prio[ids[b]]
@@ -372,63 +375,69 @@ func (n *ComputeNode) pickBindings() []*binding {
 	return bs
 }
 
+// scheduleLoop claims blueprints while a slot is free and a sweep finds
+// one, then blocks until the wake is raised. It takes the wake before it
+// sweeps, so an event landing mid-sweep sends it round again: nothing
+// sleeps between "slot free and blueprint ready" and startWorker. The
+// fallback timer only bounds what a lost wake can cost.
 func (n *ComputeNode) scheduleLoop() {
 	defer n.wg.Done()
-	for {
-		if n.ctx.Err() != nil {
-			return
-		}
-		n.mu.Lock()
-		free := n.slots - len(n.workers)
-		if n.draining {
-			free = 0 // no new claims while draining
-		}
-		n.claiming = free > 0 // under the lock that read draining: see Stop
-		n.mu.Unlock()
-		if free <= 0 {
-			if !sleepCtx(n.ctx, n.cfg.PollInterval) {
-				return
-			}
+	fallback := time.NewTimer(claimFallback)
+	defer fallback.Stop()
+	for n.ctx.Err() == nil {
+		woken := n.wake.wait()
+		if n.claimOne() {
 			continue
 		}
-		claimed := false
-		for _, b := range n.pickBindings() {
-			if n.leases != nil && !n.leases.Acquire(b.job) {
-				continue // over lease with a starved neighbor
-			}
-			bp, err := b.pollReady(n.ctx)
-			if err != nil {
-				// ErrAgain: nothing ready. ErrEmpty cannot normally happen
-				// (the ready bag is never sealed); treat both as idle.
-				if n.leases != nil {
-					n.leases.Release(b.job)
+		fallback.Reset(claimFallback)
+		select {
+		case <-woken:
+		case <-n.ctx.Done():
+		case <-fallback.C:
+			if n.claimOne() {
+				select {
+				case <-woken: // the wake was on its way
+				default:
+					n.fallbackClaims.Inc()
 				}
-				continue
-			}
-			n.startWorker(b, bp)
-			claimed = true
-			break
-		}
-		n.mu.Lock()
-		n.claiming = false
-		n.mu.Unlock()
-		if !claimed {
-			if !sleepCtx(n.ctx, n.cfg.PollInterval) {
-				return
 			}
 		}
 	}
+}
+
+// claimOne sweeps the bound jobs' ready bags once if a slot is free,
+// reporting whether it claimed a blueprint.
+func (n *ComputeNode) claimOne() bool {
+	n.sweep.Lock()
+	defer n.sweep.Unlock()
+	n.mu.Lock()
+	free := !n.draining && len(n.workers) < n.slots
+	n.mu.Unlock()
+	if !free {
+		return false
+	}
+	for _, b := range n.pickBindings() {
+		if !n.leases.Acquire(b.job) {
+			continue // over lease with a starved neighbor
+		}
+		bp, err := b.pollReady(n.ctx)
+		if err != nil {
+			// ErrAgain: nothing ready. ErrEmpty cannot normally happen
+			// (the ready bag is never sealed); treat both as idle.
+			n.leases.Release(b.job)
+			continue
+		}
+		n.startWorker(b, bp)
+		return true
+	}
+	return false
 }
 
 // startWorker runs a claimed blueprint. It owns the job's lease token:
 // every exit path either hands it to the worker's completion goroutine
 // or releases it.
 func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
-	release := func() {
-		if n.leases != nil {
-			n.leases.Release(b.job)
-		}
-	}
+	release := func() { n.leases.Release(b.job) }
 	master := b.getMaster()
 	if master.staleBlueprint(bp) {
 		release()
@@ -474,6 +483,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 		delete(n.workers, key)
 		crashed := n.crashed
 		n.mu.Unlock()
+		n.wake.raise() // a slot and a lease token are free
 		if w.killed.Load() || crashed {
 			// Killed workers report nothing: the master already decided
 			// their fate.

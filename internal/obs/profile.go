@@ -11,7 +11,8 @@ import (
 // (/debug/profile, BENCH_*.json) and of EXPLAIN ANALYZE output.
 const (
 	// PhaseQueue: blueprint published by the master until a compute node
-	// started the worker (scheduler poll latency + fair-share gating).
+	// started the worker (wake → claim, plus waiting for a free slot and
+	// fair-share gating).
 	PhaseQueue = "queue"
 	// PhaseRead: blocked removing/scanning input chunks from storage.
 	PhaseRead = "read"

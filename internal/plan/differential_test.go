@@ -203,7 +203,7 @@ func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, erro
 		StorageNodes: 2, ComputeNodes: workers, SlotsPerNode: 1,
 		ChunkSize: 256, // a few dozen records a vector: many vectors, work for clones
 		Node: core.NodeConfig{
-			PollInterval: time.Millisecond, MonitorInterval: 2 * time.Millisecond,
+			MonitorInterval:   2 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.01,
 		},
 		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond, DisableHeuristic: true},

@@ -89,13 +89,17 @@ func (l *Leases) Remove(job string) {
 }
 
 // SetDemand records a job's sampled demand: the number of ready
-// blueprints no node has claimed yet.
-func (l *Leases) SetDemand(job string, pending int) {
+// blueprints no node has claimed yet. It reports whether the demand
+// changed — which can change who Acquire turns away.
+func (l *Leases) SetDemand(job string, pending int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if j := l.jobs[job]; j != nil {
-		j.demand = pending
+	j := l.jobs[job]
+	if j == nil || j.demand == pending {
+		return false
 	}
+	j.demand = pending
+	return true
 }
 
 // reshare recomputes fair shares: floor(total · w/W) per job, remainder

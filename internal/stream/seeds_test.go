@@ -81,7 +81,6 @@ func seedsCluster(t *testing.T, streamName string) (*core.Cluster, *windowWrites
 		ComputeNodes: 2,
 		SlotsPerNode: 2,
 		Node: core.NodeConfig{
-			PollInterval:      time.Millisecond,
 			HeartbeatInterval: 5 * time.Millisecond,
 		},
 		Master: core.MasterConfig{

@@ -113,7 +113,6 @@ func testCluster(t *testing.T) *hurricane.Cluster {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			PollInterval:      time.Millisecond,
 			HeartbeatInterval: 5 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},

@@ -74,7 +74,6 @@ func BenchmarkPolicyAblation(b *testing.B) {
 					SlotsPerNode: 2,
 					ChunkSize:    4 << 10,
 					Node: hurricane.NodeConfig{
-						PollInterval:      time.Millisecond,
 						MonitorInterval:   2 * time.Millisecond,
 						HeartbeatInterval: 2 * time.Millisecond,
 						OverloadThreshold: 0.1,
