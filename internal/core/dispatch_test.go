@@ -159,7 +159,7 @@ func TestDispatchCloneReachesIdleNode(t *testing.T) {
 		cfg.Master.SpeculativeAfter = 5 * time.Millisecond
 		cfg.Master.DisableHeuristic = true
 	})
-	sealedEmpty(t, ctx, c, "in0")
+	loadIntsBag(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left
 	var started atomic.Int64
 	if err := c.Run(ctx, rendezvousApp("clone", 1, 2, false, &started)); err != nil {
 		t.Fatal(err)

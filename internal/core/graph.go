@@ -52,8 +52,8 @@ type TaskSpec struct {
 	// NoClone excludes the task from cloning (used to build the
 	// HurricaneNC configuration from the paper's Figure 6).
 	NoClone bool
-	// MaxClones caps the worker count for this task; 0 means "up to the
-	// cluster's worker slots".
+	// MaxClones caps live workers of this task — workers that finished do
+	// not count; 0 means "up to the cluster's worker slots".
 	MaxClones int
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,13 +205,11 @@ type taskState struct {
 	// running maps blueprint ID -> node, for failure recovery.
 	running map[string]string
 
-	// yieldable records, per worker index of the current epoch, whether
-	// the worker is a safe fair-share preemption target: a clone that
-	// consumes the task's declared inputs (not a private physical
-	// partition), so the chunks it leaves behind are drained by the
-	// task's other workers. Absent means "unknown" and is treated as not
-	// yieldable.
-	yieldable map[int]bool
+	// leaf maps each worker index of a partitioned consumer to the physical
+	// partition bag it pulls from (its own for a leaf's owner, the one its
+	// clone action named for a clone). Learned from the ready bag's
+	// blueprints, this master's and a predecessor's alike.
+	leaf map[int]string
 	// yielding marks workers asked to yield whose completion has not
 	// been observed yet, so repeated preemption rounds do not over-yield.
 	yielding map[int]bool
@@ -228,7 +225,7 @@ func (st *taskState) reset(epoch int) {
 	st.renamed = false
 	st.finished = false
 	st.running = make(map[string]string)
-	st.yieldable = make(map[int]bool)
+	st.leaf = make(map[int]string)
 	st.yielding = make(map[int]bool)
 }
 
@@ -568,11 +565,11 @@ func (m *Master) Stats() MasterStats {
 // path. A yielded clone finishes normally (its partial output keeps the
 // work it already did; the remaining chunks are drained by the task's
 // surviving workers through late binding), so preemption never loses or
-// redoes work. Only clones known safe are selected: worker index > 0,
-// consuming the task's declared inputs, with at least one other live
-// worker left to drain the bag. Yields still in flight count against n,
-// so repeated preemption rounds do not over-yield. It returns the number
-// of yields newly requested.
+// redoes work. Every clone is a target and no original worker is (isClone):
+// an original never yields and cannot finish before its input is dry, so
+// whatever a yielded clone leaves behind is drained. Yields still in flight
+// count against n, so repeated preemption rounds do not over-yield. It
+// returns the number of yields newly requested.
 func (m *Master) YieldClones(n int) int {
 	if n <= 0 {
 		return 0
@@ -597,13 +594,9 @@ func (m *Master) YieldClones(n int) int {
 		if !st.scheduled || st.finished {
 			continue
 		}
-		live := st.workers - len(st.doneWorkers)
-		// Leave at least one worker (beyond those already yielding) to
-		// drain the input bag.
-		allowed := live - len(st.yielding) - 1
 		// Prefer the most recent clones: they have consumed the least.
-		for w := st.workers - 1; w >= 1 && allowed > 0 && budget > 0; w-- {
-			if st.doneWorkers[w] || st.yielding[w] || !st.yieldable[w] {
+		for w := st.workers - 1; w >= 1 && budget > 0; w-- {
+			if st.doneWorkers[w] || st.yielding[w] || !m.isClone(st, w) {
 				continue
 			}
 			bpID := blueprintID(st.spec.Name, w, st.epoch)
@@ -614,7 +607,6 @@ func (m *Master) YieldClones(n int) int {
 			st.yielding[w] = true
 			m.yields++
 			targets = append(targets, target{node: node, bpID: bpID, st: st, w: w})
-			allowed--
 			budget--
 		}
 	}
@@ -634,6 +626,24 @@ func (m *Master) YieldClones(n int) int {
 		m.mu.Unlock()
 	}
 	return yielded
+}
+
+// isClone reports whether worker w shares its input with a worker handed
+// out before it: any worker but the first of an ordinary task, and for a
+// partitioned consumer any worker but the first known on its leaf — the
+// leaf's owner, which schedulePass hands out ahead of every clone. A worker
+// whose leaf is not known yet is taken for an owner. Callers hold m.mu.
+func (m *Master) isClone(st *taskState, w int) bool {
+	if m.edgeOf(st.spec) == nil {
+		return w > 0
+	}
+	leaf, known := st.leaf[w]
+	for o := 0; known && o < w; o++ {
+		if st.leaf[o] == leaf {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- masterAPI (telemetry forwarding from compute nodes) ----
@@ -875,10 +885,14 @@ func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
 			HasMerge:    st.spec.requiresMerge(),
 			Inputs:      st.spec.Inputs,
 		}
-		if len(st.spec.Inputs) == 1 {
-			if edge := m.edges[st.spec.Inputs[0]]; edge != nil {
-				t.ConsumesEdge = edge.name
-				t.EdgeSpread = edge.spec.Spread
+		if edge := m.edgeOf(st.spec); edge != nil {
+			t.ConsumesEdge = edge.name
+			t.EdgeSpread = edge.spec.Spread
+			t.Consumers = make(map[string]int)
+			for w, leaf := range st.leaf {
+				if !st.doneWorkers[w] {
+					t.Consumers[leaf]++
+				}
 			}
 		}
 		snap.Tasks[name] = t
@@ -955,11 +969,7 @@ func (m *Master) applyClone(act ctrl.CloneTask) (bool, error) {
 		m.mu.Unlock()
 		return false, nil
 	}
-	maxWorkers := m.control.TotalSlots()
-	if st.spec.MaxClones > 0 && st.spec.MaxClones < maxWorkers {
-		maxWorkers = st.spec.MaxClones
-	}
-	if st.workers >= maxWorkers {
+	if ctrl.AtWorkerCap(st.workers-len(st.doneWorkers), st.spec.MaxClones, m.control.TotalSlots()) {
 		m.mu.Unlock()
 		return false, nil
 	}
@@ -970,10 +980,6 @@ func (m *Master) applyClone(act ctrl.CloneTask) (bool, error) {
 	if act.Speculative {
 		m.speculative++
 	}
-	// A clone on the task's declared inputs shares them with the other
-	// workers and is therefore safe to preempt; a clone bound to a
-	// specific physical partition bag is not (nobody else drains it).
-	st.yieldable[w] = act.Inputs == nil
 	bp := m.blueprintFor(st, w, act.Inputs)
 	m.mu.Unlock()
 	if err := m.wb.pushReady(m.ctx, bp); err != nil {
@@ -1000,13 +1006,11 @@ func (m *Master) absorbRecords() (int, error) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		m.applyScheduledEvidence(bp.Spec, bp.Epoch, bp.Worker, bp.Kind == KindMerge)
-		// The ready bag carries full blueprints, so it is also the replay
-		// source for which workers are preemptible: this is how a
-		// recovered master relearns its predecessor's yieldable clones.
-		if bp.Kind == KindTask {
-			if st := m.tasks[bp.Spec]; st != nil && bp.Epoch == st.epoch {
-				st.yieldable[bp.Worker] = slices.Equal(bp.Inputs, st.spec.Inputs)
-			}
+		// The ready bag carries full blueprints, so it is where the master
+		// learns which leaf each worker of a partitioned consumer pulls
+		// from — the workers it pushed itself and a predecessor's alike.
+		if st := m.tasks[bp.Spec]; bp.Kind == KindTask && st != nil && bp.Epoch == st.epoch && m.edgeOf(st.spec) != nil {
+			st.leaf[bp.Worker] = bp.Inputs[0]
 		}
 		return nil
 	}); err != nil {
@@ -1171,14 +1175,20 @@ func (m *Master) schedulePass() (int, error) {
 	return scheduled, nil
 }
 
-// partitionLeavesFor returns the physical partition bags a task consumes,
-// or nil for ordinary tasks. Validate guarantees a partitioned consumer
-// has exactly one input.
-func (m *Master) partitionLeavesFor(spec *TaskSpec) []string {
+// edgeOf returns the partitioned shuffle edge a task consumes, or nil for
+// ordinary tasks. Validate guarantees a partitioned consumer has exactly
+// one input.
+func (m *Master) edgeOf(spec *TaskSpec) *shuffleEdge {
 	if len(spec.Inputs) != 1 {
 		return nil
 	}
-	edge := m.edges[spec.Inputs[0]]
+	return m.edges[spec.Inputs[0]]
+}
+
+// partitionLeavesFor returns the physical partition bags a task consumes,
+// or nil for ordinary tasks.
+func (m *Master) partitionLeavesFor(spec *TaskSpec) []string {
+	edge := m.edgeOf(spec)
 	if edge == nil {
 		return nil
 	}

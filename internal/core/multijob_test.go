@@ -603,67 +603,147 @@ func slowSumApp(processed *atomic.Int64, recordCostNS int64) *App {
 	return app
 }
 
+// slowGroupApp is slowSumApp over a partitioned edge: "route" keys every
+// record onto the Spread edge "shuf" — three in four onto key 0 — and "sum"
+// pays the per-record cost folding its share of the edge into one partial
+// sum, so every extra worker of the slow stage is a clone bound to a leaf.
+func slowGroupApp(processed *atomic.Int64, recordCostNS int64) *App {
+	app := NewApp("slowgroup").SourceBag("in").
+		AddBag(BagSpec{Name: "shuf", Partitions: 2, Spread: true}).Bag("out")
+	forEach := func(tc *TaskCtx, f func(v int64, rec []byte) error) error {
+		for {
+			c, err := tc.Remove(0)
+			if err == bag.ErrEmpty {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			for r := chunk.NewReader(c); r.Remaining(); {
+				rec, err := r.Next()
+				if err != nil {
+					return err
+				}
+				v, _, err := chunk.Int64Codec{}.Decode(rec)
+				if err != nil {
+					return err
+				}
+				if err := f(v, rec); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	app.AddTask(TaskSpec{Name: "route", Inputs: []string{"in"}, Outputs: []string{"shuf"},
+		Run: func(tc *TaskCtx) error {
+			w := tc.ShuffleWriter(0)
+			tc.OnFinish(w.Close)
+			return forEach(tc, func(v int64, rec []byte) error {
+				key := int64(0)
+				if v%4 == 3 {
+					key = 1 + v%64
+				}
+				return w.Write(chunk.Int64Codec{}.Encode(nil, key), rec)
+			})
+		}})
+	app.AddTask(TaskSpec{Name: "sum", Inputs: []string{"shuf"}, Outputs: []string{"out"},
+		Run: func(tc *TaskCtx) error {
+			var sum, owedNS int64
+			err := forEach(tc, func(v int64, _ []byte) error {
+				if owedNS += recordCostNS; owedNS >= 500_000 {
+					time.Sleep(time.Duration(owedNS))
+					owedNS = 0
+				}
+				processed.Add(1)
+				sum += v
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			w := chunk.NewWriter(1<<10, func(c chunk.Chunk) error { return tc.Insert(0, c) })
+			if err := w.Append(chunk.Int64Codec{}.Encode(nil, sum)); err != nil {
+				return err
+			}
+			return w.Flush()
+		}})
+	return app
+}
+
 // TestFairShareYieldsClones: a clone-hungry job is allowed to swallow the
 // whole cluster while alone, but when a second job arrives the scheduler
 // preempts clones (cooperative yield at chunk boundaries) back toward
-// the fair share — and the first job still produces the exact answer.
+// the fair share — and the first job still produces the exact answer,
+// whether its clones share a task's declared input or are each bound to a
+// leaf of a partitioned edge.
 func TestFairShareYieldsClones(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := testClusterConfig()
-	cfg.Sched.Interval = 2 * time.Millisecond
-	cfg.Master.DisableHeuristic = true
-	cfg.Master.CloneInterval = 2 * time.Millisecond
-	cfg.Node.MonitorInterval = 2 * time.Millisecond
-	cfg.Node.OverloadThreshold = 0.01
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
+	for _, greedy := range []struct {
+		name string
+		app  func(*atomic.Int64, int64) *App
+		ran  int // tasks that finish before the clone-hungry stage starts
+	}{
+		{"shared input", slowSumApp, 0},
+		{"leaf clones", slowGroupApp, 1},
+	} {
+		t.Run(greedy.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			cfg := testClusterConfig()
+			cfg.Sched.Interval = 2 * time.Millisecond
+			cfg.Master.DisableHeuristic = true
+			cfg.Master.CloneInterval = 2 * time.Millisecond
+			cfg.Node.MonitorInterval = 2 * time.Millisecond
+			cfg.Node.OverloadThreshold = 0.01
+			cluster, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Shutdown()
 
-	const nA, nB = 60000, 8000
-	var procA, procB atomic.Int64
-	// ~40µs/record: the greedy job stays saturated for hundreds of
-	// scheduler ticks after the modest job arrives.
-	hA, err := cluster.SubmitJob(ctx, slowSumApp(&procA, 40_000), JobConfig{Name: "greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
+			const nA, nB = 60000, 8000
+			var procA, procB atomic.Int64
+			// ~40µs/record: the greedy job stays saturated for hundreds of
+			// scheduler ticks after the modest job arrives.
+			hA, err := cluster.SubmitJob(ctx, greedy.app(&procA, 40_000), JobConfig{Name: "greedy"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
 
-	// Let the greedy job clone its copy stage across the whole pool.
-	for cluster.FreeSlots() > 0 && ctx.Err() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	hB, err := cluster.SubmitJob(ctx, sumApp(&procB), JobConfig{Name: "modest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
+			// Let the greedy job clone its slow stage across the whole pool.
+			for (hA.Stats().Master.TasksFinished < greedy.ran || cluster.FreeSlots() > 0) && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			hB, err := cluster.SubmitJob(ctx, sumApp(&procB), JobConfig{Name: "modest"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
 
-	if err := hB.Wait(ctx); err != nil {
-		t.Fatalf("modest job: %v", err)
+			if err := hB.Wait(ctx); err != nil {
+				t.Fatalf("modest job: %v", err)
+			}
+			if err := hA.Wait(ctx); err != nil {
+				t.Fatalf("greedy job: %v", err)
+			}
+			wantA := int64(nA) * (nA - 1) / 2
+			wantB := int64(nB) * (nB - 1) / 2
+			if got := readSumBag(t, ctx, cluster.Store(), hA.Bag("out")); got != wantA {
+				t.Fatalf("greedy sum = %d, want %d", got, wantA)
+			}
+			if got := readSumBag(t, ctx, cluster.Store(), hB.Bag("out")); got != wantB {
+				t.Fatalf("modest sum = %d, want %d", got, wantB)
+			}
+			if y := hA.Stats().Master.Yields; y == 0 {
+				t.Errorf("greedy job yielded no clones (stats %+v)", hA.Stats().Master)
+			}
+			// Yielding must not lose or redo records.
+			if procA.Load() != nA {
+				t.Errorf("greedy processed %d records, want exactly %d", procA.Load(), nA)
+			}
+			waitNoLeakedSlots(t, cluster)
+		})
 	}
-	if err := hA.Wait(ctx); err != nil {
-		t.Fatalf("greedy job: %v", err)
-	}
-	wantA := int64(nA) * (nA - 1) / 2
-	wantB := int64(nB) * (nB - 1) / 2
-	if got := readSumBag(t, ctx, cluster.Store(), hA.Bag("out")); got != wantA {
-		t.Fatalf("greedy sum = %d, want %d", got, wantA)
-	}
-	if got := readSumBag(t, ctx, cluster.Store(), hB.Bag("out")); got != wantB {
-		t.Fatalf("modest sum = %d, want %d", got, wantB)
-	}
-	if y := hA.Stats().Master.Yields; y == 0 {
-		t.Errorf("greedy job yielded no clones (stats %+v)", hA.Stats().Master)
-	}
-	// Yielding must not lose or redo records.
-	if procA.Load() != nA {
-		t.Errorf("greedy processed %d records, want exactly %d", procA.Load(), nA)
-	}
-	waitNoLeakedSlots(t, cluster)
 }
 
 // TestJobQueueAdmission: with MaxConcurrent=1 the second submission

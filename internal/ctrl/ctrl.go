@@ -78,20 +78,23 @@ type NodeTel struct {
 
 // Overload is one overload signal from a compute node: the node was
 // CPU-bound while running a worker of the named task and asks for a clone.
+// It says that the task wants one, not where it goes (see proposeClone).
 type Overload struct {
 	Node   string
 	Task   string
 	Epoch  int
 	Worker int
 	Merge  bool
-	// Inputs are the overloaded worker's input bags (physical partition
-	// bags for partitioned consumers; clones must pull from the same
-	// physical bag, not the logical edge).
+	// Inputs are the overloaded worker's input bags (the physical partition
+	// bag for a worker of a partitioned consumer).
 	Inputs []string
 	Busy   float64
 }
 
 // TaskTel is the master's view of one task, forwarded into the snapshot.
+// Workers counts the worker indices handed out at this epoch and DoneWorkers
+// those that completed; the difference is the workers alive, which is what
+// the clone cap bounds (AtWorkerCap).
 type TaskTel struct {
 	Name        string
 	Epoch       int
@@ -104,13 +107,31 @@ type TaskTel struct {
 
 	// Declared shape relevant to cloning decisions.
 	NoClone   bool
-	MaxClones int
+	MaxClones int // caps live workers; 0 means the cluster's slots
 	HasMerge  bool
 	Inputs    []string
 	// ConsumesEdge names the partitioned shuffle edge this task consumes
 	// ("" for ordinary tasks); EdgeSpread mirrors the edge's Spread flag.
 	ConsumesEdge string
 	EdgeSpread   bool
+	// Consumers is, for a partitioned consumer, how many live workers pull
+	// from each physical partition (one owner per leaf, plus its clones);
+	// a clone is bound to one of them. Ordinary tasks leave it nil: every
+	// live worker pulls from every declared input.
+	Consumers map[string]int
+}
+
+// AtWorkerCap is the clone cap, stated once for the policies' gate and the
+// master's transactional re-check: a task may have at most
+// min(totalSlots, maxClones) workers alive. Workers that completed do not
+// count — a finished worker's slot is idle, and the paper clones onto any
+// idle slot (§3.2).
+func AtWorkerCap(live, maxClones, totalSlots int) bool {
+	limit := totalSlots
+	if maxClones > 0 && maxClones < limit {
+		limit = maxClones
+	}
+	return live >= limit
 }
 
 // EdgeTel is the state of one partitioned shuffle edge: the current
@@ -215,8 +236,8 @@ type Snapshot struct {
 
 	// SampleBag lazily probes a bag's depth (read/remaining bytes). It
 	// returns nil when the probe fails or no prober is configured; the
-	// cloning heuristic then declines to clone. Results are memoized per
-	// snapshot.
+	// cloning policies then decline to clone. A result is reused, within
+	// the snapshot and by later ones, until it is a fetch interval old.
 	SampleBag func(bag string) *BagTel
 }
 
@@ -264,8 +285,8 @@ type CloneTask struct {
 	Task  string
 	Epoch int
 	// Inputs overrides the clone's consumed bags (partitioned consumers:
-	// the overloaded worker's physical partition). Nil means the task's
-	// declared inputs.
+	// the physical partition the placement rule chose). Nil means the
+	// task's declared inputs.
 	Inputs []string
 	// Speculative marks clones proposed by SpeculativePolicy (straggler
 	// mitigation without an overload signal, §3.5 future work).

@@ -30,10 +30,12 @@ type HubConfig struct {
 	FetchStats FetchStatsFunc
 	// FetchInterval rate-limits sketch fetches per edge: a fetch makes the
 	// storage node decode and merge every producer's sketch blob, far too
-	// much work to repeat on every snapshot.
+	// much work to repeat on every snapshot. Depth probes of one bag are
+	// held to the same interval.
 	FetchInterval time.Duration
-	// SampleBag probes bag depths for the cloning heuristic; nil makes the
-	// heuristic decline every clone (tests install synthetic probes).
+	// SampleBag probes bag depths for clone placement and the cloning
+	// heuristic; nil makes the policies decline every clone (tests install
+	// synthetic probes).
 	SampleBag SampleBagFunc
 	// Obs receives the hub's metrics (snapshot count, snapshot lag,
 	// overload signals seen and dropped); nil disables them. Job labels
@@ -59,6 +61,7 @@ type Hub struct {
 	overloads []Overload
 	dropped   int // overload signals dropped under pressure
 	lastFetch map[string]time.Time
+	probes    map[string]probe   // the last depth probe of every bag sampled
 	edges     map[string]EdgeTel // the last record of every edge seen
 	// firstSignal is when the oldest still-undrained buffered signal
 	// arrived; Snapshot observes the drain delay as snapshot lag.
@@ -71,6 +74,12 @@ type Hub struct {
 	mLag       *obs.Histogram
 }
 
+// probe is one remembered depth probe (nil tel: the probe failed).
+type probe struct {
+	at  time.Time
+	tel *BagTel
+}
+
 // NewHub creates a hub. The zero HubConfig is valid (no sketch fetches,
 // no bag probes): signals still batch and Wake still fires.
 func NewHub(cfg HubConfig) *Hub {
@@ -80,6 +89,7 @@ func NewHub(cfg HubConfig) *Hub {
 		wake:       make(chan struct{}, 1),
 		nodes:      make(map[string]NodeTel),
 		lastFetch:  make(map[string]time.Time),
+		probes:     make(map[string]probe),
 		edges:      make(map[string]EdgeTel),
 		mSnapshots: cfg.Obs.Counter("hurricane_ctrl_snapshots_total", job...),
 		mOverloads: cfg.Obs.Counter("hurricane_ctrl_overloads_total", job...),
@@ -231,16 +241,20 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 	}
 
 	if snap.SampleBag == nil && h.cfg.SampleBag != nil {
-		memo := make(map[string]*BagTel)
 		snap.SampleBag = func(bag string) *BagTel {
-			if tel, ok := memo[bag]; ok {
-				return tel
+			h.mu.Lock()
+			p, ok := h.probes[bag]
+			h.mu.Unlock()
+			if ok && !p.at.Add(h.cfg.FetchInterval).Before(snap.Now) {
+				return p.tel
 			}
 			tel, err := h.cfg.SampleBag(ctx, bag)
 			if err != nil {
 				tel = nil
 			}
-			memo[bag] = tel
+			h.mu.Lock()
+			h.probes[bag] = probe{at: snap.Now, tel: tel}
+			h.mu.Unlock()
 			return tel
 		}
 	}

@@ -166,10 +166,12 @@ func TestHubEdgesConcurrent(t *testing.T) {
 }
 
 // TestHubSampleMemoized: bag probes are memoized per snapshot, including
-// failures.
+// failures, and a later snapshot probes again only once they are a fetch
+// interval old.
 func TestHubSampleMemoized(t *testing.T) {
 	probes := 0
 	h := NewHub(HubConfig{
+		FetchInterval: 100 * time.Millisecond,
 		SampleBag: func(ctx context.Context, bag string) (*BagTel, error) {
 			probes++
 			if bag == "broken" {
@@ -189,6 +191,13 @@ func TestHubSampleMemoized(t *testing.T) {
 	}
 	if probes != 2 {
 		t.Fatalf("probes not memoized: %d calls", probes)
+	}
+	if h.Snapshot(context.Background(), nil).SampleBag("in"); probes != 2 {
+		t.Fatalf("fresh probe repeated by the next snapshot: %d calls", probes)
+	}
+	time.Sleep(110 * time.Millisecond)
+	if h.Snapshot(context.Background(), nil).SampleBag("in"); probes != 3 {
+		t.Fatalf("stale probe not repeated: %d calls", probes)
 	}
 }
 

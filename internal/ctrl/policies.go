@@ -1,6 +1,9 @@
 package ctrl
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/shuffle"
 	"repro/internal/sketch"
 )
@@ -8,9 +11,10 @@ import (
 // ---- cloning ----
 
 // ClonePolicy is the paper's reactive mitigation (§4.2): each overload
-// signal from a compute node is a clone request, gated by per-task rate
-// limiting, the worker-count caps, and the Eq. 2 heuristic
-// T > (k+1)·T_IO evaluated against live bag depth telemetry.
+// signal from a compute node is a clone request for its task, gated by
+// per-task rate limiting, the live-worker cap, and the Eq. 2 heuristic
+// T > (k+1)·T_IO evaluated against live bag depth telemetry. The signal
+// says a task wants a clone; proposeClone says where it goes.
 type ClonePolicy struct {
 	Cfg Config
 }
@@ -27,7 +31,7 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 			!t.Scheduled || t.Finished || t.NoClone {
 			continue
 		}
-		if a, ok := proposeClone(&p.Cfg, snap, t, o.Inputs, false); ok {
+		if a, ok := proposeClone(&p.Cfg, snap, t, false); ok {
 			out = append(out, a)
 		}
 	}
@@ -38,7 +42,8 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 // still running SpeculativeAfter past its start is treated as if it had
 // signalled overload, mitigating stragglers whose slowness is not
 // CPU-bound (e.g. a degraded machine). The clone steals the remaining
-// chunks through ordinary late binding, so no work is redone.
+// chunks through ordinary late binding, so no work is redone. Partitioned
+// consumers are covered like any task: proposeClone places the clone.
 type SpeculativePolicy struct {
 	Cfg Config
 }
@@ -51,23 +56,13 @@ func (p *SpeculativePolicy) Evaluate(snap *Snapshot) []Action {
 	var out []Action
 	for _, name := range snap.TaskNames() {
 		t := snap.Tasks[name]
-		if !t.Scheduled || t.Finished || t.Workers == 0 ||
-			t.DoneWorkers >= t.Workers || t.NoClone {
+		if !t.Scheduled || t.Finished || t.NoClone {
 			continue
 		}
 		if snap.Now.Sub(t.StartedAt) < p.Cfg.SpeculativeAfter {
 			continue
 		}
-		if snap.Now.Sub(t.LastClone) < p.Cfg.CloneInterval {
-			continue
-		}
-		// Speculative requests carry no worker blueprint, so they cannot
-		// name the physical partition a clone of a partitioned consumer
-		// would have to pull from.
-		if t.ConsumesEdge != "" {
-			continue
-		}
-		if a, ok := proposeClone(&p.Cfg, snap, t, nil, true); ok {
+		if a, ok := proposeClone(&p.Cfg, snap, t, true); ok {
 			out = append(out, a)
 		}
 	}
@@ -76,56 +71,70 @@ func (p *SpeculativePolicy) Evaluate(snap *Snapshot) []Action {
 
 // proposeClone applies the gates shared by reactive and speculative
 // cloning and returns the resulting proposal: a CloneTask when every gate
-// passes, a RejectClone when an idle slot is missing or Eq. 2 declines
-// (preserving the master's reject counters), or nothing when a cheap gate
-// (worker caps, rate limit, partitioned-input rules) filters the request.
-func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, workerInputs []string, speculative bool) (Action, bool) {
-	if t.DoneWorkers >= t.Workers && t.Workers > 0 {
-		return nil, false // task is effectively over
+// passes, a RejectClone when an idle slot is missing, no input has work
+// left or Eq. 2 declines (preserving the master's reject counters), or
+// nothing when a cheap gate (live-worker cap, rate limit, soundness of
+// sharing a partition) filters the request.
+//
+// A clone goes where the most work is left: of the bags the task's live
+// workers consume, the one with the most remaining bytes per live worker.
+// A bag with nothing remaining (or no depth probe) is never a candidate, so
+// no clone is started only to find its input dry. For a consumer of a
+// partitioned shuffle bag the candidates are the physical partitions, and
+// the clone is bound to the one chosen.
+func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, speculative bool) (Action, bool) {
+	live := t.Workers - t.DoneWorkers
+	if live <= 0 {
+		return nil, false // no worker yet, or the task is effectively over
 	}
-	maxWorkers := snap.TotalSlots
-	if t.MaxClones > 0 && t.MaxClones < maxWorkers {
-		maxWorkers = t.MaxClones
-	}
-	if t.Workers >= maxWorkers {
+	if AtWorkerCap(live, t.MaxClones, snap.TotalSlots) {
 		return nil, false
 	}
 	if snap.Now.Sub(t.LastClone) < cfg.CloneInterval {
 		return nil, false
 	}
-	// For a consumer of a partitioned shuffle bag, a clone must pull from
-	// the overloaded worker's physical partition, not the logical bag —
-	// and chunk-level sharing of one partition splits a key's records
-	// across workers, so it is only sound when the edge declared
-	// record-level parallelism safe (Spread) or the task reconciles
-	// partials through a merge procedure. Otherwise splitting is the skew
-	// defense.
-	var inputs []string
+	// Chunk-level sharing of one partition splits a key's records across
+	// workers, so it is only sound when the edge declared record-level
+	// parallelism safe (Spread) or the task reconciles partials through a
+	// merge procedure. Otherwise splitting is the skew defense.
+	if t.ConsumesEdge != "" && !t.EdgeSpread && !t.HasMerge {
+		return nil, false
+	}
+	reject := RejectClone{Task: t.Name, Speculative: speculative}
+	if snap.FreeSlots <= 0 || snap.SampleBag == nil {
+		return reject, true
+	}
+	consumers := t.Consumers
+	if t.ConsumesEdge == "" {
+		consumers = make(map[string]int, len(t.Inputs))
+		for _, in := range t.Inputs {
+			consumers[in] = live
+		}
+	}
+	var input string
+	var depth *BagTel
+	var most float64
+	for _, bag := range slices.Sorted(maps.Keys(consumers)) {
+		tel := snap.SampleBag(bag)
+		if tel == nil || tel.RemainingBytes <= 0 || consumers[bag] <= 0 {
+			continue
+		}
+		if per := float64(tel.RemainingBytes) / float64(consumers[bag]); per > most {
+			input, depth, most = bag, tel, per
+		}
+	}
+	if depth == nil || (!cfg.DisableHeuristic && !cloneWorthwhile(cfg, snap, depth, t)) {
+		return reject, true
+	}
+	clone := CloneTask{Task: t.Name, Epoch: t.Epoch, Speculative: speculative}
 	if t.ConsumesEdge != "" {
-		if len(workerInputs) == 0 || (!t.EdgeSpread && !t.HasMerge) {
-			return nil, false
-		}
-		inputs = workerInputs
+		clone.Inputs = []string{input}
 	}
-	if snap.FreeSlots <= 0 {
-		return RejectClone{Task: t.Name, Speculative: speculative}, true
-	}
-	if !cfg.DisableHeuristic {
-		input := ""
-		if len(t.Inputs) > 0 {
-			input = t.Inputs[0]
-		}
-		if inputs != nil {
-			input = inputs[0]
-		}
-		if !cloneWorthwhile(cfg, snap, input, t) {
-			return RejectClone{Task: t.Name, Speculative: speculative}, true
-		}
-	}
-	return CloneTask{Task: t.Name, Epoch: t.Epoch, Inputs: inputs, Speculative: speculative}, true
+	return clone, true
 }
 
-// cloneWorthwhile evaluates Eq. 2 against sampled bag depth telemetry.
+// cloneWorthwhile evaluates Eq. 2 against the sampled depth of the bag the
+// clone would consume (which has bytes remaining).
 //
 //	T    — remaining task time, estimated from the input bag's remaining
 //	       bytes and the task's observed aggregate drain rate;
@@ -134,18 +143,8 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, workerInputs []string
 //	       then be merged, so T_IO ≈ 2·(R/(k+1))/BW.
 //
 // Clone iff T > (k+1)·T_IO.
-func cloneWorthwhile(cfg *Config, snap *Snapshot, input string, t *TaskTel) bool {
-	if snap.SampleBag == nil {
-		return false
-	}
-	stats := snap.SampleBag(input)
-	if stats == nil {
-		return false
-	}
+func cloneWorthwhile(cfg *Config, snap *Snapshot, stats *BagTel, t *TaskTel) bool {
 	remaining := float64(stats.RemainingBytes)
-	if remaining <= 0 {
-		return false // nothing left to split
-	}
 	elapsed := snap.Now.Sub(t.StartedAt).Seconds()
 	if elapsed <= 0 {
 		return true

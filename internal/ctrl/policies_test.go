@@ -30,6 +30,7 @@ func testConfig() Config {
 	}
 }
 
+// baseSnapshot probes every bag as deep and barely drained: cloning pays.
 func baseSnapshot() *Snapshot {
 	return &Snapshot{
 		Version:    1,
@@ -39,6 +40,9 @@ func baseSnapshot() *Snapshot {
 		Nodes:      map[string]NodeTel{},
 		Tasks:      map[string]*TaskTel{},
 		Edges:      map[string]*EdgeTel{},
+		SampleBag: func(string) *BagTel {
+			return &BagTel{ReadBytes: 1 << 20, RemainingBytes: 1 << 30}
+		},
 	}
 }
 
@@ -49,6 +53,32 @@ func runningTask(name string) *TaskTel {
 		Workers:   1,
 		StartedAt: t0.Add(-time.Minute),
 		Inputs:    []string{name + ".in"},
+	}
+}
+
+// partitionedTask is a running consumer of the Spread edge "shuf" with one
+// live worker on each of the given leaves.
+func partitionedTask(name string, leaves ...string) *TaskTel {
+	t := runningTask(name)
+	t.ConsumesEdge, t.EdgeSpread = "shuf", true
+	t.Inputs = []string{"shuf"}
+	t.Workers = len(leaves)
+	t.Consumers = map[string]int{}
+	for _, l := range leaves {
+		t.Consumers[l] = 1
+	}
+	return t
+}
+
+// probeKiB answers depth probes from a table of remaining KiB per bag; a
+// bag it does not list fails its probe.
+func probeKiB(remaining map[string]int64) func(string) *BagTel {
+	return func(bag string) *BagTel {
+		kib, ok := remaining[bag]
+		if !ok {
+			return nil
+		}
+		return &BagTel{ReadBytes: 1 << 10, RemainingBytes: kib << 10}
 	}
 }
 
@@ -160,18 +190,16 @@ func TestClonePolicyTable(t *testing.T) {
 		{
 			name: "partitioned consumer without spread or merge never clones",
 			mutate: func(s *Snapshot) {
-				s.Tasks["map"].ConsumesEdge = "shuf"
+				s.Tasks["map"] = partitionedTask("map", "shuf.p1")
+				s.Tasks["map"].EdgeSpread = false
 			},
-			overload: Overload{Task: "map", Inputs: []string{"shuf.p1"}, Busy: 0.9},
+			overload: Overload{Task: "map", Busy: 0.9},
 			want:     "",
 		},
 		{
-			name: "partitioned spread consumer clones its physical partition",
-			mutate: func(s *Snapshot) {
-				s.Tasks["map"].ConsumesEdge = "shuf"
-				s.Tasks["map"].EdgeSpread = true
-			},
-			overload: Overload{Task: "map", Inputs: []string{"shuf.p1"}, Busy: 0.9},
+			name:     "partitioned spread consumer clones its physical partition",
+			mutate:   func(s *Snapshot) { s.Tasks["map"] = partitionedTask("map", "shuf.p1") },
+			overload: Overload{Task: "map", Busy: 0.9},
 			want:     "clone",
 		},
 	}
@@ -179,9 +207,6 @@ func TestClonePolicyTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := baseSnapshot()
 			snap.Tasks["map"] = runningTask("map")
-			snap.SampleBag = func(string) *BagTel {
-				return &BagTel{ReadBytes: 1 << 20, RemainingBytes: 1 << 30}
-			}
 			if tc.mutate != nil {
 				tc.mutate(snap)
 			}
@@ -199,7 +224,7 @@ func TestClonePolicyTable(t *testing.T) {
 			}
 			if clone, ok := actions[0].(CloneTask); ok && snap.Tasks["map"].ConsumesEdge != "" {
 				if len(clone.Inputs) != 1 || clone.Inputs[0] != "shuf.p1" {
-					t.Fatalf("partitioned clone must target the worker's physical partition, got %v", clone.Inputs)
+					t.Fatalf("partitioned clone must target a physical partition, got %v", clone.Inputs)
 				}
 			}
 		})
@@ -243,8 +268,110 @@ func TestCloneHeuristic(t *testing.T) {
 	}
 }
 
+// TestClonePlacement is the cloning rule on a partitioned consumer: the cap
+// counts live workers, the clone goes to the leaf with the most bytes left
+// per live worker, a dry leaf is never a candidate, and sharing a leaf stays
+// unsound on an edge that is neither Spread nor merged. Both cloning policies
+// run every case: the rule is one function.
+func TestClonePlacement(t *testing.T) {
+	leaves := []string{"shuf.p0", "shuf.p1", "shuf.p2"}
+	cases := []struct {
+		name      string
+		mutate    func(*TaskTel)
+		remaining map[string]int64 // KiB
+		heuristic bool
+		want      string // the leaf the clone names; "" for no clone
+	}{
+		{
+			name:      "finished workers leave room under the cap",
+			mutate:    func(tt *TaskTel) { tt.Workers, tt.DoneWorkers = 8, 4 },
+			remaining: map[string]int64{"shuf.p0": 64},
+			want:      "shuf.p0",
+		},
+		{
+			name:      "eight live workers on eight slots are at the cap",
+			mutate:    func(tt *TaskTel) { tt.Workers = 8 },
+			remaining: map[string]int64{"shuf.p0": 64},
+		},
+		{
+			name:      "most bytes left per live worker wins",
+			mutate:    func(tt *TaskTel) { tt.Workers, tt.Consumers["shuf.p1"] = 4, 2 },
+			remaining: map[string]int64{"shuf.p0": 0, "shuf.p1": 40, "shuf.p2": 30},
+			want:      "shuf.p2",
+		},
+		{
+			name:      "placement holds under Eq. 2",
+			mutate:    func(tt *TaskTel) { tt.Workers, tt.Consumers["shuf.p1"] = 4, 2 },
+			remaining: map[string]int64{"shuf.p0": 0, "shuf.p1": 40, "shuf.p2": 30},
+			heuristic: true,
+			want:      "shuf.p2",
+		},
+		{
+			name:      "dry and unprobed leaves are never candidates",
+			remaining: map[string]int64{"shuf.p0": 0, "shuf.p1": 0},
+		},
+		{
+			name:      "no sharing a leaf without Spread or merge",
+			mutate:    func(tt *TaskTel) { tt.EdgeSpread = false },
+			remaining: map[string]int64{"shuf.p0": 64},
+		},
+		{
+			name:      "a merge procedure permits it",
+			mutate:    func(tt *TaskTel) { tt.EdgeSpread, tt.HasMerge = false, true },
+			remaining: map[string]int64{"shuf.p0": 64},
+			want:      "shuf.p0",
+		},
+		{
+			name:      "MaxClones bounds live workers",
+			mutate:    func(tt *TaskTel) { tt.MaxClones = 3 },
+			remaining: map[string]int64{"shuf.p0": 64},
+		},
+		{
+			name:      "MaxClones does not count finished workers",
+			mutate:    func(tt *TaskTel) { tt.MaxClones, tt.Workers, tt.DoneWorkers = 3, 5, 3 },
+			remaining: map[string]int64{"shuf.p0": 64},
+			want:      "shuf.p0",
+		},
+	}
+	for _, tc := range cases {
+		for _, speculative := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/speculative=%v", tc.name, speculative), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.DisableHeuristic = !tc.heuristic
+				snap := baseSnapshot()
+				task := partitionedTask("agg", leaves...)
+				if tc.mutate != nil {
+					tc.mutate(task)
+				}
+				snap.Tasks["agg"] = task
+				snap.SampleBag = probeKiB(tc.remaining)
+				var p Policy = &SpeculativePolicy{Cfg: cfg}
+				if !speculative {
+					p = &ClonePolicy{Cfg: cfg}
+					// Every leaf's worker signals; the dry one first.
+					for range leaves {
+						snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
+					}
+				}
+				got := ""
+				for _, a := range Arbitrate(snap, p.Evaluate(snap)) {
+					if clone, ok := a.(CloneTask); ok {
+						if got != "" || len(clone.Inputs) != 1 || clone.Speculative != speculative {
+							t.Fatalf("want at most one clone bound to one leaf, got %+v after %q", clone, got)
+						}
+						got = clone.Inputs[0]
+					}
+				}
+				if got != tc.want {
+					t.Fatalf("clone placed on %q, want %q", got, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestSpeculativePolicy: stragglers past the threshold are cloned without
-// any overload signal; fresh tasks and partitioned consumers are not.
+// any overload signal, partitioned consumers included; fresh tasks are not.
 func TestSpeculativePolicy(t *testing.T) {
 	cfg := testConfig()
 	cfg.DisableHeuristic = true
@@ -254,16 +381,19 @@ func TestSpeculativePolicy(t *testing.T) {
 	snap.Tasks["straggler"] = runningTask("straggler")
 	snap.Tasks["fresh"] = runningTask("fresh")
 	snap.Tasks["fresh"].StartedAt = t0.Add(-time.Second)
-	snap.Tasks["partitioned"] = runningTask("partitioned")
-	snap.Tasks["partitioned"].ConsumesEdge = "shuf"
+	snap.Tasks["partitioned"] = partitionedTask("partitioned", "shuf.p0", "shuf.p1")
 
-	actions := p.Evaluate(snap)
-	if len(actions) != 1 {
-		t.Fatalf("want exactly one speculative clone, got %v", actions)
+	actions := p.Evaluate(snap) // in task-name order
+	if len(actions) != 2 {
+		t.Fatalf("want exactly two speculative clones, got %v", actions)
 	}
-	clone, ok := actions[0].(CloneTask)
-	if !ok || clone.Task != "straggler" || !clone.Speculative {
-		t.Fatalf("want speculative clone of straggler, got %+v", actions[0])
+	leaf, ok := actions[0].(CloneTask)
+	if !ok || leaf.Task != "partitioned" || !leaf.Speculative || len(leaf.Inputs) != 1 {
+		t.Fatalf("want speculative clone of partitioned bound to one leaf, got %+v", actions[0])
+	}
+	clone, ok := actions[1].(CloneTask)
+	if !ok || clone.Task != "straggler" || !clone.Speculative || clone.Inputs != nil {
+		t.Fatalf("want speculative clone of straggler on its declared inputs, got %+v", actions[1])
 	}
 }
 
@@ -406,13 +536,10 @@ func TestArbitrateCloneSplitConflict(t *testing.T) {
 		Name: "shuf", PMap: pmap, Spread: true, Active: true, Stats: stats,
 		Unsplittable: map[string]bool{},
 	}
-	consumer := runningTask("agg")
-	consumer.ConsumesEdge = "shuf"
-	consumer.EdgeSpread = true
-	snap.Tasks["agg"] = consumer
+	snap.Tasks["agg"] = partitionedTask("agg", "shuf.p1")
 	snap.Tasks["other"] = runningTask("other")
 	snap.Overloads = []Overload{
-		{Task: "agg", Inputs: []string{"shuf.p1"}, Busy: 0.95},
+		{Task: "agg", Busy: 0.95},
 		{Task: "other", Busy: 0.95},
 	}
 

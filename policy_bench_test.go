@@ -14,7 +14,9 @@ import (
 // policies in isolation on the acceptance workload of the shuffle
 // subsystem: a Zipf(s=1.3) keyed groupby (one key ≈ a third of the
 // records) with a simulated 5µs/record aggregation cost, 4 base
-// partitions, 8 consumer slots. Variants select policy sets through
+// partitions, 8 consumer slots. The edge is Spread and the partials merge
+// at collect, so the aggregation is cloneable in every arm; every run is
+// checked against workload.KeyCounts. Variants select policy sets through
 // MasterConfig.Policies:
 //
 //	all        — clone + speculative + split + isolate (the default set)
@@ -22,13 +24,16 @@ import (
 //	split-only — partition splitting + key isolation, no cloning
 //	none       — empty policy set (no mitigation at all)
 //
-// Baseline numbers live in BENCH_policy.json. Compare ns/op:
+// BENCH_policy.json holds numbers from 2026-08-08, when every arm ran the
+// aggregation uncloneable (NoClone): its clone-only arm says nothing about
+// cloning. Compare ns/op:
 //
 //	go test -run xxx -bench BenchmarkPolicyAblation -benchtime 3x .
 func BenchmarkPolicyAblation(b *testing.B) {
 	const parts = 4
 	gen := workload.RelationGen{Keys: 64, S: 1.3, Seed: 9}
 	tuples := gen.Generate(200000)
+	want := workload.KeyCounts(tuples)
 
 	masterCfg := func() hurricane.MasterConfig {
 		return hurricane.MasterConfig{
@@ -87,10 +92,11 @@ func BenchmarkPolicyAblation(b *testing.B) {
 				if err := apps.LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 					b.Fatal(err)
 				}
-				app := apps.GroupByApp(parts, true, true, 0, 5000)
+				app := apps.GroupByApp(parts, true, false, 0, 5000)
 				if err := cluster.Run(ctx, app); err != nil {
 					b.Fatal(err)
 				}
+				checkGroupBy(b, ctx, cluster.Store(), apps.GroupByOut, want)
 				if i == 0 {
 					st := cluster.Master().Stats()
 					b.ReportMetric(float64(st.Clones), "clones")
