@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/transport"
 )
 
 // Every test of this package runs with the claim loops' fallback sweep
@@ -221,6 +223,11 @@ func TestDispatchAcrossMasterRecovery(t *testing.T) {
 		t.Errorf("%d task bodies ran, want 2", started.Load())
 	}
 	noFallbackClaims(t, c)
+	// A successor whose first tick adopts a map its predecessor left
+	// half-published dispatches by wakes all the same.
+	t.Run("between a map's publish and its announcement", func(t *testing.T) {
+		noFallbackClaims(t, recoverFromCutPublish(t, ctx, 1, 1))
+	})
 }
 
 // TestDispatchAfterResetResubmit: a job resubmitted under its
@@ -441,6 +448,66 @@ func TestRemoveComputeNodeWaitsOnTheWake(t *testing.T) {
 	close(g1)
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	noFallbackClaims(t, c)
+}
+
+// TestBroadcastWakeCost measures what the cluster's one broadcast wake
+// costs where it is widest: with 16 idle nodes and 8 bound jobs, none of
+// which has a blueprint ready, every raise sends each idle node once round
+// every job's ready bag. It prints the removes per raise (go test -v) and
+// holds them to that product; busy nodes poll nothing.
+func TestBroadcastWakeCost(t *testing.T) {
+	const idle, jobs, raises = 16, 8, 10
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// The removes on ready work bags are the task managers' claim polls.
+	polls := &countedCalls{match: func(req *transport.Request) bool {
+		return req.Op == transport.OpRemove && strings.Contains(req.Bag, "!ready")
+	}}
+	store := storeBehind(t, func(tr transport.Client) transport.Client { polls.Client = tr; return polls })
+	cfg := testClusterConfig()
+	cfg.ComputeNodes, cfg.SlotsPerNode = idle+jobs, 1
+	c := NewClusterOverStore(store, cfg)
+	defer c.Shutdown()
+	var started atomic.Int64
+	gate := make(chan struct{})
+	var handles []*JobHandle
+	for j := 0; j < jobs; j++ { // each job holds one slot and has nothing ready
+		h, err := c.SubmitJob(ctx, gatesApp("bound", &started, gate), JobConfig{Name: fmt.Sprintf("bound%d", j)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	waitFor(t, ctx, "every job's task", func() bool { return started.Load() == jobs })
+	// settled waits until the claim loops have gone quiet and returns the
+	// count of polls so far.
+	settled := func() int64 {
+		for last, since := polls.n.Load(), time.Now(); ; time.Sleep(time.Millisecond) {
+			if now := polls.n.Load(); now != last {
+				last, since = now, time.Now()
+			} else if time.Since(since) > 20*time.Millisecond || ctx.Err() != nil {
+				return last
+			}
+		}
+	}
+	before := settled()
+	for i := 0; i < raises; i++ {
+		c.wake.raise()
+		settled()
+	}
+	perRaise := float64(settled()-before) / raises
+	t.Logf("broadcast wake: %d idle nodes x %d bound jobs: %.1f ready-bag removes per raise (n=%d, %d storage slot)",
+		idle, jobs, perRaise, raises, store.NumSlots())
+	if limit := float64(idle * jobs * store.NumSlots()); perRaise == 0 || perRaise > limit {
+		t.Errorf("%.1f removes per raise, want at most idle nodes x bound jobs = %v and some", perRaise, limit)
+	}
+	close(gate)
+	for _, h := range handles {
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	noFallbackClaims(t, c)
 }

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/shuffle"
+	"repro/internal/transport"
 )
 
 func testClusterConfig() ClusterConfig {
@@ -343,6 +347,119 @@ func TestMasterCrashRecovery(t *testing.T) {
 	if processed.Load() != n {
 		t.Errorf("processed %d records, want exactly %d", processed.Load(), n)
 	}
+	t.Run("between a map's publish and its announcement", func(t *testing.T) {
+		recoverFromCutPublish(t, ctx, 4, 2)
+	})
+}
+
+// cutPublish is a transport client that cuts the first partition-map
+// publish in two: the map's record has reached the edge's pmap bag, and
+// its announcement on the edge's home slot waits until the publishing
+// master is crashed and never arrives. Later announcements pass, and their
+// versions are kept.
+type cutPublish struct {
+	transport.Client
+	once sync.Once
+	cut  chan struct{} // closed when the first announcement is held
+
+	mu        sync.Mutex
+	announced []int
+}
+
+func (c *cutPublish) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpSketch && req.Dst == "" && len(req.Data) > 0 { // a map publish
+		first := false
+		c.once.Do(func() { first = true })
+		if first {
+			close(c.cut)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
+		c.announced = append(c.announced, int(req.Arg))
+		c.mu.Unlock()
+	}
+	return c.Client.Call(ctx, node, req)
+}
+
+// recoverFromCutPublish crashes a job's first master between
+// shuffle.Publish's two steps — its seed map (version 2) is in the edge's
+// history, the producers' home slot never heard of it — and recovers it.
+// The successor's first tick must adopt the map from the history and
+// announce it: it then neither publishes the seed a second time (versions
+// in the history stay strictly increasing) nor schedules by the base map,
+// and the job's output is exact. It returns the cluster, shut down with t.
+func recoverFromCutPublish(t *testing.T, ctx context.Context, nodes, slots int) *Cluster {
+	t.Helper()
+	cut := &cutPublish{cut: make(chan struct{})}
+	store := storeBehind(t, func(tr transport.Client) transport.Client { cut.Client = tr; return cut })
+	cfg := testClusterConfig()
+	cfg.ComputeNodes, cfg.SlotsPerNode = nodes, slots
+	c := NewClusterOverStore(store, cfg)
+	t.Cleanup(c.Shutdown)
+
+	const n = 4000
+	loadInts(t, ctx, store, "in", n)
+	seed := shuffle.BaseMap("shuf", 2)
+	seed.Version, seed.Splits = 2, map[int]int{0: 2}
+	var processed atomic.Int64
+	h, err := c.SubmitJob(ctx, slowGroupApp(&processed, 0), JobConfig{
+		Raw: true, Retain: true, Seeds: map[string]*shuffle.PartitionMap{"shuf": seed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cut.cut:
+	case <-ctx.Done():
+		t.Fatal("the first master never published its seed")
+	}
+	if err := h.CrashMaster(); err != nil {
+		t.Fatal(err)
+	}
+	history := func() (versions []int) {
+		_, err := store.Scanner(shuffle.PMapBag("shuf")).Drain(ctx, func(c chunk.Chunk) error {
+			pm, err := shuffle.DecodePartitionMap(c)
+			if err == nil {
+				versions = append(versions, pm.Version)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return versions
+	}
+	if got := history(); !slices.Equal(got, []int{2}) {
+		t.Fatalf("map history after the crash: versions %v, want [2]", got)
+	}
+	if data, err := store.ExchangeSketch(ctx, "shuf", "probe", nil, 1); err != nil || data != nil {
+		t.Fatalf("home slot after the crash: map %q, err %v; want none announced", data, err)
+	}
+
+	m := h.RecoverMaster(ctx)
+	if m == nil {
+		t.Fatal("no master recovered")
+	}
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cut.mu.Lock()
+	announced := slices.Clone(cut.announced)
+	cut.mu.Unlock()
+	if !slices.Equal(announced, []int{2}) {
+		t.Errorf("successor announced versions %v, want the adopted map once: [2]", announced)
+	}
+	if got := history(); !slices.Equal(got, []int{2}) {
+		t.Errorf("map history after recovery: versions %v, want [2] (strictly increasing)", got)
+	}
+	if leaves := m.physicalBags("shuf"); len(leaves) != 4 {
+		t.Errorf("successor ran the edge over %v, want the adopted map's 4 bags (p0 and its two halves, p1)", leaves)
+	}
+	if got, want := readSumBag(t, ctx, store, "out"), int64(n)*(n-1)/2; got != want || processed.Load() != n {
+		t.Errorf("sum = %d over %d records, want %d over %d", got, processed.Load(), want, n)
+	}
+	return c
 }
 
 // TestStorageNodeFailover runs with 2× replication, crashes a storage

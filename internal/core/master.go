@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bag"
+	"repro/internal/chunk"
 	"repro/internal/ctrl"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
@@ -289,9 +290,11 @@ type Master struct {
 
 	recoverCh chan string // dead compute nodes awaiting recovery
 
-	doneScan  *bag.Scanner
-	runScan   *bag.Scanner
-	readyScan *bag.Scanner
+	records []recordBag // ready, running, done
+
+	// policyAt and rescanAt: when the next timed control pass and the next
+	// fallback rescan are due (loop goroutine only; the first tick does both).
+	policyAt, rescanAt time.Time
 
 	// edges tracks the app's partitioned shuffle bags (core/shuffle.go).
 	// Accessed only from the master loop goroutine after newMaster, except
@@ -401,12 +404,16 @@ func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg
 	for _, b := range app.sourceBags() {
 		m.sealed[b] = true
 	}
-	m.edges = newShuffleEdges(app, store)
-	m.doneScan = m.wb.doneScanner()
-	m.runScan = m.wb.runningScanner()
-	m.readyScan = m.wb.readyScanner()
-
+	m.edges = newShuffleEdges(app)
 	m.obs = newMasterObs(cfg.Obs, cfg.Job)
+	scans := func(label string) *obs.Counter {
+		return cfg.Obs.Counter("hurricane_core_record_scans_total", "job", cfg.Job, "bag", label)
+	}
+	m.records = []recordBag{
+		{ctrl.CauseReady, store.Scanner(m.wb.readyName()), m.absorbReady, scans("ready")},
+		{ctrl.CauseRunning, store.Scanner(m.wb.runningName()), m.absorbRunning, scans("running")},
+		{ctrl.CauseDone, store.Scanner(m.wb.doneName()), m.absorbDone, scans("done")},
+	}
 	m.policies = cfg.Policies
 	if m.policies == nil {
 		m.policies = DefaultPolicies(cfg)
@@ -663,9 +670,9 @@ func (m *Master) overload(node string, bp *Blueprint, busy float64) {
 	})
 }
 
-// heartbeat implements masterAPI. Liveness bookkeeping for failure
-// detection stays here; the telemetry copy goes to the hub (which also
-// wakes the control loop).
+// heartbeat implements masterAPI. A heartbeat is for failure detection
+// alone: it updates the node's liveness record, which failureDetectPass
+// reads, and wakes nothing.
 func (m *Master) heartbeat(node string, running, slots int) {
 	m.mu.Lock()
 	ns := m.nodes[node]
@@ -678,12 +685,19 @@ func (m *Master) heartbeat(node string, running, slots int) {
 	ns.slots = slots
 	ns.dead = false
 	m.mu.Unlock()
-	m.hub.Heartbeat(node, running, slots)
 }
 
-// nudge implements masterAPI: compute nodes call it after inserting
-// work-bag records so the master re-scans immediately.
-func (m *Master) nudge() { m.hub.Nudge() }
+// nudge implements masterAPI: compute nodes call it after inserting a
+// work-bag record, naming the bag, so the master scans that bag at once.
+func (m *Master) nudge(bag ctrl.Cause) { m.hub.Raise(bag) }
+
+// pushReady schedules a blueprint and names the ready bag to the loop: the
+// master learns from its own blueprints as from a predecessor's.
+func (m *Master) pushReady(bp *Blueprint) error {
+	err := m.wb.pushReady(m.ctx, bp)
+	m.hub.Raise(ctrl.CauseReady)
+	return err
+}
 
 // staleBlueprint implements masterAPI: a blueprint whose epoch predates
 // the task's current epoch is a leftover from before a failure recovery
@@ -699,79 +713,76 @@ func (m *Master) staleBlueprint(bp *Blueprint) bool {
 
 // ---- control loop ----
 
-// fallbackInterval is the idle loop's timer: the loop is event-driven,
-// and this bounds how long it sleeps when no telemetry arrives (all nodes
-// silent): a coarse default clamped by the deadlines that must not be
-// overslept.
+// fallbackInterval bounds what a lost cause can cost: the loop scans a
+// record bag when a cause names it, and this often it rescans all three
+// regardless. A coarse default, clamped by the failure detector's deadline,
+// which no event announces.
 func (m *Master) fallbackInterval() time.Duration {
 	d := 50 * time.Millisecond
 	if m.cfg.FailTimeout > 0 && m.cfg.FailTimeout/4 < d {
 		d = m.cfg.FailTimeout / 4
 	}
-	if m.cfg.SpeculativeCloning && m.cfg.SpeculativeAfter/4 < d {
-		d = m.cfg.SpeculativeAfter / 4
-	}
-	if len(m.edges) > 0 && m.cfg.SplitInterval < d {
-		d = m.cfg.SplitInterval
-	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	return max(d, time.Millisecond)
 }
 
+// policyInterval is how often the policies are evaluated when no record
+// changes: half the shorter of the gaps they act at (one clone per task per
+// CloneInterval, one sketch fetch per edge per SplitInterval), so an action
+// waits at most that long past its gate. Without policies, the fallback.
+func (m *Master) policyInterval() time.Duration {
+	if len(m.policies) == 0 {
+		return m.fallbackInterval()
+	}
+	return max(min(m.cfg.CloneInterval, m.cfg.SplitInterval)/2, time.Millisecond)
+}
+
+// loop runs the control loop to its end. A master that was stopped (crash
+// simulation, shutdown) exits silently, whatever pass the stop cut short: a
+// successor replays the work bags and finishes the job. Any other error —
+// the *job's* context cancelled by its submitter included — fails the job,
+// so the scheduler releases its lease, concurrency slot, and name claims
+// instead of wedging a zombie.
 func (m *Master) loop() {
 	defer m.wg.Done()
+	if err := m.run(); err != nil && !(m.ctx.Err() != nil && m.stopped.Load()) {
+		m.fail(err)
+	}
+}
+
+// run ticks on what the hub's causes name and sleeps until the next cause or
+// timed pass. It returns nil once the job is done.
+func (m *Master) run() error {
+	if err := m.adoptPublishedMaps(); err != nil {
+		return err
+	}
 	m.publishSeeds()
-	fallback := m.fallbackInterval()
-	timer := time.NewTimer(fallback)
+	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	causes := ctrl.CauseRecords // the replay: every record bag from index 0
 	for {
-		progress, err := m.tick()
+		progress, err := m.tick(causes)
 		if err != nil {
-			if m.ctx.Err() != nil && m.stopped.Load() {
-				// The master itself was stopped (crash simulation or
-				// shutdown) and the in-flight pass was cut mid-operation.
-				// That is not a job failure: a successor master replays
-				// the work bags and finishes the job.
-				return
-			}
-			// Any other error — including the *job's* context being
-			// cancelled by its submitter — fails the job, so the
-			// scheduler releases its lease, concurrency slot, and name
-			// claims instead of wedging a zombie.
-			m.fail(err)
-			return
+			return err
 		}
 		m.mu.Lock()
 		done := m.finished == len(m.tasks)
 		m.mu.Unlock()
 		if done {
 			m.markDone()
-			return
+			return nil
 		}
-		if progress {
-			// Something changed; cascade immediately (a newly sealed bag
-			// may make the next task schedulable, a rename adoption
-			// completes its task, ...).
-			continue
-		}
-		if !timer.Stop() {
+		// On progress, cascade immediately (a newly sealed bag may make the
+		// next task schedulable, a rename adoption completes its task, ...).
+		if !progress {
+			timer.Reset(min(time.Until(m.policyAt), time.Until(m.rescanAt)))
 			select {
+			case <-m.hub.Wake():
 			case <-timer.C:
-			default:
+			case <-m.ctx.Done():
+				return m.ctx.Err()
 			}
 		}
-		timer.Reset(fallback)
-		select {
-		case <-m.hub.Wake():
-		case <-timer.C:
-		case <-m.ctx.Done():
-			if !m.stopped.Load() {
-				m.fail(m.ctx.Err()) // job context cancelled by the submitter
-			}
-			return
-		}
+		causes = m.hub.Take() // before the tick looks: one raised mid-tick is the next tick's
 	}
 }
 
@@ -795,12 +806,23 @@ func (m *Master) markDone() {
 	})
 }
 
-// tick performs one pass of the master's control loop. It reports whether
-// the pass made observable progress (absorbed records, applied actions,
-// scheduled or completed tasks); the loop re-runs immediately on progress
-// and blocks on telemetry otherwise.
-func (m *Master) tick() (bool, error) {
-	absorbed, err := m.absorbRecords()
+// tick performs one pass of the master's control loop, doing what its
+// causes name and what has come due. It scans the record bags named — all
+// of them once per fallbackInterval, so a lost nudge costs latency, never
+// correctness — and runs the control pass when records or recoveries changed
+// what the policies see, or once per policyInterval: buffered overload
+// signals wait for that. Scheduling, completion and failure detection read
+// master state only and always run; an idle master makes no storage call.
+// It reports whether the pass made observable progress (absorbed records,
+// applied actions, scheduled or completed tasks): the loop re-runs
+// immediately on progress and blocks otherwise.
+func (m *Master) tick(causes ctrl.Cause) (bool, error) {
+	now := time.Now()
+	if !now.Before(m.rescanAt) {
+		causes |= ctrl.CauseRecords
+		m.rescanAt = now.Add(m.fallbackInterval())
+	}
+	absorbed, err := m.absorbRecords(causes)
 	if err != nil {
 		return false, err
 	}
@@ -812,9 +834,18 @@ func (m *Master) tick() (bool, error) {
 	}
 	m.mu.Unlock()
 	recovered := m.drainRecoveries()
-	applied, err := m.controlPass()
-	if err != nil {
-		return false, err
+	applied := 0
+	timed := !now.Before(m.policyAt)
+	if absorbed+recovered > 0 || timed {
+		if applied, err = m.controlPass(); err != nil {
+			return false, err
+		}
+	}
+	if timed {
+		// Counted from the end of the pass, and not moved by the passes
+		// records cause: two timed passes then span at least SplitInterval,
+		// so the second never finds the hub's fetch gate a hair short of open.
+		m.policyAt = time.Now().Add(m.policyInterval())
 	}
 	scheduled, err := m.schedulePass()
 	if err != nil {
@@ -828,16 +859,10 @@ func (m *Master) tick() (bool, error) {
 	return absorbed+recovered+applied+scheduled+completed > 0, nil
 }
 
-// controlPass runs the adaptive control plane: adopt partition maps
-// published by a predecessor master, build a telemetry snapshot, evaluate
-// the configured policies, and apply the arbitrated actions. It returns
-// the number of state-changing actions applied.
+// controlPass runs the adaptive control plane: build a telemetry snapshot,
+// evaluate the configured policies, and apply the arbitrated actions. It
+// returns the number of state-changing actions applied.
 func (m *Master) controlPass() (int, error) {
-	for _, name := range edgeNames(m.edges) {
-		if err := m.adoptPublishedMaps(m.edges[name]); err != nil {
-			return 0, err
-		}
-	}
 	if len(m.policies) == 0 {
 		return 0, nil
 	}
@@ -982,7 +1007,7 @@ func (m *Master) applyClone(act ctrl.CloneTask) (bool, error) {
 	}
 	bp := m.blueprintFor(st, w, act.Inputs)
 	m.mu.Unlock()
-	if err := m.wb.pushReady(m.ctx, bp); err != nil {
+	if err := m.pushReady(bp); err != nil {
 		return false, err
 	}
 	m.obs.clones.Inc()
@@ -995,48 +1020,70 @@ func (m *Master) applyClone(act ctrl.CloneTask) (bool, error) {
 	return true, nil
 }
 
-// absorbRecords folds new ready/running/done records into master state,
-// returning how many records were seen. All three scans are non-consuming
-// and idempotent, which is what lets a recovered master rebuild by
-// rescanning from the start.
-func (m *Master) absorbRecords() (int, error) {
-	seen := 0
-	if err := drainBlueprints(m.ctx, m.readyScan, func(bp *Blueprint) error {
-		seen++
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.applyScheduledEvidence(bp.Spec, bp.Epoch, bp.Worker, bp.Kind == KindMerge)
-		// The ready bag carries full blueprints, so it is where the master
-		// learns which leaf each worker of a partitioned consumer pulls
-		// from — the workers it pushed itself and a predecessor's alike.
-		if st := m.tasks[bp.Spec]; bp.Kind == KindTask && st != nil && bp.Epoch == st.epoch && m.edgeOf(st.spec) != nil {
-			st.leaf[bp.Worker] = bp.Inputs[0]
+// recordBag is one of the work bags the master learns from: the cause that
+// names it, a non-consuming scanner whose per-slot cursors make each scan
+// incremental (a new master's first one replays the whole bag, §4.4), how a
+// record folds into master state, and a count of the scans — proportional to
+// record events, where hurricane_ctrl_snapshots_total is to time.
+type recordBag struct {
+	cause  ctrl.Cause
+	scan   *bag.Scanner
+	absorb func(chunk.Chunk) error // called with m.mu held
+	scans  *obs.Counter
+}
+
+// absorbRecords folds the new records of the bags causes names into master
+// state, returning how many records were seen. Absorbing is idempotent,
+// which is what lets a recovered master rebuild by rescanning from the
+// start.
+func (m *Master) absorbRecords(causes ctrl.Cause) (seen int, err error) {
+	for _, rb := range m.records {
+		if causes&rb.cause == 0 {
+			continue
 		}
-		return nil
-	}); err != nil {
-		return seen, err
-	}
-	if err := drainEvents(m.ctx, m.runScan, func(e *event) error {
-		seen++
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.applyScheduledEvidence(e.Spec, e.Epoch, e.Worker, e.Merge)
-		if st := m.tasks[e.Spec]; st != nil && e.Epoch == st.epoch {
-			if _, done := st.doneWorkers[e.Worker]; !done || e.Merge {
-				st.running[e.TaskID] = e.Node
-			}
+		rb.scans.Inc()
+		if _, err := rb.scan.Drain(m.ctx, func(c chunk.Chunk) error {
+			seen++
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return rb.absorb(c)
+		}); err != nil {
+			return seen, err
 		}
-		return nil
-	}); err != nil {
-		return seen, err
 	}
-	err := drainEvents(m.ctx, m.doneScan, func(e *event) error {
-		seen++
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.applyDone(e)
-	})
-	return seen, err
+	return seen, nil
+}
+
+// absorbReady folds one ready-bag blueprint (not yet claimed, or claimed
+// long ago: the scan does not consume) into task state.
+func (m *Master) absorbReady(c chunk.Chunk) error {
+	bp, err := DecodeBlueprint(c)
+	if err != nil {
+		return err
+	}
+	m.applyScheduledEvidence(bp.Spec, bp.Epoch, bp.Worker, bp.Kind == KindMerge)
+	// The ready bag carries full blueprints, so it is where the master
+	// learns which leaf each worker of a partitioned consumer pulls
+	// from — the workers it pushed itself and a predecessor's alike.
+	if st := m.tasks[bp.Spec]; bp.Kind == KindTask && st != nil && bp.Epoch == st.epoch && m.edgeOf(st.spec) != nil {
+		st.leaf[bp.Worker] = bp.Inputs[0]
+	}
+	return nil
+}
+
+// absorbRunning folds one running-bag start event into task state.
+func (m *Master) absorbRunning(c chunk.Chunk) error {
+	e, err := decodeEvent(c)
+	if err != nil {
+		return err
+	}
+	m.applyScheduledEvidence(e.Spec, e.Epoch, e.Worker, e.Merge)
+	if st := m.tasks[e.Spec]; st != nil && e.Epoch == st.epoch {
+		if _, done := st.doneWorkers[e.Worker]; !done || e.Merge {
+			st.running[e.TaskID] = e.Node
+		}
+	}
+	return nil
 }
 
 // applyScheduledEvidence records that worker w of (spec, epoch) was
@@ -1064,8 +1111,12 @@ func (m *Master) applyScheduledEvidence(spec string, epoch, worker int, isMerge 
 	}
 }
 
-// applyDone folds one done-bag event into task state.
-func (m *Master) applyDone(e *event) error {
+// absorbDone folds one done-bag event into task state.
+func (m *Master) absorbDone(c chunk.Chunk) error {
+	e, err := decodeEvent(c)
+	if err != nil {
+		return err
+	}
 	if m.seenEvents[e.TaskID+"/done"] {
 		return nil
 	}
@@ -1154,7 +1205,7 @@ func (m *Master) schedulePass() (int, error) {
 	for i, st := range toSchedule {
 		leaves := leafAssign[i]
 		if leaves == nil {
-			if err := m.wb.pushReady(m.ctx, m.blueprintFor(st, 0, nil)); err != nil {
+			if err := m.pushReady(m.blueprintFor(st, 0, nil)); err != nil {
 				return scheduled, err
 			}
 			scheduled++
@@ -1163,7 +1214,7 @@ func (m *Master) schedulePass() (int, error) {
 			continue
 		}
 		for w, leaf := range leaves {
-			if err := m.wb.pushReady(m.ctx, m.blueprintFor(st, w, []string{leaf})); err != nil {
+			if err := m.pushReady(m.blueprintFor(st, w, []string{leaf})); err != nil {
 				return scheduled, err
 			}
 			scheduled++
@@ -1306,7 +1357,7 @@ func (m *Master) completionPass() (int, error) {
 
 				StatsInterval: m.cfg.SplitInterval,
 			}
-			if err := m.wb.pushReady(m.ctx, mbp); err != nil {
+			if err := m.pushReady(mbp); err != nil {
 				return changed, err
 			}
 			m.mu.Lock()

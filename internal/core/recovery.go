@@ -2,6 +2,8 @@ package core
 
 import (
 	"time"
+
+	"repro/internal/ctrl"
 )
 
 // failureDetectPass declares compute nodes dead after FailTimeout of
@@ -46,7 +48,9 @@ func (m *Master) drainRecoveries() int {
 func (m *Master) enqueueRecovery(node string) {
 	select {
 	case m.recoverCh <- node:
-		m.hub.Nudge() // wake the loop: a recovery is waiting
+		// Wake the loop: a recovery is waiting, and it restarts what the
+		// running bag says ran on the node.
+		m.hub.Raise(ctrl.CauseRunning)
 	default:
 		// Queue full: re-mark the node not-dead so failure detection
 		// retries next tick. In practice 64 pending recoveries means the

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"slices"
 
-	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/ctrl"
 	"repro/internal/obs"
@@ -39,16 +37,13 @@ func (m *Master) EdgeMemory() map[string]EdgeMemory {
 }
 
 // shuffleEdge is the master's state for one partitioned shuffle bag: the
-// current partition map, a scanner over the edge's published-map bag (so a
-// recovered master replays split history like it replays the work bags),
-// and refinement bookkeeping. The *decision* to refine lives in the
-// control plane's policies (internal/ctrl); this file only tracks state
-// and applies the resulting actions.
+// current partition map and refinement bookkeeping. The *decision* to
+// refine lives in the control plane's policies (internal/ctrl); this file
+// only tracks state and applies the resulting actions.
 type shuffleEdge struct {
 	name      string
 	spec      *BagSpec
 	pmap      *shuffle.PartitionMap // swapped under m.mu; read by other goroutines
-	scan      *bag.Scanner
 	producers []string
 	consumer  string // consuming task name, or ""
 
@@ -56,7 +51,7 @@ type shuffleEdge struct {
 }
 
 // newShuffleEdges builds edge state for every partitioned bag of the app.
-func newShuffleEdges(app *App, store *bag.Store) map[string]*shuffleEdge {
+func newShuffleEdges(app *App) map[string]*shuffleEdge {
 	edges := make(map[string]*shuffleEdge)
 	for _, name := range app.Bags() {
 		spec := app.BagSpecFor(name)
@@ -71,7 +66,6 @@ func newShuffleEdges(app *App, store *bag.Store) map[string]*shuffleEdge {
 			name:       name,
 			spec:       spec,
 			pmap:       shuffle.BaseMap(name, spec.Partitions),
-			scan:       store.Scanner(shuffle.PMapBag(name)),
 			producers:  app.Producers(name),
 			consumer:   consumer,
 			splitTried: make(map[string]bool),
@@ -85,29 +79,36 @@ func edgeNames(edges map[string]*shuffleEdge) []string {
 	return slices.Sorted(maps.Keys(edges))
 }
 
-// adoptPublishedMaps folds newer published partition-map versions into the
-// edge state. During normal operation the master only sees its own
-// publications; after a master crash the replay reconstructs the split
-// history exactly (the pmap bag is append-only and versions are ordered).
-// A map adopted from the bag — a predecessor's, whose crash may have cut
-// its publish short — is announced to the producers again.
-func (m *Master) adoptPublishedMaps(edge *shuffleEdge) error {
-	adopted := false
-	err := drainPartitionMaps(m.ctx, edge.scan, func(pm *shuffle.PartitionMap) {
-		if pm.Bag != edge.name {
-			return
+// adoptPublishedMaps replays every edge's published-map bag from index 0,
+// as a master's first tick replays the work bags: after a master crash it
+// reconstructs the split history exactly (the pmap bag is append-only and
+// versions are ordered). It runs once per master — the master is the only
+// publisher, and publishMap adopts what it publishes. A map adopted from
+// the bag is a predecessor's, whose crash may have cut its publish short
+// between the bag and the home slot: it is announced to the producers again.
+func (m *Master) adoptPublishedMaps() error {
+	for _, name := range edgeNames(m.edges) {
+		edge, adopted := m.edges[name], false
+		_, err := m.store.Scanner(shuffle.PMapBag(name)).Drain(m.ctx, func(c chunk.Chunk) error {
+			pm, err := shuffle.DecodePartitionMap(c)
+			if err != nil || pm.Bag != name {
+				return nil // tolerate foreign records in the control bag
+			}
+			m.mu.Lock()
+			if pm.Version > edge.pmap.Version {
+				edge.pmap, adopted = pm, true
+			}
+			m.mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		m.mu.Lock()
-		if pm.Version > edge.pmap.Version {
-			edge.pmap = pm
-			adopted = true
+		if adopted {
+			m.announceMap(edge)
 		}
-		m.mu.Unlock()
-	})
-	if adopted {
-		m.announceMap(edge)
 	}
-	return err
+	return nil
 }
 
 // announceMap leaves the edge's current map on the edge's home slot, where
@@ -121,18 +122,6 @@ func (m *Master) announceMap(edge *shuffleEdge) {
 	if pm.Version > 1 { // everyone derives version 1 locally
 		_ = m.store.PublishSketchMap(m.ctx, edge.name, pm.Version, pm.Encode())
 	}
-}
-
-func drainPartitionMaps(ctx context.Context, sc *bag.Scanner, fn func(*shuffle.PartitionMap)) error {
-	_, err := sc.Drain(ctx, func(c chunk.Chunk) error {
-		pm, err := shuffle.DecodePartitionMap(c)
-		if err != nil {
-			return nil // tolerate foreign records in the control bag
-		}
-		fn(pm)
-		return nil
-	})
-	return err
 }
 
 // edgeTelLocked is the master's authoritative state of one edge, to which
@@ -236,8 +225,8 @@ func (m *Master) applyIsolate(act ctrl.IsolateKey) (bool, error) {
 // (MasterConfig.Seeds) for their edges. It runs in the
 // master's goroutine before the first scheduling pass, so no producer
 // can route a record before the seed is visible — and it never blocks
-// the cluster lock. Each edge first replays maps already published
-// (a recovered successor, or a previous attempt), so seeding is
+// the cluster lock. The maps already published (a recovered successor,
+// or a previous attempt) were replayed just before, so seeding is
 // idempotent: a seed at or below the known version is skipped.
 // Best-effort throughout: a failed publish costs a cold start.
 func (m *Master) publishSeeds() {
@@ -247,7 +236,6 @@ func (m *Master) publishSeeds() {
 			continue
 		}
 		edge := m.edges[name]
-		_ = m.adoptPublishedMaps(edge)
 		m.mu.Lock()
 		known := edge.pmap.Version
 		m.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bag"
+	"repro/internal/ctrl"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -23,9 +24,11 @@ type masterAPI interface {
 	// heartbeat reports node liveness and current load.
 	heartbeat(node string, running, slots int)
 	// nudge wakes the master's event-driven control loop after the node
-	// inserted a work-bag record (task started or completed), so the
-	// master re-scans immediately instead of on its fallback timer.
-	nudge()
+	// inserted a work-bag record, naming the bag it went to (task started:
+	// ctrl.CauseRunning, completed: ctrl.CauseDone), so the master scans
+	// that bag immediately instead of on its fallback timer. Advisory: a
+	// lost nudge costs at most that timer.
+	nudge(bag ctrl.Cause)
 	// staleBlueprint reports whether the blueprint's epoch predates the
 	// master's current epoch for the task — a leftover of a failure
 	// recovery that must not run (its inputs were rewound and its outputs
@@ -472,7 +475,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 		return
 	}
 	w.release()
-	master.nudge()
+	master.nudge(ctrl.CauseRunning)
 
 	n.wg.Add(1)
 	go func() {
@@ -494,7 +497,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		b.wb.recordDone(ctx, bp, n.name, w.err, w.tc.spanSnapshot())
-		b.getMaster().nudge()
+		b.getMaster().nudge(ctrl.CauseDone)
 	}()
 }
 

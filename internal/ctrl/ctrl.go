@@ -1,7 +1,8 @@
 // Package ctrl is Hurricane's adaptive control plane: the telemetry hub
-// that turns worker heartbeats, overload signals, bag depths, and merged
-// edge sketches into one versioned cluster Snapshot, and the pluggable
-// mitigation Policies that turn a Snapshot into declarative Actions.
+// that turns overload signals, bag depths, and merged edge sketches into
+// one versioned cluster Snapshot (and wakes the control loop by Cause), and
+// the pluggable mitigation Policies that turn a Snapshot into declarative
+// Actions.
 //
 // The paper's core claim (§2.2) is that one adaptive mechanism family —
 // fine-grained cloning plus late binding — tames skew at runtime. After the
@@ -69,7 +70,10 @@ type Config struct {
 
 // ---- telemetry (snapshot contents) ----
 
-// NodeTel is the hub's view of one compute node, built from heartbeats.
+// NodeTel is one compute node's liveness and load. The hub no longer
+// builds it (node liveness is the master's own record and no policy reads
+// it); the type and Snapshot.Nodes stay only because the frozen benchmark's
+// policy probe fills them in by hand.
 type NodeTel struct {
 	LastBeat time.Time
 	Running  int
@@ -229,7 +233,7 @@ type Snapshot struct {
 	LeaseSlots  int
 	LeaseCapped bool
 
-	Nodes     map[string]NodeTel
+	Nodes     map[string]NodeTel // never set by the hub; see NodeTel
 	Tasks     map[string]*TaskTel
 	Edges     map[string]*EdgeTel
 	Overloads []Overload

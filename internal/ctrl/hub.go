@@ -4,16 +4,33 @@ import (
 	"context"
 	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
 
-// maxPendingOverloads bounds the hub's overload buffer. Signals beyond it
-// are dropped: overload signals are advisory and re-sent by the nodes'
-// monitors every interval.
+// maxPendingOverloads bounds the hub's overload buffer, which holds one
+// signal per worker. Signals of further workers are dropped: overload
+// signals are advisory and re-sent by the nodes' monitors every interval.
 const maxPendingOverloads = 1024
+
+// Cause names one thing a wake asks the control loop to look at. Causes
+// accumulate in the hub as a set until the loop takes them.
+type Cause uint32
+
+const (
+	// CauseReady, CauseRunning and CauseDone each say that one work bag
+	// has new records: the loop drains that bag's scanner and no other.
+	CauseReady Cause = 1 << iota
+	CauseRunning
+	CauseDone
+
+	// CauseRecords is every record bag: what a master's first pass and
+	// its fallback rescan look at.
+	CauseRecords = CauseReady | CauseRunning | CauseDone
+)
 
 // FetchStatsFunc fetches the merged producer statistics for one shuffle
 // edge (in the engine: a storage-tier sketch fetch RPC).
@@ -44,25 +61,30 @@ type HubConfig struct {
 	Job string
 }
 
-// Hub is the event-driven telemetry hub: compute nodes and the master
-// push signals into it as they happen (heartbeats, overload signals,
-// work-bag nudges), and the master's control loop blocks on Wake instead
-// of polling on a fixed tick. When the loop wakes, Snapshot drains the
-// batched signals into one versioned view and augments it with
-// rate-limited sketch fetches and lazy bag-depth probes.
+// Hub is the event-driven telemetry hub. It keeps two kinds of signal
+// apart. A Cause (Raise) says a work bag grew: it wakes the control loop,
+// which blocks on Wake instead of polling, takes the accumulated set and
+// scans what the set names. An overload signal is telemetry: it buffers,
+// the newest per worker, and wakes nothing — once per policy interval the
+// loop calls Snapshot, which drains the buffer into one versioned view and
+// augments it with rate-limited sketch fetches and lazy bag-depth probes.
+// Node liveness is not the hub's: the master keeps heartbeats itself.
 type Hub struct {
 	cfg HubConfig
 
-	wake chan struct{}
+	wake   chan struct{}
+	causes atomic.Uint32 // the pending Cause set
 
-	mu        sync.Mutex
-	version   uint64
-	nodes     map[string]NodeTel
-	overloads []Overload
-	dropped   int // overload signals dropped under pressure
-	lastFetch map[string]time.Time
-	probes    map[string]probe   // the last depth probe of every bag sampled
-	edges     map[string]EdgeTel // the last record of every edge seen
+	mu      sync.Mutex
+	version uint64
+	// overloads holds the newest undrained signal of every worker, in
+	// order of each worker's first; overloadAt indexes it.
+	overloads  []Overload
+	overloadAt map[overloadKey]int
+	dropped    int // overload signals dropped under pressure
+	lastFetch  map[string]time.Time
+	probes     map[string]probe   // the last depth probe of every bag sampled
+	edges      map[string]EdgeTel // the last record of every edge seen
 	// firstSignal is when the oldest still-undrained buffered signal
 	// arrived; Snapshot observes the drain delay as snapshot lag.
 	firstSignal time.Time
@@ -72,6 +94,13 @@ type Hub struct {
 	mOverloads *obs.Counter
 	mDropped   *obs.Counter
 	mLag       *obs.Histogram
+}
+
+// overloadKey identifies the worker an overload signal speaks for.
+type overloadKey struct {
+	task          string
+	epoch, worker int
+	merge         bool
 }
 
 // probe is one remembered depth probe (nil tel: the probe failed).
@@ -87,68 +116,61 @@ func NewHub(cfg HubConfig) *Hub {
 	return &Hub{
 		cfg:        cfg,
 		wake:       make(chan struct{}, 1),
-		nodes:      make(map[string]NodeTel),
+		overloadAt: make(map[overloadKey]int),
 		lastFetch:  make(map[string]time.Time),
 		probes:     make(map[string]probe),
 		edges:      make(map[string]EdgeTel),
 		mSnapshots: cfg.Obs.Counter("hurricane_ctrl_snapshots_total", job...),
 		mOverloads: cfg.Obs.Counter("hurricane_ctrl_overloads_total", job...),
 		mDropped:   cfg.Obs.Counter("hurricane_ctrl_overloads_dropped_total", job...),
-		mLag:       cfg.Obs.Histogram("hurricane_ctrl_snapshot_lag_us", job...),
+		// A buffered signal waits for the next control pass: up to one
+		// policy interval, by design.
+		mLag: cfg.Obs.Histogram("hurricane_ctrl_snapshot_lag_us", job...),
 	}
 }
 
 // Wake returns the hub's wake channel: it receives (coalesced) whenever a
-// signal arrives. The master's loop selects on it alongside its coarse
-// fallback timer.
+// cause is raised. The master's loop selects on it alongside its timer.
 func (h *Hub) Wake() <-chan struct{} { return h.wake }
 
-// signal wakes the consumer without blocking; concurrent signals coalesce.
-func (h *Hub) signal() {
+// Raise adds c to the pending cause set and wakes the control loop without
+// blocking; concurrent raises coalesce into one wake and one set.
+func (h *Hub) Raise(c Cause) {
+	h.causes.Or(uint32(c))
 	select {
 	case h.wake <- struct{}{}:
 	default:
 	}
 }
 
-// Nudge wakes the control loop without carrying data — compute nodes
-// call it after inserting work-bag records (task started / completed) so
-// the master's event-driven loop re-scans immediately instead of waiting
-// out its idle fallback timer.
-func (h *Hub) Nudge() { h.signal() }
+// Take returns the pending cause set and empties it. The loop takes before
+// it looks at what the causes name, so a cause raised while it is looking
+// is returned — with a fresh wake — by the next Take and never lost.
+func (h *Hub) Take() Cause { return Cause(h.causes.Swap(0)) }
 
-// noteSignalLocked timestamps the arrival of a buffered (data-carrying)
-// signal so Snapshot can report how long signals waited to be drained.
-func (h *Hub) noteSignalLocked(now time.Time) {
-	if h.firstSignal.IsZero() {
-		h.firstSignal = now
-	}
-}
-
-// Heartbeat ingests one node heartbeat.
-func (h *Hub) Heartbeat(node string, running, slots int) {
-	now := time.Now()
-	h.mu.Lock()
-	h.nodes[node] = NodeTel{LastBeat: now, Running: running, Slots: slots}
-	h.noteSignalLocked(now)
-	h.mu.Unlock()
-	h.signal()
-}
-
-// OverloadSignal ingests one overload signal. Signals beyond the buffer
+// OverloadSignal ingests one overload signal, replacing an undrained
+// earlier one from the same worker: the buffer holds one signal per live
+// worker however late the next snapshot is. Signals of workers beyond the
 // cap are dropped (they are advisory and periodically re-sent).
 func (h *Hub) OverloadSignal(o Overload) {
+	key := overloadKey{o.Task, o.Epoch, o.Worker, o.Merge}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.mOverloads.Inc()
-	if len(h.overloads) < maxPendingOverloads {
-		h.overloads = append(h.overloads, o)
-		h.noteSignalLocked(time.Now())
-	} else {
+	if i, ok := h.overloadAt[key]; ok {
+		h.overloads[i] = o
+		return
+	}
+	if len(h.overloads) >= maxPendingOverloads {
 		h.dropped++
 		h.mDropped.Inc()
+		return
 	}
-	h.mu.Unlock()
-	h.signal()
+	h.overloadAt[key] = len(h.overloads)
+	h.overloads = append(h.overloads, o)
+	if h.firstSignal.IsZero() {
+		h.firstSignal = time.Now()
+	}
 }
 
 // Dropped reports how many overload signals were dropped under pressure.
@@ -193,18 +215,15 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 	snap := &Snapshot{
 		Version:   h.version,
 		Now:       time.Now(),
-		Nodes:     make(map[string]NodeTel, len(h.nodes)),
 		Tasks:     make(map[string]*TaskTel),
 		Edges:     make(map[string]*EdgeTel),
 		Overloads: h.overloads,
 	}
 	h.overloads = nil
+	clear(h.overloadAt)
 	if !h.firstSignal.IsZero() {
 		h.mLag.Observe(snap.Now.Sub(h.firstSignal).Microseconds())
 		h.firstSignal = time.Time{}
-	}
-	for n, tel := range h.nodes {
-		snap.Nodes[n] = tel
 	}
 	h.mu.Unlock()
 	h.mSnapshots.Inc()

@@ -11,18 +11,18 @@ import (
 	"repro/internal/sketch"
 )
 
-// TestHubBatchesAndVersions: signals batch between snapshots, snapshots
-// are versioned, and the overload buffer drains exactly once.
+// TestHubBatchesAndVersions: overload signals batch between snapshots
+// without waking the loop, snapshots are versioned, and the overload
+// buffer drains exactly once.
 func TestHubBatchesAndVersions(t *testing.T) {
 	h := NewHub(HubConfig{})
-	h.Heartbeat("node-0", 1, 2)
-	h.OverloadSignal(Overload{Task: "map", Busy: 0.9})
-	h.OverloadSignal(Overload{Task: "map", Busy: 0.95})
+	h.OverloadSignal(Overload{Task: "map", Worker: 0, Busy: 0.9})
+	h.OverloadSignal(Overload{Task: "map", Worker: 1, Busy: 0.95})
 
 	select {
 	case <-h.Wake():
+		t.Fatal("telemetry woke the loop: only a cause may")
 	default:
-		t.Fatal("signals did not wake the hub")
 	}
 
 	snap := h.Snapshot(context.Background(), nil)
@@ -31,9 +31,6 @@ func TestHubBatchesAndVersions(t *testing.T) {
 	}
 	if len(snap.Overloads) != 2 {
 		t.Fatalf("want 2 batched overloads, got %d", len(snap.Overloads))
-	}
-	if tel, ok := snap.Nodes["node-0"]; !ok || tel.Slots != 2 {
-		t.Fatalf("heartbeat not ingested: %+v", snap.Nodes)
 	}
 
 	snap2 := h.Snapshot(context.Background(), nil)
@@ -45,19 +42,46 @@ func TestHubBatchesAndVersions(t *testing.T) {
 	}
 }
 
-// TestHubOverloadBackpressure: the buffer caps and drops instead of
-// growing without bound.
+// TestHubOverloadBackpressure: the buffer is bounded by the workers that
+// signal, not by how often they re-send — a late snapshot sees each live
+// worker once, with its newest signal — and past the cap it drops instead
+// of growing.
 func TestHubOverloadBackpressure(t *testing.T) {
 	h := NewHub(HubConfig{})
-	for i := 0; i < maxPendingOverloads+10; i++ {
-		h.OverloadSignal(Overload{Task: "map"})
+	const workers = 8
+	for round := 0; round <= maxPendingOverloads; round++ { // 8 workers re-sending
+		for w := 0; w < workers; w++ {
+			h.OverloadSignal(Overload{Task: "agg", Epoch: 1, Worker: w, Busy: float64(round), Inputs: []string{fmt.Sprint(round)}})
+		}
 	}
+	h.OverloadSignal(Overload{Task: "agg", Epoch: 1, Merge: true, Busy: 0.5}) // the merge is its own worker
+	if got := h.Dropped(); got != 0 {
+		t.Fatalf("dropped %d re-sent signals, want 0", got)
+	}
+	snap := h.Snapshot(context.Background(), nil)
+	if len(snap.Overloads) != workers+1 {
+		t.Fatalf("buffered %d signals, want one per live worker (%d)", len(snap.Overloads), workers+1)
+	}
+	for w, o := range snap.Overloads[:workers] {
+		if o.Worker != w || o.Busy != maxPendingOverloads || o.Inputs[0] != fmt.Sprint(maxPendingOverloads) {
+			t.Fatalf("worker %d survivor %+v, want its newest signal", w, o)
+		}
+	}
+	if len(h.Snapshot(context.Background(), nil).Overloads) != 0 {
+		t.Fatal("overloads delivered twice")
+	}
+
+	for w := 0; w < maxPendingOverloads+10; w++ {
+		h.OverloadSignal(Overload{Task: "wide", Worker: w})
+	}
+	h.OverloadSignal(Overload{Task: "wide", Worker: 0, Busy: 1}) // a buffered worker still updates
 	if got := h.Dropped(); got != 10 {
 		t.Fatalf("dropped %d, want 10", got)
 	}
-	snap := h.Snapshot(context.Background(), nil)
-	if len(snap.Overloads) != maxPendingOverloads {
-		t.Fatalf("buffered %d, want cap %d", len(snap.Overloads), maxPendingOverloads)
+	snap = h.Snapshot(context.Background(), nil)
+	if len(snap.Overloads) != maxPendingOverloads || snap.Overloads[0].Busy != 1 {
+		t.Fatalf("buffered %d (first busy %v), want cap %d with worker 0 updated",
+			len(snap.Overloads), snap.Overloads[0].Busy, maxPendingOverloads)
 	}
 }
 
@@ -201,24 +225,71 @@ func TestHubSampleMemoized(t *testing.T) {
 	}
 }
 
-// TestHubWakeCoalesces: many signals produce at most one pending wake;
-// the loop never queues redundant iterations.
+// TestHubWakeCoalesces: many raises produce one pending wake and one cause
+// set, so the loop never queues redundant iterations — and no cause is
+// lost: one raised after the loop took the set (while it scans) comes back
+// from the next Take behind a fresh wake.
 func TestHubWakeCoalesces(t *testing.T) {
 	h := NewHub(HubConfig{})
-	for i := 0; i < 100; i++ {
-		h.Nudge()
-	}
-	n := 0
-	for {
-		select {
-		case <-h.Wake():
-			n++
-			continue
-		default:
+	wakes := func() (n int) {
+		for {
+			select {
+			case <-h.Wake():
+				n++
+			default:
+				return n
+			}
 		}
-		break
 	}
-	if n != 1 {
+	for i := 0; i < 100; i++ {
+		h.Raise(CauseDone)
+		h.Raise(CauseRunning)
+	}
+	if n := wakes(); n != 1 {
 		t.Fatalf("want exactly 1 coalesced wake, got %d", n)
+	}
+	if got := h.Take(); got != CauseDone|CauseRunning {
+		t.Fatalf("took causes %b, want done|running", got)
+	}
+	h.Raise(CauseDone) // lands between the take and the scan
+	if got := h.Take(); got != CauseDone || wakes() != 1 {
+		t.Fatalf("cause raised after the take: next take %b, want done behind one wake", got)
+	}
+	if got := h.Take(); got != 0 || wakes() != 0 {
+		t.Fatalf("idle hub: causes %b", got)
+	}
+
+	// Raised from many goroutines against a taking loop, every cause is
+	// taken exactly as often as needed: none is pending at the end.
+	var wg sync.WaitGroup
+	var seen Cause
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-h.Wake():
+				seen |= h.Take()
+			case <-stop:
+				seen |= h.Take()
+				return
+			}
+		}
+	}()
+	for _, c := range []Cause{CauseReady, CauseRunning, CauseDone} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Raise(c)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	if seen != CauseRecords {
+		t.Fatalf("causes seen %b, want all three", seen)
 	}
 }

@@ -37,7 +37,6 @@ func baseSnapshot() *Snapshot {
 		Now:        t0,
 		FreeSlots:  4,
 		TotalSlots: 8,
-		Nodes:      map[string]NodeTel{},
 		Tasks:      map[string]*TaskTel{},
 		Edges:      map[string]*EdgeTel{},
 		SampleBag: func(string) *BagTel {
