@@ -13,16 +13,19 @@ import (
 // BagSpec.Spread to permit record-level spreading of isolated heavy
 // hitters), write it from producer tasks with a PartitionedWriter, and
 // consume it like any bag: the engine runs one consumer worker per
-// physical partition. While producers run, they feed key counts into a
-// per-edge count-min sketch; the application master watches the merged
-// sketch and splits hot partitions at runtime, so skewed keyed workloads
-// spread across consumers instead of serializing on one bag.
+// physical partition. While producers run, each keeps the edge's
+// statistics — exact record counts per physical partition and a short list
+// of heavy-key candidates, priced by a count-min sketch it feeds only the
+// keys heavy in some stretch of its stream; the application master reads
+// the merged counts and candidates (never the sketch's cells) and splits
+// hot partitions or isolates heavy keys at runtime, so skewed keyed
+// workloads spread across consumers instead of serializing on one bag.
 
 // PartitionedWriter routes typed records by key into the physical
 // partition bags of a partitioned output, adopting partition-map updates
 // published by the master mid-stream. It is a shuffle.Scatter: Write and
-// WriteBatch are one path — the same routing, the same exact key counts for
-// the edge's sketch, the same per-leaf chunk.Encoder, so the same chunks —
+// WriteBatch are one path — the same routing, the same key counts for the
+// edge's statistics, the same per-leaf chunk.Encoder, so the same chunks —
 // taken a record or a batch at a time. Create one per producer worker with
 // NewPartitionedWriter; the engine flushes it automatically when the task
 // completes.

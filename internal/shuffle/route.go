@@ -8,12 +8,24 @@ import (
 // Routing and exact key counting: the per-record half of a Writer. Every
 // record of every write API takes the same steps here: hash the key once,
 // route by the shape the current map was adopted with, and count the key in
-// an exact table that drains into the edge's count-min sketch at points set
-// by the record stream alone — so one stream leaves one sketch and one
-// heavy-key list however it was cut into calls.
+// an exact table. The table covers one stretch of the stream at a time, and
+// the stretches end at points set by the record stream alone — so one
+// stream leaves one sketch and one heavy-key list however it was cut into
+// calls.
+//
+// What the statistics cost is what the heavy keys cost. Every record is
+// counted exactly in the stretch table, and that is all a light key ever
+// pays. When a stretch ends (drainCounts), only the keys that held at least
+// 1/stretchFeedFraction of it go on to the edge's count-min sketch and the
+// heavy-key list (noteHeavy, writer.go): only keys above records ÷
+// partitions need their frequency known at all, and no such key can stay
+// below that line stretch after stretch. So the count-min cells hold
+// stretch-heavy keys only — an estimate of any other key reads what happens
+// to share its cells — and a candidate's count is never below the key's
+// true count by more than records/stretchFeedFraction.
 
-// tickEvery is how many records a writer routes between ticks: the count
-// table's drain into the sketch and a look at the exchange gate.
+// tickEvery is how many records a writer routes between ticks: the end of
+// the count table's stretch and a look at the exchange gate.
 const tickEvery = 1024
 
 // adopt makes pm the writer's routing table and decides the routing shape
@@ -73,9 +85,9 @@ func (w *Writer) RouteKey(key []byte) RouteRef {
 // returned routing vector is reused by the next call. Routing
 // and counting work on the words directly — KeyHashUint64 agrees with
 // KeyHash over the encoding, so the placement is RouteKey's — and key bytes
-// materialize only under a refined map, and once per distinct key per drain
-// when a count slot is first claimed. This loop is the uint64 routing path:
-// RouteUint64 is one turn of it.
+// materialize only under a refined map, and at a drain for the keys it
+// feeds. This loop is the uint64 routing path: RouteUint64 is one turn of
+// it.
 func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	if cap(w.refs) < len(keys) {
 		w.refs = make([]RouteRef, len(keys))
@@ -104,24 +116,25 @@ func (w *Writer) RouteUint64(v uint64) RouteRef {
 	return w.PartitionBatchUint64(w.one[:])[0]
 }
 
-// countTabSlots sizes the count table. Power of two; holds up to
-// countTabSlots/2 distinct keys before an early drain. A skewed stretch of
-// tickEvery records rarely has that many, so the steady state is one drain
-// per tick with zero allocations.
+// countTabSlots sizes the count table. Power of two; a stretch claims at
+// most countTabSlots/2 of its slots before an early drain. A skewed stretch
+// of tickEvery records rarely has that many distinct keys, so the steady
+// state is one drain per tick, and the whole table (8 KB) stays in L1
+// beside the leaf encoders.
 const countTabSlots = 512
 
-// countSlot is one entry of the key count table. n doubles as the
-// occupancy marker (occupied slots always count at least one record); key
-// storage is reused across drains. key8 holds the first
-// min(len,8) key bytes inline (little-endian, zero-padded): for keys of
-// at most 8 bytes — the common case, e.g. Uint64Key — the equality check
-// is three register compares with no pointer chase into the stored copy.
+// countSlot is one entry of the key count table: what identifies a key and
+// how often the stretch held it. n doubles as the occupancy marker (an
+// occupied slot counts at least one record, and a stretch is at most
+// tickEvery records). key8 holds the first min(klen,8) key bytes inline
+// (little-endian, zero-padded): with klen it identifies a key of at most 8
+// bytes — the common case, e.g. Uint64Key — completely, so the equality
+// check is two register compares. The bytes of a longer key live in
+// Writer.long under the slot's index.
 type countSlot struct {
-	hash uint64
-	n    uint64
 	key8 uint64
 	klen int32
-	key  []byte
+	n    uint32
 }
 
 // slotKey8 packs key's first bytes for countSlot.key8.
@@ -136,60 +149,66 @@ func slotKey8(key []byte) uint64 {
 	return v
 }
 
-// countKey adds one record to its key's count, reusing the routing hash
-// instead of re-hashing through the runtime map. The open table replaces a
-// map[string]uint64 whose per-record assign (string hashing plus bucket
-// walk) dominated the routing profile. key8 and klen identify a key of at
-// most 8 bytes completely; a uint64 key passes them alone (key nil, klen
-// 8), and its bytes materialize only when a slot is claimed, for the drain.
+// countKey adds one record to its key's exact count for the current
+// stretch; hash, the routing hash, places the key in the table. key8 and
+// klen identify a key of at most 8 bytes completely, and such a key's bytes
+// are not read here (a uint64 key passes key nil, klen 8): they are rebuilt
+// from the slot at a drain, for the few keys the drain feeds.
 func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
-	// Skewed streams repeat keys on consecutive records; the previous
-	// record's slot resolves those with one compare, no table probe.
-	if s := w.lastSlot; s != nil && s.key8 == key8 && s.klen == klen && s.hash == hash &&
-		(klen <= 8 || bytes.Equal(s.key, key)) {
-		s.n++
-		return
-	}
-	if w.tab == nil {
-		w.tab = make([]countSlot, countTabSlots)
-	}
-	if len(w.live) >= countTabSlots/2 {
-		// High key cardinality: feed the sketch early and reuse the
-		// table. Count-min adds accumulate, so splitting one stretch's
-		// feed into several keeps the counts exact.
-		w.drainCounts()
-	}
 	for i := hash & (countTabSlots - 1); ; i = (i + 1) & (countTabSlots - 1) {
 		s := &w.tab[i]
 		if s.n == 0 {
-			s.hash, s.key8, s.klen, s.n = hash, key8, klen, 1
-			if key == nil {
-				s.key = binary.LittleEndian.AppendUint64(s.key[:0], key8)
-			} else {
-				s.key = append(s.key[:0], key...)
+			if len(w.live) >= countTabSlots/2 {
+				// High key cardinality: close the stretch early and reuse
+				// the table. Only a claim gets here, so a full table of
+				// repeating keys counts on to the tick.
+				w.drainCounts()
+				i = hash & (countTabSlots - 1)
+				s = &w.tab[i]
+			}
+			s.key8, s.klen, s.n = key8, klen, 1
+			if klen > 8 {
+				if w.long == nil {
+					w.long = make([][]byte, countTabSlots)
+				}
+				w.long[i] = append(w.long[i][:0], key...)
 			}
 			w.live = append(w.live, int32(i))
-			w.lastSlot = s
 			return
 		}
-		if s.hash == hash && s.key8 == key8 && s.klen == klen && (klen <= 8 || bytes.Equal(s.key, key)) {
+		if s.key8 == key8 && s.klen == klen && (klen <= 8 || bytes.Equal(w.long[i], key)) {
 			s.n++
-			w.lastSlot = s
 			return
 		}
 	}
 }
 
-// drainCounts feeds the accumulated per-key counts to the edge's count-min
-// sketch — exact counts per distinct key, the sketch's only feed — and
-// resets the table.
+// slotKey returns the bytes of the key counted in slot i, good until the
+// next call: a long key's stored copy, a short key's rebuilt from key8.
+func (w *Writer) slotKey(i int32, s *countSlot) []byte {
+	if s.klen > 8 {
+		return w.long[i]
+	}
+	binary.LittleEndian.PutUint64(w.kb[:], s.key8)
+	return w.kb[:s.klen]
+}
+
+// drainCounts closes a stretch: the m records counted since the last drain.
+// Of the table's exact per-key counts it feeds the edge's count-min sketch,
+// and offers to the heavy-key list, only the keys that took at least
+// m/stretchFeedFraction of the stretch — at most stretchFeedFraction keys,
+// whatever the stretch's cardinality — and then resets the table.
 func (w *Writer) drainCounts() {
+	m := w.n - w.drained
+	w.drained = w.n
 	for _, i := range w.live {
 		s := &w.tab[i]
-		w.stats.CM.Add(s.key, s.n)
-		w.noteHeavy(s.key)
+		if n := uint64(s.n); n*stretchFeedFraction >= m {
+			key := w.slotKey(i, s)
+			w.noteHeavy(key, w.stats.CM.Add(key, n))
+			w.feeds++
+		}
 		s.n = 0
 	}
 	w.live = w.live[:0]
-	w.lastSlot = nil
 }

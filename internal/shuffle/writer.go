@@ -22,10 +22,18 @@ const DefaultStatsInterval = 2 * time.Second
 // control traffic is set by the master's clock and not by the record rate.
 const exchangesPerInterval = 4
 
-// heavyAdmitFraction admits a key into the heavy-hitter candidate list
-// when its estimated count exceeds 1/heavyAdmitFraction of the records
-// written so far.
+// heavyAdmitFraction is the share of the stream that guarantees a key a
+// place among the heavy-hitter candidates: 1/heavyAdmitFraction of the
+// records written so far.
 const heavyAdmitFraction = 16
+
+// stretchFeedFraction sets which keys of a stretch reach the count-min
+// sketch and the candidate list: those with at least 1/stretchFeedFraction
+// of the stretch's records (drainCounts). A quarter of the guaranteed
+// share, so a candidate's count is never below the key's true count by more
+// than records/stretchFeedFraction, and noteHeavy admits at the guaranteed
+// share less that much.
+const stretchFeedFraction = 4 * heavyAdmitFraction
 
 // WriterConfig configures a partitioned writer.
 type WriterConfig struct {
@@ -66,9 +74,12 @@ type leafOut struct {
 }
 
 // Writer routes records to the physical partition bags of one shuffle
-// edge and feeds key counts into the edge's count-min sketch, which is
-// what makes the shuffle skew-aware. It has two halves. Routing (route.go)
-// decides, per record, which leaf bag takes it and counts its key exactly.
+// edge and keeps the edge's statistics — exact per-leaf record counts and
+// the heavy-key candidates — which is what makes the shuffle skew-aware.
+// It has two halves. Routing (route.go) decides, per record, which leaf bag
+// takes it, counts its key exactly within the current stretch of the
+// stream, and at the end of a stretch feeds the keys heavy in it to the
+// count-min sketch and the candidate list (noteHeavy).
 // Insertion (InsertBatchChunk) takes the chunks those records were encoded
 // into — by a Scatter's leaf encoders, whatever the layout — and owns the
 // per-leaf inserters and record counts. Its whole control plane is one
@@ -102,6 +113,8 @@ type Writer struct {
 	heavyIdx map[string]int // key -> index into stats.Heavy
 
 	n       uint64 // records routed
+	drained uint64 // n at the last drain of the count table
+	feeds   uint64 // keys the drains fed to the sketch
 	bytes   uint64 // encoded chunk bytes handed to the inserters
 	batches uint64 // of those chunks, the batch-layout ones
 
@@ -111,11 +124,11 @@ type Writer struct {
 
 	// Routing scratch (route.go): the routing vector of the last
 	// PartitionBatchUint64 and the exact key count table between drains.
-	refs     []RouteRef
-	one      [1]uint64 // RouteUint64's one-key batch
-	tab      []countSlot
-	live     []int32    // occupied tab slots, for drain + reset
-	lastSlot *countSlot // count slot of the previous record, if still live
+	refs []RouteRef
+	one  [1]uint64 // RouteUint64's one-key batch
+	tab  [countTabSlots]countSlot
+	long [][]byte // per tab slot, the bytes of a key longer than 8; nil until one is counted
+	live []int32  // occupied tab slots, for drain + reset
 
 	flushNS int64 // see timed
 }
@@ -197,26 +210,46 @@ func (w *Writer) timed(fn func() error) error {
 	return err
 }
 
-// noteHeavy maintains the heavy-hitter candidate list: a key whose
-// count-min estimate exceeds 1/16 of the stream so far is a candidate.
-// Candidate counts are count-min estimates (one-sided error), which is
-// all the master's isolation decision needs.
-func (w *Writer) noteHeavy(key []byte) {
-	est := w.stats.CM.Estimate(key)
-	if est*heavyAdmitFraction < w.n {
-		return
-	}
+// noteHeavy maintains the heavy-hitter candidate list — with the per-leaf
+// counts, all of a writer's statistics that anything reads: the master, the
+// policies, the planner and every warm start (the count-min cells only
+// price the candidates, whenever they are admitted). key was just fed to
+// the sketch and est is its estimate: never below the key's true count by
+// more than records/stretchFeedFraction (what unfed stretches held of it),
+// never above it by more than the count-min error over the fed keys. A
+// candidate takes every estimate, so the bound holds for the whole list,
+// and a key is admitted once its estimate plus that slack reaches the
+// guaranteed share — at 3/64 of the stream so far — so every key with a
+// true share of 1/heavyAdmitFraction is a candidate. A full list gives its
+// lightest candidate's place to a heavier newcomer: a sorted or drifting
+// stream fills the list with keys that stopped coming long before the key
+// that matters shows up.
+func (w *Writer) noteHeavy(key []byte, est uint64) {
 	if i, ok := w.heavyIdx[string(key)]; ok {
 		w.stats.Heavy[i].Count = est
 		return
 	}
-	if len(w.stats.Heavy) >= sketch.MaxHeavyKeys {
+	// est + n/stretchFeedFraction < n/heavyAdmitFraction, in integers.
+	if est*stretchFeedFraction+w.n < w.n*(stretchFeedFraction/heavyAdmitFraction) {
 		return
 	}
-	w.heavyIdx[string(key)] = len(w.stats.Heavy)
-	w.stats.Heavy = append(w.stats.Heavy, sketch.HeavyKey{
-		Key: append([]byte(nil), key...), Count: est,
-	})
+	i := len(w.stats.Heavy)
+	if i < sketch.MaxHeavyKeys {
+		w.stats.Heavy = append(w.stats.Heavy, sketch.HeavyKey{})
+	} else {
+		i = 0
+		for j, h := range w.stats.Heavy {
+			if h.Count < w.stats.Heavy[i].Count {
+				i = j
+			}
+		}
+		if est <= w.stats.Heavy[i].Count {
+			return
+		}
+		delete(w.heavyIdx, string(w.stats.Heavy[i].Key))
+	}
+	w.stats.Heavy[i] = sketch.HeavyKey{Key: append([]byte(nil), key...), Count: est}
+	w.heavyIdx[string(key)] = i
 }
 
 // tick is the work a writer does once per tickEvery records, ahead of the
@@ -240,11 +273,11 @@ func (w *Writer) exchange() {
 	w.exchanged = time.Now()
 	var stats []byte
 	if w.n > 0 {
-		counts := make(map[string]uint64, len(w.outs))
+		// Leaves are only ever added, so refilling the one map leaves no
+		// stale entry behind.
 		for _, out := range w.outs {
-			counts[out.name] = out.count
+			w.stats.Counts[out.name] = out.count
 		}
-		w.stats.Counts = counts
 		// A blob of its own per exchange: the storage node keeps the one
 		// it is given (transport.Request.Data).
 		stats = w.stats.AppendTo(make([]byte, 0, w.statsLen+w.statsLen/8))
@@ -318,6 +351,9 @@ func (w *Writer) flushMetrics() {
 	labels := []string{"job", w.cfg.Job, "edge", w.cfg.Edge}
 	w.cfg.Obs.Counter("hurricane_shuffle_records_total", labels...).Add(w.n)
 	w.cfg.Obs.Counter("hurricane_shuffle_bytes_total", labels...).Add(w.bytes)
+	// Feeds over records is the share of the stream that paid for a sketch
+	// update: at most 1/heavyAdmitFraction once stretches are full.
+	w.cfg.Obs.Counter("hurricane_shuffle_sketch_feeds_total", labels...).Add(w.feeds)
 	if w.batches > 0 {
 		w.cfg.Obs.Counter("hurricane_chunk_batches_total", labels...).Add(w.batches)
 	}

@@ -1,11 +1,16 @@
 // Package sketch implements the mergeable frequency sketches that drive
 // Hurricane's skew detection. The count-min sketch is the paper's canonical
 // mergeable aggregate (§2.3); the shuffle subsystem additionally uses it on
-// the producer side: every partitioned writer folds its routed keys into a
-// sketch, storage nodes merge the per-producer sketches, and the
-// application master reads the merged sketch to find heavy-hitter
-// partitions worth splitting (in the spirit of Reshape's hot-partition
-// detection and SharesSkew's dedicated heavy-hitter handling).
+// the producer side, inside EdgeStats: every partitioned writer counts its
+// routed records per partition, exactly, and keeps a short list of
+// heavy-hitter candidates, storage nodes merge the per-producer statistics,
+// and the application master reads the merged partition counts and
+// candidates to find the partitions worth splitting and the keys worth
+// isolating (in the spirit of Reshape's hot-partition detection and
+// SharesSkew's dedicated heavy-hitter handling). The count-min cells are
+// what prices a candidate: a writer feeds them only the keys heavy in some
+// stretch of its stream (internal/shuffle, route.go), so nothing reads them
+// for any other key.
 //
 // The package sits below both the public hurricane package (which
 // re-exports CountMin) and internal/storage (which merges pushed sketches),
@@ -59,9 +64,8 @@ func mix64(x uint64) uint64 {
 }
 
 // cmHashes derives the per-row hashes from a single FNV pass over the key
-// (Kirsch–Mitzenmacher: h_r = h1 + r·h2). The sketch sits on the shuffle
-// writer's per-record hot path, so one key scan instead of depth scans
-// matters.
+// (Kirsch–Mitzenmacher: h_r = h1 + r·h2): one key scan instead of depth
+// scans.
 func cmHashes(key []byte) (h1, h2 uint64) {
 	h := fnv.New64a()
 	h.Write(key)
@@ -70,13 +74,19 @@ func cmHashes(key []byte) (h1, h2 uint64) {
 	return
 }
 
-// Add increments key's count by n.
-func (c *CountMin) Add(key []byte, n uint64) {
+// Add increments key's count by n and returns the key's new estimate: it
+// has just touched every cell Estimate would read, so a caller that wants
+// both (the shuffle writer's heavy-key list) hashes the key once.
+func (c *CountMin) Add(key []byte, n uint64) uint64 {
 	h1, h2 := cmHashes(key)
+	est := uint64(math.MaxUint64)
 	for r := 0; r < c.depth; r++ {
 		idx := r*c.width + int((h1+uint64(r)*h2)%uint64(c.width))
-		c.counts[idx] += n
+		v := c.counts[idx] + n
+		c.counts[idx] = v
+		est = min(est, v) // branch-free: a branch here stalls the rows' divides
 	}
+	return est
 }
 
 // Estimate returns the (over-)estimate of key's count.
@@ -160,14 +170,17 @@ type HeavyKey struct {
 }
 
 // EdgeStats aggregates what producers know about one shuffle edge: how many
-// records landed in each physical partition bag, a count-min sketch of the
-// routed keys, and a capped list of heavy-hitter candidates (the count-min
-// sketch alone cannot enumerate heavy keys; candidates supply the key bytes
-// the master needs to isolate them).
+// records landed in each physical partition bag, a capped list of
+// heavy-hitter candidates, and the count-min sketch their counts came from.
+// Counts and Heavy are what the master, the policies, the planner and the
+// warm starts read. A shuffle writer's candidate count is never below the
+// key's true count by more than 1/64 of the writer's records, and never
+// above it by more than the count-min error over the keys the writer fed.
 type EdgeStats struct {
 	// Counts maps physical partition bag name -> records routed there.
 	Counts map[string]uint64 `json:"counts,omitempty"`
-	// CM sketches per-key frequencies across the whole edge.
+	// CM sketches per-key frequencies: of every key for a StatsBuilder, of
+	// the keys heavy in some stretch of its stream for a shuffle writer.
 	CM *CountMin `json:"-"`
 	// Heavy lists heavy-hitter candidate keys with their counts.
 	Heavy []HeavyKey `json:"heavy,omitempty"`

@@ -31,7 +31,10 @@ func TestCountMinZipfGuarantee(t *testing.T) {
 	truth := make(map[uint64]uint64)
 	for i := 0; i < n; i++ {
 		key := uint64(sampler.Next())
-		cm.Add(k64(key), 1)
+		// Add returns what Estimate would say next.
+		if got, est := cm.Add(k64(key), 1), cm.Estimate(k64(key)); got != est {
+			t.Fatalf("Add(key %d) returned %d, Estimate reads %d", key, got, est)
+		}
 		truth[key]++
 	}
 	slack := uint64(2 * n / width) // ε·N
