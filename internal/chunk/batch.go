@@ -18,11 +18,13 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -85,6 +87,26 @@ type Batch struct {
 	Cols []Col
 }
 
+// batchHeader reads a batch chunk's version, tag and row count and returns
+// the offset of what follows them. The caller has checked the magic.
+func batchHeader(c Chunk) (tag uint64, rows, off int, err error) {
+	off = len(batchMagic)
+	if c[off] != batchVersion {
+		return 0, 0, 0, fmt.Errorf("%w: unknown batch version %d", ErrCorrupt, c[off])
+	}
+	off++
+	tag, n := binary.Uvarint(c[off:])
+	if n <= 0 {
+		return 0, 0, 0, fmt.Errorf("%w: bad batch tag", ErrCorrupt)
+	}
+	off += n
+	r, n := binary.Uvarint(c[off:])
+	if n <= 0 || r > maxBatchRows {
+		return 0, 0, 0, fmt.Errorf("%w: bad batch row count", ErrCorrupt)
+	}
+	return tag, int(r), off + n, nil
+}
+
 // DecodeBatch parses the batch chunk c. If into is non-nil its storage is
 // reused. Malformed headers and out-of-bounds column extents return
 // ErrCorrupt, never panic.
@@ -92,21 +114,10 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 	if !IsBatch(c) {
 		return nil, fmt.Errorf("%w: missing batch magic", ErrCorrupt)
 	}
-	off := len(batchMagic)
-	if c[off] != batchVersion {
-		return nil, fmt.Errorf("%w: unknown batch version %d", ErrCorrupt, c[off])
+	tag, rows, off, err := batchHeader(c)
+	if err != nil {
+		return nil, err
 	}
-	off++
-	tag, n := binary.Uvarint(c[off:])
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad batch tag", ErrCorrupt)
-	}
-	off += n
-	rows, n := binary.Uvarint(c[off:])
-	if n <= 0 || rows > maxBatchRows {
-		return nil, fmt.Errorf("%w: bad batch row count", ErrCorrupt)
-	}
-	off += n
 	ncols, n := binary.Uvarint(c[off:])
 	if n <= 0 || ncols > maxBatchCols {
 		return nil, fmt.Errorf("%w: bad batch column count", ErrCorrupt)
@@ -118,7 +129,7 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 	if into == nil {
 		into = new(Batch)
 	}
-	into.Tag, into.Rows, into.Cols = tag, int(rows), into.Cols[:0]
+	into.Tag, into.Rows, into.Cols = tag, rows, into.Cols[:0]
 	pendLen := false
 	for i := uint64(0); i < ncols; i++ {
 		if off >= len(c) {
@@ -143,9 +154,9 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 			return nil, fmt.Errorf("%w: length column without bytes column", ErrCorrupt)
 		case !pendLen && kind == ColBytes:
 			return nil, fmt.Errorf("%w: bytes column without length column", ErrCorrupt)
-		case kind == ColFixed8 && size != rows*8:
+		case kind == ColFixed8 && size != uint64(rows)*8:
 			return nil, fmt.Errorf("%w: fixed column size %d for %d rows", ErrCorrupt, size, rows)
-		case kind != ColBytes && size < rows:
+		case kind != ColBytes && size < uint64(rows):
 			// Every row takes at least a byte of a varint or length
 			// column, so the chunk's own size bounds what a decoder
 			// allocates for the row count it claims.
@@ -167,21 +178,8 @@ func DecodeBatch(c Chunk, into *Batch) (*Batch, error) {
 // batchRows reads only the row count from a batch chunk's header, without
 // touching column payloads — O(header) regardless of batch size.
 func batchRows(c Chunk) (int, error) {
-	off := len(batchMagic)
-	if c[off] != batchVersion {
-		return 0, fmt.Errorf("%w: unknown batch version %d", ErrCorrupt, c[off])
-	}
-	off++
-	_, n := binary.Uvarint(c[off:]) // tag
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad batch tag", ErrCorrupt)
-	}
-	off += n
-	rows, n := binary.Uvarint(c[off:])
-	if n <= 0 || rows > maxBatchRows {
-		return 0, fmt.Errorf("%w: bad batch row count", ErrCorrupt)
-	}
-	return int(rows), nil
+	_, rows, _, err := batchHeader(c)
+	return rows, err
 }
 
 // ---- batch building ----
@@ -197,7 +195,10 @@ type BatchBuilder struct {
 	cols  [][]byte
 	rows  int
 	bytes int
-	marks []int // column lengths and byte count at the last mark
+	marks []int    // column lengths and byte count at the last mark
+	words []uint64 // a leaf codec's pre-pass output (rowWords)
+	hdr   []byte   // Encode's scratch: the header bytes
+	parts [][]byte // and the pieces of the chunk, header and columns
 }
 
 // Reset re-targets the builder at a new schema, keeping column capacity.
@@ -218,9 +219,6 @@ func (b *BatchBuilder) Clear() {
 	}
 	b.rows, b.bytes = 0, 0
 }
-
-// Rows reports the number of completed rows.
-func (b *BatchBuilder) Rows() int { return b.rows }
 
 // Size reports the encoded size estimate: column payload bytes plus the
 // per-batch header overhead. An Encoder flushes when it reaches the chunk size.
@@ -262,53 +260,152 @@ func (b *BatchBuilder) AppendUvarint(col int, v uint64) {
 	b.bytes += len(b.cols[col]) - n
 }
 
-// AppendVarint appends one zig-zag varint value to a ColVarint column.
-func (b *BatchBuilder) AppendVarint(col int, v int64) {
-	n := len(b.cols[col])
-	b.cols[col] = binary.AppendVarint(b.cols[col], v)
-	b.bytes += len(b.cols[col]) - n
-}
-
 // AppendFixed8 appends one 8-byte little-endian value to a ColFixed8 column.
 func (b *BatchBuilder) AppendFixed8(col int, v uint64) {
 	b.cols[col] = binary.LittleEndian.AppendUint64(b.cols[col], v)
 	b.bytes += 8
 }
 
-// AppendBlob appends one variable-length value to a (ColLen, ColBytes)
-// column pair rooted at col.
-func (b *BatchBuilder) AppendBlob(col int, p []byte) {
-	n := len(b.cols[col])
-	b.cols[col] = binary.AppendUvarint(b.cols[col], uint64(len(p)))
-	b.bytes += len(b.cols[col]) - n
-	b.cols[col+1] = append(b.cols[col+1], p...)
-	b.bytes += len(p)
+// The column kernels. A loop over records is a loop over one column whose
+// buffer is hoisted: grown once for the block, written by index, accounted
+// once. extend is the "grown once": n more elements of s for the loop to
+// fill, returned beside the whole (extend(s[:0], n): n of scratch).
+func extend[T any](s []T, n int) (all, tail []T) {
+	s = slices.Grow(s, n)[:len(s)+n]
+	return s, s[len(s)-n:]
 }
 
-// AppendBlobString is AppendBlob for strings, avoiding a []byte conversion.
-func (b *BatchBuilder) AppendBlobString(col int, s string) {
+// rowCount is how many rows vs and idx select: see BulkColumnCodec.
+func rowCount[T any](vs []T, idx []int32) int {
+	if idx != nil {
+		return len(idx)
+	}
+	return len(vs)
+}
+
+// appendUvarints appends vs to a ColVarint column, the one- and two-byte
+// arms first: a skewed column's hot values are its small ones.
+func (b *BatchBuilder) appendUvarints(col int, vs []uint64) {
+	buf, _ := extend(b.cols[col], len(vs)*binary.MaxVarintLen64)
+	at := len(b.cols[col])
+	for _, v := range vs {
+		switch {
+		case v < 1<<7:
+			buf[at] = byte(v)
+			at++
+		case v < 1<<14:
+			buf[at], buf[at+1] = byte(v)|0x80, byte(v>>7)
+			at += 2
+		default:
+			at += binary.PutUvarint(buf[at:], v)
+		}
+	}
+	b.bytes += at - len(b.cols[col])
+	b.cols[col] = buf[:at]
+}
+
+// appendFixed8s appends vs to a ColFixed8 column.
+func (b *BatchBuilder) appendFixed8s(col int, vs []uint64) {
+	buf, dst := extend(b.cols[col], len(vs)*8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[i*8:], v)
+	}
+	b.cols[col] = buf
+	b.bytes += len(dst)
+}
+
+// rowWords is the leaf codecs' pre-pass: the rows vs and idx select, as
+// the words the kernels above encode, in the builder's scratch.
+func rowWords[T any](b *BatchBuilder, vs []T, idx []int32, word func(T) uint64) []uint64 {
+	u, _ := extend(b.words[:0], rowCount(vs, idx))
+	b.words = u
+	if idx == nil {
+		for i, v := range vs {
+			u[i] = word(v)
+		}
+	} else {
+		for k, i := range idx {
+			u[k] = word(vs[i])
+		}
+	}
+	return u
+}
+
+func sameWord(v uint64) uint64  { return v }
+func zigzagWord(v int64) uint64 { return uint64(v<<1 ^ v>>63) }
+
+// decodeUvarints appends the first rows uvarints of data to out and
+// returns it with the bytes they took. A word of eight bytes is written
+// out as eight values: all stand if all are single-byte varints, else
+// those before the first continuation byte do and that one value decodes
+// by length, two and three bytes inline — so a skewed key's mixed column
+// moves a word at a time too. Longer varints and the last two words take
+// binary.Uvarint; its failure wraps ErrCorrupt, out ending at the last row.
+func decodeUvarints[T ~uint64 | ~int64 | ~int](out []T, data []byte, rows int) ([]T, int, error) {
+	out, dst := extend(out, rows)
+	for i, off := 0, 0; ; {
+		if i+8 <= len(dst) && off+16 <= len(data) {
+			w := binary.LittleEndian.Uint64(data[off:])
+			d := dst[i : i+8 : i+8]
+			d[0], d[1], d[2], d[3] = T(w&0xff), T(w>>8&0xff), T(w>>16&0xff), T(w>>24&0xff)
+			d[4], d[5], d[6], d[7] = T(w>>32&0xff), T(w>>40&0xff), T(w>>48&0xff), T(w>>56)
+			cont := w & 0x8080808080808080
+			if cont == 0 {
+				i, off = i+8, off+8
+				continue
+			}
+			single := bits.TrailingZeros64(cont) >> 3
+			i, off = i+single, off+single
+			w = binary.LittleEndian.Uint64(data[off:])
+			if w&0x8000 == 0 {
+				dst[i] = T(w&0x7f | w>>1&0x3f80)
+				i, off = i+1, off+2
+				continue
+			}
+			if w&0x800000 == 0 {
+				dst[i] = T(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000)
+				i, off = i+1, off+3
+				continue
+			}
+		}
+		if i == len(dst) {
+			return out, off, nil
+		}
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return out[:len(out)-rows+i], off, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, i)
+		}
+		dst[i] = T(v)
+		i, off = i+1, off+n
+	}
+}
+
+// appendBlob appends one variable-length value, bytes or string, to a
+// (ColLen, ColBytes) column pair rooted at col.
+func appendBlob[S ~string | ~[]byte](b *BatchBuilder, col int, p S) {
 	n := len(b.cols[col])
-	b.cols[col] = binary.AppendUvarint(b.cols[col], uint64(len(s)))
-	b.bytes += len(b.cols[col]) - n
-	b.cols[col+1] = append(b.cols[col+1], s...)
-	b.bytes += len(s)
+	b.cols[col] = binary.AppendUvarint(b.cols[col], uint64(len(p)))
+	b.cols[col+1] = append(b.cols[col+1], p...)
+	b.bytes += len(b.cols[col]) - n + len(p)
 }
 
 // Encode serializes the buffered rows as a batch chunk. The returned
 // chunk is freshly allocated; the builder can be cleared and reused.
 func (b *BatchBuilder) Encode() Chunk {
-	out := make([]byte, 0, b.Size())
-	out = append(out, batchMagic[:]...)
-	out = append(out, batchVersion)
-	out = binary.AppendUvarint(out, b.tag)
-	out = binary.AppendUvarint(out, uint64(b.rows))
-	out = binary.AppendUvarint(out, uint64(len(b.kinds)))
+	hdr := append(b.hdr[:0], batchMagic[:]...)
+	hdr = append(hdr, batchVersion)
+	hdr = binary.AppendUvarint(hdr, b.tag)
+	hdr = binary.AppendUvarint(hdr, uint64(b.rows))
+	hdr = binary.AppendUvarint(hdr, uint64(len(b.kinds)))
+	// Join header pieces and columns: one exact allocation, never zeroed.
+	parts, at := b.parts[:0], 0
 	for i, k := range b.kinds {
-		out = append(out, byte(k))
-		out = binary.AppendUvarint(out, uint64(len(b.cols[i])))
-		out = append(out, b.cols[i]...)
+		hdr = binary.AppendUvarint(append(hdr, byte(k)), uint64(len(b.cols[i])))
+		parts = append(parts, hdr[at:], b.cols[i])
+		at = len(hdr)
 	}
-	return Chunk(out)
+	b.hdr, b.parts = hdr, append(parts, hdr[at:])
+	return bytes.Join(b.parts, nil)
 }
 
 var batchBuilderPool = sync.Pool{New: func() any { return new(BatchBuilder) }}
@@ -342,9 +439,9 @@ type ColumnCodec[T any] interface {
 	// caller delimits rows with EndRow.
 	EncodeColumn(b *BatchBuilder, col int, v T) int
 	// DecodeColumn decodes every row of the batch starting at column col,
-	// appending to out. It returns the grown slice and the next column
-	// index. Decoding does one allocation per column per batch, not per
-	// record.
+	// appending to out: out is extended once by the batch's rows and
+	// written by index. It returns the grown slice and the next column
+	// index.
 	DecodeColumn(bt *Batch, col int, out []T) ([]T, int, error)
 }
 
@@ -381,15 +478,16 @@ func columnarView[T any](c Codec[T]) (ColumnCodec[T], bool) {
 // BulkColumnCodec is an optional ColumnCodec extension for scatter
 // loops. EncodeRows appends the rows vs[idx[0]], vs[idx[1]], ... (all of
 // vs in order when idx is nil) starting at column col and returns the
-// next free column. Implementations fill column-major — a builder's
-// columns are independent buffers and only the final row count matters —
-// so a scatter pays one virtual call per leaf per batch instead of one
-// per record, and the caller accounts rows once with EndRows. BulkOK
+// next free column; the caller accounts the rows once with EndRows.
+// Implementations fill column-major and keep the kernel contract: a loop
+// over the rows is a loop over one column, whose buffer is grown once for
+// the block, written by index and accounted once (appendUvarints,
+// appendFixed8s, a pair's gather) — never a per-value Append. BulkOK
 // reports whether this instance really supports the path (composite
-// codecs lose it when a component lacks it); check it before use. Bulk
-// views carry per-stream scratch: an Encoder resolves one of its own
-// (ColumnarOf + BulkOf) and is never shared across concurrent workers —
-// unlike EncodeColumn/DecodeColumn, EncodeRows is not stateless.
+// codecs lose it when a component lacks it); check it before use.
+// EncodeRows is not stateless — a pair gathers into its resolved view's
+// scratch, a leaf's pre-pass into the builder's — so the view belongs to
+// the one Encoder that resolved it (ColumnarOf + BulkOf).
 type BulkColumnCodec[T any] interface {
 	BulkOK() bool
 	EncodeRows(b *BatchBuilder, col int, vs []T, idx []int32) int
@@ -404,11 +502,10 @@ func BulkOf[T any](c ColumnCodec[T]) (BulkColumnCodec[T], bool) {
 	return nil, false
 }
 
-// ScratchColumnCodec is an optional ColumnCodec extension for a resolved
-// view that one goroutine owns exclusively: DecodeColumnScratch is
-// DecodeColumn with the intermediate column vectors drawn from per-stream
-// scratch instead of allocated per batch. A Decoder is such an owner — it
-// resolves its own view — and is how readers reach this path.
+// ScratchColumnCodec marks a resolved view, which one Encoder or Decoder
+// owns exclusively, nested views included: its DecodeColumn keeps every
+// pair's half-columns in the view's own scratch, not allocated per batch,
+// and DecodeColumnScratch is that DecodeColumn under its single-owner name.
 type ScratchColumnCodec[T any] interface {
 	DecodeColumnScratch(bt *Batch, col int, out []T) ([]T, int, error)
 }
@@ -426,41 +523,8 @@ func (Uint64Codec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
 }
 
 func (Uint64Codec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int, error) {
-	data := bt.Cols[col].Data
-	out = slices.Grow(out, bt.Rows)
-	for i, off := 0, 0; i < bt.Rows; i++ {
-		// Single-byte values dominate varint columns in practice (group
-		// IDs, counts, enum-ish keys). Scan them eight at a time: one
-		// 64-bit load whose high bits are all clear means eight complete
-		// varints, decoded with shifts instead of eight bounds-checked
-		// byte loads.
-		for off+8 <= len(data) && i+8 <= bt.Rows {
-			w := binary.LittleEndian.Uint64(data[off:])
-			if w&0x8080808080808080 != 0 {
-				break
-			}
-			out = append(out,
-				w&0xff, w>>8&0xff, w>>16&0xff, w>>24&0xff,
-				w>>32&0xff, w>>40&0xff, w>>48&0xff, w>>56)
-			off += 8
-			i += 8
-		}
-		if i >= bt.Rows {
-			break
-		}
-		if off < len(data) && data[off] < 0x80 {
-			out = append(out, uint64(data[off]))
-			off++
-			continue
-		}
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return out, col, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, i)
-		}
-		off += n
-		out = append(out, v)
-	}
-	return out, col + 1, nil
+	out, _, err := decodeUvarints(out, bt.Cols[col].Data, bt.Rows)
+	return out, col + 1, err
 }
 
 func (Int64Codec) Columnar() bool { return true }
@@ -468,22 +532,17 @@ func (Int64Codec) Columnar() bool { return true }
 func (Int64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColVarint) }
 
 func (Int64Codec) EncodeColumn(b *BatchBuilder, col int, v int64) int {
-	b.AppendVarint(col, v)
+	b.AppendUvarint(col, zigzagWord(v))
 	return col + 1
 }
 
 func (Int64Codec) DecodeColumn(bt *Batch, col int, out []int64) ([]int64, int, error) {
-	data := bt.Cols[col].Data
-	out = slices.Grow(out, bt.Rows)
-	for i, off := 0, 0; i < bt.Rows; i++ {
-		v, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return out, col, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, i)
-		}
-		off += n
-		out = append(out, v)
+	at := len(out)
+	out, _, err := decodeUvarints(out, bt.Cols[col].Data, bt.Rows)
+	for i, u := range out[at:] { // zig-zag, in place
+		out[at+i] = int64(uint64(u)>>1) ^ -(u & 1)
 	}
-	return out, col + 1, nil
+	return out, col + 1, err
 }
 
 func (Uint64FixedCodec) Columnar() bool { return true }
@@ -500,9 +559,9 @@ func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64
 	if len(data) != bt.Rows*8 {
 		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
 	}
-	out = slices.Grow(out, bt.Rows)
-	for i := 0; i < bt.Rows; i++ {
-		out = append(out, binary.LittleEndian.Uint64(data[i*8:]))
+	out, dst := extend(out, bt.Rows)
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(data[i*8:])
 	}
 	return out, col + 1, nil
 }
@@ -521,33 +580,30 @@ func (Float64Codec) DecodeColumn(bt *Batch, col int, out []float64) ([]float64, 
 	if len(data) != bt.Rows*8 {
 		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
 	}
-	out = slices.Grow(out, bt.Rows)
-	for i := 0; i < bt.Rows; i++ {
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:])))
+	out, dst := extend(out, bt.Rows)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
 	return out, col + 1, nil
 }
 
 // blobSpans parses a (ColLen, ColBytes) pair into [start,end) offsets of
-// each row's payload inside the bytes column.
-func blobSpans(bt *Batch, col int, spans []int) ([]int, error) {
-	lens, bytes := bt.Cols[col].Data, bt.Cols[col+1].Data
-	spans = spans[:0]
-	off, pos := 0, 0
-	for i := 0; i < bt.Rows; i++ {
-		size, n := binary.Uvarint(lens[off:])
-		if n <= 0 {
-			return spans, fmt.Errorf("%w: length column underflow at row %d", ErrCorrupt, i)
+// each row's payload inside the bytes column. The lengths decode into the
+// upper half of spans and fold forward: pair i lands at 2i and 2i+1, never
+// past n+i, the length it has just read.
+func blobSpans(bt *Batch, col int) ([]int, error) {
+	n, blob := bt.Rows, bt.Cols[col+1].Data
+	spans, _, err := decodeUvarints(make([]int, n, 2*n), bt.Cols[col].Data, n)
+	pos := 0
+	for i, size := range spans[n:] {
+		end := pos + size
+		if size < 0 || end < pos || end > len(blob) {
+			return spans[:2*i], fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, i)
 		}
-		off += n
-		end := pos + int(size)
-		if int(size) < 0 || end < pos || end > len(bytes) {
-			return spans, fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, i)
-		}
-		spans = append(spans, pos, end)
+		spans[2*i], spans[2*i+1] = pos, end
 		pos = end
 	}
-	return spans, nil
+	return spans[:2*(len(spans)-n)], err
 }
 
 func (StringCodec) Columnar() bool { return true }
@@ -557,12 +613,12 @@ func (StringCodec) AppendColKinds(dst []ColKind) []ColKind {
 }
 
 func (StringCodec) EncodeColumn(b *BatchBuilder, col int, v string) int {
-	b.AppendBlobString(col, v)
+	appendBlob(b, col, v)
 	return col + 2
 }
 
 func (StringCodec) DecodeColumn(bt *Batch, col int, out []string) ([]string, int, error) {
-	spans, err := blobSpans(bt, col, nil)
+	spans, err := blobSpans(bt, col)
 	if err != nil {
 		return out, col, err
 	}
@@ -583,14 +639,14 @@ func (BytesCodec) AppendColKinds(dst []ColKind) []ColKind {
 }
 
 func (BytesCodec) EncodeColumn(b *BatchBuilder, col int, v []byte) int {
-	b.AppendBlob(col, v)
+	appendBlob(b, col, v)
 	return col + 2
 }
 
 // DecodeColumn's byte slices alias the batch's chunk, mirroring the row
 // Decode contract.
 func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int, error) {
-	spans, err := blobSpans(bt, col, nil)
+	spans, err := blobSpans(bt, col)
 	if err != nil {
 		return out, col, err
 	}
@@ -605,60 +661,34 @@ func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int,
 func (Uint64Codec) BulkOK() bool { return true }
 
 func (Uint64Codec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendUvarint(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendUvarint(col, vs[i])
-		}
+	if idx != nil {
+		vs = rowWords(b, vs, idx, sameWord)
 	}
+	b.appendUvarints(col, vs)
 	return col + 1
 }
 
 func (Int64Codec) BulkOK() bool { return true }
 
 func (Int64Codec) EncodeRows(b *BatchBuilder, col int, vs []int64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendVarint(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendVarint(col, vs[i])
-		}
-	}
+	b.appendUvarints(col, rowWords(b, vs, idx, zigzagWord))
 	return col + 1
 }
 
 func (Uint64FixedCodec) BulkOK() bool { return true }
 
 func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendFixed8(col, v)
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendFixed8(col, vs[i])
-		}
+	if idx != nil {
+		vs = rowWords(b, vs, idx, sameWord)
 	}
+	b.appendFixed8s(col, vs)
 	return col + 1
 }
 
 func (Float64Codec) BulkOK() bool { return true }
 
 func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int32) int {
-	if idx == nil {
-		for _, v := range vs {
-			b.AppendFixed8(col, math.Float64bits(v))
-		}
-	} else {
-		for _, i := range idx {
-			b.AppendFixed8(col, math.Float64bits(vs[i]))
-		}
-	}
+	b.appendFixed8s(col, rowWords(b, vs, idx, math.Float64bits))
 	return col + 1
 }
 
@@ -686,24 +716,18 @@ func (c PairCodec[A, B]) resolveColumnar() (ColumnCodec[Pair[A, B]], bool) {
 	if !okA || !okB {
 		return nil, false
 	}
-	r := resolvedPairCodec[A, B]{PairCodec: c, ca: ca, cb: cb}
-	// Pre-resolve the bulk-encode views too: the pair is bulk-encodable
-	// exactly when both halves are, and the scratch columns live on a
-	// pointer so the by-value interface copies share them.
-	if ba, ok := BulkOf(ca); ok {
-		if bb, ok := BulkOf(cb); ok {
-			r.ba, r.bb = ba, bb
-		}
-	}
-	// The scratch backs the stream-owned entry points (EncodeRows,
-	// DecodeColumnScratch); the plain ColumnCodec methods never touch it,
-	// so a shared wrapper stays safe as long as sharers stick to those.
-	r.sc = &pairScratch[A, B]{}
+	// The scratch sits behind a pointer so the by-value interface copies
+	// of one resolved view share it; each nested pair resolves its own.
+	r := resolvedPairCodec[A, B]{PairCodec: c, ca: ca, cb: cb, sc: &pairScratch[A, B]{}}
+	r.ba, _ = BulkOf(ca)
+	r.bb, _ = BulkOf(cb) // BulkOK: the pair has the path when both halves do
 	return r, true
 }
 
 // resolvedPairCodec is PairCodec with the columnar sub-codec lookups hoisted
-// out of the per-record path. It is what ColumnarOf hands back for pairs.
+// out of the per-record path. It is what ColumnarOf hands back for pairs,
+// to the one Encoder or Decoder that owns it, nested views included: so
+// EncodeRows and DecodeColumn keep their half-columns in the view's scratch.
 type resolvedPairCodec[A, B any] struct {
 	PairCodec[A, B]
 	ca ColumnCodec[A]
@@ -713,8 +737,8 @@ type resolvedPairCodec[A, B any] struct {
 	sc *pairScratch[A, B]
 }
 
-// pairScratch is the reusable column-gather buffer behind a resolved
-// pair's EncodeRows.
+// pairScratch holds a resolved pair's half-columns: gathered by
+// EncodeRows, decoded into by DecodeColumn.
 type pairScratch[A, B any] struct {
 	as []A
 	bs []B
@@ -724,27 +748,22 @@ func (c resolvedPairCodec[A, B]) BulkOK() bool { return c.ba != nil && c.bb != n
 
 // EncodeRows splits the selected pairs into per-half column vectors once,
 // then hands each half to its sub-codec's bulk loop — two virtual calls
-// per leaf per batch, with the inner appends fully concrete.
+// per leaf per batch, with the inner kernels fully concrete.
 func (c resolvedPairCodec[A, B]) EncodeRows(b *BatchBuilder, col int, vs []Pair[A, B], idx []int32) int {
-	sc := c.sc
-	sc.as = sc.as[:0]
-	sc.bs = sc.bs[:0]
+	as, _ := extend(c.sc.as[:0], rowCount(vs, idx))
+	bs, _ := extend(c.sc.bs[:0], len(as))
+	c.sc.as, c.sc.bs = as, bs
 	if idx == nil {
-		for i := range vs {
-			v := &vs[i]
-			sc.as = append(sc.as, v.First)
-			sc.bs = append(sc.bs, v.Second)
+		for i := range as {
+			as[i], bs[i] = vs[i].First, vs[i].Second
 		}
 	} else {
-		for _, i := range idx {
+		for k, i := range idx[:len(as)] {
 			v := &vs[i]
-			sc.as = append(sc.as, v.First)
-			sc.bs = append(sc.bs, v.Second)
+			as[k], bs[k] = v.First, v.Second
 		}
 	}
-	col = c.ba.EncodeRows(b, col, sc.as, nil)
-	col = c.bb.EncodeRows(b, col, sc.bs, nil)
-	return col
+	return c.bb.EncodeRows(b, c.ba.EncodeRows(b, col, as, nil), bs, nil)
 }
 
 func (c resolvedPairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) int {
@@ -752,29 +771,29 @@ func (c resolvedPairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A
 }
 
 func (c resolvedPairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	return pairDecodeColumn(c.ca, c.cb, bt, col, out)
+	as, col, err := c.ca.DecodeColumn(bt, col, c.sc.as[:0])
+	c.sc.as = as
+	if err != nil {
+		return out, col, err
+	}
+	bs, col, err := c.cb.DecodeColumn(bt, col, c.sc.bs[:0])
+	c.sc.bs = bs
+	if err == nil && len(as) != len(bs) {
+		err = fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
+	}
+	if err != nil {
+		return out, col, err
+	}
+	out, dst := extend(out, len(as))
+	bs = bs[:len(dst)]
+	for i := range dst {
+		dst[i] = Pair[A, B]{First: as[i], Second: bs[i]}
+	}
+	return out, col, nil
 }
 
 func (c resolvedPairCodec[A, B]) DecodeColumnScratch(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	sc := c.sc
-	as, col, err := c.ca.DecodeColumn(bt, col, sc.as[:0])
-	if err != nil {
-		sc.as = as[:0]
-		return out, col, err
-	}
-	bs, col, err := c.cb.DecodeColumn(bt, col, sc.bs[:0])
-	sc.as, sc.bs = as[:0], bs[:0]
-	if err != nil {
-		return out, col, err
-	}
-	if len(as) != len(bs) {
-		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
-	}
-	out = slices.Grow(out, len(as))
-	for i := range as {
-		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
-	}
-	return out, col, nil
+	return c.DecodeColumn(bt, col, out)
 }
 
 func (c PairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) int {
@@ -783,34 +802,14 @@ func (c PairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) in
 	return cb.EncodeColumn(b, ca.EncodeColumn(b, col, v.First), v.Second)
 }
 
+// DecodeColumn on the plain codec is the stateless entry point, safe on a
+// shared codec: it resolves a view, scratch and all, per call.
 func (c PairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	ca, okA := columnarView(c.A)
-	cb, okB := columnarView(c.B)
-	if !okA || !okB {
+	r, ok := c.resolveColumnar()
+	if !ok {
 		return out, col, ErrNotColumnar
 	}
-	return pairDecodeColumn(ca, cb, bt, col, out)
-}
-
-func pairDecodeColumn[A, B any](ca ColumnCodec[A], cb ColumnCodec[B], bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	// The half-column temporaries are allocated per call on purpose:
-	// DecodeColumn is the stateless entry point, safe on a shared view.
-	as, col, err := ca.DecodeColumn(bt, col, make([]A, 0, bt.Rows))
-	if err != nil {
-		return out, col, err
-	}
-	bs, col, err := cb.DecodeColumn(bt, col, make([]B, 0, bt.Rows))
-	if err != nil {
-		return out, col, err
-	}
-	if len(as) != len(bs) {
-		return out, col, fmt.Errorf("%w: pair column row mismatch", ErrCorrupt)
-	}
-	out = slices.Grow(out, len(as))
-	for i := range as {
-		out = append(out, Pair[A, B]{First: as[i], Second: bs[i]})
-	}
-	return out, col, nil
+	return r.DecodeColumn(bt, col, out)
 }
 
 func (KVCodec) Columnar() bool { return true }
@@ -820,8 +819,8 @@ func (KVCodec) AppendColKinds(dst []ColKind) []ColKind {
 }
 
 func (KVCodec) EncodeColumn(b *BatchBuilder, col int, v KV) int {
-	b.AppendBlobString(col, v.Key)
-	b.AppendBlob(col+2, v.Value)
+	appendBlob(b, col, v.Key)
+	appendBlob(b, col+2, v.Value)
 	return col + 4
 }
 

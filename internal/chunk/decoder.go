@@ -11,18 +11,17 @@ import (
 // every reader above it (Iterator, the task-side ForEach family, the query
 // planner's stages) sees one operation: chunk in, values out.
 //
-// A Decoder owns its batch header and decode scratch, which is what makes
-// the scratch-backed columnar path always legal here: construct one per
-// stream (per worker, per task input) and never share it between
-// goroutines. The codec it wraps may be shared freely.
+// A Decoder owns its batch header and its resolved columnar view, whose
+// pairs decode through per-view scratch: construct one per stream (per
+// worker, per task input) and never share it between goroutines. The codec
+// it wraps may be shared freely.
 type Decoder[T any] struct {
-	codec   Codec[T]
-	cc      ColumnCodec[T]        // nil for row-only codecs
-	scratch ScratchColumnCodec[T] // nil when cc has no scratch-backed decode
-	kinds   []ColKind             // cc's column layout
-	bt      Batch
-	r       Reader
-	br      batchReader
+	codec Codec[T]
+	cc    ColumnCodec[T] // nil for row-only codecs
+	kinds []ColKind      // cc's column layout
+	bt    Batch
+	r     Reader
+	br    batchReader
 }
 
 // NewDecoder returns a Decoder reading chunks of codec's values. The
@@ -32,7 +31,6 @@ func NewDecoder[T any](codec Codec[T]) *Decoder[T] {
 	if cc, ok := ColumnarOf(codec); ok {
 		d.cc = cc
 		d.kinds = KindsOf(cc)
-		d.scratch, _ = any(cc).(ScratchColumnCodec[T])
 	}
 	return d
 }
@@ -80,11 +78,7 @@ func (d *Decoder[T]) decodeBatch(c Chunk, out []T) ([]T, error) {
 				return out, fmt.Errorf("%w: batch column %d has kind %d, codec reads %d", ErrCorrupt, i, bt.Cols[i].Kind, k)
 			}
 		}
-		if d.scratch != nil {
-			out, _, err = d.scratch.DecodeColumnScratch(bt, 0, out)
-		} else {
-			out, _, err = d.cc.DecodeColumn(bt, 0, out)
-		}
+		out, _, err = d.cc.DecodeColumn(bt, 0, out)
 		return out, err
 	}
 	// Row-only codec: re-frame each row as the record the row codec

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -120,6 +121,15 @@ func checkReaders[T any](t *testing.T, codec Codec[T], vals []T) {
 	}
 }
 
+// numTestRow nests a pair on both sides, over all four numeric leaves, so
+// every level of the tuple gathers and decodes through its own scratch.
+type numTestRow = Pair[Pair[uint64, int64], Pair[uint64, float64]]
+
+var numTestCodec = PairCodec[Pair[uint64, int64], Pair[uint64, float64]]{
+	A: PairCodec[uint64, int64]{A: Uint64Codec{}, B: Int64Codec{}},
+	B: PairCodec[uint64, float64]{A: Uint64FixedCodec{}, B: Float64Codec{}},
+}
+
 // stockCase is one built-in codec with a value set, closed over its type so
 // the reader and the writer tables can range over all of them.
 type stockCase struct {
@@ -148,6 +158,9 @@ func stockCases() []stockCase {
 		strs   []string
 		blobs  [][]byte
 		kvs    []KV
+		flat   []Pair[uint64, uint64]
+		signed []Pair[int64, float64]
+		nested []numTestRow
 	)
 	for i := 0; i < n; i++ {
 		ints = append(ints, int64(i-n/2)*(1<<uint(i%50)))
@@ -157,6 +170,9 @@ func stockCases() []stockCase {
 		strs = append(strs, string(bytes.Repeat([]byte{'a' + byte(i%26)}, i%9)))
 		blobs = append(blobs, bytes.Repeat([]byte{byte(i)}, i%11))
 		kvs = append(kvs, KV{Key: string(rune('k' + i%5)), Value: bytes.Repeat([]byte{byte(i)}, i%6)})
+		flat = append(flat, Pair[uint64, uint64]{First: uints[i], Second: fixed[i]})
+		signed = append(signed, Pair[int64, float64]{First: ints[i], Second: floats[i]})
+		nested = append(nested, numTestRow{First: Pair[uint64, int64]{First: uints[i], Second: ints[i]}, Second: Pair[uint64, float64]{First: fixed[i], Second: floats[i]}})
 	}
 	return []stockCase{
 		stock[int64]("int64", Int64Codec{}, append(ints, math.MinInt64, math.MaxInt64)),
@@ -167,6 +183,9 @@ func stockCases() []stockCase {
 		stock[[]byte]("bytes", BytesCodec{}, blobs),
 		stock[KV]("kv", KVCodec{}, kvs),
 		stock[kvTestRow]("pair", kvTestCodec, testRows(n)),
+		stock[Pair[uint64, uint64]]("pair/varint-fixed", PairCodec[uint64, uint64]{A: Uint64Codec{}, B: Uint64FixedCodec{}}, flat),
+		stock[Pair[int64, float64]]("pair/zigzag-float", PairCodec[int64, float64]{A: Int64Codec{}, B: Float64Codec{}}, signed),
+		stock[numTestRow]("pair/nested-numeric", numTestCodec, nested),
 	}
 }
 
@@ -231,54 +250,60 @@ func TestDecoderRejectsForeignBatch(t *testing.T) {
 // truncation — and feeds raw fuzz bytes as a chunk of their own. Decode,
 // under the columnar codec and its row-only view, must return values or an
 // error wrapping ErrCorrupt; it must never panic, and a claimed row count
-// must never make it allocate beyond what the chunk's bytes can hold.
+// must never make it allocate beyond what the chunk's bytes can hold. Each
+// chunk holds 64 rows cut from the fuzzed values, varints of every width
+// among them, so the damage lands in columns long enough for the
+// word-at-a-time kernels; the numeric tuple adds fixed8 columns.
 func FuzzDecoder(f *testing.F) {
 	f.Add(uint64(1), int64(-5), []byte("payload"), uint16(3), byte(0x80), uint16(0))
 	f.Add(uint64(0), int64(0), []byte{}, uint16(14), byte(0xff), uint16(5))
 	f.Add(^uint64(0), int64(math.MinInt64), bytes.Repeat([]byte{0x80}, 32), uint16(20), byte(1), uint16(40))
 	// A blob length prefix flipped to overflow int once added to its offset.
 	f.Add(^uint64(0), int64(math.MinInt64+54), []byte("0"), uint16(8), byte(0xc3), uint16(4))
+	// A flip inside the varint column's first whole word.
+	f.Add(uint64(0x0123456789abcdef), int64(77), []byte("abc"), uint16(40), byte(0x80), uint16(0))
 	f.Fuzz(func(t *testing.T, k uint64, v int64, payload []byte, pos uint16, flip byte, cut uint16) {
-		rows := []kvTestRow{
-			{First: k, Second: Pair[int64, []byte]{First: v, Second: payload}},
-			{First: k ^ 0xdead, Second: Pair[int64, []byte]{First: -v, Second: nil}},
+		payload = payload[:min(len(payload), 1<<10)] // 64 rows fit one chunk
+		var kvs []kvTestRow
+		var nums []numTestRow
+		for i := 0; i < 64; i++ {
+			// Shifting walks the values through every varint width.
+			ki, vi := bits.RotateLeft64(k, i)>>uint(i), v>>uint(i)
+			kvs = append(kvs, kvTestRow{First: ki, Second: Pair[int64, []byte]{First: vi, Second: payload[:len(payload)*i/64]}})
+			nums = append(nums, numTestRow{First: Pair[uint64, int64]{First: ki, Second: vi}, Second: Pair[uint64, float64]{First: k + uint64(i), Second: float64(vi)}})
 		}
-		var rowChunks []Chunk
-		tw := NewTypedWriter[kvTestRow](kvTestCodec, DefaultSize, func(c Chunk) error {
-			rowChunks = append(rowChunks, c)
-			return nil
-		})
-		for _, r := range rows {
-			if err := tw.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		damage := func(c Chunk) Chunk {
-			c = append(Chunk(nil), c...)
-			c[int(pos)%len(c)] ^= flip
-			return c[:len(c)-int(cut)%len(c)]
-		}
-		inputs := []Chunk{
-			damage(rowChunks[0]),
-			damage(encodeBatch(t, rows, DefaultSize)[0]),
-			Chunk(payload),
-			append(append(Chunk(nil), batchMagic[:]...), payload...),
-		}
-		native := NewDecoder[kvTestRow](kvTestCodec)
-		reframing := NewDecoder[kvTestRow](rowOnly[kvTestRow]{kvTestCodec})
-		for i, c := range inputs {
-			for _, d := range []*Decoder[kvTestRow]{native, reframing} {
-				got, err := d.Decode(c, nil)
-				if err != nil && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("input %d: error %v does not wrap ErrCorrupt", i, err)
-				}
-				if cap(got) > 2*len(c)+8 { // slack for append's doubling
-					t.Fatalf("input %d: %d-byte chunk decoded into room for %d rows", i, len(c), cap(got))
-				}
-			}
-		}
+		fuzzDecoder(t, kvTestCodec, kvs, payload, pos, flip, cut)
+		fuzzDecoder(t, numTestCodec, nums, payload, pos, flip, cut)
 	})
+}
+
+func fuzzDecoder[T any](t *testing.T, codec Codec[T], rows []T, raw []byte, pos uint16, flip byte, cut uint16) {
+	var chunks [2][]Chunk // row layout, batch layout
+	for i, c := range []Codec[T]{rowOnly[T]{codec}, codec} {
+		chunks[i] = encodeAll(t, c, 1<<16, rows, byAppend)
+	}
+	damage := func(c Chunk) Chunk {
+		c = append(Chunk(nil), c...)
+		c[int(pos)%len(c)] ^= flip
+		return c[:len(c)-int(cut)%len(c)]
+	}
+	inputs := []Chunk{
+		damage(chunks[0][0]),
+		damage(chunks[1][0]),
+		Chunk(raw),
+		append(append(Chunk(nil), batchMagic[:]...), raw...),
+	}
+	native := NewDecoder(codec)
+	reframing := NewDecoder[T](rowOnly[T]{codec})
+	for i, c := range inputs {
+		for _, d := range []*Decoder[T]{native, reframing} {
+			got, err := d.Decode(c, nil)
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("input %d: error %v does not wrap ErrCorrupt", i, err)
+			}
+			if cap(got) > 2*len(c)+8 { // slack for append's doubling
+				t.Fatalf("input %d: %d-byte chunk decoded into room for %d rows", i, len(c), cap(got))
+			}
+		}
+	}
 }

@@ -29,6 +29,7 @@ type Encoder[T any] struct {
 	// Columnar arm: cc is nil for row-only codecs.
 	cc     ColumnCodec[T]
 	b      *BatchBuilder
+	limit  int                // column bytes at which b.Size() reaches size
 	bulk   BulkColumnCodec[T] // nil unless maxRow bounds every record
 	maxRow int                // most column bytes one record can take
 	guard  bool               // one record could exceed size: measure each
@@ -58,6 +59,7 @@ func NewEncoder[T any](codec Codec[T], size int, emit func(c Chunk, rows int) er
 	e.cc = cc
 	kinds := KindsOf(cc)
 	e.b = GetBatchBuilder(0, kinds)
+	e.limit = size - e.b.Size() // of the empty builder: the header's share
 	for _, k := range kinds {
 		switch k {
 		case ColFixed8:
@@ -98,7 +100,7 @@ func (e *Encoder[T]) Append(v T) error {
 		return fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, n, e.size)
 	}
 	b.EndRow()
-	if b.Size() >= e.size {
+	if b.bytes >= e.limit {
 		return e.Flush()
 	}
 	return nil
@@ -110,10 +112,7 @@ func (e *Encoder[T]) Append(v T) error {
 // blocks: each block is as many rows as are certain to fit, so only the
 // last few rows of a chunk go one at a time.
 func (e *Encoder[T]) AppendRows(vs []T, idx []int32) error {
-	n := len(vs)
-	if idx != nil {
-		n = len(idx)
-	}
+	n := rowCount(vs, idx)
 	if e.bulk == nil {
 		for i := 0; i < n; i++ {
 			j := i
@@ -127,7 +126,7 @@ func (e *Encoder[T]) AppendRows(vs []T, idx []int32) error {
 		return nil
 	}
 	for off := 0; off < n; {
-		take := max(1, (e.size-e.b.Size())/e.maxRow)
+		take := max(1, (e.limit-e.b.bytes)/e.maxRow)
 		take = min(take, n-off)
 		if idx != nil {
 			e.bulk.EncodeRows(e.b, 0, vs, idx[off:off+take])
@@ -136,7 +135,7 @@ func (e *Encoder[T]) AppendRows(vs []T, idx []int32) error {
 		}
 		e.b.EndRows(take)
 		off += take
-		if e.b.Size() >= e.size {
+		if e.b.bytes >= e.limit {
 			if err := e.Flush(); err != nil {
 				return err
 			}
@@ -150,7 +149,7 @@ func (e *Encoder[T]) Flush() error {
 	if e.cc == nil {
 		return e.row.Flush()
 	}
-	rows := e.b.Rows()
+	rows := e.b.rows
 	if rows == 0 {
 		return nil
 	}

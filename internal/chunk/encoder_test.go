@@ -8,11 +8,18 @@ import (
 	"testing"
 )
 
-// encodeAll writes vals through an Encoder of the given chunk size — one
-// Append per value, or one AppendRows over an index vector naming them all
-// — and returns the emitted chunks, having checked each emit's row count
-// against the chunk's own.
-func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, bulk bool) []Chunk {
+// The three ways into an Encoder: one Append per value, one AppendRows of
+// the values, one AppendRows picking them out of a longer vector.
+const (
+	byAppend = iota
+	byRows
+	byIndex
+)
+
+// encodeAll writes vals through an Encoder of the given chunk size, by the
+// given way in, and returns the emitted chunks, having checked each emit's
+// row count against the chunk's own.
+func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, how int) []Chunk {
 	t.Helper()
 	var chunks []Chunk
 	e := NewEncoder(codec, size, func(c Chunk, rows int) error {
@@ -22,19 +29,25 @@ func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, bulk boo
 		chunks = append(chunks, c)
 		return nil
 	})
-	if bulk {
-		idx := make([]int32, len(vals))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		if err := e.AppendRows(vals, idx); err != nil {
-			t.Fatal(err)
-		}
-	} else {
+	switch how {
+	case byAppend:
 		for _, v := range vals {
 			if err := e.Append(v); err != nil {
 				t.Fatal(err)
 			}
+		}
+	case byRows:
+		if err := e.AppendRows(vals, nil); err != nil {
+			t.Fatal(err)
+		}
+	case byIndex:
+		// vals sit at the odd places of src, other rows between them.
+		src, idx := make([]T, 2*len(vals)), make([]int32, len(vals))
+		for i, v := range vals {
+			src[2*i], src[2*i+1], idx[i] = vals[len(vals)-1-i], v, int32(2*i+1)
+		}
+		if err := e.AppendRows(src, idx); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := e.Close(); err != nil {
@@ -45,8 +58,9 @@ func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, bulk boo
 
 // checkWriters is the contract of the one-writer seam for one codec: the
 // layout of every chunk follows the codec (batch under the codec itself,
-// rows under its row-only view), whichever of Append and AppendRows wrote
-// it and with identical chunks from both; no chunk exceeds the size by as
+// rows under its row-only view), whichever of Append, AppendRows and
+// AppendRows through an index vector wrote it, and with byte-identical
+// chunks from all three; no chunk exceeds the size by as
 // much as one record, a row chunk not at all; and a Decoder reads the
 // stream back value for value.
 func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
@@ -56,10 +70,16 @@ func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 		longest = max(longest, len(codec.Encode(nil, v)))
 	}
 	for view, c := range map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}} {
-		chunks := encodeAll(t, c, size, vals, false)
-		for i, bc := range encodeAll(t, c, size, vals, true) {
-			if i >= len(chunks) || !bytes.Equal(bc, chunks[i]) {
-				t.Fatalf("%s: AppendRows and Append cut different chunks at #%d", view, i)
+		chunks := encodeAll(t, c, size, vals, byAppend)
+		for _, how := range []int{byRows, byIndex} {
+			bulk := encodeAll(t, c, size, vals, how)
+			if len(bulk) != len(chunks) {
+				t.Fatalf("%s: AppendRows (way %d) cut %d chunks, Append %d", view, how, len(bulk), len(chunks))
+			}
+			for i := range bulk {
+				if !bytes.Equal(bulk[i], chunks[i]) {
+					t.Fatalf("%s: AppendRows (way %d) and Append differ in chunk #%d", view, how, i)
+				}
 			}
 		}
 		if len(chunks) < 2 && size <= 128 {

@@ -1,0 +1,228 @@
+package chunk
+
+import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// refUvarints is what decodeUvarints must agree with: binary.Uvarint, one
+// value at a time, stopping at the first it cannot read.
+func refUvarints(data []byte, rows int) (vals []uint64, off int) {
+	for len(vals) < rows {
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			break
+		}
+		vals, off = append(vals, v), off+n
+	}
+	return vals, off
+}
+
+// checkKernel decodes rows values of data with the kernel, behind a prefix
+// already in out, and holds it to the reference: same values, same bytes
+// consumed, and ErrCorrupt exactly when the reference stops short — with
+// out ending at the last whole row.
+func checkKernel(t *testing.T, what string, data []byte, rows int) {
+	t.Helper()
+	want, wantOff := refUvarints(data, rows)
+	got, off, err := decodeUvarints([]uint64{7, 7, 7}, data, rows)
+	if len(got) < 3 || !slices.Equal(got[3:], want) {
+		t.Fatalf("%s: decoded %d values %v, want %d %v", what, len(got)-3, got, len(want), want)
+	}
+	if (len(want) < rows) != (err != nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+		t.Fatalf("%s: %d of %d rows readable, error %v", what, len(want), rows, err)
+	}
+	if off != wantOff {
+		t.Fatalf("%s: consumed %d bytes, want %d", what, off, wantOff)
+	}
+}
+
+// TestUvarintKernelDifferential places a varint of every length, 1 to 10
+// bytes, at every offset within an 8-byte word and every distance from
+// the column's tail, among one-byte neighbours; then seeded columns of
+// mixed widths. Each column is also cut short at every byte, and asked
+// for a row more than it holds.
+func TestUvarintKernelDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	ofLen := func(n int) uint64 { // a value whose varint takes n bytes
+		if n == 10 {
+			return 1<<63 + r.Uint64()>>1
+		}
+		lo, hi := uint64(1)<<(7*(n-1)), uint64(1)<<(7*n)
+		if n == 1 {
+			lo = 0
+		}
+		return lo + r.Uint64()%(hi-lo)
+	}
+	check := func(what string, vals []uint64) {
+		var data []byte
+		for _, v := range vals {
+			data = binary.AppendUvarint(data, v)
+		}
+		checkKernel(t, what, data, len(vals))
+		checkKernel(t, what+", a row too many", data, len(vals)+1)
+		for cut := range data {
+			checkKernel(t, what+", truncated", data[:cut], len(vals))
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		for before := 0; before < 18; before++ {
+			for after := 0; after < 18; after++ {
+				vals := make([]uint64, before+1+after)
+				for i := range vals {
+					vals[i] = r.Uint64() % 128
+				}
+				vals[before] = ofLen(n)
+				check("one wide value", vals)
+			}
+		}
+	}
+	for col := 0; col < 200; col++ {
+		vals := make([]uint64, r.Intn(70))
+		wide := 1 + r.Intn(10)
+		for i := range vals {
+			vals[i] = ofLen(1 + r.Intn(wide))
+		}
+		check("mixed widths", vals)
+	}
+	// Eleven continuation bytes overflow a uvarint wherever they sit.
+	for before := 0; before < 18; before++ {
+		data := append(make([]byte, before), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
+		checkKernel(t, "overlong varint", append(data, make([]byte, 20)...), before+8)
+	}
+}
+
+// TestTupleAllocs holds the batch plane's allocation budget on the
+// benchmark's record: one allocation per batch encoded (the chunk), none
+// per batch decoded once the Decoder's scratch is warm.
+func TestTupleAllocs(t *testing.T) {
+	ts := benchTuples(1.3, 1<<16-1)[:benchBatchRows]
+	var c Chunk
+	e := NewEncoder[benchTuple](benchTupleCodec, 1<<20, func(ch Chunk, _ int) error { c = ch; return nil })
+	d := NewDecoder[benchTuple](benchTupleCodec)
+	var vec []benchTuple
+	round := func() {
+		if err := e.AppendRows(ts, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if vec, err = d.Decode(c, vec[:0]); err != nil || len(vec) != len(ts) {
+			t.Fatalf("decoded %d of %d rows: %v", len(vec), len(ts), err)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n > 1 {
+		t.Fatalf("%v allocations per batch encoded and decoded, want 1", n)
+	}
+}
+
+// The benchmark's own record: a varint key beside a fixed 8-byte payload.
+type benchTuple = Pair[uint64, uint64]
+
+var benchTupleCodec = PairCodec[uint64, uint64]{A: Uint64Codec{}, B: Uint64FixedCodec{}}
+
+// The benchmarks cycle through benchBatches distinct batches: one batch
+// over and over teaches the branch predictor its varint lengths.
+const (
+	benchBatchRows = 4096
+	benchBatches   = 64
+)
+
+// benchKeyColumns are the two key columns the engine's benchmark feeds the
+// codec: Zipf(1.3) over 2^16 keys (83 % one-byte, 16 % two-byte, 2 %
+// three-byte varints) and Zipf(2) over 64 (every varint one byte).
+var benchKeyColumns = []struct {
+	name string
+	s    float64
+	imax uint64
+}{
+	{"zipf1.3_64k", 1.3, 1<<16 - 1},
+	{"zipf2_64", 2, 63},
+}
+
+func benchTuples(s float64, imax uint64) []benchTuple {
+	r := rand.New(rand.NewSource(47))
+	z := rand.NewZipf(r, s, 1, imax)
+	ts := make([]benchTuple, benchBatches*benchBatchRows)
+	for i := range ts {
+		ts[i] = benchTuple{First: z.Uint64(), Second: r.Uint64()}
+	}
+	return ts
+}
+
+// BenchmarkTupleEncodeRows is the write path the engine runs per shuffle
+// leaf: one bulk EncodeRows of a 4096-row block through an index vector,
+// one Encode. One allocation per batch — the chunk.
+func BenchmarkTupleEncodeRows(b *testing.B) {
+	for _, col := range benchKeyColumns {
+		b.Run(col.name, func(b *testing.B) {
+			ts := benchTuples(col.s, col.imax)
+			idx := make([]int32, benchBatchRows)
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			cc, _ := ColumnarOf[benchTuple](benchTupleCodec)
+			bulk, _ := BulkOf(cc)
+			bb := GetBatchBuilder(0, KindsOf(cc))
+			defer PutBatchBuilder(bb)
+			var c Chunk
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i % benchBatches * benchBatchRows
+				bulk.EncodeRows(bb, 0, ts[lo:lo+benchBatchRows], idx)
+				bb.EndRows(benchBatchRows)
+				c = bb.Encode()
+				bb.Clear()
+			}
+			b.StopTimer()
+			b.SetBytes(int64(len(c)))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRows), "ns/rec")
+		})
+	}
+}
+
+// BenchmarkTupleDecode is the read path: a Decoder turning one 4096-row
+// batch chunk into tuples, into a reused vector. No allocation once the
+// Decoder's scratch is warm.
+func BenchmarkTupleDecode(b *testing.B) {
+	for _, col := range benchKeyColumns {
+		b.Run(col.name, func(b *testing.B) {
+			ts := benchTuples(col.s, col.imax)
+			var cs []Chunk
+			enc := NewEncoder[benchTuple](benchTupleCodec, 1<<20, func(c Chunk, _ int) error {
+				cs = append(cs, c)
+				return nil
+			})
+			for lo := 0; lo < len(ts); lo += benchBatchRows {
+				if err := enc.AppendRows(ts[lo:lo+benchBatchRows], nil); err != nil {
+					b.Fatal(err)
+				}
+				if err := enc.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d := NewDecoder[benchTuple](benchTupleCodec)
+			vec, err := d.Decode(cs[0], nil)
+			if err != nil || len(vec) != benchBatchRows {
+				b.Fatalf("decoded %d of %d rows: %v", len(vec), benchBatchRows, err)
+			}
+			b.SetBytes(int64(len(cs[0])))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if vec, err = d.Decode(cs[i%benchBatches], vec[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRows), "ns/rec")
+		})
+	}
+}

@@ -88,6 +88,7 @@ type App struct {
 	name  string
 	tasks map[string]*TaskSpec
 	bags  map[string]*BagSpec
+	dup   error // the first redeclared name, for Validate to report
 
 	// derived wiring
 	producers map[string][]string // bag -> producing task names
@@ -112,8 +113,8 @@ func (a *App) Name() string { return a.name }
 
 // AddBag declares a bag. Redeclaring a name is an error at Validate time.
 func (a *App) AddBag(spec BagSpec) *App {
-	if _, dup := a.bags[spec.Name]; dup {
-		a.bags[spec.Name] = &BagSpec{Name: spec.Name} // poisoned; Validate reports
+	if _, dup := a.bags[spec.Name]; dup && a.dup == nil {
+		a.dup = fmt.Errorf("core: bag %q declared twice", spec.Name)
 	}
 	s := spec
 	a.bags[spec.Name] = &s
@@ -145,8 +146,11 @@ func (a *App) partitioned(name string) bool {
 	return b != nil && b.Partitions > 0
 }
 
-// AddTask declares a task.
+// AddTask declares a task. Redeclaring a name is an error at Validate time.
 func (a *App) AddTask(spec TaskSpec) *App {
+	if _, dup := a.tasks[spec.Name]; dup && a.dup == nil {
+		a.dup = fmt.Errorf("core: task %q declared twice", spec.Name)
+	}
 	s := spec
 	a.tasks[spec.Name] = &s
 	return a
@@ -186,6 +190,9 @@ func (a *App) Consumers(bagName string) []string { return a.consumers[bagName] }
 // cycles. It also computes the producer/consumer wiring used by the
 // master.
 func (a *App) Validate() error {
+	if a.dup != nil {
+		return a.dup
+	}
 	a.producers = make(map[string][]string)
 	a.consumers = make(map[string][]string)
 	a.scanners = make(map[string][]string)

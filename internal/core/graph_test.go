@@ -33,6 +33,17 @@ func TestValidateErrors(t *testing.T) {
 		build func() *App
 		want  string
 	}{
+		{"bag declared twice", func() *App {
+			a := NewApp("x").SourceBag("s").Bag("o").AddBag(BagSpec{Name: "o", Partitions: 4})
+			a.AddTask(TaskSpec{Name: "t", Inputs: []string{"s"}, Outputs: []string{"o"}, Run: nop})
+			return a
+		}, `bag "o" declared twice`},
+		{"task declared twice", func() *App {
+			a := NewApp("x").SourceBag("s").Bag("o")
+			a.AddTask(TaskSpec{Name: "t", Inputs: []string{"s"}, Outputs: []string{"o"}, Run: nop})
+			a.AddTask(TaskSpec{Name: "t", Inputs: []string{"s"}, Outputs: []string{"o"}, Run: nop})
+			return a
+		}, `task "t" declared twice`},
 		{"no run", func() *App {
 			a := NewApp("x").SourceBag("s").Bag("o")
 			a.AddTask(TaskSpec{Name: "t", Inputs: []string{"s"}, Outputs: []string{"o"}})

@@ -72,15 +72,16 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 		vs = vs[len(blk):]
 		var refs []RouteRef
 		if s.keyU64 != nil {
-			s.words = s.words[:0]
-			for i := range blk {
-				s.words = append(s.words, s.keyU64(blk[i]))
+			words := append(s.words[:0], make([]uint64, len(blk))...)
+			for i := range words {
+				words[i] = s.keyU64(blk[i])
 			}
-			refs = s.w.PartitionBatchUint64(s.words)
+			s.words = words
+			refs = s.w.PartitionBatchUint64(words)
 		} else {
-			refs = s.refs[:0]
-			for i := range blk {
-				refs = append(refs, s.w.RouteKey(s.key(blk[i])))
+			refs = append(s.refs[:0], make([]RouteRef, len(blk))...)
+			for i := range refs {
+				refs[i] = s.w.RouteKey(s.key(blk[i]))
 			}
 			s.refs = refs
 		}
