@@ -136,6 +136,7 @@ type stockCase struct {
 	name    string
 	readers func(t *testing.T)
 	writers func(t *testing.T)
+	blocks  func(t *testing.T)
 }
 
 func stock[T any](name string, codec Codec[T], vals []T) stockCase {
@@ -143,6 +144,7 @@ func stock[T any](name string, codec Codec[T], vals []T) stockCase {
 		name:    name,
 		readers: func(t *testing.T) { checkReaders(t, codec, vals) },
 		writers: func(t *testing.T) { checkWriters(t, codec, 128, vals) },
+		blocks:  func(t *testing.T) { checkBlocks(t, codec, vals) },
 	}
 }
 

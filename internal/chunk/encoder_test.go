@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -56,31 +59,48 @@ func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, how int)
 	return chunks
 }
 
+// perRecord exposes a codec's columnar view and hides its bulk one, so an
+// Encoder writes it one EncodeColumn per value at the call: the reference
+// that Append's blocks are held to.
+type perRecord[T any] struct{ ColumnCodec[T] }
+
+// sameChunks fails unless got and want are the same chunks, byte for byte.
+func sameChunks(t testing.TB, what string, got, want []Chunk) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chunks, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: chunk #%d differs", what, i)
+		}
+	}
+}
+
 // checkWriters is the contract of the one-writer seam for one codec: the
-// layout of every chunk follows the codec (batch under the codec itself,
-// rows under its row-only view), whichever of Append, AppendRows and
-// AppendRows through an index vector wrote it, and with byte-identical
-// chunks from all three; no chunk exceeds the size by as
-// much as one record, a row chunk not at all; and a Decoder reads the
-// stream back value for value.
+// layout of every chunk follows the codec (batch under the codec itself and
+// its per-record view, rows under its row-only view), whichever of Append,
+// AppendRows and AppendRows through an index vector wrote it, and with
+// byte-identical chunks from all three — and from Append under the codec
+// and under its per-record view, so blocks are held to one EncodeColumn per
+// value; no chunk exceeds the size by as much as one record, a row chunk
+// not at all; and a Decoder reads the stream back value for value.
 func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 	t.Helper()
 	longest := 0
 	for _, v := range vals {
 		longest = max(longest, len(codec.Encode(nil, v)))
 	}
-	for view, c := range map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}} {
+	views := map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}}
+	if cc, ok := ColumnarOf(codec); ok {
+		views["per-record"] = perRecord[T]{cc}
+	}
+	appended := make(map[string][]Chunk)
+	for view, c := range views {
 		chunks := encodeAll(t, c, size, vals, byAppend)
+		appended[view] = chunks
 		for _, how := range []int{byRows, byIndex} {
-			bulk := encodeAll(t, c, size, vals, how)
-			if len(bulk) != len(chunks) {
-				t.Fatalf("%s: AppendRows (way %d) cut %d chunks, Append %d", view, how, len(bulk), len(chunks))
-			}
-			for i := range bulk {
-				if !bytes.Equal(bulk[i], chunks[i]) {
-					t.Fatalf("%s: AppendRows (way %d) and Append differ in chunk #%d", view, how, i)
-				}
-			}
+			sameChunks(t, fmt.Sprintf("%s: AppendRows (way %d) against Append", view, how), encodeAll(t, c, size, vals, how), chunks)
 		}
 		if len(chunks) < 2 && size <= 128 {
 			t.Fatalf("%s: %d chunks, want several", view, len(chunks))
@@ -88,7 +108,7 @@ func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 		var got []T
 		d := NewDecoder(c)
 		for i, ch := range chunks {
-			if IsBatch(ch) != (view == "native") {
+			if IsBatch(ch) != (view != "row-only") {
 				t.Fatalf("%s: chunk %d has the wrong layout", view, i)
 			}
 			if bound := size + longest; len(ch) >= bound || (!IsBatch(ch) && len(ch) > size) {
@@ -107,6 +127,122 @@ func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 				t.Fatalf("%s: value %d = %v, want %v", view, i, got[i], vals[i])
 			}
 		}
+	}
+	if ref, ok := appended["per-record"]; ok {
+		sameChunks(t, "Append against the per-record view", appended["native"], ref)
+	}
+}
+
+// checkBlocks holds Append's blocks to the per-record view over seeded
+// interleavings of the three writes: runs of Append that start and stop
+// anywhere in a block, AppendRows with and without an index vector, and
+// Flush — at chunk sizes that cut every record, several times a block and
+// once in a few blocks. Both encoders take the same calls and must have
+// emitted the same chunks, byte for byte, after every Flush and at Close.
+func checkBlocks[T any](t *testing.T, codec Codec[T], vals []T) {
+	t.Helper()
+	cc, ok := ColumnarOf(codec)
+	if !ok {
+		t.Fatal("codec has no columnar view")
+	}
+	for len(vals) < 8*blockRows {
+		vals = slices.Concat(vals, vals)
+	}
+	for _, size := range []int{128, 1000, 8192} {
+		for seed := int64(0); seed < 8; seed++ {
+			what := fmt.Sprintf("size %d, seed %d", size, seed)
+			r := rand.New(rand.NewSource(seed))
+			var got, want []Chunk
+			enc := NewEncoder(codec, size, func(c Chunk, _ int) error { got = append(got, c); return nil })
+			ref := NewEncoder[T](perRecord[T]{cc}, size, func(c Chunk, _ int) error { want = append(want, c); return nil })
+			both := func(write func(e *Encoder[T]) error) {
+				for _, e := range []*Encoder[T]{enc, ref} {
+					if err := write(e); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+			}
+			for off := 0; off < len(vals); {
+				run := vals[off : off+min(len(vals)-off, 1+r.Intn(2*blockRows))]
+				switch r.Intn(4) {
+				case 0, 1:
+					both(func(e *Encoder[T]) error {
+						for _, v := range run {
+							if err := e.Append(v); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				case 2:
+					both(func(e *Encoder[T]) error { return e.AppendRows(run, nil) })
+				case 3:
+					idx := make([]int32, len(run))
+					for i := range idx {
+						idx[i] = int32(off + i)
+					}
+					both(func(e *Encoder[T]) error { return e.AppendRows(vals, idx) })
+				}
+				off += len(run)
+				if r.Intn(4) == 0 {
+					both((*Encoder[T]).Flush)
+					sameChunks(t, what+", at a Flush", got, want)
+				}
+			}
+			both((*Encoder[T]).Close)
+			sameChunks(t, what+", at Close", got, want)
+		}
+	}
+}
+
+// TestAppendBlockDifferential runs checkBlocks over every built-in codec;
+// for those without a bulk view Append encodes at the call on both sides.
+func TestAppendBlockDifferential(t *testing.T) {
+	for _, c := range stockCases() {
+		t.Run(c.name, c.blocks)
+	}
+}
+
+// TestEncoderClosed: after Close every write is ErrClosed on every arm —
+// including a bulk codec's Append, which would otherwise land in a block no
+// Flush is left to drain — nothing more is emitted, and Close again is a
+// no-op.
+func TestEncoderClosed(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"bulk", func(t *testing.T) { checkClosed[uint64](t, Uint64Codec{}, 7) }},
+		{"per-record", func(t *testing.T) { checkClosed[uint64](t, perRecord[uint64]{Uint64Codec{}}, 7) }},
+		{"blob", func(t *testing.T) { checkClosed[[]byte](t, BytesCodec{}, []byte("v")) }},
+		{"row", func(t *testing.T) { checkClosed[uint64](t, rowOnly[uint64]{Uint64Codec{}}, 7) }},
+	} {
+		t.Run(c.name, c.check)
+	}
+}
+
+func checkClosed[T any](t *testing.T, codec Codec[T], v T) {
+	emitted := 0
+	e := NewEncoder(codec, 0, func(Chunk, int) error { emitted++; return nil })
+	if err := e.Append(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil || emitted != 1 {
+		t.Fatalf("Close: %v, %d chunks emitted, want 1", err, emitted)
+	}
+	for name, write := range map[string]func() error{
+		"Append":              func() error { return e.Append(v) },
+		"AppendRows":          func() error { return e.AppendRows([]T{v, v}, nil) },
+		"AppendRows, indexed": func() error { return e.AppendRows([]T{v, v}, []int32{1}) },
+		"AppendRows, empty":   func() error { return e.AppendRows(nil, nil) },
+		"Flush":               e.Flush,
+	} {
+		if err := write(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", name, err)
+		}
+	}
+	if err := e.Close(); err != nil || emitted != 1 {
+		t.Fatalf("second Close: %v, %d chunks emitted, want 1", err, emitted)
 	}
 }
 

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -95,30 +96,100 @@ func TestUvarintKernelDifferential(t *testing.T) {
 	}
 }
 
-// TestTupleAllocs holds the batch plane's allocation budget on the
-// benchmark's record: one allocation per batch encoded (the chunk), none
-// per batch decoded once the Decoder's scratch is warm.
+// TestTupleAllocs holds the write and read paths' allocation budget on the
+// benchmark's record: one allocation per batch encoded (the chunk), by
+// AppendRows or by one Append per record once the first block is in, none
+// per batch decoded once the Decoder's scratch is warm. Beside it, what
+// Append's blocks must not change: a record that can alias the caller's
+// memory is encoded at the call, and only a codec with a bulk view is held
+// in a block at all.
 func TestTupleAllocs(t *testing.T) {
 	ts := benchTuples(1.3, 1<<16-1)[:benchBatchRows]
-	var c Chunk
-	e := NewEncoder[benchTuple](benchTupleCodec, 1<<20, func(ch Chunk, _ int) error { c = ch; return nil })
-	d := NewDecoder[benchTuple](benchTupleCodec)
-	var vec []benchTuple
-	round := func() {
-		if err := e.AppendRows(ts, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if vec, err = d.Decode(c, vec[:0]); err != nil || len(vec) != len(ts) {
-			t.Fatalf("decoded %d of %d rows: %v", len(vec), len(ts), err)
-		}
+	for name, write := range map[string]func(e *Encoder[benchTuple]) error{
+		"AppendRows": func(e *Encoder[benchTuple]) error { return e.AppendRows(ts, nil) },
+		"Append": func(e *Encoder[benchTuple]) error {
+			for _, v := range ts {
+				if err := e.Append(v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var c Chunk
+			e := NewEncoder[benchTuple](benchTupleCodec, 1<<20, func(ch Chunk, _ int) error { c = ch; return nil })
+			d := NewDecoder[benchTuple](benchTupleCodec)
+			var vec []benchTuple
+			round := func() {
+				if err := write(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if vec, err = d.Decode(c, vec[:0]); err != nil || !slices.Equal(vec, ts) {
+					t.Fatalf("decoded %d of %d rows: %v", len(vec), len(ts), err)
+				}
+			}
+			round()
+			if n := testing.AllocsPerRun(20, round); n > 1 {
+				t.Fatalf("%v allocations per %d-row batch encoded and decoded, want 1", n, len(ts))
+			}
+		})
 	}
-	round()
-	if n := testing.AllocsPerRun(20, round); n > 1 {
-		t.Fatalf("%v allocations per batch encoded and decoded, want 1", n)
+	t.Run("caller's bytes", func(t *testing.T) {
+		for view, codec := range map[string]Codec[[]byte]{"native": BytesCodec{}, "row-only": rowOnly[[]byte]{BytesCodec{}}} {
+			var chunks []Chunk
+			e := NewEncoder(codec, 64, func(c Chunk, _ int) error { chunks = append(chunks, c); return nil })
+			var want [][]byte
+			buf := make([]byte, 4)
+			for i := range 100 {
+				buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(i))
+				if err := e.Append(buf); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, slices.Clone(buf))
+				buf[0] = 0xff // the caller reuses its buffer
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewSliceIterator(codec, chunks).Collect()
+			if err != nil || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("%s: read back %x (%v), want %x", view, got, err, want)
+			}
+		}
+	})
+	t.Run("no block without a bulk view", func(t *testing.T) {
+		unbuffered(t, "bytes", BytesCodec{}, 0, []byte("v"))
+		unbuffered(t, "string", StringCodec{}, 0, "v")
+		unbuffered(t, "kv", KVCodec{}, 0, KV{Key: "k", Value: []byte("v")})
+		unbuffered[benchTuple](t, "row-only", rowOnly[benchTuple]{benchTupleCodec}, 0, ts[0])
+		unbuffered[benchTuple](t, "per-record", perRecord[benchTuple]{benchTupleCodec}, 0, ts[0])
+		// A chunk size one record could exceed takes the measuring path.
+		unbuffered[benchTuple](t, "tiny chunks", benchTupleCodec, 12, ts[0])
+	})
+}
+
+// unbuffered appends v over a few blocks' worth of calls and fails if any
+// of them left it in Append's block rather than the encoder's open chunk.
+func unbuffered[T any](t *testing.T, name string, codec Codec[T], size int, v T) {
+	t.Helper()
+	emitted := 0
+	e := NewEncoder(codec, size, func(_ Chunk, rows int) error { emitted += rows; return nil })
+	for i := 1; i <= 2*blockRows; i++ {
+		if err := e.Append(v); err != nil {
+			t.Fatal(err)
+		}
+		open := e.rows
+		if e.b != nil {
+			open = e.b.rows
+		}
+		if e.blk != nil || emitted+open != i {
+			t.Fatalf("%s: after %d Appends %d records are emitted and %d open, %d in a block", name, i, emitted, open, len(e.blk))
+		}
 	}
 }
 
@@ -185,6 +256,39 @@ func BenchmarkTupleEncodeRows(b *testing.B) {
 			b.SetBytes(int64(len(c)))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRows), "ns/rec")
 		})
+	}
+}
+
+// BenchmarkTupleAppend is the write path of a record-at-a-time producer:
+// one Append per tuple into an Encoder at the default chunk size, in
+// blocks under the codec ("block") and one EncodeColumn per value under
+// its per-record view ("per-record"). One allocation per chunk emitted.
+func BenchmarkTupleAppend(b *testing.B) {
+	for _, col := range benchKeyColumns {
+		for _, view := range []struct {
+			name  string
+			codec Codec[benchTuple]
+		}{{"block", benchTupleCodec}, {"per-record", perRecord[benchTuple]{benchTupleCodec}}} {
+			b.Run(col.name+"/"+view.name, func(b *testing.B) {
+				ts := benchTuples(col.s, col.imax)
+				e := NewEncoder(view.codec, DefaultSize, func(Chunk, int) error { return nil })
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := i % benchBatches * benchBatchRows
+					for _, v := range ts[lo : lo+benchBatchRows] {
+						if err := e.Append(v); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				if err := e.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRows), "ns/rec")
+			})
+		}
 	}
 }
 

@@ -13,11 +13,13 @@ const scatterBlock = 4096
 // Writer.InsertBatchChunk. The typed PartitionedWriter is a Scatter[T], a
 // compiled plan's edge sink is a Scatter of the stage's output record type,
 // and Writer.Write is a Scatter[[]byte]. Write is the one-record view —
-// route now, encode now, nothing of the record retained — and WriteBatch
-// the same path in blocks, through the encoders' AppendRows. Which layout a
-// leaf's chunks take is the encoder's business (chunk.Encoder: it follows
-// the codec); the Scatter never asks. It owns one encoder per leaf it has
-// routed to and belongs to one producer goroutine, like its Writer.
+// route and count the key now, hand the record to its leaf's encoder — and
+// WriteBatch the same path in blocks, through the encoders' AppendRows.
+// When and how a leaf encodes is the encoder's business (chunk.Encoder: the
+// layout follows the codec, and a codec with a bulk view is encoded a block
+// of Appends at a time, from copies of the records); the Scatter never
+// asks. It owns one encoder per leaf it has routed to and belongs to one
+// producer goroutine, like its Writer.
 type Scatter[T any] struct {
 	w      *Writer
 	codec  chunk.Codec[T]

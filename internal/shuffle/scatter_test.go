@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -41,6 +42,42 @@ func leafChunks(t *testing.T, st *bag.Store, pm *PartitionMap) map[string][]chun
 		}
 	}
 	return out
+}
+
+// TestWriteKeepsNoRecord: Writer.Write encodes its record at the call, so
+// a producer may reuse the key and record buffers as soon as it returns.
+func TestWriteKeepsNoRecord(t *testing.T) {
+	st := newTestStore(t, 1, 256)
+	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+	want := make(map[string]int)
+	k, rec := make([]byte, 8), make([]byte, 3)
+	for i := range 600 {
+		k, rec = binary.LittleEndian.AppendUint64(k[:0], uint64(i%7)), append(rec[:0], byte(i), byte(i>>8), 'r')
+		if err := w.Write(k, rec); err != nil {
+			t.Fatal(err)
+		}
+		want[string(rec)]++
+		k[0], rec[0] = 0xff, 0xff // the producer reuses its buffers
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for leaf, cs := range leafChunks(t, st, w.Map()) {
+		for _, c := range cs {
+			recs, err := chunk.NewSliceIterator[[]byte](rawRecord{}, []chunk.Chunk{c}).Collect()
+			if err != nil {
+				t.Fatalf("%s: %v", leaf, err)
+			}
+			for _, r := range recs {
+				want[string(r)]--
+			}
+		}
+	}
+	for r, n := range want {
+		if n != 0 {
+			t.Fatalf("record %x: %d more written than read back", r, n)
+		}
+	}
 }
 
 // TestScatterHoldsChunkSize: the chunk is the unit of late binding and
