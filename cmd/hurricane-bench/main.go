@@ -1,181 +1,146 @@
-// Command hurricane-bench regenerates the paper's evaluation tables and
-// figures from the cluster simulator and baseline models, and can drive
-// the real embedded engine for a verified end-to-end run.
+// Command hurricane-bench runs the comparison grid on the embedded engine
+// (4 x 2 slots, simulated per-record consumer cost), one cell per
+// mechanism measured against its absence:
 //
-// Usage:
+//	hurricane-bench [policy] [sched] [stream] [plan]   (none: all four)
 //
-//	hurricane-bench [experiment ...]
-//
-// With no arguments it runs every simulator experiment. Experiments:
-// table1 table2 table3 table4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// storage-scaling utilization.
-//
-// "engine-clicklog" additionally runs the skewed ClickLog application on
-// the real embedded engine (not the simulator), verifies every region
-// count against ground truth, and prints the master's mitigation stats —
-// the quick live-cluster sanity check that used to live in a separate
-// debug harness.
-//
-// "sched" runs the multi-job scheduler co-run benchmark on the real
-// engine — a skewed and a uniform groupby sharing one cluster, with and
-// without fair-share slot leasing — and writes BENCH_sched.json.
-//
-// "stream" runs the continuous-ingestion benchmark on the real engine — a
-// drifting Zipf click-log source cut into event-time windows, with
-// warm-started versus cold-started partition maps — and writes
-// BENCH_stream.json.
-//
-// "plan" runs the query-planner benchmark on the real engine — one
-// logical join compiled naively (static hash repartition) versus with
-// statistics-driven physical planning (skewed join with pre-isolated
-// heavy-hitter keys) on Zipf(1.3) probe keys — and writes
-// BENCH_plan.json.
+// policy ablates the mitigation policy sets, sched fair-share leasing,
+// stream warm-started partition maps and plan the planner's skewed join.
+// Each arm runs 3 times, arms interleaved, and every repeat is checked
+// against the cell's serial oracle. Per arm it prints the median [min,
+// max] of the cell's timed quantity, the ratio of medians to the cell's
+// last (baseline) arm, and the median repeat's counters. It writes no
+// file, and exits non-zero if any repeat fails or misses its oracle.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/workload"
+	"repro/hurricane"
 )
 
-var all = []string{
-	"table1", "table2", "table3", "table4",
-	"fig5", "fig6", "fig78", "fig9", "fig10", "fig11", "fig12",
-	"storage-scaling", "utilization",
+// repeats is how many times every arm of a cell runs.
+const repeats = 3
+
+// counts is a run's verifiable output: one key → count table per job or
+// stream window, in a fixed order.
+type counts []map[uint64]int64
+
+// result is one repeat of one arm.
+type result struct {
+	ms  float64               // the cell's timed quantity
+	st  hurricane.MasterStats // clones, splits and isolations are printed
+	own int                   // the cell's own counter, if it has one
+	out counts
 }
+
+// cell is one comparison on the engine.
+type cell struct {
+	about string   // the workload and the timed quantity, printed first
+	arms  []string // the last arm is the baseline ratios are taken to
+	own   string   // name of result.own, "" if the cell has none
+	want  counts   // the serial oracle every repeat must match
+	run   func(ctx context.Context, arm string) (result, error)
+}
+
+// grid is the table of cells; building one generates its data and
+// computes its oracle. A bare invocation runs them in cellOrder.
+var grid = map[string]func() cell{"policy": policyCell, "sched": schedCell, "stream": streamCell, "plan": planCell}
+var cellOrder = []string{"policy", "sched", "stream", "plan"}
 
 func main() {
-	args := os.Args[1:]
-	if len(args) == 0 {
-		args = all
+	names := os.Args[1:]
+	if len(names) == 0 {
+		names = cellOrder
 	}
-	for _, a := range args {
-		if err := run(a); err != nil {
-			fmt.Fprintf(os.Stderr, "hurricane-bench: %v\n", err)
-			os.Exit(1)
+	for _, name := range names {
+		if grid[name] == nil {
+			fmt.Fprintf(os.Stderr, "hurricane-bench: unknown cell %q (cells: %v)\n", name, cellOrder)
+			os.Exit(2)
 		}
-		fmt.Println()
 	}
+	status := 0
+	for _, name := range names {
+		if err := report(os.Stdout, name, grid[name]()); err != nil {
+			fmt.Fprintf(os.Stderr, "hurricane-bench: %s: %v\n", name, err)
+			status = 1
+		}
+	}
+	os.Exit(status)
 }
 
-func run(name string) error {
-	switch name {
-	case "table1":
-		fmt.Print(experiments.FormatTable1(experiments.Table1()))
-	case "table2":
-		fmt.Print(experiments.FormatTable2(experiments.Table2()))
-	case "table3":
-		fmt.Print(experiments.FormatTable3(experiments.Table3()))
-	case "table4":
-		fmt.Print(experiments.FormatTable4(experiments.Table4()))
-	case "fig5":
-		fmt.Print(experiments.FormatFigure5(experiments.Figure5()))
-	case "fig6":
-		fmt.Print(experiments.FormatFigure6(experiments.Figure6()))
-	case "fig7", "fig8", "fig78":
-		fmt.Print(experiments.FormatFigures78(experiments.Figures78()))
-	case "fig9":
-		fmt.Print(experiments.FormatTimeline(
-			"Figure 9: ClickLog throughput over time (320GB, s=1, 32 machines)",
-			experiments.Figure9()))
-	case "fig10":
-		fmt.Print(experiments.FormatFigure10(experiments.Figure10()))
-	case "fig11":
-		fmt.Print(experiments.FormatTimeline(
-			"Figure 11: throughput with compute-node and master crashes (320GB, 32 machines)",
-			experiments.Figure11()))
-	case "fig12":
-		fmt.Print(experiments.FormatFigure12(experiments.Figure12()))
-	case "storage-scaling":
-		fmt.Print(experiments.FormatScaling(experiments.StorageScaling()))
-	case "utilization":
-		fmt.Print(experiments.FormatUtilization(experiments.BatchUtilization(32), 32))
-	default:
-		if bench := engineBenches[name]; bench != nil {
-			return bench()
+// report runs a cell and prints one line per arm.
+func report(w io.Writer, name string, c cell) error {
+	fmt.Fprintf(w, "%s: %s; ratios to %s\n", name, c.about, c.arms[len(c.arms)-1])
+	res, err := runCell(c)
+	if err != nil {
+		return err
+	}
+	base, _, _ := summarize(res[len(res)-1])
+	for a, rs := range res {
+		med, lo, hi := summarize(rs)
+		fmt.Fprintf(w, "  %-12s median %7.1f ms [%7.1f, %7.1f]  %5.2fx  clones %3d  splits %2d  isolations %2d",
+			c.arms[a], med.ms, lo, hi, med.ms/base.ms, med.st.Clones, med.st.Splits, med.st.Isolations)
+		if c.own != "" {
+			fmt.Fprintf(w, "  %s %d", c.own, med.own)
 		}
-		return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(validExperiments(), " "))
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-// engineBenches dispatches the real-engine benchmarks (everything that is
-// not a simulator experiment). One map feeds both dispatch and the
-// valid-name listing, so the two cannot drift.
-var engineBenches = map[string]func() error{
-	"engine-clicklog": engineClickLog,
-	"sched":           schedBench,
-	"stream":          streamBench,
-	"plan":            planBench,
-}
-
-// validExperiments lists every runnable experiment name for error
-// messages and usage output (fig7/fig8 are accepted aliases of fig78).
-func validExperiments() []string {
-	out := append(append([]string{}, all...), "fig7", "fig8")
-	for name := range engineBenches {
-		out = append(out, name)
-	}
-	sort.Strings(out[len(all)+2:])
-	return out
-}
-
-// engineClickLog runs the skewed ClickLog job on the real embedded engine
-// and verifies the distinct-per-region counts against ground truth.
-func engineClickLog() error {
-	const regions, hostBits, records = 16, 12, 50000
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		StorageNodes: 4, ComputeNodes: 4, SlotsPerNode: 2,
-		ChunkSize: 32 << 10,
-		Master:    core.MasterConfig{CloneInterval: 50 * time.Millisecond},
-		Node: core.NodeConfig{
-			MonitorInterval:   25 * time.Millisecond,
-			OverloadThreshold: 0.5,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Shutdown()
-
-	gen := workload.ClickLogGen{S: 1.0, Regions: regions, UniquePerRegion: 1 << hostBits, Seed: 42}
-	ips := gen.Generate(records)
-	want := workload.DistinctPerRegion(ips, regions)
-	if err := apps.LoadClickLog(ctx, cluster.Store(), ips); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := cluster.Run(ctx, apps.ClickLogApp(regions, hostBits, false)); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	got, err := apps.ClickLogCounts(ctx, cluster.Store(), regions)
-	if err != nil {
-		return err
-	}
-	bad := 0
-	for r := range want {
-		if got[r] != want[r] {
-			bad++
-			fmt.Printf("engine-clicklog: region %d: got %d want %d\n", r, got[r], want[r])
+// runCell runs every arm of c repeats times and checks every repeat
+// against c.want. Repeat r runs the arms in their order rotated left by r,
+// so no arm always runs first or last. Results come back in arm order.
+func runCell(c cell) ([][]result, error) {
+	res := make([][]result, len(c.arms))
+	for r := 0; r < repeats; r++ {
+		for i := range c.arms {
+			a := (i + r) % len(c.arms)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+			out, err := c.run(ctx, c.arms[a])
+			cancel()
+			if err == nil {
+				err = check(out.out, c.want)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s, repeat %d: %w", c.arms[a], r+1, err)
+			}
+			res[a] = append(res[a], out)
 		}
 	}
-	fmt.Printf("engine-clicklog: %d records, %d regions, %v, stats %+v\n",
-		records, regions, elapsed.Round(time.Millisecond), cluster.Master().Stats())
-	if bad > 0 {
-		return fmt.Errorf("engine-clicklog: %d/%d regions wrong", bad, regions)
+	return res, nil
+}
+
+// summarize returns the median repeat of rs by timed quantity (the upper
+// median of an even count) and the least and greatest timed quantity.
+func summarize(rs []result) (med result, lo, hi float64) {
+	sorted := slices.Clone(rs)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].ms < sorted[j].ms })
+	return sorted[len(sorted)/2], sorted[0].ms, sorted[len(sorted)-1].ms
+}
+
+// check compares a repeat's output with the oracle, table by table and key
+// by key, and names a difference if there is one.
+func check(got, want counts) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("oracle miss: %d tables, want %d", len(got), len(want))
 	}
-	fmt.Println("engine-clicklog: all region counts verified")
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("oracle miss: table %d: %d keys, want %d", i, len(got[i]), len(want[i]))
+		}
+		for k, n := range want[i] {
+			if got[i][k] != n {
+				return fmt.Errorf("oracle miss: table %d key %d: %d, want %d", i, k, got[i][k], n)
+			}
+		}
+	}
 	return nil
 }

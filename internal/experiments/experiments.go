@@ -3,8 +3,9 @@
 // everything here is SIMULATED (internal/sim + internal/baseline) — not an
 // engine measurement. Each function returns structured rows; Format*
 // helpers render them in the layout the paper reports, under a first line
-// that says so. cmd/hurricane-bench is the one entry point that prints
-// them; what the engine itself does is measured by benchmark/.
+// that says so. No command prints them; only this package's tests run
+// them. What the engine itself does is measured by benchmark/ and
+// cmd/hurricane-bench.
 package experiments
 
 import (

@@ -8,7 +8,7 @@ import (
 
 // The profiler decomposes every task worker's lifetime into a small fixed
 // set of phases. Phase names are part of the JSON surface
-// (/debug/profile, BENCH_*.json) and of EXPLAIN ANALYZE output.
+// (/debug/profile) and of EXPLAIN ANALYZE output.
 const (
 	// PhaseQueue: blueprint published by the master until a compute node
 	// started the worker (wake → claim, plus waiting for a free slot and
@@ -341,42 +341,6 @@ func stageDepths(byStage map[string][]*TaskSpans, deps map[string][]string) map[
 		walk(spec, 0)
 	}
 	return depth
-}
-
-// Summary is the compact, human-scale digest of a Profile that
-// hurricane-bench embeds into BENCH_*.json documents.
-type Summary struct {
-	Job    string  `json:"job"`
-	WallMS float64 `json:"wall_ms"`
-	// CriticalMS is the critical path's phase-total; CriticalPath names
-	// its stages upstream-first.
-	CriticalMS   float64  `json:"critical_ms"`
-	CriticalPath []string `json:"critical_path"`
-	// PhaseMS breaks the critical path down per phase, in milliseconds.
-	PhaseMS map[string]float64 `json:"phase_ms"`
-}
-
-// Summarize reduces the profile to its benchmark digest.
-func (p *Profile) Summarize() Summary {
-	if p == nil {
-		return Summary{}
-	}
-	s := Summary{
-		Job:        p.Job,
-		WallMS:     float64(p.WallNS) / 1e6,
-		CriticalMS: float64(p.CriticalNS) / 1e6,
-		PhaseMS: map[string]float64{
-			PhaseQueue:    float64(p.CriticalBy.QueueNS) / 1e6,
-			PhaseRead:     float64(p.CriticalBy.ReadNS) / 1e6,
-			PhaseCompute:  float64(p.CriticalBy.ComputeNS) / 1e6,
-			PhaseShuffle:  float64(p.CriticalBy.ShuffleNS) / 1e6,
-			PhaseFinalize: float64(p.CriticalBy.FinalizeNS) / 1e6,
-		},
-	}
-	for _, st := range p.Critical {
-		s.CriticalPath = append(s.CriticalPath, st.Task)
-	}
-	return s
 }
 
 // String renders the profile as a fixed-width report (one stage per

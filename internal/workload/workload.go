@@ -56,18 +56,6 @@ func Imbalance(w []float64) float64 {
 	return max / min
 }
 
-// LargestFraction returns the largest weight (the serial fraction in the
-// paper's Amdahl analysis).
-func LargestFraction(w []float64) float64 {
-	max := 0.0
-	for _, x := range w {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
 // AmdahlBestSlowdown computes the paper's best-case slowdown bound for a
 // cluster of n machines when the largest region (fraction f of the input)
 // cannot be split: speedup ≤ 1/(f + (1-f)/n), so slowdown ≥ n/speedup.
@@ -296,8 +284,8 @@ func SeqRelation(keys int, seed int64) []Tuple {
 }
 
 // ZipfTuples generates n tuples whose keys follow zipf(s) over a keys-
-// sized domain — the dataset-generation glue shared by the benchmark
-// subcommands and the hurricane-run jobs.
+// sized domain — the dataset-generation glue shared by the comparison
+// grid (cmd/hurricane-bench) and the hurricane-run jobs.
 func ZipfTuples(n, keys int, s float64, seed int64) []Tuple {
 	g := RelationGen{Keys: keys, S: s, Seed: seed}
 	return g.Generate(n)
