@@ -62,11 +62,11 @@ type edgeState struct {
 
 // TestWritersAgreeAcrossAPIs: a producer's choice of API must be invisible
 // on the edge it feeds. The same Zipf stream goes through
-// PartitionedWriter.Write (byte keys), WriteBatch (uint64 keys), an
-// irregular mix of the two, and the scan stage of a compiled q plan; every
-// run must leave the same records in the same physical partitions and the
-// same statistics for the master — exact per-leaf counts, every count-min
-// cell, and the heavy-key list, entry for entry.
+// PartitionedWriter.Write (byte keys), WriteBatch (uint64 keys and byte
+// keys), an irregular mix of the two, and the scan stage of a compiled q
+// plan; every run must leave the same records in the same physical
+// partitions and the same statistics for the master — exact per-leaf
+// counts, every count-min cell, and the heavy-key list, entry for entry.
 func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	const edge, parts, n = "agree.e1", 4, 30000
 	gen := workload.RelationGen{Keys: 4096, S: 1.3, Seed: 29}
@@ -111,6 +111,9 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		}),
 		"WriteBatch": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
 			return hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec, key).WriteBatch(vec)
+		}),
+		"WriteBatch bytes": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
+			return hurricane.NewPartitionedWriter(tc, 0, tupleCodec, hurricane.Uint64Key(key)).WriteBatch(vec)
 		}),
 		"mixed": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
 			pw := hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec, key)

@@ -91,7 +91,7 @@ func (m *Master) adoptPublishedMaps() error {
 		edge, adopted := m.edges[name], false
 		_, err := m.store.Scanner(shuffle.PMapBag(name)).Drain(m.ctx, func(c chunk.Chunk) error {
 			pm, err := shuffle.DecodePartitionMap(c)
-			if err != nil || pm.Bag != name {
+			if err != nil || pm.Bag != name || pm.Base != edge.spec.Partitions {
 				return nil // tolerate foreign records in the control bag
 			}
 			m.mu.Lock()

@@ -182,3 +182,44 @@ func BenchmarkRouteUint64(b *testing.B) {
 		w.PartitionBatchUint64(keys[lo : lo+4096])
 	}
 }
+
+// BenchmarkScatterWriteBatch is a batch producer's write side on the same
+// stream, in ns/rec: route, count and group each block of 4,096 benchmark
+// tuples (uint64 key, fixed-width payload) in one pass, then encode each
+// leaf's rows and hand the chunks to the in-process store. The edge's bags
+// are dropped, untimed, after every pass over the stream.
+func BenchmarkScatterWriteBatch(b *testing.B) {
+	ctx := context.Background()
+	st := newTestStore(b, 1, 0)
+	keys := routeBenchKeys()
+	ts := make([]tuple, len(keys))
+	for i, k := range keys {
+		ts[i] = tuple{First: k, Second: uint64(i)}
+	}
+	var s *Scatter[tuple]
+	open := func() {
+		s = NewScatter(NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"}), tupleCodec, nil)
+		s.KeyUint64(func(v tuple) uint64 { return v.First })
+	}
+	open()
+	recs := 0
+	b.ResetTimer()
+	for ; recs < b.N; recs += 4096 {
+		lo := recs % len(ts)
+		if recs > 0 && lo == 0 {
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.DeletePrefix(ctx, "e."); err != nil {
+				b.Fatal(err)
+			}
+			open()
+			b.StartTimer()
+		}
+		if err := s.WriteBatch(ts[lo : lo+4096]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/rec")
+}

@@ -181,14 +181,19 @@ func TestPublishedMapAdoptedWithinOneGate(t *testing.T) {
 		if v := w.Map().Version; v != 3 {
 			t.Fatalf("one gate and one batch after the publish the writer holds version %d, want 3", v)
 		}
-		// A late publish of an older map changes nothing.
-		if err := Publish(ctx, st, seed); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(gate)
-		f.writeBatch(t)
-		if v := w.Map().Version; v != 3 {
-			t.Fatalf("writer went back to version %d", v)
+		// A late publish of an older map changes nothing, and nor does a
+		// newer one of another base: refinements never change Base.
+		rebased := next.Clone()
+		rebased.Version, rebased.Base = 4, 8
+		for _, pm := range []*PartitionMap{seed, rebased} {
+			if err := Publish(ctx, st, pm); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(gate)
+			f.writeBatch(t)
+			if v := w.Map().Version; v != 3 {
+				t.Fatalf("after a publish of version %d (base %d) the writer holds version %d, want 3", pm.Version, pm.Base, v)
+			}
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)

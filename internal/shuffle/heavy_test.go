@@ -253,8 +253,38 @@ func TestRouteAllocsPerRecord(t *testing.T) {
 		t.Errorf("RouteKey allocates %.0f times per %d records", a, block)
 	}
 
-	for edge, w := range map[string]*Writer{"batch": wb, "row": wr} {
-		if err := w.Close(); err != nil {
+	// Scatter.WriteBatch routes, counts, groups and encodes; its chunk size
+	// keeps every leaf's rows in the open chunk, so no insert is measured.
+	tuples := make([]tuple, warm+101*block)
+	for i := range tuples {
+		tuples[i] = tuple{First: keys[i], Second: uint64(i)}
+	}
+	writers, closers := map[string]*Writer{"batch": wb, "row": wr}, map[string]func() error{"batch": wb.Close, "row": wr.Close}
+	for _, kind := range []string{"words", "bytes"} {
+		edge := "scatter-" + kind
+		w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 1<<26), Edge: edge, Parts: 4,
+			WriterID: "w0", StatsInterval: time.Hour, Obs: o, Job: "j"})
+		s := NewScatter(w, tupleCodec, func(v tuple) []byte { binary.LittleEndian.PutUint64(kb[:], v.First); return kb[:] })
+		if kind == "words" {
+			s.KeyUint64(func(v tuple) uint64 { return v.First })
+		}
+		writers[edge], closers[edge] = w, s.Close
+		at := warm
+		if err := s.WriteBatch(tuples[:at]); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if err := s.WriteBatch(tuples[at : at+block]); err != nil {
+				t.Fatal(err)
+			}
+			at += block
+		}); a != 0 {
+			t.Errorf("Scatter.WriteBatch, %s keys, allocates %.0f times per %d records", kind, a, block)
+		}
+	}
+
+	for edge, w := range writers {
+		if err := closers[edge](); err != nil {
 			t.Fatal(err)
 		}
 		feeds := o.Counter("hurricane_shuffle_sketch_feeds_total", "job", "j", "edge", edge).Value()

@@ -6,12 +6,12 @@ import (
 )
 
 // Routing and exact key counting: the per-record half of a Writer. Every
-// record of every write API takes the same steps here: hash the key once,
-// route by the shape the current map was adopted with, and count the key in
-// an exact table. The table covers one stretch of the stream at a time, and
-// the stretches end at points set by the record stream alone — so one
-// stream leaves one sketch and one heavy-key list however it was cut into
-// calls.
+// record of every write API takes one step here (step): tick when a stretch
+// is due, route by the shape the current map was adopted with, and count
+// the key — hashed once by the caller — in an exact table. The table covers
+// one stretch of the stream at a time, and the stretches end at points set
+// by the record stream alone — so one stream leaves one sketch and one
+// heavy-key list however it was cut into calls.
 //
 // What the statistics cost is what the heavy keys cost. Every record is
 // counted exactly in the stretch table, and that is all a light key ever
@@ -43,77 +43,63 @@ func (w *Writer) adopt(pm *PartitionMap) {
 	}
 }
 
-// routePlain is the routing decision under a plain map, and ok false under
-// any other: then routeRefined decides. Two steps because the first, free
-// of calls, inlines into the routing loops.
-func (w *Writer) routePlain(hash uint64) (ref RouteRef, ok bool) {
+// step is the per-record path, whole: tick when a stretch is due, route,
+// count, advance — for every record of every write API (WriteBatch's loop
+// inlines its common case). hash is KeyHash of the key's bytes. A uint64 key
+// passes key nil, its word as key8 and klen 8: its bytes materialize only
+// under a refined map, and at a drain for the keys it feeds.
+func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
+	if w.n%tickEvery == 0 {
+		w.tick()
+	}
+	ref := RouteRef{Iso: -1, Part: w.routePlain(hash), Sub: -1}
 	if !w.plain {
-		return ref, false
+		if len(key) != int(klen) { // a uint64 key
+			binary.LittleEndian.PutUint64(w.kb[:], key8)
+			key = w.kb[:]
+		}
+		ref = w.pm.routeRefHashed(key, hash, int(w.n)) // the ordinal spreads an isolated key
 	}
-	if w.mask != 0 {
-		return RouteRef{Iso: -1, Part: int(hash & w.mask), Sub: -1}, true
+	if !w.countHit(key8, klen, hash) {
+		w.countKey(key, key8, klen, hash)
 	}
-	return RouteRef{Iso: -1, Part: int(hash % w.base), Sub: -1}, true
+	w.n++
+	return ref
 }
 
-// routeRefined routes under a refined map, the only case that reads the
-// key. The record's ordinal spreads an isolated key's records round-robin,
-// so placement depends on the stream alone.
-func (w *Writer) routeRefined(key []byte, hash uint64) RouteRef {
-	return w.pm.routeRefHashed(key, hash, int(w.n))
+// routePlain is a key's base partition under a plain map.
+func (w *Writer) routePlain(hash uint64) int {
+	if w.mask != 0 {
+		return int(hash & w.mask)
+	}
+	return int(hash % w.base)
 }
 
 // RouteKey routes and counts one record by its key bytes. The record is the
 // caller's to place: hand its chunk, in time, to InsertBatchChunk under the
 // returned ref.
 func (w *Writer) RouteKey(key []byte) RouteRef {
-	if w.n%tickEvery == 0 {
-		w.tick()
-	}
-	hash := KeyHash(key)
-	ref, ok := w.routePlain(hash)
-	if !ok {
-		ref = w.routeRefined(key, hash)
-	}
-	w.countKey(key, slotKey8(key), int32(len(key)), hash)
-	w.n++
-	return ref
+	return w.step(key, slotKey8(key), int32(len(key)), KeyHash(key))
 }
 
-// PartitionBatchUint64 is RouteKey over a batch of uint64 keys, identified
-// by their 8-byte little-endian encoding (the Uint64Key convention); the
-// returned routing vector is reused by the next call. Routing
-// and counting work on the words directly — KeyHashUint64 agrees with
-// KeyHash over the encoding, so the placement is RouteKey's — and key bytes
-// materialize only under a refined map, and at a drain for the keys it
-// feeds. This loop is the uint64 routing path: RouteUint64 is one turn of
-// it.
+// RouteUint64 is RouteKey for a uint64 key, identified by its 8-byte
+// little-endian encoding (the Uint64Key convention): KeyHashUint64 agrees
+// with KeyHash over the encoding, so the placement is RouteKey's.
+func (w *Writer) RouteUint64(v uint64) RouteRef {
+	return w.step(nil, v, 8, KeyHashUint64(v))
+}
+
+// PartitionBatchUint64 is RouteUint64 over a batch of keys; the returned
+// routing vector is reused by the next call.
 func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	if cap(w.refs) < len(keys) {
 		w.refs = make([]RouteRef, len(keys))
 	}
 	refs := w.refs[:len(keys)]
 	for i, v := range keys {
-		if w.n%tickEvery == 0 {
-			w.tick()
-		}
-		hash := KeyHashUint64(v)
-		ref, ok := w.routePlain(hash)
-		if !ok {
-			binary.LittleEndian.PutUint64(w.kb[:], v)
-			ref = w.routeRefined(w.kb[:], hash)
-		}
-		refs[i] = ref
-		w.countKey(nil, v, 8, hash)
-		w.n++
+		refs[i] = w.step(nil, v, 8, KeyHashUint64(v))
 	}
 	return refs
-}
-
-// RouteUint64 is RouteKey for a uint64 key.
-func (w *Writer) RouteUint64(v uint64) RouteRef {
-	w.one[0] = v
-	return w.PartitionBatchUint64(w.one[:])[0]
 }
 
 // countTabSlots sizes the count table. Power of two; a stretch claims at
@@ -149,16 +135,32 @@ func slotKey8(key []byte) uint64 {
 	return v
 }
 
+// countHit counts a record at the first slot its hash probes — holding its
+// key, or free and claimed for it — or reports false, having done nothing,
+// and countKey probes on. Hits and claims alternate unpredictably (a third
+// of a Zipf(1.3) stretch are first sightings), so it takes either without a
+// branch; it makes no call, so it inlines into step and WriteBatch.
+func (w *Writer) countHit(key8 uint64, klen int32, hash uint64) bool {
+	s := &w.tab[hash&(countTabSlots-1)]
+	if klen > 8 || w.nlive == len(w.live) || min(uint64(s.n), s.key8^key8|uint64(uint32(s.klen^klen))) != 0 {
+		return false
+	}
+	w.live[w.nlive] = int32(hash & (countTabSlots - 1))
+	w.nlive += 1 - int(min(s.n, 1)) // a claim keeps the entry
+	s.key8, s.klen = key8, klen
+	s.n++
+	return true
+}
+
 // countKey adds one record to its key's exact count for the current
-// stretch; hash, the routing hash, places the key in the table. key8 and
-// klen identify a key of at most 8 bytes completely, and such a key's bytes
-// are not read here (a uint64 key passes key nil, klen 8): they are rebuilt
-// from the slot at a drain, for the few keys the drain feeds.
+// stretch where countHit cannot: past other keys' slots, for a long key, on
+// a full table. A short key's bytes are not read here; a drain rebuilds
+// them from the slot for the few keys it feeds.
 func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
 	for i := hash & (countTabSlots - 1); ; i = (i + 1) & (countTabSlots - 1) {
 		s := &w.tab[i]
 		if s.n == 0 {
-			if len(w.live) >= countTabSlots/2 {
+			if w.nlive == len(w.live) {
 				// High key cardinality: close the stretch early and reuse
 				// the table. Only a claim gets here, so a full table of
 				// repeating keys counts on to the tick.
@@ -173,7 +175,8 @@ func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
 				}
 				w.long[i] = append(w.long[i][:0], key...)
 			}
-			w.live = append(w.live, int32(i))
+			w.live[w.nlive] = int32(i)
+			w.nlive++
 			return
 		}
 		if s.key8 == key8 && s.klen == klen && (klen <= 8 || bytes.Equal(w.long[i], key)) {
@@ -201,7 +204,7 @@ func (w *Writer) slotKey(i int32, s *countSlot) []byte {
 func (w *Writer) drainCounts() {
 	m := w.n - w.drained
 	w.drained = w.n
-	for _, i := range w.live {
+	for _, i := range w.live[:w.nlive] {
 		s := &w.tab[i]
 		if n := uint64(s.n); n*stretchFeedFraction >= m {
 			key := w.slotKey(i, s)
@@ -210,5 +213,5 @@ func (w *Writer) drainCounts() {
 		}
 		s.n = 0
 	}
-	w.live = w.live[:0]
+	w.nlive = 0
 }

@@ -3,8 +3,7 @@ package shuffle
 import "repro/internal/chunk"
 
 // scatterBlock is how many records of a WriteBatch are routed and grouped
-// at a time: the routing vector, key words and per-leaf index lists stay a
-// few tens of KB however large the caller's batch.
+// at a time: the per-leaf index lists stay 16 KB however large the batch.
 const scatterBlock = 4096
 
 // A Scatter is the one path from typed records to the leaf bags of a
@@ -32,9 +31,7 @@ type Scatter[T any] struct {
 	base  []*scatterLeaf[T]
 	other map[RouteRef]*scatterLeaf[T]
 
-	words   []uint64          // WriteBatch scratch: a block's key words,
-	refs    []RouteRef        // or its routing vector under byte keys
-	touched []*scatterLeaf[T] // leaves the current block has rows for
+	touched []*scatterLeaf[T] // leaves the current WriteBatch block has rows for
 }
 
 // scatterLeaf is one leaf's encoder and, during a WriteBatch block, the
@@ -67,27 +64,30 @@ func (s *Scatter[T]) Write(v T) error {
 }
 
 // WriteBatch routes vs and appends each leaf's rows, in stream order, with
-// one AppendRows per leaf per block.
+// one AppendRows per leaf per block. A block is routed, counted and grouped
+// in one pass: each record takes the writer's step, so a map adopted at a
+// tick inside a block routes the next record, and its index goes to its leaf.
 func (s *Scatter[T]) WriteBatch(vs []T) error {
+	w := s.w
 	for len(vs) > 0 {
 		blk := vs[:min(len(vs), scatterBlock)]
 		vs = vs[len(blk):]
-		var refs []RouteRef
-		if s.keyU64 != nil {
-			words := append(s.words[:0], make([]uint64, len(blk))...)
-			for i := range words {
-				words[i] = s.keyU64(blk[i])
+		for i := range blk {
+			key, key8, klen, hash := []byte(nil), uint64(0), int32(8), uint64(0)
+			if s.keyU64 != nil {
+				key8 = s.keyU64(blk[i])
+				hash = KeyHashUint64(key8)
+			} else {
+				key = s.key(blk[i])
+				key8, klen, hash = slotKey8(key), int32(len(key)), KeyHash(key)
 			}
-			s.words = words
-			refs = s.w.PartitionBatchUint64(words)
-		} else {
-			refs = append(s.refs[:0], make([]RouteRef, len(blk))...)
-			for i := range refs {
-				refs[i] = s.w.RouteKey(s.key(blk[i]))
+			ref := RouteRef{Iso: -1, Sub: -1}
+			if w.plain && w.n%tickEvery != 0 && w.countHit(key8, klen, hash) {
+				ref.Part = w.routePlain(hash) // step's common case, without a call
+				w.n++
+			} else {
+				ref = w.step(key, key8, klen, hash)
 			}
-			s.refs = refs
-		}
-		for i, ref := range refs {
 			var l *scatterLeaf[T]
 			if ref.Iso < 0 && ref.Sub < 0 && ref.Part < len(s.base) {
 				l = s.base[ref.Part] // the common case, without a call

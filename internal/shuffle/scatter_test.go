@@ -1,13 +1,19 @@
 package shuffle
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/sketch"
+	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 type tuple = chunk.Pair[uint64, uint64]
@@ -129,5 +135,126 @@ func TestScatterHoldsChunkSize(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// publishAt publishes pm on the edge's home slot just before the writer's
+// nth control exchange.
+type publishAt struct {
+	transport.Client
+	st        *bag.Store
+	pm        *PartitionMap
+	nth, seen int
+}
+
+func (c *publishAt) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpSketch && req.Dst != "" {
+		if c.seen++; c.seen == c.nth {
+			if err := c.st.PublishSketchMap(ctx, c.pm.Bag, c.pm.Version, c.pm.Encode()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return c.Client.Call(ctx, node, req)
+}
+
+// TestMapAdoptedInsideBlock: a map adopted at a tick inside a WriteBatch
+// block routes the block's next record. A writer that exchanges at every
+// tick is handed a map with a split and a spread isolation at its third
+// exchange, record 2,048 of the first 4,096-record block. Each record must
+// land where the map in force at its ordinal sends it, and WriteBatch must
+// leave what Write leaves over the same stream — the same records per leaf
+// in order, leaf counts, count-min cells and heavy list — for either key
+// kind.
+func TestMapAdoptedInsideBlock(t *testing.T) {
+	const hot, adoptAt = 7, 2 * tickEvery
+	base := BaseMap("e", 4)
+	refined := base.Clone()
+	refined.Version = 2
+	refined.Splits = map[int]int{int(KeyHashUint64(3) % 4): 3}
+	refined.Isolated = []Isolation{{Hash: KeyHashUint64(hot), Fan: 2, Key: key(hot)}}
+	stream := make([]tuple, 3*scatterBlock)
+	for i := range stream {
+		k := uint64(i % 61)
+		if i%3 == 0 {
+			k = hot
+		}
+		stream[i] = tuple{First: k, Second: uint64(i)}
+	}
+	type edge struct {
+		parts map[string][]tuple
+		stats *sketch.EdgeStats
+	}
+	run := func(t *testing.T, words, batch bool) edge {
+		ctx := context.Background()
+		tr := transport.NewInProc()
+		tr.Register("s0", storage.NewNode("s0"))
+		c := &publishAt{Client: tr, pm: refined, nth: 3}
+		st, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: c, ChunkSize: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.st = st
+		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", StatsInterval: time.Nanosecond})
+		s := NewScatter(w, tupleCodec, tupleKey)
+		if words {
+			s.KeyUint64(func(v tuple) uint64 { return v.First })
+		}
+		if batch {
+			err = s.WriteBatch(stream)
+		} else {
+			for _, v := range stream {
+				if err = s.Write(v); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := edge{parts: make(map[string][]tuple)}
+		for leaf, cs := range leafChunks(t, st, refined) {
+			if out.parts[leaf], err = chunk.NewSliceIterator(tupleCodec, cs).Collect(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out.stats, err = st.FetchSketch(ctx, "e"); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, words := range []bool{true, false} {
+		t.Run(map[bool]string{true: "uint64", false: "bytes"}[words], func(t *testing.T) {
+			want, got := run(t, words, false), run(t, words, true)
+			for leaf, recs := range got.parts {
+				for _, v := range recs {
+					pm := base
+					if v.Second >= adoptAt {
+						pm = refined
+					}
+					if at := pm.Route(key(v.First), int(v.Second)); at != leaf {
+						t.Fatalf("record %d (key %d) is in %s; the map in force at it says %s", v.Second, v.First, leaf, at)
+					}
+				}
+			}
+			if len(got.parts["e.h0.s1"]) == 0 || len(got.parts) != len(refined.Leaves()) {
+				t.Fatalf("records in %d of the refined map's %d leaves", len(got.parts), len(refined.Leaves()))
+			}
+			if fmt.Sprint(got.parts) != fmt.Sprint(want.parts) {
+				t.Error("WriteBatch left other records, or another order, than Write")
+			}
+			if fmt.Sprint(got.stats.Counts) != fmt.Sprint(want.stats.Counts) {
+				t.Errorf("leaf counts %v, Write left %v", got.stats.Counts, want.stats.Counts)
+			}
+			if !bytes.Equal(got.stats.CM.Encode(), want.stats.CM.Encode()) {
+				t.Error("count-min cells differ from Write's")
+			}
+			if fmt.Sprint(got.stats.Heavy) != fmt.Sprint(want.stats.Heavy) {
+				t.Errorf("heavy keys %v, Write left %v", got.stats.Heavy, want.stats.Heavy)
+			}
+		})
 	}
 }

@@ -254,10 +254,7 @@ func (pm *PartitionMap) routeRefHashed(key []byte, hash uint64, rr int) RouteRef
 			if iso.Fan <= 1 {
 				return RouteRef{Iso: i, Part: 0, Sub: -1}
 			}
-			if rr < 0 {
-				rr = -rr
-			}
-			return RouteRef{Iso: i, Part: rr % iso.Fan, Sub: -1}
+			return RouteRef{Iso: i, Part: int(uint(rr) % uint(iso.Fan)), Sub: -1}
 		}
 	}
 	p := int(hash % uint64(pm.Base))
@@ -338,14 +335,24 @@ func (pm *PartitionMap) Encode() []byte {
 	return data
 }
 
-// DecodePartitionMap parses an encoded partition map.
+const maxLeaves = 1 << 12 // far more consumer workers than an edge has
+
+// DecodePartitionMap parses an encoded partition map, refusing one of more
+// than maxLeaves leaves: a corrupt record must not make its reader list more.
 func DecodePartitionMap(data []byte) (*PartitionMap, error) {
 	var pm PartitionMap
 	if err := json.Unmarshal(data, &pm); err != nil {
 		return nil, fmt.Errorf("shuffle: bad partition map record: %w", err)
 	}
-	if pm.Base < 1 {
-		return nil, fmt.Errorf("shuffle: partition map with base %d", pm.Base)
+	n := min(pm.Base, maxLeaves+1) // at least len(pm.Leaves()), without listing them
+	for _, fan := range pm.Splits {
+		n += min(max(fan, 0), maxLeaves+1)
+	}
+	for _, iso := range pm.Isolated {
+		n += min(max(iso.Fan, 1), maxLeaves+1)
+	}
+	if pm.Base < 1 || n > maxLeaves {
+		return nil, fmt.Errorf("shuffle: partition map with base %d and %d leaves or more", pm.Base, n)
 	}
 	return &pm, nil
 }

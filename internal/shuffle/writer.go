@@ -124,11 +124,11 @@ type Writer struct {
 
 	// Routing scratch (route.go): the routing vector of the last
 	// PartitionBatchUint64 and the exact key count table between drains.
-	refs []RouteRef
-	one  [1]uint64 // RouteUint64's one-key batch
-	tab  [countTabSlots]countSlot
-	long [][]byte // per tab slot, the bytes of a key longer than 8; nil until one is counted
-	live []int32  // occupied tab slots, for drain + reset
+	refs  []RouteRef
+	tab   [countTabSlots]countSlot
+	long  [][]byte                 // per tab slot, the bytes of a key longer than 8; nil until one is counted
+	live  [countTabSlots / 2]int32 // occupied tab slots in claim order, for drain + reset
+	nlive int                      // of live, the slots claimed this stretch
 
 	flushNS int64 // see timed
 }
@@ -288,8 +288,8 @@ func (w *Writer) exchange() {
 		return
 	}
 	pm, err := DecodePartitionMap(newer)
-	if err != nil || pm.Bag != w.cfg.Edge || pm.Version <= w.pm.Version {
-		return // ignore foreign/corrupt/stale maps
+	if err != nil || pm.Bag != w.cfg.Edge || pm.Base != w.pm.Base || pm.Version <= w.pm.Version {
+		return // ignore foreign/corrupt/stale maps: refinements never change Base
 	}
 	w.adopt(pm)
 	w.cfg.Obs.Emit(obs.EvMapRevision, w.cfg.Job, w.cfg.Edge,
