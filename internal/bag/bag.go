@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -311,13 +310,31 @@ func (s *Store) broadcastSlotReply(ctx context.Context, slot int, req *transport
 }
 
 // permFor returns the bag's pseudorandom cyclic permutation of logical
-// slots, deterministically derived from the bag name so that all clients
-// agree on it.
+// slots, a pure function of the bag name and the slot count so that all
+// clients agree on it. Every handle and every sketch exchange derives it,
+// so it costs one hash and the returned slice: a Fisher–Yates shuffle
+// driven by splitmix64 steps from the name's FNV-1a hash.
 func (s *Store) permFor(name string) []int {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return rng.Perm(s.NumSlots())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	perm := make([]int, s.NumSlots())
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		h += 0x9e3779b97f4a7c15
+		z := (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		j := (z ^ z>>31) % uint64(i+1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
 }
 
 // Bag returns a handle to the named bag. Handles are cheap; any number may

@@ -2,8 +2,13 @@ package bag
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,7 +18,7 @@ import (
 	"repro/internal/transport"
 )
 
-func newCluster(t *testing.T, m int) (*Store, *transport.InProc, []*storage.Node) {
+func newCluster(t testing.TB, m int) (*Store, *transport.InProc, []*storage.Node) {
 	t.Helper()
 	tr := transport.NewInProc()
 	names := make([]string, m)
@@ -331,7 +336,7 @@ func TestScannerIncremental(t *testing.T) {
 }
 
 func TestInserterPipelined(t *testing.T) {
-	st, _, _ := newCluster(t, 4)
+	st, tr, nodes := newCluster(t, 4)
 	ctx := context.Background()
 	b := st.Bag("data")
 	ins := b.Inserter(ctx)
@@ -351,6 +356,43 @@ func TestInserterPipelined(t *testing.T) {
 	if stats.TotalChunks != n {
 		t.Fatalf("inserted %d chunks, want %d", stats.TotalChunks, n)
 	}
+
+	// One node down: inserts to it fail in the background while those to
+	// the others are held in flight. An insert is accepted before its
+	// call fails, so the first error comes back from a later Insert, and
+	// again from Close, which returns only once no insert is in flight.
+	fl := countInFlight(tr, nodes, 5*time.Millisecond)
+	tr.Crash("s0")
+	down := st.Bag("down").Inserter(ctx)
+	var insertErr error
+	for i := 0; insertErr == nil; i++ {
+		if i == 1000 {
+			t.Fatal("no Insert reported the down node")
+		}
+		insertErr = down.Insert([]byte{byte(i)})
+	}
+	if !errors.Is(insertErr, transport.ErrNodeDown) {
+		t.Fatalf("Insert = %v, want the node-down error", insertErr)
+	}
+	if err := down.Close(); err != insertErr {
+		t.Fatalf("Close = %v, want the first error %v", err, insertErr)
+	}
+	if n := fl.now.Load(); n != 0 {
+		t.Fatalf("%d inserts still in flight after Close", n)
+	}
+	for deadline := time.Now().Add(time.Second); inserterGoroutines() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d insert goroutines outlived Close", inserterGoroutines())
+		}
+	}
+}
+
+// inserterGoroutines counts the goroutines running an Inserter's RPC.
+// One that has called wg.Done is listed until it returns, which is why
+// callers poll it.
+func inserterGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "bag.(*Inserter).Insert.func")
 }
 
 func TestRenameAdoptsData(t *testing.T) {
@@ -439,13 +481,19 @@ func TestAddNodeGrowsPlacement(t *testing.T) {
 }
 
 // TestPermDeterministicQuick: every client derives the same permutation
-// for a bag name, so placement needs no coordination.
+// for a bag name and slot count, so placement needs no coordination, and
+// an edge's sketch lives on the first slot of that permutation.
 func TestPermDeterministicQuick(t *testing.T) {
-	st, _, _ := newCluster(t, 8)
-	f := func(name string) bool {
+	stores := make([]*Store, 9)
+	for m := 1; m <= 8; m++ {
+		stores[m], _, _ = newCluster(t, m)
+	}
+	f := func(name string, slots uint8) bool {
+		m := int(slots%8) + 1
+		st := stores[m]
 		p1 := st.permFor(name)
-		p2 := st.permFor(name)
-		if len(p1) != 8 || len(p2) != 8 {
+		p2 := st.Bag(name).perm
+		if len(p1) != m || len(p2) != m || st.sketchSlot(name) != p2[0] {
 			return false
 		}
 		seen := map[int]bool{}
@@ -455,35 +503,131 @@ func TestPermDeterministicQuick(t *testing.T) {
 			}
 			seen[p1[i]] = true
 		}
-		return len(seen) == 8 // a true permutation
+		return len(seen) == m // a true permutation
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBatchFactorBoundsConcurrency(t *testing.T) {
-	// With latency injected, a consumer with batch factor b should issue
-	// roughly b concurrent requests; total call count stays sane.
-	st, tr, _ := newCluster(t, 4)
-	ctx := context.Background()
-	b := st.Bag("data")
-	const n = 40
-	for i := 0; i < n; i++ {
-		b.Insert(ctx, []byte{byte(i)})
+// TestPlacementGolden pins the permutation as a function of (name, slot
+// count). Every client and every storage deployment derives it
+// independently, so a change here is a change to where existing data is
+// looked for: make it deliberately, and update these rows with it.
+func TestPlacementGolden(t *testing.T) {
+	golden := []struct {
+		name string
+		m    int
+		perm []int
+	}{
+		{"input", 1, []int{0}},
+		{"input", 2, []int{1, 0}},
+		{"input", 4, []int{0, 3, 1, 2}},
+		{"input", 8, []int{7, 0, 3, 1, 2, 5, 4, 6}},
+		{"groupby!ready", 1, []int{0}},
+		{"groupby!ready", 2, []int{0, 1}},
+		{"groupby!ready", 4, []int{2, 3, 0, 1}},
+		{"groupby!ready", 8, []int{2, 6, 4, 3, 0, 5, 7, 1}},
+		{"pairs.p3", 1, []int{0}},
+		{"pairs.p3", 2, []int{0, 1}},
+		{"pairs.p3", 4, []int{3, 0, 2, 1}},
+		{"pairs.p3", 8, []int{3, 4, 1, 7, 6, 0, 2, 5}},
 	}
-	st.Seal(ctx, "data")
+	for _, g := range golden {
+		st, _, _ := newCluster(t, g.m)
+		if got := st.permFor(g.name); !slices.Equal(got, g.perm) {
+			t.Errorf("permFor(%q) over %d slots = %v, want %v", g.name, g.m, got, g.perm)
+		}
+	}
+}
+
+// TestBagHandleAllocs: a handle costs its permutation, its per-slot keys
+// and itself — no random source is seeded per handle or per exchange.
+func TestBagHandleAllocs(t *testing.T) {
+	st, _, _ := newCluster(t, 4)
+	if n := testing.AllocsPerRun(100, func() { st.permFor("pairs.p3") }); n != 1 {
+		t.Errorf("permFor allocates %v times, want 1 (the permutation)", n)
+	}
+	// perm, slot-key slice, four slot keys, the handle.
+	if n := testing.AllocsPerRun(100, func() { st.Bag("pairs.p3") }); n > 7 {
+		t.Errorf("Store.Bag allocates %v times over 4 slots, want at most 7", n)
+	}
+}
+
+func BenchmarkBagHandle(b *testing.B) {
+	st, _, _ := newCluster(b, 4)
+	b.ReportAllocs()
+	for b.Loop() {
+		st.Bag("pairs.p3")
+	}
+}
+
+// inFlight counts the calls storage handlers are serving, now and at most.
+type inFlight struct{ now, peak atomic.Int64 }
+
+// countInFlight re-registers every node of newCluster behind a handler
+// that holds each call for hold and counts it in flight meanwhile, across
+// all nodes.
+func countInFlight(tr *transport.InProc, nodes []*storage.Node, hold time.Duration) *inFlight {
+	fl := &inFlight{}
+	for i, node := range nodes {
+		tr.Register(fmt.Sprintf("s%d", i), transport.HandlerFunc(func(req *transport.Request) *transport.Response {
+			n := fl.now.Add(1)
+			defer fl.now.Add(-1)
+			for p := fl.peak.Load(); n > p && !fl.peak.CompareAndSwap(p, n); p = fl.peak.Load() {
+			}
+			time.Sleep(hold)
+			return node.Handle(req)
+		}))
+	}
+	return fl
+}
+
+// TestBatchFactorBoundsConcurrency: under latency, an Inserter and a
+// consumer each keep more than one request outstanding and never more
+// than the batch factor — here 4, on 8 nodes, so the bound is b, not m.
+func TestBatchFactorBoundsConcurrency(t *testing.T) {
+	st, tr, nodes := newCluster(t, 8)
+	ctx := context.Background()
 	tr.SetLatency(100 * time.Microsecond)
+	fl := countInFlight(tr, nodes, time.Millisecond)
+	bf := int64(st.BatchFactor())
+
+	const n = 40
+	ins := st.Bag("data").Inserter(ctx)
+	for i := 0; i < n; i++ {
+		if err := ins.Insert([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ins.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fl.peak.Load(); got <= 1 || got > bf {
+		t.Errorf("Inserter: %d inserts in flight at most, want 1 < n <= %d", got, bf)
+	}
+
+	if err := st.Seal(ctx, "data"); err != nil {
+		t.Fatal(err)
+	}
+	fl.peak.Store(0)
 	r := st.Bag("data")
 	defer r.CloseConsumer()
 	got := 0
 	for {
-		if _, err := r.Remove(ctx); err == ErrEmpty {
+		_, err := r.Remove(ctx)
+		if err == ErrEmpty {
 			break
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		got++
 	}
 	if got != n {
 		t.Fatalf("got %d chunks", got)
+	}
+	if got := fl.peak.Load(); got <= 1 || got > bf {
+		t.Errorf("consumer: %d removes in flight at most, want 1 < n <= %d", got, bf)
 	}
 }

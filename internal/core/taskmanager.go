@@ -501,19 +501,29 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 	}()
 }
 
+// monitorLoop heartbeats every bound job's master and reports overloaded
+// workers once per HeartbeatInterval, on one ticker and two slices it
+// reuses, so a tick creates no timer and, at a steady worker and job
+// count, no slice.
 func (n *ComputeNode) monitorLoop() {
 	defer n.wg.Done()
+	tick := time.NewTicker(n.cfg.HeartbeatInterval)
+	defer tick.Stop()
+	var snapshot []*workerEntry
+	var masters []masterAPI
 	for {
-		if !sleepCtx(n.ctx, n.cfg.HeartbeatInterval) {
+		select {
+		case <-tick.C:
+		case <-n.ctx.Done():
 			return
 		}
 		n.mu.Lock()
 		running := len(n.workers)
-		snapshot := make([]*workerEntry, 0, running)
+		snapshot = snapshot[:0]
 		for _, we := range n.workers {
 			snapshot = append(snapshot, we)
 		}
-		masters := make([]masterAPI, 0, len(n.bindings))
+		masters = masters[:0]
 		for _, b := range n.bindings {
 			masters = append(masters, b.getMaster())
 		}
@@ -532,6 +542,10 @@ func (n *ComputeNode) monitorLoop() {
 				we.b.getMaster().overload(n.name, we.w.bp, busy)
 			}
 		}
+		// Drop the references: a finished job's master and workers must
+		// not stay reachable from an idle node's scratch.
+		clear(snapshot)
+		clear(masters)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // interval, so a live run (and the watchdog layer on top, watch.go) can
 // see when an edge got hot, how fast a counter is moving, and whether a
 // gauge is drifting. Design constraints match the rest of obs: nil-safe
-// everywhere, bounded memory (fixed-capacity rings, a hard series cap),
+// everywhere, bounded memory (rings capped per series, a hard series cap),
 // and cheap — one sample is one Registry.Snapshot plus map/ring appends,
 // far off any hot path.
 
@@ -53,23 +53,29 @@ const (
 	maxSeries = 2048
 )
 
-// seriesRing is one series' bounded point history: a circular buffer of
-// cap(pts) points, oldest overwritten first.
+// seriesRing is one series' bounded point history: a buffer that grows as
+// points arrive, up to the recorder's cap, and is then a circular buffer,
+// oldest overwritten first. A series sampled a few times holds a few
+// points, not a full ring.
 type seriesRing struct {
 	pts  []Point
-	head int // index of the oldest point when full
-	n    int
-	last Point // most recent point (valid when n > 0)
+	head int   // index of the oldest point when full
+	last Point // most recent point (valid when pts is non-empty)
 }
 
-func (s *seriesRing) append(p Point) {
-	if s.n < cap(s.pts) {
-		s.pts = s.pts[:s.n+1]
-		s.pts[s.n] = p
-		s.n++
+// append adds p, overwriting the oldest point once limit are held.
+func (s *seriesRing) append(p Point, limit int) {
+	n := len(s.pts)
+	if n < limit {
+		if n == cap(s.pts) {
+			grown := make([]Point, n, min(max(2*n, 4), limit))
+			copy(grown, s.pts)
+			s.pts = grown
+		}
+		s.pts = append(s.pts, p)
 	} else {
 		s.pts[s.head] = p
-		s.head = (s.head + 1) % s.n
+		s.head = (s.head + 1) % n
 	}
 	s.last = p
 }
@@ -77,9 +83,10 @@ func (s *seriesRing) append(p Point) {
 // dump copies the retained points oldest-first, skipping points at or
 // before sinceUs (pass a negative sinceUs for everything).
 func (s *seriesRing) dump(sinceUs int64) []Point {
-	out := make([]Point, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		p := s.pts[(s.head+i)%s.n]
+	n := len(s.pts)
+	out := make([]Point, 0, n)
+	for i := 0; i < n; i++ {
+		p := s.pts[(s.head+i)%n]
 		if p.TUs > sinceUs {
 			out = append(out, p)
 		}
@@ -177,7 +184,7 @@ func (r *Recorder) ringLocked(series string) *seriesRing {
 			r.droppedSeries++
 			return nil
 		}
-		ring = &seriesRing{pts: make([]Point, 0, r.cap)}
+		ring = &seriesRing{}
 		r.series[series] = ring
 		r.order = append(r.order, series)
 	}
@@ -213,7 +220,7 @@ func (r *Recorder) Sample() *SampleView {
 		if ring == nil {
 			continue
 		}
-		if ring.n > 0 && CounterSeries(series) {
+		if len(ring.pts) > 0 && CounterSeries(series) {
 			prev := ring.last
 			if dt := float64(view.TUs-prev.TUs) / 1e6; dt > 0 {
 				rate := (v - prev.V) / dt
@@ -223,7 +230,7 @@ func (r *Recorder) Sample() *SampleView {
 				view.Rates[series] = rate
 			}
 		}
-		ring.append(Point{TUs: view.TUs, V: v})
+		ring.append(Point{TUs: view.TUs, V: v}, r.cap)
 	}
 	r.samples++
 	return view
@@ -241,7 +248,7 @@ func (r *Recorder) Append(series string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ring := r.ringLocked(series); ring != nil {
-		ring.append(Point{TUs: now, V: v})
+		ring.append(Point{TUs: now, V: v}, r.cap)
 	}
 }
 

@@ -33,6 +33,52 @@ func TestRecorderRingBounds(t *testing.T) {
 	}
 }
 
+// TestRecorderRingGrows: a series holds room for the points it was given,
+// not a full ring; past its cap it wraps and dumps oldest-first, and the
+// rates derived on the way do not depend on where the ring grew.
+func TestRecorderRingGrows(t *testing.T) {
+	r := NewRecorder(0)
+	r.Append("once", 1)
+	if c := cap(r.series["once"].pts); c > 4 {
+		t.Fatalf("a once-sampled series holds room for %d points, want at most 4 of %d", c, DefaultPointsPerSeries)
+	}
+
+	const limit = 20 // not a power of two: growth 4, 8, 16 must stop at 20
+	r = NewRecorder(limit)
+	clock := r.start
+	r.now = func() time.Time {
+		clock = clock.Add(250 * time.Millisecond)
+		return clock
+	}
+	var ops float64
+	r.AddSource(func(emit func(string, float64)) { emit("hurricane_x_ops_total", ops) })
+	for i := 1; i <= limit+7; i++ {
+		ops = float64(100 * i)
+		v := r.Sample()
+		if rate, ok := v.Rates["hurricane_x_ops_total"]; i > 1 && (!ok || rate != 400) {
+			t.Fatalf("sample %d: rate %v (derived %v), want 400/s", i, rate, ok)
+		}
+	}
+	ring := r.series["hurricane_x_ops_total"]
+	if len(ring.pts) != limit || cap(ring.pts) != limit {
+		t.Fatalf("ring len %d cap %d, want both %d", len(ring.pts), cap(ring.pts), limit)
+	}
+	d := r.Dump(nil, -1)[0]
+	if len(d.Points) != limit || len(d.Rate) != limit-1 {
+		t.Fatalf("dump: %d points, %d rates, want %d and %d", len(d.Points), len(d.Rate), limit, limit-1)
+	}
+	for i, p := range d.Points {
+		if want := float64(100 * (8 + i)); p.V != want {
+			t.Fatalf("point %d = %v, want %v (oldest first)", i, p.V, want)
+		}
+	}
+	for _, p := range d.Rate {
+		if p.V != 400 {
+			t.Fatalf("dumped rate %v, want 400/s", p.V)
+		}
+	}
+}
+
 func TestRecorderSeriesCap(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < maxSeries+10; i++ {
