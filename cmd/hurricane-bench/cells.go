@@ -14,17 +14,18 @@ import (
 
 // newCluster starts the grid's cluster — 4 storage nodes, 4 compute nodes
 // x 2 slots, chunkKiB KiB chunks — tuned so mitigation engages within a
-// sub-second job. edit adjusts the config for one arm.
+// sub-second job. edit, if not nil, adjusts the config for one arm.
 func newCluster(chunkKiB int, edit func(*hurricane.ClusterConfig)) (*hurricane.Cluster, error) {
 	cfg := hurricane.ClusterConfig{
 		StorageNodes: 4, ComputeNodes: 4, SlotsPerNode: 2, ChunkSize: chunkKiB << 10,
 		Node: hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.1},
 		Master: hurricane.MasterConfig{
-			CloneInterval: 2 * time.Millisecond, DisableHeuristic: true,
-			SplitInterval: 2 * time.Millisecond, SplitFan: 4, SplitImbalance: 1.5, SplitMinRecords: 8192,
+			CloneInterval: 2 * time.Millisecond, DisableHeuristic: true, SplitInterval: 2 * time.Millisecond,
 		},
 	}
-	edit(&cfg)
+	if edit != nil {
+		edit(&cfg)
+	}
 	return hurricane.NewCluster(cfg)
 }
 
@@ -47,29 +48,24 @@ func groupByCounts(ctx context.Context, store *hurricane.Store, bags ...string) 
 	return out, nil
 }
 
-// policyCell ablates the master's policy sets on a Zipf(1.3) groupby over
-// 64 keys (one ≈ a third of the records) whose aggregation is cloneable
-// in every arm: a Spread edge, partials merged at collect.
+// policyCell ablates the master's policy sets — reactive plus speculative
+// cloning, reactive cloning alone, none — on a Zipf(1.3) groupby over 64
+// keys (one ≈ a third of the records) whose aggregation is cloneable: a
+// Spread edge, partials merged at collect.
 func policyCell() cell {
 	const records, parts, recordCost = 200000, 4, 5000
 	tuples := workload.ZipfTuples(records, 64, 1.3, 9)
 	return cell{
 		about: fmt.Sprintf("Zipf(1.3) groupby, %d records at %d ns each, %d partitions; timed: the job", records, recordCost, parts),
-		arms:  []string{"all", "clone-only", "split-only", "none"},
+		arms:  []string{"all", "clone-only", "none"},
 		want:  counts{workload.KeyCounts(tuples)},
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(4, func(cfg *hurricane.ClusterConfig) {
-				m := cfg.Master
 				switch arm {
 				case "all":
-					m.SpeculativeCloning, m.SpeculativeAfter = true, 50*time.Millisecond
-				case "clone-only":
-					m.DisableSplitting = true
-				case "split-only":
-					m.DisableCloning = true
-				}
-				if cfg.Master.Policies = hurricane.DefaultPolicies(m); arm == "none" {
-					cfg.Master.Policies = []hurricane.Policy{}
+					cfg.Master.SpeculativeCloning, cfg.Master.SpeculativeAfter = true, 50*time.Millisecond
+				case "none":
+					cfg.Master.DisableCloning = true
 				}
 			})
 			if err != nil {
@@ -177,10 +173,7 @@ func streamCell() cell {
 				Origin:      origin,
 				MaxInFlight: 1, // one window at a time: each latency is its own
 				ColdStart:   arm == "cold",
-				Master: &hurricane.MasterConfig{
-					CloneInterval: 10 * time.Millisecond, SplitInterval: 5 * time.Millisecond,
-					SplitImbalance: 1.5, SplitMinRecords: 4096, SplitFan: 4,
-				},
+				Master:      &hurricane.MasterConfig{CloneInterval: 10 * time.Millisecond, SplitInterval: 5 * time.Millisecond},
 			})
 			if err != nil {
 				return result{}, err
@@ -208,8 +201,6 @@ func streamCell() cell {
 				if res.Seeded {
 					r.own++
 				}
-				r.st.Splits += res.Splits
-				r.st.Isolations += res.Isolations
 				if j := res.Job(); j != nil {
 					r.st.Clones += j.Stats().Master.Clones
 				}
@@ -223,7 +214,7 @@ func streamCell() cell {
 
 // planCell compiles R (each key once) join S (Zipf(1.3), top key ≈ 26 %)
 // into the planner's skewed join from warm statistics, or into a static
-// hash repartition with splitting and isolation off; producers clone in
+// hash repartition whose edge consumers never clone; producers clone in
 // both. Its own counter is the keys isolated before the first record.
 func planCell() cell {
 	const keys, probeN, parts, fan, recordCost = 16384, 200000, 4, 4, 5000 // recordCost: ns per match
@@ -264,7 +255,7 @@ func planCell() cell {
 		want:  counts{workload.KeyCounts(probes)},
 		run: func(ctx context.Context, arm string) (result, error) {
 			naive := arm == "naive"
-			c, err := newCluster(8, func(cfg *hurricane.ClusterConfig) { cfg.Master.DisableSplitting = naive })
+			c, err := newCluster(8, nil)
 			if err != nil {
 				return result{}, err
 			}

@@ -92,9 +92,9 @@ func TestRunner(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	want := []string{
 		"fake: fake; ratios to c",
-		"  a            median    20.0 ms [   10.0,    30.0]   5.00x  clones   0  splits  0  isolations  0  repeat 2",
-		"  b            median     7.0 ms [    5.0,     9.0]   1.75x  clones   0  splits  0  isolations  0  repeat 2",
-		"  c            median     4.0 ms [    2.0,     4.0]   1.00x  clones   0  splits  0  isolations  0  repeat 0",
+		"  a            median    20.0 ms [   10.0,    30.0]   5.00x  clones   0  repeat 2",
+		"  b            median     7.0 ms [    5.0,     9.0]   1.75x  clones   0  repeat 2",
+		"  c            median     4.0 ms [    2.0,     4.0]   1.00x  clones   0  repeat 0",
 	}
 	if !slices.Equal(lines, want) {
 		t.Errorf("report:\n%s\nwant:\n%s", out.String(), strings.Join(want, "\n"))

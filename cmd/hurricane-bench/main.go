@@ -4,7 +4,7 @@
 //
 //	hurricane-bench [policy] [sched] [stream] [plan]   (none: all four)
 //
-// policy ablates the mitigation policy sets, sched fair-share leasing,
+// policy ablates the cloning policy sets, sched fair-share leasing,
 // stream warm-started partition maps and plan the planner's skewed join.
 // Each arm runs 3 times, arms interleaved, and every repeat is checked
 // against the cell's serial oracle. Per arm it prints the median [min,
@@ -35,7 +35,7 @@ type counts []map[uint64]int64
 // result is one repeat of one arm.
 type result struct {
 	ms  float64               // the cell's timed quantity
-	st  hurricane.MasterStats // clones, splits and isolations are printed
+	st  hurricane.MasterStats // clones are printed
 	own int                   // the cell's own counter, if it has one
 	out counts
 }
@@ -85,8 +85,8 @@ func report(w io.Writer, name string, c cell) error {
 	base, _, _ := summarize(res[len(res)-1])
 	for a, rs := range res {
 		med, lo, hi := summarize(rs)
-		fmt.Fprintf(w, "  %-12s median %7.1f ms [%7.1f, %7.1f]  %5.2fx  clones %3d  splits %2d  isolations %2d",
-			c.arms[a], med.ms, lo, hi, med.ms/base.ms, med.st.Clones, med.st.Splits, med.st.Isolations)
+		fmt.Fprintf(w, "  %-12s median %7.1f ms [%7.1f, %7.1f]  %5.2fx  clones %3d",
+			c.arms[a], med.ms, lo, hi, med.ms/base.ms, med.st.Clones)
 		if c.own != "" {
 			fmt.Fprintf(w, "  %s %d", c.own, med.own)
 		}

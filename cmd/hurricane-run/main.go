@@ -11,8 +11,8 @@
 //
 // The job (-job) is the paper's ClickLog application, the skew-aware
 // shuffle groupby (whose partitioned bags, producer sketches, and
-// hot-partition splits then run against the remote storage tier over
-// TCP), or a planner-compiled query (-job query): a declarative join
+// clones of hot-partition consumers then run against the remote storage
+// tier over TCP), or a planner-compiled query (-job query): a declarative join
 // whose physical strategy — broadcast, repartition, or skewed with
 // pre-isolated heavy hitters — is chosen from warm statistics, with the
 // seed partition map published through the same remote control bags.
@@ -62,7 +62,7 @@
 // standard /debug/pprof/ profiles:
 //
 //	curl -s localhost:6066/metrics | grep hurricane_storage_op_total
-//	curl -s 'localhost:6066/debug/trace?job=j1&type=PartitionSplit'
+//	curl -s 'localhost:6066/debug/trace?job=j1&type=TaskCloned'
 //	curl -s localhost:6066/debug/skew
 //	curl -s 'localhost:6066/debug/timeseries?series=hurricane_core'
 //	curl -s 'localhost:6066/debug/alerts?firing=1'
@@ -90,18 +90,14 @@ import (
 
 // runConfig is the cluster every mode of this command runs on: the
 // engine's defaults at a cadence that suits jobs lasting seconds, not
-// hours, and refinement thresholds that let a few hundred thousand records
-// show a split. A mode adds only what it alone needs.
+// hours. A mode adds only what it alone needs.
 func runConfig(computes, slots int) core.ClusterConfig {
 	return core.ClusterConfig{
 		ComputeNodes: computes,
 		SlotsPerNode: slots,
 		Master: core.MasterConfig{
-			CloneInterval:   50 * time.Millisecond,
-			SplitInterval:   20 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 4096,
-			SplitFan:        4,
+			CloneInterval: 50 * time.Millisecond,
+			SplitInterval: 20 * time.Millisecond,
 		},
 		Node: core.NodeConfig{
 			MonitorInterval:   25 * time.Millisecond,

@@ -15,9 +15,8 @@ import (
 )
 
 // runQuery executes a planner-compiled join against the remote storage
-// tier: the probe-side shuffle edge, its seed partition map, producer
-// sketches, and runtime split/isolation control traffic all travel over
-// TCP. The planner consults warm statistics (the probe relation's key
+// tier: the probe-side shuffle edge, its seed partition map and the
+// producer sketches all travel over TCP. The planner consults warm statistics (the probe relation's key
 // sketch) and picks the physical strategy; with skewed keys (-skew ≳ 1)
 // that is the SharesSkew-style skewed join with pre-isolated heavy
 // hitters.

@@ -79,10 +79,10 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 		if res.Seeded {
 			seeded++
 		}
-		fmt.Printf("window %2d: %6d records  %6.1fms  attempts %d  seeded %-5v  splits %d  isolations %d\n",
+		fmt.Printf("window %2d: %6d records  %6.1fms  attempts %d  seeded %v\n",
 			res.Index, res.Records,
 			float64(res.DoneAt.Sub(res.SubmittedAt).Microseconds())/1000,
-			res.Attempts, res.Seeded, res.Splits, res.Isolations)
+			res.Attempts, res.Seeded)
 	}
 	if err := h.Drain(ctx); err != nil {
 		log.Fatal(err)

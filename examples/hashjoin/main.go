@@ -7,8 +7,8 @@
 // and the planner decides HOW: it consults warm statistics (here, a
 // sketch of the probe relation's keys) and picks broadcast when R is
 // small, a skewed join with pre-isolated heavy hitters when the probe
-// keys are skewed, or plain repartition otherwise; runtime sketch-driven
-// splitting still adapts the edge either way.
+// keys are skewed, or plain repartition otherwise; runtime clones still
+// share a hot partition either way.
 //
 // Run with: go run ./examples/hashjoin [-build N] [-probe N] [-skew S]
 package main
@@ -43,11 +43,8 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 4,
 		Master: hurricane.MasterConfig{
-			CloneInterval:   20 * time.Millisecond,
-			SplitInterval:   10 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 8192,
-			SplitFan:        4,
+			CloneInterval: 20 * time.Millisecond,
+			SplitInterval: 10 * time.Millisecond,
 		},
 		Node: hurricane.NodeConfig{
 			MonitorInterval:   10 * time.Millisecond,

@@ -6,8 +6,8 @@
 //	clicks -> count per region -> top 5 -> join region names -> sink
 //
 // and lets the planner pick the physical execution: the aggregation gets
-// a partitioned shuffle edge (split and heavy-hitter-isolated at runtime
-// from the live sketch), the top-5 compiles to a serial finalize stage,
+// a partitioned shuffle edge (whose hot partitions clones share at
+// runtime), the top-5 compiles to a serial finalize stage,
 // and the name join — whose build side is a 64-row dimension table —
 // compiles to a broadcast join with no shuffle at all. Compare with
 // examples/clicklog, which wires the same kind of analysis by hand; new
@@ -44,11 +44,8 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		Master: hurricane.MasterConfig{
-			CloneInterval:   20 * time.Millisecond,
-			SplitInterval:   10 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 8192,
-			SplitFan:        4,
+			CloneInterval: 20 * time.Millisecond,
+			SplitInterval: 10 * time.Millisecond,
 		},
 		Node: hurricane.NodeConfig{
 			MonitorInterval:   10 * time.Millisecond,
@@ -140,8 +137,7 @@ func main() {
 	// The run's mitigation story, from the job's metrics snapshot (the
 	// same per-job series /metrics serves, with the job label stripped).
 	m := cluster.Job(c.App.Name()).Metrics()
-	fmt.Printf("mitigation: %.0f splits, %.0f isolations, %.0f clones; %.0f tasks finished, %.0f control snapshots\n",
-		m["hurricane_core_splits_total"], m["hurricane_core_isolations_total"],
+	fmt.Printf("mitigation: %.0f clones; %.0f tasks finished, %.0f control snapshots\n",
 		m["hurricane_core_clones_total"], m["hurricane_core_tasks_finished_total"],
 		m["hurricane_ctrl_snapshots_total"])
 

@@ -55,10 +55,7 @@ func runWindowed() {
 		Origin:      origin,
 		MaxInFlight: 1, // sequential windows so every successor is warm-started
 		Master: &hurricane.MasterConfig{
-			SplitInterval:   10 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 4096,
-			SplitFan:        4,
+			SplitInterval: 10 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -66,8 +63,8 @@ func runWindowed() {
 	}
 
 	store := cluster.Store()
-	fmt.Printf("%-8s %8s %10s %7s %7s  %s\n",
-		"window", "records", "latency", "seeded", "splits", "hottest regions")
+	fmt.Printf("%-8s %8s %10s %7s  %s\n",
+		"window", "records", "latency", "seeded", "hottest regions")
 	for {
 		res, err := h.Next(ctx)
 		if err == io.EOF {
@@ -93,10 +90,10 @@ func runWindowed() {
 				top[1] = int(region)
 			}
 		}
-		fmt.Printf("w%-7d %8d %9.1fms %7v %7d  %s(%d) %s(%d)\n",
+		fmt.Printf("w%-7d %8d %9.1fms %7v  %s(%d) %s(%d)\n",
 			res.Index, res.Records,
 			float64(res.DoneAt.Sub(res.SubmittedAt).Microseconds())/1000,
-			res.Seeded, res.Splits,
+			res.Seeded,
 			workload.RegionName(top[0]), got[uint64(top[0])].Count,
 			workload.RegionName(top[1]), got[uint64(top[1])].Count)
 	}

@@ -137,12 +137,12 @@ const (
 // telemetry hub. The master builds versioned Snapshots from worker
 // heartbeats, overload signals, bag depths, and merged shuffle-edge
 // sketches; each configured Policy proposes declarative Actions; the
-// arbiter resolves conflicts (clone-vs-split on one edge, slot budgets)
-// and the master applies the survivors transactionally.
+// arbiter resolves conflicts (duplicate clones, slot budgets) and the
+// master applies the survivors transactionally.
 //
 // Select policies per job through MasterConfig.Policies: nil installs the
-// default set derived from the flags (DisableCloning, SpeculativeCloning,
-// DisableSplitting); an explicit empty slice disables all mitigation. A
+// default set derived from the flags (DisableCloning, SpeculativeCloning);
+// an explicit empty slice disables all mitigation. A
 // custom policy implements Policy (its snapshots carry every active
 // shuffle edge's merged sketch) and composes freely with the built-ins:
 //
@@ -157,16 +157,12 @@ type (
 	// Snapshot is a versioned, read-only view of cluster telemetry.
 	Snapshot = ctrl.Snapshot
 	// Action is a declarative mitigation decision. The vocabulary is
-	// closed — CloneTask, SplitPartition, IsolateKey (and the internal
-	// bookkeeping actions) are everything the master can apply; custom
-	// policies compose these rather than defining new action types.
+	// closed — CloneTask (and the internal reject bookkeeping) is
+	// everything the master can apply; custom policies compose it rather
+	// than defining new action types.
 	Action = ctrl.Action
 	// CloneTask schedules one additional worker for a running task.
 	CloneTask = ctrl.CloneTask
-	// SplitPartition re-hashes a hot base partition of a shuffle edge.
-	SplitPartition = ctrl.SplitPartition
-	// IsolateKey diverts a heavy-hitter key into a dedicated bag.
-	IsolateKey = ctrl.IsolateKey
 	// TaskTel is per-task telemetry within a Snapshot.
 	TaskTel = ctrl.TaskTel
 	// EdgeTel is per-shuffle-edge telemetry within a Snapshot.
@@ -177,15 +173,11 @@ type (
 	ClonePolicy = ctrl.ClonePolicy
 	// SpeculativePolicy proactively clones stragglers (§3.5).
 	SpeculativePolicy = ctrl.SpeculativePolicy
-	// SplitPartitionPolicy re-hashes hot partitions (Reshape-style).
-	SplitPartitionPolicy = ctrl.SplitPartitionPolicy
-	// IsolateKeyPolicy isolates dominant heavy-hitter keys.
-	IsolateKeyPolicy = ctrl.IsolateKeyPolicy
 )
 
 // DefaultPolicies builds the mitigation set described by cfg's flags:
-// reactive cloning, speculative cloning, partition splitting, and key
-// isolation, each included unless the corresponding flag disables it.
+// reactive cloning unless DisableCloning, and speculative cloning with it
+// if SpeculativeCloning. With neither it is an empty, non-nil slice.
 func DefaultPolicies(cfg MasterConfig) []Policy { return core.DefaultPolicies(cfg) }
 
 // ErrEmpty is the end-of-bag signal returned by Bag.Remove and TaskCtx

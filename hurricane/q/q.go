@@ -5,8 +5,9 @@
 // single streaming tasks, inserts partitioned shuffle edges only at wide
 // boundaries, and picks each join's physical strategy (repartition,
 // broadcast, or heavy-hitter-isolating skewed join) from compile-time
-// statistics, falling back to the runtime control plane's sketch-driven
-// splitting and isolation when statistics are missing or wrong.
+// statistics, falling back to the runtime control plane's clones, which
+// share a hot partition chunk by chunk, when statistics are missing or
+// wrong.
 //
 //	p := q.New("wordcount")
 //	words := q.Scan(p, "in", hurricane.StringOf)
@@ -96,7 +97,7 @@ type Dataset[T any] struct {
 
 // Sink materializes the dataset into a named output bag. Sinking an
 // AggregateByKey stores mergeable partials — read them back with
-// CollectGrouped, which reconciles spread or split keys.
+// CollectGrouped, which reconciles keys spread across consumers.
 func (d *Dataset[T]) Sink(bag string) *Dataset[T] {
 	d.p.p.Sink(d.n, bag)
 	return d
@@ -152,8 +153,8 @@ func FlatMap[T, U any](d *Dataset[T], codec hurricane.Codec[U], fn func(T, func(
 // AggregateByKey groups records by key behind a partitioned shuffle edge
 // and folds them into per-key accumulators. The aggregation must be
 // mergeable (§2.3): add folds one record in, merge reconciles two
-// accumulators of the same key — which is what lets the engine split hot
-// partitions and spread heavy-hitter keys across consumers mid-run. The
+// accumulators of the same key — which is what lets the engine spread a
+// hot partition's records across clones of its consumer mid-run. The
 // output records are (key, accumulator) partials; a key may appear in
 // several partials until a downstream finalize (TopK, Map, ...) or
 // CollectGrouped merges them.
@@ -221,7 +222,7 @@ func TopK[T any](d *Dataset[T], k int, less func(a, b T) bool) *Dataset[T] {
 
 // CollectGrouped reads a sunk AggregateByKey bag and merges its partials
 // into final per-key accumulators — the read-side reconciliation for
-// keys that were spread across consumers or split mid-run.
+// keys that were spread across consumers.
 func CollectGrouped[A any](
 	ctx context.Context,
 	store *hurricane.Store,

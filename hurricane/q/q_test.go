@@ -27,11 +27,8 @@ func testClusterConfig() hurricane.ClusterConfig {
 			HeartbeatInterval: 2 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
-			CloneInterval:   5 * time.Millisecond,
-			SplitInterval:   5 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 2048,
-			SplitFan:        4,
+			CloneInterval: 5 * time.Millisecond,
+			SplitInterval: 5 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	}

@@ -10,20 +10,20 @@ import (
 // The skew-aware shuffle (internal/shuffle) partitions a logical bag by
 // key onto P physical partition bags. Declare a partitioned bag with
 // App.PartitionedBag (or AddBag with BagSpec.Partitions, plus
-// BagSpec.Spread to permit record-level spreading of isolated heavy
-// hitters), write it from producer tasks with a PartitionedWriter, and
-// consume it like any bag: the engine runs one consumer worker per
-// physical partition. While producers run, each keeps the edge's
-// statistics — exact record counts per physical partition and a short list
-// of heavy-key candidates, priced by a count-min sketch it feeds only the
-// keys heavy in some stretch of its stream; the application master reads
-// the merged counts and candidates (never the sketch's cells) and splits
-// hot partitions or isolates heavy keys at runtime, so skewed keyed
-// workloads spread across consumers instead of serializing on one bag.
+// BagSpec.Spread to permit spreading one key's records across consumers),
+// write it from producer tasks with a PartitionedWriter, and consume it
+// like any bag: the engine runs one consumer worker per physical
+// partition, and on a Spread edge clones share a hot partition chunk by
+// chunk. While producers run, each keeps the edge's statistics — exact
+// record counts per physical partition and a short list of heavy-key
+// candidates, priced by a count-min sketch it feeds only the keys heavy in
+// some stretch of its stream; the application master records the merged
+// counts and candidates (never the sketch's cells), and a later run or
+// window warm-starts from them, pre-isolating the heavy keys.
 
 // PartitionedWriter routes typed records by key into the physical
-// partition bags of a partitioned output, adopting partition-map updates
-// published by the master mid-stream. It is a shuffle.Scatter: Write and
+// partition bags of a partitioned output, adopting the seed partition map
+// the master publishes for the edge. It is a shuffle.Scatter: Write and
 // WriteBatch are one path — the same routing, the same key counts for the
 // edge's statistics, the same per-leaf chunk.Encoder, so the same chunks —
 // taken a record or a batch at a time. Create one per producer worker with
@@ -35,7 +35,7 @@ type PartitionedWriter[T any] struct{ s *shuffle.Scatter[T] }
 // must be declared with BagSpec.Partitions > 0 (it panics otherwise, like
 // a type error). key extracts the routing key from a record; a record's
 // base partition is the hash of its key, so records with equal keys land
-// in the same partition unless the master isolates the key with
+// in the same partition unless a seed map isolates the key with
 // record-level spreading (BagSpec.Spread).
 func NewPartitionedWriter[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) []byte) *PartitionedWriter[T] {
 	w := tc.ShuffleWriter(out)

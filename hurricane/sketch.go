@@ -40,9 +40,8 @@ func DecodeCountMin(data []byte) (*CountMin, error) { return sketch.DecodeCountM
 // per-partition record counts, a count-min sketch of the routed keys, and
 // a capped heavy-hitter candidate list. Extract heavy hitters with
 // EdgeStats.TopKeys(k, minFraction) — the first-class helper shared by
-// the query planner's skewed-join decision, warm-start seeding, and the
-// runtime isolation policy — instead of re-deriving them from raw
-// CountMin estimates.
+// the query planner's skewed-join decision and warm-start seeding —
+// instead of re-deriving them from raw CountMin estimates.
 type EdgeStats = sketch.EdgeStats
 
 // HeavyKey is one heavy-hitter candidate with its observed count.

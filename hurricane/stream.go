@@ -12,11 +12,11 @@ import (
 // executes every window as a full DAG job on the multi-job scheduler —
 // the micro-batch answer to the streaming dataflow model the paper leaves
 // as future work (§3.1). Each window job gets partitioned shuffle edges,
-// sketch-driven splitting, cloning, and fair-share leasing like any batch
-// job, and consecutive windows share skew memory: a finished window's
-// final partition maps and merged edge sketches warm-start the next
-// window's partitioner, so known-hot keys are pre-split and pre-isolated
-// instead of rediscovered inside every window.
+// cloning, and fair-share leasing like any batch job, and consecutive
+// windows share skew memory: a finished window's final partition maps and
+// merged edge sketches warm-start the next window's partitioner, so
+// known-hot keys are pre-isolated instead of rediscovered inside every
+// window.
 //
 //	app := hurricane.NewApp("w").SourceBag("clicks") ... // window DAG
 //	h, _ := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{

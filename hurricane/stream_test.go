@@ -92,11 +92,8 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		// windows so every successor deterministically has one.
 		MaxInFlight: 1,
 		Master: &hurricane.MasterConfig{
-			CloneInterval:   10 * time.Millisecond,
-			SplitInterval:   5 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 1024,
-			SplitFan:        4,
+			CloneInterval: 10 * time.Millisecond,
+			SplitInterval: 5 * time.Millisecond,
 		},
 	})
 	if err != nil {

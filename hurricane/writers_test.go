@@ -160,7 +160,7 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 			ComputeNodes: 1, SlotsPerNode: 2,
 			Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
-			Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true, DisableSplitting: true},
+			Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true},
 		})
 		if err := hurricane.Load(ctx, store, "in", tupleCodec, stream); err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
 	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 		ComputeNodes: 1, SlotsPerNode: 1,
 		Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
-		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true, DisableSplitting: true},
+		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, DisableCloning: true},
 	})
 	defer cluster.Shutdown()
 	for name, recs := range map[string][]tuple{"R": build, "S": probe} {

@@ -27,8 +27,8 @@ var csOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 // region-keyed partitioned shuffle edge, then aggregate per-region click
 // counts and distinct-IP HLL sketches per physical partition. With a
 // zipf click distribution one region dominates, so the window's hot
-// partition is exactly what cross-window skew memory should pre-split or
-// pre-isolate in the next window.
+// partition is exactly what cross-window skew memory should pre-isolate in
+// the next window.
 //
 // recordCostNS simulates per-record aggregation cost (see GroupByApp); it
 // makes window latency track how evenly records spread across consumer

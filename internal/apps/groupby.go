@@ -32,7 +32,7 @@ var groupByOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 // hand-wired oracle GroupByPlan is checked against.
 // noClone disables cloning of the aggregate stage only: that is the
 // classic static-partitioning configuration (one reducer per partition),
-// the baseline skew-aware splitting is measured against.
+// the baseline cloning is measured against.
 //
 // shuffleCostNS and recordCostNS simulate a per-record cost in the
 // shuffle (producer) and aggregate (consumer) stage: the worker sleeps
@@ -169,8 +169,8 @@ type GroupByResult struct {
 
 // CollectGroupBy reads the per-worker partial aggregates and merges them
 // into final per-key results: counts add exactly, HLL partials merge
-// register-wise. This is where records of a spread heavy-hitter key (or a
-// key whose partition was re-hash split mid-stream) reconverge.
+// register-wise. This is where records of a key spread across consumers
+// reconverge.
 func CollectGroupBy(ctx context.Context, store *hurricane.Store) (map[uint64]GroupByResult, error) {
 	return CollectGroupByFrom(ctx, store, GroupByOut)
 }

@@ -51,109 +51,72 @@ func checkGroupByCounts(t *testing.T, got map[uint64]GroupByResult, want map[uin
 	}
 }
 
-// shuffleTestCluster tunes the embedded cluster for fast, deterministic
-// split decisions: tight master ticks, low split thresholds, and a little
-// transport latency so producers are still running when the master reacts.
-func shuffleTestCluster(t *testing.T, mutate func(*hurricane.ClusterConfig)) *hurricane.Cluster {
-	t.Helper()
-	return testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.TransportLatency = 100 * time.Microsecond
-		cfg.Master.SplitInterval = time.Millisecond
-		cfg.Master.SplitMinRecords = 500
-		cfg.Master.SplitImbalance = 1.5
-		cfg.Master.SplitFan = 4
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
+// eagerClones makes the master clone anything that has work left: every
+// worker signals overload, every task past a millisecond is a straggler,
+// and Eq. 2 is not consulted.
+func eagerClones(cfg *hurricane.ClusterConfig) {
+	cfg.Node.OverloadThreshold = 0.01
+	cfg.Master.CloneInterval = time.Millisecond
+	cfg.Master.DisableHeuristic = true
+	cfg.Master.SpeculativeCloning = true
+	cfg.Master.SpeculativeAfter = time.Millisecond
 }
 
-// TestGroupByCorrectnessStatic: with splitting disabled, the partitioned
-// groupby equals the directly computed baseline for uniform and skewed
-// inputs.
+// TestGroupByCorrectnessStatic: on an edge that is neither Spread nor
+// merged, the partitioned groupby equals the directly computed baseline —
+// for uniform and skewed inputs, and for many medium keys piled onto one
+// partition — and its aggregate is never cloned, however eagerly the
+// master clones: sharing a leaf would split a key's records between
+// workers.
 func TestGroupByCorrectnessStatic(t *testing.T) {
-	for _, s := range []float64{0, 1.2} {
-		t.Run(skewName(s), func(t *testing.T) {
+	const parts = 4
+	uniform := workload.RelationGen{Keys: 64, S: 0, Seed: 3}
+	skewed := workload.RelationGen{Keys: 64, S: 1.2, Seed: 3}
+	// 32 distinct keys, all hashing to partition 1, plus a thin background
+	// on partition 0. No single key dominates the hot partition.
+	hotKeys := keysInPartition(parts, 1, 32)
+	var piled []workload.Tuple
+	for i := 0; i < 60000; i++ {
+		piled = append(piled, workload.Tuple{Key: hotKeys[i%len(hotKeys)], Payload: uint64(i)})
+	}
+	bg := keysInPartition(parts, 0, 4)
+	for i := 0; i < 2000; i++ {
+		piled = append(piled, workload.Tuple{Key: bg[i%len(bg)], Payload: uint64(i)})
+	}
+	for _, tc := range []struct {
+		name   string
+		tuples []workload.Tuple
+	}{
+		{skewName(0), uniform.Generate(20000)},
+		{skewName(1.2), skewed.Generate(20000)},
+		{"one-hot-partition", piled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := testCtx(t)
-			cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-				cfg.Master.DisableSplitting = true
-			})
-			gen := workload.RelationGen{Keys: 64, S: s, Seed: 3}
-			tuples := gen.Generate(20000)
-			if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
+			cluster := testCluster(t, eagerClones)
+			if err := LoadGroupBy(ctx, cluster.Store(), tc.tuples); err != nil {
 				t.Fatal(err)
 			}
-			if err := cluster.Run(ctx, GroupByApp(4, false, false, 0, 0)); err != nil {
+			if err := cluster.Run(ctx, GroupByApp(parts, false, false, 0, 1000)); err != nil {
 				t.Fatal(err)
 			}
 			got, err := CollectGroupBy(ctx, cluster.Store())
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGroupByCounts(t, got, groundTruthCounts(tuples))
-			if st := cluster.Master().Stats(); st.Splits != 0 || st.Isolations != 0 {
-				t.Fatalf("splitting disabled but stats show %+v", st)
+			checkGroupByCounts(t, got, groundTruthCounts(tc.tuples))
+			if p := cluster.Master().Profile(); len(p.Edges) != 1 || p.Edges[0].Clones != 0 {
+				t.Fatalf("the aggregate of a non-Spread edge was cloned: %+v", p.Edges)
 			}
 		})
 	}
 }
 
-// TestGroupByRuntimeSplit is the subsystem's core guarantee: many medium
-// keys are piled onto one base partition, the master re-hash splits the
-// hot partition at runtime, and the final output still equals the
-// unpartitioned baseline — no record lost or duplicated by the mid-stream
-// routing change.
-func TestGroupByRuntimeSplit(t *testing.T) {
-	const parts = 4
-	// 32 distinct keys, all hashing to partition 1, plus a thin uniform
-	// background over the other partitions. No single key dominates, so
-	// isolation cannot trigger; only a re-hash split can fix partition 1.
-	hotKeys := keysInPartition(parts, 1, 32)
-	var tuples []workload.Tuple
-	for i := 0; i < 60000; i++ {
-		tuples = append(tuples, workload.Tuple{
-			Key: hotKeys[i%len(hotKeys)], Payload: uint64(i),
-		})
-	}
-	bg := keysInPartition(parts, 0, 4)
-	for i := 0; i < 2000; i++ {
-		tuples = append(tuples, workload.Tuple{Key: bg[i%len(bg)], Payload: uint64(i)})
-	}
-	want := groundTruthCounts(tuples)
-
-	// The split decision races against producer completion, so allow a
-	// few attempts; each run must be *correct*, and at least one must
-	// demonstrate the runtime split.
-	for attempt := 0; attempt < 5; attempt++ {
-		ctx := testCtx(t)
-		cluster := shuffleTestCluster(t, nil)
-		if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
-			t.Fatal(err)
-		}
-		app := GroupByApp(parts, false, false, 0, 0)
-		if err := cluster.Run(ctx, app); err != nil {
-			t.Fatal(err)
-		}
-		got, err := CollectGroupBy(ctx, cluster.Store())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGroupByCounts(t, got, want)
-		st := cluster.Master().Stats()
-		if st.Splits >= 1 {
-			t.Logf("attempt %d: runtime split demonstrated, stats %+v", attempt, st)
-			return
-		}
-		t.Logf("attempt %d: no split (stats %+v), retrying", attempt, st)
-	}
-	t.Fatal("hot partition was never split at runtime")
-}
-
-// TestGroupByHeavyKeyIsolation: one key dominates the stream; on a Spread
-// edge the master isolates it into dedicated spread bags, several
-// consumers aggregate its records concurrently, and the merged partials
-// still give the exact count.
-func TestGroupByHeavyKeyIsolation(t *testing.T) {
+// TestGroupByHeavyKeyClones: one key dominates the stream; on a Spread edge
+// clones share its partition chunk by chunk, so several workers aggregate
+// its records, and the merged partials still give the exact count and the
+// distinct-payload estimate.
+func TestGroupByHeavyKeyClones(t *testing.T) {
 	const parts = 4
 	var tuples []workload.Tuple
 	for i := 0; i < 50000; i++ {
@@ -162,34 +125,35 @@ func TestGroupByHeavyKeyIsolation(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		tuples = append(tuples, workload.Tuple{Key: uint64(100 + i%60), Payload: uint64(i)})
 	}
-	want := groundTruthCounts(tuples)
-
-	for attempt := 0; attempt < 5; attempt++ {
-		ctx := testCtx(t)
-		cluster := shuffleTestCluster(t, nil)
-		if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
-			t.Fatal(err)
-		}
-		app := GroupByApp(parts, true, false, 0, 0) // Spread: per-key partials merge downstream
-		if err := cluster.Run(ctx, app); err != nil {
-			t.Fatal(err)
-		}
-		got, err := CollectGroupBy(ctx, cluster.Store())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGroupByCounts(t, got, want)
-		// The heavy key's distinct-payload estimate must also survive the
-		// spread (HLL partials merge register-wise).
-		if d := got[7].Distinct; d < 800 || d > 1200 {
-			t.Errorf("heavy key distinct estimate %.0f, want ≈1000", d)
-		}
-		st := cluster.Master().Stats()
-		if st.Isolations >= 1 {
-			t.Logf("attempt %d: heavy key isolated, stats %+v", attempt, st)
-			return
-		}
-		t.Logf("attempt %d: no isolation (stats %+v), retrying", attempt, st)
+	ctx := testCtx(t)
+	cluster := testCluster(t, eagerClones)
+	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("heavy-hitter key was never isolated")
+	if err := cluster.Run(ctx, GroupByApp(parts, true, false, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := CollectGroupBy(ctx, cluster.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGroupByCounts(t, got, groundTruthCounts(tuples))
+	// HLL partials merge register-wise.
+	if d := got[7].Distinct; d < 800 || d > 1200 {
+		t.Errorf("heavy key distinct estimate %.0f, want ≈1000", d)
+	}
+	// Every worker writes one partial per key it saw.
+	partials, err := hurricane.Collect(ctx, cluster.Store(), GroupByOut, groupByOutCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := 0
+	for _, p := range partials {
+		if p.First == 7 {
+			workers++
+		}
+	}
+	if st := cluster.Master().Stats(); st.Clones < 1 || workers < 2 {
+		t.Fatalf("the heavy key was aggregated by %d workers (stats %+v), want >= 2", workers, st)
+	}
 }

@@ -145,12 +145,8 @@ func newCluster(cfg ClusterConfig) *Cluster {
 	if cfg.SampleInterval >= 0 {
 		c.rec = obs.NewRecorder(0)
 		c.rec.AddSource(obs.RegistrySource(o.Registry()))
-		// The heat alert runs on the thresholds the jobs' refinement
-		// policies run on by default; internal/obs has none of its own.
-		mcfg := cfg.Master
-		mcfg.fill()
-		c.rec.AddSource(c.skewSource(mcfg.SplitMinRecords))
-		c.watch = obs.NewWatch(o, append(obs.DefaultRules(), heatRule(mcfg.SplitImbalance)))
+		c.rec.AddSource(c.skewSource())
+		c.watch = obs.NewWatch(o, append(obs.DefaultRules(), heatRule()))
 	}
 	return c
 }

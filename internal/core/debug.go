@@ -69,7 +69,8 @@ type SkewEdge struct {
 	Edge    string `json:"edge"`
 	Version int    `json:"version"`
 	Base    int    `json:"base"`
-	// Splits maps base partition -> split fan (only refined partitions).
+	// Splits maps base partition -> split fan (only refined partitions of
+	// a seed map).
 	Splits   map[int]int `json:"splits,omitempty"`
 	Isolated int         `json:"isolated"`
 	Records  uint64      `json:"records"`
@@ -137,34 +138,38 @@ func (c *Cluster) SkewReport() []SkewEdge {
 	return out
 }
 
-// heatSeries is the series the heat alert watches: an edge's hottest
-// refinable leaf over its mean leaf load, the quantity the split policy
-// holds against SplitImbalance.
+// heatSeries is the series the heat alert watches: an edge's hottest leaf
+// over its mean leaf load (ctrl.Heat.Imbalance).
 const heatSeries = "hurricane_skew_partition_imbalance"
 
-// heatRule is the watchdog's shuffle-heat rule. Its threshold is the
-// cluster's SplitImbalance and skewSource emits heatSeries only for edges
-// past the cluster's SplitMinRecords, so the alert holds on a sample when
-// the refinement policies' detection held on the record it was taken from
-// (but for exactly SplitImbalance, where the policies want strictly more).
-func heatRule(splitImbalance float64) obs.Rule {
+// The heat alert's thresholds: an edge is hot when its hottest leaf holds at
+// least heatImbalance times the mean leaf load, judged only once the edge
+// has taken heatMinRecords records.
+const (
+	heatImbalance  = 2
+	heatMinRecords = 16384
+)
+
+// heatRule is the watchdog's shuffle-heat rule: skewSource emits heatSeries
+// only for edges past heatMinRecords, and the rule fires at heatImbalance.
+func heatRule() obs.Rule {
 	return obs.Rule{
 		Name: "shuffle-heat-imbalance", Kind: obs.KindThreshold,
-		Series: heatSeries, Threshold: splitImbalance, For: 2,
-		Help: "an edge's hottest refinable partition holds >= SplitImbalance x the mean partition load — what the split and isolate policies act on",
+		Series: heatSeries, Threshold: heatImbalance, For: 2,
+		Help: fmt.Sprintf("an edge past %d records has a partition holding >= %dx the mean partition load",
+			heatMinRecords, heatImbalance),
 	}
 }
 
 // skewSource feeds the time-series recorder the heat of every edge record
 // (ctrl.EdgeHeat) on every sample tick, labeled by job and edge: the
-// hottest refinable partition's imbalance and share, and the top heavy
-// key's share.
-func (c *Cluster) skewSource(splitMinRecords int) obs.Source {
+// hottest partition's imbalance and share, and the top heavy key's share.
+func (c *Cluster) skewSource() obs.Source {
 	return func(emit func(string, float64)) {
 		c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {
 			lbl := fmt.Sprintf("{edge=%q,job=%q}", e.Name, job)
 			emit("hurricane_skew_partition_top_share"+lbl, heat.Share(heat.LeafRecords))
-			if heat.Records >= uint64(splitMinRecords) {
+			if heat.Records >= heatMinRecords {
 				emit(heatSeries+lbl, heat.Imbalance)
 			}
 			if len(heat.Heavy) > 0 {

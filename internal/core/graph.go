@@ -71,14 +71,14 @@ type BagSpec struct {
 	// bag is multiplexed onto Partitions physical partition bags
 	// ("<name>.p<i>"). Producers must write it through a
 	// PartitionedWriter; the consumer task gets one worker per physical
-	// partition, and the master may split hot partitions at runtime
-	// (internal/shuffle).
+	// partition (internal/shuffle).
 	Partitions int
-	// Spread permits record-level spreading of isolated heavy-hitter
-	// keys across several consumers. Safe whenever the consumer's
-	// per-key results are mergeable downstream (counts, sums, sketches,
-	// join probes); leave false if a consumer must see all records of a
-	// key.
+	// Spread permits spreading one key's records across several
+	// consumers: a seed map's isolated heavy-hitter keys over their fan,
+	// and a hot partition's chunks over clones of its consumer. Safe
+	// whenever the consumer's per-key results are mergeable downstream
+	// (counts, sums, sketches, join probes); leave false if a consumer
+	// must see all records of a key.
 	Spread bool
 }
 
@@ -222,19 +222,14 @@ func (a *App) Validate() error {
 					return fmt.Errorf("core: task %q consumes partitioned bag %q alongside other inputs", name, b)
 				}
 				// DOCUMENTED LIMITATION — pipelined ≠ partitioned. A
-				// pipelined consumer starts while its producers still run,
-				// but a partitioned consumer's worker set is fixed at
-				// schedule time from the edge's partition map, and the map
-				// only stops changing when the producers finish: starting
-				// early would freeze the map mid-refinement and leave
-				// later splits/isolations with no assigned consumer. The
-				// supported way to stream over partitioned edges is the
-				// windowed path (internal/stream): the unbounded input is
-				// cut into event-time windows, each executed as a complete
-				// DAG job whose edges partition, split, and isolate
-				// normally — and cross-window skew memory carries the
-				// learned partition maps between windows, which pipelining
-				// could not do at all.
+				// partitioned consumer is scheduled once its producers
+				// have sealed the edge; starting it while they run is not
+				// implemented. The supported way to stream over
+				// partitioned edges is the windowed path (internal/stream):
+				// the unbounded input is cut into event-time windows, each
+				// executed as a complete DAG job — and cross-window skew
+				// memory carries the learned partition maps between
+				// windows, which pipelining could not do at all.
 				if t.Pipelined {
 					return fmt.Errorf("core: task %q: pipelined consumption of partitioned bag %q is unsupported; use the windowed streaming path (internal/stream)", name, b)
 				}

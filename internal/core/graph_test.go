@@ -253,8 +253,16 @@ func TestClusterConfigDefaults(t *testing.T) {
 	mc := MasterConfig{}
 	mc.fill()
 	if mc.CloneInterval == 0 || mc.StorageBandwidth == 0 || mc.SpeculativeAfter == 0 ||
-		mc.SplitInterval == 0 || mc.SplitImbalance == 0 || mc.SplitMinRecords == 0 ||
-		mc.SplitFan < 2 || mc.IsolateFraction == 0 {
+		mc.SplitInterval == 0 {
 		t.Fatalf("master defaults not filled: %+v", mc)
+	}
+}
+
+// TestDefaultPoliciesNeverNil: with every policy disabled the default set is
+// empty but not nil — assigned to MasterConfig.Policies, nil would mean
+// "derive the defaults", and mitigation would come back on.
+func TestDefaultPoliciesNeverNil(t *testing.T) {
+	if ps := DefaultPolicies(MasterConfig{DisableCloning: true}); ps == nil || len(ps) != 0 {
+		t.Fatalf("DefaultPolicies with cloning disabled = %#v, want a non-nil empty slice", ps)
 	}
 }

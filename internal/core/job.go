@@ -278,7 +278,7 @@ func (h *JobHandle) Discard(ctx context.Context) error {
 
 // Reset prepares a completed — typically failed — namespaced job for
 // resubmission under the same name: every bag the job derived is deleted
-// (outputs, partitioned edges with their runtime split/isolation bags and
+// (outputs, partitioned edges with their seeded split/isolation bags and
 // sketches, merge partials, work and control bags), its source bags are
 // rewound so their consumed chunks replay from the start, and the job's
 // registration and name claims are released. The streaming subsystem's

@@ -74,27 +74,11 @@ type MasterConfig struct {
 
 	// ---- skew-aware shuffle (internal/shuffle) ----
 
-	// DisableSplitting turns off hot-partition splitting for partitioned
-	// bags (static hash partitioning; the Reshape-style baseline).
-	DisableSplitting bool
-	// SplitInterval is the minimum gap between successive merged-sketch
-	// fetches of one shuffle edge (default CloneInterval).
+	// SplitInterval is the edge-stats cadence: the minimum gap between
+	// successive merged-sketch fetches of one shuffle edge; producers
+	// report statistics up to four times per interval (default
+	// CloneInterval).
 	SplitInterval time.Duration
-	// SplitImbalance triggers a split when the hottest physical partition
-	// holds more than SplitImbalance × the mean partition load
-	// (default 2).
-	SplitImbalance float64
-	// SplitMinRecords is the number of records an edge must have observed
-	// before the master considers splitting it (default 16384).
-	SplitMinRecords int
-	// SplitFan is how many sub-partitions a hot partition is re-hashed
-	// into, and the spread factor for isolated heavy-hitter keys on
-	// Spread edges (default 2).
-	SplitFan int
-	// IsolateFraction: when a single key accounts for at least this
-	// fraction of a hot partition's records, the key is isolated into a
-	// dedicated bag instead of re-hashing the partition (default 0.5).
-	IsolateFraction float64
 
 	// Policies selects the mitigation strategies the control plane runs
 	// for this job. Nil installs the default set derived from the flags
@@ -137,18 +121,6 @@ func (c *MasterConfig) fill() {
 	if c.SplitInterval <= 0 {
 		c.SplitInterval = c.CloneInterval
 	}
-	if c.SplitImbalance <= 0 {
-		c.SplitImbalance = 2
-	}
-	if c.SplitMinRecords <= 0 {
-		c.SplitMinRecords = 16384
-	}
-	if c.SplitFan <= 1 {
-		c.SplitFan = 2
-	}
-	if c.IsolateFraction <= 0 {
-		c.IsolateFraction = 0.5
-	}
 }
 
 // ctrlConfig projects the master tuning knobs onto the control plane's
@@ -159,30 +131,24 @@ func (c *MasterConfig) ctrlConfig() ctrl.Config {
 		StorageBandwidth: c.StorageBandwidth,
 		DisableHeuristic: c.DisableHeuristic,
 		SpeculativeAfter: c.SpeculativeAfter,
-		SplitImbalance:   c.SplitImbalance,
-		SplitMinRecords:  c.SplitMinRecords,
-		SplitFan:         c.SplitFan,
-		IsolateFraction:  c.IsolateFraction,
 	}
 }
 
 // DefaultPolicies builds the mitigation set the flags in cfg describe:
-// reactive cloning (unless DisableCloning), speculative cloning (if
-// SpeculativeCloning), and hot-partition splitting plus heavy-key
-// isolation (unless DisableSplitting). Callers composing custom policy
-// chains can start from this set.
+// reactive cloning (unless DisableCloning) and speculative cloning (if
+// SpeculativeCloning as well). Callers composing custom policy chains can
+// start from this set. With nothing enabled it is empty but not nil, so
+// assigning it to MasterConfig.Policies disables mitigation rather than
+// asking for the defaults again.
 func DefaultPolicies(cfg MasterConfig) []ctrl.Policy {
 	cfg.fill()
 	c := cfg.ctrlConfig()
-	var ps []ctrl.Policy
+	ps := []ctrl.Policy{}
 	if !cfg.DisableCloning {
 		ps = append(ps, &ctrl.ClonePolicy{Cfg: c})
 		if cfg.SpeculativeCloning {
 			ps = append(ps, &ctrl.SpeculativePolicy{Cfg: c})
 		}
-	}
-	if !cfg.DisableSplitting {
-		ps = append(ps, &ctrl.SplitPartitionPolicy{Cfg: c}, &ctrl.IsolateKeyPolicy{Cfg: c})
 	}
 	return ps
 }
@@ -308,8 +274,6 @@ type Master struct {
 	mergeTasks   int
 	renameAdopts int
 	speculative  int
-	splits       int
-	isolations   int
 	yields       int
 
 	// spans accumulates per-task profiler phase accounting carried on
@@ -335,8 +299,6 @@ type masterObs struct {
 	clones      *obs.Counter
 	rejects     *obs.Counter
 	speculative *obs.Counter
-	splits      *obs.Counter
-	isolations  *obs.Counter
 	yields      *obs.Counter
 	scheduled   *obs.Counter
 	finished    *obs.Counter
@@ -357,8 +319,6 @@ func newMasterObs(o *obs.Observer, job string) masterObs {
 		clones:      o.Counter("hurricane_core_clones_total", l...),
 		rejects:     o.Counter("hurricane_core_clone_rejects_total", l...),
 		speculative: o.Counter("hurricane_core_speculative_clones_total", l...),
-		splits:      o.Counter("hurricane_core_splits_total", l...),
-		isolations:  o.Counter("hurricane_core_isolations_total", l...),
 		yields:      o.Counter("hurricane_core_yields_total", l...),
 		scheduled:   o.Counter("hurricane_core_tasks_scheduled_total", l...),
 		finished:    o.Counter("hurricane_core_tasks_finished_total", l...),
@@ -434,10 +394,6 @@ func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg
 	return m
 }
 
-// Config returns the master's configuration with every default filled in:
-// the thresholds its policies and seeds run under.
-func (m *Master) Config() MasterConfig { return m.cfg }
-
 // WorkBags exposes the app's work-bag interface (used by compute nodes).
 func (m *Master) WorkBags() *workBags { return m.wb }
 
@@ -482,10 +438,11 @@ type MasterStats struct {
 	RenameAdopts  int // sole-worker outputs adopted by rename
 	Recoveries    int // compute-node failure recoveries
 	Speculative   int // speculative clone attempts (paper future work)
-	Splits        int // hot partitions re-hashed into sub-partitions
-	Isolations    int // heavy-hitter keys isolated into dedicated bags
 	Yields        int // clone workers preempted by fair-share leasing
 	TasksFinished int
+	// Splits and Isolations are always 0: the master revises no partition
+	// map at runtime. They stay because the frozen benchmark reads them.
+	Splits, Isolations int
 }
 
 // ResealAll re-issues seal operations for every bag the master believes
@@ -560,8 +517,6 @@ func (m *Master) Stats() MasterStats {
 		RenameAdopts:  m.renameAdopts,
 		Recoveries:    m.recoveries,
 		Speculative:   m.speculative,
-		Splits:        m.splits,
-		Isolations:    m.isolations,
 		Yields:        m.yields,
 		TasksFinished: m.finished,
 	}
@@ -870,7 +825,7 @@ func (m *Master) controlPass() (int, error) {
 	// Propose and arbitrate separately (ctrl.Evaluate fuses the two) so
 	// the proposed-versus-surviving gap is observable: the suppressed
 	// counter is the arbiter's work — duplicate clones collapsed, clone
-	// budgets enforced, refinements deduplicated per edge.
+	// budgets enforced.
 	var proposed []ctrl.Action
 	for _, p := range m.policies {
 		proposed = append(proposed, p.Evaluate(snap)...)
@@ -952,27 +907,6 @@ func (m *Master) applyActions(actions []ctrl.Action) (int, error) {
 			}
 			m.mu.Unlock()
 			m.obs.rejects.Inc()
-		case ctrl.SplitPartition:
-			ok, err := m.applySplit(act)
-			if err != nil {
-				return applied, err
-			}
-			if ok {
-				applied++
-			}
-		case ctrl.IsolateKey:
-			ok, err := m.applyIsolate(act)
-			if err != nil {
-				return applied, err
-			}
-			if ok {
-				applied++
-			}
-		case ctrl.MarkUnsplittable:
-			if edge := m.edges[act.Edge]; edge != nil && !edge.splitTried[act.Leaf] {
-				edge.splitTried[act.Leaf] = true
-				applied++
-			}
 		default:
 			// The action vocabulary is closed (see ctrl.Action): a type
 			// the master does not recognize has no apply path and is
@@ -1187,9 +1121,9 @@ func (m *Master) schedulePass() (int, error) {
 			st.scheduled = true
 			st.startedAt = time.Now()
 			// A consumer of a partitioned bag gets one worker per
-			// physical partition — by this point the edge's partition map
-			// is final (its producers sealed the bag before this task
-			// became ready, and splitting stops when producers finish).
+			// physical partition — the edge's partition map is final: a
+			// seed map is published before the first scheduling pass, and
+			// nothing revises it after.
 			leaves := m.partitionLeavesFor(st.spec)
 			if leaves == nil {
 				st.workers = 1
@@ -1404,8 +1338,8 @@ func (m *Master) finishTask(st *taskState) error {
 				return err
 			}
 		}
-		// A sealed shuffle edge splits no further, so its per-writer
-		// sketch state on the storage tier has served its routing
+		// A sealed shuffle edge takes no further records, so its
+		// per-writer sketch state on the storage tier has served its
 		// purpose. Hand the hub the edge's final map and merged sketch
 		// first — short jobs (streaming windows) often seal before the
 		// hub's rate-limited fetch ever ran, and this is the last chance

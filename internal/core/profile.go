@@ -61,9 +61,8 @@ func (m *Master) stageDeps() map[string][]string {
 
 // attributeEdgeSkew fills p.Edges: for every partitioned shuffle edge,
 // the consumer stage's task-time spread (p50 vs max worker wall, the
-// slowest worker's share of summed stage time) joined with the
-// mitigation actions the trace recorded — splits and isolations keyed by
-// edge name, clones keyed by the consumer task. RecoveredNS estimates
+// slowest worker's share of summed stage time) joined with the clones of
+// the consumer task the trace recorded. RecoveredNS estimates
 // the time cloning bought back as the working time (read + compute +
 // shuffle) absorbed by the consumer's clone workers; clones always take
 // the highest worker indices, so the trace's clone count identifies
@@ -76,8 +75,6 @@ func (m *Master) attributeEdgeSkew(p *obs.Profile) {
 	for _, name := range edgeNames(m.edges) {
 		edge := m.edges[name]
 		es := obs.EdgeSkew{Edge: name, Consumer: edge.consumer}
-		es.Splits = countEvents(tr, m.cfg.Job, obs.EvPartitionSplit, name)
-		es.Isolations = countEvents(tr, m.cfg.Job, obs.EvKeyIsolated, name)
 		if edge.consumer != "" {
 			es.Clones = countEvents(tr, m.cfg.Job, obs.EvTaskCloned, edge.consumer)
 		}

@@ -171,7 +171,7 @@ func (m *Master) recoverNode(node string) {
 			// state: the restarted producers re-push from zero, and stale
 			// cumulative stats from the aborted epoch must not
 			// double-count the records they will re-write. The map goes
-			// with it, so it is announced again: the refinements stand.
+			// with it, so it is announced again: the seed stands.
 			if edge := m.edges[b]; edge != nil {
 				if err := m.store.DeleteSketch(m.ctx, b); err != nil {
 					m.failRecovery(err)

@@ -13,11 +13,11 @@ import (
 )
 
 // EdgeMemory is what a finished job remembers about one partitioned
-// shuffle edge: the final partition map (base layout plus every runtime
-// split and isolation) and the last merged producer sketch. The streaming
-// subsystem feeds a window's EdgeMemory into shuffle.WarmStart to seed
-// the next window's partitioner, so known-hot keys are pre-split or
-// pre-isolated instead of rediscovered from scratch each window.
+// shuffle edge: the final partition map (base layout plus the splits and
+// isolations its seed carried) and the last merged producer sketch. The
+// streaming subsystem feeds a window's EdgeMemory into shuffle.WarmStart to
+// seed the next window's partitioner, so known-hot keys are pre-isolated
+// instead of rediscovered from scratch each window.
 type EdgeMemory struct {
 	PMap  *shuffle.PartitionMap
 	Stats *sketch.EdgeStats
@@ -36,18 +36,15 @@ func (m *Master) EdgeMemory() map[string]EdgeMemory {
 	return out
 }
 
-// shuffleEdge is the master's state for one partitioned shuffle bag: the
-// current partition map and refinement bookkeeping. The *decision* to
-// refine lives in the control plane's policies (internal/ctrl); this file
-// only tracks state and applies the resulting actions.
+// shuffleEdge is the master's state for one partitioned shuffle bag: its
+// current partition map — the base map, or the seed published before the
+// first scheduling pass — and who produces and consumes it.
 type shuffleEdge struct {
 	name      string
 	spec      *BagSpec
 	pmap      *shuffle.PartitionMap // swapped under m.mu; read by other goroutines
 	producers []string
 	consumer  string // consuming task name, or ""
-
-	splitTried map[string]bool // leaves that cannot be refined further
 }
 
 // newShuffleEdges builds edge state for every partitioned bag of the app.
@@ -63,12 +60,11 @@ func newShuffleEdges(app *App) map[string]*shuffleEdge {
 			consumer = cons[0]
 		}
 		edges[name] = &shuffleEdge{
-			name:       name,
-			spec:       spec,
-			pmap:       shuffle.BaseMap(name, spec.Partitions),
-			producers:  app.Producers(name),
-			consumer:   consumer,
-			splitTried: make(map[string]bool),
+			name:      name,
+			spec:      spec,
+			pmap:      shuffle.BaseMap(name, spec.Partitions),
+			producers: app.Producers(name),
+			consumer:  consumer,
 		}
 	}
 	return edges
@@ -81,7 +77,7 @@ func edgeNames(edges map[string]*shuffleEdge) []string {
 
 // adoptPublishedMaps replays every edge's published-map bag from index 0,
 // as a master's first tick replays the work bags: after a master crash it
-// reconstructs the split history exactly (the pmap bag is append-only and
+// recovers the published map exactly (the pmap bag is append-only and
 // versions are ordered). It runs once per master — the master is the only
 // publisher, and publishMap adopts what it publishes. A map adopted from
 // the bag is a predecessor's, whose crash may have cut its publish short
@@ -125,100 +121,21 @@ func (m *Master) announceMap(edge *shuffleEdge) {
 }
 
 // edgeTelLocked is the master's authoritative state of one edge, to which
-// the hub adds the stats. Active means partition-map refinements can still
-// take effect: no producer finished (the map is about to be final), consumer
-// not scheduled (that fixes the worker↔partition assignment). Holds m.mu.
+// the hub adds the stats. Active means the edge is still being produced: no
+// producer finished and the consumer not scheduled. The hub fetches stats
+// only for active edges; the seal-time observation takes the final ones.
+// Holds m.mu.
 func (m *Master) edgeTelLocked(edge *shuffleEdge) *ctrl.EdgeTel {
 	active := edge.consumer == "" || !m.tasks[edge.consumer].scheduled
 	for _, p := range edge.producers {
 		active = active && !m.tasks[p].finished
 	}
 	return &ctrl.EdgeTel{
-		Name:         edge.name,
-		PMap:         edge.pmap,
-		Spread:       edge.spec.Spread,
-		Active:       active,
-		Unsplittable: edge.splitTried,
+		Name:   edge.name,
+		PMap:   edge.pmap,
+		Spread: edge.spec.Spread,
+		Active: active,
 	}
-}
-
-// edgeStillActive reports whether a refinement of the edge can still be
-// applied (edgeTelLocked's Active, read now).
-func (m *Master) edgeStillActive(edge *shuffleEdge) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.edgeTelLocked(edge).Active
-}
-
-// applySplit applies a SplitPartition action: re-hash one hot base
-// partition into Fan sub-partitions. Splitting only redirects records not
-// yet written, so it is always safe.
-func (m *Master) applySplit(act ctrl.SplitPartition) (bool, error) {
-	edge := m.edges[act.Edge]
-	if edge == nil || !m.edgeStillActive(edge) {
-		return false, nil
-	}
-	m.mu.Lock()
-	pmap := edge.pmap
-	m.mu.Unlock()
-	if act.Partition < 0 || act.Partition >= pmap.Base || pmap.Splits[act.Partition] > 1 {
-		return false, nil // stale proposal: partition already refined
-	}
-	fan := act.Fan
-	if fan <= 1 {
-		fan = 2
-	}
-	next := pmap.Clone()
-	if next.Splits == nil {
-		next.Splits = make(map[int]int)
-	}
-	next.Splits[act.Partition] = fan
-	next.Version++
-	if err := m.publishMap(edge, next); err != nil {
-		return false, err
-	}
-	m.mu.Lock()
-	m.splits++
-	m.mu.Unlock()
-	m.obs.splits.Inc()
-	m.obs.emit(obs.EvPartitionSplit, act.Edge,
-		fmt.Sprintf("partition=%d fan=%d leaf=%s version=%d", act.Partition, fan, act.Leaf, next.Version))
-	return true, nil
-}
-
-// applyIsolate applies an IsolateKey action: divert one heavy-hitter key
-// into a dedicated bag, spread over Fan bags when the edge permits.
-func (m *Master) applyIsolate(act ctrl.IsolateKey) (bool, error) {
-	edge := m.edges[act.Edge]
-	if edge == nil || !m.edgeStillActive(edge) {
-		return false, nil
-	}
-	m.mu.Lock()
-	pmap := edge.pmap
-	m.mu.Unlock()
-	hash := shuffle.KeyHash(act.Key)
-	if pmap.IsIsolated(hash) {
-		return false, nil // stale proposal: key already isolated
-	}
-	fan := act.Fan
-	if fan < 1 || !edge.spec.Spread {
-		fan = 1
-	}
-	next := pmap.Clone()
-	next.Isolated = append(next.Isolated, shuffle.Isolation{
-		Hash: hash, Fan: fan, Key: append([]byte(nil), act.Key...),
-	})
-	next.Version++
-	if err := m.publishMap(edge, next); err != nil {
-		return false, err
-	}
-	m.mu.Lock()
-	m.isolations++
-	m.mu.Unlock()
-	m.obs.isolations.Inc()
-	m.obs.emit(obs.EvKeyIsolated, act.Edge,
-		fmt.Sprintf("key=%x fan=%d version=%d", act.Key, fan, next.Version))
-	return true, nil
 }
 
 // publishSeeds publishes the submission's warm-start seed maps
@@ -248,7 +165,7 @@ func (m *Master) publishSeeds() {
 	}
 }
 
-// publishMap publishes a refined partition map and adopts it. Publish
+// publishMap publishes a seed partition map and adopts it. Publish
 // first, adopt second: producers must never observe a map the master (and
 // a recovered successor) would not also know about.
 func (m *Master) publishMap(edge *shuffleEdge, next *shuffle.PartitionMap) error {

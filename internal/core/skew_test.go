@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/ctrl"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
 	"repro/internal/sketch"
@@ -21,37 +22,30 @@ import (
 	"repro/internal/transport"
 )
 
-// The tests of the one picture of a shuffle edge: what the policies decide
-// on, what the alert watches, what /debug/skew shows and what a later run
-// warm-starts from are the control plane's one record of the edge.
+// The tests of the one picture of a shuffle edge: what the alert watches,
+// what /debug/skew shows and what a later run warm-starts from are the
+// control plane's one record of the edge.
 
-// TestAlertAndPolicyAgree pushes synthetic producer stats through the real
-// path on both sides — storage-tier merge, hub snapshot, policy chain and
-// the master applying its verdict on one; hub record, skew source, recorder
-// sample and watchdog on the other — and checks that the heat alert's
-// condition holds on a sample exactly when the refinement policies acted on
-// the snapshot it was taken from.
+// TestAlertAndPolicyAgree puts synthetic producer stats on a job's edge
+// record — as the hub records them — and runs the other side's real path:
+// skew source, recorder sample and watchdog. The heat alert fires exactly
+// when the record crosses the alert's own thresholds, heatImbalance times
+// the mean leaf load on an edge past heatMinRecords records.
 func TestAlertAndPolicyAgree(t *testing.T) {
-	// The engine's default thresholds: a leaf is hot above 2x the mean,
-	// on edges past 16384 records.
 	for _, tc := range []struct {
 		name   string
 		leaves int
 		counts func(leaf int) uint64 // records on base partition leaf
-		tried  int                   // a leaf already found unsplittable, or -1
 		hot    bool
 	}{
 		{"8 leaves, top 30%, 20k records: 2.4x the mean", 8,
-			func(l int) uint64 { return map[bool]uint64{true: 6000, false: 2000}[l == 3] }, -1, true},
+			func(l int) uint64 { return map[bool]uint64{true: 6000, false: 2000}[l == 3] }, true},
 		{"2 leaves, top 60%: 1.2x the mean", 2,
-			func(l int) uint64 { return map[bool]uint64{true: 12000, false: 8000}[l == 0] }, -1, false},
+			func(l int) uint64 { return map[bool]uint64{true: 12000, false: 8000}[l == 0] }, false},
 		{"8 leaves, top 30%, 1k records: too few to judge", 8,
-			func(l int) uint64 { return map[bool]uint64{true: 300, false: 100}[l == 3] }, -1, false},
-		{"8 leaves, top 30%, but that leaf is unsplittable", 8,
-			func(l int) uint64 { return map[bool]uint64{true: 6000, false: 2000}[l == 3] }, 3, false},
+			func(l int) uint64 { return map[bool]uint64{true: 300, false: 100}[l == 3] }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
 			cluster, err := NewCluster(testClusterConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -63,38 +57,24 @@ func TestAlertAndPolicyAgree(t *testing.T) {
 			app.AddTask(TaskSpec{Name: "route", Inputs: []string{"in"}, Outputs: []string{"shuf"}, Run: idle})
 			app.AddTask(TaskSpec{Name: "drain", Inputs: []string{"shuf"}, Outputs: []string{"out"}, Run: idle})
 			// A job's master, wired as the cluster wires it but never
-			// started: the test is its control loop.
+			// started: only its hub's edge record is read.
 			h := &JobHandle{c: cluster, id: "heat", app: app}
 			m := cluster.newJobMaster(h)
 			h.master = m
 			cluster.mu.Lock()
 			cluster.jobs[h.id] = h
 			cluster.mu.Unlock()
-			if tc.tried >= 0 {
-				m.edges["shuf"].splitTried[shuffle.PartitionBag("shuf", tc.tried)] = true
-			}
 
 			stats := sketch.NewEdgeStats()
 			for l := 0; l < tc.leaves; l++ {
 				stats.Counts[shuffle.PartitionBag("shuf", l)] = tc.counts(l)
 			}
-			if _, err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", stats.AppendTo(nil), 1); err != nil {
-				t.Fatal(err)
-			}
-
-			// One pass of the master's control loop: snapshot, policies,
-			// arbitration, and whatever they decided applied to the edge.
-			m.ctx = ctx
-			applied, err := m.controlPass()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := m.hub.Edges()["shuf"]; e.Stats == nil || e.Stats.Total() == 0 {
-				t.Fatal("the control pass left no stats on the active edge's record")
-			}
-			acts := applied > 0
-			if acts != tc.hot {
-				t.Fatalf("policies act on the edge: %v, want %v", acts, tc.hot)
+			e := ctrl.EdgeTel{Name: "shuf", PMap: shuffle.BaseMap("shuf", tc.leaves), Spread: true, Stats: stats}
+			m.hub.ObserveEdge(e)
+			heat := ctrl.EdgeHeat(&e)
+			if crossed := heat.Imbalance >= heatImbalance && heat.Records >= heatMinRecords; crossed != tc.hot {
+				t.Fatalf("the case says hot=%v, but the record (%d records, %.2fx the mean) crosses the thresholds: %v",
+					tc.hot, heat.Records, heat.Imbalance, crossed)
 			}
 
 			// The rule arms on its second consecutive sample.
@@ -110,8 +90,8 @@ func TestAlertAndPolicyAgree(t *testing.T) {
 					firing = firing || st.Firing
 				}
 			}
-			if firing != acts {
-				t.Fatalf("heat alert firing = %v, but the policies act = %v, on one record of the edge", firing, acts)
+			if firing != tc.hot {
+				t.Fatalf("heat alert firing = %v, want %v", firing, tc.hot)
 			}
 		})
 	}
@@ -200,15 +180,13 @@ func feedUntil(t *testing.T, ctx context.Context, store *bag.Store, h *JobHandle
 }
 
 // TestCloneOnlyChainKeepsEdgeMemory: the stats a job's EdgeMemory hands to
-// a warm start do not depend on which policies are installed. A chain with
-// no refinement policy still has every active edge's sketch fetched into
-// its snapshots, and so into the edge's record, while the job runs.
+// a warm start come from the control plane's snapshots. The default chain,
+// cloning alone, still has every active edge's sketch fetched into its
+// snapshots, and so into the edge's record, while the job runs.
 func TestCloneOnlyChainKeepsEdgeMemory(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cfg := testClusterConfig()
-	cfg.Master.DisableSplitting = true
-	cluster, err := NewCluster(cfg)
+	cluster, err := NewCluster(testClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +209,6 @@ func TestCloneOnlyChainKeepsEdgeMemory(t *testing.T) {
 	}
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if st := h.Master().Stats(); st.Splits+st.Isolations != 0 {
-		t.Fatalf("a clone-only chain refined the edge: %+v", st)
 	}
 }
 

@@ -5,12 +5,10 @@
 // Actions.
 //
 // The paper's core claim (§2.2) is that one adaptive mechanism family —
-// fine-grained cloning plus late binding — tames skew at runtime. After the
-// shuffle subsystem landed, Hurricane had four mitigations (reactive
-// cloning, speculative cloning, hot-partition splitting, heavy-key
-// isolation) smeared across what was then the master's polling loop
-// (today's control loop is event-driven). Following the
-// Reshape/Texera line of work, this package separates them into
+// fine-grained cloning plus late binding — tames skew at runtime. The
+// built-in mitigations are exactly that family: reactive cloning on
+// overload signals and speculative cloning of stragglers, both ending in one
+// placement rule. Following the Reshape/Texera line of work, they run as
 // interchangeable strategies driven by a shared metrics pipeline:
 //
 //   - the Hub ingests telemetry signals as they arrive (event-driven, not
@@ -18,12 +16,12 @@
 //   - the Hub also owns what is known about a partitioned shuffle edge: its
 //     last record of every edge (Edges) carries the edge's current map and
 //     last merged stats, and EdgeHeat says how hot that makes it. The
-//     refinement policies, the operator surfaces and every warm start read
-//     that one record through that one function;
+//     operator surfaces, the heat alert and every warm start read that one
+//     record through that one function;
 //   - a Policy inspects a Snapshot and proposes Actions;
 //   - Arbitrate resolves conflicts between concurrently proposed Actions
-//     (clone-vs-split on one edge, duplicate clones, slot budgets) in one
-//     place, instead of implicitly by pass ordering;
+//     (duplicate clones, slot budgets) in one place, instead of implicitly
+//     by pass ordering;
 //   - the master validates and applies the surviving Actions
 //     transactionally against its authoritative task state.
 //
@@ -54,18 +52,6 @@ type Config struct {
 	DisableHeuristic bool
 	// SpeculativeAfter is the straggler threshold for SpeculativePolicy.
 	SpeculativeAfter time.Duration
-	// SplitImbalance triggers a split when the hottest physical partition
-	// holds more than SplitImbalance × the mean partition load.
-	SplitImbalance float64
-	// SplitMinRecords is the number of records an edge must have observed
-	// before refinement is considered.
-	SplitMinRecords int
-	// SplitFan is the re-hash fan for hot partitions and the spread factor
-	// for isolated heavy-hitter keys on Spread edges.
-	SplitFan int
-	// IsolateFraction: a single key accounting for at least this fraction
-	// of a hot partition's records is isolated instead of re-hashed.
-	IsolateFraction float64
 }
 
 // ---- telemetry (snapshot contents) ----
@@ -73,7 +59,7 @@ type Config struct {
 // NodeTel is one compute node's liveness and load. The hub no longer
 // builds it (node liveness is the master's own record and no policy reads
 // it); the type and Snapshot.Nodes stay only because the frozen benchmark's
-// policy probe fills them in by hand.
+// policy probe fills them in by hand and must keep compiling.
 type NodeTel struct {
 	LastBeat time.Time
 	Running  int
@@ -139,38 +125,32 @@ func AtWorkerCap(live, maxClones, totalSlots int) bool {
 }
 
 // EdgeTel is the state of one partitioned shuffle edge: the current
-// partition map, whether the edge is still being produced (refinements only
-// help while records are in flight), and — when the hub fetched them this
-// round — the merged producer statistics.
+// partition map, whether the edge is still being produced, and — when the
+// hub fetched them this round — the merged producer statistics.
 type EdgeTel struct {
 	Name   string
 	PMap   *shuffle.PartitionMap
 	Spread bool
-	// Active: producers still running and the consumer not yet scheduled,
-	// so partition-map refinements can still take effect.
+	// Active: producers still running and the consumer not yet scheduled.
+	// It gates the hub's stats fetches, and the frozen benchmark's policy
+	// probe sets it by name.
 	Active bool
 	// Stats is the merged producer sketch for the edge, or nil if the hub
 	// did not (re-)fetch it for this snapshot. Policies must treat nil as
 	// "no fresh evidence", not as "empty edge".
 	Stats *sketch.EdgeStats
-	// Unsplittable lists leaves the master already found unrefinable (hot
-	// sub-partitions with no dominant key to extract).
-	Unsplittable map[string]bool
 }
 
 // Heat is how hot an edge's record makes it: the one set of numbers the
-// refinement policies, the skew time series, the heat alert and /debug/skew
-// read, so that none of them can disagree about an edge.
+// skew time series, the heat alert and /debug/skew read, so that none of
+// them can disagree about an edge.
 type Heat struct {
 	// Records is the number of records the edge's producers have reported.
 	Records uint64
-	// Leaf is the hottest leaf of the current map that can still be
-	// refined (not Unsplittable) and LeafRecords its load; "" and 0 when no
-	// such leaf has taken a record.
-	Leaf        string
+	// LeafRecords is the load of the current map's hottest leaf.
 	LeafRecords uint64
 	// Imbalance is LeafRecords over the mean load per leaf of the current
-	// map: the quantity SplitImbalance bounds.
+	// map: the quantity the heat alert bounds.
 	Imbalance float64
 	// Heavy are the sketch's heavy-hitter candidates, heaviest first.
 	Heavy []sketch.HeavyKey
@@ -188,9 +168,7 @@ func EdgeHeat(e *EdgeTel) Heat {
 	h := Heat{Records: e.Stats.Total()}
 	leaves := e.PMap.Leaves()
 	for _, l := range leaves {
-		if c := e.Stats.Counts[l]; c > h.LeafRecords && !e.Unsplittable[l] {
-			h.Leaf, h.LeafRecords = l, c
-		}
+		h.LeafRecords = max(h.LeafRecords, e.Stats.Counts[l])
 	}
 	h.Imbalance = float64(h.LeafRecords) * float64(len(leaves)) / float64(h.Records)
 	h.Heavy = e.Stats.TopKeys(sketch.MaxHeavyKeys, 0)
@@ -272,9 +250,8 @@ func (s *Snapshot) EdgeNames() []string {
 // against its authoritative state and applies it (or drops it if the state
 // moved underneath — the next snapshot will re-propose).
 //
-// The action vocabulary is CLOSED: CloneTask, RejectClone, SplitPartition,
-// IsolateKey, and MarkUnsplittable are the complete instruction set the
-// master knows how to apply. Policies are the extension point — a custom
+// The action vocabulary is CLOSED: CloneTask and RejectClone are the
+// complete instruction set the master knows how to apply. Policies are the extension point — a custom
 // policy composes these instructions; an action type the master does not
 // recognize is discarded without effect.
 type Action interface {
@@ -311,45 +288,6 @@ type RejectClone struct {
 // Kind implements Action.
 func (RejectClone) Kind() string { return "reject-clone" }
 
-// SplitPartition re-hashes one hot base partition of a shuffle edge into
-// Fan sub-partitions (Reshape-style: many medium keys piled onto one
-// partition).
-type SplitPartition struct {
-	Edge string
-	// Partition is the base partition index to refine.
-	Partition int
-	Fan       int
-	// Leaf is the physical bag being split (diagnostic; the partition
-	// index is authoritative).
-	Leaf string
-}
-
-// Kind implements Action.
-func (SplitPartition) Kind() string { return "split" }
-
-// IsolateKey diverts one heavy-hitter key of a shuffle edge into a
-// dedicated bag (SharesSkew-style), spread record-wise over Fan bags when
-// the edge permits record-level parallelism.
-type IsolateKey struct {
-	Edge string
-	Key  []byte
-	Fan  int
-}
-
-// Kind implements Action.
-func (IsolateKey) Kind() string { return "isolate" }
-
-// MarkUnsplittable records that a leaf is hot but cannot be refined
-// further (a sub-partition or isolated bag with no dominant key left to
-// extract), so detection stops re-proposing it.
-type MarkUnsplittable struct {
-	Edge string
-	Leaf string
-}
-
-// Kind implements Action.
-func (MarkUnsplittable) Kind() string { return "mark-unsplittable" }
-
 // ---- policies ----
 
 // A Policy is one interchangeable mitigation strategy: it inspects a
@@ -374,84 +312,33 @@ type Policy interface {
 //     multi-job cluster, by the job's fair-share lease budget
 //     (LeaseSlots), so one job's mitigations cannot starve its
 //     neighbors (excess proposals become RejectClone, preserving the
-//     reject counters);
-//   - at most one partition-map refinement per edge per round, preferring
-//     IsolateKey over SplitPartition (re-hashing cannot help when a single
-//     key carries the partition) over MarkUnsplittable;
-//   - a clone of a task that consumes an edge being refined this round is
-//     dropped: the refinement is the preferred skew defense, and the
-//     clone's evidence predates the new map (a later overload signal will
-//     re-propose it if the split alone does not help).
+//     reject counters).
+//
+// Besides the master's control pass, the frozen benchmark's policy probe
+// calls it by name.
 func Arbitrate(snap *Snapshot, proposed []Action) []Action {
-	refined := make(map[string]Action) // edge -> winning refinement
-	for _, a := range proposed {
-		switch act := a.(type) {
-		case IsolateKey:
-			refined[act.Edge] = act
-		case SplitPartition:
-			if _, ok := refined[act.Edge].(IsolateKey); !ok {
-				refined[act.Edge] = act
-			}
-		case MarkUnsplittable:
-			if refined[act.Edge] == nil {
-				refined[act.Edge] = act
-			}
-		}
-	}
-
 	out := make([]Action, 0, len(proposed))
-	emittedRefinement := make(map[string]bool)
 	clonedTask := make(map[string]bool)
 	budget := snap.FreeSlots
 	if snap.LeaseCapped && snap.LeaseSlots < budget {
 		budget = snap.LeaseSlots
 	}
 	for _, a := range proposed {
-		switch act := a.(type) {
-		case CloneTask:
-			if clonedTask[act.Task] {
-				continue
-			}
-			if t := snap.Tasks[act.Task]; t != nil && t.ConsumesEdge != "" {
-				if _, conflict := refined[t.ConsumesEdge]; conflict {
-					if _, marked := refined[t.ConsumesEdge].(MarkUnsplittable); !marked {
-						continue // refinement wins the edge this round
-					}
-				}
-			}
-			clonedTask[act.Task] = true
-			if budget <= 0 {
-				out = append(out, RejectClone{Task: act.Task, Speculative: act.Speculative})
-				continue
-			}
-			budget--
-			out = append(out, act)
-		case RejectClone:
-			out = append(out, act)
-		case IsolateKey:
-			if !emittedRefinement[act.Edge] {
-				if winner, ok := refined[act.Edge].(IsolateKey); ok {
-					emittedRefinement[act.Edge] = true
-					out = append(out, winner)
-				}
-			}
-		case SplitPartition:
-			if !emittedRefinement[act.Edge] {
-				if winner, ok := refined[act.Edge].(SplitPartition); ok {
-					emittedRefinement[act.Edge] = true
-					out = append(out, winner)
-				}
-			}
-		case MarkUnsplittable:
-			if !emittedRefinement[act.Edge] {
-				if winner, ok := refined[act.Edge].(MarkUnsplittable); ok {
-					emittedRefinement[act.Edge] = true
-					out = append(out, winner)
-				}
-			}
-		default:
+		act, ok := a.(CloneTask)
+		if !ok {
 			out = append(out, a)
+			continue
 		}
+		if clonedTask[act.Task] {
+			continue
+		}
+		clonedTask[act.Task] = true
+		if budget <= 0 {
+			out = append(out, RejectClone{Task: act.Task, Speculative: act.Speculative})
+			continue
+		}
+		budget--
+		out = append(out, act)
 	}
 	return out
 }

@@ -186,7 +186,6 @@ func (h *Hub) Dropped() int {
 // calls it once more when an edge seals, with the edge's final map and
 // stats, before the storage tier drops the producers' sketches.
 func (h *Hub) ObserveEdge(e EdgeTel) {
-	e.Unsplittable = maps.Clone(e.Unsplittable) // the owner keeps writing its own
 	h.mu.Lock()
 	if e.Stats == nil {
 		e.Stats = h.edges[e.Name].Stats

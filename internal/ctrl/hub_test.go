@@ -135,10 +135,8 @@ func TestHubFetchRateLimit(t *testing.T) {
 	}
 	final := sketch.NewEdgeStats()
 	final.Counts["shuf.p0"] = 99
-	tried := map[string]bool{"shuf.p0": true}
-	h.ObserveEdge(EdgeTel{Name: "shuf", Stats: final, Unsplittable: tried})
-	tried["shuf.p1"] = true // the owner's set keeps changing; the record's must not
-	if e := h.Edges()["shuf"]; e.Stats.Counts["shuf.p0"] != 99 || e.Active || len(e.Unsplittable) != 1 {
+	h.ObserveEdge(EdgeTel{Name: "shuf", Stats: final})
+	if e := h.Edges()["shuf"]; e.Stats.Counts["shuf.p0"] != 99 || e.Active {
 		t.Fatalf("edge record after the seal-time observation: %+v", e)
 	}
 }
@@ -154,16 +152,16 @@ func TestHubEdgesConcurrent(t *testing.T) {
 			return s, nil
 		},
 	})
-	tried := map[string]bool{} // owned by the snapshotting goroutine, as in the master
 	const rounds = 200
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			tried[fmt.Sprintf("shuf.p%d", i)] = true
+			pm := shuffle.BaseMap("shuf", 4)
+			pm.Version = i + 1
 			h.Snapshot(context.Background(), func(snap *Snapshot) {
-				snap.Edges["shuf"] = &EdgeTel{Name: "shuf", PMap: shuffle.BaseMap("shuf", 4), Active: true, Unsplittable: tried}
+				snap.Edges["shuf"] = &EdgeTel{Name: "shuf", PMap: pm, Active: true}
 			})
 		}
 	}()
@@ -178,14 +176,12 @@ func TestHubEdgesConcurrent(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			for _, e := range h.Edges() {
 				EdgeHeat(&e)
-				for range e.Unsplittable {
-				}
 			}
 		}
 	}()
 	wg.Wait()
-	if e := h.Edges()["shuf"]; e.Stats == nil || len(e.Unsplittable) != rounds {
-		t.Fatalf("last record: stats=%v unsplittable=%d", e.Stats, len(e.Unsplittable))
+	if e := h.Edges()["shuf"]; e.Stats == nil || e.PMap.Version != rounds {
+		t.Fatalf("last record: stats=%v map version %d, want %d", e.Stats, e.PMap.Version, rounds)
 	}
 }
 

@@ -3,9 +3,6 @@ package ctrl
 import (
 	"maps"
 	"slices"
-
-	"repro/internal/shuffle"
-	"repro/internal/sketch"
 )
 
 // ---- cloning ----
@@ -96,7 +93,8 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, speculative bool) (Ac
 	// Chunk-level sharing of one partition splits a key's records across
 	// workers, so it is only sound when the edge declared record-level
 	// parallelism safe (Spread) or the task reconciles partials through a
-	// merge procedure. Otherwise splitting is the skew defense.
+	// merge procedure. Otherwise each leaf keeps its one owner: the paper
+	// clones no task whose partial outputs cannot be merged (§2.3).
 	if t.ConsumesEdge != "" && !t.EdgeSpread && !t.HasMerge {
 		return nil, false
 	}
@@ -158,105 +156,4 @@ func cloneWorthwhile(cfg *Config, snap *Snapshot, stats *BagTel, t *TaskTel) boo
 	tt := remaining / rate
 	tio := 2 * (remaining / (k + 1)) / cfg.StorageBandwidth
 	return tt > (k+1)*tio
-}
-
-// ---- shuffle-edge refinement ----
-
-// hotLeaf is EdgeHeat plus the policy thresholds: it reports the edge's
-// heat and whether its hottest refinable leaf crosses the imbalance
-// threshold on an edge that is still active and past SplitMinRecords. Both
-// refinement policies share this detection so their proposals name the
-// same partition and Arbitrate can resolve the preference.
-func hotLeaf(cfg *Config, e *EdgeTel) (Heat, bool) {
-	if !e.Active {
-		return Heat{}, false
-	}
-	h := EdgeHeat(e)
-	return h, h.Leaf != "" && h.Records >= uint64(cfg.SplitMinRecords) && h.Imbalance > cfg.SplitImbalance
-}
-
-// dominantKey returns the heaviest non-isolated heavy-hitter candidate
-// routed to the edge's hot leaf, if one accounts for at least
-// IsolateFraction of the leaf's records. Candidates come ranked, so the
-// first survivor of the leaf/isolation filters is the dominant one.
-func dominantKey(cfg *Config, e *EdgeTel, h Heat) *sketch.HeavyKey {
-	for i, hk := range h.Heavy {
-		if e.PMap.IsIsolated(shuffle.KeyHash(hk.Key)) {
-			continue
-		}
-		if e.PMap.LeafForKey(hk.Key) != h.Leaf {
-			continue
-		}
-		if float64(hk.Count) < cfg.IsolateFraction*float64(h.LeafRecords) {
-			return nil
-		}
-		return &h.Heavy[i]
-	}
-	return nil
-}
-
-// SplitPartitionPolicy re-hashes a hot base partition into SplitFan
-// sub-partitions when many medium keys pile onto it (Reshape-style).
-// Splitting only redirects records not yet written, so it is always safe;
-// the edge must still be active (producers running, consumer unscheduled).
-type SplitPartitionPolicy struct {
-	Cfg Config
-}
-
-// Name implements Policy.
-func (*SplitPartitionPolicy) Name() string { return "split-partition" }
-
-// Evaluate implements Policy.
-func (p *SplitPartitionPolicy) Evaluate(snap *Snapshot) []Action {
-	var out []Action
-	for _, name := range snap.EdgeNames() {
-		e := snap.Edges[name]
-		h, hot := hotLeaf(&p.Cfg, e)
-		if !hot {
-			continue
-		}
-		part, isBase := e.PMap.BasePartitionIndex(h.Leaf)
-		if !isBase {
-			// A sub-partition or isolated bag still hot: re-hashing cannot
-			// refine it further. If IsolateKeyPolicy has a dominant key to
-			// extract, its proposal wins in arbitration; otherwise the
-			// master records the leaf as unrefinable.
-			out = append(out, MarkUnsplittable{Edge: name, Leaf: h.Leaf})
-			continue
-		}
-		out = append(out, SplitPartition{Edge: name, Partition: part, Fan: p.Cfg.SplitFan, Leaf: h.Leaf})
-	}
-	return out
-}
-
-// IsolateKeyPolicy diverts a dominant heavy-hitter key into a dedicated
-// bag when a single key carries a hot partition (SharesSkew-style),
-// spreading it record-wise over SplitFan bags when the edge permits.
-type IsolateKeyPolicy struct {
-	Cfg Config
-}
-
-// Name implements Policy.
-func (*IsolateKeyPolicy) Name() string { return "isolate-key" }
-
-// Evaluate implements Policy.
-func (p *IsolateKeyPolicy) Evaluate(snap *Snapshot) []Action {
-	var out []Action
-	for _, name := range snap.EdgeNames() {
-		e := snap.Edges[name]
-		h, hot := hotLeaf(&p.Cfg, e)
-		if !hot {
-			continue
-		}
-		top := dominantKey(&p.Cfg, e, h)
-		if top == nil {
-			continue
-		}
-		fan := 1
-		if e.Spread {
-			fan = p.Cfg.SplitFan
-		}
-		out = append(out, IsolateKey{Edge: name, Key: top.Key, Fan: fan})
-	}
-	return out
 }

@@ -2,18 +2,12 @@ package ctrl
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/shuffle"
-	"repro/internal/sketch"
 )
 
 // The policy tests run entirely against synthetic telemetry: no cluster,
-// no storage, no goroutines. A trace builds Snapshots by hand (or from a
-// synthetic Zipf workload routed through a real PartitionMap) and feeds
+// no storage, no goroutines. A trace builds Snapshots by hand and feeds
 // them to policies, asserting on the emitted Actions.
 
 var t0 = time.Date(2026, 7, 30, 12, 0, 0, 0, time.UTC)
@@ -23,10 +17,6 @@ func testConfig() Config {
 		CloneInterval:    2 * time.Second,
 		StorageBandwidth: 1 << 30,
 		SpeculativeAfter: 8 * time.Second,
-		SplitImbalance:   2,
-		SplitMinRecords:  1000,
-		SplitFan:         4,
-		IsolateFraction:  0.5,
 	}
 }
 
@@ -79,63 +69,6 @@ func probeKiB(remaining map[string]int64) func(string) *BagTel {
 		}
 		return &BagTel{ReadBytes: 1 << 10, RemainingBytes: kib << 10}
 	}
-}
-
-// zipfKeyNames builds a deterministic key universe whose hotK top-ranked
-// keys all hash to base partition `target` — the canonical "many medium
-// keys piled onto one partition" skew shape. Routing still goes through
-// the real partitioner, so the resulting trace is exactly what producers
-// would report.
-func zipfKeyNames(base, keys, hotK, target int) [][]byte {
-	part := func(key []byte) int { return int(shuffle.KeyHash(key) % uint64(base)) }
-	names := make([][]byte, 0, keys)
-	for next := 0; len(names) < hotK; next++ {
-		cand := []byte(fmt.Sprintf("key-%06d", next))
-		if part(cand) == target {
-			names = append(names, cand)
-		}
-	}
-	for next := 1 << 20; len(names) < keys; next++ {
-		cand := []byte(fmt.Sprintf("key-%06d", next))
-		if part(cand) != target {
-			names = append(names, cand)
-		}
-	}
-	return names
-}
-
-// zipfEdgeStats routes n Zipf(s)-distributed draws over the given key
-// universe through pmap exactly the way a partitioned producer would,
-// building the per-leaf counts and heavy-key candidates the master's
-// sketch fetch returns.
-func zipfEdgeStats(pmap *shuffle.PartitionMap, names [][]byte, s float64, n int, seed int64) *sketch.EdgeStats {
-	rng := rand.New(rand.NewSource(seed))
-	// Zipf ranks 1..len(names) with exponent s.
-	weights := make([]float64, len(names))
-	var total float64
-	for i := range weights {
-		weights[i] = 1 / math.Pow(float64(i+1), s)
-		total += weights[i]
-	}
-	stats := sketch.NewEdgeStats()
-	byKey := make(map[string]uint64)
-	for i := 0; i < n; i++ {
-		r := rng.Float64() * total
-		k := 0
-		for r > weights[k] && k < len(names)-1 {
-			r -= weights[k]
-			k++
-		}
-		key := names[k]
-		leaf := pmap.Route(key, i)
-		stats.Counts[leaf]++
-		stats.CM.Add(key, 1)
-		byKey[string(key)]++
-	}
-	for k, c := range byKey {
-		stats.Heavy = append(stats.Heavy, sketch.HeavyKey{Key: []byte(k), Count: c})
-	}
-	return stats
 }
 
 // TestClonePolicyTable drives ClonePolicy through a table of overload
@@ -396,213 +329,6 @@ func TestSpeculativePolicy(t *testing.T) {
 	}
 }
 
-// TestSplitPolicyZipfTrace replays a synthetic Zipf(1.1) trace with many
-// medium keys piled onto one partition (no dominant key): the split
-// policy must re-hash the hottest base partition, and the isolate policy
-// must stay silent.
-func TestSplitPolicyZipfTrace(t *testing.T) {
-	cfg := testConfig()
-	pmap := shuffle.BaseMap("shuf", 4)
-	names := zipfKeyNames(4, 64, 24, 1)
-	stats := zipfEdgeStats(pmap, names, 1.1, 20000, 7)
-
-	snap := baseSnapshot()
-	snap.Edges["shuf"] = &EdgeTel{
-		Name: "shuf", PMap: pmap, Active: true, Stats: stats,
-		Unsplittable: map[string]bool{},
-	}
-
-	split := (&SplitPartitionPolicy{Cfg: cfg}).Evaluate(snap)
-	if len(split) != 1 {
-		t.Fatalf("want one split action, got %v", split)
-	}
-	sp, ok := split[0].(SplitPartition)
-	if !ok || sp.Edge != "shuf" || sp.Fan != cfg.SplitFan {
-		t.Fatalf("unexpected split action %+v", split[0])
-	}
-	// The named partition must really be the hottest leaf.
-	hottest, best := "", uint64(0)
-	for leaf, c := range stats.Counts {
-		if c > best {
-			hottest, best = leaf, c
-		}
-	}
-	if shuffle.PartitionBag("shuf", sp.Partition) != hottest {
-		t.Fatalf("split names partition %d, hottest leaf is %s", sp.Partition, hottest)
-	}
-
-	// Zipf(1.1) over 64 keys: the top key holds well under half the hot
-	// partition, so isolation must not trigger.
-	if iso := (&IsolateKeyPolicy{Cfg: cfg}).Evaluate(snap); len(iso) != 0 {
-		t.Fatalf("no dominant key, want no isolation, got %v", iso)
-	}
-}
-
-// TestIsolatePolicyHeavyKey: one key dominating the stream is isolated,
-// with spread fan on Spread edges and fan 1 otherwise.
-func TestIsolatePolicyHeavyKey(t *testing.T) {
-	cfg := testConfig()
-	pmap := shuffle.BaseMap("shuf", 4)
-	stats := sketch.NewEdgeStats()
-	heavy := []byte("elephant")
-	leaf := pmap.LeafForKey(heavy)
-	stats.Counts[leaf] = 9000
-	for p := 0; p < 4; p++ {
-		stats.Counts[shuffle.PartitionBag("shuf", p)] += 400
-	}
-	stats.Heavy = []sketch.HeavyKey{{Key: heavy, Count: 8500}}
-
-	for _, spread := range []bool{true, false} {
-		snap := baseSnapshot()
-		snap.Edges["shuf"] = &EdgeTel{
-			Name: "shuf", PMap: pmap, Spread: spread, Active: true, Stats: stats,
-			Unsplittable: map[string]bool{},
-		}
-		actions := (&IsolateKeyPolicy{Cfg: cfg}).Evaluate(snap)
-		if len(actions) != 1 {
-			t.Fatalf("spread=%v: want one isolation, got %v", spread, actions)
-		}
-		iso := actions[0].(IsolateKey)
-		if string(iso.Key) != "elephant" {
-			t.Fatalf("spread=%v: isolated key %q", spread, iso.Key)
-		}
-		wantFan := 1
-		if spread {
-			wantFan = cfg.SplitFan
-		}
-		if iso.Fan != wantFan {
-			t.Fatalf("spread=%v: fan %d, want %d", spread, iso.Fan, wantFan)
-		}
-	}
-}
-
-// TestRefinementGates: inactive edges, thin edges, and already-tried
-// leaves produce no refinement.
-func TestRefinementGates(t *testing.T) {
-	cfg := testConfig()
-	pmap := shuffle.BaseMap("shuf", 4)
-	stats := zipfEdgeStats(pmap, zipfKeyNames(4, 32, 12, 2), 1.3, 20000, 3)
-
-	mk := func(mutate func(*EdgeTel)) *Snapshot {
-		snap := baseSnapshot()
-		e := &EdgeTel{
-			Name: "shuf", PMap: pmap, Active: true, Stats: stats,
-			Unsplittable: map[string]bool{},
-		}
-		if mutate != nil {
-			mutate(e)
-		}
-		snap.Edges["shuf"] = e
-		return snap
-	}
-	p := &SplitPartitionPolicy{Cfg: cfg}
-
-	if got := p.Evaluate(mk(func(e *EdgeTel) { e.Active = false })); len(got) != 0 {
-		t.Fatalf("inactive edge refined: %v", got)
-	}
-	if got := p.Evaluate(mk(func(e *EdgeTel) { e.Stats = nil })); len(got) != 0 {
-		t.Fatalf("no fresh stats but refined: %v", got)
-	}
-	thin := sketch.NewEdgeStats()
-	thin.Counts["shuf.p0"] = 100 // below SplitMinRecords
-	if got := p.Evaluate(mk(func(e *EdgeTel) { e.Stats = thin })); len(got) != 0 {
-		t.Fatalf("thin edge refined: %v", got)
-	}
-	// Marking every leaf unsplittable silences the policy.
-	all := map[string]bool{}
-	for _, l := range pmap.Leaves() {
-		all[l] = true
-	}
-	if got := p.Evaluate(mk(func(e *EdgeTel) { e.Unsplittable = all })); len(got) != 0 {
-		t.Fatalf("unsplittable leaves refined: %v", got)
-	}
-}
-
-// TestArbitrateCloneSplitConflict is the required conflict case: in one
-// evaluation round, ClonePolicy wants to clone the consumer of a hot edge
-// while SplitPartitionPolicy wants to split the same edge. Arbitration
-// must keep the split and drop the clone (the refinement is the preferred
-// skew defense); clones of unrelated tasks survive.
-func TestArbitrateCloneSplitConflict(t *testing.T) {
-	cfg := testConfig()
-	cfg.DisableHeuristic = true
-
-	pmap := shuffle.BaseMap("shuf", 4)
-	stats := zipfEdgeStats(pmap, zipfKeyNames(4, 64, 24, 1), 1.1, 20000, 7)
-
-	snap := baseSnapshot()
-	snap.Edges["shuf"] = &EdgeTel{
-		Name: "shuf", PMap: pmap, Spread: true, Active: true, Stats: stats,
-		Unsplittable: map[string]bool{},
-	}
-	snap.Tasks["agg"] = partitionedTask("agg", "shuf.p1")
-	snap.Tasks["other"] = runningTask("other")
-	snap.Overloads = []Overload{
-		{Task: "agg", Busy: 0.95},
-		{Task: "other", Busy: 0.95},
-	}
-
-	policies := []Policy{
-		&ClonePolicy{Cfg: cfg},
-		&SplitPartitionPolicy{Cfg: cfg},
-		&IsolateKeyPolicy{Cfg: cfg},
-	}
-	actions := Evaluate(snap, policies)
-
-	var haveSplit, haveOtherClone bool
-	for _, a := range actions {
-		switch act := a.(type) {
-		case SplitPartition:
-			haveSplit = true
-		case CloneTask:
-			if act.Task == "agg" {
-				t.Fatalf("clone of the refined edge's consumer survived arbitration: %+v", act)
-			}
-			if act.Task == "other" {
-				haveOtherClone = true
-			}
-		}
-	}
-	if !haveSplit {
-		t.Fatalf("split did not survive arbitration: %v", actions)
-	}
-	if !haveOtherClone {
-		t.Fatalf("unrelated clone was dropped: %v", actions)
-	}
-}
-
-// TestArbitrateIsolationBeatsSplit: when both refinement policies fire on
-// the same hot edge, the isolation wins (re-hashing cannot help when one
-// key carries the partition) and exactly one refinement is emitted.
-func TestArbitrateIsolationBeatsSplit(t *testing.T) {
-	cfg := testConfig()
-	pmap := shuffle.BaseMap("shuf", 4)
-	heavy := []byte("elephant")
-	leaf := pmap.LeafForKey(heavy)
-	stats := sketch.NewEdgeStats()
-	for p := 0; p < 4; p++ {
-		stats.Counts[shuffle.PartitionBag("shuf", p)] = 500
-	}
-	stats.Counts[leaf] = 10000
-	stats.Heavy = []sketch.HeavyKey{{Key: heavy, Count: 9000}}
-
-	snap := baseSnapshot()
-	snap.Edges["shuf"] = &EdgeTel{
-		Name: "shuf", PMap: pmap, Active: true, Stats: stats,
-		Unsplittable: map[string]bool{},
-	}
-	actions := Evaluate(snap, []Policy{
-		&SplitPartitionPolicy{Cfg: cfg},
-		&IsolateKeyPolicy{Cfg: cfg},
-	})
-	if len(actions) != 1 {
-		t.Fatalf("want exactly one refinement, got %v", actions)
-	}
-	if _, ok := actions[0].(IsolateKey); !ok {
-		t.Fatalf("isolation should beat split, got %+v", actions[0])
-	}
-}
-
 // TestArbitrateCloneBudget: clones beyond the free-slot budget become
 // rejections, and duplicate proposals for one task collapse.
 func TestArbitrateCloneBudget(t *testing.T) {
@@ -632,63 +358,49 @@ func TestArbitrateCloneBudget(t *testing.T) {
 }
 
 // TestEvaluateTraceConvergence replays a multi-round telemetry trace of a
-// skewed shuffle through the full policy chain: round after round the
-// edge's map is refined (as the master would apply it), and the policies
-// go quiet once the imbalance is resolved — the control loop converges
-// instead of splitting forever.
+// partitioned consumer with one hot leaf through the full policy chain:
+// every round each live worker signals overload and the surviving clone is
+// applied as the master would apply it. Every clone binds to the hot leaf,
+// and the policies go quiet once the live workers fill the cluster's slots —
+// the control loop converges instead of cloning forever.
 func TestEvaluateTraceConvergence(t *testing.T) {
 	cfg := testConfig()
-	policies := []Policy{
-		&SplitPartitionPolicy{Cfg: cfg},
-		&IsolateKeyPolicy{Cfg: cfg},
-	}
-	pmap := shuffle.BaseMap("shuf", 4)
-	names := zipfKeyNames(4, 64, 24, 1)
-	unsplittable := map[string]bool{}
+	cfg.DisableHeuristic = true
+	policies := []Policy{&ClonePolicy{Cfg: cfg}, &SpeculativePolicy{Cfg: cfg}}
+	task := partitionedTask("agg", "shuf.p0", "shuf.p1", "shuf.p2", "shuf.p3")
+	remaining := map[string]int64{"shuf.p0": 4096, "shuf.p1": 64, "shuf.p2": 64, "shuf.p3": 64}
 
-	refinements := 0
+	now, clones := t0, 0
 	for round := 0; round < 12; round++ {
-		// Fresh stats each round, routed through the *current* map, as
-		// producers adopting the refined map would report them.
-		stats := zipfEdgeStats(pmap, names, 1.2, 20000, int64(round))
 		snap := baseSnapshot()
-		snap.Version = uint64(round + 1)
-		snap.Edges["shuf"] = &EdgeTel{
-			Name: "shuf", PMap: pmap, Spread: true, Active: true, Stats: stats,
-			Unsplittable: unsplittable,
+		snap.Version, snap.Now = uint64(round+1), now
+		snap.FreeSlots = snap.TotalSlots - (task.Workers - task.DoneWorkers)
+		snap.Tasks["agg"] = task
+		snap.SampleBag = probeKiB(remaining)
+		for range task.Workers {
+			snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
 		}
 		actions := Evaluate(snap, policies)
 		if len(actions) == 0 {
-			t.Logf("converged after %d refinements (%d rounds)", refinements, round)
-			if refinements == 0 {
-				t.Fatal("trace never refined the hot edge")
+			if live := task.Workers - task.DoneWorkers; live != snap.TotalSlots || clones == 0 {
+				t.Fatalf("went quiet after %d clones with %d live workers on %d slots", clones, live, snap.TotalSlots)
 			}
+			t.Logf("converged after %d clones (%d rounds)", clones, round)
 			return
 		}
 		for _, a := range actions {
-			next := pmap.Clone()
-			switch act := a.(type) {
-			case SplitPartition:
-				if next.Splits == nil {
-					next.Splits = map[int]int{}
-				}
-				next.Splits[act.Partition] = act.Fan
-				refinements++
-			case IsolateKey:
-				next.Isolated = append(next.Isolated, shuffle.Isolation{
-					Hash: shuffle.KeyHash(act.Key), Fan: act.Fan,
-				})
-				refinements++
-			case MarkUnsplittable:
-				unsplittable[act.Leaf] = true
-			default:
-				t.Fatalf("unexpected action %+v in refinement trace", a)
+			clone, ok := a.(CloneTask)
+			if !ok || len(clone.Inputs) != 1 || clone.Inputs[0] != "shuf.p0" {
+				t.Fatalf("round %d: want clones bound to the hot leaf, got %+v", round, a)
 			}
-			next.Version++
-			pmap = next
+			task.Workers++
+			task.Consumers[clone.Inputs[0]]++
+			task.LastClone = now
+			clones++
 		}
+		now = now.Add(cfg.CloneInterval)
 	}
-	t.Fatalf("policies never went quiet over the trace (%d refinements, map %+v)", refinements, pmap)
+	t.Fatalf("policies never went quiet over the trace (%d clones)", clones)
 }
 
 // TestArbitrateLeaseBudget: in a multi-job cluster the clone budget is

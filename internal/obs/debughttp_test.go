@@ -5,10 +5,17 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTimeseriesHandler(t *testing.T) {
 	rec := NewRecorder(0)
+	// Two appends within one wall-clock microsecond derive no rate.
+	clock := rec.start
+	rec.now = func() time.Time {
+		clock = clock.Add(250 * time.Millisecond)
+		return clock
+	}
 	rec.Append("hurricane_a_ops_total", 1)
 	rec.Append("hurricane_a_ops_total", 5)
 	rec.Append("hurricane_b_heat", 0.7)

@@ -5,7 +5,7 @@
 // multi-job scheduler, the streaming pump, the query planner — records
 // what it decided and why through one Observer, so a live run can answer
 // the questions the paper answers with figures: which partitions ran
-// hot, which keys were isolated, when clones fired and when they were
+// hot, which keys were heavy, when clones fired and when they were
 // preempted.
 //
 // Design constraints, in order:

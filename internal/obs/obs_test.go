@@ -55,7 +55,7 @@ func TestTraceOverflow(t *testing.T) {
 		t.Fatalf("retained %d decision events, want all %d", got, capacity)
 	}
 	// All-decision ring: a further decision evicts the oldest decision.
-	tr.Emit(EvKeyIsolated, "job", "edge", "")
+	tr.Emit(EvCloneYielded, "job", "edge", "")
 	evs = tr.Events("", "")
 	if len(evs) != capacity || evs[0].Subject != "dec-1" || evs[capacity-1].Subject != "edge" {
 		t.Fatalf("all-decision eviction wrong: %+v", evs)
@@ -87,7 +87,7 @@ func TestTraceConcurrentEmit(t *testing.T) {
 func TestTraceFilters(t *testing.T) {
 	tr := NewTrace(16)
 	tr.Emit(EvTaskCloned, "a", "t1", "")
-	tr.Emit(EvPartitionSplit, "a", "e1", "")
+	tr.Emit(EvCloneYielded, "a", "e1", "")
 	tr.Emit(EvTaskCloned, "b", "t2", "")
 	if got := len(tr.Events("a", "")); got != 2 {
 		t.Fatalf("job filter: %d events, want 2", got)
@@ -187,7 +187,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // TestWriteText checks the exposition format output.
 func TestWriteText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hurricane_core_splits_total", "job", "q1").Add(4)
+	r.Counter("hurricane_core_clones_total", "job", "q1").Add(4)
 	r.Histogram("hurricane_ctrl_snapshot_lag_us").Observe(500)
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -195,7 +195,7 @@ func TestWriteText(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"hurricane_core_splits_total{job=\"q1\"} 4\n",
+		"hurricane_core_clones_total{job=\"q1\"} 4\n",
 		"hurricane_ctrl_snapshot_lag_us_count 1\n",
 		"hurricane_ctrl_snapshot_lag_us_p99",
 	} {

@@ -126,11 +126,8 @@ type EdgeSkew struct {
 	// stage's summed worker wall time — 1/workers when perfectly
 	// balanced, approaching 1 under total skew.
 	SlowestShare float64 `json:"slowest_share"`
-	// Mitigation actions the trace recorded for the edge (splits,
-	// isolations) and its consumer (clones).
-	Splits     int `json:"splits"`
-	Isolations int `json:"isolations"`
-	Clones     int `json:"clones"`
+	// Clones is the number of clones of the consumer the trace recorded.
+	Clones int `json:"clones"`
 	// RecoveredNS estimates the consumer time mitigation bought back: the
 	// working time (read+compute+shuffle) clone workers absorbed — work
 	// that would otherwise have queued on the original workers.
@@ -366,9 +363,9 @@ func (p *Profile) String() string {
 		fmt.Fprintf(&b, "  critical %-14s %s\n", st.Task, st.Phases.String())
 	}
 	for _, e := range p.Edges {
-		fmt.Fprintf(&b, "  edge %-14s p50=%.1fms max=%.1fms slowest=%.0f%% splits=%d isolations=%d clones=%d recovered=%.1fms\n",
+		fmt.Fprintf(&b, "  edge %-14s p50=%.1fms max=%.1fms slowest=%.0f%% clones=%d recovered=%.1fms\n",
 			e.Edge, float64(e.P50TaskNS)/1e6, float64(e.MaxTaskNS)/1e6,
-			e.SlowestShare*100, e.Splits, e.Isolations, e.Clones, float64(e.RecoveredNS)/1e6)
+			e.SlowestShare*100, e.Clones, float64(e.RecoveredNS)/1e6)
 	}
 	return b.String()
 }

@@ -48,7 +48,7 @@ const (
 	DefaultPointsPerSeries = 512
 	// maxSeries bounds how many distinct series a recorder will track.
 	// Past it, new series are dropped and counted (DroppedSeries) —
-	// unbounded label growth (per-window jobs, runtime partition splits)
+	// unbounded label growth (per-window jobs and their edges)
 	// must not grow recorder memory without bound.
 	maxSeries = 2048
 )

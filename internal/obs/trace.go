@@ -10,12 +10,6 @@ import (
 type EventType string
 
 const (
-	// EvPartitionSplit: the control plane split a hot partition
-	// (subject = edge, detail = leaf and fan).
-	EvPartitionSplit EventType = "PartitionSplit"
-	// EvKeyIsolated: a heavy key was isolated onto dedicated/spread
-	// partitions (subject = edge, detail = key and share).
-	EvKeyIsolated EventType = "KeyIsolated"
 	// EvTaskCloned: the master started a clone worker (subject = task).
 	EvTaskCloned EventType = "TaskCloned"
 	// EvCloneYielded: a clone was asked to wind down for fair-share
@@ -78,7 +72,7 @@ const DefaultTraceCap = 4096
 // by event class rather than uniformly: lifecycle chatter (schedule /
 // finish / lease-grant / window-seal notifications, which dominate the
 // volume on long runs) is dropped new-at-cap, while control-plane
-// *decision* events (splits, isolations, clones, yields, map revisions,
+// *decision* events (clones, yields, map revisions,
 // preemptions, retries, join choices) evict the oldest lifecycle event —
 // or, failing that, the oldest event outright — so the latest mitigation
 // decisions are always retained. Every displaced event is counted in
@@ -104,9 +98,8 @@ type Trace struct {
 // about. The rest (lifecycle notifications) are the evictable bulk.
 func decisionEvent(typ EventType) bool {
 	switch typ {
-	case EvPartitionSplit, EvKeyIsolated, EvTaskCloned, EvCloneYielded,
-		EvMapRevision, EvLeasePreempt, EvWindowRetried, EvJoinStrategyChosen,
-		EvStorageSlowOp, EvAlertRaised:
+	case EvTaskCloned, EvCloneYielded, EvMapRevision, EvLeasePreempt,
+		EvWindowRetried, EvJoinStrategyChosen, EvStorageSlowOp, EvAlertRaised:
 		return true
 	}
 	return false

@@ -71,14 +71,14 @@ type Rule struct {
 // Thresholds are deliberately conservative — these flag conditions the
 // control plane should already be mitigating (stragglers) or that mean
 // telemetry itself is degrading (trace drops, slow storage ops). A cluster
-// adds the shuffle-heat rule, whose threshold is its split policy's.
+// adds the shuffle-heat rule (internal/core), whose thresholds are its own.
 func DefaultRules() []Rule {
 	return []Rule{
 		{
 			Name: "straggler-task-time", Kind: KindRatio,
 			Num: "hurricane_core_task_span_ns_p99", Den: "hurricane_core_task_span_ns_p50",
 			Threshold: 4, DenMin: 1e5, For: 2,
-			Help: "p99 task wall time is >=4x p50 — stragglers the clone/split policies should be absorbing",
+			Help: "p99 task wall time is >=4x p50 — stragglers the clone policies should be absorbing",
 		},
 		{
 			Name: "storage-slow-ops", Kind: KindRate,

@@ -57,9 +57,9 @@ func (ph *Physical) ExplainAnalyze(p *obs.Profile) string {
 	for _, j := range ph.Joins {
 		fmt.Fprintf(&b, "  join@%d: %s — %s", j.Node, j.Strategy, j.Reason)
 		if es := profileEdge(p, j.Edge); es != nil {
-			fmt.Fprintf(&b, "\n      observed: p50=%.1fms max=%.1fms slowest=%.0f%% splits=%d isolations=%d clones=%d",
+			fmt.Fprintf(&b, "\n      observed: p50=%.1fms max=%.1fms slowest=%.0f%% clones=%d",
 				float64(es.P50TaskNS)/1e6, float64(es.MaxTaskNS)/1e6,
-				es.SlowestShare*100, es.Splits, es.Isolations, es.Clones)
+				es.SlowestShare*100, es.Clones)
 		}
 		b.WriteByte('\n')
 	}

@@ -56,7 +56,7 @@ func TestExplainAnalyzePinned(t *testing.T) {
 	prof.Edges = []obs.EdgeSkew{{
 		Edge: ph.Joins[0].Edge, Consumer: ph.Stages[len(ph.Stages)-1].Task,
 		P50TaskNS: 8_000_000, MaxTaskNS: 8_000_000, SlowestShare: 0.5,
-		Splits: 2, Isolations: 1, Clones: 3,
+		Clones: 3,
 	}}
 
 	out := ph.ExplainAnalyze(prof)
@@ -64,7 +64,7 @@ func TestExplainAnalyzePinned(t *testing.T) {
 		"plan j (parts=4) — analyzed: wall",
 		"measured: workers=1 time=8.0ms p50=8.0ms max=8.0ms in=1048576B out=524288B rows=1000",
 		"phases:   queue=1.0ms read=2.0ms compute=4.5ms shuffle=1.0ms finalize=0.5ms",
-		"observed: p50=8.0ms max=8.0ms slowest=50% splits=2 isolations=1 clones=3",
+		"observed: p50=8.0ms max=8.0ms slowest=50% clones=3",
 		"critical path: ",
 		" -> ",
 	} {

@@ -23,11 +23,11 @@ type Options struct {
 	BroadcastMaxRecords int64
 	// IsolateFraction: a key whose observed share of an edge's records is
 	// at least IsolateFraction of a mean partition's load is pre-isolated
-	// by the skewed join / warm-started groupby (default 0.5 — the same
-	// threshold shape the runtime IsolateKeyPolicy applies).
+	// by the skewed join / warm-started groupby (default
+	// shuffle.DefaultIsolateFraction).
 	IsolateFraction float64
 	// Fan is the record-level spread fan for pre-isolated heavy keys
-	// (default 4).
+	// (default shuffle.DefaultFan).
 	Fan int
 	// Static compiles the naive physical plan: no record-level Spread and
 	// no seed maps, with NoClone edge consumers — classic static hash
@@ -48,13 +48,13 @@ func (o Options) withDefaults() Options {
 		o.BroadcastMaxRecords = 8192
 	}
 	if o.IsolateFraction <= 0 {
-		o.IsolateFraction = 0.5
+		o.IsolateFraction = shuffle.DefaultIsolateFraction
 	}
 	if o.Fan <= 0 {
 		// 0 means default; an explicit Fan of 1 is honored — it isolates
 		// heavy keys onto one dedicated partition without record-level
 		// spreading (shuffle.WarmStart supports fan=1 directly).
-		o.Fan = 4
+		o.Fan = shuffle.DefaultFan
 	}
 	return o
 }

@@ -20,10 +20,9 @@
 //     partition map pre-isolates the heavy keys onto replicated fragment
 //     consumers (record-level Spread), while the long tail takes the
 //     ordinary partitioned path;
-//   - plain repartition join otherwise — which still upgrades itself at
-//     runtime: the edge's count-min sketch feeds the control plane's
-//     SplitPartition/IsolateKey policies, so a skewed join emerges
-//     mid-run even when compile-time statistics were absent.
+//   - plain repartition join otherwise — which still adapts at runtime:
+//     the edge is Spread, so clones share a hot partition chunk by chunk
+//     even when compile-time statistics were absent.
 //
 // Records are typed end to end. The generic constructors below (Scan,
 // Filter, Map, ... — package repro/hurricane/q is the public surface over
@@ -101,7 +100,7 @@ const (
 	// JoinAuto lets compile-time statistics decide (the default).
 	JoinAuto JoinStrategy = iota
 	// JoinRepartition shuffles the probe side through a partitioned edge;
-	// runtime splitting/isolation still applies.
+	// runtime clones still share its hot partitions.
 	JoinRepartition
 	// JoinBroadcast consumes the probe side directly (no shuffle); every
 	// worker scans the full build side.
@@ -291,7 +290,7 @@ func FlatMap[T, U any](p *Plan, in *Node, codec chunk.Codec[U], fn func(T, func(
 
 // GroupBy aggregates records by key behind a partitioned shuffle edge.
 // The node's output records are *mergeable partials*, Pair[uint64, A]: a
-// key spread across several consumers, or refined mid-stream, appears as
+// key spread across several consumers appears as
 // several partials that merge downstream (in a finalize stage, or at
 // collect time for a directly sunk GroupBy).
 func GroupBy[T, A any](p *Plan, in *Node, spec GroupBySpec[T, A]) *Node {

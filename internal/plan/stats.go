@@ -104,10 +104,9 @@ func (c *compiler) warmEdgeStats(edge string, in *Node) *sketch.EdgeStats {
 //	otherwise                                     -> repartition
 //
 // Static mode always repartitions (the naive baseline), and
-// JoinSpec.Strategy pins the choice outright. A repartition join is not
-// final: its edge feeds the runtime control plane, whose
-// SplitPartition/IsolateKey policies upgrade it mid-run when the live
-// count-min sketch reveals skew the compile-time statistics missed.
+// JoinSpec.Strategy pins the choice outright. A repartition join still
+// adapts at runtime: its edge is Spread, so clones share a hot partition
+// chunk by chunk when the consumers fall behind.
 func (c *compiler) decideJoin(n *Node) JoinInfo {
 	info := JoinInfo{Node: n.id, Strategy: n.strategy, Edge: c.p.edgeName(n)}
 	if info.Strategy != JoinAuto {
@@ -178,7 +177,7 @@ func (ph *Physical) Run(ctx context.Context, c *core.Cluster) error {
 // traceDecisions records the compiled join strategies (with the stats
 // that justified each) in the cluster's observer, so a live /debug/trace
 // shows why the planner chose broadcast/skewed/repartition alongside the
-// runtime refinements that followed. Compile itself has no cluster;
+// runtime clones that followed. Compile itself has no cluster;
 // Run/Submit are where a plan meets one.
 func (ph *Physical) traceDecisions(o *obs.Observer, job string) {
 	for _, j := range ph.Joins {

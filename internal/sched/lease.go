@@ -10,8 +10,7 @@ import (
 
 // Leases implements weighted fair-share slot leasing between concurrent
 // jobs. Every worker slot a job claims — original task workers, clones,
-// speculative re-executions, post-split partition consumers — is billed
-// to its lease. The allocator is work-conserving: a job may run beyond
+// speculative re-executions — is billed to its lease. The allocator is work-conserving: a job may run beyond
 // its fair share while no other job is starved (starved = has unclaimed
 // ready blueprints and runs below its share), but the moment a neighbor
 // starves, over-share jobs stop acquiring and become preemption targets.

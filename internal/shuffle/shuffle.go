@@ -6,25 +6,24 @@
 // partition bags named "<bag>.p<i>". Producers route records by key through
 // a PartitionMap; the consumer task gets one worker per physical partition,
 // so consumers pull from disjoint bags instead of contending on a single
-// monolithic bag. The map is *adaptive*: producers feed key counts into a
-// per-edge count-min sketch (see internal/sketch), and when the
-// application master observes a heavy-hitter partition it refines the map —
-// re-hashing a hot partition into finer sub-partitions ("<bag>.p<i>.s<j>")
-// or isolating a heavy-hitter key into a dedicated bag ("<bag>.h<k>",
-// optionally spread record-wise over "<bag>.h<k>.s<j>" when the edge
-// declares per-key atomicity unnecessary). A new map version is published
-// twice (Publish): appended to an ordinary bag ("<bag>!pmap"), the durable
-// history a recovered master replays, and left on the edge's home storage
-// slot, where each producer's periodic control exchange — one OpSketch call
+// monolithic bag. Producers feed key counts into a per-edge count-min sketch
+// (see internal/sketch), and a later run warm-starts from what it saw: its
+// seed map (WarmStart) isolates each heavy-hitter key into a dedicated bag
+// ("<bag>.h<k>", optionally spread record-wise over "<bag>.h<k>.s<j>" when
+// the edge declares per-key atomicity unnecessary) and keeps the
+// sub-partitions ("<bag>.p<i>.s<j>") of the map it starts from. A map
+// version above the base is published twice (Publish): appended to an
+// ordinary bag ("<bag>!pmap"), the durable history a recovered master
+// replays, and left on the edge's home storage slot, where each producer's periodic control exchange — one OpSketch call
 // that also delivers the producer's statistics — picks it up. Both are
 // plain storage-protocol traffic, so the mechanism works unchanged over the
 // in-process and TCP transports.
 //
 // Correctness invariant: every record is routed to exactly one physical
 // bag, every physical bag in the final map is sealed by the master and
-// consumed by exactly one worker, so splitting at runtime neither loses
-// nor duplicates records (partition-map refinement only redirects records
-// not yet written).
+// drained by its owner and any clones sharing it, each chunk by exactly
+// one of them, so no record is lost or duplicated (a newer map only
+// redirects records not yet written).
 package shuffle
 
 import (
@@ -145,7 +144,7 @@ func EdgeOf(leaf string) string {
 // their control exchange with the edge's home slot.
 func PMapBag(bag string) string { return bag + "!pmap" }
 
-// Publish makes a partition map (a refinement or a warm-start seed) take
+// Publish makes a partition map (a warm-start seed) take
 // effect for its edge, pm.Bag: durable history first, then the home slot
 // producers exchange with — a producer must never route by a map that a
 // recovered master would not also find. Every publisher goes through here.
@@ -170,8 +169,8 @@ type Isolation struct {
 }
 
 // PartitionMap is the routing table of one shuffle edge. Version 1 is the
-// plain hash layout; the master publishes higher versions as it splits hot
-// partitions. Maps only ever *add* physical bags, so the physical bags of
+// plain hash layout; a seed publishes a higher version. Maps only ever
+// *add* physical bags, so the physical bags of
 // version v are a subset of those of any later version.
 type PartitionMap struct {
 	Version int    `json:"version"`
@@ -263,11 +262,6 @@ func (pm *PartitionMap) routeRefHashed(key []byte, hash uint64, rr int) RouteRef
 	}
 	return RouteRef{Iso: -1, Part: p, Sub: -1}
 }
-
-// LeafForKey returns the physical bag a non-isolated key routes to (the
-// first spread bag for isolated keys). The master uses it to attribute
-// heavy-hitter candidates to the partition they load.
-func (pm *PartitionMap) LeafForKey(key []byte) string { return pm.Route(key, 0) }
 
 // BasePartitionIndex parses a base-partition leaf name ("<bag>.p<i>"),
 // returning (i, true) if leaf is an unsplit base partition of this map.

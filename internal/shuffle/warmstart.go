@@ -2,6 +2,15 @@ package shuffle
 
 import "repro/internal/sketch"
 
+// The warm-start defaults the planner (plan.Options) and stream windows seed
+// under: a key is pre-isolated once its share of the stream reaches
+// DefaultIsolateFraction of a mean partition's load, and spread over
+// DefaultFan bags on a Spread edge.
+const (
+	DefaultIsolateFraction = 0.5
+	DefaultFan             = 4
+)
+
 // WarmStart derives a seed partition map for a fresh shuffle edge from a
 // predecessor edge's final map and merged producer statistics — the
 // cross-window skew memory of the streaming subsystem (internal/stream).
@@ -15,17 +24,15 @@ import "repro/internal/sketch"
 //     is by key hash, which is stable across windows);
 //   - heavy-hitter keys from the merged sketch that were not yet isolated
 //     are pre-isolated when their observed share of the stream exceeds
-//     isolateFraction of a mean partition's load — the same threshold
-//     shape the IsolateKeyPolicy applies at runtime.
+//     isolateFraction of a mean partition's load.
 //
 // prev may be nil (no predecessor map) and stats may be nil (no sketch
 // was captured); base is the new edge's declared base partition count, and
-// isolateFraction and fan come filled in from the config the new edge's
-// job runs under (core.MasterConfig, plan.Options). A predecessor map with
-// a different base cannot be transplanted — its split indices would refine
-// the wrong key ranges — so only the stats are used then. Returns nil when
-// nothing was learned (seeding a plain base map would be pure control-bag
-// noise).
+// isolateFraction and fan come filled in (plan.Options, or the defaults
+// above for stream windows). A predecessor map with a different base
+// cannot be transplanted — its split indices would refine the wrong key
+// ranges — so only the stats are used then. Returns nil when nothing was
+// learned (seeding a plain base map would be pure control-bag noise).
 func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base int, isolateFraction float64, fan int, spread bool) *PartitionMap {
 	if base < 1 {
 		base = 1
@@ -60,7 +67,7 @@ func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base 
 	}
 	// Producers and the new master derive version 1 (the plain base map)
 	// locally; any published version above it wins, so the seed only needs
-	// to be ≥ 2. Later runtime refinements continue from here.
+	// to be ≥ 2.
 	seed.Version++
 	if seed.Version < 2 {
 		seed.Version = 2

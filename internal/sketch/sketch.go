@@ -5,8 +5,8 @@
 // routed records per partition, exactly, and keeps a short list of
 // heavy-hitter candidates, storage nodes merge the per-producer statistics,
 // and the application master reads the merged partition counts and
-// candidates to find the partitions worth splitting and the keys worth
-// isolating (in the spirit of Reshape's hot-partition detection and
+// candidates to find the hot partitions and the keys a later run should
+// isolate (in the spirit of Reshape's hot-partition detection and
 // SharesSkew's dedicated heavy-hitter handling). The count-min cells are
 // what prices a candidate: a writer feeds them only the keys heavy in some
 // stretch of its stream (internal/shuffle, route.go), so nothing reads them
@@ -254,8 +254,7 @@ func (e *EdgeStats) Merge(other *EdgeStats) error {
 // edge's records is at least minFraction of the total, capped at k and
 // sorted by descending count (ties by key bytes). This is the first-class
 // heavy-hitter extraction shared by the query planner's skewed-join
-// decision, the warm-start seeding, and the runtime isolation policy —
-// the one place the "how heavy is heavy" arithmetic lives.
+// decision and the warm-start seeding — the one place the "how heavy is heavy" arithmetic lives.
 func (e *EdgeStats) TopKeys(k int, minFraction float64) []HeavyKey {
 	total := e.Total()
 	if total == 0 || k <= 0 {

@@ -502,8 +502,8 @@ func (n *Node) handleRename(req *transport.Request) *transport.Response {
 
 // handleSketch serves the shuffle-edge control exchange; the four request
 // forms are described at transport.OpSketch. Edge state is advisory — it
-// only steers routing balance and the master's split decisions — so it is
-// deliberately not persisted.
+// only steers routing balance and what later runs warm-start from — so it
+// is deliberately not persisted.
 func (n *Node) handleSketch(req *transport.Request) *transport.Response {
 	switch {
 	case req.Dst != "":

@@ -598,20 +598,17 @@ func (h *Handle) finishWindow(lw *window, err error) {
 // captureMemory turns the finished window's edge records — each edge's
 // final partition map and merged sketch, as its master's control plane
 // last saw them — into the seed maps later windows are submitted with
-// (shuffle.WarmStart, under the thresholds the window's master ran with),
-// keyed by the template bag name.
+// (shuffle.WarmStart at the default isolate fraction and fan), keyed by the
+// template bag name.
 func (h *Handle) captureMemory(lw *window) {
 	m := lw.res.job.Master()
 	if m == nil {
 		return
 	}
-	st := m.Stats()
-	lw.res.Splits, lw.res.Isolations = st.Splits, st.Isolations
 	mem := m.EdgeMemory()
 	if h.spec.ColdStart || len(mem) == 0 {
 		return
 	}
-	cfg := m.Config()
 	seeds := make(map[string]*shuffle.PartitionMap)
 	for _, b := range h.spec.App.Bags() {
 		spec := h.spec.App.BagSpecFor(b)
@@ -619,7 +616,8 @@ func (h *Handle) captureMemory(lw *window) {
 		if spec.Partitions <= 0 || !ok {
 			continue
 		}
-		seed := shuffle.WarmStart(em.PMap, em.Stats, b, spec.Partitions, cfg.IsolateFraction, cfg.SplitFan, spec.Spread)
+		seed := shuffle.WarmStart(em.PMap, em.Stats, b, spec.Partitions,
+			shuffle.DefaultIsolateFraction, shuffle.DefaultFan, spec.Spread)
 		if seed != nil {
 			seeds[b] = seed
 		}

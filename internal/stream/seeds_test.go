@@ -84,11 +84,8 @@ func seedsCluster(t *testing.T, streamName string) (*core.Cluster, *windowWrites
 			HeartbeatInterval: 5 * time.Millisecond,
 		},
 		Master: core.MasterConfig{
-			CloneInterval:   10 * time.Millisecond,
-			SplitInterval:   5 * time.Millisecond,
-			SplitImbalance:  1.5,
-			SplitMinRecords: 1024,
-			SplitFan:        4,
+			CloneInterval: 10 * time.Millisecond,
+			SplitInterval: 5 * time.Millisecond,
 		},
 		Sched: sched.Config{Interval: 5 * time.Millisecond},
 	})
@@ -243,8 +240,8 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 			if w > 0 {
 				// The first map anyone publishes for the edge is the seed.
 				m := prev.Job().Master()
-				em, cfg := m.EdgeMemory()[prev.Bag(apps.ClickStreamShuf)], m.Config()
-				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, cfg.IsolateFraction, cfg.SplitFan, true)
+				em := m.EdgeMemory()[prev.Bag(apps.ClickStreamShuf)]
+				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, shuffle.DefaultIsolateFraction, shuffle.DefaultFan, true)
 				if seed == nil || len(published) == 0 {
 					t.Fatalf("window %d: warm start %v, %d maps published", w, seed, len(published))
 				}

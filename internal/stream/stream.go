@@ -6,10 +6,8 @@
 // streaming workloads" as future work (§3.1). The engine's Pipelined tasks
 // cover the simple half — a consumer chasing a producer's bag — but they
 // cannot use partitioned shuffle edges at all (see the documented
-// limitation in core's graph validation): a partitioned consumer's worker
-// set is frozen from the partition map at schedule time, which is exactly
-// what mid-stream refinement must keep changing. The windowed model takes
-// the opposite route, in the spirit of micro-batch streaming systems:
+// limitation in core's graph validation). The windowed model takes the
+// opposite route, in the spirit of micro-batch streaming systems:
 //
 //   - ingesters append source records into per-window live bags as they
 //     arrive, routing by event time;
@@ -18,7 +16,7 @@
 //     once it passes the window end;
 //   - each sealed window is submitted through Cluster.SubmitJob as an
 //     ordinary namespaced job, so every window gets partitioned shuffle
-//     edges, sketch-driven splitting, cloning, fair-share leasing, and
+//     edges, cloning, fair-share leasing, and
 //     failure recovery for free, and in-flight windows are bounded by
 //     scheduler admission plus a stream-level in-flight cap;
 //   - records arriving after their window sealed go to a late-record side
@@ -28,7 +26,7 @@
 //     partition maps and merged edge sketches (core.EdgeMemory) become seed
 //     maps via shuffle.WarmStart, and every later window's submission
 //     carries them (core.JobConfig.Seeds) for its own master to publish —
-//     known-hot keys are pre-split and pre-isolated instead of rediscovered
+//     known-hot keys are pre-isolated instead of rediscovered
 //     from scratch inside every window, and the stream itself writes
 //     nothing into a window's namespace but its source records.
 //
@@ -163,11 +161,8 @@ type WindowResult struct {
 	// SubmittedAt−SealedAt is time spent queued behind the in-flight cap.
 	SealedAt, SubmittedAt, DoneAt time.Time
 	// Seeded reports whether cross-window skew memory warm-started this
-	// window's shuffle edges (its submission carried seed maps); Splits
-	// and Isolations count the refinements the window's own master still
-	// performed at runtime.
-	Seeded             bool
-	Splits, Isolations int
+	// window's shuffle edges (its submission carried seed maps).
+	Seeded bool
 
 	late    atomic.Int64
 	lateBag string

@@ -50,7 +50,7 @@ const (
 	//     Arg its version; the node keeps it if it is the newest it has seen.
 	//   - fetch: Dst and Data are empty, Arg is 0; the reply's Data is the
 	//     merge of every producer's stats, which the application master
-	//     reads to detect hot partitions worth splitting.
+	//     reads to record the edge's heat and heavy keys.
 	//   - clear: Dst and Data are empty, Arg is SketchClear; the node
 	//     forgets the edge (job completion / failure recovery).
 	OpSketch
