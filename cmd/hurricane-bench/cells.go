@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -14,13 +15,15 @@ import (
 
 // newCluster starts the grid's cluster — 4 storage nodes, 4 compute nodes
 // x 2 slots, chunkKiB KiB chunks — tuned so mitigation engages within a
-// sub-second job. edit, if not nil, adjusts the config for one arm.
+// sub-second job: Eq. 2 prices clone I/O at zero, so every overload signal
+// whose task has input left clones. edit, if not nil, adjusts the config
+// for one arm.
 func newCluster(chunkKiB int, edit func(*hurricane.ClusterConfig)) (*hurricane.Cluster, error) {
 	cfg := hurricane.ClusterConfig{
 		StorageNodes: 4, ComputeNodes: 4, SlotsPerNode: 2, ChunkSize: chunkKiB << 10,
 		Node: hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.1},
 		Master: hurricane.MasterConfig{
-			CloneInterval: 2 * time.Millisecond, DisableHeuristic: true, SplitInterval: 2 * time.Millisecond,
+			CloneInterval: 2 * time.Millisecond, StorageBandwidth: math.Inf(1), SplitInterval: 2 * time.Millisecond,
 		},
 	}
 	if edit != nil {
@@ -48,24 +51,25 @@ func groupByCounts(ctx context.Context, store *hurricane.Store, bags ...string) 
 	return out, nil
 }
 
-// policyCell ablates the master's policy sets — reactive plus speculative
-// cloning, reactive cloning alone, none — on a Zipf(1.3) groupby over 64
-// keys (one ≈ a third of the records) whose aggregation is cloneable: a
-// Spread edge, partials merged at collect.
+// policyCell ablates the master's clone gates — cloning on every overload
+// signal, cloning gated by Eq. 2 at the engine's default storage bandwidth,
+// no policy — on a Zipf(1.3) groupby over 64 keys (one ≈ a third of the
+// records) whose aggregation is cloneable: a Spread edge, partials merged
+// at collect.
 func policyCell() cell {
 	const records, parts, recordCost = 200000, 4, 5000
 	tuples := workload.ZipfTuples(records, 64, 1.3, 9)
 	return cell{
 		about: fmt.Sprintf("Zipf(1.3) groupby, %d records at %d ns each, %d partitions; timed: the job", records, recordCost, parts),
-		arms:  []string{"all", "clone-only", "none"},
+		arms:  []string{"clone", "eq2", "none"},
 		want:  counts{workload.KeyCounts(tuples)},
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(4, func(cfg *hurricane.ClusterConfig) {
 				switch arm {
-				case "all":
-					cfg.Master.SpeculativeCloning, cfg.Master.SpeculativeAfter = true, 50*time.Millisecond
+				case "eq2":
+					cfg.Master.StorageBandwidth = 0 // the engine default
 				case "none":
-					cfg.Master.DisableCloning = true
+					cfg.Master.Policies = []hurricane.Policy{}
 				}
 			})
 			if err != nil {

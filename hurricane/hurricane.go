@@ -141,10 +141,10 @@ const (
 // master applies the survivors transactionally.
 //
 // Select policies per job through MasterConfig.Policies: nil installs the
-// default set derived from the flags (DisableCloning, SpeculativeCloning);
-// an explicit empty slice disables all mitigation. A
-// custom policy implements Policy (its snapshots carry every active
-// shuffle edge's merged sketch) and composes freely with the built-ins:
+// default set (DefaultPolicies); an explicit empty slice disables all
+// mitigation. A custom policy implements Policy (its snapshots carry every
+// active shuffle edge's merged sketch) and composes freely with the
+// built-in one:
 //
 //	cfg.Master.Policies = append(
 //		hurricane.DefaultPolicies(cfg.Master),
@@ -169,15 +169,12 @@ type (
 	EdgeTel = ctrl.EdgeTel
 	// PolicyConfig carries the tuning knobs shared by built-in policies.
 	PolicyConfig = ctrl.Config
-	// ClonePolicy is the paper's reactive cloning mitigation (§4.2).
+	// ClonePolicy is the paper's cloning on overload signals (§4.2).
 	ClonePolicy = ctrl.ClonePolicy
-	// SpeculativePolicy proactively clones stragglers (§3.5).
-	SpeculativePolicy = ctrl.SpeculativePolicy
 )
 
-// DefaultPolicies builds the mitigation set described by cfg's flags:
-// reactive cloning unless DisableCloning, and speculative cloning with it
-// if SpeculativeCloning. With neither it is an empty, non-nil slice.
+// DefaultPolicies is the set a nil MasterConfig.Policies installs: one
+// ClonePolicy tuned by cfg.
 func DefaultPolicies(cfg MasterConfig) []Policy { return core.DefaultPolicies(cfg) }
 
 // ErrEmpty is the end-of-bag signal returned by Bag.Remove and TaskCtx

@@ -2,6 +2,7 @@ package hurricane
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestEmptyPolicySetDisablesMitigation(t *testing.T) {
 	cfg.Node.OverloadThreshold = 0.01 // every heartbeat screams overload
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.DisableHeuristic = true
+	cfg.Master.StorageBandwidth = math.Inf(1)
 	cfg.Master.Policies = []Policy{}
 	cluster, err := NewCluster(cfg)
 	if err != nil {
@@ -148,7 +149,7 @@ func TestEmptyPolicySetDisablesMitigation(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	if st := cluster.Master().Stats(); st.Clones != 0 || st.Speculative != 0 {
+	if st := cluster.Master().Stats(); st.Clones != 0 || st.CloneRejects != 0 {
 		t.Fatalf("mitigation ran with an empty policy set: %+v", st)
 	}
 }

@@ -88,7 +88,7 @@ func checkTaskReaders[T any](t *testing.T, ctx context.Context, cluster *hurrica
 			})
 			h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{
 				Name:   fmt.Sprintf("%s-%s-%s", name, layout, view),
-				Master: &hurricane.MasterConfig{DisableCloning: true},
+				Master: &hurricane.MasterConfig{Policies: []hurricane.Policy{}},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)

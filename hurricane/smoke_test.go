@@ -3,6 +3,7 @@ package hurricane
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -174,7 +175,7 @@ func TestSmokeConcatClones(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Master.DisableHeuristic = true // accept every clone request
+	cfg.Master.StorageBandwidth = math.Inf(1) // accept every clone request
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestNewWriterSharesOpenChunk(t *testing.T) {
 	defer cancel()
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = 1, 1
-	cfg.Master.DisableCloning = true
+	cfg.Master.Policies = []Policy{}
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -67,9 +67,8 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 				StorageNodes: 4, ComputeNodes: nodes, SlotsPerNode: perNode, ChunkSize: 2 << 10,
 				Node: hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond},
 				Master: hurricane.MasterConfig{
-					CloneInterval:      2 * time.Millisecond,
-					SplitInterval:      2 * time.Millisecond,
-					SpeculativeCloning: true,
+					CloneInterval: 2 * time.Millisecond,
+					SplitInterval: 2 * time.Millisecond,
 				},
 			})
 			if err != nil {

@@ -14,7 +14,7 @@ import (
 func TestClickLogNoCloneCorrectness(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.DisableCloning = true
+		cfg.Master.Policies = []hurricane.Policy{}
 	})
 	const regions, hostBits = 8, 10
 	gen := workload.ClickLogGen{S: 1.0, Regions: regions, UniquePerRegion: 1 << hostBits, Seed: 21}

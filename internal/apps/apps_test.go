@@ -3,6 +3,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestClickLogCorrectness(t *testing.T) {
 func TestClickLogWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.DisableHeuristic = true
+		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Master.CloneInterval = time.Millisecond
 		cfg.Node.MonitorInterval = time.Millisecond
 		cfg.Node.HeartbeatInterval = time.Millisecond
@@ -151,7 +152,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 func TestHashJoinWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.DisableHeuristic = true
+		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Node.OverloadThreshold = 0.01
 	})
 	const parts = 2
@@ -214,7 +215,7 @@ func TestPageRankCorrectness(t *testing.T) {
 func TestPageRankWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.DisableHeuristic = true
+		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Node.OverloadThreshold = 0.01
 	})
 	const scale, iters = 6, 2

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -52,14 +53,11 @@ func checkGroupByCounts(t *testing.T, got map[uint64]GroupByResult, want map[uin
 }
 
 // eagerClones makes the master clone anything that has work left: every
-// worker signals overload, every task past a millisecond is a straggler,
-// and Eq. 2 is not consulted.
+// worker signals overload, and Eq. 2 prices clone I/O at zero.
 func eagerClones(cfg *hurricane.ClusterConfig) {
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.DisableHeuristic = true
-	cfg.Master.SpeculativeCloning = true
-	cfg.Master.SpeculativeAfter = time.Millisecond
+	cfg.Master.StorageBandwidth = math.Inf(1)
 }
 
 // TestGroupByCorrectnessStatic: on an edge that is neither Spread nor

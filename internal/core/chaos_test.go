@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ func TestMasterChaosRecovery(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		func() {
 			cfg := testClusterConfig()
-			cfg.Master.DisableHeuristic = true
+			cfg.Master.StorageBandwidth = math.Inf(1)
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
 			cfg.Node.OverloadThreshold = 0.01

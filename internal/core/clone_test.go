@@ -2,58 +2,21 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestSpeculativeCloning: with overload detection effectively disabled
-// (threshold above 1.0, so no worker ever signals), a long-running task is
-// still cloned once the speculative threshold passes. This is the straggler
-// case the paper's reactive detector misses: a worker slowed by its machine
-// rather than by CPU saturation.
-func TestSpeculativeCloning(t *testing.T) {
-	cfg := testClusterConfig()
-	cfg.Node.OverloadThreshold = 1.5 // unreachable: reactive path off
-	cfg.Master.SpeculativeCloning = true
-	cfg.Master.SpeculativeAfter = 10 * time.Millisecond
-	cfg.Master.CloneInterval = 5 * time.Millisecond
-	cfg.Master.DisableHeuristic = true
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	const n = 100000
-	var processed atomic.Int64
-	app := sumApp(&processed)
-	loadInts(t, ctx, cluster.Store(), "in", n)
-	if err := cluster.Run(ctx, app); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(n) * (n - 1) / 2
-	if got := readSum(t, ctx, cluster.Store()); got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-	stats := cluster.Master().Stats()
-	if stats.Speculative == 0 {
-		t.Error("no speculative clone attempts were made")
-	}
-	if stats.Clones == 0 {
-		t.Error("speculative attempts never produced a clone")
-	}
-	t.Logf("stats: %+v (processed %d)", stats, processed.Load())
-}
-
-// TestSpeculativeOffByDefault: without the flag, the same workload and
-// unreachable threshold produce zero clones.
+// TestSpeculativeOffByDefault: no overload signal, no clone. With the
+// threshold out of reach no worker ever signals, and a long-running task is
+// not cloned, not even with the inert SpeculativeCloning flag set.
 func TestSpeculativeOffByDefault(t *testing.T) {
 	cfg := testClusterConfig()
-	cfg.Node.OverloadThreshold = 1.5
+	cfg.Node.OverloadThreshold = 1.5 // unreachable: no signal
+	cfg.Master.SpeculativeCloning = true
+	cfg.Master.CloneInterval = time.Millisecond
+	cfg.Master.StorageBandwidth = math.Inf(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cluster, err := NewCluster(cfg)
@@ -69,22 +32,19 @@ func TestSpeculativeOffByDefault(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	stats := cluster.Master().Stats()
-	if stats.Speculative != 0 || stats.Clones != 0 {
+	if stats := cluster.Master().Stats(); stats.Clones != 0 || stats.CloneRejects != 0 {
 		t.Errorf("unexpected cloning without signals: %+v", stats)
 	}
 }
 
-// TestNoCloneRespected: a NoClone task is never cloned even under
-// speculative cloning and forced overload.
+// TestNoCloneRespected: a NoClone task is never cloned even under forced
+// overload.
 func TestNoCloneRespected(t *testing.T) {
 	cfg := testClusterConfig()
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Node.MonitorInterval = time.Millisecond
-	cfg.Master.SpeculativeCloning = true
-	cfg.Master.SpeculativeAfter = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.DisableHeuristic = true
+	cfg.Master.StorageBandwidth = math.Inf(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -118,7 +78,7 @@ func TestMaxClonesRespected(t *testing.T) {
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.DisableHeuristic = true
+	cfg.Master.StorageBandwidth = math.Inf(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

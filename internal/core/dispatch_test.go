@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -156,10 +157,9 @@ func TestDispatchCloneReachesIdleNode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c := dispatchCluster(t, 2, func(cfg *ClusterConfig) {
-		cfg.Node.OverloadThreshold = 1.5 // no overload signals
-		cfg.Master.SpeculativeCloning = true
-		cfg.Master.SpeculativeAfter = 5 * time.Millisecond
-		cfg.Master.DisableHeuristic = true
+		cfg.Node.OverloadThreshold = 0.01 // the waiting worker signals
+		cfg.Node.MonitorInterval = time.Millisecond
+		cfg.Master.StorageBandwidth = math.Inf(1)
 	})
 	loadIntsBag(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left
 	var started atomic.Int64

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ctrl"
 )
 
 func nop(tc *TaskCtx) error { return nil }
@@ -252,17 +254,22 @@ func TestClusterConfigDefaults(t *testing.T) {
 	}
 	mc := MasterConfig{}
 	mc.fill()
-	if mc.CloneInterval == 0 || mc.StorageBandwidth == 0 || mc.SpeculativeAfter == 0 ||
-		mc.SplitInterval == 0 {
+	if mc.CloneInterval == 0 || mc.StorageBandwidth == 0 || mc.SplitInterval == 0 {
 		t.Fatalf("master defaults not filled: %+v", mc)
 	}
 }
 
-// TestDefaultPoliciesNeverNil: with every policy disabled the default set is
-// empty but not nil — assigned to MasterConfig.Policies, nil would mean
-// "derive the defaults", and mitigation would come back on.
+// TestDefaultPoliciesNeverNil: the default set is exactly one ClonePolicy,
+// whether or not the inert SpeculativeCloning flag is set — an overload
+// signal is the only clone trigger.
 func TestDefaultPoliciesNeverNil(t *testing.T) {
-	if ps := DefaultPolicies(MasterConfig{DisableCloning: true}); ps == nil || len(ps) != 0 {
-		t.Fatalf("DefaultPolicies with cloning disabled = %#v, want a non-nil empty slice", ps)
+	for _, speculative := range []bool{false, true} {
+		ps := DefaultPolicies(MasterConfig{SpeculativeCloning: speculative})
+		if len(ps) != 1 {
+			t.Fatalf("SpeculativeCloning=%v: DefaultPolicies = %#v, want one ClonePolicy", speculative, ps)
+		}
+		if _, ok := ps[0].(*ctrl.ClonePolicy); !ok {
+			t.Fatalf("SpeculativeCloning=%v: DefaultPolicies = %#v, want one ClonePolicy", speculative, ps)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -160,7 +161,7 @@ func TestCloneWithinPolicyInterval(t *testing.T) {
 	cfg := testClusterConfig()
 	cfg.Node = NodeConfig{MonitorInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond}
 	cfg.Master.CloneInterval = 20 * time.Millisecond
-	cfg.Master.DisableHeuristic = true
+	cfg.Master.StorageBandwidth = math.Inf(1)
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

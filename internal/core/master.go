@@ -53,24 +53,12 @@ type MasterConfig struct {
 	// declared dead. Zero disables failure detection.
 	FailTimeout time.Duration
 	// StorageBandwidth (bytes/s) estimates the I/O rate used for the
-	// T_IO term of the cloning heuristic (Eq. 2).
+	// T_IO term of the cloning heuristic (Eq. 2). math.Inf(1) makes Eq. 2
+	// accept every clone whose input has bytes left.
 	StorageBandwidth float64
-	// DisableCloning turns cloning off entirely (HurricaneNC, Fig. 6).
-	DisableCloning bool
-	// DisableHeuristic makes the master accept every rate-limited clone
-	// request without evaluating Eq. 2 (used in ablations and tests).
-	DisableHeuristic bool
-	// SpeculativeCloning enables the paper's stated future work (§3.5):
-	// the master proactively clones any task still running
-	// SpeculativeAfter past its start, without waiting for an overload
-	// signal. This mitigates stragglers whose slowness is not CPU-bound
-	// (e.g. a degraded machine) — the clone steals the remaining chunks
-	// through ordinary late binding, so unlike speculative *execution*
-	// no work is redone.
+	// SpeculativeCloning does nothing: only an overload signal triggers a
+	// clone. The field stays because the frozen benchmark sets it.
 	SpeculativeCloning bool
-	// SpeculativeAfter is the straggler threshold for SpeculativeCloning
-	// (default 4 × CloneInterval).
-	SpeculativeAfter time.Duration
 
 	// ---- skew-aware shuffle (internal/shuffle) ----
 
@@ -81,11 +69,11 @@ type MasterConfig struct {
 	SplitInterval time.Duration
 
 	// Policies selects the mitigation strategies the control plane runs
-	// for this job. Nil installs the default set derived from the flags
-	// above (DefaultPolicies); an explicit empty slice disables all
-	// mitigation. Custom policies implement ctrl.Policy; whenever a chain
-	// is installed its snapshots carry the merged sketch of every active
-	// shuffle edge, fetched once per SplitInterval.
+	// for this job. Nil installs the default set (DefaultPolicies); an
+	// explicit empty slice disables all mitigation. Custom policies
+	// implement ctrl.Policy; whenever a chain is installed its snapshots
+	// carry the merged sketch of every active shuffle edge, fetched once
+	// per SplitInterval.
 	Policies []ctrl.Policy
 
 	// Seeds are warm-start partition maps for the job's partitioned
@@ -115,42 +103,21 @@ func (c *MasterConfig) fill() {
 	if c.StorageBandwidth <= 0 {
 		c.StorageBandwidth = 1 << 30 // 1 GB/s
 	}
-	if c.SpeculativeAfter <= 0 {
-		c.SpeculativeAfter = 4 * c.CloneInterval
-	}
 	if c.SplitInterval <= 0 {
 		c.SplitInterval = c.CloneInterval
 	}
 }
 
-// ctrlConfig projects the master tuning knobs onto the control plane's
-// policy configuration.
-func (c *MasterConfig) ctrlConfig() ctrl.Config {
-	return ctrl.Config{
-		CloneInterval:    c.CloneInterval,
-		StorageBandwidth: c.StorageBandwidth,
-		DisableHeuristic: c.DisableHeuristic,
-		SpeculativeAfter: c.SpeculativeAfter,
-	}
-}
-
-// DefaultPolicies builds the mitigation set the flags in cfg describe:
-// reactive cloning (unless DisableCloning) and speculative cloning (if
-// SpeculativeCloning as well). Callers composing custom policy chains can
-// start from this set. With nothing enabled it is empty but not nil, so
-// assigning it to MasterConfig.Policies disables mitigation rather than
-// asking for the defaults again.
+// DefaultPolicies is the mitigation set a nil MasterConfig.Policies
+// installs: the paper's cloning on overload signals, tuned by cfg's
+// CloneInterval and StorageBandwidth. Callers composing custom policy
+// chains can start from it.
 func DefaultPolicies(cfg MasterConfig) []ctrl.Policy {
 	cfg.fill()
-	c := cfg.ctrlConfig()
-	ps := []ctrl.Policy{}
-	if !cfg.DisableCloning {
-		ps = append(ps, &ctrl.ClonePolicy{Cfg: c})
-		if cfg.SpeculativeCloning {
-			ps = append(ps, &ctrl.SpeculativePolicy{Cfg: c})
-		}
-	}
-	return ps
+	return []ctrl.Policy{&ctrl.ClonePolicy{Cfg: ctrl.Config{
+		CloneInterval:    cfg.CloneInterval,
+		StorageBandwidth: cfg.StorageBandwidth,
+	}}}
 }
 
 // taskState is the master's view of one task of the execution graph.
@@ -273,7 +240,6 @@ type Master struct {
 	recoveries   int
 	mergeTasks   int
 	renameAdopts int
-	speculative  int
 	yields       int
 
 	// spans accumulates per-task profiler phase accounting carried on
@@ -296,14 +262,13 @@ type masterObs struct {
 	o   *obs.Observer
 	job string
 
-	clones      *obs.Counter
-	rejects     *obs.Counter
-	speculative *obs.Counter
-	yields      *obs.Counter
-	scheduled   *obs.Counter
-	finished    *obs.Counter
-	recoveries  *obs.Counter
-	taskSpan    *obs.Histogram
+	clones     *obs.Counter
+	rejects    *obs.Counter
+	yields     *obs.Counter
+	scheduled  *obs.Counter
+	finished   *obs.Counter
+	recoveries *obs.Counter
+	taskSpan   *obs.Histogram
 
 	proposed   *obs.Counter
 	applied    *obs.Counter
@@ -316,14 +281,13 @@ func newMasterObs(o *obs.Observer, job string) masterObs {
 		o:   o,
 		job: job,
 
-		clones:      o.Counter("hurricane_core_clones_total", l...),
-		rejects:     o.Counter("hurricane_core_clone_rejects_total", l...),
-		speculative: o.Counter("hurricane_core_speculative_clones_total", l...),
-		yields:      o.Counter("hurricane_core_yields_total", l...),
-		scheduled:   o.Counter("hurricane_core_tasks_scheduled_total", l...),
-		finished:    o.Counter("hurricane_core_tasks_finished_total", l...),
-		recoveries:  o.Counter("hurricane_core_recoveries_total", l...),
-		taskSpan:    o.Histogram("hurricane_core_task_span_ns", l...),
+		clones:     o.Counter("hurricane_core_clones_total", l...),
+		rejects:    o.Counter("hurricane_core_clone_rejects_total", l...),
+		yields:     o.Counter("hurricane_core_yields_total", l...),
+		scheduled:  o.Counter("hurricane_core_tasks_scheduled_total", l...),
+		finished:   o.Counter("hurricane_core_tasks_finished_total", l...),
+		recoveries: o.Counter("hurricane_core_recoveries_total", l...),
+		taskSpan:   o.Histogram("hurricane_core_task_span_ns", l...),
 
 		proposed:   o.Counter("hurricane_ctrl_actions_proposed_total", l...),
 		applied:    o.Counter("hurricane_ctrl_actions_applied_total", l...),
@@ -437,7 +401,6 @@ type MasterStats struct {
 	MergeTasks    int // merge tasks injected
 	RenameAdopts  int // sole-worker outputs adopted by rename
 	Recoveries    int // compute-node failure recoveries
-	Speculative   int // speculative clone attempts (paper future work)
 	Yields        int // clone workers preempted by fair-share leasing
 	TasksFinished int
 	// Splits and Isolations are always 0: the master revises no partition
@@ -516,7 +479,6 @@ func (m *Master) Stats() MasterStats {
 		MergeTasks:    m.mergeTasks,
 		RenameAdopts:  m.renameAdopts,
 		Recoveries:    m.recoveries,
-		Speculative:   m.speculative,
 		Yields:        m.yields,
 		TasksFinished: m.finished,
 	}
@@ -822,10 +784,9 @@ func (m *Master) controlPass() (int, error) {
 		return 0, nil
 	}
 	snap := m.hub.Snapshot(m.ctx, m.fillSnapshot)
-	// Propose and arbitrate separately (ctrl.Evaluate fuses the two) so
-	// the proposed-versus-surviving gap is observable: the suppressed
-	// counter is the arbiter's work — duplicate clones collapsed, clone
-	// budgets enforced.
+	// Propose and arbitrate separately so the proposed-versus-surviving gap
+	// is observable: the suppressed counter is the arbiter's work —
+	// duplicate clones collapsed, clone budgets enforced.
 	var proposed []ctrl.Action
 	for _, p := range m.policies {
 		proposed = append(proposed, p.Evaluate(snap)...)
@@ -902,9 +863,6 @@ func (m *Master) applyActions(actions []ctrl.Action) (int, error) {
 		case ctrl.RejectClone:
 			m.mu.Lock()
 			m.rejects++
-			if act.Speculative {
-				m.speculative++
-			}
 			m.mu.Unlock()
 			m.obs.rejects.Inc()
 		default:
@@ -936,21 +894,13 @@ func (m *Master) applyClone(act ctrl.CloneTask) (bool, error) {
 	st.workers++
 	st.lastClone = time.Now()
 	m.clones++
-	if act.Speculative {
-		m.speculative++
-	}
 	bp := m.blueprintFor(st, w, act.Inputs)
 	m.mu.Unlock()
 	if err := m.pushReady(bp); err != nil {
 		return false, err
 	}
 	m.obs.clones.Inc()
-	detail := fmt.Sprintf("worker=%d", w)
-	if act.Speculative {
-		m.obs.speculative.Inc()
-		detail += " speculative"
-	}
-	m.obs.emit(obs.EvTaskCloned, act.Task, detail)
+	m.obs.emit(obs.EvTaskCloned, act.Task, fmt.Sprintf("worker=%d", w))
 	return true, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -690,7 +691,7 @@ func TestFairShareYieldsClones(t *testing.T) {
 			defer cancel()
 			cfg := testClusterConfig()
 			cfg.Sched.Interval = 2 * time.Millisecond
-			cfg.Master.DisableHeuristic = true
+			cfg.Master.StorageBandwidth = math.Inf(1)
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
 			cfg.Node.OverloadThreshold = 0.01

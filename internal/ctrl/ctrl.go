@@ -6,10 +6,10 @@
 //
 // The paper's core claim (§2.2) is that one adaptive mechanism family —
 // fine-grained cloning plus late binding — tames skew at runtime. The
-// built-in mitigations are exactly that family: reactive cloning on
-// overload signals and speculative cloning of stragglers, both ending in one
-// placement rule. Following the Reshape/Texera line of work, they run as
-// interchangeable strategies driven by a shared metrics pipeline:
+// built-in mitigation is exactly that: a clone requested by an overloaded
+// worker (§4.2), gated by a rate limit, the live-worker cap and Eq. 2, and
+// placed by one rule. Following the Reshape/Texera line of work, policies
+// run as interchangeable strategies driven by a shared metrics pipeline:
 //
 //   - the Hub ingests telemetry signals as they arrive (event-driven, not
 //     polled), batches them, and builds versioned Snapshots on demand;
@@ -45,13 +45,9 @@ type Config struct {
 	// task (the paper sends clone messages at least 2 seconds apart).
 	CloneInterval time.Duration
 	// StorageBandwidth (bytes/s) estimates the I/O rate used for the T_IO
-	// term of the cloning heuristic (Eq. 2).
+	// term of the cloning heuristic (Eq. 2). math.Inf(1) prices T_IO at
+	// zero, so Eq. 2 accepts every clone whose input has bytes left.
 	StorageBandwidth float64
-	// DisableHeuristic accepts every rate-limited clone request without
-	// evaluating Eq. 2 (ablations and tests).
-	DisableHeuristic bool
-	// SpeculativeAfter is the straggler threshold for SpeculativePolicy.
-	SpeculativeAfter time.Duration
 }
 
 // ---- telemetry (snapshot contents) ----
@@ -269,9 +265,6 @@ type CloneTask struct {
 	// the physical partition the placement rule chose). Nil means the
 	// task's declared inputs.
 	Inputs []string
-	// Speculative marks clones proposed by SpeculativePolicy (straggler
-	// mitigation without an overload signal, §3.5 future work).
-	Speculative bool
 }
 
 // Kind implements Action.
@@ -281,8 +274,7 @@ func (CloneTask) Kind() string { return "clone" }
 // (no idle slot, or Eq. 2 said cloning would not pay off). It exists so
 // the master's observability counters survive the refactor.
 type RejectClone struct {
-	Task        string
-	Speculative bool
+	Task string
 }
 
 // Kind implements Action.
@@ -306,8 +298,8 @@ type Policy interface {
 // Arbitrate resolves conflicts among the actions proposed by all policies
 // for one snapshot, in one place:
 //
-//   - at most one clone per task per round (duplicate overload signals and
-//     clone/speculative overlap collapse to the first proposal);
+//   - at most one clone per task per round (duplicate overload signals, or
+//     proposals from several policies, collapse to the first proposal);
 //   - total clones are capped by the snapshot's free slots — and, in a
 //     multi-job cluster, by the job's fair-share lease budget
 //     (LeaseSlots), so one job's mitigations cannot starve its
@@ -334,7 +326,7 @@ func Arbitrate(snap *Snapshot, proposed []Action) []Action {
 		}
 		clonedTask[act.Task] = true
 		if budget <= 0 {
-			out = append(out, RejectClone{Task: act.Task, Speculative: act.Speculative})
+			out = append(out, RejectClone{Task: act.Task})
 			continue
 		}
 		budget--

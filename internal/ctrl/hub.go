@@ -278,15 +278,3 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 	}
 	return snap
 }
-
-// Evaluate runs the policy chain over a snapshot and arbitrates the
-// proposals. It is a convenience for the common "snapshot → propose →
-// arbitrate" sequence; callers needing the raw proposals run the policies
-// themselves.
-func Evaluate(snap *Snapshot, policies []Policy) []Action {
-	var proposed []Action
-	for _, p := range policies {
-		proposed = append(proposed, p.Evaluate(snap)...)
-	}
-	return Arbitrate(snap, proposed)
-}

@@ -7,11 +7,11 @@ import (
 
 // ---- cloning ----
 
-// ClonePolicy is the paper's reactive mitigation (§4.2): each overload
-// signal from a compute node is a clone request for its task, gated by
-// per-task rate limiting, the live-worker cap, and the Eq. 2 heuristic
-// T > (k+1)·T_IO evaluated against live bag depth telemetry. The signal
-// says a task wants a clone; proposeClone says where it goes.
+// ClonePolicy is the paper's mitigation (§4.2): each overload signal from
+// a compute node is a clone request for its task, gated by per-task rate
+// limiting, the live-worker cap, and the Eq. 2 heuristic T > (k+1)·T_IO
+// evaluated against live bag depth telemetry. The signal says a task wants
+// a clone; proposeClone says where it goes.
 type ClonePolicy struct {
 	Cfg Config
 }
@@ -28,50 +28,19 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 			!t.Scheduled || t.Finished || t.NoClone {
 			continue
 		}
-		if a, ok := proposeClone(&p.Cfg, snap, t, false); ok {
+		if a, ok := proposeClone(&p.Cfg, snap, t); ok {
 			out = append(out, a)
 		}
 	}
 	return out
 }
 
-// SpeculativePolicy is the paper's stated future work (§3.5): any task
-// still running SpeculativeAfter past its start is treated as if it had
-// signalled overload, mitigating stragglers whose slowness is not
-// CPU-bound (e.g. a degraded machine). The clone steals the remaining
-// chunks through ordinary late binding, so no work is redone. Partitioned
-// consumers are covered like any task: proposeClone places the clone.
-type SpeculativePolicy struct {
-	Cfg Config
-}
-
-// Name implements Policy.
-func (*SpeculativePolicy) Name() string { return "speculative" }
-
-// Evaluate implements Policy.
-func (p *SpeculativePolicy) Evaluate(snap *Snapshot) []Action {
-	var out []Action
-	for _, name := range snap.TaskNames() {
-		t := snap.Tasks[name]
-		if !t.Scheduled || t.Finished || t.NoClone {
-			continue
-		}
-		if snap.Now.Sub(t.StartedAt) < p.Cfg.SpeculativeAfter {
-			continue
-		}
-		if a, ok := proposeClone(&p.Cfg, snap, t, true); ok {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// proposeClone applies the gates shared by reactive and speculative
-// cloning and returns the resulting proposal: a CloneTask when every gate
-// passes, a RejectClone when an idle slot is missing, no input has work
-// left or Eq. 2 declines (preserving the master's reject counters), or
-// nothing when a cheap gate (live-worker cap, rate limit, soundness of
-// sharing a partition) filters the request.
+// proposeClone applies the cloning gates to one requested task and returns
+// the resulting proposal: a CloneTask when every gate passes, a RejectClone
+// when an idle slot is missing, no input has work left or Eq. 2 declines
+// (preserving the master's reject counters), or nothing when a cheap gate
+// (live-worker cap, rate limit, soundness of sharing a partition) filters
+// the request.
 //
 // A clone goes where the most work is left: of the bags the task's live
 // workers consume, the one with the most remaining bytes per live worker.
@@ -79,7 +48,7 @@ func (p *SpeculativePolicy) Evaluate(snap *Snapshot) []Action {
 // no clone is started only to find its input dry. For a consumer of a
 // partitioned shuffle bag the candidates are the physical partitions, and
 // the clone is bound to the one chosen.
-func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, speculative bool) (Action, bool) {
+func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel) (Action, bool) {
 	live := t.Workers - t.DoneWorkers
 	if live <= 0 {
 		return nil, false // no worker yet, or the task is effectively over
@@ -98,7 +67,7 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, speculative bool) (Ac
 	if t.ConsumesEdge != "" && !t.EdgeSpread && !t.HasMerge {
 		return nil, false
 	}
-	reject := RejectClone{Task: t.Name, Speculative: speculative}
+	reject := RejectClone{Task: t.Name}
 	if snap.FreeSlots <= 0 || snap.SampleBag == nil {
 		return reject, true
 	}
@@ -121,10 +90,10 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel, speculative bool) (Ac
 			input, depth, most = bag, tel, per
 		}
 	}
-	if depth == nil || (!cfg.DisableHeuristic && !cloneWorthwhile(cfg, snap, depth, t)) {
+	if depth == nil || !cloneWorthwhile(cfg, snap, depth, t) {
 		return reject, true
 	}
-	clone := CloneTask{Task: t.Name, Epoch: t.Epoch, Speculative: speculative}
+	clone := CloneTask{Task: t.Name, Epoch: t.Epoch}
 	if t.ConsumesEdge != "" {
 		clone.Inputs = []string{input}
 	}

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -16,7 +17,6 @@ func testConfig() Config {
 	return Config{
 		CloneInterval:    2 * time.Second,
 		StorageBandwidth: 1 << 30,
-		SpeculativeAfter: 8 * time.Second,
 	}
 }
 
@@ -203,8 +203,12 @@ func TestCloneHeuristic(t *testing.T) {
 // TestClonePlacement is the cloning rule on a partitioned consumer: the cap
 // counts live workers, the clone goes to the leaf with the most bytes left
 // per live worker, a dry leaf is never a candidate, and sharing a leaf stays
-// unsound on an edge that is neither Spread nor merged. Both cloning policies
-// run every case: the rule is one function.
+// unsound on an edge that is neither Spread nor merged. A case without Eq. 2
+// prices T_IO at zero (infinite StorageBandwidth) rather than skipping it.
+//
+// Every case also runs with no overload signal (the speculative=true arm,
+// named for the straggler timer that used to clone such a task): only a
+// signal asks for a clone, so that arm places nothing.
 func TestClonePlacement(t *testing.T) {
 	leaves := []string{"shuf.p0", "shuf.p1", "shuf.p2"}
 	cases := []struct {
@@ -269,7 +273,9 @@ func TestClonePlacement(t *testing.T) {
 		for _, speculative := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/speculative=%v", tc.name, speculative), func(t *testing.T) {
 				cfg := testConfig()
-				cfg.DisableHeuristic = !tc.heuristic
+				if !tc.heuristic {
+					cfg.StorageBandwidth = math.Inf(1)
+				}
 				snap := baseSnapshot()
 				task := partitionedTask("agg", leaves...)
 				if tc.mutate != nil {
@@ -277,55 +283,29 @@ func TestClonePlacement(t *testing.T) {
 				}
 				snap.Tasks["agg"] = task
 				snap.SampleBag = probeKiB(tc.remaining)
-				var p Policy = &SpeculativePolicy{Cfg: cfg}
+				want := ""
 				if !speculative {
-					p = &ClonePolicy{Cfg: cfg}
+					want = tc.want
 					// Every leaf's worker signals; the dry one first.
 					for range leaves {
 						snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
 					}
 				}
+				p := &ClonePolicy{Cfg: cfg}
 				got := ""
 				for _, a := range Arbitrate(snap, p.Evaluate(snap)) {
 					if clone, ok := a.(CloneTask); ok {
-						if got != "" || len(clone.Inputs) != 1 || clone.Speculative != speculative {
+						if got != "" || len(clone.Inputs) != 1 {
 							t.Fatalf("want at most one clone bound to one leaf, got %+v after %q", clone, got)
 						}
 						got = clone.Inputs[0]
 					}
 				}
-				if got != tc.want {
-					t.Fatalf("clone placed on %q, want %q", got, tc.want)
+				if got != want {
+					t.Fatalf("clone placed on %q, want %q", got, want)
 				}
 			})
 		}
-	}
-}
-
-// TestSpeculativePolicy: stragglers past the threshold are cloned without
-// any overload signal, partitioned consumers included; fresh tasks are not.
-func TestSpeculativePolicy(t *testing.T) {
-	cfg := testConfig()
-	cfg.DisableHeuristic = true
-	p := &SpeculativePolicy{Cfg: cfg}
-
-	snap := baseSnapshot()
-	snap.Tasks["straggler"] = runningTask("straggler")
-	snap.Tasks["fresh"] = runningTask("fresh")
-	snap.Tasks["fresh"].StartedAt = t0.Add(-time.Second)
-	snap.Tasks["partitioned"] = partitionedTask("partitioned", "shuf.p0", "shuf.p1")
-
-	actions := p.Evaluate(snap) // in task-name order
-	if len(actions) != 2 {
-		t.Fatalf("want exactly two speculative clones, got %v", actions)
-	}
-	leaf, ok := actions[0].(CloneTask)
-	if !ok || leaf.Task != "partitioned" || !leaf.Speculative || len(leaf.Inputs) != 1 {
-		t.Fatalf("want speculative clone of partitioned bound to one leaf, got %+v", actions[0])
-	}
-	clone, ok := actions[1].(CloneTask)
-	if !ok || clone.Task != "straggler" || !clone.Speculative || clone.Inputs != nil {
-		t.Fatalf("want speculative clone of straggler on its declared inputs, got %+v", actions[1])
 	}
 }
 
@@ -358,15 +338,15 @@ func TestArbitrateCloneBudget(t *testing.T) {
 }
 
 // TestEvaluateTraceConvergence replays a multi-round telemetry trace of a
-// partitioned consumer with one hot leaf through the full policy chain:
+// partitioned consumer with one hot leaf through ClonePolicy and Arbitrate:
 // every round each live worker signals overload and the surviving clone is
 // applied as the master would apply it. Every clone binds to the hot leaf,
-// and the policies go quiet once the live workers fill the cluster's slots —
+// and the policy goes quiet once the live workers fill the cluster's slots —
 // the control loop converges instead of cloning forever.
 func TestEvaluateTraceConvergence(t *testing.T) {
 	cfg := testConfig()
-	cfg.DisableHeuristic = true
-	policies := []Policy{&ClonePolicy{Cfg: cfg}, &SpeculativePolicy{Cfg: cfg}}
+	cfg.StorageBandwidth = math.Inf(1)
+	p := &ClonePolicy{Cfg: cfg}
 	task := partitionedTask("agg", "shuf.p0", "shuf.p1", "shuf.p2", "shuf.p3")
 	remaining := map[string]int64{"shuf.p0": 4096, "shuf.p1": 64, "shuf.p2": 64, "shuf.p3": 64}
 
@@ -380,7 +360,7 @@ func TestEvaluateTraceConvergence(t *testing.T) {
 		for range task.Workers {
 			snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
 		}
-		actions := Evaluate(snap, policies)
+		actions := Arbitrate(snap, p.Evaluate(snap))
 		if len(actions) == 0 {
 			if live := task.Workers - task.DoneWorkers; live != snap.TotalSlots || clones == 0 {
 				t.Fatalf("went quiet after %d clones with %d live workers on %d slots", clones, live, snap.TotalSlots)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -206,7 +207,7 @@ func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, erro
 			MonitorInterval:   2 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.01,
 		},
-		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond, DisableHeuristic: true},
+		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond, StorageBandwidth: math.Inf(1)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@
 // many independent DAG jobs concurrently.
 //
 // The paper executes exactly one application per cluster; its skew
-// mitigations (cloning, speculative re-execution)
-// therefore compete only with the job's own tasks. On shared hardware a
+// mitigation (cloning) therefore competes only with the job's own tasks.
+// On shared hardware a
 // single skewed job's clones would monopolize every worker slot, so the
 // scheduler arbitrates *across* jobs:
 //
@@ -13,8 +13,8 @@
 //     collide with any live job's, and queues submissions beyond the
 //     concurrency limit;
 //   - Leases implements weighted fair-share slot leasing: every claimed
-//     worker slot — original tasks, clones, speculative re-executions —
-//     is billed to the owning job's lease. A job
+//     worker slot — original tasks and clones alike — is billed to the
+//     owning job's lease. A job
 //     may borrow beyond its share while no neighbor is starved, and a
 //     starved neighbor triggers both claim gating (over-share jobs stop
 //     claiming) and preemption (the over-share job's clone workers are
