@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // batchMagic opens every batch chunk. The leading 0x00 reads as an empty
@@ -267,9 +268,10 @@ func (b *BatchBuilder) AppendFixed8(col int, v uint64) {
 }
 
 // The column kernels. A loop over records is a loop over one column whose
-// buffer is hoisted: grown once for the block, written by index, accounted
-// once. extend is the "grown once": n more elements of s for the loop to
-// fill, returned beside the whole (extend(s[:0], n): n of scratch).
+// buffer is hoisted: grown once for the block, written by index (a fixed8
+// column on a little-endian host: by one copy), accounted once. extend is
+// the "grown once": n more elements of s for the loop to fill, returned
+// beside the whole (extend(s[:0], n): n of scratch).
 func extend[T any](s []T, n int) (all, tail []T) {
 	s = slices.Grow(s, n)[:len(s)+n]
 	return s, s[len(s)-n:]
@@ -304,14 +306,68 @@ func (b *BatchBuilder) appendUvarints(col int, vs []uint64) {
 	b.cols[col] = buf[:at]
 }
 
-// appendFixed8s appends vs to a ColFixed8 column.
-func (b *BatchBuilder) appendFixed8s(col int, vs []uint64) {
+// littleEndianHost reports whether this host keeps an 8-byte value in
+// memory as the little-endian bytes of its bits: then a ColFixed8 column
+// and a []uint64 or []float64 vector of its rows are the same bytes.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// fixed8Bytes views vs's memory as bytes, for the fixed8 kernels' copy
+// arm, which only a little-endian host takes. It is the package's one
+// unsafe conversion, and safe because
+//   - the view spans exactly the len(vs)*8 bytes of the vector, and each
+//     copy through it meets a column of that length: extend sized the one
+//     being encoded, and DecodeBatch and DecodeColumn have checked that the
+//     one being decoded holds rows×8 bytes;
+//   - the vector owns its backing array (a byte view needs no alignment);
+//   - the view is copied through and dropped, so a decoded vector never
+//     aliases the chunk, nor an encoded column the vector.
+func fixed8Bytes[T uint64 | float64](vs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*8)
+}
+
+// appendFixed8s appends vs to a ColFixed8 column, value v as word(v). word
+// is v's bits (sameWord, math.Float64bits): the copy arm takes them from
+// memory.
+func appendFixed8s[T uint64 | float64](b *BatchBuilder, col int, vs []T, word func(T) uint64) {
 	buf, dst := extend(b.cols[col], len(vs)*8)
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[i*8:], v)
+	if littleEndianHost {
+		copy(dst, fixed8Bytes(vs))
+	} else {
+		putFixed8s(dst, vs, word)
 	}
 	b.cols[col] = buf
 	b.bytes += len(dst)
+}
+
+// putFixed8s is appendFixed8s's portable arm: one value at a time.
+func putFixed8s[T uint64 | float64](dst []byte, vs []T, word func(T) uint64) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[i*8:], word(v))
+	}
+}
+
+// decodeFixed8s is a fixed8 leaf's DecodeColumn: it appends the rows of
+// ColFixed8 column col to out, word w as value(w), the value whose bits w
+// is.
+func decodeFixed8s[T uint64 | float64](bt *Batch, col int, out []T, value func(uint64) T) ([]T, int, error) {
+	data := bt.Cols[col].Data
+	if len(data) != bt.Rows*8 {
+		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
+	}
+	out, dst := extend(out, bt.Rows)
+	if littleEndianHost {
+		copy(fixed8Bytes(dst), data)
+	} else {
+		getFixed8s(dst, data, value)
+	}
+	return out, col + 1, nil
+}
+
+// getFixed8s is decodeFixed8s's portable arm: one value at a time.
+func getFixed8s[T uint64 | float64](dst []T, data []byte, value func(uint64) T) {
+	for i := range dst {
+		dst[i] = value(binary.LittleEndian.Uint64(data[i*8:]))
+	}
 }
 
 // rowWords is the leaf codecs' pre-pass: the rows vs and idx select, as
@@ -555,15 +611,7 @@ func (Uint64FixedCodec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
 }
 
 func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int, error) {
-	data := bt.Cols[col].Data
-	if len(data) != bt.Rows*8 {
-		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
-	}
-	out, dst := extend(out, bt.Rows)
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(data[i*8:])
-	}
-	return out, col + 1, nil
+	return decodeFixed8s(bt, col, out, sameWord)
 }
 
 func (Float64Codec) Columnar() bool { return true }
@@ -576,15 +624,7 @@ func (Float64Codec) EncodeColumn(b *BatchBuilder, col int, v float64) int {
 }
 
 func (Float64Codec) DecodeColumn(bt *Batch, col int, out []float64) ([]float64, int, error) {
-	data := bt.Cols[col].Data
-	if len(data) != bt.Rows*8 {
-		return out, col, fmt.Errorf("%w: fixed column size mismatch", ErrCorrupt)
-	}
-	out, dst := extend(out, bt.Rows)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out, col + 1, nil
+	return decodeFixed8s(bt, col, out, math.Float64frombits)
 }
 
 // blobSpans parses a (ColLen, ColBytes) pair into [start,end) offsets of
@@ -681,14 +721,18 @@ func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []
 	if idx != nil {
 		vs = rowWords(b, vs, idx, sameWord)
 	}
-	b.appendFixed8s(col, vs)
+	appendFixed8s(b, col, vs, sameWord)
 	return col + 1
 }
 
 func (Float64Codec) BulkOK() bool { return true }
 
 func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int32) int {
-	b.appendFixed8s(col, rowWords(b, vs, idx, math.Float64bits))
+	if idx != nil {
+		appendFixed8s(b, col, rowWords(b, vs, idx, math.Float64bits), sameWord)
+	} else {
+		appendFixed8s(b, col, vs, math.Float64bits)
+	}
 	return col + 1
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -93,6 +95,101 @@ func TestUvarintKernelDifferential(t *testing.T) {
 	for before := 0; before < 18; before++ {
 		data := append(make([]byte, before), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
 		checkKernel(t, "overlong varint", append(data, make([]byte, 20)...), before+8)
+	}
+}
+
+// TestFixedColumnKernels holds the fixed8 kernels' copy arm, the one a
+// little-endian host runs, to their portable loop: the same column bytes
+// out of EncodeRows, with no index vector and with one, and the same
+// values, bit for bit, out of DecodeColumn, appended after elements
+// already in out, from a column at an even and at an odd offset of its
+// chunk. The last value selected is never zero, so a copy one value short
+// leaves a difference behind it.
+func TestFixedColumnKernels(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	uints := []uint64{0, 1, math.MaxUint64, 1 << 63, 0x0102030405060708}
+	floats := []float64{
+		math.Float64frombits(0x7ff8000000000001), // quiet NaN with a payload
+		math.Float64frombits(0xfff0000000000abc), // signalling NaN, sign set
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5,
+	}
+	for range 50 {
+		uints = append(uints, r.Uint64())
+		floats = append(floats, r.NormFloat64())
+	}
+	checkFixed8(t, "uint64", Uint64FixedCodec{}, uints, sameWord, sameWord)
+	checkFixed8(t, "float64", Float64Codec{}, floats, math.Float64bits, math.Float64frombits)
+}
+
+func checkFixed8[T uint64 | float64](t *testing.T, name string, c interface {
+	ColumnCodec[T]
+	BulkColumnCodec[T]
+}, vs []T, word func(T) uint64, value func(uint64) T) {
+	t.Helper()
+	bits := func(vs []T) (ws []uint64) {
+		for _, v := range vs {
+			ws = append(ws, word(v))
+		}
+		return ws
+	}
+	idx := make([]int32, 0, 2*len(vs))
+	for i := len(vs) - 1; i >= 0; i-- { // backwards, each row twice
+		idx = append(idx, int32(i), int32(i))
+	}
+	idx = append(idx, 2) // ending on math.MaxUint64 or −0
+	odd := false
+	for _, sel := range [][]int32{nil, idx} {
+		rows := vs
+		if sel != nil {
+			rows = nil
+			for _, i := range sel {
+				rows = append(rows, vs[i])
+			}
+		}
+		want := make([]byte, 8*len(rows))
+		putFixed8s(want, rows, word)
+		// A varint column of one- or two-byte keys ahead of the fixed one
+		// moves it to an even or an odd offset of the chunk.
+		for _, key := range []uint64{1, 1 << 7} {
+			what := fmt.Sprintf("%s, index %t, key %d", name, sel != nil, key)
+			b := new(BatchBuilder)
+			b.Reset(0, []ColKind{ColVarint, ColFixed8})
+			keys := make([]uint64, len(rows))
+			keys[0] = key
+			b.appendUvarints(0, keys)
+			if next := c.EncodeRows(b, 1, vs, sel); next != 2 {
+				t.Fatalf("%s: EncodeRows returned column %d, want 2", what, next)
+			}
+			if !bytes.Equal(b.cols[1], want) {
+				t.Fatalf("%s: encoded column\n%x\nwant\n%x", what, b.cols[1], want)
+			}
+			b.EndRows(len(rows))
+			ch := b.Encode()
+			bt, err := DecodeBatch(ch, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			// The fixed column is the chunk's last bytes.
+			odd = odd || (len(ch)-len(bt.Cols[1].Data))%2 == 1
+
+			wantVals := make([]T, len(rows))
+			getFixed8s(wantVals, bt.Cols[1].Data, value)
+			prefix := []T{value(7), value(8), value(9)}
+			got, next, err := c.DecodeColumn(bt, 1, slices.Clone(prefix))
+			if err != nil || next != 2 {
+				t.Fatalf("%s: DecodeColumn returned column %d, %v", what, next, err)
+			}
+			if w := bits(append(prefix, wantVals...)); !slices.Equal(bits(got), w) {
+				t.Fatalf("%s: decoded %x\nwant %x", what, bits(got), w)
+			}
+			if !slices.Equal(bits(wantVals), bits(rows)) {
+				t.Fatalf("%s: portable arm decoded %x\nwant %x", what, bits(wantVals), bits(rows))
+			}
+		}
+	}
+	if !odd {
+		t.Fatalf("%s: no fixed column sat at an odd offset of its chunk", name)
 	}
 }
 
@@ -327,6 +424,59 @@ func BenchmarkTupleDecode(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchRows), "ns/rec")
+		})
+	}
+}
+
+// BenchmarkFixed8Column is the fixed8 kernels over one 4096-row uint64
+// column, in ns per value: "copy" is the codec's EncodeRows and
+// DecodeColumn as a little-endian host runs them, "loop" the portable arm
+// a big-endian host runs instead, on the same buffers.
+func BenchmarkFixed8Column(b *testing.B) {
+	r := rand.New(rand.NewSource(47))
+	vs := make([]uint64, benchBatchRows)
+	for i := range vs {
+		vs[i] = r.Uint64()
+	}
+	bb := new(BatchBuilder)
+	bb.Reset(0, []ColKind{ColFixed8})
+	Uint64FixedCodec{}.EncodeRows(bb, 0, vs, nil)
+	bb.EndRows(len(vs))
+	bt, err := DecodeBatch(bb.Encode(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// An encode arm writes col, the builder's column buffer; a decode arm
+	// writes out.
+	data, col, out := bt.Cols[0].Data, bb.cols[0][:len(vs)*8], make([]uint64, len(vs))
+	bb.Clear()
+	for _, arm := range []struct {
+		name string
+		copy bool
+		run  func()
+	}{
+		{"encode/copy", true, func() { Uint64FixedCodec{}.EncodeRows(bb, 0, vs, nil); bb.Clear() }},
+		{"encode/loop", false, func() { putFixed8s(col, vs, sameWord) }},
+		{"decode/copy", true, func() { out, _, _ = Uint64FixedCodec{}.DecodeColumn(bt, 0, out[:0]) }},
+		{"decode/loop", false, func() { getFixed8s(out, data, sameWord) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			if arm.copy && !littleEndianHost {
+				b.Skip("a big-endian host runs the loop")
+			}
+			clear(col)
+			clear(out)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arm.run()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/value")
+			if !bytes.Equal(col, data) && !slices.Equal(out, vs) {
+				b.Fatal("the arm wrote neither the column nor its values")
+			}
 		})
 	}
 }
