@@ -53,7 +53,7 @@ type (
 	ClusterConfig = core.ClusterConfig
 	// NodeConfig tunes compute-node monitoring and overload detection.
 	NodeConfig = core.NodeConfig
-	// MasterConfig tunes the application master and cloning heuristic.
+	// MasterConfig tunes the application master and its cloning.
 	MasterConfig = core.MasterConfig
 	// MasterStats reports cloning/merge/recovery activity counters.
 	MasterStats = core.MasterStats
@@ -167,8 +167,6 @@ type (
 	TaskTel = ctrl.TaskTel
 	// EdgeTel is per-shuffle-edge telemetry within a Snapshot.
 	EdgeTel = ctrl.EdgeTel
-	// PolicyConfig carries the tuning knobs shared by built-in policies.
-	PolicyConfig = ctrl.Config
 	// ClonePolicy is the paper's cloning on overload signals (§4.2).
 	ClonePolicy = ctrl.ClonePolicy
 )

@@ -2,7 +2,6 @@ package hurricane
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 )
@@ -206,7 +205,6 @@ func TestMergeEndToEndWithClones(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Master.StorageBandwidth = math.Inf(1)
 	cfg.Master.CloneInterval = time.Millisecond
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Node.OverloadThreshold = 0.01

@@ -2,7 +2,6 @@ package hurricane
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,7 +109,6 @@ func TestEmptyPolicySetDisablesMitigation(t *testing.T) {
 	cfg.Node.OverloadThreshold = 0.01 // every heartbeat screams overload
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.StorageBandwidth = math.Inf(1)
 	cfg.Master.Policies = []Policy{}
 	cluster, err := NewCluster(cfg)
 	if err != nil {

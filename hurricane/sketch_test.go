@@ -185,7 +185,6 @@ func TestSketchDistinctCountPipeline(t *testing.T) {
 	defer cancel()
 	cfg := testClusterConfig()
 	cfg.ChunkSize = 16 << 10 // HLL records at p=11 are ~2 KiB
-	cfg.Master.StorageBandwidth = math.Inf(1)
 	cfg.Master.CloneInterval = time.Millisecond
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Node.OverloadThreshold = 0.01

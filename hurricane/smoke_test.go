@@ -3,7 +3,6 @@ package hurricane
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 	"time"
@@ -175,7 +174,6 @@ func TestSmokeConcatClones(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Master.StorageBandwidth = math.Inf(1) // accept every clone request
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package apps
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -80,7 +79,6 @@ func TestClickLogCorrectness(t *testing.T) {
 func TestClickLogWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Master.CloneInterval = time.Millisecond
 		cfg.Node.MonitorInterval = time.Millisecond
 		cfg.Node.HeartbeatInterval = time.Millisecond
@@ -152,7 +150,6 @@ func TestHashJoinCorrectness(t *testing.T) {
 func TestHashJoinWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Node.OverloadThreshold = 0.01
 	})
 	const parts = 2
@@ -215,7 +212,6 @@ func TestPageRankCorrectness(t *testing.T) {
 func TestPageRankWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Master.StorageBandwidth = math.Inf(1)
 		cfg.Node.OverloadThreshold = 0.01
 	})
 	const scale, iters = 6, 2

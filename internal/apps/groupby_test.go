@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 	"time"
 
@@ -53,11 +52,10 @@ func checkGroupByCounts(t *testing.T, got map[uint64]GroupByResult, want map[uin
 }
 
 // eagerClones makes the master clone anything that has work left: every
-// worker signals overload, and Eq. 2 prices clone I/O at zero.
+// worker signals overload, at a 1 ms clone interval.
 func eagerClones(cfg *hurricane.ClusterConfig) {
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.StorageBandwidth = math.Inf(1)
 }
 
 // TestGroupByCorrectnessStatic: on an edge that is neither Spread nor

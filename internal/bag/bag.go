@@ -525,8 +525,8 @@ func (s *Store) FetchSketch(ctx context.Context, edge string) (*sketch.EdgeStats
 }
 
 // Sample aggregates the bag's statistics across every slot. The cloning
-// heuristic uses this to estimate how much work remains in a task's input
-// (§4.2: "T is estimated by sampling the input bag").
+// policy uses this to see how much work remains in a task's input and
+// where a clone should go (§4.2 samples the input bag the same way).
 func (s *Store) Sample(ctx context.Context, name string) (Stats, error) {
 	var st Stats
 	st.Sealed = true

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ func TestSpeculativeOffByDefault(t *testing.T) {
 	cfg.Node.OverloadThreshold = 1.5 // unreachable: no signal
 	cfg.Master.SpeculativeCloning = true
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.StorageBandwidth = math.Inf(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cluster, err := NewCluster(cfg)
@@ -44,7 +42,6 @@ func TestNoCloneRespected(t *testing.T) {
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.StorageBandwidth = math.Inf(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -78,7 +75,6 @@ func TestMaxClonesRespected(t *testing.T) {
 	cfg.Node.OverloadThreshold = 0.01
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Master.StorageBandwidth = math.Inf(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -159,7 +158,6 @@ func TestDispatchCloneReachesIdleNode(t *testing.T) {
 	c := dispatchCluster(t, 2, func(cfg *ClusterConfig) {
 		cfg.Node.OverloadThreshold = 0.01 // the waiting worker signals
 		cfg.Node.MonitorInterval = time.Millisecond
-		cfg.Master.StorageBandwidth = math.Inf(1)
 	})
 	loadIntsBag(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left
 	var started atomic.Int64

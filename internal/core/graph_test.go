@@ -254,7 +254,7 @@ func TestClusterConfigDefaults(t *testing.T) {
 	}
 	mc := MasterConfig{}
 	mc.fill()
-	if mc.CloneInterval == 0 || mc.StorageBandwidth == 0 || mc.SplitInterval == 0 {
+	if mc.CloneInterval == 0 || mc.SplitInterval == 0 {
 		t.Fatalf("master defaults not filled: %+v", mc)
 	}
 }

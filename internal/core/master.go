@@ -52,10 +52,6 @@ type MasterConfig struct {
 	// FailTimeout is the heartbeat silence after which a compute node is
 	// declared dead. Zero disables failure detection.
 	FailTimeout time.Duration
-	// StorageBandwidth (bytes/s) estimates the I/O rate used for the
-	// T_IO term of the cloning heuristic (Eq. 2). math.Inf(1) makes Eq. 2
-	// accept every clone whose input has bytes left.
-	StorageBandwidth float64
 	// SpeculativeCloning does nothing: only an overload signal triggers a
 	// clone. The field stays because the frozen benchmark sets it.
 	SpeculativeCloning bool
@@ -100,24 +96,17 @@ func (c *MasterConfig) fill() {
 	if c.CloneInterval <= 0 {
 		c.CloneInterval = 2 * time.Second // paper default
 	}
-	if c.StorageBandwidth <= 0 {
-		c.StorageBandwidth = 1 << 30 // 1 GB/s
-	}
 	if c.SplitInterval <= 0 {
 		c.SplitInterval = c.CloneInterval
 	}
 }
 
 // DefaultPolicies is the mitigation set a nil MasterConfig.Policies
-// installs: the paper's cloning on overload signals, tuned by cfg's
-// CloneInterval and StorageBandwidth. Callers composing custom policy
-// chains can start from it.
+// installs: the paper's cloning on overload signals, rate-limited by cfg's
+// CloneInterval. Callers composing custom policy chains can start from it.
 func DefaultPolicies(cfg MasterConfig) []ctrl.Policy {
 	cfg.fill()
-	return []ctrl.Policy{&ctrl.ClonePolicy{Cfg: ctrl.Config{
-		CloneInterval:    cfg.CloneInterval,
-		StorageBandwidth: cfg.StorageBandwidth,
-	}}}
+	return []ctrl.Policy{&ctrl.ClonePolicy{CloneInterval: cfg.CloneInterval}}
 }
 
 // taskState is the master's view of one task of the execution graph.
@@ -133,7 +122,6 @@ type taskState struct {
 	renamed     bool
 	finished    bool
 
-	startedAt time.Time
 	lastClone time.Time
 
 	// running maps blueprint ID -> node, for failure recovery.
@@ -350,7 +338,7 @@ func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg
 			if err != nil {
 				return nil, err
 			}
-			return &ctrl.BagTel{ReadBytes: stats.ReadBytes, RemainingBytes: stats.RemainingBytes()}, nil
+			return &ctrl.BagTel{RemainingBytes: stats.RemainingBytes()}, nil
 		},
 		Obs: cfg.Obs,
 		Job: cfg.Job,
@@ -397,7 +385,7 @@ func (m *Master) Err() error {
 // Stats reports master activity counters.
 type MasterStats struct {
 	Clones        int // clones created
-	CloneRejects  int // clone requests rejected (no slot or Eq. 2)
+	CloneRejects  int // clone requests rejected (no idle slot or no input left)
 	MergeTasks    int // merge tasks injected
 	RenameAdopts  int // sole-worker outputs adopted by rename
 	Recoveries    int // compute-node failure recoveries
@@ -819,7 +807,6 @@ func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
 			Finished:    st.finished,
 			Workers:     st.workers,
 			DoneWorkers: len(st.doneWorkers),
-			StartedAt:   st.startedAt,
 			LastClone:   st.lastClone,
 			NoClone:     st.spec.NoClone,
 			MaxClones:   st.spec.MaxClones,
@@ -990,9 +977,6 @@ func (m *Master) applyScheduledEvidence(spec string, epoch, worker int, isMerge 
 	if worker+1 > st.workers {
 		st.workers = worker + 1
 	}
-	if st.startedAt.IsZero() {
-		st.startedAt = time.Now()
-	}
 }
 
 // absorbDone folds one done-bag event into task state.
@@ -1069,7 +1053,6 @@ func (m *Master) schedulePass() (int, error) {
 		}
 		if ready {
 			st.scheduled = true
-			st.startedAt = time.Now()
 			// A consumer of a partitioned bag gets one worker per
 			// physical partition — the edge's partition map is final: a
 			// seed map is published before the first scheduling pass, and

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -691,7 +690,6 @@ func TestFairShareYieldsClones(t *testing.T) {
 			defer cancel()
 			cfg := testClusterConfig()
 			cfg.Sched.Interval = 2 * time.Millisecond
-			cfg.Master.StorageBandwidth = math.Inf(1)
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
 			cfg.Node.OverloadThreshold = 0.01

@@ -7,9 +7,10 @@
 // The paper's core claim (§2.2) is that one adaptive mechanism family —
 // fine-grained cloning plus late binding — tames skew at runtime. The
 // built-in mitigation is exactly that: a clone requested by an overloaded
-// worker (§4.2), gated by a rate limit, the live-worker cap and Eq. 2, and
-// placed by one rule. Following the Reshape/Texera line of work, policies
-// run as interchangeable strategies driven by a shared metrics pipeline:
+// worker (§4.2), gated by a rate limit, the live-worker cap and the work
+// left in its input, and placed by one rule. Following the Reshape/Texera
+// line of work, policies run as interchangeable strategies driven by a
+// shared metrics pipeline:
 //
 //   - the Hub ingests telemetry signals as they arrive (event-driven, not
 //     polled), batches them, and builds versioned Snapshots on demand;
@@ -37,18 +38,6 @@ import (
 	"repro/internal/shuffle"
 	"repro/internal/sketch"
 )
-
-// Config carries the tuning knobs shared by the built-in policies. The
-// master derives it from its MasterConfig, so existing knobs keep working.
-type Config struct {
-	// CloneInterval is the minimum gap between successive clones of one
-	// task (the paper sends clone messages at least 2 seconds apart).
-	CloneInterval time.Duration
-	// StorageBandwidth (bytes/s) estimates the I/O rate used for the T_IO
-	// term of the cloning heuristic (Eq. 2). math.Inf(1) prices T_IO at
-	// zero, so Eq. 2 accepts every clone whose input has bytes left.
-	StorageBandwidth float64
-}
 
 // ---- telemetry (snapshot contents) ----
 
@@ -88,8 +77,10 @@ type TaskTel struct {
 	Finished    bool
 	Workers     int
 	DoneWorkers int
-	StartedAt   time.Time
-	LastClone   time.Time
+	// StartedAt is never set by the master and no policy reads it; it stays
+	// only because the frozen benchmark's policy probe fills it in.
+	StartedAt time.Time
+	LastClone time.Time
 
 	// Declared shape relevant to cloning decisions.
 	NoClone   bool
@@ -171,9 +162,11 @@ func EdgeHeat(e *EdgeTel) Heat {
 	return h
 }
 
-// BagTel is a sampled depth probe of one bag, used by the Eq. 2 cloning
-// heuristic.
+// BagTel is a sampled depth probe of one bag: where a clone goes, and
+// whether there is work left for one.
 type BagTel struct {
+	// ReadBytes is never set by the master and no policy reads it; it stays
+	// only because the frozen benchmark's policy probe fills it in.
 	ReadBytes      int64
 	RemainingBytes int64
 }
@@ -212,7 +205,7 @@ type Snapshot struct {
 	Edges     map[string]*EdgeTel
 	Overloads []Overload
 
-	// SampleBag lazily probes a bag's depth (read/remaining bytes). It
+	// SampleBag lazily probes a bag's depth (its remaining bytes). It
 	// returns nil when the probe fails or no prober is configured; the
 	// cloning policies then decline to clone. A result is reused, within
 	// the snapshot and by later ones, until it is a fetch interval old.
@@ -270,9 +263,9 @@ type CloneTask struct {
 // Kind implements Action.
 func (CloneTask) Kind() string { return "clone" }
 
-// RejectClone records that a clone proposal was evaluated and declined
-// (no idle slot, or Eq. 2 said cloning would not pay off). It exists so
-// the master's observability counters survive the refactor.
+// RejectClone records that a clone proposal was evaluated and declined: no
+// idle slot, or no input left to share. It exists so the master's
+// observability counters survive the refactor.
 type RejectClone struct {
 	Task string
 }

@@ -50,8 +50,8 @@ type HubConfig struct {
 	// much work to repeat on every snapshot. Depth probes of one bag are
 	// held to the same interval.
 	FetchInterval time.Duration
-	// SampleBag probes bag depths for clone placement and the cloning
-	// heuristic; nil makes the policies decline every clone (tests install
+	// SampleBag probes bag depths for clone placement and the work-left
+	// check; nil makes the policies decline every clone (tests install
 	// synthetic probes).
 	SampleBag SampleBagFunc
 	// Obs receives the hub's metrics (snapshot count, snapshot lag,

@@ -3,17 +3,24 @@ package ctrl
 import (
 	"maps"
 	"slices"
+	"time"
 )
 
 // ---- cloning ----
 
 // ClonePolicy is the paper's mitigation (§4.2): each overload signal from
 // a compute node is a clone request for its task, gated by per-task rate
-// limiting, the live-worker cap, and the Eq. 2 heuristic T > (k+1)·T_IO
-// evaluated against live bag depth telemetry. The signal says a task wants
-// a clone; proposeClone says where it goes.
+// limiting, the live-worker cap and live bag depth telemetry. The signal
+// says a task wants a clone; proposeClone says where it goes.
+//
+// The paper also gates each clone with its Eq. 2, remaining time against
+// the clone's extra I/O. Priced from a bag's drain rate, the remaining
+// bytes and the worker count cancel out of it, leaving a cap on the drain
+// rate that no workload comes near, so the policy does not evaluate it.
 type ClonePolicy struct {
-	Cfg Config
+	// CloneInterval is the minimum gap between successive clones of one
+	// task (the paper sends clone messages at least 2 seconds apart).
+	CloneInterval time.Duration
 }
 
 // Name implements Policy.
@@ -28,7 +35,7 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 			!t.Scheduled || t.Finished || t.NoClone {
 			continue
 		}
-		if a, ok := proposeClone(&p.Cfg, snap, t); ok {
+		if a, ok := proposeClone(p.CloneInterval, snap, t); ok {
 			out = append(out, a)
 		}
 	}
@@ -37,10 +44,9 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 
 // proposeClone applies the cloning gates to one requested task and returns
 // the resulting proposal: a CloneTask when every gate passes, a RejectClone
-// when an idle slot is missing, no input has work left or Eq. 2 declines
-// (preserving the master's reject counters), or nothing when a cheap gate
-// (live-worker cap, rate limit, soundness of sharing a partition) filters
-// the request.
+// when an idle slot is missing or no input has work left (preserving the
+// master's reject counters), or nothing when a cheap gate (live-worker cap,
+// rate limit, soundness of sharing a partition) filters the request.
 //
 // A clone goes where the most work is left: of the bags the task's live
 // workers consume, the one with the most remaining bytes per live worker.
@@ -48,7 +54,7 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 // no clone is started only to find its input dry. For a consumer of a
 // partitioned shuffle bag the candidates are the physical partitions, and
 // the clone is bound to the one chosen.
-func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel) (Action, bool) {
+func proposeClone(interval time.Duration, snap *Snapshot, t *TaskTel) (Action, bool) {
 	live := t.Workers - t.DoneWorkers
 	if live <= 0 {
 		return nil, false // no worker yet, or the task is effectively over
@@ -56,7 +62,7 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel) (Action, bool) {
 	if AtWorkerCap(live, t.MaxClones, snap.TotalSlots) {
 		return nil, false
 	}
-	if snap.Now.Sub(t.LastClone) < cfg.CloneInterval {
+	if snap.Now.Sub(t.LastClone) < interval {
 		return nil, false
 	}
 	// Chunk-level sharing of one partition splits a key's records across
@@ -79,18 +85,17 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel) (Action, bool) {
 		}
 	}
 	var input string
-	var depth *BagTel
 	var most float64
 	for _, bag := range slices.Sorted(maps.Keys(consumers)) {
 		tel := snap.SampleBag(bag)
 		if tel == nil || tel.RemainingBytes <= 0 || consumers[bag] <= 0 {
 			continue
 		}
-		if per := float64(tel.RemainingBytes) / float64(consumers[bag]); per > most {
-			input, depth, most = bag, tel, per
+		if per := float64(tel.RemainingBytes) / float64(consumers[bag]); input == "" || per > most {
+			input, most = bag, per
 		}
 	}
-	if depth == nil || !cloneWorthwhile(cfg, snap, depth, t) {
+	if input == "" {
 		return reject, true
 	}
 	clone := CloneTask{Task: t.Name, Epoch: t.Epoch}
@@ -98,31 +103,4 @@ func proposeClone(cfg *Config, snap *Snapshot, t *TaskTel) (Action, bool) {
 		clone.Inputs = []string{input}
 	}
 	return clone, true
-}
-
-// cloneWorthwhile evaluates Eq. 2 against the sampled depth of the bag the
-// clone would consume (which has bytes remaining).
-//
-//	T    — remaining task time, estimated from the input bag's remaining
-//	       bytes and the task's observed aggregate drain rate;
-//	T_IO — extra I/O the clone causes: it will read ≈ R/(k+1) of the
-//	       remaining input and write a comparable partial output that must
-//	       then be merged, so T_IO ≈ 2·(R/(k+1))/BW.
-//
-// Clone iff T > (k+1)·T_IO.
-func cloneWorthwhile(cfg *Config, snap *Snapshot, stats *BagTel, t *TaskTel) bool {
-	remaining := float64(stats.RemainingBytes)
-	elapsed := snap.Now.Sub(t.StartedAt).Seconds()
-	if elapsed <= 0 {
-		return true
-	}
-	rate := float64(stats.ReadBytes) / elapsed
-	if rate <= 0 {
-		// No observed progress yet: assume cloning helps.
-		return true
-	}
-	k := float64(t.Workers)
-	tt := remaining / rate
-	tio := 2 * (remaining / (k + 1)) / cfg.StorageBandwidth
-	return tt > (k+1)*tio
 }

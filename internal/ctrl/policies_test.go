@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 )
@@ -13,14 +12,9 @@ import (
 
 var t0 = time.Date(2026, 7, 30, 12, 0, 0, 0, time.UTC)
 
-func testConfig() Config {
-	return Config{
-		CloneInterval:    2 * time.Second,
-		StorageBandwidth: 1 << 30,
-	}
-}
+func testPolicy() *ClonePolicy { return &ClonePolicy{CloneInterval: 2 * time.Second} }
 
-// baseSnapshot probes every bag as deep and barely drained: cloning pays.
+// baseSnapshot probes every bag as deep: every input has work left.
 func baseSnapshot() *Snapshot {
 	return &Snapshot{
 		Version:    1,
@@ -30,7 +24,7 @@ func baseSnapshot() *Snapshot {
 		Tasks:      map[string]*TaskTel{},
 		Edges:      map[string]*EdgeTel{},
 		SampleBag: func(string) *BagTel {
-			return &BagTel{ReadBytes: 1 << 20, RemainingBytes: 1 << 30}
+			return &BagTel{RemainingBytes: 1 << 30}
 		},
 	}
 }
@@ -40,7 +34,6 @@ func runningTask(name string) *TaskTel {
 		Name:      name,
 		Scheduled: true,
 		Workers:   1,
-		StartedAt: t0.Add(-time.Minute),
 		Inputs:    []string{name + ".in"},
 	}
 }
@@ -67,7 +60,7 @@ func probeKiB(remaining map[string]int64) func(string) *BagTel {
 		if !ok {
 			return nil
 		}
-		return &BagTel{ReadBytes: 1 << 10, RemainingBytes: kib << 10}
+		return &BagTel{RemainingBytes: kib << 10}
 	}
 }
 
@@ -120,6 +113,30 @@ func TestClonePolicyTable(t *testing.T) {
 			want:     "reject-clone",
 		},
 		{
+			// A task that read 1 TiB in its first minute and has 1 KiB left
+			// still clones: the drain rate gates nothing.
+			name: "fast-draining task with input left clones",
+			mutate: func(s *Snapshot) {
+				s.Tasks["map"].StartedAt = t0.Add(-time.Minute)
+				s.SampleBag = func(string) *BagTel { return &BagTel{ReadBytes: 1 << 40, RemainingBytes: 1 << 10} }
+			},
+			overload: Overload{Task: "map", Busy: 0.9},
+			want:     "clone",
+		},
+		{
+			name:     "dry input rejects",
+			mutate:   func(s *Snapshot) { s.SampleBag = func(string) *BagTel { return &BagTel{} } },
+			overload: Overload{Task: "map", Busy: 0.9},
+			want:     "reject-clone",
+		},
+		{
+			// The policy must not clone blind.
+			name:     "failed probe rejects",
+			mutate:   func(s *Snapshot) { s.SampleBag = func(string) *BagTel { return nil } },
+			overload: Overload{Task: "map", Busy: 0.9},
+			want:     "reject-clone",
+		},
+		{
 			name: "partitioned consumer without spread or merge never clones",
 			mutate: func(s *Snapshot) {
 				s.Tasks["map"] = partitionedTask("map", "shuf.p1")
@@ -143,8 +160,7 @@ func TestClonePolicyTable(t *testing.T) {
 				tc.mutate(snap)
 			}
 			snap.Overloads = []Overload{tc.overload}
-			p := &ClonePolicy{Cfg: testConfig()}
-			actions := p.Evaluate(snap)
+			actions := testPolicy().Evaluate(snap)
 			if tc.want == "" {
 				if len(actions) != 0 {
 					t.Fatalf("want no actions, got %v", actions)
@@ -163,48 +179,10 @@ func TestClonePolicyTable(t *testing.T) {
 	}
 }
 
-// TestCloneHeuristic exercises Eq. 2 against synthetic bag depths: a
-// fast-draining bag with little data left is not worth cloning; a slow
-// task with most of its input remaining is.
-func TestCloneHeuristic(t *testing.T) {
-	cfg := testConfig()
-	cfg.StorageBandwidth = 1 << 20 // 1 MB/s: I/O cost matters
-
-	mk := func(read, remaining int64) *Snapshot {
-		snap := baseSnapshot()
-		snap.Tasks["map"] = runningTask("map")
-		snap.Overloads = []Overload{{Task: "map", Busy: 0.9}}
-		snap.SampleBag = func(string) *BagTel {
-			return &BagTel{ReadBytes: read, RemainingBytes: remaining}
-		}
-		return snap
-	}
-	p := &ClonePolicy{Cfg: cfg}
-
-	// Slow drain (little read after a minute), lots remaining: clone.
-	fast := p.Evaluate(mk(1<<10, 1<<30))
-	if len(fast) != 1 || fast[0].Kind() != "clone" {
-		t.Fatalf("slow task with deep bag should clone, got %v", fast)
-	}
-	// Fast drain, almost nothing left: rejected by the heuristic.
-	slow := p.Evaluate(mk(1<<30, 1<<10))
-	if len(slow) != 1 || slow[0].Kind() != "reject-clone" {
-		t.Fatalf("nearly drained bag should reject, got %v", slow)
-	}
-	// Probe failure: decline silently is not an option — the policy must
-	// not clone blind.
-	blind := mk(0, 0)
-	blind.SampleBag = func(string) *BagTel { return nil }
-	if got := p.Evaluate(blind); len(got) != 1 || got[0].Kind() != "reject-clone" {
-		t.Fatalf("failed probe should reject, got %v", got)
-	}
-}
-
 // TestClonePlacement is the cloning rule on a partitioned consumer: the cap
 // counts live workers, the clone goes to the leaf with the most bytes left
 // per live worker, a dry leaf is never a candidate, and sharing a leaf stays
-// unsound on an edge that is neither Spread nor merged. A case without Eq. 2
-// prices T_IO at zero (infinite StorageBandwidth) rather than skipping it.
+// unsound on an edge that is neither Spread nor merged.
 //
 // Every case also runs with no overload signal (the speculative=true arm,
 // named for the straggler timer that used to clone such a task): only a
@@ -215,8 +193,7 @@ func TestClonePlacement(t *testing.T) {
 		name      string
 		mutate    func(*TaskTel)
 		remaining map[string]int64 // KiB
-		heuristic bool
-		want      string // the leaf the clone names; "" for no clone
+		want      string           // the leaf the clone names; "" for no clone
 	}{
 		{
 			name:      "finished workers leave room under the cap",
@@ -233,13 +210,6 @@ func TestClonePlacement(t *testing.T) {
 			name:      "most bytes left per live worker wins",
 			mutate:    func(tt *TaskTel) { tt.Workers, tt.Consumers["shuf.p1"] = 4, 2 },
 			remaining: map[string]int64{"shuf.p0": 0, "shuf.p1": 40, "shuf.p2": 30},
-			want:      "shuf.p2",
-		},
-		{
-			name:      "placement holds under Eq. 2",
-			mutate:    func(tt *TaskTel) { tt.Workers, tt.Consumers["shuf.p1"] = 4, 2 },
-			remaining: map[string]int64{"shuf.p0": 0, "shuf.p1": 40, "shuf.p2": 30},
-			heuristic: true,
 			want:      "shuf.p2",
 		},
 		{
@@ -272,10 +242,6 @@ func TestClonePlacement(t *testing.T) {
 	for _, tc := range cases {
 		for _, speculative := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/speculative=%v", tc.name, speculative), func(t *testing.T) {
-				cfg := testConfig()
-				if !tc.heuristic {
-					cfg.StorageBandwidth = math.Inf(1)
-				}
 				snap := baseSnapshot()
 				task := partitionedTask("agg", leaves...)
 				if tc.mutate != nil {
@@ -291,9 +257,8 @@ func TestClonePlacement(t *testing.T) {
 						snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
 					}
 				}
-				p := &ClonePolicy{Cfg: cfg}
 				got := ""
-				for _, a := range Arbitrate(snap, p.Evaluate(snap)) {
+				for _, a := range Arbitrate(snap, testPolicy().Evaluate(snap)) {
 					if clone, ok := a.(CloneTask); ok {
 						if got != "" || len(clone.Inputs) != 1 {
 							t.Fatalf("want at most one clone bound to one leaf, got %+v after %q", clone, got)
@@ -344,9 +309,7 @@ func TestArbitrateCloneBudget(t *testing.T) {
 // and the policy goes quiet once the live workers fill the cluster's slots —
 // the control loop converges instead of cloning forever.
 func TestEvaluateTraceConvergence(t *testing.T) {
-	cfg := testConfig()
-	cfg.StorageBandwidth = math.Inf(1)
-	p := &ClonePolicy{Cfg: cfg}
+	p := testPolicy()
 	task := partitionedTask("agg", "shuf.p0", "shuf.p1", "shuf.p2", "shuf.p3")
 	remaining := map[string]int64{"shuf.p0": 4096, "shuf.p1": 64, "shuf.p2": 64, "shuf.p3": 64}
 
@@ -378,7 +341,7 @@ func TestEvaluateTraceConvergence(t *testing.T) {
 			task.LastClone = now
 			clones++
 		}
-		now = now.Add(cfg.CloneInterval)
+		now = now.Add(p.CloneInterval)
 	}
 	t.Fatalf("policies never went quiet over the trace (%d clones)", clones)
 }

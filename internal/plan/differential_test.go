@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -207,7 +206,7 @@ func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, erro
 			MonitorInterval:   2 * time.Millisecond,
 			HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.01,
 		},
-		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond, StorageBandwidth: math.Inf(1)},
+		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,9 @@
 //   - data placement: spread (all disks serve all tasks) or local (a
 //     task's input lives on one machine's disk);
 //   - Hurricane's cloning policy: overload detection on CPU-bound
-//     workers, 2-second clone cadence, and the Eq. 2 heuristic
-//     T > (k+1)·T_IO;
+//     workers and a 2-second clone cadence. The overload check is also
+//     the storage ceiling: a task whose workers no longer get all the I/O
+//     they ask for stops cloning (Fig. 9);
 //   - merge work proportional to clone count;
 //   - compute-node and master crash events (Fig. 11).
 //
@@ -207,8 +208,6 @@ type taskRun struct {
 	done      bool
 	merging   bool
 	mergeLeft float64
-	started   bool
-	lastClone float64
 	peak      int
 	cpuBound  bool // last step: got all the I/O it wanted
 }
@@ -364,13 +363,9 @@ func (s *sim) run() Result {
 		})
 		queue := []*taskRun{}
 		for _, r := range active {
-			r.started = true
-			r.lastClone = s.now
 			if !s.placeWorker(r) {
 				queue = append(queue, r)
-				r.started = false
 			}
-			s.now += 0 // scheduling cost applied once below
 		}
 		s.now += s.cfg.PerTaskOverhead * float64(len(active)) / float64(s.cfg.Machines)
 
@@ -391,10 +386,7 @@ func (s *sim) run() Result {
 			// Start queued tasks as slots free up.
 			remainingQueue := queue[:0]
 			for _, r := range queue {
-				if s.placeWorker(r) {
-					r.started = true
-					r.lastClone = s.now
-				} else {
+				if !s.placeWorker(r) {
 					remainingQueue = append(remainingQueue, r)
 				}
 			}
@@ -608,12 +600,12 @@ func (s *sim) finishTask(r *taskRun) {
 
 // cloneSweep implements the paper's cloning policy: every CloneInterval,
 // each CPU-bound (overloaded) task asks for clones; the master grants up
-// to a doubling per sweep, subject to free slots and Eq. 2.
+// to a doubling per sweep, subject to free slots. The paper also gates
+// each clone with its Eq. 2, remaining time against the clone's extra I/O;
+// priced at the CPU rate, the remaining bytes cancel out of it, leaving
+// "k workers' demand is below the storage pool", which the overload check
+// already implies. So the storage ceiling comes from the overload check.
 func (s *sim) cloneSweep(active []*taskRun) {
-	pool := s.pool()
-	if !s.cfg.SpreadData {
-		pool = s.perMachinePool()
-	}
 	for _, r := range active {
 		if r.done || r.merging || len(r.workers) == 0 || !r.t.Cloneable {
 			continue
@@ -638,20 +630,6 @@ func (s *sim) cloneSweep(active []*taskRun) {
 		grants := k
 		for g := 0; g < grants; g++ {
 			if s.freeSlots() <= 0 {
-				break
-			}
-			kNow := len(r.workers)
-			// Eq. 2: clone iff T > (k+1)·T_IO. T is the remaining task
-			// time at the current worker count; T_IO is the extra I/O a
-			// clone introduces — reading its share of the remaining
-			// input, rem/(k+1), from the storage pool (its partial
-			// output write overlaps with processing). This keeps cloning
-			// going while the task is long-running and cuts it off near
-			// completion and once worker I/O demand approaches the pool.
-			rate := float64(kNow) * r.t.CPURate
-			t := r.remaining / rate
-			tio := (r.remaining / float64(kNow+1)) / pool
-			if t <= float64(kNow+1)*tio {
 				break
 			}
 			if !s.placeWorker(r) {
@@ -699,6 +677,5 @@ func (s *sim) applyCrash(ev CrashEvent, active []*taskRun) {
 		// Reschedule one worker immediately (the ready bag is polled
 		// continuously).
 		s.placeWorker(r)
-		r.lastClone = s.now
 	}
 }
