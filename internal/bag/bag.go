@@ -41,6 +41,10 @@ import (
 // utilization even for thousands of storage nodes.
 const DefaultBatchFactor = 10
 
+// pollInterval is the retry delay when probing unsealed bags: how long a
+// consumer backs off from a slot that is momentarily empty but not sealed.
+const pollInterval = 2 * time.Millisecond
+
 // Config describes the storage cluster as seen by a bag client.
 type Config struct {
 	// Nodes is the ordered list of storage node names.
@@ -55,9 +59,6 @@ type Config struct {
 	// 1 (or 0) means no replication; r = n+1 tolerates n storage node
 	// failures.
 	Replication int
-	// PollInterval is the retry delay when probing unsealed bags
-	// (default 2ms).
-	PollInterval time.Duration
 }
 
 func (c *Config) chunkSize() int {
@@ -79,13 +80,6 @@ func (c *Config) replication() int {
 		return 1
 	}
 	return c.Replication
-}
-
-func (c *Config) pollInterval() time.Duration {
-	if c.PollInterval <= 0 {
-		return 2 * time.Millisecond
-	}
-	return c.PollInterval
 }
 
 // Store is a handle to the storage cluster through which bags are created

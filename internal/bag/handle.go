@@ -313,7 +313,6 @@ func (c *consumer) quiesce() {
 
 func (c *consumer) fetchLoop() {
 	defer c.wg.Done()
-	interval := c.b.store.cfg.pollInterval()
 	for {
 		c.mu.Lock()
 		stop := c.quiescing
@@ -351,7 +350,7 @@ func (c *consumer) fetchLoop() {
 			// Unsealed and momentarily empty: back off briefly. This
 			// only happens for streaming-style consumption; batch tasks
 			// read sealed bags.
-			timer := time.NewTimer(interval)
+			timer := time.NewTimer(pollInterval)
 			select {
 			case <-timer.C:
 			case <-c.ctx.Done():

@@ -10,6 +10,11 @@
 // without knowing the schema — that conversion is how a Decoder reads
 // batch chunks through a row-only codec.
 //
+// A codec writes and reads columns through its columnar view, which only
+// ColumnarOf resolves: a leaf codec is its own view, a pair's view is built
+// from its halves' views once per stream, and a codec with a row-only part
+// has none. BulkOf narrows a view to its bulk-encode kernels.
+//
 // Batch chunks are self-identifying: they open with a magic prefix that
 // no valid row chunk can produce (an empty record followed by an
 // overlong uvarint), so a row Reader pointed at a batch fails with
@@ -20,7 +25,6 @@ package chunk
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -43,10 +47,6 @@ const (
 	maxBatchCols = 256
 	maxBatchRows = 1 << 28
 )
-
-// ErrNotColumnar is returned when a batch operation is attempted through
-// a codec whose components do not all support the column layout.
-var ErrNotColumnar = errors.New("chunk: codec is not columnar")
 
 // ColKind identifies the physical layout of one batch column.
 type ColKind byte
@@ -480,14 +480,12 @@ func PutBatchBuilder(b *BatchBuilder) { batchBuilderPool.Put(b) }
 // ---- columnar codecs ----
 
 // A ColumnCodec lays values out as column vectors inside batch chunks, in
-// addition to the row format. Composite codecs are columnar only when all
-// their components are, so Columnar must be consulted before using the
-// batch paths — ColumnarOf does both checks.
+// addition to the row format. Every leaf codec of this package is one; a
+// pair is not, but has a columnar view when both its halves do. ColumnarOf
+// is the one place that answers whether a codec has a view, and the one
+// way to get it.
 type ColumnCodec[T any] interface {
 	Codec[T]
-	// Columnar reports whether this codec instance truly supports the
-	// column layout.
-	Columnar() bool
 	// AppendColKinds appends the kinds of the codec's columns to dst.
 	AppendColKinds(dst []ColKind) []ColKind
 	// EncodeColumn appends one value's fields to the builder's columns
@@ -501,75 +499,65 @@ type ColumnCodec[T any] interface {
 	DecodeColumn(bt *Batch, col int, out []T) ([]T, int, error)
 }
 
-// columnarResolver lets a composite codec hand ColumnarOf a view with its
-// sub-codecs already resolved, so the per-record EncodeColumn/DecodeColumn
-// calls skip dynamic interface conversion (assertE2I2/getitab show up in
-// profiles when resolution happens per call).
+// columnarResolver is a pair: it resolves its halves' views into one view
+// of its own, so that the per-record EncodeColumn/DecodeColumn calls skip
+// dynamic interface conversion (assertE2I2/getitab show up in profiles
+// when resolution happens per call).
 type columnarResolver[T any] interface {
 	resolveColumnar() (ColumnCodec[T], bool)
 }
 
-// ColumnarOf returns the columnar view of codec if it has one. The view may
-// be a resolved wrapper rather than the codec itself: callers should resolve
-// once per stream, not per record.
+// ColumnarOf returns the columnar view of codec if it has one: a pair's
+// view with its halves resolved, else the codec itself if it is a
+// ColumnCodec. A pair's view holds scratch, so resolve once per stream and
+// give the view to the one Encoder or Decoder that resolved it.
 func ColumnarOf[T any](c Codec[T]) (ColumnCodec[T], bool) {
 	if r, ok := c.(columnarResolver[T]); ok {
 		return r.resolveColumnar()
 	}
-	return columnarView(c)
-}
-
-// columnarView is the plain (non-resolving) columnar check. Composite
-// codecs use it internally so their direct per-record methods stay
-// allocation-free; resolveColumnar allocates a wrapper, which is only
-// acceptable once per stream.
-func columnarView[T any](c Codec[T]) (ColumnCodec[T], bool) {
 	cc, ok := c.(ColumnCodec[T])
-	if ok && cc.Columnar() {
-		return cc, true
-	}
-	return nil, false
+	return cc, ok
 }
 
-// BulkColumnCodec is an optional ColumnCodec extension for scatter
-// loops. EncodeRows appends the rows vs[idx[0]], vs[idx[1]], ... (all of
-// vs in order when idx is nil) starting at column col and returns the
-// next free column; the caller accounts the rows once with EndRows.
+// BulkColumnCodec is the bulk-encode extension of a columnar view, for
+// scatter loops. EncodeRows appends the rows vs[idx[0]], vs[idx[1]], ...
+// (all of vs in order when idx is nil) starting at column col and returns
+// the next free column; the caller accounts the rows once with EndRows.
 // Implementations fill column-major and keep the kernel contract: a loop
 // over the rows is a loop over one column, whose buffer is grown once for
 // the block, written by index and accounted once (appendUvarints,
-// appendFixed8s, a pair's gather) — never a per-value Append. BulkOK
-// reports whether this instance really supports the path (composite
-// codecs lose it when a component lacks it); check it before use.
-// EncodeRows is not stateless — a pair gathers into its resolved view's
-// scratch, a leaf's pre-pass into the builder's — so the view belongs to
-// the one Encoder that resolved it (ColumnarOf + BulkOf).
+// appendFixed8s, a pair's gather) — never a per-value Append. Use it only
+// through BulkOf. EncodeRows is not stateless — a pair gathers into its
+// view's scratch, a leaf's pre-pass into the builder's — so the view
+// belongs to the one Encoder that resolved it (ColumnarOf + BulkOf).
 type BulkColumnCodec[T any] interface {
-	BulkOK() bool
 	EncodeRows(b *BatchBuilder, col int, vs []T, idx []int32) int
 }
 
-// BulkOf returns codec's bulk-encode view, if it has one. Resolve once
-// per stream, like ColumnarOf.
+// BulkOf returns the bulk-encode view of a columnar view, if it has one: a
+// view with EncodeRows and no blob column. Every pair's view has
+// EncodeRows, and the leaves without it are the ones with blob columns, so
+// a pair has the bulk view exactly when both its halves do. A blob column
+// is a (ColLen, ColBytes) pair, so its ColLen finds it. Resolve once per
+// stream, like ColumnarOf.
 func BulkOf[T any](c ColumnCodec[T]) (BulkColumnCodec[T], bool) {
-	if bc, ok := c.(BulkColumnCodec[T]); ok && bc.BulkOK() {
-		return bc, true
+	bc, ok := c.(BulkColumnCodec[T])
+	if !ok || slices.Contains(KindsOf(c), ColLen) {
+		return nil, false
 	}
-	return nil, false
+	return bc, true
 }
 
-// ScratchColumnCodec marks a resolved view, which one Encoder or Decoder
-// owns exclusively, nested views included: its DecodeColumn keeps every
-// pair's half-columns in the view's own scratch, not allocated per batch,
-// and DecodeColumnScratch is that DecodeColumn under its single-owner name.
+// ScratchColumnCodec is kept for the frozen benchmark, which decodes a
+// pair's view through it: DecodeColumnScratch is that view's DecodeColumn,
+// whose half-columns live in the view's own scratch, under its
+// single-owner name.
 type ScratchColumnCodec[T any] interface {
 	DecodeColumnScratch(bt *Batch, col int, out []T) ([]T, int, error)
 }
 
 // KindsOf returns codec's column kinds.
 func KindsOf[T any](c ColumnCodec[T]) []ColKind { return c.AppendColKinds(nil) }
-
-func (Uint64Codec) Columnar() bool { return true }
 
 func (Uint64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColVarint) }
 
@@ -582,8 +570,6 @@ func (Uint64Codec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int
 	out, _, err := decodeUvarints(out, bt.Cols[col].Data, bt.Rows)
 	return out, col + 1, err
 }
-
-func (Int64Codec) Columnar() bool { return true }
 
 func (Int64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColVarint) }
 
@@ -601,8 +587,6 @@ func (Int64Codec) DecodeColumn(bt *Batch, col int, out []int64) ([]int64, int, e
 	return out, col + 1, err
 }
 
-func (Uint64FixedCodec) Columnar() bool { return true }
-
 func (Uint64FixedCodec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColFixed8) }
 
 func (Uint64FixedCodec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
@@ -613,8 +597,6 @@ func (Uint64FixedCodec) EncodeColumn(b *BatchBuilder, col int, v uint64) int {
 func (Uint64FixedCodec) DecodeColumn(bt *Batch, col int, out []uint64) ([]uint64, int, error) {
 	return decodeFixed8s(bt, col, out, sameWord)
 }
-
-func (Float64Codec) Columnar() bool { return true }
 
 func (Float64Codec) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColFixed8) }
 
@@ -646,8 +628,6 @@ func blobSpans(bt *Batch, col int) ([]int, error) {
 	return spans[:2*(len(spans)-n)], err
 }
 
-func (StringCodec) Columnar() bool { return true }
-
 func (StringCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes)
 }
@@ -671,8 +651,6 @@ func (StringCodec) DecodeColumn(bt *Batch, col int, out []string) ([]string, int
 	}
 	return out, col + 2, nil
 }
-
-func (BytesCodec) Columnar() bool { return true }
 
 func (BytesCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes)
@@ -698,8 +676,6 @@ func (BytesCodec) DecodeColumn(bt *Batch, col int, out [][]byte) ([][]byte, int,
 	return out, col + 2, nil
 }
 
-func (Uint64Codec) BulkOK() bool { return true }
-
 func (Uint64Codec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
 	if idx != nil {
 		vs = rowWords(b, vs, idx, sameWord)
@@ -708,14 +684,10 @@ func (Uint64Codec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32
 	return col + 1
 }
 
-func (Int64Codec) BulkOK() bool { return true }
-
 func (Int64Codec) EncodeRows(b *BatchBuilder, col int, vs []int64, idx []int32) int {
 	b.appendUvarints(col, rowWords(b, vs, idx, zigzagWord))
 	return col + 1
 }
-
-func (Uint64FixedCodec) BulkOK() bool { return true }
 
 func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []int32) int {
 	if idx != nil {
@@ -725,8 +697,6 @@ func (Uint64FixedCodec) EncodeRows(b *BatchBuilder, col int, vs []uint64, idx []
 	return col + 1
 }
 
-func (Float64Codec) BulkOK() bool { return true }
-
 func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int32) int {
 	if idx != nil {
 		appendFixed8s(b, col, rowWords(b, vs, idx, math.Float64bits), sameWord)
@@ -734,21 +704,6 @@ func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int
 		appendFixed8s(b, col, vs, math.Float64bits)
 	}
 	return col + 1
-}
-
-func (c PairCodec[A, B]) Columnar() bool {
-	_, okA := columnarView(c.A)
-	_, okB := columnarView(c.B)
-	return okA && okB
-}
-
-func (c PairCodec[A, B]) AppendColKinds(dst []ColKind) []ColKind {
-	ca, okA := columnarView(c.A)
-	cb, okB := columnarView(c.B)
-	if !okA || !okB {
-		return dst
-	}
-	return cb.AppendColKinds(ca.AppendColKinds(dst))
 }
 
 // resolveColumnar returns a view with both sub-codecs resolved up front;
@@ -763,15 +718,16 @@ func (c PairCodec[A, B]) resolveColumnar() (ColumnCodec[Pair[A, B]], bool) {
 	// The scratch sits behind a pointer so the by-value interface copies
 	// of one resolved view share it; each nested pair resolves its own.
 	r := resolvedPairCodec[A, B]{PairCodec: c, ca: ca, cb: cb, sc: &pairScratch[A, B]{}}
-	r.ba, _ = BulkOf(ca)
-	r.bb, _ = BulkOf(cb) // BulkOK: the pair has the path when both halves do
+	r.ba, _ = BulkOf(ca) // both set unless a half has a blob column,
+	r.bb, _ = BulkOf(cb) // which keeps BulkOf from handing out r
 	return r, true
 }
 
-// resolvedPairCodec is PairCodec with the columnar sub-codec lookups hoisted
-// out of the per-record path. It is what ColumnarOf hands back for pairs,
-// to the one Encoder or Decoder that owns it, nested views included: so
-// EncodeRows and DecodeColumn keep their half-columns in the view's scratch.
+// resolvedPairCodec is a pair's columnar view, the only one it has:
+// PairCodec with its halves' views looked up once, out of the per-record
+// path. ColumnarOf hands it to the one Encoder or Decoder that owns it,
+// nested views included: so EncodeRows and DecodeColumn keep their
+// half-columns in the view's scratch.
 type resolvedPairCodec[A, B any] struct {
 	PairCodec[A, B]
 	ca ColumnCodec[A]
@@ -788,7 +744,9 @@ type pairScratch[A, B any] struct {
 	bs []B
 }
 
-func (c resolvedPairCodec[A, B]) BulkOK() bool { return c.ba != nil && c.bb != nil }
+func (c resolvedPairCodec[A, B]) AppendColKinds(dst []ColKind) []ColKind {
+	return c.cb.AppendColKinds(c.ca.AppendColKinds(dst))
+}
 
 // EncodeRows splits the selected pairs into per-half column vectors once,
 // then hands each half to its sub-codec's bulk loop — two virtual calls
@@ -839,24 +797,6 @@ func (c resolvedPairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, 
 func (c resolvedPairCodec[A, B]) DecodeColumnScratch(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
 	return c.DecodeColumn(bt, col, out)
 }
-
-func (c PairCodec[A, B]) EncodeColumn(b *BatchBuilder, col int, v Pair[A, B]) int {
-	ca, _ := columnarView(c.A)
-	cb, _ := columnarView(c.B)
-	return cb.EncodeColumn(b, ca.EncodeColumn(b, col, v.First), v.Second)
-}
-
-// DecodeColumn on the plain codec is the stateless entry point, safe on a
-// shared codec: it resolves a view, scratch and all, per call.
-func (c PairCodec[A, B]) DecodeColumn(bt *Batch, col int, out []Pair[A, B]) ([]Pair[A, B], int, error) {
-	r, ok := c.resolveColumnar()
-	if !ok {
-		return out, col, ErrNotColumnar
-	}
-	return r.DecodeColumn(bt, col, out)
-}
-
-func (KVCodec) Columnar() bool { return true }
 
 func (KVCodec) AppendColKinds(dst []ColKind) []ColKind {
 	return append(dst, ColLen, ColBytes, ColLen, ColBytes)

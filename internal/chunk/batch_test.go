@@ -234,25 +234,69 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	})
 }
 
+// TestViewResolution pins which codecs ColumnarOf gives a columnar view
+// and which of those views BulkOf gives the bulk one: every leaf has a
+// view and the numeric leaves the bulk one too; a pair has each exactly
+// when both its halves do, however deep it nests.
+func TestViewResolution(t *testing.T) {
+	viewBulk, viewOnly := resolution{view: true, bulk: true}, resolution{view: true}
+	for _, c := range []struct {
+		name      string
+		got, want resolution
+	}{
+		{"uint64", resolve[uint64](Uint64Codec{}), viewBulk},
+		{"int64", resolve[int64](Int64Codec{}), viewBulk},
+		{"uint64 fixed", resolve[uint64](Uint64FixedCodec{}), viewBulk},
+		{"float64", resolve[float64](Float64Codec{}), viewBulk},
+		{"string", resolve[string](StringCodec{}), viewOnly},
+		{"bytes", resolve[[]byte](BytesCodec{}), viewOnly},
+		{"kv", resolve[KV](KVCodec{}), viewOnly},
+		{"numeric pair", resolve[benchTuple](benchTupleCodec), viewBulk},
+		{"nested numeric pair", resolve(PairCodec[uint64, Pair[int64, float64]]{
+			A: Uint64Codec{}, B: PairCodec[int64, float64]{A: Int64Codec{}, B: Float64Codec{}},
+		}), viewBulk},
+		{"pair with a bytes half", resolve[kvTestRow](kvTestCodec), viewOnly},
+		{"pair with a row-only half", resolve(PairCodec[uint64, uint64]{
+			A: Uint64Codec{}, B: rowOnly[uint64]{Uint64Codec{}},
+		}), resolution{}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// resolution is what ColumnarOf and BulkOf make of a codec.
+type resolution struct{ view, bulk bool }
+
+func resolve[T any](codec Codec[T]) resolution {
+	cc, ok := ColumnarOf(codec)
+	if !ok {
+		return resolution{}
+	}
+	_, bulk := BulkOf(cc)
+	return resolution{view: true, bulk: bulk}
+}
+
 // TestBatchBuilderPooled pins the pooled-builder contract: steady-state
 // encode cycles reuse column buffers, so per-batch allocations stay at
 // the one Encode output allocation (plus the iterator's column vectors on
 // decode).
 func TestBatchBuilderPooled(t *testing.T) {
-	kinds := KindsOf[kvTestRow](kvTestCodec)
-	b := GetBatchBuilder(7, kinds)
+	kv, _ := ColumnarOf[kvTestRow](kvTestCodec)
+	b := GetBatchBuilder(7, KindsOf(kv))
 	defer PutBatchBuilder(b)
 	rows := testRows(128)
 	// Warm the column buffers once.
 	for _, r := range rows {
-		kvTestCodec.EncodeColumn(b, 0, r)
+		kv.EncodeColumn(b, 0, r)
 		b.EndRow()
 	}
 	b.Encode()
 	b.Clear()
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, r := range rows {
-			kvTestCodec.EncodeColumn(b, 0, r)
+			kv.EncodeColumn(b, 0, r)
 			b.EndRow()
 		}
 		b.Encode()
@@ -270,13 +314,14 @@ func TestBatchBuilderPooled(t *testing.T) {
 // shuffle scatter path depends on.
 func BenchmarkBatchEncode(b *testing.B) {
 	rows := testRows(1024)
-	bb := GetBatchBuilder(1, KindsOf[kvTestRow](kvTestCodec))
+	kv, _ := ColumnarOf[kvTestRow](kvTestCodec)
+	bb := GetBatchBuilder(1, KindsOf(kv))
 	defer PutBatchBuilder(bb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rows {
-			kvTestCodec.EncodeColumn(bb, 0, r)
+			kv.EncodeColumn(bb, 0, r)
 			bb.EndRow()
 		}
 		bb.Encode()
@@ -289,6 +334,7 @@ func BenchmarkBatchEncode(b *testing.B) {
 func BenchmarkBatchDecodeColumnar(b *testing.B) {
 	rows := testRows(1024)
 	c := encodeBatch(b, rows, DefaultSize)[0]
+	kv, _ := ColumnarOf[kvTestRow](kvTestCodec)
 	var bt Batch
 	var out []kvTestRow
 	b.ReportAllocs()
@@ -300,7 +346,7 @@ func BenchmarkBatchDecodeColumnar(b *testing.B) {
 			b.Fatal(err)
 		}
 		out = out[:0]
-		out, _, err = kvTestCodec.DecodeColumn(p, 0, out)
+		out, _, err = kv.DecodeColumn(p, 0, out)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,9 +59,9 @@ func encodeAll[T any](t testing.TB, codec Codec[T], size int, vals []T, how int)
 	return chunks
 }
 
-// perRecord exposes a codec's columnar view and hides its bulk one, so an
-// Encoder writes it one EncodeColumn per value at the call: the reference
-// that Append's blocks are held to.
+// perRecord exposes a columnar view (a pair's, as ColumnarOf resolved it)
+// and hides its bulk one, so an Encoder writes it one EncodeColumn per
+// value at the call: the reference that Append's blocks are held to.
 type perRecord[T any] struct{ ColumnCodec[T] }
 
 // sameChunks fails unless got and want are the same chunks, byte for byte.

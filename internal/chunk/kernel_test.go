@@ -264,7 +264,8 @@ func TestTupleAllocs(t *testing.T) {
 		unbuffered(t, "string", StringCodec{}, 0, "v")
 		unbuffered(t, "kv", KVCodec{}, 0, KV{Key: "k", Value: []byte("v")})
 		unbuffered[benchTuple](t, "row-only", rowOnly[benchTuple]{benchTupleCodec}, 0, ts[0])
-		unbuffered[benchTuple](t, "per-record", perRecord[benchTuple]{benchTupleCodec}, 0, ts[0])
+		cc, _ := ColumnarOf[benchTuple](benchTupleCodec)
+		unbuffered[benchTuple](t, "per-record", perRecord[benchTuple]{cc}, 0, ts[0])
 		// A chunk size one record could exceed takes the measuring path.
 		unbuffered[benchTuple](t, "tiny chunks", benchTupleCodec, 12, ts[0])
 	})
@@ -362,10 +363,11 @@ func BenchmarkTupleEncodeRows(b *testing.B) {
 // its per-record view ("per-record"). One allocation per chunk emitted.
 func BenchmarkTupleAppend(b *testing.B) {
 	for _, col := range benchKeyColumns {
+		cc, _ := ColumnarOf[benchTuple](benchTupleCodec)
 		for _, view := range []struct {
 			name  string
 			codec Codec[benchTuple]
-		}{{"block", benchTupleCodec}, {"per-record", perRecord[benchTuple]{benchTupleCodec}}} {
+		}{{"block", benchTupleCodec}, {"per-record", perRecord[benchTuple]{cc}}} {
 			b.Run(col.name+"/"+view.name, func(b *testing.B) {
 				ts := benchTuples(col.s, col.imax)
 				e := NewEncoder(view.codec, DefaultSize, func(Chunk, int) error { return nil })

@@ -127,7 +127,7 @@ func (h *Handle) pump(srcs []*srcState) {
 		}
 		if !progress {
 			select {
-			case <-time.After(h.spec.PollInterval):
+			case <-time.After(pollInterval):
 			case <-h.ctx.Done():
 			}
 		}

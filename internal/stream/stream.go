@@ -69,6 +69,9 @@ type Source interface {
 	Poll(ctx context.Context) ([]Record, error)
 }
 
+// pollInterval is the pump's idle sleep between source sweeps.
+const pollInterval = 2 * time.Millisecond
+
 // Spec describes a continuous-ingestion stream.
 type Spec struct {
 	// Name identifies the stream; window jobs are named "<Name>.w<i>" and
@@ -92,9 +95,6 @@ type Spec struct {
 	// every window behind it (default 500ms). An excluded source rejoins
 	// the watermark as soon as it delivers again.
 	IdleTimeout time.Duration
-	// PollInterval is the pump's idle sleep between source sweeps
-	// (default 2ms).
-	PollInterval time.Duration
 	// MaxWindows seals at most this many windows and then drains; 0 means
 	// run until every source returns io.EOF or Drain is called.
 	MaxWindows int
@@ -125,9 +125,6 @@ type Spec struct {
 func (s *Spec) fill() {
 	if s.IdleTimeout <= 0 {
 		s.IdleTimeout = 500 * time.Millisecond
-	}
-	if s.PollInterval <= 0 {
-		s.PollInterval = 2 * time.Millisecond
 	}
 	if s.MaxInFlight <= 0 {
 		s.MaxInFlight = 4
