@@ -136,9 +136,10 @@ const (
 // Skew mitigation runs as pluggable policies over an event-driven
 // telemetry hub. The master builds versioned Snapshots from worker
 // heartbeats, overload signals, bag depths, and merged shuffle-edge
-// sketches; each configured Policy proposes declarative Actions; the
-// arbiter resolves conflicts (duplicate clones, slot budgets) and the
-// master applies the survivors transactionally.
+// sketches; each configured Policy proposes declarative Actions, one clone
+// per overload signal; the arbiter holds them to the clone budget (free
+// slots, the job's lease) and the master applies the survivors
+// transactionally. The paper-figure simulator runs the same policy.
 //
 // Select policies per job through MasterConfig.Policies: nil installs the
 // default set (DefaultPolicies); an explicit empty slice disables all

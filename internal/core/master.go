@@ -258,9 +258,8 @@ type masterObs struct {
 	recoveries *obs.Counter
 	taskSpan   *obs.Histogram
 
-	proposed   *obs.Counter
-	applied    *obs.Counter
-	suppressed *obs.Counter
+	proposed *obs.Counter
+	applied  *obs.Counter
 }
 
 func newMasterObs(o *obs.Observer, job string) masterObs {
@@ -277,9 +276,8 @@ func newMasterObs(o *obs.Observer, job string) masterObs {
 		recoveries: o.Counter("hurricane_core_recoveries_total", l...),
 		taskSpan:   o.Histogram("hurricane_core_task_span_ns", l...),
 
-		proposed:   o.Counter("hurricane_ctrl_actions_proposed_total", l...),
-		applied:    o.Counter("hurricane_ctrl_actions_applied_total", l...),
-		suppressed: o.Counter("hurricane_ctrl_actions_suppressed_total", l...),
+		proposed: o.Counter("hurricane_ctrl_actions_proposed_total", l...),
+		applied:  o.Counter("hurricane_ctrl_actions_applied_total", l...),
 	}
 }
 
@@ -631,9 +629,10 @@ func (m *Master) fallbackInterval() time.Duration {
 }
 
 // policyInterval is how often the policies are evaluated when no record
-// changes: half the shorter of the gaps they act at (one clone per task per
-// CloneInterval, one sketch fetch per edge per SplitInterval), so an action
-// waits at most that long past its gate. Without policies, the fallback.
+// changes: half the shorter of the gaps they act at (a task's clones, one
+// per overload signal, once per CloneInterval; a sketch fetch per edge per
+// SplitInterval), so an action waits at most that long past its gate.
+// Without policies, the fallback.
 func (m *Master) policyInterval() time.Duration {
 	if len(m.policies) == 0 {
 		return m.fallbackInterval()
@@ -772,16 +771,14 @@ func (m *Master) controlPass() (int, error) {
 		return 0, nil
 	}
 	snap := m.hub.Snapshot(m.ctx, m.fillSnapshot)
-	// Propose and arbitrate separately so the proposed-versus-surviving gap
-	// is observable: the suppressed counter is the arbiter's work —
-	// duplicate clones collapsed, clone budgets enforced.
+	// Arbitrate returns one action per proposal: a clone over budget becomes
+	// a RejectClone, counted with the rejects, so none goes uncounted.
 	var proposed []ctrl.Action
 	for _, p := range m.policies {
 		proposed = append(proposed, p.Evaluate(snap)...)
 	}
 	actions := ctrl.Arbitrate(snap, proposed)
 	m.obs.proposed.Add(uint64(len(proposed)))
-	m.obs.suppressed.Add(uint64(len(proposed) - len(actions)))
 	applied, err := m.applyActions(actions)
 	m.obs.applied.Add(uint64(applied))
 	return applied, err

@@ -20,9 +20,11 @@
 //     operator surfaces, the heat alert and every warm start read that one
 //     record through that one function;
 //   - a Policy inspects a Snapshot and proposes Actions;
-//   - Arbitrate resolves conflicts between concurrently proposed Actions
-//     (duplicate clones, slot budgets) in one place, instead of implicitly
-//     by pass ordering;
+//   - Arbitrate holds concurrently proposed Actions to the clone budget
+//     (free slots, the job's lease) in one place; each overload signal is
+//     one clone request, so an overloaded task at most doubles per round;
+//   - the paper-figure simulator (internal/sim) runs the same ClonePolicy
+//     and Arbitrate on Snapshots of its own overload detection;
 //   - the master validates and applies the surviving Actions
 //     transactionally against its authoritative task state.
 //
@@ -212,16 +214,6 @@ type Snapshot struct {
 	SampleBag func(bag string) *BagTel
 }
 
-// TaskNames returns the snapshot's task names in deterministic order.
-func (s *Snapshot) TaskNames() []string {
-	out := make([]string, 0, len(s.Tasks))
-	for n := range s.Tasks {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EdgeNames returns the snapshot's edge names in deterministic order.
 func (s *Snapshot) EdgeNames() []string {
 	out := make([]string, 0, len(s.Edges))
@@ -288,22 +280,16 @@ type Policy interface {
 	Evaluate(snap *Snapshot) []Action
 }
 
-// Arbitrate resolves conflicts among the actions proposed by all policies
-// for one snapshot, in one place:
-//
-//   - at most one clone per task per round (duplicate overload signals, or
-//     proposals from several policies, collapse to the first proposal);
-//   - total clones are capped by the snapshot's free slots — and, in a
-//     multi-job cluster, by the job's fair-share lease budget
-//     (LeaseSlots), so one job's mitigations cannot starve its
-//     neighbors (excess proposals become RejectClone, preserving the
-//     reject counters).
-//
-// Besides the master's control pass, the frozen benchmark's policy probe
-// calls it by name.
+// Arbitrate holds the actions all policies proposed for one snapshot to the
+// clone budget, in one place: the snapshot's free slots and, in a multi-job
+// cluster, the job's fair-share lease (LeaseSlots), so one job's
+// mitigations cannot starve its neighbors. A clone over budget becomes a
+// RejectClone, preserving the reject counters: every proposal yields one
+// action. Several clones of one task are no conflict; each overload signal
+// is one clone request (§4.2). Besides the master's control pass and the
+// paper-figure simulator, the frozen benchmark's policy probe calls it.
 func Arbitrate(snap *Snapshot, proposed []Action) []Action {
 	out := make([]Action, 0, len(proposed))
-	clonedTask := make(map[string]bool)
 	budget := snap.FreeSlots
 	if snap.LeaseCapped && snap.LeaseSlots < budget {
 		budget = snap.LeaseSlots
@@ -314,10 +300,6 @@ func Arbitrate(snap *Snapshot, proposed []Action) []Action {
 			out = append(out, a)
 			continue
 		}
-		if clonedTask[act.Task] {
-			continue
-		}
-		clonedTask[act.Task] = true
 		if budget <= 0 {
 			out = append(out, RejectClone{Task: act.Task})
 			continue

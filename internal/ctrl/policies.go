@@ -9,9 +9,10 @@ import (
 // ---- cloning ----
 
 // ClonePolicy is the paper's mitigation (§4.2): each overload signal from
-// a compute node is a clone request for its task, gated by per-task rate
+// a compute node is one clone request for its task, gated by per-task rate
 // limiting, the live-worker cap and live bag depth telemetry. The signal
-// says a task wants a clone; proposeClone says where it goes.
+// says a task wants a clone; proposeClone says where it goes. A task whose
+// k workers all signal in one round can get k clones: it at most doubles.
 //
 // The paper also gates each clone with its Eq. 2, remaining time against
 // the clone's extra I/O. Priced from a bag's drain rate, the remaining
@@ -26,17 +27,34 @@ type ClonePolicy struct {
 // Name implements Policy.
 func (*ClonePolicy) Name() string { return "clone" }
 
-// Evaluate implements Policy.
+// Evaluate implements Policy. Each clone proposed is counted into this
+// pass's copy of its task, as the master would apply it, so the task's next
+// signal sees the cap and the per-leaf spread the earlier clones leave.
 func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 	var out []Action
+	cloned := make(map[string]*TaskTel)
 	for _, o := range snap.Overloads {
-		t := snap.Tasks[o.Task]
+		t := cloned[o.Task]
+		if t == nil {
+			t = snap.Tasks[o.Task]
+		}
 		if t == nil || o.Epoch != t.Epoch || o.Merge ||
 			!t.Scheduled || t.Finished || t.NoClone {
 			continue
 		}
-		if a, ok := proposeClone(p.CloneInterval, snap, t); ok {
-			out = append(out, a)
+		a, ok := proposeClone(p.CloneInterval, snap, t)
+		if !ok {
+			continue
+		}
+		out = append(out, a)
+		if clone, ok := a.(CloneTask); ok {
+			next := *t
+			next.Workers++
+			if clone.Inputs != nil {
+				next.Consumers = maps.Clone(t.Consumers)
+				next.Consumers[clone.Inputs[0]]++
+			}
+			cloned[o.Task] = &next
 		}
 	}
 	return out

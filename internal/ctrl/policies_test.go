@@ -180,7 +180,7 @@ func TestClonePolicyTable(t *testing.T) {
 }
 
 // TestClonePlacement is the cloning rule on a partitioned consumer: the cap
-// counts live workers, the clone goes to the leaf with the most bytes left
+// counts live workers, the first clone goes to the leaf with the most bytes left
 // per live worker, a dry leaf is never a candidate, and sharing a leaf stays
 // unsound on an edge that is neither Spread nor merged.
 //
@@ -260,32 +260,86 @@ func TestClonePlacement(t *testing.T) {
 				got := ""
 				for _, a := range Arbitrate(snap, testPolicy().Evaluate(snap)) {
 					if clone, ok := a.(CloneTask); ok {
-						if got != "" || len(clone.Inputs) != 1 {
-							t.Fatalf("want at most one clone bound to one leaf, got %+v after %q", clone, got)
+						if len(clone.Inputs) != 1 {
+							t.Fatalf("want a clone bound to one leaf, got %+v", clone)
 						}
-						got = clone.Inputs[0]
+						if got == "" {
+							got = clone.Inputs[0]
+						}
 					}
 				}
 				if got != want {
-					t.Fatalf("clone placed on %q, want %q", got, want)
+					t.Fatalf("first clone placed on %q, want %q", got, want)
 				}
 			})
 		}
 	}
 }
 
+// TestClonePerSignal: each overload signal is one clone request. k signals
+// of one Spread consumer with k leaves yield min(k, cap, budget) clones, and
+// each goes to the leaf with the most bytes left per live worker, counting
+// the clones proposed before it in the same pass. Signals over the budget
+// are rejected; signals over the cap are filtered.
+func TestClonePerSignal(t *testing.T) {
+	leaves := []string{"shuf.p0", "shuf.p1", "shuf.p2", "shuf.p3"}
+	// Per live worker: p0 900 → 450 → 300, p1 500 → 250, p2 320, p3 100.
+	remaining := map[string]int64{"shuf.p0": 900, "shuf.p1": 500, "shuf.p2": 320, "shuf.p3": 100}
+	cases := []struct {
+		name      string
+		maxClones int
+		free      int
+		lease     int // 0: no lease cap
+		want      []string
+		rejects   int
+	}{
+		{name: "every signal clones", free: 4, want: []string{"shuf.p0", "shuf.p1", "shuf.p0", "shuf.p2"}},
+		{name: "the cap counts this pass's clones", maxClones: 6, free: 4, want: []string{"shuf.p0", "shuf.p1"}},
+		{name: "free slots bound the pass", free: 3, want: []string{"shuf.p0", "shuf.p1", "shuf.p0"}, rejects: 1},
+		{name: "the lease bounds the pass", free: 4, lease: 1, want: []string{"shuf.p0"}, rejects: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := baseSnapshot()
+			snap.FreeSlots = tc.free
+			snap.LeaseCapped, snap.LeaseSlots = tc.lease > 0, tc.lease
+			task := partitionedTask("agg", leaves...)
+			task.MaxClones = tc.maxClones
+			snap.Tasks["agg"] = task
+			snap.SampleBag = probeKiB(remaining)
+			for range leaves {
+				snap.Overloads = append(snap.Overloads, Overload{Task: "agg", Busy: 0.9})
+			}
+			var got []string
+			rejects := 0
+			for _, a := range Arbitrate(snap, testPolicy().Evaluate(snap)) {
+				switch act := a.(type) {
+				case CloneTask:
+					got = append(got, act.Inputs...)
+				case RejectClone:
+					rejects++
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) || rejects != tc.rejects {
+				t.Fatalf("clones on %v with %d rejects, want %v with %d", got, rejects, tc.want, tc.rejects)
+			}
+			if task.Workers != len(leaves) || task.Consumers["shuf.p0"] != 1 {
+				t.Fatalf("Evaluate changed the snapshot's task: %+v", task)
+			}
+		})
+	}
+}
+
 // TestArbitrateCloneBudget: clones beyond the free-slot budget become
-// rejections, and duplicate proposals for one task collapse.
+// rejections, a second clone of one task included: nothing collapses, so
+// every proposal yields one action.
 func TestArbitrateCloneBudget(t *testing.T) {
 	snap := baseSnapshot()
 	snap.FreeSlots = 1
-	for _, n := range []string{"a", "b"} {
-		snap.Tasks[n] = runningTask(n)
-	}
+	snap.Tasks["a"] = runningTask("a")
 	proposed := []Action{
 		CloneTask{Task: "a"},
-		CloneTask{Task: "a"}, // duplicate collapses
-		CloneTask{Task: "b"}, // over budget: becomes a rejection
+		CloneTask{Task: "a"}, // over budget: becomes a rejection
 	}
 	out := Arbitrate(snap, proposed)
 	var clones, rejects int

@@ -12,10 +12,10 @@
 //   - batch-sampling storage utilization ρ(b,m) = 1 − (1 − 1/m)^{bm};
 //   - data placement: spread (all disks serve all tasks) or local (a
 //     task's input lives on one machine's disk);
-//   - Hurricane's cloning policy: overload detection on CPU-bound
-//     workers and a 2-second clone cadence. The overload check is also
-//     the storage ceiling: a task whose workers no longer get all the I/O
-//     they ask for stops cloning (Fig. 9);
+//   - Hurricane's cloning policy, run by the engine's controller (ctrl):
+//     each overloaded (CPU-bound) worker sends one clone signal per 2-second
+//     interval. The overload check is also the storage ceiling: a task whose
+//     workers no longer get all the I/O they ask for stops cloning (Fig. 9);
 //   - merge work proportional to clone count;
 //   - compute-node and master crash events (Fig. 11).
 //
@@ -28,6 +28,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"time"
+
+	"repro/internal/ctrl"
 )
 
 // Config describes the simulated cluster. All rates are bytes/second, all
@@ -209,7 +213,8 @@ type taskRun struct {
 	merging   bool
 	mergeLeft float64
 	peak      int
-	cpuBound  bool // last step: got all the I/O it wanted
+	cpuBound  bool      // last step: got all the I/O it wanted
+	lastClone time.Time // the controller's rate limit reads it
 }
 
 // Run simulates the job and returns its result.
@@ -297,14 +302,6 @@ func (s *sim) perMachinePool() float64 {
 		per = s.cfg.MemBW
 	}
 	return per
-}
-
-func (s *sim) freeSlots() int {
-	free := 0
-	for m, used := range s.slotsUsed {
-		free += s.slotAt(m) - used
-	}
-	return free
 }
 
 func (s *sim) slotAt(machine int) int {
@@ -598,43 +595,45 @@ func (s *sim) finishTask(r *taskRun) {
 	s.releaseWorkers(r)
 }
 
-// cloneSweep implements the paper's cloning policy: every CloneInterval,
-// each CPU-bound (overloaded) task asks for clones; the master grants up
-// to a doubling per sweep, subject to free slots. The paper also gates
-// each clone with its Eq. 2, remaining time against the clone's extra I/O;
-// priced at the CPU rate, the remaining bytes cancel out of it, leaving
-// "k workers' demand is below the storage pool", which the overload check
-// already implies. So the storage ceiling comes from the overload check.
+// cloneSweep runs the paper's cloning policy (§4.2) through the engine's
+// controller: the sim detects overload, ctrl.ClonePolicy and ctrl.Arbitrate
+// decide. Each worker of an overloaded task sends one signal, so a task at
+// most doubles per sweep, within the free slots. Overloaded means CPU-bound:
+// a storage-bound task stops cloning ("storage, and not the CPU, becomes the
+// bottleneck", Fig. 9; Eq. 2 at the CPU rate adds nothing to that). With
+// local placement a lone worker bound on its *home* disk still clones: the
+// clones' writes move off that disk (configuration 3's ~25% in Phase 1).
+// Now rounds up to the millisecond and a clone's time down, so float drift
+// never trips the rate limit one CloneInterval later.
 func (s *sim) cloneSweep(active []*taskRun) {
-	for _, r := range active {
-		if r.done || r.merging || len(r.workers) == 0 || !r.t.Cloneable {
+	now := time.UnixMilli(int64(math.Ceil(s.now * 1e3)))
+	snap := &ctrl.Snapshot{Now: now, Tasks: map[string]*ctrl.TaskTel{}}
+	for m, used := range s.slotsUsed {
+		snap.TotalSlots += s.slotAt(m)
+		snap.FreeSlots += s.slotAt(m) - used
+	}
+	runs := map[string]*taskRun{} // by index in active: names need not be unique
+	for i, r := range active {
+		if r.done {
 			continue
 		}
-		k := len(r.workers)
-		// Overload check: a task whose workers received all the I/O they
-		// asked for is CPU-bound — its workers are saturated and cloning
-		// adds parallelism. A storage-bound task gains nothing from more
-		// workers ("cloning stops beyond 26 workers because storage, and
-		// not the CPU, becomes the bottleneck", Fig. 9). Exception: with
-		// local placement a task bound on its *home* disk still clones
-		// (the clones' output writes move off that disk — the paper's
-		// configuration 3 gains ~25% in Phase 1 this way).
-		if !r.cpuBound && s.cfg.SpreadData {
-			continue
-		}
-		if !r.cpuBound && !s.cfg.SpreadData && k >= 2 {
-			continue // already split reads/writes; home disk is the floor
-		}
-		// Grant up to a doubling (each overloaded worker sends one clone
-		// message per interval).
-		grants := k
-		for g := 0; g < grants; g++ {
-			if s.freeSlots() <= 0 {
-				break
+		id := strconv.Itoa(i)
+		runs[id] = r
+		snap.Tasks[id] = &ctrl.TaskTel{Name: id, Scheduled: true, Workers: len(r.workers),
+			LastClone: r.lastClone, NoClone: !r.t.Cloneable, Inputs: []string{id}}
+		if r.cpuBound || (!s.cfg.SpreadData && len(r.workers) < 2) {
+			for range r.workers {
+				snap.Overloads = append(snap.Overloads, ctrl.Overload{Task: id, Merge: r.merging})
 			}
-			if !s.placeWorker(r) {
-				break
-			}
+		}
+	}
+	snap.SampleBag = func(bag string) *ctrl.BagTel {
+		return &ctrl.BagTel{RemainingBytes: int64(math.Ceil(runs[bag].remaining))}
+	}
+	policy := ctrl.ClonePolicy{CloneInterval: time.Duration(s.cfg.CloneInterval * float64(time.Second))}
+	for _, a := range ctrl.Arbitrate(snap, policy.Evaluate(snap)) {
+		if c, ok := a.(ctrl.CloneTask); ok && s.placeWorker(runs[c.Task]) {
+			runs[c.Task].lastClone = time.UnixMilli(int64(math.Floor(s.now * 1e3)))
 			s.res.Clones++
 		}
 	}

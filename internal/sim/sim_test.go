@@ -334,3 +334,28 @@ func TestTimelineSampled(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneSweepDoublesPerSweep: every worker of an overloaded task sends one
+// overload signal and the controller grants one clone per signal, so a
+// CPU-bound task grows 1 → 2 → 4 workers per sweep until the free slots run
+// out. A controller that grants one clone per task per sweep reads 3, not 4.
+func TestCloneSweepDoublesPerSweep(t *testing.T) {
+	cfg := Default()
+	cfg.Machines, cfg.SlotsPerMachine = 3, 2
+	s := newSim(cfg, Job{Tasks: []Task{{
+		Name: "t", Phase: 1, InputBytes: 1e12, CPURate: 1e6, Cloneable: true,
+	}}}, nil)
+	r := s.runs[0]
+	s.placeWorker(r)
+	for sweep, want := range []int{2, 4, 6, 6} {
+		s.step(s.runs)
+		s.now += cfg.CloneInterval
+		s.cloneSweep(s.runs)
+		if got := len(r.workers); got != want || !r.cpuBound {
+			t.Fatalf("sweep %d: %d workers (CPU-bound %v), want %d", sweep+1, got, r.cpuBound, want)
+		}
+	}
+	if s.res.Clones != 5 {
+		t.Fatalf("%d clones, want 5", s.res.Clones)
+	}
+}
