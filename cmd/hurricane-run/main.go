@@ -15,7 +15,7 @@
 // tier over TCP), or a planner-compiled query (-job query): a declarative join
 // whose physical strategy — broadcast, repartition, or skewed with
 // pre-isolated heavy hitters — is chosen from warm statistics, with the
-// seed partition map published through the same remote control bags.
+// seed partition map carried in the job's submission.
 // Results are verified against an in-process oracle.
 //
 // Streaming mode: with -stream the process runs the continuous-ingestion
@@ -235,8 +235,7 @@ func main() {
 }
 
 // runGroupBy executes the skew-aware shuffle groupby against the remote
-// storage tier: partition bags, the pmap control bag, and OpSketch exchanges
-// all travel over TCP.
+// storage tier: partition bags and OpSketch pushes all travel over TCP.
 func runGroupBy(ctx context.Context, store *bag.Store, names []string, records int, skew float64, computes, slots, parts int) {
 	fmt.Printf("generating %d tuples (s=%.1f), loading onto %d storage nodes...\n",
 		records, skew, len(names))

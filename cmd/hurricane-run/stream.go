@@ -14,9 +14,9 @@ import (
 )
 
 // runStream drives the continuous-ingestion subsystem against the remote
-// TCP storage tier: per-window source bags, partitioned shuffle edges,
-// sketch pushes, and warm-start seed maps all travel over the storage
-// transport. Every window's per-region counts are verified against an
+// TCP storage tier: per-window source bags, partitioned shuffle edges and
+// sketch pushes travel over the storage transport; each window's
+// warm-start seed maps travel in its submission. Every window's per-region counts are verified against an
 // in-process oracle.
 func runStream(ctx context.Context, store *bag.Store, names []string, records, windows int, skew float64, computes, slots, parts int) {
 	perWindow := records / windows

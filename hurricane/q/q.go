@@ -40,9 +40,8 @@ type (
 	// StatsFromMemory, or a generator's known distribution).
 	Stats = plan.Stats
 	// Compiled is an executable physical plan: inspect it with Explain,
-	// run it with Run/Submit (which publish the seed partition maps as
-	// soon as the job is admitted), or hand Compiled.App to any other
-	// execution surface.
+	// run it with Run/Submit (which submit the seed partition maps with
+	// the job), or hand Compiled.App to any other execution surface.
 	Compiled = plan.Physical
 	// JoinStrategy is a physical join implementation.
 	JoinStrategy = plan.JoinStrategy

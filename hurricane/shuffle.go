@@ -22,8 +22,8 @@ import (
 // window warm-starts from them, pre-isolating the heavy keys.
 
 // PartitionedWriter routes typed records by key into the physical
-// partition bags of a partitioned output, adopting the seed partition map
-// the master publishes for the edge. It is a shuffle.Scatter: Write and
+// partition bags of a partitioned output, by the edge's seed partition map
+// when its job was submitted with one. It is a shuffle.Scatter: Write and
 // WriteBatch are one path — the same routing, the same key counts for the
 // edge's statistics, the same per-leaf chunk.Encoder, so the same chunks —
 // taken a record or a batch at a time. Create one per producer worker with

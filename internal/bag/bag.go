@@ -266,15 +266,8 @@ func (s *Store) callSlotServed(ctx context.Context, slot int, req *transport.Req
 // broadcastSlot issues req to every live replica of a slot, failing if any
 // live replica fails.
 func (s *Store) broadcastSlot(ctx context.Context, slot int, req *transport.Request) error {
-	_, err := s.broadcastSlotReply(ctx, slot, req)
-	return err
-}
-
-// broadcastSlotReply is broadcastSlot returning the reply of the first live
-// replica — the one callSlot would have asked.
-func (s *Store) broadcastSlotReply(ctx context.Context, slot int, req *transport.Request) (*transport.Response, error) {
 	reps := s.replicas(slot)
-	var first *transport.Response
+	reached := false
 	for _, n := range reps {
 		s.mu.RLock()
 		isDown := s.down[n]
@@ -288,19 +281,17 @@ func (s *Store) broadcastSlotReply(ctx context.Context, slot int, req *transport
 				s.MarkDown(n)
 				continue
 			}
-			return nil, err
+			return err
 		}
 		if err := resp.Error(); err != nil {
-			return nil, err
+			return err
 		}
-		if first == nil {
-			first = resp
-		}
+		reached = true
 	}
-	if first == nil {
-		return nil, fmt.Errorf("bag: slot %d: %w", slot, transport.ErrNodeDown)
+	if !reached {
+		return fmt.Errorf("bag: slot %d: %w", slot, transport.ErrNodeDown)
 	}
-	return first, nil
+	return nil
 }
 
 // permFor returns the bag's pseudorandom cyclic permutation of logical
@@ -458,42 +449,25 @@ func (st Stats) RemainingBytes() int64 { return st.TotalBytes - st.ReadBytes }
 func (s *Store) sketchSlot(name string) int { return s.permFor(name)[0] }
 
 // ExchangeSketch is a producer's control exchange for a shuffle edge (see
-// transport.OpSketch): it leaves the producer's cumulative stats blob
-// (nil to report nothing yet) under (edge, writerID) on the edge's home
-// slot — a re-push replaces the previous blob, so storage-side merging
-// across producers never double-counts — and returns the newest published
-// partition map, encoded, if its version is above mapVersion (nil
-// otherwise). stats passes to the storage node: the caller must not write
-// to it afterwards.
-func (s *Store) ExchangeSketch(ctx context.Context, edge, writerID string, stats []byte, mapVersion int) ([]byte, error) {
+// transport.OpSketch), a one-way push: it leaves the producer's cumulative
+// stats blob under (edge, writerID) on the edge's home slot — a re-push
+// replaces the previous blob, so storage-side merging across producers
+// never double-counts. stats passes to the storage node: the caller must
+// not write to it afterwards.
+func (s *Store) ExchangeSketch(ctx context.Context, edge, writerID string, stats []byte) error {
 	if writerID == "" {
-		return nil, errors.New("bag: sketch exchange without a writer ID")
+		return errors.New("bag: sketch exchange without a writer ID")
 	}
-	resp, err := s.broadcastSlotReply(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge, Dst: writerID, Data: stats, Arg: int64(mapVersion),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
-// PublishSketchMap leaves an encoded partition map of the given version on
-// the edge's home slot, where producers' exchanges pick it up. The slot
-// keeps the newest version it has seen, so publishing is idempotent and
-// order-insensitive.
-func (s *Store) PublishSketchMap(ctx context.Context, edge string, version int, pmap []byte) error {
 	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge, Data: pmap, Arg: int64(version),
+		Op: transport.OpSketch, Bag: edge, Dst: writerID, Data: stats,
 	})
 }
 
-// DeleteSketch drops the edge's control state — producer stats and the
-// published map — on its home slot. The master calls it when an edge's
-// producers finish (the state has served its purpose) and when failure
-// recovery discards the edge's data (so stale cumulative pushes from an
-// aborted epoch cannot double-count records the restarted producers will
-// re-push; the master then publishes its current map again).
+// DeleteSketch drops the producer stats of an edge on its home slot. The
+// master calls it when an edge's producers finish (the stats have served
+// their purpose) and when failure recovery discards the edge's data (so
+// stale cumulative pushes from an aborted epoch cannot double-count records
+// the restarted producers will re-push).
 func (s *Store) DeleteSketch(ctx context.Context, edge string) error {
 	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
 		Op: transport.OpSketch, Bag: edge, Arg: transport.SketchClear,

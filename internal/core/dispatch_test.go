@@ -221,10 +221,10 @@ func TestDispatchAcrossMasterRecovery(t *testing.T) {
 		t.Errorf("%d task bodies ran, want 2", started.Load())
 	}
 	noFallbackClaims(t, c)
-	// A successor whose first tick adopts a map its predecessor left
-	// half-published dispatches by wakes all the same.
-	t.Run("between a map's publish and its announcement", func(t *testing.T) {
-		noFallbackClaims(t, recoverFromCutPublish(t, ctx, 1, 1))
+	// A successor that takes over a seeded job dispatches by wakes all
+	// the same.
+	t.Run("after a seeded master's first blueprint", func(t *testing.T) {
+		noFallbackClaims(t, recoverSeededMaster(t, ctx, 1, 1))
 	})
 }
 

@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/shuffle"
 )
 
 // A TaskFunc is the body of a task. It consumes chunks from the task's
@@ -73,6 +75,9 @@ type BagSpec struct {
 	// PartitionedWriter; the consumer task gets one worker per physical
 	// partition (internal/shuffle).
 	Partitions int
+	// seed is the edge's warm-start map (JobConfig.Seeds), fixed on the
+	// job's copy of the app at submission; nil routes by the base map.
+	seed *shuffle.PartitionMap
 	// Spread permits spreading one key's records across several
 	// consumers: a seed map's isolated heavy-hitter keys over their fan,
 	// and a hot partition's chunks over clones of its consumer. Safe

@@ -20,8 +20,8 @@ type JobConfig struct {
 	// name.
 	Name string
 	// Prefix namespaces the job's bags: every declared bag name (and
-	// every name derived from one — physical partitions, control bags,
-	// work bags, clone partials) is stored as "<prefix>/<name>", so
+	// every name derived from one — physical partitions, work bags,
+	// clone partials) is stored as "<prefix>/<name>", so
 	// concurrent jobs built from the same application graph cannot
 	// collide. Empty defaults to Name. Load source bags and read outputs
 	// through JobHandle.Bag, which maps declared names to physical ones.
@@ -35,7 +35,7 @@ type JobConfig struct {
 	// sched.Config.DefaultWeight). A weight-2 job is entitled to twice
 	// the worker slots of a weight-1 job under contention.
 	Weight int
-	// Retain keeps the job's work and control bags after completion
+	// Retain keeps the job's work bags after completion
 	// (Cluster.Run sets it; tests replay them). Without it the scheduler
 	// garbage collects them when the job finishes; data bags always
 	// remain until JobHandle.Discard.
@@ -54,12 +54,12 @@ type JobConfig struct {
 	TraceID string
 	// Seeds are warm-start partition maps for the job's partitioned
 	// edges, keyed by declared bag name (the query planner's compile-time
-	// skew memory). They are published into the job's (namespaced) edge
-	// control bags after admission but before the job's master starts, so
-	// producers can never observe an unseeded edge — and a rejected
-	// submission never writes into a namespace it was not granted.
-	// Publishing is best-effort: a failed seed costs a cold start, not
-	// the job.
+	// skew memory, or a stream's previous window). SubmitJob refuses a
+	// seed whose bag is not a partitioned bag of the app, whose Base is
+	// not the bag's Partitions, or that fails shuffle's Validate; the rest
+	// are fixed on the job's copy of the app, and the edge's master and
+	// producers route by the seed for the whole job. Nothing is written
+	// to storage for a seed.
 	Seeds map[string]*shuffle.PartitionMap
 }
 
@@ -279,7 +279,7 @@ func (h *JobHandle) Discard(ctx context.Context) error {
 // Reset prepares a completed — typically failed — namespaced job for
 // resubmission under the same name: every bag the job derived is deleted
 // (outputs, partitioned edges with their seeded split/isolation bags and
-// sketches, merge partials, work and control bags), its source bags are
+// sketches, merge partials, work bags), its source bags are
 // rewound so their consumed chunks replay from the start, and the job's
 // registration and name claims are released. The streaming subsystem's
 // window retry is the intended caller: rewinding instead of re-ingesting
@@ -328,8 +328,8 @@ func (h *JobHandle) Reset(ctx context.Context) error {
 
 // scrubDerivedBags deletes every bag a job derives from its declared
 // graph: non-source data bags, a partitioned edge's runtime bags
-// (partition splits, isolated heavy-hitter bags, the pmap control bag)
-// and its storage-side sketch state — which plain Delete does not touch
+// (partition splits, isolated heavy-hitter bags) and its storage-side
+// sketch state — which plain Delete does not touch
 // and which would otherwise seed a name-reusing successor with this
 // job's cumulative producer statistics — plus merge partials and the
 // work bags. Shared by Discard (which also deletes the source bags) and
@@ -349,9 +349,6 @@ func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
 				return err
 			}
 			if err := store.DeletePrefix(ctx, b+".h"); err != nil {
-				return err
-			}
-			if err := store.Delete(ctx, shuffle.PMapBag(b)); err != nil {
 				return err
 			}
 			if err := store.DeleteSketch(ctx, b); err != nil {
@@ -378,14 +375,22 @@ func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
 
 // ---- namespacing ----
 
-// namespacedApp returns a copy of app with every bag name (and the
-// application name, which keys the work bags) moved under
-// "<prefix>/". Task names are left alone: blueprints live in the job's
-// own work bags, so they cannot collide across jobs. Task functions are
-// shared by reference — they address bags by index through the TaskCtx,
-// so they observe the namespaced names transparently.
-func namespacedApp(app *App, prefix string) *App {
-	ns := func(n string) string { return prefix + "/" + n }
+// jobApp returns the copy of app a job runs: every bag name (and the
+// application name, which keys the work bags) moved under "<prefix>/",
+// unless prefix is empty (a raw job), and each seed fixed on its edge's
+// spec. Task names are left alone: blueprints live in the job's own work
+// bags, so they cannot collide across jobs. Task functions are shared by
+// reference — they address bags by index through the TaskCtx, so they
+// observe the namespaced names transparently. The caller's app is never
+// mutated. A seed that does not match its edge is an error: one for a bag
+// that is not a partitioned edge of the app, or one of another Base, whose
+// leaves the master would seal and drain while the producers wrote the
+// base map's.
+func jobApp(app *App, prefix string, seeds map[string]*shuffle.PartitionMap) (*App, error) {
+	ns := func(n string) string { return n }
+	if prefix != "" {
+		ns = func(n string) string { return prefix + "/" + n }
+	}
 	out := NewApp(ns(app.name))
 	for name, b := range app.bags {
 		s := *b
@@ -409,7 +414,23 @@ func namespacedApp(app *App, prefix string) *App {
 		s.ScanInputs = nsAll(t.ScanInputs)
 		out.tasks[name] = &s
 	}
-	return out
+	for name, seed := range seeds {
+		spec := out.bags[ns(name)]
+		switch {
+		case seed == nil:
+			continue
+		case spec == nil || spec.Partitions <= 0:
+			return nil, fmt.Errorf("seed for %q, which is not a partitioned bag", name)
+		case seed.Base != spec.Partitions:
+			return nil, fmt.Errorf("seed for %q has base %d, the bag %d partitions", name, seed.Base, spec.Partitions)
+		}
+		if err := seed.Validate(); err != nil {
+			return nil, fmt.Errorf("seed for %q: %w", name, err)
+		}
+		spec.seed = seed.Clone()
+		spec.seed.Bag = spec.Name
+	}
+	return out, nil
 }
 
 // appClaims enumerates the physical bag names a job may touch: declared
@@ -425,7 +446,6 @@ func appClaims(app *App) sched.NameClaims {
 	for _, b := range app.Bags() {
 		c.Exact = append(c.Exact, b)
 		if app.BagSpecFor(b).Partitions > 0 {
-			c.Exact = append(c.Exact, shuffle.PMapBag(b))
 			c.Derived = append(c.Derived, b+".p", b+".h")
 		}
 	}
@@ -462,12 +482,12 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 			prefix = cfg.Name
 		}
 	}
-	nsApp := app
-	if prefix != "" {
-		nsApp = namespacedApp(app, prefix)
-		if err := nsApp.Validate(); err != nil {
-			return nil, fmt.Errorf("core: namespacing job %q: %w", cfg.Name, err)
-		}
+	nsApp, err := jobApp(app, prefix, cfg.Seeds)
+	if err != nil {
+		return nil, fmt.Errorf("core: job %q: %w", cfg.Name, err)
+	}
+	if err := nsApp.Validate(); err != nil {
+		return nil, fmt.Errorf("core: job %q: %w", cfg.Name, err)
 	}
 	// Within-job validation always runs on the detailed claims: a bag
 	// that shadows a sibling's derived names (declaring both partitioned
@@ -529,11 +549,7 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 }
 
 // newJobMaster builds a master for the job behind a job-scoped control
-// adapter — for its first start and for every recovery alike. The master
-// is handed the job's seed partition maps, which it publishes from its
-// own goroutine before its first scheduling pass (a blocking storage
-// write under c.mu could wedge the whole scheduler); a recovered
-// successor skips the ones its predecessor already published.
+// adapter — for its first start and for every recovery alike.
 func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	mcfg := c.cfg.Master
 	if h.cfg.Master != nil {
@@ -542,12 +558,6 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	mcfg.Job = h.id
 	mcfg.Obs = c.obs
 	mcfg.TraceID = h.cfg.TraceID
-	if len(h.cfg.Seeds) > 0 {
-		mcfg.Seeds = make(map[string]*shuffle.PartitionMap, len(h.cfg.Seeds))
-		for name, seed := range h.cfg.Seeds {
-			mcfg.Seeds[h.Bag(name)] = seed
-		}
-	}
 	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, mcfg)
 }
 
@@ -694,7 +704,7 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 }
 
 // gcJob garbage collects a finished job's scheduling state: the work
-// bags and partition-map control bags. Data bags stay until
+// bags. Data bags stay until
 // JobHandle.Discard. Best-effort: the job is already complete, and a
 // down storage node must not fail it retroactively.
 func (c *Cluster) gcJob(h *JobHandle) {
@@ -703,11 +713,6 @@ func (c *Cluster) gcJob(h *JobHandle) {
 	wb := newWorkBags(c.store, h.app.Name(), nil)
 	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
 		_ = c.store.Delete(ctx, n)
-	}
-	for _, b := range h.app.Bags() {
-		if h.app.BagSpecFor(b).Partitions > 0 {
-			_ = c.store.Delete(ctx, shuffle.PMapBag(b))
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/ctrl"
 	"repro/internal/obs"
-	"repro/internal/shuffle"
 )
 
 // ClusterControl is the interface through which the master exerts
@@ -71,14 +70,6 @@ type MasterConfig struct {
 	// carry the merged sketch of every active shuffle edge, fetched once
 	// per SplitInterval.
 	Policies []ctrl.Policy
-
-	// Seeds are warm-start partition maps for the job's partitioned
-	// edges, keyed by this master's (namespaced) bag names. The
-	// scheduler fills it from JobConfig.Seeds; the master publishes the
-	// maps from its own goroutine before its first scheduling pass, so
-	// producers can never observe an unseeded edge. Best-effort: a
-	// failed publish costs a cold start, not the job.
-	Seeds map[string]*shuffle.PartitionMap
 
 	// Obs receives the master's metrics (labeled by job) and decision
 	// trace events. The cluster injects its shared observer here; nil
@@ -218,8 +209,7 @@ type Master struct {
 	policyAt, rescanAt time.Time
 
 	// edges tracks the app's partitioned shuffle bags (core/shuffle.go).
-	// Accessed only from the master loop goroutine after newMaster, except
-	// for pmap which is swapped under m.mu.
+	// Fixed by newMaster: an edge's map does not change while its job runs.
 	edges map[string]*shuffleEdge
 
 	// counters for observability and tests
@@ -420,19 +410,12 @@ func (m *Master) ResealAll(ctx context.Context) error {
 
 // physicalBags expands a logical bag name to the physical bags holding its
 // data: the partition-map leaves for a partitioned shuffle bag, the name
-// itself otherwise. Callers must not hold m.mu.
+// itself otherwise.
 func (m *Master) physicalBags(name string) []string {
-	m.mu.Lock()
-	edge := m.edges[name]
-	var pmap *shuffle.PartitionMap
-	if edge != nil {
-		pmap = edge.pmap
+	if edge := m.edges[name]; edge != nil {
+		return edge.pmap.Leaves()
 	}
-	m.mu.Unlock()
-	if pmap == nil {
-		return []string{name}
-	}
-	return pmap.Leaves()
+	return []string{name}
 }
 
 // RunningOn reports the compute nodes currently executing workers of the
@@ -656,10 +639,6 @@ func (m *Master) loop() {
 // run ticks on what the hub's causes name and sleeps until the next cause or
 // timed pass. It returns nil once the job is done.
 func (m *Master) run() error {
-	if err := m.adoptPublishedMaps(); err != nil {
-		return err
-	}
-	m.publishSeeds()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	causes := ctrl.CauseRecords // the replay: every record bag from index 0
@@ -1051,9 +1030,7 @@ func (m *Master) schedulePass() (int, error) {
 		if ready {
 			st.scheduled = true
 			// A consumer of a partitioned bag gets one worker per
-			// physical partition — the edge's partition map is final: a
-			// seed map is published before the first scheduling pass, and
-			// nothing revises it after.
+			// physical partition of the edge's map, fixed at submission.
 			leaves := m.partitionLeavesFor(st.spec)
 			if leaves == nil {
 				st.workers = 1

@@ -884,7 +884,7 @@ func TestRawDiscardClearsSketches(t *testing.T) {
 	// A producer pushes cumulative edge stats while the job runs.
 	st := sketch.NewEdgeStats()
 	st.Counts["shuf.p0"] = 1000
-	if _, err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", st.AppendTo(nil), 1); err != nil {
+	if err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", st.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Cancel the job so Discard becomes legal.

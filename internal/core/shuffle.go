@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 
-	"repro/internal/chunk"
 	"repro/internal/ctrl"
-	"repro/internal/obs"
 	"repro/internal/shuffle"
 	"repro/internal/sketch"
 )
@@ -37,12 +34,11 @@ func (m *Master) EdgeMemory() map[string]EdgeMemory {
 }
 
 // shuffleEdge is the master's state for one partitioned shuffle bag: its
-// current partition map — the base map, or the seed published before the
-// first scheduling pass — and who produces and consumes it.
+// partition map, fixed at submission, and who produces and consumes it.
 type shuffleEdge struct {
 	name      string
 	spec      *BagSpec
-	pmap      *shuffle.PartitionMap // swapped under m.mu; read by other goroutines
+	pmap      *shuffle.PartitionMap
 	producers []string
 	consumer  string // consuming task name, or ""
 }
@@ -59,10 +55,14 @@ func newShuffleEdges(app *App) map[string]*shuffleEdge {
 		if cons := app.Consumers(name); len(cons) > 0 {
 			consumer = cons[0]
 		}
+		pmap := spec.seed
+		if pmap == nil {
+			pmap = shuffle.BaseMap(name, spec.Partitions)
+		}
 		edges[name] = &shuffleEdge{
 			name:      name,
 			spec:      spec,
-			pmap:      shuffle.BaseMap(name, spec.Partitions),
+			pmap:      pmap,
 			producers: app.Producers(name),
 			consumer:  consumer,
 		}
@@ -73,51 +73,6 @@ func newShuffleEdges(app *App) map[string]*shuffleEdge {
 // edgeNames returns the edge map's keys in deterministic order.
 func edgeNames(edges map[string]*shuffleEdge) []string {
 	return slices.Sorted(maps.Keys(edges))
-}
-
-// adoptPublishedMaps replays every edge's published-map bag from index 0,
-// as a master's first tick replays the work bags: after a master crash it
-// recovers the published map exactly (the pmap bag is append-only and
-// versions are ordered). It runs once per master — the master is the only
-// publisher, and publishMap adopts what it publishes. A map adopted from
-// the bag is a predecessor's, whose crash may have cut its publish short
-// between the bag and the home slot: it is announced to the producers again.
-func (m *Master) adoptPublishedMaps() error {
-	for _, name := range edgeNames(m.edges) {
-		edge, adopted := m.edges[name], false
-		_, err := m.store.Scanner(shuffle.PMapBag(name)).Drain(m.ctx, func(c chunk.Chunk) error {
-			pm, err := shuffle.DecodePartitionMap(c)
-			if err != nil || pm.Bag != name || pm.Base != edge.spec.Partitions {
-				return nil // tolerate foreign records in the control bag
-			}
-			m.mu.Lock()
-			if pm.Version > edge.pmap.Version {
-				edge.pmap, adopted = pm, true
-			}
-			m.mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if adopted {
-			m.announceMap(edge)
-		}
-	}
-	return nil
-}
-
-// announceMap leaves the edge's current map on the edge's home slot, where
-// the producers' control exchanges find it. Idempotent (the slot keeps the
-// newest version) and best-effort: a producer that misses a map routes by
-// an older one, which costs balance, never correctness.
-func (m *Master) announceMap(edge *shuffleEdge) {
-	m.mu.Lock()
-	pm := edge.pmap
-	m.mu.Unlock()
-	if pm.Version > 1 { // everyone derives version 1 locally
-		_ = m.store.PublishSketchMap(m.ctx, edge.name, pm.Version, pm.Encode())
-	}
 }
 
 // edgeTelLocked is the master's authoritative state of one edge, to which
@@ -136,46 +91,4 @@ func (m *Master) edgeTelLocked(edge *shuffleEdge) *ctrl.EdgeTel {
 		Spread: edge.spec.Spread,
 		Active: active,
 	}
-}
-
-// publishSeeds publishes the submission's warm-start seed maps
-// (MasterConfig.Seeds) for their edges. It runs in the
-// master's goroutine before the first scheduling pass, so no producer
-// can route a record before the seed is visible — and it never blocks
-// the cluster lock. The maps already published (a recovered successor,
-// or a previous attempt) were replayed just before, so seeding is
-// idempotent: a seed at or below the known version is skipped.
-// Best-effort throughout: a failed publish costs a cold start.
-func (m *Master) publishSeeds() {
-	for _, name := range edgeNames(m.edges) {
-		seed := m.cfg.Seeds[name]
-		if seed == nil {
-			continue
-		}
-		edge := m.edges[name]
-		m.mu.Lock()
-		known := edge.pmap.Version
-		m.mu.Unlock()
-		if seed.Version <= known {
-			continue
-		}
-		sm := seed.Clone()
-		sm.Bag = name
-		_ = m.publishMap(edge, sm)
-	}
-}
-
-// publishMap publishes a seed partition map and adopts it. Publish
-// first, adopt second: producers must never observe a map the master (and
-// a recovered successor) would not also know about.
-func (m *Master) publishMap(edge *shuffleEdge, next *shuffle.PartitionMap) error {
-	if err := shuffle.Publish(m.ctx, m.store, next); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	edge.pmap = next
-	m.mu.Unlock()
-	m.obs.emit(obs.EvMapRevision, edge.name,
-		fmt.Sprintf("version=%d splits=%d isolated=%d", next.Version, len(next.Splits), len(next.Isolated)))
-	return nil
 }

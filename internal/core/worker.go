@@ -265,6 +265,7 @@ func (tc *TaskCtx) ShuffleWriter(i int) *shuffle.Writer {
 		Store:         tc.store,
 		Edge:          tc.OutputName(i),
 		Parts:         spec.Partitions,
+		Map:           spec.seed,
 		WriterID:      tc.bp.ID,
 		StatsInterval: tc.bp.StatsInterval,
 		Obs:           tc.obs,

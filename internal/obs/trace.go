@@ -15,9 +15,6 @@ const (
 	// EvCloneYielded: a clone was asked to wind down for fair-share
 	// preemption (subject = task/worker).
 	EvCloneYielded EventType = "CloneYielded"
-	// EvMapRevision: a writer adopted a newer partition-map version
-	// (subject = edge, detail = version).
-	EvMapRevision EventType = "MapRevision"
 	// EvLeaseGrant: the lease allocator billed a slot to a job.
 	EvLeaseGrant EventType = "LeaseGrant"
 	// EvLeasePreempt: the scheduler asked a job to yield clone slots to
@@ -72,8 +69,8 @@ const DefaultTraceCap = 4096
 // by event class rather than uniformly: lifecycle chatter (schedule /
 // finish / lease-grant / window-seal notifications, which dominate the
 // volume on long runs) is dropped new-at-cap, while control-plane
-// *decision* events (clones, yields, map revisions,
-// preemptions, retries, join choices) evict the oldest lifecycle event —
+// *decision* events (clones, yields, preemptions, retries, join
+// choices) evict the oldest lifecycle event —
 // or, failing that, the oldest event outright — so the latest mitigation
 // decisions are always retained. Every displaced event is counted in
 // Dropped. The buffer never blocks the emitter and never reallocates
@@ -98,7 +95,7 @@ type Trace struct {
 // about. The rest (lifecycle notifications) are the evictable bulk.
 func decisionEvent(typ EventType) bool {
 	switch typ {
-	case EvTaskCloned, EvCloneYielded, EvMapRevision, EvLeasePreempt,
+	case EvTaskCloned, EvCloneYielded, EvLeasePreempt,
 		EvWindowRetried, EvJoinStrategyChosen, EvStorageSlowOp, EvAlertRaised:
 		return true
 	}

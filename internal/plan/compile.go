@@ -83,7 +83,7 @@ type JoinInfo struct {
 // Physical is a compiled plan: the executable application graph plus the
 // planner's decisions and seed partition maps. The same Physical runs on
 // every execution surface — Cluster.Run / Cluster.SubmitJob (directly or
-// via the Run/Submit helpers, which also publish the seeds), RunStream
+// via the Run/Submit helpers, which also submit the seeds), RunStream
 // (App as the per-window DAG), and hurricane-run over TCP storage.
 type Physical struct {
 	Plan   *Plan
@@ -93,8 +93,8 @@ type Physical struct {
 	Joins  []JoinInfo
 	// Seeds are warm-start partition maps derived from compile-time
 	// statistics, keyed by (unprefixed) edge bag name. Run and Submit put
-	// them in the submission (core.JobConfig.Seeds); the job's master
-	// publishes them before its producers start.
+	// them in the submission (core.JobConfig.Seeds), which fixes each on
+	// its edge before any producer starts.
 	Seeds map[string]*shuffle.PartitionMap
 
 	sinks map[string]string // sink name -> physical bag name

@@ -195,10 +195,9 @@ func (ph *Physical) traceDecisions(o *obs.Observer, job string) {
 }
 
 // Submit submits the compiled plan to the multi-job scheduler with its
-// seed maps in the submission: the scheduler publishes them under the
-// namespace it actually granted, after admission and before the job's
-// master starts, so producers can never observe an unseeded edge and a
-// rejected submission never writes into a foreign namespace. Load
+// seed maps in the submission: SubmitJob fixes each on its edge under the
+// namespace it grants, so producers can never observe an unseeded edge,
+// and a seed that does not match its edge fails the submission. Load
 // source bags under the names the returned handle's Bag method reports.
 func (ph *Physical) Submit(ctx context.Context, c *core.Cluster, cfg core.JobConfig) (*core.JobHandle, error) {
 	if cfg.Seeds == nil && len(ph.Seeds) > 0 {

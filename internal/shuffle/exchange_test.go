@@ -3,7 +3,6 @@ package shuffle
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,24 +15,19 @@ import (
 )
 
 // countingClient decorates a transport.Client and counts the control
-// traffic of shuffle writers: exchanges per writer ID, and reads of any
-// partition-map bag.
+// traffic of shuffle writers: exchanges per writer ID.
 type countingClient struct {
 	transport.Client
 	mu        sync.Mutex
 	exchanges map[string]int // OpSketch calls carrying a writer ID
-	pmapReads int            // OpReadAt / OpRemove against a "!pmap" bag
 }
 
 func (c *countingClient) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	c.mu.Lock()
-	switch {
-	case req.Op == transport.OpSketch && req.Dst != "":
+	if req.Op == transport.OpSketch && req.Dst != "" {
+		c.mu.Lock()
 		c.exchanges[req.Dst]++
-	case (req.Op == transport.OpReadAt || req.Op == transport.OpRemove) && strings.Contains(req.Bag, "!pmap"):
-		c.pmapReads++
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return c.Client.Call(ctx, node, req)
 }
 
@@ -117,8 +111,7 @@ func paths(t *testing.T, fn func(t *testing.T, batch, tcp bool)) {
 }
 
 // TestExchangeIsGatedOnTime: however many records go through, a writer
-// makes at most one exchange per gate (plus the one before its first record
-// and the one at Close), and it never reads the partition-map bag.
+// makes at most one exchange per gate, plus the one at Close.
 func TestExchangeIsGatedOnTime(t *testing.T) {
 	paths(t, func(t *testing.T, batch, tcp bool) {
 		st, cc := exchangeStore(t, tcp)
@@ -140,63 +133,6 @@ func TestExchangeIsGatedOnTime(t *testing.T) {
 		}
 		if got < 3 {
 			t.Fatalf("%d exchanges in %v at a %v gate: the gate never opened", got, elapsed, gate)
-		}
-		if cc.pmapReads != 0 {
-			t.Fatalf("writer read the partition-map bag %d times", cc.pmapReads)
-		}
-	})
-}
-
-// TestPublishedMapAdoptedWithinOneGate: a map published mid-stream routes
-// the writer's records one gate and one batch later at the latest — and a
-// seed published before the writer's first record routes that record.
-func TestPublishedMapAdoptedWithinOneGate(t *testing.T) {
-	paths(t, func(t *testing.T, batch, tcp bool) {
-		ctx := context.Background()
-		st, _ := exchangeStore(t, tcp)
-		const interval = 40 * time.Millisecond
-		gate := interval / exchangesPerInterval
-
-		seed := BaseMap("e", 4)
-		seed.Version = 2
-		seed.Splits = map[int]int{0: 2}
-		if err := Publish(ctx, st, seed); err != nil {
-			t.Fatal(err)
-		}
-		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", StatsInterval: interval})
-		f := &feeder{w: w, batch: batch}
-		f.writeBatch(t)
-		if v := w.Map().Version; v != 2 {
-			t.Fatalf("first batch routed by version %d, want the seed (2)", v)
-		}
-
-		next := seed.Clone()
-		next.Version = 3
-		next.Isolated = []Isolation{{Hash: KeyHash(key(5)), Fan: 1, Key: key(5)}}
-		if err := Publish(ctx, st, next); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(gate)
-		f.writeBatch(t) // the exchange at its head is due
-		if v := w.Map().Version; v != 3 {
-			t.Fatalf("one gate and one batch after the publish the writer holds version %d, want 3", v)
-		}
-		// A late publish of an older map changes nothing, and nor does a
-		// newer one of another base: refinements never change Base.
-		rebased := next.Clone()
-		rebased.Version, rebased.Base = 4, 8
-		for _, pm := range []*PartitionMap{seed, rebased} {
-			if err := Publish(ctx, st, pm); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(gate)
-			f.writeBatch(t)
-			if v := w.Map().Version; v != 3 {
-				t.Fatalf("after a publish of version %d (base %d) the writer holds version %d, want 3", pm.Version, pm.Base, v)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
 		}
 	})
 }
@@ -236,8 +172,8 @@ func TestCloseLeavesExactCounts(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := cc.exchangesOf(id); got != 2 {
-				t.Fatalf("writer %s made %d exchanges behind a closed gate, want 2 (first record, Close)", id, got)
+			if got := cc.exchangesOf(id); got != 1 {
+				t.Fatalf("writer %s made %d exchanges behind a closed gate, want 1 (Close)", id, got)
 			}
 		}
 		got, err := st.FetchSketch(ctx, "e")
@@ -283,7 +219,7 @@ func TestCorruptWriterIsSkippedAtFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.ExchangeSketch(ctx, "e", "broken", []byte("not stats"), 1); err != nil {
+	if err := st.ExchangeSketch(ctx, "e", "broken", []byte("not stats")); err != nil {
 		t.Fatalf("the node validates nothing on the exchange path, yet: %v", err)
 	}
 	got, err := st.FetchSketch(ctx, "e")

@@ -7,7 +7,7 @@ import (
 
 // Routing and exact key counting: the per-record half of a Writer. Every
 // record of every write API takes one step here (step): tick when a stretch
-// is due, route by the shape the current map was adopted with, and count
+// is due, route by the shape the map was adopted with, and count
 // the key — hashed once by the caller — in an exact table. The table covers
 // one stretch of the stream at a time, and the stretches end at points set
 // by the record stream alone — so one stream leaves one sketch and one

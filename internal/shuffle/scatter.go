@@ -65,8 +65,8 @@ func (s *Scatter[T]) Write(v T) error {
 
 // WriteBatch routes vs and appends each leaf's rows, in stream order, with
 // one AppendRows per leaf per block. A block is routed, counted and grouped
-// in one pass: each record takes the writer's step, so a map adopted at a
-// tick inside a block routes the next record, and its index goes to its leaf.
+// in one pass: each record takes the writer's step — a tick inside a block
+// comes before the next record — and its index goes to its leaf.
 func (s *Scatter[T]) WriteBatch(vs []T) error {
 	w := s.w
 	for len(vs) > 0 {

@@ -12,8 +12,6 @@ import (
 	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/sketch"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
 type tuple = chunk.Pair[uint64, uint64]
@@ -138,38 +136,15 @@ func TestScatterHoldsChunkSize(t *testing.T) {
 	}
 }
 
-// publishAt publishes pm on the edge's home slot just before the writer's
-// nth control exchange.
-type publishAt struct {
-	transport.Client
-	st        *bag.Store
-	pm        *PartitionMap
-	nth, seen int
-}
-
-func (c *publishAt) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	if req.Op == transport.OpSketch && req.Dst != "" {
-		if c.seen++; c.seen == c.nth {
-			if err := c.st.PublishSketchMap(ctx, c.pm.Bag, c.pm.Version, c.pm.Encode()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return c.Client.Call(ctx, node, req)
-}
-
-// TestMapAdoptedInsideBlock: a map adopted at a tick inside a WriteBatch
-// block routes the block's next record. A writer that exchanges at every
-// tick is handed a map with a split and a spread isolation at its third
-// exchange, record 2,048 of the first 4,096-record block. Each record must
-// land where the map in force at its ordinal sends it, and WriteBatch must
-// leave what Write leaves over the same stream — the same records per leaf
-// in order, leaf counts, count-min cells and heavy list — for either key
-// kind.
-func TestMapAdoptedInsideBlock(t *testing.T) {
-	const hot, adoptAt = 7, 2 * tickEvery
-	base := BaseMap("e", 4)
-	refined := base.Clone()
+// TestRefinedMapInsideBlock: under a seed map with a split and a spread
+// isolation, each record of a WriteBatch block lands where the map sends
+// it, and WriteBatch leaves what Write leaves over the same stream — the
+// same records per leaf in order, leaf counts, count-min cells and heavy
+// list — for either key kind. The writer exchanges at every tick, so the
+// ticks inside each 4,096-record block are on the path.
+func TestRefinedMapInsideBlock(t *testing.T) {
+	const hot = 7
+	refined := BaseMap("e", 4)
 	refined.Version = 2
 	refined.Splits = map[int]int{int(KeyHashUint64(3) % 4): 3}
 	refined.Isolated = []Isolation{{Hash: KeyHashUint64(hot), Fan: 2, Key: key(hot)}}
@@ -187,19 +162,13 @@ func TestMapAdoptedInsideBlock(t *testing.T) {
 	}
 	run := func(t *testing.T, words, batch bool) edge {
 		ctx := context.Background()
-		tr := transport.NewInProc()
-		tr.Register("s0", storage.NewNode("s0"))
-		c := &publishAt{Client: tr, pm: refined, nth: 3}
-		st, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: c, ChunkSize: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.st = st
-		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", StatsInterval: time.Nanosecond})
+		st := newTestStore(t, 1, 1<<20)
+		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, Map: refined, WriterID: "w0", StatsInterval: time.Nanosecond})
 		s := NewScatter(w, tupleCodec, tupleKey)
 		if words {
 			s.KeyUint64(func(v tuple) uint64 { return v.First })
 		}
+		var err error
 		if batch {
 			err = s.WriteBatch(stream)
 		} else {
@@ -231,16 +200,14 @@ func TestMapAdoptedInsideBlock(t *testing.T) {
 			want, got := run(t, words, false), run(t, words, true)
 			for leaf, recs := range got.parts {
 				for _, v := range recs {
-					pm := base
-					if v.Second >= adoptAt {
-						pm = refined
-					}
-					if at := pm.Route(key(v.First), int(v.Second)); at != leaf {
-						t.Fatalf("record %d (key %d) is in %s; the map in force at it says %s", v.Second, v.First, leaf, at)
+					if at := refined.Route(key(v.First), int(v.Second)); at != leaf {
+						t.Fatalf("record %d (key %d) is in %s; the map says %s", v.Second, v.First, leaf, at)
 					}
 				}
 			}
-			if len(got.parts["e.h0.s1"]) == 0 || len(got.parts) != len(refined.Leaves()) {
+			// Every leaf fills but the split base partition, which no
+			// record routes to.
+			if len(got.parts["e.h0.s1"]) == 0 || len(got.parts) != len(refined.Leaves())-1 {
 				t.Fatalf("records in %d of the refined map's %d leaves", len(got.parts), len(refined.Leaves()))
 			}
 			if fmt.Sprint(got.parts) != fmt.Sprint(want.parts) {

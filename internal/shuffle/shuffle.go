@@ -7,32 +7,26 @@
 // a PartitionMap; the consumer task gets one worker per physical partition,
 // so consumers pull from disjoint bags instead of contending on a single
 // monolithic bag. Producers feed key counts into a per-edge count-min sketch
-// (see internal/sketch), and a later run warm-starts from what it saw: its
-// seed map (WarmStart) isolates each heavy-hitter key into a dedicated bag
-// ("<bag>.h<k>", optionally spread record-wise over "<bag>.h<k>.s<j>" when
-// the edge declares per-key atomicity unnecessary) and keeps the
-// sub-partitions ("<bag>.p<i>.s<j>") of the map it starts from. A map
-// version above the base is published twice (Publish): appended to an
-// ordinary bag ("<bag>!pmap"), the durable history a recovered master
-// replays, and left on the edge's home storage slot, where each producer's periodic control exchange — one OpSketch call
-// that also delivers the producer's statistics — picks it up. Both are
-// plain storage-protocol traffic, so the mechanism works unchanged over the
-// in-process and TCP transports.
+// (see internal/sketch) and push their statistics to the edge's home
+// storage slot, one OpSketch call at a time, for the master to fetch; a
+// later run warm-starts from what it saw. Its seed map (WarmStart) isolates
+// each heavy-hitter key into a dedicated bag ("<bag>.h<k>", optionally
+// spread record-wise over "<bag>.h<k>.s<j>" when the edge declares per-key
+// atomicity unnecessary) and keeps the sub-partitions ("<bag>.p<i>.s<j>")
+// of the map it starts from. An edge's map is fixed when its job is
+// submitted: the seed, or the base map every party derives locally. No map
+// travels over the storage protocol.
 //
 // Correctness invariant: every record is routed to exactly one physical
-// bag, every physical bag in the final map is sealed by the master and
+// bag, every physical bag of the edge's map is sealed by the master and
 // drained by its owner and any clones sharing it, each chunk by exactly
-// one of them, so no record is lost or duplicated (a newer map only
-// redirects records not yet written).
+// one of them, so no record is lost or duplicated.
 package shuffle
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/bag"
 )
 
 // FNV-1a constants. The hash loops are open-coded rather than built on
@@ -138,30 +132,12 @@ func EdgeOf(leaf string) string {
 	return leaf
 }
 
-// PMapBag names the control bag that holds an edge's partition-map
-// history: every published version, in order, for a recovered master to
-// replay. Producers do not read it; they learn of new versions through
-// their control exchange with the edge's home slot.
-func PMapBag(bag string) string { return bag + "!pmap" }
-
-// Publish makes a partition map (a warm-start seed) take
-// effect for its edge, pm.Bag: durable history first, then the home slot
-// producers exchange with — a producer must never route by a map that a
-// recovered master would not also find. Every publisher goes through here.
-func Publish(ctx context.Context, store *bag.Store, pm *PartitionMap) error {
-	data := pm.Encode()
-	if err := store.Bag(PMapBag(pm.Bag)).Insert(ctx, data); err != nil {
-		return err
-	}
-	return store.PublishSketchMap(ctx, pm.Bag, pm.Version, data)
-}
-
 // Isolation diverts one heavy-hitter key (identified by KeyHash) to a
 // dedicated bag. Fan > 1 spreads the key's records round-robin over fan
 // bags — only valid on edges whose consumer declared record-level
 // parallelism safe (BagSpec.Spread). Key carries the raw key bytes when
 // the isolating party knew them. Routing only ever consults Hash; the
-// bytes make a published map say which key it isolated.
+// bytes make a map say which key it isolated.
 type Isolation struct {
 	Hash uint64 `json:"hash"`
 	Fan  int    `json:"fan"`
@@ -169,9 +145,9 @@ type Isolation struct {
 }
 
 // PartitionMap is the routing table of one shuffle edge. Version 1 is the
-// plain hash layout; a seed publishes a higher version. Maps only ever
-// *add* physical bags, so the physical bags of
-// version v are a subset of those of any later version.
+// plain hash layout; a seed carries a higher version. A seed only *adds*
+// physical bags to the base map of its edge: it keeps Base, so the base
+// partitions are leaves of every map of the edge.
 type PartitionMap struct {
 	Version int    `json:"version"`
 	Bag     string `json:"bag"`
@@ -186,8 +162,7 @@ type PartitionMap struct {
 }
 
 // BaseMap returns version 1 of an edge's map: plain hash partitioning over
-// parts partitions. All parties derive it locally, so an edge that is
-// never split needs no control traffic at all.
+// parts partitions, which every party of an unseeded edge derives locally.
 func BaseMap(bag string, parts int) *PartitionMap {
 	if parts < 1 {
 		parts = 1
@@ -221,9 +196,6 @@ type RouteRef struct {
 }
 
 // RefName formats the physical bag name a ref addresses under this map.
-// Refs stay name-stable across map refinements (refinements only add
-// partitions and never change an isolation's fan), so cached names remain
-// valid when a writer adopts a newer version.
 func (pm *PartitionMap) RefName(ref RouteRef) string {
 	if ref.Iso >= 0 {
 		return IsolatedBag(pm.Bag, ref.Iso, ref.Part, pm.Isolated[ref.Iso].Fan)
@@ -279,11 +251,9 @@ func (pm *PartitionMap) BasePartitionIndex(leaf string) (int, bool) {
 
 // Leaves returns every physical bag of the current map, in deterministic
 // order. The master schedules one consumer worker per leaf and seals every
-// leaf when the edge's producers finish. A split base partition remains a
-// leaf alongside its sub-partitions: records routed to it before the split
-// (or by producers still on an older map version) live there and need
-// their own consumer — that residue is never re-shuffled, only future
-// records divert.
+// leaf when the edge's producers finish. A split base partition stays a
+// leaf beside its sub-partitions, although no record routes to it: its
+// consumer finds it sealed and empty.
 func (pm *PartitionMap) Leaves() []string {
 	var out []string
 	for p := 0; p < pm.Base; p++ {
@@ -307,7 +277,7 @@ func (pm *PartitionMap) Leaves() []string {
 	return out
 }
 
-// Clone returns a deep copy (the master mutates a copy, then publishes).
+// Clone returns a deep copy.
 func (pm *PartitionMap) Clone() *PartitionMap {
 	cp := *pm
 	if pm.Splits != nil {
@@ -331,13 +301,10 @@ func (pm *PartitionMap) Encode() []byte {
 
 const maxLeaves = 1 << 12 // far more consumer workers than an edge has
 
-// DecodePartitionMap parses an encoded partition map, refusing one of more
-// than maxLeaves leaves: a corrupt record must not make its reader list more.
-func DecodePartitionMap(data []byte) (*PartitionMap, error) {
-	var pm PartitionMap
-	if err := json.Unmarshal(data, &pm); err != nil {
-		return nil, fmt.Errorf("shuffle: bad partition map record: %w", err)
-	}
+// Validate refuses a map without a base partition or of more than
+// maxLeaves leaves, whatever its source: a corrupt record or a seed must
+// not make the edge's master list more.
+func (pm *PartitionMap) Validate() error {
 	n := min(pm.Base, maxLeaves+1) // at least len(pm.Leaves()), without listing them
 	for _, fan := range pm.Splits {
 		n += min(max(fan, 0), maxLeaves+1)
@@ -346,7 +313,19 @@ func DecodePartitionMap(data []byte) (*PartitionMap, error) {
 		n += min(max(iso.Fan, 1), maxLeaves+1)
 	}
 	if pm.Base < 1 || n > maxLeaves {
-		return nil, fmt.Errorf("shuffle: partition map with base %d and %d leaves or more", pm.Base, n)
+		return fmt.Errorf("shuffle: partition map with base %d and %d leaves or more", pm.Base, n)
+	}
+	return nil
+}
+
+// DecodePartitionMap parses an encoded partition map and validates it.
+func DecodePartitionMap(data []byte) (*PartitionMap, error) {
+	var pm PartitionMap
+	if err := json.Unmarshal(data, &pm); err != nil {
+		return nil, fmt.Errorf("shuffle: bad partition map record: %w", err)
+	}
+	if err := pm.Validate(); err != nil {
+		return nil, err
 	}
 	return &pm, nil
 }

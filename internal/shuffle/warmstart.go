@@ -65,9 +65,8 @@ func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base 
 	if len(seed.Splits) == 0 && len(seed.Isolated) == 0 {
 		return nil
 	}
-	// Producers and the new master derive version 1 (the plain base map)
-	// locally; any published version above it wins, so the seed only needs
-	// to be ≥ 2.
+	// Version 1 is the plain base map every party derives locally; a seed
+	// is numbered above it and above the map it refines.
 	seed.Version++
 	if seed.Version < 2 {
 		seed.Version = 2

@@ -43,6 +43,9 @@ type WriterConfig struct {
 	Edge string
 	// Parts is the edge's base partition count.
 	Parts int
+	// Map is the edge's seed map, fixed when its job was submitted (the
+	// engine fills it in). Nil means BaseMap(Edge, Parts).
+	Map *PartitionMap
 	// WriterID identifies this producer worker for cumulative sketch
 	// pushes (typically the worker's blueprint ID).
 	WriterID string
@@ -52,8 +55,7 @@ type WriterConfig struct {
 	// interval. Zero means DefaultStatsInterval.
 	StatsInterval time.Duration
 	// Obs, when set, receives the edge's record/byte counters (flushed at
-	// Close, off the per-record hot path) and map-adoption trace events.
-	// Job labels the series.
+	// Close, off the per-record hot path). Job labels the series.
 	Obs *obs.Observer
 	Job string
 	// OnSpans, when set, is invoked once at Close with the writer's
@@ -83,12 +85,11 @@ type leafOut struct {
 // Insertion (InsertBatchChunk) takes the chunks those records were encoded
 // into — by a Scatter's leaf encoders, whatever the layout — and owns the
 // per-leaf inserters and record counts. Its whole control plane is one
-// exchange with the edge's home slot (bag.Store.ExchangeSketch): it leaves
-// its cumulative stats there for the master and gets back the newest
-// partition map if the master has published one since. The exchange is
-// gated on time, not on records — before the first record, then at most
-// once per gate at a tick, and once more at Close — so its cost follows the
-// master's decision cadence whatever the record rate. A Writer is used by
+// push to the edge's home slot (bag.Store.ExchangeSketch): it leaves its
+// cumulative stats there for the master. The push is gated on time, not on
+// records — at most once per gate at a tick, the first one gate after
+// NewWriter, and once more at Close — so its cost follows the master's
+// decision cadence whatever the record rate. A Writer is used by
 // one producer worker goroutine; concurrent producer workers each create
 // their own (their stats merge storage-side).
 type Writer struct {
@@ -102,9 +103,7 @@ type Writer struct {
 	mask  uint64  // base-1 when base is a power of two above one, else 0
 	kb    [8]byte // a uint64 key's bytes, for routeRefined
 
-	// outs caches one insert pipeline per routing decision. RouteRefs are
-	// name-stable across map versions (refinements only add partitions),
-	// so the cache survives map adoption.
+	// outs caches one insert pipeline per routing decision.
 	outs map[RouteRef]*leafOut
 	// raw is the scatter behind Write: records that are already bytes.
 	raw *Scatter[[]byte]
@@ -119,7 +118,7 @@ type Writer struct {
 	batches uint64 // of those chunks, the batch-layout ones
 
 	gate      time.Duration // minimum gap between exchanges
-	exchanged time.Time     // when the last exchange started; zero before the first
+	exchanged time.Time     // when the last exchange started, or NewWriter ran
 	statsLen  int           // size of the last stats blob, to size the next
 
 	// Routing scratch (route.go): the routing vector of the last
@@ -133,27 +132,31 @@ type Writer struct {
 	flushNS int64 // see timed
 }
 
-// NewWriter creates a writer for the edge. The initial routing table is
-// the locally derived base map; newer versions are adopted from the
-// edge's home slot as the control exchange brings them.
+// NewWriter creates a writer for the edge, routing by cfg.Map for its whole
+// life.
 func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 	if cfg.StatsInterval <= 0 {
 		cfg.StatsInterval = DefaultStatsInterval
 	}
 	w := &Writer{
-		ctx:      ctx,
-		cfg:      cfg,
-		gate:     cfg.StatsInterval / exchangesPerInterval,
-		statsLen: 5 << 10, // first guess: a byte per fresh sketch counter, and change
-		outs:     make(map[RouteRef]*leafOut),
-		stats:    sketch.NewEdgeStats(),
-		heavyIdx: make(map[string]int),
+		ctx:       ctx,
+		cfg:       cfg,
+		gate:      cfg.StatsInterval / exchangesPerInterval,
+		statsLen:  5 << 10, // first guess: a byte per fresh sketch counter, and change
+		outs:      make(map[RouteRef]*leafOut),
+		stats:     sketch.NewEdgeStats(),
+		heavyIdx:  make(map[string]int),
+		exchanged: time.Now(),
 	}
-	w.adopt(BaseMap(cfg.Edge, cfg.Parts))
+	pm := cfg.Map
+	if pm == nil {
+		pm = BaseMap(cfg.Edge, cfg.Parts)
+	}
+	w.adopt(pm)
 	return w
 }
 
-// Map returns the writer's current partition map (for tests/inspection).
+// Map returns the writer's partition map (for tests/inspection).
 func (w *Writer) Map() *PartitionMap { return w.pm }
 
 // rawRecord frames records that are already encoded. It is row-only, so
@@ -254,46 +257,34 @@ func (w *Writer) noteHeavy(key []byte, est uint64) {
 
 // tick is the work a writer does once per tickEvery records, ahead of the
 // first of them: the exact key counts of the stretch just routed go to the
-// sketch, and the control exchange runs if it has never run (so the first
-// record already routes by the newest map, a warm-start seed included) or
-// its gate has passed.
+// sketch, and the control exchange runs if its gate has passed.
 func (w *Writer) tick() {
 	w.drainCounts()
-	if w.exchanged.IsZero() || time.Since(w.exchanged) >= w.gate {
+	if time.Since(w.exchanged) >= w.gate {
 		w.exchange()
 	}
 }
 
-// exchange leaves the writer's cumulative stats on the edge's home slot and
-// adopts the partition map that comes back, if one does. Per-leaf counts
-// live on the leaf pipelines during writing and are snapshotted here.
-// Best-effort throughout: detection is advisory, and routing by a stale map
-// is always correct, only less balanced.
+// exchange leaves the writer's cumulative stats on the edge's home slot;
+// a writer that has routed nothing has none to leave. Per-leaf counts live
+// on the leaf pipelines during writing and are snapshotted here.
+// Best-effort: detection is advisory, and a lost push costs the master
+// fresh statistics, never a record.
 func (w *Writer) exchange() {
 	w.exchanged = time.Now()
-	var stats []byte
-	if w.n > 0 {
-		// Leaves are only ever added, so refilling the one map leaves no
-		// stale entry behind.
-		for _, out := range w.outs {
-			w.stats.Counts[out.name] = out.count
-		}
-		// A blob of its own per exchange: the storage node keeps the one
-		// it is given (transport.Request.Data).
-		stats = w.stats.AppendTo(make([]byte, 0, w.statsLen+w.statsLen/8))
-		w.statsLen = len(stats)
-	}
-	newer, err := w.cfg.Store.ExchangeSketch(w.ctx, w.cfg.Edge, w.cfg.WriterID, stats, w.pm.Version)
-	if err != nil || len(newer) == 0 {
+	if w.n == 0 {
 		return
 	}
-	pm, err := DecodePartitionMap(newer)
-	if err != nil || pm.Bag != w.cfg.Edge || pm.Base != w.pm.Base || pm.Version <= w.pm.Version {
-		return // ignore foreign/corrupt/stale maps: refinements never change Base
+	// The leaves only grow, so refilling the one map leaves no stale entry
+	// behind.
+	for _, out := range w.outs {
+		w.stats.Counts[out.name] = out.count
 	}
-	w.adopt(pm)
-	w.cfg.Obs.Emit(obs.EvMapRevision, w.cfg.Job, w.cfg.Edge,
-		fmt.Sprintf("adopted version=%d writer=%s", pm.Version, w.cfg.WriterID))
+	// A blob of its own per exchange: the storage node keeps the one it is
+	// given (transport.Request.Data).
+	stats := w.stats.AppendTo(make([]byte, 0, w.statsLen+w.statsLen/8))
+	w.statsLen = len(stats)
+	_ = w.cfg.Store.ExchangeSketch(w.ctx, w.cfg.Edge, w.cfg.WriterID, stats)
 }
 
 // Close flushes the raw-record scatter's open chunks, waits for all

@@ -60,9 +60,13 @@ type Node struct {
 	draining bool
 
 	// sketches holds the control state of the shuffle edges homed on this
-	// node (see transport.OpSketch).
+	// node (see transport.OpSketch): per edge, each producer's latest
+	// cumulative stats blob, exactly as it arrived — producers push
+	// cumulative (not delta) stats, so a re-push replaces rather than
+	// accumulates, and only a fetch decodes and merges. The node never
+	// looks inside a blob on the push path.
 	sketchMu sync.Mutex
-	sketches map[string]*edgeState
+	sketches map[string]map[string][]byte // edge -> writer ID -> stats
 
 	newBackend func(bag string) (backend, error)
 
@@ -77,18 +81,6 @@ type Node struct {
 	// goroutine; the node only holds the handles for DebugHandler.
 	rec   atomic.Pointer[obs.Recorder]
 	watch atomic.Pointer[obs.Watch]
-}
-
-// edgeState is one shuffle edge's control state: each producer's latest
-// cumulative stats blob, exactly as it arrived — producers push cumulative
-// (not delta) stats, so a re-push replaces rather than accumulates, and
-// only a fetch decodes and merges — and the newest partition map the
-// master published, handed back to producers that hold an older version.
-// The node never looks inside either kind of blob on the exchange path.
-type edgeState struct {
-	writers     map[string][]byte
-	pmap        []byte
-	pmapVersion int64
 }
 
 // Option configures a Node.
@@ -110,7 +102,7 @@ func NewNode(name string, opts ...Option) *Node {
 	n := &Node{
 		name:     name,
 		bags:     make(map[string]*bagState),
-		sketches: make(map[string]*edgeState),
+		sketches: make(map[string]map[string][]byte),
 		newBackend: func(string) (backend, error) {
 			return &memBackend{}, nil
 		},
@@ -500,33 +492,21 @@ func (n *Node) handleRename(req *transport.Request) *transport.Response {
 	return &transport.Response{Status: transport.StatusOK}
 }
 
-// handleSketch serves the shuffle-edge control exchange; the four request
+// handleSketch serves the shuffle-edge control exchange; the three request
 // forms are described at transport.OpSketch. Edge state is advisory — it
 // only steers routing balance and what later runs warm-start from — so it
 // is deliberately not persisted.
 func (n *Node) handleSketch(req *transport.Request) *transport.Response {
 	switch {
 	case req.Dst != "":
-		// Producer exchange: keep the stats as received, answer with the
-		// map if the producer's is stale.
-		n.sketchMu.Lock()
-		defer n.sketchMu.Unlock()
-		es := n.edge(req.Bag)
+		// Producer push: keep the stats as received.
 		if len(req.Data) > 0 {
-			es.writers[req.Dst] = rightSize(req.Data)
-		}
-		resp := &transport.Response{Status: transport.StatusOK}
-		if es.pmapVersion > req.Arg {
-			resp.Data = es.pmap
-		}
-		return resp
-	case len(req.Data) > 0:
-		// Map publish. Versions only grow, so a late or repeated publish
-		// of an older map is dropped.
-		n.sketchMu.Lock()
-		defer n.sketchMu.Unlock()
-		if es := n.edge(req.Bag); req.Arg > es.pmapVersion {
-			es.pmap, es.pmapVersion = rightSize(req.Data), req.Arg
+			n.sketchMu.Lock()
+			if n.sketches[req.Bag] == nil {
+				n.sketches[req.Bag] = make(map[string][]byte)
+			}
+			n.sketches[req.Bag][req.Dst] = rightSize(req.Data)
+			n.sketchMu.Unlock()
 		}
 		return &transport.Response{Status: transport.StatusOK}
 	case req.Arg == transport.SketchClear:
@@ -536,26 +516,12 @@ func (n *Node) handleSketch(req *transport.Request) *transport.Response {
 		return &transport.Response{Status: transport.StatusOK}
 	}
 	n.sketchMu.Lock()
-	var blobs [][]byte
-	if es := n.sketches[req.Bag]; es != nil {
-		blobs = make([][]byte, 0, len(es.writers))
-		for _, b := range es.writers {
-			blobs = append(blobs, b)
-		}
+	blobs := make([][]byte, 0, len(n.sketches[req.Bag]))
+	for _, b := range n.sketches[req.Bag] {
+		blobs = append(blobs, b)
 	}
 	n.sketchMu.Unlock()
 	return &transport.Response{Status: transport.StatusOK, Data: mergeStats(blobs).AppendTo(nil)}
-}
-
-// edge returns the edge's control state, creating it. Callers hold
-// sketchMu.
-func (n *Node) edge(name string) *edgeState {
-	es := n.sketches[name]
-	if es == nil {
-		es = &edgeState{writers: make(map[string][]byte)}
-		n.sketches[name] = es
-	}
-	return es
 }
 
 // mergeStats decodes and merges the producers' stats blobs. Blobs are

@@ -485,10 +485,10 @@ func (h *Handle) submitter() {
 }
 
 // submitWindow submits the window job, its shuffle edges warm-started from
-// cross-window skew memory: the seeds travel in the submission, so the
-// window's own master publishes them into the namespace the scheduler
-// granted it and a rejected submission writes nothing. Submissions are
-// serialized because they all validate the one shared App template.
+// cross-window skew memory: the seeds travel in the submission, which fixes
+// them on the window's edges, and a rejected submission writes nothing.
+// Submissions are serialized because they all validate the one shared App
+// template.
 func (h *Handle) submitWindow(lw *window) error {
 	lw.res.Attempts++
 	if lw.res.SubmittedAt.IsZero() {

@@ -19,47 +19,33 @@ import (
 	"repro/internal/workload"
 )
 
-// windowWrite is one write a storage node received under a window
-// namespace: an insert (pm nil) or a partition-map publish on an edge's
-// home slot.
-type windowWrite struct {
-	bag string
-	pm  *shuffle.PartitionMap
-}
-
-// windowWrites is a storage handler that records, in arrival order, every
-// insert and every partition-map publish whose bag lies under a namespace
-// "<stream>.w<i>/".
+// windowWrites is a storage handler that records, in arrival order, the
+// bag of every insert under a namespace "<stream>.w<i>/".
 type windowWrites struct {
 	inner  transport.Handler
 	stream string
 
 	mu     sync.Mutex
-	writes []windowWrite
+	writes []string
 }
 
 func (l *windowWrites) Handle(req *transport.Request) *transport.Response {
-	publish := req.Op == transport.OpSketch && req.Dst == "" && len(req.Data) > 0
-	if (req.Op == transport.OpInsert || publish) && strings.HasPrefix(req.Bag, l.stream+".w") {
-		w := windowWrite{bag: req.Bag}
-		if publish {
-			w.pm, _ = shuffle.DecodePartitionMap(req.Data)
-		}
+	if req.Op == transport.OpInsert && strings.HasPrefix(req.Bag, l.stream+".w") {
 		l.mu.Lock()
-		l.writes = append(l.writes, w)
+		l.writes = append(l.writes, req.Bag)
 		l.mu.Unlock()
 	}
 	return l.inner.Handle(req)
 }
 
-// under returns the recorded writes whose bag starts with prefix.
-func (l *windowWrites) under(prefix string) []windowWrite {
+// under returns the recorded inserts whose bag starts with prefix.
+func (l *windowWrites) under(prefix string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []windowWrite
-	for _, w := range l.writes {
-		if strings.HasPrefix(w.bag, prefix) {
-			out = append(out, w)
+	var out []string
+	for _, bag := range l.writes {
+		if strings.HasPrefix(bag, prefix) {
+			out = append(out, bag)
 		}
 	}
 	return out
@@ -117,10 +103,10 @@ func newClickWindows(windows, perWindow int) (*sliceSource, []map[uint64]int64) 
 }
 
 // TestStreamSeedsTravelWithSubmission: a window's warm-start seeds reach
-// its edges one way — in the submission, published by the window's own
-// master once the scheduler has granted it the namespace. The stream never
-// writes a partition map itself, so a window whose name is taken leaves the
-// name's owner alone.
+// its edges one way — in the submission, fixed on the window's edges once
+// the scheduler has granted it the namespace. The stream writes nothing
+// under a window's name but its source records, so a window whose name is
+// taken leaves the name's owner alone.
 func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 	const (
 		windows   = 4
@@ -145,8 +131,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 		cluster, log := seedsCluster(t, "busy")
 		// A live job owns the second window's name: its producer runs
 		// until the test is over. Its partitioned edge has the name the
-		// window's would have, so a seed written there is one its
-		// producer would route by.
+		// window's would have.
 		owner := core.NewApp("owner")
 		owner.SourceBag("held")
 		owner.AddBag(core.BagSpec{Name: apps.ClickStreamShuf, Partitions: parts, Spread: true})
@@ -187,20 +172,19 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 		}
 		// The pump fills every window's source bag before the window is
 		// submitted; that is all the stream may write under a name. The
-		// rest is the owner's: its work bags, and no partition map, since
-		// it was submitted without seeds and refines nothing.
-		for _, w := range log.under("busy.w1/") {
-			source := strings.HasPrefix(w.bag, "busy.w1/"+apps.ClickStreamIn+"#")
-			work := strings.HasPrefix(w.bag, "busy.w1/owner!")
-			if w.pm != nil || !(source || work) {
-				t.Fatalf("the rejected window wrote into its name's live owner: %s (partition map: %v)", w.bag, w.pm != nil)
+		// rest is the owner's: its work bags.
+		for _, bag := range log.under("busy.w1/") {
+			source := strings.HasPrefix(bag, "busy.w1/"+apps.ClickStreamIn+"#")
+			work := strings.HasPrefix(bag, "busy.w1/owner!")
+			if !(source || work) {
+				t.Fatalf("the rejected window wrote into its name's live owner: %s", bag)
 			}
 		}
 	})
 
 	t.Run("seeds are the predecessor's warm start", func(t *testing.T) {
 		ctx := testCtx(t)
-		cluster, log := seedsCluster(t, "clicks")
+		cluster, _ := seedsCluster(t, "clicks")
 		src, want := newClickWindows(windows, perWindow)
 		h, err := stream.Run(ctx, cluster, spec("clicks", src))
 		if err != nil {
@@ -231,22 +215,17 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 				t.Fatalf("window %d: Seeded = %v", w, res.Seeded)
 			}
 			edge := res.Bag(apps.ClickStreamShuf)
-			var published []*shuffle.PartitionMap
-			for _, wr := range log.under(edge) {
-				if wr.pm != nil && wr.bag == edge {
-					published = append(published, wr.pm)
-				}
-			}
 			if w > 0 {
-				// The first map anyone publishes for the edge is the seed.
-				m := prev.Job().Master()
-				em := m.EdgeMemory()[prev.Bag(apps.ClickStreamShuf)]
+				// The window's edge ran on the warm start of its
+				// predecessor's memory.
+				em := prev.Job().Master().EdgeMemory()[prev.Bag(apps.ClickStreamShuf)]
 				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, shuffle.DefaultIsolateFraction, shuffle.DefaultFan, true)
-				if seed == nil || len(published) == 0 {
-					t.Fatalf("window %d: warm start %v, %d maps published", w, seed, len(published))
+				got := res.Job().Master().EdgeMemory()[edge].PMap
+				if seed == nil || got == nil {
+					t.Fatalf("window %d: warm start %v, edge map %v", w, seed, got)
 				}
-				if got := published[0]; !sameRouting(got, seed) {
-					t.Fatalf("window %d was seeded with %s, want the warm start of window %d: %s",
+				if !sameRouting(got, seed) {
+					t.Fatalf("window %d ran on %s, want the warm start of window %d: %s",
 						w, got.Encode(), w-1, seed.Encode())
 				}
 			}

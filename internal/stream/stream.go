@@ -25,7 +25,7 @@
 //   - cross-window skew memory: when a window finishes, its master's final
 //     partition maps and merged edge sketches (core.EdgeMemory) become seed
 //     maps via shuffle.WarmStart, and every later window's submission
-//     carries them (core.JobConfig.Seeds) for its own master to publish —
+//     carries them (core.JobConfig.Seeds) for its edges to route by —
 //     known-hot keys are pre-isolated instead of rediscovered
 //     from scratch inside every window, and the stream itself writes
 //     nothing into a window's namespace but its source records.

@@ -26,7 +26,7 @@ func within(sub, body []byte) bool {
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(EncodeRequest(nil, &Request{Op: OpInsert, Bag: "b#0", Data: []byte("chunk")}))
 	f.Add(EncodeRequest(nil, &Request{Op: OpSketch, Bag: "e", Dst: "t/w0@e0", Arg: 7, Data: []byte{1, 0, 0}}))
-	f.Add(EncodeRequest(nil, &Request{Op: OpReadAt, Bag: "e!pmap#1", Arg: -3}))
+	f.Add(EncodeRequest(nil, &Request{Op: OpReadAt, Bag: "e!ready#1", Arg: -3}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpInsert), 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -37,33 +37,29 @@ const (
 	OpAdvance               // move the read pointer forward monotonically (replica sync)
 	// OpSketch is the control exchange of one shuffle edge (Request.Bag),
 	// served by the edge's home slot. It is the only control traffic a
-	// producer generates, and it has four forms:
+	// producer generates, and it has three forms:
 	//
-	//   - producer exchange: Dst names the producer worker, Data is its
-	//     cumulative edge stats (partition counts + count-min sketch; empty
-	//     to report nothing yet) and Arg is the partition-map version the
-	//     producer routes by. The node keeps the blob as received, in place
-	//     of the producer's previous one — pushes are cumulative, so a
-	//     re-push replaces rather than double-counts — and the reply's Data
-	//     carries the newest published map if its version is above Arg.
-	//   - map publish: Dst is empty, Data is an encoded partition map and
-	//     Arg its version; the node keeps it if it is the newest it has seen.
-	//   - fetch: Dst and Data are empty, Arg is 0; the reply's Data is the
-	//     merge of every producer's stats, which the application master
-	//     reads to record the edge's heat and heavy keys.
-	//   - clear: Dst and Data are empty, Arg is SketchClear; the node
-	//     forgets the edge (job completion / failure recovery).
+	//   - producer push: Dst names the producer worker and Data is its
+	//     cumulative edge stats (partition counts + count-min sketch;
+	//     empty to report nothing). The node keeps the blob as received,
+	//     in place of the producer's previous one — pushes are
+	//     cumulative, so a re-push replaces rather than double-counts.
+	//   - fetch: Dst is empty and Arg is 0; the reply's Data is the merge
+	//     of every producer's stats, which the application master reads
+	//     to record the edge's heat and heavy keys.
+	//   - clear: Dst is empty and Arg is SketchClear; the node forgets the
+	//     edge (job completion / failure recovery).
 	OpSketch
 	// OpDeletePrefix garbage collects every bag (and every shuffle-edge
 	// sketch) whose name starts with Request.Bag. The multi-job scheduler
 	// uses it to discard a completed job's namespaced bags — work bags,
-	// partition maps, runtime-derived partition bags — without having to
+	// runtime-derived partition bags — without having to
 	// enumerate names it cannot know in advance.
 	OpDeletePrefix
 )
 
-// SketchClear, passed in Request.Arg of an OpSketch with neither producer
-// nor payload, drops the edge's state instead of fetching its stats.
+// SketchClear, passed in Request.Arg of an OpSketch without a producer,
+// drops the edge's state instead of fetching its stats.
 const SketchClear int64 = 1
 
 var opNames = map[Op]string{
@@ -85,7 +81,7 @@ func (o Op) String() string {
 type Request struct {
 	Op  Op
 	Bag string // target bag identifier
-	// Data is the payload: the chunk for OpInsert, a stats or map blob for
+	// Data is the payload: the chunk for OpInsert, a stats blob for
 	// OpSketch. It is immutable once the request is passed to a Client, and
 	// the receiving node may keep it: callers never write to it again.
 	Data []byte
