@@ -227,9 +227,9 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 				t.Fatalf("%s join produced %d matches, want %d", tc.name, len(got), want)
 			}
 			if tc.seeded {
-				// The scheduler must have published the seed map before the
-				// master started: the job's final edge memory carries the
-				// pre-isolated heavy keys.
+				// SubmitJob fixed the seed map on the job's edge, so the
+				// job's final edge memory carries the pre-isolated heavy
+				// keys.
 				mem := h.Master().EdgeMemory()
 				found := false
 				for _, em := range mem {

@@ -122,11 +122,10 @@ func (b *Bag) Poll(ctx context.Context) (chunk.Chunk, error) {
 	empty := 0
 	for i := 0; i < m; i++ {
 		slot := b.perm[(start+i)%m]
-		resp, served, err := b.removeFromSlot(ctx, slot)
+		resp, _, err := b.removeFromSlot(ctx, slot)
 		if err != nil {
 			return nil, err
 		}
-		_ = served
 		switch resp.Status {
 		case transport.StatusOK:
 			return resp.Data, nil
@@ -272,8 +271,8 @@ func newConsumer(b *Bag) *consumer {
 	return c
 }
 
-// nextSlotLocked returns the next live slot in cyclic permutation order,
-// or -1 when all slots are retired.
+// nextSlot returns the next live slot in cyclic permutation order, or -1
+// when all slots are retired. It takes c.mu itself.
 func (c *consumer) nextSlot() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

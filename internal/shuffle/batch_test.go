@@ -169,9 +169,9 @@ func checkRoundRobinEstimates(t *testing.T, est *sketch.EdgeStats, keys, n int) 
 
 // BenchmarkRouteUint64 is the routing path's per-record cost on a
 // Zipf(1.3) key stream over 2^16 keys: hash, route, the exact key count of
-// every record, and per stretch of 1,024 records one pass over the count
-// table that feeds the sketch the stretch's heavy keys — about seventeen of
-// its 330.
+// every record, and per stretch of 1,024 records a drain that feeds the
+// sketch the stretch's heavy keys — a median of 9 (5–12) of its 258
+// distinct keys.
 func BenchmarkRouteUint64(b *testing.B) {
 	st := newTestStore(b, 1, 0)
 	keys := routeBenchKeys()

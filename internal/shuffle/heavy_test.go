@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -292,6 +293,95 @@ func TestRouteAllocsPerRecord(t *testing.T) {
 		t.Logf("%s: %d sketch feeds for %d records (%.4f per record)", edge, feeds, records, float64(feeds)/float64(records))
 		if records != w.n || feeds == 0 || feeds*heavyAdmitFraction > records {
 			t.Errorf("%s: the writer routed %d records; want that many counted and one feed per %d at most", edge, w.n, heavyAdmitFraction)
+		}
+	}
+}
+
+// TestStretchIsTickEvery: the count table closes a stretch every tickEvery
+// records and at no other point, however many distinct keys the stretch
+// holds, and each drain feeds exactly the keys that an exact count of its
+// stretch puts at or over 1/stretchFeedFraction of it, with those counts.
+// The streams are all-distinct keys (tickEvery per stretch) and the
+// routing microbenchmark's, each through Write and through WriteBatch in
+// batches that cut neither at ticks nor at scatter blocks; the last run
+// starts the table's stamps two drains short of their wrap.
+func TestStretchIsTickEvery(t *testing.T) {
+	distinct := make([]uint64, 16*tickEvery)
+	for i := range distinct {
+		distinct[i] = uint64(i)
+	}
+	type drain struct {
+		at  uint64
+		fed map[uint64]uint64
+	}
+	for name, keys := range map[string][]uint64{"distinct": distinct, "routeBenchKeys": routeBenchKeys()[:64*tickEvery]} {
+		var want []drain
+		for lo := 0; lo < len(keys); lo += tickEvery {
+			count, fed := make(map[uint64]uint64), make(map[uint64]uint64)
+			for _, k := range keys[lo : lo+tickEvery] {
+				count[k]++
+			}
+			for k, n := range count {
+				if n*stretchFeedFraction >= tickEvery {
+					fed[k] = n
+				}
+			}
+			want = append(want, drain{uint64(lo + tickEvery), fed})
+		}
+		for _, api := range []string{"Write", "WriteBatch", "WriteBatch/wrap"} {
+			t.Run(name+"/"+api, func(t *testing.T) {
+				var got []drain
+				drainSeen = func(w *Writer, fed []sketch.HeavyKey) {
+					d := drain{w.drained, make(map[uint64]uint64)}
+					for _, h := range fed {
+						d.fed[binary.LittleEndian.Uint64(h.Key)] = h.Count
+					}
+					got = append(got, d)
+				}
+				defer func() { drainSeen = nil }()
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				if api == "WriteBatch/wrap" {
+					w.floor = math.MaxUint32 - 2*countTabSlots + 1
+				}
+				if api == "Write" {
+					for _, k := range keys {
+						if err := w.Write(key(k), []byte("r")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					s := NewScatter(w, tupleCodec, nil)
+					s.KeyUint64(func(v tuple) uint64 { return v.First })
+					batch := make([]tuple, 0, 1000)
+					for lo := 0; lo < len(keys); lo += cap(batch) {
+						batch = batch[:0]
+						for _, k := range keys[lo:min(lo+cap(batch), len(keys))] {
+							batch = append(batch, tuple{First: k})
+						}
+						if err := s.WriteBatch(batch); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < max(len(got), len(want)); i++ {
+					switch {
+					case i >= len(want):
+						t.Fatalf("drain %d at record %d, past the stream's %d stretches", i, got[i].at, len(want))
+					case i >= len(got):
+						t.Fatalf("%d drains, want %d: none at record %d", len(got), len(want), want[i].at)
+					case got[i].at != want[i].at:
+						t.Fatalf("drain %d at record %d, want %d", i, got[i].at, want[i].at)
+					case fmt.Sprint(got[i].fed) != fmt.Sprint(want[i].fed):
+						t.Fatalf("the drain at record %d fed %v (key: count), an exact count of the stretch puts %v over the line", got[i].at, got[i].fed, want[i].fed)
+					}
+				}
+			})
 		}
 	}
 }

@@ -3,14 +3,16 @@ package shuffle
 import (
 	"bytes"
 	"encoding/binary"
+
+	"repro/internal/sketch"
 )
 
 // Routing and exact key counting: the per-record half of a Writer. Every
 // record of every write API takes one step here (step): tick when a stretch
 // is due, route by the shape the map was adopted with, and count
 // the key — hashed once by the caller — in an exact table. The table covers
-// one stretch of the stream at a time, and the stretches end at points set
-// by the record stream alone — so one stream leaves one sketch and one
+// one stretch of the stream at a time, and every stretch is tickEvery
+// records, whatever keys it holds — so one stream leaves one sketch and one
 // heavy-key list however it was cut into calls.
 //
 // What the statistics cost is what the heavy keys cost. Every record is
@@ -24,8 +26,10 @@ import (
 // to share its cells — and a candidate's count is never below the key's
 // true count by more than records/stretchFeedFraction.
 
-// tickEvery is how many records a writer routes between ticks: the end of
-// the count table's stretch and a look at the exchange gate.
+// tickEvery is how many records a writer routes between ticks, each a look
+// at the exchange gate and the end of a stretch of the count table: the
+// table has room for tickEvery distinct keys (countTabSlots), so no stretch
+// ends early.
 const tickEvery = 1024
 
 // adopt makes pm the writer's routing table and decides the routing shape
@@ -45,7 +49,7 @@ func (w *Writer) adopt(pm *PartitionMap) {
 
 // step is the per-record path, whole: tick when a stretch is due, route,
 // count, advance — for every record of every write API (WriteBatch's loop
-// inlines its common case). hash is KeyHash of the key's bytes. A uint64 key
+// has it inline). hash is KeyHash of the key's bytes. A uint64 key
 // passes key nil, its word as key8 and klen 8: its bytes materialize only
 // under a refined map, and at a drain for the keys it feeds.
 func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
@@ -54,17 +58,22 @@ func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef
 	}
 	ref := RouteRef{Iso: -1, Part: w.routePlain(hash), Sub: -1}
 	if !w.plain {
-		if len(key) != int(klen) { // a uint64 key
-			binary.LittleEndian.PutUint64(w.kb[:], key8)
-			key = w.kb[:]
-		}
-		ref = w.pm.routeRefHashed(key, hash, int(w.n)) // the ordinal spreads an isolated key
+		ref = w.routeRefined(key, key8, klen, hash)
 	}
 	if !w.countHit(key8, klen, hash) {
 		w.countKey(key, key8, klen, hash)
 	}
 	w.n++
 	return ref
+}
+
+// routeRefined is a key's route under a map with splits or isolations.
+func (w *Writer) routeRefined(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
+	if len(key) != int(klen) { // a uint64 key
+		binary.LittleEndian.PutUint64(w.kb[:], key8)
+		key = w.kb[:]
+	}
+	return w.pm.routeRefHashed(key, hash, int(w.n)) // the ordinal spreads an isolated key
 }
 
 // routePlain is a key's base partition under a plain map.
@@ -102,25 +111,35 @@ func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	return refs
 }
 
-// countTabSlots sizes the count table. Power of two; a stretch claims at
-// most countTabSlots/2 of its slots before an early drain. A skewed stretch
-// of tickEvery records rarely has that many distinct keys, so the steady
-// state is one drain per tick, and the whole table (8 KB) stays in L1
-// beside the leaf encoders.
-const countTabSlots = 512
+// countTabSlots sizes the count table (16 bytes a slot): a power of two,
+// and twice tickEvery, so that a stretch — at most tickEvery distinct keys —
+// never fills it, and linear probes stay short at the half-full worst case.
+// Measured distinct keys per stretch (median, and range): 258 (226–297) on
+// routeBenchKeys' Zipf(1.3) over 2^16 keys; at seed 47, 259 (218–298) in
+// the groupby producers of benchmark/, 245 (206–280) in its join's and
+// 34 (24–45) in its Zipf(2) groupby over 64 keys. Half the Zipf(1.3)
+// stretches hold more than 256 keys: a table sized for "rarely more" would
+// cut them short.
+const countTabSlots = 2 * tickEvery
+
+// feedLine is the count that feeds a key of a full stretch to the sketch:
+// tickEvery/stretchFeedFraction records.
+const feedLine = tickEvery / stretchFeedFraction
 
 // countSlot is one entry of the key count table: what identifies a key and
-// how often the stretch held it. n doubles as the occupancy marker (an
-// occupied slot counts at least one record, and a stretch is at most
-// tickEvery records). key8 holds the first min(klen,8) key bytes inline
-// (little-endian, zero-padded): with klen it identifies a key of at most 8
-// bytes — the common case, e.g. Uint64Key — completely, so the equality
-// check is two register compares. The bytes of a longer key live in
-// Writer.long under the slot's index.
+// how often the current stretch held it. key8 holds the first min(klen,8)
+// key bytes inline (little-endian, zero-padded): with klen it identifies a
+// key of at most 8 bytes — the common case, e.g. Uint64Key — completely, so
+// the equality check is two register compares. The bytes of a longer key
+// live in Writer.long under the slot's index. c stamps the slot against
+// Writer.floor, a multiple of countTabSlots: a slot stamped above the floor
+// holds a key of the current stretch, counted c - floor (= c%countTabSlots)
+// times, and any other slot is free. A drain frees the table by raising the
+// floor past every stamp, so no pass resets it.
 type countSlot struct {
 	key8 uint64
 	klen int32
-	n    uint32
+	c    uint32
 }
 
 // slotKey8 packs key's first bytes for countSlot.key8.
@@ -137,50 +156,47 @@ func slotKey8(key []byte) uint64 {
 
 // countHit counts a record at the first slot its hash probes — holding its
 // key, or free and claimed for it — or reports false, having done nothing,
-// and countKey probes on. Hits and claims alternate unpredictably (a third
-// of a Zipf(1.3) stretch are first sightings), so it takes either without a
-// branch; it makes no call, so it inlines into step and WriteBatch.
+// and countKey probes on. Hits and claims alternate unpredictably (a
+// quarter of a Zipf(1.3) stretch are first sightings), so it takes either
+// without a branch: a free slot's stamp reads as the floor, a count of 0.
+// It makes no call, so it inlines into step and WriteBatch.
 func (w *Writer) countHit(key8 uint64, klen int32, hash uint64) bool {
-	s := &w.tab[hash&(countTabSlots-1)]
-	if klen > 8 || w.nlive == len(w.live) || min(uint64(s.n), s.key8^key8|uint64(uint32(s.klen^klen))) != 0 {
+	s := &w.tab[hash%countTabSlots]
+	c := max(s.c, w.floor)
+	if klen > 8 || min(uint64(c%countTabSlots), s.key8^key8|uint64(uint32(s.klen^klen))) != 0 {
 		return false
 	}
-	w.live[w.nlive] = int32(hash & (countTabSlots - 1))
-	w.nlive += 1 - int(min(s.n, 1)) // a claim keeps the entry
-	s.key8, s.klen = key8, klen
-	s.n++
+	s.key8, s.klen, s.c = key8, klen, c+1
+	if c%countTabSlots == feedLine-1 {
+		w.hot[w.nhot] = uint16(hash % countTabSlots)
+		w.nhot++
+	}
 	return true
 }
 
 // countKey adds one record to its key's exact count for the current
-// stretch where countHit cannot: past other keys' slots, for a long key, on
-// a full table. A short key's bytes are not read here; a drain rebuilds
-// them from the slot for the few keys it feeds.
+// stretch where countHit cannot: past other keys' slots, or for a long key.
+// A short key's bytes are not read here; a drain rebuilds them from the
+// slot for the few keys it feeds.
 func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
-	for i := hash & (countTabSlots - 1); ; i = (i + 1) & (countTabSlots - 1) {
+	for i := hash % countTabSlots; ; i = (i + 1) % countTabSlots {
 		s := &w.tab[i]
-		if s.n == 0 {
-			if w.nlive == len(w.live) {
-				// High key cardinality: close the stretch early and reuse
-				// the table. Only a claim gets here, so a full table of
-				// repeating keys counts on to the tick.
-				w.drainCounts()
-				i = hash & (countTabSlots - 1)
-				s = &w.tab[i]
-			}
-			s.key8, s.klen, s.n = key8, klen, 1
+		if s.c <= w.floor {
+			s.key8, s.klen, s.c = key8, klen, w.floor+1
 			if klen > 8 {
 				if w.long == nil {
 					w.long = make([][]byte, countTabSlots)
 				}
 				w.long[i] = append(w.long[i][:0], key...)
 			}
-			w.live[w.nlive] = int32(i)
-			w.nlive++
 			return
 		}
 		if s.key8 == key8 && s.klen == klen && (klen <= 8 || bytes.Equal(w.long[i], key)) {
-			s.n++
+			s.c++
+			if s.c%countTabSlots == feedLine {
+				w.hot[w.nhot] = uint16(i)
+				w.nhot++
+			}
 			return
 		}
 	}
@@ -188,7 +204,7 @@ func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
 
 // slotKey returns the bytes of the key counted in slot i, good until the
 // next call: a long key's stored copy, a short key's rebuilt from key8.
-func (w *Writer) slotKey(i int32, s *countSlot) []byte {
+func (w *Writer) slotKey(i int, s *countSlot) []byte {
 	if s.klen > 8 {
 		return w.long[i]
 	}
@@ -200,18 +216,51 @@ func (w *Writer) slotKey(i int32, s *countSlot) []byte {
 // Of the table's exact per-key counts it feeds the edge's count-min sketch,
 // and offers to the heavy-key list, only the keys that took at least
 // m/stretchFeedFraction of the stretch — at most stretchFeedFraction keys,
-// whatever the stretch's cardinality — and then resets the table.
+// whatever the stretch's cardinality — and then frees the table by raising
+// its floor. A stretch that a tick closes is tickEvery records, and its keys
+// over the line are the ones counting saw reach feedLine; only the shorter
+// last stretch, closed by Close, takes a pass over the table.
 func (w *Writer) drainCounts() {
 	m := w.n - w.drained
-	w.drained = w.n
-	for _, i := range w.live[:w.nlive] {
-		s := &w.tab[i]
-		if n := uint64(s.n); n*stretchFeedFraction >= m {
-			key := w.slotKey(i, s)
-			w.noteHeavy(key, w.stats.CM.Add(key, n))
-			w.feeds++
-		}
-		s.n = 0
+	if m == 0 {
+		return
 	}
-	w.nlive = 0
+	w.drained = w.n
+	var seen []sketch.HeavyKey // for drainSeen
+	feed := func(i int) {
+		s := &w.tab[i]
+		n := uint64(s.c - w.floor)
+		key := w.slotKey(i, s)
+		w.noteHeavy(key, w.stats.CM.Add(key, n))
+		w.feeds++
+		if drainSeen != nil {
+			seen = append(seen, sketch.HeavyKey{Key: bytes.Clone(key), Count: n})
+		}
+	}
+	if m == tickEvery {
+		for _, i := range w.hot[:w.nhot] {
+			feed(int(i))
+		}
+	} else {
+		for i := range w.tab {
+			if c := w.tab[i].c; c > w.floor && uint64(c-w.floor)*stretchFeedFraction >= m {
+				feed(i)
+			}
+		}
+	}
+	if drainSeen != nil {
+		drainSeen(w, seen)
+	}
+	w.nhot = 0
+	w.floor += countTabSlots
+	if w.floor == 0 { // wrapped: every stamp is above it
+		for i := range w.tab {
+			w.tab[i].c = 0
+		}
+	}
 }
+
+// drainSeen, when set, sees every drain that closes a stretch, with the
+// keys it fed and their counts in the stretch; w.drained is where the
+// stretch ended. Only tests set it.
+var drainSeen func(w *Writer, fed []sketch.HeavyKey)

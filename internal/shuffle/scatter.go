@@ -65,8 +65,9 @@ func (s *Scatter[T]) Write(v T) error {
 
 // WriteBatch routes vs and appends each leaf's rows, in stream order, with
 // one AppendRows per leaf per block. A block is routed, counted and grouped
-// in one pass: each record takes the writer's step — a tick inside a block
-// comes before the next record — and its index goes to its leaf.
+// in one pass: each record takes the writer's step, inline — a tick inside
+// a block comes before the next record, and the count probes once — and
+// its index goes to its leaf.
 func (s *Scatter[T]) WriteBatch(vs []T) error {
 	w := s.w
 	for len(vs) > 0 {
@@ -81,13 +82,18 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 				key = s.key(blk[i])
 				key8, klen, hash = slotKey8(key), int32(len(key)), KeyHash(key)
 			}
-			ref := RouteRef{Iso: -1, Sub: -1}
-			if w.plain && w.n%tickEvery != 0 && w.countHit(key8, klen, hash) {
-				ref.Part = w.routePlain(hash) // step's common case, without a call
-				w.n++
-			} else {
-				ref = w.step(key, key8, klen, hash)
+			// Writer.step, without a call.
+			if w.n%tickEvery == 0 {
+				w.tick()
 			}
+			ref := RouteRef{Iso: -1, Part: w.routePlain(hash), Sub: -1}
+			if !w.plain {
+				ref = w.routeRefined(key, key8, klen, hash)
+			}
+			if !w.countHit(key8, klen, hash) {
+				w.countKey(key, key8, klen, hash)
+			}
+			w.n++
 			var l *scatterLeaf[T]
 			if ref.Iso < 0 && ref.Sub < 0 && ref.Part < len(s.base) {
 				l = s.base[ref.Part] // the common case, without a call

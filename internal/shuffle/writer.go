@@ -125,9 +125,10 @@ type Writer struct {
 	// PartitionBatchUint64 and the exact key count table between drains.
 	refs  []RouteRef
 	tab   [countTabSlots]countSlot
-	long  [][]byte                 // per tab slot, the bytes of a key longer than 8; nil until one is counted
-	live  [countTabSlots / 2]int32 // occupied tab slots in claim order, for drain + reset
-	nlive int                      // of live, the slots claimed this stretch
+	long  [][]byte    // per tab slot, the bytes of a key longer than 8; nil until one is counted
+	floor uint32      // a slot stamped above it holds a key of this stretch
+	hot   [256]uint16 // slots whose count reached feedLine this stretch, in that order
+	nhot  uint8       // of hot, the slots listed: at most stretchFeedFraction, and a uint8 indexes hot unchecked
 
 	flushNS int64 // see timed
 }
@@ -343,7 +344,8 @@ func (w *Writer) flushMetrics() {
 	w.cfg.Obs.Counter("hurricane_shuffle_records_total", labels...).Add(w.n)
 	w.cfg.Obs.Counter("hurricane_shuffle_bytes_total", labels...).Add(w.bytes)
 	// Feeds over records is the share of the stream that paid for a sketch
-	// update: at most 1/heavyAdmitFraction once stretches are full.
+	// update: at most 1/heavyAdmitFraction over the full stretches, every one
+	// but the last.
 	w.cfg.Obs.Counter("hurricane_shuffle_sketch_feeds_total", labels...).Add(w.feeds)
 	if w.batches > 0 {
 		w.cfg.Obs.Counter("hurricane_chunk_batches_total", labels...).Add(w.batches)
