@@ -361,7 +361,7 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 
 // DeletePrefix garbage collects every bag whose name starts with prefix
 // on every storage node — including slot bags of names derived at
-// runtime (partition splits, isolated-key bags, clone partials) that the
+// runtime (partition bags, isolated-key bags, clone partials) that the
 // caller cannot enumerate. The multi-job scheduler uses it to discard a
 // completed job's namespace in one sweep. Down nodes are skipped: a bag
 // they held is unreachable anyway, and replicas (if any) are covered by

@@ -52,30 +52,6 @@ func TestDrainingNodeRejectsInserts(t *testing.T) {
 	}
 }
 
-// TestBagWriterHelper: the Bag.Writer convenience frames records and
-// inserts completed chunks.
-func TestBagWriterHelper(t *testing.T) {
-	st, _, _ := newCluster(t, 4)
-	ctx := context.Background()
-	b := st.Bag("framed")
-	w := b.Writer(ctx)
-	for i := 0; i < 100; i++ {
-		if err := w.Append([]byte{byte(i), byte(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := st.Sample(ctx, "framed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalBytes == 0 || stats.TotalChunks == 0 {
-		t.Fatalf("writer inserted nothing: %+v", stats)
-	}
-}
-
 // TestMarkUpRestoresPrimary: after MarkDown diverts to a backup, MarkUp
 // restores the original routing.
 func TestMarkUpRestoresPrimary(t *testing.T) {

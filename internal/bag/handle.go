@@ -206,15 +206,6 @@ func (b *Bag) syncPointer(ctx context.Context, slot int, pos int64, servedBy str
 	return nil
 }
 
-// Writer returns a chunk.Writer that frames records into chunks of the
-// store's configured size and inserts each completed chunk into the bag.
-// Callers must Flush it before sealing the bag.
-func (b *Bag) Writer(ctx context.Context) *chunk.Writer {
-	return chunk.NewWriter(b.store.ChunkSize(), func(c chunk.Chunk) error {
-		return b.Insert(ctx, c)
-	})
-}
-
 // ---- batch-sampling consumer ----
 
 type fetchResult struct {

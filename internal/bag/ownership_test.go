@@ -203,7 +203,7 @@ func TestRetainedPartialChunkDoesNotPinItsBuffer(t *testing.T) {
 	st := ownershipStore(t, false) // in-process: the scanner sees the stored slice itself
 	ctx := context.Background()
 	b := st.Bag("partial")
-	w := b.Writer(ctx)
+	w := chunk.NewWriter(st.ChunkSize(), func(c chunk.Chunk) error { return b.Insert(ctx, c) })
 	if err := w.Append([]byte("a few bytes")); err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ type ClusterConfig struct {
 	Replication int
 	// DiskDir, if set, backs bags with files under this directory.
 	DiskDir string
-	// TransportLatency adds artificial latency to every storage request.
-	TransportLatency time.Duration
 
 	// Node and Master tuning. Master is the default for every job;
 	// JobConfig.Master overrides it per job.
@@ -157,9 +155,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.fill()
 	c := newCluster(cfg)
 	c.inproc = transport.NewInProc()
-	if cfg.TransportLatency > 0 {
-		c.inproc.SetLatency(cfg.TransportLatency)
-	}
 	c.inproc.Bind(transport.NewMeter(c.obs, "inproc", "", cfg.SlowOpThreshold))
 	names := make([]string, 0, cfg.StorageNodes)
 	for i := 0; i < cfg.StorageNodes; i++ {

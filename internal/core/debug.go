@@ -65,15 +65,12 @@ type PartitionHeat struct {
 
 // SkewEdge is the skew picture of one partitioned shuffle edge.
 type SkewEdge struct {
-	Job     string `json:"job"`
-	Edge    string `json:"edge"`
-	Version int    `json:"version"`
-	Base    int    `json:"base"`
-	// Splits maps base partition -> split fan (only refined partitions of
-	// a seed map).
-	Splits   map[int]int `json:"splits,omitempty"`
-	Isolated int         `json:"isolated"`
-	Records  uint64      `json:"records"`
+	Job      string `json:"job"`
+	Edge     string `json:"edge"`
+	Version  int    `json:"version"`
+	Base     int    `json:"base"`
+	Isolated int    `json:"isolated"`
+	Records  uint64 `json:"records"`
 	// Partitions is the per-partition heat table, hottest first.
 	Partitions []PartitionHeat `json:"partitions,omitempty"`
 	// Heavy lists the heavy-hitter keys, heaviest first.
@@ -104,7 +101,7 @@ func (c *Cluster) edgeRecords(visit func(job string, e *ctrl.EdgeTel, h ctrl.Hea
 }
 
 // SkewReport renders the skew picture of every partitioned edge that has
-// seen a record: the partition map (base layout, splits, isolations) and
+// seen a record: the partition map (base partitions, isolated keys) and
 // merged producer sketch of the control plane's last record of the edge —
 // taken by its rate-limited fetch while the edge is produced, and once
 // more when it seals.
@@ -113,7 +110,7 @@ func (c *Cluster) SkewReport() []SkewEdge {
 	c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {
 		se := SkewEdge{
 			Job: job, Edge: e.Name, Records: heat.Records, Version: e.PMap.Version,
-			Base: e.PMap.Base, Splits: maps.Clone(e.PMap.Splits), Isolated: len(e.PMap.Isolated),
+			Base: e.PMap.Base, Isolated: len(e.PMap.Isolated),
 		}
 		for bag, n := range e.Stats.Counts {
 			se.Partitions = append(se.Partitions, PartitionHeat{Bag: bag, Records: n, Share: heat.Share(n)})

@@ -352,12 +352,12 @@ func TestMasterCrashRecovery(t *testing.T) {
 	})
 }
 
-// recoverSeededMaster runs slowGroupApp with a seed that splits partition
-// 0 of its edge, crashes the job's first master as soon as it has pushed
-// its first blueprint, and recovers it. The successor must run the edge
-// over the seed's leaves — the map is the submitted job's, not something
-// a master keeps or republishes — and the job's output must be exact. It
-// returns the cluster, shut down with t.
+// recoverSeededMaster runs slowGroupApp with a seed that spreads its hot
+// key over two isolation bags, crashes the job's first master as soon as
+// it has pushed its first blueprint, and recovers it. The successor must
+// run the edge over the seed's four leaves — the map is the submitted
+// job's, not something a master keeps or republishes — and the job's
+// output must be exact. It returns the cluster, shut down with t.
 func recoverSeededMaster(t *testing.T, ctx context.Context, nodes, slots int) *Cluster {
 	t.Helper()
 	pushed := &countedCalls{match: func(req *transport.Request) bool {
@@ -371,8 +371,10 @@ func recoverSeededMaster(t *testing.T, ctx context.Context, nodes, slots int) *C
 
 	const n = 4000
 	loadInts(t, ctx, store, "in", n)
+	hot := chunk.Int64Codec{}.Encode(nil, 0) // three records in four
 	seed := shuffle.BaseMap("shuf", 2)
-	seed.Version, seed.Splits = 2, map[int]int{0: 2}
+	seed.Version = 2
+	seed.Isolated = []shuffle.Isolation{{Hash: shuffle.KeyHash(hot), Fan: 2, Key: hot}}
 	var processed atomic.Int64
 	// 10 µs a record in the slow stage: the job outlasts the wait for its
 	// first blueprint by far.
@@ -393,7 +395,7 @@ func recoverSeededMaster(t *testing.T, ctx context.Context, nodes, slots int) *C
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if leaves := m.physicalBags("shuf"); !slices.Equal(leaves, seed.Leaves()) {
+	if leaves := m.physicalBags("shuf"); len(leaves) != 4 || !slices.Equal(leaves, seed.Leaves()) {
 		t.Errorf("successor ran the edge over %v, want the seed's %v", leaves, seed.Leaves())
 	}
 	if got, want := readSumBag(t, ctx, store, "out"), int64(n)*(n-1)/2; got != want || processed.Load() != n {

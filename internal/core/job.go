@@ -278,7 +278,7 @@ func (h *JobHandle) Discard(ctx context.Context) error {
 
 // Reset prepares a completed — typically failed — namespaced job for
 // resubmission under the same name: every bag the job derived is deleted
-// (outputs, partitioned edges with their seeded split/isolation bags and
+// (outputs, partitioned edges with their seeded isolation bags and
 // sketches, merge partials, work bags), its source bags are
 // rewound so their consumed chunks replay from the start, and the job's
 // registration and name claims are released. The streaming subsystem's
@@ -328,7 +328,7 @@ func (h *JobHandle) Reset(ctx context.Context) error {
 
 // scrubDerivedBags deletes every bag a job derives from its declared
 // graph: non-source data bags, a partitioned edge's runtime bags
-// (partition splits, isolated heavy-hitter bags) and its storage-side
+// (base partitions, isolated heavy-hitter bags) and its storage-side
 // sketch state — which plain Delete does not touch
 // and which would otherwise seed a name-reusing successor with this
 // job's cumulative producer statistics — plus merge partials and the
@@ -383,9 +383,10 @@ func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
 // reference — they address bags by index through the TaskCtx, so they
 // observe the namespaced names transparently. The caller's app is never
 // mutated. A seed that does not match its edge is an error: one for a bag
-// that is not a partitioned edge of the app, or one of another Base, whose
+// that is not a partitioned edge of the app, one of another Base, whose
 // leaves the master would seal and drain while the producers wrote the
-// base map's.
+// base map's, or one that sets Splits, which nothing routes by: a map is
+// base partitions plus isolated keys.
 func jobApp(app *App, prefix string, seeds map[string]*shuffle.PartitionMap) (*App, error) {
 	ns := func(n string) string { return n }
 	if prefix != "" {
@@ -423,6 +424,8 @@ func jobApp(app *App, prefix string, seeds map[string]*shuffle.PartitionMap) (*A
 			return nil, fmt.Errorf("seed for %q, which is not a partitioned bag", name)
 		case seed.Base != spec.Partitions:
 			return nil, fmt.Errorf("seed for %q has base %d, the bag %d partitions", name, seed.Base, spec.Partitions)
+		case len(seed.Splits) > 0:
+			return nil, fmt.Errorf("seed for %q splits %d base partitions; a seed may only isolate keys", name, len(seed.Splits))
 		}
 		if err := seed.Validate(); err != nil {
 			return nil, fmt.Errorf("seed for %q: %w", name, err)
@@ -435,8 +438,8 @@ func jobApp(app *App, prefix string, seeds map[string]*shuffle.PartitionMap) (*A
 
 // appClaims enumerates the physical bag names a job may touch: declared
 // bags and work bags exactly, plus prefixes covering runtime-derived
-// names (physical partitions "<bag>.p…" and their splits, isolated
-// heavy-hitter bags "<bag>.h…", clone partial bags "<out>~p…"). Raw
+// names (base partitions "<bag>.p…", isolated heavy-hitter bags
+// "<bag>.h…", clone partial bags "<out>~p…"). Raw
 // jobs register these with the registry, which rejects a submission
 // whose claims overlap a live job's; namespaced jobs register their
 // whole "<prefix>/" subtree instead (Discard sweeps exactly that), with

@@ -16,10 +16,12 @@ import (
 )
 
 // TestSeedMustMatchEdge: a seed is refused at submission unless it names a
-// partitioned bag of the app and keeps that bag's partition count, and
-// unless it lists a bounded number of leaves. A seed of another Base would
-// have the master seal and read the seed's leaves while the producers
-// write the base map's: a job that reports success with records missing.
+// partitioned bag of the app and keeps that bag's partition count, unless
+// it lists a bounded number of leaves, and unless it only isolates keys. A
+// seed of another Base would have the master seal and read the seed's
+// leaves while the producers write the base map's: a job that reports
+// success with records missing. A seed with Splits asks for a
+// sub-partition layout that nothing routes by.
 func TestSeedMustMatchEdge(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -31,17 +33,22 @@ func TestSeedMustMatchEdge(t *testing.T) {
 	for i, tc := range []struct {
 		name, bag string
 		base      int
+		fan       int // of one isolated key, if not 0
 		splits    map[int]int
 	}{
 		{name: "base below", bag: "shuf", base: 1},
 		{name: "base above", bag: "shuf", base: 4},
 		{name: "unknown bag", bag: "nope", base: 2},
 		{name: "plain bag", bag: "out", base: 2},
-		{name: "too many leaves", bag: "shuf", base: 2, splits: map[int]int{0: 1 << 13}},
+		{name: "too many leaves", bag: "shuf", base: 2, fan: 1 << 13},
+		{name: "splits", bag: "shuf", base: 2, splits: map[int]int{0: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seed := shuffle.BaseMap(tc.bag, tc.base)
 			seed.Version, seed.Splits = 2, tc.splits
+			if tc.fan != 0 {
+				seed.Isolated = []shuffle.Isolation{{Hash: 1, Fan: tc.fan}}
+			}
 			_, err := c.SubmitJob(ctx, slowGroupApp(new(atomic.Int64), 0), JobConfig{
 				Name: fmt.Sprintf("seeded%d", i), Seeds: map[string]*shuffle.PartitionMap{tc.bag: seed},
 			})
@@ -86,9 +93,10 @@ func (c *mapTap) Call(ctx context.Context, node string, req *transport.Request) 
 // a seeded job writes no partition map anywhere — no map publish, and no
 // insert outside the job's declared bags, the seed's leaves and the work
 // bags — and a producer has nothing to learn before its first record: its
-// first push already carries stats. The records still follow
-// the seed (both leaves of its spread isolation of the hot key fill), and
-// the sum is exact. The caller's App is left as it was.
+// first push already carries stats. The records still follow the seed:
+// every leaf fills, the base partitions and both bags of its spread
+// isolation of the hot key. The sum is exact, and the caller's App is left
+// as it was.
 func TestSeededJobWritesNoMap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -101,7 +109,7 @@ func TestSeededJobWritesNoMap(t *testing.T) {
 	loadInts(t, ctx, store, "in", n)
 	hot := chunk.Int64Codec{}.Encode(nil, 0) // three records in four
 	seed := shuffle.BaseMap("shuf", 2)
-	seed.Version, seed.Splits = 2, map[int]int{1: 2}
+	seed.Version = 2
 	seed.Isolated = []shuffle.Isolation{{Hash: shuffle.KeyHash(hot), Fan: 2, Key: hot}}
 	var processed atomic.Int64
 	app := slowGroupApp(&processed, 0)
@@ -138,9 +146,12 @@ func TestSeededJobWritesNoMap(t *testing.T) {
 			t.Errorf("producer %s: first push without stats", writer)
 		}
 	}
-	for _, leaf := range []string{"shuf.h0.s0", "shuf.h0.s1"} {
+	if leaves := seed.Leaves(); !slices.Equal(leaves, []string{"shuf.p0", "shuf.p1", "shuf.h0.s0", "shuf.h0.s1"}) {
+		t.Errorf("seed leaves %v, want the base partitions and the isolation bags", leaves)
+	}
+	for _, leaf := range seed.Leaves() {
 		if tap.inserts[leaf] == 0 {
-			t.Errorf("the seed's isolated leaf %s received nothing (inserts: %v)", leaf, tap.inserts)
+			t.Errorf("the seed's leaf %s received nothing (inserts: %v)", leaf, tap.inserts)
 		}
 	}
 }

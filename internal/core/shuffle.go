@@ -10,8 +10,8 @@ import (
 )
 
 // EdgeMemory is what a finished job remembers about one partitioned
-// shuffle edge: the final partition map (base layout plus the splits and
-// isolations its seed carried) and the last merged producer sketch. The
+// shuffle edge: the final partition map (its base partitions plus the
+// isolated keys its seed carried) and the last merged producer sketch. The
 // streaming subsystem feeds a window's EdgeMemory into shuffle.WarmStart to
 // seed the next window's partitioner, so known-hot keys are pre-isolated
 // instead of rediscovered from scratch each window.

@@ -27,7 +27,6 @@ type TaskCtx struct {
 	outs  []*bag.Bag
 	scans []*bag.Scanner
 
-	writers   []*chunk.Writer
 	encoders  [][]any
 	inserters []*bag.Inserter
 	shuffles  []*shuffle.Writer
@@ -72,7 +71,6 @@ func newTaskCtx(ctx context.Context, bp *Blueprint, store *bag.Store, app *App, 
 	for _, sc := range bp.ScanInputs {
 		tc.scans = append(tc.scans, store.Scanner(sc))
 	}
-	tc.writers = make([]*chunk.Writer, len(tc.outs))
 	tc.encoders = make([][]any, len(tc.outs))
 	tc.inserters = make([]*bag.Inserter, len(tc.outs))
 	tc.last.Store(time.Now().UnixNano())
@@ -191,19 +189,6 @@ func (tc *TaskCtx) Insert(i int, c chunk.Chunk) error {
 	}
 	tc.bytesOut.Add(int64(len(c)))
 	return tc.inserters[i].Insert(c)
-}
-
-// Writer returns a record-framing writer for output i. Records appended to
-// it are packed into chunks of the configured size and inserted into the
-// output bag. The worker runtime flushes all writers after the TaskFunc
-// returns.
-func (tc *TaskCtx) Writer(i int) *chunk.Writer {
-	if tc.writers[i] == nil {
-		tc.writers[i] = chunk.NewWriter(tc.outs[i].Store().ChunkSize(), func(c chunk.Chunk) error {
-			return tc.Insert(i, c)
-		})
-	}
-	return tc.writers[i]
 }
 
 // OutputEncoders returns the list of typed encoders the worker holds open
@@ -355,16 +340,9 @@ func (tc *TaskCtx) loadSnapshot() (busyFrac float64) {
 	return float64(busy) / float64(total)
 }
 
-// finish flushes all writers and inserters and runs OnFinish hooks.
+// finish runs the OnFinish hooks and then closes the inserters.
 // Called by the worker runtime after the TaskFunc returns successfully.
 func (tc *TaskCtx) finish() error {
-	for i, w := range tc.writers {
-		if w != nil {
-			if err := w.Flush(); err != nil {
-				return fmt.Errorf("core: flushing output %d: %w", i, err)
-			}
-		}
-	}
 	for _, fn := range tc.onFinish {
 		if err := fn(); err != nil {
 			return err

@@ -54,10 +54,11 @@ func TestWorkerRunsBlueprint(t *testing.T) {
 	app.AddTask(TaskSpec{
 		Name: "double", Inputs: []string{"in"}, Outputs: []string{"out"},
 		Run: func(tc *TaskCtx) error {
+			w := chunk.NewWriter(1<<10, func(c chunk.Chunk) error { return tc.Insert(0, c) })
 			for {
 				c, err := tc.Remove(0)
 				if err == bag.ErrEmpty {
-					return nil
+					return w.Flush()
 				}
 				if err != nil {
 					return err
@@ -71,7 +72,7 @@ func TestWorkerRunsBlueprint(t *testing.T) {
 					}
 					var buf []byte
 					buf = (chunk.Int64Codec{}).Encode(buf, v*2)
-					if err := tc.Writer(0).Append(buf); err != nil {
+					if err := w.Append(buf); err != nil {
 						return err
 					}
 				}
@@ -247,7 +248,7 @@ func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
 			if err := tc.Insert(0, chunk.Chunk("\x01a")); err != nil {
 				return err
 			}
-			ref := shuffle.RouteRef{Iso: -1, Part: 0, Sub: -1}
+			ref := shuffle.RouteRef{Iso: -1, Part: 0}
 			if err := tc.ShuffleWriter(1).InsertBatchChunk(ref, chunk.Chunk("\x01b"), 1); err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -9,8 +10,25 @@ import (
 // monotonicity, crossovers — which is the reproduction contract for a
 // simulated substrate (absolute numbers are recorded in EXPERIMENTS.md).
 
+// Each experiment runs once per test binary: the shape tests and
+// TestFormatters read the same memoized result, and none of them changes it.
+var (
+	table1         = sync.OnceValue(Table1)
+	table2         = sync.OnceValue(Table2)
+	table3         = sync.OnceValue(Table3)
+	table4         = sync.OnceValue(Table4)
+	figure5        = sync.OnceValue(Figure5)
+	figure6        = sync.OnceValue(Figure6)
+	figures78      = sync.OnceValue(Figures78)
+	figure9        = sync.OnceValue(Figure9)
+	figure10       = sync.OnceValue(Figure10)
+	figure11       = sync.OnceValue(Figure11)
+	figure12       = sync.OnceValue(Figure12)
+	storageScaling = sync.OnceValue(StorageScaling)
+)
+
 func TestTable1Shape(t *testing.T) {
-	rows := Table1()
+	rows := table1()
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -37,7 +55,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	cells := Figure5()
+	cells := figure5()
 	bySize := map[string][]Fig5Cell{}
 	for _, c := range cells {
 		bySize[c.PerMachine] = append(bySize[c.PerMachine], c)
@@ -65,7 +83,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows := Figure6()
+	rows := figure6()
 	byKey := map[string]map[int]Fig6Row{}
 	for _, r := range rows {
 		if byKey[r.System] == nil {
@@ -116,7 +134,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigures78Shape(t *testing.T) {
-	rows := Figures78()
+	rows := figures78()
 	get := func(cfg string, s float64) Fig78Row {
 		for _, r := range rows {
 			if r.Config == cfg && r.Skew == s {
@@ -146,7 +164,7 @@ func TestFigures78Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	res := Figure9()
+	res := figure9()
 	if res.Clones == 0 {
 		t.Fatal("no clones in the Fig. 9 run")
 	}
@@ -170,7 +188,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows := Figure10()
+	rows := figure10()
 	byB := map[int]Fig10Row{}
 	for _, r := range rows {
 		byB[r.B] = r
@@ -196,8 +214,8 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	res := Figure11()
-	clean := Figure9() // same workload but uniform… use a fresh uniform run instead
+	res := figure11()
+	clean := figure9() // same workload but uniform… use a fresh uniform run instead
 	_ = clean
 	if res.Crashed {
 		t.Fatalf("crashed: %s", res.CrashReason)
@@ -225,7 +243,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows := Table2()
+	rows := table2()
 	get := func(sys, label string) float64 {
 		for _, r := range rows {
 			if r.System == sys && r.Label == label {
@@ -245,7 +263,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	cells := Figure12()
+	cells := figure12()
 	var sparkCrash, hurricaneWorst float64
 	var sawCrash bool
 	for _, c := range cells {
@@ -266,7 +284,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows := Table3()
+	rows := table3()
 	get := func(sys, join string, s float64) Table3Row {
 		for _, r := range rows {
 			if r.System == sys && r.Join == join && r.Skew == s {
@@ -304,7 +322,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows := Table4()
+	rows := table4()
 	get := func(sys, graph string) Table4Row {
 		for _, r := range rows {
 			if r.System == sys && r.Graph == graph {
@@ -334,7 +352,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestStorageScalingShape(t *testing.T) {
-	rows := StorageScaling()
+	rows := storageScaling()
 	last := rows[len(rows)-1]
 	if last.Machines != 32 {
 		t.Fatalf("last row machines = %d", last.Machines)
@@ -355,17 +373,17 @@ func TestFormatters(t *testing.T) {
 		out  string
 		want string
 	}{
-		{FormatTable1(Table1()), "Table 1"},
-		{FormatTable2(Table2()), "Hadoop"},
-		{FormatTable3(Table3()), "Table 3"},
-		{FormatTable4(Table4()), "Table 4"},
-		{FormatFigure5(Figure5()), "Figure 5"},
-		{FormatFigure6(Figure6()), "Figure 6"},
-		{FormatFigures78(Figures78()), "Figure 7"},
-		{FormatTimeline("Figure 9", Figure9()), "Figure 9"},
-		{FormatFigure10(Figure10()), "b=10"},
-		{FormatFigure12(Figure12()), "Figure 12"},
-		{FormatScaling(StorageScaling()), "Speedup"},
+		{FormatTable1(table1()), "Table 1"},
+		{FormatTable2(table2()), "Hadoop"},
+		{FormatTable3(table3()), "Table 3"},
+		{FormatTable4(table4()), "Table 4"},
+		{FormatFigure5(figure5()), "Figure 5"},
+		{FormatFigure6(figure6()), "Figure 6"},
+		{FormatFigures78(figures78()), "Figure 7"},
+		{FormatTimeline("Figure 9", figure9()), "Figure 9"},
+		{FormatFigure10(figure10()), "b=10"},
+		{FormatFigure12(figure12()), "Figure 12"},
+		{FormatScaling(storageScaling()), "Speedup"},
 		{FormatUtilization(BatchUtilization(32), 32), "rho"},
 	}
 	for _, c := range checks {

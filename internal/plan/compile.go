@@ -535,8 +535,7 @@ func (ph *Physical) Explain() string {
 	}
 	for _, edge := range sortedSeedNames(ph.Seeds) {
 		seed := ph.Seeds[edge]
-		fmt.Fprintf(&b, "  seed %s: %d splits, %d isolated keys\n",
-			edge, len(seed.Splits), len(seed.Isolated))
+		fmt.Fprintf(&b, "  seed %s: %d isolated keys\n", edge, len(seed.Isolated))
 	}
 	return b.String()
 }

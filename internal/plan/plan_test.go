@@ -378,7 +378,8 @@ func TestPinnedStrategyOverridesStats(t *testing.T) {
 func TestStatsFromMemoryRekeysAndSeeds(t *testing.T) {
 	// Simulate a finished namespaced job's memory for edge warm.e1.
 	prev := shuffle.BaseMap("job1/warm.e1", 4)
-	prev.Splits = map[int]int{2: 4}
+	prev.Splits = map[int]int{2: 4} // routes nothing: not transplanted
+	prev.Isolated = []shuffle.Isolation{{Hash: shuffle.KeyHash(KeyBytes(9)), Fan: 2}}
 	prev.Version = 3
 	b := sketch.NewStatsBuilder()
 	b.Add(KeyBytes(7), 60000)
@@ -401,8 +402,13 @@ func TestStatsFromMemoryRekeysAndSeeds(t *testing.T) {
 	if seed == nil {
 		t.Fatal("no seed from memory stats")
 	}
-	if seed.Splits[2] != 4 {
-		t.Fatalf("previous split not transplanted: %v", seed.Splits)
+	if seed.Splits != nil {
+		t.Fatalf("previous splits transplanted: %v", seed.Splits)
+	}
+	// Key 9 is too light in the sketch to be isolated from it: only the
+	// previous map's isolation puts it in the seed.
+	if !seed.IsIsolated(shuffle.KeyHash(KeyBytes(9))) {
+		t.Fatalf("previous isolation not transplanted: %+v", seed.Isolated)
 	}
 	if !seed.IsIsolated(shuffle.KeyHash(KeyBytes(7))) {
 		t.Fatal("heavy key 7 not pre-isolated from memory sketch")

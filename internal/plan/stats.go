@@ -26,7 +26,7 @@ type Stats struct {
 	// join into a skewed join at compile time.
 	Edges map[string]*sketch.EdgeStats
 	// PMaps maps edge name -> a previous run's final partition map; its
-	// splits and isolations are transplanted into the seed map.
+	// isolated keys are transplanted into the seed map.
 	PMaps map[string]*shuffle.PartitionMap
 }
 
@@ -144,8 +144,8 @@ func (c *compiler) decideJoin(n *Node) JoinInfo {
 }
 
 // seedEdge derives a warm-start seed partition map for an edge from the
-// compile-time statistics, pre-splitting and pre-isolating what a
-// previous run (or a supplied sketch) already learned.
+// compile-time statistics, pre-isolating the heavy keys a previous run
+// (or a supplied sketch) already learned.
 func (c *compiler) seedEdge(edge string, in *Node, spread bool) {
 	if c.opts.Static || c.opts.Stats == nil {
 		return

@@ -9,8 +9,8 @@ import (
 // lifetime: the exact names it declares (data bags, work bags, partition
 // control bags), subtree claims covering a whole namespace, and derived
 // claims covering names generated at runtime (physical partition bags
-// "<bag>.p<i>" and their re-hash splits, isolated heavy-hitter bags
-// "<bag>.h<i>", clone partial bags "<out>~p<w>@e<n>" — always the stem
+// "<bag>.p<i>", isolated heavy-hitter bags "<bag>.h<i>" and
+// "<bag>.h<i>.s<j>", clone partial bags "<out>~p<w>@e<n>" — always the stem
 // followed by a decimal digit).
 //
 // Two jobs whose claims overlap would silently steal each other's chunks

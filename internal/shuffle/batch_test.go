@@ -14,13 +14,12 @@ import (
 
 func TestEdgeOf(t *testing.T) {
 	cases := map[string]string{
-		PartitionBag("gb.shuf", 1):       "gb.shuf",
-		SubPartitionBag("gb.shuf", 1, 3): "gb.shuf",
-		IsolatedBag("gb.shuf", 0, 0, 1):  "gb.shuf",
-		IsolatedBag("gb.shuf", 2, 5, 8):  "gb.shuf",
-		"gb.shuf":                        "gb.shuf",
-		"plain":                          "plain",
-		"w5/gb.shuf.p12.s4":              "w5/gb.shuf",
+		PartitionBag("gb.shuf", 1):      "gb.shuf",
+		IsolatedBag("gb.shuf", 0, 0, 1): "gb.shuf",
+		IsolatedBag("gb.shuf", 2, 5, 8): "gb.shuf",
+		"gb.shuf":                       "gb.shuf",
+		"plain":                         "plain",
+		"w5/gb.shuf.h12.s4":             "w5/gb.shuf",
 	}
 	for leaf, want := range cases {
 		if got := EdgeOf(leaf); got != want {

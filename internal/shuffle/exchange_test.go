@@ -163,7 +163,7 @@ func TestCloseLeavesExactCounts(t *testing.T) {
 				// Records are counted when their chunks are handed over;
 				// route-only batches carry none, so hand over the counts.
 				for leaf, n := range countsOf(base, first, f.next) {
-					ref := RouteRef{Iso: -1, Part: partOf(base, leaf), Sub: -1}
+					ref := RouteRef{Iso: -1, Part: partOf(base, leaf)}
 					if err := w.InsertBatchChunk(ref, []byte{0}, int(n)); err != nil {
 						t.Fatal(err)
 					}
@@ -203,8 +203,12 @@ func countsOf(pm *PartitionMap, from, to uint64) map[string]uint64 {
 }
 
 func partOf(pm *PartitionMap, leaf string) int {
-	p, _ := pm.BasePartitionIndex(leaf)
-	return p
+	for p := 0; p < pm.Base; p++ {
+		if PartitionBag(pm.Bag, p) == leaf {
+			return p
+		}
+	}
+	panic("not a base partition: " + leaf)
 }
 
 // TestCorruptWriterIsSkippedAtFetch: one producer's garbage costs the master

@@ -55,9 +55,9 @@ func checkHeavy(t *testing.T, st *sketch.EdgeStats, truth map[string]uint64, n i
 // over seeded streams of every shape the count table treats differently:
 // heavy and light tails over many and over few keys, one key per stretch
 // (sorted), no key above the admission line (round robin), no key twice
-// (stretches cut short by the table filling) and keys the table cannot hold
-// inline (20 bytes) — through the batch path for key words and through
-// Write for key bytes.
+// (every 1,024-record stretch as many distinct keys as records) and keys
+// the table cannot hold inline (20 bytes) — through the batch path for key
+// words and through Write for key bytes.
 func TestHeavyContract(t *testing.T) {
 	const n = 1 << 18
 	streams := make(map[string][]uint64)
@@ -135,8 +135,9 @@ func TestHeavyContract(t *testing.T) {
 				checkHeavy(t, got, truth, n)
 				switch name {
 				case "distinct":
-					// Stretches of 256 keys once each feed nothing; the last,
-					// shorter than stretchFeedFraction, may feed all it has.
+					// Stretches of 1,024 keys once each feed nothing; only a
+					// last stretch of at most stretchFeedFraction records
+					// could feed all it has (this stream ends on a full one).
 					if w.feeds > stretchFeedFraction {
 						t.Errorf("%d keys of an all-distinct stream were fed to the sketch", w.feeds)
 					}

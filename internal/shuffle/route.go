@@ -34,13 +34,13 @@ const tickEvery = 1024
 
 // adopt makes pm the writer's routing table and decides the routing shape
 // once per map, not once per record or per batch: plain means a map
-// without splits or isolations, where a route is the key hash reduced to a
-// base partition — by mask when the partition count is a power of two
+// without isolations, where a route is the key hash reduced to a base
+// partition — by mask when the partition count is a power of two
 // above one (the 64-bit divide is otherwise the largest single instruction
 // on the routing path).
 func (w *Writer) adopt(pm *PartitionMap) {
 	w.pm = pm
-	w.plain = len(pm.Isolated) == 0 && len(pm.Splits) == 0
+	w.plain = len(pm.Isolated) == 0
 	w.base, w.mask = uint64(pm.Base), 0
 	if w.base&(w.base-1) == 0 {
 		w.mask = w.base - 1
@@ -51,14 +51,14 @@ func (w *Writer) adopt(pm *PartitionMap) {
 // count, advance — for every record of every write API (WriteBatch's loop
 // has it inline). hash is KeyHash of the key's bytes. A uint64 key
 // passes key nil, its word as key8 and klen 8: its bytes materialize only
-// under a refined map, and at a drain for the keys it feeds.
+// at a drain, for the keys it feeds.
 func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
 	if w.n%tickEvery == 0 {
 		w.tick()
 	}
-	ref := RouteRef{Iso: -1, Part: w.routePlain(hash), Sub: -1}
+	ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
 	if !w.plain {
-		ref = w.routeRefined(key, key8, klen, hash)
+		ref = w.routeIsolated(hash)
 	}
 	if !w.countHit(key8, klen, hash) {
 		w.countKey(key, key8, klen, hash)
@@ -67,13 +67,10 @@ func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef
 	return ref
 }
 
-// routeRefined is a key's route under a map with splits or isolations.
-func (w *Writer) routeRefined(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
-	if len(key) != int(klen) { // a uint64 key
-		binary.LittleEndian.PutUint64(w.kb[:], key8)
-		key = w.kb[:]
-	}
-	return w.pm.routeRefHashed(key, hash, int(w.n)) // the ordinal spreads an isolated key
+// routeIsolated is a key's route under a map with isolations: by its hash
+// alone, like every route.
+func (w *Writer) routeIsolated(hash uint64) RouteRef {
+	return w.pm.routeRefHashed(hash, int(w.n)) // the ordinal spreads an isolated key
 }
 
 // routePlain is a key's base partition under a plain map.
@@ -202,14 +199,14 @@ func (w *Writer) countKey(key []byte, key8 uint64, klen int32, hash uint64) {
 	}
 }
 
-// slotKey returns the bytes of the key counted in slot i, good until the
-// next call: a long key's stored copy, a short key's rebuilt from key8.
-func (w *Writer) slotKey(i int, s *countSlot) []byte {
+// slotKey returns the bytes of the key counted in slot i: a long key's
+// stored copy, or a short key's rebuilt from key8 into kb.
+func (w *Writer) slotKey(i int, s *countSlot, kb *[8]byte) []byte {
 	if s.klen > 8 {
 		return w.long[i]
 	}
-	binary.LittleEndian.PutUint64(w.kb[:], s.key8)
-	return w.kb[:s.klen]
+	binary.LittleEndian.PutUint64(kb[:], s.key8)
+	return kb[:s.klen]
 }
 
 // drainCounts closes a stretch: the m records counted since the last drain.
@@ -227,10 +224,11 @@ func (w *Writer) drainCounts() {
 	}
 	w.drained = w.n
 	var seen []sketch.HeavyKey // for drainSeen
+	var kb [8]byte
 	feed := func(i int) {
 		s := &w.tab[i]
 		n := uint64(s.c - w.floor)
-		key := w.slotKey(i, s)
+		key := w.slotKey(i, s, &kb)
 		w.noteHeavy(key, w.stats.CM.Add(key, n))
 		w.feeds++
 		if drainSeen != nil {

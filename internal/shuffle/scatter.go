@@ -26,8 +26,8 @@ type Scatter[T any] struct {
 	keyU64 func(T) uint64 // optional: route on key words, not bytes
 
 	// Base partitions — the overwhelmingly common routing outcome — index
-	// a dense slice; sub-partition and isolation refs take the map (a
-	// struct-keyed map lookup per record is measurable).
+	// a dense slice; isolation refs take the map (a struct-keyed map lookup
+	// per record is measurable).
 	base  []*scatterLeaf[T]
 	other map[RouteRef]*scatterLeaf[T]
 
@@ -86,16 +86,16 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 			if w.n%tickEvery == 0 {
 				w.tick()
 			}
-			ref := RouteRef{Iso: -1, Part: w.routePlain(hash), Sub: -1}
+			ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
 			if !w.plain {
-				ref = w.routeRefined(key, key8, klen, hash)
+				ref = w.routeIsolated(hash)
 			}
 			if !w.countHit(key8, klen, hash) {
 				w.countKey(key, key8, klen, hash)
 			}
 			w.n++
 			var l *scatterLeaf[T]
-			if ref.Iso < 0 && ref.Sub < 0 && ref.Part < len(s.base) {
+			if ref.Iso < 0 && ref.Part < len(s.base) {
 				l = s.base[ref.Part] // the common case, without a call
 			}
 			if l == nil {
@@ -123,7 +123,7 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 
 // leaf returns the leaf ref addresses, opening it on first use.
 func (s *Scatter[T]) leaf(ref RouteRef) *scatterLeaf[T] {
-	dense := ref.Iso < 0 && ref.Sub < 0
+	dense := ref.Iso < 0
 	if dense && ref.Part < len(s.base) && s.base[ref.Part] != nil {
 		return s.base[ref.Part]
 	}

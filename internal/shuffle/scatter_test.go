@@ -136,18 +136,18 @@ func TestScatterHoldsChunkSize(t *testing.T) {
 	}
 }
 
-// TestRefinedMapInsideBlock: under a seed map with a split and a spread
-// isolation, each record of a WriteBatch block lands where the map sends
-// it, and WriteBatch leaves what Write leaves over the same stream — the
-// same records per leaf in order, leaf counts, count-min cells and heavy
-// list — for either key kind. The writer exchanges at every tick, so the
-// ticks inside each 4,096-record block are on the path.
+// TestRefinedMapInsideBlock: under a seed map with a spread isolation and
+// a single-bag one, each record of a WriteBatch block lands where the map
+// sends it, every leaf of the map fills, and WriteBatch leaves what Write
+// leaves over the same stream — the same records per leaf in order, leaf
+// counts, count-min cells and heavy list — for either key kind. The writer
+// exchanges at every tick, so the ticks inside each 4,096-record block are
+// on the path.
 func TestRefinedMapInsideBlock(t *testing.T) {
 	const hot = 7
 	refined := BaseMap("e", 4)
 	refined.Version = 2
-	refined.Splits = map[int]int{int(KeyHashUint64(3) % 4): 3}
-	refined.Isolated = []Isolation{{Hash: KeyHashUint64(hot), Fan: 2, Key: key(hot)}}
+	refined.Isolated = []Isolation{{Hash: KeyHashUint64(hot), Fan: 2, Key: key(hot)}, {Hash: KeyHashUint64(3), Fan: 1, Key: key(3)}}
 	stream := make([]tuple, 3*scatterBlock)
 	for i := range stream {
 		k := uint64(i % 61)
@@ -205,10 +205,11 @@ func TestRefinedMapInsideBlock(t *testing.T) {
 					}
 				}
 			}
-			// Every leaf fills but the split base partition, which no
-			// record routes to.
-			if len(got.parts["e.h0.s1"]) == 0 || len(got.parts) != len(refined.Leaves())-1 {
-				t.Fatalf("records in %d of the refined map's %d leaves", len(got.parts), len(refined.Leaves()))
+			// Every leaf fills: the base partitions and the isolation bags.
+			for _, leaf := range refined.Leaves() {
+				if len(got.parts[leaf]) == 0 {
+					t.Fatalf("leaf %s of the refined map has no records (records in %d of %d leaves)", leaf, len(got.parts), len(refined.Leaves()))
+				}
 			}
 			if fmt.Sprint(got.parts) != fmt.Sprint(want.parts) {
 				t.Error("WriteBatch left other records, or another order, than Write")

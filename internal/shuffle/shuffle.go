@@ -9,13 +9,14 @@
 // monolithic bag. Producers feed key counts into a per-edge count-min sketch
 // (see internal/sketch) and push their statistics to the edge's home
 // storage slot, one OpSketch call at a time, for the master to fetch; a
-// later run warm-starts from what it saw. Its seed map (WarmStart) isolates
-// each heavy-hitter key into a dedicated bag ("<bag>.h<k>", optionally
-// spread record-wise over "<bag>.h<k>.s<j>" when the edge declares per-key
-// atomicity unnecessary) and keeps the sub-partitions ("<bag>.p<i>.s<j>")
-// of the map it starts from. An edge's map is fixed when its job is
-// submitted: the seed, or the base map every party derives locally. No map
-// travels over the storage protocol.
+// later run warm-starts from what it saw. A partition map is the base
+// partitions plus isolated keys: its seed (WarmStart) isolates each
+// heavy-hitter key into a dedicated bag ("<bag>.h<k>", optionally spread
+// record-wise over "<bag>.h<k>.s<j>" when the edge declares per-key
+// atomicity unnecessary), and every other key routes to its base
+// partition. An edge's map is fixed when its job is submitted: the seed, or
+// the base map every party derives locally. No map travels over the storage
+// protocol.
 //
 // Correctness invariant: every record is routed to exactly one physical
 // bag, every physical bag of the edge's map is sealed by the master and
@@ -50,7 +51,18 @@ const (
 // agreement among producers matters; nothing persists hashes across
 // processes.
 func KeyHash(key []byte) uint64 {
-	return keyHashSeeded(fnvOffset64, key)
+	h := uint64(fnvOffset64)
+	for len(key) >= 8 {
+		h = (h ^ binary.LittleEndian.Uint64(key)) * fnvPrime64
+		key = key[8:]
+	}
+	for _, b := range key {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // KeyHashUint64 is KeyHash of the 8-byte little-endian encoding of v,
@@ -67,35 +79,8 @@ func KeyHashUint64(v uint64) uint64 {
 	return h
 }
 
-// subHash is an independently salted hash used to re-hash a hot
-// partition's keys across its sub-partitions; using the primary hash again
-// would send every key of the partition to the same sub-partition.
-func subHash(key []byte) uint64 {
-	// (fnvOffset64 ^ 0x9e3779b97f4a7c15) * fnvPrime64 mod 2^64: the FNV
-	// seed advanced by one golden-ratio-salted round.
-	const saltedSeed uint64 = 0x27a3eeb23259be90
-	return keyHashSeeded(saltedSeed, key)
-}
-
-func keyHashSeeded(h uint64, key []byte) uint64 {
-	for len(key) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(key)) * fnvPrime64
-		key = key[8:]
-	}
-	for _, b := range key {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
 // PartitionBag names base partition p of a logical bag.
 func PartitionBag(bag string, p int) string { return fmt.Sprintf("%s.p%d", bag, p) }
-
-// SubPartitionBag names sub-partition s of a re-hashed hot partition p.
-func SubPartitionBag(bag string, p, s int) string { return fmt.Sprintf("%s.p%d.s%d", bag, p, s) }
 
 // IsolatedBag names the dedicated bag(s) for isolated heavy-hitter key i.
 // With fan > 1 the key's records are spread over fan bags.
@@ -107,12 +92,12 @@ func IsolatedBag(bag string, i, s int, fan int) string {
 }
 
 // EdgeOf returns the logical edge name a physical leaf bag belongs to by
-// stripping the ".p<i>[.s<j>]" / ".h<k>[.s<j>]" suffix produced by the
-// naming helpers above ("gb.shuf.p1.s3" → "gb.shuf"). Names without a
-// partition suffix are returned unchanged. Consumers use it to find the
-// edge's sketch slot from the one input bag name they are handed.
+// stripping the ".p<i>" / ".h<k>[.s<j>]" suffix produced by the naming
+// helpers above ("gb.shuf.h1.s3" → "gb.shuf"). Names without a partition
+// suffix are returned unchanged. Consumers use it to find the edge's sketch
+// slot from the one input bag name they are handed.
 func EdgeOf(leaf string) string {
-	for range [2]int{} { // at most ".p<i>" then ".s<j>" (or ".h<k>" ".s<j>")
+	for range [2]int{} { // at most ".s<j>" then ".h<k>", or ".p<i>"
 		i := len(leaf) - 1
 		for i >= 0 && leaf[i] >= '0' && leaf[i] <= '9' {
 			i--
@@ -144,17 +129,20 @@ type Isolation struct {
 	Key  []byte `json:"key,omitempty"`
 }
 
-// PartitionMap is the routing table of one shuffle edge. Version 1 is the
-// plain hash layout; a seed carries a higher version. A seed only *adds*
-// physical bags to the base map of its edge: it keeps Base, so the base
-// partitions are leaves of every map of the edge.
+// PartitionMap is the routing table of one shuffle edge: base partitions
+// plus isolated keys. Version 1 is the plain hash layout; a seed carries a
+// higher version. A seed only *adds* isolation bags to the base map of its
+// edge: it keeps Base, so the base partitions are leaves of every map of
+// the edge, and every leaf can receive records.
 type PartitionMap struct {
 	Version int    `json:"version"`
 	Bag     string `json:"bag"`
 	// Base is the number of base hash partitions.
 	Base int `json:"base"`
-	// Splits maps a base partition index to its re-hash fan: partition p
-	// is refined into Splits[p] sub-partitions.
+	// Splits is the retired sub-partition layout (base partition index →
+	// re-hash fan). Nothing routes by it: it stays only so that an encoded
+	// map which carries it still decodes and validates (the benchmark's map
+	// decode probe sets it), and SubmitJob refuses a seed that sets it.
 	Splits map[int]int `json:"splits,omitempty"`
 	// Isolated lists heavy-hitter keys diverted to dedicated bags, in
 	// isolation order (the index names the bag).
@@ -187,21 +175,18 @@ func (pm *PartitionMap) IsIsolated(hash uint64) bool {
 }
 
 // RouteRef is a compact routing decision: Iso ≥ 0 selects an isolation
-// bag (Part is then the spread sub-bag index), otherwise Part/Sub select a
-// base partition and optional sub-partition (Sub = -1 when unsplit).
-// RouteRef is comparable, so writers cache bag pipelines per ref instead
-// of formatting a bag name per record — the shuffle's per-record hot path.
+// bag (Part is then the spread sub-bag index), otherwise Part selects a
+// base partition. RouteRef is comparable, so writers cache bag pipelines
+// per ref instead of formatting a bag name per record — the shuffle's
+// per-record hot path.
 type RouteRef struct {
-	Iso, Part, Sub int
+	Iso, Part int
 }
 
 // RefName formats the physical bag name a ref addresses under this map.
 func (pm *PartitionMap) RefName(ref RouteRef) string {
 	if ref.Iso >= 0 {
 		return IsolatedBag(pm.Bag, ref.Iso, ref.Part, pm.Isolated[ref.Iso].Fan)
-	}
-	if ref.Sub >= 0 {
-		return SubPartitionBag(pm.Bag, ref.Part, ref.Sub)
 	}
 	return PartitionBag(pm.Bag, ref.Part)
 }
@@ -211,58 +196,33 @@ func (pm *PartitionMap) RefName(ref RouteRef) string {
 // heavy key's records spread evenly; any value is correct, placement only
 // affects balance.
 func (pm *PartitionMap) Route(key []byte, rr int) string {
-	return pm.RefName(pm.routeRefHashed(key, KeyHash(key), rr))
+	return pm.RefName(pm.routeRefHashed(KeyHash(key), rr))
 }
 
-// routeRefHashed computes the routing decision for a key whose KeyHash the
-// caller already has (a Writer reuses it for the exact key count): the
-// key's isolation if it has one, else its base partition — the hash modulo
-// Base — and, where that partition is split, the sub-partition an
-// independently salted hash of the key selects.
-func (pm *PartitionMap) routeRefHashed(key []byte, hash uint64, rr int) RouteRef {
+// routeRefHashed computes the routing decision for a key by its KeyHash,
+// which the caller already has (a Writer reuses it for the exact key
+// count): the key's isolation if it has one, else its base partition — the
+// hash modulo Base.
+func (pm *PartitionMap) routeRefHashed(hash uint64, rr int) RouteRef {
 	if len(pm.Isolated) > 0 {
 		if i, iso := pm.isolation(hash); iso != nil {
 			if iso.Fan <= 1 {
-				return RouteRef{Iso: i, Part: 0, Sub: -1}
+				return RouteRef{Iso: i, Part: 0}
 			}
-			return RouteRef{Iso: i, Part: int(uint(rr) % uint(iso.Fan)), Sub: -1}
+			return RouteRef{Iso: i, Part: int(uint(rr) % uint(iso.Fan))}
 		}
 	}
-	p := int(hash % uint64(pm.Base))
-	if fan := pm.Splits[p]; fan > 1 {
-		return RouteRef{Iso: -1, Part: p, Sub: int(subHash(key) % uint64(fan))}
-	}
-	return RouteRef{Iso: -1, Part: p, Sub: -1}
+	return RouteRef{Iso: -1, Part: int(hash % uint64(pm.Base))}
 }
 
-// BasePartitionIndex parses a base-partition leaf name ("<bag>.p<i>"),
-// returning (i, true) if leaf is an unsplit base partition of this map.
-func (pm *PartitionMap) BasePartitionIndex(leaf string) (int, bool) {
-	for p := 0; p < pm.Base; p++ {
-		if pm.Splits[p] > 1 {
-			continue
-		}
-		if PartitionBag(pm.Bag, p) == leaf {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// Leaves returns every physical bag of the current map, in deterministic
-// order. The master schedules one consumer worker per leaf and seals every
-// leaf when the edge's producers finish. A split base partition stays a
-// leaf beside its sub-partitions, although no record routes to it: its
-// consumer finds it sealed and empty.
+// Leaves returns every physical bag of the map — the base partitions, then
+// the isolation bags — in deterministic order. The master schedules one
+// consumer worker per leaf and seals every leaf when the edge's producers
+// finish.
 func (pm *PartitionMap) Leaves() []string {
 	var out []string
 	for p := 0; p < pm.Base; p++ {
 		out = append(out, PartitionBag(pm.Bag, p))
-		if fan := pm.Splits[p]; fan > 1 {
-			for s := 0; s < fan; s++ {
-				out = append(out, SubPartitionBag(pm.Bag, p, s))
-			}
-		}
 	}
 	for i, iso := range pm.Isolated {
 		fan := iso.Fan
@@ -277,15 +237,11 @@ func (pm *PartitionMap) Leaves() []string {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy of the routing table: Splits, which routes
+// nothing, is not copied.
 func (pm *PartitionMap) Clone() *PartitionMap {
 	cp := *pm
-	if pm.Splits != nil {
-		cp.Splits = make(map[int]int, len(pm.Splits))
-		for k, v := range pm.Splits {
-			cp.Splits[k] = v
-		}
-	}
+	cp.Splits = nil
 	cp.Isolated = append([]Isolation(nil), pm.Isolated...)
 	return &cp
 }
@@ -303,7 +259,8 @@ const maxLeaves = 1 << 12 // far more consumer workers than an edge has
 
 // Validate refuses a map without a base partition or of more than
 // maxLeaves leaves, whatever its source: a corrupt record or a seed must
-// not make the edge's master list more.
+// not make the edge's master list more. Splits' fans count toward the
+// bound too, so no record decodes to an unbounded map.
 func (pm *PartitionMap) Validate() error {
 	n := min(pm.Base, maxLeaves+1) // at least len(pm.Leaves()), without listing them
 	for _, fan := range pm.Splits {

@@ -34,43 +34,52 @@ func TestBaseMapRouting(t *testing.T) {
 	}
 }
 
-// TestSplitRoutingDisjointAndComplete: after re-hash splitting a
-// partition, every key routes to exactly one leaf of the refined map, keys
-// of unsplit partitions are untouched, and the split partition's keys
-// spread over its sub-partitions only.
-func TestSplitRoutingDisjointAndComplete(t *testing.T) {
+// TestSeedRoutingDisjointAndComplete: under a seed that isolates two keys,
+// one of them spread, every record routes to exactly one leaf of the map,
+// a key not isolated stays in its base partition, an isolated key's records
+// go to its own bags only, and every leaf — base partition or isolation
+// bag — receives records.
+func TestSeedRoutingDisjointAndComplete(t *testing.T) {
 	base := BaseMap("shuf", 4)
 	next := base.Clone()
-	next.Splits = map[int]int{2: 3}
+	next.Isolated = []Isolation{{Hash: KeyHash(key(7)), Fan: 3}, {Hash: KeyHash(key(11)), Fan: 1}}
 	next.Version++
 
-	// 4 base partitions (the split one keeps its residue bag) + 3 subs.
+	// 4 base partitions + 3 bags of the spread key + 1 of the other.
 	leaves := next.Leaves()
-	if len(leaves) != 4+3 {
-		t.Fatalf("got %d leaves %v, want 7", len(leaves), leaves)
+	if len(leaves) != 4+3+1 {
+		t.Fatalf("got %d leaves %v, want 8", len(leaves), leaves)
 	}
 	inLeaves := make(map[string]bool)
 	for _, l := range leaves {
 		inLeaves[l] = true
 	}
-	subsSeen := make(map[string]bool)
+	seen := make(map[string]bool)
 	for i := uint64(0); i < 5000; i++ {
-		before := base.Route(key(i), 0)
-		after := next.Route(key(i), 0)
+		k := i % 1000
+		before := base.Route(key(k), int(i))
+		after := next.Route(key(k), int(i))
 		if !inLeaves[after] {
-			t.Fatalf("key %d routed to non-leaf %q", i, after)
+			t.Fatalf("key %d routed to non-leaf %q", k, after)
 		}
-		if before == PartitionBag("shuf", 2) {
-			if !strings.HasPrefix(after, PartitionBag("shuf", 2)+".s") {
-				t.Fatalf("split-partition key %d routed to %q", i, after)
+		seen[after] = true
+		switch k {
+		case 7:
+			if !strings.HasPrefix(after, "shuf.h0.s") {
+				t.Fatalf("spread isolated key routed to %q", after)
 			}
-			subsSeen[after] = true
-		} else if after != before {
-			t.Fatalf("key %d of unsplit partition moved %q -> %q", i, before, after)
+		case 11:
+			if after != "shuf.h1" {
+				t.Fatalf("isolated key routed to %q", after)
+			}
+		default:
+			if after != before {
+				t.Fatalf("key %d moved %q -> %q", k, before, after)
+			}
 		}
 	}
-	if len(subsSeen) != 3 {
-		t.Fatalf("re-hash used %d of 3 sub-partitions", len(subsSeen))
+	if len(seen) != len(leaves) {
+		t.Fatalf("records reached %d of %d leaves: %v", len(seen), len(leaves), seen)
 	}
 }
 
@@ -108,7 +117,7 @@ func TestIsolationRouting(t *testing.T) {
 
 func TestPartitionMapEncodeDecode(t *testing.T) {
 	pm := BaseMap("shuf", 8)
-	pm.Splits = map[int]int{1: 2, 5: 4}
+	pm.Splits = map[int]int{1: 2, 5: 4} // routes nothing, but still decodes
 	pm.Isolated = []Isolation{{Hash: 123, Fan: 2}, {Hash: 456, Fan: 1}}
 	pm.Version = 4
 	got, err := DecodePartitionMap(pm.Encode())
@@ -117,6 +126,9 @@ func TestPartitionMapEncodeDecode(t *testing.T) {
 	}
 	if got.Version != 4 || got.Base != 8 || got.Bag != "shuf" {
 		t.Fatalf("round trip lost header: %+v", got)
+	}
+	if len(got.Splits) != 2 || got.Splits[1] != 2 || got.Splits[5] != 4 {
+		t.Fatalf("round trip lost splits: %v", got.Splits)
 	}
 	if len(got.Leaves()) != len(pm.Leaves()) {
 		t.Fatalf("round trip changed leaves: %v vs %v", got.Leaves(), pm.Leaves())
@@ -134,26 +146,14 @@ func TestPartitionMapEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestBasePartitionIndex(t *testing.T) {
-	pm := BaseMap("shuf", 4)
-	pm.Splits = map[int]int{1: 2}
-	if _, ok := pm.BasePartitionIndex(PartitionBag("shuf", 1)); ok {
-		t.Fatal("split partition must not be re-splittable")
-	}
-	p, ok := pm.BasePartitionIndex(PartitionBag("shuf", 3))
-	if !ok || p != 3 {
-		t.Fatalf("BasePartitionIndex = %d,%v", p, ok)
-	}
-	if _, ok := pm.BasePartitionIndex("shuf.h0"); ok {
-		t.Fatal("isolation bag is not a base partition")
-	}
-}
-
 func TestLeavesDeterministic(t *testing.T) {
 	pm := BaseMap("shuf", 6)
-	pm.Splits = map[int]int{0: 2, 4: 2}
-	pm.Isolated = []Isolation{{Hash: 9, Fan: 2}}
+	pm.Splits = map[int]int{0: 2, 4: 2} // names no leaf
+	pm.Isolated = []Isolation{{Hash: 9, Fan: 2}, {Hash: 10, Fan: 1}}
 	want := fmt.Sprint(pm.Leaves())
+	if want != "[shuf.p0 shuf.p1 shuf.p2 shuf.p3 shuf.p4 shuf.p5 shuf.h0.s0 shuf.h0.s1 shuf.h1]" {
+		t.Fatalf("leaves %s, want the base partitions, then the isolation bags", want)
+	}
 	for i := 0; i < 10; i++ {
 		if got := fmt.Sprint(pm.Leaves()); got != want {
 			t.Fatalf("leaf order unstable: %s vs %s", got, want)

@@ -20,8 +20,8 @@ const (
 // detection even triggers. WarmStart transplants what the finished window
 // learned:
 //
-//   - the predecessor's splits and isolations carry over verbatim (routing
-//     is by key hash, which is stable across windows);
+//   - the predecessor's isolations carry over verbatim (routing is by key
+//     hash, which is stable across windows);
 //   - heavy-hitter keys from the merged sketch that were not yet isolated
 //     are pre-isolated when their observed share of the stream exceeds
 //     isolateFraction of a mean partition's load.
@@ -29,10 +29,12 @@ const (
 // prev may be nil (no predecessor map) and stats may be nil (no sketch
 // was captured); base is the new edge's declared base partition count, and
 // isolateFraction and fan come filled in (plan.Options, or the defaults
-// above for stream windows). A predecessor map with a different base
-// cannot be transplanted — its split indices would refine the wrong key
-// ranges — so only the stats are used then. Returns nil when nothing was
-// learned (seeding a plain base map would be pure control-bag noise).
+// above for stream windows). A predecessor map with a different base is
+// not transplanted: its isolations were chosen against another mean
+// partition load, so only the stats — judged against this base's — are
+// used then. The predecessor's Splits, which route nothing, are never
+// copied. Returns nil when nothing was learned: a plain base map is what
+// an unseeded edge derives anyway.
 func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base int, isolateFraction float64, fan int, spread bool) *PartitionMap {
 	if base < 1 {
 		base = 1
@@ -62,7 +64,7 @@ func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base 
 			})
 		}
 	}
-	if len(seed.Splits) == 0 && len(seed.Isolated) == 0 {
+	if len(seed.Isolated) == 0 {
 		return nil
 	}
 	// Version 1 is the plain base map every party derives locally; a seed

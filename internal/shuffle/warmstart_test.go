@@ -8,7 +8,7 @@ import (
 
 func TestWarmStartTransplantsRefinements(t *testing.T) {
 	prev := BaseMap("old", 4)
-	prev.Splits = map[int]int{2: 4}
+	prev.Splits = map[int]int{2: 4} // routes nothing: must not be copied
 	prev.Isolated = []Isolation{{Hash: KeyHash(key(7)), Fan: 2}}
 	prev.Version = 3
 
@@ -22,11 +22,14 @@ func TestWarmStartTransplantsRefinements(t *testing.T) {
 	if seed.Version < 2 {
 		t.Fatalf("seed version %d would lose to the locally derived base map", seed.Version)
 	}
-	if seed.Splits[2] != 4 {
-		t.Fatalf("split fan not transplanted: %v", seed.Splits)
+	if seed.Splits != nil {
+		t.Fatalf("splits transplanted: %v", seed.Splits)
 	}
-	if !seed.IsIsolated(KeyHash(key(7))) {
-		t.Fatal("isolation not transplanted")
+	if !seed.IsIsolated(KeyHash(key(7))) || len(seed.Isolated) != 1 || seed.Isolated[0].Fan != 2 {
+		t.Fatalf("isolation not transplanted: %+v", seed.Isolated)
+	}
+	if got, want := len(seed.Leaves()), 4+2; got != want {
+		t.Fatalf("seed has %d leaves, want the 4 base partitions and 2 isolation bags", got)
 	}
 	// The predecessor must be untouched (Clone semantics).
 	if prev.Bag != "old" || prev.Version != 3 {
@@ -71,9 +74,16 @@ func TestWarmStartNothingLearned(t *testing.T) {
 	}
 	// A predecessor with a different base cannot be transplanted.
 	prev := BaseMap("old", 8)
+	prev.Isolated = []Isolation{{Hash: KeyHash(key(7)), Fan: 2}}
+	prev.Version = 2
+	if seed := WarmStart(prev, nil, "new", 4, 0.5, 2, true); seed != nil {
+		t.Fatalf("mismatched base must not transplant isolations, got %+v", seed)
+	}
+	// Splits alone are nothing learned: they route nothing.
+	prev = BaseMap("old", 4)
 	prev.Splits = map[int]int{1: 2}
 	prev.Version = 2
 	if seed := WarmStart(prev, nil, "new", 4, 0.5, 2, true); seed != nil {
-		t.Fatalf("mismatched base must not transplant splits, got %+v", seed)
+		t.Fatalf("a predecessor with splits only must not seed, got %+v", seed)
 	}
 }

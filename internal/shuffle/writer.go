@@ -98,10 +98,9 @@ type Writer struct {
 
 	// The routing table and its shape, set together by adopt.
 	pm    *PartitionMap
-	plain bool    // no splits, no isolations
-	base  uint64  // pm.Base
-	mask  uint64  // base-1 when base is a power of two above one, else 0
-	kb    [8]byte // a uint64 key's bytes, for routeRefined
+	plain bool   // no isolations
+	base  uint64 // pm.Base
+	mask  uint64 // base-1 when base is a power of two above one, else 0
 
 	// outs caches one insert pipeline per routing decision.
 	outs map[RouteRef]*leafOut

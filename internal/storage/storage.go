@@ -437,7 +437,7 @@ func (n *Node) handleDelete(req *transport.Request) *transport.Response {
 // handleDeletePrefix garbage collects every bag whose name starts with
 // req.Bag, and drops matching shuffle-edge sketch state. The scheduler
 // discards a completed job's namespace with one request per node, which
-// also covers runtime-derived names (sub-partitions, isolated-key bags,
+// also covers runtime-derived names (partition bags, isolated-key bags,
 // clone partials) no client-side enumeration could produce.
 func (n *Node) handleDeletePrefix(req *transport.Request) *transport.Response {
 	if req.Bag == "" {
