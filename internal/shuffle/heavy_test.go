@@ -7,9 +7,11 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
@@ -380,6 +382,121 @@ func TestStretchIsTickEvery(t *testing.T) {
 						t.Fatalf("drain %d at record %d, want %d", i, got[i].at, want[i].at)
 					case fmt.Sprint(got[i].fed) != fmt.Sprint(want[i].fed):
 						t.Fatalf("the drain at record %d fed %v (key: count), an exact count of the stretch puts %v over the line", got[i].at, got[i].fed, want[i].fed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCountWidthsApart: the word loop compares key words alone, so a
+// writer that has routed a key of another width must leave it. The 1-byte
+// key "a" and the uint64 key 0x61 pack to the same key8 and hash alike, so
+// they share a home slot; whichever a stretch sees first claims it in
+// countHit and never reaches countKey. One writer interleaves the two —
+// "a" through RouteKey, Write or a byte-key WriteBatch, 0x61 through a word
+// WriteBatch — inside stretches and across a block boundary, starting with
+// either, and every drain must feed the two keys apart, each with the
+// count an exact tally of its stretch gives it.
+func TestCountWidthsApart(t *testing.T) {
+	const word = 0x61
+	short, long := "a", string(key(word))
+	// The stream, run by run, the two keys by turns. The 5,000-record run
+	// crosses a scatter block and several stretches.
+	runs := []int{100, 500, 200, 5000}
+	for range 20 {
+		runs = append(runs, 37, 61)
+	}
+	type drain struct {
+		at  uint64
+		fed map[string]uint64
+	}
+	for _, first := range []string{short, long} {
+		keyOf := func(run int) string {
+			if (run%2 == 0) == (first == short) {
+				return short
+			}
+			return long
+		}
+		var stream []string
+		for i, n := range runs {
+			for range n {
+				stream = append(stream, keyOf(i))
+			}
+		}
+		var want []drain
+		for lo := 0; lo < len(stream); lo += tickEvery {
+			hi := min(lo+tickEvery, len(stream))
+			count, fed := make(map[string]uint64), make(map[string]uint64)
+			for _, k := range stream[lo:hi] {
+				count[k]++
+			}
+			for k, n := range count {
+				if n*stretchFeedFraction >= uint64(hi-lo) {
+					fed[strconv.Quote(k)] = n
+				}
+			}
+			want = append(want, drain{uint64(hi), fed})
+		}
+		for _, api := range []string{"RouteKey", "Write", "WriteBatch"} {
+			t.Run(map[string]string{short: "a-first/", long: "word-first/"}[first]+api, func(t *testing.T) {
+				var got []drain
+				drainSeen = func(w *Writer, fed []sketch.HeavyKey) {
+					d := drain{w.drained, make(map[string]uint64)}
+					for _, h := range fed {
+						d.fed[strconv.Quote(string(h.Key))] = h.Count
+					}
+					got = append(got, d)
+				}
+				defer func() { drainSeen = nil }()
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				words := NewScatter(w, tupleCodec, nil)
+				words.KeyUint64(func(v tuple) uint64 { return v.First })
+				bytesKeyed := NewScatter(w, chunk.BytesCodec{}, func(b []byte) []byte { return b })
+				for i, n := range runs {
+					var err error
+					switch {
+					case keyOf(i) == long:
+						batch := make([]tuple, n)
+						for j := range batch {
+							batch[j] = tuple{First: word, Second: uint64(j)}
+						}
+						err = words.WriteBatch(batch)
+					case api == "RouteKey":
+						for range n {
+							w.RouteKey([]byte(short))
+						}
+					case api == "Write":
+						for j := 0; j < n && err == nil; j++ {
+							err = w.Write([]byte(short), []byte("r"))
+						}
+					default:
+						batch := make([][]byte, n)
+						for j := range batch {
+							batch[j] = []byte(short)
+						}
+						err = bytesKeyed.WriteBatch(batch)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := bytesKeyed.flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := words.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < max(len(got), len(want)); i++ {
+					switch {
+					case i >= len(want):
+						t.Fatalf("drain %d at record %d, past the stream's %d stretches", i, got[i].at, len(want))
+					case i >= len(got):
+						t.Fatalf("%d drains, want %d: none at record %d", len(got), len(want), want[i].at)
+					case got[i].at != want[i].at:
+						t.Fatalf("drain %d at record %d, want %d", i, got[i].at, want[i].at)
+					case fmt.Sprint(got[i].fed) != fmt.Sprint(want[i].fed):
+						t.Fatalf("the drain at record %d fed %v (key: count), an exact count of the stretch feeds %v", got[i].at, got[i].fed, want[i].fed)
 					}
 				}
 			})

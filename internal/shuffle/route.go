@@ -8,12 +8,25 @@ import (
 )
 
 // Routing and exact key counting: the per-record half of a Writer. Every
-// record of every write API takes one step here (step): tick when a stretch
-// is due, route by the shape the map was adopted with, and count
-// the key — hashed once by the caller — in an exact table. The table covers
+// record is routed by its key's hash — hashed once by the caller — under
+// the shape the map was adopted with, and its key is counted in an exact
+// table, with a tick ahead of every tickEvery-th record. The table covers
 // one stretch of the stream at a time, and every stretch is tickEvery
 // records, whatever keys it holds — so one stream leaves one sketch and one
 // heavy-key list however it was cut into calls.
+//
+// Two loops do it, and a block of records takes one of them whole. The
+// general loop takes any key under any map: step, a record at a time, for
+// RouteKey and RouteUint64, and inline in Scatter.WriteBatch. The word loop
+// takes a block of uint64 keys under a plain map while every key the writer
+// has routed is 8 bytes: it counts through countHit8, a compare of the key
+// word alone, and ticks only where a stretch ends, so its inner loop has no
+// tick test. Scatter.WriteBatch chooses it once per block, and
+// PartitionBatchUint64 once per call. The width guard (Writer.otherWidth) is what keeps the word compare
+// exact: a shorter key packs into a slot's key8 like the word its bytes
+// zero-pad to ("a" and 0x61), and only the slot's klen tells them apart —
+// so the first key of another width is flagged before it is counted, and
+// every later block takes the general loop.
 //
 // What the statistics cost is what the heavy keys cost. Every record is
 // counted exactly in the stretch table, and that is all a light key ever
@@ -47,11 +60,11 @@ func (w *Writer) adopt(pm *PartitionMap) {
 	}
 }
 
-// step is the per-record path, whole: tick when a stretch is due, route,
-// count, advance — for every record of every write API (WriteBatch's loop
-// has it inline). hash is KeyHash of the key's bytes. A uint64 key
-// passes key nil, its word as key8 and klen 8: its bytes materialize only
-// at a drain, for the keys it feeds.
+// step is the general loop's per-record path, whole: tick when a stretch
+// is due, route, count, advance (Scatter.WriteBatch's general loop has it
+// inline). hash is KeyHash of the key's bytes. A uint64 key passes key
+// nil, its word as key8 and klen 8: its bytes materialize only at a drain,
+// for the keys it feeds.
 func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
 	if w.n%tickEvery == 0 {
 		w.tick()
@@ -85,6 +98,9 @@ func (w *Writer) routePlain(hash uint64) int {
 // caller's to place: hand its chunk, in time, to InsertBatchChunk under the
 // returned ref.
 func (w *Writer) RouteKey(key []byte) RouteRef {
+	if len(key) != 8 {
+		w.otherWidth = true // before the key is counted
+	}
 	return w.step(key, slotKey8(key), int32(len(key)), KeyHash(key))
 }
 
@@ -96,16 +112,47 @@ func (w *Writer) RouteUint64(v uint64) RouteRef {
 }
 
 // PartitionBatchUint64 is RouteUint64 over a batch of keys; the returned
-// routing vector is reused by the next call.
+// routing vector is reused by the next call. It takes the word loop when
+// Scatter.WriteBatch would (words), so it prices the count that ships.
 func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	if cap(w.refs) < len(keys) {
 		w.refs = make([]RouteRef, len(keys))
 	}
 	refs := w.refs[:len(keys)]
-	for i, v := range keys {
-		refs[i] = w.step(nil, v, 8, KeyHashUint64(v))
+	if !w.words() {
+		for i, v := range keys {
+			refs[i] = w.step(nil, v, 8, KeyHashUint64(v))
+		}
+		return refs
+	}
+	for lo := 0; lo < len(keys); {
+		hi := lo + w.stretchRoom(len(keys)-lo)
+		for i := lo; i < hi; i++ {
+			hash := KeyHashUint64(keys[i])
+			if !w.countHit8(keys[i], hash) {
+				w.countKey(nil, keys[i], 8, hash)
+			}
+			refs[i] = RouteRef{Iso: -1, Part: w.routePlain(hash)}
+		}
+		w.n += uint64(hi - lo)
+		lo = hi
 	}
 	return refs
+}
+
+// words reports whether a block of uint64 keys may take the word loop: the
+// map is plain and no key of another width than 8 bytes was ever routed.
+func (w *Writer) words() bool { return w.plain && !w.otherWidth }
+
+// stretchRoom is the word loop's tick: it ticks if a stretch is due, as
+// step does, and returns how many of the next n records the current
+// stretch has room for — the run the word loop takes before it advances
+// w.n and looks again.
+func (w *Writer) stretchRoom(n int) int {
+	if w.n%tickEvery == 0 {
+		w.tick()
+	}
+	return min(n, int(tickEvery-w.n%tickEvery))
 }
 
 // countTabSlots sizes the count table (16 bytes a slot): a power of two,
@@ -156,7 +203,8 @@ func slotKey8(key []byte) uint64 {
 // and countKey probes on. Hits and claims alternate unpredictably (a
 // quarter of a Zipf(1.3) stretch are first sightings), so it takes either
 // without a branch: a free slot's stamp reads as the floor, a count of 0.
-// It makes no call, so it inlines into step and WriteBatch.
+// It makes no call, so it inlines into step and WriteBatch's general loop;
+// countHit8 is its copy for the word loop.
 func (w *Writer) countHit(key8 uint64, klen int32, hash uint64) bool {
 	s := &w.tab[hash%countTabSlots]
 	c := max(s.c, w.floor)
@@ -164,6 +212,24 @@ func (w *Writer) countHit(key8 uint64, klen int32, hash uint64) bool {
 		return false
 	}
 	s.key8, s.klen, s.c = key8, klen, c+1
+	if c%countTabSlots == feedLine-1 {
+		w.hot[w.nhot] = uint16(hash % countTabSlots)
+		w.nhot++
+	}
+	return true
+}
+
+// countHit8 is countHit for the word loop, where every key the table has
+// held is 8 bytes (the width guard): key8 is the whole key, so the compare
+// has no key-length term. The slot still records klen 8, so slotKey and the
+// drains read it as countHit's.
+func (w *Writer) countHit8(key8, hash uint64) bool {
+	s := &w.tab[hash%countTabSlots]
+	c := max(s.c, w.floor)
+	if min(uint64(c%countTabSlots), s.key8^key8) != 0 {
+		return false
+	}
+	s.key8, s.klen, s.c = key8, 8, c+1
 	if c%countTabSlots == feedLine-1 {
 		w.hot[w.nhot] = uint16(hash % countTabSlots)
 		w.nhot++

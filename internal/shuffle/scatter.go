@@ -30,6 +30,7 @@ type Scatter[T any] struct {
 	// per record is measurable).
 	base  []*scatterLeaf[T]
 	other map[RouteRef]*scatterLeaf[T]
+	dense bool // base holds every base partition's leaf (baseLeaves)
 
 	touched []*scatterLeaf[T] // leaves the current WriteBatch block has rows for
 }
@@ -65,46 +66,18 @@ func (s *Scatter[T]) Write(v T) error {
 
 // WriteBatch routes vs and appends each leaf's rows, in stream order, with
 // one AppendRows per leaf per block. A block is routed, counted and grouped
-// in one pass: each record takes the writer's step, inline — a tick inside
-// a block comes before the next record, and the count probes once — and
-// its index goes to its leaf.
+// in one pass, by one of the writer's two loops (route.go), chosen once per
+// block: the word loop for uint64 keys under a plain map while every key
+// the writer has routed is 8 bytes, else the general loop. Either way a
+// tick inside a block comes before the block's next record.
 func (s *Scatter[T]) WriteBatch(vs []T) error {
-	w := s.w
 	for len(vs) > 0 {
 		blk := vs[:min(len(vs), scatterBlock)]
 		vs = vs[len(blk):]
-		for i := range blk {
-			key, key8, klen, hash := []byte(nil), uint64(0), int32(8), uint64(0)
-			if s.keyU64 != nil {
-				key8 = s.keyU64(blk[i])
-				hash = KeyHashUint64(key8)
-			} else {
-				key = s.key(blk[i])
-				key8, klen, hash = slotKey8(key), int32(len(key)), KeyHash(key)
-			}
-			// Writer.step, without a call.
-			if w.n%tickEvery == 0 {
-				w.tick()
-			}
-			ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
-			if !w.plain {
-				ref = w.routeIsolated(hash)
-			}
-			if !w.countHit(key8, klen, hash) {
-				w.countKey(key, key8, klen, hash)
-			}
-			w.n++
-			var l *scatterLeaf[T]
-			if ref.Iso < 0 && ref.Part < len(s.base) {
-				l = s.base[ref.Part] // the common case, without a call
-			}
-			if l == nil {
-				l = s.leaf(ref)
-			}
-			if len(l.idx) == 0 {
-				s.touched = append(s.touched, l)
-			}
-			l.idx = append(l.idx, int32(i))
+		if s.keyU64 != nil && s.w.words() {
+			s.groupWords(blk)
+		} else {
+			s.group(blk)
 		}
 		var firstErr error
 		for _, l := range s.touched {
@@ -119,6 +92,89 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 		}
 	}
 	return nil
+}
+
+// group is the general loop over one block: each record takes the
+// writer's step, inline — the count probes once — and its index goes to
+// its leaf, listed in touched as it is first routed to.
+func (s *Scatter[T]) group(blk []T) {
+	w := s.w
+	for i := range blk {
+		key, key8, klen, hash := []byte(nil), uint64(0), int32(8), uint64(0)
+		if s.keyU64 != nil {
+			key8 = s.keyU64(blk[i])
+			hash = KeyHashUint64(key8)
+		} else {
+			key = s.key(blk[i])
+			key8, klen, hash = slotKey8(key), int32(len(key)), KeyHash(key)
+			if klen != 8 {
+				w.otherWidth = true // before the key is counted
+			}
+		}
+		// Writer.step, without a call.
+		if w.n%tickEvery == 0 {
+			w.tick()
+		}
+		ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
+		if !w.plain {
+			ref = w.routeIsolated(hash)
+		}
+		if !w.countHit(key8, klen, hash) {
+			w.countKey(key, key8, klen, hash)
+		}
+		w.n++
+		var l *scatterLeaf[T]
+		if ref.Iso < 0 && ref.Part < len(s.base) {
+			l = s.base[ref.Part] // the common case, without a call
+		}
+		if l == nil {
+			l = s.leaf(ref)
+		}
+		if len(l.idx) == 0 {
+			s.touched = append(s.touched, l)
+		}
+		l.idx = append(l.idx, int32(i))
+	}
+}
+
+// groupWords is the word loop over one block: per record, the key word,
+// its hash, the 8-byte count and its base partition's leaf, from a dense
+// table of every base partition's leaf. It ticks at stretch ends only,
+// between runs, and lists the touched leaves after the block.
+func (s *Scatter[T]) groupWords(blk []T) {
+	w, leaves := s.w, s.baseLeaves()
+	for lo := 0; lo < len(blk); {
+		hi := lo + w.stretchRoom(len(blk)-lo)
+		for i := lo; i < hi; i++ {
+			key8 := s.keyU64(blk[i])
+			hash := KeyHashUint64(key8)
+			if !w.countHit8(key8, hash) {
+				w.countKey(nil, key8, 8, hash)
+			}
+			l := leaves[w.routePlain(hash)]
+			l.idx = append(l.idx, int32(i))
+		}
+		w.n += uint64(hi - lo)
+		lo = hi
+	}
+	for _, l := range leaves {
+		if len(l.idx) > 0 {
+			s.touched = append(s.touched, l)
+		}
+	}
+}
+
+// baseLeaves returns the leaf of every base partition, by index: the word
+// loop's routing table, opened whole at its first block. An encoder no
+// record reaches cuts no chunk.
+func (s *Scatter[T]) baseLeaves() []*scatterLeaf[T] {
+	if !s.dense {
+		for p := range int(s.w.base) {
+			s.leaf(RouteRef{Iso: -1, Part: p})
+		}
+		s.dense = true
+	}
+	return s.base
 }
 
 // leaf returns the leaf ref addresses, opening it on first use.
@@ -161,7 +217,7 @@ func (s *Scatter[T]) flush() error {
 			firstErr = err
 		}
 	}
-	s.base, s.other = nil, nil
+	s.base, s.other, s.dense = nil, nil, false
 	return firstErr
 }
 

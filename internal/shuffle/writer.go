@@ -102,6 +102,11 @@ type Writer struct {
 	base  uint64 // pm.Base
 	mask  uint64 // base-1 when base is a power of two above one, else 0
 
+	// otherWidth is the width guard: set when a key of other than 8 bytes is
+	// routed, before it is counted, and never cleared. Blocks of uint64 keys
+	// take the word loop only while it is unset (route.go).
+	otherWidth bool
+
 	// outs caches one insert pipeline per routing decision.
 	outs map[RouteRef]*leafOut
 	// raw is the scatter behind Write: records that are already bytes.
