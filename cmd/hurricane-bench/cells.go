@@ -18,7 +18,7 @@ import (
 func newCluster(chunkKiB int, edit func(*hurricane.ClusterConfig)) (*hurricane.Cluster, error) {
 	cfg := hurricane.ClusterConfig{
 		StorageNodes: 4, ComputeNodes: 4, SlotsPerNode: 2, ChunkSize: chunkKiB << 10,
-		Node: hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond, OverloadThreshold: 0.1},
+		Node: hurricane.NodeConfig{MonitorInterval: 4 * time.Millisecond, OverloadThreshold: 0.1},
 		Master: hurricane.MasterConfig{
 			CloneInterval: 2 * time.Millisecond, SplitInterval: 2 * time.Millisecond,
 		},

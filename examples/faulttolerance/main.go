@@ -30,8 +30,7 @@ func main() {
 			CloneInterval: 10 * time.Millisecond,
 		},
 		Node: hurricane.NodeConfig{
-			MonitorInterval:   5 * time.Millisecond,
-			HeartbeatInterval: 5 * time.Millisecond,
+			MonitorInterval: 10 * time.Millisecond,
 		},
 	})
 	if err != nil {

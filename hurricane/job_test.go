@@ -24,7 +24,7 @@ func TestSubmitJobConcurrent(t *testing.T) {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		Node: hurricane.NodeConfig{
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},
 	})

@@ -26,8 +26,7 @@ func TestProfileZipfGroupBy(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			MonitorInterval:   2 * time.Millisecond,
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 			// Reactive cloning off: a late-started clone can become a
 			// stage's latest finisher, and its span — which starts
 			// mid-stage — would legitimately undercount the stage's

@@ -32,8 +32,8 @@ import (
 // Re-exported planner types; the q functions below are the typed surface
 // over them.
 type (
-	// Options tunes logical→physical compilation (partitions, broadcast
-	// threshold, isolation threshold, static/naive mode, statistics).
+	// Options tunes logical→physical compilation (partitions, isolation
+	// threshold, static/naive mode, statistics).
 	Options = plan.Options
 	// Stats carries compile-time statistics: source-bag sizes and warm
 	// key-frequency sketches (from a sample, a previous run's

@@ -23,8 +23,7 @@ func testClusterConfig() hurricane.ClusterConfig {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			MonitorInterval:   5 * time.Millisecond,
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
 			CloneInterval: 5 * time.Millisecond,

@@ -142,7 +142,7 @@ func TestReadersAgreeAcrossLayouts(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    256, // several chunks of each layout per bag
 		Node: hurricane.NodeConfig{
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},
 	})

@@ -16,8 +16,7 @@ func testClusterConfig() ClusterConfig {
 		SlotsPerNode: 2,
 		ChunkSize:    1 << 10,
 		Node: NodeConfig{
-			MonitorInterval:   5 * time.Millisecond,
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Master: MasterConfig{
 			CloneInterval: 5 * time.Millisecond,

@@ -41,8 +41,8 @@ import (
 // blocking successor windows, preserving exactly-once per window.
 type (
 	// StreamSpec describes a continuous-ingestion stream: the window DAG
-	// template, its sources, the window width, and the late/retry/memory
-	// knobs.
+	// template, its sources, the window width, and the late-record and
+	// skew-memory knobs.
 	StreamSpec = stream.Spec
 	// StreamHandle is the caller's grip on a running stream: Next
 	// (per-window results in order), Stats (watermark/lag/window

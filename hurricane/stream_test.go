@@ -45,7 +45,7 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		SlotsPerNode: 2,
 		ChunkSize:    8 << 10,
 		Node: hurricane.NodeConfig{
-			HeartbeatInterval: 5 * time.Millisecond,
+			MonitorInterval: 10 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	})

@@ -159,7 +159,7 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		}
 		cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 			ComputeNodes: 1, SlotsPerNode: 2,
-			Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
+			Node:   core.NodeConfig{MonitorInterval: 4 * time.Millisecond},
 			Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, Policies: []hurricane.Policy{}},
 		})
 		if err := hurricane.Load(ctx, store, "in", tupleCodec, stream); err != nil {
@@ -277,7 +277,7 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple) string {
 	}
 	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 		ComputeNodes: 1, SlotsPerNode: 1,
-		Node:   core.NodeConfig{HeartbeatInterval: 2 * time.Millisecond},
+		Node:   core.NodeConfig{MonitorInterval: 4 * time.Millisecond},
 		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, Policies: []hurricane.Policy{}},
 	})
 	defer cluster.Shutdown()

@@ -18,8 +18,7 @@ func testCluster(t *testing.T, mutate func(*hurricane.ClusterConfig)) *hurricane
 		SlotsPerNode: 2,
 		ChunkSize:    2 << 10,
 		Node: hurricane.NodeConfig{
-			MonitorInterval:   5 * time.Millisecond,
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Master: hurricane.MasterConfig{
 			CloneInterval: 5 * time.Millisecond,
@@ -80,8 +79,7 @@ func TestClickLogWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
 		cfg.Master.CloneInterval = time.Millisecond
-		cfg.Node.MonitorInterval = time.Millisecond
-		cfg.Node.HeartbeatInterval = time.Millisecond
+		cfg.Node.MonitorInterval = 2 * time.Millisecond
 		cfg.Node.OverloadThreshold = 0.01 // everything looks overloaded
 	})
 	const regions, hostBits = 4, 10

@@ -117,9 +117,8 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	stats := JoinWarmStats(r, s)
 	stats.Records[JoinBagR] = int64(len(r) + 10000) // known, too large to broadcast
 	c, err := HashJoinPlan().Compile(q.Options{
-		Parts:               parts,
-		BroadcastMaxRecords: 1000,
-		Stats:               stats,
+		Parts: parts,
+		Stats: stats,
 	})
 	if err != nil {
 		t.Fatal(err)

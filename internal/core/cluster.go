@@ -49,23 +49,14 @@ type ClusterConfig struct {
 	// into. When nil (the default) the cluster creates its own with
 	// obs.DefaultTraceCap: observability is always on.
 	Obs *obs.Observer
-	// SlowOpThreshold is the storage-op duration at which the transport
-	// and storage-node meters emit EvStorageSlowOp trace events (0 =
-	// transport.DefaultSlowOp, negative disables them).
-	SlowOpThreshold time.Duration
-	// SampleInterval is the continuous-telemetry cadence: the cluster's
-	// sampler snapshots the metrics registry plus the captured skew
-	// state into the time-series Recorder and evaluates the watchdog
-	// rules on every tick. 0 selects DefaultSampleInterval; negative
-	// disables the sampler.
-	SampleInterval time.Duration
 }
 
-// DefaultSampleInterval is the sampler cadence when
-// ClusterConfig.SampleInterval is zero. At the default recorder depth
-// (obs.DefaultPointsPerSeries) it retains a bit over two minutes of
-// history per series.
-const DefaultSampleInterval = 250 * time.Millisecond
+// sampleInterval is the continuous-telemetry cadence: the cluster's
+// sampler snapshots the metrics registry plus the captured skew state into
+// the time-series Recorder and evaluates the watchdog rules on every tick.
+// At the default recorder depth (obs.DefaultPointsPerSeries) it retains a
+// bit over two minutes of history per series.
+const sampleInterval = 250 * time.Millisecond
 
 func (c *ClusterConfig) fill() {
 	if c.StorageNodes <= 0 {
@@ -106,8 +97,8 @@ type Cluster struct {
 	leases *sched.Leases
 	wake   *wake // shared by the nodes' claim loops and the jobs' work bags
 	obs    *obs.Observer
-	rec    *obs.Recorder // nil when the sampler is disabled
-	watch  *obs.Watch    // ditto
+	rec    *obs.Recorder
+	watch  *obs.Watch
 
 	mu          sync.Mutex
 	computes    map[string]*ComputeNode
@@ -125,7 +116,6 @@ func newCluster(cfg ClusterConfig) *Cluster {
 		o = obs.New(obs.DefaultTraceCap)
 	}
 	cfg.Obs = o
-	cfg.Node.Obs = o // workers report shuffle-edge bytes/records
 	c := &Cluster{
 		cfg:        cfg,
 		obs:        o,
@@ -140,12 +130,10 @@ func newCluster(cfg ClusterConfig) *Cluster {
 	}
 	c.reg.Bind(o)
 	c.leases.Bind(o)
-	if cfg.SampleInterval >= 0 {
-		c.rec = obs.NewRecorder(0)
-		c.rec.AddSource(obs.RegistrySource(o.Registry()))
-		c.rec.AddSource(c.skewSource())
-		c.watch = obs.NewWatch(o, append(obs.DefaultRules(), heatRule()))
-	}
+	c.rec = obs.NewRecorder(0)
+	c.rec.AddSource(obs.RegistrySource(o.Registry()))
+	c.rec.AddSource(c.skewSource())
+	c.watch = obs.NewWatch(o, append(obs.DefaultRules(), heatRule()))
 	return c
 }
 
@@ -155,7 +143,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.fill()
 	c := newCluster(cfg)
 	c.inproc = transport.NewInProc()
-	c.inproc.Bind(transport.NewMeter(c.obs, "inproc", "", cfg.SlowOpThreshold))
+	c.inproc.Bind(transport.NewMeter(c.obs, "inproc", "", 0))
 	names := make([]string, 0, cfg.StorageNodes)
 	for i := 0; i < cfg.StorageNodes; i++ {
 		name := fmt.Sprintf("storage-%d", i)
@@ -164,7 +152,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			opts = append(opts, storage.WithDir(fmt.Sprintf("%s/%s", cfg.DiskDir, name)))
 		}
 		node := storage.NewNode(name, opts...)
-		node.Bind(c.obs, cfg.SlowOpThreshold)
+		node.Bind(c.obs, 0)
 		c.storages[name] = node
 		c.inproc.Register(name, node)
 		names = append(names, name)
@@ -206,13 +194,10 @@ func (c *Cluster) Store() *bag.Store { return c.store }
 func (c *Cluster) Observer() *obs.Observer { return c.obs }
 
 // Recorder exposes the cluster's time-series recorder — the sampled
-// history behind /debug/timeseries. Nil when the sampler is disabled (a
-// negative SampleInterval); a nil *Recorder is itself a no-op, so callers
-// may use it unconditionally.
+// history behind /debug/timeseries.
 func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 
-// Watch exposes the cluster's watchdog (nil when the sampler is
-// disabled; a nil *Watch is a no-op).
+// Watch exposes the cluster's watchdog.
 func (c *Cluster) Watch() *obs.Watch { return c.watch }
 
 // Trace returns the cluster-wide skew-event trace, oldest first,
@@ -269,28 +254,22 @@ func (c *Cluster) ensurePoolLocked() {
 	c.poolStarted = true
 	for i := 0; i < c.cfg.ComputeNodes; i++ {
 		name := fmt.Sprintf("compute-%d", i)
-		node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.cfg.Node)
+		node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.obs, c.cfg.Node)
 		c.computes[name] = node
 		node.Start(c.poolCtx)
 	}
 	c.nextComp = c.cfg.ComputeNodes
 	c.leases.SetTotal(c.totalSlotsLocked())
 	go c.schedLoop()
-	if c.rec != nil {
-		go c.samplerLoop()
-	}
+	go c.samplerLoop()
 }
 
-// samplerLoop drives continuous telemetry: every SampleInterval it takes
+// samplerLoop drives continuous telemetry: every sampleInterval it takes
 // one recorder sample (registry snapshot + captured skew shares) and
 // runs the watchdog rules over it. It lives and dies with the compute
 // pool — started by the first job submission, stopped by Shutdown.
 func (c *Cluster) samplerLoop() {
-	interval := c.cfg.SampleInterval
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(sampleInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -447,7 +426,7 @@ func (c *Cluster) AddComputeNode(ctx context.Context) (string, error) {
 	}
 	name := fmt.Sprintf("compute-%d", c.nextComp)
 	c.nextComp++
-	node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.cfg.Node)
+	node := newComputeNode(name, c.cfg.SlotsPerNode, c.store, c.leases, c.wake, c.obs, c.cfg.Node)
 	c.computes[name] = node
 	for _, h := range c.jobs {
 		h.mu.Lock()
@@ -501,7 +480,7 @@ func (c *Cluster) AddStorageNode() string {
 		opts = append(opts, storage.WithDir(fmt.Sprintf("%s/%s", c.cfg.DiskDir, name)))
 	}
 	node := storage.NewNode(name, opts...)
-	node.Bind(c.obs, c.cfg.SlowOpThreshold)
+	node.Bind(c.obs, 0)
 	c.storages[name] = node
 	c.inproc.Register(name, node)
 	c.store.AddNode(name)

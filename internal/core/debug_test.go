@@ -157,7 +157,6 @@ func TestContinuousTelemetryLiveCluster(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.SampleInterval = 5 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

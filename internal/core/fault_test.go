@@ -21,8 +21,7 @@ func testClusterConfig() ClusterConfig {
 		SlotsPerNode: 2,
 		ChunkSize:    1 << 10,
 		Node: NodeConfig{
-			MonitorInterval:   5 * time.Millisecond,
-			HeartbeatInterval: 2 * time.Millisecond,
+			MonitorInterval: 4 * time.Millisecond,
 		},
 		Master: MasterConfig{
 			CloneInterval: 5 * time.Millisecond,
@@ -294,6 +293,57 @@ func TestComputeNodeCrashByHeartbeat(t *testing.T) {
 	close(crashed)
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	want := int64(n) * (n - 1) / 2
+	if got := readSum(t, ctx, cluster.Store()); got != want {
+		t.Fatalf("sum = %d, want %d", got, want)
+	}
+	if cluster.Master().Stats().Recoveries == 0 {
+		t.Error("expected heartbeat-timeout recovery")
+	}
+}
+
+// TestComputeNodeCrashBeforeFirstHeartbeat crashes the node running the
+// copy task before that node has sent the master a single heartbeat
+// (notify=false). The master must still suspect the node from the running
+// bag's evidence and recover its task after FailTimeout, not wait forever
+// for a heartbeat it would time out.
+func TestComputeNodeCrashBeforeFirstHeartbeat(t *testing.T) {
+	cfg := testClusterConfig()
+	cfg.Node.MonitorInterval = 600 * time.Millisecond // a heartbeat every 300ms
+	cfg.Master.FailTimeout = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	const n = 4000
+	var processed atomic.Int64
+	crashed := make(chan struct{})
+	app := gatedSumApp(&processed, crashed)
+	loadInts(t, ctx, cluster.Store(), "in", n)
+	if err := cluster.Start(ctx, app); err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for victim == "" {
+		if ctx.Err() != nil {
+			t.Fatal("timed out waiting for running-bag evidence")
+		}
+		if nodes := cluster.Master().RunningOn("copy"); len(nodes) > 0 {
+			victim = nodes[0]
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := cluster.CrashComputeNode(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	close(crashed)
+	if err := cluster.Wait(ctx); err != nil {
+		t.Fatalf("job never recovered from the silent node: %v", err)
 	}
 	want := int64(n) * (n - 1) / 2
 	if got := readSum(t, ctx, cluster.Store()); got != want {

@@ -17,23 +17,21 @@ import (
 type JobConfig struct {
 	// Name uniquely identifies the job within the cluster. Empty
 	// defaults to the application name. Two live jobs cannot share a
-	// name.
+	// name. It also namespaces the job's bags: every declared bag name
+	// (and every name derived from one — physical partitions, work bags,
+	// clone partials) is stored as "<Name>/<bag>", so concurrent jobs
+	// built from the same application graph cannot collide. Load source
+	// bags and read outputs through JobHandle.Bag, which maps declared
+	// names to physical ones.
 	Name string
-	// Prefix namespaces the job's bags: every declared bag name (and
-	// every name derived from one — physical partitions, work bags,
-	// clone partials) is stored as "<prefix>/<name>", so
-	// concurrent jobs built from the same application graph cannot
-	// collide. Empty defaults to Name. Load source bags and read outputs
-	// through JobHandle.Bag, which maps declared names to physical ones.
-	Prefix string
 	// Raw disables namespacing: bags keep their declared names.
 	// Cluster.Run submits this way so single-job applications keep the
 	// paper's flat naming. Submission still validates that the raw names
 	// cannot collide with any live job's.
 	Raw bool
-	// Weight is the job's fair-share weight (default
-	// sched.Config.DefaultWeight). A weight-2 job is entitled to twice
-	// the worker slots of a weight-1 job under contention.
+	// Weight is the job's fair-share weight (default 1). A weight-2 job
+	// is entitled to twice the worker slots of a weight-1 job under
+	// contention.
 	Weight int
 	// Retain keeps the job's work bags after completion
 	// (Cluster.Run sets it; tests replay them). Without it the scheduler
@@ -480,10 +478,7 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 	}
 	prefix := ""
 	if !cfg.Raw {
-		prefix = cfg.Prefix
-		if prefix == "" {
-			prefix = cfg.Name
-		}
+		prefix = cfg.Name
 	}
 	nsApp, err := jobApp(app, prefix, cfg.Seeds)
 	if err != nil {
@@ -558,10 +553,7 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	if h.cfg.Master != nil {
 		mcfg = *h.cfg.Master
 	}
-	mcfg.Job = h.id
-	mcfg.Obs = c.obs
-	mcfg.TraceID = h.cfg.TraceID
-	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, mcfg)
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, h.cfg.TraceID, mcfg)
 }
 
 // startJobLocked moves an admitted job into execution: build its master,
@@ -782,32 +774,37 @@ func (c *Cluster) schedLoop() {
 
 // ---- per-job control adapter ----
 
-// jobControl is the ClusterControl a job's master sees: kills are scoped
-// to the job's workers, and the mitigation budget (LeaseSlots) is capped
-// by the job's fair-share lease so its clones cannot starve neighbors.
+// jobControl is the master's control-plane authority over the compute
+// nodes, scoped to its job: kills and yields reach only the job's workers,
+// and the mitigation budget (LeaseSlots) is capped by the job's fair-share
+// lease so its clones cannot starve neighbors.
 type jobControl struct {
 	c   *Cluster
 	job string
 }
 
-// KillTask implements ClusterControl, scoped to the owning job.
+// KillTask terminates the job's running workers of (spec, epoch) on every
+// live compute node.
 func (jc *jobControl) KillTask(spec string, epoch int) {
 	jc.c.killTask(jc.job, spec, epoch)
 }
 
-// FreeSlots implements ClusterControl: physical idle slots, shared by
-// all jobs.
+// FreeSlots reports the idle worker slots cluster-wide, shared by all
+// jobs.
 func (jc *jobControl) FreeSlots() int { return jc.c.FreeSlots() }
 
-// TotalSlots implements ClusterControl.
+// TotalSlots reports the total worker slots cluster-wide.
 func (jc *jobControl) TotalSlots() int { return jc.c.TotalSlots() }
 
-// YieldWorker implements ClusterControl, scoped to the owning job.
+// YieldWorker asks the named compute node to preempt the job's worker
+// identified by blueprint ID at its next chunk boundary (fair-share clone
+// preemption). It reports whether the worker was found.
 func (jc *jobControl) YieldWorker(node, bpID string) bool {
 	return jc.c.yieldWorker(jc.job, node, bpID)
 }
 
-// LeaseSlots implements LeaseInfo: the job's clone budget this round.
+// LeaseSlots reports the job's clone budget this round, which the master
+// forwards into telemetry snapshots so ctrl.Arbitrate caps cloning at it.
 func (jc *jobControl) LeaseSlots() int {
 	return jc.c.leases.CloneBudget(jc.job, jc.c.FreeSlots())
 }

@@ -53,7 +53,7 @@ func TestIdleMasterMakesNoCalls(t *testing.T) {
 	store := storeBehind(t, func(tr transport.Client) transport.Client { reads.Client = tr; return reads })
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = 2, 1
-	cfg.Node = NodeConfig{MonitorInterval: time.Millisecond, HeartbeatInterval: time.Millisecond}
+	cfg.Node = NodeConfig{MonitorInterval: 2 * time.Millisecond}
 	cfg.Master.CloneInterval = 2 * time.Millisecond
 	c := NewClusterOverStore(store, cfg)
 	defer c.Shutdown()
@@ -158,7 +158,7 @@ func TestCloneWithinPolicyInterval(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Node = NodeConfig{MonitorInterval: 2 * time.Millisecond, HeartbeatInterval: 2 * time.Millisecond}
+	cfg.Node = NodeConfig{MonitorInterval: 4 * time.Millisecond}
 	cfg.Master.CloneInterval = 20 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {

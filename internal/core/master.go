@@ -13,38 +13,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ClusterControl is the interface through which the master exerts
-// control-plane authority over compute nodes: killing a failed task's
-// clones and checking for idle capacity before cloning.
-type ClusterControl interface {
-	// KillTask terminates all running workers of (spec, epoch) on every
-	// live compute node.
-	KillTask(spec string, epoch int)
-	// FreeSlots reports the number of idle worker slots cluster-wide.
-	FreeSlots() int
-	// TotalSlots reports the total number of worker slots cluster-wide.
-	TotalSlots() int
-	// YieldWorker asks the named compute node to preempt the worker
-	// identified by blueprint ID at its next chunk boundary (fair-share
-	// clone preemption). It reports whether the worker was found.
-	YieldWorker(node, bpID string) bool
-}
-
-// LeaseInfo is optionally implemented by a ClusterControl in a multi-job
-// cluster: LeaseSlots reports the job's current fair-share mitigation
-// budget, which the master forwards into telemetry snapshots so
-// ctrl.Arbitrate caps cloning at the lease.
-type LeaseInfo interface {
-	LeaseSlots() int
-}
-
 // MasterConfig tunes the application master.
 type MasterConfig struct {
-	// Job identifies the owning job in a multi-job cluster; it tags
-	// telemetry snapshots (ctrl.Snapshot.Job) and scheduler accounting.
-	// Empty defaults to the application name.
-	Job string
-
 	// CloneInterval is the minimum gap between successive clones of one
 	// task. The paper sends clone messages at least 2 seconds apart.
 	CloneInterval time.Duration
@@ -70,17 +40,6 @@ type MasterConfig struct {
 	// carry the merged sketch of every active shuffle edge, fetched once
 	// per SplitInterval.
 	Policies []ctrl.Policy
-
-	// Obs receives the master's metrics (labeled by job) and decision
-	// trace events. The cluster injects its shared observer here; nil
-	// disables instrumentation (every update site degrades to a nil
-	// check).
-	Obs *obs.Observer
-
-	// TraceID is the submitter-minted causal trace ID (JobConfig.TraceID).
-	// The master registers it with the trace ring at start so every event
-	// of this job — and its execution profile — carries the ID.
-	TraceID string
 }
 
 func (c *MasterConfig) fill() {
@@ -154,8 +113,6 @@ func (st *taskState) partials() []string {
 
 type nodeState struct {
 	lastBeat time.Time
-	running  int
-	slots    int
 	dead     bool
 }
 
@@ -175,7 +132,11 @@ type Master struct {
 	store   *bag.Store
 	wb      *workBags
 	cfg     MasterConfig
-	control ClusterControl
+	control *jobControl // the owning job's grip on the cluster
+	// traceID is the submitter-minted causal trace ID (JobConfig.TraceID),
+	// registered with the trace ring at start so every event of this job —
+	// and its execution profile — carries it.
+	traceID string
 
 	hub      *ctrl.Hub
 	policies []ctrl.Policy
@@ -229,7 +190,7 @@ type Master struct {
 	profEnd   time.Time
 
 	// obs is the shared observer (nil-safe) plus this job's cached
-	// metric handles; events carry cfg.Job.
+	// metric handles; events carry obs.job, the owning job's name.
 	obs masterObs
 }
 
@@ -276,19 +237,21 @@ func (mo *masterObs) emit(typ obs.EventType, subject, detail string) {
 	mo.o.Emit(typ, mo.job, subject, detail)
 }
 
-// newMaster creates a master for the app, raising the cluster's wake wk for
-// each blueprint it pushes. The app is validated, its source bags sealed.
-func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg MasterConfig) *Master {
+// newMaster creates a master for the app of control's job, raising the
+// cluster's wake wk for each blueprint it pushes. The app is validated, its
+// source bags sealed. o receives the master's metrics (labeled by job) and
+// decision trace events; nil disables instrumentation (every update site
+// degrades to a nil check).
+func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, traceID string, cfg MasterConfig) *Master {
 	cfg.fill()
-	if cfg.Job == "" {
-		cfg.Job = app.Name()
-	}
+	job := control.job
 	m := &Master{
 		app:        app,
 		store:      store,
 		wb:         newWorkBags(store, app.Name(), wk),
 		cfg:        cfg,
 		control:    control,
+		traceID:    traceID,
 		tasks:      make(map[string]*taskState),
 		sealed:     make(map[string]bool),
 		nodes:      make(map[string]*nodeState),
@@ -305,9 +268,9 @@ func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg
 		m.sealed[b] = true
 	}
 	m.edges = newShuffleEdges(app)
-	m.obs = newMasterObs(cfg.Obs, cfg.Job)
+	m.obs = newMasterObs(o, job)
 	scans := func(label string) *obs.Counter {
-		return cfg.Obs.Counter("hurricane_core_record_scans_total", "job", cfg.Job, "bag", label)
+		return o.Counter("hurricane_core_record_scans_total", "job", job, "bag", label)
 	}
 	m.records = []recordBag{
 		{ctrl.CauseReady, store.Scanner(m.wb.readyName()), m.absorbReady, scans("ready")},
@@ -328,8 +291,8 @@ func newMaster(app *App, store *bag.Store, control ClusterControl, wk *wake, cfg
 			}
 			return &ctrl.BagTel{RemainingBytes: stats.RemainingBytes()}, nil
 		},
-		Obs: cfg.Obs,
-		Job: cfg.Job,
+		Obs: o,
+		Job: job,
 	})
 	return m
 }
@@ -342,8 +305,8 @@ func (m *Master) Start(parent context.Context) {
 	m.mu.Lock()
 	m.profStart = time.Now()
 	m.mu.Unlock()
-	if m.cfg.TraceID != "" {
-		m.cfg.Obs.Tracer().SetJobTrace(m.cfg.Job, m.cfg.TraceID)
+	if m.traceID != "" {
+		m.obs.o.Tracer().SetJobTrace(m.obs.job, m.traceID)
 	}
 	m.ctx, m.cancel = context.WithCancel(parent)
 	m.wg.Add(1)
@@ -559,7 +522,7 @@ func (m *Master) overload(node string, bp *Blueprint, busy float64) {
 // heartbeat implements masterAPI. A heartbeat is for failure detection
 // alone: it updates the node's liveness record, which failureDetectPass
 // reads, and wakes nothing.
-func (m *Master) heartbeat(node string, running, slots int) {
+func (m *Master) heartbeat(node string) {
 	m.mu.Lock()
 	ns := m.nodes[node]
 	if ns == nil {
@@ -567,8 +530,6 @@ func (m *Master) heartbeat(node string, running, slots int) {
 		m.nodes[node] = ns
 	}
 	ns.lastBeat = time.Now()
-	ns.running = running
-	ns.slots = slots
 	ns.dead = false
 	m.mu.Unlock()
 }
@@ -766,13 +727,11 @@ func (m *Master) controlPass() (int, error) {
 // fillSnapshot contributes the master's authoritative task and edge state
 // to a telemetry snapshot. Pure forwarding: no decisions are made here.
 func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
-	snap.Job = m.cfg.Job
+	snap.Job = m.obs.job
 	snap.FreeSlots = m.control.FreeSlots()
 	snap.TotalSlots = m.control.TotalSlots()
-	if li, ok := m.control.(LeaseInfo); ok {
-		snap.LeaseCapped = true
-		snap.LeaseSlots = li.LeaseSlots()
-	}
+	snap.LeaseCapped = true
+	snap.LeaseSlots = m.control.LeaseSlots()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for name, st := range m.tasks {
@@ -928,6 +887,11 @@ func (m *Master) absorbRunning(c chunk.Chunk) error {
 	if st := m.tasks[e.Spec]; st != nil && e.Epoch == st.epoch {
 		if _, done := st.doneWorkers[e.Worker]; !done || e.Merge {
 			st.running[e.TaskID] = e.Node
+			// Suspect a node from the moment it runs a task: one that
+			// dies before its first heartbeat times out all the same.
+			if m.nodes[e.Node] == nil {
+				m.nodes[e.Node] = &nodeState{lastBeat: time.Now()}
+			}
 		}
 	}
 	return nil

@@ -465,7 +465,7 @@ func TestSubmitCollisionValidation(t *testing.T) {
 		t.Fatalf("derived-name self collision not rejected: %v", err)
 	}
 	// Nested namespaces would make Discard reach into a sibling job.
-	if _, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "nested", Prefix: "ns/inner"}); err == nil ||
+	if _, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "ns/inner"}); err == nil ||
 		!strings.Contains(err.Error(), "nests") {
 		t.Fatalf("nested namespace not rejected: %v", err)
 	}

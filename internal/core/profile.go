@@ -29,8 +29,8 @@ func (m *Master) Profile() *obs.Profile {
 		}
 	}
 
-	p := obs.BuildProfile(m.cfg.Job, wall, spans, m.stageDeps())
-	p.TraceID = m.cfg.TraceID
+	p := obs.BuildProfile(m.obs.job, wall, spans, m.stageDeps())
+	p.TraceID = m.traceID
 	m.attributeEdgeSkew(p)
 	return p
 }
@@ -76,7 +76,7 @@ func (m *Master) attributeEdgeSkew(p *obs.Profile) {
 		edge := m.edges[name]
 		es := obs.EdgeSkew{Edge: name, Consumer: edge.consumer}
 		if edge.consumer != "" {
-			es.Clones = countEvents(tr, m.cfg.Job, obs.EvTaskCloned, edge.consumer)
+			es.Clones = countEvents(tr, m.obs.job, obs.EvTaskCloned, edge.consumer)
 		}
 		if st := p.Stage(edge.consumer); st != nil {
 			es.P50TaskNS = st.P50TaskNS

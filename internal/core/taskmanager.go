@@ -21,8 +21,8 @@ type masterAPI interface {
 	// would like the task cloned (§4.2: "each compute node can signal the
 	// application master that it is overloaded").
 	overload(node string, bp *Blueprint, busyFrac float64)
-	// heartbeat reports node liveness and current load.
-	heartbeat(node string, running, slots int)
+	// heartbeat reports node liveness.
+	heartbeat(node string)
 	// nudge wakes the master's event-driven control loop after the node
 	// inserted a work-bag record, naming the bag it went to (task started:
 	// ctrl.CauseRunning, completed: ctrl.CauseDone), so the master scans
@@ -99,6 +99,7 @@ type ComputeNode struct {
 	slots  int
 	store  *bag.Store
 	cfg    NodeConfig
+	obs    *obs.Observer
 	leases *sched.Leases
 	wake   *wake // the cluster's; see scheduleLoop
 	// fallbackClaims: claims the fallback sweep made with no wake raised.
@@ -128,18 +129,17 @@ type ComputeNode struct {
 var claimFallback = 50 * time.Millisecond
 
 // NodeConfig tunes a compute node's monitoring loop (dispatch has no knob).
+// The node ticks once per MonitorInterval/2: each tick heartbeats every
+// bound job's master and asks it to clone the task of each worker busy
+// above OverloadThreshold since the previous tick.
 type NodeConfig struct {
-	// MonitorInterval is how often worker load is sampled. The paper
-	// sends clone messages at least 2 seconds apart; tests shrink this.
+	// MonitorInterval is twice the node's tick (default 2s, so a 1s
+	// tick). The paper sends clone messages at least 2 seconds apart;
+	// tests shrink this.
 	MonitorInterval time.Duration
 	// OverloadThreshold is the busy fraction above which a worker is
 	// considered CPU-bound and a clone request is sent.
 	OverloadThreshold float64
-	// HeartbeatInterval is how often the node heartbeats the master.
-	HeartbeatInterval time.Duration
-	// Obs is the cluster observer workers report shuffle-edge byte and
-	// record counts into; nil disables worker-side metrics.
-	Obs *obs.Observer
 }
 
 func (c *NodeConfig) fill() {
@@ -149,28 +149,25 @@ func (c *NodeConfig) fill() {
 	if c.OverloadThreshold <= 0 {
 		c.OverloadThreshold = 0.75
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = c.MonitorInterval / 2
-		if c.HeartbeatInterval <= 0 {
-			c.HeartbeatInterval = time.Second
-		}
-	}
 }
 
 // newComputeNode creates a compute node with the given number of worker
 // slots. Jobs are connected with Attach; call Start to begin executing
 // tasks. leases gates claims by the scheduler's fair-share slot leasing;
-// wk is the wake of the cluster the node serves.
-func newComputeNode(name string, slots int, store *bag.Store, leases *sched.Leases, wk *wake, cfg NodeConfig) *ComputeNode {
+// wk is the wake of the cluster the node serves; o is the cluster observer
+// its workers report shuffle-edge byte and record counts into (nil
+// disables worker-side metrics).
+func newComputeNode(name string, slots int, store *bag.Store, leases *sched.Leases, wk *wake, o *obs.Observer, cfg NodeConfig) *ComputeNode {
 	cfg.fill()
 	return &ComputeNode{
 		name:           name,
 		slots:          slots,
 		store:          store,
 		cfg:            cfg,
+		obs:            o,
 		leases:         leases,
 		wake:           wk,
-		fallbackClaims: cfg.Obs.Counter("hurricane_core_fallback_claims_total"),
+		fallbackClaims: o.Counter("hurricane_core_fallback_claims_total"),
 		bindings:       make(map[string]*binding),
 		workers:        make(map[string]*workerEntry),
 	}
@@ -460,7 +457,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 	// sweep, so either the sweep sees the registered worker or this
 	// re-check observes the detach. Both orders kill the worker before
 	// it touches the job's bags.
-	w := runWorkerGated(n.ctx, bp, n.store, b.app, n.cfg.Obs, b.job)
+	w := runWorkerGated(n.ctx, bp, n.store, b.app, n.obs, b.job)
 	key := b.job + "/" + bp.ID
 	n.mu.Lock()
 	n.workers[key] = &workerEntry{w: w, b: b}
@@ -502,12 +499,16 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 }
 
 // monitorLoop heartbeats every bound job's master and reports overloaded
-// workers once per HeartbeatInterval, on one ticker and two slices it
+// workers once per MonitorInterval/2, on one ticker and two slices it
 // reuses, so a tick creates no timer and, at a steady worker and job
 // count, no slice.
 func (n *ComputeNode) monitorLoop() {
 	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.HeartbeatInterval)
+	period := n.cfg.MonitorInterval / 2
+	if period <= 0 {
+		period = time.Second
+	}
+	tick := time.NewTicker(period)
 	defer tick.Stop()
 	var snapshot []*workerEntry
 	var masters []masterAPI
@@ -518,7 +519,6 @@ func (n *ComputeNode) monitorLoop() {
 			return
 		}
 		n.mu.Lock()
-		running := len(n.workers)
 		snapshot = snapshot[:0]
 		for _, we := range n.workers {
 			snapshot = append(snapshot, we)
@@ -529,7 +529,7 @@ func (n *ComputeNode) monitorLoop() {
 		}
 		n.mu.Unlock()
 		for _, m := range masters {
-			m.heartbeat(n.name, running, n.slots)
+			m.heartbeat(n.name)
 		}
 
 		// Overload detection: a worker that spent most of the interval

@@ -11,16 +11,17 @@ import (
 	"repro/internal/shuffle"
 )
 
+// broadcastMaxRecords: a join whose build side is known to hold at most
+// this many records compiles to a broadcast join. Unknown build sizes never
+// broadcast — memory-loading a relation of unknown size in every worker is
+// the one irreversible mistake here.
+const broadcastMaxRecords = 8192
+
 // Options tunes logical→physical compilation.
 type Options struct {
 	// Parts is the base partition count of inserted shuffle edges
 	// (default 4).
 	Parts int
-	// BroadcastMaxRecords: a join whose build side is known to hold at
-	// most this many records compiles to a broadcast join (default 8192).
-	// Unknown build sizes never broadcast — memory-loading a relation of
-	// unknown size in every worker is the one irreversible mistake here.
-	BroadcastMaxRecords int64
 	// IsolateFraction: a key whose observed share of an edge's records is
 	// at least IsolateFraction of a mean partition's load is pre-isolated
 	// by the skewed join / warm-started groupby (default
@@ -43,9 +44,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Parts <= 0 {
 		o.Parts = 4
-	}
-	if o.BroadcastMaxRecords <= 0 {
-		o.BroadcastMaxRecords = 8192
 	}
 	if o.IsolateFraction <= 0 {
 		o.IsolateFraction = shuffle.DefaultIsolateFraction

@@ -90,7 +90,6 @@ func runStages(tb testing.TB, p *Plan, sources map[string][]tuple) map[string]*s
 	defer cancel()
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		StorageNodes: 1, ComputeNodes: 1, SlotsPerNode: 1, ChunkSize: 64 << 10, // the benchmark's
-		SampleInterval: -1,
 	})
 	if err != nil {
 		tb.Fatal(err)

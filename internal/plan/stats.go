@@ -99,7 +99,7 @@ func (c *compiler) warmEdgeStats(edge string, in *Node) *sketch.EdgeStats {
 // decideJoin picks the physical strategy for one join node. The decision
 // table (documented in the README):
 //
-//	build side known ≤ BroadcastMaxRecords        -> broadcast
+//	build side known ≤ broadcastMaxRecords        -> broadcast
 //	warm statistics show heavy probe keys         -> skewed (pre-isolated)
 //	otherwise                                     -> repartition
 //
@@ -122,10 +122,10 @@ func (c *compiler) decideJoin(n *Node) JoinInfo {
 		return info
 	}
 	build, probe := n.in[0], n.in[1]
-	if sz, ok := c.knownRecords(build); ok && sz <= c.opts.BroadcastMaxRecords {
+	if sz, ok := c.knownRecords(build); ok && sz <= broadcastMaxRecords {
 		info.Strategy, info.Edge = JoinBroadcast, ""
 		info.Reason = fmt.Sprintf("build side %q holds %d records (≤ broadcast threshold %d)",
-			c.materialized(build), sz, c.opts.BroadcastMaxRecords)
+			c.materialized(build), sz, broadcastMaxRecords)
 		return info
 	}
 	if st := c.warmEdgeStats(info.Edge, probe); st != nil && st.Total() > 0 {

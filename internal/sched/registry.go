@@ -62,7 +62,7 @@ func (r *Registry) Submit(id string, claims NameClaims, weight int) (start bool,
 		return false, fmt.Errorf("sched: job with empty name")
 	}
 	if weight <= 0 {
-		weight = r.cfg.DefaultWeight
+		weight = 1 // the default fair-share weight
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

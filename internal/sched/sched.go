@@ -38,9 +38,6 @@ type Config struct {
 	// MaxQueued caps the submission queue when MaxConcurrent is in
 	// effect; a submission past both limits is rejected. 0 = unlimited.
 	MaxQueued int
-	// DefaultWeight is the fair-share weight assigned to jobs that do
-	// not set one (default 1).
-	DefaultWeight int
 	// DisableFairShare turns off slot leasing and preemption: compute
 	// nodes claim blueprints from any job's ready bag as slots free up
 	// (the unarbitrated baseline the sched benchmark measures against).
@@ -52,9 +49,6 @@ type Config struct {
 
 // Fill applies defaults.
 func (c *Config) Fill() {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond
 	}

@@ -303,7 +303,7 @@ func (h *Handle) sealedResult(idx int) *WindowResult {
 }
 
 // advance recomputes the low watermark over the sources and seals every
-// window it has passed. A source that has been idle past IdleTimeout (or
+// window it has passed. A source that has been idle past idleTimeout (or
 // reached EOF) is excluded from the minimum, so a stalled source delays
 // nothing; if every remaining source is excluded, the watermark advances
 // to the highest time seen — all delivered records are accounted for.
@@ -317,7 +317,7 @@ func (h *Handle) advance(srcs []*srcState) error {
 		if s.seen && s.wm > high {
 			high, anySeen = s.wm, true
 		}
-		if s.eof || now.Sub(s.lastActive) > h.spec.IdleTimeout {
+		if s.eof || now.Sub(s.lastActive) > idleTimeout {
 			continue
 		}
 		anyIncluded = true
@@ -500,7 +500,6 @@ func (h *Handle) submitWindow(lw *window) error {
 	h.submitLock.Lock()
 	job, err := h.c.SubmitJob(h.ctx, h.spec.App, core.JobConfig{
 		Name:   lw.job,
-		Prefix: lw.job,
 		Retain: true, // the stream GCs through WindowResult.Discard, not the scheduler
 		Weight: h.spec.Weight,
 		Master: h.spec.Master,
@@ -547,7 +546,7 @@ func (h *Handle) watch(lw *window) {
 			h.finishWindow(lw, nil)
 			return
 		}
-		if lw.res.Attempts > h.spec.MaxRetries || h.ctx.Err() != nil {
+		if lw.res.Attempts > maxRetries || h.ctx.Err() != nil {
 			<-h.sem
 			h.finishWindow(lw, err)
 			return

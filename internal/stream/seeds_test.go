@@ -67,7 +67,7 @@ func seedsCluster(t *testing.T, streamName string) (*core.Cluster, *windowWrites
 		ComputeNodes: 2,
 		SlotsPerNode: 2,
 		Node: core.NodeConfig{
-			HeartbeatInterval: 5 * time.Millisecond,
+			MonitorInterval: 10 * time.Millisecond,
 		},
 		Master: core.MasterConfig{
 			CloneInterval: 10 * time.Millisecond,
@@ -142,7 +142,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 			Run: func(*core.TaskCtx) error { <-over; return nil }})
 		owner.AddTask(core.TaskSpec{Name: "drain", Inputs: []string{apps.ClickStreamShuf}, Outputs: []string{"out"},
 			Run: func(*core.TaskCtx) error { return nil }})
-		if _, err := cluster.SubmitJob(ctx, owner, core.JobConfig{Name: "busy.w1", Prefix: "busy.w1"}); err != nil {
+		if _, err := cluster.SubmitJob(ctx, owner, core.JobConfig{Name: "busy.w1"}); err != nil {
 			t.Fatal(err)
 		}
 

@@ -72,6 +72,16 @@ type Source interface {
 // pollInterval is the pump's idle sleep between source sweeps.
 const pollInterval = 2 * time.Millisecond
 
+// idleTimeout excludes a source from the low watermark after it has
+// delivered nothing for this long, so one stalled source cannot wedge every
+// window behind it. An excluded source rejoins the watermark as soon as it
+// delivers again.
+const idleTimeout = 500 * time.Millisecond
+
+// maxRetries is how many times a failed window job is reset and
+// resubmitted before the window is reported failed.
+const maxRetries = 1
+
 // Spec describes a continuous-ingestion stream.
 type Spec struct {
 	// Name identifies the stream; window jobs are named "<Name>.w<i>" and
@@ -90,23 +100,12 @@ type Spec struct {
 	// Origin anchors window 0's start in event time. Zero aligns window 0
 	// to the first record observed.
 	Origin int64
-	// IdleTimeout excludes a source from the low-watermark after it has
-	// delivered nothing for this long, so one stalled source cannot wedge
-	// every window behind it (default 500ms). An excluded source rejoins
-	// the watermark as soon as it delivers again.
-	IdleTimeout time.Duration
 	// MaxWindows seals at most this many windows and then drains; 0 means
 	// run until every source returns io.EOF or Drain is called.
 	MaxWindows int
 	// MaxInFlight bounds windows submitted but not yet completed
 	// (default 4); the scheduler's own admission control applies on top.
 	MaxInFlight int
-	// MaxRetries is how many times a failed window job is reset and
-	// resubmitted before the window is reported failed. 0 selects the
-	// default of 1; pass a negative value to disable retries entirely
-	// (fail-fast, e.g. when window tasks have non-idempotent external
-	// side effects a re-execution would duplicate).
-	MaxRetries int
 	// SurfaceLate diverts late records into a per-window late bag
 	// (WindowResult.LateBag) instead of folding them into the next open
 	// window. A window's late bag accepts records until the following
@@ -123,16 +122,8 @@ type Spec struct {
 }
 
 func (s *Spec) fill() {
-	if s.IdleTimeout <= 0 {
-		s.IdleTimeout = 500 * time.Millisecond
-	}
 	if s.MaxInFlight <= 0 {
 		s.MaxInFlight = 4
-	}
-	if s.MaxRetries < 0 {
-		s.MaxRetries = 0
-	} else if s.MaxRetries == 0 {
-		s.MaxRetries = 1
 	}
 }
 

@@ -113,7 +113,7 @@ func testCluster(t *testing.T) *hurricane.Cluster {
 		SlotsPerNode: 2,
 		ChunkSize:    4 << 10,
 		Node: hurricane.NodeConfig{
-			HeartbeatInterval: 5 * time.Millisecond,
+			MonitorInterval: 10 * time.Millisecond,
 		},
 		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	})
@@ -309,7 +309,7 @@ func TestStreamLateFold(t *testing.T) {
 }
 
 // TestStreamIdleSourceTimeout checks that an idle source is excluded from
-// the low watermark after IdleTimeout instead of stalling every window
+// the low watermark after its idle timeout instead of stalling every window
 // behind it.
 func TestStreamIdleSourceTimeout(t *testing.T) {
 	ctx := testCtx(t)
@@ -339,12 +339,11 @@ func TestStreamIdleSourceTimeout(t *testing.T) {
 
 	active, idle := &sliceSource{}, &sliceSource{}
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
-		Name:        "idle",
-		App:         app,
-		Sources:     map[string]hurricane.StreamSource{"a": active, "b": idle},
-		Window:      time.Second,
-		Origin:      testOrigin,
-		IdleTimeout: 100 * time.Millisecond,
+		Name:    "idle",
+		App:     app,
+		Sources: map[string]hurricane.StreamSource{"a": active, "b": idle},
+		Window:  time.Second,
+		Origin:  testOrigin,
 	})
 	if err != nil {
 		t.Fatal(err)
