@@ -38,13 +38,11 @@
 //	hurricane-run -storage ... -submit -name j2 -job sqsum -records 100000 -weight 2
 //	hurricane-run -storage ... -submit -name j3 -job query -records 200000 -skew 1.3
 //
-// Every -submit mints a causal trace ID that travels with the
-// submission record over the storage wire; the serving cluster stamps
-// it into the remote job's trace events and execution profile. After
-// completion the client fetches the job's EXPLAIN ANALYZE, profile,
-// and decision timeline from the server's debug endpoint by that ID
-// (same-host or reachable -debug address required; degrades to the
-// result line otherwise). -job query runs the planner-compiled groupby,
+// The server runs each job under the -name it was submitted with, so
+// after completion the client fetches the job's EXPLAIN ANALYZE,
+// profile, and decision timeline from the server's debug endpoint by
+// that name (same-host or reachable -debug address required; degrades
+// to the result line otherwise). -job query runs the planner-compiled groupby,
 // whose EXPLAIN ANALYZE renders the compiled physical plan annotated
 // with the measured execution.
 //
@@ -52,7 +50,7 @@
 // HTTP (default 127.0.0.1:6066; move it with -debug addr, disable with
 // -debug off): /metrics in Prometheus text format (including the
 // hurricane_storage_op_* wire telemetry of its TCP storage client),
-// /debug/trace for the typed skew-event log (?job=, ?type=, ?trace=
+// /debug/trace for the typed skew-event log (?job= and ?type=
 // filters), /debug/skew for per-edge heavy hitters and partition heat,
 // /debug/timeseries for the continuously sampled metric history,
 // /debug/alerts for the watchdog rules and raised alerts, /debug/dash
@@ -67,7 +65,7 @@
 //	curl -s 'localhost:6066/debug/timeseries?series=hurricane_core'
 //	curl -s 'localhost:6066/debug/alerts?firing=1'
 //	curl -s localhost:6066/debug/profile/j1
-//	curl -s 'localhost:6066/debug/explain/?trace=t-<id>'
+//	curl -s localhost:6066/debug/explain/j3
 package main
 
 import (

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -48,11 +49,6 @@ type jobRequest struct {
 	Skew    float64 `json:"skew,omitempty"`   // groupby/query: zipf s
 	Parts   int     `json:"parts,omitempty"`  // groupby/query: base shuffle partitions
 	Weight  int     `json:"weight,omitempty"` // fair-share weight
-	// Trace is the causal trace ID the client minted at submission. The
-	// server threads it through JobConfig into the job's trace events and
-	// profile, so the client can fetch the remote timeline and EXPLAIN
-	// ANALYZE by this ID after completion.
-	Trace string `json:"trace,omitempty"`
 }
 
 // jobResult is the completion record the server writes to the done bag.
@@ -66,11 +62,9 @@ type jobResult struct {
 	Err       string `json:"err,omitempty"`
 	ElapsedMS int64  `json:"elapsedMs"`
 	Stats     string `json:"stats,omitempty"`
-	// Trace echoes the submission's causal trace ID; Debug advertises
-	// the server's bound debug listener ("" when -debug off), which is
-	// where the client fetches the job's profile, EXPLAIN ANALYZE, and
-	// event timeline by that ID.
-	Trace string `json:"trace,omitempty"`
+	// Debug advertises the server's bound debug listener ("" when -debug
+	// off), which is where the client fetches the job's profile, EXPLAIN
+	// ANALYZE, and event timeline by the job's name.
 	Debug string `json:"debug,omitempty"`
 }
 
@@ -210,7 +204,7 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 // and publish the result record.
 func runServedJob(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, debugAddr string) {
 	start := time.Now()
-	res := jobResult{Name: req.Name, ID: req.ID, Trace: req.Trace, Debug: debugAddr}
+	res := jobResult{Name: req.Name, ID: req.ID, Debug: debugAddr}
 	err := func() error {
 		// A submission replayed after a server crash may have left a
 		// partial namespace behind (sealed inputs, half-written
@@ -248,7 +242,7 @@ func runServedSqsum(ctx context.Context, cluster *core.Cluster, store *bag.Store
 	if n <= 0 {
 		n = 100000
 	}
-	h, err := cluster.SubmitJob(ctx, apps.SquareSumApp(), core.JobConfig{Name: req.Name, Weight: req.Weight, TraceID: req.Trace})
+	h, err := cluster.SubmitJob(ctx, apps.SquareSumApp(), core.JobConfig{Name: req.Name, Weight: req.Weight})
 	if err != nil {
 		return err
 	}
@@ -293,7 +287,7 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
 	want := workload.KeyCounts(tuples)
 	app := apps.GroupByApp(parts, true, false, 0, 0)
-	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight, TraceID: req.Trace})
+	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight})
 	if err != nil {
 		return err
 	}
@@ -322,8 +316,8 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 // runServedQuery executes the planner-compiled groupby (apps.GroupByPlan)
 // as a served job. Unlike the hand-wired kinds it carries a physical
 // plan, so it registers the plan's EXPLAIN ANALYZE renderer on the job
-// handle — which is what /debug/explain serves, and what a remote
-// submitter fetches by trace ID. Results are verified against the same
+// handle — which is what /debug/explain/<job> serves, and what a remote
+// submitter fetches by the job's name. Results are verified against the same
 // oracle collector as the hand-wired groupby (the sink bag is
 // byte-compatible by construction).
 func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, res *jobResult) error {
@@ -342,7 +336,7 @@ func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store
 	if err != nil {
 		return err
 	}
-	h, err := compiled.Submit(ctx, cluster, core.JobConfig{Name: req.Name, Weight: req.Weight, TraceID: req.Trace})
+	h, err := compiled.Submit(ctx, cluster, core.JobConfig{Name: req.Name, Weight: req.Weight})
 	if err != nil {
 		return err
 	}
@@ -398,16 +392,6 @@ func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error 
 		return err
 	}
 	req.ID = id
-	// The causal trace ID: minted here, carried in the submission record
-	// over the storage wire, threaded by the server through JobConfig into
-	// every trace event and the execution profile of the remote job. After
-	// completion it keys the fetch of the remote timeline and EXPLAIN
-	// ANALYZE from the server's debug endpoint.
-	trace, err := newSubmissionID()
-	if err != nil {
-		return err
-	}
-	req.Trace = "t-" + trace
 	data, err := json.Marshal(&req)
 	if err != nil {
 		return err
@@ -415,7 +399,7 @@ func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error 
 	if err := store.Bag(submitBag).Insert(ctx, data); err != nil {
 		return err
 	}
-	fmt.Printf("submitted job %q (%s) trace=%s; waiting for completion...\n", req.Name, req.Job, req.Trace)
+	fmt.Printf("submitted job %q (%s); waiting for completion...\n", req.Name, req.Job)
 	sc := store.Scanner(doneBag)
 	for {
 		var found *jobResult
@@ -434,7 +418,7 @@ func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error 
 			if !found.OK {
 				return fmt.Errorf("job %q failed: %s", found.Name, found.Err)
 			}
-			fetchRemoteDebug(ctx, found.Debug, req.Trace)
+			fetchRemoteDebug(ctx, found.Debug, req.Name)
 			return nil
 		}
 		select {
@@ -447,50 +431,51 @@ func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error 
 
 // fetchRemoteDebug pulls the completed job's observability across the
 // process boundary: the EXPLAIN ANALYZE text, the execution profile
-// summary, and the decision-event timeline, all resolved by the causal
-// trace ID on the serving process's debug endpoint. Best-effort — the
-// job already succeeded; an unreachable debug surface (server on
-// another host, or -debug off) costs the report, not the run.
-func fetchRemoteDebug(ctx context.Context, debugAddr, trace string) {
-	if debugAddr == "" || trace == "" {
+// summary, and the decision-event timeline, all fetched by the job's
+// name from the serving process's debug endpoint — the server runs the
+// job under the name the client submitted. Best-effort — the job already
+// succeeded; an unreachable debug surface (server on another host, or
+// -debug off) costs the report, not the run.
+func fetchRemoteDebug(ctx context.Context, debugAddr, job string) {
+	if debugAddr == "" {
 		return
 	}
 	get := func(path string) ([]byte, bool) {
-		url := "http://" + debugAddr + path
+		target := "http://" + debugAddr + path
 		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		defer cancel()
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+		hreq, err := http.NewRequestWithContext(rctx, http.MethodGet, target, nil)
 		if err != nil {
 			return nil, false
 		}
 		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
-			fmt.Printf("remote debug %s unreachable: %v\n", url, err)
+			fmt.Printf("remote debug %s unreachable: %v\n", target, err)
 			return nil, false
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil || resp.StatusCode != http.StatusOK {
-			fmt.Printf("remote debug %s: status %s\n", url, resp.Status)
+			fmt.Printf("remote debug %s: status %s\n", target, resp.Status)
 			return nil, false
 		}
 		return body, true
 	}
-	if body, ok := get("/debug/explain/?trace=" + trace); ok {
-		fmt.Printf("\nremote EXPLAIN ANALYZE (trace=%s via %s):\n%s", trace, debugAddr, body)
+	if body, ok := get("/debug/explain/" + url.PathEscape(job)); ok {
+		fmt.Printf("\nremote EXPLAIN ANALYZE (job %q via %s):\n%s", job, debugAddr, body)
 	}
-	if body, ok := get("/debug/profile/?trace=" + trace); ok {
+	if body, ok := get("/debug/profile/" + url.PathEscape(job)); ok {
 		var p obs.Profile
 		if json.Unmarshal(body, &p) == nil {
 			fmt.Printf("\nremote profile:\n%s", p.String())
 		}
 	}
-	if body, ok := get("/debug/trace?trace=" + trace); ok {
+	if body, ok := get("/debug/trace?job=" + url.QueryEscape(job)); ok {
 		var tl struct {
 			Events []obs.Event `json:"events"`
 		}
 		if json.Unmarshal(body, &tl) == nil {
-			fmt.Printf("remote timeline: %d events stamped trace=%s\n", len(tl.Events), trace)
+			fmt.Printf("remote timeline: %d events of job %q\n", len(tl.Events), job)
 			for _, e := range tl.Events {
 				fmt.Printf("  %8dus %-18s %-24s %s\n", e.TMicros, e.Type, e.Subject, e.Detail)
 			}

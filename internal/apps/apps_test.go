@@ -3,10 +3,13 @@ package apps
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/hurricane"
+	"repro/internal/ctrl"
 	"repro/internal/workload"
 )
 
@@ -33,6 +36,36 @@ func testCluster(t *testing.T, mutate func(*hurricane.ClusterConfig)) *hurricane
 	}
 	t.Cleanup(c.Shutdown)
 	return c
+}
+
+// forceClones treats every live worker of each scheduled, unfinished,
+// cloneable task as overloaded on every control pass, then lets the
+// paper's ClonePolicy decide: the worker cap, placement on the input with
+// the most work left, and NoClone still apply. An overload threshold
+// alone forces nothing on a job that drains within a few monitor ticks.
+type forceClones struct{ ctrl.ClonePolicy }
+
+func (*forceClones) Name() string { return "force-clones" }
+
+func (p *forceClones) Evaluate(snap *ctrl.Snapshot) []ctrl.Action {
+	forced := *snap
+	forced.Overloads = slices.Clone(snap.Overloads)
+	for _, name := range slices.Sorted(maps.Keys(snap.Tasks)) {
+		t := snap.Tasks[name]
+		if !t.Scheduled || t.Finished || t.NoClone {
+			continue
+		}
+		for range t.Workers - t.DoneWorkers {
+			forced.Overloads = append(forced.Overloads, ctrl.Overload{Task: name, Epoch: t.Epoch})
+		}
+	}
+	return p.ClonePolicy.Evaluate(&forced)
+}
+
+// forcedCloning installs forceClones as the job's only policy.
+func forcedCloning(cfg *hurricane.ClusterConfig) {
+	cfg.Master.CloneInterval = time.Millisecond
+	cfg.Master.Policies = []ctrl.Policy{&forceClones{ctrl.ClonePolicy{CloneInterval: cfg.Master.CloneInterval}}}
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -147,9 +180,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 
 func TestHashJoinWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
-	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Node.OverloadThreshold = 0.01
-	})
+	cluster := testCluster(t, forcedCloning)
 	const parts = 2
 	rg := workload.RelationGen{Keys: 50, S: 0, Seed: 3}
 	sg := workload.RelationGen{Keys: 50, S: 1.0, Seed: 4}
@@ -170,7 +201,11 @@ func TestHashJoinWithForcedCloning(t *testing.T) {
 	if got != want {
 		t.Errorf("join output = %d matches, want %d", got, want)
 	}
-	t.Logf("master stats: %+v", cluster.Master().Stats())
+	stats := cluster.Master().Stats()
+	if stats.Clones == 0 {
+		t.Errorf("no clone under forced overload: %+v", stats)
+	}
+	t.Logf("master stats: %+v", stats)
 }
 
 func TestPageRankCorrectness(t *testing.T) {
@@ -209,10 +244,8 @@ func TestPageRankCorrectness(t *testing.T) {
 
 func TestPageRankWithForcedCloning(t *testing.T) {
 	ctx := testCtx(t)
-	cluster := testCluster(t, func(cfg *hurricane.ClusterConfig) {
-		cfg.Node.OverloadThreshold = 0.01
-	})
-	const scale, iters = 6, 2
+	cluster := testCluster(t, forcedCloning)
+	const scale, iters = 10, 2
 	gen := workload.RMATGen{Scale: scale, EdgeFactor: 8, Seed: 13}
 	edges := gen.Generate()
 	n := gen.NumVertices()
@@ -231,7 +264,11 @@ func TestPageRankWithForcedCloning(t *testing.T) {
 	if d := MaxAbsDiff(got, want); d > 1e-9 {
 		t.Errorf("max rank deviation %g from serial oracle", d)
 	}
-	t.Logf("master stats: %+v", cluster.Master().Stats())
+	stats := cluster.Master().Stats()
+	if stats.Clones == 0 || stats.MergeTasks == 0 {
+		t.Errorf("forced overload made no clone or no merge: %+v", stats)
+	}
+	t.Logf("master stats: %+v", stats)
 }
 
 func skewName(s float64) string {

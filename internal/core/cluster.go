@@ -227,24 +227,6 @@ func (c *Cluster) Job(name string) *JobHandle {
 	return c.jobs[name]
 }
 
-// JobByTrace returns the handle of the job submitted with the given
-// causal trace ID (JobConfig.TraceID), or nil. The debug endpoints use
-// it to answer ?trace= queries from remote submitters that know only
-// the ID they minted.
-func (c *Cluster) JobByTrace(id string) *JobHandle {
-	if id == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range c.jobs {
-		if h.cfg.TraceID == id {
-			return h
-		}
-	}
-	return nil
-}
-
 // ensurePoolLocked lazily provisions the shared compute pool and the
 // scheduler loop. Caller holds c.mu.
 func (c *Cluster) ensurePoolLocked() {

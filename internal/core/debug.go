@@ -20,8 +20,8 @@ import (
 // over HTTP:
 //
 //	/metrics             Prometheus text exposition of the metrics registry
-//	/debug/trace         the skew-event trace as JSON (?job=, ?type=, and
-//	                     ?trace= — the submitter-minted causal ID — filter)
+//	/debug/trace         the skew-event trace as JSON (?job= and ?type=
+//	                     filter)
 //	/debug/skew          per-edge heavy-hitter table and partition heat, from
 //	                     the control plane's last record of each edge
 //	/debug/profile/<job> the job's execution profile (JobHandle.Profile) as
@@ -36,8 +36,9 @@ import (
 //	                     page with inline sparklines polling the above
 //	/debug/pprof/        the standard net/http/pprof profiles
 //
-// /debug/profile/ and /debug/explain/ with an empty job name accept
-// ?trace=<id> and resolve the job through its submission trace ID.
+// A job is named by the name it was submitted under (JobConfig.Name); a
+// remote submitter already knows it. An empty name on /debug/profile/ and
+// /debug/explain/ selects the primary job.
 //
 // cmd/hurricane-run mounts it with -serve; embedded users mount it on any
 // mux. Handlers read the same structures the control plane writes, so
@@ -188,13 +189,12 @@ func (c *Cluster) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		job := r.URL.Query().Get("job")
-		trace := r.URL.Query().Get("trace")
 		typ := obs.EventType(r.URL.Query().Get("type"))
 		tr := c.obs.Tracer()
 		resp := struct {
 			Dropped uint64      `json:"dropped"`
 			Events  []obs.Event `json:"events"`
-		}{Dropped: tr.Dropped(), Events: tr.EventsFiltered(job, trace, typ)}
+		}{Dropped: tr.Dropped(), Events: tr.Events(job, typ)}
 		if resp.Events == nil {
 			resp.Events = []obs.Event{}
 		}
@@ -209,7 +209,7 @@ func (c *Cluster) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("/debug/profile/", func(w http.ResponseWriter, r *http.Request) {
 		job := strings.TrimPrefix(r.URL.Path, "/debug/profile/")
-		h := c.debugJob(job, r.URL.Query().Get("trace"))
+		h := c.debugJob(job)
 		if h == nil {
 			http.Error(w, "unknown job "+job, http.StatusNotFound)
 			return
@@ -223,7 +223,7 @@ func (c *Cluster) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("/debug/explain/", func(w http.ResponseWriter, r *http.Request) {
 		job := strings.TrimPrefix(r.URL.Path, "/debug/explain/")
-		h := c.debugJob(job, r.URL.Query().Get("trace"))
+		h := c.debugJob(job)
 		if h == nil {
 			http.Error(w, "unknown job "+job, http.StatusNotFound)
 			return
@@ -247,15 +247,11 @@ func (c *Cluster) DebugHandler() http.Handler {
 	return mux
 }
 
-// debugJob resolves a debug request's job selector: an explicit job
-// name wins; an empty name with ?trace= resolves through the submission
-// trace ID; an empty name alone falls back to the primary job.
-func (c *Cluster) debugJob(job, trace string) *JobHandle {
+// debugJob resolves a debug request's job selector: a job name selects
+// that job; an empty name falls back to the primary job.
+func (c *Cluster) debugJob(job string) *JobHandle {
 	if job != "" {
 		return c.Job(job)
-	}
-	if trace != "" {
-		return c.JobByTrace(trace)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -42,14 +42,6 @@ type JobConfig struct {
 	// uses the cluster default). This is how co-running jobs get
 	// different mitigation policies.
 	Master *MasterConfig
-	// TraceID is the causal trace ID minted by the submitter (for remote
-	// submissions, at `hurricane-run -submit` before the request crosses
-	// the wire). When set, every trace event and the execution profile of
-	// this job carry it, and the cluster's debug endpoints resolve
-	// ?trace=<id> back to the job — which is how a submitter that never
-	// learns the server-side job name fetches the job's timeline and
-	// EXPLAIN ANALYZE across the process boundary.
-	TraceID string
 	// Seeds are warm-start partition maps for the job's partitioned
 	// edges, keyed by declared bag name (the query planner's compile-time
 	// skew memory, or a stream's previous window). SubmitJob refuses a
@@ -516,11 +508,6 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 				cfg.Name, prefix, id, other.prefix)
 		}
 	}
-	// Register the causal trace ID before admission: the scheduler's own
-	// events (LeaseGrant at admission) must already carry it.
-	if cfg.TraceID != "" {
-		c.obs.Tracer().SetJobTrace(cfg.Name, cfg.TraceID)
-	}
 	start, err := c.reg.Submit(cfg.Name, claims, cfg.Weight)
 	if err != nil {
 		return nil, err
@@ -553,7 +540,7 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	if h.cfg.Master != nil {
 		mcfg = *h.cfg.Master
 	}
-	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, h.cfg.TraceID, mcfg)
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, mcfg)
 }
 
 // startJobLocked moves an admitted job into execution: build its master,

@@ -133,10 +133,6 @@ type Master struct {
 	wb      *workBags
 	cfg     MasterConfig
 	control *jobControl // the owning job's grip on the cluster
-	// traceID is the submitter-minted causal trace ID (JobConfig.TraceID),
-	// registered with the trace ring at start so every event of this job —
-	// and its execution profile — carries it.
-	traceID string
 
 	hub      *ctrl.Hub
 	policies []ctrl.Policy
@@ -242,7 +238,7 @@ func (mo *masterObs) emit(typ obs.EventType, subject, detail string) {
 // source bags sealed. o receives the master's metrics (labeled by job) and
 // decision trace events; nil disables instrumentation (every update site
 // degrades to a nil check).
-func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, traceID string, cfg MasterConfig) *Master {
+func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, cfg MasterConfig) *Master {
 	cfg.fill()
 	job := control.job
 	m := &Master{
@@ -251,7 +247,6 @@ func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs
 		wb:         newWorkBags(store, app.Name(), wk),
 		cfg:        cfg,
 		control:    control,
-		traceID:    traceID,
 		tasks:      make(map[string]*taskState),
 		sealed:     make(map[string]bool),
 		nodes:      make(map[string]*nodeState),
@@ -305,9 +300,6 @@ func (m *Master) Start(parent context.Context) {
 	m.mu.Lock()
 	m.profStart = time.Now()
 	m.mu.Unlock()
-	if m.traceID != "" {
-		m.obs.o.Tracer().SetJobTrace(m.obs.job, m.traceID)
-	}
 	m.ctx, m.cancel = context.WithCancel(parent)
 	m.wg.Add(1)
 	go m.loop()

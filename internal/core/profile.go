@@ -30,7 +30,6 @@ func (m *Master) Profile() *obs.Profile {
 	}
 
 	p := obs.BuildProfile(m.obs.job, wall, spans, m.stageDeps())
-	p.TraceID = m.traceID
 	m.attributeEdgeSkew(p)
 	return p
 }

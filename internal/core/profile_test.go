@@ -77,9 +77,10 @@ func TestSpanAccountingAllocs(t *testing.T) {
 }
 
 // TestProfileEndpointLiveCluster runs a job to completion and checks the
-// profile surface end to end: JobHandle.Profile carries spans for every
-// stage with coherent phase accounting, and /debug/profile/<job> serves
-// the same data as JSON (404 for unknown jobs).
+// per-job debug surface end to end: JobHandle.Profile carries spans for
+// every stage with coherent phase accounting, /debug/profile/<job> serves
+// the same data as JSON, /debug/trace?job= the job's events, and
+// /debug/explain/<job> its EXPLAIN ANALYZE (404 for unknown jobs).
 func TestProfileEndpointLiveCluster(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -130,29 +131,67 @@ func TestProfileEndpointLiveCluster(t *testing.T) {
 
 	srv := httptest.NewServer(cluster.DebugHandler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/profile/prof")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/profile/prof: status %d: %s", resp.StatusCode, body)
+
+	code, body := get("/debug/profile/prof")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/profile/prof: status %d: %s", code, body)
 	}
 	var served obs.Profile
-	if err := json.Unmarshal(body, &served); err != nil {
+	if err := json.Unmarshal([]byte(body), &served); err != nil {
 		t.Fatalf("/debug/profile/prof not JSON: %v", err)
 	}
 	if served.Job != "prof" || len(served.Stages) != len(p.Stages) || served.CriticalNS != p.CriticalNS {
 		t.Fatalf("served profile diverges: %+v vs %+v", served, p)
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/profile/nope")
-	if err != nil {
+	// /debug/trace?job= serves the job's events and no other's.
+	code, body = get("/debug/trace?job=prof")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace?job=prof: status %d", code)
+	}
+	var timeline struct {
+		Events []obs.Event `json:"events"`
+	}
+	if err := json.Unmarshal([]byte(body), &timeline); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status %d", resp.StatusCode)
+	if len(timeline.Events) == 0 {
+		t.Fatal("/debug/trace?job=prof returned no events")
+	}
+	for _, e := range timeline.Events {
+		if e.Job != "prof" {
+			t.Fatalf("/debug/trace?job=prof leaked a foreign event: %+v", e)
+		}
+	}
+
+	// /debug/explain/<job>: the default rendering first, then a registered
+	// renderer (what a planner-compiled job installs via SetExplain).
+	code, body = get("/debug/explain/prof")
+	if code != http.StatusOK || body != p.String() {
+		t.Fatalf("/debug/explain/prof: status %d body %q, want the profile's rendering", code, body)
+	}
+	h.SetExplain(func(p *obs.Profile) string { return "EXPLAIN:" + p.Job })
+	if code, body = get("/debug/explain/prof"); code != http.StatusOK || body != "EXPLAIN:prof" {
+		t.Fatalf("registered explain: status %d body %q", code, body)
+	}
+
+	// Unknown jobs 404 on both per-job endpoints.
+	for _, path := range []string{"/debug/profile/nope", "/debug/explain/nope"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, code)
+		}
 	}
 }

@@ -140,11 +140,6 @@ type EdgeSkew struct {
 // serialized as-is on /debug/profile/<job>.
 type Profile struct {
 	Job string `json:"job"`
-	// TraceID is the causal trace ID minted at the job's submission,
-	// when one travelled with it (see JobConfig.TraceID). It lets a
-	// remote submitter fetch this profile from the serving cluster's
-	// debug endpoint without knowing the job's server-side name.
-	TraceID string `json:"trace_id,omitempty"`
 	// WallNS is the measured job wall time (master start to completion).
 	WallNS int64 `json:"wall_ns"`
 	// Stages in dependency order (upstream first).

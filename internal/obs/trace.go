@@ -55,11 +55,6 @@ type Event struct {
 	Job     string    `json:"job,omitempty"`
 	Subject string    `json:"subject,omitempty"`
 	Detail  string    `json:"detail,omitempty"`
-	// Trace is the causal trace ID of the submission that owns the
-	// event's job, when one was registered via SetJobTrace. It is what
-	// lets a remote client correlate its submission with the serving
-	// cluster's events across the process boundary.
-	Trace string `json:"trace,omitempty"`
 }
 
 // DefaultTraceCap is the default trace ring capacity.
@@ -81,9 +76,6 @@ type Trace struct {
 	ring    []Event
 	seq     uint64
 	dropped uint64
-	// jobTrace maps a job name to the causal trace ID minted at its
-	// submission; Emit stamps it onto every event of that job.
-	jobTrace map[string]string
 	// dropCtr, when bound, mirrors every displacement into a registry
 	// counter (hurricane_trace_dropped_total) so ring pressure shows up
 	// on /metrics and the timeline without calling Go APIs.
@@ -158,52 +150,12 @@ func (t *Trace) Emit(typ EventType, job, subject, detail string) {
 	t.ring = append(t.ring, Event{
 		Seq: t.seq, TMicros: now, Type: typ,
 		Job: job, Subject: subject, Detail: detail,
-		Trace: t.jobTrace[job],
 	})
-}
-
-// SetJobTrace registers the causal trace ID minted at job's submission.
-// Subsequent events for that job carry the ID, which is how a remote
-// submitter correlates its submission with this process's trace ring.
-func (t *Trace) SetJobTrace(job, traceID string) {
-	if t == nil || job == "" || traceID == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jobTrace == nil {
-		t.jobTrace = make(map[string]string)
-	}
-	t.jobTrace[job] = traceID
-}
-
-// JobForTrace resolves a trace ID back to the job name it was registered
-// for ("" when unknown). Debug endpoints use it to answer ?trace=
-// queries from remote submitters that never learned the job's name.
-func (t *Trace) JobForTrace(traceID string) string {
-	if t == nil || traceID == "" {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for job, id := range t.jobTrace {
-		if id == traceID {
-			return job
-		}
-	}
-	return ""
 }
 
 // Events returns a copy of the retained events, oldest first. job and
 // typ filter when non-empty.
 func (t *Trace) Events(job string, typ EventType) []Event {
-	return t.EventsFiltered(job, "", typ)
-}
-
-// EventsFiltered is Events with an additional trace-ID filter: when
-// traceID is non-empty only events stamped with that causal trace ID
-// are returned. All filters compose (empty string = wildcard).
-func (t *Trace) EventsFiltered(job, traceID string, typ EventType) []Event {
 	if t == nil {
 		return nil
 	}
@@ -212,9 +164,6 @@ func (t *Trace) EventsFiltered(job, traceID string, typ EventType) []Event {
 	out := make([]Event, 0, len(t.ring))
 	for _, e := range t.ring {
 		if job != "" && e.Job != job {
-			continue
-		}
-		if traceID != "" && e.Trace != traceID {
 			continue
 		}
 		if typ != "" && e.Type != typ {

@@ -2,83 +2,7 @@ package obs
 
 import "testing"
 
-// TestJobTraceStamping: once a causal trace ID is registered for a job,
-// every subsequent event of that job carries it; other jobs' events do
-// not, and the trace-ID filter composes with the job and type filters.
-func TestJobTraceStamping(t *testing.T) {
-	tr := NewTrace(16)
-	tr.Emit(EvTaskScheduled, "j1", "t0", "before registration")
-	tr.SetJobTrace("j1", "t-abc123")
-	tr.Emit(EvTaskScheduled, "j1", "t1", "")
-	tr.Emit(EvTaskFinished, "j1", "t1", "")
-	tr.Emit(EvTaskScheduled, "j2", "t9", "foreign job")
-
-	all := tr.Events("j1", "")
-	if len(all) != 3 {
-		t.Fatalf("j1 events = %d, want 3", len(all))
-	}
-	if all[0].Trace != "" {
-		t.Errorf("pre-registration event stamped: %+v", all[0])
-	}
-	for _, e := range all[1:] {
-		if e.Trace != "t-abc123" {
-			t.Errorf("post-registration event unstamped: %+v", e)
-		}
-	}
-
-	byTrace := tr.EventsFiltered("", "t-abc123", "")
-	if len(byTrace) != 2 {
-		t.Fatalf("trace-filtered events = %d, want 2", len(byTrace))
-	}
-	for _, e := range byTrace {
-		if e.Job != "j1" {
-			t.Errorf("trace filter leaked foreign job: %+v", e)
-		}
-	}
-	if got := tr.EventsFiltered("", "t-abc123", EvTaskFinished); len(got) != 1 {
-		t.Fatalf("trace+type filter = %d events, want 1", len(got))
-	}
-	if got := tr.EventsFiltered("j2", "t-abc123", ""); len(got) != 0 {
-		t.Fatalf("contradictory job+trace filter = %d events, want 0", len(got))
-	}
-}
-
-func TestJobForTrace(t *testing.T) {
-	tr := NewTrace(16)
-	tr.SetJobTrace("j1", "t-aaa")
-	tr.SetJobTrace("j2", "t-bbb")
-	if got := tr.JobForTrace("t-bbb"); got != "j2" {
-		t.Fatalf("JobForTrace(t-bbb) = %q, want j2", got)
-	}
-	if got := tr.JobForTrace("t-nope"); got != "" {
-		t.Fatalf("unknown trace resolved to %q", got)
-	}
-	if got := tr.JobForTrace(""); got != "" {
-		t.Fatalf("empty trace resolved to %q", got)
-	}
-}
-
-// TestJobTraceNilSafe: every trace-ID method is a no-op on a nil ring,
-// and blank registrations are ignored.
-func TestJobTraceNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.SetJobTrace("j", "t-x")
-	if got := tr.JobForTrace("t-x"); got != "" {
-		t.Fatalf("nil trace resolved %q", got)
-	}
-	if got := tr.EventsFiltered("", "t-x", ""); got != nil {
-		t.Fatalf("nil trace returned events: %v", got)
-	}
-	live := NewTrace(4)
-	live.SetJobTrace("", "t-x")
-	live.SetJobTrace("j", "")
-	live.Emit(EvTaskScheduled, "j", "", "")
-	if got := live.Events("j", ""); len(got) != 1 || got[0].Trace != "" {
-		t.Fatalf("blank registration stamped events: %+v", got)
-	}
-}
-
-// TestSlowOpEventSurvivesCap: EvStorageSlowOp is a decision event — at
+// TestAlertEventSurvivesCap: EvAlertRaised is a decision event — at
 // capacity it evicts lifecycle chatter instead of being dropped.
 func TestAlertEventSurvivesCap(t *testing.T) {
 	tr := NewTrace(4)

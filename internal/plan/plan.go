@@ -517,14 +517,9 @@ func (p *Plan) analyze() (*analysis, error) {
 			return nil, fmt.Errorf("plan %q: node %d (%s) is both consumed and used as a join build side; materialize it with two separate branches",
 				p.name, n.id, n.kind)
 		}
-		if len(a.uses[n]) == 0 && !p.isSinkless(n) {
+		if len(a.uses[n]) == 0 {
 			return nil, fmt.Errorf("plan %q: node %d (%s) has no downstream use", p.name, n.id, n.kind)
 		}
 	}
 	return a, nil
 }
-
-// isSinkless reports whether the node legitimately has no uses. (No node
-// does — dead operators are an error — but keeping the hook explicit
-// makes the rule visible.)
-func (p *Plan) isSinkless(*Node) bool { return false }

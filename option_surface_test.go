@@ -41,7 +41,6 @@ var optionSurface = []string{
 	"JobConfig.Weight",
 	"JobConfig.Retain",
 	"JobConfig.Master",
-	"JobConfig.TraceID",
 	"JobConfig.Seeds",
 
 	"StreamSpec.Name",
