@@ -34,15 +34,13 @@ import (
 //	_ = h.Drain(ctx) // seal the partial window, wait for in-flight jobs
 //	cluster.Shutdown()
 //
-// Records arriving after their window sealed go to a late side channel:
-// folded into the next open window by default, or surfaced per window
-// (StreamSpec.SurfaceLate) through WindowResult.LateBag. A failed window
-// job is reset (sources rewound, derived bags wiped) and retried without
-// blocking successor windows, preserving exactly-once per window.
+// A record arriving after its window sealed folds into the lowest open
+// window (StreamStats.Late counts them). A failed window job is reset
+// (sources rewound, derived bags wiped) and retried without blocking
+// successor windows, preserving exactly-once per window.
 type (
 	// StreamSpec describes a continuous-ingestion stream: the window DAG
-	// template, its sources, the window width, and the late-record and
-	// skew-memory knobs.
+	// template, its sources, the window width, and the skew-memory knob.
 	StreamSpec = stream.Spec
 	// StreamHandle is the caller's grip on a running stream: Next
 	// (per-window results in order), Stats (watermark/lag/window
@@ -54,7 +52,7 @@ type (
 	// StreamRecord is one source record: event time plus encoded payload.
 	StreamRecord = stream.Record
 	// WindowResult is the outcome of one window: bag name mapping for its
-	// outputs, record/late counts, attempts, and timing.
+	// outputs, record count, attempts, and timing.
 	WindowResult = stream.WindowResult
 	// StreamStats snapshots a stream's watermark, lag, and window
 	// counters.

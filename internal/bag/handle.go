@@ -337,9 +337,9 @@ func (c *consumer) fetchLoop() {
 		case transport.StatusEmpty:
 			c.retire(slot)
 		case transport.StatusAgain:
-			// Unsealed and momentarily empty: back off briefly. This
-			// only happens for streaming-style consumption; batch tasks
-			// read sealed bags.
+			// Unsealed and momentarily empty: back off briefly. A task
+			// starts only once its inputs are sealed, so only a client
+			// reading a bag that is still being written lands here.
 			timer := time.NewTimer(pollInterval)
 			select {
 			case <-timer.C:

@@ -43,14 +43,6 @@ type TaskSpec struct {
 	// clones insert directly into the shared output bag. A task with a
 	// Merge must have exactly one output.
 	Merge TaskFunc
-	// Pipelined schedules the task as soon as all producers of its input
-	// bags are scheduled, instead of waiting for the bags to seal. The
-	// task streams chunks as they are produced and terminates when the
-	// bags seal and drain — the "more sophisticated dataflow execution
-	// model for streaming workloads" the paper leaves as future work
-	// (§3.1). Scan inputs still require sealed bags (a scan must see the
-	// complete contents).
-	Pipelined bool
 	// NoClone excludes the task from cloning (used to build the
 	// HurricaneNC configuration from the paper's Figure 6).
 	NoClone bool
@@ -225,18 +217,6 @@ func (a *App) Validate() error {
 				// the worker↔partition assignment.
 				if len(t.Inputs) != 1 {
 					return fmt.Errorf("core: task %q consumes partitioned bag %q alongside other inputs", name, b)
-				}
-				// DOCUMENTED LIMITATION — pipelined ≠ partitioned. A
-				// partitioned consumer is scheduled once its producers
-				// have sealed the edge; starting it while they run is not
-				// implemented. The supported way to stream over
-				// partitioned edges is the windowed path (internal/stream):
-				// the unbounded input is cut into event-time windows, each
-				// executed as a complete DAG job — and cross-window skew
-				// memory carries the learned partition maps between
-				// windows, which pipelining could not do at all.
-				if t.Pipelined {
-					return fmt.Errorf("core: task %q: pipelined consumption of partitioned bag %q is unsupported; use the windowed streaming path (internal/stream)", name, b)
 				}
 			}
 			a.consumers[b] = append(a.consumers[b], name)

@@ -109,12 +109,6 @@ func TestValidateErrors(t *testing.T) {
 			a.AddTask(TaskSpec{Name: "cons", Inputs: []string{"p", "s2"}, Outputs: []string{"o"}, Run: nop})
 			return a
 		}, "alongside other inputs"},
-		{"partitioned pipelined consumer", func() *App {
-			a := NewApp("x").SourceBag("s").PartitionedBag("p", 4).Bag("o")
-			a.AddTask(TaskSpec{Name: "prod", Inputs: []string{"s"}, Outputs: []string{"p"}, Run: nop})
-			a.AddTask(TaskSpec{Name: "cons", Inputs: []string{"p"}, Outputs: []string{"o"}, Pipelined: true, Run: nop})
-			return a
-		}, "pipelined"},
 		{"partitioned scan", func() *App {
 			a := NewApp("x").SourceBag("s").PartitionedBag("p", 4).Bag("o")
 			a.AddTask(TaskSpec{Name: "prod", Inputs: []string{"s"}, Outputs: []string{"p"}, Run: nop})

@@ -949,12 +949,10 @@ func (m *Master) absorbDone(c chunk.Chunk) error {
 	return nil
 }
 
-// schedulePass schedules every unscheduled task whose input bags are all
-// sealed ("the master ... schedules new tasks once their dependencies have
-// been completed", §4.1). Pipelined tasks are scheduled as soon as every
-// producer of their input bags is scheduled: their workers stream chunks
-// as they appear and terminate when the bags seal and drain. It returns
-// the number of tasks scheduled.
+// schedulePass schedules every unscheduled task whose consumed and scanned
+// bags are all sealed ("the master ... schedules new tasks once their
+// dependencies have been completed", §4.1). It returns the number of tasks
+// scheduled.
 func (m *Master) schedulePass() (int, error) {
 	m.mu.Lock()
 	var toSchedule []*taskState
@@ -964,26 +962,7 @@ func (m *Master) schedulePass() (int, error) {
 		if st.scheduled || st.finished {
 			continue
 		}
-		ready := true
-		for _, in := range st.spec.Inputs {
-			if m.sealed[in] {
-				continue
-			}
-			if st.spec.Pipelined && m.producersScheduled(in) {
-				continue
-			}
-			ready = false
-			break
-		}
-		if ready {
-			for _, in := range st.spec.ScanInputs {
-				if !m.sealed[in] {
-					ready = false
-					break
-				}
-			}
-		}
-		if ready {
+		if m.allSealed(st.spec.Inputs) && m.allSealed(st.spec.ScanInputs) {
 			st.scheduled = true
 			// A consumer of a partitioned bag gets one worker per
 			// physical partition of the edge's map, fixed at submission.
@@ -1023,6 +1002,16 @@ func (m *Master) schedulePass() (int, error) {
 	return scheduled, nil
 }
 
+// allSealed reports whether every named bag is sealed. Callers hold m.mu.
+func (m *Master) allSealed(bags []string) bool {
+	for _, b := range bags {
+		if !m.sealed[b] {
+			return false
+		}
+	}
+	return true
+}
+
 // edgeOf returns the partitioned shuffle edge a task consumes, or nil for
 // ordinary tasks. Validate guarantees a partitioned consumer has exactly
 // one input.
@@ -1041,23 +1030,6 @@ func (m *Master) partitionLeavesFor(spec *TaskSpec) []string {
 		return nil
 	}
 	return edge.pmap.Leaves()
-}
-
-// producersScheduled reports whether every producer task of a bag has
-// been scheduled (pipelined consumers may then start streaming). A bag
-// with no producers and no seal never becomes ready, so source bags still
-// require sealing.
-func (m *Master) producersScheduled(bagName string) bool {
-	prods := m.app.Producers(bagName)
-	if len(prods) == 0 {
-		return false
-	}
-	for _, p := range prods {
-		if !m.tasks[p].scheduled {
-			return false
-		}
-	}
-	return true
 }
 
 // blueprintFor builds the blueprint for worker w of a task at its current

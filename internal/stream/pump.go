@@ -60,7 +60,6 @@ type window struct {
 	res  *WindowResult
 	job  string             // job name == bag namespace prefix
 	outs map[string]*bagOut // source bag name -> live append pipeline
-	late *bagOut            // surfaced late bag, created on demand after seal
 }
 
 // ---- ingestion pump (single goroutine) ----
@@ -122,7 +121,7 @@ func (h *Handle) pump(srcs []*srcState) {
 			h.drainSeal()
 			return
 		}
-		if h.reachedMaxWindows() || live == 0 {
+		if live == 0 {
 			break
 		}
 		if !progress {
@@ -141,12 +140,11 @@ func (h *Handle) pump(srcs []*srcState) {
 // locks and registry traffic.
 func (h *Handle) flushCounters() {
 	h.mu.Lock()
-	h.ingested, h.lateTotal, h.dropped = h.pIngested, h.pLate, h.pDropped
+	h.ingested, h.lateTotal = h.pIngested, h.pLate
 	open := len(h.open)
 	h.mu.Unlock()
 	h.mIngested.Set(h.pIngested)
 	h.mLate.Set(h.pLate)
-	h.mDropped.Set(h.pDropped)
 	h.mOpen.Set(int64(open))
 }
 
@@ -157,15 +155,6 @@ func (h *Handle) failPump(err error) {
 	}
 	h.cond.Broadcast()
 	h.mu.Unlock()
-}
-
-func (h *Handle) reachedMaxWindows() bool {
-	if h.spec.MaxWindows <= 0 {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.nextSeal >= h.spec.MaxWindows
 }
 
 // windowIndex maps an event time to its tumbling window. Records earlier
@@ -200,8 +189,9 @@ func (h *Handle) liveWindow(idx int) *window {
 	return lw
 }
 
-// ingest routes one record into its window's live bag, or into the late
-// side channel when the window already sealed.
+// ingest appends one record to its window's live bag (creating window
+// and pipeline as needed). A record whose window already sealed is late:
+// it folds into the lowest open window.
 func (h *Handle) ingest(s *srcState, r Record) error {
 	if !h.originSet {
 		h.mu.Lock()
@@ -214,92 +204,24 @@ func (h *Handle) ingest(s *srcState, r Record) error {
 		h.mu.Unlock()
 	}
 	idx := h.windowIndex(r.Time)
-	if h.spec.MaxWindows > 0 && idx >= h.spec.MaxWindows {
-		h.pDropped++
-		return nil // beyond the stream's final window; its time still advances the watermark
-	}
 	// nextSeal is written only by this goroutine (under mu, for Stats'
 	// benefit); reading our own writes needs no lock.
 	if idx < h.nextSeal {
-		return h.ingestLate(s, r, idx, h.nextSeal)
+		idx = h.nextSeal
+		h.pLate++
 	}
-	return h.appendToWindow(idx, s.bag, r.Data)
-}
-
-// appendToWindow appends one record to open window idx's live bag for
-// srcBag (creating window and pipeline as needed) and does the ingestion
-// accounting. Shared by the normal path and the late fold-forward path.
-func (h *Handle) appendToWindow(idx int, srcBag string, data []byte) error {
 	lw := h.liveWindow(idx)
-	out := lw.outs[srcBag]
+	out := lw.outs[s.bag]
 	if out == nil {
-		out = h.newBagOut(lw.job + "/" + srcBag)
-		lw.outs[srcBag] = out
+		out = h.newBagOut(lw.job + "/" + s.bag)
+		lw.outs[s.bag] = out
 	}
-	if err := out.w.Append(data); err != nil {
+	if err := out.w.Append(r.Data); err != nil {
 		return err
 	}
 	lw.res.Records++
 	h.pIngested++
 	return nil
-}
-
-// ingestLate handles a record whose window sealed before it arrived: fold
-// it into the lowest open window (default) or surface it in the sealed
-// window's late bag, within one window of grace.
-func (h *Handle) ingestLate(s *srcState, r Record, idx, sealedBoundary int) error {
-	res := h.sealedResult(idx)
-	if res != nil {
-		res.late.Add(1)
-	}
-	h.pLate++
-	if !h.spec.SurfaceLate {
-		// Fold forward: the record joins the next window still accepting.
-		if h.spec.MaxWindows > 0 && sealedBoundary >= h.spec.MaxWindows {
-			h.pDropped++
-			return nil
-		}
-		return h.appendToWindow(sealedBoundary, s.bag, r.Data)
-	}
-	// Surfaced: the late bag accepts stragglers for the most recently
-	// sealed window only — once the next window seals, the bag is sealed
-	// too and later arrivals are dropped.
-	if idx != sealedBoundary-1 {
-		h.pDropped++
-		return nil
-	}
-	lw := h.sealedWindow(idx)
-	if lw == nil {
-		h.pDropped++
-		return nil
-	}
-	if lw.late == nil {
-		lw.late = h.newBagOut(lateBagName(h.spec.Name, idx))
-		if res != nil {
-			h.mu.Lock()
-			res.lateBag = lw.late.name
-			h.mu.Unlock()
-		}
-	}
-	return lw.late.w.Append(r.Data)
-}
-
-// sealedWindow returns the most recently sealed window if it has the
-// given index (the only window still accepting surfaced late records).
-// Pump goroutine only.
-func (h *Handle) sealedWindow(idx int) *window {
-	if h.lastSealed != nil && h.lastSealed.res.Index == idx {
-		return h.lastSealed
-	}
-	return nil
-}
-
-// sealedResult returns the result of a sealed window (for late-record
-// attribution), whether its job is still in flight or done.
-func (h *Handle) sealedResult(idx int) *WindowResult {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sealedRes[idx]
 }
 
 // advance recomputes the low watermark over the sources and seals every
@@ -350,12 +272,7 @@ func (h *Handle) advance(srcs []*srcState) error {
 		return nil
 	}
 	for {
-		h.mu.Lock()
-		idx := h.nextSeal
-		h.mu.Unlock()
-		if h.spec.MaxWindows > 0 && idx >= h.spec.MaxWindows {
-			return nil
-		}
+		idx := h.nextSeal // written only by this goroutine
 		end := h.origin + int64(idx+1)*int64(h.spec.Window)
 		if wm < end {
 			return nil
@@ -367,24 +284,13 @@ func (h *Handle) advance(srcs []*srcState) error {
 }
 
 // seal closes window idx's live bags, seals every source bag of the
-// window job, and hands the window to the submitter. It also seals the
-// previous window's surfaced late bag — its grace period ends here. A
-// window no record was routed to completes immediately without a job:
-// one event-time gap (a source quiet overnight, a clock-skewed
-// far-future timestamp) may pass the watermark over thousands of empty
-// windows, and submitting a full DAG job apiece would stall live data
-// behind a flood of no-ops.
+// window job, and hands the window to the submitter. A window no record
+// was routed to completes immediately without a job: one event-time gap
+// (a source quiet overnight, a clock-skewed far-future timestamp) may
+// pass the watermark over thousands of empty windows, and submitting a
+// full DAG job apiece would stall live data behind a flood of no-ops.
 func (h *Handle) seal(idx int) error {
 	lw := h.liveWindow(idx) // creates an empty window if no record arrived
-	if prev := h.lastSealed; prev != nil && prev.late != nil {
-		if err := prev.late.close(); err != nil {
-			return err
-		}
-		if err := h.store.Seal(h.ctx, prev.late.name); err != nil {
-			return err
-		}
-		prev.late = nil
-	}
 	empty := lw.res.Records == 0
 	if !empty {
 		for _, out := range lw.outs {
@@ -402,7 +308,6 @@ func (h *Handle) seal(idx int) error {
 		}
 	}
 	lw.res.SealedAt = time.Now()
-	h.lastSealed = lw
 	h.mSealed.Inc()
 	h.obsv.Emit(obs.EvWindowSealed, lw.job, lw.job,
 		fmt.Sprintf("records=%d empty=%t", lw.res.Records, empty))
@@ -410,10 +315,6 @@ func (h *Handle) seal(idx int) error {
 	delete(h.open, idx)
 	h.nextSeal = idx + 1
 	h.sealedCount++
-	h.sealedRes[idx] = lw.res
-	// Late records can only still be attributed within the grace horizon;
-	// older entries would pin every window's result forever.
-	delete(h.sealedRes, idx-2)
 	h.mu.Unlock()
 	if empty {
 		lw.res.SubmittedAt = lw.res.SealedAt
@@ -448,17 +349,6 @@ func (h *Handle) drainSeal() {
 		if err := h.seal(idx); err != nil {
 			h.failPump(err)
 			return
-		}
-	}
-	if h.lastSealed != nil && h.lastSealed.late != nil {
-		late := h.lastSealed.late
-		h.lastSealed.late = nil
-		if err := late.close(); err != nil {
-			h.failPump(err)
-			return
-		}
-		if err := h.store.Seal(h.ctx, late.name); err != nil {
-			h.failPump(fmt.Errorf("stream: sealing late bag %s: %w", late.name, err))
 		}
 	}
 }

@@ -3,11 +3,9 @@
 // every window as a complete DAG job on the multi-job scheduler.
 //
 // The paper leaves "a more sophisticated dataflow execution model for
-// streaming workloads" as future work (§3.1). The engine's Pipelined tasks
-// cover the simple half — a consumer chasing a producer's bag — but they
-// cannot use partitioned shuffle edges at all (see the documented
-// limitation in core's graph validation). The windowed model takes the
-// opposite route, in the spirit of micro-batch streaming systems:
+// streaming workloads" as future work (§3.1). Every engine task starts
+// once its inputs are sealed, so the stream cuts its unbounded input into
+// sealed pieces, in the spirit of micro-batch streaming systems:
 //
 //   - ingesters append source records into per-window live bags as they
 //     arrive, routing by event time;
@@ -19,9 +17,8 @@
 //     edges, cloning, fair-share leasing, and
 //     failure recovery for free, and in-flight windows are bounded by
 //     scheduler admission plus a stream-level in-flight cap;
-//   - records arriving after their window sealed go to a late-record side
-//     channel: folded into the next open window (default) or surfaced in a
-//     per-window late bag the application reads itself;
+//   - a record arriving after its window sealed is late and folds into
+//     the lowest open window;
 //   - cross-window skew memory: when a window finishes, its master's final
 //     partition maps and merged edge sketches (core.EdgeMemory) become seed
 //     maps via shuffle.WarmStart, and every later window's submission
@@ -41,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bag"
@@ -100,17 +96,9 @@ type Spec struct {
 	// Origin anchors window 0's start in event time. Zero aligns window 0
 	// to the first record observed.
 	Origin int64
-	// MaxWindows seals at most this many windows and then drains; 0 means
-	// run until every source returns io.EOF or Drain is called.
-	MaxWindows int
 	// MaxInFlight bounds windows submitted but not yet completed
 	// (default 4); the scheduler's own admission control applies on top.
 	MaxInFlight int
-	// SurfaceLate diverts late records into a per-window late bag
-	// (WindowResult.LateBag) instead of folding them into the next open
-	// window. A window's late bag accepts records until the following
-	// window seals; later stragglers are counted as dropped.
-	SurfaceLate bool
 	// ColdStart disables cross-window skew memory: every window starts
 	// from the plain base partition map (the baseline the streaming
 	// benchmark measures warm-start against).
@@ -152,10 +140,8 @@ type WindowResult struct {
 	// window's shuffle edges (its submission carried seed maps).
 	Seeded bool
 
-	late    atomic.Int64
-	lateBag string
-	job     *core.JobHandle
-	h       *Handle
+	job *core.JobHandle
+	h   *Handle
 }
 
 // Bag maps a declared bag name of the window application to the physical
@@ -183,32 +169,13 @@ func (r *WindowResult) Profile() *obs.Profile {
 	return r.job.Profile()
 }
 
-// LateBag names the bag holding records that arrived after this window
-// sealed ("" unless Spec.SurfaceLate, or when no late record arrived).
-// The bag is sealed when the next window seals; its records never reach
-// the window's job.
-func (r *WindowResult) LateBag() string {
-	r.h.mu.Lock()
-	defer r.h.mu.Unlock()
-	return r.lateBag
-}
-
-// LateCount reports how many late records were attributed to this window
-// so far (final once the following window has sealed).
-func (r *WindowResult) LateCount() int64 { return r.late.Load() }
-
-// Discard garbage collects the window's bags (outputs included) and its
-// late bag, and releases the window job's name claims.
+// Discard garbage collects the window's bags (outputs included) and
+// releases the window job's name claims.
 func (r *WindowResult) Discard(ctx context.Context) error {
-	if r.job != nil {
-		if err := r.job.Discard(ctx); err != nil {
-			return err
-		}
+	if r.job == nil {
+		return nil
 	}
-	if lb := r.LateBag(); lb != "" {
-		return r.h.store.Delete(ctx, lb)
-	}
-	return nil
+	return r.job.Discard(ctx)
 }
 
 // Stats is a point-in-time snapshot of the stream's progress.
@@ -218,11 +185,10 @@ type Stats struct {
 	// track wall-clock time).
 	Watermark int64
 	Lag       time.Duration
-	// Ingested counts records appended to window bags; Late counts
-	// records that arrived after their window sealed; Dropped counts
-	// records discarded entirely (past the late grace period or beyond
-	// MaxWindows).
-	Ingested, Late, Dropped int64
+	// Ingested counts records appended to window bags; Late counts the
+	// records among them that arrived after their window sealed (each
+	// folded into the lowest open window).
+	Ingested, Late int64
 	// Open / Sealed / InFlight / Completed / Failed count windows.
 	Open, Sealed, InFlight, Completed, Failed int
 	// MemoryWindow is the index of the window the current skew memory was
@@ -253,8 +219,7 @@ type Handle struct {
 	// are mirrored into the mu-guarded Stats fields once per sweep
 	// (advance/drainSeal), so the per-record ingestion hot path takes no
 	// locks; Stats may lag by at most one poll interval.
-	lastSealed                 *window // most recently sealed window (late-record grace target)
-	pIngested, pLate, pDropped int64
+	pIngested, pLate int64
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -263,11 +228,9 @@ type Handle struct {
 	watermark   int64
 	ingested    int64
 	lateTotal   int64
-	dropped     int64
 	open        map[int]*window
 	nextSeal    int
 	sealedCount int
-	sealedRes   map[int]*WindowResult // every sealed window's result (late attribution)
 	results     map[int]*WindowResult
 	nextDeliver int
 	completed   int
@@ -283,7 +246,6 @@ type Handle struct {
 	obsv      *obs.Observer
 	mIngested *obs.Gauge
 	mLate     *obs.Gauge
-	mDropped  *obs.Gauge
 	mOpen     *obs.Gauge
 	mSealed   *obs.Counter
 	mRetried  *obs.Counter
@@ -296,15 +258,8 @@ func windowJobName(stream string, idx int) string {
 	return fmt.Sprintf("%s.w%d", stream, idx)
 }
 
-// lateBagName names window idx's surfaced late bag. '!' keeps it in the
-// control-bag namespace, outside any job's claims.
-func lateBagName(stream string, idx int) string {
-	return fmt.Sprintf("%s!late.%d", stream, idx)
-}
-
 // Run starts a stream on the cluster and returns its handle. The stream
-// runs until every source is exhausted, MaxWindows windows have sealed,
-// Drain is called, or ctx is cancelled (which aborts in-flight window
+// runs until every source is exhausted, Drain is called, or ctx is cancelled (which aborts in-flight window
 // jobs). Cluster.Shutdown while the stream runs does not deadlock it:
 // the pump and window watchers observe the pool teardown and fail the
 // remaining windows, leaving already-sealed records in storage.
@@ -358,7 +313,6 @@ func Run(ctx context.Context, c *core.Cluster, spec Spec) (*Handle, error) {
 		sem:       make(chan struct{}, spec.MaxInFlight),
 		pumpDone:  make(chan struct{}),
 		open:      make(map[int]*window),
-		sealedRes: make(map[int]*WindowResult),
 		results:   make(map[int]*WindowResult),
 		memoryWin: -1,
 	}
@@ -368,7 +322,6 @@ func Run(ctx context.Context, c *core.Cluster, spec Spec) (*Handle, error) {
 	h.obsv = o
 	h.mIngested = o.Gauge("hurricane_stream_ingested_records", sl...)
 	h.mLate = o.Gauge("hurricane_stream_late_records", sl...)
-	h.mDropped = o.Gauge("hurricane_stream_dropped_records", sl...)
 	h.mOpen = o.Gauge("hurricane_stream_open_windows", sl...)
 	h.mSealed = o.Counter("hurricane_stream_windows_sealed_total", sl...)
 	h.mRetried = o.Counter("hurricane_stream_window_retries_total", sl...)
@@ -447,7 +400,6 @@ func (h *Handle) Stats() Stats {
 		Watermark:    h.watermark,
 		Ingested:     h.ingested,
 		Late:         h.lateTotal,
-		Dropped:      h.dropped,
 		Open:         len(h.open),
 		Sealed:       h.sealedCount,
 		InFlight:     len(h.sem),

@@ -48,9 +48,7 @@ var optionSurface = []string{
 	"StreamSpec.Sources",
 	"StreamSpec.Window",
 	"StreamSpec.Origin",
-	"StreamSpec.MaxWindows",
 	"StreamSpec.MaxInFlight",
-	"StreamSpec.SurfaceLate",
 	"StreamSpec.ColdStart",
 	"StreamSpec.Master",
 	"StreamSpec.Weight",
