@@ -25,10 +25,14 @@ import (
 // partition bags of a partitioned output, by the edge's seed partition map
 // when its job was submitted with one. It is a shuffle.Scatter: Write and
 // WriteBatch are one path — the same routing, the same key counts for the
-// edge's statistics, the same per-leaf chunk.Encoder, so the same chunks —
-// taken a record or a batch at a time. Create one per producer worker with
-// NewPartitionedWriter; the engine flushes it automatically when the task
-// completes.
+// edge's statistics, the same per-leaf chunk.Encoder, so the same chunks.
+// When the codec's values own everything they encode (a bulk codec: the
+// numeric leaves and pairs of them), Write keeps a copy of each record and
+// routes them a block of a few thousand at a time, as WriteBatch does, so
+// the key function must read only what the value owns; with any other
+// codec Write routes its record at the call. Create one per producer worker
+// with NewPartitionedWriter; the engine flushes it automatically when the
+// task completes, and after that every write returns an error.
 type PartitionedWriter[T any] struct{ s *shuffle.Scatter[T] }
 
 // NewPartitionedWriter returns a partitioned writer for output out, which
@@ -50,15 +54,17 @@ func NewPartitionedWriter[T any](tc *TaskCtx, out int, codec Codec[T], key func(
 // Write routes one record to its partition.
 func (pw *PartitionedWriter[T]) Write(v T) error { return pw.s.Write(v) }
 
-// WriteBatch routes a batch of records; it is Write over each of them, with
-// the per-record dispatch paid once per partition per few thousand records.
+// WriteBatch routes a batch of records, after any that Write holds; it is
+// Write over each of them, with the per-record dispatch paid once per
+// partition per few thousand records.
 func (pw *PartitionedWriter[T]) WriteBatch(vs []T) error { return pw.s.WriteBatch(vs) }
 
 // NewPartitionedWriterUint64 is NewPartitionedWriter for uint64-keyed
 // records (keys identified by their 8-byte little-endian encoding, the
-// Uint64Key convention). Placement is exactly NewPartitionedWriter's with
-// Uint64Key(key); routing hashes and counts the key words directly,
-// skipping the per-record byte round-trip.
+// Uint64Key convention). Placement, key counts and chunks are exactly
+// NewPartitionedWriter's with Uint64Key(key) — whose 8-byte keys take the
+// same word loop — and it only skips the key function's per-record byte
+// round trip.
 func NewPartitionedWriterUint64[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) uint64) *PartitionedWriter[T] {
 	pw := NewPartitionedWriter(tc, out, codec, Uint64Key(key))
 	pw.s.KeyUint64(key)

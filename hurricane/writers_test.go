@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +56,7 @@ func (c *edgeTap) Call(ctx context.Context, node string, req *transport.Request)
 // edgeState is what one run left on the edge, in comparable form.
 type edgeState struct {
 	parts  map[string][]string // leaf -> sorted record encodings
+	chunks map[string][]string // leaf -> its chunks' bytes, sorted
 	counts map[string]uint64
 	cells  []byte // the count-min sketch, encoded
 	heavy  []sketch.HeavyKey
@@ -67,6 +69,8 @@ type edgeState struct {
 // plan; every run must leave the same records in the same physical
 // partitions and the same statistics for the master — exact per-leaf
 // counts, every count-min cell, and the heavy-key list, entry for entry.
+// The four hand-wired producers share one codec, so they must also cut the
+// same chunks: each leaf's chunks, byte for byte, as a sorted multiset.
 func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	const edge, parts, n = "agree.e1", 4, 30000
 	gen := workload.RelationGen{Keys: 4096, S: 1.3, Seed: 29}
@@ -178,7 +182,7 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		if len(tap.stats) != 1 {
 			t.Fatalf("%s: %d writers exchanged statistics, want the one producer", name, len(tap.stats))
 		}
-		st := &edgeState{parts: map[string][]string{}}
+		st := &edgeState{parts: map[string][]string{}, chunks: map[string][]string{}}
 		for _, blob := range tap.stats {
 			es, err := sketch.DecodeEdgeStats(blob)
 			if err != nil {
@@ -187,6 +191,10 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 			st.counts, st.cells, st.heavy = es.Counts, es.CM.Encode(), es.Heavy
 		}
 		for leaf, cs := range tap.chunks {
+			for _, c := range cs {
+				st.chunks[leaf] = append(st.chunks[leaf], string(c))
+			}
+			sort.Strings(st.chunks[leaf])
 			vals, err := chunk.NewSliceIterator(tupleCodec, cs).Collect()
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, leaf, err)
@@ -219,6 +227,14 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		for leaf, recs := range want.parts {
 			if strings.Join(got.parts[leaf], "") != strings.Join(recs, "") {
 				t.Errorf("%s: partition %s holds different records than under Write (%d vs %d)", name, leaf, len(got.parts[leaf]), len(recs))
+			}
+		}
+		if name == "plan" {
+			continue
+		}
+		for leaf, cs := range want.chunks {
+			if !slices.Equal(got.chunks[leaf], cs) {
+				t.Errorf("%s: partition %s holds %d chunks, not byte for byte the %d Write cut", name, leaf, len(got.chunks[leaf]), len(cs))
 			}
 		}
 	}

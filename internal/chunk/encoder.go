@@ -11,10 +11,10 @@ var ErrClosed = errors.New("chunk: write to a closed encoder")
 
 // blockRows is how many values a bulk-capable Encoder's Append holds before
 // it encodes them, as one AppendRows block: enough that the kernels'
-// per-block costs are a small share of a record's, few enough that a job
-// with an encoder per shuffle leaf per clone keeps a KB or two per encoder.
-// On a 2-core host, 256 rows ran the benchmark's groupby_row about 1 %
-// faster and raised groupby_slowrec's resident set about 4 %.
+// per-block costs are a small share of a record's, few enough that an
+// encoder keeps a KB or two. A shuffle's leaf encoders take their rows
+// through AppendRows only (a shuffle.Scatter stages Write's records
+// itself), so hurricane.Writer is what appends here one value at a time.
 const blockRows = 64
 
 // An Encoder turns values into chunks for one write stream: the mirror of

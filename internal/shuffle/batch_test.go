@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -182,43 +183,66 @@ func BenchmarkRouteUint64(b *testing.B) {
 	}
 }
 
-// BenchmarkScatterWriteBatch is a batch producer's write side on the same
-// stream, in ns/rec: route, count and group each block of 4,096 benchmark
-// tuples (uint64 key, fixed-width payload) in one pass, then encode each
-// leaf's rows and hand the chunks to the in-process store. The edge's bags
-// are dropped, untimed, after every pass over the stream.
-func BenchmarkScatterWriteBatch(b *testing.B) {
+// BenchmarkScatterWrite is a producer's write side on the same stream, in
+// ns/rec, by key kind and API: route, count and group each block of 4,096
+// benchmark tuples (uint64 key, fixed-width payload), then encode each
+// leaf's rows and hand the chunks to the in-process store. "uint64" keys
+// the scatter with KeyUint64; "bytes" with a byte key the way
+// hurricane.Uint64Key makes one (8 bytes, one buffer reused). WriteBatch
+// takes 4,096 records a call, Write one. The edge's bags are dropped,
+// untimed, after every pass over the stream.
+func BenchmarkScatterWrite(b *testing.B) {
 	ctx := context.Background()
-	st := newTestStore(b, 1, 0)
 	keys := routeBenchKeys()
 	ts := make([]tuple, len(keys))
 	for i, k := range keys {
 		ts[i] = tuple{First: k, Second: uint64(i)}
 	}
-	var s *Scatter[tuple]
-	open := func() {
-		s = NewScatter(NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"}), tupleCodec, nil)
-		s.KeyUint64(func(v tuple) uint64 { return v.First })
-	}
-	open()
-	recs := 0
-	b.ResetTimer()
-	for ; recs < b.N; recs += 4096 {
-		lo := recs % len(ts)
-		if recs > 0 && lo == 0 {
-			b.StopTimer()
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.DeletePrefix(ctx, "e."); err != nil {
-				b.Fatal(err)
+	var kb [8]byte
+	byteKey := func(v tuple) []byte { binary.LittleEndian.PutUint64(kb[:], v.First); return kb[:] }
+	for _, bc := range []struct {
+		name  string
+		words bool
+		batch bool
+	}{{"uint64/WriteBatch", true, true}, {"bytes/WriteBatch", false, true}, {"bytes/Write", false, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := newTestStore(b, 1, 0)
+			var s *Scatter[tuple]
+			open := func() {
+				s = NewScatter(NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"}), tupleCodec, byteKey)
+				if bc.words {
+					s.KeyUint64(func(v tuple) uint64 { return v.First })
+				}
 			}
 			open()
-			b.StartTimer()
-		}
-		if err := s.WriteBatch(ts[lo : lo+4096]); err != nil {
-			b.Fatal(err)
-		}
+			recs := 0
+			b.ResetTimer()
+			for ; recs < b.N; recs += 4096 {
+				lo := recs % len(ts)
+				if recs > 0 && lo == 0 {
+					b.StopTimer()
+					if err := s.Close(); err != nil {
+						b.Fatal(err)
+					}
+					if err := st.DeletePrefix(ctx, "e."); err != nil {
+						b.Fatal(err)
+					}
+					open()
+					b.StartTimer()
+				}
+				if bc.batch {
+					if err := s.WriteBatch(ts[lo : lo+4096]); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				for _, v := range ts[lo : lo+4096] {
+					if err := s.Write(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/rec")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/rec")
 }

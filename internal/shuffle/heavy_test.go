@@ -501,5 +501,68 @@ func TestCountWidthsApart(t *testing.T) {
 				}
 			})
 		}
+		// One scatter whose byte key has either width: the stream's records
+		// go through a byte-key WriteBatch, or are staged by Write, so both
+		// keys come to the word loop's pre-pass in the same blocks. Word
+		// first, the first "a" sits mid-block, behind 8-byte keys of its
+		// block and its stretch: the pre-pass must leave that block, having
+		// counted none of it, to the general loop, which sets the guard.
+		tuples := make([]tuple, len(stream))
+		for i, k := range stream {
+			tuples[i] = tuple{First: word, Second: map[string]uint64{short: 1, long: 0}[k]}
+		}
+		keyFn := func(v tuple) []byte {
+			if v.Second == 1 {
+				return []byte(short)
+			}
+			return key(v.First)
+		}
+		for _, api := range []string{"bytes-WriteBatch", "staged-Write"} {
+			t.Run(map[string]string{short: "a-first/", long: "word-first/"}[first]+api, func(t *testing.T) {
+				var got []drain
+				drainSeen = func(w *Writer, fed []sketch.HeavyKey) {
+					d := drain{w.drained, make(map[string]uint64)}
+					for _, h := range fed {
+						d.fed[strconv.Quote(string(h.Key))] = h.Count
+					}
+					got = append(got, d)
+				}
+				defer func() { drainSeen = nil }()
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				s := NewScatter(w, tupleCodec, keyFn)
+				if !s.staged {
+					t.Fatal("the tuple codec's scatter does not stage Write")
+				}
+				var err error
+				if api == "bytes-WriteBatch" {
+					err = s.WriteBatch(tuples)
+				} else {
+					for i := 0; i < len(tuples) && err == nil; i++ {
+						err = s.Write(tuples[i])
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !w.otherWidth {
+					t.Error("the writer counted a 1-byte key and left the width guard unset")
+				}
+				for i := 0; i < max(len(got), len(want)); i++ {
+					switch {
+					case i >= len(want):
+						t.Fatalf("drain %d at record %d, past the stream's %d stretches", i, got[i].at, len(want))
+					case i >= len(got):
+						t.Fatalf("%d drains, want %d: none at record %d", len(got), len(want), want[i].at)
+					case got[i].at != want[i].at:
+						t.Fatalf("drain %d at record %d, want %d", i, got[i].at, want[i].at)
+					case fmt.Sprint(got[i].fed) != fmt.Sprint(want[i].fed):
+						t.Fatalf("the drain at record %d fed %v (key: count), an exact count of the stretch feeds %v", got[i].at, got[i].fed, want[i].fed)
+					}
+				}
+			})
+		}
 	}
 }

@@ -17,16 +17,20 @@ import (
 //
 // Two loops do it, and a block of records takes one of them whole. The
 // general loop takes any key under any map: step, a record at a time, for
-// RouteKey and RouteUint64, and inline in Scatter.WriteBatch. The word loop
-// takes a block of uint64 keys under a plain map while every key the writer
-// has routed is 8 bytes: it counts through countHit8, a compare of the key
+// RouteKey and RouteUint64, and inline in a Scatter's block (Scatter.group).
+// The word loop takes a block under a plain map while every key the writer
+// has routed is 8 bytes and so is every key of the block, whichever API
+// brought it and whether the scatter keys it by uint64 or by bytes: a
+// pre-pass (Scatter.keyWords) reads the block's keys into one vector of key
+// words, and the loop counts them through countHit8, a compare of the key
 // word alone, and ticks only where a stretch ends, so its inner loop has no
-// tick test. Scatter.WriteBatch chooses it once per block, and
-// PartitionBatchUint64 once per call. The width guard (Writer.otherWidth) is what keeps the word compare
-// exact: a shorter key packs into a slot's key8 like the word its bytes
-// zero-pad to ("a" and 0x61), and only the slot's klen tells them apart —
-// so the first key of another width is flagged before it is counted, and
-// every later block takes the general loop.
+// tick test. A Scatter chooses it once per block, and PartitionBatchUint64
+// once per call. The width guard (Writer.otherWidth) is what keeps the word
+// compare exact: a shorter key packs into a slot's key8 like the word its
+// bytes zero-pad to ("a" and 0x61), and only the slot's klen tells them
+// apart — so the pre-pass leaves a block at its first key of another
+// width, having counted none of it, the general loop flags that key before
+// it is counted, and every later block takes the general loop.
 //
 // What the statistics cost is what the heavy keys cost. Every record is
 // counted exactly in the stretch table, and that is all a light key ever
@@ -61,10 +65,9 @@ func (w *Writer) adopt(pm *PartitionMap) {
 }
 
 // step is the general loop's per-record path, whole: tick when a stretch
-// is due, route, count, advance (Scatter.WriteBatch's general loop has it
-// inline). hash is KeyHash of the key's bytes. A uint64 key passes key
-// nil, its word as key8 and klen 8: its bytes materialize only at a drain,
-// for the keys it feeds.
+// is due, route, count, advance (Scatter.group has it inline). hash is
+// KeyHash of the key's bytes. A uint64 key passes key nil, its word as key8
+// and klen 8: its bytes materialize only at a drain, for the keys it feeds.
 func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
 	if w.n%tickEvery == 0 {
 		w.tick()
@@ -112,8 +115,8 @@ func (w *Writer) RouteUint64(v uint64) RouteRef {
 }
 
 // PartitionBatchUint64 is RouteUint64 over a batch of keys; the returned
-// routing vector is reused by the next call. It takes the word loop when
-// Scatter.WriteBatch would (words), so it prices the count that ships.
+// routing vector is reused by the next call. It takes the word loop when a
+// Scatter would (words), so it prices the count that ships.
 func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	if cap(w.refs) < len(keys) {
 		w.refs = make([]RouteRef, len(keys))
@@ -140,7 +143,7 @@ func (w *Writer) PartitionBatchUint64(keys []uint64) []RouteRef {
 	return refs
 }
 
-// words reports whether a block of uint64 keys may take the word loop: the
+// words reports whether a block of 8-byte keys may take the word loop: the
 // map is plain and no key of another width than 8 bytes was ever routed.
 func (w *Writer) words() bool { return w.plain && !w.otherWidth }
 
@@ -203,8 +206,8 @@ func slotKey8(key []byte) uint64 {
 // and countKey probes on. Hits and claims alternate unpredictably (a
 // quarter of a Zipf(1.3) stretch are first sightings), so it takes either
 // without a branch: a free slot's stamp reads as the floor, a count of 0.
-// It makes no call, so it inlines into step and WriteBatch's general loop;
-// countHit8 is its copy for the word loop.
+// It makes no call, so it inlines into step and Scatter.group; countHit8
+// is its copy for the word loop.
 func (w *Writer) countHit(key8 uint64, klen int32, hash uint64) bool {
 	s := &w.tab[hash%countTabSlots]
 	c := max(s.c, w.floor)

@@ -1,9 +1,14 @@
 package shuffle
 
-import "repro/internal/chunk"
+import (
+	"encoding/binary"
 
-// scatterBlock is how many records of a WriteBatch are routed and grouped
-// at a time: the per-leaf index lists stay 16 KB however large the batch.
+	"repro/internal/chunk"
+)
+
+// scatterBlock is how many records are routed and grouped at a time — a
+// WriteBatch's, or as many of Write's as a scatter stages: the per-leaf
+// index lists stay 16 KB however large the batch.
 const scatterBlock = 4096
 
 // A Scatter is the one path from typed records to the leaf bags of a
@@ -11,19 +16,31 @@ const scatterBlock = 4096
 // encoder of the leaf it routed to, and hand each chunk an encoder cuts to
 // Writer.InsertBatchChunk. The typed PartitionedWriter is a Scatter[T], a
 // compiled plan's edge sink is a Scatter of the stage's output record type,
-// and Writer.Write is a Scatter[[]byte]. Write is the one-record view —
-// route and count the key now, hand the record to its leaf's encoder — and
-// WriteBatch the same path in blocks, through the encoders' AppendRows.
-// When and how a leaf encodes is the encoder's business (chunk.Encoder: the
-// layout follows the codec, and a codec with a bulk view is encoded a block
-// of Appends at a time, from copies of the records); the Scatter never
-// asks. It owns one encoder per leaf it has routed to and belongs to one
-// producer goroutine, like its Writer.
+// and Writer.Write is a Scatter[[]byte]. WriteBatch routes, counts and
+// groups a block of records in one pass and hands each leaf its rows with
+// one AppendRows. Write is the one-record view of the same path: when the
+// codec has a bulk view, so that its values own everything they encode
+// (the rule by which chunk.Encoder defers an Append), Write stages a copy
+// of the record and a full block of them takes WriteBatch's path — as do
+// the staged records ahead of any WriteBatch and of Close, so the stream
+// keeps its order; a staged record's key is read when its block is routed.
+// Otherwise a record's value may alias memory its caller
+// reuses as soon as Write returns (a row-only or blob codec, the raw
+// Writer.Write), and Write routes and counts it at the call and hands it to
+// its leaf's encoder. Either way the chunks, their cuts and the edge's
+// statistics are those of one WriteBatch over the whole stream. When and
+// how a leaf encodes is the encoder's business (chunk.Encoder); the
+// Scatter never asks. It owns one encoder per leaf it has routed to and
+// belongs to one producer goroutine, like its Writer; once its writer is
+// closed, writes return chunk.ErrClosed.
 type Scatter[T any] struct {
 	w      *Writer
 	codec  chunk.Codec[T]
 	key    func(T) []byte
 	keyU64 func(T) uint64 // optional: route on key words, not bytes
+
+	staged bool // Write stages its records (the codec's values own what they encode)
+	stage  []T  // Write's records not yet routed; nil before the first Write and after Close
 
 	// Base partitions — the overwhelmingly common routing outcome — index
 	// a dense slice; isolation refs take the map (a struct-keyed map lookup
@@ -32,11 +49,12 @@ type Scatter[T any] struct {
 	other map[RouteRef]*scatterLeaf[T]
 	dense bool // base holds every base partition's leaf (baseLeaves)
 
-	touched []*scatterLeaf[T] // leaves the current WriteBatch block has rows for
+	words   []uint64          // the word loop's key words for the current block (keyWords)
+	touched []*scatterLeaf[T] // leaves the current block has rows for
 }
 
-// scatterLeaf is one leaf's encoder and, during a WriteBatch block, the
-// block's row indices routed to it.
+// scatterLeaf is one leaf's encoder and, during a block, the block's row
+// indices routed to it.
 type scatterLeaf[T any] struct {
 	enc *chunk.Encoder[T]
 	idx []int32
@@ -45,7 +63,29 @@ type scatterLeaf[T any] struct {
 // NewScatter returns a Scatter writing codec's values to w's edge, keyed by
 // key (nil when KeyUint64 supplies the key).
 func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Scatter[T] {
-	return &Scatter[T]{w: w, codec: codec, key: key}
+	return &Scatter[T]{w: w, codec: codec, key: key, staged: defers(codec, w.cfg.Store.ChunkSize())}
+}
+
+// defers reports whether chunk.Encoder defers the Appends of codec's values
+// into chunks of size bytes: the codec has a bulk view, so no blob column,
+// and a chunk holds the widest record it can encode.
+func defers[T any](codec chunk.Codec[T], size int) bool {
+	cc, ok := chunk.ColumnarOf(codec)
+	if !ok {
+		return false
+	}
+	if _, ok := chunk.BulkOf(cc); !ok {
+		return false
+	}
+	maxRow := 0
+	for _, k := range chunk.KindsOf(cc) {
+		if k == chunk.ColFixed8 {
+			maxRow += 8
+		} else {
+			maxRow += binary.MaxVarintLen64
+		}
+	}
+	return maxRow <= size
 }
 
 // KeyUint64 makes the scatter route on uint64 key words: key must agree
@@ -53,8 +93,24 @@ func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Sca
 // so placement is unchanged and only the byte round trip goes.
 func (s *Scatter[T]) KeyUint64(key func(T) uint64) { s.keyU64 = key }
 
-// Write routes one record and appends it to its leaf's open chunk.
+// Write adds one record to the stream: staged for the next block, or
+// routed now and appended to its leaf's open chunk.
 func (s *Scatter[T]) Write(v T) error {
+	switch {
+	case s.staged:
+		if s.stage == nil { // the first Write, or one after Close (flush)
+			if s.w.closed {
+				return chunk.ErrClosed
+			}
+			s.stage = make([]T, 0, scatterBlock)
+		}
+		if s.stage = append(s.stage, v); len(s.stage) < scatterBlock {
+			return nil
+		}
+		return s.writeStage()
+	case s.w.closed:
+		return chunk.ErrClosed
+	}
 	var ref RouteRef
 	if s.keyU64 != nil {
 		ref = s.w.RouteUint64(s.keyU64(v))
@@ -64,18 +120,37 @@ func (s *Scatter[T]) Write(v T) error {
 	return s.leaf(ref).enc.Append(v)
 }
 
-// WriteBatch routes vs and appends each leaf's rows, in stream order, with
+// WriteBatch adds vs to the stream, after any records Write has staged.
+func (s *Scatter[T]) WriteBatch(vs []T) error {
+	if s.w.closed {
+		return chunk.ErrClosed
+	}
+	if err := s.writeStage(); err != nil {
+		return err
+	}
+	return s.writeBlocks(vs)
+}
+
+// writeStage writes the records Write has staged, as one block.
+func (s *Scatter[T]) writeStage() error {
+	blk := s.stage
+	s.stage = s.stage[:0]
+	return s.writeBlocks(blk)
+}
+
+// writeBlocks routes vs and appends each leaf's rows, in stream order, with
 // one AppendRows per leaf per block. A block is routed, counted and grouped
 // in one pass, by one of the writer's two loops (route.go), chosen once per
-// block: the word loop for uint64 keys under a plain map while every key
-// the writer has routed is 8 bytes, else the general loop. Either way a
-// tick inside a block comes before the block's next record.
-func (s *Scatter[T]) WriteBatch(vs []T) error {
+// block by the width of its keys: the word loop when the map is plain, every
+// key the writer has routed was 8 bytes, and so is every key of the block
+// (keyWords), else the general loop. Either way a tick inside a block comes
+// before the block's next record.
+func (s *Scatter[T]) writeBlocks(vs []T) error {
 	for len(vs) > 0 {
 		blk := vs[:min(len(vs), scatterBlock)]
 		vs = vs[len(blk):]
-		if s.keyU64 != nil && s.w.words() {
-			s.groupWords(blk)
+		if s.w.words() && s.keyWords(blk) {
+			s.groupWords()
 		} else {
 			s.group(blk)
 		}
@@ -92,6 +167,34 @@ func (s *Scatter[T]) WriteBatch(vs []T) error {
 		}
 	}
 	return nil
+}
+
+// keyWords is the word loop's pre-pass: it reads the key word of every
+// record of blk into s.words — a uint64 key as it is, a byte key as its 8
+// bytes little-endian, the word KeyHashUint64 hashes as KeyHash does the
+// bytes — or, at the first byte key that is not 8 bytes long, reports false
+// before anything of the block is counted, and the general loop takes it.
+func (s *Scatter[T]) keyWords(blk []T) bool {
+	if s.words == nil {
+		s.words = make([]uint64, scatterBlock)
+	}
+	s.words = s.words[:len(blk)]
+	words := s.words
+	if word := s.keyU64; word != nil {
+		for i := range words {
+			words[i] = word(blk[i])
+		}
+		return true
+	}
+	key := s.key
+	for i := range words {
+		k := key(blk[i])
+		if len(k) != 8 {
+			return false
+		}
+		words[i] = binary.LittleEndian.Uint64(k)
+	}
+	return true
 }
 
 // group is the general loop over one block: each record takes the
@@ -137,16 +240,16 @@ func (s *Scatter[T]) group(blk []T) {
 	}
 }
 
-// groupWords is the word loop over one block: per record, the key word,
-// its hash, the 8-byte count and its base partition's leaf, from a dense
-// table of every base partition's leaf. It ticks at stretch ends only,
-// between runs, and lists the touched leaves after the block.
-func (s *Scatter[T]) groupWords(blk []T) {
-	w, leaves := s.w, s.baseLeaves()
-	for lo := 0; lo < len(blk); {
-		hi := lo + w.stretchRoom(len(blk)-lo)
+// groupWords is the word loop over the block keyWords read: per record,
+// the key word's hash, its 8-byte count and its base partition's leaf, from
+// a dense table of every base partition's leaf. It ticks at stretch ends
+// only, between runs, and lists the touched leaves after the block.
+func (s *Scatter[T]) groupWords() {
+	w, leaves, words := s.w, s.baseLeaves(), s.words
+	for lo := 0; lo < len(words); {
+		hi := lo + w.stretchRoom(len(words)-lo)
 		for i := lo; i < hi; i++ {
-			key8 := s.keyU64(blk[i])
+			key8 := words[i]
 			hash := KeyHashUint64(key8)
 			if !w.countHit8(key8, hash) {
 				w.countKey(nil, key8, 8, hash)
@@ -203,9 +306,10 @@ func (s *Scatter[T]) leaf(ref RouteRef) *scatterLeaf[T] {
 	return l
 }
 
-// flush closes every leaf encoder, handing their open chunks to the writer.
+// flush writes the staged records, then closes every leaf encoder, handing
+// their open chunks to the writer.
 func (s *Scatter[T]) flush() error {
-	var firstErr error
+	firstErr := s.writeStage()
 	for _, l := range s.other {
 		s.base = append(s.base, l)
 	}
@@ -217,15 +321,18 @@ func (s *Scatter[T]) flush() error {
 			firstErr = err
 		}
 	}
-	s.base, s.other, s.dense = nil, nil, false
+	s.base, s.other, s.dense, s.stage = nil, nil, false, nil
 	return firstErr
 }
 
 // Close flushes the leaf encoders, then closes the writer — in that order,
 // so the last chunks reach the inserters before they shut down and the
 // final exchange carries their counts. Register it as the task's finish
-// hook.
+// hook. Closing a scatter whose writer is closed does nothing.
 func (s *Scatter[T]) Close() error {
+	if s.w.closed {
+		return nil
+	}
 	err := s.flush()
 	if cerr := s.w.Close(); err == nil {
 		err = cerr

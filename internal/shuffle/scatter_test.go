@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/obs"
 	"repro/internal/sketch"
 )
 
@@ -222,6 +223,61 @@ func TestRefinedMapInsideBlock(t *testing.T) {
 			}
 			if fmt.Sprint(got.stats.Heavy) != fmt.Sprint(want.stats.Heavy) {
 				t.Errorf("heavy keys %v, Write left %v", got.stats.Heavy, want.stats.Heavy)
+			}
+		})
+	}
+}
+
+// TestWritesAfterClose: once a scatter is closed, Write and WriteBatch
+// return chunk.ErrClosed — staged or not, for the typed scatter and the raw
+// Writer.Write alike — and a second Close does nothing: no record reaches a
+// leaf after the writer's final exchange, and the edge's totals are added to
+// the metrics once.
+func TestWritesAfterClose(t *testing.T) {
+	for view, codec := range views[tuple](tupleCodec) {
+		t.Run(view, func(t *testing.T) {
+			o := obs.New(0)
+			st := newTestStore(t, 1, 0)
+			w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", Obs: o, Job: "j"})
+			s := NewScatter(w, codec, tupleKey)
+			for i := range 100 {
+				if err := s.Write(tuple{First: uint64(i % 7), Second: uint64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(tuple{First: 1}); !errors.Is(err, chunk.ErrClosed) {
+				t.Errorf("Write after Close: %v, want chunk.ErrClosed", err)
+			}
+			if err := s.WriteBatch([]tuple{{First: 2}, {First: 3}}); !errors.Is(err, chunk.ErrClosed) {
+				t.Errorf("WriteBatch after Close: %v, want chunk.ErrClosed", err)
+			}
+			if err := w.Write(key(4), []byte("r")); !errors.Is(err, chunk.ErrClosed) {
+				t.Errorf("Writer.Write after Close: %v, want chunk.ErrClosed", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("Writer.Close after Scatter.Close: %v", err)
+			}
+			rows := 0
+			for leaf, cs := range leafChunks(t, st, w.Map()) {
+				for _, c := range cs {
+					n, err := chunk.Count(c)
+					if err != nil {
+						t.Fatalf("%s: %v", leaf, err)
+					}
+					rows += n
+				}
+			}
+			if rows != 100 {
+				t.Errorf("the leaves hold %d records, want the 100 written before Close", rows)
+			}
+			if got := o.Counter("hurricane_shuffle_records_total", "job", "j", "edge", "e").Value(); got != 100 {
+				t.Errorf("hurricane_shuffle_records_total = %d, want 100", got)
 			}
 		})
 	}

@@ -103,9 +103,11 @@ type Writer struct {
 	mask  uint64 // base-1 when base is a power of two above one, else 0
 
 	// otherWidth is the width guard: set when a key of other than 8 bytes is
-	// routed, before it is counted, and never cleared. Blocks of uint64 keys
+	// routed, before it is counted, and never cleared. Blocks of 8-byte keys
 	// take the word loop only while it is unset (route.go).
 	otherWidth bool
+
+	closed bool // by Close: every later write is chunk.ErrClosed
 
 	// outs caches one insert pipeline per routing decision.
 	outs map[RouteRef]*leafOut
@@ -176,6 +178,9 @@ func (rawRecord) Decode(rec []byte) ([]byte, int, error) { return rec, len(rec),
 // every step — route, key count, leaf encoder, insert — with the typed
 // writers above it.
 func (w *Writer) Write(key, rec []byte) error {
+	if w.closed {
+		return chunk.ErrClosed
+	}
 	if w.raw == nil {
 		w.raw = NewScatter[[]byte](w, rawRecord{}, nil)
 	}
@@ -298,8 +303,13 @@ func (w *Writer) exchange() {
 // A typed Scatter over this writer closes its own leaf encoders first
 // (Scatter.Close). It must be called (and its error checked) before the
 // producer reports completion — the engine's TaskCtx.OnFinish hook does
-// this automatically for writers created through the public API.
+// this automatically for writers created through the public API. Closing a
+// closed writer does nothing.
 func (w *Writer) Close() error {
+	if w.closed {
+		return nil
+	}
+	w.closed = true
 	var firstErr error
 	if w.raw != nil {
 		if err := w.raw.flush(); err != nil {
