@@ -1,8 +1,9 @@
-// Fault tolerance: the paper's §4.4 mechanisms under live fire — a
-// compute-node crash mid-job (task restart via the running work bag), a
-// master crash (state replay from the done work bag), and a storage-node
-// crash under 2× replication (client failover with replicated read
-// pointers) — all in one run that still produces the exact answer.
+// Fault tolerance: the paper's §4.4 mechanisms under live fire — a silent
+// compute-node crash mid-job (heartbeat-timeout detection, then task
+// restart via the running work bag), a master crash (state replay from the
+// done work bag), and a storage-node crash under 2× replication (client
+// failover with replicated read pointers) — all in one run that still
+// produces the exact answer.
 //
 // Run with: go run ./examples/faulttolerance
 package main
@@ -112,12 +113,27 @@ func main() {
 	}
 
 	waitProgress(n / 10)
-	fmt.Printf("t+%-4d crash compute node compute-0 (its tasks restart)\n", processed.Load())
-	if err := cluster.CrashComputeNode("compute-0", true); err != nil {
+	// The crash is silent: the master learns of it only when the node's
+	// heartbeats stop. The victim runs a worker of "work", which never
+	// reports done, so the task stays open until the master recovers it.
+	var victim string
+	for victim == "" && ctx.Err() == nil {
+		if nodes := job.Master().RunningOn("work"); len(nodes) > 0 {
+			victim = nodes[0]
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Printf("t+%-4d crash compute node %s (its tasks restart)\n", processed.Load(), victim)
+	if err := cluster.CrashComputeNode(victim); err != nil {
 		log.Fatal(err)
 	}
+	crashed := time.Now()
+	for job.Master().Stats().Recoveries == 0 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Printf("       silence detected and tasks restarted after %v\n", time.Since(crashed).Round(time.Millisecond))
 
-	waitProgress(n / 5)
+	waitProgress(processed.Load() + n/10)
 	fmt.Printf("t+%-4d crash the application master (replay from done bag)\n", processed.Load())
 	if err := job.CrashMaster(); err != nil {
 		log.Fatal(err)

@@ -80,9 +80,11 @@ func TestMasterChaosRecovery(t *testing.T) {
 }
 
 // TestCombinedChaos injects a master crash AND a compute-node crash in the
-// same run; the recovered master must pick up the in-flight recovery state
-// from the work bags.
+// same run: the master is crashed as soon as it has declared the silent
+// node dead, so its recovery may be cut short, and the recovered master
+// must re-run it from the work bags.
 func TestCombinedChaos(t *testing.T) {
+	t.Parallel()
 	cfg := testClusterConfig()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -94,7 +96,10 @@ func TestCombinedChaos(t *testing.T) {
 
 	const n = 60000
 	var processed atomic.Int64
-	app := sumApp(&processed)
+	// No copy worker finishes before the crash, so the victim still holds
+	// work when it dies.
+	gate := make(chan struct{})
+	app := gatedSumApp(&processed, gate)
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Start(ctx, app); err != nil {
 		t.Fatal(err)
@@ -102,12 +107,11 @@ func TestCombinedChaos(t *testing.T) {
 	for processed.Load() < n/10 && ctx.Err() == nil {
 		time.Sleep(time.Millisecond)
 	}
-	// Crash a compute node, recover it via the master, then immediately
-	// crash the master before the restarted task can get far.
-	if err := cluster.CrashComputeNode("compute-2", true); err != nil {
+	if err := cluster.CrashComputeNode(runningNode(t, ctx, cluster.Master(), "copy")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond)
+	close(gate)
+	waitFor(t, ctx, "the silent node declared dead", func() bool { return cluster.Master().Stats().Recoveries > 0 })
 	if err := cluster.Job(app.Name()).CrashMaster(); err != nil {
 		t.Fatal(err)
 	}

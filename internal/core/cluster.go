@@ -74,6 +74,7 @@ func (c *ClusterConfig) fill() {
 	if c.BatchFactor <= 0 {
 		c.BatchFactor = bag.DefaultBatchFactor
 	}
+	c.Node.fill()
 	c.Sched.Fill()
 }
 
@@ -493,28 +494,21 @@ func (c *Cluster) runningMastersLocked() []*Master {
 	return out
 }
 
-// CrashComputeNode abruptly kills a compute node and notifies every
-// running job's master, which recover their affected tasks (§4.4). Set
-// notify=false to exercise heartbeat-timeout detection instead.
-func (c *Cluster) CrashComputeNode(name string, notify bool) error {
+// CrashComputeNode abruptly kills a compute node. Nothing tells the
+// masters: each declares the node dead once its heartbeats stop and
+// recovers the tasks it held (§4.4).
+func (c *Cluster) CrashComputeNode(name string) error {
 	c.mu.Lock()
 	node, ok := c.computes[name]
 	if ok {
 		delete(c.computes, name)
 		c.leases.SetTotal(c.totalSlotsLocked())
 	}
-	var masters []*Master
-	if notify {
-		masters = c.runningMastersLocked()
-	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: unknown compute node %q", name)
 	}
 	node.Crash()
-	for _, m := range masters {
-		m.NotifyNodeFailure(name)
-	}
 	return nil
 }
 

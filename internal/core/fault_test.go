@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -202,9 +203,28 @@ func readSumBag(t *testing.T, ctx context.Context, store *bag.Store, bagName str
 	}
 }
 
-// TestComputeNodeCrashRecovery crashes a compute node mid-run and checks
-// that the job still produces the correct result via task restart.
-func TestComputeNodeCrashRecovery(t *testing.T) {
+// TestComputeNodeCrashByHeartbeat crashes a compute node running the copy
+// task mid-run, on the default master config. Nothing tells the master:
+// it must detect the silence itself via the heartbeat timeout, restart the
+// task, and the job must still produce the exact answer.
+//
+// The tests that wait out a failure timeout run in parallel with each
+// other: the wait is idle.
+func TestComputeNodeCrashByHeartbeat(t *testing.T) {
+	t.Parallel()
+	// No copy worker finishes before the crash: a worker that RunningOn
+	// names could otherwise complete before the timeout expires, leaving
+	// the crashed node nothing to recover.
+	t.Run("gated", func(t *testing.T) { t.Parallel(); crashCopyNode(t, true) })
+	// The healthy copy workers drain the input while the victim's worker,
+	// killed mid-copy, holds the task open until the master recovers it.
+	t.Run("ungated mid-copy", func(t *testing.T) { t.Parallel(); crashCopyNode(t, false) })
+}
+
+// crashCopyNode runs gatedSumApp, its gate closed only after the crash
+// if gated, and crashes a node that RunningOn names for the copy task once
+// a tenth of the input is copied.
+func crashCopyNode(t *testing.T, gated bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cluster, err := NewCluster(testClusterConfig())
@@ -215,20 +235,26 @@ func TestComputeNodeCrashRecovery(t *testing.T) {
 
 	const n = 20000
 	var processed atomic.Int64
-	app := sumApp(&processed)
+	gate := make(chan struct{})
+	if !gated {
+		close(gate)
+	}
+	app := gatedSumApp(&processed, gate)
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Start(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	// Let the copy stage get going, then kill a node.
 	for processed.Load() < n/10 {
 		if ctx.Err() != nil {
 			t.Fatal("timed out waiting for progress")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := cluster.CrashComputeNode("compute-0", true); err != nil {
+	if err := cluster.CrashComputeNode(runningNode(t, ctx, cluster.Master(), "copy")); err != nil {
 		t.Fatal(err)
+	}
+	if gated {
+		close(gate)
 	}
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -238,18 +264,36 @@ func TestComputeNodeCrashRecovery(t *testing.T) {
 		t.Fatalf("sum = %d, want %d (processed %d, stats %+v)", got, want,
 			processed.Load(), cluster.Master().Stats())
 	}
-	stats := cluster.Master().Stats()
-	if stats.Recoveries == 0 {
-		t.Error("expected at least one recovery")
+	if cluster.Master().Stats().Recoveries == 0 {
+		t.Error("expected heartbeat-timeout recovery")
 	}
-	t.Logf("processed %d records (n=%d), stats %+v", processed.Load(), n, stats)
 }
 
-// TestComputeNodeCrashByHeartbeat exercises failure detection via
-// heartbeat timeout rather than explicit notification.
-func TestComputeNodeCrashByHeartbeat(t *testing.T) {
+// runningNode waits for the running bag to show a worker of spec and names
+// that worker's node.
+func runningNode(t *testing.T, ctx context.Context, m *Master, spec string) string {
+	t.Helper()
+	var node string
+	waitFor(t, ctx, "running-bag evidence", func() bool {
+		if nodes := m.RunningOn(spec); len(nodes) > 0 {
+			node = nodes[0]
+		}
+		return node != ""
+	})
+	return node
+}
+
+// TestNoRecoveryWithoutCrash: a live node is never suspected. On one P,
+// every slot computes flat out while the nodes owe a heartbeat every
+// 500µs, for longer than twice the failure timeout's floor: however late
+// the nodes' ticks land, no node is declared dead.
+func TestNoRecoveryWithoutCrash(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := testClusterConfig()
-	cfg.Master.FailTimeout = 200 * time.Millisecond
+	cfg.Node.MonitorInterval = time.Millisecond
+	if got := failTimeout(cfg.Node.beat()); got != failFloor {
+		t.Fatalf("failure timeout %v, want the floor %v", got, failFloor)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cluster, err := NewCluster(cfg)
@@ -258,60 +302,55 @@ func TestComputeNodeCrashByHeartbeat(t *testing.T) {
 	}
 	defer cluster.Shutdown()
 
-	const n = 20000
-	var processed atomic.Int64
-	// No copy worker finishes before the crash: a worker that RunningOn
-	// names could otherwise complete before FailTimeout expires, leaving
-	// the crashed node nothing to recover.
-	crashed := make(chan struct{})
-	app := gatedSumApp(&processed, crashed)
-	loadInts(t, ctx, cluster.Store(), "in", n)
-	if err := cluster.Start(ctx, app); err != nil {
+	// Every worker, the first and each clone, spins until the deadline and
+	// only then copies its share of the input.
+	deadline := time.Now().Add(2*failFloor + 100*time.Millisecond)
+	app := NewApp("spin")
+	app.SourceBag("in").Bag("out")
+	app.AddTask(TaskSpec{Name: "spin", Inputs: []string{"in"}, Outputs: []string{"out"},
+		Run: func(tc *TaskCtx) error {
+			for time.Now().Before(deadline) {
+				if err := tc.Context().Err(); err != nil {
+					return err
+				}
+			}
+			for {
+				c, err := tc.Remove(0)
+				if err == bag.ErrEmpty {
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				if err := tc.Insert(0, c); err != nil {
+					return err
+				}
+			}
+		}})
+	loadInts(t, ctx, cluster.Store(), "in", 4000)
+	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	for processed.Load() < n/10 {
-		if ctx.Err() != nil {
-			t.Fatal("timed out waiting for progress")
-		}
-		time.Sleep(time.Millisecond)
+	if time.Now().Before(deadline) {
+		t.Fatal("the job ended before its workers stopped spinning")
 	}
-	// Crash a node that is running the copy task. notify=false: the master
-	// must detect the silence itself via the heartbeat timeout.
-	var victim string
-	for victim == "" {
-		if ctx.Err() != nil {
-			t.Fatal("timed out waiting for running-bag evidence")
-		}
-		if nodes := cluster.Master().RunningOn("copy"); len(nodes) > 0 {
-			victim = nodes[0]
-		}
-		time.Sleep(time.Millisecond)
+	stats := cluster.Master().Stats()
+	if stats.Recoveries != 0 {
+		t.Errorf("%d recoveries without a crash (stats %+v)", stats.Recoveries, stats)
 	}
-	if err := cluster.CrashComputeNode(victim, false); err != nil {
-		t.Fatal(err)
-	}
-	close(crashed)
-	if err := cluster.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(n) * (n - 1) / 2
-	if got := readSum(t, ctx, cluster.Store()); got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-	if cluster.Master().Stats().Recoveries == 0 {
-		t.Error("expected heartbeat-timeout recovery")
+	if stats.Clones == 0 {
+		t.Errorf("no clone: one worker spun, not every slot (stats %+v)", stats)
 	}
 }
 
 // TestComputeNodeCrashBeforeFirstHeartbeat crashes the node running the
-// copy task before that node has sent the master a single heartbeat
-// (notify=false). The master must still suspect the node from the running
-// bag's evidence and recover its task after FailTimeout, not wait forever
-// for a heartbeat it would time out.
+// copy task before that node has sent the master a single heartbeat. The
+// master must still suspect the node from the running bag's evidence and
+// recover its task after the failure timeout, not wait forever for a
+// heartbeat it would time out.
 func TestComputeNodeCrashBeforeFirstHeartbeat(t *testing.T) {
 	cfg := testClusterConfig()
 	cfg.Node.MonitorInterval = 600 * time.Millisecond // a heartbeat every 300ms
-	cfg.Master.FailTimeout = time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	cluster, err := NewCluster(cfg)
@@ -338,7 +377,7 @@ func TestComputeNodeCrashBeforeFirstHeartbeat(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := cluster.CrashComputeNode(victim, false); err != nil {
+	if err := cluster.CrashComputeNode(victim); err != nil {
 		t.Fatal(err)
 	}
 	close(crashed)
@@ -497,11 +536,16 @@ func TestStorageNodeFailover(t *testing.T) {
 }
 
 // TestElasticCompute adds a compute node mid-run and gracefully removes
-// another; the job must complete correctly (§3.4).
+// one that ran copy work; the job must complete correctly (§3.4). The
+// removed node falls silent but, its workers drained, holds no work: the
+// job stays open past the failure timeout after the removal, and the
+// master must not declare the node dead.
 func TestElasticCompute(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cluster, err := NewCluster(testClusterConfig())
+	cfg := testClusterConfig()
+	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,6 +554,19 @@ func TestElasticCompute(t *testing.T) {
 	const n = 20000
 	var processed atomic.Int64
 	app := sumApp(&processed)
+	// The sum stage starts only once held is closed, so the job outlives
+	// the removal by as long as the test likes.
+	held := make(chan struct{})
+	sum := app.Task("sum")
+	run := sum.Run
+	sum.Run = func(tc *TaskCtx) error {
+		select {
+		case <-held:
+		case <-tc.Context().Done():
+			return tc.Context().Err()
+		}
+		return run(tc)
+	}
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Start(ctx, app); err != nil {
 		t.Fatal(err)
@@ -523,9 +580,11 @@ func TestElasticCompute(t *testing.T) {
 	if _, err := cluster.AddComputeNode(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.RemoveComputeNode("compute-3"); err != nil {
+	if err := cluster.RemoveComputeNode(runningNode(t, ctx, cluster.Master(), "copy")); err != nil {
 		t.Fatal(err)
 	}
+	time.Sleep(failTimeout(cfg.Node.beat()) + 2*fallbackInterval)
+	close(held)
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -535,6 +594,9 @@ func TestElasticCompute(t *testing.T) {
 	}
 	if processed.Load() != n {
 		t.Errorf("processed %d records, want exactly %d (graceful removal must not restart)", processed.Load(), n)
+	}
+	if r := cluster.Master().Stats().Recoveries; r != 0 {
+		t.Errorf("%d recoveries: the removed node was declared dead", r)
 	}
 }
 

@@ -540,7 +540,7 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	if h.cfg.Master != nil {
 		mcfg = *h.cfg.Master
 	}
-	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, mcfg)
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, mcfg, c.cfg.Node.beat())
 }
 
 // startJobLocked moves an admitted job into execution: build its master,
@@ -590,23 +590,21 @@ func (h *JobHandle) RecoverMaster(ctx context.Context) *Master {
 	m := c.newJobMaster(h)
 	// Carry over node liveness. A node known dead must have its recovery
 	// re-run: the previous master may have crashed between detecting the
-	// failure and completing (or even starting) the recovery, and the
-	// pending-recovery queue died with it. recoverNode derives the
-	// affected tasks from the running work bag, so re-running it is safe
-	// whether the old master finished the recovery or never began.
+	// failure and completing (or even starting) the recovery. It carries
+	// over silent since forever, so the successor's first detection pass
+	// declares it dead again if the replayed running bag still shows it
+	// holding work; recoverNode derives the affected tasks from that bag,
+	// so re-running it is safe whether the old master finished the
+	// recovery or never began.
 	old.mu.Lock()
-	var dead []string
 	for n, ns := range old.nodes {
 		copied := *ns
-		m.nodes[n] = &copied
 		if ns.dead {
-			dead = append(dead, n)
+			copied = nodeState{}
 		}
+		m.nodes[n] = &copied
 	}
 	old.mu.Unlock()
-	for _, n := range dead {
-		m.enqueueRecovery(n)
-	}
 	h.mu.Lock()
 	h.master = m
 	oldSwap := h.swap

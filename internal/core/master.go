@@ -18,9 +18,6 @@ type MasterConfig struct {
 	// CloneInterval is the minimum gap between successive clones of one
 	// task. The paper sends clone messages at least 2 seconds apart.
 	CloneInterval time.Duration
-	// FailTimeout is the heartbeat silence after which a compute node is
-	// declared dead. Zero disables failure detection.
-	FailTimeout time.Duration
 	// SpeculativeCloning does nothing: only an overload signal triggers a
 	// clone. The field stays because the frozen benchmark sets it.
 	SpeculativeCloning bool
@@ -157,7 +154,10 @@ type Master struct {
 	doneCh     chan struct{}
 	doneOnce   sync.Once
 
-	recoverCh chan string // dead compute nodes awaiting recovery
+	// failTimeout is the heartbeat silence after which a compute node
+	// holding work is declared dead, derived from the nodes' heartbeat
+	// period (recovery.go).
+	failTimeout time.Duration
 
 	records []recordBag // ready, running, done
 
@@ -237,22 +237,23 @@ func (mo *masterObs) emit(typ obs.EventType, subject, detail string) {
 // cluster's wake wk for each blueprint it pushes. The app is validated, its
 // source bags sealed. o receives the master's metrics (labeled by job) and
 // decision trace events; nil disables instrumentation (every update site
-// degrades to a nil check).
-func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, cfg MasterConfig) *Master {
+// degrades to a nil check). beat is the compute nodes' heartbeat period,
+// from which the master derives its failure timeout.
+func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, cfg MasterConfig, beat time.Duration) *Master {
 	cfg.fill()
 	job := control.job
 	m := &Master{
-		app:        app,
-		store:      store,
-		wb:         newWorkBags(store, app.Name(), wk),
-		cfg:        cfg,
-		control:    control,
-		tasks:      make(map[string]*taskState),
-		sealed:     make(map[string]bool),
-		nodes:      make(map[string]*nodeState),
-		seenEvents: make(map[string]bool),
-		doneCh:     make(chan struct{}),
-		recoverCh:  make(chan string, 64),
+		app:         app,
+		store:       store,
+		wb:          newWorkBags(store, app.Name(), wk),
+		cfg:         cfg,
+		control:     control,
+		tasks:       make(map[string]*taskState),
+		sealed:      make(map[string]bool),
+		nodes:       make(map[string]*nodeState),
+		seenEvents:  make(map[string]bool),
+		doneCh:      make(chan struct{}),
+		failTimeout: failTimeout(beat),
 	}
 	for _, name := range app.Tasks() {
 		st := &taskState{spec: app.Task(name)}
@@ -512,7 +513,7 @@ func (m *Master) overload(node string, bp *Blueprint, busy float64) {
 }
 
 // heartbeat implements masterAPI. A heartbeat is for failure detection
-// alone: it updates the node's liveness record, which failureDetectPass
+// alone: it updates the node's liveness record, which detectFailures
 // reads, and wakes nothing.
 func (m *Master) heartbeat(node string) {
 	m.mu.Lock()
@@ -554,15 +555,8 @@ func (m *Master) staleBlueprint(bp *Blueprint) bool {
 
 // fallbackInterval bounds what a lost cause can cost: the loop scans a
 // record bag when a cause names it, and this often it rescans all three
-// regardless. A coarse default, clamped by the failure detector's deadline,
-// which no event announces.
-func (m *Master) fallbackInterval() time.Duration {
-	d := 50 * time.Millisecond
-	if m.cfg.FailTimeout > 0 && m.cfg.FailTimeout/4 < d {
-		d = m.cfg.FailTimeout / 4
-	}
-	return max(d, time.Millisecond)
-}
+// regardless. It also paces failure detection, which no event announces.
+const fallbackInterval = 50 * time.Millisecond
 
 // policyInterval is how often the policies are evaluated when no record
 // changes: half the shorter of the gaps they act at (a task's clones, one
@@ -571,7 +565,7 @@ func (m *Master) fallbackInterval() time.Duration {
 // Without policies, the fallback.
 func (m *Master) policyInterval() time.Duration {
 	if len(m.policies) == 0 {
-		return m.fallbackInterval()
+		return fallbackInterval
 	}
 	return max(min(m.cfg.CloneInterval, m.cfg.SplitInterval)/2, time.Millisecond)
 }
@@ -650,13 +644,13 @@ func (m *Master) markDone() {
 // signals wait for that. Scheduling, completion and failure detection read
 // master state only and always run; an idle master makes no storage call.
 // It reports whether the pass made observable progress (absorbed records,
-// applied actions, scheduled or completed tasks): the loop re-runs
-// immediately on progress and blocks otherwise.
+// recovered nodes, applied actions, scheduled or completed tasks): the loop
+// re-runs immediately on progress and blocks otherwise.
 func (m *Master) tick(causes ctrl.Cause) (bool, error) {
 	now := time.Now()
 	if !now.Before(m.rescanAt) {
 		causes |= ctrl.CauseRecords
-		m.rescanAt = now.Add(m.fallbackInterval())
+		m.rescanAt = now.Add(fallbackInterval)
 	}
 	absorbed, err := m.absorbRecords(causes)
 	if err != nil {
@@ -669,7 +663,7 @@ func (m *Master) tick(causes ctrl.Cause) (bool, error) {
 		return false, err
 	}
 	m.mu.Unlock()
-	recovered := m.drainRecoveries()
+	recovered := m.detectFailures(now)
 	applied := 0
 	timed := !now.Before(m.policyAt)
 	if absorbed+recovered > 0 || timed {
@@ -691,7 +685,6 @@ func (m *Master) tick(causes ctrl.Cause) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	m.failureDetectPass()
 	return absorbed+recovered+applied+scheduled+completed > 0, nil
 }
 

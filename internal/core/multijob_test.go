@@ -489,9 +489,10 @@ func TestSubmitCollisionValidation(t *testing.T) {
 }
 
 // TestMultiJobComputeChurn exercises compute-node churn — add, graceful
-// remove, crash — while two jobs run concurrently: both must complete
-// with correct output and every worker slot must be returned.
+// remove, silent crash — while two jobs run concurrently: both must
+// complete with correct output and every worker slot must be returned.
 func TestMultiJobComputeChurn(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
@@ -504,11 +505,14 @@ func TestMultiJobComputeChurn(t *testing.T) {
 
 	const nA, nB = 30000, 30000
 	var procA, procB atomic.Int64
-	hA, err := cluster.SubmitJob(ctx, sumApp(&procA), JobConfig{Name: "jobA"})
+	// No copy worker finishes before the crash, so the victim still holds
+	// jobA's work when it dies.
+	gate := make(chan struct{})
+	hA, err := cluster.SubmitJob(ctx, gatedSumApp(&procA, gate), JobConfig{Name: "jobA"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hB, err := cluster.SubmitJob(ctx, sumApp(&procB), JobConfig{Name: "jobB"})
+	hB, err := cluster.SubmitJob(ctx, gatedSumApp(&procB, gate), JobConfig{Name: "jobB"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,10 +527,16 @@ func TestMultiJobComputeChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.CrashComputeNode("compute-0", true); err != nil {
+	victim := runningNode(t, ctx, hA.Master(), "copy")
+	if err := cluster.CrashComputeNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.RemoveComputeNode("compute-1"); err != nil {
+	close(gate)
+	removed := "compute-0"
+	if victim == removed {
+		removed = "compute-1"
+	}
+	if err := cluster.RemoveComputeNode(removed); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,83 +1,65 @@
 package core
 
-import (
-	"time"
+import "time"
 
-	"repro/internal/ctrl"
+// A compute node is declared dead once it has been silent for failBeats
+// of its heartbeat periods, and never sooner than failFloor. The floor is
+// set by how late a live node's tick can land, which does not shrink with
+// the period: on a loaded host ticks land up to ~230 ms late (go test
+// -race ./... on a 2-core x86-64 host), a hundred times a millisecond
+// period, so a bare multiple would bury live nodes.
+const (
+	failBeats = 4
+	failFloor = time.Second
 )
 
-// failureDetectPass declares compute nodes dead after FailTimeout of
-// heartbeat silence and recovers their tasks.
-func (m *Master) failureDetectPass() {
-	if m.cfg.FailTimeout <= 0 {
-		return
-	}
-	now := time.Now()
+// failTimeout is the heartbeat silence after which a node whose heartbeat
+// period is beat counts as dead.
+func failTimeout(beat time.Duration) time.Duration {
+	return max(failBeats*beat, failFloor)
+}
+
+// detectFailures declares dead every compute node silent for longer than
+// the failure timeout that still holds a worker of an unfinished task, and
+// recovers those tasks (§4.4), returning how many nodes it declared dead.
+// A silent node that holds nothing — one removed gracefully, or one whose
+// workers all finished — is not a failure: there is nothing to recover.
+// It runs on the loop goroutine after the record bags are absorbed, so the
+// running evidence is current, and before the next schedulePass, so a
+// restarted task can never start reading an input bag before its rewind
+// lands.
+func (m *Master) detectFailures(now time.Time) int {
 	m.mu.Lock()
-	var deadNodes []string
+	var dead []string
 	for name, ns := range m.nodes {
-		if !ns.dead && now.Sub(ns.lastBeat) > m.cfg.FailTimeout {
+		if !ns.dead && now.Sub(ns.lastBeat) > m.failTimeout && len(m.tasksOnLocked(name)) > 0 {
 			ns.dead = true
-			deadNodes = append(deadNodes, name)
+			dead = append(dead, name)
 		}
 	}
 	m.mu.Unlock()
-	for _, node := range deadNodes {
-		m.enqueueRecovery(node)
+	for _, node := range dead {
+		m.recoverNode(node)
 	}
+	return len(dead)
 }
 
-// drainRecoveries performs pending node recoveries, returning how many
-// ran. It runs on the master loop goroutine, so recovery's task-state
-// resets, kills, and storage scrubbing are strictly ordered before the
-// next schedulePass — a restarted task can never start reading an input
-// bag before its rewind lands.
-func (m *Master) drainRecoveries() int {
-	n := 0
-	for {
-		select {
-		case node := <-m.recoverCh:
-			m.recoverNode(node)
-			n++
-		default:
-			return n
+// tasksOnLocked names the unfinished tasks with a worker started on node.
+// Caller holds m.mu.
+func (m *Master) tasksOnLocked(node string) []string {
+	var out []string
+	for name, st := range m.tasks {
+		if st.finished || !st.scheduled {
+			continue
+		}
+		for _, n := range st.running {
+			if n == node {
+				out = append(out, name)
+				break
+			}
 		}
 	}
-}
-
-func (m *Master) enqueueRecovery(node string) {
-	select {
-	case m.recoverCh <- node:
-		// Wake the loop: a recovery is waiting, and it restarts what the
-		// running bag says ran on the node.
-		m.hub.Raise(ctrl.CauseRunning)
-	default:
-		// Queue full: re-mark the node not-dead so failure detection
-		// retries next tick. In practice 64 pending recoveries means the
-		// cluster is gone anyway.
-		m.mu.Lock()
-		if ns := m.nodes[node]; ns != nil {
-			ns.dead = false
-		}
-		m.mu.Unlock()
-	}
-}
-
-// NotifyNodeFailure lets the embedding cluster report a known-dead compute
-// node immediately instead of waiting out the heartbeat timeout.
-func (m *Master) NotifyNodeFailure(node string) {
-	m.mu.Lock()
-	ns := m.nodes[node]
-	if ns == nil {
-		ns = &nodeState{}
-		m.nodes[node] = ns
-	}
-	alreadyDead := ns.dead
-	ns.dead = true
-	m.mu.Unlock()
-	if !alreadyDead {
-		m.enqueueRecovery(node)
-	}
+	return out
 }
 
 // recoverNode restarts every task that had a worker on the failed node
@@ -90,23 +72,12 @@ func (m *Master) recoverNode(node string) {
 	m.obs.recoveries.Inc()
 	m.mu.Lock()
 	m.recoveries++
-	// Find directly affected tasks: unfinished tasks with a worker
-	// started on the dead node.
-	worklist := make([]string, 0, 4)
+	// Directly affected: the unfinished tasks with a worker started on
+	// the dead node.
+	worklist := m.tasksOnLocked(node)
 	inList := make(map[string]bool)
-	for name, st := range m.tasks {
-		if st.finished || !st.scheduled {
-			continue
-		}
-		for _, n := range st.running {
-			if n == node {
-				if !inList[name] {
-					worklist = append(worklist, name)
-					inList[name] = true
-				}
-				break
-			}
-		}
+	for _, name := range worklist {
+		inList[name] = true
 	}
 
 	type restartPlan struct {

@@ -151,6 +151,14 @@ func (c *NodeConfig) fill() {
 	}
 }
 
+// beat is the node's tick: the period at which it heartbeats.
+func (c NodeConfig) beat() time.Duration {
+	if p := c.MonitorInterval / 2; p > 0 {
+		return p
+	}
+	return time.Second
+}
+
 // newComputeNode creates a compute node with the given number of worker
 // slots. Jobs are connected with Attach; call Start to begin executing
 // tasks. leases gates claims by the scheduler's fair-share slot leasing;
@@ -504,11 +512,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 // count, no slice.
 func (n *ComputeNode) monitorLoop() {
 	defer n.wg.Done()
-	period := n.cfg.MonitorInterval / 2
-	if period <= 0 {
-		period = time.Second
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(n.cfg.beat())
 	defer tick.Stop()
 	var snapshot []*workerEntry
 	var masters []masterAPI

@@ -26,7 +26,6 @@ var optionSurface = []string{
 	"NodeConfig.OverloadThreshold",
 
 	"MasterConfig.CloneInterval",
-	"MasterConfig.FailTimeout",
 	"MasterConfig.SpeculativeCloning",
 	"MasterConfig.SplitInterval",
 	"MasterConfig.Policies",
