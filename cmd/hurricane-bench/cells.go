@@ -209,16 +209,15 @@ func streamCell() cell {
 }
 
 // planCell compiles R (each key once) join S (Zipf(1.3), top key ≈ 26 %)
-// into the planner's skewed join from warm statistics, or into a static
-// hash repartition whose edge consumers never clone; producers clone in
-// both. Its own counter is the keys isolated before the first record.
+// into the planner's fused join, whose probe clones split chunk by chunk,
+// or into a static hash repartition whose edge consumers never clone;
+// producers clone in both.
 func planCell() cell {
-	const keys, probeN, parts, fan, recordCost = 16384, 200000, 4, 4, 5000 // recordCost: ns per match
+	const keys, probeN, parts, recordCost = 16384, 200000, 4, 5000 // recordCost: ns per match
 	type tuple = hurricane.Pair[uint64, uint64]
 	type match = hurricane.Pair[uint64, tuple]
 	dim := workload.SeqRelation(keys, 41)
 	probes := workload.ZipfTuples(probeN, keys, 1.3, 43)
-	warm := apps.JoinWarmStats(dim, probes)
 	compile := func(naive bool) (*q.Compiled, error) {
 		p := q.New("planbench")
 		key := func(t tuple) uint64 { return t.First }
@@ -236,18 +235,11 @@ func planCell() cell {
 				return m
 			}
 		}).Sink("matches")
-		// Isolate keys carrying ≥ 30 % of a mean partition's load: on this
-		// domain that pre-isolates the top two keys (≈ 26 % and 10 %).
-		opts := q.Options{Parts: parts, Fan: fan, IsolateFraction: 0.3, Static: naive}
-		if !naive {
-			opts.Stats = warm
-		}
-		return p.Compile(opts)
+		return p.Compile(q.Options{Parts: parts, Static: naive})
 	}
 	return cell{
 		about: fmt.Sprintf("R(%d keys) join S(%d Zipf(1.3) probes) at %d ns per match; timed: the query", keys, probeN, recordCost),
 		arms:  []string{"planner", "naive"},
-		own:   "seeded",
 		want:  counts{workload.KeyCounts(probes)},
 		run: func(ctx context.Context, arm string) (result, error) {
 			naive := arm == "naive"
@@ -260,7 +252,7 @@ func planCell() cell {
 			if err != nil {
 				return result{}, err
 			}
-			want := q.JoinSkewed
+			want := q.JoinBroadcast
 			if naive {
 				want = q.JoinRepartition
 			}
@@ -268,9 +260,6 @@ func planCell() cell {
 				return result{}, fmt.Errorf("planner chose %v, want %v:\n%s", got, want, plan.Explain())
 			}
 			var r result
-			for _, seed := range plan.Seeds {
-				r.own += len(seed.Isolated)
-			}
 			if err := apps.LoadRelations(ctx, c.Store(), dim, probes); err != nil {
 				return result{}, err
 			}

@@ -5,7 +5,7 @@
 //	hurricane-bench [policy] [sched] [stream] [plan]   (none: all four)
 //
 // policy ablates the cloning policy sets, sched fair-share leasing,
-// stream warm-started partition maps and plan the planner's skewed join.
+// stream warm-started partition maps and plan the planner's fused join.
 // Each arm runs 3 times, arms interleaved, and every repeat is checked
 // against the cell's serial oracle. Per arm it prints the median [min,
 // max] of the cell's timed quantity, the ratio of medians to the cell's

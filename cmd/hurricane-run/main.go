@@ -13,9 +13,8 @@
 // shuffle groupby (whose partitioned bags, producer sketches, and
 // clones of hot-partition consumers then run against the remote storage
 // tier over TCP), or a planner-compiled query (-job query): a declarative join
-// whose physical strategy — broadcast, repartition, or skewed with
-// pre-isolated heavy hitters — is chosen from warm statistics, with the
-// seed partition map carried in the job's submission.
+// that the planner fuses into the probe scan, every worker reading the
+// build relation, so clones split the skewed probe chunk by chunk.
 // Results are verified against an in-process oracle.
 //
 // Streaming mode: with -stream the process runs the continuous-ingestion

@@ -15,11 +15,10 @@ import (
 )
 
 // runQuery executes a planner-compiled join against the remote storage
-// tier: the probe-side shuffle edge and the producer sketches travel over
-// TCP; the edge's seed partition map is fixed at submission. The planner consults warm statistics (the probe relation's key
-// sketch) and picks the physical strategy; with skewed keys (-skew ≳ 1)
-// that is the SharesSkew-style skewed join with pre-isolated heavy
-// hitters.
+// tier: every worker reads the build relation and a share of the probe
+// chunks over TCP. The planner fuses the join into the probe scan (no
+// shuffle), so skewed keys (-skew ≳ 1) are split chunk by chunk among
+// clones.
 func runQuery(ctx context.Context, store *bag.Store, names []string, records int, skew float64, computes, slots, parts int) {
 	keys := records / 12
 	if keys < 1024 {
@@ -32,10 +31,7 @@ func runQuery(ctx context.Context, store *bag.Store, names []string, records int
 	want := workload.JoinCount(r, s)
 	wantPerKey := workload.KeyCounts(s)
 
-	c, err := apps.HashJoinPlan().Compile(q.Options{
-		Parts: parts,
-		Stats: apps.JoinWarmStats(r, s),
-	})
+	c, err := apps.HashJoinPlan().Compile(q.Options{Parts: parts})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,11 +4,9 @@
 // as the oracle in internal/apps.HashJoinApp).
 //
 // The program declares WHAT to compute — join R and S on the tuple key —
-// and the planner decides HOW: it consults warm statistics (here, a
-// sketch of the probe relation's keys) and picks broadcast when R is
-// small, a skewed join with pre-isolated heavy hitters when the probe
-// keys are skewed, or plain repartition otherwise; runtime clones still
-// share a hot partition either way.
+// and the planner decides HOW: every join worker loads all of R whatever
+// the form, so it fuses the join into the scan of S with no shuffle, and
+// runtime clones split S chunk by chunk however skewed its keys are.
 //
 // Run with: go run ./examples/hashjoin [-build N] [-probe N] [-skew S]
 package main
@@ -78,9 +76,7 @@ func main() {
 		},
 	).Sink("matches")
 
-	// Warm statistics: build-side size plus the probe key distribution
-	// (what a previous run's edge sketch would have recorded).
-	c, err := p.Compile(q.Options{Parts: 8, Stats: apps.JoinWarmStats(r, s)})
+	c, err := p.Compile(q.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,9 +7,9 @@
 //
 // and lets the planner pick the physical execution: the aggregation gets
 // a partitioned shuffle edge (whose hot partitions clones share at
-// runtime), the top-5 compiles to a serial finalize stage,
-// and the name join — whose build side is a 64-row dimension table —
-// compiles to a broadcast join with no shuffle at all. Compare with
+// runtime), the top-5 compiles to a serial finalize stage, and the name
+// join — whose build side, a 64-row dimension table, every worker scans —
+// fuses into it as a broadcast join with no shuffle at all. Compare with
 // examples/clicklog, which wires the same kind of analysis by hand; new
 // scenarios should start from this API, not from raw stages.
 //
@@ -82,10 +82,9 @@ func main() {
 		},
 	).Sink("top")
 
-	// The planner knows the dimension table is tiny -> broadcast join.
-	stats := q.NewStats()
-	stats.Records["regions"] = workload.DefaultRegions
-	c, err := p.Compile(q.Options{Parts: 4, Stats: stats})
+	// The join fuses into the top-k stage: every worker scans the
+	// dimension table, so the ranked counts need no shuffle.
+	c, err := p.Compile(q.Options{Parts: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,11 +3,12 @@
 // FlatMap / AggregateByKey / Join / TopK / Sink — and compile it into an
 // adaptive DAG job. The compiler fuses adjacent narrow operators into
 // single streaming tasks, inserts partitioned shuffle edges only at wide
-// boundaries, and picks each join's physical strategy (repartition,
-// broadcast, or heavy-hitter-isolating skewed join) from compile-time
-// statistics, falling back to the runtime control plane's clones, which
-// share a hot partition chunk by chunk, when statistics are missing or
-// wrong.
+// boundaries, and seeds each groupby edge with the heavy keys compile-time
+// statistics show; the runtime control plane's clones, which share a hot
+// partition chunk by chunk, cover what statistics miss. A join fuses into
+// the stage producing its probe side (broadcast: every worker scans the
+// build side, so the probe needs no shuffle) unless pinned with
+// WithStrategy or its probe comes out of a GroupBy's finalize stage.
 //
 //	p := q.New("wordcount")
 //	words := q.Scan(p, "in", hurricane.StringOf)
@@ -35,9 +36,9 @@ type (
 	// Options tunes logical→physical compilation (partitions, isolation
 	// threshold, static/naive mode, statistics).
 	Options = plan.Options
-	// Stats carries compile-time statistics: source-bag sizes and warm
-	// key-frequency sketches (from a sample, a previous run's
-	// StatsFromMemory, or a generator's known distribution).
+	// Stats carries compile-time statistics: warm key-frequency sketches
+	// and partition maps (from a sample, a previous run's StatsFromMemory,
+	// or a generator's known distribution).
 	Stats = plan.Stats
 	// Compiled is an executable physical plan: inspect it with Explain,
 	// run it with Run/Submit (which submit the seed partition maps with
@@ -182,17 +183,21 @@ func CountByKey[T any](d *Dataset[T], key func(T) uint64) *Dataset[hurricane.Pai
 // JoinOption tweaks one join.
 type JoinOption func(*JoinStrategy)
 
-// WithStrategy pins the physical join strategy instead of letting
-// statistics decide.
+// WithStrategy pins the physical join strategy instead of letting the
+// planner decide.
 func WithStrategy(s JoinStrategy) JoinOption {
 	return func(strategy *JoinStrategy) { *strategy = s }
 }
 
 // Join equi-joins two datasets: build (loaded into an in-memory table by
-// every join worker) and probe (streamed). The physical strategy — shuffled
-// repartition, broadcast, or a skewed join that pre-isolates
-// heavy-hitter probe keys onto spread fragment consumers — is chosen per
-// edge from compile-time statistics unless pinned with WithStrategy.
+// every join worker) and probe (streamed). Unpinned, it is a broadcast
+// join: no shuffle, the probe split chunk by chunk among clones. It is a
+// repartition join under Options.Static, or when the probe streams out of
+// a GroupBy's single-worker finalize stage. A broadcast join is as
+// parallel as its clones: one that ends before the first clone pass runs
+// on one worker (its gain was measured at GOMAXPROCS(1) and on 2 cores).
+// WithStrategy pins shuffled repartition, or a skewed join that
+// pre-isolates heavy-hitter probe keys onto spread fragment consumers.
 // join must be record-parallel: each (build, probe) pair's emissions
 // must not depend on other probe records.
 func Join[L, R, O any](

@@ -3,7 +3,6 @@ package apps
 import (
 	"repro/hurricane"
 	"repro/hurricane/q"
-	"repro/internal/workload"
 )
 
 // The query-planner reimplementations of the hand-wired workloads. The
@@ -77,32 +76,15 @@ func GroupByPlan() *q.Plan {
 	return p
 }
 
-// JoinWarmStats builds the compile-time statistics for a join of the
-// standard relations: the build side's size (broadcast decision) and an
-// exact key sketch of the probe side (skewed-join decision and seed
-// isolations) — what a previous run's merged edge sketch would have
-// recorded. Shared by the plan benchmark, the hurricane-run query job,
-// and the examples.
-func JoinWarmStats(r, s []workload.Tuple) *q.Stats {
-	sb := hurricane.NewStatsBuilder()
-	for _, t := range s {
-		sb.Add(q.KeyBytes(t.Key), 1)
-	}
-	stats := q.NewStats()
-	stats.Records[JoinBagR] = int64(len(r))
-	stats.Edges[JoinBagS] = sb.Stats()
-	return stats
-}
-
 // JoinShufOut is HashJoinPlan's sink: every match in one bag.
 const JoinShufOut = "joinshuf.out"
 
 // HashJoinPlan is HashJoinApp as a declarative query: join the probe
 // relation S against the build relation R on the tuple key, emitting the
 // same (key, (payloadR, payloadS)) matches into JoinShufOut. The
-// physical strategy — repartition, broadcast, or skewed — is the
-// planner's call (or the caller's, via q.WithStrategy); the hand-wired
-// app pins a static fan of one join task per hash partition.
+// physical strategy is the planner's call (broadcast) or the caller's,
+// via q.WithStrategy; the hand-wired app pins a static fan of one join
+// task per hash partition.
 func HashJoinPlan(opts ...q.JoinOption) *q.Plan {
 	p := q.New("hashjoinq")
 	build := q.Scan(p, JoinBagR, tupleCodec)

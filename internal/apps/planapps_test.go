@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -83,9 +84,10 @@ func collectMatches(t *testing.T, store *hurricane.Store, bags ...string) []hurr
 	return out
 }
 
-// TestHashJoinPlanMatchesHandWiredOracle runs the planner-built join and
-// the hand-wired HashJoinApp on identical skewed relations and asserts
-// both produce the ground-truth number of matches and the same matches.
+// TestHashJoinPlanMatchesHandWiredOracle runs the planner-built join,
+// unpinned and pinned skewed, and the hand-wired HashJoinApp on identical
+// skewed relations and asserts all produce the ground-truth number of
+// matches and the same matches.
 func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	ctx := testCtx(t)
 	rGen := workload.RelationGen{Keys: 512, S: 0, Seed: 23}
@@ -111,34 +113,113 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 		t.Fatalf("hand-wired join produced %d matches, want %d", len(oracle), want)
 	}
 
-	planCluster := testCluster(t, nil)
-	// Warm statistics from the probe relation put the planner on the
-	// skewed path — the adaptive counterpart of the hand-wired app.
-	stats := JoinWarmStats(r, s)
-	stats.Records[JoinBagR] = int64(len(r) + 10000) // known, too large to broadcast
-	c, err := HashJoinPlan().Compile(q.Options{
-		Parts: parts,
-		Stats: stats,
-	})
+	// Unpinned, the planner fuses the join into the probe scan; pinned
+	// skewed, warm statistics from the probe relation seed its edge — the
+	// adaptive counterpart of the hand-wired app.
+	for _, tc := range []struct {
+		name string
+		plan *q.Plan
+		opts q.Options
+		want q.JoinStrategy
+	}{
+		{"auto", HashJoinPlan(), q.Options{Parts: parts}, q.JoinBroadcast},
+		{"skewed", HashJoinPlan(q.WithStrategy(q.JoinSkewed)), q.Options{Parts: parts, Stats: joinWarmStats(s)}, q.JoinSkewed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := tc.plan.Compile(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Joins[0].Strategy; got != tc.want {
+				t.Fatalf("planner chose %v, want %v:\n%s", got, tc.want, c.Explain())
+			}
+			if seeded := len(c.Seeds) > 0; seeded != (tc.want == q.JoinSkewed) {
+				t.Fatalf("seeded=%v for a %v join:\n%s", seeded, tc.want, c.Explain())
+			}
+			planCluster := testCluster(t, nil)
+			if err := LoadRelations(ctx, planCluster.Store(), r, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(ctx, planCluster); err != nil {
+				t.Fatal(err)
+			}
+			got := collectMatches(t, planCluster.Store(), c.SinkBag(JoinShufOut))
+			if len(got) != len(oracle) {
+				t.Fatalf("plan join produced %d matches, hand-wired %d (want %d)", len(got), len(oracle), want)
+			}
+			for i := range got {
+				if got[i] != oracle[i] {
+					t.Fatalf("match %d of %d (sorted): plan %v, hand-wired %v", i, len(got), got[i], oracle[i])
+				}
+			}
+		})
+	}
+}
+
+// joinWarmStats is an exact key sketch of the probe relation under its
+// head bag's name — what a previous run's merged edge sketch would have
+// recorded, and what seeds a pinned skewed join's edge.
+func joinWarmStats(s []workload.Tuple) *q.Stats {
+	sb := hurricane.NewStatsBuilder()
+	for _, t := range s {
+		sb.Add(q.KeyBytes(t.Key), 1)
+	}
+	stats := q.NewStats()
+	stats.Edges[JoinBagS] = sb.Stats()
+	return stats
+}
+
+// TestUnpinnedJoinFusesAndClones: an unpinned join compiles to one stage
+// with no shuffle edge, so its parallelism comes only from clones splitting
+// the probe chunk by chunk — and under forced overload they do, with every
+// key's match count exact however skewed the probe keys.
+func TestUnpinnedJoinFusesAndClones(t *testing.T) {
+	ctx := testCtx(t)
+	rGen := workload.RelationGen{Keys: 256, S: 0, Seed: 23}
+	r := rGen.Generate(1000)
+	s := workload.ZipfTuples(60000, 256, 1.3, 29)
+	c, err := HashJoinPlan().Compile(q.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Joins[0].Strategy; got != q.JoinSkewed {
-		t.Fatalf("planner chose %v, want skewed:\n%s", got, c.Explain())
+	if j := c.Joins[0]; j.Edge != "" || j.Strategy != q.JoinBroadcast {
+		t.Fatalf("unpinned join compiled to %v on edge %q:\n%s", j.Strategy, j.Edge, c.Explain())
 	}
-	if err := LoadRelations(ctx, planCluster.Store(), r, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(ctx, planCluster); err != nil {
-		t.Fatal(err)
-	}
-	got := collectMatches(t, planCluster.Store(), c.SinkBag(JoinShufOut))
-	if len(got) != len(oracle) {
-		t.Fatalf("plan join produced %d matches, hand-wired %d (want %d)", len(got), len(oracle), want)
-	}
-	for i := range got {
-		if got[i] != oracle[i] {
-			t.Fatalf("match %d of %d (sorted): plan %v, hand-wired %v", i, len(got), got[i], oracle[i])
+	for _, st := range c.Stages {
+		if st.WritesEdge || st.ConsumesEdge {
+			t.Fatalf("stage %s shuffles:\n%s", st.Task, c.Explain())
 		}
+	}
+	if len(c.Stages) != 1 {
+		t.Fatalf("%d stages, want the one fused probe stage:\n%s", len(c.Stages), c.Explain())
+	}
+
+	cluster := testCluster(t, forcedCloning)
+	if err := LoadRelations(ctx, cluster.Store(), r, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(ctx, cluster); err != nil {
+		t.Fatal(err)
+	}
+	if st := cluster.Master().Stats(); st.Clones == 0 {
+		t.Fatalf("no clone under forced overload: %+v", st)
+	}
+	got, err := hurricane.Collect(ctx, cluster.Store(), c.SinkBag(JoinShufOut), MatchCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKey := make(map[uint64]int64)
+	for _, m := range got {
+		perKey[m.First]++
+	}
+	builds := workload.KeyCounts(r)
+	want := make(map[uint64]int64)
+	for k, n := range workload.KeyCounts(s) {
+		if builds[k] > 0 {
+			want[k] = n * builds[k]
+		}
+	}
+	if !maps.Equal(perKey, want) {
+		t.Fatalf("per-key match counts differ from the oracle: %d keys, want %d", len(perKey), len(want))
 	}
 }

@@ -16,9 +16,9 @@ func TestExplainAnalyzePinned(t *testing.T) {
 	p := New("j")
 	r := Scan(p, "relR", pairCodec)
 	s := Scan(p, "relS", pairCodec)
-	j := Join(p, r, s, joinSpec(JoinAuto))
+	j := Join(p, r, s, joinSpec(JoinSkewed))
 	p.Sink(j, "out")
-	ph, err := Compile(p, Options{Parts: 4, Stats: withRecords(zipfStats("relS", 200000), "relR", 1<<20)})
+	ph, err := Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,6 @@ import (
 	"repro/internal/shuffle"
 )
 
-// broadcastMaxRecords: a join whose build side is known to hold at most
-// this many records compiles to a broadcast join. Unknown build sizes never
-// broadcast — memory-loading a relation of unknown size in every worker is
-// the one irreversible mistake here.
-const broadcastMaxRecords = 8192
-
 // Options tunes logical→physical compilation.
 type Options struct {
 	// Parts is the base partition count of inserted shuffle edges
@@ -35,8 +29,7 @@ type Options struct {
 	// partitioning with one reducer per partition. This is the baseline
 	// the adaptive plans are benchmarked against.
 	Static bool
-	// Stats supplies compile-time statistics (nil = none: joins
-	// repartition unless pinned or known-small, and no edges are
+	// Stats supplies compile-time statistics (nil = none: no edges are
 	// pre-seeded).
 	Stats *Stats
 }
@@ -307,7 +300,7 @@ func (c *compiler) build() error {
 			if info.Strategy == JoinBroadcast {
 				// No shuffle: the join fuses into the probe-side stage;
 				// clones split the probe chunk-by-chunk and each scans the
-				// (small) build side in full.
+				// build side in full.
 				s := c.producerStage(probe)
 				s.scans = append(s.scans, bs)
 				s.ops = append(s.ops, n)

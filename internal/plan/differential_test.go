@@ -30,11 +30,15 @@ type ds[T any] struct {
 	settle func([]T) []T
 }
 
-// world is one differential case under construction.
+// world is one differential case under construction. An unpinned join
+// takes the strategy in pin (JoinAuto leaves it to the planner); auto
+// records whether the case built one.
 type world struct {
 	p     *Plan
 	loads map[string]func(ctx context.Context, store *bag.Store) error
 	sinks map[string]sinkD
+	pin   JoinStrategy
+	auto  bool
 }
 
 // sinkD is one sink: the interpreter's records, and how to read the
@@ -132,6 +136,9 @@ func groupByD[T, A any](w *world, in ds[T], spec GroupBySpec[T, A]) ds[chunk.Pai
 }
 
 func joinD[L, R, O any](w *world, build ds[L], probe ds[R], spec JoinSpec[L, R, O]) ds[O] {
+	if spec.Strategy == JoinAuto {
+		w.auto, spec.Strategy = true, w.pin
+	}
 	return flatD(probe, Join(w.p, build.n, probe.n, spec), spec.Codec, func(pr R, emit func(O) error) error {
 		rows, err := build.eval()
 		if err != nil {
@@ -387,6 +394,10 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 		{name: "join-build-is-groupby", build: func(w *world) {
 			sinkTo(w, joinD(w, groupByD(w, R(w), countSpec()), S(w), countJoin), "out")
 		}},
+		{name: "join-probe-is-groupby", build: func(w *world) {
+			// The probe streams out of a single-worker finalize stage.
+			sinkTo(w, joinD(w, R(w), mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple), joinSpec(JoinAuto)), "out")
+		}},
 		{name: "empty-vectors-groupby-map-topk", build: func(w *world) {
 			g := groupByD(w, mapD(w, filterD(w, S(w), none), pairCodec, double), countSpec())
 			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 3, bySecondThenKey), "out")
@@ -442,8 +453,9 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			sinkTo(w, groupByD(w, flat, countSpec()), "out")
 		}},
 		{name: "bytes-rowonly-flatmap-join", build: func(w *world) {
-			// Byte payloads alias their chunk all the way through a FlatMap,
-			// a shuffle edge and the build table.
+			// Byte payloads alias their chunk all the way through a FlatMap
+			// (and the probe edge, pinned to repartition) into the join
+			// against the build table.
 			halves := flatMapD(w, scanD(w, "B", blobCodec, recsB), blobCodec, func(v blob, emit func(blob) error) error {
 				if err := emit(blob{First: v.First, Second: v.Second[:len(v.Second)/2]}); err != nil {
 					return err
@@ -483,43 +495,62 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec(JoinRepartition)), byPayload), "out")
 		}},
 	}
+	// A case with an unpinned join runs again with it pinned to
+	// repartition, so the shuffled probe path keeps every shape the
+	// planner's broadcast choice covers.
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/%dw", tc.name, workers), func(t *testing.T) {
-				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}}
+		for _, pin := range []JoinStrategy{JoinAuto, JoinRepartition} {
+			for _, workers := range []int{1, 4} {
+				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}, pin: pin}
 				tc.build(w)
-				want := make(map[string][]string)
-				var wantErr error
-				for name, s := range w.sinks {
-					if want[name], wantErr = s.want(); wantErr != nil {
-						break
+				name := fmt.Sprintf("%s/%dw", tc.name, workers)
+				if pin != JoinAuto {
+					if !w.auto {
+						continue
 					}
+					name = fmt.Sprintf("%s/%v/%dw", tc.name, pin, workers)
 				}
-				got, err := runCompiled(t, w, workers)
-				if tc.fails != nil {
-					if !errors.Is(wantErr, tc.fails) {
-						t.Fatalf("interpreter: err = %v, want %v", wantErr, tc.fails)
-					}
-					if err == nil || !strings.Contains(err.Error(), tc.fails.Error()) {
-						t.Fatalf("compiled plan: err = %v, want one naming %q", err, tc.fails)
-					}
-					return
-				}
-				if wantErr != nil || err != nil {
-					t.Fatalf("interpreter err %v, compiled plan err %v", wantErr, err)
-				}
-				for sink, w := range want {
-					g := got[sink]
-					if len(w) != len(g) {
-						t.Fatalf("sink %s: %d records, interpreter has %d", sink, len(g), len(w))
-					}
-					for i := range w {
-						if w[i] != g[i] {
-							t.Fatalf("sink %s: sorted record %d of %d is %s, interpreter has %s", sink, i, len(w), g[i], w[i])
-						}
-					}
-				}
-			})
+				runDifferential(t, name, w, workers, tc.fails)
+			}
 		}
 	}
+}
+
+// runDifferential runs one built case on the given worker count and
+// compares each sink with the interpreter's, or checks that both fail
+// with fails.
+func runDifferential(t *testing.T, name string, w *world, workers int, fails error) {
+	t.Run(name, func(t *testing.T) {
+		want := make(map[string][]string)
+		var wantErr error
+		for name, s := range w.sinks {
+			if want[name], wantErr = s.want(); wantErr != nil {
+				break
+			}
+		}
+		got, err := runCompiled(t, w, workers)
+		if fails != nil {
+			if !errors.Is(wantErr, fails) {
+				t.Fatalf("interpreter: err = %v, want %v", wantErr, fails)
+			}
+			if err == nil || !strings.Contains(err.Error(), fails.Error()) {
+				t.Fatalf("compiled plan: err = %v, want one naming %q", err, fails)
+			}
+			return
+		}
+		if wantErr != nil || err != nil {
+			t.Fatalf("interpreter err %v, compiled plan err %v", wantErr, err)
+		}
+		for sink, w := range want {
+			g := got[sink]
+			if len(w) != len(g) {
+				t.Fatalf("sink %s: %d records, interpreter has %d", sink, len(g), len(w))
+			}
+			for i := range w {
+				if w[i] != g[i] {
+					t.Fatalf("sink %s: sorted record %d of %d is %s, interpreter has %s", sink, i, len(w), g[i], w[i])
+				}
+			}
+		}
+	})
 }

@@ -6,23 +6,20 @@
 // front door for: instead of hand-wiring stages and bags per workload,
 // applications state *what* they compute and the compiler chooses *how* —
 // fusing adjacent narrow operators into single streaming tasks, inserting
-// partitioned shuffle edges only at wide boundaries (GroupBy, shuffled
-// Join), and picking a physical join strategy per edge from observed
-// statistics (in the spirit of SharesSkew's per-key strategy choice and
-// Reshape's adaptive layer above the operators):
+// partitioned shuffle edges only at wide boundaries (GroupBy, a pinned
+// shuffled Join), and pre-isolating the heavy keys that compile-time
+// statistics show (in the spirit of SharesSkew's per-key strategy choice
+// and Reshape's adaptive layer above the operators).
 //
-//   - broadcast join when the build side is known-small: the probe side is
-//     consumed directly (clones split it chunk-by-chunk) and every worker
-//     scans the build side in full — no shuffle at all;
-//   - skewed join when compile-time statistics (a warm count-min sketch /
-//     EdgeStats from a previous run or window) show heavy-hitter keys: the
-//     probe side is shuffled through a partitioned edge whose seed
-//     partition map pre-isolates the heavy keys onto replicated fragment
-//     consumers (record-level Spread), while the long tail takes the
-//     ordinary partitioned path;
-//   - plain repartition join otherwise — which still adapts at runtime:
-//     the edge is Spread, so clones share a hot partition chunk by chunk
-//     even when compile-time statistics were absent.
+// A join is broadcast unless pinned: every join worker loads the whole
+// build side whatever the form, so the join fuses into the stage producing
+// the probe side and clones split the probe chunk by chunk — the broadcast
+// case of Beame–Koutris–Suciu, where key skew on the split side costs
+// nothing. A probe that streams out of a GroupBy's single-worker finalize
+// stage is shuffled instead, so the join can run on several workers. JoinRepartition (the Static baseline) and JoinSkewed (whose
+// seed map pre-isolates heavy probe keys onto record-level Spread fragment
+// consumers) shuffle the probe through a partitioned edge and stay
+// pinnable.
 //
 // Records are typed end to end. The generic constructors below (Scan,
 // Filter, Map, ... — package repro/hurricane/q is the public surface over
@@ -97,7 +94,8 @@ type GroupBySpec[T, A any] struct {
 type JoinStrategy int
 
 const (
-	// JoinAuto lets compile-time statistics decide (the default).
+	// JoinAuto lets the planner decide (the default): broadcast, or
+	// repartition under Options.Static or behind a GroupBy finalize.
 	JoinAuto JoinStrategy = iota
 	// JoinRepartition shuffles the probe side through a partitioned edge;
 	// runtime clones still share its hot partitions.
@@ -138,7 +136,7 @@ type JoinSpec[L, R, O any] struct {
 	// Join emits the matches of one (build, probe) record pair.
 	Join func(build L, probe R, emit func(O) error) error
 	// Strategy overrides the planner's choice for this join (JoinAuto
-	// lets statistics decide).
+	// lets the planner decide).
 	Strategy JoinStrategy
 }
 
@@ -343,8 +341,8 @@ func GroupBy[T, A any](p *Plan, in *Node, spec GroupBySpec[T, A]) *Node {
 }
 
 // Join equi-joins two inputs: build (loaded into a table by every worker)
-// and probe (streamed). The physical strategy — repartition, broadcast, or
-// skewed — is chosen at compile time per edge from statistics unless
+// and probe (streamed). The physical strategy is broadcast (repartition
+// under Options.Static or behind a GroupBy finalize) unless
 // spec.Strategy pins it.
 func Join[L, R, O any](p *Plan, build, probe *Node, spec JoinSpec[L, R, O]) *Node {
 	n := &Node{kind: opJoin, in: []*Node{build, probe}, err: holds[R](probe), strategy: spec.Strategy}

@@ -262,52 +262,55 @@ func TestCompileGroupBySeedsFromWarmStats(t *testing.T) {
 }
 
 func TestJoinStrategySelection(t *testing.T) {
-	build := func() (*Plan, *Node) {
+	build := func(strategy JoinStrategy) (*Plan, *Node) {
 		p := New("j")
 		r := Scan(p, "relR", pairCodec)
 		s := Scan(p, "relS", pairCodec)
-		j := Join(p, r, s, joinSpec(JoinAuto))
+		j := Join(p, r, s, joinSpec(strategy))
 		p.Sink(j, "out")
 		return p, j
 	}
 	cases := []struct {
-		name    string
-		opts    Options
-		want    JoinStrategy
-		seeded  bool
-		noClone bool
+		name     string
+		strategy JoinStrategy
+		opts     Options
+		want     JoinStrategy
+		seeded   bool
+		noClone  bool
 	}{
 		{
-			name: "broadcast when build side known small",
-			opts: Options{Stats: &Stats{Records: map[string]int64{"relR": 1000}}},
+			name: "broadcast without statistics",
+			opts: Options{},
 			want: JoinBroadcast,
 		},
 		{
-			name: "repartition without statistics",
-			opts: Options{},
-			want: JoinRepartition,
+			name: "broadcast when warm sketch shows heavy probe keys",
+			opts: Options{Parts: 4, Stats: zipfStats("relS", 200000)},
+			want: JoinBroadcast,
 		},
 		{
-			name: "repartition when build side known large and no skew",
-			opts: Options{Stats: &Stats{Records: map[string]int64{"relR": 1 << 20}}},
-			want: JoinRepartition,
+			name:     "repartition when pinned",
+			strategy: JoinRepartition,
+			opts:     Options{},
+			want:     JoinRepartition,
 		},
 		{
-			name:   "skewed when warm sketch shows heavy probe keys",
-			opts:   Options{Parts: 4, Stats: withRecords(zipfStats("relS", 200000), "relR", 1<<20)},
-			want:   JoinSkewed,
-			seeded: true,
+			name:     "pinned skewed is seeded from the warm sketch",
+			strategy: JoinSkewed,
+			opts:     Options{Parts: 4, Stats: zipfStats("relS", 200000)},
+			want:     JoinSkewed,
+			seeded:   true,
 		},
 		{
 			name:    "static pins repartition",
-			opts:    Options{Static: true, Stats: withRecords(zipfStats("relS", 200000), "relR", 100)},
+			opts:    Options{Static: true, Stats: zipfStats("relS", 200000)},
 			want:    JoinRepartition,
 			noClone: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, _ := build()
+			p, _ := build(tc.strategy)
 			ph, err := Compile(p, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -350,28 +353,67 @@ func TestJoinStrategySelection(t *testing.T) {
 	}
 }
 
-// withRecords adds a bag record count to stats (fixture helper).
-func withRecords(s *Stats, bag string, n int64) *Stats {
-	if s.Records == nil {
-		s.Records = make(map[string]int64)
+// TestJoinOnFinalizedProbeRepartitions: a GroupBy's finalize stage runs
+// on one worker and never clones, so an unpinned join whose probe streams
+// out of one must not fuse into it — the probe edge is what lets several
+// workers run the join. A TopK stage emits at most k records, so a join
+// still fuses into it.
+func TestJoinOnFinalizedProbeRepartitions(t *testing.T) {
+	toTuple := func(v keyCount) (tuple, error) { return tuple{First: v.First, Second: uint64(v.Second)}, nil }
+	cases := []struct {
+		name  string
+		probe func(p *Plan, src *Node) *Node
+		want  JoinStrategy
+	}{
+		{"groupby", func(p *Plan, src *Node) *Node {
+			return Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple)
+		}, JoinRepartition},
+		{"behind a pinned broadcast join", func(p *Plan, src *Node) *Node {
+			g := Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple)
+			return Join(p, Scan(p, "relT", pairCodec), g, joinSpec(JoinBroadcast))
+		}, JoinRepartition},
+		{"topk over a groupby", func(p *Plan, src *Node) *Node {
+			return TopK(p, Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple), 3,
+				func(a, b tuple) bool { return a.Second < b.Second })
+		}, JoinBroadcast},
 	}
-	s.Records[bag] = n
-	return s
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New("agg")
+			r := Scan(p, "relR", pairCodec)
+			p.Sink(Join(p, r, tc.probe(p, Scan(p, "relS", pairCodec)), joinSpec(JoinAuto)), "out")
+			ph, err := Compile(p, Options{Parts: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := ph.Joins[len(ph.Joins)-1]
+			if j.Strategy != tc.want || (j.Edge == "") != (tc.want == JoinBroadcast) {
+				t.Fatalf("join %+v, want %v\n%s", j, tc.want, ph.Explain())
+			}
+			s := findStage(ph, "out")
+			fused := s.Head == "topk" && s.NoClone && !s.ConsumesEdge
+			shuffled := s.ConsumesEdge && !s.NoClone
+			if len(s.Scans) != 1 || s.Scans[0] != "relR" || fused != (tc.want == JoinBroadcast) || shuffled != (tc.want == JoinRepartition) {
+				t.Fatalf("join stage wrong for %v: %+v\n%s", tc.want, s, ph.Explain())
+			}
+		})
+	}
 }
 
 func TestPinnedStrategyOverridesStats(t *testing.T) {
 	p := New("pin")
 	r := Scan(p, "relR", pairCodec)
 	s := Scan(p, "relS", pairCodec)
-	j := Join(p, r, s, joinSpec(JoinBroadcast))
+	j := Join(p, r, s, joinSpec(JoinRepartition))
 	p.Sink(j, "out")
-	// Stats say "huge build side" — the pin must win anyway.
-	ph, err := Compile(p, Options{Stats: &Stats{Records: map[string]int64{"relR": 1 << 30}}})
+	// Stats show heavy probe keys and auto would broadcast — the pin must
+	// win anyway, with an unseeded edge.
+	ph, err := Compile(p, Options{Stats: zipfStats("relS", 200000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ph.Joins[0].Strategy != JoinBroadcast {
-		t.Fatalf("pinned strategy ignored: %+v", ph.Joins[0])
+	if ph.Joins[0].Strategy != JoinRepartition || ph.Joins[0].Edge == "" || len(ph.Seeds) != 0 {
+		t.Fatalf("pinned strategy ignored: %+v, seeds %v", ph.Joins[0], ph.Seeds)
 	}
 }
 
@@ -470,11 +512,31 @@ func TestExplainMentionsDecisions(t *testing.T) {
 	s := Scan(p, "relS", pairCodec)
 	j := Join(p, r, s, joinSpec(JoinAuto))
 	p.Sink(j, "out")
-	ph, err := Compile(p, Options{Parts: 4, Stats: withRecords(zipfStats("relS", 200000), "relR", 1<<20)})
+	ph, err := Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := ph.Explain()
+	for _, want := range []string{"broadcast", "probe needs no shuffle", "scans relR"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain missing %q:\n%s", want, out)
+		}
+	}
+	for _, absent := range []string{"seed", "edge-consumer", "shuffle-write"} {
+		if strings.Contains(out, absent) {
+			t.Fatalf("explain of a fused join mentions %q:\n%s", absent, out)
+		}
+	}
+
+	// Pinned skewed, the same statistics seed the probe edge.
+	p = New("ex")
+	r = Scan(p, "relR", pairCodec)
+	s = Scan(p, "relS", pairCodec)
+	p.Sink(Join(p, r, s, joinSpec(JoinSkewed)), "out")
+	if ph, err = Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)}); err != nil {
+		t.Fatal(err)
+	}
+	out = ph.Explain()
 	for _, want := range []string{"skewed", "seed", "edge-consumer", "shuffle-write"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)

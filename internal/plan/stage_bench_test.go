@@ -46,19 +46,29 @@ func benchInput(n int) (build, probe []tuple) {
 	return build, probe
 }
 
-func benchJoinSpec() JoinSpec[tuple, tuple, benchMatch] {
+func benchJoinSpec(strategy JoinStrategy) JoinSpec[tuple, tuple, benchMatch] {
 	return JoinSpec[tuple, tuple, benchMatch]{
 		BuildKey: tupleKey, ProbeKey: tupleKey, Codec: benchMatchCodec,
 		Join: func(b, s tuple, emit func(benchMatch) error) error {
 			return emit(benchMatch{First: s.First, Second: tuple{First: b.Second, Second: s.Second}})
 		},
+		Strategy: strategy,
 	}
 }
 
-// benchJoinPlan is scan(S) -> edge -> join(R) -> sink.
+// benchJoinPlan is scan(S) -> edge -> join(R) -> sink, the repartition
+// form pinned.
 func benchJoinPlan() *Plan {
 	p := New("bj")
-	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec())
+	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec(JoinRepartition))
+	return p.Sink(j, "out")
+}
+
+// benchFusedJoinPlan is scan(S) -> join(R) -> sink in one stage: the
+// planner's unpinned join.
+func benchFusedJoinPlan() *Plan {
+	p := New("bf")
+	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec(JoinAuto))
 	return p.Sink(j, "out")
 }
 
@@ -161,6 +171,7 @@ func TestCompiledJoinAllocsPerRecord(t *testing.T) {
 		stages []string
 	}{
 		{"join", benchJoinPlan(), []string{"scatter", "join"}},
+		{"fusedJoin", benchFusedJoinPlan(), []string{"join"}},
 		{"countByKey", benchCountPlan(), []string{"scatter", "groupby"}},
 	} {
 		costs := runStages(t, tc.plan, map[string][]tuple{"R": build, "S": probe})
@@ -191,6 +202,7 @@ func benchStage(b *testing.B, p func() *Plan, stage string) {
 
 func BenchmarkStageScanScatter(b *testing.B) { benchStage(b, benchJoinPlan, "scatter") }
 func BenchmarkStageJoin(b *testing.B)        { benchStage(b, benchJoinPlan, "join") }
+func BenchmarkStageFusedJoin(b *testing.B)   { benchStage(b, benchFusedJoinPlan, "join") }
 func BenchmarkStageGroupBy(b *testing.B)     { benchStage(b, benchCountPlan, "groupby") }
 
 // BenchmarkJoinTableBuild builds the join stage's table from the decoded

@@ -13,17 +13,14 @@ import (
 
 // Stats carries compile-time statistics the planner consults for
 // physical decisions. All fields are optional; missing information
-// degrades the plan gracefully (no broadcast, no pre-seeding) and the
-// runtime control plane still adapts from live sketches.
+// degrades the plan gracefully (no pre-seeding) and the runtime control
+// plane still adapts from live sketches.
 type Stats struct {
-	// Records maps bag name -> record count. Source-bag sizes drive the
-	// broadcast-join decision.
-	Records map[string]int64
 	// Edges maps an edge name (a previous run of the same plan — see
 	// StatsFromMemory) or a probe/groupby chain's head source-bag name to
 	// the key-frequency statistics of the records that will cross that
-	// edge. Heavy-hitter candidates here are what turns a repartition
-	// join into a skewed join at compile time.
+	// edge. Heavy-hitter candidates here are pre-isolated in the seed map
+	// of a groupby edge or of a join pinned to JoinSkewed.
 	Edges map[string]*sketch.EdgeStats
 	// PMaps maps edge name -> a previous run's final partition map; its
 	// isolated keys are transplanted into the seed map.
@@ -33,9 +30,8 @@ type Stats struct {
 // NewStats returns empty statistics ready to be filled.
 func NewStats() *Stats {
 	return &Stats{
-		Records: make(map[string]int64),
-		Edges:   make(map[string]*sketch.EdgeStats),
-		PMaps:   make(map[string]*shuffle.PartitionMap),
+		Edges: make(map[string]*sketch.EdgeStats),
+		PMaps: make(map[string]*shuffle.PartitionMap),
 	}
 }
 
@@ -61,16 +57,6 @@ func StatsFromMemory(mem map[string]core.EdgeMemory, prefix string) *Stats {
 		}
 	}
 	return s
-}
-
-// knownRecords reports the record count of a node's materialized bag,
-// when the caller supplied it.
-func (c *compiler) knownRecords(n *Node) (int64, bool) {
-	if c.opts.Stats == nil || c.opts.Stats.Records == nil {
-		return 0, false
-	}
-	sz, ok := c.opts.Stats.Records[c.materialized(n)]
-	return sz, ok
 }
 
 // headBag walks a narrow chain up to its head and returns the bag its
@@ -99,48 +85,60 @@ func (c *compiler) warmEdgeStats(edge string, in *Node) *sketch.EdgeStats {
 // decideJoin picks the physical strategy for one join node. The decision
 // table (documented in the README):
 //
-//	build side known ≤ broadcastMaxRecords        -> broadcast
-//	warm statistics show heavy probe keys         -> skewed (pre-isolated)
-//	otherwise                                     -> repartition
+//	JoinSpec.Strategy pinned                      -> as pinned
+//	Options.Static                                -> repartition (the naive baseline)
+//	probe streams out of a GroupBy finalize       -> repartition
+//	otherwise                                     -> broadcast
 //
-// Static mode always repartitions (the naive baseline), and
-// JoinSpec.Strategy pins the choice outright. A repartition join still
-// adapts at runtime: its edge is Spread, so clones share a hot partition
-// chunk by chunk when the consumers fall behind.
+// Every form loads the whole build side into every join worker, so a
+// probe shuffle buys no memory and no skew defence: unpinned, the join
+// fuses into the stage producing the probe side, and clones split the
+// probe chunk by chunk whatever its keys. A GroupBy's finalize stage
+// cannot clone, so behind one the probe edge is what lets several workers
+// run the join. A TopK stage cannot clone either, but it emits at most k
+// records, so a join fuses into it.
 func (c *compiler) decideJoin(n *Node) JoinInfo {
 	info := JoinInfo{Node: n.id, Strategy: n.strategy, Edge: c.p.edgeName(n)}
-	if info.Strategy != JoinAuto {
+	switch {
+	case info.Strategy != JoinAuto:
 		info.Reason = "pinned by JoinSpec.Strategy"
-		if info.Strategy == JoinBroadcast {
-			info.Edge = ""
-		}
-		return info
-	}
-	if c.opts.Static {
+	case c.opts.Static:
 		info.Strategy = JoinRepartition
 		info.Reason = "static compilation (naive baseline)"
-		return info
+	case finalized(n.in[1]):
+		info.Strategy = JoinRepartition
+		info.Reason = "the probe streams out of a GroupBy's single-worker finalize stage, so only an edge lets the join run on several workers"
+	default:
+		info.Strategy = JoinBroadcast
+		info.Reason = "every worker scans the build side whatever the form, so the probe needs no shuffle (clones split it chunk by chunk)"
 	}
-	build, probe := n.in[0], n.in[1]
-	if sz, ok := c.knownRecords(build); ok && sz <= broadcastMaxRecords {
-		info.Strategy, info.Edge = JoinBroadcast, ""
-		info.Reason = fmt.Sprintf("build side %q holds %d records (≤ broadcast threshold %d)",
-			c.materialized(build), sz, broadcastMaxRecords)
-		return info
+	if info.Strategy == JoinBroadcast {
+		info.Edge = ""
 	}
-	if st := c.warmEdgeStats(info.Edge, probe); st != nil && st.Total() > 0 {
-		heavy := st.TopKeys(sketch.MaxHeavyKeys, c.opts.IsolateFraction/float64(c.opts.Parts))
-		if len(heavy) > 0 {
-			info.Strategy = JoinSkewed
-			info.Reason = fmt.Sprintf(
-				"warm sketch shows %d heavy keys (top key ≈ %d%% of %d observed records); pre-isolating with fan %d",
-				len(heavy), int(100*float64(heavy[0].Count)/float64(st.Total())), st.Total(), c.opts.Fan)
-			return info
+	return info
+}
+
+// finalized reports whether node n's records stream out of a GroupBy's
+// finalize stage, reached through narrow operators and joins fused into
+// it.
+func finalized(n *Node) bool {
+	for {
+		switch n.kind {
+		case opGroupBy:
+			return true
+		case opFilter, opMap, opFlatMap:
+			n = n.in[0]
+		case opJoin:
+			// A shuffled join opens its own clonable edge stage; an
+			// unpinned one is broadcast only when its probe is clonable.
+			if n.strategy != JoinBroadcast {
+				return false
+			}
+			n = n.in[1]
+		default:
+			return false
 		}
 	}
-	info.Strategy = JoinRepartition
-	info.Reason = "build size unknown or large, no heavy keys in warm statistics (runtime policies still adapt the edge)"
-	return info
 }
 
 // seedEdge derives a warm-start seed partition map for an edge from the
