@@ -2,6 +2,7 @@ package q_test
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -107,12 +108,16 @@ func rendezvous(n int32) (meet func() func(tuple) tuple, met chan struct{}, arri
 // must not be. The join stage of this plan consumes a four-way
 // partitioned edge, so four workers run it at once — proven by a rendezvous
 // inside the stage — each scanning the batch-encoded build side and
-// draining batch chunks of the probe edge through the same codec. Run
-// under -race; the output must equal the serial join, for the columnar
-// codec and for a row-only view of it.
+// draining batch chunks of the probe edge through the same codec. A
+// worker decodes its build side, several chunks of unique keys, straight
+// into the vector its table keeps, so every match also checks the build
+// row it is handed: a decoder, or another worker, writing to a table
+// after the handoff fails the join. Run under -race; the output must
+// equal the serial join, for the columnar codec and for a row-only view
+// of it.
 func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 	const workers = 4
-	build := make([]tuple, 256)
+	build := make([]tuple, 2048)
 	for k := range build {
 		build[k] = tuple{First: uint64(k), Second: uint64(k) * 1000}
 	}
@@ -145,6 +150,9 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 				func(s tuple) uint64 { return s.First },
 				codec,
 				func(b, s tuple, emit func(tuple) error) error {
+					if b.Second != b.First*1000 {
+						return fmt.Errorf("build row of key %d reads %d after the table was built", b.First, b.Second)
+					}
 					return emit(tuple{First: s.First, Second: b.Second + s.Second})
 				},
 				q.WithStrategy(q.JoinRepartition))

@@ -391,21 +391,31 @@ func sameWord(v uint64) uint64  { return v }
 func zigzagWord(v int64) uint64 { return uint64(v<<1 ^ v>>63) }
 
 // decodeUvarints appends the first rows uvarints of data to out and
-// returns it with the bytes they took. A word of eight bytes is written
-// out as eight values: all stand if all are single-byte varints, else
-// those before the first continuation byte do and that one value decodes
-// by length, two and three bytes inline — so a skewed key's mixed column
-// moves a word at a time too. Longer varints and the last two words take
-// binary.Uvarint; its failure wraps ErrCorrupt, out ending at the last row.
+// returns it with the bytes they took. A word of eight bytes that holds
+// exactly four 2-byte varints (a build side's dense ids) decodes in one
+// step. Any other word is written out as eight values: all stand if all
+// are single-byte varints, else those before the first continuation byte
+// do and that one value decodes by length, two and three bytes inline —
+// so a skewed key's mixed column moves a word at a time too. Longer
+// varints and the last two words take binary.Uvarint; its failure wraps
+// ErrCorrupt, out ending at the last row.
 func decodeUvarints[T ~uint64 | ~int64 | ~int](out []T, data []byte, rows int) ([]T, int, error) {
 	out, dst := extend(out, rows)
 	for i, off := 0, 0; ; {
 		if i+8 <= len(dst) && off+16 <= len(data) {
 			w := binary.LittleEndian.Uint64(data[off:])
+			cont := w & 0x8080808080808080
 			d := dst[i : i+8 : i+8]
+			if cont == 0x0080008000800080 {
+				// Each 16-bit lane is one varint: its low seven bits, then
+				// its high byte's seven shifted down past the flag.
+				x := w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
+				d[0], d[1], d[2], d[3] = T(x&0xffff), T(x>>16&0xffff), T(x>>32&0xffff), T(x>>48)
+				i, off = i+4, off+8
+				continue
+			}
 			d[0], d[1], d[2], d[3] = T(w&0xff), T(w>>8&0xff), T(w>>16&0xff), T(w>>24&0xff)
 			d[4], d[5], d[6], d[7] = T(w>>32&0xff), T(w>>40&0xff), T(w>>48&0xff), T(w>>56)
-			cont := w & 0x8080808080808080
 			if cont == 0 {
 				i, off = i+8, off+8
 				continue

@@ -43,6 +43,34 @@ func checkKernel(t *testing.T, what string, data []byte, rows int) {
 	}
 }
 
+// uvarintOfLen returns a value whose varint takes n bytes, 1 to 10.
+func uvarintOfLen(r *rand.Rand, n int) uint64 {
+	if n == 10 {
+		return 1<<63 + r.Uint64()>>1
+	}
+	lo, hi := uint64(1)<<(7*(n-1)), uint64(1)<<(7*n)
+	if n == 1 {
+		lo = 0
+	}
+	return lo + r.Uint64()%(hi-lo)
+}
+
+// checkColumn encodes vals as a varint column and holds the kernel to the
+// reference on it, on it asked for a row more than it holds, and on it cut
+// short at every byte.
+func checkColumn(t *testing.T, what string, vals []uint64) {
+	t.Helper()
+	var data []byte
+	for _, v := range vals {
+		data = binary.AppendUvarint(data, v)
+	}
+	checkKernel(t, what, data, len(vals))
+	checkKernel(t, what+", a row too many", data, len(vals)+1)
+	for cut := range data {
+		checkKernel(t, what+", truncated", data[:cut], len(vals))
+	}
+}
+
 // TestUvarintKernelDifferential places a varint of every length, 1 to 10
 // bytes, at every offset within an 8-byte word and every distance from
 // the column's tail, among one-byte neighbours; then seeded columns of
@@ -50,27 +78,6 @@ func checkKernel(t *testing.T, what string, data []byte, rows int) {
 // for a row more than it holds.
 func TestUvarintKernelDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
-	ofLen := func(n int) uint64 { // a value whose varint takes n bytes
-		if n == 10 {
-			return 1<<63 + r.Uint64()>>1
-		}
-		lo, hi := uint64(1)<<(7*(n-1)), uint64(1)<<(7*n)
-		if n == 1 {
-			lo = 0
-		}
-		return lo + r.Uint64()%(hi-lo)
-	}
-	check := func(what string, vals []uint64) {
-		var data []byte
-		for _, v := range vals {
-			data = binary.AppendUvarint(data, v)
-		}
-		checkKernel(t, what, data, len(vals))
-		checkKernel(t, what+", a row too many", data, len(vals)+1)
-		for cut := range data {
-			checkKernel(t, what+", truncated", data[:cut], len(vals))
-		}
-	}
 	for n := 1; n <= 10; n++ {
 		for before := 0; before < 18; before++ {
 			for after := 0; after < 18; after++ {
@@ -78,8 +85,8 @@ func TestUvarintKernelDifferential(t *testing.T) {
 				for i := range vals {
 					vals[i] = r.Uint64() % 128
 				}
-				vals[before] = ofLen(n)
-				check("one wide value", vals)
+				vals[before] = uvarintOfLen(r, n)
+				checkColumn(t, "one wide value", vals)
 			}
 		}
 	}
@@ -87,14 +94,70 @@ func TestUvarintKernelDifferential(t *testing.T) {
 		vals := make([]uint64, r.Intn(70))
 		wide := 1 + r.Intn(10)
 		for i := range vals {
-			vals[i] = ofLen(1 + r.Intn(wide))
+			vals[i] = uvarintOfLen(r, 1+r.Intn(wide))
 		}
-		check("mixed widths", vals)
+		checkColumn(t, "mixed widths", vals)
 	}
 	// Eleven continuation bytes overflow a uvarint wherever they sit.
 	for before := 0; before < 18; before++ {
 		data := append(make([]byte, before), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
 		checkKernel(t, "overlong varint", append(data, make([]byte, 20)...), before+8)
+	}
+}
+
+// TestUvarintRunsDifferential holds the kernel to binary.Uvarint on runs
+// of one width, where the word arms take over: runs of every width from 1
+// to 10 bytes and of every length to 20 values, alone and between mixed
+// neighbours; runs of 1 to 13 2-byte values — the arm that decodes four
+// per word — starting at every byte offset mod 8 and ending 0 to 17 bytes
+// from the column's end, so across the off+16 guard and at the end itself;
+// and columns of mostly 2-byte values. Every column is also cut short at
+// every byte (ErrCorrupt, no panic) and asked for a row more than it
+// holds.
+func TestUvarintRunsDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	for n := 1; n <= 10; n++ {
+		for run := 1; run <= 20; run++ {
+			vals := make([]uint64, run)
+			for i := range vals {
+				vals[i] = uvarintOfLen(r, n)
+			}
+			checkColumn(t, fmt.Sprintf("run of %d %d-byte values", run, n), vals)
+			mixed := []uint64{uvarintOfLen(r, 1+r.Intn(10))}
+			mixed = append(append(mixed, vals...), uvarintOfLen(r, 1+r.Intn(10)))
+			checkColumn(t, fmt.Sprintf("run of %d %d-byte values, mixed neighbours", run, n), mixed)
+		}
+	}
+	for lead := 0; lead < 16; lead++ { // bytes before the run: offsets mod 8, in the first word and the second
+		for run := 1; run <= 13; run++ {
+			for tail := 0; tail <= 17; tail++ { // one-byte values after it
+				var vals []uint64
+				for b := lead; b > 0; {
+					w := 1 + r.Intn(min(b, 3)) // fill the lead with 1- to 3-byte values
+					vals, b = append(vals, uvarintOfLen(r, w)), b-w
+				}
+				for range run {
+					vals = append(vals, uvarintOfLen(r, 2))
+				}
+				for range tail {
+					vals = append(vals, r.Uint64()%128)
+				}
+				checkColumn(t, fmt.Sprintf("%d 2-byte values after %d bytes, before %d", run, lead, tail), vals)
+			}
+		}
+	}
+	// Columns where 2-byte values dominate but are broken up by other
+	// widths at random, so a word holds pairs of every alignment.
+	for col := 0; col < 300; col++ {
+		vals := make([]uint64, r.Intn(80))
+		for i := range vals {
+			w := 2
+			if r.Intn(6) == 0 {
+				w = 1 + r.Intn(10)
+			}
+			vals[i] = uvarintOfLen(r, w)
+		}
+		checkColumn(t, "mostly 2-byte values", vals)
 	}
 }
 
@@ -201,7 +264,7 @@ func checkFixed8[T uint64 | float64](t *testing.T, name string, c interface {
 // memory is encoded at the call, and only a codec with a bulk view is held
 // in a block at all.
 func TestTupleAllocs(t *testing.T) {
-	ts := benchTuples(1.3, 1<<16-1)[:benchBatchRows]
+	ts := benchTuples(zipfKeys(1.3, 1<<16-1))[:benchBatchRows]
 	for name, write := range map[string]func(e *Encoder[benchTuple]) error{
 		"AppendRows": func(e *Encoder[benchTuple]) error { return e.AppendRows(ts, nil) },
 		"Append": func(e *Encoder[benchTuple]) error {
@@ -303,24 +366,37 @@ const (
 	benchBatches   = 64
 )
 
-// benchKeyColumns are the two key columns the engine's benchmark feeds the
-// codec: Zipf(1.3) over 2^16 keys (83 % one-byte, 16 % two-byte, 2 %
-// three-byte varints) and Zipf(2) over 64 (every varint one byte).
+// benchKeyColumns are the key columns the codec benchmarks price: the two
+// the engine's benchmark feeds the codec through its shuffles — Zipf(1.3)
+// over 2^16 keys (83 % one-byte, 16 % two-byte, 2 % three-byte varints)
+// and Zipf(2) over 64 (every varint one byte) — and the shape of a join's
+// build side, dense ids 0..16383 in order (99 % two-byte varints).
 var benchKeyColumns = []struct {
 	name string
-	s    float64
-	imax uint64
+	keys func(*rand.Rand) func() uint64
 }{
-	{"zipf1.3_64k", 1.3, 1<<16 - 1},
-	{"zipf2_64", 2, 63},
+	{"zipf1.3_64k", zipfKeys(1.3, 1<<16-1)},
+	{"zipf2_64", zipfKeys(2, 63)},
+	{"dense_16k", func(*rand.Rand) func() uint64 {
+		var next uint64
+		return func() uint64 {
+			next++
+			return (next - 1) % (1 << 14)
+		}
+	}},
 }
 
-func benchTuples(s float64, imax uint64) []benchTuple {
+// zipfKeys draws Zipf(s) keys over [0, imax].
+func zipfKeys(s float64, imax uint64) func(*rand.Rand) func() uint64 {
+	return func(r *rand.Rand) func() uint64 { return rand.NewZipf(r, s, 1, imax).Uint64 }
+}
+
+func benchTuples(keys func(*rand.Rand) func() uint64) []benchTuple {
 	r := rand.New(rand.NewSource(47))
-	z := rand.NewZipf(r, s, 1, imax)
+	key := keys(r)
 	ts := make([]benchTuple, benchBatches*benchBatchRows)
 	for i := range ts {
-		ts[i] = benchTuple{First: z.Uint64(), Second: r.Uint64()}
+		ts[i] = benchTuple{First: key(), Second: r.Uint64()}
 	}
 	return ts
 }
@@ -331,7 +407,7 @@ func benchTuples(s float64, imax uint64) []benchTuple {
 func BenchmarkTupleEncodeRows(b *testing.B) {
 	for _, col := range benchKeyColumns {
 		b.Run(col.name, func(b *testing.B) {
-			ts := benchTuples(col.s, col.imax)
+			ts := benchTuples(col.keys)
 			idx := make([]int32, benchBatchRows)
 			for i := range idx {
 				idx[i] = int32(i)
@@ -369,7 +445,7 @@ func BenchmarkTupleAppend(b *testing.B) {
 			codec Codec[benchTuple]
 		}{{"block", benchTupleCodec}, {"per-record", perRecord[benchTuple]{cc}}} {
 			b.Run(col.name+"/"+view.name, func(b *testing.B) {
-				ts := benchTuples(col.s, col.imax)
+				ts := benchTuples(col.keys)
 				e := NewEncoder(view.codec, DefaultSize, func(Chunk, int) error { return nil })
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -397,7 +473,7 @@ func BenchmarkTupleAppend(b *testing.B) {
 func BenchmarkTupleDecode(b *testing.B) {
 	for _, col := range benchKeyColumns {
 		b.Run(col.name, func(b *testing.B) {
-			ts := benchTuples(col.s, col.imax)
+			ts := benchTuples(col.keys)
 			var cs []Chunk
 			enc := NewEncoder[benchTuple](benchTupleCodec, 1<<20, func(c Chunk, _ int) error {
 				cs = append(cs, c)

@@ -78,6 +78,40 @@ func (r recs[T]) read(src chunkSource, down any) error {
 	}
 }
 
+// readAll decodes every chunk of src into one vector the caller owns,
+// allocated once at the chunks' record count: a join's build side, which
+// becomes its table. It holds every chunk until all are counted; a table
+// of records with byte-slice fields, which alias their chunks, holds them
+// all anyway.
+func (r recs[T]) readAll(src chunkSource) ([]T, error) {
+	var cs []chunk.Chunk
+	n := 0
+	for {
+		c, err := src()
+		if err == bag.ErrEmpty {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		k, err := chunk.Count(c)
+		if err != nil {
+			return nil, err
+		}
+		// A record takes at least a byte of its chunk, so a corrupt
+		// count costs no more than the chunk; Decode reports it.
+		cs, n = append(cs, c), n+min(k, len(c))
+	}
+	d, all := chunk.NewDecoder(r.codec), make([]T, 0, n)
+	for _, c := range cs {
+		var err error
+		if all, err = d.Decode(c, all); err != nil {
+			return nil, err
+		}
+	}
+	return all, nil
+}
+
 func (r recs[T]) sink(tc *core.TaskCtx, edgeKey any) (any, error) {
 	if edgeKey == nil {
 		enc := chunk.NewEncoder(r.codec, tc.Store().ChunkSize(), func(c chunk.Chunk, _ int) error { return tc.Insert(0, c) })
@@ -94,9 +128,10 @@ func (r recs[T]) sink(tc *core.TaskCtx, edgeKey any) (any, error) {
 	return sc.WriteBatch, nil
 }
 
-// expand lowers an operator that emits any number of records per input
+// expand lowers FlatMap, which emits any number of records per input
 // record — each emits those of one — into a buffer the kernel owns, handed
-// to next once per input vector and whenever it passes maxVector.
+// to next once per input vector and whenever it passes maxVector. Join
+// runs the same loop inline, with its probe in the loop body.
 func expand[T, U any](next func([]U) error, each func(v T, emit func(U) error) error) func([]T) error {
 	var buf []U
 	emit := func(u U) error {
@@ -154,7 +189,7 @@ func (g *groups[A]) sorted() []chunk.Pair[uint64, A] {
 // of 16-byte slots and a subslice — no per-key slice header to chase, and
 // a skewed probe stream's hot keys keep their few slots and rows in cache.
 type joinTable[L any] struct {
-	rows  []L
+	rows  []L         // the build vector itself when no key repeats
 	slots []tableSlot // power-of-two sized, at most half full
 	shift uint        // 64 - log2(len(slots))
 }
@@ -169,29 +204,41 @@ type tableSlot struct {
 	start, count uint32
 }
 
-// newJoinTable builds the table in two passes over rows: count each key's
-// records, then place every record in its key's run, last record first so a
-// run fills from its end and reads in build order.
+// newJoinTable indexes rows by key, taking ownership of rows. One pass
+// counts each key's records, pointing a new key's slot at its record. If
+// no key repeats — a primary key, a dense id — that is the table: rows
+// stay where they are, one per slot. Otherwise a prefix sum over the
+// slots and a second pass place every record in its key's run of a
+// permuted copy, last record first, so a run fills from its end and
+// reads in build order.
 func newJoinTable[L any](rows []L, key func(L) uint64) (*joinTable[L], error) {
 	if len(rows) > 1<<31-1 {
 		return nil, fmt.Errorf("plan: join build side holds %d records, a table at most 2^31-1", len(rows))
 	}
 	size := 1 << bits.Len(uint(max(2*len(rows), 1)-1))
-	t := &joinTable[L]{rows: make([]L, len(rows)), slots: make([]tableSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
-	keys := make([]uint64, len(rows))
+	t := &joinTable[L]{rows: rows, slots: make([]tableSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	unique := true
 	for i, r := range rows {
-		keys[i] = key(r)
-		s := t.slot(keys[i])
-		s.key = keys[i]
-		s.count++
+		k := key(r)
+		s := t.slot(k)
+		if s.count == 0 {
+			*s = tableSlot{key: k, start: uint32(i), count: 1}
+		} else {
+			unique = false
+			s.count++
+		}
+	}
+	if unique {
+		return t, nil
 	}
 	var end uint32
 	for i := range t.slots {
 		end += t.slots[i].count
 		t.slots[i].start = end
 	}
+	t.rows = make([]L, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
-		s := t.slot(keys[i])
+		s := t.slot(key(rows[i]))
 		s.start--
 		t.rows[s.start] = rows[i]
 	}

@@ -356,25 +356,47 @@ func Join[L, R, O any](p *Plan, build, probe *Node, spec JoinSpec[L, R, O]) *Nod
 	n.rec, n.edgeKey = recsOf(spec.Codec), spec.ProbeKey
 	n.loadTable = func(src chunkSource) (any, error) {
 		var rows []L
-		err := build.read(src, build.kind == opGroupBy, func(vec []L) error {
-			rows = append(rows, vec...)
-			return nil
-		})
+		var err error
+		if build.kind == opGroupBy {
+			err = build.readMerged(src, func(vec []L) error {
+				rows = append(rows, vec...)
+				return nil
+			})
+		} else {
+			rows, err = build.rec.(recs[L]).readAll(src)
+		}
 		if err != nil {
 			return nil, err
 		}
 		return newJoinTable(rows, spec.BuildKey)
 	}
+	// The probe loop is expand's, written out: one pass over the probe
+	// vector, each record's matches appended to a buffer the kernel owns,
+	// handed on once per vector and whenever it passes maxVector.
 	n.wire = func(down, table any) kernel {
-		t := table.(*joinTable[L])
-		return kernel{in: expand(down.(func([]O) error), func(r R, emit func(O) error) error {
-			for _, b := range t.lookup(spec.ProbeKey(r)) {
-				if err := spec.Join(b, r, emit); err != nil {
-					return err
+		next, t := down.(func([]O) error), table.(*joinTable[L])
+		var out []O
+		emit := func(o O) error {
+			out = append(out, o)
+			return nil
+		}
+		return kernel{in: func(vec []R) error {
+			out = out[:0]
+			for _, r := range vec {
+				for _, b := range t.lookup(spec.ProbeKey(r)) {
+					if err := spec.Join(b, r, emit); err != nil {
+						return err
+					}
+				}
+				if len(out) >= maxVector {
+					if err := next(out); err != nil {
+						return err
+					}
+					out = out[:0]
 				}
 			}
-			return nil
-		})}
+			return next(out)
+		}}
 	}
 	return p.add(n)
 }

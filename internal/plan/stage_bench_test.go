@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -206,20 +207,33 @@ func BenchmarkStageFusedJoin(b *testing.B)   { benchStage(b, benchFusedJoinPlan,
 func BenchmarkStageGroupBy(b *testing.B)     { benchStage(b, benchCountPlan, "groupby") }
 
 // BenchmarkJoinTableBuild builds the join stage's table from the decoded
-// build side, as every join worker does once.
+// build side, as every join worker does once: "unique" is the benchmark's
+// build side, one row per key, which the table keeps in place; "repeated"
+// holds every key twice, which takes the two-pass layout.
 func BenchmarkJoinTableBuild(b *testing.B) {
-	build, _ := benchInput(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := newJoinTable(build, tupleKey); err != nil {
-			b.Fatal(err)
-		}
+	unique, _ := benchInput(0)
+	repeated := slices.Clone(unique)
+	for k := range repeated {
+		repeated[k].First %= benchKeys / 2
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	recs := float64(b.N) * benchKeys
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
+	for _, side := range []struct {
+		name string
+		rows []tuple
+	}{{"unique", unique}, {"repeated", repeated}} {
+		b.Run(side.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := newJoinTable(side.rows, tupleKey); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			recs := float64(b.N) * float64(len(side.rows))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
+		})
+	}
 }
