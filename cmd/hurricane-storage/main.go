@@ -14,7 +14,7 @@
 // /metrics serves the hurricane_storage_op_* per-op latency/byte/error
 // series from both the TCP server and the node itself in Prometheus
 // text format, and /debug/storage serves a JSON summary of every bag's
-// chunk/byte/read-pointer state:
+// chunk/byte counts, stored and taken:
 //
 //	curl -s localhost:7071/metrics | grep hurricane_storage_op_total
 //	curl -s localhost:7071/debug/storage

@@ -2,8 +2,8 @@
 // compute-node crash mid-job (heartbeat-timeout detection, then task
 // restart via the running work bag), a master crash (state replay from the
 // done work bag), and a storage-node crash under 2× replication (client
-// failover with replicated read pointers) — all in one run that still
-// produces the exact answer.
+// failover; the replicas agree on which chunk ids are taken) — all in one
+// run that still produces the exact answer.
 //
 // Run with: go run ./examples/faulttolerance
 package main

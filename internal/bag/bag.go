@@ -18,8 +18,13 @@
 //
 // The package also implements the paper's primary-backup replication
 // (§4.4): with replication factor r, each logical storage slot is mirrored
-// on r physical nodes, the read pointer is synchronized to backups on every
-// remove, and clients fail over to a backup when the primary is down.
+// on r physical nodes and clients fail over to a backup when the primary
+// is down. Concurrent inserts may land on a slot's replicas in different
+// orders, so replicas agree on chunk ids, not positions: every chunk
+// carries an id its writer picks (a per-handle random base plus a sequence
+// number), and before a remove delivers a chunk the client takes its id
+// on the slot's other replicas. A reader that loses the take drops the
+// chunk; the reader that won it delivers it. No lock spans processes.
 package bag
 
 import (
@@ -90,14 +95,6 @@ type Store struct {
 	mu    sync.RWMutex
 	nodes []string        // physical nodes, index = logical slot
 	down  map[string]bool // nodes believed crashed (failover view)
-
-	// removeLocks serialize remove + backup-pointer-sync per slot when
-	// replication is on, so a remove served by a failing primary cannot
-	// race with a fresh remove against the backup before the pointer
-	// sync lands. Keyed by slot index. Removes against different slots
-	// (the batch-sampling common case) stay fully parallel.
-	removeMu    sync.Mutex
-	removeLocks map[int]*sync.Mutex
 }
 
 // NewStore returns a Store over the configured cluster.
@@ -113,10 +110,9 @@ func NewStore(cfg Config) (*Store, error) {
 			cfg.Replication, len(cfg.Nodes))
 	}
 	return &Store{
-		cfg:         cfg,
-		nodes:       append([]string(nil), cfg.Nodes...),
-		down:        make(map[string]bool),
-		removeLocks: make(map[int]*sync.Mutex),
+		cfg:   cfg,
+		nodes: append([]string(nil), cfg.Nodes...),
+		down:  make(map[string]bool),
 	}, nil
 }
 
@@ -159,6 +155,13 @@ func (s *Store) MarkDown(name string) {
 	s.down[name] = true
 }
 
+// isDown reports whether a node is marked down.
+func (s *Store) isDown(name string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.down[name]
+}
+
 // MarkUp clears a node's failed status.
 func (s *Store) MarkUp(name string) {
 	s.mu.Lock()
@@ -196,18 +199,6 @@ func (s *Store) primary(slot int) (string, []string, error) {
 	return "", nil, fmt.Errorf("bag: all replicas of slot %d are down", slot)
 }
 
-// removeLock returns the per-slot remove serialization lock.
-func (s *Store) removeLock(slot int) *sync.Mutex {
-	s.removeMu.Lock()
-	defer s.removeMu.Unlock()
-	l, ok := s.removeLocks[slot]
-	if !ok {
-		l = &sync.Mutex{}
-		s.removeLocks[slot] = l
-	}
-	return l
-}
-
 // slotBag returns the per-slot bag key. Each logical slot stores its share
 // of a bag under a distinct key so that one physical node can host several
 // slots (primary for its own, backup for neighbours).
@@ -234,16 +225,13 @@ func (s *Store) callSlot(ctx context.Context, slot int, req *transport.Request) 
 }
 
 // callSlotServed is callSlot but also reports which physical node served
-// the request, so remove-pointer synchronization can target the other
-// replicas.
+// the request: a remove takes the chunk on the other replicas, and a
+// scanner restarts a slot whose serving replica changed.
 func (s *Store) callSlotServed(ctx context.Context, slot int, req *transport.Request) (*transport.Response, string, error) {
 	reps := s.replicas(slot)
 	var lastErr error
 	for _, n := range reps {
-		s.mu.RLock()
-		isDown := s.down[n]
-		s.mu.RUnlock()
-		if isDown {
+		if s.isDown(n) {
 			continue
 		}
 		resp, err := s.cfg.Client.Call(ctx, n, req)
@@ -269,10 +257,7 @@ func (s *Store) broadcastSlot(ctx context.Context, slot int, req *transport.Requ
 	reps := s.replicas(slot)
 	reached := false
 	for _, n := range reps {
-		s.mu.RLock()
-		isDown := s.down[n]
-		s.mu.RUnlock()
-		if isDown {
+		if s.isDown(n) {
 			continue
 		}
 		resp, err := s.cfg.Client.Call(ctx, n, req)
@@ -292,6 +277,37 @@ func (s *Store) broadcastSlot(ctx context.Context, slot int, req *transport.Requ
 		return fmt.Errorf("bag: slot %d: %w", slot, transport.ErrNodeDown)
 	}
 	return nil
+}
+
+// take takes chunk id on each live replica of the slot except the one
+// that served it, in replica order, and reports whether this caller won it
+// on all of them. A replica answers "taken" only when a reader that failed
+// over to it took the id first; that reader delivers the chunk. With no
+// replication there is nothing to take.
+func (s *Store) take(ctx context.Context, slot int, bag string, id uint64, served string) (bool, error) {
+	if s.cfg.replication() == 1 {
+		return true, nil
+	}
+	for _, n := range s.replicas(slot) {
+		if n == served || s.isDown(n) {
+			continue
+		}
+		resp, err := s.cfg.Client.Call(ctx, n, &transport.Request{Op: transport.OpTake, Bag: bag, Arg: int64(id)})
+		if errors.Is(err, transport.ErrNodeDown) {
+			s.MarkDown(n)
+			continue
+		}
+		if err != nil {
+			return false, err
+		}
+		if resp.Status == transport.StatusEmpty {
+			return false, nil
+		}
+		if err := resp.Error(); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // permFor returns the bag's pseudorandom cyclic permutation of logical
@@ -332,6 +348,7 @@ func (s *Store) Bag(name string) *Bag {
 		perm:  perm,
 		slots: slotBags(name, len(perm)),
 		pos:   rand.Intn(len(perm)), // writers start at random offsets
+		id:    rand.Uint64(),
 	}
 }
 
@@ -341,11 +358,11 @@ func (s *Store) Seal(ctx context.Context, name string) error {
 	return s.fanout(ctx, name, &transport.Request{Op: transport.OpSeal})
 }
 
-// Rewind resets the bag's read pointer on every slot, replaying its
-// contents for the next consumer ("reusing the contents of a bag", §4.3,
+// Rewind marks every chunk of the bag untaken on every replica, replaying
+// its contents for the next consumer ("reusing the contents of a bag", §4.3,
 // and input rewind during failure recovery, §4.4).
 func (s *Store) Rewind(ctx context.Context, name string) error {
-	return s.fanout(ctx, name, &transport.Request{Op: transport.OpRewind, Arg: 0})
+	return s.fanout(ctx, name, &transport.Request{Op: transport.OpRewind})
 }
 
 // Discard drops the bag's contents on every slot (output invalidation
@@ -373,10 +390,7 @@ func (s *Store) DeletePrefix(ctx context.Context, prefix string) error {
 	req := &transport.Request{Op: transport.OpDeletePrefix, Bag: prefix}
 	var ok int
 	for _, n := range s.Nodes() {
-		s.mu.RLock()
-		isDown := s.down[n]
-		s.mu.RUnlock()
-		if isDown {
+		if s.isDown(n) {
 			continue
 		}
 		resp, err := s.cfg.Client.Call(ctx, n, req)

@@ -2,7 +2,6 @@ package bag
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
@@ -30,6 +29,7 @@ type Bag struct {
 	perm  []int
 	slots []string // per-slot bag keys, index = logical slot
 	pos   int      // next insert position within perm
+	id    uint64   // last chunk id: a random base plus the inserts so far
 
 	cons     *consumer // lazily started remove pipeline
 	quiesced bool      // wind down instead of fetching more (Quiesce)
@@ -59,12 +59,19 @@ func (b *Bag) nextSlot() int {
 	return slot
 }
 
+// nextInsert returns the slot and the request of the handle's next insert,
+// which carries a fresh chunk id.
+func (b *Bag) nextInsert(c chunk.Chunk) (int, *transport.Request) {
+	slot := b.nextSlot()
+	b.id++
+	return slot, &transport.Request{Op: transport.OpInsert, Bag: b.slots[slot], Arg: int64(b.id), Data: c}
+}
+
 // Insert writes one chunk to the next storage node in the bag's
 // pseudorandom cyclic order. With replication enabled the chunk is written
 // to every replica of the slot before Insert returns.
 func (b *Bag) Insert(ctx context.Context, c chunk.Chunk) error {
-	slot := b.nextSlot()
-	req := &transport.Request{Op: transport.OpInsert, Bag: b.slots[slot], Data: c}
+	slot, req := b.nextInsert(c)
 	return b.store.broadcastSlot(ctx, slot, req)
 }
 
@@ -72,8 +79,9 @@ func (b *Bag) Insert(ctx context.Context, c chunk.Chunk) error {
 // drained. The first call starts a batch-sampling prefetch pipeline with b
 // outstanding requests to distinct storage nodes; subsequent calls are
 // served from the pipeline. The exactly-once guarantee holds across any
-// number of concurrent consumers (clones), because the per-slot read
-// pointer on the storage node is the single point of truth.
+// number of concurrent consumers (clones) and across a storage failover:
+// a storage node hands each chunk id out once, and every replica of a slot
+// must agree to the take before a chunk is delivered.
 func (b *Bag) Remove(ctx context.Context) (chunk.Chunk, error) {
 	if b.cons == nil {
 		if b.quiesced {
@@ -122,7 +130,7 @@ func (b *Bag) Poll(ctx context.Context) (chunk.Chunk, error) {
 	empty := 0
 	for i := 0; i < m; i++ {
 		slot := b.perm[(start+i)%m]
-		resp, _, err := b.removeFromSlot(ctx, slot)
+		resp, err := b.removeFromSlot(ctx, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -143,67 +151,23 @@ func (b *Bag) Poll(ctx context.Context) (chunk.Chunk, error) {
 	return nil, ErrAgain
 }
 
-// removeFromSlot performs one remove against a slot, synchronizing the
-// read pointer to the slot's other replicas before returning the chunk.
-// With replication on, the remove+sync pair is serialized per slot so
-// failover cannot interleave a fresh remove between a primary-served
-// remove and its pointer sync (which would re-deliver chunks).
-func (b *Bag) removeFromSlot(ctx context.Context, slot int) (*transport.Response, string, error) {
-	replicated := b.store.cfg.replication() > 1
-	if replicated {
-		l := b.store.removeLock(slot)
-		l.Lock()
-		defer l.Unlock()
-	}
-	resp, served, err := b.store.callSlotServed(ctx, slot, &transport.Request{
-		Op:  transport.OpRemove,
-		Bag: b.slots[slot],
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if replicated && resp.Status == transport.StatusOK {
-		if err := b.syncPointer(ctx, slot, resp.ReadChunks, served); err != nil {
-			return nil, "", err
-		}
-	}
-	return resp, served, nil
-}
-
-// syncPointer propagates the read pointer to every other live replica of
-// the slot so a failover target resumes from the right position (§4.4:
-// bag state such as the file pointer is replicated). The advance is
-// monotonic, so concurrent syncs from the batch-sampling fetchers commute,
-// and it completes before the chunk is delivered to the application,
-// which is what makes delivery exactly-once across a primary failure.
-func (b *Bag) syncPointer(ctx context.Context, slot int, pos int64, servedBy string) error {
-	for _, n := range b.store.replicas(slot) {
-		if n == servedBy {
-			continue
-		}
-		b.store.mu.RLock()
-		isDown := b.store.down[n]
-		b.store.mu.RUnlock()
-		if isDown {
-			continue
-		}
-		resp, err := b.store.cfg.Client.Call(ctx, n, &transport.Request{
-			Op:  transport.OpAdvance,
+// removeFromSlot takes one chunk from a slot: a remove from the first live
+// replica, then a take of the chunk's id on the others. A chunk another
+// reader took first on some replica is that reader's to deliver, so this
+// one removes again.
+func (b *Bag) removeFromSlot(ctx context.Context, slot int) (*transport.Response, error) {
+	for {
+		resp, served, err := b.store.callSlotServed(ctx, slot, &transport.Request{
+			Op:  transport.OpRemove,
 			Bag: b.slots[slot],
-			Arg: pos,
 		})
-		if err != nil {
-			if errors.Is(err, transport.ErrNodeDown) {
-				b.store.MarkDown(n)
-				continue
-			}
-			return err
+		if err != nil || resp.Status != transport.StatusOK {
+			return resp, err
 		}
-		if err := resp.Error(); err != nil {
-			return err
+		if won, err := b.store.take(ctx, slot, b.slots[slot], resp.ID, served); won || err != nil {
+			return resp, err
 		}
 	}
-	return nil
 }
 
 // ---- batch-sampling consumer ----
@@ -316,7 +280,7 @@ func (c *consumer) fetchLoop() {
 			// exit) is the end-of-bag signal.
 			return
 		}
-		resp, _, err := c.b.removeFromSlot(c.ctx, slot)
+		resp, err := c.b.removeFromSlot(c.ctx, slot)
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return
@@ -416,10 +380,9 @@ func (i *Inserter) Insert(c chunk.Chunk) error {
 	if err := i.Err(); err != nil {
 		return err
 	}
-	// Slot selection must happen synchronously to preserve the cyclic
-	// order; only the RPC itself is asynchronous.
-	slot := i.b.nextSlot()
-	bagKey := i.b.slots[slot] // read here: the handle's goroutine owns slots
+	// Slot and id selection must happen synchronously: the handle's
+	// goroutine owns them. Only the RPC itself is asynchronous.
+	slot, req := i.b.nextInsert(c)
 	select {
 	case i.sem <- struct{}{}:
 	case <-i.ctx.Done():
@@ -431,7 +394,6 @@ func (i *Inserter) Insert(c chunk.Chunk) error {
 			<-i.sem
 			i.wg.Done()
 		}()
-		req := &transport.Request{Op: transport.OpInsert, Bag: bagKey, Data: c}
 		if err := i.b.store.broadcastSlot(i.ctx, slot, req); err != nil {
 			i.setErr(err)
 		}

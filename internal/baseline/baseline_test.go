@@ -8,6 +8,7 @@ import (
 )
 
 func TestSparkCrashesOnSkewedClickLog(t *testing.T) {
+	t.Parallel()
 	// 32 GB at s=1: the hot region's reducer working set exceeds the
 	// 16 GB task memory limit regardless of partition count (a region key
 	// cannot be split across reducers).
@@ -23,6 +24,7 @@ func TestSparkCrashesOnSkewedClickLog(t *testing.T) {
 }
 
 func TestHadoopSpillsInsteadOfCrashing(t *testing.T) {
+	t.Parallel()
 	r := Hadoop().RunClickLog(sim.Default(), 32e9, 1.0)
 	if r.OOM || r.Crashed {
 		t.Fatalf("Hadoop must spill, not crash: %+v", r)
@@ -34,6 +36,7 @@ func TestHadoopSpillsInsteadOfCrashing(t *testing.T) {
 }
 
 func TestBaselineOrderingUniform(t *testing.T) {
+	t.Parallel()
 	spark := Spark().RunClickLog(sim.Default(), 32e9, 0)
 	hadoop := Hadoop().RunClickLog(sim.Default(), 32e9, 0)
 	if spark.Runtime >= hadoop.Runtime {
@@ -42,6 +45,7 @@ func TestBaselineOrderingUniform(t *testing.T) {
 }
 
 func TestPartitionSweepPicksBest(t *testing.T) {
+	t.Parallel()
 	m := Spark()
 	best := m.RunClickLog(sim.Default(), 32e9, 1.0)
 	// The reported result must be at least as good as any single
@@ -59,6 +63,7 @@ func TestPartitionSweepPicksBest(t *testing.T) {
 }
 
 func TestJoinBaselineTimesOutOnBigSkew(t *testing.T) {
+	t.Parallel()
 	r := Spark().RunHashJoin(sim.Default(), 32e9, 320e9, 1.0)
 	if !r.OOM && r.Runtime <= 12*3600 {
 		t.Fatalf("big skewed Spark join finished in %.0fs; paper: >12h", r.Runtime)
@@ -70,6 +75,7 @@ func TestJoinBaselineTimesOutOnBigSkew(t *testing.T) {
 }
 
 func TestGraphXThrashesAtRMAT30(t *testing.T) {
+	t.Parallel()
 	vertices := float64(int64(1) << 30)
 	edges := vertices * 16 * 16
 	r := GraphX().RunPageRank(sim.Default(), edges, vertices*16, 5, 1.0)
@@ -85,6 +91,7 @@ func TestGraphXThrashesAtRMAT30(t *testing.T) {
 }
 
 func TestTimeoutHours(t *testing.T) {
+	t.Parallel()
 	if !math.IsInf(TimeoutHours(Result{Result: sim.Result{Crashed: true}}), 1) {
 		t.Fatal("crashed result must map to +Inf hours")
 	}
@@ -94,6 +101,7 @@ func TestTimeoutHours(t *testing.T) {
 }
 
 func TestSpillAmplificationDefaultsToMemAmplification(t *testing.T) {
+	t.Parallel()
 	m := Model{SortFactor: 1, ShuffleIO: 1, MemAmplification: 10, SpillPenalty: 5, TaskMemLimit: 1e9}
 	job := sim.Job{Tasks: []sim.Task{{Name: "t", Phase: 1, InputBytes: 5e8, CPURate: 100e6}}}
 	m.applyCosts(&job)

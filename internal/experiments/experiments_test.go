@@ -12,6 +12,8 @@ import (
 
 // Each experiment runs once per test binary: the shape tests and
 // TestFormatters read the same memoized result, and none of them changes it.
+// The experiments are pure simulator runs with no shared state, so the
+// tests run in parallel.
 var (
 	table1         = sync.OnceValue(Table1)
 	table2         = sync.OnceValue(Table2)
@@ -28,6 +30,7 @@ var (
 )
 
 func TestTable1Shape(t *testing.T) {
+	t.Parallel()
 	rows := table1()
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
@@ -55,6 +58,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
+	t.Parallel()
 	cells := figure5()
 	bySize := map[string][]Fig5Cell{}
 	for _, c := range cells {
@@ -83,6 +87,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
+	t.Parallel()
 	rows := figure6()
 	byKey := map[string]map[int]Fig6Row{}
 	for _, r := range rows {
@@ -134,6 +139,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigures78Shape(t *testing.T) {
+	t.Parallel()
 	rows := figures78()
 	get := func(cfg string, s float64) Fig78Row {
 		for _, r := range rows {
@@ -164,6 +170,7 @@ func TestFigures78Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
+	t.Parallel()
 	res := figure9()
 	if res.Clones == 0 {
 		t.Fatal("no clones in the Fig. 9 run")
@@ -188,6 +195,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
+	t.Parallel()
 	rows := figure10()
 	byB := map[int]Fig10Row{}
 	for _, r := range rows {
@@ -214,6 +222,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
+	t.Parallel()
 	res := figure11()
 	clean := figure9() // same workload but uniform… use a fresh uniform run instead
 	_ = clean
@@ -243,6 +252,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
+	t.Parallel()
 	rows := table2()
 	get := func(sys, label string) float64 {
 		for _, r := range rows {
@@ -263,6 +273,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
+	t.Parallel()
 	cells := figure12()
 	var sparkCrash, hurricaneWorst float64
 	var sawCrash bool
@@ -284,6 +295,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	rows := table3()
 	get := func(sys, join string, s float64) Table3Row {
 		for _, r := range rows {
@@ -322,6 +334,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
+	t.Parallel()
 	rows := table4()
 	get := func(sys, graph string) Table4Row {
 		for _, r := range rows {
@@ -352,6 +365,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestStorageScalingShape(t *testing.T) {
+	t.Parallel()
 	rows := storageScaling()
 	last := rows[len(rows)-1]
 	if last.Machines != 32 {
@@ -367,6 +381,7 @@ func TestStorageScalingShape(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
+	t.Parallel()
 	// Formatting must say first that the numbers are simulated, include
 	// headline strings, and not panic.
 	checks := []struct {

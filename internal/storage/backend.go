@@ -8,23 +8,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // memBackend keeps a bag's chunks in memory.
 type memBackend struct {
-	chunks    [][]byte
-	readIdx   int64
-	totalSize int64
-	readSize  int64
+	chunks [][]byte
+	ids    []uint64
+	bytes  int64
 }
 
 // insert keeps the slice it is given: a chunk is immutable once emitted
 // and belongs to whoever receives it (see transport.Request.Data).
-func (m *memBackend) insert(chunk []byte) error {
+func (m *memBackend) insert(id uint64, chunk []byte) error {
 	c := rightSize(chunk)
 	m.chunks = append(m.chunks, c)
-	m.totalSize += int64(len(c))
+	m.ids = append(m.ids, id)
+	m.bytes += int64(len(c))
 	return nil
 }
 
@@ -39,65 +38,36 @@ func rightSize(b []byte) []byte {
 	return bytes.Clone(b)
 }
 
-func (m *memBackend) remove() ([]byte, bool, error) {
-	if m.readIdx >= int64(len(m.chunks)) {
-		return nil, false, nil
-	}
-	c := m.chunks[m.readIdx]
-	m.readIdx++
-	m.readSize += int64(len(c))
-	return c, true, nil
-}
+func (m *memBackend) read(i int64) ([]byte, error) { return m.chunks[i], nil }
 
-func (m *memBackend) readAt(i int64) ([]byte, bool, error) {
-	if i < 0 || i >= int64(len(m.chunks)) {
-		return nil, false, nil
-	}
-	return m.chunks[i], true, nil
-}
+func (m *memBackend) meta(i int64) (uint64, int64) { return m.ids[i], int64(len(m.chunks[i])) }
 
-func (m *memBackend) rewindTo(pos int64) error {
-	if pos < 0 || pos > int64(len(m.chunks)) {
-		return fmt.Errorf("storage: rewind position %d out of range [0,%d]", pos, len(m.chunks))
-	}
-	m.readIdx = pos
-	m.readSize = 0
-	for i := int64(0); i < pos; i++ {
-		m.readSize += int64(len(m.chunks[i]))
-	}
-	return nil
-}
+func (m *memBackend) count() (int64, int64) { return int64(len(m.chunks)), m.bytes }
 
 func (m *memBackend) discard() error {
-	m.chunks = nil
-	m.readIdx = 0
-	m.totalSize = 0
-	m.readSize = 0
+	*m = memBackend{}
 	return nil
-}
-
-func (m *memBackend) stats() (int64, int64, int64, int64) {
-	return int64(len(m.chunks)), m.readIdx, m.totalSize, m.readSize
 }
 
 func (m *memBackend) destroy() error { return m.discard() }
 
-// diskBackend stores a bag as a single append-only file: a sequence of
-// 4-byte big-endian length prefixes followed by chunk payloads, mirroring
-// the paper's ext4-file-per-bag implementation. The chunk offset index is
-// kept in memory and rebuilt from the file on open, so a restarted storage
-// node recovers its bags.
+// diskBackend stores a bag as a single append-only file, mirroring the
+// paper's ext4-file-per-bag implementation: each chunk is a 12-byte header
+// (4-byte big-endian length, 8-byte big-endian chunk id) followed by its
+// payload. The header index is kept in memory and rebuilt from the file on
+// open, so a restarted storage node recovers its bags and their chunk ids.
 type diskBackend struct {
-	mu       sync.Mutex
 	f        *os.File
 	path     string
-	offsets  []int64 // byte offset of each chunk's length prefix
+	offsets  []int64 // byte offset of each chunk's header
 	sizes    []int32
-	readIdx  int64
-	totalSz  int64
-	readSz   int64
+	ids      []uint64
+	bytes    int64
 	writeOff int64
 }
+
+// diskHeader is the size of a chunk's record header.
+const diskHeader = 12
 
 // newDiskBackend opens (or creates) the file for bag under dir.
 func newDiskBackend(dir, bag string) (*diskBackend, error) {
@@ -120,7 +90,7 @@ func newDiskBackend(dir, bag string) (*diskBackend, error) {
 	return d, nil
 }
 
-// rebuildIndex scans the file to reconstruct the chunk offset index.
+// rebuildIndex scans the file's record headers to reconstruct the index.
 func (d *diskBackend) rebuildIndex() error {
 	info, err := d.f.Stat()
 	if err != nil {
@@ -128,113 +98,67 @@ func (d *diskBackend) rebuildIndex() error {
 	}
 	size := info.Size()
 	var off int64
-	var hdr [4]byte
-	for off+4 <= size {
+	var hdr [diskHeader]byte
+	for off+diskHeader <= size {
 		if _, err := d.f.ReadAt(hdr[:], off); err != nil {
 			return err
 		}
 		n := int32(binary.BigEndian.Uint32(hdr[:]))
-		if off+4+int64(n) > size {
+		if off+diskHeader+int64(n) > size {
 			break // truncated trailing write; ignore
 		}
-		d.offsets = append(d.offsets, off)
-		d.sizes = append(d.sizes, n)
-		d.totalSz += int64(n)
-		off += 4 + int64(n)
+		d.index(off, n, binary.BigEndian.Uint64(hdr[4:]))
+		off += diskHeader + int64(n)
 	}
 	d.writeOff = off
 	return nil
 }
 
-func (d *diskBackend) insert(chunk []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var hdr [4]byte
+// index records a chunk whose header is at off.
+func (d *diskBackend) index(off int64, n int32, id uint64) {
+	d.offsets = append(d.offsets, off)
+	d.sizes = append(d.sizes, n)
+	d.ids = append(d.ids, id)
+	d.bytes += int64(n)
+}
+
+func (d *diskBackend) insert(id uint64, chunk []byte) error {
+	var hdr [diskHeader]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(chunk)))
+	binary.BigEndian.PutUint64(hdr[4:], id)
 	if _, err := d.f.WriteAt(hdr[:], d.writeOff); err != nil {
 		return err
 	}
-	if _, err := d.f.WriteAt(chunk, d.writeOff+4); err != nil {
+	if _, err := d.f.WriteAt(chunk, d.writeOff+diskHeader); err != nil {
 		return err
 	}
-	d.offsets = append(d.offsets, d.writeOff)
-	d.sizes = append(d.sizes, int32(len(chunk)))
-	d.writeOff += 4 + int64(len(chunk))
-	d.totalSz += int64(len(chunk))
+	d.index(d.writeOff, int32(len(chunk)), id)
+	d.writeOff += diskHeader + int64(len(chunk))
 	return nil
 }
 
-func (d *diskBackend) readChunk(i int64) ([]byte, error) {
+func (d *diskBackend) read(i int64) ([]byte, error) {
 	buf := make([]byte, d.sizes[i])
-	if _, err := d.f.ReadAt(buf, d.offsets[i]+4); err != nil {
+	if _, err := d.f.ReadAt(buf, d.offsets[i]+diskHeader); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-func (d *diskBackend) remove() ([]byte, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readIdx >= int64(len(d.offsets)) {
-		return nil, false, nil
-	}
-	c, err := d.readChunk(d.readIdx)
-	if err != nil {
-		return nil, false, err
-	}
-	d.readSz += int64(len(c))
-	d.readIdx++
-	return c, true, nil
-}
+func (d *diskBackend) meta(i int64) (uint64, int64) { return d.ids[i], int64(d.sizes[i]) }
 
-func (d *diskBackend) readAt(i int64) ([]byte, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if i < 0 || i >= int64(len(d.offsets)) {
-		return nil, false, nil
-	}
-	c, err := d.readChunk(i)
-	return c, err == nil, err
-}
-
-func (d *diskBackend) rewindTo(pos int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if pos < 0 || pos > int64(len(d.offsets)) {
-		return fmt.Errorf("storage: rewind position %d out of range [0,%d]", pos, len(d.offsets))
-	}
-	d.readIdx = pos
-	d.readSz = 0
-	for i := int64(0); i < pos; i++ {
-		d.readSz += int64(d.sizes[i])
-	}
-	return nil
-}
+func (d *diskBackend) count() (int64, int64) { return int64(len(d.offsets)), d.bytes }
 
 func (d *diskBackend) discard() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err := d.f.Truncate(0); err != nil {
 		return err
 	}
-	d.offsets = nil
-	d.sizes = nil
-	d.readIdx = 0
-	d.totalSz = 0
-	d.readSz = 0
-	d.writeOff = 0
+	d.offsets, d.sizes, d.ids = nil, nil, nil
+	d.bytes, d.writeOff = 0, 0
 	return nil
 }
 
-func (d *diskBackend) stats() (int64, int64, int64, int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(len(d.offsets)), d.readIdx, d.totalSz, d.readSz
-}
-
 func (d *diskBackend) destroy() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.f.Close()
 	return os.Remove(d.path)
 }

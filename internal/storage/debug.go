@@ -13,8 +13,8 @@ import (
 //	/metrics        Prometheus text exposition of the node's bound
 //	                observer (hurricane_storage_op_* series from the
 //	                node and TCP-server meters)
-//	/debug/storage  the Node.Stats JSON summary: per-bag chunk/byte/
-//	                read-pointer stats, node totals, sketch edge count
+//	/debug/storage  the Node.Stats JSON summary: per-bag chunk/byte
+//	                counts, stored and taken, node totals, sketch edge count
 //
 // When BindTelemetry has attached a recorder and watchdog, the
 // continuous-telemetry surfaces are live too — the same three the

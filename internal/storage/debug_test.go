@@ -15,7 +15,7 @@ import (
 // TestNodeDebugHandler exercises the standalone storage node's HTTP
 // surface end to end: drive some metered ops through the node, then
 // scrape /metrics (Prometheus text with role="node" wire series) and
-// /debug/storage (the per-bag chunk/byte/read-pointer JSON).
+// /debug/storage (the per-bag chunk/byte JSON, stored and taken).
 func TestNodeDebugHandler(t *testing.T) {
 	n := NewNode("s0")
 	n.Bind(obs.New(0), -1)

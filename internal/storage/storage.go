@@ -1,15 +1,21 @@
 // Package storage implements Hurricane storage nodes.
 //
 // A storage node stores the local portion of every bag: an append-only
-// sequence of chunks plus a read pointer. Inserts append in FIFO order;
-// removes return the chunk at the read pointer and advance it, which is
-// what guarantees that every chunk is delivered to exactly one task clone
-// (§4.3 of the paper: bags are implemented as regular files; the append is
-// atomic and the file pointer ensures a chunk is never returned twice).
+// sequence of chunks, each under the id its writer chose, plus which of
+// them are taken. Inserts append; a remove takes the first untaken chunk
+// and returns it with its id (§4.3 of the paper: bags are implemented as
+// regular files and the append is atomic). A chunk is taken at most once
+// per rewind, so every chunk is delivered to exactly one task clone.
+//
+// A replicated slot holds its chunks on several nodes, and two inserts may
+// land on them in different orders. The replicas therefore agree on which
+// ids are taken, never on positions: before a client delivers a chunk one
+// replica served, it takes the chunk's id on the others (transport.OpTake).
 //
 // Two backends are provided: an in-memory backend (the default for the
 // embedded engine and tests) and a disk backend that stores each bag as a
-// file in a directory, mirroring the paper's ext4 implementation.
+// file in a directory, mirroring the paper's ext4 implementation. Both
+// only store chunks; what is taken lives in bagState, once.
 package storage
 
 import (
@@ -25,29 +31,104 @@ import (
 	"repro/internal/transport"
 )
 
-// backend is the per-bag storage implementation.
+// backend is a bag's append-only chunk store.
 type backend interface {
-	insert(chunk []byte) error
-	// remove returns the chunk at the read pointer and advances it.
-	// ok is false when no unread chunk is available.
-	remove() (chunk []byte, ok bool, err error)
-	// readAt returns chunk i without consuming it.
-	readAt(i int64) (chunk []byte, ok bool, err error)
-	// rewindTo positions the read pointer at chunk index pos.
-	rewindTo(pos int64) error
+	// insert appends a chunk under its writer's id.
+	insert(id uint64, chunk []byte) error
+	// read returns chunk i's payload, 0 <= i < count.
+	read(i int64) ([]byte, error)
+	// meta returns chunk i's id and payload size.
+	meta(i int64) (id uint64, size int64)
+	// count returns the number of chunks stored and their total bytes.
+	count() (chunks, bytes int64)
 	// discard drops all contents, resetting the bag to empty.
 	discard() error
-	// stats returns (totalChunks, readChunks, totalBytes, readBytes).
-	stats() (int64, int64, int64, int64)
 	// destroy releases all resources (files, memory).
 	destroy() error
 }
 
-// bagState is a bag's local state on one storage node.
+// bagState is a bag's local state on one storage node: its chunks and
+// which of them are taken. Every chunk before next is taken, next itself
+// is not (or is the end), and taken holds the chunks after next that an
+// OpTake claimed out of order.
 type bagState struct {
 	mu     sync.Mutex
 	b      backend
 	sealed bool
+
+	next     int64
+	taken    map[int64]bool
+	byID     map[uint64]int64 // chunk index by id, built on the first take
+	tombs    map[uint64]bool  // ids taken before their insert landed
+	nTaken   int64
+	takenLen int64 // bytes of the taken chunks
+}
+
+// insert appends a chunk. An id taken before it landed lands taken.
+func (s *bagState) insert(id uint64, c []byte) error {
+	if err := s.b.insert(id, c); err != nil {
+		return err
+	}
+	last, _ := s.b.count()
+	last--
+	if s.byID != nil {
+		s.byID[id] = last
+	}
+	if s.tombs[id] {
+		delete(s.tombs, id)
+		s.mark(last)
+	}
+	return nil
+}
+
+// mark takes chunk i.
+func (s *bagState) mark(i int64) {
+	_, size := s.b.meta(i)
+	s.nTaken++
+	s.takenLen += size
+	if i != s.next {
+		if s.taken == nil {
+			s.taken = make(map[int64]bool)
+		}
+		s.taken[i] = true
+		return
+	}
+	for s.next++; s.taken[s.next]; s.next++ {
+		delete(s.taken, s.next)
+	}
+}
+
+// take takes the chunk with the given id and reports whether the caller
+// won it. An id not stored yet is remembered, so its insert lands taken.
+func (s *bagState) take(id uint64) bool {
+	if s.byID == nil {
+		n, _ := s.b.count()
+		s.byID = make(map[uint64]int64, n)
+		for i := int64(0); i < n; i++ {
+			cid, _ := s.b.meta(i)
+			s.byID[cid] = i
+		}
+	}
+	i, ok := s.byID[id]
+	switch {
+	case !ok && s.tombs[id]:
+		return false
+	case !ok:
+		if s.tombs == nil {
+			s.tombs = make(map[uint64]bool)
+		}
+		s.tombs[id] = true
+		return true
+	case i < s.next || s.taken[i]:
+		return false
+	}
+	s.mark(i)
+	return true
+}
+
+// untakeAll makes every chunk untaken and forgets every tombstone.
+func (s *bagState) untakeAll() {
+	s.next, s.taken, s.tombs, s.nTaken, s.takenLen = 0, nil, nil, 0, 0
 }
 
 // Node is a single Hurricane storage node. It implements
@@ -164,9 +245,9 @@ type NodeStats struct {
 	SketchEdges int        `json:"sketch_edges"`
 }
 
-// Stats summarizes the node: per-bag chunk/byte/read-pointer stats from
-// each bag's backend, sorted by name, plus node-wide totals and the
-// number of shuffle edges with sketch state.
+// Stats summarizes the node: per-bag chunk/byte counts, stored and taken,
+// sorted by name, plus node-wide totals and the number of shuffle edges
+// with sketch state.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	st := NodeStats{Node: n.name, Draining: n.draining}
@@ -177,8 +258,8 @@ func (n *Node) Stats() NodeStats {
 	n.mu.Unlock()
 	for name, bs := range bags {
 		bs.mu.Lock()
-		tc, rc, tb, rb := bs.b.stats()
-		sealed := bs.sealed
+		tc, tb := bs.b.count()
+		rc, rb, sealed := bs.nTaken, bs.takenLen, bs.sealed
 		bs.mu.Unlock()
 		st.Bags = append(st.Bags, BagStats{
 			Bag: name, TotalChunks: tc, ReadChunks: rc,
@@ -251,17 +332,23 @@ func (n *Node) handle(req *transport.Request) *transport.Response {
 	case transport.OpPing:
 		return &transport.Response{Status: transport.StatusOK}
 	case transport.OpInsert:
-		return n.handleInsert(req)
+		n.mu.Lock()
+		draining := n.draining
+		n.mu.Unlock()
+		if draining {
+			return &transport.Response{Status: transport.StatusRemoved}
+		}
+		return n.locked(req, (*bagState).handleInsert)
 	case transport.OpRemove:
-		return n.handleRemove(req)
+		return n.locked(req, (*bagState).handleRemove)
 	case transport.OpSeal:
-		return n.handleSeal(req)
+		return n.locked(req, (*bagState).handleSeal)
 	case transport.OpSample:
 		return n.handleSample(req)
 	case transport.OpRewind:
-		return n.handleRewind(req)
-	case transport.OpAdvance:
-		return n.handleAdvance(req)
+		return n.locked(req, (*bagState).handleRewind)
+	case transport.OpTake:
+		return n.locked(req, (*bagState).handleTake)
 	case transport.OpDiscard:
 		return n.handleDiscard(req)
 	case transport.OpDelete:
@@ -271,7 +358,7 @@ func (n *Node) handle(req *transport.Request) *transport.Response {
 	case transport.OpRename:
 		return n.handleRename(req)
 	case transport.OpReadAt:
-		return n.handleReadAt(req)
+		return n.locked(req, (*bagState).handleReadAt)
 	case transport.OpSketch:
 		return n.handleSketch(req)
 	default:
@@ -279,62 +366,55 @@ func (n *Node) handle(req *transport.Request) *transport.Response {
 	}
 }
 
-func (n *Node) handleInsert(req *transport.Request) *transport.Response {
-	n.mu.Lock()
-	draining := n.draining
-	n.mu.Unlock()
-	if draining {
-		return &transport.Response{Status: transport.StatusRemoved}
-	}
+// locked serves a request on its bag, created if missing, under the bag's
+// lock.
+func (n *Node) locked(req *transport.Request, op func(*bagState, *transport.Request) *transport.Response) *transport.Response {
 	bs, err := n.get(req.Bag, true)
 	if err != nil {
 		return errResp(err)
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	if bs.sealed {
+	return op(bs, req)
+}
+
+func (s *bagState) handleInsert(req *transport.Request) *transport.Response {
+	if s.sealed {
 		return errResp(fmt.Errorf("storage: insert into sealed bag %q", req.Bag))
 	}
-	if err := bs.b.insert(req.Data); err != nil {
+	if err := s.insert(uint64(req.Arg), req.Data); err != nil {
 		return errResp(err)
 	}
 	return &transport.Response{Status: transport.StatusOK}
 }
 
-func (n *Node) handleRemove(req *transport.Request) *transport.Response {
-	bs, err := n.get(req.Bag, true)
-	if err != nil {
-		return errResp(err)
+func (s *bagState) handleRemove(*transport.Request) *transport.Response {
+	resp := s.chunkAt(s.next)
+	if resp.OK() {
+		s.mark(s.next)
 	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	chunk, ok, err := bs.b.remove()
-	if err != nil {
-		return errResp(err)
-	}
-	if !ok {
-		if bs.sealed {
+	return resp
+}
+
+// chunkAt answers a read of chunk i: the chunk and its id, or the end of
+// the bag as it stands.
+func (s *bagState) chunkAt(i int64) *transport.Response {
+	if n, _ := s.b.count(); i < 0 || i >= n {
+		if s.sealed {
 			return &transport.Response{Status: transport.StatusEmpty, Sealed: true}
 		}
 		return &transport.Response{Status: transport.StatusAgain}
 	}
-	// Report the post-remove read pointer: clients replicate it to the
-	// slot's backups before delivering the chunk (§4.4).
-	_, rc, _, _ := bs.b.stats()
-	return &transport.Response{
-		Status: transport.StatusOK, Data: chunk,
-		ReadChunks: rc, Sealed: bs.sealed,
-	}
-}
-
-func (n *Node) handleSeal(req *transport.Request) *transport.Response {
-	bs, err := n.get(req.Bag, true)
+	c, err := s.b.read(i)
 	if err != nil {
 		return errResp(err)
 	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	bs.sealed = true
+	id, _ := s.b.meta(i)
+	return &transport.Response{Status: transport.StatusOK, Data: c, ID: id, Sealed: s.sealed}
+}
+
+func (s *bagState) handleSeal(*transport.Request) *transport.Response {
+	s.sealed = true
 	return &transport.Response{Status: transport.StatusOK, Sealed: true}
 }
 
@@ -349,54 +429,26 @@ func (n *Node) handleSample(req *transport.Request) *transport.Response {
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	tc, rc, tb, rb := bs.b.stats()
+	tc, tb := bs.b.count()
 	return &transport.Response{
 		Status:      transport.StatusOK,
-		TotalChunks: tc, ReadChunks: rc,
-		TotalBytes: tb, ReadBytes: rb,
+		TotalChunks: tc, ReadChunks: bs.nTaken,
+		TotalBytes: tb, ReadBytes: bs.takenLen,
 		Sealed: bs.sealed,
 	}
 }
 
-// handleRewind positions the bag's read pointer at chunk index req.Arg
-// (0 replays the bag from the start). Rewind is used for failure recovery
-// — rewinding the inputs of a restarted task — and for pointer
-// synchronization to backup replicas.
-func (n *Node) handleRewind(req *transport.Request) *transport.Response {
-	bs, err := n.get(req.Bag, true)
-	if err != nil {
-		return errResp(err)
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if err := bs.b.rewindTo(req.Arg); err != nil {
-		return errResp(err)
-	}
+// handleRewind marks every chunk of the bag untaken, replaying it from the
+// start: input rewind for a restarted task (§4.4) and bag reuse (§4.3).
+func (s *bagState) handleRewind(*transport.Request) *transport.Response {
+	s.untakeAll()
 	return &transport.Response{Status: transport.StatusOK}
 }
 
-// handleAdvance moves the read pointer forward to req.Arg if it is
-// currently behind it. Backup replicas apply advances from the client's
-// pointer synchronization; the monotonicity makes concurrent syncs from
-// batch-sampling fetchers commute, so a failover target never rewinds
-// behind the furthest chunk already delivered (exactly-once across
-// storage failover).
-func (n *Node) handleAdvance(req *transport.Request) *transport.Response {
-	bs, err := n.get(req.Bag, true)
-	if err != nil {
-		return errResp(err)
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	tc, rc, _, _ := bs.b.stats()
-	if req.Arg > rc {
-		pos := req.Arg
-		if pos > tc {
-			pos = tc
-		}
-		if err := bs.b.rewindTo(pos); err != nil {
-			return errResp(err)
-		}
+// handleTake takes chunk id req.Arg on this replica (see transport.OpTake).
+func (s *bagState) handleTake(req *transport.Request) *transport.Response {
+	if !s.take(uint64(req.Arg)) {
+		return &transport.Response{Status: transport.StatusEmpty}
 	}
 	return &transport.Response{Status: transport.StatusOK}
 }
@@ -414,7 +466,8 @@ func (n *Node) handleDiscard(req *transport.Request) *transport.Response {
 	if err := bs.b.discard(); err != nil {
 		return errResp(err)
 	}
-	bs.sealed = false
+	bs.untakeAll()
+	bs.byID, bs.sealed = nil, false
 	return &transport.Response{Status: transport.StatusOK}
 }
 
@@ -539,25 +592,9 @@ func mergeStats(blobs [][]byte) *sketch.EdgeStats {
 	return merged
 }
 
-// handleReadAt returns chunk req.Arg without consuming it, supporting
-// shared full-bag scans ("allowing multiple workers to read an entire bag
-// concurrently", §4.3).
-func (n *Node) handleReadAt(req *transport.Request) *transport.Response {
-	bs, err := n.get(req.Bag, true)
-	if err != nil {
-		return errResp(err)
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	chunk, ok, err := bs.b.readAt(req.Arg)
-	if err != nil {
-		return errResp(err)
-	}
-	if !ok {
-		if bs.sealed {
-			return &transport.Response{Status: transport.StatusEmpty, Sealed: true}
-		}
-		return &transport.Response{Status: transport.StatusAgain}
-	}
-	return &transport.Response{Status: transport.StatusOK, Data: chunk, Sealed: bs.sealed}
+// handleReadAt returns chunk req.Arg and its id without taking it,
+// supporting shared full-bag scans ("allowing multiple workers to read an
+// entire bag concurrently", §4.3).
+func (s *bagState) handleReadAt(req *transport.Request) *transport.Response {
+	return s.chunkAt(req.Arg)
 }

@@ -19,10 +19,24 @@ func insert(t *testing.T, n *Node, bagName string, data []byte) {
 	}
 }
 
+// insertID inserts data under chunk id.
+func insertID(t *testing.T, n *Node, bagName string, id uint64, data []byte) {
+	t.Helper()
+	resp := n.Handle(&transport.Request{Op: transport.OpInsert, Bag: bagName, Arg: int64(id), Data: data})
+	if !resp.OK() {
+		t.Fatalf("insert: %+v", resp)
+	}
+}
+
+// take sends OpTake for id and returns the reply's status.
+func take(n *Node, bagName string, id uint64) int {
+	return n.Handle(&transport.Request{Op: transport.OpTake, Bag: bagName, Arg: int64(id)}).Status
+}
+
 func TestNodeInsertRemoveFIFO(t *testing.T) {
 	n := NewNode("s0")
 	for i := 0; i < 10; i++ {
-		insert(t, n, "b", []byte{byte(i)})
+		insertID(t, n, "b", 1<<63+uint64(i), []byte{byte(i)})
 	}
 	n.Handle(&transport.Request{Op: transport.OpSeal, Bag: "b"})
 	for i := 0; i < 10; i++ {
@@ -30,8 +44,8 @@ func TestNodeInsertRemoveFIFO(t *testing.T) {
 		if !resp.OK() || resp.Data[0] != byte(i) {
 			t.Fatalf("remove %d: %+v", i, resp)
 		}
-		if resp.ReadChunks != int64(i+1) {
-			t.Fatalf("remove %d: ReadChunks = %d", i, resp.ReadChunks)
+		if resp.ID != 1<<63+uint64(i) {
+			t.Fatalf("remove %d: ID = %#x", i, resp.ID)
 		}
 	}
 	resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
@@ -84,41 +98,80 @@ func TestNodeRewindAndReplay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
 	}
-	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b", Arg: 0})
-	resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
-	if !resp.OK() || resp.Data[0] != 0 {
-		t.Fatalf("replay after rewind: %+v", resp)
-	}
-	// Rewind to a mid position.
-	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b", Arg: 3})
-	resp = n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
-	if !resp.OK() || resp.Data[0] != 3 {
-		t.Fatalf("rewind(3): %+v", resp)
-	}
-	// Out-of-range rewind errors.
-	resp = n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b", Arg: 99})
-	if resp.Status != transport.StatusErr {
-		t.Fatalf("rewind(99): %+v", resp)
+	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b"})
+	for i := 0; i < 5; i++ {
+		resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+		if !resp.OK() || resp.Data[0] != byte(i) {
+			t.Fatalf("replay %d after rewind: %+v", i, resp)
+		}
 	}
 }
 
-func TestNodeAdvanceMonotonic(t *testing.T) {
+// TestNodeTake pins OpTake, the replica protocol: a present id is won
+// once, a taken one is lost, an unseen id leaves a tombstone its late
+// insert lands on, and a rewind clears it all.
+func TestNodeTake(t *testing.T) {
 	n := NewNode("s0")
-	for i := 0; i < 5; i++ {
-		insert(t, n, "b", []byte{byte(i)})
+	for i := uint64(0); i < 4; i++ {
+		insertID(t, n, "b", 10+i, []byte{byte(i)})
 	}
-	n.Handle(&transport.Request{Op: transport.OpAdvance, Bag: "b", Arg: 3})
-	// Advancing backward is a no-op.
-	n.Handle(&transport.Request{Op: transport.OpAdvance, Bag: "b", Arg: 1})
-	resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
-	if !resp.OK() || resp.Data[0] != 3 {
-		t.Fatalf("after advance: %+v", resp)
+	// Present: won once; removes then skip it wherever it sits.
+	if st := take(n, "b", 12); st != transport.StatusOK {
+		t.Fatalf("take of a present id: status %d", st)
 	}
-	// Advancing past the end clamps.
-	n.Handle(&transport.Request{Op: transport.OpAdvance, Bag: "b", Arg: 100})
-	resp = n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
-	if resp.Status != transport.StatusAgain {
-		t.Fatalf("after clamped advance: %+v", resp)
+	// Already taken, out of order and by a remove.
+	if st := take(n, "b", 12); st != transport.StatusEmpty {
+		t.Fatalf("second take: status %d", st)
+	}
+	if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); resp.ID != 10 {
+		t.Fatalf("remove: %+v", resp)
+	}
+	if st := take(n, "b", 10); st != transport.StatusEmpty {
+		t.Fatalf("take of a removed id: status %d", st)
+	}
+	// Tombstone, then the late insert lands taken.
+	if st := take(n, "b", 99); st != transport.StatusOK {
+		t.Fatalf("take of an unseen id: status %d", st)
+	}
+	if st := take(n, "b", 99); st != transport.StatusEmpty {
+		t.Fatalf("second take of an unseen id: status %d", st)
+	}
+	insertID(t, n, "b", 99, []byte{99})
+	n.Handle(&transport.Request{Op: transport.OpSeal, Bag: "b"})
+	var got []uint64
+	for {
+		resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+		if resp.Status == transport.StatusEmpty {
+			break
+		}
+		got = append(got, resp.ID)
+	}
+	if fmt.Sprint(got) != "[11 13]" {
+		t.Fatalf("removes after takes returned ids %v, want [11 13]", got)
+	}
+	if resp := n.Handle(&transport.Request{Op: transport.OpSample, Bag: "b"}); resp.ReadChunks != 5 || resp.ReadBytes != 5 {
+		t.Fatalf("sample after takes: %+v", resp)
+	}
+	// Rewind clears: every chunk, the late one too, is untaken again.
+	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b"})
+	if resp := n.Handle(&transport.Request{Op: transport.OpSample, Bag: "b"}); resp.ReadChunks != 0 || resp.ReadBytes != 0 {
+		t.Fatalf("sample after rewind: %+v", resp)
+	}
+	for _, id := range []uint64{99, 12, 10} {
+		if st := take(n, "b", id); st != transport.StatusOK {
+			t.Fatalf("take %d after rewind: status %d", id, st)
+		}
+	}
+	got = got[:0]
+	for {
+		resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+		if resp.Status == transport.StatusEmpty {
+			break
+		}
+		got = append(got, resp.ID)
+	}
+	if fmt.Sprint(got) != "[11 13]" {
+		t.Fatalf("removes after rewind and takes returned ids %v, want [11 13]", got)
 	}
 }
 
@@ -230,8 +283,8 @@ func TestDiskBackendPersistence(t *testing.T) {
 		n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
 	}
 	n2 := NewNode("s0", WithDir(dir))
-	// The restarted node rebuilds the chunk index from the file; the read
-	// pointer resets (the master rewinds/restarts affected tasks).
+	// The restarted node rebuilds the chunk index from the file; the taken
+	// marks reset (the master rewinds/restarts affected tasks).
 	for i := 0; i < 20; i++ {
 		resp := n2.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
 		if !resp.OK() || !bytes.Equal(resp.Data, want[i]) {
@@ -244,20 +297,27 @@ func TestDiskBackendOps(t *testing.T) {
 	dir := t.TempDir()
 	n := NewNode("s0", WithDir(dir))
 	for i := 0; i < 10; i++ {
-		insert(t, n, "b", []byte{byte(i)})
+		insertID(t, n, "b", uint64(100+i), []byte{byte(i)})
 	}
-	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b", Arg: 7})
+	if st := take(n, "b", 100); st != transport.StatusOK {
+		t.Fatalf("disk take: status %d", st)
+	}
 	resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
-	if !resp.OK() || resp.Data[0] != 7 {
-		t.Fatalf("disk rewind: %+v", resp)
+	if !resp.OK() || resp.Data[0] != 1 || resp.ID != 101 {
+		t.Fatalf("disk remove after take: %+v", resp)
 	}
 	resp = n.Handle(&transport.Request{Op: transport.OpReadAt, Bag: "b", Arg: 2})
-	if !resp.OK() || resp.Data[0] != 2 {
+	if !resp.OK() || resp.Data[0] != 2 || resp.ID != 102 {
 		t.Fatalf("disk readAt: %+v", resp)
 	}
 	resp = n.Handle(&transport.Request{Op: transport.OpSample, Bag: "b"})
-	if resp.TotalChunks != 10 || resp.ReadChunks != 8 {
+	if resp.TotalChunks != 10 || resp.ReadChunks != 2 || resp.ReadBytes != 2 {
 		t.Fatalf("disk sample: %+v", resp)
+	}
+	n.Handle(&transport.Request{Op: transport.OpRewind, Bag: "b"})
+	resp = n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+	if !resp.OK() || resp.Data[0] != 0 {
+		t.Fatalf("disk rewind: %+v", resp)
 	}
 	n.Handle(&transport.Request{Op: transport.OpDiscard, Bag: "b"})
 	resp = n.Handle(&transport.Request{Op: transport.OpSample, Bag: "b"})
@@ -265,6 +325,37 @@ func TestDiskBackendOps(t *testing.T) {
 		t.Fatalf("disk discard: %+v", resp)
 	}
 	n.Handle(&transport.Request{Op: transport.OpDelete, Bag: "b"})
+}
+
+// TestDiskBackendTakeAfterReopen: chunk ids live in the record headers,
+// so a reopened node takes a chunk by the id its writer chose.
+func TestDiskBackendTakeAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	n := NewNode("s0", WithDir(dir))
+	for i := 0; i < 4; i++ {
+		insertID(t, n, "b", uint64(1<<40+i), bytes.Repeat([]byte{byte(i)}, 100*i+1))
+	}
+	n2 := NewNode("s0", WithDir(dir))
+	if st := take(n2, "b", 1<<40+2); st != transport.StatusOK {
+		t.Fatalf("take after reopen: status %d", st)
+	}
+	if st := take(n2, "b", 1<<40+2); st != transport.StatusEmpty {
+		t.Fatalf("second take after reopen: status %d", st)
+	}
+	var got []uint64
+	for {
+		resp := n2.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+		if !resp.OK() {
+			break
+		}
+		if i := resp.ID - 1<<40; len(resp.Data) != 100*int(i)+1 || resp.Data[0] != byte(i) {
+			t.Fatalf("chunk id %#x came back with %d bytes of %d", resp.ID, len(resp.Data), resp.Data[0])
+		}
+		got = append(got, resp.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint([]uint64{1 << 40, 1<<40 + 1, 1<<40 + 3}) {
+		t.Fatalf("removes after reopen and take returned ids %v", got)
+	}
 }
 
 // TestExactlyOnceProperty: however inserts and removes interleave, each

@@ -27,6 +27,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(EncodeRequest(nil, &Request{Op: OpInsert, Bag: "b#0", Data: []byte("chunk")}))
 	f.Add(EncodeRequest(nil, &Request{Op: OpSketch, Bag: "e", Dst: "t/w0@e0", Arg: 7, Data: []byte{1, 0, 0}}))
 	f.Add(EncodeRequest(nil, &Request{Op: OpReadAt, Bag: "e!ready#1", Arg: -3}))
+	f.Add(EncodeRequest(nil, &Request{Op: OpTake, Bag: "b#2", Arg: -0x61c8864680b583eb}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpInsert), 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -49,7 +50,8 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzDecodeResponse is FuzzDecodeRequest for the client side of the wire.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(EncodeResponse(nil, &Response{Status: StatusOK, Data: []byte("chunk"), ReadChunks: 3, Sealed: true}))
+	f.Add(EncodeResponse(nil, &Response{Status: StatusOK, Data: []byte("chunk"), ID: 1<<64 - 1, Sealed: true}))
+	f.Add(EncodeResponse(nil, &Response{Status: StatusOK, Data: []byte("c"), ID: 0x9e3779b97f4a7c15, ReadChunks: 3}))
 	f.Add(EncodeResponse(nil, &Response{Status: StatusErr, Err: "storage: insert into sealed bag"}))
 	f.Add(EncodeResponse(nil, &Response{Status: StatusAgain, TotalChunks: -1, TotalBytes: 1 << 40}))
 	f.Add([]byte{})

@@ -24,17 +24,22 @@ type Op uint8
 // failure recovery or reuse, renaming (clone-output adoption), discarding,
 // and garbage collection.
 const (
-	OpInsert  Op = iota + 1 // append a chunk to a bag
-	OpRemove                // remove the next unread chunk from a bag
+	OpInsert  Op = iota + 1 // append a chunk (Data) under the client's chunk id (Arg)
+	OpRemove                // take the first untaken chunk; the reply carries its ID
 	OpSeal                  // mark a bag as complete (no more inserts)
-	OpSample                // report bag statistics (size, position)
-	OpRewind                // reset the bag's read pointer to the start
+	OpSample                // report bag statistics (size, chunks taken)
+	OpRewind                // mark every chunk of the bag untaken again
 	OpDiscard               // drop a bag's contents but keep the bag
 	OpDelete                // garbage collect a bag entirely
 	OpRename                // atomically rename a bag
-	OpReadAt                // read chunk at index without consuming (shared scans)
+	OpReadAt                // read chunk at index Arg without taking it; the reply carries its ID
 	OpPing                  // liveness probe
-	OpAdvance               // move the read pointer forward monotonically (replica sync)
+	// OpTake marks chunk id Arg taken on this replica. The reply is
+	// StatusOK if the caller won the id and StatusEmpty if another reader
+	// took it first. A replica that has not yet seen the id keeps a
+	// tombstone, so the late insert arrives already taken. A client sends
+	// it to a slot's other replicas before it delivers a removed chunk.
+	OpTake
 	// OpSketch is the control exchange of one shuffle edge (Request.Bag),
 	// served by the edge's home slot. It is the only control traffic a
 	// producer generates, and it has three forms:
@@ -66,7 +71,7 @@ var opNames = map[Op]string{
 	OpInsert: "insert", OpRemove: "remove", OpSeal: "seal",
 	OpSample: "sample", OpRewind: "rewind", OpDiscard: "discard",
 	OpDelete: "delete", OpRename: "rename", OpReadAt: "readAt",
-	OpPing: "ping", OpAdvance: "advance", OpSketch: "sketch",
+	OpPing: "ping", OpTake: "take", OpSketch: "sketch",
 	OpDeletePrefix: "deletePrefix",
 }
 
@@ -85,7 +90,7 @@ type Request struct {
 	// OpSketch. It is immutable once the request is passed to a Client, and
 	// the receiving node may keep it: callers never write to it again.
 	Data []byte
-	Arg  int64  // operation argument (e.g. chunk index for OpReadAt)
+	Arg  int64  // operation argument: chunk id (OpInsert, OpTake), chunk index (OpReadAt)
 	Dst  string // destination bag name for OpRename
 }
 
@@ -107,9 +112,11 @@ type Response struct {
 	// OpSketch. Immutable like Request.Data: a node may hand one stored
 	// slice to any number of readers, so nobody writes to it.
 	Data []byte
+	// ID is the chunk's id, as its writer chose it (OpRemove, OpReadAt).
+	ID uint64
 	// Sample results (OpSample) and general numeric results.
 	TotalChunks int64 // chunks ever inserted
-	ReadChunks  int64 // chunks already consumed
+	ReadChunks  int64 // chunks already taken
 	TotalBytes  int64 // bytes ever inserted
 	ReadBytes   int64 // bytes already consumed
 	Sealed      bool

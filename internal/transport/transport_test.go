@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -87,7 +88,7 @@ func TestResponseErrors(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	if OpInsert.String() != "insert" || OpAdvance.String() != "advance" || OpSketch.String() != "sketch" {
+	if OpInsert.String() != "insert" || OpTake.String() != "take" || OpSketch.String() != "sketch" {
 		t.Fatal("op names wrong")
 	}
 	if Op(200).String() == "" {
@@ -388,5 +389,45 @@ func TestTCPLargePayloadBothWays(t *testing.T) {
 		if !bytes.Equal(resp.Data, payload) {
 			t.Fatalf("size %d: payload changed on the wire", size)
 		}
+	}
+}
+
+// TestFaultyHoldsUntilEvent: a hold delays exactly the request its match
+// selects until the named event, which FireAfter raises when another
+// selected request completes; a held call gives up with its context.
+func TestFaultyHoldsUntilEvent(t *testing.T) {
+	tr := NewInProc()
+	var order []string
+	var mu sync.Mutex
+	tr.Register("n", HandlerFunc(func(req *Request) *Response {
+		mu.Lock()
+		order = append(order, string(req.Data))
+		mu.Unlock()
+		return &Response{Status: StatusOK}
+	}))
+	f := NewFaulty(tr)
+	held := f.Hold(Match{Op: OpInsert, Node: "n", Bag: "b", Nth: 2}, "third done")
+	f.FireAfter(Match{Op: OpInsert, Node: "n", Bag: "b", Nth: 3}, "third done")
+	ctx := context.Background()
+	call := func(data string) {
+		if _, err := f.Call(ctx, "n", &Request{Op: OpInsert, Bag: "b", Data: []byte(data)}); err != nil {
+			t.Error(err)
+		}
+	}
+	call("1")
+	done := make(chan struct{})
+	go func() { call("2"); close(done) }()
+	<-held
+	call("3")
+	<-done
+	if fmt.Sprint(order) != "[1 3 2]" {
+		t.Fatalf("handled %v, want [1 3 2]", order)
+	}
+
+	f.Hold(Match{Op: OpPing, Node: "n"}, "never")
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := f.Call(cctx, "n", &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("held call with a cancelled context: %v", err)
 	}
 }

@@ -117,6 +117,7 @@ func DecodeRequest(body []byte) (*Request, error) {
 func appendResponseHead(buf []byte, resp *Response) []byte {
 	buf = binary.AppendUvarint(buf, uint64(resp.Status))
 	buf = appendString(buf, resp.Err)
+	buf = binary.AppendUvarint(buf, resp.ID)
 	buf = binary.AppendVarint(buf, resp.TotalChunks)
 	buf = binary.AppendVarint(buf, resp.ReadChunks)
 	buf = binary.AppendVarint(buf, resp.TotalBytes)
@@ -145,6 +146,9 @@ func DecodeResponse(body []byte) (*Response, error) {
 	}
 	resp.Status = int(status)
 	if resp.Err, err = d.string(); err != nil {
+		return nil, err
+	}
+	if resp.ID, err = d.uvarint(); err != nil {
 		return nil, err
 	}
 	if resp.TotalChunks, err = d.varint(); err != nil {
