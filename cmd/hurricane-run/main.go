@@ -51,9 +51,7 @@
 // hurricane_storage_op_* wire telemetry of its TCP storage client),
 // /debug/trace for the typed skew-event log (?job= and ?type=
 // filters), /debug/skew for per-edge heavy hitters and partition heat,
-// /debug/timeseries for the continuously sampled metric history,
-// /debug/alerts for the watchdog rules and raised alerts, /debug/dash
-// for the live sparkline dashboard, /debug/profile/<job> for a job's
+// /debug/profile/<job> for a job's
 // measured execution profile (phase spans, critical path, per-edge skew
 // attribution), /debug/explain/<job> for its EXPLAIN ANALYZE, and the
 // standard /debug/pprof/ profiles:
@@ -61,8 +59,6 @@
 //	curl -s localhost:6066/metrics | grep hurricane_storage_op_total
 //	curl -s 'localhost:6066/debug/trace?job=j1&type=TaskCloned'
 //	curl -s localhost:6066/debug/skew
-//	curl -s 'localhost:6066/debug/timeseries?series=hurricane_core'
-//	curl -s 'localhost:6066/debug/alerts?firing=1'
 //	curl -s localhost:6066/debug/profile/j1
 //	curl -s localhost:6066/debug/explain/j3
 package main

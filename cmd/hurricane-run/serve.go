@@ -116,7 +116,7 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 			_ = dbg.Shutdown(shctx)
 		}()
 		boundDebug = ln.Addr().String()
-		fmt.Printf("hurricane-run: debug surface on http://%s (/metrics /debug/trace /debug/skew /debug/timeseries /debug/alerts /debug/dash /debug/profile/<job> /debug/explain/<job> /debug/pprof/)\n",
+		fmt.Printf("hurricane-run: debug surface on http://%s (/metrics /debug/trace /debug/skew /debug/profile/<job> /debug/explain/<job> /debug/pprof/)\n",
 			ln.Addr())
 	}
 

@@ -18,11 +18,6 @@
 //
 //	curl -s localhost:7071/metrics | grep hurricane_storage_op_total
 //	curl -s localhost:7071/debug/storage
-//
-// The node also samples its own registry into a bounded time-series
-// recorder (250ms cadence) with the built-in watchdog rules evaluated on
-// every sample, serving /debug/timeseries, /debug/alerts, and the
-// /debug/dash live dashboard from the same listener.
 package main
 
 import (
@@ -34,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -55,21 +49,6 @@ func main() {
 	node := storage.NewNode(*name, opts...)
 	o := obs.New(0)
 	node.Bind(o, 0)
-	// Continuous telemetry: sample the node's registry into a bounded
-	// time-series recorder and run the watchdogs over every sample, so
-	// the debug surface can serve history and alerts, not just the
-	// current snapshot.
-	rec := obs.NewRecorder(0)
-	rec.AddSource(obs.RegistrySource(o.Registry()))
-	watch := obs.NewWatch(o, nil)
-	node.BindTelemetry(rec, watch)
-	go func() {
-		tick := time.NewTicker(250 * time.Millisecond)
-		defer tick.Stop()
-		for range tick.C {
-			watch.Eval(rec.Sample())
-		}
-	}()
 	srv := transport.NewTCPServer(node)
 	srv.Bind(transport.NewMeter(o, "server", *name, 0))
 	bound, err := srv.Listen(*addr)
@@ -87,7 +66,7 @@ func main() {
 		if ln, err := net.Listen("tcp", *debugAddr); err != nil {
 			log.Printf("hurricane-storage: debug listener disabled: %v", err)
 		} else {
-			fmt.Printf("debug surface on http://%s (/metrics, /debug/storage, /debug/timeseries, /debug/alerts, /debug/dash)\n", ln.Addr())
+			fmt.Printf("debug surface on http://%s (/metrics, /debug/storage)\n", ln.Addr())
 			go func() {
 				if err := http.Serve(ln, node.DebugHandler()); err != nil {
 					log.Printf("hurricane-storage: debug server: %v", err)

@@ -183,22 +183,6 @@ func (s *Store) replicas(slot int) []string {
 	return out
 }
 
-// primary returns the first live replica of a slot and the backup list.
-func (s *Store) primary(slot int) (string, []string, error) {
-	reps := s.replicas(slot)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, n := range reps {
-		if !s.down[n] {
-			rest := make([]string, 0, len(reps)-1)
-			rest = append(rest, reps[:i]...)
-			rest = append(rest, reps[i+1:]...)
-			return n, rest, nil
-		}
-	}
-	return "", nil, fmt.Errorf("bag: all replicas of slot %d are down", slot)
-}
-
 // slotBag returns the per-slot bag key. Each logical slot stores its share
 // of a bag under a distinct key so that one physical node can host several
 // slots (primary for its own, backup for neighbours).

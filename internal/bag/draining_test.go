@@ -52,31 +52,30 @@ func TestDrainingNodeRejectsInserts(t *testing.T) {
 	}
 }
 
-// TestMarkUpRestoresPrimary: after MarkDown diverts to a backup, MarkUp
-// restores the original routing.
+// TestMarkUpRestoresPrimary: after MarkDown diverts a slot's requests to a
+// backup, MarkUp restores the original routing.
 func TestMarkUpRestoresPrimary(t *testing.T) {
 	st, _ := newReplicatedCluster(t, 4, 2)
-	primary, backups, err := st.primary(0)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	served := func() (string, error) {
+		_, node, err := st.callSlotServed(ctx, 0, &transport.Request{Op: transport.OpPing})
+		return node, err
 	}
-	if primary != "s0" || len(backups) != 1 {
-		t.Fatalf("replicas wrong: %s %v", primary, backups)
+	if n, err := served(); err != nil || n != "s0" {
+		t.Fatalf("slot 0 served by %q, %v; want its primary s0", n, err)
 	}
 	st.MarkDown("s0")
-	p2, _, err := st.primary(0)
-	if err != nil || p2 != "s1" {
-		t.Fatalf("failover primary %s, %v", p2, err)
+	if n, err := served(); err != nil || n != "s1" {
+		t.Fatalf("failover: slot 0 served by %q, %v; want s1", n, err)
 	}
 	st.MarkUp("s0")
-	p3, _, _ := st.primary(0)
-	if p3 != "s0" {
-		t.Fatalf("primary not restored: %s", p3)
+	if n, err := served(); err != nil || n != "s0" {
+		t.Fatalf("primary not restored: slot 0 served by %q, %v", n, err)
 	}
 	// All replicas down: error.
 	st.MarkDown("s0")
 	st.MarkDown("s1")
-	if _, _, err := st.primary(0); err == nil {
-		t.Fatal("expected all-replicas-down error")
+	if n, err := served(); err == nil {
+		t.Fatalf("all replicas down, yet slot 0 served by %q", n)
 	}
 }

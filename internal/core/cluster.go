@@ -51,13 +51,6 @@ type ClusterConfig struct {
 	Obs *obs.Observer
 }
 
-// sampleInterval is the continuous-telemetry cadence: the cluster's
-// sampler snapshots the metrics registry plus the captured skew state into
-// the time-series Recorder and evaluates the watchdog rules on every tick.
-// At the default recorder depth (obs.DefaultPointsPerSeries) it retains a
-// bit over two minutes of history per series.
-const sampleInterval = 250 * time.Millisecond
-
 func (c *ClusterConfig) fill() {
 	if c.StorageNodes <= 0 {
 		c.StorageNodes = 4
@@ -98,8 +91,6 @@ type Cluster struct {
 	leases *sched.Leases
 	wake   *wake // shared by the nodes' claim loops and the jobs' work bags
 	obs    *obs.Observer
-	rec    *obs.Recorder
-	watch  *obs.Watch
 
 	mu          sync.Mutex
 	computes    map[string]*ComputeNode
@@ -131,10 +122,6 @@ func newCluster(cfg ClusterConfig) *Cluster {
 	}
 	c.reg.Bind(o)
 	c.leases.Bind(o)
-	c.rec = obs.NewRecorder(0)
-	c.rec.AddSource(obs.RegistrySource(o.Registry()))
-	c.rec.AddSource(c.skewSource())
-	c.watch = obs.NewWatch(o, append(obs.DefaultRules(), heatRule()))
 	return c
 }
 
@@ -194,13 +181,6 @@ func (c *Cluster) Store() *bag.Store { return c.store }
 // event trace every layer reports into.
 func (c *Cluster) Observer() *obs.Observer { return c.obs }
 
-// Recorder exposes the cluster's time-series recorder — the sampled
-// history behind /debug/timeseries.
-func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
-
-// Watch exposes the cluster's watchdog.
-func (c *Cluster) Watch() *obs.Watch { return c.watch }
-
 // Trace returns the cluster-wide skew-event trace, oldest first,
 // across all jobs.
 func (c *Cluster) Trace() []obs.Event {
@@ -244,24 +224,6 @@ func (c *Cluster) ensurePoolLocked() {
 	c.nextComp = c.cfg.ComputeNodes
 	c.leases.SetTotal(c.totalSlotsLocked())
 	go c.schedLoop()
-	go c.samplerLoop()
-}
-
-// samplerLoop drives continuous telemetry: every sampleInterval it takes
-// one recorder sample (registry snapshot + captured skew shares) and
-// runs the watchdog rules over it. It lives and dies with the compute
-// pool — started by the first job submission, stopped by Shutdown.
-func (c *Cluster) samplerLoop() {
-	tick := time.NewTicker(sampleInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.poolCtx.Done():
-			return
-		case <-tick.C:
-			c.watch.Eval(c.rec.Sample())
-		}
-	}
 }
 
 // killTask terminates the job's running workers of (spec, epoch) on every

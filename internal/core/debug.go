@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"maps"
 	"net/http"
 	"net/http/pprof"
@@ -28,12 +27,6 @@ import (
 //	                     JSON: per-stage phase spans, critical path, edge skew
 //	/debug/explain/<job> the job's EXPLAIN ANALYZE as text (the compiled
 //	                     plan's rendering when the job registered one)
-//	/debug/timeseries    the sampled metric history as JSON (?series=
-//	                     substring filters, ?since= incremental polls)
-//	/debug/alerts        watchdog status: rules, per-series states, and
-//	                     the raised-alert history (?firing=1 filters)
-//	/debug/dash          the live dashboard — one self-contained HTML
-//	                     page with inline sparklines polling the above
 //	/debug/pprof/        the standard net/http/pprof profiles
 //
 // A job is named by the name it was submitted under (JobConfig.Name); a
@@ -136,51 +129,9 @@ func (c *Cluster) SkewReport() []SkewEdge {
 	return out
 }
 
-// heatSeries is the series the heat alert watches: an edge's hottest leaf
-// over its mean leaf load (ctrl.Heat.Imbalance).
-const heatSeries = "hurricane_skew_partition_imbalance"
-
-// The heat alert's thresholds: an edge is hot when its hottest leaf holds at
-// least heatImbalance times the mean leaf load, judged only once the edge
-// has taken heatMinRecords records.
-const (
-	heatImbalance  = 2
-	heatMinRecords = 16384
-)
-
-// heatRule is the watchdog's shuffle-heat rule: skewSource emits heatSeries
-// only for edges past heatMinRecords, and the rule fires at heatImbalance.
-func heatRule() obs.Rule {
-	return obs.Rule{
-		Name: "shuffle-heat-imbalance", Kind: obs.KindThreshold,
-		Series: heatSeries, Threshold: heatImbalance, For: 2,
-		Help: fmt.Sprintf("an edge past %d records has a partition holding >= %dx the mean partition load",
-			heatMinRecords, heatImbalance),
-	}
-}
-
-// skewSource feeds the time-series recorder the heat of every edge record
-// (ctrl.EdgeHeat) on every sample tick, labeled by job and edge: the
-// hottest partition's imbalance and share, and the top heavy key's share.
-func (c *Cluster) skewSource() obs.Source {
-	return func(emit func(string, float64)) {
-		c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {
-			lbl := fmt.Sprintf("{edge=%q,job=%q}", e.Name, job)
-			emit("hurricane_skew_partition_top_share"+lbl, heat.Share(heat.LeafRecords))
-			if heat.Records >= heatMinRecords {
-				emit(heatSeries+lbl, heat.Imbalance)
-			}
-			if len(heat.Heavy) > 0 {
-				emit("hurricane_skew_key_top_share"+lbl, heat.Share(heat.Heavy[0].Count))
-			}
-		})
-	}
-}
-
 // DebugHandler returns the HTTP handler serving /metrics, /debug/trace,
-// /debug/skew, the continuous-telemetry surfaces (/debug/timeseries,
-// /debug/alerts, /debug/dash), and /debug/pprof/. Mount it at the server
-// root (the paths are absolute).
+// /debug/skew, /debug/profile/, /debug/explain/ and /debug/pprof/. Mount
+// it at the server root (the paths are absolute).
 func (c *Cluster) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -236,9 +187,6 @@ func (c *Cluster) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte(text))
 	})
-	mux.Handle("/debug/timeseries", obs.TimeseriesHandler(c.rec))
-	mux.Handle("/debug/alerts", obs.AlertsHandler(c.watch))
-	mux.Handle("/debug/dash", obs.DashHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

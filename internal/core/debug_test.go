@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -149,22 +150,21 @@ func TestDebugEndpointsLiveCluster(t *testing.T) {
 	}
 }
 
-// TestContinuousTelemetryLiveCluster: the sampler starts with the
-// compute pool, records registry series into the time-series recorder,
-// evaluates the watchdog rules, and the three telemetry endpoints serve
-// it all over the debug mux.
-func TestContinuousTelemetryLiveCluster(t *testing.T) {
+// TestTaskSpanHistogramOnMetrics: the straggler signal is the per-job
+// task-span histogram on /metrics. Every finished worker observes one span,
+// so the histogram counts at least one span per finished task, and its
+// quantiles are ordered.
+func TestTaskSpanHistogramOnMetrics(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg := testClusterConfig()
-	cluster, err := NewCluster(cfg)
+	cluster, err := NewCluster(testClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Shutdown()
 
 	var proc atomic.Int64
-	h, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "ts"})
+	h, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "spans"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,101 +172,38 @@ func TestContinuousTelemetryLiveCluster(t *testing.T) {
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The sampler runs on its own cadence; give it a few ticks past job
-	// completion so the finished-task counters are on the timeline.
-	deadline := time.Now().Add(5 * time.Second)
-	atDone := cluster.Recorder().Samples() // one may have been in flight
-	for cluster.Recorder().Samples() < atDone+3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if cluster.Recorder().Samples() < atDone+3 {
-		t.Fatalf("sampler took no samples (got %d)", cluster.Recorder().Samples())
-	}
 
-	srv := httptest.NewServer(cluster.DebugHandler())
-	defer srv.Close()
-	get := func(path string) (string, string) {
+	rr := httptest.NewRecorder()
+	cluster.DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", rr.Code)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		series[name] = v
+	}
+	metric := func(name string) float64 {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+		v, ok := series[name+`{job="spans"}`]
+		if !ok {
+			t.Fatalf("/metrics has no %s for job spans", name)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body), resp.Header.Get("Content-Type")
+		return v
 	}
-
-	// /debug/timeseries: the job's task counter has a sampled history
-	// with a derived rate track, and the ?series= filter narrows.
-	body, ct := get("/debug/timeseries?series=hurricane_core_tasks_finished_total")
-	if !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("/debug/timeseries content type %q", ct)
+	count := metric("hurricane_core_task_span_ns_count")
+	finished := metric("hurricane_core_tasks_finished_total")
+	if count <= 0 || count < finished {
+		t.Fatalf("task_span_ns_count = %v, tasks_finished_total = %v", count, finished)
 	}
-	var ts struct {
-		Samples uint64 `json:"samples"`
-		Series  []struct {
-			Name    string `json:"name"`
-			Counter bool   `json:"counter"`
-			Points  []struct {
-				TUs int64   `json:"t_us"`
-				V   float64 `json:"v"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(body), &ts); err != nil {
-		t.Fatalf("/debug/timeseries not JSON: %v", err)
-	}
-	if ts.Samples < 3 || len(ts.Series) == 0 {
-		t.Fatalf("timeseries = %d samples, %d series", ts.Samples, len(ts.Series))
-	}
-	found := false
-	for _, s := range ts.Series {
-		if !strings.Contains(s.Name, "hurricane_core_tasks_finished_total") {
-			t.Fatalf("?series= filter leak: %q", s.Name)
-		}
-		if strings.Contains(s.Name, `job="ts"`) {
-			found = true
-			if !s.Counter || len(s.Points) == 0 {
-				t.Fatalf("bad series %+v", s)
-			}
-			if last := s.Points[len(s.Points)-1].V; last <= 0 {
-				t.Fatalf("finished-task timeline never rose: %+v", s)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no per-job finished-task series in %s", body)
-	}
-
-	// /debug/alerts: the built-in rules are loaded and evaluated.
-	body, _ = get("/debug/alerts")
-	var al obs.Status
-	if err := json.Unmarshal([]byte(body), &al); err != nil {
-		t.Fatalf("/debug/alerts not JSON: %v", err)
-	}
-	if al.Evals < 3 {
-		t.Fatalf("watchdog evals = %d", al.Evals)
-	}
-	rules := map[string]bool{}
-	for _, r := range al.Rules {
-		rules[r.Name] = true
-	}
-	if !rules["straggler-task-time"] || !rules["shuffle-heat-imbalance"] {
-		t.Fatalf("built-in rules missing: %v", rules)
-	}
-
-	// /debug/dash: the self-contained dashboard page renders.
-	body, ct = get("/debug/dash")
-	if !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("/debug/dash content type %q", ct)
-	}
-	if !strings.Contains(body, "hurricane dash") || !strings.Contains(body, "<canvas") {
-		t.Fatal("/debug/dash not the dashboard page")
+	if p50, p99 := metric("hurricane_core_task_span_ns_p50"), metric("hurricane_core_task_span_ns_p99"); p50 > p99 {
+		t.Fatalf("task_span_ns p50 %v > p99 %v", p50, p99)
 	}
 }

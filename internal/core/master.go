@@ -928,8 +928,8 @@ func (m *Master) absorbDone(c chunk.Chunk) error {
 	delete(st.running, e.TaskID)
 	if e.Spans != nil {
 		m.spans = append(m.spans, *e.Spans)
-		// Feed the straggler watchdog: the p99/p50 spread of this
-		// histogram is the per-sample straggler signal.
+		// The straggler signal: a scraper of /metrics reads the
+		// p99/p50 spread of this per-job histogram.
 		m.obs.taskSpan.Observe(e.Spans.WallNS())
 	}
 	if e.Merge {

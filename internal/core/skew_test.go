@@ -7,95 +7,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
-	"repro/internal/ctrl"
-	"repro/internal/obs"
-	"repro/internal/shuffle"
-	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
-// The tests of the one picture of a shuffle edge: what the alert watches,
-// what /debug/skew shows and what a later run warm-starts from are the
-// control plane's one record of the edge.
-
-// TestAlertAndPolicyAgree puts synthetic producer stats on a job's edge
-// record — as the hub records them — and runs the other side's real path:
-// skew source, recorder sample and watchdog. The heat alert fires exactly
-// when the record crosses the alert's own thresholds, heatImbalance times
-// the mean leaf load on an edge past heatMinRecords records.
-func TestAlertAndPolicyAgree(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		leaves int
-		counts func(leaf int) uint64 // records on base partition leaf
-		hot    bool
-	}{
-		{"8 leaves, top 30%, 20k records: 2.4x the mean", 8,
-			func(l int) uint64 { return map[bool]uint64{true: 6000, false: 2000}[l == 3] }, true},
-		{"2 leaves, top 60%: 1.2x the mean", 2,
-			func(l int) uint64 { return map[bool]uint64{true: 12000, false: 8000}[l == 0] }, false},
-		{"8 leaves, top 30%, 1k records: too few to judge", 8,
-			func(l int) uint64 { return map[bool]uint64{true: 300, false: 100}[l == 3] }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cluster, err := NewCluster(testClusterConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Shutdown()
-			app := NewApp("heat").SourceBag("in").
-				AddBag(BagSpec{Name: "shuf", Partitions: tc.leaves, Spread: true}).Bag("out")
-			idle := func(*TaskCtx) error { return nil }
-			app.AddTask(TaskSpec{Name: "route", Inputs: []string{"in"}, Outputs: []string{"shuf"}, Run: idle})
-			app.AddTask(TaskSpec{Name: "drain", Inputs: []string{"shuf"}, Outputs: []string{"out"}, Run: idle})
-			// A job's master, wired as the cluster wires it but never
-			// started: only its hub's edge record is read.
-			h := &JobHandle{c: cluster, id: "heat", app: app}
-			m := cluster.newJobMaster(h)
-			h.master = m
-			cluster.mu.Lock()
-			cluster.jobs[h.id] = h
-			cluster.mu.Unlock()
-
-			stats := sketch.NewEdgeStats()
-			for l := 0; l < tc.leaves; l++ {
-				stats.Counts[shuffle.PartitionBag("shuf", l)] = tc.counts(l)
-			}
-			e := ctrl.EdgeTel{Name: "shuf", PMap: shuffle.BaseMap("shuf", tc.leaves), Spread: true, Stats: stats}
-			m.hub.ObserveEdge(e)
-			heat := ctrl.EdgeHeat(&e)
-			if crossed := heat.Imbalance >= heatImbalance && heat.Records >= heatMinRecords; crossed != tc.hot {
-				t.Fatalf("the case says hot=%v, but the record (%d records, %.2fx the mean) crosses the thresholds: %v",
-					tc.hot, heat.Records, heat.Imbalance, crossed)
-			}
-
-			// The rule arms on its second consecutive sample.
-			for i := 0; i < 2; i++ {
-				cluster.watch.Eval(cluster.rec.Sample())
-			}
-			firing := false
-			for _, st := range cluster.watch.Snapshot().States {
-				if st.Rule == "shuffle-heat-imbalance" {
-					if !strings.HasPrefix(st.Series, heatSeries+"{") {
-						t.Fatalf("the heat rule watches %s, want %s", st.Series, heatSeries)
-					}
-					firing = firing || st.Firing
-				}
-			}
-			if firing != tc.hot {
-				t.Fatalf("heat alert firing = %v, want %v", firing, tc.hot)
-			}
-		})
-	}
-}
+// The tests of the one picture of a shuffle edge: what /debug/skew shows
+// and what a later run warm-starts from are the control plane's one record
+// of the edge.
 
 // skewedEdgeApp routes the records of "in" onto the partitioned edge "shuf",
 // keyed by the record itself, and drains the edge. The producer holds its
@@ -232,8 +156,7 @@ func (p *probedCalls) Handle(req *transport.Request) *transport.Response {
 //go:noinline
 func debugProbe(f func()) { f() }
 
-// TestDebugSkewReadsControllerRecord: /debug/skew and a sampler tick show
-// the control plane's last record of an edge and ask the storage tier
+// TestDebugSkewReadsControllerRecord: /debug/skew shows the control plane's last record of an edge and ask the storage tier
 // nothing, while the edge is being produced and after it has sealed — when
 // the record is the exact final one the master took just before the
 // producers' sketches were dropped.
@@ -276,21 +199,13 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 		return report
 	}
 	var report []SkewEdge
-	var view *obs.SampleView
-	debugProbe(func() {
-		report = skew()
-		view = cluster.rec.Sample()
-	})
+	debugProbe(func() { report = skew() })
 	if n := calls.n.Load(); n != 0 {
-		t.Fatalf("/debug/skew and one sampler tick made %d storage calls, want 0", n)
+		t.Fatalf("/debug/skew while the edge is produced made %d storage calls, want 0", n)
 	}
 	if len(report) != 1 || report[0].Edge != edge || len(report[0].Heavy) == 0 ||
 		report[0].Heavy[0].Key != "00" { // key 0 under Int64Codec, in hex
 		t.Fatalf("/debug/skew while the edge is produced: %+v", report)
-	}
-	lbl := `{edge="` + edge + `",job="live"}`
-	if v, ok := view.Values["hurricane_skew_partition_top_share"+lbl]; !ok || v <= 0 {
-		t.Fatalf("sampler tick: no partition share for the edge in %v", view.Values)
 	}
 
 	if err := store.Seal(ctx, h.Bag("in")); err != nil {

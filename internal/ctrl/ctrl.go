@@ -130,17 +130,11 @@ type EdgeTel struct {
 	Stats *sketch.EdgeStats
 }
 
-// Heat is how hot an edge's record makes it: the one set of numbers the
-// skew time series, the heat alert and /debug/skew read, so that none of
-// them can disagree about an edge.
+// Heat is how hot an edge's record makes it: the numbers /debug/skew
+// reports for an edge.
 type Heat struct {
 	// Records is the number of records the edge's producers have reported.
 	Records uint64
-	// LeafRecords is the load of the current map's hottest leaf.
-	LeafRecords uint64
-	// Imbalance is LeafRecords over the mean load per leaf of the current
-	// map: the quantity the heat alert bounds.
-	Imbalance float64
 	// Heavy are the sketch's heavy-hitter candidates, heaviest first.
 	Heavy []sketch.HeavyKey
 }
@@ -154,14 +148,7 @@ func EdgeHeat(e *EdgeTel) Heat {
 	if e.Stats == nil || e.PMap == nil || e.Stats.Total() == 0 {
 		return Heat{}
 	}
-	h := Heat{Records: e.Stats.Total()}
-	leaves := e.PMap.Leaves()
-	for _, l := range leaves {
-		h.LeafRecords = max(h.LeafRecords, e.Stats.Counts[l])
-	}
-	h.Imbalance = float64(h.LeafRecords) * float64(len(leaves)) / float64(h.Records)
-	h.Heavy = e.Stats.TopKeys(sketch.MaxHeavyKeys, 0)
-	return h
+	return Heat{Records: e.Stats.Total(), Heavy: e.Stats.TopKeys(sketch.MaxHeavyKeys, 0)}
 }
 
 // BagTel is a sampled depth probe of one bag: where a clone goes, and

@@ -142,7 +142,7 @@ func TestHubFetchRateLimit(t *testing.T) {
 }
 
 // TestHubEdgesConcurrent: the edge records are read from other goroutines
-// (the sampler, HTTP handlers, a stream's watcher) while the control loop
+// (HTTP handlers, a stream's watcher) while the control loop
 // snapshots and the seal-time observation lands. Run under -race.
 func TestHubEdgesConcurrent(t *testing.T) {
 	h := NewHub(HubConfig{

@@ -41,8 +41,8 @@ type Observer struct {
 func New(traceCap int) *Observer {
 	o := &Observer{reg: NewRegistry(), trace: NewTrace(traceCap)}
 	// Ring pressure is itself a signal worth watching: mirror trace
-	// displacement into a registry counter so the drop-rate watchdog and
-	// /metrics scrapes see it without touching Go APIs.
+	// displacement into a registry counter so /metrics scrapes see it
+	// without touching Go APIs.
 	o.trace.BindDropCounter(o.reg.Counter("hurricane_trace_dropped_total"))
 	return o
 }

@@ -38,11 +38,6 @@ const (
 	// slow-op threshold (subject = node or bag, detail = op, bag, and
 	// duration). Emitted by the storage-tier meters (transport.Meter).
 	EvStorageSlowOp EventType = "StorageSlowOp"
-	// EvAlertRaised: a watchdog rule fired (subject = rule name, detail =
-	// series, observed value, and threshold). Emitted by the Watch layer
-	// on the sampling cadence; decision-class, so raised alerts survive
-	// ring eviction like the mitigation decisions they point at.
-	EvAlertRaised EventType = "AlertRaised"
 )
 
 // Event is one trace entry. TMicros is monotonic time since the trace
@@ -88,7 +83,7 @@ type Trace struct {
 func decisionEvent(typ EventType) bool {
 	switch typ {
 	case EvTaskCloned, EvCloneYielded, EvLeasePreempt,
-		EvWindowRetried, EvJoinStrategyChosen, EvStorageSlowOp, EvAlertRaised:
+		EvWindowRetried, EvJoinStrategyChosen, EvStorageSlowOp:
 		return true
 	}
 	return false

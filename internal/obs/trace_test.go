@@ -2,19 +2,6 @@ package obs
 
 import "testing"
 
-// TestAlertEventSurvivesCap: EvAlertRaised is a decision event — at
-// capacity it evicts lifecycle chatter instead of being dropped.
-func TestAlertEventSurvivesCap(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 4; i++ {
-		tr.Emit(EvTaskFinished, "j", "t", "lifecycle")
-	}
-	tr.Emit(EvAlertRaised, "", "straggler-task-time", "series=x value=5 threshold=4")
-	if got := tr.Events("", EvAlertRaised); len(got) != 1 {
-		t.Fatalf("AlertRaised did not survive a full ring: %d", len(got))
-	}
-}
-
 func TestTraceDroppedCounter(t *testing.T) {
 	// obs.New binds the ring's displacement count to
 	// hurricane_trace_dropped_total, so ring pressure is scrapeable.

@@ -91,8 +91,7 @@ type stageCost struct {
 // runStages runs p on a fresh in-proc cluster with one worker slot — stage
 // bodies run one at a time, so a body's cost is its own plus whatever the
 // engine's background goroutines (inserters, master, node loops) did
-// meanwhile, kept small by turning the telemetry sampler off and polling
-// slowly — with the collector off, and returns each stage's cost under
+// meanwhile — with the collector off, and returns each stage's cost under
 // "scatter" (the stage writing the shuffle edge) or the stage's last
 // operator ("join", "groupby").
 func runStages(tb testing.TB, p *Plan, sources map[string][]tuple) map[string]*stageCost {

@@ -90,70 +90,6 @@ func TestNodeDebugHandler(t *testing.T) {
 	}
 }
 
-// TestNodeTelemetrySurfaces: a node with a bound recorder + watchdog
-// serves the continuous-telemetry endpoints; binding after the mux was
-// built works (per-request resolution), and an unbound node serves empty
-// documents.
-func TestNodeTelemetrySurfaces(t *testing.T) {
-	n := NewNode("s0")
-	o := obs.New(0)
-	n.Bind(o, -1)
-	srv := httptest.NewServer(n.DebugHandler())
-	defer srv.Close()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	// Unbound: valid empty documents, not errors.
-	var ts struct {
-		Series []obs.SeriesDump `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/timeseries")), &ts); err != nil {
-		t.Fatalf("unbound timeseries: %v", err)
-	}
-	if len(ts.Series) != 0 {
-		t.Fatalf("unbound node has series: %+v", ts.Series)
-	}
-
-	// Bind after mux creation, drive an op, sample: the history shows up.
-	rec := obs.NewRecorder(0)
-	rec.AddSource(obs.RegistrySource(o.Registry()))
-	watch := obs.NewWatch(o, nil)
-	n.BindTelemetry(rec, watch)
-	insert(t, n, "b", []byte("data"))
-	watch.Eval(rec.Sample())
-
-	if err := json.Unmarshal([]byte(get("/debug/timeseries?series=op_total")), &ts); err != nil {
-		t.Fatal(err)
-	}
-	if len(ts.Series) == 0 {
-		t.Fatal("no op_total series after bind + sample")
-	}
-	var al obs.Status
-	if err := json.Unmarshal([]byte(get("/debug/alerts")), &al); err != nil {
-		t.Fatal(err)
-	}
-	if al.Evals != 1 || len(al.Rules) == 0 {
-		t.Fatalf("alerts = evals %d rules %d", al.Evals, len(al.Rules))
-	}
-	if body := get("/debug/dash"); !strings.Contains(body, "hurricane dash") {
-		t.Fatal("/debug/dash not the dashboard page")
-	}
-}
-
 // TestNodeStatsUnbound: Stats works without a bound observer, and an
 // unbound node's DebugHandler still serves (empty) metrics rather than
 // panicking.

@@ -155,13 +155,6 @@ type Node struct {
 	// this node handles, regardless of which transport delivered it.
 	meter atomic.Pointer[transport.Meter]
 	obs   atomic.Pointer[obs.Observer]
-
-	// rec and watch, when bound, back the node's continuous-telemetry
-	// debug surfaces (/debug/timeseries, /debug/alerts, /debug/dash).
-	// The standalone process (cmd/hurricane-storage) owns the sampling
-	// goroutine; the node only holds the handles for DebugHandler.
-	rec   atomic.Pointer[obs.Recorder]
-	watch atomic.Pointer[obs.Watch]
 }
 
 // Option configures a Node.
@@ -209,21 +202,6 @@ func (n *Node) Bind(o *obs.Observer, slow time.Duration) {
 
 // Observer returns the observer bound to this node (nil when unbound).
 func (n *Node) Observer() *obs.Observer { return n.obs.Load() }
-
-// BindTelemetry attaches a time-series recorder and watchdog for the
-// debug surface to serve. The caller owns the sampling cadence (the
-// node never starts goroutines); nil handles are fine — the surfaces
-// then serve empty documents.
-func (n *Node) BindTelemetry(rec *obs.Recorder, watch *obs.Watch) {
-	n.rec.Store(rec)
-	n.watch.Store(watch)
-}
-
-// Recorder returns the bound time-series recorder (nil when unbound).
-func (n *Node) Recorder() *obs.Recorder { return n.rec.Load() }
-
-// Watch returns the bound watchdog (nil when unbound).
-func (n *Node) Watch() *obs.Watch { return n.watch.Load() }
 
 // BagStats is one bag's state in a Node.Stats summary.
 type BagStats struct {

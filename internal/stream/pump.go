@@ -460,17 +460,6 @@ func (h *Handle) watch(lw *window) {
 func (h *Handle) finishWindow(lw *window, err error) {
 	lw.res.DoneAt = time.Now()
 	lw.res.Err = err
-	// Put the window on the cluster's telemetry timeline at the moment
-	// it finished, not wherever the next sampler tick lands: seal-to-done
-	// latency and record volume per window are the stream's two drift
-	// signals. Nil-safe when the sampler is off.
-	if err == nil && !lw.res.SealedAt.IsZero() {
-		rec := h.c.Recorder()
-		lbl := fmt.Sprintf("{stream=%q}", h.spec.Name)
-		rec.Append("hurricane_stream_window_ms"+lbl,
-			float64(lw.res.DoneAt.Sub(lw.res.SealedAt).Microseconds())/1e3)
-		rec.Append("hurricane_stream_window_records"+lbl, float64(lw.res.Records))
-	}
 	h.mu.Lock()
 	h.results[lw.res.Index] = lw.res
 	if err == nil {
