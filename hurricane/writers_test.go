@@ -28,29 +28,30 @@ type tuple = hurricane.Pair[uint64, uint64]
 
 var tupleCodec = hurricane.PairOf(hurricane.Uint64Of, hurricane.Uint64FixedOf)
 
-// edgeTap sits on the storage client and keeps what producers leave on one
-// shuffle edge: every chunk inserted into one of its leaf bags, and the
-// last statistics blob of every writer's control exchange — what the edge's
-// home slot holds for the master once the producers are done.
+// edgeTap keeps what producers leave on one shuffle edge, tapped from f:
+// every chunk inserted into one of its leaf bags, and the last statistics
+// blob of every writer's control exchange — what the edge's home slot
+// holds for the master once the producers are done.
 type edgeTap struct {
-	transport.Client
-	edge   string
 	mu     sync.Mutex
 	chunks map[string][]chunk.Chunk // leaf bag -> inserted chunks
 	stats  map[string][]byte        // writer ID -> last stats blob
 }
 
-func (c *edgeTap) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	leaf, _, _ := strings.Cut(req.Bag, "#")
-	c.mu.Lock()
-	switch {
-	case req.Op == transport.OpInsert && leaf != c.edge && shuffle.EdgeOf(leaf) == c.edge:
-		c.chunks[leaf] = append(c.chunks[leaf], req.Data)
-	case req.Op == transport.OpSketch && req.Bag == c.edge && req.Dst != "" && len(req.Data) > 0:
-		c.stats[req.Dst] = req.Data
-	}
-	c.mu.Unlock()
-	return c.Client.Call(ctx, node, req)
+func tapEdge(f *transport.Faulty, edge string) *edgeTap {
+	c := &edgeTap{chunks: map[string][]chunk.Chunk{}, stats: map[string][]byte{}}
+	f.Add(transport.Rule{Match: transport.Match{Bag: edge}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+		leaf, _, _ := strings.Cut(req.Bag, "#")
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		switch {
+		case req.Op == transport.OpInsert && leaf != edge && shuffle.EdgeOf(leaf) == edge:
+			c.chunks[leaf] = append(c.chunks[leaf], req.Data)
+		case req.Op == transport.OpSketch && req.Bag == edge && req.Dst != "" && len(req.Data) > 0:
+			c.stats[req.Dst] = req.Data
+		}
+	}})
+	return c
 }
 
 // edgeState is what one run left on the edge, in comparable form.
@@ -154,10 +155,11 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		inproc := transport.NewInProc()
 		inproc.Register("s0", storage.NewNode("s0"))
-		tap := &edgeTap{Client: inproc, edge: edge, chunks: map[string][]chunk.Chunk{}, stats: map[string][]byte{}}
+		f := transport.NewFaulty(inproc)
+		tap := tapEdge(f, edge)
 		// One chunk holds the whole input, so the one producer worker sees
 		// the stream in generation order.
-		store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: tap, ChunkSize: 1 << 20})
+		store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: f, ChunkSize: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,23 +260,6 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	}
 }
 
-// sinkTap keeps every chunk inserted into one bag.
-type sinkTap struct {
-	transport.Client
-	bag    string
-	mu     sync.Mutex
-	chunks []chunk.Chunk
-}
-
-func (c *sinkTap) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	if name, _, _ := strings.Cut(req.Bag, "#"); req.Op == transport.OpInsert && name == c.bag {
-		c.mu.Lock()
-		c.chunks = append(c.chunks, req.Data)
-		c.mu.Unlock()
-	}
-	return c.Client.Call(ctx, node, req)
-}
-
 // compiledJoinSinkDigest runs build ⋈ probe as a compiled plan of the
 // given join strategy on one worker slot with every mitigation off and
 // digests the sink's chunks: the SHA-256 of their SHA-256s in sorted order
@@ -295,8 +280,17 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple, strategy q.JoinStrategy
 	defer cancel()
 	inproc := transport.NewInProc()
 	inproc.Register("s0", storage.NewNode("s0"))
-	tap := &sinkTap{Client: inproc, bag: "joined"}
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: tap, ChunkSize: 1 << 19})
+	f := transport.NewFaulty(inproc)
+	var mu sync.Mutex
+	var sink []chunk.Chunk // every chunk inserted into the sink
+	f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "joined#"}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+		if strings.HasPrefix(req.Bag, "joined#") {
+			mu.Lock()
+			sink = append(sink, req.Data)
+			mu.Unlock()
+		}
+	}})
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: f, ChunkSize: 1 << 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +323,8 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple, strategy q.JoinStrategy
 		t.Fatal(err)
 	}
 	noFallbackClaims(t, cluster)
-	sums := make([]string, len(tap.chunks))
-	for i, c := range tap.chunks {
+	sums := make([]string, len(sink))
+	for i, c := range sink {
 		sum := sha256.Sum256(c)
 		sums[i] = string(sum[:])
 	}

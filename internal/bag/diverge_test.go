@@ -70,8 +70,10 @@ func (p *divergedPair) diverge(t *testing.T, name string, first, second []byte) 
 	t.Helper()
 	ctx := context.Background()
 	slot0 := slotBag(name, 0)
-	held := p.f.Hold(transport.Match{Op: transport.OpInsert, Node: "s1", Bag: slot0, Nth: 1}, name+" second landed")
-	p.f.FireAfter(transport.Match{Op: transport.OpInsert, Node: "s1", Bag: slot0, Nth: 2}, name+" second landed")
+	landed := name + " second landed"
+	held := p.f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Node: "s1", Bag: slot0, Nth: 1}, Hold: landed})
+	// The first reply from s1 is second's: first's copy is held until then.
+	p.f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Node: "s1", Bag: slot0}, When: transport.OnReply, Fire: landed})
 	errs := make(chan error, 2)
 	go func() { errs <- p.handleAt(name, 0).Insert(ctx, first) }()
 	<-held // first is on s0 and on its way to s1
@@ -100,6 +102,21 @@ func tally(got map[string]int) func(chunk.Chunk) error {
 	return func(c chunk.Chunk) error { got[string(c)]++; return nil }
 }
 
+// removeRest removes from r until it is empty, counting each chunk in got.
+func removeRest(t *testing.T, r *Bag, got map[string]int) {
+	t.Helper()
+	for {
+		c, err := r.Remove(context.Background())
+		if err == ErrEmpty {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[string(c)]++
+	}
+}
+
 func overTransports(t *testing.T, run func(t *testing.T, p *divergedPair)) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
@@ -120,7 +137,7 @@ func TestDivergedReplicasRemoveOnce(t *testing.T) {
 		if err := p.st.Seal(ctx, "data"); err != nil {
 			t.Fatal(err)
 		}
-		p.f.Hold(transport.Match{Op: transport.OpRemove, Node: "s0", Bag: slotBag("data", 0), Nth: 2}, "crashed")
+		p.f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Node: "s0", Bag: slotBag("data", 0), Nth: 2}, Hold: "crashed"})
 		r := p.st.Bag("data")
 		defer r.CloseConsumer()
 		got := map[string]int{}
@@ -131,18 +148,44 @@ func TestDivergedReplicasRemoveOnce(t *testing.T) {
 		got[string(c)]++
 		p.crash("s0")
 		p.f.Fire("crashed")
-		for {
-			c, err := r.Remove(ctx)
-			if err == ErrEmpty {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[string(c)]++
-		}
+		removeRest(t, r, got)
 		onceEach(t, got, "chunk 0", "chunk 1")
 	})
+}
+
+// TestLostReplyDeliversOnce: slot 0's primary applies an insert, or a
+// remove, and crashes before its reply arrives: the client sees
+// ErrNodeDown. The insert then lands on the backup alone; the remove is
+// made again on the backup, which still holds the chunk the primary took.
+// Either way each chunk is delivered once.
+func TestLostReplyDeliversOnce(t *testing.T) {
+	for _, op := range []transport.Op{transport.OpInsert, transport.OpRemove} {
+		t.Run(map[transport.Op]string{transport.OpInsert: "insert", transport.OpRemove: "remove"}[op], func(t *testing.T) {
+			overTransports(t, func(t *testing.T, p *divergedPair) {
+				ctx := context.Background()
+				lost := p.f.Add(transport.Rule{Match: transport.Match{Op: op, Node: "s0", Bag: slotBag("data", 0), Nth: 1}, When: transport.OnReply,
+					Tap: func(string, *transport.Request, *transport.Response) { p.crash("s0") }, Err: transport.ErrNodeDown})
+				for _, c := range []string{"chunk 0", "chunk 1"} {
+					if err := p.handleAt("data", 0).Insert(ctx, []byte(c)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := p.st.Seal(ctx, "data"); err != nil {
+					t.Fatal(err)
+				}
+				r := p.st.Bag("data")
+				defer r.CloseConsumer()
+				got := map[string]int{}
+				removeRest(t, r, got)
+				select {
+				case <-lost:
+				default:
+					t.Fatal("no reply was lost")
+				}
+				onceEach(t, got, "chunk 0", "chunk 1")
+			})
+		})
+	}
 }
 
 // TestDivergedReplicasScanOnce: a scanner reads one chunk of the slot

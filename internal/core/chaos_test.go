@@ -155,8 +155,8 @@ func TestNamespacedMasterRecovery(t *testing.T) {
 	if cluster.Master() != nil {
 		t.Fatal("Cluster.Master() names a namespaced job's master")
 	}
-	loadIntsBag(t, ctx, cluster.Store(), ha.Bag("in"), n)
-	loadIntsBag(t, ctx, cluster.Store(), hb.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), ha.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), hb.Bag("in"), n)
 	for procA.Load() < n/10 {
 		if ctx.Err() != nil {
 			t.Fatal("timed out waiting for progress")

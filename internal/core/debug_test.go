@@ -39,8 +39,8 @@ func TestDebugEndpointsLiveCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
+	loadInts(t, ctx, cluster.Store(), hA.Bag("in"), nA)
+	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), nB)
 	if err := hA.Wait(ctx); err != nil {
 		t.Fatalf("jobA: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestTaskSpanHistogramOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), h.Bag("in"), 4000)
+	loadInts(t, ctx, cluster.Store(), h.Bag("in"), 4000)
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

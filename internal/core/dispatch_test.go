@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,7 +158,7 @@ func TestDispatchCloneReachesIdleNode(t *testing.T) {
 		cfg.Node.OverloadThreshold = 0.01 // the waiting worker signals
 		cfg.Node.MonitorInterval = time.Millisecond
 	})
-	loadIntsBag(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left
+	loadInts(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left
 	var started atomic.Int64
 	if err := c.Run(ctx, rendezvousApp("clone", 1, 2, false, &started)); err != nil {
 		t.Fatal(err)
@@ -460,10 +459,8 @@ func TestBroadcastWakeCost(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// The removes on ready work bags are the task managers' claim polls.
-	polls := &countedCalls{match: func(req *transport.Request) bool {
-		return req.Op == transport.OpRemove && strings.Contains(req.Bag, "!ready")
-	}}
-	store := storeBehind(t, func(tr transport.Client) transport.Client { polls.Client = tr; return polls })
+	store, f := storeBehind(t)
+	polls := counted(f, transport.Match{Op: transport.OpRemove, Bag: "!ready"})
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = idle+jobs, 1
 	c := NewClusterOverStore(store, cfg)
@@ -482,8 +479,8 @@ func TestBroadcastWakeCost(t *testing.T) {
 	// settled waits until the claim loops have gone quiet and returns the
 	// count of polls so far.
 	settled := func() int64 {
-		for last, since := polls.n.Load(), time.Now(); ; time.Sleep(time.Millisecond) {
-			if now := polls.n.Load(); now != last {
+		for last, since := polls.Load(), time.Now(); ; time.Sleep(time.Millisecond) {
+			if now := polls.Load(); now != last {
 				last, since = now, time.Now()
 			} else if time.Since(since) > 20*time.Millisecond || ctx.Err() != nil {
 				return last

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -449,10 +448,8 @@ func TestMasterCrashRecovery(t *testing.T) {
 // output must be exact. It returns the cluster, shut down with t.
 func recoverSeededMaster(t *testing.T, ctx context.Context, nodes, slots int) *Cluster {
 	t.Helper()
-	pushed := &countedCalls{match: func(req *transport.Request) bool {
-		return req.Op == transport.OpInsert && strings.Contains(req.Bag, "!ready#")
-	}}
-	store := storeBehind(t, func(tr transport.Client) transport.Client { pushed.Client = tr; return pushed })
+	store, f := storeBehind(t)
+	pushed := counted(f, transport.Match{Op: transport.OpInsert, Bag: "!ready#"})
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = nodes, slots
 	c := NewClusterOverStore(store, cfg)
@@ -473,7 +470,7 @@ func recoverSeededMaster(t *testing.T, ctx context.Context, nodes, slots int) *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, ctx, "the first blueprint", func() bool { return pushed.n.Load() > 0 })
+	waitFor(t, ctx, "the first blueprint", func() bool { return pushed.Load() > 0 })
 	if err := h.CrashMaster(); err != nil {
 		t.Fatal(err)
 	}
@@ -519,11 +516,8 @@ func TestStorageNodeFailover(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	crashEnabled := true
-	if crashEnabled {
-		if err := cluster.CrashStorageNode("storage-2"); err != nil {
-			t.Fatal(err)
-		}
+	if err := cluster.CrashStorageNode("storage-2"); err != nil {
+		t.Fatal(err)
 	}
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)

@@ -13,32 +13,25 @@ import (
 	"repro/internal/transport"
 )
 
-// countedCalls is a transport client that counts the requests matching
-// match on their way through.
-type countedCalls struct {
-	transport.Client
-	match func(*transport.Request) bool
-	n     atomic.Int64
-}
-
-func (c *countedCalls) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	if c.match(req) {
-		c.n.Add(1)
-	}
-	return c.Client.Call(ctx, node, req)
-}
-
 // storeBehind is a store on one in-process storage node, "s0", reached
-// through the client wrap makes of the transport.
-func storeBehind(t *testing.T, wrap func(transport.Client) transport.Client) *bag.Store {
+// through the Faulty it returns.
+func storeBehind(t *testing.T) (*bag.Store, *transport.Faulty) {
 	t.Helper()
 	tr := transport.NewInProc()
 	tr.Register("s0", storage.NewNode("s0"))
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: wrap(tr), ChunkSize: 1 << 10})
+	f := transport.NewFaulty(tr)
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: f, ChunkSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return store, f
+}
+
+// counted counts the requests m selects on their way through f.
+func counted(f *transport.Faulty, m transport.Match) *atomic.Int64 {
+	n := new(atomic.Int64)
+	f.Add(transport.Rule{Match: m, Tap: func(string, *transport.Request, *transport.Response) { n.Add(1) }})
+	return n
 }
 
 // TestIdleMasterMakesNoCalls: with every worker of the job running and the
@@ -49,8 +42,8 @@ func TestIdleMasterMakesNoCalls(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// The readAt calls are the master's record-bag scans.
-	reads := &countedCalls{match: func(req *transport.Request) bool { return req.Op == transport.OpReadAt }}
-	store := storeBehind(t, func(tr transport.Client) transport.Client { reads.Client = tr; return reads })
+	store, f := storeBehind(t)
+	reads := counted(f, transport.Match{Op: transport.OpReadAt})
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = 2, 1
 	cfg.Node = NodeConfig{MonitorInterval: 2 * time.Millisecond}
@@ -83,10 +76,10 @@ func TestIdleMasterMakesNoCalls(t *testing.T) {
 		t.Fatalf("policy interval %v, want 1ms (half the clone interval)", policy)
 	}
 	begin := time.Now()
-	reads0, scans0 := reads.n.Load(), scans()
+	reads0, scans0 := reads.Load(), scans()
 	snaps0, overloads0 := counter("hurricane_ctrl_snapshots_total"), counter("hurricane_ctrl_overloads_total")
 	time.Sleep(20 * cfg.Master.CloneInterval)
-	read, scanned := reads.n.Load()-reads0, scans()-scans0
+	read, scanned := reads.Load()-reads0, scans()-scans0
 	snaps, overloads := counter("hurricane_ctrl_snapshots_total")-snaps0, counter("hurricane_ctrl_overloads_total")-overloads0
 	elapsed := time.Since(begin)
 

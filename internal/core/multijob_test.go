@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,29 +11,8 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/sched"
 	"repro/internal/sketch"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
-
-// loadIntsBag loads n int64 records into a named bag and seals it.
-func loadIntsBag(t *testing.T, ctx context.Context, store *bag.Store, bagName string, n int) {
-	t.Helper()
-	h := store.Bag(bagName)
-	w := chunk.NewTypedWriter[int64](chunk.Int64Codec{}, store.ChunkSize(), func(c chunk.Chunk) error {
-		return h.Insert(ctx, c)
-	})
-	for i := 0; i < n; i++ {
-		if err := w.Write(int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Seal(ctx, bagName); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // waitNoLeakedSlots asserts that, shortly after all jobs complete, every
 // claimed worker slot has been returned to the pool.
@@ -82,8 +60,8 @@ func TestTwoConcurrentJobs(t *testing.T) {
 	if hA.Bag("in") != "jobA/in" || hB.Bag("out") != "jobB/out" {
 		t.Fatalf("namespaced bag names wrong: %q %q", hA.Bag("in"), hB.Bag("out"))
 	}
-	loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
+	loadInts(t, ctx, cluster.Store(), hA.Bag("in"), nA)
+	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), nB)
 
 	if err := hA.Wait(ctx); err != nil {
 		t.Fatalf("jobA: %v", err)
@@ -129,7 +107,7 @@ func TestResetStaleHandleDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), h1.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), h1.Bag("in"), n)
 	if err := h1.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -168,52 +146,6 @@ func TestResetStaleHandleDiscard(t *testing.T) {
 	}
 }
 
-// heldReadyOp is a storage handler that, once armed, holds the first
-// request of one kind against a ready work bag until release is closed,
-// and reports the first insert into a ready bag that arrives behind it
-// and after the bag was deleted — a successor's blueprint, not one of the
-// job's own. From then on it shows every other poll an empty ready bag:
-// dispatch is event-driven, and the successor's blueprint must still be in
-// the bag when the stalled request lands.
-type heldReadyOp struct {
-	inner   transport.Handler
-	op      transport.Op
-	armed   atomic.Bool
-	first   atomic.Bool   // set by the one request that is held
-	held    atomic.Bool   // true while it is
-	deleted atomic.Bool   // a ready-bag delete has arrived
-	entered chan struct{} // closed when the held request arrives
-	release chan struct{} // closed by the test to let it through
-	pushed  chan struct{} // closed by the successor's first blueprint
-	push    sync.Once
-}
-
-func (h *heldReadyOp) Handle(req *transport.Request) *transport.Response {
-	if !strings.Contains(req.Bag, "!ready#") {
-		return h.inner.Handle(req)
-	}
-	if req.Op == transport.OpDelete {
-		h.deleted.Store(true)
-	}
-	if req.Op == h.op && h.armed.Load() && h.first.CompareAndSwap(false, true) {
-		h.held.Store(true)
-		close(h.entered)
-		<-h.release
-		resp := h.inner.Handle(req)
-		h.held.Store(false)
-		return resp
-	}
-	successor := h.held.Load() && h.deleted.Load()
-	if req.Op == transport.OpRemove && successor {
-		return &transport.Response{Status: transport.StatusAgain}
-	}
-	resp := h.inner.Handle(req)
-	if req.Op == transport.OpInsert && successor {
-		h.push.Do(func() { close(h.pushed) })
-	}
-	return resp
-}
-
 // TestResubmitWhilePredecessorLetsGo: everything a finished job still
 // does to its ready bag must be over before the job reports completion,
 // because a caller that Waits, Resets and resubmits the same name at once
@@ -234,16 +166,7 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			hd := &heldReadyOp{
-				inner: storage.NewNode("storage-0"), op: tc.op,
-				entered: make(chan struct{}), release: make(chan struct{}), pushed: make(chan struct{}),
-			}
-			inproc := transport.NewInProc()
-			inproc.Register("storage-0", hd)
-			store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 1 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
+			store, f := storeBehind(t)
 			cluster := NewClusterOverStore(store, testClusterConfig())
 			defer cluster.Shutdown()
 
@@ -254,14 +177,20 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadIntsBag(t, ctx, store, h1.Bag("in"), n)
-			for proc1.Load() < n {
-				if ctx.Err() != nil {
-					t.Fatal("timed out waiting for the first job's copy stage")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			hd.armed.Store(true)
+			loadInts(t, ctx, store, h1.Bag("in"), n)
+			waitFor(t, ctx, "the first job's copy stage", func() bool { return proc1.Load() >= n })
+			// Hold the first request of tc.op against a ready bag. Once a
+			// ready bag is deleted, and until the release, show every poll
+			// an empty ready bag — dispatch is event-driven, and the
+			// successor's blueprint must still be in the bag when the held
+			// request lands — and report the first blueprint inserted into
+			// one: a successor's, not one of the job's own.
+			f.Add(transport.Rule{Match: transport.Match{Op: transport.OpDelete, Bag: "!ready#"}, Fire: "deleted"})
+			entered := f.Add(transport.Rule{Match: transport.Match{Op: tc.op, Bag: "!ready#", Nth: 1}, Hold: "release"})
+			f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Bag: "!ready#"}, Open: "deleted", Close: "release",
+				Answer: &transport.Response{Status: transport.StatusAgain}})
+			pushed := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "!ready#"}, When: transport.OnReply,
+				Open: "deleted", Close: "release"})
 			if tc.op == transport.OpRemove {
 				// The poll to stall is one made while the job is bound. The
 				// gated copy workers and their clones may hold every slot,
@@ -271,7 +200,7 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 					t.Fatal(err)
 				}
 				select {
-				case <-hd.entered:
+				case <-entered:
 				case <-ctx.Done():
 					t.Fatal("no node polled the ready bag")
 				}
@@ -287,7 +216,7 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 				// The stalled request is to be the finished job's, not one of
 				// Reset's own.
 				select {
-				case <-hd.entered:
+				case <-entered:
 				case <-ctx.Done():
 				}
 				if err := h1.Reset(ctx); err != nil {
@@ -312,15 +241,15 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 				t.Fatal("the first job never completed")
 			}
 			select {
-			case <-hd.entered:
+			case <-entered:
 			case <-ctx.Done():
 				t.Fatal("the stalled request never arrived")
 			}
 			select {
-			case <-hd.pushed:
+			case <-pushed:
 			case <-time.After(200 * time.Millisecond):
 			}
-			close(hd.release)
+			f.Fire("release")
 			if err := <-result; err != nil {
 				t.Fatalf("resubmitted job: %v (a blueprint of its was lost to its predecessor)", err)
 			}
@@ -329,25 +258,6 @@ func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
 			}
 		})
 	}
-}
-
-// heldClaim is a storage handler that holds the reply to the first
-// successful remove from a ready work bag — a blueprint that now exists
-// only in that reply — until release is closed.
-type heldClaim struct {
-	inner   transport.Handler
-	first   atomic.Bool
-	entered chan struct{} // closed when the claim is held
-	release chan struct{} // closed by the test to deliver it
-}
-
-func (h *heldClaim) Handle(req *transport.Request) *transport.Response {
-	resp := h.inner.Handle(req)
-	if req.Op == transport.OpRemove && strings.Contains(req.Bag, "!ready#") && resp.OK() && h.first.CompareAndSwap(false, true) {
-		close(h.entered)
-		<-h.release
-	}
-	return resp
 }
 
 // TestStopWaitsForClaimInFlight: a graceful Stop must not cancel a node
@@ -359,13 +269,11 @@ func (h *heldClaim) Handle(req *transport.Request) *transport.Response {
 func TestStopWaitsForClaimInFlight(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	hd := &heldClaim{inner: storage.NewNode("storage-0"), entered: make(chan struct{}), release: make(chan struct{})}
-	inproc := transport.NewInProc()
-	inproc.Register("storage-0", hd)
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, f := storeBehind(t)
+	// The reply to the first successful poll of a ready bag carries a
+	// blueprint that now exists only in that reply.
+	claimed := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Bag: "!ready#", Nth: 1, OK: true}, When: transport.OnReply,
+		Hold: "deliver"})
 	cfg := testClusterConfig()
 	cfg.ComputeNodes = 1
 	cluster := NewClusterOverStore(store, cfg)
@@ -377,9 +285,9 @@ func TestStopWaitsForClaimInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, store, h.Bag("in"), n)
+	loadInts(t, ctx, store, h.Bag("in"), n)
 	select {
-	case <-hd.entered:
+	case <-claimed:
 	case <-ctx.Done():
 		t.Fatal("no node claimed the job's first blueprint")
 	}
@@ -392,15 +300,10 @@ func TestStopWaitsForClaimInFlight(t *testing.T) {
 	cluster.mu.Unlock()
 	removed := make(chan error, 1)
 	go func() { removed <- cluster.RemoveComputeNode("compute-0") }()
-	for !victim.Draining() {
-		if ctx.Err() != nil {
-			t.Fatal("compute-0 never began to drain")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, ctx, "compute-0 to begin draining", victim.Draining)
 	// Long enough for a Stop that saw no workers to have cancelled the node.
 	time.Sleep(30 * time.Millisecond)
-	close(hd.release)
+	f.Fire("deliver")
 
 	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
 	defer wcancel()
@@ -449,7 +352,7 @@ func TestSubmitCollisionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), h.Bag("in"), 1000)
+	loadInts(t, ctx, cluster.Store(), h.Bag("in"), 1000)
 
 	// Within one job: a declared bag that shadows a sibling partitioned
 	// bag's derived partition names is rejected at submit time.
@@ -516,8 +419,8 @@ func TestMultiJobComputeChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
+	loadInts(t, ctx, cluster.Store(), hA.Bag("in"), nA)
+	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), nB)
 
 	// Wait for both jobs to make progress, then churn the pool.
 	for (procA.Load() < nA/10 || procB.Load() < nB/10) && ctx.Err() == nil {
@@ -717,7 +620,7 @@ func TestFairShareYieldsClones(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), nA)
+			loadInts(t, ctx, cluster.Store(), hA.Bag("in"), nA)
 
 			// Let the greedy job clone its slow stage across the whole pool.
 			for (hA.Stats().Master.TasksFinished < greedy.ran || cluster.FreeSlots() > 0) && ctx.Err() == nil {
@@ -727,7 +630,7 @@ func TestFairShareYieldsClones(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), nB)
+			loadInts(t, ctx, cluster.Store(), hB.Bag("in"), nB)
 
 			if err := hB.Wait(ctx); err != nil {
 				t.Fatalf("modest job: %v", err)
@@ -782,8 +685,8 @@ func TestJobQueueAdmission(t *testing.T) {
 		t.Fatalf("second job state = %v, want queued", hB.State())
 	}
 	// Sources for both can be loaded while the second job is queued.
-	loadIntsBag(t, ctx, cluster.Store(), hA.Bag("in"), n)
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), hA.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), n)
 
 	if err := hA.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -835,7 +738,7 @@ func TestJobContextCancelReleasesResources(t *testing.T) {
 		t.Fatalf("second job state = %v, want queued", hB.State())
 	}
 	const n = 8000
-	loadIntsBag(t, ctx, cluster.Store(), hB.Bag("in"), n)
+	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), n)
 
 	// Let the doomed job claim at least one worker, then pull its plug.
 	for cluster.FreeSlots() == cluster.TotalSlots() && ctx.Err() == nil {

@@ -95,7 +95,7 @@ func TestProfileEndpointLiveCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadIntsBag(t, ctx, cluster.Store(), h.Bag("in"), 8000)
+	loadInts(t, ctx, cluster.Store(), h.Bag("in"), 8000)
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -64,15 +64,13 @@ func TestSeedMustMatchEdge(t *testing.T) {
 // each producer's first push carried stats, and how many chunks each bag
 // received.
 type mapTap struct {
-	transport.Client
-
 	mu        sync.Mutex
 	publishes int
 	firstPush map[string]bool // writer ID -> its first push carried stats
 	inserts   map[string]int  // bag -> chunks inserted
 }
 
-func (c *mapTap) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
+func (c *mapTap) record(_ string, req *transport.Request, _ *transport.Response) {
 	c.mu.Lock()
 	switch {
 	case req.Op == transport.OpSketch && req.Dst == "" && len(req.Data) > 0:
@@ -86,7 +84,6 @@ func (c *mapTap) Call(ctx context.Context, node string, req *transport.Request) 
 		c.inserts[name]++
 	}
 	c.mu.Unlock()
-	return c.Client.Call(ctx, node, req)
 }
 
 // TestSeededJobWritesNoMap: a seed is part of the submitted job, so running
@@ -101,7 +98,8 @@ func TestSeededJobWritesNoMap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	tap := &mapTap{firstPush: make(map[string]bool), inserts: make(map[string]int)}
-	store := storeBehind(t, func(tr transport.Client) transport.Client { tap.Client = tr; return tap })
+	store, f := storeBehind(t)
+	f.Add(transport.Rule{Tap: tap.record})
 	c := NewClusterOverStore(store, testClusterConfig())
 	defer c.Shutdown()
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -136,21 +135,19 @@ func TestCloneOnlyChainKeepsEdgeMemory(t *testing.T) {
 	}
 }
 
-// probedCalls is a storage handler that counts the requests made from
-// inside debugProbe, whatever else the cluster is doing meanwhile. The
-// in-process transport calls the handler on the requester's goroutine, so
-// the requester's stack says where a request came from.
-type probedCalls struct {
-	inner transport.Handler
-	n     atomic.Int64
-}
-
-func (p *probedCalls) Handle(req *transport.Request) *transport.Response {
-	buf := make([]byte, 32<<10)
-	if bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("core.debugProbe(")) {
-		p.n.Add(1)
-	}
-	return p.inner.Handle(req)
+// probedCalls counts the requests through f made from inside debugProbe,
+// whatever else the cluster is doing meanwhile. Faulty taps a request on
+// the requester's goroutine, so the requester's stack says where it came
+// from.
+func probedCalls(f *transport.Faulty) *atomic.Int64 {
+	n := new(atomic.Int64)
+	f.Add(transport.Rule{Tap: func(string, *transport.Request, *transport.Response) {
+		buf := make([]byte, 32<<10)
+		if bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("core.debugProbe(")) {
+			n.Add(1)
+		}
+	}})
+	return n
 }
 
 //go:noinline
@@ -163,13 +160,8 @@ func debugProbe(f func()) { f() }
 func TestDebugSkewReadsControllerRecord(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	calls := &probedCalls{inner: storage.NewNode("storage-0")}
-	inproc := transport.NewInProc()
-	inproc.Register("storage-0", calls)
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, f := storeBehind(t)
+	calls := probedCalls(f)
 	cluster := NewClusterOverStore(store, testClusterConfig())
 	defer cluster.Shutdown()
 	h, err := cluster.SubmitJob(ctx, skewedEdgeApp(), JobConfig{Name: "live"})
@@ -184,7 +176,7 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 
 	// The counter sees a storage call made from inside the probe...
 	debugProbe(func() { _, _ = store.Sample(ctx, "nothing") })
-	if calls.n.Swap(0) == 0 {
+	if calls.Swap(0) == 0 {
 		t.Fatal("a storage call from inside debugProbe was not counted")
 	}
 	// ...and the debug surfaces make none.
@@ -200,7 +192,7 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 	}
 	var report []SkewEdge
 	debugProbe(func() { report = skew() })
-	if n := calls.n.Load(); n != 0 {
+	if n := calls.Load(); n != 0 {
 		t.Fatalf("/debug/skew while the edge is produced made %d storage calls, want 0", n)
 	}
 	if len(report) != 1 || report[0].Edge != edge || len(report[0].Heavy) == 0 ||
@@ -215,7 +207,7 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	debugProbe(func() { report = skew() })
-	if n := calls.n.Load(); n != 0 {
+	if n := calls.Load(); n != 0 {
 		t.Fatalf("/debug/skew after the job made %d storage calls, want 0", n)
 	}
 	if len(report) != 1 || report[0].Records != uint64(fed) || len(report[0].Heavy) == 0 ||

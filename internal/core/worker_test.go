@@ -208,21 +208,6 @@ func TestLoadSnapshotBusyFraction(t *testing.T) {
 	}
 }
 
-// heldInserts is a transport client whose inserts wait for release.
-type heldInserts struct {
-	transport.Client
-	arrived chan struct{}
-	release chan struct{}
-}
-
-func (h *heldInserts) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	if req.Op == transport.OpInsert {
-		h.arrived <- struct{}{}
-		<-h.release
-	}
-	return h.Client.Call(ctx, node, req)
-}
-
 // TestKilledWorkerLeavesNoInsertInFlight: a recovery kills a task's workers,
 // waits for them to be done, and then discards the task's output bags. An
 // insert a killed worker had handed to its pipelined inserter must
@@ -233,12 +218,10 @@ func (h *heldInserts) Call(ctx context.Context, node string, req *transport.Requ
 // while healthy copy workers were still inserting.) The worker here writes
 // one chunk to a plain output and one through a shuffle writer.
 func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
-	tr := transport.NewInProc()
-	tr.Register("s0", storage.NewNode("s0"))
-	held := &heldInserts{Client: tr, arrived: make(chan struct{}, 2), release: make(chan struct{})}
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: held, ChunkSize: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
+	store, f := storeBehind(t)
+	var held [2]<-chan struct{}
+	for i := range held {
+		held[i] = f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Nth: i + 1}, Hold: "release"})
 	}
 	app := NewApp("w")
 	app.SourceBag("in").Bag("out")
@@ -260,15 +243,15 @@ func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
 	}
 	bp := &Blueprint{ID: "t/w0@e0", Spec: "t", Inputs: []string{"in"}, Outputs: []string{"out", "edge"}}
 	w := runWorker(context.Background(), bp, store, app)
-	<-held.arrived
-	<-held.arrived
+	<-held[0]
+	<-held[1]
 	w.kill()
 	select {
 	case <-w.done:
 		t.Fatal("worker reported done with two inserts still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(held.release)
+	f.Fire("release")
 	select {
 	case <-w.done:
 	case <-time.After(30 * time.Second):

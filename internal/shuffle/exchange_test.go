@@ -14,32 +14,10 @@ import (
 	"repro/internal/transport"
 )
 
-// countingClient decorates a transport.Client and counts the control
-// traffic of shuffle writers: exchanges per writer ID.
-type countingClient struct {
-	transport.Client
-	mu        sync.Mutex
-	exchanges map[string]int // OpSketch calls carrying a writer ID
-}
-
-func (c *countingClient) Call(ctx context.Context, node string, req *transport.Request) (*transport.Response, error) {
-	if req.Op == transport.OpSketch && req.Dst != "" {
-		c.mu.Lock()
-		c.exchanges[req.Dst]++
-		c.mu.Unlock()
-	}
-	return c.Client.Call(ctx, node, req)
-}
-
-func (c *countingClient) exchangesOf(writer string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.exchanges[writer]
-}
-
 // exchangeStore builds a two-node storage tier, in-process or behind TCP
-// loopback listeners, with a counting client in front of it.
-func exchangeStore(t *testing.T, tcp bool) (*bag.Store, *countingClient) {
+// loopback listeners. It also returns a count of each writer's exchanges:
+// the OpSketch calls carrying its ID.
+func exchangeStore(t *testing.T, tcp bool) (*bag.Store, func(writer string) int) {
 	t.Helper()
 	names := []string{"s0", "s1"}
 	var inner transport.Client
@@ -64,12 +42,23 @@ func exchangeStore(t *testing.T, tcp bool) (*bag.Store, *countingClient) {
 		}
 		inner = tr
 	}
-	cc := &countingClient{Client: inner, exchanges: make(map[string]int)}
-	st, err := bag.NewStore(bag.Config{Nodes: names, Client: cc, ChunkSize: 1 << 10})
+	var mu sync.Mutex
+	exchanges := make(map[string]int)
+	f := transport.NewFaulty(inner)
+	f.Add(transport.Rule{Match: transport.Match{Op: transport.OpSketch}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+		mu.Lock()
+		defer mu.Unlock()
+		exchanges[req.Dst]++
+	}})
+	st, err := bag.NewStore(bag.Config{Nodes: names, Client: f, ChunkSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, cc
+	return st, func(writer string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return exchanges[writer]
+	}
 }
 
 // feeder drives a writer one batch at a time through the row or the batch
@@ -114,7 +103,7 @@ func paths(t *testing.T, fn func(t *testing.T, batch, tcp bool)) {
 // makes at most one exchange per gate, plus the one at Close.
 func TestExchangeIsGatedOnTime(t *testing.T) {
 	paths(t, func(t *testing.T, batch, tcp bool) {
-		st, cc := exchangeStore(t, tcp)
+		st, exchangesOf := exchangeStore(t, tcp)
 		const interval = 80 * time.Millisecond
 		gate := interval / exchangesPerInterval
 		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", StatsInterval: interval})
@@ -127,7 +116,7 @@ func TestExchangeIsGatedOnTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		got, most := cc.exchangesOf("w0"), int(elapsed/gate)+2
+		got, most := exchangesOf("w0"), int(elapsed/gate)+2
 		if got > most {
 			t.Fatalf("%d exchanges in %v at a %v gate, want at most %d (%d records)", got, elapsed, gate, most, f.next)
 		}
@@ -143,7 +132,7 @@ func TestExchangeIsGatedOnTime(t *testing.T) {
 func TestCloseLeavesExactCounts(t *testing.T) {
 	paths(t, func(t *testing.T, batch, tcp bool) {
 		ctx := context.Background()
-		st, cc := exchangeStore(t, tcp)
+		st, exchangesOf := exchangeStore(t, tcp)
 		base := BaseMap("e", 4)
 		want := make(map[string]uint64)
 		var total uint64
@@ -172,7 +161,7 @@ func TestCloseLeavesExactCounts(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := cc.exchangesOf(id); got != 1 {
+			if got := exchangesOf(id); got != 1 {
 				t.Fatalf("writer %s made %d exchanges behind a closed gate, want 1 (Close)", id, got)
 			}
 		}

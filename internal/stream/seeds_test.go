@@ -19,47 +19,16 @@ import (
 	"repro/internal/workload"
 )
 
-// windowWrites is a storage handler that records, in arrival order, the
-// bag of every insert under a namespace "<stream>.w<i>/".
-type windowWrites struct {
-	inner  transport.Handler
-	stream string
-
-	mu     sync.Mutex
-	writes []string
-}
-
-func (l *windowWrites) Handle(req *transport.Request) *transport.Response {
-	if req.Op == transport.OpInsert && strings.HasPrefix(req.Bag, l.stream+".w") {
-		l.mu.Lock()
-		l.writes = append(l.writes, req.Bag)
-		l.mu.Unlock()
-	}
-	return l.inner.Handle(req)
-}
-
-// under returns the recorded inserts whose bag starts with prefix.
-func (l *windowWrites) under(prefix string) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []string
-	for _, bag := range l.writes {
-		if strings.HasPrefix(bag, prefix) {
-			out = append(out, bag)
-		}
-	}
-	return out
-}
-
-// seedsCluster is a cluster over one storage node behind a windowWrites
-// recorder. The refinement thresholds sit on the cluster, not on the stream
-// spec: the stream's seeds must follow whichever config the windows run on.
-func seedsCluster(t *testing.T, streamName string) (*core.Cluster, *windowWrites) {
+// seedsCluster is a cluster over one storage node, reached through the
+// Faulty it returns. The refinement thresholds sit on the cluster, not on
+// the stream spec: the stream's seeds must follow whichever config the
+// windows run on.
+func seedsCluster(t *testing.T) (*core.Cluster, *transport.Faulty) {
 	t.Helper()
-	log := &windowWrites{inner: storage.NewNode("storage-0"), stream: streamName}
 	inproc := transport.NewInProc()
-	inproc.Register("storage-0", log)
-	store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: inproc, ChunkSize: 8 << 10})
+	inproc.Register("storage-0", storage.NewNode("storage-0"))
+	f := transport.NewFaulty(inproc)
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"storage-0"}, Client: f, ChunkSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +45,7 @@ func seedsCluster(t *testing.T, streamName string) (*core.Cluster, *windowWrites
 		Sched: sched.Config{Interval: 5 * time.Millisecond},
 	})
 	t.Cleanup(cluster.Shutdown)
-	return cluster, log
+	return cluster, f
 }
 
 // newClickWindows scripts windows of Zipf(1.3) click IPs, one poll batch per
@@ -128,7 +97,16 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 
 	t.Run("name taken", func(t *testing.T) {
 		ctx := testCtx(t)
-		cluster, log := seedsCluster(t, "busy")
+		cluster, f := seedsCluster(t)
+		var mu sync.Mutex
+		var writes []string // every bag under the second window's name inserted into
+		f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "busy.w1/"}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+			if strings.HasPrefix(req.Bag, "busy.w1/") {
+				mu.Lock()
+				defer mu.Unlock()
+				writes = append(writes, req.Bag)
+			}
+		}})
 		// A live job owns the second window's name: its producer runs
 		// until the test is over. Its partitioned edge has the name the
 		// window's would have.
@@ -173,7 +151,9 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 		// The pump fills every window's source bag before the window is
 		// submitted; that is all the stream may write under a name. The
 		// rest is the owner's: its work bags.
-		for _, bag := range log.under("busy.w1/") {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, bag := range writes {
 			source := strings.HasPrefix(bag, "busy.w1/"+apps.ClickStreamIn+"#")
 			work := strings.HasPrefix(bag, "busy.w1/owner!")
 			if !(source || work) {
@@ -184,7 +164,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 
 	t.Run("seeds are the predecessor's warm start", func(t *testing.T) {
 		ctx := testCtx(t)
-		cluster, _ := seedsCluster(t, "clicks")
+		cluster, _ := seedsCluster(t)
 		src, want := newClickWindows(windows, perWindow)
 		h, err := stream.Run(ctx, cluster, spec("clicks", src))
 		if err != nil {

@@ -2,14 +2,34 @@ package transport
 
 import (
 	"context"
+	"strings"
 	"sync"
 )
 
-// Faulty wraps a Client to reorder messages on purpose: it holds a chosen
-// request until a named event fires, and fires events when chosen requests
-// complete. A test uses it to reproduce one message order that a crash
-// hook cannot reach, such as a slot's two inserts landing on its replicas
-// in opposite orders, over any transport it wraps.
+// Faulty wraps a Client and runs a schedule over the requests that pass
+// through it. It is the one seam through which a test steers or watches
+// storage traffic: it reproduces a message order that a crash hook cannot
+// reach, such as a slot's two inserts landing on its replicas in opposite
+// orders or a reply that is lost after its node applied the request, over
+// any transport it wraps.
+//
+// A schedule is a list of rules. Each rule has:
+//   - a match: the op, node and bag substring a request must have, and of
+//     those requests the Nth (see Match);
+//   - an optional active window: the rule sees requests only after the
+//     event Open has fired and before the event Close has;
+//   - a when: OnArrival looks at a request before it is passed on,
+//     OnReply after the wrapped client has returned;
+//   - actions, in this order: Hold waits until an event fires; Fire fires
+//     an event; Tap calls back with the node, the request and, on reply,
+//     the response; Answer or Err answers in place of passing the request
+//     on (on arrival) or in place of the real reply (on reply).
+//
+// Every rule selects before any acts, and the rules a request selects act
+// in the order they were added, on the caller's goroutine. A hold waits
+// for its event whatever the call's context: a held request is one on its
+// way, which its caller cannot call back. Passed on, it carries that
+// context, which may have ended by then.
 type Faulty struct {
 	Client
 
@@ -18,33 +38,45 @@ type Faulty struct {
 	events map[string]chan struct{}
 }
 
-// Match selects one request: the Nth (counting from 1; 0 means the first)
-// of those with Op sent to Node for Bag (empty: any bag).
+// When says at which point of a call a rule looks at it.
+type When uint8
+
+const (
+	OnArrival When = iota // before the request is passed on
+	OnReply               // after the wrapped client returns
+)
+
+// Match selects requests: those with Op (0: any op) sent to Node (empty:
+// any node) for a bag whose name contains Bag (empty: any bag) — on reply,
+// with OK set, only those answered StatusOK — and of these the Nth,
+// counting from 1 in the order the rule sees them; Nth 0 selects every one.
 type Match struct {
-	Op   Op
-	Node string
-	Bag  string
-	Nth  int
+	Op        Op
+	Node, Bag string
+	Nth       int
+	OK        bool
 }
 
-// rule acts on the request its match selects: it holds the request until
-// the event `until`, or fires the event `after` once it completes.
+// Rule is one entry of a schedule. A rule with no action still reports,
+// through the channel Add returns, that it selected a request.
+type Rule struct {
+	Match
+	When        When
+	Open, Close string    // active window; empty Open: from the start, empty Close: for good
+	Hold        string    // hold the call until this event fires
+	Fire        string    // fire this event
+	Answer      *Response // answer with this...
+	Err         error     // ...or with this error
+	// Tap is called with the node, the request and the response, which
+	// is nil on arrival.
+	Tap func(node string, req *Request, resp *Response)
+}
+
 type rule struct {
-	m            Match
-	until, after string
-	held         chan struct{}
-	seen         int // requests of the match's op, node and bag so far
-}
-
-// selects counts req if it has the match's op, node and bag, and reports
-// whether it is the one the match selects.
-func (r *rule) selects(node string, req *Request) bool {
-	m := r.m
-	if req.Op != m.Op || node != m.Node || (m.Bag != "" && req.Bag != m.Bag) {
-		return false
-	}
-	r.seen++
-	return r.seen == max(m.Nth, 1)
+	Rule
+	seen     int           // requests matched so far
+	selected chan struct{} // closed when the rule first selects a request
+	wait     chan struct{} // the Hold event's, if any
 }
 
 // NewFaulty wraps c. With no rules it passes every call through.
@@ -52,23 +84,18 @@ func NewFaulty(c Client) *Faulty {
 	return &Faulty{Client: c, events: make(map[string]chan struct{})}
 }
 
-// Hold holds the request m selects until event fires. The returned
-// channel closes when that request is held, that is, when it has been
-// sent to the wrapper and not yet passed on.
-func (f *Faulty) Hold(m Match, event string) <-chan struct{} {
-	r := &rule{m: m, until: event, held: make(chan struct{})}
-	f.add(r)
-	return r.held
-}
-
-// FireAfter fires event once the request m selects has completed,
-// whatever its outcome.
-func (f *Faulty) FireAfter(m Match, event string) { f.add(&rule{m: m, after: event}) }
-
-func (f *Faulty) add(r *rule) {
+// Add appends r to the schedule. The returned channel closes when r first
+// selects a request, before it acts on it: for a hold, once the call is
+// held.
+func (f *Faulty) Add(r Rule) <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rules = append(f.rules, r)
+	rr := &rule{Rule: r, selected: make(chan struct{})}
+	if r.Hold != "" {
+		rr.wait = f.event(r.Hold)
+	}
+	f.rules = append(f.rules, rr)
+	return rr.selected
 }
 
 // event returns the channel that firing name closes. Callers hold f.mu.
@@ -81,47 +108,77 @@ func (f *Faulty) event(name string) chan struct{} {
 	return ch
 }
 
-// Fire fires a named event: every request held for it proceeds. Firing an
+// fired reports whether event name has fired. Callers hold f.mu.
+func (f *Faulty) fired(name string) bool {
+	select {
+	case <-f.event(name):
+		return true
+	default:
+		return false
+	}
+}
+
+// Fire fires a named event: every call held for it proceeds. Firing an
 // event twice is a no-op.
 func (f *Faulty) Fire(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ch := f.event(name)
-	select {
-	case <-ch:
-	default:
-		close(ch)
+	if !f.fired(name) {
+		close(f.event(name))
 	}
 }
 
-// Call implements Client: it applies the rules, then calls the wrapped
-// client. A request several holds select waits for all their events; a
-// held call returns early only if ctx ends.
-func (f *Faulty) Call(ctx context.Context, node string, req *Request) (*Response, error) {
-	var waits []chan struct{}
-	var after []string
+// selects counts req if r matches it inside its window, and reports
+// whether it is one r selects. Callers hold f.mu.
+func (f *Faulty) selects(r *rule, node string, req *Request, resp *Response) bool {
+	m := r.Match
+	switch {
+	case m.Op != 0 && req.Op != m.Op, m.Node != "" && node != m.Node, !strings.Contains(req.Bag, m.Bag),
+		m.OK && (resp == nil || resp.Status != StatusOK),
+		r.Open != "" && !f.fired(r.Open), r.Close != "" && f.fired(r.Close):
+		return false
+	}
+	r.seen++
+	if r.seen == max(m.Nth, 1) {
+		close(r.selected)
+	}
+	return m.Nth == 0 || r.seen == m.Nth
+}
+
+// apply runs the rules of when that select req and returns what the
+// call is to report: on arrival, nil and nil unless a rule answered.
+func (f *Faulty) apply(when When, node string, req *Request, resp *Response, err error) (*Response, error) {
+	var acts []*rule
 	f.mu.Lock()
 	for _, r := range f.rules {
-		switch {
-		case !r.selects(node, req):
-		case r.held != nil:
-			waits = append(waits, f.event(r.until))
-			close(r.held)
-		default:
-			after = append(after, r.after)
+		if r.When == when && f.selects(r, node, req, resp) {
+			acts = append(acts, r)
 		}
 	}
 	f.mu.Unlock()
-	for _, w := range waits {
-		select {
-		case <-w:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	for _, r := range acts {
+		if r.wait != nil {
+			<-r.wait
+		}
+		if r.Fire != "" {
+			f.Fire(r.Fire)
+		}
+		if r.Tap != nil {
+			r.Tap(node, req, resp)
+		}
+		if r.Answer != nil || r.Err != nil {
+			resp, err = r.Answer, r.Err
 		}
 	}
-	resp, err := f.Client.Call(ctx, node, req)
-	for _, e := range after {
-		f.Fire(e)
-	}
 	return resp, err
+}
+
+// Call implements Client: it applies the arrival rules, passes the request
+// on unless one of them answered, and applies the reply rules.
+func (f *Faulty) Call(ctx context.Context, node string, req *Request) (*Response, error) {
+	if resp, err := f.apply(OnArrival, node, req, nil, nil); resp != nil || err != nil {
+		return resp, err
+	}
+	resp, err := f.Client.Call(ctx, node, req)
+	return f.apply(OnReply, node, req, resp, err)
 }

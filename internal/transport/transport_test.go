@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -392,42 +395,114 @@ func TestTCPLargePayloadBothWays(t *testing.T) {
 	}
 }
 
-// TestFaultyHoldsUntilEvent: a hold delays exactly the request its match
-// selects until the named event, which FireAfter raises when another
-// selected request completes; a held call gives up with its context.
+// TestFaultyHoldsUntilEvent: a Faulty schedule's rules select exactly the
+// requests their match, window and when say, and act on them — hold until
+// an event, fire one, tap, answer in place of the node or of its reply. A
+// case is a script of steps: "<bag> <data>" makes a call and "go <bag>
+// <data>" makes one in the background; "held <i>" waits until rule i has
+// selected a request, "fire <event>" fires one, "cancel" cancels the
+// background calls' context and "wait" waits for them. The log reads
+// "h<data>" when the node handles a request and "tap <bag> <status>" when
+// a rule taps, then, after a bar, "<data>:<outcome>" for each call in
+// data order.
 func TestFaultyHoldsUntilEvent(t *testing.T) {
-	tr := NewInProc()
-	var order []string
 	var mu sync.Mutex
-	tr.Register("n", HandlerFunc(func(req *Request) *Response {
+	var log, outcomes []string
+	logf := func(format string, args ...any) {
 		mu.Lock()
-		order = append(order, string(req.Data))
-		mu.Unlock()
-		return &Response{Status: StatusOK}
-	}))
-	f := NewFaulty(tr)
-	held := f.Hold(Match{Op: OpInsert, Node: "n", Bag: "b", Nth: 2}, "third done")
-	f.FireAfter(Match{Op: OpInsert, Node: "n", Bag: "b", Nth: 3}, "third done")
-	ctx := context.Background()
-	call := func(data string) {
-		if _, err := f.Call(ctx, "n", &Request{Op: OpInsert, Bag: "b", Data: []byte(data)}); err != nil {
-			t.Error(err)
+		defer mu.Unlock()
+		log = append(log, fmt.Sprintf(format, args...))
+	}
+	tap := func(_ string, req *Request, resp *Response) {
+		if resp == nil {
+			logf("tap %s arrival", req.Bag)
+		} else {
+			logf("tap %s %d", req.Bag, resp.Status)
 		}
 	}
-	call("1")
-	done := make(chan struct{})
-	go func() { call("2"); close(done) }()
-	<-held
-	call("3")
-	<-done
-	if fmt.Sprint(order) != "[1 3 2]" {
-		t.Fatalf("handled %v, want [1 3 2]", order)
-	}
-
-	f.Hold(Match{Op: OpPing, Node: "n"}, "never")
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := f.Call(cctx, "n", &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("held call with a cancelled context: %v", err)
+	for _, tc := range []struct {
+		name  string
+		rules []Rule
+		steps string
+		want  string
+	}{
+		{"arrival hold, reply fire",
+			[]Rule{{Match: Match{Op: OpInsert, Nth: 2}, Hold: "third landed"},
+				{Match: Match{Op: OpInsert, Nth: 2}, When: OnReply, Fire: "third landed"}},
+			"b 1; go b 2; held 0; b 3; wait",
+			"h1 h3 h2 | 1:<nil> 2:<nil> 3:<nil>"},
+		{"window opened by an arrival fire, Nth 0 answered",
+			[]Rule{{Match: Match{Bag: "open"}, Fire: "open"},
+				{Open: "open", Close: "close", Answer: &Response{Status: StatusAgain}}},
+			"b 1; open 2; b 3; b 4; fire close; b 5",
+			"h1 h2 h5 | 1:<nil> 2:<nil> 3:bag temporarily empty 4:bag temporarily empty 5:<nil>"},
+		{"bag substring, arrival tap",
+			[]Rule{{Match: Match{Bag: "x#1"}, Tap: tap}},
+			"x#1 1; x#2 2; x#10 3",
+			"tap x#1 arrival h1 h2 tap x#10 arrival h3 | 1:<nil> 2:<nil> 3:<nil>"},
+		{"reply hold of the first OK reply",
+			[]Rule{{Match: Match{Nth: 1, OK: true}, When: OnReply, Hold: "deliver"}},
+			"sealed 1; go b 2; held 0; b 3; fire deliver; wait",
+			"h1 h2 h3 | 1:bag empty 2:<nil> 3:<nil>"},
+		{"reply tap, lost reply",
+			[]Rule{{Match: Match{Nth: 2}, When: OnReply, Tap: tap, Err: ErrNodeDown}},
+			"b 1; b 2; b 3",
+			"h1 h2 tap b 0 h3 | 1:<nil> 2:node down 3:<nil>"},
+		{"reply hold outlives a cancelled context",
+			[]Rule{{When: OnReply, Hold: "deliver"}},
+			"go b 1; held 0; cancel; fire deliver; wait",
+			"h1 | 1:<nil>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log, outcomes = nil, nil
+			tr := NewInProc()
+			tr.Register("n", HandlerFunc(func(req *Request) *Response {
+				logf("h%s", req.Data)
+				if req.Bag == "sealed" {
+					return &Response{Status: StatusEmpty}
+				}
+				return &Response{Status: StatusOK}
+			}))
+			f := NewFaulty(tr)
+			var selected []<-chan struct{}
+			for _, r := range tc.rules {
+				selected = append(selected, f.Add(r))
+			}
+			bg, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls sync.WaitGroup
+			call := func(ctx context.Context, bag, data string) {
+				resp, err := f.Call(ctx, "n", &Request{Op: OpInsert, Bag: bag, Data: []byte(data)})
+				if err == nil {
+					err = resp.Error()
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				outcomes = append(outcomes, data+":"+strings.TrimPrefix(fmt.Sprint(err), "transport: "))
+			}
+			for _, step := range strings.Split(tc.steps, "; ") {
+				w := strings.Fields(step)
+				switch w[0] {
+				case "go":
+					calls.Add(1)
+					go func() { defer calls.Done(); call(bg, w[1], w[2]) }()
+				case "held":
+					i, _ := strconv.Atoi(w[1])
+					<-selected[i]
+				case "fire":
+					f.Fire(w[1])
+				case "cancel":
+					cancel()
+				case "wait":
+					calls.Wait()
+				default:
+					call(context.Background(), w[0], w[1])
+				}
+			}
+			slices.Sort(outcomes)
+			if got := strings.Join(append(log, "|"), " ") + " " + strings.Join(outcomes, " "); got != tc.want {
+				t.Fatalf("log %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
