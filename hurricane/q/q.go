@@ -5,10 +5,11 @@
 // single streaming tasks, inserts partitioned shuffle edges only at wide
 // boundaries, and seeds each groupby edge with the heavy keys compile-time
 // statistics show; the runtime control plane's clones, which share a hot
-// partition chunk by chunk, cover what statistics miss. A join fuses into
-// the stage producing its probe side (broadcast: every worker scans the
-// build side, so the probe needs no shuffle) unless pinned with
-// WithStrategy or its probe comes out of a GroupBy's finalize stage.
+// partition chunk by chunk, cover what statistics miss. A join's form is
+// the planner's call, made from the plan alone: it fuses into the stage
+// producing its probe side (broadcast: every worker scans the build side,
+// so the probe needs no shuffle) unless its probe comes out of a GroupBy's
+// finalize stage or Options.Static compiles the naive baseline.
 //
 //	p := q.New("wordcount")
 //	words := q.Scan(p, "in", hurricane.StringOf)
@@ -33,8 +34,8 @@ import (
 // Re-exported planner types; the q functions below are the typed surface
 // over them.
 type (
-	// Options tunes logical→physical compilation (partitions, isolation
-	// threshold, static/naive mode, statistics).
+	// Options tunes logical→physical compilation (partitions,
+	// static/naive mode, statistics).
 	Options = plan.Options
 	// Stats carries compile-time statistics: warm key-frequency sketches
 	// and partition maps (from a sample, a previous run's StatsFromMemory,
@@ -44,20 +45,17 @@ type (
 	// run it with Run/Submit (which submit the seed partition maps with
 	// the job), or hand Compiled.App to any other execution surface.
 	Compiled = plan.Physical
-	// JoinStrategy is a physical join implementation.
+	// JoinStrategy is the physical join form the planner chose.
 	JoinStrategy = plan.JoinStrategy
 	// StageInfo / JoinInfo describe the compiled plan for inspection.
 	StageInfo = plan.StageInfo
 	JoinInfo  = plan.JoinInfo
 )
 
-// Join strategies, comparable against JoinInfo.Strategy and usable with
-// WithStrategy.
+// Join forms, comparable against JoinInfo.Strategy.
 const (
-	JoinAuto        = plan.JoinAuto
 	JoinRepartition = plan.JoinRepartition
 	JoinBroadcast   = plan.JoinBroadcast
-	JoinSkewed      = plan.JoinSkewed
 )
 
 // NewStats returns empty compile-time statistics ready to be filled.
@@ -180,26 +178,16 @@ func CountByKey[T any](d *Dataset[T], key func(T) uint64) *Dataset[hurricane.Pai
 	)
 }
 
-// JoinOption tweaks one join.
-type JoinOption func(*JoinStrategy)
-
-// WithStrategy pins the physical join strategy instead of letting the
-// planner decide.
-func WithStrategy(s JoinStrategy) JoinOption {
-	return func(strategy *JoinStrategy) { *strategy = s }
-}
-
 // Join equi-joins two datasets: build (loaded into an in-memory table by
-// every join worker) and probe (streamed). Unpinned, it is a broadcast
-// join: no shuffle, the probe split chunk by chunk among clones. It is a
-// repartition join under Options.Static, or when the probe streams out of
-// a GroupBy's single-worker finalize stage. A broadcast join is as
-// parallel as its clones: one that ends before the first clone pass runs
-// on one worker (its gain was measured at GOMAXPROCS(1) and on 2 cores).
-// WithStrategy pins shuffled repartition, or a skewed join that
-// pre-isolates heavy-hitter probe keys onto spread fragment consumers.
-// join must be record-parallel: each (build, probe) pair's emissions
-// must not depend on other probe records.
+// every join worker) and probe (streamed). It is a broadcast join — no
+// shuffle, the probe split chunk by chunk among clones — unless
+// Options.Static compiles the naive baseline or the probe streams out of
+// a GroupBy's single-worker finalize stage; then the probe is shuffled
+// and the join is a repartition join. A broadcast join is as parallel as
+// its clones: one that ends before the first clone pass runs on one
+// worker (its gain was measured at GOMAXPROCS(1) and on 2 cores). join
+// must be record-parallel: each (build, probe) pair's emissions must not
+// depend on other probe records.
 func Join[L, R, O any](
 	build *Dataset[L],
 	probe *Dataset[R],
@@ -207,12 +195,8 @@ func Join[L, R, O any](
 	probeKey func(R) uint64,
 	codec hurricane.Codec[O],
 	join func(L, R, func(O) error) error,
-	opts ...JoinOption,
 ) *Dataset[O] {
 	spec := plan.JoinSpec[L, R, O]{BuildKey: buildKey, ProbeKey: probeKey, Codec: codec, Join: join}
-	for _, o := range opts {
-		o(&spec.Strategy)
-	}
 	return &Dataset[O]{p: build.p, n: plan.Join(build.p.p, build.n, probe.n, spec)}
 }
 

@@ -133,11 +133,12 @@ func TestQueryGroupByOracle(t *testing.T) {
 	run(q.Options{Parts: 4, Stats: warm})
 }
 
-// TestJoinStrategiesIdenticalResults runs the same logical join under
-// all three physical strategies on Zipf(1.3) probe keys and asserts each
-// matches the ground-truth join size — the planner may only change *how*
-// the join runs, never its result. All three submissions share one
-// cluster through the multi-job scheduler (the Submit surface).
+// TestJoinStrategiesIdenticalResults runs the same logical join in both
+// physical forms on Zipf(1.3) probe keys and asserts each matches the
+// ground-truth join size — the planner may only change *how* the join
+// runs, never its result. Warm statistics seed no join edge. All
+// submissions share one cluster through the multi-job scheduler (the
+// Submit surface).
 func TestJoinStrategiesIdenticalResults(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -163,7 +164,7 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 	store := cluster.Store()
 
 	outCodec := hurricane.PairOf(hurricane.Uint64Of, hurricane.PairOf(hurricane.Uint64Of, hurricane.Uint64Of))
-	joinPlan := func(name string, strat q.JoinStrategy) *q.Plan {
+	joinPlan := func(name string) *q.Plan {
 		p := q.New(name)
 		build := q.Scan(p, "relR", tupleCodec)
 		probe := q.Scan(p, "relS", tupleCodec)
@@ -177,37 +178,28 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 					Second: hurricane.Pair[uint64, uint64]{First: b.Second, Second: pr.Second},
 				})
 			},
-			q.WithStrategy(strat),
 		).Sink("out")
 		return p
 	}
 
+	warm := q.NewStats()
+	warm.Edges["relS"] = sb.Stats()
 	for _, tc := range []struct {
-		name   string
-		strat  q.JoinStrategy
-		stats  *q.Stats
-		seeded bool
+		name string
+		opts q.Options
+		want q.JoinStrategy
 	}{
-		{name: "broadcast", strat: q.JoinBroadcast},
-		{name: "repart", strat: q.JoinRepartition},
-		{name: "skewed", strat: q.JoinSkewed, stats: func() *q.Stats {
-			st := q.NewStats()
-			st.Edges["relS"] = sb.Stats()
-			return st
-		}(), seeded: true},
+		{"broadcast", q.Options{Parts: 4, Stats: warm}, q.JoinBroadcast},
+		{"repart", q.Options{Parts: 4, Static: true}, q.JoinRepartition},
+		{"static", q.Options{Parts: 2, Static: true, Stats: warm}, q.JoinRepartition},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := joinPlan("j"+tc.name, tc.strat).Compile(q.Options{
-				Parts: 4, Stats: tc.stats,
-			})
+			c, err := joinPlan("j" + tc.name).Compile(tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.Joins[0].Strategy != tc.strat {
-				t.Fatalf("strategy %v, want %v", c.Joins[0].Strategy, tc.strat)
-			}
-			if tc.seeded && len(c.Seeds) == 0 {
-				t.Fatalf("skewed join compiled without seeds:\n%s", c.Explain())
+			if c.Joins[0].Strategy != tc.want || len(c.Seeds) != 0 {
+				t.Fatalf("strategy %v with %d seeds, want %v and none:\n%s", c.Joins[0].Strategy, len(c.Seeds), tc.want, c.Explain())
 			}
 			h, err := c.Submit(ctx, cluster, hurricane.JobConfig{Name: tc.name})
 			if err != nil {
@@ -224,21 +216,6 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 			}
 			if int64(len(got)) != want {
 				t.Fatalf("%s join produced %d matches, want %d", tc.name, len(got), want)
-			}
-			if tc.seeded {
-				// SubmitJob fixed the seed map on the job's edge, so the
-				// job's final edge memory carries the pre-isolated heavy
-				// keys.
-				mem := h.Master().EdgeMemory()
-				found := false
-				for _, em := range mem {
-					if em.PMap != nil && len(em.PMap.Isolated) > 0 {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("seeded submission left no isolations in edge memory: %+v", mem)
-				}
 			}
 		})
 	}

@@ -154,10 +154,9 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 						return fmt.Errorf("build row of key %d reads %d after the table was built", b.First, b.Second)
 					}
 					return emit(tuple{First: s.First, Second: b.Second + s.Second})
-				},
-				q.WithStrategy(q.JoinRepartition))
+				})
 			q.MapPerWorker(joined, codec, meet).Sink("out")
-			c, err := p.Compile(q.Options{Parts: workers})
+			c, err := p.Compile(q.Options{Parts: workers, Static: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,10 +243,9 @@ func TestConcurrentWorkersOwnTheirEncoders(t *testing.T) {
 				codec,
 				func(b, s tuple, emit func(tuple) error) error {
 					return emit(tuple{First: s.First % 64, Second: b.Second})
-				},
-				q.WithStrategy(q.JoinRepartition))
+				})
 			q.CountByKey(q.MapPerWorker(joined, codec, meet), func(v tuple) uint64 { return v.First }).Sink("out")
-			c, err := p.Compile(q.Options{Parts: workers})
+			c, err := p.Compile(q.Options{Parts: workers, Static: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -243,32 +243,32 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 
 	// The bytes a compiled plan writes are part of its contract too: a
 	// one-worker join of the same stream against four build records per key
-	// must leave exactly the sink chunks it left before compiled plans
-	// carried typed vectors (digest taken at PR 16), and the planner's
-	// unpinned form, the join fused into the probe scan, exactly the chunks
-	// it left when it became the default.
+	// must leave, compiled Static (a repartition join), exactly the sink
+	// chunks it left before compiled plans carried typed vectors, and in
+	// the planner's form, the join fused into the probe scan, exactly the
+	// chunks it left when that became the default.
 	for _, golden := range []struct {
-		strategy q.JoinStrategy
-		digest   string
+		static bool
+		digest string
 	}{
-		{q.JoinRepartition, "7:fcae94b90950a80694b0727fabf8d2547200d340ae03d0fd97ce6092d288227d"},
-		{q.JoinAuto, "4:82717a4dd628eca0eba4c6b3ad3bd614922e041d7d7fefa95df5d1b098783777"},
+		{true, "7:fcae94b90950a80694b0727fabf8d2547200d340ae03d0fd97ce6092d288227d"},
+		{false, "4:82717a4dd628eca0eba4c6b3ad3bd614922e041d7d7fefa95df5d1b098783777"},
 	} {
-		if got := compiledJoinSinkDigest(t, stream, golden.strategy); got != golden.digest {
-			t.Errorf("compiled %v join sink chunks digest %s, golden %s", golden.strategy, got, golden.digest)
+		if got := compiledJoinSinkDigest(t, stream, golden.static); got != golden.digest {
+			t.Errorf("compiled join (static=%v) sink chunks digest %s, golden %s", golden.static, got, golden.digest)
 		}
 	}
 }
 
-// compiledJoinSinkDigest runs build ⋈ probe as a compiled plan of the
-// given join strategy on one worker slot with every mitigation off and
+// compiledJoinSinkDigest runs build ⋈ probe as a compiled plan, static or
+// not, on one worker slot with every mitigation off and
 // digests the sink's chunks: the SHA-256 of their SHA-256s in sorted order
 // (the four join workers of a shuffled join run one after another, in no
 // fixed order). A bag hands its chunks out in no fixed order either, so the
 // chunk size is one that keeps each source and each edge partition a single
 // chunk — every worker sees its records in stream order — while the join's
 // output, four times its input, is cut into several chunks per worker.
-func compiledJoinSinkDigest(t *testing.T, probe []tuple, strategy q.JoinStrategy) string {
+func compiledJoinSinkDigest(t *testing.T, probe []tuple, static bool) string {
 	t.Helper()
 	var build []tuple
 	for k := uint64(0); k < 4096; k++ {
@@ -314,8 +314,8 @@ func compiledJoinSinkDigest(t *testing.T, probe []tuple, strategy q.JoinStrategy
 	q.Join(q.Scan(p, "R", tupleCodec), q.Scan(p, "S", tupleCodec), key, key, matches,
 		func(b, s tuple, emit func(hurricane.Pair[uint64, tuple]) error) error {
 			return emit(hurricane.Pair[uint64, tuple]{First: s.First, Second: tuple{First: b.Second, Second: s.Second}})
-		}, q.WithStrategy(strategy)).Sink("joined")
-	compiled, err := p.Compile(q.Options{Parts: 4})
+		}).Sink("joined")
+	compiled, err := p.Compile(q.Options{Parts: 4, Static: static})
 	if err != nil {
 		t.Fatal(err)
 	}

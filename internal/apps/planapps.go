@@ -82,10 +82,10 @@ const JoinShufOut = "joinshuf.out"
 // HashJoinPlan is HashJoinApp as a declarative query: join the probe
 // relation S against the build relation R on the tuple key, emitting the
 // same (key, (payloadR, payloadS)) matches into JoinShufOut. The
-// physical strategy is the planner's call (broadcast) or the caller's,
-// via q.WithStrategy; the hand-wired app pins a static fan of one join
+// physical form is the planner's call (broadcast, or repartition under
+// q.Options.Static); the hand-wired app pins a static fan of one join
 // task per hash partition.
-func HashJoinPlan(opts ...q.JoinOption) *q.Plan {
+func HashJoinPlan() *q.Plan {
 	p := q.New("hashjoinq")
 	build := q.Scan(p, JoinBagR, tupleCodec)
 	probe := q.Scan(p, JoinBagS, tupleCodec)
@@ -99,7 +99,6 @@ func HashJoinPlan(opts ...q.JoinOption) *q.Plan {
 				Second: hurricane.Pair[uint64, uint64]{First: b.Second, Second: s.Second},
 			})
 		},
-		opts...,
 	).Sink(JoinShufOut)
 	return p
 }

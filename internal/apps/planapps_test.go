@@ -84,10 +84,10 @@ func collectMatches(t *testing.T, store *hurricane.Store, bags ...string) []hurr
 	return out
 }
 
-// TestHashJoinPlanMatchesHandWiredOracle runs the planner-built join,
-// unpinned and pinned skewed, and the hand-wired HashJoinApp on identical
-// skewed relations and asserts all produce the ground-truth number of
-// matches and the same matches.
+// TestHashJoinPlanMatchesHandWiredOracle runs the planner-built join, in
+// the planner's form and compiled Static, and the hand-wired HashJoinApp
+// on identical skewed relations and asserts all produce the ground-truth
+// number of matches and the same matches.
 func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 	ctx := testCtx(t)
 	rGen := workload.RelationGen{Keys: 512, S: 0, Seed: 23}
@@ -113,28 +113,23 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 		t.Fatalf("hand-wired join produced %d matches, want %d", len(oracle), want)
 	}
 
-	// Unpinned, the planner fuses the join into the probe scan; pinned
-	// skewed, warm statistics from the probe relation seed its edge — the
-	// adaptive counterpart of the hand-wired app.
+	// The planner fuses the join into the probe scan, warm statistics or
+	// not; compiled Static, it shuffles the probe like the hand-wired app.
 	for _, tc := range []struct {
 		name string
-		plan *q.Plan
 		opts q.Options
 		want q.JoinStrategy
 	}{
-		{"auto", HashJoinPlan(), q.Options{Parts: parts}, q.JoinBroadcast},
-		{"skewed", HashJoinPlan(q.WithStrategy(q.JoinSkewed)), q.Options{Parts: parts, Stats: joinWarmStats(s)}, q.JoinSkewed},
+		{"auto", q.Options{Parts: parts, Stats: joinWarmStats(s)}, q.JoinBroadcast},
+		{"static", q.Options{Parts: parts, Static: true}, q.JoinRepartition},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := tc.plan.Compile(tc.opts)
+			c, err := HashJoinPlan().Compile(tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := c.Joins[0].Strategy; got != tc.want {
-				t.Fatalf("planner chose %v, want %v:\n%s", got, tc.want, c.Explain())
-			}
-			if seeded := len(c.Seeds) > 0; seeded != (tc.want == q.JoinSkewed) {
-				t.Fatalf("seeded=%v for a %v join:\n%s", seeded, tc.want, c.Explain())
+			if got := c.Joins[0].Strategy; got != tc.want || len(c.Seeds) != 0 {
+				t.Fatalf("planner chose %v with %d seeds, want %v and none:\n%s", got, len(c.Seeds), tc.want, c.Explain())
 			}
 			planCluster := testCluster(t, nil)
 			if err := LoadRelations(ctx, planCluster.Store(), r, s); err != nil {
@@ -158,7 +153,7 @@ func TestHashJoinPlanMatchesHandWiredOracle(t *testing.T) {
 
 // joinWarmStats is an exact key sketch of the probe relation under its
 // head bag's name — what a previous run's merged edge sketch would have
-// recorded, and what seeds a pinned skewed join's edge.
+// recorded, and what a join's form never depends on.
 func joinWarmStats(s []workload.Tuple) *q.Stats {
 	sb := hurricane.NewStatsBuilder()
 	for _, t := range s {

@@ -26,8 +26,9 @@ const (
 	// EvWindowRetried: a streaming window was reset and re-run after a
 	// failure (subject = window job id).
 	EvWindowRetried EventType = "WindowRetried"
-	// EvJoinStrategyChosen: the planner picked a physical join strategy
-	// (subject = join edge or node, detail = strategy and reason).
+	// EvJoinStrategyChosen: the planner picked a join's physical form,
+	// broadcast or repartition (subject = join edge or node, detail =
+	// form and reason).
 	EvJoinStrategyChosen EventType = "JoinStrategyChosen"
 	// EvTaskScheduled: the master published a task's blueprints (subject
 	// = task).

@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestExplainAnalyzePinned compiles the skewed-join plan and renders
+// TestExplainAnalyzePinned compiles the static join plan and renders
 // EXPLAIN ANALYZE against a synthesized profile, pinning the measured
 // annotations: per-stage workers/time/rows/bytes lines, per-phase
 // breakdowns, the observed-edge line under the join decision, and the
@@ -16,13 +16,13 @@ func TestExplainAnalyzePinned(t *testing.T) {
 	p := New("j")
 	r := Scan(p, "relR", pairCodec)
 	s := Scan(p, "relS", pairCodec)
-	j := Join(p, r, s, joinSpec(JoinSkewed))
+	j := Join(p, r, s, joinSpec())
 	p.Sink(j, "out")
-	ph, err := Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)})
+	ph, err := Compile(p, Options{Parts: 4, Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ph.Joins) != 1 || ph.Joins[0].Strategy != JoinSkewed {
+	if len(ph.Joins) != 1 || ph.Joins[0].Strategy != JoinRepartition {
 		t.Fatalf("fixture compiled unexpectedly:\n%s", ph.Explain())
 	}
 
@@ -61,7 +61,7 @@ func TestExplainAnalyzePinned(t *testing.T) {
 
 	out := ph.ExplainAnalyze(prof)
 	for _, want := range []string{
-		"plan j (parts=4) — analyzed: wall",
+		"plan j (parts=4, static) — analyzed: wall",
 		"measured: workers=1 time=8.0ms p50=8.0ms max=8.0ms in=1048576B out=524288B rows=1000",
 		"phases:   queue=1.0ms read=2.0ms compute=4.5ms shuffle=1.0ms finalize=0.5ms",
 		"observed: p50=8.0ms max=8.0ms slowest=50% clones=3",

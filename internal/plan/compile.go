@@ -16,14 +16,6 @@ type Options struct {
 	// Parts is the base partition count of inserted shuffle edges
 	// (default 4).
 	Parts int
-	// IsolateFraction: a key whose observed share of an edge's records is
-	// at least IsolateFraction of a mean partition's load is pre-isolated
-	// by the skewed join / warm-started groupby (default
-	// shuffle.DefaultIsolateFraction).
-	IsolateFraction float64
-	// Fan is the record-level spread fan for pre-isolated heavy keys
-	// (default shuffle.DefaultFan).
-	Fan int
 	// Static compiles the naive physical plan: no record-level Spread and
 	// no seed maps, with NoClone edge consumers — classic static hash
 	// partitioning with one reducer per partition. This is the baseline
@@ -37,15 +29,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Parts <= 0 {
 		o.Parts = 4
-	}
-	if o.IsolateFraction <= 0 {
-		o.IsolateFraction = shuffle.DefaultIsolateFraction
-	}
-	if o.Fan <= 0 {
-		// 0 means default; an explicit Fan of 1 is honored — it isolates
-		// heavy keys onto one dedicated partition without record-level
-		// spreading (shuffle.WarmStart supports fan=1 directly).
-		o.Fan = shuffle.DefaultFan
 	}
 	return o
 }
@@ -284,7 +267,7 @@ func (c *compiler) build() error {
 			spread := !c.opts.Static
 			c.declareEdge(edge, spread)
 			up.out, up.edgeKey = edge, n.edgeKey
-			c.seedEdge(edge, n.in[0], spread)
+			c.seedEdge(edge, n.in[0])
 			// Consumer side: the aggregate stage (one worker per physical
 			// partition; clones allowed — partials merge downstream).
 			s := c.newStage(n)
@@ -314,9 +297,6 @@ func (c *compiler) build() error {
 			spread := !c.opts.Static
 			c.declareEdge(info.Edge, spread)
 			up.out, up.edgeKey = info.Edge, n.edgeKey
-			if info.Strategy == JoinSkewed {
-				c.seedEdge(info.Edge, probe, spread)
-			}
 			s := c.newStage(n)
 			s.head, s.consume, s.inNode = "edge", info.Edge, probe
 			s.inEdge = true

@@ -30,15 +30,15 @@ type ds[T any] struct {
 	settle func([]T) []T
 }
 
-// world is one differential case under construction. An unpinned join
-// takes the strategy in pin (JoinAuto leaves it to the planner); auto
-// records whether the case built one.
+// world is one differential case under construction, compiled under
+// Options.Static when static is set; joins records whether the case built
+// a join.
 type world struct {
-	p     *Plan
-	loads map[string]func(ctx context.Context, store *bag.Store) error
-	sinks map[string]sinkD
-	pin   JoinStrategy
-	auto  bool
+	p      *Plan
+	loads  map[string]func(ctx context.Context, store *bag.Store) error
+	sinks  map[string]sinkD
+	static bool
+	joins  bool
 }
 
 // sinkD is one sink: the interpreter's records, and how to read the
@@ -136,9 +136,7 @@ func groupByD[T, A any](w *world, in ds[T], spec GroupBySpec[T, A]) ds[chunk.Pai
 }
 
 func joinD[L, R, O any](w *world, build ds[L], probe ds[R], spec JoinSpec[L, R, O]) ds[O] {
-	if spec.Strategy == JoinAuto {
-		w.auto, spec.Strategy = true, w.pin
-	}
+	w.joins = true
 	return flatD(probe, Join(w.p, build.n, probe.n, spec), spec.Codec, func(pr R, emit func(O) error) error {
 		rows, err := build.eval()
 		if err != nil {
@@ -224,7 +222,7 @@ func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, erro
 			t.Fatal(err)
 		}
 	}
-	ph, err := Compile(w.p, Options{Parts: 3})
+	ph, err := Compile(w.p, Options{Parts: 3, Static: w.static})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +317,6 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 		Join: func(b, pr tuple, emit func(match) error) error {
 			return emit(match{First: pr.First, Second: tuple{First: b.Second, Second: pr.Second}})
 		},
-		Strategy: JoinRepartition,
 	}
 
 	// S: 1500 probe tuples, keys skewed toward 0, payloads 0..1499 (so
@@ -382,28 +379,28 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			sinkTo(w, topKD(w, S(w), 7, bySecondThenKey), "out")
 		}},
 		{name: "join-map", build: func(w *world) {
-			sinkTo(w, mapD(w, joinD(w, R(w), S(w), joinSpec(JoinRepartition)), pairCodec, double), "out")
+			sinkTo(w, mapD(w, joinD(w, R(w), S(w), joinSpec()), pairCodec, double), "out")
 		}},
 		{name: "filter-broadcastjoin-flatmap-filter", build: func(w *world) {
-			j := joinD(w, R(w), filterD(w, S(w), odd), joinSpec(JoinBroadcast))
+			j := joinD(w, R(w), filterD(w, S(w), odd), joinSpec())
 			sinkTo(w, filterD(w, flatMapD(w, j, pairCodec, repeat(2)), odd), "out")
 		}},
 		{name: "join-groupby", build: func(w *world) {
-			sinkTo(w, groupByD(w, joinD(w, R(w), S(w), joinSpec(JoinRepartition)), countSpec()), "out")
+			sinkTo(w, groupByD(w, joinD(w, R(w), S(w), joinSpec()), countSpec()), "out")
 		}},
 		{name: "join-build-is-groupby", build: func(w *world) {
 			sinkTo(w, joinD(w, groupByD(w, R(w), countSpec()), S(w), countJoin), "out")
 		}},
 		{name: "join-probe-is-groupby", build: func(w *world) {
 			// The probe streams out of a single-worker finalize stage.
-			sinkTo(w, joinD(w, R(w), mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple), joinSpec(JoinAuto)), "out")
+			sinkTo(w, joinD(w, R(w), mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple), joinSpec()), "out")
 		}},
 		{name: "empty-vectors-groupby-map-topk", build: func(w *world) {
 			g := groupByD(w, mapD(w, filterD(w, S(w), none), pairCodec, double), countSpec())
 			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 3, bySecondThenKey), "out")
 		}},
 		{name: "empty-vectors-join-flatmap", build: func(w *world) {
-			j := joinD(w, R(w), filterD(w, S(w), none), joinSpec(JoinRepartition))
+			j := joinD(w, R(w), filterD(w, S(w), none), joinSpec())
 			sinkTo(w, flatMapD(w, j, pairCodec, repeat(2)), "out")
 		}},
 		{name: "map-errors-mid-vector", fails: errBoom, build: func(w *world) {
@@ -454,8 +451,8 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 		}},
 		{name: "bytes-rowonly-flatmap-join", build: func(w *world) {
 			// Byte payloads alias their chunk all the way through a FlatMap
-			// (and the probe edge, pinned to repartition) into the join
-			// against the build table.
+			// (and the probe edge, under Static) into the join against the
+			// build table.
 			halves := flatMapD(w, scanD(w, "B", blobCodec, recsB), blobCodec, func(v blob, emit func(blob) error) error {
 				if err := emit(blob{First: v.First, Second: v.Second[:len(v.Second)/2]}); err != nil {
 					return err
@@ -476,39 +473,48 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			// Three thousand build rows under key 0: every probe record of
 			// that key overflows the join's buffer by itself. Absent probe
 			// keys (the even ones) match nothing.
-			j := joinD(w, scanD(w, "H", pairCodec, recsH), S(w), joinSpec(JoinRepartition))
+			j := joinD(w, scanD(w, "H", pairCodec, recsH), S(w), joinSpec())
 			sinkTo(w, filterD(w, j, func(v tuple) bool { return v.Second%97 == 0 }), "out")
 		}},
 		{name: "join-empty-build", build: func(w *world) {
-			sinkTo(w, joinD(w, filterD(w, R(w), none), S(w), joinSpec(JoinRepartition)), "out")
+			sinkTo(w, joinD(w, filterD(w, R(w), none), S(w), joinSpec()), "out")
 		}},
 		{name: "join-no-probe-key-in-build", build: func(w *world) {
 			far := mapD(w, R(w), pairCodec, func(v tuple) (tuple, error) { return tuple{First: v.First + 1000, Second: v.Second}, nil })
-			sinkTo(w, joinD(w, far, S(w), joinSpec(JoinBroadcast)), "out")
+			sinkTo(w, joinD(w, far, S(w), joinSpec()), "out")
 		}},
 		{name: "two-joins-share-build-scan", build: func(w *world) {
-			// One Scan node is the build side of a shuffled join and of the
-			// broadcast join fused behind it, under different build keys.
+			// One Scan node is the build side of two joins in a row, under
+			// different build keys.
 			r := R(w)
-			byPayload := joinSpec(JoinBroadcast)
+			byPayload := joinSpec()
 			byPayload.BuildKey = func(v tuple) uint64 { return v.Second % 50 }
-			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec(JoinRepartition)), byPayload), "out")
+			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec()), byPayload), "out")
+		}},
+		{name: "groupby-join-fused-join-share-build-scan", build: func(w *world) {
+			// The inner join's probe is finalized, so it repartitions, and
+			// the outer join fuses into its clonable edge stage: the build
+			// side of a shuffled join and of a broadcast join behind it.
+			r := R(w)
+			byPayload := joinSpec()
+			byPayload.BuildKey = func(v tuple) uint64 { return v.Second % 50 }
+			counts := mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple)
+			sinkTo(w, joinD(w, r, joinD(w, r, counts, joinSpec()), byPayload), "out")
 		}},
 	}
-	// A case with an unpinned join runs again with it pinned to
-	// repartition, so the shuffled probe path keeps every shape the
-	// planner's broadcast choice covers.
+	// A case with a join runs again under Options.Static, where every join
+	// repartitions, so both forms the planner can choose meet every shape.
 	for _, tc := range cases {
-		for _, pin := range []JoinStrategy{JoinAuto, JoinRepartition} {
+		for _, static := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}, pin: pin}
+				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}, static: static}
 				tc.build(w)
 				name := fmt.Sprintf("%s/%dw", tc.name, workers)
-				if pin != JoinAuto {
-					if !w.auto {
+				if static {
+					if !w.joins {
 						continue
 					}
-					name = fmt.Sprintf("%s/%v/%dw", tc.name, pin, workers)
+					name = fmt.Sprintf("%s/%v/%dw", tc.name, JoinRepartition, workers)
 				}
 				runDifferential(t, name, w, workers, tc.fails)
 			}

@@ -6,20 +6,19 @@
 // front door for: instead of hand-wiring stages and bags per workload,
 // applications state *what* they compute and the compiler chooses *how* —
 // fusing adjacent narrow operators into single streaming tasks, inserting
-// partitioned shuffle edges only at wide boundaries (GroupBy, a pinned
-// shuffled Join), and pre-isolating the heavy keys that compile-time
-// statistics show (in the spirit of SharesSkew's per-key strategy choice
-// and Reshape's adaptive layer above the operators).
+// partitioned shuffle edges only at wide boundaries (GroupBy, a join whose
+// probe streams out of a GroupBy's finalize stage), and pre-isolating the
+// heavy keys that compile-time statistics show on a groupby edge (Reshape's
+// adaptive layer above the operators).
 //
-// A join is broadcast unless pinned: every join worker loads the whole
-// build side whatever the form, so the join fuses into the stage producing
-// the probe side and clones split the probe chunk by chunk — the broadcast
-// case of Beame–Koutris–Suciu, where key skew on the split side costs
-// nothing. A probe that streams out of a GroupBy's single-worker finalize
-// stage is shuffled instead, so the join can run on several workers. JoinRepartition (the Static baseline) and JoinSkewed (whose
-// seed map pre-isolates heavy probe keys onto record-level Spread fragment
-// consumers) shuffle the probe through a partitioned edge and stay
-// pinnable.
+// A join's physical form is a function of the plan alone. Every join worker
+// loads the whole build side whatever the form, so the join fuses into the
+// stage producing the probe side and clones split the probe chunk by chunk
+// — the broadcast case of Beame–Koutris–Suciu, where key skew on the split
+// side costs nothing. A probe that streams out of a GroupBy's single-worker
+// finalize stage is shuffled instead, so the join can run on several
+// workers, and Options.Static (the naive baseline) shuffles every probe. A
+// join edge is never seeded: warm statistics decide no join's form.
 //
 // Records are typed end to end. The generic constructors below (Scan,
 // Filter, Map, ... — package repro/hurricane/q is the public surface over
@@ -90,34 +89,25 @@ type GroupBySpec[T, A any] struct {
 	Merge func(A, A) A
 }
 
-// JoinStrategy is a physical join implementation.
+// JoinStrategy is a physical join form, as the planner chose it
+// (JoinInfo.Strategy).
 type JoinStrategy int
 
 const (
-	// JoinAuto lets the planner decide (the default): broadcast, or
-	// repartition under Options.Static or behind a GroupBy finalize.
-	JoinAuto JoinStrategy = iota
 	// JoinRepartition shuffles the probe side through a partitioned edge;
 	// runtime clones still share its hot partitions.
-	JoinRepartition
+	JoinRepartition JoinStrategy = iota
 	// JoinBroadcast consumes the probe side directly (no shuffle); every
 	// worker scans the full build side.
 	JoinBroadcast
-	// JoinSkewed is repartition plus compile-time pre-isolation of
-	// heavy-hitter keys onto spread fragment consumers.
-	JoinSkewed
 )
 
 func (s JoinStrategy) String() string {
 	switch s {
-	case JoinAuto:
-		return "auto"
 	case JoinRepartition:
 		return "repartition"
 	case JoinBroadcast:
 		return "broadcast"
-	case JoinSkewed:
-		return "skewed"
 	}
 	return "?"
 }
@@ -135,9 +125,6 @@ type JoinSpec[L, R, O any] struct {
 	Codec chunk.Codec[O]
 	// Join emits the matches of one (build, probe) record pair.
 	Join func(build L, probe R, emit func(O) error) error
-	// Strategy overrides the planner's choice for this join (JoinAuto
-	// lets the planner decide).
-	Strategy JoinStrategy
 }
 
 // Node is one operator of the logical plan tree. Its record types live in
@@ -164,7 +151,6 @@ type Node struct {
 	// operator's shuffle edge (GroupBy's Key, Join's ProbeKey).
 	edgeKey    any
 	readMerged func(next chunkSource, down any) error       // groupby: finalized read
-	strategy   JoinStrategy                                 // join
 	loadTable  func(src chunkSource) (table any, err error) // join: build side -> *joinTable[L]
 }
 
@@ -341,11 +327,10 @@ func GroupBy[T, A any](p *Plan, in *Node, spec GroupBySpec[T, A]) *Node {
 }
 
 // Join equi-joins two inputs: build (loaded into a table by every worker)
-// and probe (streamed). The physical strategy is broadcast (repartition
-// under Options.Static or behind a GroupBy finalize) unless
-// spec.Strategy pins it.
+// and probe (streamed). The physical form is broadcast, or repartition
+// under Options.Static or behind a GroupBy finalize.
 func Join[L, R, O any](p *Plan, build, probe *Node, spec JoinSpec[L, R, O]) *Node {
-	n := &Node{kind: opJoin, in: []*Node{build, probe}, err: holds[R](probe), strategy: spec.Strategy}
+	n := &Node{kind: opJoin, in: []*Node{build, probe}, err: holds[R](probe)}
 	if spec.BuildKey == nil || spec.ProbeKey == nil || spec.Codec == nil || spec.Join == nil {
 		n.err = fmt.Errorf("incomplete JoinSpec")
 		return p.add(n)

@@ -35,7 +35,7 @@ func countSpec() GroupBySpec[tuple, int64] {
 	}
 }
 
-func joinSpec(strategy JoinStrategy) JoinSpec[tuple, tuple, tuple] {
+func joinSpec() JoinSpec[tuple, tuple, tuple] {
 	return JoinSpec[tuple, tuple, tuple]{
 		BuildKey: tupleKey,
 		ProbeKey: tupleKey,
@@ -43,7 +43,6 @@ func joinSpec(strategy JoinStrategy) JoinSpec[tuple, tuple, tuple] {
 		Join: func(b, p tuple, emit func(tuple) error) error {
 			return emit(tuple{First: p.First, Second: b.Second + p.Second})
 		},
-		Strategy: strategy,
 	}
 }
 
@@ -193,28 +192,6 @@ func TestCompileTopKDirectlyOnScan(t *testing.T) {
 	}
 }
 
-// TestExplicitFanOneHonored: Options.Fan = 1 must not be coerced to the
-// default — it requests isolation without record-level spreading.
-func TestExplicitFanOneHonored(t *testing.T) {
-	p := New("fan1")
-	src := Scan(p, "in", pairCodec)
-	g := GroupBy(p, src, countSpec())
-	p.Sink(g, "out")
-	ph, err := Compile(p, Options{Parts: 4, Fan: 1, Stats: zipfStats("in", 100000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := ph.Seeds["fan1.e1"]
-	if seed == nil || len(seed.Isolated) == 0 {
-		t.Fatalf("expected seeded isolations: %+v", seed)
-	}
-	for _, iso := range seed.Isolated {
-		if iso.Fan != 1 {
-			t.Fatalf("explicit Fan 1 coerced to %d", iso.Fan)
-		}
-	}
-}
-
 func TestCompileStaticMode(t *testing.T) {
 	p := New("st")
 	src := Scan(p, "in", pairCodec)
@@ -262,21 +239,11 @@ func TestCompileGroupBySeedsFromWarmStats(t *testing.T) {
 }
 
 func TestJoinStrategySelection(t *testing.T) {
-	build := func(strategy JoinStrategy) (*Plan, *Node) {
-		p := New("j")
-		r := Scan(p, "relR", pairCodec)
-		s := Scan(p, "relS", pairCodec)
-		j := Join(p, r, s, joinSpec(strategy))
-		p.Sink(j, "out")
-		return p, j
-	}
 	cases := []struct {
-		name     string
-		strategy JoinStrategy
-		opts     Options
-		want     JoinStrategy
-		seeded   bool
-		noClone  bool
+		name    string
+		opts    Options
+		want    JoinStrategy
+		noClone bool
 	}{
 		{
 			name: "broadcast without statistics",
@@ -289,19 +256,6 @@ func TestJoinStrategySelection(t *testing.T) {
 			want: JoinBroadcast,
 		},
 		{
-			name:     "repartition when pinned",
-			strategy: JoinRepartition,
-			opts:     Options{},
-			want:     JoinRepartition,
-		},
-		{
-			name:     "pinned skewed is seeded from the warm sketch",
-			strategy: JoinSkewed,
-			opts:     Options{Parts: 4, Stats: zipfStats("relS", 200000)},
-			want:     JoinSkewed,
-			seeded:   true,
-		},
-		{
 			name:    "static pins repartition",
 			opts:    Options{Static: true, Stats: zipfStats("relS", 200000)},
 			want:    JoinRepartition,
@@ -310,7 +264,8 @@ func TestJoinStrategySelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, _ := build(tc.strategy)
+			p := New("j")
+			p.Sink(Join(p, Scan(p, "relR", pairCodec), Scan(p, "relS", pairCodec), joinSpec()), "out")
 			ph, err := Compile(p, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -322,8 +277,8 @@ func TestJoinStrategySelection(t *testing.T) {
 			if j.Strategy != tc.want {
 				t.Fatalf("strategy %v (%s), want %v\n%s", j.Strategy, j.Reason, tc.want, ph.Explain())
 			}
-			if tc.seeded != (len(ph.Seeds) > 0) {
-				t.Fatalf("seeded=%v, want %v (seeds=%v)", len(ph.Seeds) > 0, tc.seeded, ph.Seeds)
+			if len(ph.Seeds) > 0 {
+				t.Fatalf("a join edge is never seeded, got %v", ph.Seeds)
 			}
 			switch j.Strategy {
 			case JoinBroadcast:
@@ -354,35 +309,39 @@ func TestJoinStrategySelection(t *testing.T) {
 }
 
 // TestJoinOnFinalizedProbeRepartitions: a GroupBy's finalize stage runs
-// on one worker and never clones, so an unpinned join whose probe streams
-// out of one must not fuse into it — the probe edge is what lets several
-// workers run the join. A TopK stage emits at most k records, so a join
-// still fuses into it.
+// on one worker and never clones, so a join whose probe streams out of one
+// must not fuse into it — the probe edge is what lets several workers run
+// the join. A TopK stage emits at most k records, and a repartitioned
+// join's edge stage clones, so a join fuses into either. Warm statistics
+// seed the groupby edge and never the join's.
 func TestJoinOnFinalizedProbeRepartitions(t *testing.T) {
 	toTuple := func(v keyCount) (tuple, error) { return tuple{First: v.First, Second: uint64(v.Second)}, nil }
+	counted := func(p *Plan, src *Node) *Node { return Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple) }
+	warm := zipfStats("relS", 200000)
+	warm.Edges["agg.e4"] = warm.Edges["relS"] // the join edge's own name
 	cases := []struct {
 		name  string
 		probe func(p *Plan, src *Node) *Node
+		stats *Stats
 		want  JoinStrategy
+		head  string // of the stage the join runs in
+		seeds int
 	}{
-		{"groupby", func(p *Plan, src *Node) *Node {
-			return Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple)
-		}, JoinRepartition},
-		{"behind a pinned broadcast join", func(p *Plan, src *Node) *Node {
-			g := Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple)
-			return Join(p, Scan(p, "relT", pairCodec), g, joinSpec(JoinBroadcast))
-		}, JoinRepartition},
+		{"groupby", counted, nil, JoinRepartition, "edge", 0},
+		{"warm stats seed the groupby edge only", counted, warm, JoinRepartition, "edge", 1},
+		{"behind a join behind a groupby", func(p *Plan, src *Node) *Node {
+			return Join(p, Scan(p, "relT", pairCodec), counted(p, src), joinSpec())
+		}, nil, JoinBroadcast, "edge", 0},
 		{"topk over a groupby", func(p *Plan, src *Node) *Node {
-			return TopK(p, Map(p, GroupBy(p, src, countSpec()), pairCodec, toTuple), 3,
-				func(a, b tuple) bool { return a.Second < b.Second })
-		}, JoinBroadcast},
+			return TopK(p, counted(p, src), 3, func(a, b tuple) bool { return a.Second < b.Second })
+		}, nil, JoinBroadcast, "topk", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New("agg")
 			r := Scan(p, "relR", pairCodec)
-			p.Sink(Join(p, r, tc.probe(p, Scan(p, "relS", pairCodec)), joinSpec(JoinAuto)), "out")
-			ph, err := Compile(p, Options{Parts: 4})
+			p.Sink(Join(p, r, tc.probe(p, Scan(p, "relS", pairCodec)), joinSpec()), "out")
+			ph, err := Compile(p, Options{Parts: 4, Stats: tc.stats})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,30 +349,15 @@ func TestJoinOnFinalizedProbeRepartitions(t *testing.T) {
 			if j.Strategy != tc.want || (j.Edge == "") != (tc.want == JoinBroadcast) {
 				t.Fatalf("join %+v, want %v\n%s", j, tc.want, ph.Explain())
 			}
+			if len(ph.Seeds) != tc.seeds || ph.Seeds[j.Edge] != nil {
+				t.Fatalf("seeds %v, want %d and none on join edge %q\n%s", ph.Seeds, tc.seeds, j.Edge, ph.Explain())
+			}
 			s := findStage(ph, "out")
-			fused := s.Head == "topk" && s.NoClone && !s.ConsumesEdge
-			shuffled := s.ConsumesEdge && !s.NoClone
-			if len(s.Scans) != 1 || s.Scans[0] != "relR" || fused != (tc.want == JoinBroadcast) || shuffled != (tc.want == JoinRepartition) {
+			if s.Head != tc.head || s.NoClone != (tc.head == "topk") || s.Scans[len(s.Scans)-1] != "relR" ||
+				(j.Edge != "" && s.Consumes != j.Edge) {
 				t.Fatalf("join stage wrong for %v: %+v\n%s", tc.want, s, ph.Explain())
 			}
 		})
-	}
-}
-
-func TestPinnedStrategyOverridesStats(t *testing.T) {
-	p := New("pin")
-	r := Scan(p, "relR", pairCodec)
-	s := Scan(p, "relS", pairCodec)
-	j := Join(p, r, s, joinSpec(JoinRepartition))
-	p.Sink(j, "out")
-	// Stats show heavy probe keys and auto would broadcast — the pin must
-	// win anyway, with an unseeded edge.
-	ph, err := Compile(p, Options{Stats: zipfStats("relS", 200000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Joins[0].Strategy != JoinRepartition || ph.Joins[0].Edge == "" || len(ph.Seeds) != 0 {
-		t.Fatalf("pinned strategy ignored: %+v, seeds %v", ph.Joins[0], ph.Seeds)
 	}
 }
 
@@ -481,7 +425,7 @@ func TestValidationErrors(t *testing.T) {
 		p2 := New("v2")
 		foreign := Scan(p2, "other", pairCodec)
 		mine := Scan(p1, "in", pairCodec)
-		j := Join(p1, foreign, mine, joinSpec(JoinAuto))
+		j := Join(p1, foreign, mine, joinSpec())
 		p1.Sink(j, "out")
 		if _, err := Compile(p1, Options{}); err == nil || !strings.Contains(err.Error(), "cross") {
 			t.Fatalf("want cross-plan error, got %v", err)
@@ -498,7 +442,7 @@ func TestValidationErrors(t *testing.T) {
 	t.Run("self join", func(t *testing.T) {
 		p := New("v")
 		src := Scan(p, "in", pairCodec)
-		j := Join(p, src, src, joinSpec(JoinAuto))
+		j := Join(p, src, src, joinSpec())
 		p.Sink(j, "out")
 		if _, err := Compile(p, Options{}); err == nil {
 			t.Fatal("want self-join error")
@@ -510,7 +454,7 @@ func TestExplainMentionsDecisions(t *testing.T) {
 	p := New("ex")
 	r := Scan(p, "relR", pairCodec)
 	s := Scan(p, "relS", pairCodec)
-	j := Join(p, r, s, joinSpec(JoinAuto))
+	j := Join(p, r, s, joinSpec())
 	p.Sink(j, "out")
 	ph, err := Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)})
 	if err != nil {
@@ -528,16 +472,14 @@ func TestExplainMentionsDecisions(t *testing.T) {
 		}
 	}
 
-	// Pinned skewed, the same statistics seed the probe edge.
+	// A groupby edge is seeded from the same statistics.
 	p = New("ex")
-	r = Scan(p, "relR", pairCodec)
-	s = Scan(p, "relS", pairCodec)
-	p.Sink(Join(p, r, s, joinSpec(JoinSkewed)), "out")
+	p.Sink(GroupBy(p, Scan(p, "relS", pairCodec), countSpec()), "out")
 	if ph, err = Compile(p, Options{Parts: 4, Stats: zipfStats("relS", 200000)}); err != nil {
 		t.Fatal(err)
 	}
 	out = ph.Explain()
-	for _, want := range []string{"skewed", "seed", "edge-consumer", "shuffle-write"} {
+	for _, want := range []string{"seed ex.e1: 1 isolated keys", "edge-consumer", "shuffle-write"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)
 		}

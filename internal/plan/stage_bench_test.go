@@ -47,29 +47,21 @@ func benchInput(n int) (build, probe []tuple) {
 	return build, probe
 }
 
-func benchJoinSpec(strategy JoinStrategy) JoinSpec[tuple, tuple, benchMatch] {
+func benchJoinSpec() JoinSpec[tuple, tuple, benchMatch] {
 	return JoinSpec[tuple, tuple, benchMatch]{
 		BuildKey: tupleKey, ProbeKey: tupleKey, Codec: benchMatchCodec,
 		Join: func(b, s tuple, emit func(benchMatch) error) error {
 			return emit(benchMatch{First: s.First, Second: tuple{First: b.Second, Second: s.Second}})
 		},
-		Strategy: strategy,
 	}
 }
 
-// benchJoinPlan is scan(S) -> edge -> join(R) -> sink, the repartition
-// form pinned.
+// benchJoinPlan is scan(S) -> join(R) -> sink, one fused stage as the
+// planner compiles it, or scan(S) -> edge -> join(R) -> sink under
+// Options.Static.
 func benchJoinPlan() *Plan {
 	p := New("bj")
-	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec(JoinRepartition))
-	return p.Sink(j, "out")
-}
-
-// benchFusedJoinPlan is scan(S) -> join(R) -> sink in one stage: the
-// planner's unpinned join.
-func benchFusedJoinPlan() *Plan {
-	p := New("bf")
-	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec(JoinAuto))
+	j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec())
 	return p.Sink(j, "out")
 }
 
@@ -88,13 +80,14 @@ type stageCost struct {
 	mallocs uint64
 }
 
-// runStages runs p on a fresh in-proc cluster with one worker slot — stage
-// bodies run one at a time, so a body's cost is its own plus whatever the
-// engine's background goroutines (inserters, master, node loops) did
-// meanwhile — with the collector off, and returns each stage's cost under
+// runStages compiles p, static or not, and runs it on a fresh in-proc
+// cluster with one worker slot — stage bodies run one at a time, so a
+// body's cost is its own plus whatever the engine's background goroutines
+// (inserters, master, node loops) did meanwhile — with the collector off,
+// and returns each stage's cost under
 // "scatter" (the stage writing the shuffle edge) or the stage's last
 // operator ("join", "groupby").
-func runStages(tb testing.TB, p *Plan, sources map[string][]tuple) map[string]*stageCost {
+func runStages(tb testing.TB, p *Plan, static bool, sources map[string][]tuple) map[string]*stageCost {
 	tb.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -111,7 +104,7 @@ func runStages(tb testing.TB, p *Plan, sources map[string][]tuple) map[string]*s
 			tb.Fatal(err)
 		}
 	}
-	ph, err := Compile(p, Options{Parts: 4})
+	ph, err := Compile(p, Options{Parts: 4, Static: static})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -168,13 +161,14 @@ func TestCompiledJoinAllocsPerRecord(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		plan   *Plan
+		static bool
 		stages []string
 	}{
-		{"join", benchJoinPlan(), []string{"scatter", "join"}},
-		{"fusedJoin", benchFusedJoinPlan(), []string{"join"}},
-		{"countByKey", benchCountPlan(), []string{"scatter", "groupby"}},
+		{"join", benchJoinPlan(), true, []string{"scatter", "join"}},
+		{"fusedJoin", benchJoinPlan(), false, []string{"join"}},
+		{"countByKey", benchCountPlan(), false, []string{"scatter", "groupby"}},
 	} {
-		costs := runStages(t, tc.plan, map[string][]tuple{"R": build, "S": probe})
+		costs := runStages(t, tc.plan, tc.static, map[string][]tuple{"R": build, "S": probe})
 		for _, stage := range tc.stages {
 			per := float64(costs[stage].mallocs) / n
 			t.Logf("%s plan, %s stage: %.4f allocations per probe record", tc.name, stage, per)
@@ -186,12 +180,12 @@ func TestCompiledJoinAllocsPerRecord(t *testing.T) {
 }
 
 // benchStage reports one stage's cost per probe record over b.N runs of p.
-func benchStage(b *testing.B, p func() *Plan, stage string) {
+func benchStage(b *testing.B, p func() *Plan, static bool, stage string) {
 	const n = 1 << 18
 	build, probe := benchInput(n)
 	var total stageCost
 	for i := 0; i < b.N; i++ {
-		c := runStages(b, p(), map[string][]tuple{"R": build, "S": probe})[stage]
+		c := runStages(b, p(), static, map[string][]tuple{"R": build, "S": probe})[stage]
 		total.ns += c.ns
 		total.mallocs += c.mallocs
 	}
@@ -200,10 +194,10 @@ func benchStage(b *testing.B, p func() *Plan, stage string) {
 	b.ReportMetric(float64(total.mallocs)/recs, "allocs/rec")
 }
 
-func BenchmarkStageScanScatter(b *testing.B) { benchStage(b, benchJoinPlan, "scatter") }
-func BenchmarkStageJoin(b *testing.B)        { benchStage(b, benchJoinPlan, "join") }
-func BenchmarkStageFusedJoin(b *testing.B)   { benchStage(b, benchFusedJoinPlan, "join") }
-func BenchmarkStageGroupBy(b *testing.B)     { benchStage(b, benchCountPlan, "groupby") }
+func BenchmarkStageScanScatter(b *testing.B) { benchStage(b, benchJoinPlan, true, "scatter") }
+func BenchmarkStageJoin(b *testing.B)        { benchStage(b, benchJoinPlan, true, "join") }
+func BenchmarkStageFusedJoin(b *testing.B)   { benchStage(b, benchJoinPlan, false, "join") }
+func BenchmarkStageGroupBy(b *testing.B)     { benchStage(b, benchCountPlan, false, "groupby") }
 
 // BenchmarkJoinTableBuild builds the join stage's table from the decoded
 // build side, as every join worker does once: "unique" is the benchmark's

@@ -17,10 +17,10 @@ import (
 // plane still adapts from live sketches.
 type Stats struct {
 	// Edges maps an edge name (a previous run of the same plan — see
-	// StatsFromMemory) or a probe/groupby chain's head source-bag name to
-	// the key-frequency statistics of the records that will cross that
-	// edge. Heavy-hitter candidates here are pre-isolated in the seed map
-	// of a groupby edge or of a join pinned to JoinSkewed.
+	// StatsFromMemory) or a groupby chain's head source-bag name to the
+	// key-frequency statistics of the records that will cross that edge.
+	// Heavy-hitter candidates here are pre-isolated in the seed map of a
+	// groupby edge; a join edge is never seeded.
 	Edges map[string]*sketch.EdgeStats
 	// PMaps maps edge name -> a previous run's final partition map; its
 	// isolated keys are transplanted into the seed map.
@@ -82,26 +82,23 @@ func (c *compiler) warmEdgeStats(edge string, in *Node) *sketch.EdgeStats {
 	return c.opts.Stats.Edges[c.headBag(in)]
 }
 
-// decideJoin picks the physical strategy for one join node. The decision
-// table (documented in the README):
+// decideJoin picks the physical form of one join node from the plan alone.
+// The decision table (documented in the README):
 //
-//	JoinSpec.Strategy pinned                      -> as pinned
 //	Options.Static                                -> repartition (the naive baseline)
 //	probe streams out of a GroupBy finalize       -> repartition
 //	otherwise                                     -> broadcast
 //
 // Every form loads the whole build side into every join worker, so a
-// probe shuffle buys no memory and no skew defence: unpinned, the join
-// fuses into the stage producing the probe side, and clones split the
-// probe chunk by chunk whatever its keys. A GroupBy's finalize stage
-// cannot clone, so behind one the probe edge is what lets several workers
-// run the join. A TopK stage cannot clone either, but it emits at most k
-// records, so a join fuses into it.
+// probe shuffle buys no memory and no skew defence: the join fuses into
+// the stage producing the probe side, and clones split the probe chunk by
+// chunk whatever its keys. A GroupBy's finalize stage cannot clone, so
+// behind one the probe edge is what lets several workers run the join. A
+// TopK stage cannot clone either, but it emits at most k records, so a
+// join fuses into it.
 func (c *compiler) decideJoin(n *Node) JoinInfo {
-	info := JoinInfo{Node: n.id, Strategy: n.strategy, Edge: c.p.edgeName(n)}
+	info := JoinInfo{Node: n.id, Edge: c.p.edgeName(n)}
 	switch {
-	case info.Strategy != JoinAuto:
-		info.Reason = "pinned by JoinSpec.Strategy"
 	case c.opts.Static:
 		info.Strategy = JoinRepartition
 		info.Reason = "static compilation (naive baseline)"
@@ -119,8 +116,7 @@ func (c *compiler) decideJoin(n *Node) JoinInfo {
 }
 
 // finalized reports whether node n's records stream out of a GroupBy's
-// finalize stage, reached through narrow operators and joins fused into
-// it.
+// finalize stage, reached through narrow operators.
 func finalized(n *Node) bool {
 	for {
 		switch n.kind {
@@ -128,23 +124,20 @@ func finalized(n *Node) bool {
 			return true
 		case opFilter, opMap, opFlatMap:
 			n = n.in[0]
-		case opJoin:
-			// A shuffled join opens its own clonable edge stage; an
-			// unpinned one is broadcast only when its probe is clonable.
-			if n.strategy != JoinBroadcast {
-				return false
-			}
-			n = n.in[1]
 		default:
+			// A scan, a TopK, or a join: a join behind a finalize
+			// repartitions and opens its own clonable edge stage, and a
+			// join not behind one has a probe that is not finalized.
 			return false
 		}
 	}
 }
 
-// seedEdge derives a warm-start seed partition map for an edge from the
-// compile-time statistics, pre-isolating the heavy keys a previous run
-// (or a supplied sketch) already learned.
-func (c *compiler) seedEdge(edge string, in *Node, spread bool) {
+// seedEdge derives a warm-start seed partition map for a groupby edge from
+// the compile-time statistics, pre-isolating the heavy keys a previous run
+// (or a supplied sketch) already learned. Only a Static plan's edges are
+// not Spread, and a Static plan is never seeded.
+func (c *compiler) seedEdge(edge string, in *Node) {
 	if c.opts.Static || c.opts.Stats == nil {
 		return
 	}
@@ -153,7 +146,7 @@ func (c *compiler) seedEdge(edge string, in *Node, spread bool) {
 	if c.opts.Stats.PMaps != nil {
 		prev = c.opts.Stats.PMaps[edge]
 	}
-	seed := shuffle.WarmStart(prev, st, edge, c.opts.Parts, c.opts.IsolateFraction, c.opts.Fan, spread)
+	seed := shuffle.WarmStart(prev, st, edge, c.opts.Parts, true)
 	if seed != nil {
 		c.ph.Seeds[edge] = seed
 	}
@@ -172,11 +165,11 @@ func (ph *Physical) Run(ctx context.Context, c *core.Cluster) error {
 	return h.Wait(ctx)
 }
 
-// traceDecisions records the compiled join strategies (with the stats
-// that justified each) in the cluster's observer, so a live /debug/trace
-// shows why the planner chose broadcast/skewed/repartition alongside the
-// runtime clones that followed. Compile itself has no cluster;
-// Run/Submit are where a plan meets one.
+// traceDecisions records the compiled join forms (with the reason for
+// each) in the cluster's observer, so a live /debug/trace shows why the
+// planner chose broadcast or repartition alongside the runtime clones that
+// followed. Compile itself has no cluster; Run/Submit are where a plan
+// meets one.
 func (ph *Physical) traceDecisions(o *obs.Observer, job string) {
 	for _, j := range ph.Joins {
 		subject := j.Edge

@@ -2,13 +2,13 @@ package shuffle
 
 import "repro/internal/sketch"
 
-// The warm-start defaults the planner (plan.Options) and stream windows seed
-// under: a key is pre-isolated once its share of the stream reaches
-// DefaultIsolateFraction of a mean partition's load, and spread over
-// DefaultFan bags on a Spread edge.
+// What the planner's groupby edges and stream windows are seeded with: a
+// key is pre-isolated once its share of the stream reaches
+// isolateFraction of a mean partition's load, and spread over spreadFan
+// bags on a Spread edge.
 const (
-	DefaultIsolateFraction = 0.5
-	DefaultFan             = 4
+	isolateFraction = 0.5
+	spreadFan       = 4
 )
 
 // WarmStart derives a seed partition map for a fresh shuffle edge from a
@@ -27,15 +27,15 @@ const (
 //     isolateFraction of a mean partition's load.
 //
 // prev may be nil (no predecessor map) and stats may be nil (no sketch
-// was captured); base is the new edge's declared base partition count, and
-// isolateFraction and fan come filled in (plan.Options, or the defaults
-// above for stream windows). A predecessor map with a different base is
-// not transplanted: its isolations were chosen against another mean
+// was captured); base is the new edge's declared base partition count,
+// and spread whether it is a Spread edge (off it, an isolated key gets
+// one dedicated bag). A predecessor map with a different base is not
+// transplanted: its isolations were chosen against another mean
 // partition load, so only the stats — judged against this base's — are
 // used then. The predecessor's Splits, which route nothing, are never
 // copied. Returns nil when nothing was learned: a plain base map is what
 // an unseeded edge derives anyway.
-func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base int, isolateFraction float64, fan int, spread bool) *PartitionMap {
+func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base int, spread bool) *PartitionMap {
 	if base < 1 {
 		base = 1
 	}
@@ -47,8 +47,9 @@ func WarmStart(prev *PartitionMap, stats *sketch.EdgeStats, newBag string, base 
 	}
 	seed.Bag = newBag
 	if stats != nil {
-		if fan < 1 || !spread {
-			fan = 1
+		fan := 1
+		if spread {
+			fan = spreadFan
 		}
 		// A key is seed-isolated when its observed share reaches
 		// isolateFraction of a mean partition's load — as a fraction of

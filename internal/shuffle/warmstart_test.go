@@ -12,7 +12,7 @@ func TestWarmStartTransplantsRefinements(t *testing.T) {
 	prev.Isolated = []Isolation{{Hash: KeyHash(key(7)), Fan: 2}}
 	prev.Version = 3
 
-	seed := WarmStart(prev, nil, "new", 4, 0.5, 2, true)
+	seed := WarmStart(prev, nil, "new", 4, true)
 	if seed == nil {
 		t.Fatal("learned map produced no seed")
 	}
@@ -45,7 +45,7 @@ func TestWarmStartSeedsHeavyKeysFromStats(t *testing.T) {
 		{Key: key(2), Count: 500},  // below the threshold
 	}
 
-	seed := WarmStart(nil, stats, "new", 4, 0.5, 3, true)
+	seed := WarmStart(nil, stats, "new", 4, true)
 	if seed == nil {
 		t.Fatal("heavy stats produced no seed")
 	}
@@ -55,35 +55,35 @@ func TestWarmStartSeedsHeavyKeysFromStats(t *testing.T) {
 	if seed.IsIsolated(KeyHash(key(2))) {
 		t.Fatal("light key wrongly isolated")
 	}
-	if len(seed.Isolated) != 1 || seed.Isolated[0].Fan != 3 {
-		t.Fatalf("isolations = %+v, want one with fan 3", seed.Isolated)
+	if len(seed.Isolated) != 1 || seed.Isolated[0].Fan != spreadFan {
+		t.Fatalf("isolations = %+v, want one with fan %d", seed.Isolated, spreadFan)
 	}
 	// Without Spread the key must get a single dedicated bag.
-	noSpread := WarmStart(nil, stats, "new", 4, 0.5, 3, false)
+	noSpread := WarmStart(nil, stats, "new", 4, false)
 	if noSpread.Isolated[0].Fan != 1 {
 		t.Fatalf("no-spread fan = %d, want 1", noSpread.Isolated[0].Fan)
 	}
 }
 
 func TestWarmStartNothingLearned(t *testing.T) {
-	if seed := WarmStart(BaseMap("old", 4), sketch.NewEdgeStats(), "new", 4, 0.5, 2, true); seed != nil {
+	if seed := WarmStart(BaseMap("old", 4), sketch.NewEdgeStats(), "new", 4, true); seed != nil {
 		t.Fatalf("unrefined predecessor and empty stats must not seed, got %+v", seed)
 	}
-	if seed := WarmStart(nil, nil, "new", 4, 0.5, 2, true); seed != nil {
+	if seed := WarmStart(nil, nil, "new", 4, true); seed != nil {
 		t.Fatalf("no memory must not seed, got %+v", seed)
 	}
 	// A predecessor with a different base cannot be transplanted.
 	prev := BaseMap("old", 8)
 	prev.Isolated = []Isolation{{Hash: KeyHash(key(7)), Fan: 2}}
 	prev.Version = 2
-	if seed := WarmStart(prev, nil, "new", 4, 0.5, 2, true); seed != nil {
+	if seed := WarmStart(prev, nil, "new", 4, true); seed != nil {
 		t.Fatalf("mismatched base must not transplant isolations, got %+v", seed)
 	}
 	// Splits alone are nothing learned: they route nothing.
 	prev = BaseMap("old", 4)
 	prev.Splits = map[int]int{1: 2}
 	prev.Version = 2
-	if seed := WarmStart(prev, nil, "new", 4, 0.5, 2, true); seed != nil {
+	if seed := WarmStart(prev, nil, "new", 4, true); seed != nil {
 		t.Fatalf("a predecessor with splits only must not seed, got %+v", seed)
 	}
 }

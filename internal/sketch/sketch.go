@@ -253,8 +253,9 @@ func (e *EdgeStats) Merge(other *EdgeStats) error {
 // TopKeys returns the heavy-hitter candidates whose observed share of the
 // edge's records is at least minFraction of the total, capped at k and
 // sorted by descending count (ties by key bytes). This is the first-class
-// heavy-hitter extraction shared by the query planner's skewed-join
-// decision and the warm-start seeding — the one place the "how heavy is heavy" arithmetic lives.
+// heavy-hitter extraction behind warm-start seeding (shuffle.WarmStart, for
+// the planner's groupby edges and stream windows) — the one place the "how
+// heavy is heavy" arithmetic lives.
 func (e *EdgeStats) TopKeys(k int, minFraction float64) []HeavyKey {
 	total := e.Total()
 	if total == 0 || k <= 0 {

@@ -494,8 +494,7 @@ func (h *Handle) captureMemory(lw *window) {
 		if spec.Partitions <= 0 || !ok {
 			continue
 		}
-		seed := shuffle.WarmStart(em.PMap, em.Stats, b, spec.Partitions,
-			shuffle.DefaultIsolateFraction, shuffle.DefaultFan, spec.Spread)
+		seed := shuffle.WarmStart(em.PMap, em.Stats, b, spec.Partitions, spec.Spread)
 		if seed != nil {
 			seeds[b] = seed
 		}

@@ -199,7 +199,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 				// The window's edge ran on the warm start of its
 				// predecessor's memory.
 				em := prev.Job().Master().EdgeMemory()[prev.Bag(apps.ClickStreamShuf)]
-				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, shuffle.DefaultIsolateFraction, shuffle.DefaultFan, true)
+				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, true)
 				got := res.Job().Master().EdgeMemory()[edge].PMap
 				if seed == nil || got == nil {
 					t.Fatalf("window %d: warm start %v, edge map %v", w, seed, got)

@@ -53,8 +53,6 @@ var optionSurface = []string{
 	"StreamSpec.Weight",
 
 	"q.Options.Parts",
-	"q.Options.IsolateFraction",
-	"q.Options.Fan",
 	"q.Options.Static",
 	"q.Options.Stats",
 }
