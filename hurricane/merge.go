@@ -1,40 +1,13 @@
 package hurricane
 
-import (
-	"container/heap"
-	"sort"
-
-	"repro/internal/bag"
-)
-
 // This file is the merge library (§2.3: "Hurricane provides a library of
-// typical merge operations"). A merge procedure is an ordinary TaskFunc
-// whose inputs are the clones' partial-output bags and whose single output
-// is the task's declared output. Unlike shuffle-and-sort, merges can
-// implement non commutative-associative reconciliation (unique counts,
-// medians, sorted output) because each partial is a separately readable
-// bag.
-
-// MergeConcat concatenates all partial outputs chunk-by-chunk. It is the
-// explicit form of the default merge ("if no such procedure is specified,
-// Hurricane simply concatenates the outputs of all clones").
-func MergeConcat(tc *TaskCtx) error {
-	for i := 0; i < tc.NumInputs(); i++ {
-		for {
-			c, err := tc.Remove(i)
-			if err == bag.ErrEmpty {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := tc.Insert(0, c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// typical merge operations"): the merges the ClickLog and SquareSum apps
+// use. A merge procedure is an ordinary TaskFunc whose inputs are the
+// clones' partial-output bags and whose single output is the task's
+// declared output. Unlike shuffle-and-sort, a merge can reconcile results
+// that are not commutative-associative (unique counts, medians, sorted
+// output) because each partial is a separately readable bag; a task
+// supplies such a merge as its own TaskFunc.
 
 // MergeSum returns a merge that sums one int64 record per partial into a
 // single int64 record (the ClickLog Phase 3 merge: output.insert(partial1
@@ -77,181 +50,5 @@ func MergeBitsetOr() TaskFunc {
 			}
 		}
 		return NewWriter(tc, 0, BytesOf).Write(acc)
-	}
-}
-
-// MergeSorted returns a merge that k-way merges partials that are each
-// sorted according to less, producing globally sorted output — a merge for
-// non-aggregation outputs ("non aggregation outputs can be merged, for
-// instance through a merge sort").
-func MergeSorted[T any](codec Codec[T], less func(a, b T) bool) TaskFunc {
-	return func(tc *TaskCtx) error {
-		// Read each partial fully (each is one clone's sorted run).
-		runs := make([][]T, 0, tc.NumInputs())
-		for i := 0; i < tc.NumInputs(); i++ {
-			var run []T
-			if err := ForEach(tc, i, codec, func(v T) error {
-				run = append(run, v)
-				return nil
-			}); err != nil {
-				return err
-			}
-			if len(run) > 0 {
-				runs = append(runs, run)
-			}
-		}
-		w := NewWriter(tc, 0, codec)
-		h := &runHeap[T]{less: less}
-		for ri, run := range runs {
-			heap.Push(h, runCursor[T]{run: ri, v: run[0]})
-			_ = ri
-		}
-		idx := make([]int, len(runs))
-		for h.Len() > 0 {
-			cur := heap.Pop(h).(runCursor[T])
-			if err := w.Write(cur.v); err != nil {
-				return err
-			}
-			idx[cur.run]++
-			if idx[cur.run] < len(runs[cur.run]) {
-				heap.Push(h, runCursor[T]{run: cur.run, v: runs[cur.run][idx[cur.run]]})
-			}
-		}
-		return nil
-	}
-}
-
-type runCursor[T any] struct {
-	run int
-	v   T
-}
-
-type runHeap[T any] struct {
-	items []runCursor[T]
-	less  func(a, b T) bool
-}
-
-func (h *runHeap[T]) Len() int           { return len(h.items) }
-func (h *runHeap[T]) Less(i, j int) bool { return h.less(h.items[i].v, h.items[j].v) }
-func (h *runHeap[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *runHeap[T]) Push(x any)         { h.items = append(h.items, x.(runCursor[T])) }
-func (h *runHeap[T]) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// MergeDistinctStrings returns a merge that unions partial sets of strings
-// (duplicates removal — an operation shuffle-based systems cannot split
-// across reducers for one key).
-func MergeDistinctStrings() TaskFunc {
-	return func(tc *TaskCtx) error {
-		seen := make(map[string]struct{})
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, StringOf, func(s string) error {
-				seen[s] = struct{}{}
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		out := make([]string, 0, len(seen))
-		for s := range seen {
-			out = append(out, s)
-		}
-		sort.Strings(out)
-		w := NewWriter(tc, 0, StringOf)
-		for _, s := range out {
-			if err := w.Write(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// MergeTopK returns a merge that keeps the k largest int64 records across
-// all partials (descending output) — a non commutative-associative
-// example from the sketch family.
-func MergeTopK(k int) TaskFunc {
-	return func(tc *TaskCtx) error {
-		var all []int64
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, Int64Of, func(v int64) error {
-				all = append(all, v)
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] > all[j] })
-		if len(all) > k {
-			all = all[:k]
-		}
-		w := NewWriter(tc, 0, Int64Of)
-		for _, v := range all {
-			if err := w.Write(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// MergeKVSum returns a merge that sums int64 values per string key across
-// partials, emitting sorted KV records (the groupby-aggregate merge).
-func MergeKVSum() TaskFunc {
-	return func(tc *TaskCtx) error {
-		acc := make(map[string]int64)
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, KVOf, func(kv KV) error {
-				v, _, err := Int64Of.Decode(kv.Value)
-				if err != nil {
-					return err
-				}
-				acc[kv.Key] += v
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		keys := make([]string, 0, len(acc))
-		for k := range acc {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w := NewWriter(tc, 0, KVOf)
-		var buf []byte
-		for _, k := range keys {
-			buf = Int64Of.Encode(buf[:0], acc[k])
-			if err := w.Write(KV{Key: k, Value: append([]byte(nil), buf...)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// MergeMedianInt64 returns a merge computing the exact median of all
-// int64 records across partials — the canonical non
-// commutative-associative operator the paper cites.
-func MergeMedianInt64() TaskFunc {
-	return func(tc *TaskCtx) error {
-		var all []int64
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, Int64Of, func(v int64) error {
-				all = append(all, v)
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		if len(all) == 0 {
-			return nil
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		return NewWriter(tc, 0, Int64Of).Write(all[len(all)/2])
 	}
 }

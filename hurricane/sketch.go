@@ -68,33 +68,6 @@ func DecodeEdgeStats(data []byte) (*EdgeStats, error) { return sketch.DecodeEdge
 // or the query planner's StatsFromMemory.
 type EdgeMemory = core.EdgeMemory
 
-// MergeCountMin returns a merge procedure combining clone count-min
-// partials cell-wise into a single sketch record.
-func MergeCountMin() TaskFunc {
-	return func(tc *TaskCtx) error {
-		var acc *CountMin
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, BytesOf, func(rec []byte) error {
-				s, err := DecodeCountMin(rec)
-				if err != nil {
-					return err
-				}
-				if acc == nil {
-					acc = s
-					return nil
-				}
-				return acc.Merge(s)
-			}); err != nil {
-				return err
-			}
-		}
-		if acc == nil {
-			return nil
-		}
-		return NewWriter(tc, 0, BytesOf).Write(acc.Encode())
-	}
-}
-
 // ---- HyperLogLog ----
 
 // HLL is a HyperLogLog cardinality estimator with 2^p registers.
@@ -236,32 +209,4 @@ func DecodeHLL(data []byte) (*HLL, error) {
 	h := NewHLL(p)
 	copy(h.registers, data[1:])
 	return h, nil
-}
-
-// MergeHLL returns a merge procedure taking the register-wise maximum of
-// clone HLL partials — an approximate, constant-space alternative to the
-// ClickLog bitset for distinct counting.
-func MergeHLL() TaskFunc {
-	return func(tc *TaskCtx) error {
-		var acc *HLL
-		for i := 0; i < tc.NumInputs(); i++ {
-			if err := ForEach(tc, i, BytesOf, func(rec []byte) error {
-				h, err := DecodeHLL(rec)
-				if err != nil {
-					return err
-				}
-				if acc == nil {
-					acc = h
-					return nil
-				}
-				return acc.Merge(h)
-			}); err != nil {
-				return err
-			}
-		}
-		if acc == nil {
-			return nil
-		}
-		return NewWriter(tc, 0, BytesOf).Write(acc.Encode())
-	}
 }

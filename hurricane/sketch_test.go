@@ -1,9 +1,11 @@
 package hurricane
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,15 +178,15 @@ func TestHLLEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestSketchDistinctCountPipeline runs an approximate distinct count with
-// HLL partials through the engine under forced cloning: every clone
-// sketches its share, MergeHLL combines registers, and the estimate is
-// identical to a serial sketch of the whole input.
+// TestSketchDistinctCountPipeline runs a distinct count with bitset
+// partials through the engine under forced cloning: every clone marks the
+// ids in its share, MergeBitsetOr combines the partials, and the result is
+// identical to a serial bitset of the whole input.
 func TestSketchDistinctCountPipeline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.ChunkSize = 16 << 10 // HLL records at p=11 are ~2 KiB
+	cfg.ChunkSize = 2 << 10 // a bitset of 7,777 ids is ~1 KiB
 	cfg.Master.CloneInterval = time.Millisecond
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Node.OverloadThreshold = 0.01
@@ -194,35 +196,41 @@ func TestSketchDistinctCountPipeline(t *testing.T) {
 	}
 	defer cluster.Shutdown()
 
-	const p = 11
-	app := NewApp("hllcount")
-	app.SourceBag("in").Bag("sketch")
+	const ids = 7777
+	app := NewApp("bitsetcount")
+	app.SourceBag("in").Bag("bits")
 	app.AddTask(TaskSpec{
-		Name:    "sketch",
+		Name:    "bits",
 		Inputs:  []string{"in"},
-		Outputs: []string{"sketch"},
-		Merge:   MergeHLL(),
+		Outputs: []string{"bits"},
+		Merge:   MergeBitsetOr(),
 		Run: func(tc *TaskCtx) error {
-			h := NewHLL(p)
-			if err := ForEach(tc, 0, StringOf, func(s string) error {
-				h.Add([]byte(s))
+			set := make([]byte, ids/8+1)
+			if err := ForEach(tc, 0, Int64Of, func(v int64) error {
+				// busy work to look CPU-bound
+				h := 0
+				for i := 0; i < 500; i++ {
+					h = h*31 + int(v)
+				}
+				_ = h
+				set[v/8] |= 1 << (v % 8)
 				return nil
 			}); err != nil {
 				return err
 			}
-			return NewWriter(tc, 0, BytesOf).Write(h.Encode())
+			return NewWriter(tc, 0, BytesOf).Write(set)
 		},
 	})
 
 	const n = 40000
-	vals := make([]string, n)
-	serial := NewHLL(p)
+	vals := make([]int64, n)
+	serial := make([]byte, ids/8+1)
 	for i := range vals {
-		vals[i] = fmt.Sprintf("user-%d", i%7777)
-		serial.Add([]byte(vals[i]))
+		vals[i] = int64(i % ids)
+		serial[vals[i]/8] |= 1 << (vals[i] % 8)
 	}
 	store := cluster.Store()
-	if err := Load(ctx, store, "in", StringOf, vals); err != nil {
+	if err := Load(ctx, store, "in", Int64Of, vals); err != nil {
 		t.Fatal(err)
 	}
 	if err := Seal(ctx, store, "in"); err != nil {
@@ -231,26 +239,23 @@ func TestSketchDistinctCountPipeline(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Collect(ctx, store, "sketch", BytesOf)
+	recs, err := Collect(ctx, store, "bits", BytesOf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
-		t.Fatalf("got %d sketch records", len(recs))
+		t.Fatalf("got %d bitset records", len(recs))
 	}
-	got, err := DecodeHLL(recs[0])
-	if err != nil {
-		t.Fatal(err)
+	// Clone partials ORed together must equal the serial bitset exactly.
+	if !bytes.Equal(recs[0], serial) {
+		t.Fatalf("distributed bitset differs from the serial one (stats %+v)", cluster.Master().Stats())
 	}
-	// Clone partials merged register-wise must equal the serial sketch
-	// exactly (same hash function, same elements).
-	if got.Estimate() != serial.Estimate() {
-		t.Fatalf("distributed estimate %.1f != serial %.1f (stats %+v)",
-			got.Estimate(), serial.Estimate(), cluster.Master().Stats())
+	distinct := 0
+	for _, b := range recs[0] {
+		distinct += bits.OnesCount8(b)
 	}
-	if math.Abs(got.Estimate()-7777)/7777 > 0.1 {
-		t.Fatalf("estimate %.1f too far from 7777", got.Estimate())
+	if distinct != ids {
+		t.Fatalf("counted %d distinct ids, want %d", distinct, ids)
 	}
-	t.Logf("estimate %.1f for 7777 distinct, stats %+v",
-		got.Estimate(), cluster.Master().Stats())
+	t.Logf("%d distinct, stats %+v", distinct, cluster.Master().Stats())
 }

@@ -499,14 +499,3 @@ func (c *Cluster) ComputeNodeNames() []string {
 	}
 	return out
 }
-
-// StorageNodeNames lists current storage nodes.
-func (c *Cluster) StorageNodeNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.storages))
-	for n := range c.storages {
-		out = append(out, n)
-	}
-	return out
-}

@@ -222,9 +222,9 @@ func TestTaskStateReset(t *testing.T) {
 	st.reset(0)
 	st.workers = 3
 	st.doneWorkers[0] = true
-	st.finished = true
+	st.advance(finished)
 	st.reset(1)
-	if st.epoch != 1 || st.workers != 0 || len(st.doneWorkers) != 0 || st.finished {
+	if st.epoch != 1 || st.workers != 0 || len(st.doneWorkers) != 0 || st.phase != pending {
 		t.Fatalf("reset incomplete: %+v", st)
 	}
 	st.workers = 2

@@ -27,6 +27,36 @@ func storeBehind(t *testing.T) (*bag.Store, *transport.Faulty) {
 	return store, f
 }
 
+// storeBehindTCP is storeBehind over TCP loopback, with f in the storage
+// server's handler: a request f holds has left its client.
+func storeBehindTCP(t *testing.T) (*bag.Store, *transport.Faulty) {
+	t.Helper()
+	tr := transport.NewInProc()
+	tr.Register("s0", storage.NewNode("s0"))
+	f := transport.NewFaulty(tr)
+	srv := transport.NewTCPServer(transport.HandlerFunc(func(req *transport.Request) *transport.Response {
+		resp, err := f.Call(context.Background(), "s0", req)
+		if err != nil {
+			return &transport.Response{Status: transport.StatusErr, Err: err.Error()}
+		}
+		return resp
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := transport.NewTCPClient(map[string]string{"s0": addr})
+	t.Cleanup(func() {
+		client.Close()
+		srv.Close()
+	})
+	store, err := bag.NewStore(bag.Config{Nodes: []string{"s0"}, Client: client, ChunkSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, f
+}
+
 // counted counts the requests m selects on their way through f.
 func counted(f *transport.Faulty, m transport.Match) *atomic.Int64 {
 	n := new(atomic.Int64)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bag"
+	"repro/internal/chunk"
 	"repro/internal/obs"
 )
 
@@ -74,6 +76,77 @@ func TestSpanAccountingAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("shuffle credit allocates %.1f per op", n)
 	}
+}
+
+// TestShuffleStageBytesOut: a stage that writes a shuffle edge inserts
+// through its shuffle.Writer, not TaskCtx.Insert, and its profile still
+// reports what it wrote — the bytes the edge's writers handed to storage.
+func TestShuffleStageBytesOut(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cluster, err := NewCluster(testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	app := NewApp("bo")
+	app.SourceBag("in").Bag("out")
+	app.AddBag(BagSpec{Name: "edge", Partitions: 2})
+	app.AddTask(TaskSpec{Name: "scan", Inputs: []string{"in"}, Outputs: []string{"edge"},
+		Run: func(tc *TaskCtx) error {
+			w := tc.ShuffleWriter(0)
+			tc.OnFinish(w.Close)
+			for {
+				c, err := tc.Remove(0)
+				if err == bag.ErrEmpty {
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				for r := chunk.NewReader(c); r.Remaining(); {
+					rec, err := r.Next()
+					if err != nil {
+						return err
+					}
+					if err := w.Write(rec, rec); err != nil {
+						return err
+					}
+				}
+			}
+		}})
+	app.AddTask(TaskSpec{Name: "drain", Inputs: []string{"edge"}, Outputs: []string{"out"},
+		Run: func(tc *TaskCtx) error {
+			for {
+				if _, err := tc.Remove(0); err == bag.ErrEmpty {
+					return nil
+				} else if err != nil {
+					return err
+				}
+			}
+		}})
+	h, err := cluster.SubmitJob(ctx, app, JobConfig{Name: "bo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadInts(t, ctx, cluster.Store(), h.Bag("in"), 8000)
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	written := cluster.Observer().Counter("hurricane_shuffle_bytes_total", "job", "bo", "edge", h.Bag("edge")).Value()
+	if written == 0 {
+		t.Fatal("the edge's writers report no bytes")
+	}
+	for _, st := range h.Profile().Stages {
+		if st.Task == "scan" {
+			if st.BytesOut != int64(written) {
+				t.Fatalf("scan stage out=%dB, its edge's writers wrote %dB", st.BytesOut, written)
+			}
+			return
+		}
+	}
+	t.Fatal("no scan stage in the profile")
 }
 
 // TestProfileEndpointLiveCluster runs a job to completion and checks the

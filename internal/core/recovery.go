@@ -2,6 +2,12 @@ package core
 
 import "time"
 
+// nodeState is what the master knows of a compute node's liveness.
+type nodeState struct {
+	lastBeat time.Time
+	dead     bool
+}
+
 // A compute node is declared dead once it has been silent for failBeats
 // of its heartbeat periods, and never sooner than failFloor. The floor is
 // set by how late a live node's tick can land, which does not shrink with
@@ -49,7 +55,7 @@ func (m *Master) detectFailures(now time.Time) int {
 func (m *Master) tasksOnLocked(node string) []string {
 	var out []string
 	for name, st := range m.tasks {
-		if st.finished || !st.scheduled {
+		if !st.active() {
 			continue
 		}
 		for _, n := range st.running {
@@ -107,16 +113,13 @@ func (m *Master) recoverNode(node string) {
 		// restarted too, even if they already finished.
 		for _, out := range st.spec.Outputs {
 			for _, p := range m.app.Producers(out) {
-				if p != name && !inList[p] && m.tasks[p].scheduled {
+				if p != name && !inList[p] && m.tasks[p].phase != pending {
 					worklist = append(worklist, p)
 					inList[p] = true
 				}
 			}
 		}
 		// Reset master state for the task at a fresh epoch.
-		if st.finished {
-			m.finished--
-		}
 		for _, out := range st.spec.Outputs {
 			delete(m.sealed, out)
 		}

@@ -75,15 +75,25 @@ func edgeNames(edges map[string]*shuffleEdge) []string {
 	return slices.Sorted(maps.Keys(edges))
 }
 
+// physicalBags expands a logical bag name to the physical bags holding its
+// data: the partition-map leaves for a partitioned shuffle bag, the name
+// itself otherwise.
+func (m *Master) physicalBags(name string) []string {
+	if edge := m.edges[name]; edge != nil {
+		return edge.pmap.Leaves()
+	}
+	return []string{name}
+}
+
 // edgeTelLocked is the master's authoritative state of one edge, to which
 // the hub adds the stats. Active means the edge is still being produced: no
 // producer finished and the consumer not scheduled. The hub fetches stats
 // only for active edges; the seal-time observation takes the final ones.
 // Holds m.mu.
 func (m *Master) edgeTelLocked(edge *shuffleEdge) *ctrl.EdgeTel {
-	active := edge.consumer == "" || !m.tasks[edge.consumer].scheduled
+	active := edge.consumer == "" || m.tasks[edge.consumer].phase == pending
 	for _, p := range edge.producers {
-		active = active && !m.tasks[p].finished
+		active = active && m.tasks[p].phase != finished
 	}
 	return &ctrl.EdgeTel{
 		Name:   edge.name,

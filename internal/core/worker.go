@@ -177,9 +177,6 @@ func (tc *TaskCtx) Scan(i int) (chunk.Chunk, error) {
 	}
 }
 
-// NumScanInputs returns the number of scan inputs.
-func (tc *TaskCtx) NumScanInputs() int { return len(tc.scans) }
-
 // Insert writes one chunk to output i through the pipelined insert path.
 func (tc *TaskCtx) Insert(i int, c chunk.Chunk) error {
 	start := tc.markBusyEnd()
@@ -216,15 +213,6 @@ func (tc *TaskCtx) Obs() *obs.Observer { return tc.obs }
 // masters run outside a cluster).
 func (tc *TaskCtx) Job() string { return tc.job }
 
-// OutputPartitions returns the declared base partition count of output i's
-// bag (0 for ordinary bags).
-func (tc *TaskCtx) OutputPartitions(i int) int {
-	if spec := tc.OutputBagSpec(i); spec != nil {
-		return spec.Partitions
-	}
-	return 0
-}
-
 // OutputBagSpec returns the declared spec of output i's bag (nil if the
 // bag is not declared in the app graph, e.g. a partial bag).
 func (tc *TaskCtx) OutputBagSpec(i int) *BagSpec {
@@ -255,7 +243,10 @@ func (tc *TaskCtx) ShuffleWriter(i int) *shuffle.Writer {
 		StatsInterval: tc.bp.StatsInterval,
 		Obs:           tc.obs,
 		Job:           tc.job,
-		OnSpans:       tc.AddShuffleSpan,
+		OnSpans: func(ns, records, bytes int64, parts map[string]int64) {
+			tc.bytesOut.Add(bytes) // the writer inserts past Insert, which counts the rest
+			tc.AddShuffleSpan(ns, records, parts)
+		},
 	})
 	tc.shuffles = append(tc.shuffles, w)
 	return w

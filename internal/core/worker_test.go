@@ -216,9 +216,17 @@ func TestLoadSnapshotBusyFraction(t *testing.T) {
 // written it again. (Seen as a wrong sum, once in 300 runs of
 // TestComputeNodeCrashByHeartbeat under -race: the heartbeat timeout fired
 // while healthy copy workers were still inserting.) The worker here writes
-// one chunk to a plain output and one through a shuffle writer.
+// one chunk to a plain output and one through a shuffle writer. Over TCP
+// the inserts are held in the storage server's handler, past the client's
+// write: a call must not give up on a request that is already on its way.
 func TestKilledWorkerLeavesNoInsertInFlight(t *testing.T) {
-	store, f := storeBehind(t)
+	t.Run("inproc", func(t *testing.T) { killWithInsertsHeld(t, storeBehind) })
+	t.Run("tcp", func(t *testing.T) { killWithInsertsHeld(t, storeBehindTCP) })
+}
+
+func killWithInsertsHeld(t *testing.T, behind func(*testing.T) (*bag.Store, *transport.Faulty)) {
+	store, f := behind(t)
+	defer f.Fire("release") // a failed run must not leave the server's handlers held
 	var held [2]<-chan struct{}
 	for i := range held {
 		held[i] = f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Nth: i + 1}, Hold: "release"})

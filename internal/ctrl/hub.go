@@ -81,7 +81,6 @@ type Hub struct {
 	// order of each worker's first; overloadAt indexes it.
 	overloads  []Overload
 	overloadAt map[overloadKey]int
-	dropped    int // overload signals dropped under pressure
 	lastFetch  map[string]time.Time
 	probes     map[string]probe   // the last depth probe of every bag sampled
 	edges      map[string]EdgeTel // the last record of every edge seen
@@ -162,7 +161,6 @@ func (h *Hub) OverloadSignal(o Overload) {
 		return
 	}
 	if len(h.overloads) >= maxPendingOverloads {
-		h.dropped++
 		h.mDropped.Inc()
 		return
 	}
@@ -171,13 +169,6 @@ func (h *Hub) OverloadSignal(o Overload) {
 	if h.firstSignal.IsZero() {
 		h.firstSignal = time.Now()
 	}
-}
-
-// Dropped reports how many overload signals were dropped under pressure.
-func (h *Hub) Dropped() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
 }
 
 // ObserveEdge makes e the hub's record of its edge. A record without

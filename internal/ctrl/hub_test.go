@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/shuffle"
 	"repro/internal/sketch"
 )
@@ -47,7 +48,9 @@ func TestHubBatchesAndVersions(t *testing.T) {
 // worker once, with its newest signal — and past the cap it drops instead
 // of growing.
 func TestHubOverloadBackpressure(t *testing.T) {
-	h := NewHub(HubConfig{})
+	o := obs.New(0)
+	h := NewHub(HubConfig{Obs: o, Job: "j"})
+	dropped := o.Counter("hurricane_ctrl_overloads_dropped_total", "job", "j")
 	const workers = 8
 	for round := 0; round <= maxPendingOverloads; round++ { // 8 workers re-sending
 		for w := 0; w < workers; w++ {
@@ -55,7 +58,7 @@ func TestHubOverloadBackpressure(t *testing.T) {
 		}
 	}
 	h.OverloadSignal(Overload{Task: "agg", Epoch: 1, Merge: true, Busy: 0.5}) // the merge is its own worker
-	if got := h.Dropped(); got != 0 {
+	if got := dropped.Value(); got != 0 {
 		t.Fatalf("dropped %d re-sent signals, want 0", got)
 	}
 	snap := h.Snapshot(context.Background(), nil)
@@ -75,7 +78,7 @@ func TestHubOverloadBackpressure(t *testing.T) {
 		h.OverloadSignal(Overload{Task: "wide", Worker: w})
 	}
 	h.OverloadSignal(Overload{Task: "wide", Worker: 0, Busy: 1}) // a buffered worker still updates
-	if got := h.Dropped(); got != 10 {
+	if got := dropped.Value(); got != 10 {
 		t.Fatalf("dropped %d, want 10", got)
 	}
 	snap = h.Snapshot(context.Background(), nil)

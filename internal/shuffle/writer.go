@@ -60,10 +60,11 @@ type WriterConfig struct {
 	Job string
 	// OnSpans, when set, is invoked once at Close with the writer's
 	// profiler accounting: nanoseconds spent inserting flushed chunks and
-	// draining pipelines, total records routed, and the per-partition
-	// record breakdown. Nil keeps clock reads off the flush path entirely
-	// (the engine sets it only while span profiling is on).
-	OnSpans func(flushNS, records int64, parts map[string]int64)
+	// draining pipelines, total records routed, the encoded chunk bytes
+	// handed to the leaf inserters, and the per-partition record
+	// breakdown. Nil keeps clock reads off the flush path entirely; the
+	// engine's TaskCtx.ShuffleWriter always sets it.
+	OnSpans func(flushNS, records, bytes int64, parts map[string]int64)
 }
 
 // leafOut is the write pipeline for one physical partition bag: a pipelined
@@ -211,8 +212,8 @@ func (w *Writer) InsertBatchChunk(ref RouteRef, c chunk.Chunk, rows int) error {
 }
 
 // timed runs fn — an insert, or the wait for the inserts outstanding — and,
-// while span profiling is on, credits its wall time to the profiler's
-// shuffle phase. Without cfg.OnSpans it reads no clock.
+// when cfg.OnSpans is set, credits its wall time to the profiler's shuffle
+// phase. Without cfg.OnSpans it reads no clock.
 func (w *Writer) timed(fn func() error) error {
 	if w.cfg.OnSpans == nil {
 		return fn()
@@ -327,7 +328,7 @@ func (w *Writer) Close() error {
 		for _, out := range w.outs {
 			parts[out.name] = int64(out.count)
 		}
-		w.cfg.OnSpans(w.flushNS, int64(w.n), parts)
+		w.cfg.OnSpans(w.flushNS, int64(w.n), int64(w.bytes), parts)
 	}
 	return firstErr
 }

@@ -242,11 +242,17 @@ func (c *TCPClient) Call(ctx context.Context, node string, req *Request) (*Respo
 }
 
 // call is Call without the telemetry wrapper; it returns the wire bytes
-// read and written alongside the response. The context bounds the whole
-// round trip: its deadline is the connection's, and cancelling it expires
-// the connection's deadline so a caller blocked on a silent server returns
-// at once. A connection that was interrupted mid-message is closed, never
-// pooled — the next caller would read the abandoned reply.
+// read and written alongside the response. The context bounds the round
+// trip: its deadline is the connection's, and cancelling it expires the
+// connection's deadline, so a caller blocked on a silent server returns at
+// once. An insert whose request is out is the exception: its caller is done
+// with the bag (a killed worker, ahead of the Discard of its task's
+// outputs) only once its inserts have landed or failed, so the call waits
+// for the reply or a failed connection, bounded by the caller's deadline
+// or, without one, by insertWriteThrough, past which the connection is
+// closed and the node taken for down. A connection that was interrupted
+// mid-message is closed, never pooled — the next caller would read the
+// abandoned reply.
 func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *Response, in, out int, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
@@ -255,13 +261,33 @@ func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	deadline, _ := ctx.Deadline() // zero clears a pooled connection's deadline
+	deadline, bounded := ctx.Deadline() // zero clears a pooled connection's deadline
 	tc.c.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { tc.c.SetDeadline(expired) })
+	var (
+		mu      sync.Mutex
+		through bool // the request is out, and the call waits for its reply
+	)
+	// extend bounds the wait of a call that goes through; mu held.
+	extend := func() {
+		if !bounded {
+			tc.c.SetDeadline(time.Now().Add(insertWriteThrough))
+		} else {
+			tc.c.SetDeadline(deadline)
+		}
+	}
+	stop := context.AfterFunc(ctx, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if through {
+			extend()
+		} else {
+			tc.c.SetDeadline(expired)
+		}
+	})
 	fail := func(err error) (*Response, int, int, error) {
 		stop()
 		tc.close()
-		if ctx.Err() != nil {
+		if ctx.Err() != nil && !(through && !bounded) {
 			err = ctx.Err() // the caller gave up; the node is not to blame
 		}
 		return nil, in, out, err
@@ -271,6 +297,16 @@ func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *
 	out = frameBytes(n)
 	if err != nil {
 		return fail(ErrNodeDown)
+	}
+	if req.Op == OpInsert {
+		mu.Lock()
+		through = true
+		if ctx.Err() != nil {
+			// Cancelled while the request went out whole: the deadline
+			// may have been expired under a message that is on its way.
+			extend()
+		}
+		mu.Unlock()
 	}
 	respBody, err := readMessage(tc.br)
 	if err != nil {
@@ -282,14 +318,18 @@ func (c *TCPClient) call(ctx context.Context, node string, req *Request) (resp *
 		return fail(err)
 	}
 	if !stop() {
-		// Cancelled after the reply arrived: the reply stands, but the
-		// deadline may have been expired under the connection.
+		// Cancelled after the request was out: the reply stands, but the
+		// connection's deadline may have been moved under it.
 		tc.close()
 		return resp, in, out, nil
 	}
 	c.put(node, tc)
 	return resp, in, out, nil
 }
+
+// insertWriteThrough bounds how long an insert whose request is out waits
+// for its reply once its caller, which set no deadline, has given up.
+const insertWriteThrough = 5 * time.Second
 
 // Close implements Client.
 func (c *TCPClient) Close() error {
