@@ -7,7 +7,8 @@
 //
 // With -dir, bags persist as files and survive restarts (the chunk index
 // is rebuilt from the files on startup, as in the paper's ext4-backed
-// implementation); otherwise bags live in memory.
+// implementation; a file without this format's header and version is
+// refused, with an error naming it); otherwise bags live in memory.
 //
 // The node exposes its wire-path telemetry over HTTP (default
 // 127.0.0.1:7071; move it with -debug addr, disable with -debug off):

@@ -2,8 +2,11 @@ package hurricane
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ctrl"
 )
 
 // runMerge executes a merge function as an ordinary task over explicit
@@ -76,53 +79,51 @@ func TestMergeBitsetOr(t *testing.T) {
 	}
 }
 
-// TestMergeEndToEndWithClones runs a task under forced cloning and checks
-// that whichever path executed (rename adoption for one worker, a real
-// merge for several), the result is identical to the serial answer.
-func TestMergeEndToEndWithClones(t *testing.T) {
+// runCloned runs one task over vals with ctrl.ForceClones as the only
+// policy and returns the cluster once the job is done. Each worker folds
+// its share with the add that fresh returns and writes its partial with
+// the write; merge combines the partials into "out". The original worker
+// holds at its first record until a clone has started, so the forced clone
+// lands while the input still has work left however fast the host drains
+// it. The test fails unless the task cloned and merged.
+func runCloned(t *testing.T, cfg ClusterConfig, vals []int64, merge TaskFunc, fresh func() (add func(int64), write func(*TaskCtx) error)) *Cluster {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := testClusterConfig()
-	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Node.MonitorInterval = time.Millisecond
-	cfg.Node.OverloadThreshold = 0.01
+	t.Cleanup(cancel)
+	cfg.Master.Policies = []Policy{&ctrl.ForceClones{}}
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Shutdown()
+	t.Cleanup(cluster.Shutdown)
 
-	app := NewApp("clonemerge")
-	app.SourceBag("in").Bag("out")
+	var once sync.Once
+	cloned := make(chan struct{})
+	app := NewApp("cloned").SourceBag("in").Bag("out")
 	app.AddTask(TaskSpec{
-		Name:    "sum",
+		Name:    "fold",
 		Inputs:  []string{"in"},
 		Outputs: []string{"out"},
-		Merge:   MergeSum(),
+		Merge:   merge,
 		Run: func(tc *TaskCtx) error {
-			var total int64
+			if tc.Blueprint().Worker > 0 {
+				once.Do(func() { close(cloned) })
+			}
+			add, write := fresh()
 			if err := ForEach(tc, 0, Int64Of, func(v int64) error {
-				// busy work to look CPU-bound
-				h := 0
-				for i := 0; i < 500; i++ {
-					h = h*31 + int(v)
+				add(v)
+				select {
+				case <-cloned:
+					return nil
+				case <-tc.Context().Done():
+					return tc.Context().Err()
 				}
-				_ = h
-				total += v
-				return nil
 			}); err != nil {
 				return err
 			}
-			return NewWriter(tc, 0, Int64Of).Write(total)
+			return write(tc)
 		},
 	})
-	const n = 30000
-	vals := make([]int64, n)
-	var want int64
-	for i := range vals {
-		vals[i] = int64(i % 677)
-		want += vals[i]
-	}
 	store := cluster.Store()
 	if err := Load(ctx, store, "in", Int64Of, vals); err != nil {
 		t.Fatal(err)
@@ -133,12 +134,31 @@ func TestMergeEndToEndWithClones(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(ctx, store, "out", Int64Of)
+	if s := cluster.Master().Stats(); s.Clones < 1 || s.MergeTasks < 1 {
+		t.Errorf("forced clones made no clone or no merge: %+v", s)
+	}
+	return cluster
+}
+
+// TestMergeEndToEndWithClones runs a sum under forced clones and checks
+// that the merge of its clones' partials is identical to the serial answer.
+func TestMergeEndToEndWithClones(t *testing.T) {
+	const n = 30000
+	vals := make([]int64, n)
+	var want int64
+	for i := range vals {
+		vals[i] = int64(i % 677)
+		want += vals[i]
+	}
+	cluster := runCloned(t, testClusterConfig(), vals, MergeSum(), func() (func(int64), func(*TaskCtx) error) {
+		var total int64
+		return func(v int64) { total += v }, func(tc *TaskCtx) error { return NewWriter(tc, 0, Int64Of).Write(total) }
+	})
+	got, err := Collect(context.Background(), cluster.Store(), "out", Int64Of)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("sum = %v, want [%d] (stats %+v)", got, want, cluster.Master().Stats())
 	}
-	t.Logf("stats: %+v", cluster.Master().Stats())
 }

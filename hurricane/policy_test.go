@@ -106,7 +106,9 @@ func TestEmptyPolicySetDisablesMitigation(t *testing.T) {
 	defer cancel()
 
 	cfg := testClusterConfig()
-	cfg.Node.OverloadThreshold = 0.01 // every heartbeat screams overload
+	// Every heartbeat signals overload: the signal path is under test, so
+	// clones are not forced.
+	cfg.Node.OverloadThreshold = 0.01
 	cfg.Node.MonitorInterval = time.Millisecond
 	cfg.Master.CloneInterval = time.Millisecond
 	cfg.Master.Policies = []Policy{}

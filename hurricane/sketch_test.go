@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCountMinBasics(t *testing.T) {
@@ -179,67 +178,24 @@ func TestHLLEncodeDecode(t *testing.T) {
 }
 
 // TestSketchDistinctCountPipeline runs a distinct count with bitset
-// partials through the engine under forced cloning: every clone marks the
+// partials through the engine under forced clones: every clone marks the
 // ids in its share, MergeBitsetOr combines the partials, and the result is
 // identical to a serial bitset of the whole input.
 func TestSketchDistinctCountPipeline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	cfg := testClusterConfig()
 	cfg.ChunkSize = 2 << 10 // a bitset of 7,777 ids is ~1 KiB
-	cfg.Master.CloneInterval = time.Millisecond
-	cfg.Node.MonitorInterval = time.Millisecond
-	cfg.Node.OverloadThreshold = 0.01
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	const ids = 7777
-	app := NewApp("bitsetcount")
-	app.SourceBag("in").Bag("bits")
-	app.AddTask(TaskSpec{
-		Name:    "bits",
-		Inputs:  []string{"in"},
-		Outputs: []string{"bits"},
-		Merge:   MergeBitsetOr(),
-		Run: func(tc *TaskCtx) error {
-			set := make([]byte, ids/8+1)
-			if err := ForEach(tc, 0, Int64Of, func(v int64) error {
-				// busy work to look CPU-bound
-				h := 0
-				for i := 0; i < 500; i++ {
-					h = h*31 + int(v)
-				}
-				_ = h
-				set[v/8] |= 1 << (v % 8)
-				return nil
-			}); err != nil {
-				return err
-			}
-			return NewWriter(tc, 0, BytesOf).Write(set)
-		},
-	})
-
-	const n = 40000
+	const ids, n = 7777, 40000
 	vals := make([]int64, n)
 	serial := make([]byte, ids/8+1)
 	for i := range vals {
 		vals[i] = int64(i % ids)
 		serial[vals[i]/8] |= 1 << (vals[i] % 8)
 	}
-	store := cluster.Store()
-	if err := Load(ctx, store, "in", Int64Of, vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := Seal(ctx, store, "in"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Run(ctx, app); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Collect(ctx, store, "bits", BytesOf)
+	cluster := runCloned(t, cfg, vals, MergeBitsetOr(), func() (func(int64), func(*TaskCtx) error) {
+		set := make([]byte, ids/8+1)
+		return func(v int64) { set[v/8] |= 1 << (v % 8) }, func(tc *TaskCtx) error { return NewWriter(tc, 0, BytesOf).Write(set) }
+	})
+	recs, err := Collect(context.Background(), cluster.Store(), "out", BytesOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +213,4 @@ func TestSketchDistinctCountPipeline(t *testing.T) {
 	if distinct != ids {
 		t.Fatalf("counted %d distinct ids, want %d", distinct, ids)
 	}
-	t.Logf("%d distinct, stats %+v", distinct, cluster.Master().Stats())
 }

@@ -3,7 +3,6 @@ package apps
 import (
 	"encoding/binary"
 	"testing"
-	"time"
 
 	"repro/hurricane"
 	"repro/internal/shuffle"
@@ -51,13 +50,6 @@ func checkGroupByCounts(t *testing.T, got map[uint64]GroupByResult, want map[uin
 	}
 }
 
-// eagerClones makes the master clone anything that has work left: every
-// worker signals overload, at a 1 ms clone interval.
-func eagerClones(cfg *hurricane.ClusterConfig) {
-	cfg.Node.OverloadThreshold = 0.01
-	cfg.Master.CloneInterval = time.Millisecond
-}
-
 // TestGroupByCorrectnessStatic: on an edge that is neither Spread nor
 // merged, the partitioned groupby equals the directly computed baseline —
 // for uniform and skewed inputs, and for many medium keys piled onto one
@@ -89,7 +81,7 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := testCtx(t)
-			cluster := testCluster(t, eagerClones)
+			cluster := testCluster(t, clonesForced)
 			if err := LoadGroupBy(ctx, cluster.Store(), tc.tuples); err != nil {
 				t.Fatal(err)
 			}
@@ -101,6 +93,7 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGroupByCounts(t, got, groundTruthCounts(tc.tuples))
+			requireClones(t, cluster.Master().Stats(), false)
 			if p := cluster.Master().Profile(); len(p.Edges) != 1 || p.Edges[0].Clones != 0 {
 				t.Fatalf("the aggregate of a non-Spread edge was cloned: %+v", p.Edges)
 			}
@@ -122,7 +115,7 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 		tuples = append(tuples, workload.Tuple{Key: uint64(100 + i%60), Payload: uint64(i)})
 	}
 	ctx := testCtx(t)
-	cluster := testCluster(t, eagerClones)
+	cluster := testCluster(t, clonesForced)
 	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +142,8 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 			workers++
 		}
 	}
-	if st := cluster.Master().Stats(); st.Clones < 1 || workers < 2 {
-		t.Fatalf("the heavy key was aggregated by %d workers (stats %+v), want >= 2", workers, st)
+	requireClones(t, cluster.Master().Stats(), false)
+	if workers < 2 {
+		t.Fatalf("the heavy key was aggregated by %d workers, want >= 2", workers)
 	}
 }

@@ -189,16 +189,14 @@ func TestUnpinnedJoinFusesAndClones(t *testing.T) {
 		t.Fatalf("%d stages, want the one fused probe stage:\n%s", len(c.Stages), c.Explain())
 	}
 
-	cluster := testCluster(t, forcedCloning)
+	cluster := testCluster(t, clonesForced)
 	if err := LoadRelations(ctx, cluster.Store(), r, s); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(ctx, cluster); err != nil {
 		t.Fatal(err)
 	}
-	if st := cluster.Master().Stats(); st.Clones == 0 {
-		t.Fatalf("no clone under forced overload: %+v", st)
-	}
+	requireClones(t, cluster.Master().Stats(), false)
 	got, err := hurricane.Collect(ctx, cluster.Store(), c.SinkBag(JoinShufOut), MatchCodec)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ctrl"
 )
 
 // TestMasterChaosRecovery repeatedly crashes and recovers the master at
@@ -19,7 +21,7 @@ func TestMasterChaosRecovery(t *testing.T) {
 			cfg := testClusterConfig()
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
-			cfg.Node.OverloadThreshold = 0.01
+			cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			cluster, err := NewCluster(cfg)
@@ -36,6 +38,9 @@ func TestMasterChaosRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// Each master counts only its own clones.
+			var fired MasterStats
+			tally := func() { fired.Clones += cluster.Master().Stats().Clones }
 			// Kill and recover the master three times at staggered points.
 			for k := 0; k < 3; k++ {
 				target := int64(n) * int64(k+1) / 5
@@ -55,6 +60,7 @@ func TestMasterChaosRecovery(t *testing.T) {
 				if k >= 3 {
 					break
 				}
+				tally()
 				if err := cluster.Job(app.Name()).CrashMaster(); err != nil {
 					t.Fatal(err)
 				}
@@ -65,6 +71,8 @@ func TestMasterChaosRecovery(t *testing.T) {
 			if err := cluster.Wait(ctx); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
+			tally()
+			requireClones(t, fired, false)
 			want := int64(n) * (n - 1) / 2
 			if got := readSum(t, ctx, cluster.Store()); got != want {
 				t.Fatalf("round %d: sum = %d, want %d (processed %d)",
@@ -118,6 +126,55 @@ func TestCombinedChaos(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	cluster.Job(app.Name()).RecoverMaster(ctx)
 
+	if err := cluster.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(n) * (n - 1) / 2
+	if got := readSum(t, ctx, cluster.Store()); got != want {
+		t.Fatalf("sum = %d, want %d", got, want)
+	}
+}
+
+// TestMasterAndNodeCrashTogether: a compute node that holds work and the
+// master crash in the same instant, before the master's detection pass
+// could see the node's silence. The successor knows only what the work
+// bags say: their running records name the node, which never beats again,
+// so the successor declares it dead itself, and the job still matches the
+// serial answer.
+func TestMasterAndNodeCrashTogether(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cluster, err := NewCluster(testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	const n = 60000
+	var processed atomic.Int64
+	// No copy worker finishes before the crash, so the victim still holds
+	// work when it dies.
+	gate := make(chan struct{})
+	app := gatedSumApp(&processed, gate)
+	loadInts(t, ctx, cluster.Store(), "in", n)
+	if err := cluster.Start(ctx, app); err != nil {
+		t.Fatal(err)
+	}
+	for processed.Load() < n/10 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	h := cluster.Job(app.Name())
+	victim := runningNode(t, ctx, h.Master(), "copy")
+	if err := h.CrashMaster(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.CrashComputeNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	m := h.RecoverMaster(ctx)
+	close(gate)
+	waitFor(t, ctx, "the successor to declare the node dead", func() bool { return m.Stats().Recoveries > 0 })
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ctrl"
 )
 
 // TestSpeculativeOffByDefault: no overload signal, no clone. With the
@@ -35,13 +38,41 @@ func TestSpeculativeOffByDefault(t *testing.T) {
 	}
 }
 
-// TestNoCloneRespected: a NoClone task is never cloned even under forced
-// overload.
+// requireClones fails t unless the master cloned, and with merge also ran
+// a merge task: a test about clones passes only where they happened.
+func requireClones(t *testing.T, s MasterStats, merge bool) {
+	t.Helper()
+	if s.Clones < 1 || merge && s.MergeTasks < 1 {
+		t.Errorf("forced clones did not fire (merge wanted: %v): %+v", merge, s)
+	}
+}
+
+// awaitClone makes task's first worker wait, before its body, until a
+// clone of it starts, so a forced clone finds the input still full however
+// fast the host would drain it. A clone that never comes is left to
+// requireClones, after a bounded wait.
+func awaitClone(task *TaskSpec) {
+	once, cloned := new(sync.Once), make(chan struct{})
+	run := task.Run
+	task.Run = func(tc *TaskCtx) error {
+		if tc.Blueprint().Worker > 0 {
+			once.Do(func() { close(cloned) })
+		}
+		select {
+		case <-cloned:
+		case <-time.After(5 * time.Second):
+		case <-tc.Context().Done():
+			return tc.Context().Err()
+		}
+		return run(tc)
+	}
+}
+
+// TestNoCloneRespected: a NoClone task is never cloned, while forced
+// clones reach its cloneable neighbor in the same job.
 func TestNoCloneRespected(t *testing.T) {
 	cfg := testClusterConfig()
-	cfg.Node.OverloadThreshold = 0.01
-	cfg.Node.MonitorInterval = time.Millisecond
-	cfg.Master.CloneInterval = time.Millisecond
+	cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -54,27 +85,31 @@ func TestNoCloneRespected(t *testing.T) {
 	var processed atomic.Int64
 	app := sumApp(&processed)
 	app.Task("copy").NoClone = true
-	app.Task("sum").NoClone = true
+	awaitClone(app.Task("sum"))
 	const n = 50000
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	if got := cluster.Master().Stats().Clones; got != 0 {
-		t.Errorf("NoClone tasks were cloned %d times", got)
-	}
 	want := int64(n) * (n - 1) / 2
 	if got := readSum(t, ctx, cluster.Store()); got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
 	}
+	requireClones(t, cluster.Master().Stats(), true)
+	p := cluster.Master().Profile()
+	if w := p.Stage("copy").Workers; w != 1 {
+		t.Errorf("the NoClone task ran %d workers", w)
+	}
+	if w := p.Stage("sum").Workers; w < 2 {
+		t.Errorf("the cloneable task ran %d workers", w)
+	}
 }
 
-// TestMaxClonesRespected: MaxClones caps the worker count.
+// TestMaxClonesRespected: MaxClones caps a task's live workers. Under
+// forced clones copy reaches its cap of 2 and never runs a third worker.
 func TestMaxClonesRespected(t *testing.T) {
 	cfg := testClusterConfig()
-	cfg.Node.OverloadThreshold = 0.01
-	cfg.Node.MonitorInterval = time.Millisecond
-	cfg.Master.CloneInterval = time.Millisecond
+	cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -86,19 +121,36 @@ func TestMaxClonesRespected(t *testing.T) {
 
 	var processed atomic.Int64
 	app := sumApp(&processed)
-	app.Task("copy").MaxClones = 2 // at most 2 workers total
+	copyTask := app.Task("copy")
+	copyTask.MaxClones = 2
+	// A worker's body runs only while the master counts it live, so the
+	// bodies running at once bound the live workers from below.
+	var mu sync.Mutex
+	live, most := 0, 0
+	run := copyTask.Run
+	copyTask.Run = func(tc *TaskCtx) error {
+		mu.Lock()
+		live++
+		most = max(most, live)
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			live--
+			mu.Unlock()
+		}()
+		return run(tc)
+	}
 	const n = 100000
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	// Clones counter counts extra workers beyond the original, across all
-	// tasks; "sum" may add its own. Verify via running-bag evidence that
-	// copy never exceeded 2 workers: worker indices 0 and 1 only.
-	stats := cluster.Master().Stats()
-	t.Logf("stats: %+v", stats)
 	want := int64(n) * (n - 1) / 2
 	if got := readSum(t, ctx, cluster.Store()); got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
+	}
+	requireClones(t, cluster.Master().Stats(), false)
+	if most != 2 {
+		t.Errorf("copy ran at most %d workers at once, want its cap of 2 (stats %+v)", most, cluster.Master().Stats())
 	}
 }

@@ -155,7 +155,9 @@ func TestDispatchCloneReachesIdleNode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c := dispatchCluster(t, 2, func(cfg *ClusterConfig) {
-		cfg.Node.OverloadThreshold = 0.01 // the waiting worker signals
+		// The waiting worker's own overload signal asks for the clone:
+		// the signal path is under test, so clones are not forced.
+		cfg.Node.OverloadThreshold = 0.01
 		cfg.Node.MonitorInterval = time.Millisecond
 	})
 	loadInts(t, ctx, c.Store(), "in0", 8) // never read: a clone needs work left

@@ -576,35 +576,19 @@ func (h *JobHandle) CrashMaster() error {
 // RecoverMaster starts a fresh master for the job that rebuilds its
 // execution-graph state by replaying the work bags (§4.4: "when the
 // application master fails, we restart it and replay the done work
-// bag"). It returns nil for a job that is not running.
+// bag"). The successor knows only what the bags say: node liveness comes
+// from the replayed running bag as for any master, so a node that died
+// holding work, whether or not the predecessor saw it, is declared dead
+// once it has been silent for the failure timeout. It returns nil for a
+// job that is not running.
 func (h *JobHandle) RecoverMaster(ctx context.Context) *Master {
 	c := h.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h.mu.Lock()
-	old, state := h.master, h.state
-	h.mu.Unlock()
-	if state != sched.StateRunning {
+	if h.State() != sched.StateRunning {
 		return nil
 	}
 	m := c.newJobMaster(h)
-	// Carry over node liveness. A node known dead must have its recovery
-	// re-run: the previous master may have crashed between detecting the
-	// failure and completing (or even starting) the recovery. It carries
-	// over silent since forever, so the successor's first detection pass
-	// declares it dead again if the replayed running bag still shows it
-	// holding work; recoverNode derives the affected tasks from that bag,
-	// so re-running it is safe whether the old master finished the
-	// recovery or never began.
-	old.mu.Lock()
-	for n, ns := range old.nodes {
-		copied := *ns
-		if ns.dead {
-			copied = nodeState{}
-		}
-		m.nodes[n] = &copied
-	}
-	old.mu.Unlock()
 	h.mu.Lock()
 	h.master = m
 	oldSwap := h.swap

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
+	"repro/internal/ctrl"
 	"repro/internal/sched"
 	"repro/internal/sketch"
 	"repro/internal/transport"
@@ -605,7 +606,7 @@ func TestFairShareYieldsClones(t *testing.T) {
 			cfg.Sched.Interval = 2 * time.Millisecond
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
-			cfg.Node.OverloadThreshold = 0.01
+			cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
 			cluster, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)

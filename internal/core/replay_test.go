@@ -15,7 +15,9 @@ import (
 )
 
 // cloneUpTo clones one task, one worker per control pass, until it has
-// handed out the given number of workers.
+// handed out the given number of workers. Unlike ctrl.ForceClones it skips
+// placement, which refuses a clone once the task's input reads dry: sum
+// drains its input fast, and TestReplayOrderFree needs it cloned every run.
 type cloneUpTo struct {
 	task    string
 	workers int

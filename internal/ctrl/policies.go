@@ -60,6 +60,33 @@ func (p *ClonePolicy) Evaluate(snap *Snapshot) []Action {
 	return out
 }
 
+// ForceClones is how tests force clones. On every pass it adds
+// one overload signal for each live worker of each scheduled, unfinished
+// task, then lets a ClonePolicy with no rate limit decide. So placement,
+// MaxClones, NoClone and slot limits still hold, and so does the master's
+// re-check when it applies a clone. An overload threshold alone forces
+// nothing on a job that drains within a few monitor ticks.
+type ForceClones struct{}
+
+// Name implements Policy.
+func (*ForceClones) Name() string { return "force-clones" }
+
+// Evaluate implements Policy.
+func (*ForceClones) Evaluate(snap *Snapshot) []Action {
+	forced := *snap
+	forced.Overloads = slices.Clone(snap.Overloads)
+	for _, name := range slices.Sorted(maps.Keys(snap.Tasks)) {
+		t := snap.Tasks[name]
+		if !t.Scheduled || t.Finished {
+			continue
+		}
+		for range t.Workers - t.DoneWorkers {
+			forced.Overloads = append(forced.Overloads, Overload{Task: name, Epoch: t.Epoch})
+		}
+	}
+	return (&ClonePolicy{}).Evaluate(&forced)
+}
+
 // proposeClone applies the cloning gates to one requested task and returns
 // the resulting proposal: a CloneTask when every gate passes, a RejectClone
 // when an idle slot is missing or no input has work left (preserving the

@@ -330,6 +330,37 @@ func TestClonePerSignal(t *testing.T) {
 	}
 }
 
+// TestForceClones: the forced signals stand for every live worker of every
+// scheduled, unfinished task, and the ClonePolicy behind them still holds
+// NoClone and the worker cap.
+func TestForceClones(t *testing.T) {
+	snap := baseSnapshot()
+	snap.FreeSlots = 8
+	live := runningTask("live") // three workers handed out, one done: two signal
+	live.Workers, live.DoneWorkers = 3, 1
+	pending := runningTask("pending")
+	pending.Scheduled = false
+	finished := runningTask("finished")
+	finished.Finished = true
+	pinned := runningTask("pinned")
+	pinned.NoClone = true
+	capped := runningTask("capped")
+	capped.Workers, capped.MaxClones = 2, 2
+	for _, task := range []*TaskTel{live, pending, finished, pinned, capped} {
+		snap.Tasks[task.Name] = task
+	}
+	var got []string
+	for _, a := range (&ForceClones{}).Evaluate(snap) {
+		got = append(got, a.(CloneTask).Task)
+	}
+	if fmt.Sprint(got) != "[live live]" {
+		t.Fatalf("forced clones of %v, want [live live]", got)
+	}
+	if len(snap.Overloads) != 0 {
+		t.Fatalf("Evaluate changed the snapshot's signals: %+v", snap.Overloads)
+	}
+}
+
 // TestArbitrateCloneBudget: clones beyond the free-slot budget become
 // rejections, a second clone of one task included: nothing collapses, so
 // every proposal yields one action.

@@ -8,12 +8,14 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/ctrl"
 )
 
 // ds is one dataset of a differential case in both worlds: the node the
@@ -32,20 +34,15 @@ type ds[T any] struct {
 
 // world is one differential case under construction, compiled under
 // Options.Static when static is set; joins records whether the case built
-// a join.
+// a join. Its one sink has the interpreter's records (want) and a reader
+// of the compiled plan's (got).
 type world struct {
 	p      *Plan
 	loads  map[string]func(ctx context.Context, store *bag.Store) error
-	sinks  map[string]sinkD
+	want   func() ([]string, error)
+	got    func(ctx context.Context, store *bag.Store, bagName string) ([]string, error)
 	static bool
 	joins  bool
-}
-
-// sinkD is one sink: the interpreter's records, and how to read the
-// compiled plan's.
-type sinkD struct {
-	want func() ([]string, error)
-	got  func(ctx context.Context, store *bag.Store, bagName string) ([]string, error)
 }
 
 func scanD[T any](w *world, name string, codec chunk.Codec[T], recs []T) ds[T] {
@@ -165,52 +162,42 @@ func topKD[T any](w *world, in ds[T], k int, less func(a, b T) bool) ds[T] {
 	}}
 }
 
-// sinkTo sinks d into bagName in both worlds.
-func sinkTo[T any](w *world, d ds[T], bagName string) {
-	w.p.Sink(d.n, bagName)
-	w.sinks[bagName] = sinkD{
-		want: func() ([]string, error) {
-			recs, err := d.eval()
-			return canonical(recs), err
-		},
-		got: func(ctx context.Context, store *bag.Store, physical string) ([]string, error) {
-			var recs []T
-			dec, sc := chunk.NewDecoder(d.codec), store.Scanner(physical)
-			for {
-				c, err := sc.Next(ctx)
-				if err == bag.ErrEmpty || err == bag.ErrAgain {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				if recs, err = dec.Decode(c, recs); err != nil {
-					return nil, err
-				}
-			}
-			if d.settle != nil {
-				recs = d.settle(recs)
-			}
-			return canonical(recs), nil
-		},
+// sinkTo sinks d into the sink "out" in both worlds.
+func sinkTo[T any](w *world, d ds[T]) {
+	w.p.Sink(d.n, "out")
+	w.want = func() ([]string, error) {
+		recs, err := d.eval()
+		return canonical(recs), err
+	}
+	w.got = func(ctx context.Context, store *bag.Store, physical string) ([]string, error) {
+		var recs []T
+		dec := chunk.NewDecoder(d.codec)
+		if _, err := store.Scanner(physical).Drain(ctx, func(c chunk.Chunk) (err error) {
+			recs, err = dec.Decode(c, recs)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		if d.settle != nil {
+			recs = d.settle(recs)
+		}
+		return canonical(recs), nil
 	}
 }
 
 // runCompiled loads the sources into a fresh cluster of the given worker
-// count, runs the compiled plan, and returns each sink's records — with a
-// directly sunk GroupBy's partials merged per key, as a reader of that
-// sink must.
-func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, error) {
+// count, runs the compiled plan under forced clones, and returns the sink's
+// records — with a directly sunk GroupBy's partials merged per key, as its
+// reader must. On more than one worker a plan with a stage that can clone
+// fails the test unless it cloned; one without says so in the log.
+func runCompiled(t *testing.T, w *world, workers int) ([]string, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		StorageNodes: 2, ComputeNodes: workers, SlotsPerNode: 1,
 		ChunkSize: 256, // a few dozen records a vector: many vectors, work for clones
-		Node: core.NodeConfig{
-			MonitorInterval: 4 * time.Millisecond, OverloadThreshold: 0.01,
-		},
-		Master: core.MasterConfig{CloneInterval: 2 * time.Millisecond},
+		Master:    core.MasterConfig{CloneInterval: 2 * time.Millisecond, Policies: []ctrl.Policy{&ctrl.ForceClones{}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,16 +213,41 @@ func runCompiled(t *testing.T, w *world, workers int) (map[string][]string, erro
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ph.Run(ctx, cluster); err != nil {
-		return nil, err
-	}
-	sinks := make(map[string][]string)
-	for name, s := range w.sinks {
-		if sinks[name], err = s.got(ctx, store, ph.SinkBag(name)); err != nil {
-			t.Fatal(err)
+	// With slots to spare, the first worker of a stage that can clone and
+	// scans a bag waits for the stage's first clone to start, so the forced
+	// clone finds work left however fast the host would drain a short input.
+	// A clone that never comes fails the run below, after a bounded wait.
+	cloneable := false
+	for _, st := range ph.Stages {
+		cloneable = cloneable || !st.NoClone
+		if workers == 1 || st.Head != "scan" || st.NoClone {
+			continue
+		}
+		task, once, cloned := ph.App.Task(st.Task), new(sync.Once), make(chan struct{})
+		run := task.Run
+		task.Run = func(tc *core.TaskCtx) error {
+			if tc.Blueprint().Worker > 0 {
+				once.Do(func() { close(cloned) })
+			}
+			select {
+			case <-cloned:
+			case <-time.After(5 * time.Second):
+			case <-tc.Context().Done():
+				return tc.Context().Err()
+			}
+			return run(tc)
 		}
 	}
-	return sinks, nil
+	err = ph.Run(ctx, cluster)
+	if s := cluster.Master().Stats(); workers > 1 && !cloneable {
+		t.Log("no stage can clone")
+	} else if workers > 1 && s.Clones == 0 {
+		t.Errorf("forced clones made no clone: %+v", s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w.got(ctx, store, ph.SinkBag("out"))
 }
 
 // canonical renders records order-independently.
@@ -273,7 +285,8 @@ func wordKey(v word) uint64 {
 // operator, after an expanding one, after an absorbing one, across a
 // finalize boundary — over records of several shapes and every build-side
 // shape the join table must get right, on 1 and 4 workers, and compares
-// each sink with the naive interpreter's.
+// each sink with the naive interpreter's. Clones are forced, and every
+// four-worker run with a stage that can clone must clone.
 func TestCompiledPlansMatchInterpreter(t *testing.T) {
 	odd := func(v tuple) bool { return v.Second%2 == 1 }
 	none := func(tuple) bool { return false }
@@ -356,62 +369,62 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 		fails error
 	}{
 		{name: "filter-map", build: func(w *world) {
-			sinkTo(w, mapD(w, filterD(w, S(w), odd), pairCodec, double), "out")
+			sinkTo(w, mapD(w, filterD(w, S(w), odd), pairCodec, double))
 		}},
 		{name: "flatmap-filter-map", build: func(w *world) {
 			fm := flatMapD(w, S(w), pairCodec, repeat(3))
-			sinkTo(w, mapD(w, filterD(w, fm, odd), pairCodec, double), "out")
+			sinkTo(w, mapD(w, filterD(w, fm, odd), pairCodec, double))
 		}},
 		{name: "flatmap-past-maxVector-filter", build: func(w *world) {
 			// 2000 records out per record in: one input vector overflows
 			// the operator's buffer several times.
 			fm := flatMapD(w, filterD(w, R(w), odd), pairCodec, repeat(2000))
-			sinkTo(w, filterD(w, fm, func(v tuple) bool { return v.Second%97 == 0 }), "out")
+			sinkTo(w, filterD(w, fm, func(v tuple) bool { return v.Second%97 == 0 }))
 		}},
 		{name: "groupby-sunk", build: func(w *world) {
-			sinkTo(w, groupByD(w, mapD(w, S(w), pairCodec, double), countSpec()), "out")
+			sinkTo(w, groupByD(w, mapD(w, S(w), pairCodec, double), countSpec()))
 		}},
 		{name: "groupby-map-topk", build: func(w *world) {
 			g := groupByD(w, S(w), countSpec())
-			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 5, bySecondThenKey), "out")
+			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 5, bySecondThenKey))
 		}},
 		{name: "topk-on-scan", build: func(w *world) {
-			sinkTo(w, topKD(w, S(w), 7, bySecondThenKey), "out")
+			sinkTo(w, topKD(w, S(w), 7, bySecondThenKey))
 		}},
 		{name: "join-map", build: func(w *world) {
-			sinkTo(w, mapD(w, joinD(w, R(w), S(w), joinSpec()), pairCodec, double), "out")
+			sinkTo(w, mapD(w, joinD(w, R(w), S(w), joinSpec()), pairCodec, double))
 		}},
 		{name: "filter-broadcastjoin-flatmap-filter", build: func(w *world) {
 			j := joinD(w, R(w), filterD(w, S(w), odd), joinSpec())
-			sinkTo(w, filterD(w, flatMapD(w, j, pairCodec, repeat(2)), odd), "out")
+			sinkTo(w, filterD(w, flatMapD(w, j, pairCodec, repeat(2)), odd))
 		}},
 		{name: "join-groupby", build: func(w *world) {
-			sinkTo(w, groupByD(w, joinD(w, R(w), S(w), joinSpec()), countSpec()), "out")
+			sinkTo(w, groupByD(w, joinD(w, R(w), S(w), joinSpec()), countSpec()))
 		}},
 		{name: "join-build-is-groupby", build: func(w *world) {
-			sinkTo(w, joinD(w, groupByD(w, R(w), countSpec()), S(w), countJoin), "out")
+			sinkTo(w, joinD(w, groupByD(w, R(w), countSpec()), S(w), countJoin))
 		}},
 		{name: "join-probe-is-groupby", build: func(w *world) {
 			// The probe streams out of a single-worker finalize stage.
-			sinkTo(w, joinD(w, R(w), mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple), joinSpec()), "out")
+			sinkTo(w, joinD(w, R(w), mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple), joinSpec()))
 		}},
 		{name: "empty-vectors-groupby-map-topk", build: func(w *world) {
 			g := groupByD(w, mapD(w, filterD(w, S(w), none), pairCodec, double), countSpec())
-			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 3, bySecondThenKey), "out")
+			sinkTo(w, topKD(w, mapD(w, g, pairCodec, countToTuple), 3, bySecondThenKey))
 		}},
 		{name: "empty-vectors-join-flatmap", build: func(w *world) {
 			j := joinD(w, R(w), filterD(w, S(w), none), joinSpec())
-			sinkTo(w, flatMapD(w, j, pairCodec, repeat(2)), "out")
+			sinkTo(w, flatMapD(w, j, pairCodec, repeat(2)))
 		}},
 		{name: "map-errors-mid-vector", fails: errBoom, build: func(w *world) {
-			sinkTo(w, filterD(w, mapD(w, S(w), pairCodec, boom), odd), "out")
+			sinkTo(w, filterD(w, mapD(w, S(w), pairCodec, boom), odd))
 		}},
 		{name: "map-errors-after-join", fails: errBoom, build: func(w *world) {
 			j := joinD(w, R(w), S(w), JoinSpec[tuple, tuple, tuple]{
 				BuildKey: tupleKey, ProbeKey: tupleKey, Codec: pairCodec,
 				Join: func(_, pr tuple, emit func(tuple) error) error { return emit(pr) },
 			})
-			sinkTo(w, mapD(w, j, pairCodec, boom), "out")
+			sinkTo(w, mapD(w, j, pairCodec, boom))
 		}},
 
 		// Record shapes.
@@ -429,7 +442,7 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 					return chunk.Pair[uint64, string]{First: a.First + b.First, Second: max(a.Second, b.Second)}
 				},
 			})
-			sinkTo(w, topKD(w, longest, 3, func(a, b tally) bool { return a.Second.Second < b.Second.Second }), "out")
+			sinkTo(w, topKD(w, longest, 3, func(a, b tally) bool { return a.Second.Second < b.Second.Second }))
 		}},
 		{name: "strings-join-strings", build: func(w *world) {
 			// Words against themselves, thinned: string build rows in the table.
@@ -441,13 +454,13 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 						return emit(word{First: pr.First, Second: b.Second + "+" + pr.Second})
 					},
 				})
-			sinkTo(w, j, "out")
+			sinkTo(w, j)
 		}},
 		{name: "nested-pair-join-map-groupby", build: func(w *world) {
 			flat := mapD(w, joinD(w, R(w), S(w), matchJoin), pairCodec, func(m match) (tuple, error) {
 				return tuple{First: m.First % 7, Second: m.Second.First + m.Second.Second}, nil
 			})
-			sinkTo(w, groupByD(w, flat, countSpec()), "out")
+			sinkTo(w, groupByD(w, flat, countSpec()))
 		}},
 		{name: "bytes-rowonly-flatmap-join", build: func(w *world) {
 			// Byte payloads alias their chunk all the way through a FlatMap
@@ -465,7 +478,7 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 				Join: func(b, pr blob, emit func(blob) error) error {
 					return emit(blob{First: pr.First, Second: append(append([]byte(nil), b.Second[:2]...), pr.Second...)})
 				},
-			}), "out")
+			}))
 		}},
 
 		// Build-side shapes.
@@ -474,14 +487,14 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			// that key overflows the join's buffer by itself. Absent probe
 			// keys (the even ones) match nothing.
 			j := joinD(w, scanD(w, "H", pairCodec, recsH), S(w), joinSpec())
-			sinkTo(w, filterD(w, j, func(v tuple) bool { return v.Second%97 == 0 }), "out")
+			sinkTo(w, filterD(w, j, func(v tuple) bool { return v.Second%97 == 0 }))
 		}},
 		{name: "join-empty-build", build: func(w *world) {
-			sinkTo(w, joinD(w, filterD(w, R(w), none), S(w), joinSpec()), "out")
+			sinkTo(w, joinD(w, filterD(w, R(w), none), S(w), joinSpec()))
 		}},
 		{name: "join-no-probe-key-in-build", build: func(w *world) {
 			far := mapD(w, R(w), pairCodec, func(v tuple) (tuple, error) { return tuple{First: v.First + 1000, Second: v.Second}, nil })
-			sinkTo(w, joinD(w, far, S(w), joinSpec()), "out")
+			sinkTo(w, joinD(w, far, S(w), joinSpec()))
 		}},
 		{name: "two-joins-share-build-scan", build: func(w *world) {
 			// One Scan node is the build side of two joins in a row, under
@@ -489,7 +502,7 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			r := R(w)
 			byPayload := joinSpec()
 			byPayload.BuildKey = func(v tuple) uint64 { return v.Second % 50 }
-			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec()), byPayload), "out")
+			sinkTo(w, joinD(w, r, joinD(w, r, S(w), joinSpec()), byPayload))
 		}},
 		{name: "groupby-join-fused-join-share-build-scan", build: func(w *world) {
 			// The inner join's probe is finalized, so it repartitions, and
@@ -499,7 +512,7 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 			byPayload := joinSpec()
 			byPayload.BuildKey = func(v tuple) uint64 { return v.Second % 50 }
 			counts := mapD(w, groupByD(w, S(w), countSpec()), pairCodec, countToTuple)
-			sinkTo(w, joinD(w, r, joinD(w, r, counts, joinSpec()), byPayload), "out")
+			sinkTo(w, joinD(w, r, joinD(w, r, counts, joinSpec()), byPayload))
 		}},
 	}
 	// A case with a join runs again under Options.Static, where every join
@@ -507,7 +520,7 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 	for _, tc := range cases {
 		for _, static := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, sinks: map[string]sinkD{}, static: static}
+				w := &world{p: New("d"), loads: map[string]func(context.Context, *bag.Store) error{}, static: static}
 				tc.build(w)
 				name := fmt.Sprintf("%s/%dw", tc.name, workers)
 				if static {
@@ -523,17 +536,11 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 }
 
 // runDifferential runs one built case on the given worker count and
-// compares each sink with the interpreter's, or checks that both fail
-// with fails.
+// compares its sink with the interpreter's, or checks that both fail with
+// fails.
 func runDifferential(t *testing.T, name string, w *world, workers int, fails error) {
 	t.Run(name, func(t *testing.T) {
-		want := make(map[string][]string)
-		var wantErr error
-		for name, s := range w.sinks {
-			if want[name], wantErr = s.want(); wantErr != nil {
-				break
-			}
-		}
+		want, wantErr := w.want()
 		got, err := runCompiled(t, w, workers)
 		if fails != nil {
 			if !errors.Is(wantErr, fails) {
@@ -547,15 +554,12 @@ func runDifferential(t *testing.T, name string, w *world, workers int, fails err
 		if wantErr != nil || err != nil {
 			t.Fatalf("interpreter err %v, compiled plan err %v", wantErr, err)
 		}
-		for sink, w := range want {
-			g := got[sink]
-			if len(w) != len(g) {
-				t.Fatalf("sink %s: %d records, interpreter has %d", sink, len(g), len(w))
-			}
-			for i := range w {
-				if w[i] != g[i] {
-					t.Fatalf("sink %s: sorted record %d of %d is %s, interpreter has %s", sink, i, len(w), g[i], w[i])
-				}
+		if len(want) != len(got) {
+			t.Fatalf("%d records, interpreter has %d", len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("sorted record %d of %d is %s, interpreter has %s", i, len(want), got[i], want[i])
 			}
 		}
 	})

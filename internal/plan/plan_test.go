@@ -58,15 +58,6 @@ func zipfStats(probeBag string, total int) *Stats {
 	return st
 }
 
-func stageByTask(ph *Physical, task string) *StageInfo {
-	for i := range ph.Stages {
-		if ph.Stages[i].Task == task {
-			return &ph.Stages[i]
-		}
-	}
-	return nil
-}
-
 // findStage returns the stage whose output is the given bag.
 func findStage(ph *Physical, out string) *StageInfo {
 	for i := range ph.Stages {

@@ -52,9 +52,10 @@ func (m *memBackend) discard() error {
 func (m *memBackend) destroy() error { return m.discard() }
 
 // diskBackend stores a bag as a single append-only file, mirroring the
-// paper's ext4-file-per-bag implementation: each chunk is a 12-byte header
+// paper's ext4-file-per-bag implementation: a file header (a magic number
+// and a format version), then each chunk as a 12-byte record header
 // (4-byte big-endian length, 8-byte big-endian chunk id) followed by its
-// payload. The header index is kept in memory and rebuilt from the file on
+// payload. The record index is kept in memory and rebuilt from the file on
 // open, so a restarted storage node recovers its bags and their chunk ids.
 type diskBackend struct {
 	f        *os.File
@@ -68,6 +69,14 @@ type diskBackend struct {
 
 // diskHeader is the size of a chunk's record header.
 const diskHeader = 12
+
+// A bag file opens with diskMagic and a 4-byte big-endian format version,
+// diskFileHdr bytes in all; a file with another header is not read.
+const (
+	diskMagic   = "HBAG"
+	diskVersion = 1
+	diskFileHdr = 8
+)
 
 // newDiskBackend opens (or creates) the file for bag under dir.
 func newDiskBackend(dir, bag string) (*diskBackend, error) {
@@ -90,22 +99,53 @@ func newDiskBackend(dir, bag string) (*diskBackend, error) {
 	return d, nil
 }
 
-// rebuildIndex scans the file's record headers to reconstruct the index.
+// rebuildIndex checks the file header and scans the record headers to
+// reconstruct the index. A file is created before its header is written, so
+// one shorter than the header, or whose header is all zeros, is a header
+// write a crash cut short: it is rewritten and the bag opens empty. Likewise
+// a record that runs past the end of the file is the tail of a cut write: it
+// is ignored, and the next insert overwrites it.
 func (d *diskBackend) rebuildIndex() error {
 	info, err := d.f.Stat()
 	if err != nil {
 		return err
 	}
 	size := info.Size()
-	var off int64
+	var fh [diskFileHdr]byte
+	if size >= diskFileHdr {
+		if _, err := d.f.ReadAt(fh[:], 0); err != nil {
+			return err
+		}
+	}
+	if fh == [diskFileHdr]byte{} {
+		if err := d.f.Truncate(0); err != nil {
+			return err
+		}
+		hdr := binary.BigEndian.AppendUint32([]byte(diskMagic), diskVersion)
+		if _, err := d.f.WriteAt(hdr, 0); err != nil {
+			return err
+		}
+		d.writeOff = diskFileHdr
+		return nil
+	}
+	if string(fh[:len(diskMagic)]) != diskMagic {
+		return fmt.Errorf("storage: %s is not a bag file", d.path)
+	}
+	if v := binary.BigEndian.Uint32(fh[len(diskMagic):]); v != diskVersion {
+		return fmt.Errorf("storage: %s has bag file version %d, want %d", d.path, v, diskVersion)
+	}
+	off := int64(diskFileHdr)
 	var hdr [diskHeader]byte
 	for off+diskHeader <= size {
 		if _, err := d.f.ReadAt(hdr[:], off); err != nil {
 			return err
 		}
 		n := int32(binary.BigEndian.Uint32(hdr[:]))
+		if n < 0 {
+			return fmt.Errorf("storage: %s: record at offset %d has length %d", d.path, off, n)
+		}
 		if off+diskHeader+int64(n) > size {
-			break // truncated trailing write; ignore
+			break
 		}
 		d.index(off, n, binary.BigEndian.Uint64(hdr[4:]))
 		off += diskHeader + int64(n)
@@ -150,11 +190,11 @@ func (d *diskBackend) meta(i int64) (uint64, int64) { return d.ids[i], int64(d.s
 func (d *diskBackend) count() (int64, int64) { return int64(len(d.offsets)), d.bytes }
 
 func (d *diskBackend) discard() error {
-	if err := d.f.Truncate(0); err != nil {
+	if err := d.f.Truncate(diskFileHdr); err != nil {
 		return err
 	}
 	d.offsets, d.sizes, d.ids = nil, nil, nil
-	d.bytes, d.writeOff = 0, 0
+	d.bytes, d.writeOff = 0, diskFileHdr
 	return nil
 }
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sketch"
 	"repro/internal/transport"
@@ -325,6 +329,138 @@ func TestDiskBackendOps(t *testing.T) {
 		t.Fatalf("disk discard: %+v", resp)
 	}
 	n.Handle(&transport.Request{Op: transport.OpDelete, Bag: "b"})
+}
+
+// bagFile returns the path of the only bag file under dir.
+func bagFile(t *testing.T, dir string) string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "bag-*.dat"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("bag files under %s: %v, %v", dir, files, err)
+	}
+	return files[0]
+}
+
+// TestDiskBackendReopenChecksFile: a reopened bag file is read only if its
+// header names the format, a record length that is negative is refused
+// rather than read (it would never advance the scan), and a write cut short
+// by a crash is dropped: a record's, leaving the whole chunks before it, or
+// the file header's, leaving an empty bag.
+func TestDiskBackendReopenChecksFile(t *testing.T) {
+	write := func(t *testing.T) (dir, path string) {
+		dir = t.TempDir()
+		n := NewNode("s0", WithDir(dir))
+		for i := 0; i < 3; i++ {
+			insertID(t, n, "b", uint64(10+i), bytes.Repeat([]byte{byte(i)}, 10))
+		}
+		return dir, bagFile(t, dir)
+	}
+	patch := func(t *testing.T, path string, off int64, b []byte) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// open reopens dir's bag, bounded: a scan that never advances hangs.
+	open := func(t *testing.T, dir string) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := newDiskBackend(dir, "b")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatal("reopening the bag file did not return")
+			return nil
+		}
+	}
+	second := int64(diskFileHdr + diskHeader + 10) // the second record's header
+
+	t.Run("negative length", func(t *testing.T) {
+		dir, path := write(t)
+		patch(t, path, second, []byte{0xFF, 0xFF, 0xFF, 0xF4}) // -12
+		if err := open(t, dir); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("reopen of a file with a negative record length: %v", err)
+		}
+	})
+	t.Run("wrong version", func(t *testing.T) {
+		dir, path := write(t)
+		patch(t, path, int64(len(diskMagic)), []byte{0, 0, 0, diskVersion + 1})
+		if err := open(t, dir); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("reopen of a file of another version: %v", err)
+		}
+	})
+	t.Run("no header", func(t *testing.T) {
+		dir, path := write(t)
+		patch(t, path, 0, []byte("XXXX"))
+		if err := open(t, dir); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("reopen of a file without the header: %v", err)
+		}
+	})
+	// cutHeader reopens a bag whose header write did not land, and checks
+	// that it opens empty and takes inserts again.
+	cutHeader := func(t *testing.T, dir string) {
+		t.Helper()
+		if err := open(t, dir); err != nil {
+			t.Fatal(err)
+		}
+		n := NewNode("s0", WithDir(dir))
+		if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); resp.OK() {
+			t.Fatalf("a bag with a cut header kept a chunk: %+v", resp)
+		}
+		insertID(t, n, "b", 99, []byte("new"))
+		if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); !resp.OK() || resp.ID != 99 {
+			t.Fatalf("insert after a cut header: %+v", resp)
+		}
+	}
+	t.Run("short header", func(t *testing.T) {
+		dir, path := write(t)
+		if err := os.Truncate(path, diskFileHdr-3); err != nil {
+			t.Fatal(err)
+		}
+		cutHeader(t, dir)
+	})
+	t.Run("zeroed header", func(t *testing.T) {
+		dir, path := write(t)
+		patch(t, path, 0, make([]byte, diskFileHdr+diskHeader))
+		cutHeader(t, dir)
+	})
+	t.Run("truncated tail", func(t *testing.T) {
+		dir, path := write(t)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, info.Size()-4); err != nil {
+			t.Fatal(err)
+		}
+		if err := open(t, dir); err != nil {
+			t.Fatal(err)
+		}
+		n := NewNode("s0", WithDir(dir))
+		for i := 0; i < 2; i++ {
+			resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+			if !resp.OK() || resp.ID != uint64(10+i) || !bytes.Equal(resp.Data, bytes.Repeat([]byte{byte(i)}, 10)) {
+				t.Fatalf("whole chunk %d after a cut tail: %+v", i, resp)
+			}
+		}
+		if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); resp.OK() {
+			t.Fatalf("the cut chunk came back: %+v", resp)
+		}
+		insertID(t, n, "b", 99, []byte("new"))
+		resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"})
+		if !resp.OK() || resp.ID != 99 || string(resp.Data) != "new" {
+			t.Fatalf("insert over the cut tail: %+v", resp)
+		}
+	})
 }
 
 // TestDiskBackendTakeAfterReopen: chunk ids live in the record headers,
