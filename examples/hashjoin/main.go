@@ -1,7 +1,7 @@
 // HashJoin: the paper's second workload (§5.3), expressed through the
-// query planner instead of hand-wired stages — roughly a third of the
-// user-facing code the stage-level version needed (that wiring survives
-// as the oracle in internal/apps.HashJoinApp).
+// query planner instead of hand-wired stages. The planner's join is the
+// engine's only hash join; tests check its form in internal/apps
+// (HashJoinPlan) against the serial matches of workload.JoinMatches.
 //
 // The program declares WHAT to compute — join R and S on the tuple key —
 // and the planner decides HOW: every join worker loads all of R whatever

@@ -3,6 +3,7 @@ package q_test
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,9 +135,9 @@ func TestQueryGroupByOracle(t *testing.T) {
 }
 
 // TestJoinStrategiesIdenticalResults runs the same logical join in both
-// physical forms on Zipf(1.3) probe keys and asserts each matches the
-// ground-truth join size — the planner may only change *how* the join
-// runs, never its result. Warm statistics seed no join edge. All
+// physical forms on Zipf(1.3) probe keys and asserts each gives the serial
+// matches (workload.JoinMatches) — the planner may only change *how* the
+// join runs, never its result. Warm statistics seed no join edge. All
 // submissions share one cluster through the multi-job scheduler (the
 // Submit surface).
 func TestJoinStrategiesIdenticalResults(t *testing.T) {
@@ -147,7 +148,7 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 	sGen := workload.RelationGen{Keys: 64, S: 1.3, Seed: 5}
 	r := rGen.Generate(200)
 	s := sGen.Generate(20000)
-	want := workload.JoinCount(r, s)
+	want := workload.JoinMatches(r, s)
 
 	// Warm probe-side statistics from the generator's output — exactly
 	// what a previous run's sketch would have recorded.
@@ -214,8 +215,13 @@ func TestJoinStrategiesIdenticalResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if int64(len(got)) != want {
-				t.Fatalf("%s join produced %d matches, want %d", tc.name, len(got), want)
+			matches := make([]workload.Match, len(got))
+			for i, m := range got {
+				matches[i] = workload.Match{Key: m.First, R: m.Second.First, S: m.Second.Second}
+			}
+			workload.SortMatches(matches)
+			if !slices.Equal(matches, want) {
+				t.Fatalf("%s join's %d matches differ from the %d serial ones", tc.name, len(matches), len(want))
 			}
 		})
 	}

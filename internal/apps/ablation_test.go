@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/hurricane"
+	"repro/hurricane/q"
 	"repro/internal/workload"
 )
 
@@ -158,35 +160,19 @@ func TestClickLogDiskBackend(t *testing.T) {
 }
 
 // TestHashJoinEmptyPartition: partitions with no matching tuples produce
-// empty outputs without wedging the join.
+// empty outputs without wedging the join; a wedged join fails through its
+// run's deadline.
 func TestHashJoinEmptyPartition(t *testing.T) {
-	ctx := testCtx(t)
-	cluster := testCluster(t, nil)
-	const parts = 8
 	// Keys confined to a range that hashes into few partitions.
 	rg := workload.RelationGen{Keys: 2, S: 0, Seed: 8}
 	r := rg.Generate(100)
 	s := rg.Generate(1000)
-	want := workload.JoinCount(r, s)
-
-	if err := LoadRelations(ctx, cluster.Store(), r, s); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cluster.Run(ctx, HashJoinApp(parts, false)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("join wedged on empty partitions")
-	}
-	got, err := JoinResultCount(ctx, cluster.Store(), parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("matches %d, want %d", got, want)
+	for _, static := range []bool{false, true} {
+		t.Run(joinForm(static), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			c := compileJoin(t, q.Options{Parts: 8, Static: static})
+			runJoin(ctx, t, testCluster(t, nil), c, r, s)
+		})
 	}
 }

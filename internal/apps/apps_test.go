@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/hurricane"
+	"repro/hurricane/q"
 	"repro/internal/ctrl"
 	"repro/internal/workload"
 )
@@ -117,62 +118,48 @@ func TestClickLogWithForcedCloning(t *testing.T) {
 	requireClones(t, cluster.Master().Stats(), true)
 }
 
+// TestHashJoinCorrectness: both forms of the join give the serial matches
+// on uniform and skewed probe keys.
 func TestHashJoinCorrectness(t *testing.T) {
 	for _, s := range []float64{0, 1.0} {
-		s := s
 		t.Run(skewName(s), func(t *testing.T) {
-			ctx := testCtx(t)
-			cluster := testCluster(t, nil)
-			const parts = 4
-
 			rg := workload.RelationGen{Keys: 100, S: 0, Seed: 1}
 			sg := workload.RelationGen{Keys: 100, S: s, Seed: 2}
 			r := rg.Generate(500)
 			probe := sg.Generate(5000)
-			want := workload.JoinCount(r, probe)
-
-			if err := LoadRelations(ctx, cluster.Store(), r, probe); err != nil {
-				t.Fatal(err)
-			}
-			app := HashJoinApp(parts, false)
-			if err := cluster.Run(ctx, app); err != nil {
-				t.Fatal(err)
-			}
-			got, err := JoinResultCount(ctx, cluster.Store(), parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("join output = %d matches, want %d", got, want)
+			for _, static := range []bool{false, true} {
+				t.Run(joinForm(static), func(t *testing.T) {
+					c := compileJoin(t, q.Options{Parts: 4, Static: static})
+					runJoin(testCtx(t), t, testCluster(t, nil), c, r, probe)
+				})
 			}
 		})
 	}
 }
 
+// TestHashJoinWithForcedCloning: under forced clones both forms give the
+// serial matches on Zipf(1.3) probe keys. The planner's form is one stage
+// with no shuffle edge, so its parallelism comes only from clones splitting
+// the probe chunk by chunk. Static shuffles the probe: the scatter clones,
+// and the join stage, one worker per partition, never does.
 func TestHashJoinWithForcedCloning(t *testing.T) {
-	ctx := testCtx(t)
-	cluster := testCluster(t, clonesForced)
-	const parts = 2
-	rg := workload.RelationGen{Keys: 50, S: 0, Seed: 3}
-	sg := workload.RelationGen{Keys: 50, S: 1.0, Seed: 4}
-	r := rg.Generate(300)
-	probe := sg.Generate(8000)
-	want := workload.JoinCount(r, probe)
-
-	if err := LoadRelations(ctx, cluster.Store(), r, probe); err != nil {
-		t.Fatal(err)
+	rGen := workload.RelationGen{Keys: 256, S: 0, Seed: 23}
+	r := rGen.Generate(1000)
+	s := workload.ZipfTuples(60000, 256, 1.3, 29)
+	for _, static := range []bool{false, true} {
+		t.Run(joinForm(static), func(t *testing.T) {
+			c := compileJoin(t, q.Options{Parts: 4, Static: static})
+			if !static && (c.Joins[0].Edge != "" || len(c.Stages) != 1 || c.Stages[0].WritesEdge || c.Stages[0].ConsumesEdge) {
+				t.Fatalf("unpinned join did not compile to one stage with no shuffle:\n%s", c.Explain())
+			}
+			cluster := testCluster(t, clonesForced)
+			runJoin(testCtx(t), t, cluster, c, r, s)
+			requireClones(t, cluster.Master().Stats(), false)
+			if p := cluster.Master().Profile(); static && (len(p.Edges) != 1 || p.Edges[0].Edge != c.Joins[0].Edge || p.Edges[0].Clones != 0) {
+				t.Fatalf("the Static join stage was cloned: %+v", p.Edges)
+			}
+		})
 	}
-	if err := cluster.Run(ctx, HashJoinApp(parts, false)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := JoinResultCount(ctx, cluster.Store(), parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("join output = %d matches, want %d", got, want)
-	}
-	requireClones(t, cluster.Master().Stats(), false)
 }
 
 func TestPageRankCorrectness(t *testing.T) {

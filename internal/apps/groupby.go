@@ -28,8 +28,7 @@ var groupByOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 // (counts add, HLL registers max), so the engine is free to spread a
 // heavy-hitter key's records across several consumers (BagSpec.Spread) —
 // the paper's §2.3 requirement that concurrent workers' partial results
-// support merging, applied to partitions instead of clones. It is the
-// hand-wired oracle GroupByPlan is checked against.
+// support merging, applied to partitions instead of clones.
 // noClone disables cloning of the aggregate stage only: that is the
 // classic static-partitioning configuration (one reducer per partition),
 // the baseline cloning is measured against.

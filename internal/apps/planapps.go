@@ -5,12 +5,11 @@ import (
 	"repro/hurricane/q"
 )
 
-// The query-planner reimplementations of the hand-wired workloads. The
-// hand-wired apps (GroupByApp, HashJoinApp) stay as the oracles: tests
-// run both forms on identical input and assert identical results,
-// so the planner is continuously verified against the low-level wiring
-// it replaces. New scenarios should start here, not at the stage API —
-// see the README's query-planner section.
+// The query-planner forms of the groupby and the hash join. Tests check
+// each against a serial answer computed in plain Go, never against
+// another engine run, which would share the engine's faults. New
+// scenarios should start here, not at the stage API — see the README's
+// query-planner section.
 
 // gbAgg is the groupby accumulator: a record count and an HLL
 // distinct-payload estimator.
@@ -21,7 +20,7 @@ type gbAgg struct {
 
 // gbAggCodec encodes a *gbAgg accumulator byte-compatibly with the
 // hand-wired groupby's (count, encoded-HLL) pair, so the plan's sink bag
-// is readable by the same CollectGroupByFrom oracle collector.
+// is readable by the same CollectGroupByFrom collector.
 type gbAggCodec struct{}
 
 func (gbAggCodec) Encode(buf []byte, v *gbAgg) []byte {
@@ -79,12 +78,11 @@ func GroupByPlan() *q.Plan {
 // JoinShufOut is HashJoinPlan's sink: every match in one bag.
 const JoinShufOut = "joinshuf.out"
 
-// HashJoinPlan is HashJoinApp as a declarative query: join the probe
-// relation S against the build relation R on the tuple key, emitting the
-// same (key, (payloadR, payloadS)) matches into JoinShufOut. The
-// physical form is the planner's call (broadcast, or repartition under
-// q.Options.Static); the hand-wired app pins a static fan of one join
-// task per hash partition.
+// HashJoinPlan is the paper's hash join (§5.3) as a declarative query:
+// join the probe relation S against the build relation R on the tuple
+// key, emitting (key, (payloadR, payloadS)) matches into JoinShufOut.
+// The physical form is the planner's call (broadcast, or repartition
+// under q.Options.Static); tests check both against workload.JoinMatches.
 func HashJoinPlan() *q.Plan {
 	p := q.New("hashjoinq")
 	build := q.Scan(p, JoinBagR, tupleCodec)

@@ -12,8 +12,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -317,6 +319,35 @@ func JoinCount(a, b []Tuple) int64 {
 		total += n * cb[k]
 	}
 	return total
+}
+
+// Match is one join output tuple: the key, r's payload and s's payload.
+type Match struct {
+	Key, R, S uint64
+}
+
+// JoinMatches computes the ground-truth join of r and s on Key, sorted by
+// (Key, R, S), so an engine's output compares with it as a multiset.
+func JoinMatches(r, s []Tuple) []Match {
+	byKey := make(map[uint64][]uint64)
+	for _, t := range r {
+		byKey[t.Key] = append(byKey[t.Key], t.Payload)
+	}
+	var out []Match
+	for _, t := range s {
+		for _, p := range byKey[t.Key] {
+			out = append(out, Match{Key: t.Key, R: p, S: t.Payload})
+		}
+	}
+	SortMatches(out)
+	return out
+}
+
+// SortMatches sorts ms by (Key, R, S), JoinMatches' order.
+func SortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.R, b.R), cmp.Compare(a.S, b.S))
+	})
 }
 
 // ---- R-MAT graphs ----

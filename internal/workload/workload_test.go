@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +207,22 @@ func TestRelationGenAndJoinCount(t *testing.T) {
 	}
 	if want == 0 {
 		t.Fatal("degenerate test: no matches")
+	}
+	// JoinMatches: the brute-force matches, sorted by (Key, R, S).
+	var brute []Match
+	for _, a := range r {
+		for _, b := range s {
+			if a.Key == b.Key {
+				brute = append(brute, Match{Key: a.Key, R: a.Payload, S: b.Payload})
+			}
+		}
+	}
+	slices.SortFunc(brute, func(x, y Match) int {
+		return cmp.Or(cmp.Compare(x.Key, y.Key), cmp.Compare(x.R, y.R), cmp.Compare(x.S, y.S))
+	})
+	matches := JoinMatches(r, s)
+	if int64(len(matches)) != want || !slices.Equal(matches, brute) {
+		t.Fatalf("JoinMatches: %d matches, brute force %d, or they differ", len(matches), len(brute))
 	}
 }
 
