@@ -72,7 +72,7 @@ func policyCell() cell {
 				return result{}, err
 			}
 			start := time.Now()
-			if err := c.Run(ctx, apps.GroupByApp(parts, true, false, 0, recordCost)); err != nil {
+			if err := c.Run(ctx, apps.GroupByApp(parts, true, 0, recordCost)); err != nil {
 				return result{}, err
 			}
 			r := result{ms: msSince(start), st: c.Master().Stats()}
@@ -104,7 +104,7 @@ func schedCell() cell {
 			}
 			defer c.Shutdown()
 			store := c.Store()
-			skew, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, false, skewProduce, recordCost), hurricane.JobConfig{Name: "skew"})
+			skew, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, skewProduce, recordCost), hurricane.JobConfig{Name: "skew"})
 			if err == nil {
 				err = apps.LoadGroupByInto(ctx, store, skew.Bag(apps.GroupByIn), skewTuples)
 			}
@@ -114,7 +114,7 @@ func schedCell() cell {
 			for deadline := time.Now().Add(time.Second); c.FreeSlots() > 0 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
-			uni, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, false, 0, recordCost), hurricane.JobConfig{Name: "uni"})
+			uni, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, 0, recordCost), hurricane.JobConfig{Name: "uni"})
 			start := time.Now()
 			if err == nil {
 				err = apps.LoadGroupByInto(ctx, store, uni.Bag(apps.GroupByIn), uniTuples)
@@ -143,11 +143,15 @@ func schedCell() cell {
 func streamCell() cell {
 	const windows, perWindow, parts, recordCost = 16, 20000, 4, 4000
 	gen := workload.ClickLogGen{S: 1.3, Regions: 64, UniquePerRegion: 1 << 12, Seed: 33, DriftEvery: 2 * perWindow}
+	var want counts
+	for _, clicks := range apps.ClickStreamWindows(gen, windows, perWindow) {
+		want = append(want, workload.KeyCounts(clicks))
+	}
 	return cell{
 		about: fmt.Sprintf("%d windows of %d drifting Zipf(1.3) clicks at %d ns each; timed: the median window", windows, perWindow, recordCost),
 		arms:  []string{"warm", "cold"},
 		own:   "seeded",
-		want:  apps.ClickStreamTruth(gen, windows, perWindow),
+		want:  want,
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(8, func(cfg *hurricane.ClusterConfig) {
 				cfg.Node.OverloadThreshold = 0 // the default
@@ -161,8 +165,8 @@ func streamCell() cell {
 			origin := int64(1_000_000_000_000)
 			h, err := hurricane.RunStream(ctx, c, hurricane.StreamSpec{
 				Name: "bench",
-				App:  apps.ClickStreamApp(parts, true, recordCost),
-				Sources: map[string]hurricane.StreamSource{apps.ClickStreamIn: &apps.ClickStreamSource{
+				App:  apps.GroupByApp(parts, true, 0, recordCost),
+				Sources: map[string]hurricane.StreamSource{apps.GroupByIn: &apps.ClickStreamSource{
 					Gen: gen, Origin: origin, PerWindow: perWindow, Total: windows * perWindow, Batch: perWindow,
 				}},
 				Window:      time.Second,
@@ -181,18 +185,14 @@ func streamCell() cell {
 				if err == nil {
 					err = res.Err
 				}
-				var got map[uint64]apps.ClickStreamResult
+				var got counts
 				if err == nil {
-					got, err = apps.CollectClickStream(ctx, c.Store(), res.Bag(apps.ClickStreamOut))
+					got, err = groupByCounts(ctx, c.Store(), res.Bag(apps.GroupByOut))
 				}
 				if err != nil {
 					return result{}, fmt.Errorf("window %d: %w", w, err)
 				}
-				regions := make(map[uint64]int64, len(got))
-				for region, g := range got {
-					regions[region] = g.Count
-				}
-				r.out = append(r.out, regions)
+				r.out = append(r.out, got...)
 				latencies = append(latencies, float64(res.DoneAt.Sub(res.SubmittedAt))/1e6)
 				if res.Seeded {
 					r.own++

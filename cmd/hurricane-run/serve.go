@@ -285,8 +285,7 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 		parts = 4
 	}
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
-	want := workload.KeyCounts(tuples)
-	app := apps.GroupByApp(parts, true, false, 0, 0)
+	app := apps.GroupByApp(parts, true, 0, 0)
 	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight})
 	if err != nil {
 		return err
@@ -301,13 +300,8 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 	if err != nil {
 		return err
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("verification failed: %d keys, want %d", len(got), len(want))
-	}
-	for k, c := range want {
-		if got[k].Count != c {
-			return fmt.Errorf("verification failed: key %d count %d, want %d", k, got[k].Count, c)
-		}
+	if err := checkGroupBy(got, tuples); err != nil {
+		return fmt.Errorf("verification failed: %w", err)
 	}
 	res.Stats = fmt.Sprintf("%+v", h.Stats())
 	return nil
@@ -317,9 +311,9 @@ func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Sto
 // as a served job. Unlike the hand-wired kinds it carries a physical
 // plan, so it registers the plan's EXPLAIN ANALYZE renderer on the job
 // handle — which is what /debug/explain/<job> serves, and what a remote
-// submitter fetches by the job's name. Results are verified against the same
-// oracle collector as the hand-wired groupby (the sink bag is
-// byte-compatible by construction).
+// submitter fetches by the job's name. Results are read with the
+// hand-wired groupby's collector (the sink bag is byte-compatible by
+// construction) and verified against the same serial groupby.
 func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, res *jobResult) error {
 	n, parts := req.Records, req.Parts
 	if n <= 0 {
@@ -329,7 +323,6 @@ func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store
 		parts = 4
 	}
 	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
-	want := workload.KeyCounts(tuples)
 	compiled, err := apps.GroupByPlan().Compile(q.Options{
 		Parts: parts,
 	})
@@ -351,13 +344,8 @@ func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store
 	if err != nil {
 		return err
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("verification failed: %d keys, want %d", len(got), len(want))
-	}
-	for k, c := range want {
-		if got[k].Count != c {
-			return fmt.Errorf("verification failed: key %d count %d, want %d", k, got[k].Count, c)
-		}
+	if err := checkGroupBy(got, tuples); err != nil {
+		return fmt.Errorf("verification failed: %w", err)
 	}
 	res.Stats = fmt.Sprintf("%+v", h.Stats())
 	return nil

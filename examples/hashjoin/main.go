@@ -1,7 +1,8 @@
 // HashJoin: the paper's second workload (§5.3), expressed through the
-// query planner instead of hand-wired stages. The planner's join is the
-// engine's only hash join; tests check its form in internal/apps
-// (HashJoinPlan) against the serial matches of workload.JoinMatches.
+// query planner instead of hand-wired stages. The planner's join
+// (apps.HashJoinPlan) is the engine's only hash join; this program and the
+// tests in internal/apps check its matches against the serial ones of
+// workload.JoinMatches.
 //
 // The program declares WHAT to compute — join R and S on the tuple key —
 // and the planner decides HOW: every join worker loads all of R whatever
@@ -16,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/hurricane"
@@ -23,9 +25,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/workload"
 )
-
-type tuple = hurricane.Pair[uint64, uint64]
-type match = hurricane.Pair[uint64, hurricane.Pair[uint64, uint64]]
 
 func main() {
 	buildN := flag.Int("build", 20000, "build-relation tuples")
@@ -60,23 +59,10 @@ func main() {
 	sg := workload.RelationGen{Keys: 1000, S: *skew, Seed: 2}
 	r := rg.Generate(*buildN)
 	s := sg.Generate(*probeN)
-	want := workload.JoinCount(r, s)
+	want := workload.JoinMatches(r, s)
 
-	// The whole dataflow: two scans, one join, one sink.
-	p := q.New("hashjoin")
-	build := q.Scan(p, apps.JoinBagR, apps.TupleCodec)
-	probe := q.Scan(p, apps.JoinBagS, apps.TupleCodec)
-	q.Join(build, probe,
-		func(t tuple) uint64 { return t.First },
-		func(t tuple) uint64 { return t.First },
-		apps.MatchCodec,
-		func(b, pr tuple, emit func(match) error) error {
-			return emit(match{First: pr.First,
-				Second: hurricane.Pair[uint64, uint64]{First: b.Second, Second: pr.Second}})
-		},
-	).Sink("matches")
-
-	c, err := p.Compile(q.Options{})
+	// The whole dataflow (apps.HashJoinPlan): two scans, one join, one sink.
+	c, err := apps.HashJoinPlan().Compile(q.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,14 +79,19 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	got, err := hurricane.Collect(ctx, store, c.SinkBag("matches"), apps.MatchCodec)
+	ms, err := hurricane.Collect(ctx, store, c.SinkBag(apps.JoinShufOut), apps.MatchCodec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	got := make([]workload.Match, len(ms))
+	for i, m := range ms {
+		got[i] = workload.Match{Key: m.First, R: m.Second.First, S: m.Second.Second}
+	}
+	workload.SortMatches(got)
 	fmt.Printf("join (%s) produced %d matches (expected %d) in %v\n",
-		c.Joins[0].Strategy, len(got), want, elapsed)
+		c.Joins[0].Strategy, len(got), len(want), elapsed)
 	fmt.Printf("master stats: %+v\n", cluster.Master().Stats())
-	if int64(len(got)) != want {
-		log.Fatal("WRONG RESULT")
+	if !slices.Equal(got, want) {
+		log.Fatal("WRONG RESULT: the matches differ from the serial join's")
 	}
 }

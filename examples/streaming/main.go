@@ -4,12 +4,13 @@
 //	go run ./examples/streaming
 //
 // An unbounded click source is cut into event-time tumbling windows
-// (internal/stream), each executed as a complete DAG job with a
-// region-partitioned shuffle edge. Cross-window skew memory warm-starts
-// every window's partition map from its predecessor's final map and merged
-// edge sketch, so the hot region is pre-isolated instead of rediscovered
-// each window. Every window's per-region counts are checked against the
-// click log's ground truth; a miss exits non-zero.
+// (internal/stream), each executed as a complete groupby job
+// (apps.GroupByApp) with a region-partitioned shuffle edge. Cross-window
+// skew memory warm-starts every window's partition map from its
+// predecessor's final map and merged edge sketch, so the hot region is
+// pre-isolated instead of rediscovered each window. Every window's
+// per-region counts and distinct-IP estimates are checked against the
+// serial groupby of its clicks; a miss exits non-zero.
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"time"
 
 	"repro/hurricane"
@@ -49,21 +51,20 @@ func main() {
 		S: 1.3, Regions: 64, UniquePerRegion: 4096,
 		Seed: 7, DriftEvery: 2 * perWindow,
 	}
-	truth := apps.ClickStreamTruth(gen, windows, perWindow)
+	clicks := apps.ClickStreamWindows(gen, windows, perWindow)
 	origin := int64(1_000_000_000_000)
 	feed := &apps.ClickStreamSource{
 		Gen: gen, Origin: origin,
 		PerWindow: perWindow, Total: windows * perWindow,
 	}
 
-	// The per-window DAG: geolocate → region-partitioned shuffle →
+	// The feed geolocates each click into a (region, IP) tuple; the
+	// per-window DAG is the groupby: region-partitioned shuffle →
 	// per-region count + distinct-IP HLL.
-	app := apps.ClickStreamApp(parts, true, 0)
-
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:        "clicks",
-		App:         app,
-		Sources:     map[string]hurricane.StreamSource{apps.ClickStreamIn: feed},
+		App:         apps.GroupByApp(parts, true, 0, 0),
+		Sources:     map[string]hurricane.StreamSource{apps.GroupByIn: feed},
 		Window:      time.Second,
 		Origin:      origin,
 		MaxInFlight: 1, // sequential windows so every successor is warm-started
@@ -89,19 +90,12 @@ func main() {
 		if res.Err != nil {
 			log.Fatalf("window %d: %v", res.Index, res.Err)
 		}
-		got, err := apps.CollectClickStream(ctx, store, res.Bag(apps.ClickStreamOut))
+		got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
 		if err != nil {
 			log.Fatal(err)
 		}
-		want := truth[res.Index]
-		if len(got) != len(want) {
-			log.Fatalf("window %d: %d regions, want %d", res.Index, len(got), len(want))
-		}
-		for region, n := range want {
-			if got[region].Count != n {
-				log.Fatalf("window %d: region %s counted %d clicks, want %d",
-					res.Index, workload.RegionName(int(region)), got[region].Count, n)
-			}
+		if want := apps.SerialGroupBy(clicks[res.Index]); !maps.Equal(got, want) {
+			log.Fatalf("window %d: got %v, want the serial groupby %v", res.Index, got, want)
 		}
 		// Top-2 regions by click count: watch the hot region drift.
 		top := [2]int{-1, -1}
@@ -127,5 +121,5 @@ func main() {
 	fmt.Printf("\n%d windows completed, %d failed; skew memory from window %d\n",
 		st.Completed, st.Failed, st.MemoryWindow)
 	fmt.Println("later windows start with the hot region already isolated (seeded=true)")
-	fmt.Println("every window's per-region counts match the ground truth")
+	fmt.Println("every window's per-region counts and distinct-IP estimates match the serial groupby")
 }

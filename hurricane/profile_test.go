@@ -2,6 +2,7 @@ package hurricane_test
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -51,8 +52,7 @@ func TestProfileZipfGroupBy(t *testing.T) {
 	// master waits out unprofiled before scheduling) stays a sliver of
 	// the wall clock.
 	tuples := workload.ZipfTuples(20000, 64, 1.3, 7)
-	want := workload.KeyCounts(tuples)
-	app := apps.GroupByApp(4, true, false, 0, 12000)
+	app := apps.GroupByApp(4, true, 0, 12000)
 
 	// Load and seal the source before submitting: the master defers
 	// scheduling until its source bags seal, and that wait is (by
@@ -79,13 +79,8 @@ func TestProfileZipfGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d keys, want %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k].Count != n {
-			t.Fatalf("key %d: count %d, want %d", k, got[k].Count, n)
-		}
+	if want := apps.SerialGroupBy(tuples); !maps.Equal(got, want) {
+		t.Fatalf("got %v, want the serial groupby %v", got, want)
 	}
 
 	p := h.Profile()

@@ -3,6 +3,7 @@ package hurricane_test
 import (
 	"context"
 	"io"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-// clickSource feeds pre-generated click IPs as a scripted stream source:
+// clickSource feeds pre-generated click tuples as a scripted stream source:
 // one window's worth of records per poll batch.
 type clickSource struct {
 	mu      sync.Mutex
@@ -32,7 +33,8 @@ func (s *clickSource) Poll(ctx context.Context) ([]hurricane.StreamRecord, error
 
 // TestStreamWarmStartSkewMemory runs ≥5 consecutive click-log windows
 // with a partitioned shuffle edge through the scheduler and checks that
-// (a) every window's per-region counts are exactly once, and (b)
+// (a) every window's per-region counts and distinct-IP estimates equal
+// the serial groupby's (every click counted exactly once), and (b)
 // cross-window skew memory warm-starts the later windows' partition maps
 // (the first window runs cold; every successor is seeded from its
 // predecessor's final map and merged edge sketch).
@@ -65,27 +67,28 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 
 	origin := int64(1_000_000_000_000)
 	src := &clickSource{}
-	want := make([]map[uint64]int64, windows)
+	want := make([]map[uint64]apps.GroupByResult, windows)
 	for w := 0; w < windows; w++ {
 		seg := ips[w*perWindow : (w+1)*perWindow]
-		want[w] = make(map[uint64]int64)
+		tuples := make([]workload.Tuple, len(seg))
 		batch := make([]hurricane.StreamRecord, len(seg))
 		for i, ip := range seg {
-			want[w][uint64(workload.Geolocate(ip))]++
+			tuples[i] = workload.Tuple{Key: uint64(workload.Geolocate(ip)), Payload: uint64(ip)}
 			batch[i] = hurricane.StreamRecord{
 				Time: origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
-				Data: hurricane.Uint64Of.Encode(nil, uint64(ip)),
+				Data: apps.TupleCodec.Encode(nil, hurricane.Pair[uint64, uint64]{First: tuples[i].Key, Second: tuples[i].Payload}),
 			}
 		}
+		want[w] = apps.SerialGroupBy(tuples)
 		src.batches = append(src.batches, batch)
 	}
 
-	app := apps.ClickStreamApp(parts, true, 0)
+	app := apps.GroupByApp(parts, true, 0, 0)
 
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "clicks",
 		App:     app,
-		Sources: map[string]hurricane.StreamSource{apps.ClickStreamIn: src},
+		Sources: map[string]hurricane.StreamSource{apps.GroupByIn: src},
 		Window:  time.Second,
 		Origin:  origin,
 		// Seeding uses the latest *finished* window's memory; serialize
@@ -113,18 +116,12 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		if res.Records != perWindow {
 			t.Fatalf("window %d sealed %d records, want %d", w, res.Records, perWindow)
 		}
-		got, err := apps.CollectClickStream(ctx, store, res.Bag(apps.ClickStreamOut))
+		got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want[w]) {
-			t.Fatalf("window %d: %d regions, want %d", w, len(got), len(want[w]))
-		}
-		for region, n := range want[w] {
-			if got[region].Count != n {
-				t.Fatalf("window %d region %d: count %d, want %d (exactly-once violated)",
-					w, region, got[region].Count, n)
-			}
+		if !maps.Equal(got, want[w]) {
+			t.Fatalf("window %d: got %v, want %v (exactly-once violated)", w, got, want[w])
 		}
 		if w == 0 && res.Seeded {
 			t.Fatal("window 0 cannot be seeded; there is no predecessor memory")

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 	"time"
@@ -11,24 +12,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/workload"
 )
-
-// checkGroupBy fails tb unless the groupby partials in bag out merge to
-// exactly the per-key counts want.
-func checkGroupBy(tb testing.TB, ctx context.Context, store *hurricane.Store, out string, want map[uint64]int64) {
-	tb.Helper()
-	got, err := apps.CollectGroupByFrom(ctx, store, out)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if len(got) != len(want) {
-		tb.Fatalf("%d keys, want %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k].Count != n {
-			tb.Fatalf("key %d: count %d, want %d", k, got[k].Count, n)
-		}
-	}
-}
 
 // TestIdleSlotsTakeChunks is the paper's mechanism (§3.2, §4.2) asserted on
 // records, not on wall clock: while a partitioned consumer has work left,
@@ -75,7 +58,7 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cluster.Shutdown()
-			h, err := cluster.SubmitJob(ctx, apps.GroupByApp(parts, true, false, 0, 5000), hurricane.JobConfig{Name: "slots"})
+			h, err := cluster.SubmitJob(ctx, apps.GroupByApp(parts, true, 0, 5000), hurricane.JobConfig{Name: "slots"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +71,13 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 			}
 			wall := time.Since(began)
 
-			checkGroupBy(t, ctx, cluster.Store(), h.Bag(apps.GroupByOut), workload.KeyCounts(tuples))
+			got, err := apps.CollectGroupByFrom(ctx, cluster.Store(), h.Bag(apps.GroupByOut))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := apps.SerialGroupBy(tuples); !maps.Equal(got, want) {
+				t.Fatalf("got %v, want the serial groupby %v", got, want)
+			}
 
 			// Every tuple encodes to the same number of bytes (keys below 128),
 			// so a worker's share of the stage's input bytes is its share of

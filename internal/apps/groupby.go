@@ -21,17 +21,15 @@ var groupByOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 	hurricane.PairOf(hurricane.Int64Of, hurricane.BytesOf))
 
 // GroupByApp builds a skewed keyed aggregation (the clicklog-sessionization
-// shape) on the skew-aware shuffle: a shuffle task routes tuples by key
-// onto a partitioned bag, and per-partition aggregate workers count
-// records and estimate distinct payloads per key. Both stages move a
-// column batch at a time. All per-key results are *mergeable partials*
+// shape, and the DAG of every click stream window: see ClickStreamSource)
+// on the skew-aware shuffle: a shuffle task routes tuples by key onto a
+// partitioned bag, and per-partition aggregate workers count records and
+// estimate distinct payloads per key. Both stages move a column batch at a
+// time. All per-key results are *mergeable partials*
 // (counts add, HLL registers max), so the engine is free to spread a
 // heavy-hitter key's records across several consumers (BagSpec.Spread) —
 // the paper's §2.3 requirement that concurrent workers' partial results
 // support merging, applied to partitions instead of clones.
-// noClone disables cloning of the aggregate stage only: that is the
-// classic static-partitioning configuration (one reducer per partition),
-// the baseline cloning is measured against.
 //
 // shuffleCostNS and recordCostNS simulate a per-record cost in the
 // shuffle (producer) and aggregate (consumer) stage: the worker sleeps
@@ -43,7 +41,7 @@ var groupByOutCodec = hurricane.PairOf(hurricane.Uint64Of,
 // producer cost makes the producers trip overload detection and clone,
 // which is what the multi-job co-run benchmark needs from its badly
 // behaved neighbor. 0 disables either.
-func GroupByApp(parts int, spread, noClone bool, shuffleCostNS, recordCostNS int) *hurricane.App {
+func GroupByApp(parts int, spread bool, shuffleCostNS, recordCostNS int) *hurricane.App {
 	app := hurricane.NewApp("groupby")
 	app.SourceBag(GroupByIn)
 	app.AddBag(hurricane.BagSpec{Name: GroupByShuf, Partitions: parts, Spread: spread})
@@ -70,7 +68,6 @@ func GroupByApp(parts int, spread, noClone bool, shuffleCostNS, recordCostNS int
 		Name:    "aggregate",
 		Inputs:  []string{GroupByShuf},
 		Outputs: []string{GroupByOut},
-		NoClone: noClone,
 		Run: func(tc *hurricane.TaskCtx) error {
 			type agg struct {
 				n   int64
@@ -164,6 +161,25 @@ func LoadGroupByInto(ctx context.Context, store *hurricane.Store, bagName string
 type GroupByResult struct {
 	Count    int64
 	Distinct float64 // HLL estimate of distinct payloads
+}
+
+// SerialGroupBy is the groupby's serial oracle: per key, the record count
+// and the estimate of an HLL(10) fed every payload.
+func SerialGroupBy(tuples []workload.Tuple) map[uint64]GroupByResult {
+	hlls := make(map[uint64]*hurricane.HLL)
+	counts := make(map[uint64]int64)
+	for _, t := range tuples {
+		if hlls[t.Key] == nil {
+			hlls[t.Key] = hurricane.NewHLL(10)
+		}
+		hlls[t.Key].AddUint64(t.Payload)
+		counts[t.Key]++
+	}
+	out := make(map[uint64]GroupByResult, len(counts))
+	for k, n := range counts {
+		out[k] = GroupByResult{Count: n, Distinct: hlls[k].Estimate()}
+	}
+	return out
 }
 
 // CollectGroupBy reads the per-worker partial aggregates and merges them

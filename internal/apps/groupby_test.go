@@ -25,25 +25,6 @@ func keysInPartition(parts, target, count int) []uint64 {
 	return out
 }
 
-// serialGroupBy is the groupby's serial oracle: per key, the record count
-// and the estimate of an HLL(10) fed every payload.
-func serialGroupBy(tuples []workload.Tuple) map[uint64]GroupByResult {
-	hlls := make(map[uint64]*hurricane.HLL)
-	counts := make(map[uint64]int64)
-	for _, t := range tuples {
-		if hlls[t.Key] == nil {
-			hlls[t.Key] = hurricane.NewHLL(10)
-		}
-		hlls[t.Key].AddUint64(t.Payload)
-		counts[t.Key]++
-	}
-	out := make(map[uint64]GroupByResult, len(counts))
-	for k, n := range counts {
-		out[k] = GroupByResult{Count: n, Distinct: hlls[k].Estimate()}
-	}
-	return out
-}
-
 // TestGroupByCorrectnessStatic: on an edge that is neither Spread nor
 // merged, the partitioned groupby equals the serial oracle —
 // for uniform and skewed inputs, and for many medium keys piled onto one
@@ -79,14 +60,14 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 			if err := LoadGroupBy(ctx, cluster.Store(), tc.tuples); err != nil {
 				t.Fatal(err)
 			}
-			if err := cluster.Run(ctx, GroupByApp(parts, false, false, 0, 1000)); err != nil {
+			if err := cluster.Run(ctx, GroupByApp(parts, false, 0, 1000)); err != nil {
 				t.Fatal(err)
 			}
 			got, err := CollectGroupBy(ctx, cluster.Store())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := serialGroupBy(tc.tuples); !maps.Equal(got, want) {
+			if want := SerialGroupBy(tc.tuples); !maps.Equal(got, want) {
 				t.Fatalf("groupby differs from the serial oracle:\n got %v\nwant %v", got, want)
 			}
 			requireClones(t, cluster.Master().Stats(), false)
@@ -115,7 +96,7 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(ctx, GroupByApp(parts, true, false, 0, 1000)); err != nil {
+	if err := cluster.Run(ctx, GroupByApp(parts, true, 0, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := CollectGroupBy(ctx, cluster.Store())
@@ -124,7 +105,7 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 	}
 	// HLL partials merge register-wise, so the split lands on the serial
 	// estimate exactly.
-	if want := serialGroupBy(tuples); !maps.Equal(got, want) {
+	if want := SerialGroupBy(tuples); !maps.Equal(got, want) {
 		t.Fatalf("groupby differs from the serial oracle:\n got %v\nwant %v", got, want)
 	}
 	// Every worker writes one partial per key it saw.

@@ -33,7 +33,7 @@ func TestGroupByPlanMatchesSerialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := serialGroupBy(tuples); !maps.Equal(got, want) {
+	if want := SerialGroupBy(tuples); !maps.Equal(got, want) {
 		t.Fatalf("plan groupby differs from the serial oracle:\n got %v\nwant %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -48,23 +49,25 @@ func seedsCluster(t *testing.T) (*core.Cluster, *transport.Faulty) {
 	return cluster, f
 }
 
-// newClickWindows scripts windows of Zipf(1.3) click IPs, one poll batch per
-// window, and returns each window's per-region oracle.
-func newClickWindows(windows, perWindow int) (*sliceSource, []map[uint64]int64) {
+// newClickWindows scripts windows of Zipf(1.3) clicks, each the groupby
+// tuple (region, IP), one poll batch per window, and returns each window's
+// serial groupby.
+func newClickWindows(windows, perWindow int) (*sliceSource, []map[uint64]apps.GroupByResult) {
 	gen := workload.ClickLogGen{S: 1.3, Regions: 16, UniquePerRegion: 1 << 10, Seed: 21}
 	ips := gen.Generate(windows * perWindow)
 	src := &sliceSource{}
-	want := make([]map[uint64]int64, windows)
+	want := make([]map[uint64]apps.GroupByResult, windows)
 	for w := range want {
-		want[w] = make(map[uint64]int64)
+		tuples := make([]workload.Tuple, perWindow)
 		batch := make([]stream.Record, perWindow)
 		for i, ip := range ips[w*perWindow : (w+1)*perWindow] {
-			want[w][uint64(workload.Geolocate(ip))]++
+			tuples[i] = workload.Tuple{Key: uint64(workload.Geolocate(ip)), Payload: uint64(ip)}
 			batch[i] = stream.Record{
 				Time: testOrigin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
-				Data: hurricane.Uint64Of.Encode(nil, uint64(ip)),
+				Data: apps.TupleCodec.Encode(nil, hurricane.Pair[uint64, uint64]{First: tuples[i].Key, Second: tuples[i].Payload}),
 			}
 		}
+		want[w] = apps.SerialGroupBy(tuples)
 		src.push(batch...)
 	}
 	src.end()
@@ -85,8 +88,8 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 	spec := func(name string, src stream.Source) stream.Spec {
 		return stream.Spec{
 			Name:    name,
-			App:     apps.ClickStreamApp(parts, true, 0),
-			Sources: map[string]stream.Source{apps.ClickStreamIn: src},
+			App:     apps.GroupByApp(parts, true, 0, 0),
+			Sources: map[string]stream.Source{apps.GroupByIn: src},
 			Window:  time.Second,
 			Origin:  testOrigin,
 			// A window is seeded from the latest finished one: one at a
@@ -112,13 +115,13 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 		// window's would have.
 		owner := core.NewApp("owner")
 		owner.SourceBag("held")
-		owner.AddBag(core.BagSpec{Name: apps.ClickStreamShuf, Partitions: parts, Spread: true})
+		owner.AddBag(core.BagSpec{Name: apps.GroupByShuf, Partitions: parts, Spread: true})
 		owner.Bag("out")
 		over := make(chan struct{})
 		t.Cleanup(func() { close(over) })
-		owner.AddTask(core.TaskSpec{Name: "route", Inputs: []string{"held"}, Outputs: []string{apps.ClickStreamShuf},
+		owner.AddTask(core.TaskSpec{Name: "route", Inputs: []string{"held"}, Outputs: []string{apps.GroupByShuf},
 			Run: func(*core.TaskCtx) error { <-over; return nil }})
-		owner.AddTask(core.TaskSpec{Name: "drain", Inputs: []string{apps.ClickStreamShuf}, Outputs: []string{"out"},
+		owner.AddTask(core.TaskSpec{Name: "drain", Inputs: []string{apps.GroupByShuf}, Outputs: []string{"out"},
 			Run: func(*core.TaskCtx) error { return nil }})
 		if _, err := cluster.SubmitJob(ctx, owner, core.JobConfig{Name: "busy.w1"}); err != nil {
 			t.Fatal(err)
@@ -154,7 +157,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, bag := range writes {
-			source := strings.HasPrefix(bag, "busy.w1/"+apps.ClickStreamIn+"#")
+			source := strings.HasPrefix(bag, "busy.w1/"+apps.GroupByIn+"#")
 			work := strings.HasPrefix(bag, "busy.w1/owner!")
 			if !(source || work) {
 				t.Fatalf("the rejected window wrote into its name's live owner: %s", bag)
@@ -179,26 +182,21 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("window %d failed: %v", w, res.Err)
 			}
-			got, err := apps.CollectClickStream(ctx, cluster.Store(), res.Bag(apps.ClickStreamOut))
+			got, err := apps.CollectGroupByFrom(ctx, cluster.Store(), res.Bag(apps.GroupByOut))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want[w]) {
-				t.Fatalf("window %d: %d regions, want %d", w, len(got), len(want[w]))
-			}
-			for region, n := range want[w] {
-				if got[region].Count != n {
-					t.Fatalf("window %d region %d: count %d, want %d", w, region, got[region].Count, n)
-				}
+			if !maps.Equal(got, want[w]) {
+				t.Fatalf("window %d: got %v, want %v", w, got, want[w])
 			}
 			if res.Seeded != (w > 0) {
 				t.Fatalf("window %d: Seeded = %v", w, res.Seeded)
 			}
-			edge := res.Bag(apps.ClickStreamShuf)
+			edge := res.Bag(apps.GroupByShuf)
 			if w > 0 {
 				// The window's edge ran on the warm start of its
 				// predecessor's memory.
-				em := prev.Job().Master().EdgeMemory()[prev.Bag(apps.ClickStreamShuf)]
+				em := prev.Job().Master().EdgeMemory()[prev.Bag(apps.GroupByShuf)]
 				seed := shuffle.WarmStart(em.PMap, em.Stats, edge, parts, true)
 				got := res.Job().Master().EdgeMemory()[edge].PMap
 				if seed == nil || got == nil {

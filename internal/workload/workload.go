@@ -303,24 +303,6 @@ func KeyCounts(ts []Tuple) map[uint64]int64 {
 	return m
 }
 
-// JoinCount computes the ground-truth number of join output tuples
-// between two relations (sum over keys of count_a × count_b).
-func JoinCount(a, b []Tuple) int64 {
-	ca := make(map[uint64]int64)
-	for _, t := range a {
-		ca[t.Key]++
-	}
-	cb := make(map[uint64]int64)
-	for _, t := range b {
-		cb[t.Key]++
-	}
-	var total int64
-	for k, n := range ca {
-		total += n * cb[k]
-	}
-	return total
-}
-
 // Match is one join output tuple: the key, r's payload and s's payload.
 type Match struct {
 	Key, R, S uint64

@@ -192,23 +192,8 @@ func TestRelationGenAndJoinCount(t *testing.T) {
 	r := rg.Generate(100)
 	sg := RelationGen{Keys: 10, S: 1, Seed: 6}
 	s := sg.Generate(1000)
-	got := JoinCount(r, s)
-	// Oracle by brute force.
-	var want int64
-	for _, a := range r {
-		for _, b := range s {
-			if a.Key == b.Key {
-				want++
-			}
-		}
-	}
-	if got != want {
-		t.Fatalf("JoinCount = %d, brute force %d", got, want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate test: no matches")
-	}
-	// JoinMatches: the brute-force matches, sorted by (Key, R, S).
+	// The ground truth by brute force: every matching pair, sorted by
+	// (Key, R, S).
 	var brute []Match
 	for _, a := range r {
 		for _, b := range s {
@@ -217,11 +202,14 @@ func TestRelationGenAndJoinCount(t *testing.T) {
 			}
 		}
 	}
+	if len(brute) == 0 {
+		t.Fatal("degenerate test: no matches")
+	}
 	slices.SortFunc(brute, func(x, y Match) int {
 		return cmp.Or(cmp.Compare(x.Key, y.Key), cmp.Compare(x.R, y.R), cmp.Compare(x.S, y.S))
 	})
 	matches := JoinMatches(r, s)
-	if int64(len(matches)) != want || !slices.Equal(matches, brute) {
+	if !slices.Equal(matches, brute) {
 		t.Fatalf("JoinMatches: %d matches, brute force %d, or they differ", len(matches), len(brute))
 	}
 }
