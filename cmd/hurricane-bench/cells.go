@@ -211,7 +211,9 @@ func streamCell() cell {
 // planCell compiles R (each key once) join S (Zipf(1.3), top key ≈ 26 %)
 // into the planner's fused join, whose probe clones split chunk by chunk,
 // or into a static hash repartition whose edge consumers never clone;
-// producers clone in both.
+// producers clone in both. A repeat must match the serial join's per-key
+// match counts and per-key wrapping sums of both payloads, so a probe that
+// finds the wrong build row fails it.
 func planCell() cell {
 	const keys, probeN, parts, recordCost = 16384, 200000, 4, 5000 // recordCost: ns per match
 	type tuple = hurricane.Pair[uint64, uint64]
@@ -240,7 +242,7 @@ func planCell() cell {
 	return cell{
 		about: fmt.Sprintf("R(%d keys) join S(%d Zipf(1.3) probes) at %d ns per match; timed: the query", keys, probeN, recordCost),
 		arms:  []string{"planner", "naive"},
-		want:  counts{workload.KeyCounts(probes)},
+		want:  matchTables(workload.JoinMatches(dim, probes)),
 		run: func(ctx context.Context, arm string) (result, error) {
 			naive := arm == "naive"
 			c, err := newCluster(8, nil)
@@ -269,12 +271,23 @@ func planCell() cell {
 			}
 			r.ms, r.st = msSince(start), c.Master().Stats()
 			got, err := hurricane.Collect(ctx, c.Store(), plan.SinkBag("matches"), apps.MatchCodec)
-			perKey := make(map[uint64]int64)
-			for _, m := range got {
-				perKey[m.First]++
+			ms := make([]workload.Match, len(got))
+			for i, m := range got {
+				ms[i] = workload.Match{Key: m.First, R: m.Second.First, S: m.Second.Second}
 			}
-			r.out = counts{perKey}
+			r.out = matchTables(ms)
 			return r, err
 		},
 	}
+}
+
+// matchTables returns a join's per-key match counts and per-key wrapping
+// sums of both payloads.
+func matchTables(ms []workload.Match) counts {
+	n, sum := make(map[uint64]int64), make(map[uint64]int64)
+	for _, m := range ms {
+		n[m.Key]++
+		sum[m.Key] += int64(m.R + m.S)
+	}
+	return counts{n, sum}
 }

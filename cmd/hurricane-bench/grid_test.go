@@ -20,7 +20,8 @@ func cloneCounts(c counts) counts {
 // TestChecksBite: every cell's oracle passes its own check, and the same
 // output fails it with any one table's count off by one either way — a
 // key count (policy, sched), a window's region count (stream), a key's
-// match count and so the total (plan) — with a key lost, or a table lost.
+// match count and so the total, or a key's payload sum (plan) — with a key
+// lost, or a table lost.
 func TestChecksBite(t *testing.T) {
 	for _, name := range cellOrder {
 		c := grid[name]()

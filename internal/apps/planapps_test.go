@@ -3,6 +3,7 @@ package apps
 import (
 	"context"
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/hurricane"
@@ -96,21 +97,37 @@ func runJoin(ctx context.Context, t *testing.T, cluster *hurricane.Cluster, c *q
 	}
 }
 
-// TestHashJoinPlanMatchesSerialOracle runs the planner-built join on skewed
-// relations in both forms, the planner's with warm statistics (which never
-// change a join's form) and Static, and asserts the serial matches.
+// TestHashJoinPlanMatchesSerialOracle runs the planner-built join in both
+// forms, the planner's with warm statistics (which never change a join's
+// form) and Static, and asserts the serial matches, on three build sides,
+// which every join worker of either form loads whole: skewed with
+// repeated keys (the table's two-pass layout), each key of 0..511 once
+// (dense), and those keys times 3 (too sparse to be dense: hashed in
+// place, and two probes in three miss).
 func TestHashJoinPlanMatchesSerialOracle(t *testing.T) {
 	rGen := workload.RelationGen{Keys: 512, S: 0, Seed: 23}
 	sGen := workload.RelationGen{Keys: 512, S: 1.2, Seed: 29}
-	r := rGen.Generate(3000)
 	s := sGen.Generate(20000)
+	seq := workload.SeqRelation(512, 31)
+	strided := slices.Clone(seq)
+	for i := range strided {
+		strided[i].Key *= 3
+	}
+	builds := []struct {
+		name string
+		r    []workload.Tuple
+	}{{"skewed", rGen.Generate(3000)}, {"dense", seq}, {"sparse", strided}}
 	for _, static := range []bool{false, true} {
 		t.Run(joinForm(static), func(t *testing.T) {
 			opts := q.Options{Parts: 4, Static: true}
 			if !static {
 				opts = q.Options{Parts: 4, Stats: joinWarmStats(s)}
 			}
-			runJoin(testCtx(t), t, testCluster(t, nil), compileJoin(t, opts), r, s)
+			for _, b := range builds {
+				t.Run(b.name, func(t *testing.T) {
+					runJoin(testCtx(t), t, testCluster(t, nil), compileJoin(t, opts), b.r, s)
+				})
+			}
 		})
 	}
 }

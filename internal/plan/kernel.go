@@ -183,15 +183,22 @@ func (g *groups[A]) sorted() []chunk.Pair[uint64, A] {
 	return g.partials
 }
 
-// joinTable is a join's build side: every build record in one slice,
-// grouped by join key in build order, under an open-addressed index from
-// key to its run. A probe is one multiplicative hash, a short linear scan
-// of 16-byte slots and a subslice — no per-key slice header to chase, and
-// a skewed probe stream's hot keys keep their few slots and rows in cache.
+// joinTable is a join's build side: every build record in one slice, in
+// one of three layouts. Dense — no key repeats and the keys span fewer
+// than twice as many values as there are records — is a key-ordered copy,
+// key k's record at rows[k-base], behind a bitmap of the keys present: a
+// probe is a subtract, a bounds check and a bit test, and a skewed probe
+// stream's hot keys, if they are near each other, share cache lines.
+// Otherwise records are grouped by key under an open-addressed index from
+// key to its run, in place when no key repeats: a probe is one
+// multiplicative hash, a short linear scan of 16-byte slots and a
+// subslice — no per-key slice header to chase.
 type joinTable[L any] struct {
-	rows  []L         // the build vector itself when no key repeats
-	slots []tableSlot // power-of-two sized, at most half full
-	shift uint        // 64 - log2(len(slots))
+	rows    []L         // the build vector itself when no key repeats and the keys are sparse
+	slots   []tableSlot // hashed: power-of-two sized, at most half full
+	shift   uint        // hashed: 64 - log2(len(slots))
+	base    uint64      // dense: the least key
+	present []uint64    // dense: bit k-base set when key k has a record; nil when hashed
 }
 
 // tableHashMul is the table's multiplicative (Fibonacci) hash: 2^64/φ.
@@ -204,16 +211,19 @@ type tableSlot struct {
 	start, count uint32
 }
 
-// newJoinTable indexes rows by key, taking ownership of rows. One pass
-// counts each key's records, pointing a new key's slot at its record. If
-// no key repeats — a primary key, a dense id — that is the table: rows
-// stay where they are, one per slot. Otherwise a prefix sum over the
-// slots and a second pass place every record in its key's run of a
-// permuted copy, last record first, so a run fills from its end and
-// reads in build order.
+// newJoinTable indexes rows by key, taking ownership of rows. A dense
+// build is copied in key order (newDenseTable). Otherwise one pass counts
+// each key's records, pointing a new key's slot at its record. If no key
+// repeats — a primary key, a sparse id — that is the table: rows stay
+// where they are, one per slot. Otherwise a prefix sum over the slots and
+// a second pass place every record in its key's run of a permuted copy,
+// last record first, so a run fills from its end and reads in build order.
 func newJoinTable[L any](rows []L, key func(L) uint64) (*joinTable[L], error) {
 	if len(rows) > 1<<31-1 {
 		return nil, fmt.Errorf("plan: join build side holds %d records, a table at most 2^31-1", len(rows))
+	}
+	if t := newDenseTable(rows, key); t != nil {
+		return t, nil
 	}
 	size := 1 << bits.Len(uint(max(2*len(rows), 1)-1))
 	t := &joinTable[L]{rows: rows, slots: make([]tableSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
@@ -243,6 +253,70 @@ func newJoinTable[L any](rows []L, key func(L) uint64) (*joinTable[L], error) {
 		t.rows[s.start] = rows[i]
 	}
 	return t, nil
+}
+
+// newDenseTable returns the dense table of rows, or nil if they have none:
+// if there are none, if the keys span 2·len(rows) values or more, or if a
+// key repeats. The first and last keys lie in the span, so two keys far
+// apart give up before anything is allocated. Otherwise every key of a
+// dense build lies within 2·len(rows) of the first: one pass marks each
+// in a bitmap of the 4·len(rows) keys around it and gives up at a key
+// outside it or at a repeat, so a build that is not dense has paid
+// len(rows)/2 bytes, not the row copy. The first and last marks are the
+// least and greatest keys, unless the marks wrap past 2^64; shifted down
+// to the least key, they are the table's bitmap.
+func newDenseTable[L any](rows []L, key func(L) uint64) *joinTable[L] {
+	n := uint64(len(rows))
+	if n == 0 {
+		return nil
+	}
+	first, last := key(rows[0]), key(rows[n-1])
+	if max(first, last)-min(first, last) >= 2*n {
+		return nil
+	}
+	from := first - 2*n
+	marks := make([]uint64, (4*n+63)/64)
+	for _, r := range rows {
+		i := key(r) - from
+		if i >= 4*n || marks[i/64]&(1<<(i%64)) != 0 {
+			return nil
+		}
+		marks[i/64] |= 1 << (i % 64)
+	}
+	a, z := 0, len(marks)-1 // the words of the first and last marks
+	for marks[a] == 0 {
+		a++
+	}
+	for marks[z] == 0 {
+		z--
+	}
+	lo := from + uint64(a*64+bits.TrailingZeros64(marks[a]))
+	hi := from + uint64(z*64+bits.Len64(marks[z])-1)
+	span := hi - lo
+	if lo > hi || span >= 2*n { // keys on both sides of 2^64, or 2n apart within the marks
+		return nil
+	}
+	w, shift := (lo-from)/64, (lo-from)%64
+	present := marks[:(span+64)/64]
+	for j := range present {
+		word := marks[w] >> shift
+		if w++; w < uint64(len(marks)) {
+			word |= marks[w] << (64 - shift)
+		}
+		present[j] = word
+	}
+	dense := make([]L, span+1)
+	for _, r := range rows {
+		dense[key(r)-lo] = r
+	}
+	return &joinTable[L]{rows: dense, base: lo, present: present}
+}
+
+// at returns where key's record lies in a dense table's rows, and whether
+// it has one. A key below base wraps far past len(rows).
+func (t *joinTable[L]) at(key uint64) (uint64, bool) {
+	i := key - t.base
+	return i, i < uint64(len(t.rows)) && t.present[i/64]&(1<<(i%64)) != 0
 }
 
 // slot returns key's slot, or the free slot it would take.

@@ -357,13 +357,33 @@ func Join[L, R, O any](p *Plan, build, probe *Node, spec JoinSpec[L, R, O]) *Nod
 	}
 	// The probe loop is expand's, written out: one pass over the probe
 	// vector, each record's matches appended to a buffer the kernel owns,
-	// handed on once per vector and whenever it passes maxVector.
+	// handed on once per vector and whenever it passes maxVector. A dense
+	// table has a loop of its own, chosen once per table.
 	n.wire = func(down, table any) kernel {
 		next, t := down.(func([]O) error), table.(*joinTable[L])
 		var out []O
 		emit := func(o O) error {
 			out = append(out, o)
 			return nil
+		}
+		if t.present != nil {
+			return kernel{in: func(vec []R) error {
+				out = out[:0]
+				for _, r := range vec {
+					if i, ok := t.at(spec.ProbeKey(r)); ok {
+						if err := spec.Join(t.rows[i], r, emit); err != nil {
+							return err
+						}
+					}
+					if len(out) >= maxVector {
+						if err := next(out); err != nil {
+							return err
+						}
+						out = out[:0]
+					}
+				}
+				return next(out)
+			}}
 		}
 		return kernel{in: func(vec []R) error {
 			out = out[:0]

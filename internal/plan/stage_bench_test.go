@@ -201,18 +201,22 @@ func BenchmarkStageGroupBy(b *testing.B)     { benchStage(b, benchCountPlan, fal
 
 // BenchmarkJoinTableBuild builds the join stage's table from the decoded
 // build side, as every join worker does once: "unique" is the benchmark's
-// build side, one row per key, which the table keeps in place; "repeated"
-// holds every key twice, which takes the two-pass layout.
+// build side, one row per key 0..16383, which the table copies into the
+// dense layout; "strided" is the same with every key times 3, which keeps
+// its rows in place under the hashed index; "repeated" holds every key of
+// 0..8191 twice, which finds its repeat in the dense attempt's bitmap and
+// takes the two-pass layout.
 func BenchmarkJoinTableBuild(b *testing.B) {
 	unique, _ := benchInput(0)
-	repeated := slices.Clone(unique)
+	strided, repeated := slices.Clone(unique), slices.Clone(unique)
 	for k := range repeated {
+		strided[k].First *= 3
 		repeated[k].First %= benchKeys / 2
 	}
 	for _, side := range []struct {
 		name string
 		rows []tuple
-	}{{"unique", unique}, {"repeated", repeated}} {
+	}{{"unique", unique}, {"strided", strided}, {"repeated", repeated}} {
 		b.Run(side.name, func(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -227,6 +231,51 @@ func BenchmarkJoinTableBuild(b *testing.B) {
 			recs := float64(b.N) * float64(len(side.rows))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
+		})
+	}
+}
+
+// BenchmarkJoinTableProbe runs the join kernel's probe loop over 65,536
+// Zipf(1.3) probes into the 16,384-key table, in ns per probe: "dense" is
+// the benchmark's build side, keys 0..16383; "strided" is the same with
+// every key, build and probe, times 3, which spans too wide a range to be
+// dense and so takes the hashed index, in place. Every probe matches.
+func BenchmarkJoinTableProbe(b *testing.B) {
+	build, probe := benchInput(1 << 16)
+	strided, stridedProbe := slices.Clone(build), slices.Clone(probe)
+	for i := range strided {
+		strided[i].First *= 3
+	}
+	for i := range stridedProbe {
+		stridedProbe[i].First *= 3
+	}
+	for _, side := range []struct {
+		name         string
+		build, probe []tuple
+	}{{"dense", build, probe}, {"strided", strided, stridedProbe}} {
+		b.Run(side.name, func(b *testing.B) {
+			table, err := newJoinTable(slices.Clone(side.build), tupleKey)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := New("bp")
+			j := Join(p, Scan(p, "R", benchTupleCodec), Scan(p, "S", benchTupleCodec), benchJoinSpec())
+			matches := 0
+			in := j.wire(func(ms []benchMatch) error {
+				matches += len(ms)
+				return nil
+			}, table).in.(func([]tuple) error)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := in(side.probe); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if matches != b.N*len(side.probe) {
+				b.Fatalf("%d matches, want %d", matches, b.N*len(side.probe))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(side.probe)), "ns/probe")
 		})
 	}
 }
