@@ -166,9 +166,9 @@ func streamCell() cell {
 			h, err := hurricane.RunStream(ctx, c, hurricane.StreamSpec{
 				Name: "bench",
 				App:  apps.GroupByApp(parts, true, 0, recordCost),
-				Sources: map[string]hurricane.StreamSource{apps.GroupByIn: &apps.ClickStreamSource{
+				Sources: map[string]hurricane.StreamSource{apps.GroupByIn: hurricane.StreamSourceOf(apps.TupleCodec, (&apps.ClickStreamSource{
 					Gen: gen, Origin: origin, PerWindow: perWindow, Total: windows * perWindow, Batch: perWindow,
-				}},
+				}).Poll)},
 				Window:      time.Second,
 				Origin:      origin,
 				MaxInFlight: 1, // one window at a time: each latency is its own

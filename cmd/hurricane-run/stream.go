@@ -45,7 +45,7 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "clicks",
 		App:     apps.GroupByApp(parts, true, 0, 0),
-		Sources: map[string]hurricane.StreamSource{apps.GroupByIn: src},
+		Sources: map[string]hurricane.StreamSource{apps.GroupByIn: hurricane.StreamSourceOf(apps.TupleCodec, src.Poll)},
 		Window:  time.Second,
 		Origin:  origin,
 	})

@@ -64,7 +64,7 @@ func main() {
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:        "clicks",
 		App:         apps.GroupByApp(parts, true, 0, 0),
-		Sources:     map[string]hurricane.StreamSource{apps.GroupByIn: feed},
+		Sources:     map[string]hurricane.StreamSource{apps.GroupByIn: hurricane.StreamSourceOf(apps.TupleCodec, feed.Poll)},
 		Window:      time.Second,
 		Origin:      origin,
 		MaxInFlight: 1, // sequential windows so every successor is warm-started

@@ -7,16 +7,16 @@ import (
 
 // Vectorized task bodies. ForEachBatch is the batch counterpart of ForEach:
 // a task that consumes whole value vectors pays the per-record dispatch once
-// per chunk. Reads of either kind go through one chunk.Decoder per call,
-// which accepts row and batch chunks alike, as writes of either kind go
-// through one chunk.Encoder per stream (NewWriter, PartitionedWriter) — so
-// batch tasks and row tasks interoperate on the same bags.
+// per chunk. Reads of either kind go through one chunk.Decoder per call, as
+// writes of either kind go through one chunk.Encoder per stream (NewWriter,
+// PartitionedWriter), and every chunk is a batch — so batch tasks and
+// record-at-a-time tasks interoperate on the same bags.
 
 // ForEachBatch drains input i of the task, invoking fn with successive
 // value batches, one per non-empty chunk. The slice is reused between
 // calls — fn must not retain it. This is the one read loop of the task
-// API: ForEach is ForEachBatch with an inner loop, and both layouts of
-// chunk reach either through the same chunk.Decoder.
+// API: ForEach is ForEachBatch with an inner loop over the same
+// chunk.Decoder's vectors.
 func ForEachBatch[T any](tc *TaskCtx, input int, codec Codec[T], fn func([]T) error) error {
 	return forEachVec(func() (Chunk, error) { return tc.Remove(input) }, codec, fn)
 }

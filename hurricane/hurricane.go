@@ -231,8 +231,8 @@ func ForEachScan[T any](tc *TaskCtx, scanInput int, codec Codec[T], fn func(T) e
 }
 
 // Writer writes typed records to one of a task's outputs through a
-// chunk.Encoder, so the chunks take the layout the codec has: column batches
-// for a columnar codec, row chunks for a row-only one.
+// chunk.Encoder, so the chunks are column batches in the codec's columns (a
+// codec with none of its own gets one blob column of its row encoding).
 type Writer[T any] struct{ enc *chunk.Encoder[T] }
 
 // NewWriter returns a typed record writer for output out. Writers for one
@@ -264,8 +264,8 @@ func (w *Writer[T]) Write(v T) error { return w.enc.Append(v) }
 
 // Load inserts values into the named bag, one bag handle streaming chunks
 // across all storage nodes; like every writer it goes through a
-// chunk.Encoder, so the chunks are column batches unless the codec is
-// row-only. Call Seal when the bag's contents are complete.
+// chunk.Encoder, so the chunks are column batches. Call Seal when the bag's
+// contents are complete.
 func Load[T any](ctx context.Context, store *Store, bagName string, codec Codec[T], values []T) error {
 	ins := store.Bag(bagName).Inserter(ctx)
 	enc := chunk.NewEncoder(codec, store.ChunkSize(), func(c Chunk, _ int) error { return ins.Insert(c) })

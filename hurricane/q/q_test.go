@@ -340,13 +340,13 @@ func TestTopKDirectlyOnScan(t *testing.T) {
 	}
 }
 
-// scriptedSource feeds pre-encoded batches as a stream source.
+// scriptedSource feeds scripted batches of tuples as a stream source.
 type scriptedSource struct {
 	mu      sync.Mutex
-	batches [][]hurricane.StreamRecord
+	batches [][]hurricane.StreamRecord[tuple]
 }
 
-func (s *scriptedSource) Poll(ctx context.Context) ([]hurricane.StreamRecord, error) {
+func (s *scriptedSource) poll(ctx context.Context) ([]hurricane.StreamRecord[tuple], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.batches) == 0 {
@@ -385,11 +385,11 @@ func TestPlanAsStreamWindowDAG(t *testing.T) {
 	for w := 0; w < windows; w++ {
 		seg := all[w*perWindow : (w+1)*perWindow]
 		want[w] = countOracle(seg)
-		batch := make([]hurricane.StreamRecord, len(seg))
+		batch := make([]hurricane.StreamRecord[tuple], len(seg))
 		for i, tu := range seg {
-			batch[i] = hurricane.StreamRecord{
-				Time: origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
-				Data: tupleCodec.Encode(nil, tuple{First: tu.Key, Second: tu.Payload}),
+			batch[i] = hurricane.StreamRecord[tuple]{
+				Time:  origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
+				Value: tuple{First: tu.Key, Second: tu.Payload},
 			}
 		}
 		src.batches = append(src.batches, batch)
@@ -398,7 +398,7 @@ func TestPlanAsStreamWindowDAG(t *testing.T) {
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:        "winq",
 		App:         c.App,
-		Sources:     map[string]hurricane.StreamSource{"in": src},
+		Sources:     map[string]hurricane.StreamSource{"in": hurricane.StreamSourceOf(tupleCodec, src.poll)},
 		Window:      time.Second,
 		Origin:      origin,
 		MaxInFlight: 1,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,9 +17,7 @@ import (
 // Zipf(1.3) input — a fused narrow prefix the compiler lowers to batch
 // kernels (filter as a compacting selection pass, map over the vector)
 // ahead of a batch-routed shuffle edge — and checks every key against
-// ground truth. It then asserts the job really moved batch chunks: with
-// a columnar record codec the planner's batch plane is on by default,
-// and the shuffle writers count every batch they insert.
+// ground truth.
 func TestVectorizedPlanOracle(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -62,21 +59,11 @@ func TestVectorizedPlanOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyCounts(t, got, want)
-
-	var batches float64
-	for series, v := range cluster.Observer().Registry().Snapshot() {
-		if strings.HasPrefix(series, "hurricane_chunk_batches_total") {
-			batches += v
-		}
-	}
-	if batches == 0 {
-		t.Fatal("no batch chunks recorded — the compiled plan fell back to rows")
-	}
 }
 
-// rowOnly hides a codec's columnar methods, so the planner sees a row-only
-// record codec: stages write row chunks and read batch chunks by
-// re-framing them.
+// rowOnly hides a codec's columnar methods, so the planner sees a codec
+// with no view of its own: its stages write and read batches of the blob
+// view, one blob column of the codec's row encoding.
 type rowOnly[T any] struct{ hurricane.Codec[T] }
 
 // rendezvous returns a MapPerWorker factory whose workers each wait, at
@@ -163,7 +150,7 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 
 			store := cluster.Store()
 			for bag, vals := range map[string][]tuple{"R": build, "S": probe} {
-				if err := hurricane.LoadBatch(ctx, store, bag, tupleCodec, vals); err != nil {
+				if err := hurricane.Load(ctx, store, bag, codec, vals); err != nil {
 					t.Fatal(err)
 				}
 				if err := hurricane.Seal(ctx, store, bag); err != nil {
@@ -206,8 +193,8 @@ func TestConcurrentWorkersOwnTheirDecoders(t *testing.T) {
 // four-way edge of a CountByKey through leaf encoders of their own, and the
 // count workers behind it each write the sink through one more. Run under
 // -race; the counts must equal the serial ones, with the edge's records
-// under the columnar codec (batch chunks) and under a row-only view of it
-// (row chunks).
+// under the columnar codec and under a row-only view of it (blob-view
+// batches).
 func TestConcurrentWorkersOwnTheirEncoders(t *testing.T) {
 	const workers = 4
 	build := make([]tuple, 256)

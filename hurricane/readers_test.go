@@ -3,6 +3,7 @@ package hurricane_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,10 +12,11 @@ import (
 	"time"
 
 	"repro/hurricane"
+	"repro/internal/chunk"
 )
 
-// rowOnly hides a codec's columnar methods: the readers can then decode
-// batch chunks only by re-framing them as rows.
+// rowOnly hides a codec's columnar methods, so that its view is the blob
+// view: its chunks are batches of one blob column of its row encoding.
 type rowOnly[T any] struct{ hurricane.Codec[T] }
 
 // encodings is the order-free fingerprint of a value set: chunks of a bag
@@ -28,111 +30,101 @@ func encodings[T any](codec hurricane.Codec[T], vals []T) []string {
 	return out
 }
 
-// checkTaskReaders loads vals as row chunks, as batch chunks, and as one
-// bag holding both, and reads each back through ForEach, ForEachScan,
-// ForEachBatch and Collect — under the codec itself and under its row-only
-// view. Every reader must return exactly vals.
+// checkTaskReaders loads vals under the codec and under its row-only
+// view, and reads each back through ForEach, ForEachScan, ForEachBatch and
+// Collect under the view that wrote it: every reader must return exactly
+// vals. Under the other view, Collect must refuse the bag as ErrCorrupt.
 func checkTaskReaders[T any](t *testing.T, ctx context.Context, cluster *hurricane.Cluster,
 	name string, codec hurricane.Codec[T], vals []T) {
 	t.Helper()
 	store := cluster.Store()
 	want := encodings(codec, vals)
-	half := len(vals) / 2
-	// A bag's layout follows the codec that wrote it: the row-only view
-	// writes row chunks, the codec itself batch chunks.
-	rows := rowOnly[T]{codec}
-	layouts := map[string]func(bag string) error{
-		"rows":    func(bag string) error { return hurricane.Load[T](ctx, store, bag, rows, vals) },
-		"batches": func(bag string) error { return hurricane.Load(ctx, store, bag, codec, vals) },
-		"mixed": func(bag string) error {
-			if err := hurricane.Load[T](ctx, store, bag, rows, vals[:half]); err != nil {
-				return err
-			}
-			return hurricane.LoadBatch(ctx, store, bag, codec, vals[half:])
-		},
-	}
 	views := map[string]hurricane.Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}}
-	for layout, load := range layouts {
-		for view, c := range views {
-			what := fmt.Sprintf("%s/%s/%s", name, layout, view)
-			var mu sync.Mutex
-			got := map[string][]T{}
-			keep := func(reader string) func(T) error {
-				return func(v T) error {
+	for view, c := range views {
+		what := fmt.Sprintf("%s/%s", name, view)
+		var mu sync.Mutex
+		got := map[string][]T{}
+		keep := func(reader string) func(T) error {
+			return func(v T) error {
+				mu.Lock()
+				got[reader] = append(got[reader], v)
+				mu.Unlock()
+				return nil
+			}
+		}
+		app := hurricane.NewApp("readers").SourceBag("each").SourceBag("batch").SourceBag("scan")
+		app.AddTask(hurricane.TaskSpec{
+			Name: "each", Inputs: []string{"each"}, ScanInputs: []string{"scan"},
+			Run: func(tc *hurricane.TaskCtx) error {
+				if err := hurricane.ForEachScan(tc, 0, c, keep("ForEachScan")); err != nil {
+					return err
+				}
+				return hurricane.ForEach(tc, 0, c, keep("ForEach"))
+			},
+		})
+		app.AddTask(hurricane.TaskSpec{
+			Name: "batch", Inputs: []string{"batch"},
+			Run: func(tc *hurricane.TaskCtx) error {
+				return hurricane.ForEachBatch(tc, 0, c, func(vec []T) error {
 					mu.Lock()
-					got[reader] = append(got[reader], v)
+					got["ForEachBatch"] = append(got["ForEachBatch"], vec...) // copy: vec is reused
 					mu.Unlock()
 					return nil
+				})
+			},
+		})
+		h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{
+			Name:   fmt.Sprintf("%s-%s", name, view),
+			Master: &hurricane.MasterConfig{Policies: []hurricane.Policy{}},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for _, b := range []string{"each", "batch", "scan"} {
+			if err := hurricane.Load(ctx, store, h.Bag(b), c, vals); err != nil {
+				t.Fatalf("%s: load %s: %v", what, b, err)
+			}
+			if err := hurricane.Seal(ctx, store, h.Bag(b)); err != nil {
+				t.Fatalf("%s: seal %s: %v", what, b, err)
+			}
+		}
+		collected, err := hurricane.Collect(ctx, store, h.Bag("scan"), c)
+		if err != nil {
+			t.Fatalf("%s: Collect: %v", what, err)
+		}
+		mu.Lock()
+		got["Collect"] = collected
+		mu.Unlock()
+		if err := h.Wait(ctx); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for _, reader := range []string{"ForEach", "ForEachScan", "ForEachBatch", "Collect"} {
+			g := encodings(codec, got[reader])
+			if len(g) != len(want) {
+				t.Fatalf("%s: %s read %d values, want %d", what, reader, len(g), len(want))
+			}
+			for i := range want {
+				if g[i] != want[i] {
+					t.Fatalf("%s: %s read a different value set (first difference at sorted position %d)", what, reader, i)
 				}
 			}
-			app := hurricane.NewApp("readers").SourceBag("each").SourceBag("batch").SourceBag("scan")
-			app.AddTask(hurricane.TaskSpec{
-				Name: "each", Inputs: []string{"each"}, ScanInputs: []string{"scan"},
-				Run: func(tc *hurricane.TaskCtx) error {
-					if err := hurricane.ForEachScan(tc, 0, c, keep("ForEachScan")); err != nil {
-						return err
-					}
-					return hurricane.ForEach(tc, 0, c, keep("ForEach"))
-				},
-			})
-			app.AddTask(hurricane.TaskSpec{
-				Name: "batch", Inputs: []string{"batch"},
-				Run: func(tc *hurricane.TaskCtx) error {
-					return hurricane.ForEachBatch(tc, 0, c, func(vec []T) error {
-						mu.Lock()
-						got["ForEachBatch"] = append(got["ForEachBatch"], vec...) // copy: vec is reused
-						mu.Unlock()
-						return nil
-					})
-				},
-			})
-			h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{
-				Name:   fmt.Sprintf("%s-%s-%s", name, layout, view),
-				Master: &hurricane.MasterConfig{Policies: []hurricane.Policy{}},
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+		}
+		for other, oc := range views {
+			if _, err := hurricane.Collect(ctx, store, h.Bag("scan"), oc); other != view && !errors.Is(err, chunk.ErrCorrupt) {
+				t.Fatalf("%s: Collect under the %s view: %v, want ErrCorrupt", what, other, err)
 			}
-			for _, b := range []string{"each", "batch", "scan"} {
-				if err := load(h.Bag(b)); err != nil {
-					t.Fatalf("%s: load %s: %v", what, b, err)
-				}
-				if err := hurricane.Seal(ctx, store, h.Bag(b)); err != nil {
-					t.Fatalf("%s: seal %s: %v", what, b, err)
-				}
-			}
-			collected, err := hurricane.Collect(ctx, store, h.Bag("scan"), c)
-			if err != nil {
-				t.Fatalf("%s: Collect: %v", what, err)
-			}
-			mu.Lock()
-			got["Collect"] = collected
-			mu.Unlock()
-			if err := h.Wait(ctx); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			for _, reader := range []string{"ForEach", "ForEachScan", "ForEachBatch", "Collect"} {
-				g := encodings(codec, got[reader])
-				if len(g) != len(want) {
-					t.Fatalf("%s: %s read %d values, want %d", what, reader, len(g), len(want))
-				}
-				for i := range want {
-					if g[i] != want[i] {
-						t.Fatalf("%s: %s read a different value set (first difference at sorted position %d)", what, reader, i)
-					}
-				}
-			}
-			if err := h.Discard(ctx); err != nil {
-				t.Fatalf("%s: discard: %v", what, err)
-			}
+		}
+		if err := h.Discard(ctx); err != nil {
+			t.Fatalf("%s: discard: %v", what, err)
 		}
 	}
 }
 
 // TestReadersAgreeAcrossLayouts: the row API is a view over the batch
-// reader, so for every built-in codec — and a row-only view of it — rows,
-// batches and a bag mixing the two read back identically through every
-// task-side and client-side reader.
+// reader, so for every built-in codec — and a row-only view of it, whose
+// chunks are blob-view batches — a bag reads back identically through every
+// task-side and client-side reader under the view that wrote it, and is
+// ErrCorrupt under the other.
 func TestReadersAgreeAcrossLayouts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

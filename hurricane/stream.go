@@ -19,6 +19,9 @@ import (
 // window.
 //
 //	app := hurricane.NewApp("w").SourceBag("clicks") ... // window DAG
+//	src := hurricane.StreamSourceOf(codec, func(ctx context.Context) ([]hurricane.StreamRecord[Click], error) {
+//		... // the clicks now available, each with its event time
+//	})
 //	h, _ := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 //		Name:    "clicks",
 //		App:     app,
@@ -47,10 +50,8 @@ type (
 	// counters), Drain (graceful wind-down before Shutdown).
 	StreamHandle = stream.Handle
 	// StreamSource delivers an unbounded record stream into one source
-	// bag of the window application.
+	// bag of the window application. StreamSourceOf builds one.
 	StreamSource = stream.Source
-	// StreamRecord is one source record: event time plus encoded payload.
-	StreamRecord = stream.Record
 	// WindowResult is the outcome of one window: bag name mapping for its
 	// outputs, record count, attempts, and timing.
 	WindowResult = stream.WindowResult
@@ -58,6 +59,17 @@ type (
 	// counters.
 	StreamStats = stream.Stats
 )
+
+// StreamRecord is one source record: event time plus the value the source
+// bag holds.
+type StreamRecord[T any] = stream.Record[T]
+
+// StreamSourceOf returns the StreamSource that feeds a source bag the
+// values poll returns, encoded with codec. poll returns the records now
+// available, or none; io.EOF ends the source, any other error the stream.
+func StreamSourceOf[T any](codec Codec[T], poll func(ctx context.Context) ([]StreamRecord[T], error)) StreamSource {
+	return stream.SourceOf(codec, poll)
+}
 
 // RunStream starts a continuous-ingestion stream on the cluster. It is
 // the streaming analogue of Cluster.Run: where Run executes one sealed

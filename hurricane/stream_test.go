@@ -17,10 +17,10 @@ import (
 // one window's worth of records per poll batch.
 type clickSource struct {
 	mu      sync.Mutex
-	batches [][]hurricane.StreamRecord
+	batches [][]hurricane.StreamRecord[tuple]
 }
 
-func (s *clickSource) Poll(ctx context.Context) ([]hurricane.StreamRecord, error) {
+func (s *clickSource) poll(ctx context.Context) ([]hurricane.StreamRecord[tuple], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.batches) == 0 {
@@ -71,12 +71,12 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 	for w := 0; w < windows; w++ {
 		seg := ips[w*perWindow : (w+1)*perWindow]
 		tuples := make([]workload.Tuple, len(seg))
-		batch := make([]hurricane.StreamRecord, len(seg))
+		batch := make([]hurricane.StreamRecord[tuple], len(seg))
 		for i, ip := range seg {
 			tuples[i] = workload.Tuple{Key: uint64(workload.Geolocate(ip)), Payload: uint64(ip)}
-			batch[i] = hurricane.StreamRecord{
-				Time: origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
-				Data: apps.TupleCodec.Encode(nil, hurricane.Pair[uint64, uint64]{First: tuples[i].Key, Second: tuples[i].Payload}),
+			batch[i] = hurricane.StreamRecord[tuple]{
+				Time:  origin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
+				Value: tuple{First: tuples[i].Key, Second: tuples[i].Payload},
 			}
 		}
 		want[w] = apps.SerialGroupBy(tuples)
@@ -88,7 +88,7 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "clicks",
 		App:     app,
-		Sources: map[string]hurricane.StreamSource{apps.GroupByIn: src},
+		Sources: map[string]hurricane.StreamSource{apps.GroupByIn: hurricane.StreamSourceOf(apps.TupleCodec, src.poll)},
 		Window:  time.Second,
 		Origin:  origin,
 		// Seeding uses the latest *finished* window's memory; serialize

@@ -9,15 +9,16 @@ import (
 	"repro/internal/workload"
 )
 
-// ClickStreamSource adapts a workload.ClickLogGen into a StreamSource for
-// GroupByApp windows: each click is the GroupByIn tuple (region, IP), its
-// IP geolocated at the source, so a window counts clicks and estimates
-// distinct IPs per region. Synthetic event times advance exactly one
-// window of width time.Second per PerWindow records from Origin, so
-// window w of the stream sees records [w*PerWindow, (w+1)*PerWindow) of
-// the generated log. Shared by the stream benchmark, hurricane-run
-// -stream, and the streaming example, which must agree on the event-time
-// formula to share ClickStreamWindows as their oracle input.
+// ClickStreamSource adapts a workload.ClickLogGen into a stream of
+// GroupByApp window input: each click is the GroupByIn tuple (region, IP),
+// its IP geolocated at the source, so a window counts clicks and estimates
+// distinct IPs per region. Its StreamSource is
+// hurricane.StreamSourceOf(TupleCodec, s.Poll). Synthetic event times
+// advance exactly one window of width time.Second per PerWindow records
+// from Origin, so window w of the stream sees records [w*PerWindow,
+// (w+1)*PerWindow) of the generated log. Shared by the stream benchmark,
+// hurricane-run -stream, and the streaming example, which must agree on the
+// event-time formula to share ClickStreamWindows as their oracle input.
 type ClickStreamSource struct {
 	// Gen configures the click log (skew, regions, drift).
 	Gen workload.ClickLogGen
@@ -34,8 +35,8 @@ type ClickStreamSource struct {
 	i  int
 }
 
-// Poll implements the stream Source interface.
-func (s *ClickStreamSource) Poll(ctx context.Context) ([]hurricane.StreamRecord, error) {
+// Poll returns the next Batch clicks, or io.EOF after Total.
+func (s *ClickStreamSource) Poll(ctx context.Context) ([]hurricane.StreamRecord[joinPair], error) {
 	if s.i >= s.Total {
 		return nil, io.EOF
 	}
@@ -49,13 +50,13 @@ func (s *ClickStreamSource) Poll(ctx context.Context) ([]hurricane.StreamRecord,
 	if rem := s.Total - s.i; rem < n {
 		n = rem
 	}
-	recs := make([]hurricane.StreamRecord, n)
+	recs := make([]hurricane.StreamRecord[joinPair], n)
 	for k := range recs {
 		w, off := s.i/s.PerWindow, s.i%s.PerWindow
-		recs[k] = hurricane.StreamRecord{
+		recs[k] = hurricane.StreamRecord[joinPair]{
 			Time: s.Origin + int64(w)*int64(time.Second) +
 				int64(off)*int64(time.Second)/int64(s.PerWindow+1),
-			Data: tupleCodec.Encode(nil, clickTuple(s.it.Next())),
+			Value: clickTuple(s.it.Next()),
 		}
 		s.i++
 	}

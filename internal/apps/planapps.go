@@ -13,35 +13,26 @@ import (
 
 // gbAgg is the groupby accumulator: a record count and an HLL
 // distinct-payload estimator.
-type gbAgg struct {
-	N   int64
-	HLL *hurricane.HLL
-}
+type gbAgg = hurricane.Pair[int64, *hurricane.HLL]
 
-// gbAggCodec encodes a *gbAgg accumulator byte-compatibly with the
-// hand-wired groupby's (count, encoded-HLL) pair, so the plan's sink bag
-// is readable by the same CollectGroupByFrom collector.
-type gbAggCodec struct{}
+// gbAggCodec lays a gbAgg out as the hand-wired groupby's (count,
+// encoded-HLL) columns: a zig-zag varint and, since hllCodec has no
+// columns of its own, the blob column of its encoding. So the plan's sink
+// has groupByOutCodec's columns, and CollectGroupByFrom reads it.
+var gbAggCodec = hurricane.PairOf[int64, *hurricane.HLL](hurricane.Int64Of, hllCodec{})
 
-func (gbAggCodec) Encode(buf []byte, v *gbAgg) []byte {
-	buf = hurricane.Int64Of.Encode(buf, v.N)
-	return hurricane.BytesOf.Encode(buf, v.HLL.Encode())
-}
+// hllCodec encodes an HLL as its Encode bytes, which say how long they are.
+type hllCodec struct{}
 
-func (gbAggCodec) Decode(record []byte) (*gbAgg, int, error) {
-	n, used, err := hurricane.Int64Of.Decode(record)
-	if err != nil {
-		return nil, 0, err
+func (hllCodec) Encode(buf []byte, h *hurricane.HLL) []byte { return append(buf, h.Encode()...) }
+
+func (hllCodec) Decode(rec []byte) (*hurricane.HLL, int, error) {
+	n := 1
+	if len(rec) > 0 && rec[0] <= 16 {
+		n += 1 << rec[0]
 	}
-	raw, m, err := hurricane.BytesOf.Decode(record[used:])
-	if err != nil {
-		return nil, 0, err
-	}
-	hll, err := hurricane.DecodeHLL(raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &gbAgg{N: n, HLL: hll}, used + m, nil
+	h, err := hurricane.DecodeHLL(rec[:min(n, len(rec))])
+	return h, n, err
 }
 
 // GroupByPlan is GroupByApp as a declarative query: scan the tuples,
@@ -55,16 +46,16 @@ func GroupByPlan() *q.Plan {
 	src := q.Scan(p, GroupByIn, tupleCodec)
 	q.AggregateByKey(src,
 		func(t joinPair) uint64 { return t.First },
-		gbAggCodec{},
-		func() *gbAgg { return &gbAgg{HLL: hurricane.NewHLL(10)} },
-		func(a *gbAgg, t joinPair) *gbAgg {
-			a.N++
-			a.HLL.AddUint64(t.Second)
+		gbAggCodec,
+		func() gbAgg { return gbAgg{Second: hurricane.NewHLL(10)} },
+		func(a gbAgg, t joinPair) gbAgg {
+			a.First++
+			a.Second.AddUint64(t.Second)
 			return a
 		},
-		func(a, b *gbAgg) *gbAgg {
-			a.N += b.N
-			if err := a.HLL.Merge(b.HLL); err != nil {
+		func(a, b gbAgg) gbAgg {
+			a.First += b.First
+			if err := a.Second.Merge(b.Second); err != nil {
 				// Precisions are fixed at construction; a mismatch is a
 				// programming error, not a data condition.
 				panic(err)

@@ -1,32 +1,32 @@
-// Columnar batch layout: the vectorized alternative to row framing.
+// Columnar batch layout: the one chunk layout the engine writes and reads.
 //
 // A batch chunk stores one section per column instead of one frame per
 // record. The header carries a schema tag and the row count, then each
 // column is a length-prefixed vector: varint columns hold back-to-back
 // uvarints, fixed columns hold 8-byte little-endian values, and blob
-// columns come in (lengths, bytes) pairs. Because every row codec in this
-// package encodes a value as the concatenation of its fields' encodings,
-// a batch is generically convertible back to row records (batchReader)
-// without knowing the schema — that conversion is how a Decoder reads
-// batch chunks through a row-only codec.
+// columns come in (lengths, bytes) pairs.
 //
 // A codec writes and reads columns through its columnar view, which only
-// ColumnarOf resolves: a leaf codec is its own view, a pair's view is built
-// from its halves' views once per stream, and a codec with a row-only part
-// has none. BulkOf narrows a view to its bulk-encode kernels.
+// ColumnarOf resolves, and every codec has one: a leaf codec is its own
+// view, a pair's view is built from its halves' views once per stream, and
+// a codec with no view of its own gets the blob view, one blob column
+// holding each value's row encoding, read back with the codec's Decode. The
+// blob view's batches carry blobTag, so a reader can tell them from a
+// native view's batches of the same columns. BulkOf narrows a view to its
+// bulk-encode kernels; a view with a blob column, the blob view among
+// them, has none.
 //
 // Batch chunks are self-identifying: they open with a magic prefix that
-// no valid row chunk can produce (an empty record followed by an
-// overlong uvarint), so a row Reader pointed at a batch fails with
-// ErrCorrupt instead of silently misparsing, and a Decoder dispatches per
-// chunk — mixing row and batch chunks in one bag is legal.
+// no valid row chunk (the frozen benchmark's row layout, Writer) can
+// produce (an empty record followed by an overlong uvarint), so a row
+// Reader pointed at a batch fails with ErrCorrupt instead of silently
+// misparsing, and a Decoder refuses a row chunk by name.
 package chunk
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -67,9 +67,21 @@ const (
 
 func (k ColKind) valid() bool { return k >= ColVarint && k <= ColBytes }
 
-// IsBatch reports whether c is a batch chunk. Row and batch chunks are
-// mutually exclusive; readers do not ask — they hand the chunk to a
-// Decoder, which does.
+// String names the kind as a layout error spells it.
+func (k ColKind) String() string {
+	if !k.valid() {
+		return fmt.Sprintf("kind%d", byte(k))
+	}
+	return [...]string{"varint", "fixed8", "len", "bytes"}[k-ColVarint]
+}
+
+// blobTag is the batch tag of the blob view's chunks; every other view's
+// batches carry tag 0.
+const blobTag = 1
+
+// IsBatch reports whether c is a batch chunk: every chunk the engine writes
+// is one. Readers do not ask — they hand the chunk to a Decoder, which
+// does.
 func IsBatch(c Chunk) bool {
 	return len(c) > len(batchMagic) && string(c[:len(batchMagic)]) == string(batchMagic[:])
 }
@@ -489,11 +501,9 @@ func PutBatchBuilder(b *BatchBuilder) { batchBuilderPool.Put(b) }
 
 // ---- columnar codecs ----
 
-// A ColumnCodec lays values out as column vectors inside batch chunks, in
-// addition to the row format. Every leaf codec of this package is one; a
-// pair is not, but has a columnar view when both its halves do. ColumnarOf
-// is the one place that answers whether a codec has a view, and the one
-// way to get it.
+// A ColumnCodec lays values out as column vectors inside batch chunks.
+// Every leaf codec of this package is one; a pair is not, but has the view
+// its halves' views make. ColumnarOf is the one way to get a codec's view.
 type ColumnCodec[T any] interface {
 	Codec[T]
 	// AppendColKinds appends the kinds of the codec's columns to dst.
@@ -514,19 +524,65 @@ type ColumnCodec[T any] interface {
 // dynamic interface conversion (assertE2I2/getitab show up in profiles
 // when resolution happens per call).
 type columnarResolver[T any] interface {
-	resolveColumnar() (ColumnCodec[T], bool)
+	resolveColumnar() ColumnCodec[T]
 }
 
-// ColumnarOf returns the columnar view of codec if it has one: a pair's
-// view with its halves resolved, else the codec itself if it is a
-// ColumnCodec. A pair's view holds scratch, so resolve once per stream and
-// give the view to the one Encoder or Decoder that resolved it.
+// ColumnarOf returns the columnar view of codec, which every codec has: a
+// pair's view with its halves resolved, else the codec itself if it is a
+// ColumnCodec, else its blob view. A pair's view holds scratch, so resolve
+// once per stream and give the view to the one Encoder or Decoder that
+// resolved it. The second result is always true.
 func ColumnarOf[T any](c Codec[T]) (ColumnCodec[T], bool) {
 	if r, ok := c.(columnarResolver[T]); ok {
-		return r.resolveColumnar()
+		return r.resolveColumnar(), true
 	}
-	cc, ok := c.(ColumnCodec[T])
-	return cc, ok
+	if cc, ok := c.(ColumnCodec[T]); ok {
+		return cc, true
+	}
+	return blobCodec[T]{c}, true
+}
+
+// tagOf is the batch tag of cc's chunks: blobTag for the blob view.
+func tagOf[T any](cc ColumnCodec[T]) uint64 {
+	if _, ok := cc.(blobCodec[T]); ok {
+		return blobTag
+	}
+	return 0
+}
+
+// blobCodec is the blob view of a codec with no columnar view of its own:
+// one blob column (ColLen, ColBytes) holding each value's Encode bytes,
+// which Decode reads back. Decoded values may alias the chunk, as the
+// codec's Decode makes them alias its record.
+type blobCodec[T any] struct{ Codec[T] }
+
+func (blobCodec[T]) AppendColKinds(dst []ColKind) []ColKind { return append(dst, ColLen, ColBytes) }
+
+// EncodeColumn encodes v straight onto the bytes column, then appends its
+// length.
+func (c blobCodec[T]) EncodeColumn(b *BatchBuilder, col int, v T) int {
+	lens, blob := len(b.cols[col]), len(b.cols[col+1])
+	b.cols[col+1] = c.Encode(b.cols[col+1], v)
+	b.cols[col] = binary.AppendUvarint(b.cols[col], uint64(len(b.cols[col+1])-blob))
+	b.bytes += len(b.cols[col]) - lens + len(b.cols[col+1]) - blob
+	return col + 2
+}
+
+func (c blobCodec[T]) DecodeColumn(bt *Batch, col int, out []T) ([]T, int, error) {
+	spans, err := blobSpans(bt, col)
+	if err != nil {
+		return out, col, err
+	}
+	data := bt.Cols[col+1].Data
+	out = slices.Grow(out, bt.Rows)
+	for i := 0; i < len(spans); i += 2 {
+		v, _, err := c.Decode(data[spans[i]:spans[i+1]:spans[i+1]])
+		if err != nil {
+			return out, col, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		out = append(out, v)
+	}
+	return out, col + 2, nil
 }
 
 // BulkColumnCodec is the bulk-encode extension of a columnar view, for
@@ -719,18 +775,15 @@ func (Float64Codec) EncodeRows(b *BatchBuilder, col int, vs []float64, idx []int
 // resolveColumnar returns a view with both sub-codecs resolved up front;
 // nested PairCodecs resolve recursively, so an arbitrarily deep tuple pays
 // for interface resolution once per stream instead of once per record.
-func (c PairCodec[A, B]) resolveColumnar() (ColumnCodec[Pair[A, B]], bool) {
-	ca, okA := ColumnarOf(c.A)
-	cb, okB := ColumnarOf(c.B)
-	if !okA || !okB {
-		return nil, false
-	}
+func (c PairCodec[A, B]) resolveColumnar() ColumnCodec[Pair[A, B]] {
+	ca, _ := ColumnarOf(c.A)
+	cb, _ := ColumnarOf(c.B)
 	// The scratch sits behind a pointer so the by-value interface copies
 	// of one resolved view share it; each nested pair resolves its own.
 	r := resolvedPairCodec[A, B]{PairCodec: c, ca: ca, cb: cb, sc: &pairScratch[A, B]{}}
 	r.ba, _ = BulkOf(ca) // both set unless a half has a blob column,
 	r.bb, _ = BulkOf(cb) // which keeps BulkOf from handing out r
-	return r, true
+	return r
 }
 
 // resolvedPairCodec is a pair's columnar view, the only one it has:
@@ -832,64 +885,4 @@ func (KVCodec) DecodeColumn(bt *Batch, col int, out []KV) ([]KV, int, error) {
 		out = append(out, KV{Key: keys[i], Value: vals[i]})
 	}
 	return out, col, nil
-}
-
-// ---- generic batch → row adapter ----
-
-// batchReader re-frames a decoded batch as row-encoded records without
-// knowing the schema: each record is the concatenation of the row's
-// per-column encodings, which is exactly the row format every codec in
-// this package produces. It is the Decoder's path for row-only codecs.
-type batchReader struct {
-	bt      *Batch
-	row     int
-	offs    []int
-	pendLen uint64
-}
-
-// reset re-points the reader at bt, retaining allocations.
-func (r *batchReader) reset(bt *Batch) {
-	r.bt, r.row, r.pendLen = bt, 0, 0
-	r.offs = r.offs[:0]
-	for range bt.Cols {
-		r.offs = append(r.offs, 0)
-	}
-}
-
-// next appends the next row, as a row-encoded record, to dst and returns
-// the grown slice, or io.EOF after the last row.
-func (r *batchReader) next(dst []byte) ([]byte, error) {
-	if r.row >= r.bt.Rows {
-		return dst, io.EOF
-	}
-	for i, col := range r.bt.Cols {
-		data, off := col.Data, r.offs[i]
-		switch col.Kind {
-		case ColVarint, ColLen:
-			v, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return dst, fmt.Errorf("%w: varint column underflow at row %d", ErrCorrupt, r.row)
-			}
-			dst = append(dst, data[off:off+n]...)
-			r.offs[i] = off + n
-			if col.Kind == ColLen {
-				r.pendLen = v
-			}
-		case ColFixed8:
-			if off+8 > len(data) {
-				return dst, fmt.Errorf("%w: fixed column underflow at row %d", ErrCorrupt, r.row)
-			}
-			dst = append(dst, data[off:off+8]...)
-			r.offs[i] = off + 8
-		case ColBytes:
-			end := off + int(r.pendLen)
-			if int(r.pendLen) < 0 || end < off || end > len(data) {
-				return dst, fmt.Errorf("%w: blob extends past bytes column at row %d", ErrCorrupt, r.row)
-			}
-			dst = append(dst, data[off:end]...)
-			r.offs[i] = end
-		}
-	}
-	r.row++
-	return dst, nil
 }

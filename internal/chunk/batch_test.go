@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -66,31 +65,6 @@ func TestBatchRoundTripColumnar(t *testing.T) {
 			!bytes.Equal(got[i].Second.Second, rows[i].Second.Second) {
 			t.Fatalf("row %d mismatch: got %+v want %+v", i, got[i], rows[i])
 		}
-	}
-}
-
-// TestBatchRowAdapter checks the generic batch→row re-framing: records
-// produced by batchReader must be byte-identical to the codec's row
-// encoding, so any row-format consumer can read batch chunks unchanged.
-func TestBatchRowAdapter(t *testing.T) {
-	rows := testRows(200)
-	chunks := encodeBatch(t, rows, DefaultSize)
-	var i int
-	for _, c := range chunks {
-		recs, err := Records(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			want := kvTestCodec.Encode(nil, rows[i])
-			if !bytes.Equal(rec, want) {
-				t.Fatalf("row %d re-framed as %x, want %x", i, rec, want)
-			}
-			i++
-		}
-	}
-	if i != len(rows) {
-		t.Fatalf("adapter yielded %d rows, want %d", i, len(rows))
 	}
 }
 
@@ -171,9 +145,10 @@ func unwrap(err error) error {
 }
 
 // FuzzBatchRoundTrip drives arbitrary row content through the batch
-// writer and back through both decode paths (columnar and the batch→row
-// adapter), and feeds arbitrary bytes to DecodeBatch: round-trips must be
-// exact and corruption must error, never panic.
+// writer, under the codec's own view and under the blob view, and back
+// through the matching Decoder, and damages one byte of each: round trips
+// must be exact and corruption must be values or ErrCorrupt, never a
+// panic.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(-5), []byte("payload"), false)
 	f.Add(uint64(0), int64(0), []byte{}, true)
@@ -183,63 +158,47 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			{First: k, Second: Pair[int64, []byte]{First: v, Second: payload}},
 			{First: k ^ 0xdead, Second: Pair[int64, []byte]{First: -v, Second: nil}},
 		}
-		chunks := encodeBatch(t, rows, DefaultSize)
-		if len(chunks) != 1 {
-			t.Fatalf("expected one batch, got %d", len(chunks))
-		}
-		c := chunks[0]
-		if corrupt && len(payload) > 0 {
-			// Arbitrary single-byte corruption anywhere in the chunk:
-			// decoding may still succeed (payload bytes are opaque) but
-			// must never panic, and row re-framing must stay in bounds.
-			pos := int(k % uint64(len(c)))
-			c = append([]byte(nil), c...)
-			c[pos] ^= payload[0]
-			bt, err := DecodeBatch(c, nil)
-			if err != nil {
-				return
+		for view, codec := range views[kvTestRow](kvTestCodec) {
+			chunks := encodeAll(t, codec, DefaultSize, rows, byRows)
+			if len(chunks) != 1 {
+				t.Fatalf("%s: expected one batch, got %d", view, len(chunks))
 			}
-			var br batchReader
-			br.reset(bt)
-			for {
-				if _, err := br.next(nil); err != nil {
-					break
+			c := chunks[0]
+			if corrupt && len(payload) > 0 {
+				// Arbitrary single-byte corruption anywhere in the chunk:
+				// decoding may still succeed (payload bytes are opaque) but
+				// must never panic.
+				c = append([]byte(nil), c...)
+				c[int(k%uint64(len(c)))] ^= payload[0]
+				if _, err := NewDecoder(codec).Decode(c, nil); err != nil && !isCorrupt(err) {
+					t.Fatalf("%s: damaged batch: %v, want ErrCorrupt", view, err)
 				}
+				continue
 			}
-			return
-		}
-		got, err := NewSliceIterator[kvTestRow](kvTestCodec, []Chunk{c}).Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(rows) {
-			t.Fatalf("got %d rows, want %d", len(got), len(rows))
-		}
-		for i := range rows {
-			if got[i].First != rows[i].First || got[i].Second.First != rows[i].Second.First ||
-				!bytes.Equal(got[i].Second.Second, rows[i].Second.Second) {
-				t.Fatalf("row %d mismatch", i)
+			got, err := NewDecoder(codec).Decode(c, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Adapter path: re-framed records must equal the row encodings.
-		recs, err := Records(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range recs {
-			if want := kvTestCodec.Encode(nil, rows[i]); !bytes.Equal(rec, want) {
-				t.Fatalf("row %d adapter mismatch", i)
+			if len(got) != len(rows) {
+				t.Fatalf("%s: got %d rows, want %d", view, len(got), len(rows))
+			}
+			for i := range rows {
+				if got[i].First != rows[i].First || got[i].Second.First != rows[i].Second.First ||
+					!bytes.Equal(got[i].Second.Second, rows[i].Second.Second) {
+					t.Fatalf("%s: row %d mismatch", view, i)
+				}
 			}
 		}
 	})
 }
 
-// TestViewResolution pins which codecs ColumnarOf gives a columnar view
-// and which of those views BulkOf gives the bulk one: every leaf has a
-// view and the numeric leaves the bulk one too; a pair has each exactly
-// when both its halves do, however deep it nests.
+// TestViewResolution pins what ColumnarOf and BulkOf make of each codec:
+// every codec has a view, a row-only one the blob view; the numeric leaves
+// have the bulk view too, the blob view never; a pair has the bulk view
+// exactly when both its halves do, however deep it nests.
 func TestViewResolution(t *testing.T) {
 	viewBulk, viewOnly := resolution{view: true, bulk: true}, resolution{view: true}
+	blobView := resolution{view: true, blob: true}
 	for _, c := range []struct {
 		name      string
 		got, want resolution
@@ -256,9 +215,10 @@ func TestViewResolution(t *testing.T) {
 			A: Uint64Codec{}, B: PairCodec[int64, float64]{A: Int64Codec{}, B: Float64Codec{}},
 		}), viewBulk},
 		{"pair with a bytes half", resolve[kvTestRow](kvTestCodec), viewOnly},
+		{"row-only", resolve[uint64](rowOnly[uint64]{Uint64Codec{}}), blobView},
 		{"pair with a row-only half", resolve(PairCodec[uint64, uint64]{
 			A: Uint64Codec{}, B: rowOnly[uint64]{Uint64Codec{}},
-		}), resolution{}},
+		}), viewOnly},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %+v, want %+v", c.name, c.got, c.want)
@@ -267,15 +227,12 @@ func TestViewResolution(t *testing.T) {
 }
 
 // resolution is what ColumnarOf and BulkOf make of a codec.
-type resolution struct{ view, bulk bool }
+type resolution struct{ view, bulk, blob bool }
 
 func resolve[T any](codec Codec[T]) resolution {
 	cc, ok := ColumnarOf(codec)
-	if !ok {
-		return resolution{}
-	}
 	_, bulk := BulkOf(cc)
-	return resolution{view: true, bulk: bulk}
+	return resolution{view: ok, bulk: bulk, blob: tagOf(cc) == blobTag}
 }
 
 // TestBatchBuilderPooled pins the pooled-builder contract: steady-state
@@ -394,32 +351,18 @@ func BenchmarkReaderReset(b *testing.B) {
 	}
 }
 
-func TestCountOffsetArithmetic(t *testing.T) {
+// TestCountRefusesRowChunks: Count reads a batch header, and a row chunk
+// has none.
+func TestCountRefusesRowChunks(t *testing.T) {
 	var chunks []Chunk
 	w := NewWriter(1<<10, func(c Chunk) error { chunks = append(chunks, c); return nil })
-	for i := 0; i < 300; i++ {
-		rec := bytes.Repeat([]byte{byte(i)}, i%40)
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.Append([]byte("row")); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, c := range chunks {
-		n, err := Count(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	if total != 300 {
-		t.Fatalf("Count total %d, want 300", total)
-	}
-	// A length prefix pointing past the chunk is corrupt, not a crash.
-	bad := Chunk(binary.AppendUvarint(nil, 1<<30))
-	if _, err := Count(bad); !isCorrupt(err) {
-		t.Fatalf("Count on truncated frame: got %v, want ErrCorrupt", err)
+	if _, err := Count(chunks[0]); !isCorrupt(err) {
+		t.Fatalf("Count on a row chunk: got %v, want ErrCorrupt", err)
 	}
 }

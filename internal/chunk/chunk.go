@@ -9,8 +9,12 @@
 // independently of all others — the property that makes fine-grained task
 // cloning possible.
 //
-// Wire format inside a chunk: a sequence of records, each encoded as a
-// uvarint length prefix followed by that many payload bytes.
+// The engine writes and reads one chunk layout, the columnar batch
+// (batch.go), through Encoder and Decoder. The row layout of this file — a
+// sequence of records, each a uvarint length prefix followed by that many
+// payload bytes — is kept for the frozen benchmark, which prices it: Writer,
+// Reader, NewTypedWriter and NewSliceIterator write and read it, and no
+// engine path does.
 package chunk
 
 import (
@@ -33,9 +37,10 @@ var ErrCorrupt = errors.New("chunk: corrupt record framing")
 // A Chunk is an immutable block of framed records.
 type Chunk []byte
 
-// Writer accumulates records into chunks of at most Size bytes and emits
-// each chunk through the Emit callback once it is full. Records never
-// straddle two chunks.
+// Writer accumulates records into row chunks of at most Size bytes and
+// emits each chunk through the Emit callback once it is full. Records never
+// straddle two chunks. It is kept for the frozen benchmark (see the package
+// comment).
 type Writer struct {
 	// Size is the maximum chunk size in bytes.
 	Size int
@@ -91,7 +96,8 @@ func (w *Writer) Flush() error {
 	return w.Emit(c)
 }
 
-// Reader iterates over the records framed inside a chunk.
+// Reader iterates over the records framed inside a row chunk. It is kept
+// for the frozen benchmark (see the package comment).
 type Reader struct {
 	data Chunk
 	off  int
@@ -107,7 +113,7 @@ func (r *Reader) Reset(c Chunk) { r.data, r.off = c, 0 }
 // Next returns the next record, or io.EOF when the chunk is exhausted.
 // The returned slice aliases the chunk; callers must not modify it.
 // Pointing a row Reader at a columnar batch chunk returns ErrCorrupt —
-// a Decoder reads both layouts.
+// a Decoder reads those.
 func (r *Reader) Next() ([]byte, error) {
 	if r.off == 0 && IsBatch(r.data) {
 		return nil, fmt.Errorf("%w: batch chunk read through row reader", ErrCorrupt)
@@ -131,26 +137,12 @@ func (r *Reader) Next() ([]byte, error) {
 // Remaining reports whether at least one more record is available.
 func (r *Reader) Remaining() bool { return r.off < len(r.data) }
 
-// Count returns the number of records framed in c, or an error if the
-// framing is corrupt. Batch chunks answer from the header in O(1); row
-// chunks are counted by skipping payloads with offset arithmetic, never
-// materializing a record.
+// Count returns the number of records in the batch chunk c, from its
+// header alone, or an error wrapping ErrCorrupt for a bad header or a row
+// chunk.
 func Count(c Chunk) (int, error) {
-	if IsBatch(c) {
-		return batchRows(c)
+	if !IsBatch(c) {
+		return 0, fmt.Errorf("%w: row chunk", ErrCorrupt)
 	}
-	n, off := 0, 0
-	for off < len(c) {
-		size, k := binary.Uvarint(c[off:])
-		if k <= 0 {
-			return n, ErrCorrupt
-		}
-		end := off + k + int(size)
-		if int(size) < 0 || end < off || end > len(c) {
-			return n, ErrCorrupt
-		}
-		off = end
-		n++
-	}
-	return n, nil
+	return batchRows(c)
 }

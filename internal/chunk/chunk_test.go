@@ -8,6 +8,22 @@ import (
 	"testing/quick"
 )
 
+// Records returns the records framed in row chunk c.
+func Records(c Chunk) ([][]byte, error) {
+	var out [][]byte
+	r := NewReader(c)
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var chunks []Chunk
 	w := NewWriter(64, func(c Chunk) error {
@@ -70,11 +86,11 @@ func TestWriterRecordNeverCrossesChunks(t *testing.T) {
 		}
 		total := 0
 		for _, c := range chunks {
-			n, err := Count(c)
+			recs, err := Records(c)
 			if err != nil {
 				return false // would mean a record crossed a boundary
 			}
-			total += n
+			total += len(recs)
 		}
 		return total == kept
 	}
@@ -104,9 +120,9 @@ func TestEmptyChunk(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("got %v, want EOF", err)
 	}
-	n, err := Count(nil)
-	if err != nil || n != 0 {
-		t.Fatalf("Count(nil) = %d, %v", n, err)
+	// An empty chunk has no batch header: Count refuses it.
+	if _, err := Count(nil); !isCorrupt(err) {
+		t.Fatalf("Count(nil): %v, want ErrCorrupt", err)
 	}
 }
 

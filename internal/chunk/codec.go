@@ -8,6 +8,7 @@ package chunk
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 )
@@ -192,16 +193,17 @@ func (KVCodec) Decode(record []byte) (KV, int, error) {
 
 // ---- typed writer / iterator ----
 
-// TypedWriter serializes values of type T into chunks via an underlying
-// chunk Writer, one value per record.
+// TypedWriter serializes values of type T into row chunks via an
+// underlying chunk Writer, one value per record. It is kept for the frozen
+// benchmark (see the package comment): the engine writes through Encoder.
 type TypedWriter[T any] struct {
 	W     *Writer
 	Codec Codec[T]
 	buf   []byte
 }
 
-// NewTypedWriter returns a TypedWriter emitting chunks of at most size
-// bytes through emit.
+// NewTypedWriter returns a TypedWriter emitting row chunks of at most size
+// bytes through emit. It is kept for the frozen benchmark.
 func NewTypedWriter[T any](codec Codec[T], size int, emit func(Chunk) error) *TypedWriter[T] {
 	return &TypedWriter[T]{W: NewWriter(size, emit), Codec: codec}
 }
@@ -216,18 +218,22 @@ func (t *TypedWriter[T]) Write(v T) error {
 func (t *TypedWriter[T]) Flush() error { return t.W.Flush() }
 
 // Iterator deserializes values of type T from a sequence of chunks: a
-// cursor over a Decoder's output, one chunk's values at a time. Row and
-// batch chunks may be freely mixed.
+// cursor over one chunk's values at a time. A batch chunk decodes through a
+// Decoder; a row chunk, which only the frozen benchmark's row probes write,
+// through the codec's Decode, record by record — the one row decode left.
 type Iterator[T any] struct {
 	chunks []Chunk
+	codec  Codec[T]
 	d      *Decoder[T]
+	r      Reader
 	vec    []T
 	vi     int
 }
 
-// NewSliceIterator returns an Iterator over a fixed set of chunks.
+// NewSliceIterator returns an Iterator over a fixed set of chunks. It is
+// kept for the frozen benchmark, which reads row chunks through it.
 func NewSliceIterator[T any](codec Codec[T], chunks []Chunk) *Iterator[T] {
-	return &Iterator[T]{chunks: chunks, d: NewDecoder(codec)}
+	return &Iterator[T]{chunks: chunks, codec: codec, d: NewDecoder(codec)}
 }
 
 // Next returns the next decoded value, or io.EOF after the last chunk. A
@@ -243,7 +249,12 @@ func (it *Iterator[T]) Next() (T, error) {
 		it.chunks = it.chunks[1:]
 		var err error
 		it.vi = 0
-		if it.vec, err = it.d.Decode(c, it.vec[:0]); err != nil {
+		if IsBatch(c) {
+			it.vec, err = it.d.Decode(c, it.vec[:0])
+		} else {
+			it.vec, err = it.decodeRows(c, it.vec[:0])
+		}
+		if err != nil {
 			it.vec = it.vec[:0]
 			return zero, err
 		}
@@ -251,6 +262,25 @@ func (it *Iterator[T]) Next() (T, error) {
 	v := it.vec[it.vi]
 	it.vi++
 	return v, nil
+}
+
+// decodeRows appends the values of row chunk c to out.
+func (it *Iterator[T]) decodeRows(c Chunk, out []T) ([]T, error) {
+	it.r.Reset(c)
+	for {
+		rec, err := it.r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		v, _, err := it.codec.Decode(rec)
+		if err != nil {
+			return out, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		out = append(out, v)
+	}
 }
 
 // Collect drains the iterator into a slice.

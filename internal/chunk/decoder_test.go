@@ -3,91 +3,43 @@ package chunk
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 )
 
-// Records returns c's records in row encoding: a row chunk's frames, or a
-// batch chunk's rows re-framed by the adapter the Decoder uses for
-// row-only codecs.
-func Records(c Chunk) ([][]byte, error) {
-	var out [][]byte
-	if !IsBatch(c) {
-		r := NewReader(c)
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-	}
-	bt, err := DecodeBatch(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	var br batchReader
-	br.reset(bt)
-	for {
-		rec, err := br.next(nil)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// rowOnly hides a codec's columnar methods, leaving a codec the Decoder
-// can only read batch chunks with through the re-framing adapter.
+// rowOnly hides a codec's columnar methods, so that its view is the blob
+// view: one blob column of the codec's row encoding.
 type rowOnly[T any] struct{ Codec[T] }
 
-// layouts writes vals three ways: row chunks, batch chunks, and a stream
-// that switches from one to the other. Small chunks force several of each.
-func layouts[T any](t *testing.T, codec Codec[T], vals []T) map[string][]Chunk {
+// views is a codec under its own view and under the blob view.
+func views[T any](codec Codec[T]) map[string]Codec[T] {
+	return map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}}
+}
+
+// rowChunks writes vals as row chunks of the given size: the frozen
+// benchmark's layout, which no engine path writes.
+func rowChunks[T any](t testing.TB, codec Codec[T], size int, vals []T) []Chunk {
 	t.Helper()
-	var rows, batches, mixed []Chunk
-	half := len(vals) / 2
-	// Layout follows the codec: the row-only view writes row chunks, the
-	// codec itself batch chunks. Mixed is one stream whose first half is
-	// row chunks and second half batch chunks, so value order is preserved
-	// across the switch.
-	for _, w := range []struct {
-		codec Codec[T]
-		vals  []T
-		into  *[]Chunk
-	}{
-		{rowOnly[T]{codec}, vals, &rows},
-		{codec, vals, &batches},
-		{rowOnly[T]{codec}, vals[:half], &mixed},
-		{codec, vals[half:], &mixed},
-	} {
-		e := NewEncoder(w.codec, 96, func(c Chunk, _ int) error { *w.into = append(*w.into, c); return nil })
-		for _, v := range w.vals {
-			if err := e.Append(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Close(); err != nil {
+	var chunks []Chunk
+	tw := NewTypedWriter(codec, size, func(c Chunk) error { chunks = append(chunks, c); return nil })
+	for _, v := range vals {
+		if err := tw.Write(v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(rows) < 2 || len(batches) < 2 || IsBatch(rows[0]) || !IsBatch(batches[0]) {
-		t.Fatalf("want several chunks per layout, got %d row, %d batch", len(rows), len(batches))
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	return map[string][]Chunk{"rows": rows, "batches": batches, "mixed": mixed}
+	return chunks
 }
 
-// checkReaders asserts that every layout of vals reads back equal through
-// a Decoder and through an Iterator, under the codec itself and under its
-// row-only view. Equality is by re-encoding, which every codec defines.
+// checkReaders asserts that each view of codec reads the chunks it wrote
+// back equal, through a Decoder and through an Iterator, and refuses the
+// other view's chunks as ErrCorrupt; and that row chunks read back through
+// an Iterator, while a Decoder refuses them by name. Small chunks force
+// several of each. Equality is by re-encoding, which every codec defines.
 func checkReaders[T any](t *testing.T, codec Codec[T], vals []T) {
 	t.Helper()
 	same := func(what string, got []T) {
@@ -101,23 +53,47 @@ func checkReaders[T any](t *testing.T, codec Codec[T], vals []T) {
 			}
 		}
 	}
-	for layout, chunks := range layouts(t, codec, vals) {
-		for view, c := range map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}} {
+	written := make(map[string][]Chunk)
+	for view, c := range views(codec) {
+		if written[view] = encodeAll(t, c, 96, vals, byAppend); len(written[view]) < 2 {
+			t.Fatalf("%s: want several chunks, got %d", view, len(written[view]))
+		}
+	}
+	for view, c := range views(codec) {
+		for layout, chunks := range written {
 			d := NewDecoder(c)
 			var got []T
+			var err error
 			for _, ch := range chunks {
-				var err error
 				if got, err = d.Decode(ch, got); err != nil {
-					t.Fatalf("%s/%s: Decode: %v", layout, view, err)
+					break
 				}
 			}
-			same(layout+"/"+view+"/Decoder", got)
-			got, err := NewSliceIterator(c, chunks).Collect()
-			if err != nil {
-				t.Fatalf("%s/%s: Iterator: %v", layout, view, err)
+			if layout != view {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s view read the %s view's chunks: %v, want ErrCorrupt", view, layout, err)
+				}
+				continue
 			}
-			same(layout+"/"+view+"/Iterator", got)
+			if err != nil {
+				t.Fatalf("%s: Decode: %v", view, err)
+			}
+			same(view+"/Decoder", got)
+			got, err = NewSliceIterator(c, chunks).Collect()
+			if err != nil {
+				t.Fatalf("%s: Iterator: %v", view, err)
+			}
+			same(view+"/Iterator", got)
 		}
+	}
+	rows := rowChunks(t, codec, 96, vals)
+	got, err := NewSliceIterator(codec, rows).Collect()
+	if err != nil {
+		t.Fatalf("rows: Iterator: %v", err)
+	}
+	same("rows/Iterator", got)
+	if _, err := NewDecoder(codec).Decode(rows[0], nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "row chunk; codec reads [") {
+		t.Fatalf("Decoder read a row chunk: %v, want ErrCorrupt naming both layouts", err)
 	}
 }
 
@@ -192,7 +168,8 @@ func stockCases() []stockCase {
 }
 
 // TestDecoderLayouts is the table for the one-reader seam: every built-in
-// codec, native and row-only, over row, batch and mixed streams.
+// codec, native and row-only, each over its own chunks, the other view's
+// and row chunks.
 func TestDecoderLayouts(t *testing.T) {
 	for _, c := range stockCases() {
 		t.Run(c.name, c.readers)
@@ -223,7 +200,8 @@ func TestDecodeAccumulatesGeometrically(t *testing.T) {
 }
 
 // TestDecoderRejectsForeignBatch: a well-formed batch of another schema is
-// corrupt to this reader, not an index out of range in a column decoder.
+// corrupt to this reader, not an index out of range in a column decoder,
+// and the error names both layouts.
 func TestDecoderRejectsForeignBatch(t *testing.T) {
 	var narrow []Chunk
 	w := NewEncoder[uint64](Uint64Codec{}, DefaultSize, func(c Chunk, _ int) error {
@@ -238,21 +216,25 @@ func TestDecoderRejectsForeignBatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, d := range map[string]*Decoder[kvTestRow]{
-		"native":   NewDecoder[kvTestRow](kvTestCodec),
-		"row-only": NewDecoder[kvTestRow](rowOnly[kvTestRow]{kvTestCodec}),
+	for name, c := range map[string]struct {
+		d    *Decoder[kvTestRow]
+		want string
+	}{
+		"native":   {NewDecoder[kvTestRow](kvTestCodec), "chunk columns [varint]; codec reads [varint varint len bytes]"},
+		"row-only": {NewDecoder[kvTestRow](rowOnly[kvTestRow]{kvTestCodec}), "chunk columns [varint]; codec reads blob [len bytes]"},
 	} {
-		if _, err := d.Decode(narrow[0], nil); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: one-column batch through a four-column codec: got %v, want ErrCorrupt", name, err)
+		if _, err := c.d.Decode(narrow[0], nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: one-column batch through another layout: got %v, want ErrCorrupt with %q", name, err, c.want)
 		}
 	}
 }
 
-// FuzzDecoder damages chunks of both layouts — one flipped byte, then a
-// truncation — and feeds raw fuzz bytes as a chunk of their own. Decode,
-// under the columnar codec and its row-only view, must return values or an
-// error wrapping ErrCorrupt; it must never panic, and a claimed row count
-// must never make it allocate beyond what the chunk's bytes can hold. Each
+// FuzzDecoder damages chunks of both views and a row chunk — one flipped
+// byte, then a truncation — and feeds raw fuzz bytes as a chunk of their
+// own. Decode, under the columnar codec and its row-only (blob) view, must
+// return values or an error wrapping ErrCorrupt; it must never panic, and a
+// claimed row count must never make it allocate beyond what the chunk's
+// bytes can hold. An undamaged row chunk is ErrCorrupt. Each
 // chunk holds 64 rows cut from the fuzzed values, varints of every width
 // among them, so the damage lands in columns long enough for the
 // word-at-a-time kernels; the numeric tuple adds fixed8 columns.
@@ -280,9 +262,17 @@ func FuzzDecoder(f *testing.F) {
 }
 
 func fuzzDecoder[T any](t *testing.T, codec Codec[T], rows []T, raw []byte, pos uint16, flip byte, cut uint16) {
-	var chunks [2][]Chunk // row layout, batch layout
-	for i, c := range []Codec[T]{rowOnly[T]{codec}, codec} {
+	var chunks [2][]Chunk // native view, blob view
+	for i, c := range []Codec[T]{codec, rowOnly[T]{codec}} {
 		chunks[i] = encodeAll(t, c, 1<<16, rows, byAppend)
+	}
+	row := rowChunks(t, codec, 1<<16, rows)[0]
+	native := NewDecoder(codec)
+	blob := NewDecoder[T](rowOnly[T]{codec})
+	for _, d := range []*Decoder[T]{native, blob} {
+		if _, err := d.Decode(row, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("row chunk: %v, want ErrCorrupt", err)
+		}
 	}
 	damage := func(c Chunk) Chunk {
 		c = append(Chunk(nil), c...)
@@ -292,13 +282,12 @@ func fuzzDecoder[T any](t *testing.T, codec Codec[T], rows []T, raw []byte, pos 
 	inputs := []Chunk{
 		damage(chunks[0][0]),
 		damage(chunks[1][0]),
+		damage(row),
 		Chunk(raw),
 		append(append(Chunk(nil), batchMagic[:]...), raw...),
 	}
-	native := NewDecoder(codec)
-	reframing := NewDecoder[T](rowOnly[T]{codec})
 	for i, c := range inputs {
-		for _, d := range []*Decoder[T]{native, reframing} {
+		for _, d := range []*Decoder[T]{native, blob} {
 			got, err := d.Decode(c, nil)
 			if err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("input %d: error %v does not wrap ErrCorrupt", i, err)

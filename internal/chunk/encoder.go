@@ -18,17 +18,17 @@ var ErrClosed = errors.New("chunk: write to a closed encoder")
 const blockRows = 64
 
 // An Encoder turns values into chunks for one write stream: the mirror of
-// Decoder, and the single place that decides how a chunk is written. A
-// codec with a columnar view always yields batch chunks (column-major bulk
-// fills when it has the bulk view too), a row-only codec always yields row
-// chunks — a chunk's layout is a property of its codec, never of the call
-// that wrote it.
+// Decoder, and the single place that decides how a chunk is written. Every
+// chunk it writes is a batch in the columns of the codec's view (ColumnarOf:
+// a codec with no view of its own gets a blob column of its row encoding),
+// with column-major bulk fills when the view has the bulk kernels too — a
+// chunk's layout is a property of its codec, never of the call that wrote
+// it.
 //
-// One size rule covers both layouts: a chunk is emitted before the record
-// that would take a row chunk past size, or as soon as a batch's encoded
-// size estimate reaches it, so no chunk exceeds size by as much as one
-// record; and a single record larger than size is ErrRecordTooLarge and
-// leaves the stream as it was.
+// The size rule: a chunk is emitted as soon as its encoded size estimate
+// reaches size, so no chunk exceeds size by as much as one record; and a
+// single record larger than size is ErrRecordTooLarge and leaves the stream
+// as it was.
 //
 // When the codec has a bulk view (BulkOf), Append defers: it copies the
 // value into a block of blockRows and encodes a full block with the bulk
@@ -37,8 +37,9 @@ const blockRows = 64
 // the order of their records — are exactly those of encoding each value at
 // its Append. A deferred value is a copy, so bulk codecs are those whose
 // values own everything they encode (the numeric leaves and pairs of them);
-// a codec with blob columns, or a row-only one, encodes at the call, and
-// its values may alias memory the caller reuses as soon as Append returns.
+// a codec with blob columns, the blob view included, encodes at the call,
+// and its values may alias memory the caller reuses as soon as Append
+// returns.
 // The price of deferring is where errors surface: an emit error for a
 // chunk a block completes is returned by the Append that filled the block,
 // by AppendRows or by Flush, and the rest of that block is lost with it.
@@ -53,7 +54,6 @@ type Encoder[T any] struct {
 	emit   func(c Chunk, rows int) error
 	closed bool
 
-	// Columnar arm: cc is nil for row-only codecs.
 	cc     ColumnCodec[T]
 	b      *BatchBuilder
 	limit  int                // column bytes at which b.Size() reaches size
@@ -61,10 +61,6 @@ type Encoder[T any] struct {
 	maxRow int                // most column bytes one record can take
 	guard  bool               // one record could exceed size: measure each
 	blk    []T                // bulk only: Append's values not yet encoded
-
-	// Row arm: the typed row framer and the records in its open chunk.
-	row  *TypedWriter[T]
-	rows int
 }
 
 // NewEncoder returns an Encoder cutting codec's values into chunks of size
@@ -74,19 +70,10 @@ func NewEncoder[T any](codec Codec[T], size int, emit func(c Chunk, rows int) er
 	if size <= 0 {
 		size = DefaultSize
 	}
-	e := &Encoder[T]{codec: codec, size: size, emit: emit}
-	cc, ok := ColumnarOf(codec)
-	if !ok {
-		e.row = NewTypedWriter(codec, size, func(c Chunk) error {
-			rows := e.rows
-			e.rows = 0
-			return e.emit(c, rows)
-		})
-		return e
-	}
-	e.cc = cc
+	cc, _ := ColumnarOf(codec)
+	e := &Encoder[T]{codec: codec, size: size, emit: emit, cc: cc}
 	kinds := KindsOf(cc)
-	e.b = GetBatchBuilder(0, kinds)
+	e.b = GetBatchBuilder(tagOf(cc), kinds)
 	e.limit = size - e.b.Size() // of the empty builder: the header's share
 	for _, k := range kinds {
 		switch k {
@@ -122,12 +109,6 @@ func (e *Encoder[T]) Append(v T) error {
 			return nil
 		}
 		return e.drain()
-	case e.cc == nil:
-		if err := e.row.Write(v); err != nil {
-			return err
-		}
-		e.rows++
-		return nil
 	}
 	b := e.b
 	if e.guard {
@@ -206,11 +187,8 @@ func (e *Encoder[T]) encodeRows(vs []T, idx []int32) error {
 // Flush emits the open chunk, if it holds any records, Append's block
 // included.
 func (e *Encoder[T]) Flush() error {
-	switch {
-	case e.closed:
+	if e.closed {
 		return ErrClosed
-	case e.cc == nil:
-		return e.row.Flush()
 	}
 	if err := e.drain(); err != nil {
 		return err
@@ -237,9 +215,7 @@ func (e *Encoder[T]) Close() error {
 	}
 	err := e.Flush()
 	e.closed = true
-	if e.b != nil {
-		PutBatchBuilder(e.b)
-		e.b, e.blk = nil, nil
-	}
+	PutBatchBuilder(e.b)
+	e.b, e.blk = nil, nil
 	return err
 }

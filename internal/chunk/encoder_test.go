@@ -77,24 +77,23 @@ func sameChunks(t testing.TB, what string, got, want []Chunk) {
 	}
 }
 
-// checkWriters is the contract of the one-writer seam for one codec: the
-// layout of every chunk follows the codec (batch under the codec itself and
-// its per-record view, rows under its row-only view), whichever of Append,
-// AppendRows and AppendRows through an index vector wrote it, and with
-// byte-identical chunks from all three — and from Append under the codec
-// and under its per-record view, so blocks are held to one EncodeColumn per
-// value; no chunk exceeds the size by as much as one record, a row chunk
-// not at all; and a Decoder reads the stream back value for value.
+// checkWriters is the contract of the one-writer seam for one codec: every
+// chunk is a batch in the layout of the codec's view (its own under the
+// codec and its per-record view, the blob view's under its row-only view),
+// whichever of Append, AppendRows and AppendRows through an index vector
+// wrote it, and with byte-identical chunks from all three — and from Append
+// under the codec and under its per-record view, so blocks are held to one
+// EncodeColumn per value; no chunk exceeds the size by as much as one
+// record; and a Decoder reads the stream back value for value.
 func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 	t.Helper()
 	longest := 0
 	for _, v := range vals {
 		longest = max(longest, len(codec.Encode(nil, v)))
 	}
-	views := map[string]Codec[T]{"native": codec, "row-only": rowOnly[T]{codec}}
-	if cc, ok := ColumnarOf(codec); ok {
-		views["per-record"] = perRecord[T]{cc}
-	}
+	views := views(codec)
+	cc, _ := ColumnarOf(codec)
+	views["per-record"] = perRecord[T]{cc}
 	appended := make(map[string][]Chunk)
 	for view, c := range views {
 		chunks := encodeAll(t, c, size, vals, byAppend)
@@ -108,10 +107,10 @@ func checkWriters[T any](t testing.TB, codec Codec[T], size int, vals []T) {
 		var got []T
 		d := NewDecoder(c)
 		for i, ch := range chunks {
-			if IsBatch(ch) != (view != "row-only") {
-				t.Fatalf("%s: chunk %d has the wrong layout", view, i)
+			if bt, err := DecodeBatch(ch, nil); err != nil || (bt.Tag == blobTag) != (view == "row-only") {
+				t.Fatalf("%s: chunk %d has the wrong layout (%v)", view, i, err)
 			}
-			if bound := size + longest; len(ch) >= bound || (!IsBatch(ch) && len(ch) > size) {
+			if bound := size + longest; len(ch) >= bound {
 				t.Fatalf("%s: chunk %d is %d bytes at size %d, longest record %d", view, i, len(ch), size, longest)
 			}
 			var err error
@@ -282,11 +281,12 @@ func TestEncoderSplitsAtSizeBound(t *testing.T) {
 	}
 }
 
-// TestEncoderRecordTooLarge: a record above the chunk size is refused in
-// both layouts, and refusing it costs the stream nothing it already holds.
+// TestEncoderRecordTooLarge: a record above the chunk size is refused
+// under the codec's view and under the blob view, and refusing it costs
+// the stream nothing it already holds.
 func TestEncoderRecordTooLarge(t *testing.T) {
 	const size = 256
-	for view, codec := range map[string]Codec[[]byte]{"native": BytesCodec{}, "row-only": rowOnly[[]byte]{BytesCodec{}}} {
+	for view, codec := range views[[]byte](BytesCodec{}) {
 		var chunks []Chunk
 		e := NewEncoder(codec, size, func(c Chunk, _ int) error { chunks = append(chunks, c); return nil })
 		for _, v := range [][]byte{[]byte("before"), make([]byte, size+1), []byte("after")} {
@@ -317,8 +317,8 @@ func TestEncoderRecordTooLarge(t *testing.T) {
 // FuzzEncoderRoundTrip cuts fuzz bytes into values of every built-in codec
 // and holds the writer contract (checkWriters) over them at a fuzzed chunk
 // size: Encoder to Decoder is the identity, under the codec and under its
-// row-only view, through Append and AppendRows alike, with the size bound
-// held.
+// row-only view through the blob view, through Append and AppendRows alike,
+// with the size bound held.
 func FuzzEncoderRoundTrip(f *testing.F) {
 	f.Add([]byte("a few bytes to cut into values of every built-in type"), uint16(0))
 	f.Add(bytes.Repeat([]byte{0xff, 0x80, 0x00, 0x7f}, 200), uint16(300))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -517,6 +518,14 @@ func slowSumApp(processed *atomic.Int64, recordCostNS int64) *App {
 	return app
 }
 
+// rawBytes reads a record as its bytes: an Iterator over it yields the
+// records of a row chunk and those of a batch that shuffle.Writer.Write cut,
+// whose blob column holds them.
+type rawBytes struct{}
+
+func (rawBytes) Encode(buf, rec []byte) []byte          { return append(buf, rec...) }
+func (rawBytes) Decode(rec []byte) ([]byte, int, error) { return rec, len(rec), nil }
+
 // slowGroupApp is slowSumApp over a partitioned edge: "route" keys every
 // record onto the Spread edge "shuf" — three in four onto key 0 — and "sum"
 // pays the per-record cost folding its share of the edge into one partial
@@ -533,8 +542,13 @@ func slowGroupApp(processed *atomic.Int64, recordCostNS int64) *App {
 			if err != nil {
 				return err
 			}
-			for r := chunk.NewReader(c); r.Remaining(); {
-				rec, err := r.Next()
+			// "in" holds row chunks, "shuf" the batches Write cuts: an
+			// Iterator reads both.
+			for it := chunk.NewSliceIterator[[]byte](rawBytes{}, []chunk.Chunk{c}); ; {
+				rec, err := it.Next()
+				if err == io.EOF {
+					break
+				}
 				if err != nil {
 					return err
 				}

@@ -11,7 +11,8 @@ import (
 )
 
 // rowOnly hides a codec's columnar methods: the plans of these tests write
-// row chunks and read batch chunks by re-framing them.
+// and read batches of the blob view, one blob column of the codec's row
+// encoding.
 type rowOnly[T any] struct{ chunk.Codec[T] }
 
 type tuple = chunk.Pair[uint64, uint64]

@@ -25,7 +25,7 @@ const scatterBlock = 4096
 // the staged records ahead of any WriteBatch and of Close, so the stream
 // keeps its order; a staged record's key is read when its block is routed.
 // Otherwise a record's value may alias memory its caller
-// reuses as soon as Write returns (a row-only or blob codec, the raw
+// reuses as soon as Write returns (a codec with a blob column, the raw
 // Writer.Write), and Write routes and counts it at the call and hands it to
 // its leaf's encoder. Either way the chunks, their cuts and the edge's
 // statistics are those of one WriteBatch over the whole stream. When and
@@ -61,31 +61,12 @@ type scatterLeaf[T any] struct {
 }
 
 // NewScatter returns a Scatter writing codec's values to w's edge, keyed by
-// key (nil when KeyUint64 supplies the key).
+// key (nil when KeyUint64 supplies the key). Write stages the values of a
+// codec with a bulk view: they own everything they encode.
 func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Scatter[T] {
-	return &Scatter[T]{w: w, codec: codec, key: key, staged: defers(codec, w.cfg.Store.ChunkSize())}
-}
-
-// defers reports whether chunk.Encoder defers the Appends of codec's values
-// into chunks of size bytes: the codec has a bulk view, so no blob column,
-// and a chunk holds the widest record it can encode.
-func defers[T any](codec chunk.Codec[T], size int) bool {
-	cc, ok := chunk.ColumnarOf(codec)
-	if !ok {
-		return false
-	}
-	if _, ok := chunk.BulkOf(cc); !ok {
-		return false
-	}
-	maxRow := 0
-	for _, k := range chunk.KindsOf(cc) {
-		if k == chunk.ColFixed8 {
-			maxRow += 8
-		} else {
-			maxRow += binary.MaxVarintLen64
-		}
-	}
-	return maxRow <= size
+	cc, _ := chunk.ColumnarOf(codec)
+	_, staged := chunk.BulkOf(cc)
+	return &Scatter[T]{w: w, codec: codec, key: key, staged: staged}
 }
 
 // KeyUint64 makes the scatter route on uint64 key words: key must agree

@@ -21,10 +21,11 @@ var tupleCodec = chunk.PairCodec[uint64, uint64]{A: chunk.Uint64Codec{}, B: chun
 
 func tupleKey(t tuple) []byte { return key(t.First) }
 
-// rowOnly hides a codec's columnar methods: its encoders write row chunks.
+// rowOnly hides a codec's columnar methods: its encoders write batches of
+// the blob view, one blob column of the codec's row encoding.
 type rowOnly[T any] struct{ chunk.Codec[T] }
 
-// views is a codec under both write layouts.
+// views is a codec under its own view and under the blob view.
 func views[T any](c chunk.Codec[T]) map[string]chunk.Codec[T] {
 	return map[string]chunk.Codec[T]{"columnar": c, "row-only": rowOnly[T]{c}}
 }

@@ -84,7 +84,7 @@ type leafOut struct {
 // stream, and at the end of a stretch feeds the keys heavy in it to the
 // count-min sketch and the candidate list (noteHeavy).
 // Insertion (InsertBatchChunk) takes the chunks those records were encoded
-// into — by a Scatter's leaf encoders, whatever the layout — and owns the
+// into — by a Scatter's leaf encoders — and owns the
 // per-leaf inserters and record counts. Its whole control plane is one
 // push to the edge's home slot (bag.Store.ExchangeSketch): it leaves its
 // cumulative stats there for the master. The push is gated on time, not on
@@ -122,7 +122,6 @@ type Writer struct {
 	drained uint64 // n at the last drain of the count table
 	feeds   uint64 // keys the drains fed to the sketch
 	bytes   uint64 // encoded chunk bytes handed to the inserters
-	batches uint64 // of those chunks, the batch-layout ones
 
 	gate      time.Duration // minimum gap between exchanges
 	exchanged time.Time     // when the last exchange started, or NewWriter ran
@@ -167,17 +166,20 @@ func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 // Map returns the writer's partition map (for tests/inspection).
 func (w *Writer) Map() *PartitionMap { return w.pm }
 
-// rawRecord frames records that are already encoded. It is row-only, so
-// Write's leaf encoders take their row arm.
+// rawRecord carries records that are already encoded. It has no columnar
+// view of its own, so Write's leaf encoders write its records into the
+// blob view's one column, each at its Write: a record may alias memory the
+// caller reuses.
 type rawRecord struct{}
 
 func (rawRecord) Encode(buf, rec []byte) []byte          { return append(buf, rec...) }
 func (rawRecord) Decode(rec []byte) ([]byte, int, error) { return rec, len(rec), nil }
 
-// Write routes one already-encoded record by key into a row chunk of its
-// physical partition bag: a Scatter whose records are bytes, so it shares
-// every step — route, key count, leaf encoder, insert — with the typed
-// writers above it.
+// Write routes one already-encoded record by key into a batch chunk of its
+// physical partition bag, a blob column of records: a Scatter whose records
+// are bytes, so it shares every step — route, key count, leaf encoder,
+// insert — with the typed writers above it. It is kept for the frozen
+// benchmark's routing probe; no engine path calls it.
 func (w *Writer) Write(key, rec []byte) error {
 	if w.closed {
 		return chunk.ErrClosed
@@ -188,8 +190,8 @@ func (w *Writer) Write(key, rec []byte) error {
 	return w.raw.leaf(w.RouteKey(key)).enc.Append(rec)
 }
 
-// InsertBatchChunk hands one encoded chunk of rows records, row or batch
-// layout, to the inserter of the leaf ref addresses. This is where a
+// InsertBatchChunk hands one encoded batch chunk of rows records to the
+// inserter of the leaf ref addresses. This is where a
 // scatter's leaf encoders flush, and the one place the edge's byte and
 // per-leaf record counts advance — so every producer API is
 // indistinguishable to the control plane and to the metrics.
@@ -205,9 +207,6 @@ func (w *Writer) InsertBatchChunk(ref RouteRef, c chunk.Chunk, rows int) error {
 	}
 	out.count += uint64(rows)
 	w.bytes += uint64(len(c))
-	if chunk.IsBatch(c) {
-		w.batches++
-	}
 	return nil
 }
 
@@ -362,9 +361,6 @@ func (w *Writer) flushMetrics() {
 	// update: at most 1/heavyAdmitFraction over the full stretches, every one
 	// but the last.
 	w.cfg.Obs.Counter("hurricane_shuffle_sketch_feeds_total", labels...).Add(w.feeds)
-	if w.batches > 0 {
-		w.cfg.Obs.Counter("hurricane_chunk_batches_total", labels...).Add(w.batches)
-	}
 	for _, out := range w.outs {
 		w.cfg.Obs.Counter("hurricane_shuffle_partition_records_total",
 			"job", w.cfg.Job, "edge", w.cfg.Edge, "part", out.name).Add(out.count)

@@ -380,14 +380,14 @@ func (s *sim) run() Result {
 				crashIdx++
 			}
 
-			// Start queued tasks as slots free up.
-			remainingQueue := queue[:0]
-			for _, r := range queue {
-				if !s.placeWorker(r) {
-					remainingQueue = append(remainingQueue, r)
-				}
+			// Start queued tasks, in order, as slots free up. Placement
+			// reads nothing of the task, so once one finds no slot none
+			// will.
+			placed := 0
+			for placed < len(queue) && s.placeWorker(queue[placed]) {
+				placed++
 			}
-			queue = remainingQueue
+			queue = queue[placed:]
 
 			// Compute rates and advance.
 			totalIO, workers := s.step(active)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
@@ -53,10 +54,13 @@ func (m *memBackend) destroy() error { return m.discard() }
 
 // diskBackend stores a bag as a single append-only file, mirroring the
 // paper's ext4-file-per-bag implementation: a file header (a magic number
-// and a format version), then each chunk as a 12-byte record header
-// (4-byte big-endian length, 8-byte big-endian chunk id) followed by its
-// payload. The record index is kept in memory and rebuilt from the file on
-// open, so a restarted storage node recovers its bags and their chunk ids.
+// and a format version), then each chunk as a 20-byte record header
+// followed by its payload. The record header holds, big-endian, the
+// payload's 4-byte length, the 8-byte chunk id, the payload's CRC-32C and
+// a CRC-32C of the three fields before it. The record index is kept in
+// memory and rebuilt from the file on open, so a restarted storage node
+// recovers its bags and their chunk ids; a header whose checksum fails
+// stops the open, and a payload whose checksum fails stops its read.
 type diskBackend struct {
 	f        *os.File
 	path     string
@@ -67,14 +71,23 @@ type diskBackend struct {
 	writeOff int64
 }
 
-// diskHeader is the size of a chunk's record header.
-const diskHeader = 12
+// diskHeader is the size of a chunk's record header: length, id, payload
+// checksum at diskSum, and the checksum of those at diskHeaderSum.
+const (
+	diskHeader    = 20
+	diskSum       = 12
+	diskHeaderSum = 16
+)
+
+// castagnoli is the CRC-32C table of the record checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // A bag file opens with diskMagic and a 4-byte big-endian format version,
 // diskFileHdr bytes in all; a file with another header is not read.
+// Version 2 added the record checksums.
 const (
 	diskMagic   = "HBAG"
-	diskVersion = 1
+	diskVersion = 2
 	diskFileHdr = 8
 )
 
@@ -103,8 +116,11 @@ func newDiskBackend(dir, bag string) (*diskBackend, error) {
 // reconstruct the index. A file is created before its header is written, so
 // one shorter than the header, or whose header is all zeros, is a header
 // write a crash cut short: it is rewritten and the bag opens empty. Likewise
-// a record that runs past the end of the file is the tail of a cut write: it
-// is ignored, and the next insert overwrites it.
+// a record header cut short by the end of the file, or a whole one whose
+// payload runs past it, is the tail of a cut write: it is ignored, and the
+// next insert overwrites it. A whole record header whose checksum fails is
+// not a cut write: the open fails, naming the file and the offset, rather
+// than drop that chunk and every chunk after it.
 func (d *diskBackend) rebuildIndex() error {
 	info, err := d.f.Stat()
 	if err != nil {
@@ -140,6 +156,9 @@ func (d *diskBackend) rebuildIndex() error {
 		if _, err := d.f.ReadAt(hdr[:], off); err != nil {
 			return err
 		}
+		if crc32.Checksum(hdr[:diskHeaderSum], castagnoli) != binary.BigEndian.Uint32(hdr[diskHeaderSum:]) {
+			return fmt.Errorf("storage: %s: record header at offset %d fails its checksum", d.path, off)
+		}
 		n := int32(binary.BigEndian.Uint32(hdr[:]))
 		if n < 0 {
 			return fmt.Errorf("storage: %s: record at offset %d has length %d", d.path, off, n)
@@ -166,6 +185,8 @@ func (d *diskBackend) insert(id uint64, chunk []byte) error {
 	var hdr [diskHeader]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(chunk)))
 	binary.BigEndian.PutUint64(hdr[4:], id)
+	binary.BigEndian.PutUint32(hdr[diskSum:], crc32.Checksum(chunk, castagnoli))
+	binary.BigEndian.PutUint32(hdr[diskHeaderSum:], crc32.Checksum(hdr[:diskHeaderSum], castagnoli))
 	if _, err := d.f.WriteAt(hdr[:], d.writeOff); err != nil {
 		return err
 	}
@@ -177,12 +198,17 @@ func (d *diskBackend) insert(id uint64, chunk []byte) error {
 	return nil
 }
 
+// read reads chunk i with its record header, in one read, and checks the
+// payload against the header's checksum.
 func (d *diskBackend) read(i int64) ([]byte, error) {
-	buf := make([]byte, d.sizes[i])
-	if _, err := d.f.ReadAt(buf, d.offsets[i]+diskHeader); err != nil {
+	buf := make([]byte, diskHeader+int(d.sizes[i]))
+	if _, err := d.f.ReadAt(buf, d.offsets[i]); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	if crc32.Checksum(buf[diskHeader:], castagnoli) != binary.BigEndian.Uint32(buf[diskSum:]) {
+		return nil, fmt.Errorf("storage: %s: chunk at offset %d fails its checksum", d.path, d.offsets[i])
+	}
+	return buf[diskHeader:], nil
 }
 
 func (d *diskBackend) meta(i int64) (uint64, int64) { return d.ids[i], int64(d.sizes[i]) }

@@ -391,6 +391,32 @@ func TestDiskBackendReopenChecksFile(t *testing.T) {
 			t.Fatalf("reopen of a file with a negative record length: %v", err)
 		}
 	})
+	t.Run("flipped length", func(t *testing.T) {
+		// The second record's length grows by 256: without its checksum
+		// the record would run past the end of the file, and the open
+		// would drop it and the third as a cut tail.
+		dir, path := write(t)
+		patch(t, path, second+2, []byte{0x01})
+		at := fmt.Sprintf("offset %d", second)
+		if err := open(t, dir); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), at) {
+			t.Fatalf("reopen of a file with a flipped record length: %v, want an error naming the file and %s", err, at)
+		}
+	})
+	t.Run("flipped payload", func(t *testing.T) {
+		dir, path := write(t)
+		patch(t, path, second+diskHeader+3, []byte{0xEE})
+		if err := open(t, dir); err != nil {
+			t.Fatal(err)
+		}
+		n := NewNode("s0", WithDir(dir))
+		if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); !resp.OK() || resp.ID != 10 {
+			t.Fatalf("the chunk before the flipped one: %+v", resp)
+		}
+		at := fmt.Sprintf("offset %d", second)
+		if resp := n.Handle(&transport.Request{Op: transport.OpRemove, Bag: "b"}); resp.OK() || !strings.Contains(resp.Err, at) {
+			t.Fatalf("read of a chunk with a flipped payload byte: %+v, want an error naming %s", resp, at)
+		}
+	})
 	t.Run("wrong version", func(t *testing.T) {
 		dir, path := write(t)
 		patch(t, path, int64(len(diskMagic)), []byte{0, 0, 0, diskVersion + 1})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bag"
-	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
@@ -26,27 +25,23 @@ type srcState struct {
 	eof        bool
 }
 
-// bagOut is the append pipeline into one physical bag: a chunk framer
-// flushing into a pipelined inserter.
+// bagOut is the append pipeline into one physical bag: the source's
+// encoder, flushing into a pipelined inserter.
 type bagOut struct {
-	name string
-	w    *chunk.Writer
-	ins  *bag.Inserter
+	name     string
+	add      func(i int) error
+	closeEnc func() error
+	ins      *bag.Inserter
 }
 
-func (h *Handle) newBagOut(name string) *bagOut {
-	ins := h.store.Bag(name).Inserter(h.ctx)
-	return &bagOut{
-		name: name,
-		ins:  ins,
-		w: chunk.NewWriter(h.store.ChunkSize(), func(c chunk.Chunk) error {
-			return ins.Insert(c)
-		}),
-	}
+func (h *Handle) newBagOut(name string, src Source) *bagOut {
+	o := &bagOut{name: name, ins: h.store.Bag(name).Inserter(h.ctx)}
+	o.add, o.closeEnc = src.encoder(h.store.ChunkSize(), o.ins.Insert)
+	return o
 }
 
 func (o *bagOut) close() error {
-	if err := o.w.Flush(); err != nil {
+	if err := o.closeEnc(); err != nil {
 		return fmt.Errorf("stream: flushing %s: %w", o.name, err)
 	}
 	if err := o.ins.Close(); err != nil {
@@ -85,7 +80,7 @@ func (h *Handle) pump(srcs []*srcState) {
 				continue
 			}
 			live++
-			recs, err := s.src.Poll(h.ctx)
+			n, err := s.src.poll(h.ctx)
 			if err == io.EOF {
 				s.eof = true
 				continue
@@ -100,19 +95,20 @@ func (h *Handle) pump(srcs []*srcState) {
 				h.drainSeal()
 				return
 			}
-			if len(recs) == 0 {
+			if n == 0 {
 				continue
 			}
 			progress = true
 			s.lastActive = time.Now()
-			for _, r := range recs {
-				if err := h.ingest(s, r); err != nil {
+			for i := range n {
+				t := s.src.time(i)
+				if err := h.ingest(s, i, t); err != nil {
 					h.failPump(err)
 					h.drainSeal()
 					return
 				}
-				if !s.seen || r.Time > s.wm {
-					s.wm, s.seen = r.Time, true
+				if !s.seen || t > s.wm {
+					s.wm, s.seen = t, true
 				}
 			}
 		}
@@ -189,21 +185,22 @@ func (h *Handle) liveWindow(idx int) *window {
 	return lw
 }
 
-// ingest appends one record to its window's live bag (creating window
-// and pipeline as needed). A record whose window already sealed is late:
-// it folds into the lowest open window.
-func (h *Handle) ingest(s *srcState, r Record) error {
+// ingest appends the last poll's record i, of event time t, to its
+// window's live bag (creating window and pipeline as needed). A record
+// whose window already sealed is late: it folds into the lowest open
+// window.
+func (h *Handle) ingest(s *srcState, i int, t int64) error {
 	if !h.originSet {
 		h.mu.Lock()
 		h.originSet = true
 		if h.spec.Origin != 0 {
 			h.origin = h.spec.Origin
 		} else {
-			h.origin = r.Time
+			h.origin = t
 		}
 		h.mu.Unlock()
 	}
-	idx := h.windowIndex(r.Time)
+	idx := h.windowIndex(t)
 	// nextSeal is written only by this goroutine (under mu, for Stats'
 	// benefit); reading our own writes needs no lock.
 	if idx < h.nextSeal {
@@ -213,10 +210,10 @@ func (h *Handle) ingest(s *srcState, r Record) error {
 	lw := h.liveWindow(idx)
 	out := lw.outs[s.bag]
 	if out == nil {
-		out = h.newBagOut(lw.job + "/" + s.bag)
+		out = h.newBagOut(lw.job+"/"+s.bag, s.src)
 		lw.outs[s.bag] = out
 	}
-	if err := out.w.Append(r.Data); err != nil {
+	if err := out.add(i); err != nil {
 		return err
 	}
 	lw.res.Records++

@@ -52,26 +52,26 @@ func seedsCluster(t *testing.T) (*core.Cluster, *transport.Faulty) {
 // newClickWindows scripts windows of Zipf(1.3) clicks, each the groupby
 // tuple (region, IP), one poll batch per window, and returns each window's
 // serial groupby.
-func newClickWindows(windows, perWindow int) (*sliceSource, []map[uint64]apps.GroupByResult) {
+func newClickWindows(windows, perWindow int) (stream.Source, []map[uint64]apps.GroupByResult) {
 	gen := workload.ClickLogGen{S: 1.3, Regions: 16, UniquePerRegion: 1 << 10, Seed: 21}
 	ips := gen.Generate(windows * perWindow)
-	src := &sliceSource{}
+	src := &sliceSource[hurricane.Pair[uint64, uint64]]{codec: apps.TupleCodec}
 	want := make([]map[uint64]apps.GroupByResult, windows)
 	for w := range want {
 		tuples := make([]workload.Tuple, perWindow)
-		batch := make([]stream.Record, perWindow)
+		batch := make([]stream.Record[hurricane.Pair[uint64, uint64]], perWindow)
 		for i, ip := range ips[w*perWindow : (w+1)*perWindow] {
 			tuples[i] = workload.Tuple{Key: uint64(workload.Geolocate(ip)), Payload: uint64(ip)}
-			batch[i] = stream.Record{
-				Time: testOrigin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
-				Data: apps.TupleCodec.Encode(nil, hurricane.Pair[uint64, uint64]{First: tuples[i].Key, Second: tuples[i].Payload}),
+			batch[i] = stream.Record[hurricane.Pair[uint64, uint64]]{
+				Time:  testOrigin + int64(w)*int64(time.Second) + int64(i)*int64(time.Second)/int64(perWindow+1),
+				Value: hurricane.Pair[uint64, uint64]{First: tuples[i].Key, Second: tuples[i].Payload},
 			}
 		}
 		want[w] = apps.SerialGroupBy(tuples)
 		src.push(batch...)
 	}
 	src.end()
-	return src, want
+	return src.source(), want
 }
 
 // TestStreamSeedsTravelWithSubmission: a window's warm-start seeds reach

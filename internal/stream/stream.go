@@ -41,28 +41,58 @@ import (
 	"time"
 
 	"repro/internal/bag"
+	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
 )
 
 // Record is one source record: an event-time stamp (unix nanoseconds) and
-// its encoded payload, appended verbatim — as one framed record — into the
-// window's source bag. Encode payloads with the same codec the window
-// application's tasks decode with.
-type Record struct {
-	Time int64
-	Data []byte
+// the value the window's source bag holds.
+type Record[T any] struct {
+	Time  int64
+	Value T
 }
 
-// Source delivers an unbounded record stream into one source bag of the
-// window application. The ingestion pump polls it from a single goroutine.
+// Source feeds one source bag of the window application: SourceOf builds
+// one. The ingestion pump polls it from a single goroutine.
 type Source interface {
-	// Poll returns the records currently available, or an empty batch when
-	// none are (the pump retries after its poll interval). Returning
-	// io.EOF ends the source permanently; any other error aborts the
-	// stream. Poll must respect ctx.
-	Poll(ctx context.Context) ([]Record, error)
+	// poll fetches the records now available and returns how many.
+	poll(ctx context.Context) (int, error)
+	// time is the event time of the last poll's record i.
+	time(i int) int64
+	// encoder opens an encoder of the bag's codec emitting chunks of size
+	// bytes: add appends the last poll's record i.
+	encoder(size int, emit func(chunk.Chunk) error) (add func(i int) error, close func() error)
+}
+
+// SourceOf returns the Source that feeds a source bag the values poll
+// returns, encoded with codec, the codec the window's tasks read the bag
+// with. poll returns the records now available, none when none are (the
+// pump polls again after pollInterval); io.EOF ends the source, any other
+// error aborts the stream, and poll must respect ctx. Every value is
+// encoded before the next poll.
+func SourceOf[T any](codec chunk.Codec[T], poll func(ctx context.Context) ([]Record[T], error)) Source {
+	return &typedSource[T]{codec: codec, next: poll}
+}
+
+type typedSource[T any] struct {
+	codec chunk.Codec[T]
+	next  func(context.Context) ([]Record[T], error)
+	recs  []Record[T] // the last poll's
+}
+
+func (s *typedSource[T]) poll(ctx context.Context) (int, error) {
+	recs, err := s.next(ctx)
+	s.recs = recs
+	return len(recs), err
+}
+
+func (s *typedSource[T]) time(i int) int64 { return s.recs[i].Time }
+
+func (s *typedSource[T]) encoder(size int, emit func(chunk.Chunk) error) (func(int) error, func() error) {
+	enc := chunk.NewEncoder(s.codec, size, func(c chunk.Chunk, _ int) error { return emit(c) })
+	return func(i int) error { return enc.Append(s.recs[i].Value) }, enc.Close
 }
 
 // pollInterval is the pump's idle sleep between source sweeps.

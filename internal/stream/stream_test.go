@@ -18,28 +18,32 @@ import (
 	"repro/internal/stream"
 )
 
-// sliceSource is a scripted Source: batches are pushed by the test and
+// sliceSource is a scripted source: batches are pushed by the test and
 // handed to the pump one per poll; end() makes it return io.EOF once
 // drained.
-type sliceSource struct {
+type sliceSource[T any] struct {
 	mu      sync.Mutex
-	batches [][]stream.Record
+	codec   hurricane.Codec[T]
+	batches [][]stream.Record[T]
 	done    bool
 }
 
-func (s *sliceSource) push(recs ...stream.Record) {
+// uintSource is a sliceSource of uint64 values.
+func uintSource() *sliceSource[uint64] { return &sliceSource[uint64]{codec: hurricane.Uint64Of} }
+
+func (s *sliceSource[T]) push(recs ...stream.Record[T]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.batches = append(s.batches, recs)
 }
 
-func (s *sliceSource) end() {
+func (s *sliceSource[T]) end() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done = true
 }
 
-func (s *sliceSource) Poll(ctx context.Context) ([]stream.Record, error) {
+func (s *sliceSource[T]) poll(ctx context.Context) ([]stream.Record[T], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.batches) == 0 {
@@ -53,15 +57,15 @@ func (s *sliceSource) Poll(ctx context.Context) ([]stream.Record, error) {
 	return b, nil
 }
 
+// source is the Source the stream polls.
+func (s *sliceSource[T]) source() stream.Source { return stream.SourceOf(s.codec, s.poll) }
+
 // at builds a record carrying value v at event time t (seconds scaled to
 // nanos from a fixed origin).
 const testOrigin = int64(1_000_000_000_000)
 
-func at(sec float64, v uint64) stream.Record {
-	return stream.Record{
-		Time: testOrigin + int64(sec*float64(time.Second)),
-		Data: hurricane.Uint64Of.Encode(nil, v),
-	}
+func at(sec float64, v uint64) stream.Record[uint64] {
+	return stream.Record[uint64]{Time: testOrigin + int64(sec*float64(time.Second)), Value: v}
 }
 
 // sumApp is the window DAG used by most tests: consume uint64 records
@@ -137,11 +141,11 @@ func TestStreamWindows(t *testing.T) {
 	cluster := testCluster(t)
 	defer cluster.Shutdown()
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "s",
 		App:     sumApp(),
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
@@ -153,7 +157,7 @@ func TestStreamWindows(t *testing.T) {
 	wantN := make([]uint64, windows)
 	wantSum := make([]uint64, windows)
 	for w := 0; w < windows; w++ {
-		var recs []stream.Record
+		var recs []stream.Record[uint64]
 		for i := 0; i < 200; i++ {
 			v := uint64(w*1000 + i)
 			recs = append(recs, at(float64(w)+float64(i)/250.0, v))
@@ -203,11 +207,11 @@ func TestStreamLateFold(t *testing.T) {
 	cluster := testCluster(t)
 	defer cluster.Shutdown()
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "fold",
 		App:     sumApp(),
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
@@ -271,11 +275,11 @@ func TestStreamIdleSourceTimeout(t *testing.T) {
 		},
 	})
 
-	active, idle := &sliceSource{}, &sliceSource{}
+	active, idle := uintSource(), uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "idle",
 		App:     app,
-		Sources: map[string]hurricane.StreamSource{"a": active, "b": idle},
+		Sources: map[string]hurricane.StreamSource{"a": active.source(), "b": idle.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
@@ -324,11 +328,11 @@ func TestStreamEventTimeGap(t *testing.T) {
 	cluster := testCluster(t)
 	defer cluster.Shutdown()
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "gap",
 		App:     sumApp(),
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
@@ -414,11 +418,11 @@ func TestStreamWindowRetry(t *testing.T) {
 		},
 	})
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "retry",
 		App:     app,
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
@@ -430,7 +434,7 @@ func TestStreamWindowRetry(t *testing.T) {
 	wantN := make([]uint64, windows)
 	wantSum := make([]uint64, windows)
 	for w := 0; w < windows; w++ {
-		var recs []stream.Record
+		var recs []stream.Record[uint64]
 		for i := 0; i < 100; i++ {
 			v := uint64(w*100 + i)
 			if w == 1 && i == 50 {
@@ -479,11 +483,11 @@ func TestStreamDrainSealsPartialWindow(t *testing.T) {
 	cluster := testCluster(t)
 	defer cluster.Shutdown()
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "drain",
 		App:     sumApp(),
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Hour, // the window would never seal by watermark
 		Origin:  testOrigin,
 	})
@@ -526,11 +530,11 @@ func TestStreamShutdownMidWindow(t *testing.T) {
 	ctx := testCtx(t)
 	cluster := testCluster(t)
 
-	src := &sliceSource{}
+	src := uintSource()
 	h, err := hurricane.RunStream(ctx, cluster, hurricane.StreamSpec{
 		Name:    "shut",
 		App:     sumApp(),
-		Sources: map[string]hurricane.StreamSource{"in": src},
+		Sources: map[string]hurricane.StreamSource{"in": src.source()},
 		Window:  time.Second,
 		Origin:  testOrigin,
 	})
