@@ -97,7 +97,7 @@ func schedCell() cell {
 		want:  counts{workload.KeyCounts(skewTuples), workload.KeyCounts(uniTuples)},
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(4, func(cfg *hurricane.ClusterConfig) {
-				cfg.Sched = hurricane.SchedConfig{Interval: 5 * time.Millisecond, DisableFairShare: arm == "unarbitrated"}
+				cfg.Sched.DisableFairShare = arm == "unarbitrated"
 			})
 			if err != nil {
 				return result{}, err
@@ -156,7 +156,6 @@ func streamCell() cell {
 			c, err := newCluster(8, func(cfg *hurricane.ClusterConfig) {
 				cfg.Node.OverloadThreshold = 0 // the default
 				cfg.Master = hurricane.MasterConfig{}
-				cfg.Sched = hurricane.SchedConfig{Interval: 5 * time.Millisecond}
 			})
 			if err != nil {
 				return result{}, err

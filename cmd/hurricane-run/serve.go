@@ -20,7 +20,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -90,7 +89,6 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 		client.Bind(transport.NewMeter(o, "client", "", 0))
 	}
 	cfg := runConfig(computes, slots)
-	cfg.Sched = sched.Config{Interval: 10 * time.Millisecond}
 	cfg.Obs = o
 	cluster := core.NewClusterOverStore(store, cfg)
 	defer cluster.Shutdown()

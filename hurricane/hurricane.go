@@ -119,7 +119,7 @@ type (
 	// JobState is a job's lifecycle state (queued, running, done, failed).
 	JobState = sched.State
 	// SchedConfig tunes the multi-job scheduler (ClusterConfig.Sched):
-	// admission limits, fair-share leasing, preemption cadence.
+	// admission limits and fair-share leasing.
 	SchedConfig = sched.Config
 )
 

@@ -26,7 +26,6 @@ func TestSubmitJobConcurrent(t *testing.T) {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 4 * time.Millisecond,
 		},
-		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,6 @@ func TestProfileZipfGroupBy(t *testing.T) {
 		Master: hurricane.MasterConfig{
 			CloneInterval: 5 * time.Millisecond,
 		},
-		Sched: hurricane.SchedConfig{Interval: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ func testClusterConfig() hurricane.ClusterConfig {
 			CloneInterval: 5 * time.Millisecond,
 			SplitInterval: 5 * time.Millisecond,
 		},
-		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	}
 }
 

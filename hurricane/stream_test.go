@@ -49,7 +49,6 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 10 * time.Millisecond,
 		},
-		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

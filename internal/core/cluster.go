@@ -41,8 +41,8 @@ type ClusterConfig struct {
 	Node   NodeConfig
 	Master MasterConfig
 
-	// Sched tunes the multi-job scheduler (admission control, fair-share
-	// slot leasing, preemption cadence).
+	// Sched tunes the multi-job scheduler (admission control and
+	// fair-share slot leasing).
 	Sched sched.Config
 
 	// Obs, when set, is the observer every layer of the cluster reports
@@ -68,7 +68,6 @@ func (c *ClusterConfig) fill() {
 		c.BatchFactor = bag.DefaultBatchFactor
 	}
 	c.Node.fill()
-	c.Sched.Fill()
 }
 
 // Cluster is an embedded Hurricane cluster. One cluster executes any
@@ -223,7 +222,9 @@ func (c *Cluster) ensurePoolLocked() {
 	}
 	c.nextComp = c.cfg.ComputeNodes
 	c.leases.SetTotal(c.totalSlotsLocked())
-	go c.schedLoop()
+	if c.leases.FairShare() {
+		go c.schedLoop()
+	}
 }
 
 // killTask terminates the job's running workers of (spec, epoch) on every

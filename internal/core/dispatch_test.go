@@ -261,9 +261,7 @@ func TestDispatchAfterResetResubmit(t *testing.T) {
 func TestDispatchWhenSlotFreesForNeighbor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	c := dispatchCluster(t, 2, func(cfg *ClusterConfig) {
-		cfg.Sched.Interval = time.Hour // no pass resamples demand meanwhile
-	})
+	c := dispatchCluster(t, 2, nil)
 	var startedA atomic.Int64
 	g0, g1 := make(chan struct{}), make(chan struct{})
 	ha, err := c.SubmitJob(ctx, gatesApp("a", &startedA, g0, g1), JobConfig{Name: "a"})
@@ -296,28 +294,44 @@ func TestDispatchWhenSlotFreesForNeighbor(t *testing.T) {
 }
 
 // TestDispatchWhenLeaseGateLifts: an idle node is turned away from job b's
-// blueprint — b is at its share and job a looks starved — and no slot of
-// b's frees anywhere. The gate lifts when the scheduling pass resamples a's
-// demand, or when a finishes and its share goes to b; either says so.
+// blueprint — b is at its share, and job a, below its share, has a
+// blueprint no node has claimed yet — and no slot of b's frees anywhere.
+// The gate lifts when a's blueprint is claimed, or when a finishes and its
+// share goes to b; either says so. (a finishes by its submitter's cancel:
+// a job that completes has claimed all its blueprints.)
 func TestDispatchWhenLeaseGateLifts(t *testing.T) {
-	for _, lift := range []string{"demand resampled", "neighbor finishes"} {
+	for _, lift := range []string{"blueprint claimed", "neighbor finishes"} {
 		t.Run(lift, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			c := dispatchCluster(t, 3, func(cfg *ClusterConfig) {
-				cfg.Sched.Interval = time.Hour // the test makes the passes
+			// a's blueprint is on its way to a node: the reply of the
+			// remove that claims it is held, so a's demand still counts it.
+			store, f := storeBehind(t)
+			held := f.Add(transport.Rule{
+				Match: transport.Match{Op: transport.OpRemove, Bag: "a/a!ready", Nth: 1, OK: true},
+				When:  transport.OnReply, Hold: "claim",
 			})
+			cfg := testClusterConfig()
+			cfg.ComputeNodes, cfg.SlotsPerNode = 3, 1
+			c := NewClusterOverStore(store, cfg)
+			defer c.Shutdown()
+			defer f.Fire("claim") // before Shutdown, which waits out the held claim
+			actx, cancelA := context.WithCancel(ctx)
+			defer cancelA()
 			var startedA atomic.Int64
 			gate := make(chan struct{})
-			ha, err := c.SubmitJob(ctx, gatesApp("a", &startedA, gate), JobConfig{Name: "a"})
+			ha, err := c.SubmitJob(actx, gatesApp("a", &startedA, gate), JobConfig{Name: "a"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sealedEmpty(t, ctx, c, ha.Bag("in0"))
-			waitFor(t, ctx, "job a's worker", func() bool { return startedA.Load() == 1 })
-			// A sample taken before a's blueprint was claimed: of 3 slots a's
-			// share is 2 once b arrives, so with demand 1 it looks starved.
-			c.leases.SetDemand("a", 1)
+			select {
+			case <-held:
+			case <-ctx.Done():
+				t.Fatal("job a's blueprint was never claimed")
+			}
+			// Of 3 slots a's share is 2 once b arrives: with its claim
+			// billed and its blueprint still counted, a looks starved.
 			var startedB atomic.Int64
 			hb, err := c.SubmitJob(ctx, rendezvousApp("b", 2, 2, true, &startedB), JobConfig{Name: "b"})
 			if err != nil {
@@ -329,19 +343,24 @@ func TestDispatchWhenLeaseGateLifts(t *testing.T) {
 			if got := startedB.Load(); got != 1 {
 				t.Fatalf("%d workers of job b started past its share with a neighbor starved, want 1", got)
 			}
-			if lift == "demand resampled" {
-				c.schedPass()
+			if lift == "blueprint claimed" {
+				f.Fire("claim")
 			} else {
-				close(gate)
+				cancelA()
 			}
 			if err := hb.Wait(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if lift == "demand resampled" {
+			if lift == "blueprint claimed" {
 				close(gate)
-			}
-			if err := ha.Wait(ctx); err != nil {
-				t.Fatal(err)
+				if err := ha.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				f.Fire("claim")
+				if err := ha.Wait(ctx); err == nil {
+					t.Error("job a completed after its submitter cancelled it")
+				}
 			}
 			noFallbackClaims(t, c)
 		})
@@ -385,6 +404,181 @@ func TestDispatchOfResumedJob(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond)
 	if err := second.Run(ctx, gatesApp("resumed", &started, open, open)); err != nil {
+		t.Fatal(err)
+	}
+	if started.Load() != 2 {
+		t.Errorf("%d task bodies ran, want 2", started.Load())
+	}
+	noFallbackClaims(t, second)
+}
+
+// TestLeaseDemandTracksReadyBag: a job's lease demand is counted where its
+// blueprints are pushed and claimed, and seeded from the ready bag when a
+// master starts. Gated workers hold the slots so that blueprints pile up,
+// and at every quiescent step the demand equals what a Sample of the ready
+// bag counts: after pushes with no slot free, after a claim, after a
+// recovery re-pushes at a new epoch (the stale blueprints count until they
+// are claimed), after a master crash and recovery, after the stale
+// blueprints are claimed, and for a job submitted over a ready bag that
+// already holds its blueprints.
+func TestLeaseDemandTracksReadyBag(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	settle := func(c *Cluster, h *JobHandle, want int64, step string) {
+		t.Helper()
+		ready := h.Master().WorkBags().readyName()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st, err := c.Store().Sample(ctx, ready)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := int64(c.leases.Stats(h.id).Demand)
+			if st.RemainingChunks() == want && got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the ready bag holds %d blueprints and the lease counts %d, want %d",
+					step, st.RemainingChunks(), got, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	c := dispatchCluster(t, 2, nil)
+	var blocked, started atomic.Int64
+	gb0, gb1 := make(chan struct{}), make(chan struct{})
+	hb, err := c.SubmitJob(ctx, gatesApp("blocker", &blocked, gb0, gb1), JobConfig{Name: "blocker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedEmpty(t, ctx, c, hb.Bag("in0"), hb.Bag("in1"))
+	waitFor(t, ctx, "the blocker to hold both slots", func() bool { return blocked.Load() == 2 })
+
+	// Three gated tasks share an output bag, so a recovery that restarts
+	// one restarts them all.
+	app := NewApp("j").Bag("out")
+	gates := make([]chan struct{}, 3)
+	for i := range gates {
+		gate := make(chan struct{})
+		gates[i] = gate
+		in := fmt.Sprintf("in%d", i)
+		app.SourceBag(in)
+		app.AddTask(TaskSpec{
+			Name: fmt.Sprintf("t%d", i), Inputs: []string{in}, Outputs: []string{"out"}, NoClone: true,
+			Run: func(tc *TaskCtx) error {
+				started.Add(1)
+				select {
+				case <-gate:
+					return nil
+				case <-tc.Context().Done():
+					return tc.Context().Err()
+				}
+			},
+		})
+	}
+	h, err := c.SubmitJob(ctx, app, JobConfig{Name: "j"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedEmpty(t, ctx, c, h.Bag("in0"), h.Bag("in1"), h.Bag("in2"))
+	settle(c, h, 3, "pushes with no slot free")
+
+	close(gb0)
+	waitFor(t, ctx, "a worker of job j", func() bool { return started.Load() == 1 })
+	settle(c, h, 2, "a claim")
+
+	var node string
+	waitFor(t, ctx, "the master to see j's worker", func() bool {
+		for _, task := range app.Tasks() {
+			if on := h.Master().RunningOn(task); len(on) > 0 {
+				node = on[0]
+			}
+		}
+		return node != ""
+	})
+	if err := c.CrashComputeNode(node); err != nil {
+		t.Fatal(err)
+	}
+	// Two blueprints of epoch 0 are left in the bag beside three of epoch 1.
+	settle(c, h, 5, "a recovery's re-push")
+	if got := h.Master().Stats().Recoveries; got < 1 {
+		t.Fatalf("%d recoveries, want at least 1", got)
+	}
+
+	if err := h.CrashMaster(); err != nil {
+		t.Fatal(err)
+	}
+	m := h.RecoverMaster(ctx)
+	if m == nil {
+		t.Fatal("no master recovered")
+	}
+	settle(c, h, 5, "a master crash and recovery")
+	// Until its replay reaches epoch 1 the successor cannot tell a stale
+	// blueprint from a fresh one.
+	waitFor(t, ctx, "the successor's replay", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, st := range m.tasks {
+			if st.epoch != 1 {
+				return false
+			}
+		}
+		return true
+	})
+
+	close(gb1) // and a slot for each of j's workers, and one to spare
+	for i := 0; i < 3; i++ {
+		if _, err := c.AddComputeNode(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, ctx, "job j's three workers", func() bool { return started.Load() == 4 })
+	settle(c, h, 0, "the stale blueprints claimed")
+	for _, gate := range gates {
+		close(gate)
+	}
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	noFallbackClaims(t, c)
+
+	// A job submitted over a ready bag that already holds its blueprints:
+	// its first cluster went away before any was claimed.
+	first := dispatchCluster(t, 1, nil)
+	gate := make(chan struct{})
+	defer close(gate)
+	if _, err := first.SubmitJob(ctx, gatesApp("blocker", &blocked, gate), JobConfig{Name: "blocker"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, ctx, "the only slot to be taken", func() bool { return blocked.Load() == 3 })
+	sealedEmpty(t, ctx, first, "in0", "in1")
+	started.Store(0)
+	open := make(chan struct{})
+	close(open)
+	if err := first.Start(ctx, gatesApp("resumed", &started, open, open)); err != nil {
+		t.Fatal(err)
+	}
+	settle(first, first.Job("resumed"), 2, "pushes with no slot free")
+	first.Shutdown()
+
+	cfg := testClusterConfig()
+	cfg.ComputeNodes, cfg.SlotsPerNode = 1, 1
+	second := NewClusterOverStore(first.Store(), cfg)
+	defer second.Shutdown()
+	g2 := make(chan struct{})
+	if _, err := second.SubmitJob(ctx, gatesApp("blocker", &blocked, g2), JobConfig{Name: "blocker2"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, ctx, "the second cluster's slot to be taken", func() bool { return blocked.Load() == 4 })
+	if err := second.Start(ctx, gatesApp("resumed", &started, open, open)); err != nil {
+		t.Fatal(err)
+	}
+	settle(second, second.Job("resumed"), 2, "a job submitted over its blueprints")
+	close(g2)
+	if err := second.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if started.Load() != 2 {
@@ -463,6 +657,9 @@ func TestBroadcastWakeCost(t *testing.T) {
 	// The removes on ready work bags are the task managers' claim polls.
 	store, f := storeBehind(t)
 	polls := counted(f, transport.Match{Op: transport.OpRemove, Bag: "!ready"})
+	// Samples of ready work bags: every master seeds its job's demand with
+	// one when it starts, and nothing else reads a ready bag's count.
+	samples := counted(f, transport.Match{Op: transport.OpSample, Bag: "!ready"})
 	cfg := testClusterConfig()
 	cfg.ComputeNodes, cfg.SlotsPerNode = idle+jobs, 1
 	c := NewClusterOverStore(store, cfg)
@@ -489,12 +686,15 @@ func TestBroadcastWakeCost(t *testing.T) {
 			}
 		}
 	}
-	before := settled()
+	before, sampledBefore := settled(), samples.Load()
 	for i := 0; i < raises; i++ {
 		c.wake.raise()
 		settled()
 	}
 	perRaise := float64(settled()-before) / raises
+	if n := samples.Load() - sampledBefore; n != 0 {
+		t.Errorf("%d ready-bag samples across %d raises, want 0: the scheduling pass reads no storage", n, raises)
+	}
 	t.Logf("broadcast wake: %d idle nodes x %d bound jobs: %.1f ready-bag removes per raise (n=%d, %d storage slot)",
 		idle, jobs, perRaise, raises, store.NumSlots())
 	if limit := float64(idle * jobs * store.NumSlots()); perRaise == 0 || perRaise > limit {

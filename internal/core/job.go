@@ -125,11 +125,12 @@ func (h *JobHandle) Stats() JobStats {
 	m := h.master
 	state := h.state
 	h.mu.Unlock()
+	ls := h.c.leases.Stats(h.id)
 	js := JobStats{
 		State:   state.String(),
 		Weight:  h.c.reg.Weight(h.id),
-		Share:   h.c.leases.Share(h.id),
-		Running: h.c.leases.Running(h.id),
+		Share:   ls.Share,
+		Running: ls.Running,
 	}
 	if m != nil {
 		js.Master = m.Stats()
@@ -354,7 +355,7 @@ func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
 			}
 		}
 	}
-	wb := newWorkBags(store, app.Name(), nil)
+	wb := newWorkBags(store, app.Name())
 	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
 		if err := store.Delete(ctx, n); err != nil {
 			return err
@@ -448,7 +449,7 @@ func appClaims(app *App) sched.NameClaims {
 			c.Derived = append(c.Derived, spec.Outputs[0]+"~p")
 		}
 	}
-	wb := newWorkBags(nil, app.Name(), nil)
+	wb := newWorkBags(nil, app.Name())
 	c.Exact = append(c.Exact, wb.readyName(), wb.runningName(), wb.doneName())
 	return c
 }
@@ -540,7 +541,7 @@ func (c *Cluster) newJobMaster(h *JobHandle) *Master {
 	if h.cfg.Master != nil {
 		mcfg = *h.cfg.Master
 	}
-	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.wake, c.obs, mcfg, c.cfg.Node.beat())
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.obs, mcfg, c.cfg.Node.beat())
 }
 
 // startJobLocked moves an admitted job into execution: build its master,
@@ -557,7 +558,6 @@ func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
 	for _, n := range c.computes {
 		n.Attach(h.id, h.app, m.WorkBags(), m)
 	}
-	c.wake.raise() // a resumed job's ready bag may already hold blueprints
 	m.Start(ctx)
 	go c.supervise(h)
 }
@@ -674,69 +674,31 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 func (c *Cluster) gcJob(h *JobHandle) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	wb := newWorkBags(c.store, h.app.Name(), nil)
+	wb := newWorkBags(c.store, h.app.Name())
 	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
 		_ = c.store.Delete(ctx, n)
 	}
 }
 
-// schedPass is one scheduling tick: sample every running job's unclaimed
-// ready blueprints into the lease allocator's demand signal, then run
-// the preemption plan — asking over-share jobs' masters to yield clone
-// workers toward starved jobs' deficits.
-func (c *Cluster) schedPass() {
-	type item struct {
-		h     *JobHandle
-		m     *Master
-		ready string
-	}
-	c.mu.Lock()
-	items := make([]item, 0, len(c.jobs))
-	for _, h := range c.jobs {
-		h.mu.Lock()
-		if h.state == sched.StateRunning && h.master != nil {
-			items = append(items, item{h, h.master, h.master.WorkBags().readyName()})
-		}
-		h.mu.Unlock()
-	}
-	c.mu.Unlock()
-	if len(items) == 0 {
-		return
-	}
-	ctx, cancel := context.WithTimeout(c.poolCtx, 5*time.Second)
-	defer cancel()
-	moved := false
-	for _, it := range items {
-		pending := 0
-		if st, err := c.store.Sample(ctx, it.ready); err == nil {
-			pending = int(st.RemainingChunks())
-		}
-		moved = c.leases.SetDemand(it.h.id, pending) || moved
-	}
-	if c.leases.FairShare() {
-		if moved && len(items) > 1 {
-			c.wake.raise() // who is starved changed: a denied claim may pass now
-		}
-		plan := c.leases.Plan()
-		for _, it := range items {
-			if n := plan[it.h.id]; n > 0 {
-				c.obs.Counter("hurricane_sched_preemptions_total", "job", it.h.id).Inc()
-				c.obs.Emit(obs.EvLeasePreempt, it.h.id, it.h.id, fmt.Sprintf("yield=%d", n))
-				it.m.YieldClones(n)
+// schedLoop asks over-share jobs' masters to yield clone workers toward
+// starved jobs' deficits on every raise of the wake, taken before the pass
+// so that a raise mid-pass sends it round again. It makes no storage call
+// and raises nothing; yields in flight cover the plans of later passes.
+func (c *Cluster) schedLoop() {
+	for {
+		woken := c.wake.wait()
+		for id, n := range c.leases.Plan() {
+			if h := c.Job(id); h != nil {
+				if y := h.Master().YieldClones(n); y > 0 {
+					c.obs.Counter("hurricane_sched_preemptions_total", "job", id).Inc()
+					c.obs.Emit(obs.EvLeasePreempt, id, id, fmt.Sprintf("yield=%d", y))
+				}
 			}
 		}
-	}
-}
-
-func (c *Cluster) schedLoop() {
-	t := time.NewTicker(c.cfg.Sched.Interval)
-	defer t.Stop()
-	for {
 		select {
 		case <-c.poolCtx.Done():
 			return
-		case <-t.C:
-			c.schedPass()
+		case <-woken:
 		}
 	}
 }
@@ -764,6 +726,28 @@ func (jc *jobControl) FreeSlots() int { return jc.c.FreeSlots() }
 
 // TotalSlots reports the total worker slots cluster-wide.
 func (jc *jobControl) TotalSlots() int { return jc.c.TotalSlots() }
+
+// pushed counts a blueprint the master inserted into the ready bag as
+// lease demand and wakes the task managers to claim it.
+func (jc *jobControl) pushed() {
+	jc.c.leases.MoveDemand(jc.job, 1, sched.Delta)
+	jc.c.wake.raise()
+}
+
+// seedDemand sets the job's lease demand to what the ready bag holds,
+// bracketing its Sample with the job's claim count so that a claim during
+// the Sample is not counted twice, then wakes the task managers: the bag
+// may hold blueprints a predecessor pushed.
+func (jc *jobControl) seedDemand(ctx context.Context, ready string) error {
+	seed := jc.c.leases.Stats(jc.job).Claims
+	st, err := jc.c.store.Sample(ctx, ready)
+	if err != nil {
+		return fmt.Errorf("core: seeding lease demand from %s: %w", ready, err)
+	}
+	jc.c.leases.MoveDemand(jc.job, int(st.RemainingChunks()), seed)
+	jc.c.wake.raise()
+	return nil
+}
 
 // YieldWorker asks the named compute node to preempt the job's worker
 // identified by blueprint ID at its next chunk boundary (fair-share clone

@@ -167,19 +167,19 @@ func (mo *masterObs) emit(typ obs.EventType, subject, detail string) {
 	mo.o.Emit(typ, mo.job, subject, detail)
 }
 
-// newMaster creates a master for the app of control's job, raising the
-// cluster's wake wk for each blueprint it pushes. The app is validated, its
-// source bags sealed. o receives the master's metrics (labeled by job) and
+// newMaster creates a master for the app of control's job, which it tells
+// of each blueprint it pushes. The app is validated, its source bags
+// sealed. o receives the master's metrics (labeled by job) and
 // decision trace events; nil disables instrumentation (every update site
 // degrades to a nil check). beat is the compute nodes' heartbeat period,
 // from which the master derives its failure timeout.
-func newMaster(app *App, store *bag.Store, control *jobControl, wk *wake, o *obs.Observer, cfg MasterConfig, beat time.Duration) *Master {
+func newMaster(app *App, store *bag.Store, control *jobControl, o *obs.Observer, cfg MasterConfig, beat time.Duration) *Master {
 	cfg.fill()
 	job := control.job
 	m := &Master{
 		app:         app,
 		store:       store,
-		wb:          newWorkBags(store, app.Name(), wk),
+		wb:          newWorkBags(store, app.Name()),
 		cfg:         cfg,
 		control:     control,
 		tasks:       make(map[string]*taskState),
@@ -355,6 +355,9 @@ func (m *Master) nudge(bag ctrl.Cause) { m.hub.Raise(bag) }
 // master learns from its own blueprints as from a predecessor's.
 func (m *Master) pushReady(bp *Blueprint) error {
 	err := m.wb.pushReady(m.ctx, bp)
+	if err == nil {
+		m.control.pushed()
+	}
 	m.hub.Raise(ctrl.CauseReady)
 	return err
 }
@@ -392,8 +395,12 @@ func (m *Master) loop() {
 }
 
 // run ticks on what the hub's causes name and sleeps until the next cause or
-// timed pass. It returns nil once the job is done.
+// timed pass, seeding the job's lease demand before it pushes anything. It
+// returns nil once the job is done.
 func (m *Master) run() error {
+	if err := m.control.seedDemand(m.ctx, m.wb.readyName()); err != nil {
+		return err
+	}
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	causes := ctrl.CauseRecords // the replay: every record bag from index 0

@@ -39,7 +39,6 @@ func TestTwoConcurrentJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Sched.Interval = 2 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +400,6 @@ func TestMultiJobComputeChurn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cfg := testClusterConfig()
-	cfg.Sched.Interval = 2 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +615,6 @@ func TestFairShareYieldsClones(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			cfg := testClusterConfig()
-			cfg.Sched.Interval = 2 * time.Millisecond
 			cfg.Master.CloneInterval = 2 * time.Millisecond
 			cfg.Node.MonitorInterval = 2 * time.Millisecond
 			cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
@@ -629,8 +626,8 @@ func TestFairShareYieldsClones(t *testing.T) {
 
 			const nA, nB = 60000, 8000
 			var procA, procB atomic.Int64
-			// ~40µs/record: the greedy job stays saturated for hundreds of
-			// scheduler ticks after the modest job arrives.
+			// ~40µs/record: the greedy job stays saturated long after the
+			// modest job arrives.
 			hA, err := cluster.SubmitJob(ctx, greedy.app(&procA, 40_000), JobConfig{Name: "greedy"})
 			if err != nil {
 				t.Fatal(err)

@@ -102,7 +102,7 @@ func TestReplayOrderFree(t *testing.T) {
 	// replay folds the bags into a fresh master, each bag's records in the
 	// order shuffle leaves them.
 	replay := func(shuffle func([]chunk.Chunk)) *Master {
-		m := newMaster(h.app, c.Store(), &jobControl{c: c, job: h.id}, c.wake, nil, MasterConfig{}, cfg.Node.beat())
+		m := newMaster(h.app, c.Store(), &jobControl{c: c, job: h.id}, nil, MasterConfig{}, cfg.Node.beat())
 		absorb := [3]func(chunk.Chunk) error{m.absorbReady, m.absorbRunning, m.absorbDone}
 		for i := range bags {
 			recs := slices.Clone(bags[i])

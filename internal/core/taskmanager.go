@@ -419,7 +419,8 @@ func (n *ComputeNode) claimOne() bool {
 	n.sweep.Lock()
 	defer n.sweep.Unlock()
 	n.mu.Lock()
-	free := !n.draining && len(n.workers) < n.slots
+	// A crashed node claims nothing, though its killed workers' exits wake it.
+	free := !n.crashed && !n.draining && len(n.workers) < n.slots
 	n.mu.Unlock()
 	if !free {
 		return false
@@ -434,6 +435,9 @@ func (n *ComputeNode) claimOne() bool {
 			// (the ready bag is never sealed); treat both as idle.
 			n.leases.Release(b.job)
 			continue
+		}
+		if n.leases.MoveDemand(b.job, -1, sched.Delta) {
+			n.wake.raise() // the job stopped being starved: a denied claim may pass now
 		}
 		n.startWorker(b, bp)
 		return true

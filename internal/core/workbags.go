@@ -18,17 +18,16 @@ import (
 // scheduling has no single point of control in the data path.
 //
 // The bags carry all scheduling state — what to run, what ran — and are
-// what a recovered master replays. The wake beside them carries none: it
+// what a recovered master replays. The cluster's wake carries none: it
 // tells the task managers to look now rather than on a timer, and losing
 // one costs latency (their fallback sweep), never correctness.
 type workBags struct {
-	store *bag.Store
+	store *bag.Store // nil where only the names are used
 	app   string
-	wake  *wake // raised after every pushReady; nil where only the names are used
 }
 
-func newWorkBags(store *bag.Store, app string, wk *wake) *workBags {
-	return &workBags{store: store, app: app, wake: wk}
+func newWorkBags(store *bag.Store, app string) *workBags {
+	return &workBags{store: store, app: app}
 }
 
 // wake broadcasts "look now" to everything that waits on the cluster's
@@ -37,7 +36,9 @@ func newWorkBags(store *bag.Store, app string, wk *wake) *workBags {
 // a raise announces, so a raise landing between its look and its block is
 // never lost. One wake serves the whole cluster: raised when a master
 // pushes a blueprint, when a worker exits (its slot and its job's lease
-// token are free), and when fair shares or a job's bindings change. A raise
+// token are free), when a master seeds its job's demand or a claim ends a
+// job's starvation, and when fair shares or a job's bindings change. The scheduler's preemption
+// pass waits on it too, and raises nothing. A raise
 // costs one ready-bag remove per bound job (per storage slot) on every node
 // with an idle slot, and none on a busy one: fewer than the old 5 ms poll's
 // below ~200 raises/s. Measured at 16 idle nodes x 8 bound jobs x 1 slot:
@@ -63,14 +64,12 @@ func (w *workBags) readyName() string   { return w.app + "!ready" }
 func (w *workBags) runningName() string { return w.app + "!running" }
 func (w *workBags) doneName() string    { return w.app + "!done" }
 
-// pushReady schedules a blueprint by inserting it into the ready bag, then
-// wakes the task managers to claim it.
+// pushReady schedules a blueprint by inserting it into the ready bag.
 func (w *workBags) pushReady(ctx context.Context, bp *Blueprint) error {
 	h := w.store.Bag(w.readyName())
 	if err := h.Insert(ctx, bp.Encode()); err != nil {
 		return fmt.Errorf("core: scheduling %s: %w", bp.ID, err)
 	}
-	w.wake.raise()
 	return nil
 }
 

@@ -14,6 +14,8 @@ import (
 // its fair share while no other job is starved (starved = has unclaimed
 // ready blueprints and runs below its share), but the moment a neighbor
 // starves, over-share jobs stop acquiring and become preemption targets.
+// A job's unclaimed ready blueprints are counted where they change: the
+// master's push adds one and a node's claim takes one (MoveDemand).
 type Leases struct {
 	mu       sync.Mutex
 	disabled bool
@@ -25,8 +27,11 @@ type Leases struct {
 type lease struct {
 	weight  int
 	running int // slots currently claimed cluster-wide
-	demand  int // unclaimed ready blueprints (sampled)
 	share   int // current fair-share allotment
+	// demand may dip below 0 while a claim lands between a push's
+	// insert and its count: it is read floored.
+	demand int
+	claims int64
 
 	// cached per-job metric handles (nil-safe no-ops when unobserved)
 	mGrants  *obs.Counter
@@ -87,18 +92,38 @@ func (l *Leases) Remove(job string) {
 	l.reshare()
 }
 
-// SetDemand records a job's sampled demand: the number of ready
-// blueprints no node has claimed yet. It reports whether the demand
-// changed — which can change who Acquire turns away.
-func (l *Leases) SetDemand(job string, pending int) bool {
+// Delta is the seed argument of a MoveDemand that changes the demand by n.
+const Delta int64 = -1
+
+// MoveDemand changes a job's demand, its ready blueprints no node has
+// claimed. With seed Delta, n is a change: +1 per push, -1 per claim.
+// Otherwise n is a Sample of the ready bag taken after Stats read Claims
+// as seed, and the demand becomes n less the claims since: a claim racing
+// the Sample may leave it one short, never one over. It reports whether
+// the job stopped being starved, when an Acquire it turned away may pass.
+func (l *Leases) MoveDemand(job string, n int, seed int64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	j := l.jobs[job]
-	if j == nil || j.demand == pending {
+	if j == nil {
 		return false
 	}
-	j.demand = pending
-	return true
+	starved := j.unmet() > 0
+	if seed == Delta {
+		j.demand += n
+		if n < 0 {
+			j.claims -= int64(n)
+		}
+	} else {
+		j.demand = n - int(j.claims-seed)
+	}
+	return starved && j.unmet() == 0
+}
+
+// unmet is the demand the job cannot place within its share: above 0
+// exactly when the job is starved.
+func (j *lease) unmet() int {
+	return max(0, min(j.share-j.running, j.demand))
 }
 
 // reshare recomputes fair shares: floor(total · w/W) per job, remainder
@@ -171,31 +196,30 @@ func (l *Leases) Release(job string) {
 // cannot place within its fair share.
 func (l *Leases) anyStarvedLocked(skip string) bool {
 	for id, j := range l.jobs {
-		if id != skip && j.demand > 0 && j.running < j.share {
+		if id != skip && j.unmet() > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Running reports the slots currently billed to the job.
-func (l *Leases) Running(job string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if j := l.jobs[job]; j != nil {
-		return j.running
-	}
-	return 0
+// LeaseStats is a job's lease as it stands; zero for a job not leased.
+type LeaseStats struct {
+	Share   int   // fair-share allotment
+	Running int   // slots billed
+	Demand  int   // unclaimed ready blueprints
+	Claims  int64 // claims counted, which a seed reads before its Sample
 }
 
-// Share reports the job's current fair-share allotment.
-func (l *Leases) Share(job string) int {
+// Stats snapshots the job's lease.
+func (l *Leases) Stats(job string) LeaseStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if j := l.jobs[job]; j != nil {
-		return j.share
+	j := l.jobs[job]
+	if j == nil {
+		return LeaseStats{}
 	}
-	return 0
+	return LeaseStats{Share: j.share, Running: j.running, Demand: max(0, j.demand), Claims: j.claims}
 }
 
 // Priorities snapshots the claim order for a set of jobs in one lock
@@ -262,14 +286,7 @@ func (l *Leases) Plan() map[string]int {
 	sort.Strings(ids)
 	deficit := 0
 	for _, id := range ids {
-		j := l.jobs[id]
-		if j.demand > 0 && j.running < j.share {
-			want := j.share - j.running
-			if j.demand < want {
-				want = j.demand
-			}
-			deficit += want
-		}
+		deficit += l.jobs[id].unmet()
 	}
 	if deficit == 0 {
 		return nil

@@ -33,7 +33,6 @@ type regEntry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry(cfg Config) *Registry {
-	cfg.Fill()
 	return &Registry{cfg: cfg, jobs: make(map[string]*regEntry)}
 }
 

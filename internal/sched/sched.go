@@ -22,12 +22,11 @@
 //
 // Like internal/ctrl, this package deliberately does not import
 // internal/core: all state it needs is pushed in (slot totals, running
-// counts, demand probes), and all state it changes is returned as
+// counts, each blueprint pushed to or claimed from a ready bag), and all
+// state it changes is returned as
 // decisions (admit lists, claim verdicts, preemption plans). That keeps
 // the fair-share math unit-testable with no cluster behind it.
 package sched
-
-import "time"
 
 // Config tunes the multi-job scheduler.
 type Config struct {
@@ -42,16 +41,6 @@ type Config struct {
 	// nodes claim blueprints from any job's ready bag as slots free up
 	// (the unarbitrated baseline the sched benchmark measures against).
 	DisableFairShare bool
-	// Interval is the cadence of the cluster's scheduling pass (demand
-	// sampling and preemption planning). Default 20ms.
-	Interval time.Duration
-}
-
-// Fill applies defaults.
-func (c *Config) Fill() {
-	if c.Interval <= 0 {
-		c.Interval = 20 * time.Millisecond
-	}
 }
 
 // State is a job's lifecycle state in the registry.

@@ -115,21 +115,21 @@ func TestLeaseShares(t *testing.T) {
 	l.SetTotal(8)
 	l.Add("a", 1)
 	l.Add("b", 1)
-	if sa, sb := l.Share("a"), l.Share("b"); sa != 4 || sb != 4 {
+	if sa, sb := l.Stats("a").Share, l.Stats("b").Share; sa != 4 || sb != 4 {
 		t.Fatalf("equal-weight shares = %d/%d, want 4/4", sa, sb)
 	}
 	l.Add("c", 2)
 	// W=4, total 8: a=2, b=2, c=4.
-	if sa, sb, sc := l.Share("a"), l.Share("b"), l.Share("c"); sa != 2 || sb != 2 || sc != 4 {
+	if sa, sb, sc := l.Stats("a").Share, l.Stats("b").Share, l.Stats("c").Share; sa != 2 || sb != 2 || sc != 4 {
 		t.Fatalf("weighted shares = %d/%d/%d, want 2/2/4", sa, sb, sc)
 	}
 	l.Remove("c")
-	if sa := l.Share("a"); sa != 4 {
+	if sa := l.Stats("a").Share; sa != 4 {
 		t.Fatalf("share after removal = %d, want 4", sa)
 	}
 	// Shares never drop below 1 even when jobs outnumber slots.
 	l.SetTotal(1)
-	if sa, sb := l.Share("a"), l.Share("b"); sa < 1 || sb < 1 {
+	if sa, sb := l.Stats("a").Share, l.Stats("b").Share; sa < 1 || sb < 1 {
 		t.Fatalf("minimum share violated: %d/%d", sa, sb)
 	}
 }
@@ -145,11 +145,11 @@ func TestLeaseBorrowAndStarve(t *testing.T) {
 			t.Fatalf("work-conserving acquire %d denied", i)
 		}
 	}
-	if l.Running("a") != 4 {
-		t.Fatalf("running(a) = %d, want 4", l.Running("a"))
+	if l.Stats("a").Running != 4 {
+		t.Fatalf("running(a) = %d, want 4", l.Stats("a").Running)
 	}
 	// b becomes starved: a (over share) may not acquire further...
-	l.SetDemand("b", 3)
+	l.MoveDemand("b", 3, Delta)
 	if l.Acquire("a") {
 		t.Fatal("over-share acquire allowed with starved neighbor")
 	}
@@ -173,7 +173,9 @@ func TestLeaseBorrowAndStarve(t *testing.T) {
 	// Releases drain a back to its share; no more preemption needed.
 	l.Release("a")
 	l.Release("a")
-	l.SetDemand("b", 0)
+	for i := 0; i < 3; i++ {
+		l.MoveDemand("b", -1, Delta) // b's three blueprints are claimed
+	}
 	if plan := l.Plan(); len(plan) != 0 {
 		t.Fatalf("plan with no demand = %v, want empty", plan)
 	}
@@ -184,7 +186,7 @@ func TestLeaseDisabledPassThrough(t *testing.T) {
 	l.SetTotal(2)
 	l.Add("a", 1)
 	l.Add("b", 1)
-	l.SetDemand("b", 10)
+	l.MoveDemand("b", 10, Delta)
 	for i := 0; i < 5; i++ {
 		if !l.Acquire("a") {
 			t.Fatal("disabled leases must never gate claims")
@@ -207,8 +209,57 @@ func TestLeasePlanDeficitCappedByDemand(t *testing.T) {
 		l.Acquire("a")
 	}
 	// b wants only one slot although its share is 4: yield just one.
-	l.SetDemand("b", 1)
+	l.MoveDemand("b", 1, Delta)
 	if plan := l.Plan(); plan["a"] != 1 {
 		t.Fatalf("plan = %v, want a:1 (deficit capped by demand)", plan)
+	}
+}
+
+func TestLeaseMoveDemand(t *testing.T) {
+	l := NewLeases(false)
+	l.SetTotal(4)
+	l.Add("a", 1)
+	l.Add("b", 1)
+	// b's two pushes starve it; the first claim leaves it starved, the
+	// second ends the starvation, and only that one says so.
+	for i := 0; i < 2; i++ {
+		if l.MoveDemand("b", 1, Delta) {
+			t.Fatal("a push reported a starvation ended")
+		}
+	}
+	if l.MoveDemand("b", -1, Delta) {
+		t.Fatal("a claim that leaves b starved reported it ended")
+	}
+	if !l.MoveDemand("b", -1, Delta) {
+		t.Fatal("the claim that ends b's starvation did not say so")
+	}
+	if got := l.Stats("b").Claims; got != 2 {
+		t.Fatalf("claims(b) = %d, want 2", got)
+	}
+	// A claim landing before the push that counts it: the demand reads 0
+	// meanwhile and is right once the push is counted.
+	l.MoveDemand("a", -1, Delta)
+	if got := l.Stats("a").Demand; got != 0 {
+		t.Fatalf("demand(a) after an early claim = %d, want 0", got)
+	}
+	l.MoveDemand("a", 1, Delta)
+	if got := l.Stats("a").Demand; got != 0 {
+		t.Fatalf("demand(a) after its push = %d, want 0", got)
+	}
+	// A seed brackets its Sample with the claim count: a claim counted
+	// during the Sample comes off what it counted.
+	seed := l.Stats("b").Claims
+	l.MoveDemand("b", -1, Delta) // claimed while the Sample ran
+	l.MoveDemand("b", 3, seed)   // the Sample saw 3
+	if got := l.Stats("b").Demand; got != 2 {
+		t.Fatalf("seeded demand(b) = %d, want 2", got)
+	}
+	// A running job below its share whose seed finds nothing left stops
+	// being starved.
+	if !l.MoveDemand("b", 0, l.Stats("b").Claims) {
+		t.Fatal("a seed that ends b's starvation did not say so")
+	}
+	if l.MoveDemand("gone", 1, Delta) || l.Stats("gone").Demand != 0 {
+		t.Fatal("an unknown job has demand")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/bag"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/shuffle"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -43,7 +42,6 @@ func seedsCluster(t *testing.T) (*core.Cluster, *transport.Faulty) {
 			CloneInterval: 10 * time.Millisecond,
 			SplitInterval: 5 * time.Millisecond,
 		},
-		Sched: sched.Config{Interval: 5 * time.Millisecond},
 	})
 	t.Cleanup(cluster.Shutdown)
 	return cluster, f

@@ -119,7 +119,6 @@ func testCluster(t *testing.T) *hurricane.Cluster {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 10 * time.Millisecond,
 		},
-		Sched: hurricane.SchedConfig{Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

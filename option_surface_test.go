@@ -33,7 +33,6 @@ var optionSurface = []string{
 	"SchedConfig.MaxConcurrent",
 	"SchedConfig.MaxQueued",
 	"SchedConfig.DisableFairShare",
-	"SchedConfig.Interval",
 
 	"JobConfig.Name",
 	"JobConfig.Raw",
