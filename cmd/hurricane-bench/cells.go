@@ -155,7 +155,7 @@ func streamCell() cell {
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(8, func(cfg *hurricane.ClusterConfig) {
 				cfg.Node.OverloadThreshold = 0 // the default
-				cfg.Master = hurricane.MasterConfig{}
+				cfg.Master = hurricane.MasterConfig{CloneInterval: 10 * time.Millisecond, SplitInterval: 5 * time.Millisecond}
 			})
 			if err != nil {
 				return result{}, err
@@ -172,7 +172,6 @@ func streamCell() cell {
 				Origin:      origin,
 				MaxInFlight: 1, // one window at a time: each latency is its own
 				ColdStart:   arm == "cold",
-				Master:      &hurricane.MasterConfig{CloneInterval: 10 * time.Millisecond, SplitInterval: 5 * time.Millisecond},
 			})
 			if err != nil {
 				return result{}, err

@@ -95,7 +95,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	job, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{Raw: true, Retain: true})
+	job, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{Raw: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,9 +135,7 @@ func main() {
 
 	waitProgress(processed.Load() + n/10)
 	fmt.Printf("t+%-4d crash the application master (replay from done bag)\n", processed.Load())
-	if err := job.CrashMaster(); err != nil {
-		log.Fatal(err)
-	}
+	job.CrashMaster()
 	time.Sleep(20 * time.Millisecond)
 	job.RecoverMaster(ctx)
 	fmt.Println("       master recovered")

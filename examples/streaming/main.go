@@ -35,6 +35,7 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		ChunkSize:    16 << 10,
+		Master:       hurricane.MasterConfig{SplitInterval: 10 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -68,9 +69,6 @@ func main() {
 		Window:      time.Second,
 		Origin:      origin,
 		MaxInFlight: 1, // sequential windows so every successor is warm-started
-		Master: &hurricane.MasterConfig{
-			SplitInterval: 10 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -109,23 +109,23 @@ func NewApp(name string) *App { return core.NewApp(name) }
 // namespacing disabled.
 type (
 	// JobConfig tunes one job submission (name, namespace, fair-share
-	// weight, per-job master overrides).
+	// weight, seed partition maps). Every job's master runs under the
+	// cluster's MasterConfig.
 	JobConfig = core.JobConfig
 	// JobHandle is the caller's grip on a submitted job: Bag (name
 	// mapping), Wait, Err, Stats, Discard.
 	JobHandle = core.JobHandle
 	// JobStats reports a job's scheduling state and master counters.
 	JobStats = core.JobStats
-	// JobState is a job's lifecycle state (queued, running, done, failed).
+	// JobState is a job's lifecycle state (running, done, failed).
 	JobState = sched.State
 	// SchedConfig tunes the multi-job scheduler (ClusterConfig.Sched):
-	// admission limits and fair-share leasing.
+	// fair-share leasing.
 	SchedConfig = sched.Config
 )
 
 // JobState values, comparable against JobHandle.State().
 const (
-	JobQueued  = sched.StateQueued
 	JobRunning = sched.StateRunning
 	JobDone    = sched.StateDone
 	JobFailed  = sched.StateFailed

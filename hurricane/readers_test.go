@@ -73,10 +73,7 @@ func checkTaskReaders[T any](t *testing.T, ctx context.Context, cluster *hurrica
 				})
 			},
 		})
-		h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{
-			Name:   fmt.Sprintf("%s-%s", name, view),
-			Master: &hurricane.MasterConfig{Policies: []hurricane.Policy{}},
-		})
+		h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{Name: fmt.Sprintf("%s-%s", name, view)})
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -136,6 +133,7 @@ func TestReadersAgreeAcrossLayouts(t *testing.T) {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 4 * time.Millisecond,
 		},
+		Master: hurricane.MasterConfig{Policies: []hurricane.Policy{}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,10 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 10 * time.Millisecond,
 		},
+		Master: hurricane.MasterConfig{
+			CloneInterval: 10 * time.Millisecond,
+			SplitInterval: 5 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +97,6 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		// Seeding uses the latest *finished* window's memory; serialize
 		// windows so every successor deterministically has one.
 		MaxInFlight: 1,
-		Master: &hurricane.MasterConfig{
-			CloneInterval: 10 * time.Millisecond,
-			SplitInterval: 5 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

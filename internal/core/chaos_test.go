@@ -61,9 +61,7 @@ func TestMasterChaosRecovery(t *testing.T) {
 					break
 				}
 				tally()
-				if err := cluster.Job(app.Name()).CrashMaster(); err != nil {
-					t.Fatal(err)
-				}
+				cluster.Job(app.Name()).CrashMaster()
 				time.Sleep(3 * time.Millisecond)
 				cluster.Job(app.Name()).RecoverMaster(ctx)
 			}
@@ -120,9 +118,7 @@ func TestCombinedChaos(t *testing.T) {
 	}
 	close(gate)
 	waitFor(t, ctx, "the silent node declared dead", func() bool { return cluster.Master().Stats().Recoveries > 0 })
-	if err := cluster.Job(app.Name()).CrashMaster(); err != nil {
-		t.Fatal(err)
-	}
+	cluster.Job(app.Name()).CrashMaster()
 	time.Sleep(5 * time.Millisecond)
 	cluster.Job(app.Name()).RecoverMaster(ctx)
 
@@ -166,9 +162,7 @@ func TestMasterAndNodeCrashTogether(t *testing.T) {
 	}
 	h := cluster.Job(app.Name())
 	victim := runningNode(t, ctx, h.Master(), "copy")
-	if err := h.CrashMaster(); err != nil {
-		t.Fatal(err)
-	}
+	h.CrashMaster()
 	if err := cluster.CrashComputeNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +215,7 @@ func TestNamespacedMasterRecovery(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	crashed := ha.Master()
-	if err := ha.CrashMaster(); err != nil {
-		t.Fatal(err)
-	}
+	ha.CrashMaster()
 	// Compute nodes keep draining both jobs' ready bags during the outage.
 	time.Sleep(10 * time.Millisecond)
 	if m := ha.RecoverMaster(ctx); m == nil || m == crashed || ha.Master() != m {

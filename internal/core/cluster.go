@@ -36,13 +36,11 @@ type ClusterConfig struct {
 	// DiskDir, if set, backs bags with files under this directory.
 	DiskDir string
 
-	// Node and Master tuning. Master is the default for every job;
-	// JobConfig.Master overrides it per job.
+	// Node and Master tuning. Every job's master runs under Master.
 	Node   NodeConfig
 	Master MasterConfig
 
-	// Sched tunes the multi-job scheduler (admission control and
-	// fair-share slot leasing).
+	// Sched tunes the multi-job scheduler (fair-share slot leasing).
 	Sched sched.Config
 
 	// Obs, when set, is the observer every layer of the cluster reports
@@ -115,7 +113,7 @@ func newCluster(cfg ClusterConfig) *Cluster {
 		jobs:       make(map[string]*JobHandle),
 		poolCtx:    ctx,
 		poolCancel: cancel,
-		reg:        sched.NewRegistry(cfg.Sched),
+		reg:        sched.NewRegistry(),
 		leases:     sched.NewLeases(cfg.Sched.DisableFairShare),
 		wake:       newWake(),
 	}
@@ -287,12 +285,12 @@ func (c *Cluster) totalSlotsLocked() int {
 
 // ---- lifecycle ----
 
-// Start submits the app with no bag namespacing and its work bags
-// retained — the paper's single-job deployment — and begins execution.
+// Start submits the app with no bag namespacing — the paper's single-job
+// deployment — and begins execution.
 // Source bags must be loaded and sealed beforehand. It excludes no other
 // job: SubmitJob may run further jobs alongside it.
 func (c *Cluster) Start(ctx context.Context, app *App) error {
-	_, err := c.SubmitJob(ctx, app, JobConfig{Raw: true, Retain: true})
+	_, err := c.SubmitJob(ctx, app, JobConfig{Raw: true})
 	return err
 }
 
@@ -320,22 +318,16 @@ func (c *Cluster) Run(ctx context.Context, app *App) error {
 // Shutdown stops every job's master, all compute nodes, and the
 // scheduler. Workers still running are killed — a job that has not
 // completed by Shutdown never will, so draining could wait forever on a
-// worker whose input never arrives. Queued jobs that never started are
-// failed.
+// worker whose input never arrives.
 func (c *Cluster) Shutdown() {
 	c.mu.Lock()
 	nodes := make([]*ComputeNode, 0, len(c.computes))
 	for _, n := range c.computes {
 		nodes = append(nodes, n)
 	}
-	var masters []*Master
-	var queued []*JobHandle
+	masters := make([]*Master, 0, len(c.jobs))
 	for _, h := range c.jobs {
-		if m := h.Master(); m != nil {
-			masters = append(masters, m)
-		} else {
-			queued = append(queued, h)
-		}
+		masters = append(masters, h.Master())
 	}
 	c.mu.Unlock()
 	for _, m := range masters {
@@ -343,9 +335,6 @@ func (c *Cluster) Shutdown() {
 	}
 	for _, n := range nodes {
 		n.Crash()
-	}
-	for _, h := range queued {
-		h.finish(fmt.Errorf("core: cluster shut down before job started"))
 	}
 	c.poolCancel()
 }
@@ -376,7 +365,7 @@ func (c *Cluster) AddComputeNode(ctx context.Context) (string, error) {
 	c.computes[name] = node
 	for _, h := range c.jobs {
 		h.mu.Lock()
-		if h.state == sched.StateRunning && h.master != nil {
+		if h.state == sched.StateRunning {
 			node.Attach(h.id, h.app, h.master.WorkBags(), h.master)
 		}
 		h.mu.Unlock()
@@ -449,7 +438,7 @@ func (c *Cluster) runningMastersLocked() []*Master {
 	var out []*Master
 	for _, h := range c.jobs {
 		h.mu.Lock()
-		if h.state == sched.StateRunning && h.master != nil {
+		if h.state == sched.StateRunning {
 			out = append(out, h.master)
 		}
 		h.mu.Unlock()

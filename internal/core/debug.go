@@ -80,11 +80,7 @@ func (c *Cluster) edgeRecords(visit func(job string, e *ctrl.EdgeTel, h ctrl.Hea
 	jobs := slices.SortedFunc(maps.Values(c.jobs), func(a, b *JobHandle) int { return cmp.Compare(a.id, b.id) })
 	c.mu.Unlock()
 	for _, h := range jobs {
-		m := h.Master()
-		if m == nil {
-			continue
-		}
-		edges := m.hub.Edges()
+		edges := h.Master().hub.Edges()
 		for _, name := range slices.Sorted(maps.Keys(edges)) {
 			e := edges[name]
 			if heat := ctrl.EdgeHeat(&e); heat.Records > 0 {
@@ -165,12 +161,7 @@ func (c *Cluster) DebugHandler() http.Handler {
 			http.Error(w, "unknown job "+job, http.StatusNotFound)
 			return
 		}
-		p := h.Profile()
-		if p == nil {
-			http.Error(w, "job "+job+" is queued; no profile yet", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, p)
+		writeJSON(w, h.Profile())
 	})
 	mux.HandleFunc("/debug/explain/", func(w http.ResponseWriter, r *http.Request) {
 		job := strings.TrimPrefix(r.URL.Path, "/debug/explain/")
@@ -179,13 +170,8 @@ func (c *Cluster) DebugHandler() http.Handler {
 			http.Error(w, "unknown job "+job, http.StatusNotFound)
 			return
 		}
-		text := h.Explain()
-		if text == "" {
-			http.Error(w, "job "+job+" is queued; no profile yet", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(text))
+		_, _ = w.Write([]byte(h.Explain()))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

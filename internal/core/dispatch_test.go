@@ -203,14 +203,12 @@ func TestDispatchAcrossMasterRecovery(t *testing.T) {
 	sealedEmpty(t, ctx, c, "in0", "in1")
 	var started atomic.Int64
 	gate := make(chan struct{})
-	h, err := c.SubmitJob(ctx, gatesApp("recover", &started, gate, gate), JobConfig{Raw: true, Retain: true})
+	h, err := c.SubmitJob(ctx, gatesApp("recover", &started, gate, gate), JobConfig{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, ctx, "the first task", func() bool { return started.Load() == 1 })
-	if err := h.CrashMaster(); err != nil {
-		t.Fatal(err)
-	}
+	h.CrashMaster()
 	if h.RecoverMaster(ctx) == nil {
 		t.Fatal("no master recovered")
 	}
@@ -412,61 +410,71 @@ func TestDispatchOfResumedJob(t *testing.T) {
 	noFallbackClaims(t, second)
 }
 
-// TestLeaseDemandTracksReadyBag: a job's lease demand is counted where its
-// blueprints are pushed and claimed, and seeded from the ready bag when a
-// master starts. Gated workers hold the slots so that blueprints pile up,
-// and at every quiescent step the demand equals what a Sample of the ready
-// bag counts: after pushes with no slot free, after a claim, after a
-// recovery re-pushes at a new epoch (the stale blueprints count until they
-// are claimed), after a master crash and recovery, after the stale
-// blueprints are claimed, and for a job submitted over a ready bag that
-// already holds its blueprints.
-func TestLeaseDemandTracksReadyBag(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	settle := func(c *Cluster, h *JobHandle, want int64, step string) {
-		t.Helper()
-		ready := h.Master().WorkBags().readyName()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, err := c.Store().Sample(ctx, ready)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := int64(c.leases.Stats(h.id).Demand)
-			if st.RemainingChunks() == want && got == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: the ready bag holds %d blueprints and the lease counts %d, want %d",
-					step, st.RemainingChunks(), got, want)
-			}
-			time.Sleep(time.Millisecond)
+// settleDemand waits until the ready bag of job h holds want blueprints and
+// its lease counts as many, and fails the test if that does not happen
+// within ten seconds.
+func settleDemand(t *testing.T, ctx context.Context, c *Cluster, h *JobHandle, want int64, step string) {
+	t.Helper()
+	ready := h.Master().WorkBags().readyName()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := c.Store().Sample(ctx, ready)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := int64(c.leases.Stats(h.id).Demand)
+		if st.RemainingChunks() == want && got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: the ready bag holds %d blueprints and the lease counts %d, want %d",
+				step, st.RemainingChunks(), got, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	c := dispatchCluster(t, 2, nil)
-	var blocked, started atomic.Int64
-	gb0, gb1 := make(chan struct{}), make(chan struct{})
-	hb, err := c.SubmitJob(ctx, gatesApp("blocker", &blocked, gb0, gb1), JobConfig{Name: "blocker"})
+}
+
+// staleRun is a job j whose ready bag holds two stale blueprints of epoch 0
+// beside three of epoch 1, on a cluster whose only remaining slot a gated
+// blocker job holds.
+type staleRun struct {
+	hb, h   *JobHandle
+	gb1     chan struct{}   // frees the blocker's slot
+	gates   []chan struct{} // finish j's three tasks
+	started atomic.Int64    // bodies of j's tasks started
+}
+
+// runToStaleBlueprints builds a staleRun on c, a cluster of two one-slot
+// compute nodes: the blocker's two gated workers hold both slots, j's
+// three gated tasks share one output bag, one of them claims the slot the
+// blocker frees, and that node crashes, so the recovery restarts all
+// three at epoch 1. The lease demand is checked at each step.
+func runToStaleBlueprints(t *testing.T, ctx context.Context, c *Cluster) *staleRun {
+	t.Helper()
+	r := &staleRun{gb1: make(chan struct{})}
+	var blocked atomic.Int64
+	gb0 := make(chan struct{})
+	hb, err := c.SubmitJob(ctx, gatesApp("blocker", &blocked, gb0, r.gb1), JobConfig{Name: "blocker"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.hb = hb
 	sealedEmpty(t, ctx, c, hb.Bag("in0"), hb.Bag("in1"))
 	waitFor(t, ctx, "the blocker to hold both slots", func() bool { return blocked.Load() == 2 })
 
 	// Three gated tasks share an output bag, so a recovery that restarts
 	// one restarts them all.
 	app := NewApp("j").Bag("out")
-	gates := make([]chan struct{}, 3)
-	for i := range gates {
+	r.gates = make([]chan struct{}, 3)
+	for i := range r.gates {
 		gate := make(chan struct{})
-		gates[i] = gate
+		r.gates[i] = gate
 		in := fmt.Sprintf("in%d", i)
 		app.SourceBag(in)
 		app.AddTask(TaskSpec{
 			Name: fmt.Sprintf("t%d", i), Inputs: []string{in}, Outputs: []string{"out"}, NoClone: true,
 			Run: func(tc *TaskCtx) error {
-				started.Add(1)
+				r.started.Add(1)
 				select {
 				case <-gate:
 					return nil
@@ -480,12 +488,13 @@ func TestLeaseDemandTracksReadyBag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.h = h
 	sealedEmpty(t, ctx, c, h.Bag("in0"), h.Bag("in1"), h.Bag("in2"))
-	settle(c, h, 3, "pushes with no slot free")
+	settleDemand(t, ctx, c, h, 3, "pushes with no slot free")
 
 	close(gb0)
-	waitFor(t, ctx, "a worker of job j", func() bool { return started.Load() == 1 })
-	settle(c, h, 2, "a claim")
+	waitFor(t, ctx, "a worker of job j", func() bool { return r.started.Load() == 1 })
+	settleDemand(t, ctx, c, h, 2, "a claim")
 
 	var node string
 	waitFor(t, ctx, "the master to see j's worker", func() bool {
@@ -500,68 +509,74 @@ func TestLeaseDemandTracksReadyBag(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two blueprints of epoch 0 are left in the bag beside three of epoch 1.
-	settle(c, h, 5, "a recovery's re-push")
+	settleDemand(t, ctx, c, h, 5, "a recovery's re-push")
 	if got := h.Master().Stats().Recoveries; got < 1 {
 		t.Fatalf("%d recoveries, want at least 1", got)
 	}
+	return r
+}
 
-	if err := h.CrashMaster(); err != nil {
-		t.Fatal(err)
-	}
-	m := h.RecoverMaster(ctx)
-	if m == nil {
+// TestLeaseDemandTracksReadyBag: a job's lease demand is counted where its
+// blueprints are pushed and claimed, and seeded from the ready bag when a
+// master starts. Gated workers hold the slots so that blueprints pile up,
+// and at every quiescent step the demand equals what a Sample of the ready
+// bag counts: after pushes with no slot free, after a claim, after a
+// recovery re-pushes at a new epoch (the stale blueprints count until they
+// are claimed), after a master crash and recovery, after the stale
+// blueprints are claimed, and for a job submitted over a ready bag that
+// already holds its blueprints.
+func TestLeaseDemandTracksReadyBag(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c := dispatchCluster(t, 2, nil)
+	r := runToStaleBlueprints(t, ctx, c)
+	h := r.h
+
+	h.CrashMaster()
+	if h.RecoverMaster(ctx) == nil {
 		t.Fatal("no master recovered")
 	}
-	settle(c, h, 5, "a master crash and recovery")
-	// Until its replay reaches epoch 1 the successor cannot tell a stale
-	// blueprint from a fresh one.
-	waitFor(t, ctx, "the successor's replay", func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for _, st := range m.tasks {
-			if st.epoch != 1 {
-				return false
-			}
-		}
-		return true
-	})
+	settleDemand(t, ctx, c, h, 5, "a master crash and recovery")
 
-	close(gb1) // and a slot for each of j's workers, and one to spare
+	close(r.gb1) // and a slot for each of j's workers, and one to spare
 	for i := 0; i < 3; i++ {
 		if _, err := c.AddComputeNode(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, ctx, "job j's three workers", func() bool { return started.Load() == 4 })
-	settle(c, h, 0, "the stale blueprints claimed")
-	for _, gate := range gates {
+	waitFor(t, ctx, "job j's three workers", func() bool { return r.started.Load() == 4 })
+	settleDemand(t, ctx, c, h, 0, "the stale blueprints claimed")
+	for _, gate := range r.gates {
 		close(gate)
 	}
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := hb.Wait(ctx); err != nil {
+	if got := r.started.Load(); got != 4 {
+		t.Errorf("%d bodies of job j started, want 4: a stale blueprint ran", got)
+	}
+	if err := r.hb.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	noFallbackClaims(t, c)
 
 	// A job submitted over a ready bag that already holds its blueprints:
 	// its first cluster went away before any was claimed.
+	var blocked, started atomic.Int64
 	first := dispatchCluster(t, 1, nil)
 	gate := make(chan struct{})
 	defer close(gate)
 	if _, err := first.SubmitJob(ctx, gatesApp("blocker", &blocked, gate), JobConfig{Name: "blocker"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, ctx, "the only slot to be taken", func() bool { return blocked.Load() == 3 })
+	waitFor(t, ctx, "the only slot to be taken", func() bool { return blocked.Load() == 1 })
 	sealedEmpty(t, ctx, first, "in0", "in1")
-	started.Store(0)
 	open := make(chan struct{})
 	close(open)
 	if err := first.Start(ctx, gatesApp("resumed", &started, open, open)); err != nil {
 		t.Fatal(err)
 	}
-	settle(first, first.Job("resumed"), 2, "pushes with no slot free")
+	settleDemand(t, ctx, first, first.Job("resumed"), 2, "pushes with no slot free")
 	first.Shutdown()
 
 	cfg := testClusterConfig()
@@ -572,11 +587,11 @@ func TestLeaseDemandTracksReadyBag(t *testing.T) {
 	if _, err := second.SubmitJob(ctx, gatesApp("blocker", &blocked, g2), JobConfig{Name: "blocker2"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, ctx, "the second cluster's slot to be taken", func() bool { return blocked.Load() == 4 })
+	waitFor(t, ctx, "the second cluster's slot to be taken", func() bool { return blocked.Load() == 2 })
 	if err := second.Start(ctx, gatesApp("resumed", &started, open, open)); err != nil {
 		t.Fatal(err)
 	}
-	settle(second, second.Job("resumed"), 2, "a job submitted over its blueprints")
+	settleDemand(t, ctx, second, second.Job("resumed"), 2, "a job submitted over its blueprints")
 	close(g2)
 	if err := second.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -585,6 +600,66 @@ func TestLeaseDemandTracksReadyBag(t *testing.T) {
 		t.Errorf("%d task bodies ran, want 2", started.Load())
 	}
 	noFallbackClaims(t, second)
+}
+
+// TestSuccessorRefusesStaleBlueprintBeforeReplay: a recovered master rules
+// on a blueprint's staleness only once its replay of the work bags is
+// done. The successor's first read of the ready bag is held while free
+// slots claim all five blueprints, two of them stale; released, the replay
+// shows the successor epoch 1, and only the three fresh blueprints may
+// start a worker.
+func TestSuccessorRefusesStaleBlueprintBeforeReplay(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	store, f := storeBehind(t)
+	cfg := testClusterConfig()
+	cfg.ComputeNodes, cfg.SlotsPerNode = 2, 1
+	c := NewClusterOverStore(store, cfg)
+	defer c.Shutdown()
+	r := runToStaleBlueprints(t, ctx, c)
+	h := r.h
+
+	h.CrashMaster()
+	held := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpReadAt, Bag: "j!ready", Nth: 1}, Hold: "replay"})
+	if h.RecoverMaster(ctx) == nil {
+		t.Fatal("no master recovered")
+	}
+	select {
+	case <-held:
+	case <-ctx.Done():
+		t.Fatal("the successor never read its ready bag")
+	}
+	// A slot for each of the five blueprints: the blocker's, freed, and
+	// four added nodes'.
+	close(r.gb1)
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddComputeNode(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ready := h.Master().WorkBags().readyName()
+	waitFor(t, ctx, "every blueprint claimed", func() bool {
+		st, err := store.Sample(ctx, ready)
+		return err == nil && st.RemainingChunks() == 0
+	})
+	f.Fire("replay")
+
+	waitFor(t, ctx, "job j's three workers", func() bool { return r.started.Load() >= 4 })
+	for _, gate := range r.gates {
+		close(gate)
+	}
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.started.Load(); got != 4 {
+		t.Errorf("%d bodies of job j started, want 4: a stale blueprint ran", got)
+	}
+	if got := h.Stats().Running; got != 0 {
+		t.Errorf("job j holds %d slots after Wait, want 0", got)
+	}
+	if err := r.hb.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRemoveComputeNodeWaitsOnTheWake: removing an idle node returns at

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/bag"
 	"repro/internal/obs"
@@ -33,15 +32,6 @@ type JobConfig struct {
 	// is entitled to twice the worker slots of a weight-1 job under
 	// contention.
 	Weight int
-	// Retain keeps the job's work bags after completion
-	// (Cluster.Run sets it; tests replay them). Without it the scheduler
-	// garbage collects them when the job finishes; data bags always
-	// remain until JobHandle.Discard.
-	Retain bool
-	// Master overrides the cluster-wide MasterConfig for this job (nil
-	// uses the cluster default). This is how co-running jobs get
-	// different mitigation policies.
-	Master *MasterConfig
 	// Seeds are warm-start partition maps for the job's partitioned
 	// edges, keyed by declared bag name (the query planner's compile-time
 	// skew memory, or a stream's previous window). SubmitJob refuses a
@@ -55,7 +45,7 @@ type JobConfig struct {
 
 // JobStats reports a job's scheduling state and its master's activity.
 type JobStats struct {
-	State   string // queued | running | done | failed
+	State   string // running | done | failed
 	Weight  int
 	Share   int // current fair-share slot allotment (0 once finished)
 	Running int // worker slots claimed cluster-wide right now
@@ -68,8 +58,6 @@ type JobHandle struct {
 	id     string
 	prefix string // "" for raw jobs
 	app    *App   // namespaced application graph
-	cfg    JobConfig
-	subCtx context.Context // submission context; used if admitted later
 
 	mu      sync.Mutex
 	master  *Master
@@ -126,22 +114,18 @@ func (h *JobHandle) Stats() JobStats {
 	state := h.state
 	h.mu.Unlock()
 	ls := h.c.leases.Stats(h.id)
-	js := JobStats{
+	return JobStats{
 		State:   state.String(),
 		Weight:  h.c.reg.Weight(h.id),
 		Share:   ls.Share,
 		Running: ls.Running,
+		Master:  m.Stats(),
 	}
-	if m != nil {
-		js.Master = m.Stats()
-	}
-	return js
 }
 
-// Master returns the job's current application master (nil while the job
-// is queued). After completion it still holds the final masters' state —
-// the streaming subsystem reads EdgeMemory from it to warm-start the next
-// window.
+// Master returns the job's current application master. After completion
+// it still holds the final master's state — the streaming subsystem reads
+// EdgeMemory from it to warm-start the next window.
 func (h *JobHandle) Master() *Master {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -164,15 +148,8 @@ func (h *JobHandle) Trace() []obs.Event {
 
 // Profile returns the job's measured execution profile: per-stage phase
 // spans, the critical path through the task DAG, and per-edge skew
-// attribution. Nil while the job is still queued; partial while it runs;
-// complete once Done.
-func (h *JobHandle) Profile() *obs.Profile {
-	m := h.Master()
-	if m == nil {
-		return nil
-	}
-	return m.Profile()
-}
+// attribution. Partial while the job runs; complete once Done.
+func (h *JobHandle) Profile() *obs.Profile { return h.Master().Profile() }
 
 // SetExplain registers a renderer that turns the job's measured profile
 // into an EXPLAIN ANALYZE report. Planner-compiled jobs register their
@@ -186,12 +163,9 @@ func (h *JobHandle) SetExplain(f func(*obs.Profile) string) {
 
 // Explain renders the job's EXPLAIN ANALYZE: the registered renderer
 // applied to the measured profile, or the profile's generic rendering
-// when none was registered. Empty while the job is still queued.
+// when none was registered.
 func (h *JobHandle) Explain() string {
 	p := h.Profile()
-	if p == nil {
-		return ""
-	}
 	h.mu.Lock()
 	f := h.explain
 	h.mu.Unlock()
@@ -220,13 +194,10 @@ func (h *JobHandle) finish(err error) {
 
 // Discard garbage collects every bag the finished job owned — outputs
 // included — and releases its name claims, so a later submission may
-// reuse the names. It fails while the job is still queued or running.
+// reuse the names. It fails while the job is running.
 func (h *JobHandle) Discard(ctx context.Context) error {
-	h.mu.Lock()
-	state := h.state
-	h.mu.Unlock()
-	if state == sched.StateQueued || state == sched.StateRunning {
-		return fmt.Errorf("core: job %q is %s; discard after completion", h.id, state)
+	if h.State() == sched.StateRunning {
+		return fmt.Errorf("core: job %q is running; discard after completion", h.id)
 	}
 	// After Reset the job's name (and namespace) may be owned by a live
 	// successor — the streaming subsystem's window retry. A stale handle's
@@ -277,13 +248,10 @@ func (h *JobHandle) Discard(ctx context.Context) error {
 // preserves exactly-once per window without a second copy of the input.
 // The handle is dead afterwards; resubmit the application with SubmitJob.
 // Raw jobs cannot be reset (their sources may be shared), and neither can
-// jobs still queued or running.
+// running jobs.
 func (h *JobHandle) Reset(ctx context.Context) error {
-	h.mu.Lock()
-	state := h.state
-	h.mu.Unlock()
-	if state == sched.StateQueued || state == sched.StateRunning {
-		return fmt.Errorf("core: job %q is %s; reset after completion", h.id, state)
+	if h.State() == sched.StateRunning {
+		return fmt.Errorf("core: job %q is running; reset after completion", h.id)
 	}
 	if h.prefix == "" {
 		return fmt.Errorf("core: job %q is raw (no namespace); reset is only safe for namespaced jobs", h.id)
@@ -456,10 +424,9 @@ func appClaims(app *App) sched.NameClaims {
 
 // ---- submission and supervision ----
 
-// SubmitJob admits a job into the cluster: it validates the application
-// graph and its (namespaced) bag names against every live job, then
-// either starts it immediately or queues it behind the concurrency
-// limit. Source bags must be loaded and sealed — under the names
+// SubmitJob starts a job on the cluster: it validates the application
+// graph and its (namespaced) bag names against every live job, then starts
+// the job's master on every compute node. Source bags must be loaded and sealed — under the names
 // JobHandle.Bag reports — before the job's tasks consume them; loading
 // before SubmitJob is the safe order.
 func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobHandle, error) {
@@ -509,69 +476,42 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 				cfg.Name, prefix, id, other.prefix)
 		}
 	}
-	start, err := c.reg.Submit(cfg.Name, claims, cfg.Weight)
-	if err != nil {
+	if err := c.reg.Submit(cfg.Name, claims, cfg.Weight); err != nil {
 		return nil, err
 	}
+	c.ensurePoolLocked()
 	h := &JobHandle{
 		c:      c,
 		id:     cfg.Name,
 		prefix: prefix,
 		app:    nsApp,
-		cfg:    cfg,
-		subCtx: ctx,
 		swap:   make(chan struct{}),
-		state:  sched.StateQueued,
+		state:  sched.StateRunning,
 		done:   make(chan struct{}),
 	}
+	h.master = c.newJobMaster(h)
 	c.jobs[h.id] = h
 	if cfg.Raw {
 		c.primary = h
 	}
-	if start {
-		c.startJobLocked(ctx, h)
+	c.leases.Add(h.id, c.reg.Weight(h.id))
+	for _, n := range c.computes {
+		n.Attach(h.id, h.app, h.master.WorkBags(), h.master)
 	}
+	h.master.Start(ctx)
+	go c.supervise(h)
 	return h, nil
 }
 
 // newJobMaster builds a master for the job behind a job-scoped control
 // adapter — for its first start and for every recovery alike.
 func (c *Cluster) newJobMaster(h *JobHandle) *Master {
-	mcfg := c.cfg.Master
-	if h.cfg.Master != nil {
-		mcfg = *h.cfg.Master
-	}
-	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.obs, mcfg, c.cfg.Node.beat())
-}
-
-// startJobLocked moves an admitted job into execution: build its master,
-// bind it to every compute node, and begin supervision. Caller holds
-// c.mu.
-func (c *Cluster) startJobLocked(ctx context.Context, h *JobHandle) {
-	c.ensurePoolLocked()
-	m := c.newJobMaster(h)
-	c.leases.Add(h.id, c.reg.Weight(h.id))
-	h.mu.Lock()
-	h.master = m
-	h.state = sched.StateRunning
-	h.mu.Unlock()
-	for _, n := range c.computes {
-		n.Attach(h.id, h.app, m.WorkBags(), m)
-	}
-	m.Start(ctx)
-	go c.supervise(h)
+	return newMaster(h.app, c.store, &jobControl{c: c, job: h.id}, c.obs, c.cfg.Master, c.cfg.Node.beat())
 }
 
 // CrashMaster stops the job's master, preserving its durable state in the
 // work bags. Compute nodes keep executing tasks from the ready bag.
-func (h *JobHandle) CrashMaster() error {
-	m := h.Master()
-	if m == nil {
-		return fmt.Errorf("core: job %q has no master running", h.id)
-	}
-	m.Stop()
-	return nil
-}
+func (h *JobHandle) CrashMaster() { h.Master().Stop() }
 
 // RecoverMaster starts a fresh master for the job that rebuilds its
 // execution-graph state by replaying the work bags (§4.4: "when the
@@ -623,13 +563,11 @@ func (c *Cluster) supervise(h *JobHandle) {
 	}
 }
 
-// finalizeJob releases a completed job's slots and name bindings, garbage
-// collects the job's work bags unless retained, and admits queued jobs
-// the freed concurrency slot allows. The job reports completion only
-// after the nodes have let go of its ready bag and after the collection:
-// a caller that Waits, Resets and resubmits under the same name must not
-// have its successor's freshly pushed blueprints claimed through this
-// job's bindings or deleted by its late collection.
+// finalizeJob releases a completed job's slots and name bindings; its bags
+// stay until Discard or Reset. The job reports completion only after the
+// nodes have let go of its ready bag: a caller that Waits, Resets and
+// resubmits under the same name must not have its successor's freshly
+// pushed blueprints claimed through this job's bindings.
 func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 	c.mu.Lock()
 	nodes := make([]*ComputeNode, 0, len(c.computes))
@@ -638,13 +576,7 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 	}
 	c.leases.Remove(h.id)
 	c.wake.raise() // the finished job's share went to its neighbors
-	admit := c.reg.Finish(h.id, jobErr != nil)
-	var toStart []*JobHandle
-	for _, id := range admit {
-		if nh := c.jobs[id]; nh != nil {
-			toStart = append(toStart, nh)
-		}
-	}
+	c.reg.Finish(h.id)
 	c.mu.Unlock()
 	for _, n := range nodes {
 		n.Detach(h.id)
@@ -656,28 +588,7 @@ func (c *Cluster) finalizeJob(h *JobHandle, jobErr error) {
 			n.KillJob(h.id)
 		}
 	}
-	if !h.cfg.Retain {
-		c.gcJob(h)
-	}
 	h.finish(jobErr)
-	c.mu.Lock()
-	for _, nh := range toStart {
-		c.startJobLocked(nh.subCtx, nh)
-	}
-	c.mu.Unlock()
-}
-
-// gcJob garbage collects a finished job's scheduling state: the work
-// bags. Data bags stay until
-// JobHandle.Discard. Best-effort: the job is already complete, and a
-// down storage node must not fail it retroactively.
-func (c *Cluster) gcJob(h *JobHandle) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	wb := newWorkBags(c.store, h.app.Name())
-	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
-		_ = c.store.Delete(ctx, n)
-	}
 }
 
 // schedLoop asks over-share jobs' masters to yield clone workers toward

@@ -84,7 +84,7 @@ func TestIdleMasterMakesNoCalls(t *testing.T) {
 
 	var started atomic.Int64
 	gate := make(chan struct{})
-	h, err := c.SubmitJob(ctx, gatesApp("idle", &started, gate, gate), JobConfig{Raw: true, Retain: true})
+	h, err := c.SubmitJob(ctx, gatesApp("idle", &started, gate, gate), JobConfig{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLostNudgeCostsOneFallback(t *testing.T) {
 	sealedEmpty(t, ctx, c, "in0")
 	var started atomic.Int64
 	gate := make(chan struct{})
-	h, err := c.SubmitJob(ctx, gatesApp("deaf", &started, gate), JobConfig{Raw: true, Retain: true})
+	h, err := c.SubmitJob(ctx, gatesApp("deaf", &started, gate), JobConfig{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,11 @@ type Master struct {
 	doneCh     chan struct{}
 	doneOnce   sync.Once
 
+	// replayed is closed once the loop's first scan of the record bags has
+	// returned, or once the loop has exited: staleBlueprint rules only then.
+	replayed     chan struct{}
+	replayedOnce sync.Once
+
 	// failTimeout is the heartbeat silence after which a compute node
 	// holding work is declared dead, derived from the nodes' heartbeat
 	// period (recovery.go).
@@ -187,6 +192,7 @@ func newMaster(app *App, store *bag.Store, control *jobControl, o *obs.Observer,
 		nodes:       make(map[string]*nodeState),
 		seenEvents:  make(map[string]bool),
 		doneCh:      make(chan struct{}),
+		replayed:    make(chan struct{}),
 		failTimeout: failTimeout(beat),
 	}
 	for _, name := range app.Tasks() {
@@ -364,10 +370,14 @@ func (m *Master) pushReady(bp *Blueprint) error {
 
 // staleBlueprint implements masterAPI: a blueprint whose epoch predates
 // the task's current epoch is a leftover from before a failure recovery
-// and must not run. Epochs only ever advance, so a false negative here
-// (e.g. from a master that has not replayed the recovery yet) merely
-// defers the kill to the recovery's own sweep.
+// and must not run. A recovered master learns the epochs from its replay
+// of the work bags, so the ruling waits for that replay: before it, a
+// stale blueprint would pass and start a worker no recovery sweep kills.
+// A master pushes nothing before its replay, so only a blueprint some
+// predecessor pushed can wait. A master that exited without replaying
+// answers from what it has.
 func (m *Master) staleBlueprint(bp *Blueprint) bool {
+	<-m.replayed
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.tasks[bp.Spec]
@@ -389,6 +399,7 @@ const fallbackInterval = 50 * time.Millisecond
 // instead of wedging a zombie.
 func (m *Master) loop() {
 	defer m.wg.Done()
+	defer m.markReplayed()
 	if err := m.run(); err != nil && !(m.ctx.Err() != nil && m.stopped.Load()) {
 		m.fail(err)
 	}
@@ -440,6 +451,11 @@ func (m *Master) fail(err error) {
 	m.markDone()
 }
 
+// markReplayed closes the replayed channel exactly once.
+func (m *Master) markReplayed() {
+	m.replayedOnce.Do(func() { close(m.replayed) })
+}
+
 // markDone closes the done channel exactly once and freezes the
 // profiler's job-wall end time.
 func (m *Master) markDone() {
@@ -471,6 +487,7 @@ func (m *Master) tick(causes ctrl.Cause) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	m.markReplayed() // the first tick scans every record bag
 	m.mu.Lock()
 	err = m.jobErr
 	m.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -150,115 +151,104 @@ func TestResetStaleHandleDiscard(t *testing.T) {
 // TestResubmitWhilePredecessorLetsGo: everything a finished job still
 // does to its ready bag must be over before the job reports completion,
 // because a caller that Waits, Resets and resubmits the same name at once
-// gets the same ready bag. The storage tier stalls one request of the
-// finished job — the ready-bag delete of its work-bag collection, or a
-// node's poll for blueprints through the job's binding — and lets it
-// through once the successor's first blueprint sits behind it (or, when
-// completion correctly waits, after a pause in which no successor can
-// have been submitted). The successor must not lose that blueprint.
+// gets the same ready bag. The storage tier stalls a node's poll for
+// blueprints through the finished job's binding, and lets it through once
+// the successor's first blueprint sits behind it (or, when completion
+// correctly waits, after a pause in which no successor can have been
+// submitted). The successor must not lose that blueprint.
 func TestResubmitWhilePredecessorLetsGo(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		op   transport.Op
-	}{
-		{"late collection", transport.OpDelete},
-		{"poll in flight", transport.OpRemove},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			store, f := storeBehind(t)
-			cluster := NewClusterOverStore(store, testClusterConfig())
-			defer cluster.Shutdown()
+	t.Run("poll in flight", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		store, f := storeBehind(t)
+		cluster := NewClusterOverStore(store, testClusterConfig())
+		defer cluster.Shutdown()
 
-			const n = 2000
-			var proc1, proc2 atomic.Int64
-			gate := make(chan struct{})
-			h1, err := cluster.SubmitJob(ctx, gatedSumApp(&proc1, gate), JobConfig{Name: "w"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadInts(t, ctx, store, h1.Bag("in"), n)
-			waitFor(t, ctx, "the first job's copy stage", func() bool { return proc1.Load() >= n })
-			// Hold the first request of tc.op against a ready bag. Once a
-			// ready bag is deleted, and until the release, show every poll
-			// an empty ready bag — dispatch is event-driven, and the
-			// successor's blueprint must still be in the bag when the held
-			// request lands — and report the first blueprint inserted into
-			// one: a successor's, not one of the job's own.
-			f.Add(transport.Rule{Match: transport.Match{Op: transport.OpDelete, Bag: "!ready#"}, Fire: "deleted"})
-			entered := f.Add(transport.Rule{Match: transport.Match{Op: tc.op, Bag: "!ready#", Nth: 1}, Hold: "release"})
-			f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Bag: "!ready#"}, Open: "deleted", Close: "release",
-				Answer: &transport.Response{Status: transport.StatusAgain}})
-			pushed := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "!ready#"}, When: transport.OnReply,
-				Open: "deleted", Close: "release"})
-			if tc.op == transport.OpRemove {
-				// The poll to stall is one made while the job is bound. The
-				// gated copy workers and their clones may hold every slot,
-				// and a node without a free slot does not poll: a node added
-				// now has free slots and is bound to the job.
-				if _, err := cluster.AddComputeNode(ctx); err != nil {
-					t.Fatal(err)
-				}
-				select {
-				case <-entered:
-				case <-ctx.Done():
-					t.Fatal("no node polled the ready bag")
-				}
-			}
-			close(gate)
+		const n = 2000
+		var proc1, proc2 atomic.Int64
+		gate := make(chan struct{})
+		h1, err := cluster.SubmitJob(ctx, gatedSumApp(&proc1, gate), JobConfig{Name: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadInts(t, ctx, store, h1.Bag("in"), n)
+		waitFor(t, ctx, "the first job's copy stage", func() bool { return proc1.Load() >= n })
+		// Hold the first poll of a ready bag. Once a ready bag is deleted
+		// (Reset's delete), and until the release, show every poll an
+		// empty ready bag — dispatch is event-driven, and the successor's
+		// blueprint must still be in the bag when the held request lands —
+		// and report the first blueprint inserted into one: a successor's,
+		// not one of the job's own.
+		f.Add(transport.Rule{Match: transport.Match{Op: transport.OpDelete, Bag: "!ready#"}, Fire: "deleted"})
+		entered := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Bag: "!ready#", Nth: 1}, Hold: "release"})
+		f.Add(transport.Rule{Match: transport.Match{Op: transport.OpRemove, Bag: "!ready#"}, Open: "deleted", Close: "release",
+			Answer: &transport.Response{Status: transport.StatusAgain}})
+		pushed := f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "!ready#"}, When: transport.OnReply,
+			Open: "deleted", Close: "release"})
+		// The poll to stall is one made while the job is bound. The gated
+		// copy workers and their clones may hold every slot, and a node
+		// without a free slot does not poll: a node added now has free
+		// slots and is bound to the job.
+		if _, err := cluster.AddComputeNode(ctx); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+		case <-ctx.Done():
+			t.Fatal("no node polled the ready bag")
+		}
+		close(gate)
 
-			result := make(chan error, 1)
-			go func() {
-				if err := h1.Wait(ctx); err != nil {
-					result <- err
-					return
-				}
-				// The stalled request is to be the finished job's, not one of
-				// Reset's own.
-				select {
-				case <-entered:
-				case <-ctx.Done():
-				}
-				if err := h1.Reset(ctx); err != nil {
-					result <- err
-					return
-				}
-				h2, err := cluster.SubmitJob(ctx, sumApp(&proc2), JobConfig{Name: "w"})
-				if err != nil {
-					result <- err
-					return
-				}
-				wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
-				defer wcancel()
-				result <- h2.Wait(wctx)
-			}()
-
-			// The job's work is over once its master is done; what follows is
-			// the letting go.
-			select {
-			case <-h1.Master().Done():
-			case <-ctx.Done():
-				t.Fatal("the first job never completed")
+		result := make(chan error, 1)
+		go func() {
+			if err := h1.Wait(ctx); err != nil {
+				result <- err
+				return
 			}
+			// The stalled request is to be the finished job's, not one of
+			// Reset's own.
 			select {
 			case <-entered:
 			case <-ctx.Done():
-				t.Fatal("the stalled request never arrived")
 			}
-			select {
-			case <-pushed:
-			case <-time.After(200 * time.Millisecond):
+			if err := h1.Reset(ctx); err != nil {
+				result <- err
+				return
 			}
-			f.Fire("release")
-			if err := <-result; err != nil {
-				t.Fatalf("resubmitted job: %v (a blueprint of its was lost to its predecessor)", err)
+			h2, err := cluster.SubmitJob(ctx, sumApp(&proc2), JobConfig{Name: "w"})
+			if err != nil {
+				result <- err
+				return
 			}
-			if proc2.Load() != n {
-				t.Fatalf("resubmitted job processed %d records, want %d", proc2.Load(), n)
-			}
-		})
-	}
+			wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+			defer wcancel()
+			result <- h2.Wait(wctx)
+		}()
+
+		// The job's work is over once its master is done; what follows is
+		// the letting go.
+		select {
+		case <-h1.Master().Done():
+		case <-ctx.Done():
+			t.Fatal("the first job never completed")
+		}
+		select {
+		case <-entered:
+		case <-ctx.Done():
+			t.Fatal("the stalled request never arrived")
+		}
+		select {
+		case <-pushed:
+		case <-time.After(200 * time.Millisecond):
+		}
+		f.Fire("release")
+		if err := <-result; err != nil {
+			t.Fatalf("resubmitted job: %v (a blueprint of its was lost to its predecessor)", err)
+		}
+		if proc2.Load() != n {
+			t.Fatalf("resubmitted job processed %d records, want %d", proc2.Load(), n)
+		}
+	})
 }
 
 // TestStopWaitsForClaimInFlight: a graceful Stop must not cancel a node
@@ -670,64 +660,13 @@ func TestFairShareYieldsClones(t *testing.T) {
 	}
 }
 
-// TestJobQueueAdmission: with MaxConcurrent=1 the second submission
-// queues and starts automatically when the first job finishes.
-func TestJobQueueAdmission(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cfg := testClusterConfig()
-	cfg.Sched.MaxConcurrent = 1
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	const n = 8000
-	var procA, procB atomic.Int64
-	hA, err := cluster.SubmitJob(ctx, sumApp(&procA), JobConfig{Name: "first"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := cluster.SubmitJob(ctx, sumApp(&procB), JobConfig{Name: "second"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hB.State() != sched.StateQueued {
-		t.Fatalf("second job state = %v, want queued", hB.State())
-	}
-	// Sources for both can be loaded while the second job is queued.
-	loadInts(t, ctx, cluster.Store(), hA.Bag("in"), n)
-	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), n)
-
-	if err := hA.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := hB.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(n) * (n - 1) / 2
-	if got := readSumBag(t, ctx, cluster.Store(), hB.Bag("out")); got != want {
-		t.Fatalf("queued job sum = %d, want %d", got, want)
-	}
-	// Discard frees the names for resubmission.
-	if err := hB.Discard(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.SubmitJob(ctx, sumApp(&procB), JobConfig{Name: "second"}); err != nil {
-		t.Fatalf("resubmission after discard: %v", err)
-	}
-}
-
 // TestJobContextCancelReleasesResources: cancelling a job's submission
-// context fails that job and releases its scheduler state — concurrency
-// slot, lease, and workers — so queued neighbors still run.
+// context fails that job and releases its scheduler state — lease and
+// workers — while its neighbor runs on to the exact answer.
 func TestJobContextCancelReleasesResources(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cfg := testClusterConfig()
-	cfg.Sched.MaxConcurrent = 1
-	cluster, err := NewCluster(cfg)
+	cluster, err := NewCluster(testClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,16 +685,10 @@ func TestJobContextCancelReleasesResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hB.State() != sched.StateQueued {
-		t.Fatalf("second job state = %v, want queued", hB.State())
-	}
+	// Let the doomed job claim at least one worker, then pull its plug.
+	waitFor(t, ctx, "a worker of the doomed job", func() bool { return hA.Stats().Running > 0 })
 	const n = 8000
 	loadInts(t, ctx, cluster.Store(), hB.Bag("in"), n)
-
-	// Let the doomed job claim at least one worker, then pull its plug.
-	for cluster.FreeSlots() == cluster.TotalSlots() && ctx.Err() == nil {
-		time.Sleep(time.Millisecond)
-	}
 	jobCancel()
 	if err := hA.Wait(ctx); err == nil {
 		t.Fatal("cancelled job reported success")
@@ -763,15 +696,91 @@ func TestJobContextCancelReleasesResources(t *testing.T) {
 	if hA.State() != sched.StateFailed {
 		t.Fatalf("cancelled job state = %v, want failed", hA.State())
 	}
-	// The freed concurrency slot admits the queued job, which completes.
 	if err := hB.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(n) * (n - 1) / 2
 	if got := readSumBag(t, ctx, cluster.Store(), hB.Bag("out")); got != want {
-		t.Fatalf("queued job sum = %d, want %d", got, want)
+		t.Fatalf("neighbor job sum = %d, want %d", got, want)
 	}
 	waitNoLeakedSlots(t, cluster)
+}
+
+// storedBags lists the logical name of every bag with state on one of the
+// cluster's storage nodes.
+func storedBags(c *Cluster) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for _, n := range c.storages {
+		for _, b := range n.BagNames() {
+			out = append(out, b[:strings.LastIndexByte(b, '#')])
+		}
+	}
+	return out
+}
+
+// TestDiscardLeavesNoBags: a job keeps every bag, its work bags included,
+// until Discard, and Discard leaves none behind: for a namespaced job
+// nothing under its namespace, for a raw job none of its declared bags,
+// partitions, isolated bags, clone partials or work bags. Each job routes
+// over a partitioned edge and its merge stage is cloned, so every kind of
+// derived bag is written (the merge deletes the partials it merged).
+func TestDiscardLeavesNoBags(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := testClusterConfig()
+	cfg.Master.Policies = []ctrl.Policy{&ctrl.ForceClones{}}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+
+	for _, jc := range []JobConfig{{Name: "ns"}, {Raw: true}} {
+		// slowGroupApp routes "in" over the partitioned edge "shuf" into one
+		// partial sum per leaf on "out"; "total" adds them up, cloned.
+		app := slowGroupApp(new(atomic.Int64), 0).Bag("total")
+		sum := sumApp(new(atomic.Int64)).Task("sum")
+		app.AddTask(TaskSpec{Name: "total", Inputs: []string{"out"}, Outputs: []string{"total"}, Run: sum.Run, Merge: sum.Merge})
+		awaitClone(app.Task("total"))
+		h, err := c.SubmitJob(ctx, app, jc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 4000
+		loadInts(t, ctx, c.Store(), h.Bag("in"), n)
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		requireClones(t, h.Master().Stats(), true)
+		if got, want := readSumBag(t, ctx, c.Store(), h.Bag("total")), int64(n)*(n-1)/2; got != want {
+			t.Fatalf("job %s: sum = %d, want %d", h.ID(), got, want)
+		}
+		wb := h.Master().WorkBags()
+		work := []string{wb.readyName(), wb.runningName(), wb.doneName()}
+		for _, w := range work {
+			if !slices.Contains(storedBags(c), w) {
+				t.Errorf("job %s: work bag %s is gone after Wait", h.ID(), w)
+			}
+		}
+
+		if err := h.Discard(ctx); err != nil {
+			t.Fatal(err)
+		}
+		owned := func(b string) bool {
+			if !jc.Raw {
+				return strings.HasPrefix(b, "ns/")
+			}
+			return slices.Contains(app.Bags(), b) || slices.Contains(work, b) ||
+				strings.HasPrefix(b, "shuf.p") || strings.HasPrefix(b, "shuf.h") || strings.HasPrefix(b, "total~p")
+		}
+		for _, b := range storedBags(c) {
+			if owned(b) {
+				t.Errorf("job %s: bag %s survived Discard", h.ID(), b)
+			}
+		}
+	}
 }
 
 // TestRawDiscardClearsSketches: a raw (non-namespaced) job's Discard

@@ -61,7 +61,7 @@ func TestReplayOrderFree(t *testing.T) {
 		NoClone: true, Run: sum.Run, Merge: sum.Merge})
 	loadInts(t, ctx, c.Store(), "in", n)
 	loadInts(t, ctx, c.Store(), "in2", 100)
-	h, err := c.SubmitJob(ctx, app, JobConfig{Raw: true, Retain: true})
+	h, err := c.SubmitJob(ctx, app, JobConfig{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestSeededJobWritesNoMap(t *testing.T) {
 	seed.Isolated = []shuffle.Isolation{{Hash: shuffle.KeyHash(hot), Fan: 2, Key: hot}}
 	var processed atomic.Int64
 	app := slowGroupApp(&processed, 0)
-	h, err := c.SubmitJob(ctx, app, JobConfig{Raw: true, Retain: true, Seeds: map[string]*shuffle.PartitionMap{"shuf": seed}})
+	h, err := c.SubmitJob(ctx, app, JobConfig{Raw: true, Seeds: map[string]*shuffle.PartitionMap{"shuf": seed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestRegistryHandles(t *testing.T) {
 	}
 	c1.Add(3)
 	other.Inc()
-	r.Gauge("hurricane_sched_queue_depth").Set(2)
+	r.Gauge("hurricane_sched_jobs_running").Set(2)
 
 	snap := r.Snapshot()
 	if got := snap[`hurricane_core_clones_total{job="q1"}`]; got != 3 {
@@ -143,8 +143,8 @@ func TestRegistryHandles(t *testing.T) {
 	if got := snap[`hurricane_core_clones_total{job="q2"}`]; got != 1 {
 		t.Fatalf("q2 clones = %v, want 1", got)
 	}
-	if got := snap["hurricane_sched_queue_depth"]; got != 2 {
-		t.Fatalf("queue depth = %v, want 2", got)
+	if got := snap["hurricane_sched_jobs_running"]; got != 2 {
+		t.Fatalf("jobs running = %v, want 2", got)
 	}
 
 	// SnapshotFor narrows to one job, strips the label, keeps globals.
@@ -155,7 +155,7 @@ func TestRegistryHandles(t *testing.T) {
 	if _, ok := job[`hurricane_core_clones_total{job="q2"}`]; ok {
 		t.Fatal("SnapshotFor leaked a foreign job's series")
 	}
-	if got := job["hurricane_sched_queue_depth"]; got != 2 {
+	if got := job["hurricane_sched_jobs_running"]; got != 2 {
 		t.Fatalf("SnapshotFor dropped global series: %v", job)
 	}
 }

@@ -158,7 +158,7 @@ func (c *compiler) seedEdge(edge string, in *Node) {
 // flat bag names, work bags retained — and waits for it: a Submit and a
 // Wait. Source bags must be loaded and sealed.
 func (ph *Physical) Run(ctx context.Context, c *core.Cluster) error {
-	h, err := ph.Submit(ctx, c, core.JobConfig{Raw: true, Retain: true})
+	h, err := ph.Submit(ctx, c, core.JobConfig{Raw: true})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,6 @@
 // Package sched is Hurricane's multi-job scheduler control plane: the
-// pure decision logic that lets one cluster admit, queue, and execute
-// many independent DAG jobs concurrently.
+// pure decision logic that lets one cluster execute many independent DAG
+// jobs concurrently.
 //
 // The paper executes exactly one application per cluster; its skew
 // mitigation (cloning) therefore competes only with the job's own tasks.
@@ -8,10 +8,9 @@
 // single skewed job's clones would monopolize every worker slot, so the
 // scheduler arbitrates *across* jobs:
 //
-//   - a Registry admits jobs, validates that their physical bag names
+//   - a Registry validates that a submitted job's physical bag names
 //     (including derived partition, control, and partial bags) cannot
-//     collide with any live job's, and queues submissions beyond the
-//     concurrency limit;
+//     collide with any live job's;
 //   - Leases implements weighted fair-share slot leasing: every claimed
 //     worker slot — original tasks and clones alike — is billed to the
 //     owning job's lease. A job
@@ -24,33 +23,24 @@
 // internal/core: all state it needs is pushed in (slot totals, running
 // counts, each blueprint pushed to or claimed from a ready bag), and all
 // state it changes is returned as
-// decisions (admit lists, claim verdicts, preemption plans). That keeps
+// decisions (claim verdicts, preemption plans). That keeps
 // the fair-share math unit-testable with no cluster behind it.
 package sched
 
 // Config tunes the multi-job scheduler.
 type Config struct {
-	// MaxConcurrent caps the number of jobs running at once; submissions
-	// beyond it are queued. 0 means unlimited (every submission starts
-	// immediately).
-	MaxConcurrent int
-	// MaxQueued caps the submission queue when MaxConcurrent is in
-	// effect; a submission past both limits is rejected. 0 = unlimited.
-	MaxQueued int
 	// DisableFairShare turns off slot leasing and preemption: compute
 	// nodes claim blueprints from any job's ready bag as slots free up
 	// (the unarbitrated baseline the sched benchmark measures against).
 	DisableFairShare bool
 }
 
-// State is a job's lifecycle state in the registry.
+// State is a job's lifecycle state.
 type State int
 
 const (
-	// StateQueued: admitted but waiting for a concurrency slot.
-	StateQueued State = iota
-	// StateRunning: executing on the cluster.
-	StateRunning
+	// StateRunning: executing on the cluster (from submission on).
+	StateRunning State = iota
 	// StateDone: completed successfully. Name claims are retained until
 	// released so a later job cannot silently collide with its bags.
 	StateDone
@@ -61,8 +51,6 @@ const (
 // String returns the lowercase state name.
 func (s State) String() string {
 	switch s {
-	case StateQueued:
-		return "queued"
 	case StateRunning:
 		return "running"
 	case StateDone:

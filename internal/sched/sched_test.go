@@ -67,46 +67,47 @@ func TestClaimsSelfConflict(t *testing.T) {
 	}
 }
 
-func TestRegistryAdmissionAndQueue(t *testing.T) {
-	r := NewRegistry(Config{MaxConcurrent: 1, MaxQueued: 1})
-	start, err := r.Submit("a", NameClaims{Exact: []string{"a/x"}}, 0)
-	if err != nil || !start {
-		t.Fatalf("first submit: start=%v err=%v", start, err)
+// TestRegistryClaimsAndRelease: every submission starts; a duplicate id or
+// a name collision with a live or finished job is refused, and only
+// Release frees a finished job's names.
+func TestRegistryClaimsAndRelease(t *testing.T) {
+	r := NewRegistry()
+	if err := r.Submit("a", NameClaims{Exact: []string{"a/x"}}, 0); err != nil {
+		t.Fatalf("first submit: %v", err)
 	}
-	start, err = r.Submit("b", NameClaims{Exact: []string{"b/x"}}, 0)
-	if err != nil || start {
-		t.Fatalf("second submit should queue: start=%v err=%v", start, err)
+	if err := r.Submit("b", NameClaims{Exact: []string{"b/x"}}, 2); err != nil {
+		t.Fatalf("second submit: %v", err)
 	}
-	if st, _ := r.State("b"); st != StateQueued {
-		t.Fatalf("state(b) = %v, want queued", st)
+	if w := r.Weight("a"); w != 1 {
+		t.Fatalf("weight(a) = %d, want the default 1", w)
 	}
-	// Queue full.
-	if _, err := r.Submit("c", NameClaims{Exact: []string{"c/x"}}, 0); err == nil {
-		t.Fatal("third submit should be rejected (queue full)")
+	if w := r.Weight("b"); w != 2 {
+		t.Fatalf("weight(b) = %d, want 2", w)
 	}
 	// Duplicate id.
-	if _, err := r.Submit("a", NameClaims{Exact: []string{"other"}}, 0); err == nil {
+	if err := r.Submit("a", NameClaims{Exact: []string{"other"}}, 0); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
 	// Collision with a live job.
-	if _, err := r.Submit("d", NameClaims{Exact: []string{"a/x"}}, 0); err == nil {
+	if err := r.Submit("d", NameClaims{Exact: []string{"a/x"}}, 0); err == nil {
 		t.Fatal("bag collision accepted")
 	}
-	// Completion admits the queued job.
-	admit := r.Finish("a", false)
-	if len(admit) != 1 || admit[0] != "b" {
-		t.Fatalf("admit = %v, want [b]", admit)
-	}
-	if st, _ := r.State("b"); st != StateRunning {
-		t.Fatalf("state(b) = %v, want running", st)
+	// A running job cannot be released.
+	r.Release("a")
+	if err := r.Submit("e", NameClaims{Exact: []string{"a/x"}}, 0); err == nil {
+		t.Fatal("Release dropped a running job's claims")
 	}
 	// A finished job's claims persist until released.
-	if _, err := r.Submit("e", NameClaims{Exact: []string{"a/x"}}, 0); err == nil {
+	r.Finish("a")
+	if err := r.Submit("e", NameClaims{Exact: []string{"a/x"}}, 0); err == nil {
 		t.Fatal("claims of finished job should still conflict")
 	}
 	r.Release("a")
-	if start, err := r.Submit("e", NameClaims{Exact: []string{"a/x"}}, 0); err != nil || start {
-		t.Fatalf("after release: start=%v err=%v (want queued behind b)", start, err)
+	if err := r.Submit("e", NameClaims{Exact: []string{"a/x"}}, 0); err != nil {
+		t.Fatalf("after release: %v", err)
+	}
+	if w := r.Weight("a"); w != 0 {
+		t.Fatalf("weight of a released job = %d, want 0", w)
 	}
 }
 

@@ -385,13 +385,7 @@ func (h *Handle) submitWindow(lw *window) error {
 	seeds := h.seeds // replaced whole by captureMemory, never written
 	h.mu.Unlock()
 	h.submitLock.Lock()
-	job, err := h.c.SubmitJob(h.ctx, h.spec.App, core.JobConfig{
-		Name:   lw.job,
-		Retain: true, // the stream GCs through WindowResult.Discard, not the scheduler
-		Weight: h.spec.Weight,
-		Master: h.spec.Master,
-		Seeds:  seeds,
-	})
+	job, err := h.c.SubmitJob(h.ctx, h.spec.App, core.JobConfig{Name: lw.job, Seeds: seeds})
 	h.submitLock.Unlock()
 	if err != nil {
 		return fmt.Errorf("stream: submitting window %d: %w", lw.res.Index, err)
@@ -476,11 +470,7 @@ func (h *Handle) finishWindow(lw *window, err error) {
 // (shuffle.WarmStart at the default isolate fraction and fan), keyed by the
 // template bag name.
 func (h *Handle) captureMemory(lw *window) {
-	m := lw.res.job.Master()
-	if m == nil {
-		return
-	}
-	mem := m.EdgeMemory()
+	mem := lw.res.job.Master().EdgeMemory()
 	if h.spec.ColdStart || len(mem) == 0 {
 		return
 	}

@@ -15,8 +15,8 @@
 //   - each sealed window is submitted through Cluster.SubmitJob as an
 //     ordinary namespaced job, so every window gets partitioned shuffle
 //     edges, cloning, fair-share leasing, and
-//     failure recovery for free, and in-flight windows are bounded by
-//     scheduler admission plus a stream-level in-flight cap;
+//     failure recovery for free, and in-flight windows are bounded by a
+//     stream-level in-flight cap;
 //   - a record arriving after its window sealed is late and folds into
 //     the lowest open window;
 //   - cross-window skew memory: when a window finishes, its master's final
@@ -127,16 +127,12 @@ type Spec struct {
 	// to the first record observed.
 	Origin int64
 	// MaxInFlight bounds windows submitted but not yet completed
-	// (default 4); the scheduler's own admission control applies on top.
+	// (default 4).
 	MaxInFlight int
 	// ColdStart disables cross-window skew memory: every window starts
 	// from the plain base partition map (the baseline the streaming
 	// benchmark measures warm-start against).
 	ColdStart bool
-	// Master overrides the cluster's MasterConfig for window jobs.
-	Master *core.MasterConfig
-	// Weight is the fair-share weight of each window job.
-	Weight int
 }
 
 func (s *Spec) fill() {

@@ -30,15 +30,11 @@ var optionSurface = []string{
 	"MasterConfig.SplitInterval",
 	"MasterConfig.Policies",
 
-	"SchedConfig.MaxConcurrent",
-	"SchedConfig.MaxQueued",
 	"SchedConfig.DisableFairShare",
 
 	"JobConfig.Name",
 	"JobConfig.Raw",
 	"JobConfig.Weight",
-	"JobConfig.Retain",
-	"JobConfig.Master",
 	"JobConfig.Seeds",
 
 	"StreamSpec.Name",
@@ -48,8 +44,6 @@ var optionSurface = []string{
 	"StreamSpec.Origin",
 	"StreamSpec.MaxInFlight",
 	"StreamSpec.ColdStart",
-	"StreamSpec.Master",
-	"StreamSpec.Weight",
 
 	"q.Options.Parts",
 	"q.Options.Static",
