@@ -202,7 +202,7 @@ func TestEngineWritesOnlyBatches(t *testing.T) {
 				Name: "route", Inputs: []string{"in"}, Outputs: []string{"e1", "e2", "out"},
 				Run: func(tc *hurricane.TaskCtx) error {
 					return hurricane.ForEachBatch(tc, 0, tupleCodec, func(vec []tuple) error {
-						pw := hurricane.NewPartitionedWriter(tc, 0, tupleCodec, hurricane.Uint64Key(key))
+						pw := hurricane.NewPartitionedWriter(tc, 0, tupleCodec, key)
 						w := hurricane.NewWriter[tuple](tc, 2, rowOnly[tuple]{tupleCodec})
 						for _, v := range vec {
 							if err := pw.Write(v); err != nil {
@@ -212,7 +212,7 @@ func TestEngineWritesOnlyBatches(t *testing.T) {
 								return err
 							}
 						}
-						return hurricane.NewPartitionedWriterUint64(tc, 1, tupleCodec, key).WriteBatch(vec)
+						return hurricane.NewPartitionedWriter(tc, 1, tupleCodec, key).WriteBatch(vec)
 					})
 				},
 			})

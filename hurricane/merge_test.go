@@ -2,10 +2,10 @@ package hurricane
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ctrl"
 )
 
@@ -83,7 +83,7 @@ func TestMergeBitsetOr(t *testing.T) {
 // policy and returns the cluster once the job is done. Each worker folds
 // its share with the add that fresh returns and writes its partial with
 // the write; merge combines the partials into "out". The original worker
-// holds at its first record until a clone has started, so the forced clone
+// holds until a clone has started (core.HoldForClone), so the forced clone
 // lands while the input still has work left however fast the host drains
 // it. The test fails unless the task cloned and merged.
 func runCloned(t *testing.T, cfg ClusterConfig, vals []int64, merge TaskFunc, fresh func() (add func(int64), write func(*TaskCtx) error)) *Cluster {
@@ -97,8 +97,6 @@ func runCloned(t *testing.T, cfg ClusterConfig, vals []int64, merge TaskFunc, fr
 	}
 	t.Cleanup(cluster.Shutdown)
 
-	var once sync.Once
-	cloned := make(chan struct{})
 	app := NewApp("cloned").SourceBag("in").Bag("out")
 	app.AddTask(TaskSpec{
 		Name:    "fold",
@@ -106,24 +104,17 @@ func runCloned(t *testing.T, cfg ClusterConfig, vals []int64, merge TaskFunc, fr
 		Outputs: []string{"out"},
 		Merge:   merge,
 		Run: func(tc *TaskCtx) error {
-			if tc.Blueprint().Worker > 0 {
-				once.Do(func() { close(cloned) })
-			}
 			add, write := fresh()
 			if err := ForEach(tc, 0, Int64Of, func(v int64) error {
 				add(v)
-				select {
-				case <-cloned:
-					return nil
-				case <-tc.Context().Done():
-					return tc.Context().Err()
-				}
+				return nil
 			}); err != nil {
 				return err
 			}
 			return write(tc)
 		},
 	})
+	core.HoldForClone(app.Task("fold"))
 	store := cluster.Store()
 	if err := Load(ctx, store, "in", Int64Of, vals); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package hurricane
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/shuffle"
@@ -35,18 +34,34 @@ import (
 // task completes, and after that every write returns an error.
 type PartitionedWriter[T any] struct{ s *shuffle.Scatter[T] }
 
+// KeyOf is the form of a partitioned writer's key function: the key's
+// bytes, or a uint64 that stands for its 8 little-endian bytes. The two
+// forms place and count a key alike, so records keyed by a uint64 land
+// where those keyed by its 8 bytes do, and the uint64 form reaches the
+// writer's word loop with no byte round trip.
+type KeyOf[T any] interface {
+	func(T) []byte | func(T) uint64
+}
+
 // NewPartitionedWriter returns a partitioned writer for output out, which
 // must be declared with BagSpec.Partitions > 0 (it panics otherwise, like
-// a type error). key extracts the routing key from a record; a record's
-// base partition is the hash of its key, so records with equal keys land
-// in the same partition unless a seed map isolates the key with
-// record-level spreading (BagSpec.Spread).
-func NewPartitionedWriter[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) []byte) *PartitionedWriter[T] {
+// a type error). key extracts the routing key from a record, as bytes or as
+// a uint64 (KeyOf); a record's base partition is the hash of its key, so
+// records with equal keys land in the same partition unless a seed map
+// isolates the key with record-level spreading (BagSpec.Spread).
+func NewPartitionedWriter[T any, K KeyOf[T]](tc *TaskCtx, out int, codec Codec[T], key K) *PartitionedWriter[T] {
 	w := tc.ShuffleWriter(out)
 	if w == nil {
 		panic(fmt.Sprintf("hurricane: output bag %q is not partitioned", tc.OutputName(out)))
 	}
-	s := shuffle.NewScatter(w, codec, key)
+	var s *shuffle.Scatter[T]
+	switch key := any(key).(type) {
+	case func(T) []byte:
+		s = shuffle.NewScatter(w, codec, key)
+	case func(T) uint64:
+		s = shuffle.NewScatter(w, codec, nil)
+		s.KeyUint64(key)
+	}
 	tc.OnFinish(s.Close)
 	return &PartitionedWriter[T]{s: s}
 }
@@ -59,25 +74,15 @@ func (pw *PartitionedWriter[T]) Write(v T) error { return pw.s.Write(v) }
 // partition per few thousand records.
 func (pw *PartitionedWriter[T]) WriteBatch(vs []T) error { return pw.s.WriteBatch(vs) }
 
-// NewPartitionedWriterUint64 is NewPartitionedWriter for uint64-keyed
-// records (keys identified by their 8-byte little-endian encoding, the
-// Uint64Key convention). Placement, key counts and chunks are exactly
-// NewPartitionedWriter's with Uint64Key(key) — whose 8-byte keys take the
-// same word loop — and it only skips the key function's per-record byte
-// round trip.
+// NewPartitionedWriterUint64 is NewPartitionedWriter with a uint64 key.
+//
+// Deprecated: NewPartitionedWriter takes a func(T) uint64 key itself.
 func NewPartitionedWriterUint64[T any](tc *TaskCtx, out int, codec Codec[T], key func(T) uint64) *PartitionedWriter[T] {
-	pw := NewPartitionedWriter(tc, out, codec, Uint64Key(key))
-	pw.s.KeyUint64(key)
-	return pw
+	return NewPartitionedWriter(tc, out, codec, key)
 }
 
-// Uint64Key adapts a uint64-keyed extractor into the []byte key form
-// PartitionedWriter expects (little-endian; the returned bytes are valid
-// until the next call).
-func Uint64Key[T any](f func(T) uint64) func(T) []byte {
-	var buf [8]byte
-	return func(v T) []byte {
-		binary.LittleEndian.PutUint64(buf[:], f(v))
-		return buf[:]
-	}
-}
+// Uint64Key returns f: a uint64 key is a key form NewPartitionedWriter
+// takes as it is.
+//
+// Deprecated: pass f to NewPartitionedWriter directly.
+func Uint64Key[T any](f func(T) uint64) func(T) uint64 { return f }

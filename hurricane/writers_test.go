@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -63,15 +64,16 @@ type edgeState struct {
 	heavy  []sketch.HeavyKey
 }
 
-// TestWritersAgreeAcrossAPIs: a producer's choice of API must be invisible
-// on the edge it feeds. The same Zipf stream goes through
-// PartitionedWriter.Write (byte keys), WriteBatch (uint64 keys and byte
-// keys), an irregular mix of the two, and the scan stage of a compiled q
-// plan; every run must leave the same records in the same physical
-// partitions and the same statistics for the master — exact per-leaf
-// counts, every count-min cell, and the heavy-key list, entry for entry.
-// The four hand-wired producers share one codec, so they must also cut the
-// same chunks: each leaf's chunks, byte for byte, as a sorted multiset.
+// TestWritersAgreeAcrossAPIs: a producer's choice of API and of key form
+// must be invisible on the edge it feeds. The same Zipf stream goes through
+// PartitionedWriter.Write and WriteBatch, keyed by the uint64 (directly,
+// through NewPartitionedWriterUint64 or through Uint64Key) and by its 8
+// little-endian bytes, an irregular mix of the two calls, and the scan
+// stage of a compiled q plan; every run must leave the same records in the
+// same physical partitions and the same statistics for the master — exact
+// per-leaf counts, every count-min cell, and the heavy-key list, entry for
+// entry. The hand-wired producers share one codec, so they must also cut
+// the same chunks: each leaf's chunks, byte for byte, as a sorted multiset.
 func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	const edge, parts, n = "agree.e1", 4, 30000
 	gen := workload.RelationGen{Keys: 4096, S: 1.3, Seed: 29}
@@ -86,6 +88,13 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		stream = append(stream, tuple{First: tu.Key, Second: tu.Payload})
 	}
 	key := func(v tuple) uint64 { return v.First }
+	byteKey := func() func(tuple) []byte {
+		var kb [8]byte
+		return func(v tuple) []byte {
+			binary.LittleEndian.PutUint64(kb[:], v.First)
+			return kb[:]
+		}
+	}
 
 	handWired := func(produce func(tc *hurricane.TaskCtx, vec []tuple) error) func(context.Context, *hurricane.Cluster) error {
 		app := hurricane.NewApp("agree").SourceBag("in").Bag("out")
@@ -117,8 +126,20 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 		"WriteBatch": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
 			return hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec, key).WriteBatch(vec)
 		}),
-		"WriteBatch bytes": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
+		"WriteBatch Uint64Key": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
 			return hurricane.NewPartitionedWriter(tc, 0, tupleCodec, hurricane.Uint64Key(key)).WriteBatch(vec)
+		}),
+		"Write bytes": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
+			pw := hurricane.NewPartitionedWriter(tc, 0, tupleCodec, byteKey())
+			for _, v := range vec {
+				if err := pw.Write(v); err != nil {
+					return err
+				}
+			}
+			return nil
+		}),
+		"WriteBatch bytes": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
+			return hurricane.NewPartitionedWriter(tc, 0, tupleCodec, byteKey()).WriteBatch(vec)
 		}),
 		"mixed": handWired(func(tc *hurricane.TaskCtx, vec []tuple) error {
 			pw := hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec, key)

@@ -8,6 +8,7 @@ import (
 
 	"repro/hurricane"
 	"repro/hurricane/q"
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/workload"
 )
@@ -43,7 +44,10 @@ func clonesForced(cfg *hurricane.ClusterConfig) {
 }
 
 // requireClones fails t unless the master cloned, and with merge also ran
-// a merge task: a test about clones passes only where they happened.
+// a merge task: a test about clones passes only where they happened. Each
+// caller also holds a task that can clone until its first clone starts
+// (core.HoldForClone), so the clone it asks for lands however fast the
+// host drains the input.
 func requireClones(t *testing.T, s hurricane.MasterStats, merge bool) {
 	t.Helper()
 	if s.Clones < 1 || merge && s.MergeTasks < 1 {
@@ -103,6 +107,7 @@ func TestClickLogWithForcedCloning(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := ClickLogApp(regions, hostBits, false)
+	core.HoldForClone(app.Task("phase2." + workload.RegionName(0))) // it has a merge procedure
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +156,11 @@ func TestHashJoinWithForcedCloning(t *testing.T) {
 			c := compileJoin(t, q.Options{Parts: 4, Static: static})
 			if !static && (c.Joins[0].Edge != "" || len(c.Stages) != 1 || c.Stages[0].WritesEdge || c.Stages[0].ConsumesEdge) {
 				t.Fatalf("unpinned join did not compile to one stage with no shuffle:\n%s", c.Explain())
+			}
+			for _, st := range c.Stages {
+				if st.Head == "scan" && !st.NoClone {
+					core.HoldForClone(c.App.Task(st.Task))
+				}
 			}
 			cluster := testCluster(t, clonesForced)
 			runJoin(testCtx(t), t, cluster, c, r, s)
@@ -208,7 +218,9 @@ func TestPageRankWithForcedCloning(t *testing.T) {
 	if err := LoadEdges(ctx, cluster.Store(), edges); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(ctx, PageRankApp(n, iters, false)); err != nil {
+	app := PageRankApp(n, iters, false)
+	core.HoldForClone(app.Task("gather.1")) // it has a merge procedure
+	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
 	got, err := PageRanks(ctx, cluster.Store(), n, iters)

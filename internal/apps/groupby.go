@@ -52,7 +52,7 @@ func GroupByApp(parts int, spread bool, shuffleCostNS, recordCostNS int) *hurric
 		Inputs:  []string{GroupByIn},
 		Outputs: []string{GroupByShuf},
 		Run: func(tc *hurricane.TaskCtx) error {
-			pw := hurricane.NewPartitionedWriterUint64(tc, 0, tupleCodec,
+			pw := hurricane.NewPartitionedWriter(tc, 0, tupleCodec,
 				func(t joinPair) uint64 { return t.First })
 			cost := simulatedCost{perRecordNS: shuffleCostNS}
 			err := hurricane.ForEachBatch(tc, 0, tupleCodec, func(ts []joinPair) error {

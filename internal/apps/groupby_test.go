@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/hurricane"
+	"repro/internal/core"
 	"repro/internal/shuffle"
 	"repro/internal/workload"
 )
@@ -60,7 +61,9 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 			if err := LoadGroupBy(ctx, cluster.Store(), tc.tuples); err != nil {
 				t.Fatal(err)
 			}
-			if err := cluster.Run(ctx, GroupByApp(parts, false, 0, 1000)); err != nil {
+			app := GroupByApp(parts, false, 0, 1000)
+			core.HoldForClone(app.Task("shuffle"))
+			if err := cluster.Run(ctx, app); err != nil {
 				t.Fatal(err)
 			}
 			got, err := CollectGroupBy(ctx, cluster.Store())
@@ -96,7 +99,9 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(ctx, GroupByApp(parts, true, 0, 1000)); err != nil {
+	app := GroupByApp(parts, true, 0, 1000)
+	core.HoldForClone(app.Task("shuffle"))
+	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
 	got, err := CollectGroupBy(ctx, cluster.Store())

@@ -293,6 +293,13 @@ func (c *consumer) fetchLoop() {
 		}
 		switch resp.Status {
 		case transport.StatusOK:
+			if resp.Sealed && resp.ReadChunks == resp.TotalChunks && c.b.store.cfg.replication() == 1 {
+				// The last untaken chunk of a sealed slot: the slot is
+				// drained without a remove to be told so. A replicated
+				// slot keeps that remove, since the counts are those of
+				// one replica.
+				c.retire(slot)
+			}
 			select {
 			case c.ch <- fetchResult{c: resp.Data}:
 			case <-c.ctx.Done():

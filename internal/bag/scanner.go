@@ -118,22 +118,43 @@ func (sc *Scanner) Reset() {
 }
 
 // Drain scans every currently available chunk, invoking fn for each, and
-// returns when it has caught up (ErrAgain) or exhausted a sealed bag
-// (ErrEmpty); both are reported as (caughtUp, nil). Other errors abort.
+// returns once it has caught up; sealed reports that the bag is sealed and
+// fully scanned. It reads each slot in turn until the slot is done for this
+// drain: read to the chunk count its last answer carried (sealed when that
+// answer said so), or answered "temporarily empty" or "sealed and empty".
+// So a drain asks no slot past the end it was just told of, and a drain
+// that finds nothing new asks each slot once. Errors abort.
 func (sc *Scanner) Drain(ctx context.Context, fn func(chunk.Chunk) error) (sealed bool, err error) {
-	for {
-		c, err := sc.Next(ctx)
-		if err == ErrAgain {
-			return false, nil
-		}
-		if err == ErrEmpty {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		if err := fn(c); err != nil {
-			return false, err
+	if m := sc.store.NumSlots(); m > len(sc.cursor) {
+		sc.grow(m)
+	}
+	done := 0 // slots sealed and fully scanned
+	for slot := range sc.cursor {
+		for {
+			resp, err := sc.read(ctx, slot)
+			if err != nil {
+				return false, err
+			}
+			if resp.Status == transport.StatusEmpty {
+				done++
+				break
+			}
+			if resp.Status == transport.StatusAgain {
+				break
+			}
+			if resp.Status != transport.StatusOK {
+				return false, resp.Error()
+			}
+			if err := fn(resp.Data); err != nil {
+				return false, err
+			}
+			if sc.cursor[slot] >= resp.TotalChunks {
+				if resp.Sealed {
+					done++
+				}
+				break
+			}
 		}
 	}
+	return done == len(sc.cursor), nil
 }

@@ -47,27 +47,6 @@ func requireClones(t *testing.T, s MasterStats, merge bool) {
 	}
 }
 
-// awaitClone makes task's first worker wait, before its body, until a
-// clone of it starts, so a forced clone finds the input still full however
-// fast the host would drain it. A clone that never comes is left to
-// requireClones, after a bounded wait.
-func awaitClone(task *TaskSpec) {
-	once, cloned := new(sync.Once), make(chan struct{})
-	run := task.Run
-	task.Run = func(tc *TaskCtx) error {
-		if tc.Blueprint().Worker > 0 {
-			once.Do(func() { close(cloned) })
-		}
-		select {
-		case <-cloned:
-		case <-time.After(5 * time.Second):
-		case <-tc.Context().Done():
-			return tc.Context().Err()
-		}
-		return run(tc)
-	}
-}
-
 // TestNoCloneRespected: a NoClone task is never cloned, while forced
 // clones reach its cloneable neighbor in the same job.
 func TestNoCloneRespected(t *testing.T) {
@@ -85,7 +64,7 @@ func TestNoCloneRespected(t *testing.T) {
 	var processed atomic.Int64
 	app := sumApp(&processed)
 	app.Task("copy").NoClone = true
-	awaitClone(app.Task("sum"))
+	HoldForClone(app.Task("sum"))
 	const n = 50000
 	loadInts(t, ctx, cluster.Store(), "in", n)
 	if err := cluster.Run(ctx, app); err != nil {

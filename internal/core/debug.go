@@ -39,9 +39,9 @@ import (
 
 // HeavyHitter is one heavy key of a shuffle edge as reported by the
 // merged producer sketches. Key is the raw key bytes hex-encoded;
-// KeyUint64 additionally decodes 8-byte keys as little-endian uint64 (the
-// encoding of hurricane.Uint64Key), which is how most workloads key their
-// records.
+// KeyUint64 additionally decodes 8-byte keys as little-endian uint64 (what
+// a partitioned writer's uint64 key stands for), which is how most
+// workloads key their records.
 type HeavyHitter struct {
 	Key       string  `json:"key"`
 	KeyUint64 *uint64 `json:"key_u64,omitempty"`

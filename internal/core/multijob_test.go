@@ -743,7 +743,7 @@ func TestDiscardLeavesNoBags(t *testing.T) {
 		app := slowGroupApp(new(atomic.Int64), 0).Bag("total")
 		sum := sumApp(new(atomic.Int64)).Task("sum")
 		app.AddTask(TaskSpec{Name: "total", Inputs: []string{"out"}, Outputs: []string{"total"}, Run: sum.Run, Merge: sum.Merge})
-		awaitClone(app.Task("total"))
+		HoldForClone(app.Task("total"))
 		h, err := c.SubmitJob(ctx, app, jc)
 		if err != nil {
 			t.Fatal(err)

@@ -65,21 +65,54 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets is the fixed bucket count of a histogram: bucket i counts
-// observations v with bits.Len64(v) == i, i.e. power-of-two ranges
-// [2^(i-1), 2^i). 64 buckets cover the whole uint64 range, so there is
-// never an overflow bucket to reason about.
-const histBuckets = 65
+// A histogram's buckets are log-linear: values below histCols each have a
+// bucket of their own, and every octave above, [2^k, 2^(k+1)) for
+// k >= histSubBits, is cut into histCols equal buckets. A bucket's
+// midpoint is then within 1/(2·histCols) of any value in it: 1.6 % for 32
+// columns. Row 0 holds the values below histCols and row r >= 1 the octave
+// of bits.Len64 = r + histSubBits, so 60 rows cover the whole uint64 range
+// and there is never an overflow bucket to reason about. (histRows rounds
+// the 60 up to a power of two, so that a mask, not a bounds check, keeps a
+// row index in range.)
+const (
+	histSubBits = 5
+	histCols    = 1 << histSubBits
+	histRows    = 64
+)
+
+// histRow is one row's counters. A histogram allocates a row at its first
+// observation: a latency histogram touches a few octaves of the sixty.
+type histRow [histCols]atomic.Uint64
 
 // Histogram is a streaming histogram over non-negative integer
-// observations (typically nanoseconds or record counts) with
-// power-of-two buckets. Observations are two atomic adds; quantiles are
-// estimated from the bucket boundaries (error bounded by the 2x bucket
-// width). A nil *Histogram is a no-op.
+// observations (typically nanoseconds or record counts) with log-linear
+// buckets. An observation is two atomic adds, to the sum and to its
+// bucket, plus a row's allocation the first time a value lands in its
+// octave; the count is the buckets' sum. Quantiles are estimated from the
+// bucket boundaries, within 1.6 % of the true order statistic. A nil
+// *Histogram is a no-op.
 type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+	sum  atomic.Uint64
+	rows [histRows]atomic.Pointer[histRow]
+}
+
+// histBucket returns the row and column of v's bucket.
+func histBucket(v uint64) (row, col int) {
+	if v < histCols {
+		return 0, int(v)
+	}
+	row = bits.Len64(v) - histSubBits
+	return row, int(v>>(row-1)) - histCols
+}
+
+// histMid returns the midpoint of bucket (row, col), rounded down: the
+// value itself in row 0 and in row 1, whose buckets are one wide.
+func histMid(row, col int) uint64 {
+	if row == 0 {
+		return uint64(col)
+	}
+	lo := uint64(histCols+col) << (row - 1)
+	return lo + (uint64(1)<<(row-1))/2
 }
 
 // Observe records one observation (negative values clamp to zero).
@@ -90,9 +123,23 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(uint64(v))
-	h.buckets[bits.Len64(uint64(v))].Add(1)
+	row, col := histBucket(uint64(v))
+	r := h.rows[row&(histRows-1)].Load()
+	if r == nil {
+		r = h.newRow(row)
+	}
+	r[col&(histCols-1)].Add(1)
+}
+
+// newRow installs row's counters, or returns those another observer
+// installed first.
+func (h *Histogram) newRow(row int) *histRow {
+	r := new(histRow)
+	if h.rows[row].CompareAndSwap(nil, r) {
+		return r
+	}
+	return h.rows[row].Load()
 }
 
 // Count returns the number of observations.
@@ -100,7 +147,15 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for row := range h.rows {
+		if r := h.rows[row].Load(); r != nil {
+			for col := range r {
+				n += r[col].Load()
+			}
+		}
+	}
+	return n
 }
 
 // Sum returns the sum of all observations.
@@ -111,14 +166,13 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) as the geometric
-// midpoint of the bucket the q-th observation falls in. Returns 0 when
-// empty.
+// Quantile estimates the q-quantile (0 < q <= 1) as the midpoint of the
+// bucket the q-th observation falls in. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -127,14 +181,15 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		rank = 1
 	}
 	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i == 0 {
-				return 0
+	for row := range h.rows {
+		r := h.rows[row].Load()
+		if r == nil {
+			continue
+		}
+		for col := range r {
+			if cum += r[col].Load(); cum >= rank {
+				return histMid(row, col)
 			}
-			lo := uint64(1) << (i - 1) // bucket holds [2^(i-1), 2^i)
-			return lo + lo/2
 		}
 	}
 	return 0

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -216,26 +215,12 @@ func runCompiled(t *testing.T, w *world, workers int) ([]string, error) {
 	// With slots to spare, the first worker of a stage that can clone and
 	// scans a bag waits for the stage's first clone to start, so the forced
 	// clone finds work left however fast the host would drain a short input.
-	// A clone that never comes fails the run below, after a bounded wait.
+	// A clone that never comes fails the run, after a bounded wait.
 	cloneable := false
 	for _, st := range ph.Stages {
 		cloneable = cloneable || !st.NoClone
-		if workers == 1 || st.Head != "scan" || st.NoClone {
-			continue
-		}
-		task, once, cloned := ph.App.Task(st.Task), new(sync.Once), make(chan struct{})
-		run := task.Run
-		task.Run = func(tc *core.TaskCtx) error {
-			if tc.Blueprint().Worker > 0 {
-				once.Do(func() { close(cloned) })
-			}
-			select {
-			case <-cloned:
-			case <-time.After(5 * time.Second):
-			case <-tc.Context().Done():
-				return tc.Context().Err()
-			}
-			return run(tc)
+		if workers > 1 && st.Head == "scan" && !st.NoClone {
+			core.HoldForClone(ph.App.Task(st.Task))
 		}
 	}
 	err = ph.Run(ctx, cluster)

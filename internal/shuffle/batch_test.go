@@ -187,10 +187,11 @@ func BenchmarkRouteUint64(b *testing.B) {
 // ns/rec, by key kind and API: route, count and group each block of 4,096
 // benchmark tuples (uint64 key, fixed-width payload), then encode each
 // leaf's rows and hand the chunks to the in-process store. "uint64" keys
-// the scatter with KeyUint64; "bytes" with a byte key the way
-// hurricane.Uint64Key makes one (8 bytes, one buffer reused). WriteBatch
-// takes 4,096 records a call, Write one. The edge's bags are dropped,
-// untimed, after every pass over the stream.
+// the scatter with KeyUint64, as a partitioned writer with a uint64 key
+// does; "bytes" with the key's 8 little-endian bytes, one buffer reused.
+// WriteBatch takes 4,096 records a call, Write one: "uint64/Write" is the
+// row path of a uint64-keyed PartitionedWriter. The edge's bags are
+// dropped, untimed, after every pass over the stream.
 func BenchmarkScatterWrite(b *testing.B) {
 	ctx := context.Background()
 	keys := routeBenchKeys()
@@ -204,7 +205,7 @@ func BenchmarkScatterWrite(b *testing.B) {
 		name  string
 		words bool
 		batch bool
-	}{{"uint64/WriteBatch", true, true}, {"bytes/WriteBatch", false, true}, {"bytes/Write", false, false}} {
+	}{{"uint64/WriteBatch", true, true}, {"uint64/Write", true, false}, {"bytes/WriteBatch", false, true}, {"bytes/Write", false, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			st := newTestStore(b, 1, 0)
 			var s *Scatter[tuple]

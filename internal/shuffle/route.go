@@ -107,9 +107,10 @@ func (w *Writer) RouteKey(key []byte) RouteRef {
 	return w.step(key, slotKey8(key), int32(len(key)), KeyHash(key))
 }
 
-// RouteUint64 is RouteKey for a uint64 key, identified by its 8-byte
-// little-endian encoding (the Uint64Key convention): KeyHashUint64 agrees
-// with KeyHash over the encoding, so the placement is RouteKey's.
+// RouteUint64 is RouteKey for a uint64 key, which stands for its 8
+// little-endian bytes (as a partitioned writer's uint64 key does):
+// KeyHashUint64 agrees with KeyHash over those bytes, so the placement is
+// RouteKey's.
 func (w *Writer) RouteUint64(v uint64) RouteRef {
 	return w.step(nil, v, 8, KeyHashUint64(v))
 }
@@ -176,8 +177,8 @@ const feedLine = tickEvery / stretchFeedFraction
 // countSlot is one entry of the key count table: what identifies a key and
 // how often the current stretch held it. key8 holds the first min(klen,8)
 // key bytes inline (little-endian, zero-padded): with klen it identifies a
-// key of at most 8 bytes — the common case, e.g. Uint64Key — completely, so
-// the equality check is two register compares. The bytes of a longer key
+// key of at most 8 bytes — the common case, e.g. a uint64 key — completely,
+// so the equality check is two register compares. The bytes of a longer key
 // live in Writer.long under the slot's index. c stamps the slot against
 // Writer.floor, a multiple of countTabSlots: a slot stamped above the floor
 // holds a key of the current stretch, counted c - floor (= c%countTabSlots)

@@ -40,7 +40,8 @@ type Scatter[T any] struct {
 	keyU64 func(T) uint64 // optional: route on key words, not bytes
 
 	staged bool // Write stages its records (the codec's values own what they encode)
-	stage  []T  // Write's records not yet routed; nil before the first Write and after Close
+	stage  []T  // Write's records not yet routed (none past a Write that does not stage); nil after Close
+	room   int  // the stage's length at which Write calls write: scatterBlock while it is open, else 0
 
 	// Base partitions — the overwhelmingly common routing outcome — index
 	// a dense slice; isolation refs take the map (a struct-keyed map lookup
@@ -69,28 +70,42 @@ func NewScatter[T any](w *Writer, codec chunk.Codec[T], key func(T) []byte) *Sca
 	return &Scatter[T]{w: w, codec: codec, key: key, staged: staged}
 }
 
-// KeyUint64 makes the scatter route on uint64 key words: key must agree
-// with the byte key under the Uint64Key convention (8 bytes little-endian),
-// so placement is unchanged and only the byte round trip goes.
+// KeyUint64 makes the scatter route on uint64 key words: a word stands for
+// its 8 little-endian bytes, so placement, key counts and chunks are those
+// of the byte key that writes them, read by the same word loop, with no
+// byte round trip.
 func (s *Scatter[T]) KeyUint64(key func(T) uint64) { s.keyU64 = key }
 
 // Write adds one record to the stream: staged for the next block, or
-// routed now and appended to its leaf's open chunk.
+// routed now and appended to its leaf's open chunk. It appends the record
+// to the stage before anything else: while the open stage has room, that
+// bounded append is all a Write does, small enough to inline into its
+// caller. write takes the rest.
 func (s *Scatter[T]) Write(v T) error {
-	switch {
-	case s.staged:
-		if s.stage == nil { // the first Write, or one after Close (flush)
-			if s.w.closed {
-				return chunk.ErrClosed
-			}
-			s.stage = make([]T, 0, scatterBlock)
-		}
-		if s.stage = append(s.stage, v); len(s.stage) < scatterBlock {
-			return nil
-		}
+	s.stage = append(s.stage, v)
+	if len(s.stage) < s.room {
+		return nil
+	}
+	return s.write()
+}
+
+// write takes the record Write has just appended: the last of a block,
+// which routes the block; or one that finds no stage open — the first
+// Write, which opens it; one after Close; and every record of a codec that
+// does not stage, routed at the call.
+func (s *Scatter[T]) write() error {
+	if s.room > 0 {
 		return s.writeStage()
-	case s.w.closed:
+	}
+	v := s.stage[len(s.stage)-1]
+	s.stage = s.stage[:len(s.stage)-1]
+	if s.w.closed {
 		return chunk.ErrClosed
+	}
+	if s.staged {
+		s.stage = append(make([]T, 0, scatterBlock), v)
+		s.room = scatterBlock
+		return nil
 	}
 	var ref RouteRef
 	if s.keyU64 != nil {
@@ -302,7 +317,7 @@ func (s *Scatter[T]) flush() error {
 			firstErr = err
 		}
 	}
-	s.base, s.other, s.dense, s.stage = nil, nil, false, nil
+	s.base, s.other, s.dense, s.stage, s.room = nil, nil, false, nil, 0
 	return firstErr
 }
 

@@ -366,18 +366,24 @@ func (s *bagState) handleInsert(req *transport.Request) *transport.Response {
 	return &transport.Response{Status: transport.StatusOK}
 }
 
+// handleRemove takes the first untaken chunk. Its answer also counts the
+// chunks taken, this one included (ReadChunks), beside the bag's chunk
+// count (TotalChunks): on a sealed bag the two agree once the last one is
+// taken, so the reader need not ask again to learn the bag is drained.
 func (s *bagState) handleRemove(*transport.Request) *transport.Response {
 	resp := s.chunkAt(s.next)
 	if resp.OK() {
 		s.mark(s.next)
+		resp.ReadChunks = s.nTaken
 	}
 	return resp
 }
 
-// chunkAt answers a read of chunk i: the chunk and its id, or the end of
-// the bag as it stands.
+// chunkAt answers a read of chunk i: the chunk, its id and the bag's chunk
+// count, or the end of the bag as it stands.
 func (s *bagState) chunkAt(i int64) *transport.Response {
-	if n, _ := s.b.count(); i < 0 || i >= n {
+	n, _ := s.b.count()
+	if i < 0 || i >= n {
 		if s.sealed {
 			return &transport.Response{Status: transport.StatusEmpty, Sealed: true}
 		}
@@ -388,7 +394,7 @@ func (s *bagState) chunkAt(i int64) *transport.Response {
 		return errResp(err)
 	}
 	id, _ := s.b.meta(i)
-	return &transport.Response{Status: transport.StatusOK, Data: c, ID: id, Sealed: s.sealed}
+	return &transport.Response{Status: transport.StatusOK, Data: c, ID: id, TotalChunks: n, Sealed: s.sealed}
 }
 
 func (s *bagState) handleSeal(*transport.Request) *transport.Response {
