@@ -29,8 +29,6 @@ type ClusterConfig struct {
 	// ChunkSize overrides the chunk size (default 64 KiB embedded; the
 	// paper uses 4 MB at cluster scale).
 	ChunkSize int
-	// BatchFactor is the batch sampling factor b (default 10).
-	BatchFactor int
 	// Replication is the storage replication factor (default 1 = off).
 	Replication int
 	// DiskDir, if set, backs bags with files under this directory.
@@ -61,9 +59,6 @@ func (c *ClusterConfig) fill() {
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 64 << 10
-	}
-	if c.BatchFactor <= 0 {
-		c.BatchFactor = bag.DefaultBatchFactor
 	}
 	c.Node.fill()
 }
@@ -147,7 +142,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Nodes:       names,
 		Client:      c.inproc,
 		ChunkSize:   cfg.ChunkSize,
-		BatchFactor: cfg.BatchFactor,
 		Replication: cfg.Replication,
 	})
 	if err != nil {
@@ -160,8 +154,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // NewClusterOverStore builds a cluster whose storage tier is external —
 // for example hurricane-storage servers reached over TCP. Only compute
 // nodes and the application masters run in this process; StorageNodes,
-// Replication, ChunkSize, and BatchFactor in cfg are ignored (they are
-// properties of the supplied store). Storage crash injection is
+// Replication and ChunkSize in cfg are ignored (they are properties of
+// the supplied store). Storage crash injection is
 // unavailable in this mode.
 func NewClusterOverStore(store *bag.Store, cfg ClusterConfig) *Cluster {
 	cfg.fill()

@@ -238,7 +238,7 @@ func TestClusterConfigDefaults(t *testing.T) {
 	cfg := ClusterConfig{}
 	cfg.fill()
 	if cfg.StorageNodes == 0 || cfg.ComputeNodes == 0 || cfg.SlotsPerNode == 0 ||
-		cfg.ChunkSize == 0 || cfg.BatchFactor == 0 {
+		cfg.ChunkSize == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 	nc := NodeConfig{}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
-	"repro/internal/bag"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/shuffle"
@@ -25,8 +23,10 @@ type JobConfig struct {
 	Name string
 	// Raw disables namespacing: bags keep their declared names.
 	// Cluster.Run submits this way so single-job applications keep the
-	// paper's flat naming. Submission still validates that the raw names
-	// cannot collide with any live job's.
+	// paper's flat naming. That prefix is the only difference: a raw job
+	// claims, and Discard or Reset deletes, the same names as a
+	// namespaced one, and its submission is refused when they overlap a
+	// live job's.
 	Raw bool
 	// Weight is the job's fair-share weight (default 1). A weight-2 job
 	// is entitled to twice the worker slots of a weight-1 job under
@@ -196,139 +196,73 @@ func (h *JobHandle) finish(err error) {
 // included — and releases its name claims, so a later submission may
 // reuse the names. It fails while the job is running.
 func (h *JobHandle) Discard(ctx context.Context) error {
-	if h.State() == sched.StateRunning {
-		return fmt.Errorf("core: job %q is running; discard after completion", h.id)
-	}
-	// After Reset the job's name (and namespace) may be owned by a live
-	// successor — the streaming subsystem's window retry. A stale handle's
-	// Discard would wipe that successor's bags mid-run and release its
-	// claims; only the currently registered handle may destroy the name.
-	h.c.mu.Lock()
-	cur := h.c.jobs[h.id]
-	h.c.mu.Unlock()
-	if cur != h {
-		return fmt.Errorf("core: job %q handle is stale (name released or reclaimed); discard through the live handle", h.id)
-	}
-	store := h.c.store
-	if h.prefix != "" {
-		// Everything the job ever touched lives under its namespace —
-		// including runtime-derived names no caller could enumerate.
-		if err := store.DeletePrefix(ctx, h.prefix+"/"); err != nil {
-			return err
-		}
-	} else {
-		for _, b := range h.app.Bags() {
-			if h.app.BagSpecFor(b).Source {
-				if err := store.Delete(ctx, b); err != nil {
-					return err
-				}
-			}
-		}
-		if err := scrubDerivedBags(ctx, store, h.app); err != nil {
-			return err
-		}
-	}
-	h.c.reg.Release(h.id)
-	h.c.mu.Lock()
-	delete(h.c.jobs, h.id)
-	if h.c.primary == h {
-		h.c.primary = nil
-	}
-	h.c.mu.Unlock()
-	return nil
+	return h.release(ctx, "discard", h.c.store.Delete)
 }
 
-// Reset prepares a completed — typically failed — namespaced job for
-// resubmission under the same name: every bag the job derived is deleted
-// (outputs, partitioned edges with their seeded isolation bags and
-// sketches, merge partials, work bags), its source bags are
-// rewound so their consumed chunks replay from the start, and the job's
-// registration and name claims are released. The streaming subsystem's
-// window retry is the intended caller: rewinding instead of re-ingesting
-// preserves exactly-once per window without a second copy of the input.
-// The handle is dead afterwards; resubmit the application with SubmitJob.
-// Raw jobs cannot be reset (their sources may be shared), and neither can
-// running jobs.
+// Reset prepares a completed — typically failed — job for resubmission
+// under the same name: its source bags are rewound so their consumed
+// chunks replay from the start, every other bag it claims is deleted as
+// Discard deletes it, and the job's registration and name claims are
+// released. The streaming subsystem's window retry is the intended
+// caller: rewinding instead of re-ingesting preserves exactly-once per
+// window without a second copy of the input. The handle is dead
+// afterwards; resubmit the application with SubmitJob. A running job
+// cannot be reset.
 func (h *JobHandle) Reset(ctx context.Context) error {
-	if h.State() == sched.StateRunning {
-		return fmt.Errorf("core: job %q is running; reset after completion", h.id)
-	}
-	if h.prefix == "" {
-		return fmt.Errorf("core: job %q is raw (no namespace); reset is only safe for namespaced jobs", h.id)
-	}
-	// Same staleness guard as Discard: after a previous Reset released
-	// the name, a successor may own it — rewinding its in-use sources and
-	// scrubbing its derived bags mid-run would corrupt the live job.
-	h.c.mu.Lock()
-	cur := h.c.jobs[h.id]
-	h.c.mu.Unlock()
-	if cur != h {
-		return fmt.Errorf("core: job %q handle is stale (name released or reclaimed); reset through the live handle", h.id)
-	}
-	store := h.c.store
-	for _, b := range h.app.Bags() {
-		if h.app.BagSpecFor(b).Source {
-			if err := store.Rewind(ctx, b); err != nil {
-				return err
-			}
-		}
-	}
-	if err := scrubDerivedBags(ctx, store, h.app); err != nil {
-		return err
-	}
-	h.c.reg.Release(h.id)
-	h.c.mu.Lock()
-	if h.c.jobs[h.id] == h {
-		delete(h.c.jobs, h.id)
-	}
-	h.c.mu.Unlock()
-	return nil
+	return h.release(ctx, "reset", h.c.store.Rewind)
 }
 
-// scrubDerivedBags deletes every bag a job derives from its declared
-// graph: non-source data bags, a partitioned edge's runtime bags
-// (base partitions, isolated heavy-hitter bags) and its storage-side
-// sketch state — which plain Delete does not touch
-// and which would otherwise seed a name-reusing successor with this
-// job's cumulative producer statistics — plus merge partials and the
-// work bags. Shared by Discard (which also deletes the source bags) and
-// Reset (which rewinds them instead), so a new kind of runtime-derived
-// bag only has to be added here.
-func scrubDerivedBags(ctx context.Context, store *bag.Store, app *App) error {
-	for _, b := range app.Bags() {
-		spec := app.BagSpecFor(b)
-		if spec.Source {
-			continue
+// release is Discard and Reset: it applies source (Delete or Rewind) to
+// each source bag, deletes every other name and stem the job claims
+// (appClaims) and each partitioned edge's storage-side sketch state —
+// which plain Delete does not touch and which would otherwise seed a
+// name-reusing successor with this job's cumulative producer statistics —
+// and then drops the job's registration and claims.
+func (h *JobHandle) release(ctx context.Context, verb string, source func(context.Context, string) error) error {
+	if h.State() == sched.StateRunning {
+		return fmt.Errorf("core: job %q is running; %s after completion", h.id, verb)
+	}
+	// After Reset the job's name may be owned by a live successor — the
+	// streaming subsystem's window retry. A stale handle would rewind or
+	// delete that successor's bags mid-run and release its claims; only
+	// the currently registered handle may release the name.
+	c := h.c
+	c.mu.Lock()
+	cur := c.jobs[h.id]
+	c.mu.Unlock()
+	if cur != h {
+		return fmt.Errorf("core: job %q handle is stale (name released or reclaimed); %s through the live handle", h.id, verb)
+	}
+	claims := appClaims(h.app)
+	for _, b := range claims.Exact {
+		spec := h.app.BagSpecFor(b) // nil for a work bag
+		del := c.store.Delete
+		if spec != nil && spec.Source {
+			del = source
 		}
-		if err := store.Delete(ctx, b); err != nil {
+		if err := del(ctx, b); err != nil {
 			return err
 		}
-		if spec.Partitions > 0 {
-			if err := store.DeletePrefix(ctx, b+".p"); err != nil {
-				return err
-			}
-			if err := store.DeletePrefix(ctx, b+".h"); err != nil {
-				return err
-			}
-			if err := store.DeleteSketch(ctx, b); err != nil {
+		if spec != nil && spec.Partitions > 0 {
+			if err := c.store.DeleteSketch(ctx, b); err != nil {
 				return err
 			}
 		}
 	}
-	for _, t := range app.Tasks() {
-		spec := app.Task(t)
-		if spec.requiresMerge() {
-			if err := store.DeletePrefix(ctx, spec.Outputs[0]+"~p"); err != nil {
-				return err
-			}
-		}
-	}
-	wb := newWorkBags(store, app.Name())
-	for _, n := range []string{wb.readyName(), wb.runningName(), wb.doneName()} {
-		if err := store.Delete(ctx, n); err != nil {
+	for _, p := range claims.Prefix {
+		if err := c.store.DeletePrefix(ctx, p); err != nil {
 			return err
 		}
 	}
+	c.reg.Release(h.id)
+	c.mu.Lock()
+	if c.jobs[h.id] == h {
+		delete(c.jobs, h.id)
+	}
+	if c.primary == h {
+		c.primary = nil
+	}
+	c.mu.Unlock()
 	return nil
 }
 
@@ -395,26 +329,26 @@ func jobApp(app *App, prefix string, seeds map[string]*shuffle.PartitionMap) (*A
 	return out, nil
 }
 
-// appClaims enumerates the physical bag names a job may touch: declared
-// bags and work bags exactly, plus prefixes covering runtime-derived
-// names (base partitions "<bag>.p…", isolated heavy-hitter bags
-// "<bag>.h…", clone partial bags "<out>~p…"). Raw
-// jobs register these with the registry, which rejects a submission
-// whose claims overlap a live job's; namespaced jobs register their
-// whole "<prefix>/" subtree instead (Discard sweeps exactly that), with
-// the detailed claims still used for within-job validation.
+// appClaims lists the physical bag names a job owns, which are exactly
+// the names its release deletes: every declared bag and work bag by name,
+// and as a prefix each stem its runtime names grow from — a partitioned
+// edge's base partitions "<bag>.p…" and isolated heavy-hitter bags
+// "<bag>.h…", a merged output's clone partials "<out>~p…". Every job,
+// raw or namespaced, registers this list, so a declared name under a
+// stem, the job's own or a live neighbour's, is refused at submission
+// instead of deleted by the stem's release.
 func appClaims(app *App) sched.NameClaims {
 	var c sched.NameClaims
 	for _, b := range app.Bags() {
 		c.Exact = append(c.Exact, b)
 		if app.BagSpecFor(b).Partitions > 0 {
-			c.Derived = append(c.Derived, b+".p", b+".h")
+			c.Prefix = append(c.Prefix, b+".p", b+".h")
 		}
 	}
 	for _, t := range app.Tasks() {
 		spec := app.Task(t)
 		if spec.requiresMerge() {
-			c.Derived = append(c.Derived, spec.Outputs[0]+"~p")
+			c.Prefix = append(c.Prefix, spec.Outputs[0]+"~p")
 		}
 	}
 	wb := newWorkBags(nil, app.Name())
@@ -447,36 +381,9 @@ func (c *Cluster) SubmitJob(ctx context.Context, app *App, cfg JobConfig) (*JobH
 	if err := nsApp.Validate(); err != nil {
 		return nil, fmt.Errorf("core: job %q: %w", cfg.Name, err)
 	}
-	// Within-job validation always runs on the detailed claims: a bag
-	// that shadows a sibling's derived names (declaring both partitioned
-	// "x" and plain "x.p0") is a latent cross-talk bug namespacing can't
-	// fix.
-	claims := appClaims(nsApp)
-	if msg, bad := claims.SelfConflict(); bad {
-		return nil, fmt.Errorf("core: job %q: %s", cfg.Name, msg)
-	}
-	// Cross-job claims: a namespaced job owns its entire "<prefix>/"
-	// subtree — Discard sweeps exactly that prefix, so the claim must
-	// cover it all (including a raw job's bag that merely starts with
-	// the prefix, which the detailed claims would miss).
-	if prefix != "" {
-		claims = sched.NameClaims{Prefix: []string{prefix + "/"}}
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Namespaces must not nest: JobHandle.Discard deletes the whole
-	// "<prefix>/" subtree, which must never reach into a sibling job.
-	// (The registry's prefix-claim overlap check would also catch this;
-	// the explicit check names both jobs in the error.)
-	for id, other := range c.jobs {
-		if prefix != "" && other.prefix != "" &&
-			(strings.HasPrefix(prefix, other.prefix+"/") || strings.HasPrefix(other.prefix, prefix+"/")) {
-			return nil, fmt.Errorf("core: job %q namespace %q nests inside job %q namespace %q",
-				cfg.Name, prefix, id, other.prefix)
-		}
-	}
-	if err := c.reg.Submit(cfg.Name, claims, cfg.Weight); err != nil {
+	if err := c.reg.Submit(cfg.Name, appClaims(nsApp), cfg.Weight); err != nil {
 		return nil, err
 	}
 	c.ensurePoolLocked()

@@ -311,7 +311,9 @@ func TestStopWaitsForClaimInFlight(t *testing.T) {
 
 // TestSubmitCollisionValidation: the registry rejects, with a clear
 // error, submissions whose physical bag names could cross-talk with a
-// live job's — including names only derived at runtime.
+// live job's — including names only derived at runtime — and accepts a
+// namespace nested in a live one, whose bags the outer job's Discard
+// leaves alone.
 func TestSubmitCollisionValidation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -358,27 +360,50 @@ func TestSubmitCollisionValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "x.p0") {
 		t.Fatalf("derived-name self collision not rejected: %v", err)
 	}
-	// Nested namespaces would make Discard reach into a sibling job.
-	if _, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "ns/inner"}); err == nil ||
-		!strings.Contains(err.Error(), "nests") {
-		t.Fatalf("nested namespace not rejected: %v", err)
+	// Namespaces may nest: a job owns only the names it claims, so the
+	// outer job's Discard below must not reach into the inner one's bags.
+	inner, err := cluster.SubmitJob(ctx, sumApp(&proc), JobConfig{Name: "ns/inner"})
+	if err != nil {
+		t.Fatalf("nested namespace: %v", err)
 	}
-	// A raw job whose literal bag name reaches into a live namespace is
-	// rejected too: the namespaced job owns its whole "<prefix>/"
-	// subtree (Discard sweeps exactly that).
+	loadInts(t, ctx, cluster.Store(), inner.Bag("in"), 1000)
+	// A raw job whose literal bag name is a live namespaced job's bag
+	// would steal its chunks.
 	intruder := NewApp("intruder")
 	intruder.SourceBag("ns/in").Bag("intruder.out")
 	intruder.AddTask(TaskSpec{Name: "t", Inputs: []string{"ns/in"}, Outputs: []string{"intruder.out"}, Run: nop})
 	if _, err := cluster.SubmitJob(ctx, intruder, JobConfig{Name: "intruder", Raw: true}); err == nil ||
-		!strings.Contains(err.Error(), `"ns/"`) {
-		t.Fatalf("raw bag inside a live namespace not rejected: %v", err)
+		!strings.Contains(err.Error(), `bag "ns/in" claimed by both jobs`) {
+		t.Fatalf("raw bag collision with a namespaced job not rejected: %v", err)
 	}
 
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Wait(ctx); err != nil {
+	for _, j := range []*JobHandle{h, inner} {
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	innerBags := func() []string {
+		var under []string
+		for _, b := range storedBags(cluster) {
+			if strings.HasPrefix(b, "ns/inner/") {
+				under = append(under, b)
+			}
+		}
+		slices.Sort(under)
+		return under
+	}
+	before := innerBags()
+	if err := h.Discard(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if after := innerBags(); len(before) == 0 || !slices.Equal(after, before) {
+		t.Fatalf("the inner job's bags %v became %v after the outer job's Discard", before, after)
+	}
+	if got, want := readSumBag(t, ctx, cluster.Store(), inner.Bag("out")), int64(1000*999/2); got != want {
+		t.Fatalf("inner job sum = %d after the outer job's Discard, want %d", got, want)
 	}
 }
 
@@ -836,4 +861,55 @@ func TestRawDiscardClearsSketches(t *testing.T) {
 	if got.Total() != 0 {
 		t.Fatalf("discarded job's edge sketch survived: %d records", got.Total())
 	}
+}
+
+// TestNameUnderStemRefused: a job owns every name under its stems — its
+// release deletes them all — so a declared name under one is refused at
+// submission, whether the stem is a live neighbour's or the job's own.
+// Accepting either lets a release delete a bag another job (or the same
+// job's Reset) still needs.
+func TestNameUnderStemRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cluster, err := NewCluster(testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	t.Run("neighbour", func(t *testing.T) {
+		// A finished raw neighbour keeps its source "shuf.pending" until
+		// its own Discard.
+		neighbour := NewApp("neighbour").SourceBag("shuf.pending").Bag("neighbour.out")
+		neighbour.AddTask(TaskSpec{Name: "t", Inputs: []string{"shuf.pending"}, Outputs: []string{"neighbour.out"}, Run: nop})
+		loadInts(t, ctx, cluster.Store(), "shuf.pending", 100)
+		hn, err := cluster.SubmitJob(ctx, neighbour, JobConfig{Raw: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hn.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// slowGroupApp's partitioned edge "shuf" claims the stems "shuf.p"
+		// and "shuf.h", and its release would delete "shuf.pending".
+		_, err = cluster.SubmitJob(ctx, slowGroupApp(new(atomic.Int64), 0), JobConfig{Raw: true})
+		if err == nil {
+			t.Fatal(`a raw job whose stem "shuf.p" covers a neighbour's bag was accepted`)
+		}
+		for _, want := range []string{`"slowgroup"`, `"neighbour"`, `"shuf.pending"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not name %s", err, want)
+			}
+		}
+	})
+
+	t.Run("own", func(t *testing.T) {
+		app := NewApp("own").SourceBag("src").SourceBag("x.part2").PartitionedBag("x", 2).Bag("y")
+		app.AddTask(TaskSpec{Name: "prod", Inputs: []string{"src", "x.part2"}, Outputs: []string{"x"}, Run: nop})
+		app.AddTask(TaskSpec{Name: "cons", Inputs: []string{"x"}, Outputs: []string{"y"}, Run: nop})
+		if _, err := cluster.SubmitJob(ctx, app, JobConfig{Name: "own"}); err == nil ||
+			!strings.Contains(err.Error(), `"own/x.part2"`) {
+			t.Fatalf("a source under the job's own stem was not refused: %v", err)
+		}
+	})
 }

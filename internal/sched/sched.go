@@ -8,9 +8,10 @@
 // single skewed job's clones would monopolize every worker slot, so the
 // scheduler arbitrates *across* jobs:
 //
-//   - a Registry validates that a submitted job's physical bag names
-//     (including derived partition, control, and partial bags) cannot
-//     collide with any live job's;
+//   - a Registry validates that a submitted job's name claims — its
+//     declared bag names and the stems its partition and partial bags
+//     grow from, which are also exactly what releasing the job deletes —
+//     overlap neither each other nor any live job's;
 //   - Leases implements weighted fair-share slot leasing: every claimed
 //     worker slot — original tasks and clones alike — is billed to the
 //     owning job's lease. A job

@@ -7,12 +7,12 @@ import (
 
 func TestClaimsConflicts(t *testing.T) {
 	a := NameClaims{
-		Exact:   []string{"a/in", "a/out", "a!ready"},
-		Derived: []string{"a/out~p"},
+		Exact:  []string{"a/in", "a/out", "a!ready"},
+		Prefix: []string{"a/out~p"},
 	}
 	b := NameClaims{
-		Exact:   []string{"b/in", "b/out", "b!ready"},
-		Derived: []string{"b/out~p"},
+		Exact:  []string{"b/in", "b/out", "b!ready"},
+		Prefix: []string{"b/out~p"},
 	}
 	if msg, bad := a.Conflict(b); bad {
 		t.Fatalf("disjoint claims conflict: %s", msg)
@@ -23,23 +23,24 @@ func TestClaimsConflicts(t *testing.T) {
 	if _, bad := a.Conflict(c); !bad {
 		t.Fatal("shared exact bag not detected")
 	}
-	// Exact caught by the other job's derived-name stem.
+	// Exact caught by the other job's stem.
 	d := NameClaims{Exact: []string{"a/out~p3@e0"}}
 	if _, bad := a.Conflict(d); !bad {
-		t.Fatal("partial-bag name in foreign derived space not detected")
+		t.Fatal("partial-bag name under a foreign stem not detected")
 	}
 	if _, bad := d.Conflict(a); !bad {
-		t.Fatal("derived conflict must be symmetric")
+		t.Fatal("stem conflict must be symmetric")
 	}
-	// A name extending the stem with a non-digit is NOT derived: legal.
+	// Any name under the stem conflicts, derived-looking or not: the
+	// stem's release would delete it.
 	e := NameClaims{Exact: []string{"a/out~partial"}}
-	if msg, bad := a.Conflict(e); bad {
-		t.Fatalf("non-digit stem extension wrongly flagged: %s", msg)
+	if _, bad := a.Conflict(e); !bad {
+		t.Fatal("name under a foreign stem not detected")
 	}
-	// Nested derived stems overlap.
-	f := NameClaims{Derived: []string{"a/out~p5"}}
+	// Nested stems overlap.
+	f := NameClaims{Prefix: []string{"a/out~p5"}}
 	if _, bad := a.Conflict(f); !bad {
-		t.Fatal("nested derived stems not detected")
+		t.Fatal("nested stems not detected")
 	}
 	// A namespace prefix claim swallows everything under it.
 	ns := NameClaims{Prefix: []string{"a/"}}
@@ -52,16 +53,17 @@ func TestClaimsConflicts(t *testing.T) {
 }
 
 func TestClaimsSelfConflict(t *testing.T) {
-	// Declaring a partitioned bag "x" (derived stems x.p / x.h)
-	// alongside a plain bag "x.p0" shadows the derived partition names.
-	c := NameClaims{Exact: []string{"x", "x.p0"}, Derived: []string{"x.p", "x.h"}}
-	msg, bad := c.SelfConflict()
-	if !bad || !strings.Contains(msg, "x.p0") {
-		t.Fatalf("self conflict not detected: %q %v", msg, bad)
+	// Declaring a partitioned bag "x" (stems x.p / x.h) alongside a
+	// plain bag "x.p0" shadows the derived partition names, and alongside
+	// "x.part2" puts a bag where the stem's release deletes it.
+	for _, under := range []string{"x.p0", "x.part2", "x.hits"} {
+		c := NameClaims{Exact: []string{"x", under}, Prefix: []string{"x.p", "x.h"}}
+		msg, bad := c.SelfConflict()
+		if !bad || !strings.Contains(msg, under) {
+			t.Fatalf("self conflict on %s not detected: %q %v", under, msg, bad)
+		}
 	}
-	// "x.part2" extends the stem with a letter, not a digit: legal
-	// (pre-existing apps use such sibling names freely).
-	ok := NameClaims{Exact: []string{"x", "x.part2", "x.hits"}, Derived: []string{"x.p", "x.h"}}
+	ok := NameClaims{Exact: []string{"x", "x-part2", "xp0", "y.p0"}, Prefix: []string{"x.p", "x.h"}}
 	if msg, bad := ok.SelfConflict(); bad {
 		t.Fatalf("clean claims flagged: %s", msg)
 	}

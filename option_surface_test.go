@@ -17,7 +17,6 @@ var optionSurface = []string{
 	"ClusterConfig.ComputeNodes",
 	"ClusterConfig.SlotsPerNode",
 	"ClusterConfig.ChunkSize",
-	"ClusterConfig.BatchFactor",
 	"ClusterConfig.Replication",
 	"ClusterConfig.DiskDir",
 	"ClusterConfig.Obs",
