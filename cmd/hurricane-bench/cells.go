@@ -35,7 +35,7 @@ func msSince(t time.Time) float64 { return float64(time.Since(t)) / 1e6 }
 func groupByCounts(ctx context.Context, store *hurricane.Store, bags ...string) (counts, error) {
 	var out counts
 	for _, b := range bags {
-		got, err := apps.CollectGroupByFrom(ctx, store, b)
+		got, err := apps.CollectGroupBy(ctx, store, b)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +68,7 @@ func policyCell() cell {
 				return result{}, err
 			}
 			defer c.Shutdown()
-			if err := apps.LoadGroupBy(ctx, c.Store(), tuples); err != nil {
+			if err := apps.LoadGroupBy(ctx, c.Store(), apps.GroupByIn, tuples); err != nil {
 				return result{}, err
 			}
 			start := time.Now()
@@ -106,7 +106,7 @@ func schedCell() cell {
 			store := c.Store()
 			skew, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, skewProduce, recordCost), hurricane.JobConfig{Name: "skew"})
 			if err == nil {
-				err = apps.LoadGroupByInto(ctx, store, skew.Bag(apps.GroupByIn), skewTuples)
+				err = apps.LoadGroupBy(ctx, store, skew.Bag(apps.GroupByIn), skewTuples)
 			}
 			if err != nil {
 				return result{}, err
@@ -117,7 +117,7 @@ func schedCell() cell {
 			uni, err := c.SubmitJob(ctx, apps.GroupByApp(parts, true, 0, recordCost), hurricane.JobConfig{Name: "uni"})
 			start := time.Now()
 			if err == nil {
-				err = apps.LoadGroupByInto(ctx, store, uni.Bag(apps.GroupByIn), uniTuples)
+				err = apps.LoadGroupBy(ctx, store, uni.Bag(apps.GroupByIn), uniTuples)
 			}
 			if err == nil {
 				err = uni.Wait(ctx)
@@ -260,7 +260,7 @@ func planCell() cell {
 				return result{}, fmt.Errorf("planner chose %v, want %v:\n%s", got, want, plan.Explain())
 			}
 			var r result
-			if err := apps.LoadRelations(ctx, c.Store(), dim, probes); err != nil {
+			if err := apps.LoadRelations(ctx, c.Store(), apps.JoinBagR, apps.JoinBagS, dim, probes); err != nil {
 				return result{}, err
 			}
 			start := time.Now()

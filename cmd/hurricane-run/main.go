@@ -1,28 +1,33 @@
-// Command hurricane-run executes a Hurricane job against standalone
+// Command hurricane-run executes Hurricane jobs against standalone
 // hurricane-storage servers over TCP: compute nodes and the application
-// master run in this process, all bags live on the remote storage tier.
+// masters run in this process, all bags live on the remote storage tier.
 //
 // Usage:
 //
 //	hurricane-storage -addr 127.0.0.1:7070 &
 //	hurricane-storage -addr 127.0.0.1:7071 &
 //	hurricane-run -storage storage-0=127.0.0.1:7070,storage-1=127.0.0.1:7071 \
-//	    -records 200000 -skew 1.0
+//	    -job groupby -records 200000 -skew 1.0
 //
-// The job (-job) is the paper's ClickLog application, the skew-aware
-// shuffle groupby (whose partitioned bags, producer sketches, and
-// clones of hot-partition consumers then run against the remote storage
-// tier over TCP), or a planner-compiled query (-job query): a declarative join
-// that the planner fuses into the probe scan, every worker reading the
-// build relation, so clones split the skewed probe chunk by chunk.
-// Results are verified against an in-process oracle.
+// -job names one of five kinds, the same in every mode: sqsum (square
+// and sum a range of integers), clicklog (the paper's ClickLog
+// application), groupby (the skew-aware shuffle groupby, whose
+// partitioned bags, producer sketches and clones of hot-partition
+// consumers run against the remote tier), query (the planner-compiled
+// groupby) and join (a planner-compiled hash join that the planner fuses
+// into the probe scan, every worker reading the build relation, so
+// clones split the skewed probe chunk by chunk). Every job runs under
+// its -name (default <kind>-<8 hex digits>) as its bag namespace, is
+// verified against a serial answer computed in this process, and is
+// discarded after the check, pass or fail: a direct run leaves no bag
+// on the storage tier.
 //
 // Streaming mode: with -stream the process runs the continuous-ingestion
 // subsystem against the remote storage tier — a drifting Zipf click-log
 // source cut into event-time windows (-windows), each executed as a DAG
 // groupby job whose partitioned edge is warm-started from the previous
 // window's skew memory. Every window is verified against the serial
-// groupby of its clicks:
+// groupby of its clicks and then discarded:
 //
 //	hurricane-run -storage ... -stream -records 160000 -windows 8 -skew 1.3
 //
@@ -42,9 +47,12 @@
 // after completion the client fetches the job's EXPLAIN ANALYZE,
 // profile, and decision timeline from the server's debug endpoint by
 // that name (same-host or reachable -debug address required; degrades
-// to the result line otherwise). -job query runs the planner-compiled groupby,
-// whose EXPLAIN ANALYZE renders the compiled physical plan annotated
-// with the measured execution.
+// to the result line otherwise). The planner's kinds, query and join,
+// carry an EXPLAIN ANALYZE that renders the compiled physical plan
+// annotated with the measured execution. The server keeps its 8 most
+// recent finished jobs, bags and all, for these pages, discards the
+// oldest kept job as each newer one finishes, and discards the rest on a
+// clean exit (interrupt).
 //
 // A -serve process also exposes the cluster's live observability over
 // HTTP (default 127.0.0.1:6066; move it with -debug addr, disable with
@@ -73,15 +81,12 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/bag"
 	"repro/internal/core"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // runConfig is the cluster every mode of this command runs on: the
@@ -104,19 +109,19 @@ func runConfig(computes, slots int) core.ClusterConfig {
 
 func main() {
 	storageFlag := flag.String("storage", "", "comma-separated name=addr storage nodes")
-	job := flag.String("job", "clicklog", "job to run: clicklog | groupby | query (with -submit: sqsum | groupby)")
+	job := flag.String("job", "clicklog", "job kind, the same in every mode: "+kindNames())
 	records := flag.Int("records", 200000, "records to generate")
 	skew := flag.Float64("skew", 1.0, "zipf skew s")
 	computes := flag.Int("computes", 4, "compute nodes in this process")
 	slots := flag.Int("slots", 2, "worker slots per compute node")
-	parts := flag.Int("parts", 4, "groupby/stream: base shuffle partitions")
+	parts := flag.Int("parts", 4, "base shuffle partitions")
 	streamMode := flag.Bool("stream", false, "continuous ingestion: run a drifting Zipf click-log stream as event-time windows against the remote storage tier")
 	windows := flag.Int("windows", 8, "-stream: number of event-time windows")
 	serveMode := flag.Bool("serve", false, "run the multi-job scheduler service: execute jobs submitted via the sched!submit bag")
-	debugAddr := flag.String("debug", "", "-serve: address for the /metrics and /debug HTTP surface (default 127.0.0.1:6066; \"off\" disables)")
+	debugAddr := flag.String("debug", "127.0.0.1:6066", "-serve: address for the /metrics and /debug HTTP surface (\"off\" disables)")
 	submitMode := flag.Bool("submit", false, "submit a job to a -serve process and wait for its result")
-	name := flag.String("name", "", "-submit: unique job name (also its bag namespace)")
-	weight := flag.Int("weight", 0, "-submit: fair-share weight (0 = default)")
+	name := flag.String("name", "", "unique job name, also its bag namespace (default <job>-<8 hex digits>)")
+	weight := flag.Int("weight", 0, "fair-share weight (0 = default)")
 	flag.Parse()
 
 	addrs := map[string]string{}
@@ -133,11 +138,7 @@ func main() {
 	if len(addrs) == 0 {
 		log.Fatal("no storage nodes; pass -storage name=addr,...")
 	}
-	names := make([]string, 0, len(addrs))
-	for n := range addrs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(addrs))
 
 	client := transport.NewTCPClient(addrs)
 	defer client.Close()
@@ -161,117 +162,44 @@ func main() {
 		}
 		return
 	}
-	if *submitMode {
-		if *name == "" {
-			log.Fatal("-submit requires -name")
-		}
-		req := jobRequest{Name: *name, Job: *job, Records: *records,
-			Skew: *skew, Parts: *parts, Weight: *weight}
-		if req.Job == "clicklog" {
-			req.Job = "sqsum" // served kinds are sqsum, groupby, and query
-		}
-		if err := submitAndWait(ctx, store, req); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	if *streamMode {
 		runStream(ctx, store, names, *records, *windows, *skew, *computes, *slots, *parts)
 		return
 	}
 
-	switch *job {
-	case "groupby":
-		runGroupBy(ctx, store, names, *records, *skew, *computes, *slots, *parts)
-		return
-	case "query":
-		runQuery(ctx, store, names, *records, *skew, *computes, *slots, *parts)
-		return
-	case "clicklog":
-	default:
-		log.Fatalf("unknown -job %q (valid: clicklog groupby query; with -submit: sqsum groupby)", *job)
-	}
-
-	const regions, hostBits = 16, 12
-	fmt.Printf("generating %d clicks (s=%.1f), loading onto %d storage nodes...\n",
-		*records, *skew, len(names))
-	gen := workload.ClickLogGen{S: *skew, Regions: regions, UniquePerRegion: 1 << hostBits, Seed: 42}
-	ips := gen.Generate(*records)
-	want := workload.DistinctPerRegion(ips, regions)
-	if err := apps.LoadClickLog(ctx, store, ips); err != nil {
-		log.Fatal(err)
-	}
-
-	cluster := core.NewClusterOverStore(store, runConfig(*computes, *slots))
-	start := time.Now()
-	if err := cluster.Run(ctx, apps.ClickLogApp(regions, hostBits, false)); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	defer cluster.Shutdown()
-
-	got, err := apps.ClickLogCounts(ctx, store, regions)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bad := 0
-	for r := range want {
-		if got[r] != want[r] {
-			fmt.Printf("region %s: got %d want %d\n", workload.RegionName(r), got[r], want[r])
-			bad++
+	req := jobRequest{Name: *name, Job: *job, Records: *records,
+		Skew: *skew, Parts: *parts, Weight: *weight}
+	if req.Name == "" {
+		id, err := newSubmissionID()
+		if err != nil {
+			log.Fatal(err)
 		}
+		req.Name = req.Job + "-" + id[:8]
 	}
-	fmt.Printf("clicklog on %d remote storage nodes: %d/%d regions correct in %v\n",
-		len(names), regions-bad, regions, elapsed)
-	fmt.Printf("master stats: %+v\n", cluster.Master().Stats())
-	if bad > 0 {
-		log.Fatal("verification failed")
+	if *submitMode {
+		if err := submitAndWait(ctx, store, req); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	res := runDirect(ctx, store, runConfig(*computes, *slots), req)
+	fmt.Println(res)
+	if !res.OK {
+		log.Fatal("job failed")
 	}
 }
 
-// runGroupBy executes the skew-aware shuffle groupby against the remote
-// storage tier: partition bags and OpSketch pushes all travel over TCP.
-func runGroupBy(ctx context.Context, store *bag.Store, names []string, records int, skew float64, computes, slots, parts int) {
-	fmt.Printf("generating %d tuples (s=%.1f), loading onto %d storage nodes...\n",
-		records, skew, len(names))
-	tuples := workload.ZipfTuples(records, 64, skew, 9)
-	if err := apps.LoadGroupBy(ctx, store, tuples); err != nil {
-		log.Fatal(err)
-	}
-
-	cluster := core.NewClusterOverStore(store, runConfig(computes, slots))
-	app := apps.GroupByApp(parts, true, 0, 0)
-	start := time.Now()
-	if err := cluster.Run(ctx, app); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
+// runDirect runs req on a cluster of its own over store and releases the
+// job after the check, pass or fail, so a direct run leaves no bag behind.
+func runDirect(ctx context.Context, store *bag.Store, cfg core.ClusterConfig, req jobRequest) jobResult {
+	cluster := core.NewClusterOverStore(store, cfg)
 	defer cluster.Shutdown()
-
-	got, err := apps.CollectGroupBy(ctx, store)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("groupby on %d remote storage nodes: %d keys in %v\n", len(names), len(got), elapsed)
-	fmt.Printf("master stats: %+v\n", cluster.Master().Stats())
-	if err := checkGroupBy(got, tuples); err != nil {
-		log.Fatalf("verification failed: %v", err)
-	}
-}
-
-// checkGroupBy compares a groupby's merged result with the serial groupby
-// of its input, counts and distinct estimates exactly, and names the first
-// key (in key order) that differs.
-func checkGroupBy(got map[uint64]apps.GroupByResult, tuples []workload.Tuple) error {
-	want := apps.SerialGroupBy(tuples)
-	if len(got) != len(want) {
-		return fmt.Errorf("%d keys, want %d", len(got), len(want))
-	}
-	for _, k := range slices.Sorted(maps.Keys(want)) {
-		if g, ok := got[k]; !ok || g != want[k] {
-			return fmt.Errorf("key %d: got %+v, want %+v", k, g, want[k])
+	h, res := runJob(ctx, cluster, req)
+	if h != nil {
+		if err := h.Discard(ctx); err != nil {
+			res.OK = false
+			res.Err = strings.TrimSpace(res.Err + " discard: " + err.Error())
 		}
 	}
-	return nil
+	return res
 }

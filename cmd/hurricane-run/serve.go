@@ -11,17 +11,14 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
-	"repro/hurricane"
-	"repro/hurricane/q"
-	"repro/internal/apps"
 	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // Job submissions travel over the same storage transport as everything
@@ -36,37 +33,6 @@ const (
 	doneBag   = "sched!done"
 )
 
-// jobRequest is a job submission record. Code travels by name, exactly
-// like task blueprints: the server instantiates a registered application
-// graph (sqsum or groupby) with the requested parameters and generates
-// the input data from the given seed workload.
-type jobRequest struct {
-	Name    string  `json:"name"`             // unique job name (also the bag namespace)
-	ID      string  `json:"id"`               // unique per submission; echoed in the result
-	Job     string  `json:"job"`              // sqsum | groupby | query
-	Records int     `json:"records"`          // input size
-	Skew    float64 `json:"skew,omitempty"`   // groupby/query: zipf s
-	Parts   int     `json:"parts,omitempty"`  // groupby/query: base shuffle partitions
-	Weight  int     `json:"weight,omitempty"` // fair-share weight
-}
-
-// jobResult is the completion record the server writes to the done bag.
-// ID ties it to one submission: clients match on it, so a rejected
-// duplicate submission gets its own failure record instead of adopting
-// the result of the job that owns the name.
-type jobResult struct {
-	Name      string `json:"name"`
-	ID        string `json:"id,omitempty"`
-	OK        bool   `json:"ok"`
-	Err       string `json:"err,omitempty"`
-	ElapsedMS int64  `json:"elapsedMs"`
-	Stats     string `json:"stats,omitempty"`
-	// Debug advertises the server's bound debug listener ("" when -debug
-	// off), which is where the client fetches the job's profile, EXPLAIN
-	// ANALYZE, and event timeline by the job's name.
-	Debug string `json:"debug,omitempty"`
-}
-
 // newSubmissionID returns a random identifier for one submission record.
 func newSubmissionID() (string, error) {
 	b := make([]byte, 8)
@@ -78,16 +44,13 @@ func newSubmissionID() (string, error) {
 
 // serve runs the multi-job scheduler against the remote storage tier and
 // executes every job submitted through the submit bag, concurrently.
-// client, when non-nil, is the TCP storage client carrying the cluster's
-// wire traffic; it is bound to the observer so /metrics reports the
-// client side of every storage op. debugAddr is the listen address for
-// the observability surface (cluster.DebugHandler); "" picks the
-// default, "off" disables it.
+// client is the TCP storage client carrying the cluster's wire traffic;
+// it is bound to the observer so /metrics reports the client side of
+// every storage op. debugAddr is the listen address for the
+// observability surface (cluster.DebugHandler); "off" disables it.
 func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, computes, slots int, debugAddr string) error {
 	o := obs.New(0)
-	if client != nil {
-		client.Bind(transport.NewMeter(o, "client", "", 0))
-	}
+	client.Bind(transport.NewMeter(o, "client", "", 0))
 	cfg := runConfig(computes, slots)
 	cfg.Obs = o
 	cluster := core.NewClusterOverStore(store, cfg)
@@ -95,9 +58,6 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 
 	boundDebug := ""
 	if debugAddr != "off" {
-		if debugAddr == "" {
-			debugAddr = "127.0.0.1:6066"
-		}
 		ln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			return fmt.Errorf("serve: debug listener on %s: %w (use -debug off to disable)", debugAddr, err)
@@ -120,6 +80,15 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 
 	fmt.Printf("hurricane-run: serving job submissions via bag %q (%d compute nodes x %d slots)\n",
 		submitBag, computes, slots)
+	srv := &server{cluster: cluster, debug: boundDebug}
+	var running sync.WaitGroup
+	defer func() {
+		// ctx is done on a clean exit; the release must outlive it.
+		running.Wait()
+		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Minute)
+		defer cancel()
+		srv.retain(rctx, nil, 0)
+	}()
 	// Names already completed by a previous server incarnation, or taken
 	// by an in-flight job of this one; their submissions are not re-run.
 	// answered holds submission IDs that already have a result record
@@ -168,23 +137,23 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 				return nil
 			}
 			// The job's bags live under the "<name>/" namespace and
-			// acceptance sweeps that prefix; a slash in the name could
+			// runJob sweeps that prefix; a slash in the name could
 			// nest it inside (or around) a live job's namespace.
 			if strings.Contains(req.Name, "/") {
 				reject(req, fmt.Sprintf("job name %q must not contain '/'", req.Name))
 				return nil
 			}
 			if taken[req.Name] {
-				if req.ID == "" {
-					fmt.Printf("serve: skipping job %q (already completed or in flight)\n", req.Name)
-					return nil
-				}
 				reject(req, fmt.Sprintf("job name %q is already taken on this storage tier; pick a fresh -name", req.Name))
 				return nil
 			}
 			taken[req.Name] = true
 			fmt.Printf("serve: accepted job %q (%s, %d records)\n", req.Name, req.Job, req.Records)
-			go runServedJob(ctx, cluster, store, req, boundDebug)
+			running.Add(1)
+			go func() {
+				defer running.Done()
+				srv.run(ctx, req)
+			}()
 			return nil
 		}); err != nil {
 			return err
@@ -197,182 +166,65 @@ func serve(ctx context.Context, store *bag.Store, client *transport.TCPClient, c
 	}
 }
 
-// runServedJob executes one submitted job end-to-end: submit (which
-// reserves the namespace), generate and load the input, wait, verify,
-// and publish the result record.
-func runServedJob(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, debugAddr string) {
-	start := time.Now()
-	res := jobResult{Name: req.Name, ID: req.ID, Debug: debugAddr}
-	err := func() error {
-		// A submission replayed after a server crash may have left a
-		// partial namespace behind (sealed inputs, half-written
-		// intermediates); sweep it so the re-run starts clean. For a
-		// fresh submission this is a cheap no-op.
-		if err := store.DeletePrefix(ctx, req.Name+"/"); err != nil {
-			return err
-		}
-		switch req.Job {
-		case "sqsum":
-			return runServedSqsum(ctx, cluster, store, req, &res)
-		case "groupby":
-			return runServedGroupBy(ctx, cluster, store, req, &res)
-		case "query":
-			return runServedQuery(ctx, cluster, store, req, &res)
-		default:
-			return fmt.Errorf("unknown job kind %q (want sqsum, groupby, or query)", req.Job)
-		}
-	}()
-	res.ElapsedMS = time.Since(start).Milliseconds()
-	if err != nil {
-		res.Err = err.Error()
-	} else {
-		res.OK = true
-	}
+// keptJobs is how many finished served jobs stay registered, bags and
+// all, so that /debug/profile/<job> and /debug/explain/<job> still answer
+// when the submitter fetches them after reading the result record.
+const keptJobs = 8
+
+// server runs the jobs submitted to a -serve process on one cluster. It
+// keeps the newest keptJobs finished jobs and discards the oldest kept
+// job as each newer one finishes.
+type server struct {
+	cluster *core.Cluster
+	debug   string // the bound debug listener, advertised in each result
+
+	mu   sync.Mutex
+	kept []*core.JobHandle // finished jobs, oldest first
+}
+
+// run executes one submission end to end and publishes its result record.
+func (s *server) run(ctx context.Context, req jobRequest) {
+	h, res := runJob(ctx, s.cluster, req)
+	res.Debug = s.debug
+	s.retain(ctx, h, keptJobs)
 	data, _ := json.Marshal(&res)
-	if err := store.Bag(doneBag).Insert(ctx, data); err != nil {
+	if err := s.cluster.Store().Bag(doneBag).Insert(ctx, data); err != nil {
 		fmt.Printf("serve: publishing result for %q: %v\n", req.Name, err)
 	}
-	fmt.Printf("serve: job %q finished ok=%v in %dms\n", req.Name, res.OK, res.ElapsedMS)
+	fmt.Printf("serve: %v\n", res)
 }
 
-func runServedSqsum(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, res *jobResult) error {
-	n := req.Records
-	if n <= 0 {
-		n = 100000
+// retain adds h, when it is a finished job, to the kept jobs and discards
+// all but the newest n of them. A job still running (its runner gave up
+// on it) cannot be released and is not kept.
+func (s *server) retain(ctx context.Context, h *core.JobHandle, n int) {
+	s.mu.Lock()
+	if h != nil {
+		select {
+		case <-h.Done():
+			s.kept = append(s.kept, h)
+		default:
+		}
 	}
-	h, err := cluster.SubmitJob(ctx, apps.SquareSumApp(), core.JobConfig{Name: req.Name, Weight: req.Weight})
-	if err != nil {
-		return err
+	var old []*core.JobHandle
+	if k := len(s.kept) - n; k > 0 {
+		old, s.kept = s.kept[:k], s.kept[k:]
 	}
-	nums := make([]int64, n)
-	var want int64
-	for i := range nums {
-		nums[i] = int64(i)
-		want += int64(i) * int64(i)
+	s.mu.Unlock()
+	for _, h := range old {
+		if err := h.Discard(ctx); err != nil {
+			fmt.Printf("serve: discarding job %q: %v\n", h.ID(), err)
+		}
 	}
-	if err := hurricane.Load(ctx, store, h.Bag(apps.SquareSumIn), hurricane.Int64Of, nums); err != nil {
-		return err
-	}
-	if err := hurricane.Seal(ctx, store, h.Bag(apps.SquareSumIn)); err != nil {
-		return err
-	}
-	if err := h.Wait(ctx); err != nil {
-		return err
-	}
-	totals, err := hurricane.Collect(ctx, store, h.Bag(apps.SquareSumOut), hurricane.Int64Of)
-	if err != nil {
-		return err
-	}
-	var got int64
-	for _, v := range totals {
-		got += v
-	}
-	if got != want {
-		return fmt.Errorf("verification failed: sum %d, want %d", got, want)
-	}
-	res.Stats = fmt.Sprintf("%+v", h.Stats())
-	return nil
-}
-
-func runServedGroupBy(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, res *jobResult) error {
-	n, parts := req.Records, req.Parts
-	if n <= 0 {
-		n = 100000
-	}
-	if parts <= 0 {
-		parts = 4
-	}
-	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
-	app := apps.GroupByApp(parts, true, 0, 0)
-	h, err := cluster.SubmitJob(ctx, app, core.JobConfig{Name: req.Name, Weight: req.Weight})
-	if err != nil {
-		return err
-	}
-	if err := apps.LoadGroupByInto(ctx, store, h.Bag(apps.GroupByIn), tuples); err != nil {
-		return err
-	}
-	if err := h.Wait(ctx); err != nil {
-		return err
-	}
-	got, err := apps.CollectGroupByFrom(ctx, store, h.Bag(apps.GroupByOut))
-	if err != nil {
-		return err
-	}
-	if err := checkGroupBy(got, tuples); err != nil {
-		return fmt.Errorf("verification failed: %w", err)
-	}
-	res.Stats = fmt.Sprintf("%+v", h.Stats())
-	return nil
-}
-
-// runServedQuery executes the planner-compiled groupby (apps.GroupByPlan)
-// as a served job. Unlike the hand-wired kinds it carries a physical
-// plan, so it registers the plan's EXPLAIN ANALYZE renderer on the job
-// handle — which is what /debug/explain/<job> serves, and what a remote
-// submitter fetches by the job's name. Results are read with the
-// hand-wired groupby's collector (the sink bag is byte-compatible by
-// construction) and verified against the same serial groupby.
-func runServedQuery(ctx context.Context, cluster *core.Cluster, store *bag.Store, req jobRequest, res *jobResult) error {
-	n, parts := req.Records, req.Parts
-	if n <= 0 {
-		n = 100000
-	}
-	if parts <= 0 {
-		parts = 4
-	}
-	tuples := workload.ZipfTuples(n, 64, req.Skew, 9)
-	compiled, err := apps.GroupByPlan().Compile(q.Options{
-		Parts: parts,
-	})
-	if err != nil {
-		return err
-	}
-	h, err := compiled.Submit(ctx, cluster, core.JobConfig{Name: req.Name, Weight: req.Weight})
-	if err != nil {
-		return err
-	}
-	h.SetExplain(compiled.ExplainAnalyze)
-	if err := apps.LoadGroupByInto(ctx, store, h.Bag(apps.GroupByIn), tuples); err != nil {
-		return err
-	}
-	if err := h.Wait(ctx); err != nil {
-		return err
-	}
-	got, err := apps.CollectGroupByFrom(ctx, store, h.Bag(compiled.SinkBag(apps.GroupByOut)))
-	if err != nil {
-		return err
-	}
-	if err := checkGroupBy(got, tuples); err != nil {
-		return fmt.Errorf("verification failed: %w", err)
-	}
-	res.Stats = fmt.Sprintf("%+v", h.Stats())
-	return nil
 }
 
 // submitAndWait is the client side of -serve: stamp the request with a
 // unique submission ID, insert it, then tail the done bag until the
 // server answers this submission (matched by ID, so a duplicate name
 // yields an explicit rejection record rather than silently adopting the
-// earlier job's result). Job names are single-use per storage tier; a
-// name that already has a completion record is rejected locally before
-// the insert.
+// earlier job's result). Job names are single-use per storage tier: the
+// server rejects a name that already has a completion record.
 func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error {
-	if strings.Contains(req.Name, "/") {
-		return fmt.Errorf("job name %q must not contain '/'", req.Name)
-	}
-	duplicate := false
-	if _, err := store.Scanner(doneBag).Drain(ctx, func(c chunk.Chunk) error {
-		var r jobResult
-		if json.Unmarshal(c, &r) == nil && r.Name == req.Name {
-			duplicate = true
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if duplicate {
-		return fmt.Errorf("job name %q was already used on this storage tier; pick a fresh -name", req.Name)
-	}
 	id, err := newSubmissionID()
 	if err != nil {
 		return err
@@ -399,8 +251,7 @@ func submitAndWait(ctx context.Context, store *bag.Store, req jobRequest) error 
 			return err
 		}
 		if found != nil {
-			fmt.Printf("job %q: ok=%v elapsed=%dms stats=%s err=%s\n",
-				found.Name, found.OK, found.ElapsedMS, found.Stats, found.Err)
+			fmt.Println(found)
 			if !found.OK {
 				return fmt.Errorf("job %q failed: %s", found.Name, found.Err)
 			}

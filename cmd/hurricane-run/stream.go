@@ -62,13 +62,18 @@ func runStream(ctx context.Context, store *bag.Store, names []string, records, w
 		if res.Err != nil {
 			log.Fatalf("window %d failed: %v", w, res.Err)
 		}
-		got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
+		got, err := apps.CollectGroupBy(ctx, store, res.Bag(apps.GroupByOut))
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := checkGroupBy(got, clicks[w]); err != nil {
 			fmt.Printf("window %d WRONG: %v\n", w, err)
 			bad++
+		}
+		// A later window is seeded from the stream's skew memory, not
+		// from this window's bags, so they go as soon as it is checked.
+		if err := res.Discard(ctx); err != nil {
+			log.Fatalf("window %d: %v", w, err)
 		}
 		if res.Seeded {
 			seeded++

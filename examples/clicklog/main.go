@@ -54,7 +54,7 @@ func main() {
 	ips := gen.Generate(*records)
 	want := workload.DistinctPerRegion(ips, regions)
 
-	if err := apps.LoadClickLog(ctx, cluster.Store(), ips); err != nil {
+	if err := apps.LoadClickLog(ctx, cluster.Store(), apps.ClickLogBagIn, ips); err != nil {
 		log.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	got, err := apps.ClickLogCounts(ctx, cluster.Store(), regions)
+	got, err := apps.ClickLogCounts(ctx, cluster.Store(), func(b string) string { return b }, regions)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	fmt.Print(c.Explain())
 
 	store := cluster.Store()
-	if err := apps.LoadRelations(ctx, store, r, s); err != nil {
+	if err := apps.LoadRelations(ctx, store, apps.JoinBagR, apps.JoinBagS, r, s); err != nil {
 		log.Fatal(err)
 	}
 

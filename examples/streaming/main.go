@@ -88,7 +88,7 @@ func main() {
 		if res.Err != nil {
 			log.Fatalf("window %d: %v", res.Index, res.Err)
 		}
-		got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
+		got, err := apps.CollectGroupBy(ctx, store, res.Bag(apps.GroupByOut))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func TestEngineWritesOnlyBatches(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
+				got, err := apps.CollectGroupBy(ctx, store, res.Bag(apps.GroupByOut))
 				if err != nil {
 					return err
 				}
@@ -186,7 +186,7 @@ func TestEngineWritesOnlyBatches(t *testing.T) {
 			if err := loadAndWait(h, map[string][]tuple{apps.GroupByIn: pairs}); err != nil {
 				return err
 			}
-			got, err := apps.CollectGroupByFrom(ctx, store, h.Bag(c.SinkBag(apps.GroupByOut)))
+			got, err := apps.CollectGroupBy(ctx, store, h.Bag(c.SinkBag(apps.GroupByOut)))
 			if err == nil && !maps.Equal(got, apps.SerialGroupBy(tuples)) {
 				err = fmt.Errorf("differs from the serial groupby")
 			}

@@ -61,7 +61,7 @@ func TestProfileZipfGroupBy(t *testing.T) {
 	const jobName = "zipf"
 	srcBag := jobName + "/" + apps.GroupByIn
 	store := cluster.Store()
-	if err := apps.LoadGroupByInto(ctx, store, srcBag, tuples); err != nil {
+	if err := apps.LoadGroupBy(ctx, store, srcBag, tuples); err != nil {
 		t.Fatal(err)
 	}
 	h, err := cluster.SubmitJob(ctx, app, hurricane.JobConfig{Name: jobName})
@@ -74,7 +74,7 @@ func TestProfileZipfGroupBy(t *testing.T) {
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got, err := apps.CollectGroupByFrom(ctx, store, h.Bag(apps.GroupByOut))
+	got, err := apps.CollectGroupBy(ctx, store, h.Bag(apps.GroupByOut))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		if res.Records != perWindow {
 			t.Fatalf("window %d sealed %d records, want %d", w, res.Records, perWindow)
 		}
-		got, err := apps.CollectGroupByFrom(ctx, store, res.Bag(apps.GroupByOut))
+		got, err := apps.CollectGroupBy(ctx, store, res.Bag(apps.GroupByOut))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := apps.LoadGroupByInto(ctx, cluster.Store(), h.Bag(apps.GroupByIn), tuples); err != nil {
+			if err := apps.LoadGroupBy(ctx, cluster.Store(), h.Bag(apps.GroupByIn), tuples); err != nil {
 				t.Fatal(err)
 			}
 			began := time.Now()
@@ -71,7 +71,7 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 			}
 			wall := time.Since(began)
 
-			got, err := apps.CollectGroupByFrom(ctx, cluster.Store(), h.Bag(apps.GroupByOut))
+			got, err := apps.CollectGroupBy(ctx, cluster.Store(), h.Bag(apps.GroupByOut))
 			if err != nil {
 				t.Fatal(err)
 			}

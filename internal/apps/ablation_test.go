@@ -23,13 +23,13 @@ func TestClickLogNoCloneCorrectness(t *testing.T) {
 	ips := gen.Generate(30000)
 	want := workload.DistinctPerRegion(ips, regions)
 
-	if err := LoadClickLog(ctx, cluster.Store(), ips); err != nil {
+	if err := LoadClickLog(ctx, cluster.Store(), ClickLogBagIn, ips); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Run(ctx, ClickLogApp(regions, hostBits, true)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClickLogCounts(ctx, cluster.Store(), regions)
+	got, err := ClickLogCounts(ctx, cluster.Store(), rawBag, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestClickLogWithReplication(t *testing.T) {
 	}
 
 	store := cluster.Store()
-	if err := LoadClickLog(ctx, store, ips); err != nil {
+	if err := LoadClickLog(ctx, store, ClickLogBagIn, ips); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Start(ctx, ClickLogApp(regions, hostBits, false)); err != nil {
@@ -85,7 +85,7 @@ func TestClickLogWithReplication(t *testing.T) {
 	if err := cluster.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClickLogCounts(ctx, store, regions)
+	got, err := ClickLogCounts(ctx, store, rawBag, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +142,13 @@ func TestClickLogDiskBackend(t *testing.T) {
 	ips := gen.Generate(20000)
 	want := workload.DistinctPerRegion(ips, regions)
 
-	if err := LoadClickLog(ctx, cluster.Store(), ips); err != nil {
+	if err := LoadClickLog(ctx, cluster.Store(), ClickLogBagIn, ips); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Run(ctx, ClickLogApp(regions, hostBits, false)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClickLogCounts(ctx, cluster.Store(), regions)
+	got, err := ClickLogCounts(ctx, cluster.Store(), rawBag, regions)
 	if err != nil {
 		t.Fatal(err)
 	}

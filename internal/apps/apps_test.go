@@ -55,6 +55,9 @@ func requireClones(t *testing.T, s hurricane.MasterStats, merge bool) {
 	}
 }
 
+// rawBag is a raw job's bag naming: every bag keeps its declared name.
+func rawBag(name string) string { return name }
+
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -74,14 +77,14 @@ func TestClickLogCorrectness(t *testing.T) {
 			ips := gen.Generate(20000)
 			want := workload.DistinctPerRegion(ips, regions)
 
-			if err := LoadClickLog(ctx, cluster.Store(), ips); err != nil {
+			if err := LoadClickLog(ctx, cluster.Store(), ClickLogBagIn, ips); err != nil {
 				t.Fatal(err)
 			}
 			app := ClickLogApp(regions, hostBits, false)
 			if err := cluster.Run(ctx, app); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ClickLogCounts(ctx, cluster.Store(), regions)
+			got, err := ClickLogCounts(ctx, cluster.Store(), rawBag, regions)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +106,7 @@ func TestClickLogWithForcedCloning(t *testing.T) {
 	ips := gen.Generate(300000)
 	want := workload.DistinctPerRegion(ips, regions)
 
-	if err := LoadClickLog(ctx, cluster.Store(), ips); err != nil {
+	if err := LoadClickLog(ctx, cluster.Store(), ClickLogBagIn, ips); err != nil {
 		t.Fatal(err)
 	}
 	app := ClickLogApp(regions, hostBits, false)
@@ -111,7 +114,7 @@ func TestClickLogWithForcedCloning(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClickLogCounts(ctx, cluster.Store(), regions)
+	got, err := ClickLogCounts(ctx, cluster.Store(), rawBag, regions)
 	if err != nil {
 		t.Fatal(err)
 	}

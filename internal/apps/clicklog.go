@@ -109,23 +109,26 @@ func hostID(ip uint32, hostBits int) int {
 	return int(ip & (uint32(1)<<hostBits - 1))
 }
 
-// LoadClickLog loads and seals the click log source bag.
-func LoadClickLog(ctx context.Context, store *hurricane.Store, ips []uint32) error {
+// LoadClickLog loads and seals the click log into bagName: ClickLogBagIn
+// for a raw job, the job's name for it (JobHandle.Bag) otherwise.
+func LoadClickLog(ctx context.Context, store *hurricane.Store, bagName string, ips []uint32) error {
 	vals := make([]uint64, len(ips))
 	for i, ip := range ips {
 		vals[i] = uint64(ip)
 	}
-	if err := hurricane.Load(ctx, store, ClickLogBagIn, hurricane.Uint64Of, vals); err != nil {
+	if err := hurricane.Load(ctx, store, bagName, hurricane.Uint64Of, vals); err != nil {
 		return err
 	}
-	return hurricane.Seal(ctx, store, ClickLogBagIn)
+	return hurricane.Seal(ctx, store, bagName)
 }
 
 // ClickLogCounts reads back the per-region distinct counts after a run.
-func ClickLogCounts(ctx context.Context, store *hurricane.Store, regions int) ([]int64, error) {
+// bag maps each declared count bag to the name the job stored it under:
+// JobHandle.Bag, or the identity for a raw job.
+func ClickLogCounts(ctx context.Context, store *hurricane.Store, bag func(string) string, regions int) ([]int64, error) {
 	out := make([]int64, regions)
 	for r := 0; r < regions; r++ {
-		vals, err := hurricane.Collect(ctx, store, CountBag(r), hurricane.Int64Of)
+		vals, err := hurricane.Collect(ctx, store, bag(CountBag(r)), hurricane.Int64Of)
 		if err != nil {
 			return nil, err
 		}

@@ -139,14 +139,9 @@ func (c *simulatedCost) settle() {
 	}
 }
 
-// LoadGroupBy loads and seals the groupby source relation.
-func LoadGroupBy(ctx context.Context, store *hurricane.Store, tuples []workload.Tuple) error {
-	return LoadGroupByInto(ctx, store, GroupByIn, tuples)
-}
-
-// LoadGroupByInto loads and seals the groupby source relation under an
-// explicit (e.g. job-namespaced) bag name.
-func LoadGroupByInto(ctx context.Context, store *hurricane.Store, bagName string, tuples []workload.Tuple) error {
+// LoadGroupBy loads and seals the groupby source relation into bagName:
+// GroupByIn for a raw job, the job's name for it (JobHandle.Bag) otherwise.
+func LoadGroupBy(ctx context.Context, store *hurricane.Store, bagName string, tuples []workload.Tuple) error {
 	pairs := make([]joinPair, len(tuples))
 	for i, t := range tuples {
 		pairs[i] = joinPair{First: t.Key, Second: t.Payload}
@@ -182,17 +177,11 @@ func SerialGroupBy(tuples []workload.Tuple) map[uint64]GroupByResult {
 	return out
 }
 
-// CollectGroupBy reads the per-worker partial aggregates and merges them
-// into final per-key results: counts add exactly, HLL partials merge
-// register-wise. This is where records of a key spread across consumers
-// reconverge.
-func CollectGroupBy(ctx context.Context, store *hurricane.Store) (map[uint64]GroupByResult, error) {
-	return CollectGroupByFrom(ctx, store, GroupByOut)
-}
-
-// CollectGroupByFrom reads and merges the partial aggregates from an
-// explicit (e.g. job-namespaced) output bag name.
-func CollectGroupByFrom(ctx context.Context, store *hurricane.Store, bagName string) (map[uint64]GroupByResult, error) {
+// CollectGroupBy reads the per-worker partial aggregates from bagName
+// (GroupByOut, or the job's name for it) and merges them into final
+// per-key results: counts add exactly, HLL partials merge register-wise.
+// This is where records of a key spread across consumers reconverge.
+func CollectGroupBy(ctx context.Context, store *hurricane.Store, bagName string) (map[uint64]GroupByResult, error) {
 	recs, err := hurricane.Collect(ctx, store, bagName, groupByOutCodec)
 	if err != nil {
 		return nil, err

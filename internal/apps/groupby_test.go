@@ -58,7 +58,7 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := testCtx(t)
 			cluster := testCluster(t, clonesForced)
-			if err := LoadGroupBy(ctx, cluster.Store(), tc.tuples); err != nil {
+			if err := LoadGroupBy(ctx, cluster.Store(), GroupByIn, tc.tuples); err != nil {
 				t.Fatal(err)
 			}
 			app := GroupByApp(parts, false, 0, 1000)
@@ -66,7 +66,7 @@ func TestGroupByCorrectnessStatic(t *testing.T) {
 			if err := cluster.Run(ctx, app); err != nil {
 				t.Fatal(err)
 			}
-			got, err := CollectGroupBy(ctx, cluster.Store())
+			got, err := CollectGroupBy(ctx, cluster.Store(), GroupByOut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 	}
 	ctx := testCtx(t)
 	cluster := testCluster(t, clonesForced)
-	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
+	if err := LoadGroupBy(ctx, cluster.Store(), GroupByIn, tuples); err != nil {
 		t.Fatal(err)
 	}
 	app := GroupByApp(parts, true, 0, 1000)
@@ -104,7 +104,7 @@ func TestGroupByHeavyKeyClones(t *testing.T) {
 	if err := cluster.Run(ctx, app); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectGroupBy(ctx, cluster.Store())
+	got, err := CollectGroupBy(ctx, cluster.Store(), GroupByOut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,10 @@ var (
 // joinPair mirrors workload.Tuple on the wire.
 type joinPair = hurricane.Pair[uint64, uint64]
 
-// LoadRelations loads and seals both join relations.
-func LoadRelations(ctx context.Context, store *hurricane.Store, r, s []workload.Tuple) error {
+// LoadRelations loads and seals the build relation r into rBag and the
+// probe relation s into sBag: JoinBagR and JoinBagS for a raw job, the
+// job's names for them (JobHandle.Bag) otherwise.
+func LoadRelations(ctx context.Context, store *hurricane.Store, rBag, sBag string, r, s []workload.Tuple) error {
 	toPairs := func(ts []workload.Tuple) []joinPair {
 		out := make([]joinPair, len(ts))
 		for i, t := range ts {
@@ -42,14 +44,14 @@ func LoadRelations(ctx context.Context, store *hurricane.Store, r, s []workload.
 		}
 		return out
 	}
-	if err := hurricane.Load(ctx, store, JoinBagR, tupleCodec, toPairs(r)); err != nil {
+	if err := hurricane.Load(ctx, store, rBag, tupleCodec, toPairs(r)); err != nil {
 		return err
 	}
-	if err := hurricane.Seal(ctx, store, JoinBagR); err != nil {
+	if err := hurricane.Seal(ctx, store, rBag); err != nil {
 		return err
 	}
-	if err := hurricane.Load(ctx, store, JoinBagS, tupleCodec, toPairs(s)); err != nil {
+	if err := hurricane.Load(ctx, store, sBag, tupleCodec, toPairs(s)); err != nil {
 		return err
 	}
-	return hurricane.Seal(ctx, store, JoinBagS)
+	return hurricane.Seal(ctx, store, sBag)
 }

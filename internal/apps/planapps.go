@@ -18,7 +18,7 @@ type gbAgg = hurricane.Pair[int64, *hurricane.HLL]
 // gbAggCodec lays a gbAgg out as the hand-wired groupby's (count,
 // encoded-HLL) columns: a zig-zag varint and, since hllCodec has no
 // columns of its own, the blob column of its encoding. So the plan's sink
-// has groupByOutCodec's columns, and CollectGroupByFrom reads it.
+// has groupByOutCodec's columns, and CollectGroupBy reads it.
 var gbAggCodec = hurricane.PairOf[int64, *hurricane.HLL](hurricane.Int64Of, hllCodec{})
 
 // hllCodec encodes an HLL as its Encode bytes, which say how long they are.

@@ -24,13 +24,13 @@ func TestGroupByPlanMatchesSerialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadGroupBy(ctx, cluster.Store(), tuples); err != nil {
+	if err := LoadGroupBy(ctx, cluster.Store(), GroupByIn, tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(ctx, cluster); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectGroupByFrom(ctx, cluster.Store(), c.SinkBag(GroupByOut))
+	got, err := CollectGroupBy(ctx, cluster.Store(), c.SinkBag(GroupByOut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func compileJoin(t *testing.T, opts q.Options) *q.Compiled {
 // are the serial ones, element by element in sorted order.
 func runJoin(ctx context.Context, t *testing.T, cluster *hurricane.Cluster, c *q.Compiled, r, s []workload.Tuple) {
 	t.Helper()
-	if err := LoadRelations(ctx, cluster.Store(), r, s); err != nil {
+	if err := LoadRelations(ctx, cluster.Store(), JoinBagR, JoinBagS, r, s); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(ctx, cluster); err != nil {

@@ -180,7 +180,7 @@ func TestStreamSeedsTravelWithSubmission(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("window %d failed: %v", w, res.Err)
 			}
-			got, err := apps.CollectGroupByFrom(ctx, cluster.Store(), res.Bag(apps.GroupByOut))
+			got, err := apps.CollectGroupBy(ctx, cluster.Store(), res.Bag(apps.GroupByOut))
 			if err != nil {
 				t.Fatal(err)
 			}
