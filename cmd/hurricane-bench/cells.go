@@ -18,10 +18,8 @@ import (
 func newCluster(chunkKiB int, edit func(*hurricane.ClusterConfig)) (*hurricane.Cluster, error) {
 	cfg := hurricane.ClusterConfig{
 		StorageNodes: 4, ComputeNodes: 4, SlotsPerNode: 2, ChunkSize: chunkKiB << 10,
-		Node: hurricane.NodeConfig{MonitorInterval: 4 * time.Millisecond, OverloadThreshold: 0.1},
-		Master: hurricane.MasterConfig{
-			CloneInterval: 2 * time.Millisecond, SplitInterval: 2 * time.Millisecond,
-		},
+		Node:   hurricane.NodeConfig{MonitorInterval: 4 * time.Millisecond, OverloadThreshold: 0.1},
+		Master: hurricane.MasterConfig{CloneInterval: 2 * time.Millisecond},
 	}
 	if edit != nil {
 		edit(&cfg)
@@ -155,7 +153,7 @@ func streamCell() cell {
 		run: func(ctx context.Context, arm string) (result, error) {
 			c, err := newCluster(8, func(cfg *hurricane.ClusterConfig) {
 				cfg.Node.OverloadThreshold = 0 // the default
-				cfg.Master = hurricane.MasterConfig{CloneInterval: 10 * time.Millisecond, SplitInterval: 5 * time.Millisecond}
+				cfg.Master = hurricane.MasterConfig{CloneInterval: 5 * time.Millisecond}
 			})
 			if err != nil {
 				return result{}, err

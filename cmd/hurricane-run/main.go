@@ -97,8 +97,7 @@ func runConfig(computes, slots int) core.ClusterConfig {
 		ComputeNodes: computes,
 		SlotsPerNode: slots,
 		Master: core.MasterConfig{
-			CloneInterval: 50 * time.Millisecond,
-			SplitInterval: 20 * time.Millisecond,
+			CloneInterval: 20 * time.Millisecond,
 		},
 		Node: core.NodeConfig{
 			MonitorInterval:   25 * time.Millisecond,

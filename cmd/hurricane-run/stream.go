@@ -16,10 +16,11 @@ import (
 // runStream drives the continuous-ingestion subsystem against the remote
 // TCP storage tier: every window runs the groupby (apps.GroupByApp) over
 // the window's (region, IP) clicks, geolocated at the source. Per-window
-// source bags, partitioned shuffle edges and sketch pushes travel over the
-// storage transport; each window's warm-start seed maps travel in its
-// submission. Every window's per-region counts and distinct-IP estimates
-// are verified against the serial groupby of its clicks.
+// source bags, partitioned shuffle edges and the work bags' records, edge
+// statistics among them, travel over the storage transport; each window's
+// warm-start seed maps travel in its submission. Every window's per-region
+// counts and distinct-IP estimates are verified against the serial groupby
+// of its clicks.
 func runStream(ctx context.Context, store *bag.Store, names []string, records, windows int, skew float64, computes, slots, parts int) {
 	perWindow := records / windows
 	if perWindow <= 0 {

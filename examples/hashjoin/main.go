@@ -40,8 +40,7 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 4,
 		Master: hurricane.MasterConfig{
-			CloneInterval: 20 * time.Millisecond,
-			SplitInterval: 10 * time.Millisecond,
+			CloneInterval: 10 * time.Millisecond,
 		},
 		Node: hurricane.NodeConfig{
 			MonitorInterval:   10 * time.Millisecond,

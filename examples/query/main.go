@@ -44,8 +44,7 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		Master: hurricane.MasterConfig{
-			CloneInterval: 20 * time.Millisecond,
-			SplitInterval: 10 * time.Millisecond,
+			CloneInterval: 10 * time.Millisecond,
 		},
 		Node: hurricane.NodeConfig{
 			MonitorInterval:   10 * time.Millisecond,

@@ -35,7 +35,7 @@ func main() {
 		ComputeNodes: 4,
 		SlotsPerNode: 2,
 		ChunkSize:    16 << 10,
-		Master:       hurricane.MasterConfig{SplitInterval: 10 * time.Millisecond},
+		Master:       hurricane.MasterConfig{CloneInterval: 10 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -143,9 +143,9 @@ const (
 //
 // Select policies per job through MasterConfig.Policies: nil installs the
 // default set (DefaultPolicies); an explicit empty slice disables all
-// mitigation. A custom policy implements Policy (its snapshots carry every
-// active shuffle edge's merged sketch) and composes freely with the
-// built-in one:
+// mitigation. A custom policy implements Policy (its snapshots carry task
+// state, overload signals and bag-depth probes) and composes freely with
+// the built-in one:
 //
 //	cfg.Master.Policies = append(
 //		hurricane.DefaultPolicies(cfg.Master),

@@ -71,7 +71,7 @@ func TestEngineWritesOnlyBatches(t *testing.T) {
 	cluster := core.NewClusterOverStore(store, core.ClusterConfig{
 		ComputeNodes: 2, SlotsPerNode: 2,
 		Node:   core.NodeConfig{MonitorInterval: 4 * time.Millisecond},
-		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond, SplitInterval: 5 * time.Millisecond},
+		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond},
 	})
 	defer cluster.Shutdown()
 

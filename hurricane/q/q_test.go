@@ -26,10 +26,7 @@ func testClusterConfig() hurricane.ClusterConfig {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 4 * time.Millisecond,
 		},
-		Master: hurricane.MasterConfig{
-			CloneInterval: 5 * time.Millisecond,
-			SplitInterval: 5 * time.Millisecond,
-		},
+		Master: hurricane.MasterConfig{CloneInterval: 5 * time.Millisecond},
 	}
 }
 

@@ -63,9 +63,9 @@ func NewStatsBuilder() *StatsBuilder { return sketch.NewStatsBuilder() }
 func DecodeEdgeStats(data []byte) (*EdgeStats, error) { return sketch.DecodeEdgeStats(data) }
 
 // EdgeMemory is what a finished job remembers about one partitioned
-// shuffle edge (final partition map + last merged sketch). Read it from
-// Master.EdgeMemory and feed it to the streaming subsystem's warm start
-// or the query planner's StatsFromMemory.
+// shuffle edge (final partition map + its producers' merged statistics).
+// Read it from Master.EdgeMemory and feed it to the streaming subsystem's
+// warm start or the query planner's StatsFromMemory.
 type EdgeMemory = core.EdgeMemory
 
 // ---- HyperLogLog ----

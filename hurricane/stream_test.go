@@ -49,10 +49,7 @@ func TestStreamWarmStartSkewMemory(t *testing.T) {
 		Node: hurricane.NodeConfig{
 			MonitorInterval: 10 * time.Millisecond,
 		},
-		Master: hurricane.MasterConfig{
-			CloneInterval: 10 * time.Millisecond,
-			SplitInterval: 5 * time.Millisecond,
-		},
+		Master: hurricane.MasterConfig{CloneInterval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package hurricane_test
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -30,26 +30,34 @@ type tuple = hurricane.Pair[uint64, uint64]
 var tupleCodec = hurricane.PairOf(hurricane.Uint64Of, hurricane.Uint64FixedOf)
 
 // edgeTap keeps what producers leave on one shuffle edge, tapped from f:
-// every chunk inserted into one of its leaf bags, and the last statistics
-// blob of every writer's control exchange — what the edge's home slot
-// holds for the master once the producers are done.
+// every chunk inserted into one of its leaf bags, and the edge's statistics
+// in every done record that carries them — what the master merges when the
+// edge seals.
 type edgeTap struct {
 	mu     sync.Mutex
-	chunks map[string][]chunk.Chunk // leaf bag -> inserted chunks
-	stats  map[string][]byte        // writer ID -> last stats blob
+	chunks map[string][]chunk.Chunk     // leaf bag -> inserted chunks
+	stats  map[string]*sketch.EdgeStats // producer worker -> its edge stats
 }
 
 func tapEdge(f *transport.Faulty, edge string) *edgeTap {
-	c := &edgeTap{chunks: map[string][]chunk.Chunk{}, stats: map[string][]byte{}}
-	f.Add(transport.Rule{Match: transport.Match{Bag: edge}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+	c := &edgeTap{chunks: map[string][]chunk.Chunk{}, stats: map[string]*sketch.EdgeStats{}}
+	f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: edge}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
 		leaf, _, _ := strings.Cut(req.Bag, "#")
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		switch {
-		case req.Op == transport.OpInsert && leaf != edge && shuffle.EdgeOf(leaf) == edge:
+		if leaf != edge && shuffle.EdgeOf(leaf) == edge {
+			c.mu.Lock()
 			c.chunks[leaf] = append(c.chunks[leaf], req.Data)
-		case req.Op == transport.OpSketch && req.Bag == edge && req.Dst != "" && len(req.Data) > 0:
-			c.stats[req.Dst] = req.Data
+			c.mu.Unlock()
+		}
+	}})
+	f.Add(transport.Rule{Match: transport.Match{Op: transport.OpInsert, Bag: "!done"}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
+		var done struct {
+			Task  string                       `json:"task"`
+			Edges map[string]*sketch.EdgeStats `json:"edges"`
+		}
+		if json.Unmarshal(req.Data, &done) == nil && done.Edges[edge] != nil {
+			c.mu.Lock()
+			c.stats[done.Task] = done.Edges[edge]
+			c.mu.Unlock()
 		}
 	}})
 	return c
@@ -60,7 +68,6 @@ type edgeState struct {
 	parts  map[string][]string // leaf -> sorted record encodings
 	chunks map[string][]string // leaf -> its chunks' bytes, sorted
 	counts map[string]uint64
-	cells  []byte // the count-min sketch, encoded
 	heavy  []sketch.HeavyKey
 }
 
@@ -71,8 +78,8 @@ type edgeState struct {
 // little-endian bytes, an irregular mix of the two calls, and the scan
 // stage of a compiled q plan; every run must leave the same records in the
 // same physical partitions and the same statistics for the master — exact
-// per-leaf counts, every count-min cell, and the heavy-key list, entry for
-// entry. The hand-wired producers share one codec, so they must also cut
+// per-leaf counts and the heavy-key list, entry for entry, in the
+// producer's done record and on the edge's record after the run. The hand-wired producers share one codec, so they must also cut
 // the same chunks: each leaf's chunks, byte for byte, as a sorted multiset.
 func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	const edge, parts, n = "agree.e1", 4, 30000
@@ -199,19 +206,19 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		noFallbackClaims(t, cluster)
+		record := cluster.Master().EdgeMemory()[edge].Stats
 		cluster.Shutdown()
 		cancel()
 
 		if len(tap.stats) != 1 {
-			t.Fatalf("%s: %d writers exchanged statistics, want the one producer", name, len(tap.stats))
+			t.Fatalf("%s: %d done records carried the edge's statistics, want the one producer's", name, len(tap.stats))
 		}
 		st := &edgeState{parts: map[string][]string{}, chunks: map[string][]string{}}
-		for _, blob := range tap.stats {
-			es, err := sketch.DecodeEdgeStats(blob)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			st.counts, st.cells, st.heavy = es.Counts, es.CM.Encode(), es.Heavy
+		for _, es := range tap.stats {
+			st.counts, st.heavy = es.Counts, es.Heavy
+		}
+		if record == nil || fmt.Sprint(record.Counts, record.Heavy) != fmt.Sprint(st.counts, st.heavy) {
+			t.Fatalf("%s: the edge's record %+v is not its one producer's statistics", name, record)
 		}
 		for leaf, cs := range tap.chunks {
 			for _, c := range cs {
@@ -240,9 +247,6 @@ func TestWritersAgreeAcrossAPIs(t *testing.T) {
 	for name, got := range states {
 		if fmt.Sprint(got.counts) != fmt.Sprint(want.counts) {
 			t.Errorf("%s: per-leaf counts %v, Write left %v", name, got.counts, want.counts)
-		}
-		if !bytes.Equal(got.cells, want.cells) {
-			t.Errorf("%s: count-min cells differ from Write's", name)
 		}
 		if fmt.Sprint(got.heavy) != fmt.Sprint(want.heavy) {
 			t.Errorf("%s: heavy keys %v, Write left %v", name, got.heavy, want.heavy)

@@ -48,11 +48,8 @@ func TestIdleSlotsTakeChunks(t *testing.T) {
 			}
 			cluster, err := hurricane.NewCluster(hurricane.ClusterConfig{
 				StorageNodes: 4, ComputeNodes: nodes, SlotsPerNode: perNode, ChunkSize: 2 << 10,
-				Node: hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond},
-				Master: hurricane.MasterConfig{
-					CloneInterval: 2 * time.Millisecond,
-					SplitInterval: 2 * time.Millisecond,
-				},
+				Node:   hurricane.NodeConfig{MonitorInterval: 2 * time.Millisecond},
+				Master: hurricane.MasterConfig{CloneInterval: 2 * time.Millisecond},
 			})
 			if err != nil {
 				t.Fatal(err)

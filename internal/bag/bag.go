@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/sketch"
 	"repro/internal/transport"
 )
 
@@ -439,56 +438,6 @@ func (st Stats) RemainingChunks() int64 { return st.TotalChunks - st.ReadChunks 
 
 // RemainingBytes returns the number of unconsumed bytes.
 func (st Stats) RemainingBytes() int64 { return st.TotalBytes - st.ReadBytes }
-
-// sketchSlot returns the logical slot hosting a shuffle edge's sketch
-// state. Edge statistics are per-edge metadata, not per-slot data, so they
-// live on a single deterministic home slot (the first slot of the edge's
-// permutation); all producers and the master agree on it by construction.
-func (s *Store) sketchSlot(name string) int { return s.permFor(name)[0] }
-
-// ExchangeSketch is a producer's control exchange for a shuffle edge (see
-// transport.OpSketch), a one-way push: it leaves the producer's cumulative
-// stats blob under (edge, writerID) on the edge's home slot — a re-push
-// replaces the previous blob, so storage-side merging across producers
-// never double-counts. stats passes to the storage node: the caller must
-// not write to it afterwards.
-func (s *Store) ExchangeSketch(ctx context.Context, edge, writerID string, stats []byte) error {
-	if writerID == "" {
-		return errors.New("bag: sketch exchange without a writer ID")
-	}
-	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge, Dst: writerID, Data: stats,
-	})
-}
-
-// DeleteSketch drops the producer stats of an edge on its home slot. The
-// master calls it when an edge's producers finish (the stats have served
-// their purpose) and when failure recovery discards the edge's data (so
-// stale cumulative pushes from an aborted epoch cannot double-count records
-// the restarted producers will re-push).
-func (s *Store) DeleteSketch(ctx context.Context, edge string) error {
-	return s.broadcastSlot(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge, Arg: transport.SketchClear,
-	})
-}
-
-// FetchSketch returns the merge of every producer's pushed statistics for
-// the edge (empty stats if nothing was pushed yet).
-func (s *Store) FetchSketch(ctx context.Context, edge string) (*sketch.EdgeStats, error) {
-	resp, err := s.callSlot(ctx, s.sketchSlot(edge), &transport.Request{
-		Op: transport.OpSketch, Bag: edge,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Error(); err != nil {
-		return nil, err
-	}
-	if len(resp.Data) == 0 {
-		return sketch.NewEdgeStats(), nil
-	}
-	return sketch.DecodeEdgeStats(resp.Data)
-}
 
 // Sample aggregates the bag's statistics across every slot. The cloning
 // policy uses this to see how much work remains in a task's input and

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sketch"
 )
 
 // TaskKind distinguishes ordinary tasks from the merge tasks the master
@@ -50,12 +50,6 @@ type Blueprint struct {
 	// start. Zero (e.g. a blueprint from an older encoding) reads as
 	// "unknown" and contributes no queue wait.
 	ScheduledAt int64 `json:"scheduledAt,omitempty"`
-	// StatsInterval is the interval at which the issuing master fetches
-	// shuffle-edge statistics (MasterConfig.SplitInterval). The worker's
-	// partitioned writers pace their control exchanges by it, so control
-	// traffic follows the master's clock. Zero reads as "unknown" and the
-	// writers fall back to shuffle.DefaultStatsInterval.
-	StatsInterval time.Duration `json:"statsInterval,omitempty"`
 }
 
 // blueprintID formats the canonical worker-instance identifier.
@@ -108,6 +102,11 @@ type event struct {
 	// Spans is the worker's profiler phase accounting, attached to done
 	// events (nil when span profiling is disabled or the worker crashed).
 	Spans *obs.TaskSpans `json:"spans,omitempty"`
+	// Edges carries the final statistics of the shuffle edges a successful
+	// worker wrote, per edge: its writers' exact leaf counts and heavy-key
+	// candidates (TaskCtx.edgeStats). This is the one way edge statistics
+	// reach the master, which merges them when the edge seals.
+	Edges map[string]*sketch.EdgeStats `json:"edges,omitempty"`
 }
 
 func (e *event) encode() []byte {

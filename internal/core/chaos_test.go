@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"maps"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/ctrl"
+	"repro/internal/shuffle"
 )
 
 // TestMasterChaosRecovery repeatedly crashes and recovers the master at
@@ -249,5 +253,65 @@ func TestNamespacedMasterRecovery(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestEdgeMemorySurvivesMasterRecovery: an edge's statistics travel in its
+// producers' done records, so a master recovered after the edge sealed
+// rebuilds them by replaying the done bag. After Wait its record of the
+// edge counts every record on the leaf it went to, and the hot key, three
+// records in four, leads the heavy candidates.
+func TestEdgeMemorySurvivesMasterRecovery(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cluster, err := NewCluster(testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+
+	const n = 20000
+	var processed atomic.Int64
+	app := slowGroupApp(&processed, 5_000)
+	loadInts(t, ctx, cluster.Store(), "in", n)
+	if err := cluster.Start(ctx, app); err != nil {
+		t.Fatal(err)
+	}
+	// The consumer starts once the edge seals: the crash comes after it.
+	for processed.Load() < n/4 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	if processed.Load() == n {
+		t.Fatal("the consumer finished before the crash")
+	}
+	h := cluster.Job(app.Name())
+	h.CrashMaster()
+	m := h.RecoverMaster(ctx)
+	if err := cluster.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readSumBag(t, ctx, cluster.Store(), "out"), int64(n)*(n-1)/2; got != want {
+		t.Fatalf("sum = %d, want %d", got, want)
+	}
+
+	want := make(map[string]uint64)
+	pm := shuffle.BaseMap("shuf", 2)
+	for v := int64(0); v < n; v++ {
+		key := int64(0)
+		if v%4 == 3 {
+			key = 1 + v%64
+		}
+		want[pm.Route(chunk.Int64Codec{}.Encode(nil, key), 0)]++
+	}
+	stats := m.EdgeMemory()["shuf"].Stats
+	if stats == nil {
+		t.Fatal("the recovered master has no statistics for the sealed edge")
+	}
+	if !maps.Equal(stats.Counts, want) {
+		t.Fatalf("edge record counts %v, want %v", stats.Counts, want)
+	}
+	hot := chunk.Int64Codec{}.Encode(nil, 0)
+	if len(stats.Heavy) == 0 || !bytes.Equal(stats.Heavy[0].Key, hot) {
+		t.Fatalf("heavy candidates %v, want key 0 first", stats.Heavy)
 	}
 }

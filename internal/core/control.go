@@ -21,15 +21,14 @@ func DefaultPolicies(cfg MasterConfig) []ctrl.Policy {
 }
 
 // policyInterval is how often the policies are evaluated when no record
-// changes: half the shorter of the gaps they act at (a task's clones, one
-// per overload signal, once per CloneInterval; a sketch fetch per edge per
-// SplitInterval), so an action waits at most that long past its gate.
-// Without policies, the fallback.
+// changes: half the gap a task's clones are held to (one per overload
+// signal, once per CloneInterval), so a clone waits at most that long past
+// its gate. Without policies, the fallback.
 func (m *Master) policyInterval() time.Duration {
 	if len(m.policies) == 0 {
 		return fallbackInterval
 	}
-	return max(min(m.cfg.CloneInterval, m.cfg.SplitInterval)/2, time.Millisecond)
+	return max(m.cfg.CloneInterval/2, time.Millisecond)
 }
 
 // controlPass runs the adaptive control plane: build a telemetry snapshot,
@@ -53,8 +52,8 @@ func (m *Master) controlPass() (int, error) {
 	return applied, err
 }
 
-// fillSnapshot contributes the master's authoritative task and edge state
-// to a telemetry snapshot. Pure forwarding: no decisions are made here.
+// fillSnapshot contributes the master's authoritative task state to a
+// telemetry snapshot. Pure forwarding: no decisions are made here.
 func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
 	snap.Job = m.obs.job
 	snap.FreeSlots = m.control.FreeSlots()
@@ -88,9 +87,6 @@ func (m *Master) fillSnapshot(snap *ctrl.Snapshot) {
 			}
 		}
 		snap.Tasks[name] = t
-	}
-	for name, edge := range m.edges {
-		snap.Edges[name] = m.edgeTelLocked(edge)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //	/debug/trace         the skew-event trace as JSON (?job= and ?type=
 //	                     filter)
 //	/debug/skew          per-edge heavy-hitter table and partition heat, from
-//	                     the control plane's last record of each edge
+//	                     the control plane's record of each sealed edge
 //	/debug/profile/<job> the job's execution profile (JobHandle.Profile) as
 //	                     JSON: per-stage phase spans, critical path, edge skew
 //	/debug/explain/<job> the job's EXPLAIN ANALYZE as text (the compiled
@@ -71,8 +71,8 @@ type SkewEdge struct {
 	Heavy []HeavyHitter `json:"heavy,omitempty"`
 }
 
-// edgeRecords visits the control plane's last record (ctrl.Hub.Edges) of
-// every partitioned edge that has seen a record, jobs and edges in name
+// edgeRecords visits the control plane's record (ctrl.Hub.Edges) of every
+// sealed partitioned edge that holds a record, jobs and edges in name
 // order. It reads memory only: what the operator surfaces show is what the
 // controllers last saw, and showing it costs the storage tier nothing.
 func (c *Cluster) edgeRecords(visit func(job string, e *ctrl.EdgeTel, h ctrl.Heat)) {
@@ -91,10 +91,9 @@ func (c *Cluster) edgeRecords(visit func(job string, e *ctrl.EdgeTel, h ctrl.Hea
 }
 
 // SkewReport renders the skew picture of every partitioned edge that has
-// seen a record: the partition map (base partitions, isolated keys) and
-// merged producer sketch of the control plane's last record of the edge —
-// taken by its rate-limited fetch while the edge is produced, and once
-// more when it seals.
+// sealed with a record in it: the partition map (base partitions, isolated
+// keys) and the merge of its producers' final statistics, as the control
+// plane recorded them at the seal.
 func (c *Cluster) SkewReport() []SkewEdge {
 	var out []SkewEdge
 	c.edgeRecords(func(job string, e *ctrl.EdgeTel, heat ctrl.Heat) {

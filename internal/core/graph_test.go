@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ctrl"
+	"repro/internal/sketch"
 )
 
 func nop(tc *TaskCtx) error { return nil }
@@ -198,12 +200,16 @@ func TestBlueprintDecodeBad(t *testing.T) {
 }
 
 func TestEventRoundTrip(t *testing.T) {
-	e := &event{TaskID: "t/w0@e1", Spec: "t", Node: "compute-3", Epoch: 1, Worker: 0, Merge: true, OK: true}
+	e := &event{TaskID: "t/w0@e1", Spec: "t", Node: "compute-3", Epoch: 1, Worker: 0, Merge: true, OK: true,
+		Edges: map[string]*sketch.EdgeStats{"shuf": {
+			Counts: map[string]uint64{"shuf.p0": 7, "shuf.p1": 2},
+			Heavy:  []sketch.HeavyKey{{Key: []byte{0, 1, 0xff}, Count: 5}},
+		}}}
 	got, err := decodeEvent(e.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *e {
+	if !reflect.DeepEqual(got, e) {
 		t.Fatalf("round trip: %+v != %+v", got, e)
 	}
 }
@@ -248,7 +254,7 @@ func TestClusterConfigDefaults(t *testing.T) {
 	}
 	mc := MasterConfig{}
 	mc.fill()
-	if mc.CloneInterval == 0 || mc.SplitInterval == 0 {
+	if mc.CloneInterval == 0 {
 		t.Fatalf("master defaults not filled: %+v", mc)
 	}
 }

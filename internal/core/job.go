@@ -243,11 +243,6 @@ func (h *JobHandle) release(ctx context.Context, verb string, source func(contex
 		if err := del(ctx, b); err != nil {
 			return err
 		}
-		if spec != nil && spec.Partitions > 0 {
-			if err := c.store.DeleteSketch(ctx, b); err != nil {
-				return err
-			}
-		}
 	}
 	for _, p := range claims.Prefix {
 		if err := c.store.DeletePrefix(ctx, p); err != nil {

@@ -22,29 +22,23 @@ type MasterConfig struct {
 	// clone. The field stays because the frozen benchmark sets it.
 	SpeculativeCloning bool
 
-	// ---- skew-aware shuffle (internal/shuffle) ----
-
-	// SplitInterval is the edge-stats cadence: the minimum gap between
-	// successive merged-sketch fetches of one shuffle edge; producers
-	// report statistics up to four times per interval (default
-	// CloneInterval).
+	// SplitInterval does nothing: edge statistics travel in the producers'
+	// done records and no policy revises a partition map at runtime. The
+	// field stays because the frozen benchmark sets it.
 	SplitInterval time.Duration
 
 	// Policies selects the mitigation strategies the control plane runs
 	// for this job. Nil installs the default set (DefaultPolicies); an
 	// explicit empty slice disables all mitigation. Custom policies
-	// implement ctrl.Policy; whenever a chain is installed its snapshots
-	// carry the merged sketch of every active shuffle edge, fetched once
-	// per SplitInterval.
+	// implement ctrl.Policy; their snapshots carry task state, overload
+	// signals and bag-depth probes, but no edge statistics: an edge's are
+	// known once it seals (EdgeMemory).
 	Policies []ctrl.Policy
 }
 
 func (c *MasterConfig) fill() {
 	if c.CloneInterval <= 0 {
 		c.CloneInterval = 2 * time.Second // paper default
-	}
-	if c.SplitInterval <= 0 {
-		c.SplitInterval = c.CloneInterval
 	}
 }
 
@@ -218,8 +212,7 @@ func newMaster(app *App, store *bag.Store, control *jobControl, o *obs.Observer,
 		m.policies = DefaultPolicies(cfg)
 	}
 	m.hub = ctrl.NewHub(ctrl.HubConfig{
-		FetchStats:    store.FetchSketch,
-		FetchInterval: cfg.SplitInterval,
+		ProbeInterval: cfg.CloneInterval,
 		SampleBag: func(ctx context.Context, bagName string) (*ctrl.BagTel, error) {
 			stats, err := store.Sample(ctx, bagName)
 			if err != nil {
@@ -504,8 +497,8 @@ func (m *Master) tick(causes ctrl.Cause) (bool, error) {
 	}
 	if timed {
 		// Counted from the end of the pass, and not moved by the passes
-		// records cause: two timed passes then span at least SplitInterval,
-		// so the second never finds the hub's fetch gate a hair short of open.
+		// records cause: two timed passes then span at least half a
+		// CloneInterval, whatever the record rate.
 		m.policyAt = time.Now().Add(m.policyInterval())
 	}
 	scheduled, err := m.schedulePass()

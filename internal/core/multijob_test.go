@@ -13,7 +13,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/ctrl"
 	"repro/internal/sched"
-	"repro/internal/sketch"
 	"repro/internal/transport"
 )
 
@@ -805,61 +804,6 @@ func TestDiscardLeavesNoBags(t *testing.T) {
 				t.Errorf("job %s: bag %s survived Discard", h.ID(), b)
 			}
 		}
-	}
-}
-
-// TestRawDiscardClearsSketches: a raw (non-namespaced) job's Discard
-// must drop its partitioned edges' sketch state along with the bags.
-// Plain bag deletes don't touch sketches, so without the explicit clear
-// a later job reusing the bag name would inherit the dead job's
-// cumulative producer statistics and mis-split from its first round.
-func TestRawDiscardClearsSketches(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	cluster, err := NewCluster(testClusterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	app := NewApp("sk").SourceBag("in").
-		AddBag(BagSpec{Name: "shuf", Partitions: 2, Spread: true}).Bag("out")
-	app.AddTask(TaskSpec{
-		Name: "route", Inputs: []string{"in"}, Outputs: []string{"shuf"},
-		// Runs until the job is cancelled: two empty stages would be over
-		// before the cancel below.
-		Run: func(tc *TaskCtx) error { <-tc.Context().Done(); return tc.Context().Err() },
-	})
-	app.AddTask(TaskSpec{
-		Name: "drain", Inputs: []string{"shuf"}, Outputs: []string{"out"},
-		Run: func(tc *TaskCtx) error { return nil },
-	})
-	jobCtx, jobCancel := context.WithCancel(ctx)
-	defer jobCancel()
-	h, err := cluster.SubmitJob(jobCtx, app, JobConfig{Raw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A producer pushes cumulative edge stats while the job runs.
-	st := sketch.NewEdgeStats()
-	st.Counts["shuf.p0"] = 1000
-	if err := cluster.Store().ExchangeSketch(ctx, "shuf", "w0", st.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	// Cancel the job so Discard becomes legal.
-	jobCancel()
-	if err := h.Wait(ctx); err == nil {
-		t.Fatal("cancelled job reported success")
-	}
-	if err := h.Discard(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cluster.Store().FetchSketch(ctx, "shuf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total() != 0 {
-		t.Fatalf("discarded job's edge sketch survived: %d records", got.Total())
 	}
 }
 

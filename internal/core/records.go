@@ -124,6 +124,9 @@ func (m *Master) absorbDone(c chunk.Chunk) error {
 		return nil
 	}
 	delete(st.running, e.TaskID)
+	if e.Edges != nil {
+		st.edgeStats[e.TaskID] = e.Edges
+	}
 	if e.Spans != nil {
 		m.spans = append(m.spans, *e.Spans)
 		// The straggler signal: a scraper of /metrics reads the

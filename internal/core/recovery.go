@@ -141,16 +141,6 @@ func (m *Master) recoverNode(node string) {
 					return
 				}
 			}
-			// Discarding a shuffle edge's data also discards its sketch
-			// state: the restarted producers re-push from zero, and stale
-			// cumulative stats from the aborted epoch must not
-			// double-count the records they will re-write.
-			if m.edges[b] != nil {
-				if err := m.store.DeleteSketch(m.ctx, b); err != nil {
-					m.failRecovery(err)
-					return
-				}
-			}
 		}
 		for _, b := range plan.rewind {
 			for _, phys := range m.physicalBags(b) {

@@ -59,45 +59,33 @@ func TestSeedMustMatchEdge(t *testing.T) {
 	}
 }
 
-// mapTap records what a seeded job's storage traffic says about partition
-// maps: map publishes (an OpSketch with a payload and no producer), whether
-// each producer's first push carried stats, and how many chunks each bag
-// received.
+// mapTap counts the chunks a seeded job's storage traffic inserts, by bag.
 type mapTap struct {
-	mu        sync.Mutex
-	publishes int
-	firstPush map[string]bool // writer ID -> its first push carried stats
-	inserts   map[string]int  // bag -> chunks inserted
+	mu      sync.Mutex
+	inserts map[string]int // bag -> chunks inserted
 }
 
 func (c *mapTap) record(_ string, req *transport.Request, _ *transport.Response) {
-	c.mu.Lock()
-	switch {
-	case req.Op == transport.OpSketch && req.Dst == "" && len(req.Data) > 0:
-		c.publishes++
-	case req.Op == transport.OpSketch && req.Dst != "":
-		if _, seen := c.firstPush[req.Dst]; !seen {
-			c.firstPush[req.Dst] = len(req.Data) > 0
-		}
-	case req.Op == transport.OpInsert:
-		name, _, _ := strings.Cut(req.Bag, "#")
-		c.inserts[name]++
+	if req.Op != transport.OpInsert {
+		return
 	}
+	name, _, _ := strings.Cut(req.Bag, "#")
+	c.mu.Lock()
+	c.inserts[name]++
 	c.mu.Unlock()
 }
 
 // TestSeededJobWritesNoMap: a seed is part of the submitted job, so running
-// a seeded job writes no partition map anywhere — no map publish, and no
-// insert outside the job's declared bags, the seed's leaves and the work
-// bags — and a producer has nothing to learn before its first record: its
-// first push already carries stats. The records still follow the seed:
-// every leaf fills, the base partitions and both bags of its spread
-// isolation of the hot key. The sum is exact, and the caller's App is left
-// as it was.
+// a seeded job writes no partition map anywhere — no insert outside the
+// job's declared bags, the seed's leaves and the work bags. The records
+// follow the seed: every leaf fills, the base partitions and both bags of
+// its spread isolation of the hot key, and the edge's record counts every
+// record on the leaf it went to. The sum is exact, and the caller's App is
+// left as it was.
 func TestSeededJobWritesNoMap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	tap := &mapTap{firstPush: make(map[string]bool), inserts: make(map[string]int)}
+	tap := &mapTap{inserts: make(map[string]int)}
 	store, f := storeBehind(t)
 	f.Add(transport.Rule{Tap: tap.record})
 	c := NewClusterOverStore(store, testClusterConfig())
@@ -127,29 +115,22 @@ func TestSeededJobWritesNoMap(t *testing.T) {
 
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
-	if tap.publishes != 0 {
-		t.Errorf("%d map publishes, want none", tap.publishes)
-	}
 	known := append([]string{"in", "out", "slowgroup!ready", "slowgroup!running", "slowgroup!done"}, seed.Leaves()...)
 	for bag := range tap.inserts {
 		if !slices.Contains(known, bag) {
 			t.Errorf("insert into %s, which is no bag of the job", bag)
 		}
 	}
-	if len(tap.firstPush) == 0 {
-		t.Error("no producer pushed stats")
-	}
-	for writer, stats := range tap.firstPush {
-		if !stats {
-			t.Errorf("producer %s: first push without stats", writer)
-		}
+	stats := h.Master().EdgeMemory()["shuf"].Stats
+	if stats == nil || stats.Total() != n {
+		t.Fatalf("edge record %+v, want all %d records counted", stats, n)
 	}
 	if leaves := seed.Leaves(); !slices.Equal(leaves, []string{"shuf.p0", "shuf.p1", "shuf.h0.s0", "shuf.h0.s1"}) {
 		t.Errorf("seed leaves %v, want the base partitions and the isolation bags", leaves)
 	}
 	for _, leaf := range seed.Leaves() {
-		if tap.inserts[leaf] == 0 {
-			t.Errorf("the seed's leaf %s received nothing (inserts: %v)", leaf, tap.inserts)
+		if tap.inserts[leaf] == 0 || stats.Counts[leaf] == 0 {
+			t.Errorf("the seed's leaf %s received %d chunks, %d records by the edge record", leaf, tap.inserts[leaf], stats.Counts[leaf])
 		}
 	}
 }

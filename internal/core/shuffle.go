@@ -11,19 +11,19 @@ import (
 
 // EdgeMemory is what a finished job remembers about one partitioned
 // shuffle edge: the final partition map (its base partitions plus the
-// isolated keys its seed carried) and the last merged producer sketch. The
-// streaming subsystem feeds a window's EdgeMemory into shuffle.WarmStart to
-// seed the next window's partitioner, so known-hot keys are pre-isolated
-// instead of rediscovered from scratch each window.
+// isolated keys its seed carried) and the merge of its producers' final
+// statistics. The streaming subsystem feeds a window's EdgeMemory into
+// shuffle.WarmStart to seed the next window's partitioner, so known-hot
+// keys are pre-isolated instead of rediscovered from scratch each window.
 type EdgeMemory struct {
 	PMap  *shuffle.PartitionMap
 	Stats *sketch.EdgeStats
 }
 
-// EdgeMemory is the map and stats of the control plane's last record of
-// every edge (ctrl.Hub.Edges), keyed by the (namespaced) logical bag
-// name. Valid at any time; most useful after the job completes, when every
-// edge has been recorded with its final map and stats.
+// EdgeMemory is the map and stats of the control plane's record of every
+// sealed edge (ctrl.Hub.Edges), keyed by the (namespaced) logical bag
+// name. An edge has a record once it seals, so after the job completes
+// every edge has its final map and stats.
 func (m *Master) EdgeMemory() map[string]EdgeMemory {
 	edges := m.hub.Edges()
 	out := make(map[string]EdgeMemory, len(edges))
@@ -85,20 +85,22 @@ func (m *Master) physicalBags(name string) []string {
 	return []string{name}
 }
 
-// edgeTelLocked is the master's authoritative state of one edge, to which
-// the hub adds the stats. Active means the edge is still being produced: no
-// producer finished and the consumer not scheduled. The hub fetches stats
-// only for active edges; the seal-time observation takes the final ones.
-// Holds m.mu.
+// edgeTelLocked is the master's record of one edge: its map, and the merge
+// of the statistics its producers' done records carried at their current
+// epochs, in blueprint-ID order (nil if none carried any). The master
+// hands it to the hub when the edge seals. Holds m.mu.
 func (m *Master) edgeTelLocked(edge *shuffleEdge) *ctrl.EdgeTel {
-	active := edge.consumer == "" || m.tasks[edge.consumer].phase == pending
+	tel := &ctrl.EdgeTel{Name: edge.name, PMap: edge.pmap, Spread: edge.spec.Spread}
 	for _, p := range edge.producers {
-		active = active && m.tasks[p].phase != finished
+		done := m.tasks[p].edgeStats
+		for _, id := range slices.Sorted(maps.Keys(done)) {
+			if st := done[id][edge.name]; st != nil {
+				if tel.Stats == nil {
+					tel.Stats = &sketch.EdgeStats{}
+				}
+				_ = tel.Stats.Merge(st) // no count-min cells: it cannot fail
+			}
+		}
 	}
-	return &ctrl.EdgeTel{
-		Name:   edge.name,
-		PMap:   edge.pmap,
-		Spread: edge.spec.Spread,
-		Active: active,
-	}
+	return tel
 }

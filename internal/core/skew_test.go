@@ -86,26 +86,27 @@ func feedSkewed(t *testing.T, ctx context.Context, store *bag.Store, bagName str
 	}
 }
 
-// feedUntil keeps feeding the job's source until cond holds and returns the
-// number of records fed.
-func feedUntil(t *testing.T, ctx context.Context, store *bag.Store, h *JobHandle, cond func() bool) int {
+// feedWhileRunning feeds the job's unsealed source rounds of 2048 records,
+// checking cond after each; the producer is still running throughout. It
+// returns the number of records fed.
+func feedWhileRunning(t *testing.T, ctx context.Context, store *bag.Store, h *JobHandle, rounds int, cond func() bool) int {
 	t.Helper()
 	fed := 0
-	for !cond() {
-		if ctx.Err() != nil {
-			t.Fatalf("condition not reached after feeding %d records", fed)
-		}
+	for range rounds {
 		feedSkewed(t, ctx, store, h.Bag("in"), 2048)
 		fed += 2048
 		time.Sleep(2 * time.Millisecond)
+		if !cond() {
+			t.Fatalf("after %d records fed", fed)
+		}
 	}
 	return fed
 }
 
 // TestCloneOnlyChainKeepsEdgeMemory: the stats a job's EdgeMemory hands to
-// a warm start come from the control plane's snapshots. The default chain,
-// cloning alone, still has every active edge's sketch fetched into its
-// snapshots, and so into the edge's record, while the job runs.
+// a warm start come from the producers' done records, whatever policy chain
+// is installed: under the default chain, cloning alone, the edge has no
+// record while it is produced and the exact one after it seals.
 func TestCloneOnlyChainKeepsEdgeMemory(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -123,15 +124,18 @@ func TestCloneOnlyChainKeepsEdgeMemory(t *testing.T) {
 			t.Fatalf("policy %q installed, want a clone-only chain", p.Name())
 		}
 	}
-	feedUntil(t, ctx, cluster.Store(), h, func() bool {
-		em := h.Master().EdgeMemory()[h.Bag("shuf")]
-		return em.Stats != nil && em.Stats.Total() > 0
+	fed := feedWhileRunning(t, ctx, cluster.Store(), h, 8, func() bool {
+		_, recorded := h.Master().EdgeMemory()[h.Bag("shuf")]
+		return !recorded
 	})
 	if err := cluster.Store().Seal(ctx, h.Bag("in")); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if em := h.Master().EdgeMemory()[h.Bag("shuf")]; em.Stats == nil || em.Stats.Total() != uint64(fed) {
+		t.Fatalf("edge memory %+v after the seal, want all %d records", em.Stats, fed)
 	}
 }
 
@@ -153,10 +157,11 @@ func probedCalls(f *transport.Faulty) *atomic.Int64 {
 //go:noinline
 func debugProbe(f func()) { f() }
 
-// TestDebugSkewReadsControllerRecord: /debug/skew shows the control plane's last record of an edge and ask the storage tier
-// nothing, while the edge is being produced and after it has sealed — when
-// the record is the exact final one the master took just before the
-// producers' sketches were dropped.
+// TestDebugSkewReadsControllerRecord: /debug/skew shows the control plane's
+// record of an edge and asks the storage tier nothing, while the edge is
+// being produced — it has no record yet, so the page lists no edge — and
+// after it has sealed, when the record is the exact one the producers'
+// done records carried.
 func TestDebugSkewReadsControllerRecord(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -169,10 +174,7 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := h.Bag("shuf")
-	fed := feedUntil(t, ctx, store, h, func() bool {
-		em := h.Master().EdgeMemory()[edge]
-		return em.Stats != nil && len(em.Stats.Heavy) > 0
-	})
+	fed := feedWhileRunning(t, ctx, store, h, 4, func() bool { return true })
 
 	// The counter sees a storage call made from inside the probe...
 	debugProbe(func() { _, _ = store.Sample(ctx, "nothing") })
@@ -195,9 +197,8 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 	if n := calls.Load(); n != 0 {
 		t.Fatalf("/debug/skew while the edge is produced made %d storage calls, want 0", n)
 	}
-	if len(report) != 1 || report[0].Edge != edge || len(report[0].Heavy) == 0 ||
-		report[0].Heavy[0].Key != "00" { // key 0 under Int64Codec, in hex
-		t.Fatalf("/debug/skew while the edge is produced: %+v", report)
+	if len(report) != 0 {
+		t.Fatalf("/debug/skew while the edge is produced: %+v, want no edge before the seal", report)
 	}
 
 	if err := store.Seal(ctx, h.Bag("in")); err != nil {
@@ -210,7 +211,8 @@ func TestDebugSkewReadsControllerRecord(t *testing.T) {
 	if n := calls.Load(); n != 0 {
 		t.Fatalf("/debug/skew after the job made %d storage calls, want 0", n)
 	}
-	if len(report) != 1 || report[0].Records != uint64(fed) || len(report[0].Heavy) == 0 ||
+	if len(report) != 1 || report[0].Edge != edge || report[0].Records != uint64(fed) || len(report[0].Heavy) == 0 ||
+		report[0].Heavy[0].Key != "00" || // key 0 under Int64Codec, in hex
 		report[0].Heavy[0].Count < uint64(fed)*3/4 {
 		t.Fatalf("/debug/skew after the job: %+v, want the seal-time record of %d records", report, fed)
 	}

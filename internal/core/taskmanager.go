@@ -505,7 +505,7 @@ func (n *ComputeNode) startWorker(b *binding, bp *Blueprint) {
 		// graceful Stop racing with completion.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		b.wb.recordDone(ctx, bp, n.name, w.err, w.tc.spanSnapshot())
+		b.wb.recordDone(ctx, bp, n.name, w.err, w.tc.spanSnapshot(), w.tc.edgeStats())
 		b.getMaster().nudge(ctrl.CauseDone)
 	}()
 }

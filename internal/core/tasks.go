@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sketch"
 )
 
 // phase is how far a task has got at its current epoch. It only moves
@@ -43,6 +44,9 @@ type taskState struct {
 	// yielding marks workers asked to yield whose completion has not
 	// been observed yet, so repeated preemption rounds do not over-yield.
 	yielding map[int]bool
+	// edgeStats holds, per blueprint ID done at this epoch, the shuffle-edge
+	// statistics its done record carried (event.Edges).
+	edgeStats map[string]map[string]*sketch.EdgeStats
 }
 
 func (st *taskState) reset(epoch int) {
@@ -53,6 +57,7 @@ func (st *taskState) reset(epoch int) {
 	st.running = make(map[string]string)
 	st.leaf = make(map[int]string)
 	st.yielding = make(map[int]bool)
+	st.edgeStats = make(map[string]map[string]*sketch.EdgeStats)
 }
 
 // advance moves the task on to phase p, unless it is there already or
@@ -184,8 +189,6 @@ func (m *Master) blueprintFor(st *taskState, kind TaskKind, w int, inputs []stri
 		Inputs:      inputs,
 		Outputs:     st.spec.Outputs,
 		ScheduledAt: time.Now().UnixNano(),
-
-		StatsInterval: m.cfg.SplitInterval,
 	}
 	if kind == KindMerge {
 		name += "+merge"
@@ -298,24 +301,13 @@ func (m *Master) finishTask(st *taskState) error {
 				return err
 			}
 		}
-		// A sealed shuffle edge takes no further records, so its
-		// per-writer sketch state on the storage tier has served its
-		// purpose. Hand the hub the edge's final map and merged sketch
-		// first — short jobs (streaming windows) often seal before the
-		// hub's rate-limited fetch ever ran, and this is the last chance
-		// to learn the edge's key distribution — then wipe the slot. The
-		// fetch is best-effort (the sketch is advisory).
+		// A sealed shuffle edge takes no further records: its record on
+		// the hub gets the edge's map and final statistics.
 		if edge := m.edges[b]; edge != nil {
 			m.mu.Lock()
 			tel := m.edgeTelLocked(edge)
 			m.mu.Unlock()
-			if stats, err := m.store.FetchSketch(m.ctx, b); err == nil && stats.Total() > 0 {
-				tel.Stats = stats
-			}
 			m.hub.ObserveEdge(*tel)
-			if err := m.store.DeleteSketch(m.ctx, b); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

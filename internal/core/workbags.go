@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/obs"
+	"repro/internal/sketch"
 )
 
 // workBags is the distributed task-queuing interface (§4.1): three
@@ -92,13 +93,16 @@ func (w *workBags) recordStart(ctx context.Context, bp *Blueprint, node string) 
 }
 
 // recordDone logs a blueprint's completion (or failure). spans carries
-// the worker's profiler phase accounting to the master (nil when span
-// profiling is off — the done record then omits the field entirely).
-func (w *workBags) recordDone(ctx context.Context, bp *Blueprint, node string, runErr error, spans *obs.TaskSpans) error {
+// the worker's profiler phase accounting to the master (nil when the worker
+// never started — the done record then omits the field entirely), and
+// edges its shuffle-edge statistics, which only a completion carries.
+func (w *workBags) recordDone(ctx context.Context, bp *Blueprint, node string, runErr error, spans *obs.TaskSpans, edges map[string]*sketch.EdgeStats) error {
 	e := event{TaskID: bp.ID, Spec: bp.Spec, Node: node, Epoch: bp.Epoch,
 		Worker: bp.Worker, Merge: bp.Kind == KindMerge, OK: runErr == nil, Spans: spans}
 	if runErr != nil {
 		e.Err = runErr.Error()
+	} else {
+		e.Edges = edges
 	}
 	return w.store.Bag(w.doneName()).Insert(ctx, e.encode())
 }

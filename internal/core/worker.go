@@ -10,6 +10,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/obs"
 	"repro/internal/shuffle"
+	"repro/internal/sketch"
 )
 
 // TaskCtx is the execution context handed to a TaskFunc. It exposes the
@@ -225,24 +226,22 @@ func (tc *TaskCtx) OutputBagSpec(i int) *BagSpec {
 // ShuffleWriter returns a new partitioned writer for output i, or nil if
 // the output is not declared as a partitioned bag. Every engine surface that writes a
 // shuffle edge — the typed PartitionedWriter, the planner's stage sinks —
-// gets its writer here, so all of them identify the producer the same way,
-// pace their control exchanges by the master's stats interval, and report
-// into the worker's profile. The caller registers the writer's Close (or
-// its own flush wrapping it) with OnFinish.
+// gets its writer here, so all of them report into the worker's profile
+// and hand their statistics to its done record (edgeStats). The caller
+// registers the writer's Close (or its own flush wrapping it) with
+// OnFinish.
 func (tc *TaskCtx) ShuffleWriter(i int) *shuffle.Writer {
 	spec := tc.OutputBagSpec(i)
 	if spec == nil || spec.Partitions <= 0 {
 		return nil
 	}
 	w := shuffle.NewWriter(tc.ctx, shuffle.WriterConfig{
-		Store:         tc.store,
-		Edge:          tc.OutputName(i),
-		Parts:         spec.Partitions,
-		Map:           spec.seed,
-		WriterID:      tc.bp.ID,
-		StatsInterval: tc.bp.StatsInterval,
-		Obs:           tc.obs,
-		Job:           tc.job,
+		Store: tc.store,
+		Edge:  tc.OutputName(i),
+		Parts: spec.Partitions,
+		Map:   spec.seed,
+		Obs:   tc.obs,
+		Job:   tc.job,
 		OnSpans: func(ns, records, bytes int64, parts map[string]int64) {
 			tc.bytesOut.Add(bytes) // the writer inserts past Insert, which counts the rest
 			tc.AddShuffleSpan(ns, records, parts)
@@ -307,6 +306,28 @@ func (tc *TaskCtx) spanSnapshot() *obs.TaskSpans {
 		s.ComputeNS = c
 	}
 	return s
+}
+
+// edgeStats merges the statistics of the worker's shuffle writers
+// (shuffle.Writer.Stats) per edge, for its done record; an edge it wrote no
+// record to has none. Call only after the worker goroutine exited.
+func (tc *TaskCtx) edgeStats() map[string]*sketch.EdgeStats {
+	var out map[string]*sketch.EdgeStats
+	for _, w := range tc.shuffles {
+		st := w.Stats()
+		if st.Total() == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]*sketch.EdgeStats)
+		}
+		edge := w.Map().Bag
+		if out[edge] == nil {
+			out[edge] = &sketch.EdgeStats{}
+		}
+		_ = out[edge].Merge(st) // neither has count-min cells: it cannot fail
+	}
+	return out
 }
 
 // BytesIn reports total input bytes consumed so far.

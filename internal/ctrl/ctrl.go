@@ -1,6 +1,6 @@
 // Package ctrl is Hurricane's adaptive control plane: the telemetry hub
-// that turns overload signals, bag depths, and merged edge sketches into
-// one versioned cluster Snapshot (and wakes the control loop by Cause), and
+// that turns overload signals and bag depths into one versioned cluster
+// Snapshot (and wakes the control loop by Cause), and
 // the pluggable mitigation Policies that turn a Snapshot into declarative
 // Actions.
 //
@@ -15,9 +15,9 @@
 //   - the Hub ingests telemetry signals as they arrive (event-driven, not
 //     polled), batches them, and builds versioned Snapshots on demand;
 //   - the Hub also owns what is known about a partitioned shuffle edge: its
-//     last record of every edge (Edges) carries the edge's current map and
-//     last merged stats, and EdgeHeat says how hot that makes it. The
-//     operator surfaces, the heat alert and every warm start read that one
+//     record of every sealed edge (Edges) carries the edge's map and the
+//     merge of its producers' final stats, and EdgeHeat says how hot that
+//     makes it. The operator surfaces and every warm start read that one
 //     record through that one function;
 //   - a Policy inspects a Snapshot and proposes Actions;
 //   - Arbitrate holds concurrently proposed Actions to the clone budget
@@ -34,7 +34,6 @@
 package ctrl
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/shuffle"
@@ -113,20 +112,16 @@ func AtWorkerCap(live, maxClones, totalSlots int) bool {
 	return live >= limit
 }
 
-// EdgeTel is the state of one partitioned shuffle edge: the current
-// partition map, whether the edge is still being produced, and — when the
-// hub fetched them this round — the merged producer statistics.
+// EdgeTel is the record of one sealed partitioned shuffle edge: its
+// partition map and the merge of its producers' final statistics.
 type EdgeTel struct {
 	Name   string
 	PMap   *shuffle.PartitionMap
 	Spread bool
-	// Active: producers still running and the consumer not yet scheduled.
-	// It gates the hub's stats fetches, and the frozen benchmark's policy
-	// probe sets it by name.
+	// Active does nothing; the frozen benchmark's policy probe sets it.
 	Active bool
-	// Stats is the merged producer sketch for the edge, or nil if the hub
-	// did not (re-)fetch it for this snapshot. Policies must treat nil as
-	// "no fresh evidence", not as "empty edge".
+	// Stats is the merge of the producers' final statistics (their done
+	// records), nil when none wrote a record.
 	Stats *sketch.EdgeStats
 }
 
@@ -161,9 +156,8 @@ type BagTel struct {
 }
 
 // Snapshot is one versioned, self-consistent view of the cluster: task
-// state from the master, node/overload telemetry from the hub, and fresh
-// edge statistics where the fetch rate limit allowed. Policies treat it as
-// read-only.
+// state from the master and overload telemetry from the hub. Policies
+// treat it as read-only.
 type Snapshot struct {
 	Version uint64
 	Now     time.Time
@@ -189,26 +183,18 @@ type Snapshot struct {
 	LeaseSlots  int
 	LeaseCapped bool
 
-	Nodes     map[string]NodeTel // never set by the hub; see NodeTel
-	Tasks     map[string]*TaskTel
+	Nodes map[string]NodeTel // never set by the hub; see NodeTel
+	Tasks map[string]*TaskTel
+	// Edges is never set by the hub; the frozen benchmark's policy probe
+	// sets it.
 	Edges     map[string]*EdgeTel
 	Overloads []Overload
 
 	// SampleBag lazily probes a bag's depth (its remaining bytes). It
 	// returns nil when the probe fails or no prober is configured; the
 	// cloning policies then decline to clone. A result is reused, within
-	// the snapshot and by later ones, until it is a fetch interval old.
+	// the snapshot and by later ones, until it is a probe interval old.
 	SampleBag func(bag string) *BagTel
-}
-
-// EdgeNames returns the snapshot's edge names in deterministic order.
-func (s *Snapshot) EdgeNames() []string {
-	out := make([]string, 0, len(s.Edges))
-	for n := range s.Edges {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---- actions ----

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sketch"
 )
 
 // maxPendingOverloads bounds the hub's overload buffer, which holds one
@@ -32,24 +31,15 @@ const (
 	CauseRecords = CauseReady | CauseRunning | CauseDone
 )
 
-// FetchStatsFunc fetches the merged producer statistics for one shuffle
-// edge (in the engine: a storage-tier sketch fetch RPC).
-type FetchStatsFunc func(ctx context.Context, edge string) (*sketch.EdgeStats, error)
-
 // SampleBagFunc probes one bag's depth (in the engine: a sampled stats
 // RPC over the bag's slots).
 type SampleBagFunc func(ctx context.Context, bag string) (*BagTel, error)
 
 // HubConfig wires a Hub to its telemetry sources.
 type HubConfig struct {
-	// FetchStats fetches merged edge sketches for every active edge; nil
-	// disables edge statistics entirely (no policy will see fresh stats).
-	FetchStats FetchStatsFunc
-	// FetchInterval rate-limits sketch fetches per edge: a fetch makes the
-	// storage node decode and merge every producer's sketch blob, far too
-	// much work to repeat on every snapshot. Depth probes of one bag are
-	// held to the same interval.
-	FetchInterval time.Duration
+	// ProbeInterval is how long a bag's depth probe is reused, by the
+	// snapshot that took it and by later ones (the engine: CloneInterval).
+	ProbeInterval time.Duration
 	// SampleBag probes bag depths for clone placement and the work-left
 	// check; nil makes the policies decline every clone (tests install
 	// synthetic probes).
@@ -67,8 +57,9 @@ type HubConfig struct {
 // scans what the set names. An overload signal is telemetry: it buffers,
 // the newest per worker, and wakes nothing — once per policy interval the
 // loop calls Snapshot, which drains the buffer into one versioned view and
-// augments it with rate-limited sketch fetches and lazy bag-depth probes.
-// Node liveness is not the hub's: the master keeps heartbeats itself.
+// augments it with lazy bag-depth probes. The hub also keeps the record of
+// every sealed shuffle edge (ObserveEdge). Node liveness is not the hub's:
+// the master keeps heartbeats itself.
 type Hub struct {
 	cfg HubConfig
 
@@ -81,9 +72,8 @@ type Hub struct {
 	// order of each worker's first; overloadAt indexes it.
 	overloads  []Overload
 	overloadAt map[overloadKey]int
-	lastFetch  map[string]time.Time
 	probes     map[string]probe   // the last depth probe of every bag sampled
-	edges      map[string]EdgeTel // the last record of every edge seen
+	edges      map[string]EdgeTel // the record of every edge sealed
 	// firstSignal is when the oldest still-undrained buffered signal
 	// arrived; Snapshot observes the drain delay as snapshot lag.
 	firstSignal time.Time
@@ -108,15 +98,14 @@ type probe struct {
 	tel *BagTel
 }
 
-// NewHub creates a hub. The zero HubConfig is valid (no sketch fetches,
-// no bag probes): signals still batch and Wake still fires.
+// NewHub creates a hub. The zero HubConfig is valid (no bag probes):
+// signals still batch and Wake still fires.
 func NewHub(cfg HubConfig) *Hub {
 	job := []string{"job", cfg.Job}
 	return &Hub{
 		cfg:        cfg,
 		wake:       make(chan struct{}, 1),
 		overloadAt: make(map[overloadKey]int),
-		lastFetch:  make(map[string]time.Time),
 		probes:     make(map[string]probe),
 		edges:      make(map[string]EdgeTel),
 		mSnapshots: cfg.Obs.Counter("hurricane_ctrl_snapshots_total", job...),
@@ -171,23 +160,17 @@ func (h *Hub) OverloadSignal(o Overload) {
 	}
 }
 
-// ObserveEdge makes e the hub's record of its edge. A record without
-// stats keeps the stats of the one it replaces: no fresh evidence is not
-// an empty edge. Snapshot calls it for every edge it builds; the master
-// calls it once more when an edge seals, with the edge's final map and
-// stats, before the storage tier drops the producers' sketches.
+// ObserveEdge makes e the hub's record of its edge. The master calls it
+// when an edge seals, with the edge's map and its producers' final stats.
 func (h *Hub) ObserveEdge(e EdgeTel) {
 	h.mu.Lock()
-	if e.Stats == nil {
-		e.Stats = h.edges[e.Name].Stats
-	}
 	h.edges[e.Name] = e
 	h.mu.Unlock()
 }
 
-// Edges returns the hub's last record of every edge it has seen, keyed by
-// edge name. The records outlive the job: their maps and stats are what a
-// later run warm-starts from.
+// Edges returns the hub's record of every sealed edge, keyed by edge name.
+// The records outlive the job: their maps and stats are what a later run
+// warm-starts from.
 func (h *Hub) Edges() map[string]EdgeTel {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -196,9 +179,7 @@ func (h *Hub) Edges() map[string]EdgeTel {
 
 // Snapshot drains the batched signals into a new versioned Snapshot. The
 // fill callback lets the owner (the master) contribute its authoritative
-// task and edge state; afterwards the hub fetches merged sketches for
-// active edges whose per-edge rate limit has elapsed, records every edge
-// (ObserveEdge) and installs the memoized bag-depth prober.
+// task state; afterwards the hub installs the memoized bag-depth prober.
 func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 	h.mu.Lock()
 	h.version++
@@ -206,7 +187,6 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 		Version:   h.version,
 		Now:       time.Now(),
 		Tasks:     make(map[string]*TaskTel),
-		Edges:     make(map[string]*EdgeTel),
 		Overloads: h.overloads,
 	}
 	h.overloads = nil
@@ -222,39 +202,12 @@ func (h *Hub) Snapshot(ctx context.Context, fill func(*Snapshot)) *Snapshot {
 		fill(snap)
 	}
 
-	if h.cfg.FetchStats != nil {
-		for _, name := range snap.EdgeNames() {
-			e := snap.Edges[name]
-			if !e.Active || e.Stats != nil {
-				continue
-			}
-			h.mu.Lock()
-			last := h.lastFetch[name]
-			due := snap.Now.Sub(last) >= h.cfg.FetchInterval
-			if due {
-				h.lastFetch[name] = snap.Now
-			}
-			h.mu.Unlock()
-			if !due {
-				continue
-			}
-			stats, err := h.cfg.FetchStats(ctx, name)
-			if err != nil {
-				continue // detection is advisory; retry next interval
-			}
-			e.Stats = stats
-		}
-	}
-	for _, e := range snap.Edges {
-		h.ObserveEdge(*e)
-	}
-
 	if snap.SampleBag == nil && h.cfg.SampleBag != nil {
 		snap.SampleBag = func(bag string) *BagTel {
 			h.mu.Lock()
 			p, ok := h.probes[bag]
 			h.mu.Unlock()
-			if ok && !p.at.Add(h.cfg.FetchInterval).Before(snap.Now) {
+			if ok && !p.at.Add(h.cfg.ProbeInterval).Before(snap.Now) {
 				return p.tel
 			}
 			tel, err := h.cfg.SampleBag(ctx, bag)

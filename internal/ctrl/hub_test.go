@@ -88,84 +88,22 @@ func TestHubOverloadBackpressure(t *testing.T) {
 	}
 }
 
-// TestHubFetchRateLimit: edge sketch fetches are rate-limited per edge
-// and only issued for active edges.
-func TestHubFetchRateLimit(t *testing.T) {
-	fetches := 0
-	h := NewHub(HubConfig{
-		FetchInterval: time.Hour, // one fetch, then rate-limited
-		FetchStats: func(ctx context.Context, edge string) (*sketch.EdgeStats, error) {
-			fetches++
-			s := sketch.NewEdgeStats()
-			s.Counts[edge+".p0"] = 42
-			return s, nil
-		},
-	})
-	fill := func(active bool) func(*Snapshot) {
-		return func(snap *Snapshot) {
-			snap.Edges["shuf"] = &EdgeTel{Name: "shuf", Active: active}
-			snap.Edges["idle"] = &EdgeTel{Name: "idle", Active: false}
-		}
-	}
-
-	snap := h.Snapshot(context.Background(), fill(true))
-	if fetches != 1 {
-		t.Fatalf("want 1 fetch (active edge only), got %d", fetches)
-	}
-	if snap.Edges["shuf"].Stats == nil || snap.Edges["shuf"].Stats.Counts["shuf.p0"] != 42 {
-		t.Fatal("fetched stats not installed on the edge")
-	}
-	if snap.Edges["idle"].Stats != nil {
-		t.Fatal("inactive edge was fetched")
-	}
-
-	snap = h.Snapshot(context.Background(), fill(true))
-	if fetches != 1 {
-		t.Fatalf("rate limit not applied: %d fetches", fetches)
-	}
-	if snap.Edges["shuf"].Stats != nil {
-		t.Fatal("stale round must carry nil stats (no fresh evidence)")
-	}
-
-	// The hub's own record of the edge keeps the last stats it saw, and
-	// takes the seal-time observation in their place.
-	rec := h.Edges()
-	if rec["shuf"].Stats == nil || rec["shuf"].Stats.Counts["shuf.p0"] != 42 || !rec["shuf"].Active {
-		t.Fatalf("edge record lost the fetched stats: %+v", rec["shuf"])
-	}
-	if e, ok := rec["idle"]; !ok || e.Stats != nil {
-		t.Fatalf("never-fetched edge: recorded=%v stats=%v", ok, e.Stats)
-	}
-	final := sketch.NewEdgeStats()
-	final.Counts["shuf.p0"] = 99
-	h.ObserveEdge(EdgeTel{Name: "shuf", Stats: final})
-	if e := h.Edges()["shuf"]; e.Stats.Counts["shuf.p0"] != 99 || e.Active {
-		t.Fatalf("edge record after the seal-time observation: %+v", e)
-	}
-}
-
 // TestHubEdgesConcurrent: the edge records are read from other goroutines
-// (HTTP handlers, a stream's watcher) while the control loop
-// snapshots and the seal-time observation lands. Run under -race.
+// (HTTP handlers, a stream's watcher) while seal-time observations land
+// and the control loop snapshots. Run under -race.
 func TestHubEdgesConcurrent(t *testing.T) {
-	h := NewHub(HubConfig{
-		FetchStats: func(ctx context.Context, edge string) (*sketch.EdgeStats, error) {
-			s := sketch.NewEdgeStats()
-			s.Counts[edge+".p0"] = 1
-			return s, nil
-		},
-	})
+	h := NewHub(HubConfig{})
 	const rounds = 200
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(4)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			pm := shuffle.BaseMap("shuf", 4)
 			pm.Version = i + 1
-			h.Snapshot(context.Background(), func(snap *Snapshot) {
-				snap.Edges["shuf"] = &EdgeTel{Name: "shuf", PMap: pm, Active: true}
-			})
+			st := sketch.NewEdgeStats()
+			st.Counts["shuf.p0"] = uint64(i + 1)
+			h.ObserveEdge(EdgeTel{Name: "shuf", PMap: pm, Stats: st})
 		}
 	}()
 	go func() {
@@ -177,24 +115,30 @@ func TestHubEdgesConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
+			h.Snapshot(context.Background(), nil)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
 			for _, e := range h.Edges() {
 				EdgeHeat(&e)
 			}
 		}
 	}()
 	wg.Wait()
-	if e := h.Edges()["shuf"]; e.Stats == nil || e.PMap.Version != rounds {
-		t.Fatalf("last record: stats=%v map version %d, want %d", e.Stats, e.PMap.Version, rounds)
+	if e := h.Edges()["shuf"]; e.Stats.Total() != rounds || e.PMap.Version != rounds {
+		t.Fatalf("last record: %d records, map version %d, want %d of each", e.Stats.Total(), e.PMap.Version, rounds)
 	}
 }
 
 // TestHubSampleMemoized: bag probes are memoized per snapshot, including
-// failures, and a later snapshot probes again only once they are a fetch
+// failures, and a later snapshot probes again only once they are a probe
 // interval old.
 func TestHubSampleMemoized(t *testing.T) {
 	probes := 0
 	h := NewHub(HubConfig{
-		FetchInterval: 100 * time.Millisecond,
+		ProbeInterval: 100 * time.Millisecond,
 		SampleBag: func(ctx context.Context, bag string) (*BagTel, error) {
 			probes++
 			if bag == "broken" {

@@ -23,7 +23,7 @@ const (
 	// partitioned-writer chunk flushes.
 	PhaseShuffle = "shuffle"
 	// PhaseFinalize: end-of-task flush — draining buffered writers,
-	// closing shuffle writers (final sketch push), closing inserters.
+	// closing shuffle writers, closing inserters.
 	PhaseFinalize = "finalize"
 )
 

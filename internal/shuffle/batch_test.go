@@ -52,7 +52,7 @@ func newTestStore(t testing.TB, nodes, chunkSize int) *bag.Store {
 func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 	ctx := context.Background()
 	st := newTestStore(t, 2, 1<<10)
-	w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+	w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4})
 
 	const n = 1000
 	keys := make([][]byte, n)
@@ -87,10 +87,7 @@ func TestPartitionBatchMatchesRowRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, err := st.FetchSketch(ctx, "e")
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := closedStats(w)
 	if got := est.Total(); got != n {
 		t.Fatalf("sketch leaf-count total %d, want %d", got, n)
 	}
@@ -122,8 +119,8 @@ func TestPartitionBatchUint64MatchesGeneric(t *testing.T) {
 
 	ctx := context.Background()
 	st := newTestStore(t, 2, 1<<10)
-	wg := NewWriter(ctx, WriterConfig{Store: st, Edge: "eg", Parts: 4, WriterID: "w0"})
-	wu := NewWriter(ctx, WriterConfig{Store: st, Edge: "eu", Parts: 4, WriterID: "w0"})
+	wg := NewWriter(ctx, WriterConfig{Store: st, Edge: "eg", Parts: 4})
+	wu := NewWriter(ctx, WriterConfig{Store: st, Edge: "eu", Parts: 4})
 
 	const n = 1000
 	words := make([]uint64, n)
@@ -142,11 +139,7 @@ func TestPartitionBatchUint64MatchesGeneric(t *testing.T) {
 	}
 
 	// The word path's count feed is held to the same bound.
-	est, err := st.FetchSketch(ctx, "eu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRoundRobinEstimates(t, est, 37, n)
+	checkRoundRobinEstimates(t, closedStats(wu), 37, n)
 }
 
 // checkRoundRobinEstimates holds the sketch of n records dealt round robin
@@ -175,7 +168,7 @@ func checkRoundRobinEstimates(t *testing.T, est *sketch.EdgeStats, keys, n int) 
 func BenchmarkRouteUint64(b *testing.B) {
 	st := newTestStore(b, 1, 0)
 	keys := routeBenchKeys()
-	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 4096 {
 		lo := i % len(keys)
@@ -210,7 +203,7 @@ func BenchmarkScatterWrite(b *testing.B) {
 			st := newTestStore(b, 1, 0)
 			var s *Scatter[tuple]
 			open := func() {
-				s = NewScatter(NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"}), tupleCodec, byteKey)
+				s = NewScatter(NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4}), tupleCodec, byteKey)
 				if bc.words {
 					s.KeyUint64(func(v tuple) uint64 { return v.First })
 				}

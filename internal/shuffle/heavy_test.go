@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/obs"
@@ -91,7 +90,7 @@ func TestHeavyContract(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/long=%v", name, long), func(t *testing.T) {
 				st := newTestStore(t, 1, 4<<10)
-				w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+				w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4})
 				truth, leaves := make(map[string]uint64), make(map[string]uint64)
 				toKey := key
 				if long {
@@ -127,10 +126,7 @@ func TestHeavyContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got, err := st.FetchSketch(ctx, "e")
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := closedStats(w)
 				if fmt.Sprint(got.Counts) != fmt.Sprint(leaves) {
 					t.Errorf("per-leaf counts %v, the stream routes %v", got.Counts, leaves)
 				}
@@ -184,7 +180,7 @@ func TestHeavyListAdmitsLateKey(t *testing.T) {
 	}
 	for _, api := range []string{"PartitionBatchUint64", "RouteKey"} {
 		t.Run(api, func(t *testing.T) {
-			w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+			w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4})
 			if api == "RouteKey" {
 				for _, k := range keys {
 					w.RouteKey(key(k))
@@ -229,9 +225,7 @@ func TestRouteAllocsPerRecord(t *testing.T) {
 	const warm, block = 1 << 19, 4096
 	o := obs.New(0)
 	newWriter := func(edge string) *Writer {
-		// An hour's gate: the exchange before the first record is the only one.
-		return NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: edge, Parts: 4,
-			WriterID: "w0", StatsInterval: time.Hour, Obs: o, Job: "j"})
+		return NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: edge, Parts: 4, Obs: o, Job: "j"})
 	}
 
 	wb, lo := newWriter("batch"), warm
@@ -266,8 +260,7 @@ func TestRouteAllocsPerRecord(t *testing.T) {
 	writers, closers := map[string]*Writer{"batch": wb, "row": wr}, map[string]func() error{"batch": wb.Close, "row": wr.Close}
 	for _, kind := range []string{"words", "bytes"} {
 		edge := "scatter-" + kind
-		w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 1<<26), Edge: edge, Parts: 4,
-			WriterID: "w0", StatsInterval: time.Hour, Obs: o, Job: "j"})
+		w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 1<<26), Edge: edge, Parts: 4, Obs: o, Job: "j"})
 		s := NewScatter(w, tupleCodec, func(v tuple) []byte { binary.LittleEndian.PutUint64(kb[:], v.First); return kb[:] })
 		if kind == "words" {
 			s.KeyUint64(func(v tuple) uint64 { return v.First })
@@ -342,7 +335,7 @@ func TestStretchIsTickEvery(t *testing.T) {
 					got = append(got, d)
 				}
 				defer func() { drainSeen = nil }()
-				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4})
 				if api == "WriteBatch/wrap" {
 					w.floor = math.MaxUint32 - 2*countTabSlots + 1
 				}
@@ -449,7 +442,7 @@ func TestCountWidthsApart(t *testing.T) {
 					got = append(got, d)
 				}
 				defer func() { drainSeen = nil }()
-				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4})
 				words := NewScatter(w, tupleCodec, nil)
 				words.KeyUint64(func(v tuple) uint64 { return v.First })
 				bytesKeyed := NewScatter(w, chunk.BytesCodec{}, func(b []byte) []byte { return b })
@@ -528,7 +521,7 @@ func TestCountWidthsApart(t *testing.T) {
 					got = append(got, d)
 				}
 				defer func() { drainSeen = nil }()
-				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4, WriterID: "w0"})
+				w := NewWriter(context.Background(), WriterConfig{Store: newTestStore(t, 1, 0), Edge: "e", Parts: 4})
 				s := NewScatter(w, tupleCodec, keyFn)
 				if !s.staged {
 					t.Fatal("the tuple codec's scatter does not stage Write")

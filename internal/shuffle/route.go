@@ -43,10 +43,9 @@ import (
 // to share its cells — and a candidate's count is never below the key's
 // true count by more than records/stretchFeedFraction.
 
-// tickEvery is how many records a writer routes between ticks, each a look
-// at the exchange gate and the end of a stretch of the count table: the
-// table has room for tickEvery distinct keys (countTabSlots), so no stretch
-// ends early.
+// tickEvery is how many records a writer routes between ticks, each the
+// end of a stretch of the count table (drainCounts): the table has room
+// for tickEvery distinct keys (countTabSlots), so no stretch ends early.
 const tickEvery = 1024
 
 // adopt makes pm the writer's routing table and decides the routing shape
@@ -70,7 +69,7 @@ func (w *Writer) adopt(pm *PartitionMap) {
 // and klen 8: its bytes materialize only at a drain, for the keys it feeds.
 func (w *Writer) step(key []byte, key8 uint64, klen int32, hash uint64) RouteRef {
 	if w.n%tickEvery == 0 {
-		w.tick()
+		w.drainCounts()
 	}
 	ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
 	if !w.plain {
@@ -154,7 +153,7 @@ func (w *Writer) words() bool { return w.plain && !w.otherWidth }
 // w.n and looks again.
 func (w *Writer) stretchRoom(n int) int {
 	if w.n%tickEvery == 0 {
-		w.tick()
+		w.drainCounts()
 	}
 	return min(n, int(tickEvery-w.n%tickEvery))
 }

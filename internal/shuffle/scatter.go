@@ -212,7 +212,7 @@ func (s *Scatter[T]) group(blk []T) {
 		}
 		// Writer.step, without a call.
 		if w.n%tickEvery == 0 {
-			w.tick()
+			w.drainCounts()
 		}
 		ref := RouteRef{Iso: -1, Part: w.routePlain(hash)}
 		if !w.plain {
@@ -323,8 +323,8 @@ func (s *Scatter[T]) flush() error {
 
 // Close flushes the leaf encoders, then closes the writer — in that order,
 // so the last chunks reach the inserters before they shut down and the
-// final exchange carries their counts. Register it as the task's finish
-// hook. Closing a scatter whose writer is closed does nothing.
+// writer's Stats count them. Register it as the task's finish hook.
+// Closing a scatter whose writer is closed does nothing.
 func (s *Scatter[T]) Close() error {
 	if s.w.closed {
 		return nil

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
@@ -54,7 +53,7 @@ func leafChunks(t *testing.T, st *bag.Store, pm *PartitionMap) map[string][]chun
 // a producer may reuse the key and record buffers as soon as it returns.
 func TestWriteKeepsNoRecord(t *testing.T) {
 	st := newTestStore(t, 1, 256)
-	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+	w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4})
 	want := make(map[string]int)
 	k, rec := make([]byte, 8), make([]byte, 3)
 	for i := range 600 {
@@ -98,7 +97,7 @@ func TestScatterHoldsChunkSize(t *testing.T) {
 	}
 	for view, codec := range views[tuple](tupleCodec) {
 		st := newTestStore(t, 1, size)
-		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4})
 		s := NewScatter(w, codec, tupleKey)
 		if err := s.WriteBatch(hot); err != nil {
 			t.Fatal(err)
@@ -123,7 +122,7 @@ func TestScatterHoldsChunkSize(t *testing.T) {
 	}
 	for view, codec := range views[[]byte](chunk.BytesCodec{}) {
 		st := newTestStore(t, 1, size)
-		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0"})
+		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4})
 		s := NewScatter(w, codec, func(b []byte) []byte { return b[:1] })
 		big := make([]byte, size+1)
 		if err := s.Write(big); !errors.Is(err, chunk.ErrRecordTooLarge) {
@@ -165,7 +164,7 @@ func TestRefinedMapInsideBlock(t *testing.T) {
 	run := func(t *testing.T, words, batch bool) edge {
 		ctx := context.Background()
 		st := newTestStore(t, 1, 1<<20)
-		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, Map: refined, WriterID: "w0", StatsInterval: time.Nanosecond})
+		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, Map: refined})
 		s := NewScatter(w, tupleCodec, tupleKey)
 		if words {
 			s.KeyUint64(func(v tuple) uint64 { return v.First })
@@ -192,9 +191,7 @@ func TestRefinedMapInsideBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if out.stats, err = st.FetchSketch(ctx, "e"); err != nil {
-			t.Fatal(err)
-		}
+		out.stats = closedStats(w)
 		return out
 	}
 	for _, words := range []bool{true, false} {
@@ -239,7 +236,7 @@ func TestWritesAfterClose(t *testing.T) {
 		t.Run(view, func(t *testing.T) {
 			o := obs.New(0)
 			st := newTestStore(t, 1, 0)
-			w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", Obs: o, Job: "j"})
+			w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, Obs: o, Job: "j"})
 			s := NewScatter(w, codec, tupleKey)
 			for i := range 100 {
 				if err := s.Write(tuple{First: uint64(i % 7), Second: uint64(i)}); err != nil {

@@ -7,8 +7,8 @@
 // a PartitionMap; the consumer task gets one worker per physical partition,
 // so consumers pull from disjoint bags instead of contending on a single
 // monolithic bag. Producers feed key counts into a per-edge count-min sketch
-// (see internal/sketch) and push their statistics to the edge's home
-// storage slot, one OpSketch call at a time, for the master to fetch; a
+// (see internal/sketch); each producer's final statistics travel in its
+// worker's done record, the master merges them when the edge seals, and a
 // later run warm-starts from what it saw. A partition map is the base
 // partitions plus isolated keys: its seed (WarmStart) isolates each
 // heavy-hitter key into a dedicated bag ("<bag>.h<k>", optionally spread

@@ -1,23 +1,22 @@
 package shuffle
 
 import (
+	"bytes"
 	"context"
-	"fmt"
-	"sync"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/bag"
 	"repro/internal/chunk"
 	"repro/internal/obs"
+	"repro/internal/sketch"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
-// exchangeStore builds a two-node storage tier, in-process or behind TCP
-// loopback listeners. It also returns a count of each writer's exchanges:
-// the OpSketch calls carrying its ID.
-func exchangeStore(t *testing.T, tcp bool) (*bag.Store, func(writer string) int) {
+// pathStore builds a two-node storage tier, in-process or behind TCP
+// loopback listeners.
+func pathStore(t *testing.T, tcp bool) *bag.Store {
 	t.Helper()
 	names := []string{"s0", "s1"}
 	var inner transport.Client
@@ -42,28 +41,25 @@ func exchangeStore(t *testing.T, tcp bool) (*bag.Store, func(writer string) int)
 		}
 		inner = tr
 	}
-	var mu sync.Mutex
-	exchanges := make(map[string]int)
-	f := transport.NewFaulty(inner)
-	f.Add(transport.Rule{Match: transport.Match{Op: transport.OpSketch}, Tap: func(_ string, req *transport.Request, _ *transport.Response) {
-		mu.Lock()
-		defer mu.Unlock()
-		exchanges[req.Dst]++
-	}})
-	st, err := bag.NewStore(bag.Config{Nodes: names, Client: f, ChunkSize: 1 << 10})
+	st, err := bag.NewStore(bag.Config{Nodes: names, Client: inner, ChunkSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, func(writer string) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return exchanges[writer]
+	return st
+}
+
+// feedKey is the feeder's k-th key: 0 for every fourth record, else k%97,
+// so key 0 is heavy in every stretch.
+func feedKey(k uint64) uint64 {
+	if k%4 == 0 {
+		return 0
 	}
+	return k % 97
 }
 
 // feeder drives a writer one batch at a time through the row or the batch
-// path; a batch is tickEvery records, what lies between two looks at the
-// exchange gate on either path.
+// path; a batch is tickEvery records, one stretch of the count table on
+// either path.
 type feeder struct {
 	w     *Writer
 	batch bool
@@ -76,14 +72,14 @@ func (f *feeder) writeBatch(t *testing.T) {
 	if f.batch {
 		f.keys = f.keys[:0]
 		for i := 0; i < tickEvery; i++ {
-			f.keys = append(f.keys, f.next%97)
+			f.keys = append(f.keys, feedKey(f.next))
 			f.next++
 		}
 		f.w.PartitionBatchUint64(f.keys) // routing only: nothing to insert
 		return
 	}
 	for i := 0; i < tickEvery; i++ {
-		if err := f.w.Write(key(f.next%97), []byte("r")); err != nil {
+		if err := f.w.Write(key(feedKey(f.next)), []byte("r")); err != nil {
 			t.Fatal(err)
 		}
 		f.next++
@@ -99,53 +95,28 @@ func paths(t *testing.T, fn func(t *testing.T, batch, tcp bool)) {
 	}
 }
 
-// TestExchangeIsGatedOnTime: however many records go through, a writer
-// makes at most one exchange per gate, plus the one at Close.
-func TestExchangeIsGatedOnTime(t *testing.T) {
-	paths(t, func(t *testing.T, batch, tcp bool) {
-		st, exchangesOf := exchangeStore(t, tcp)
-		const interval = 80 * time.Millisecond
-		gate := interval / exchangesPerInterval
-		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", StatsInterval: interval})
-		f := &feeder{w: w, batch: batch}
-		start := time.Now()
-		for time.Since(start) < 150*time.Millisecond {
-			f.writeBatch(t)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		got, most := exchangesOf("w0"), int(elapsed/gate)+2
-		if got > most {
-			t.Fatalf("%d exchanges in %v at a %v gate, want at most %d (%d records)", got, elapsed, gate, most, f.next)
-		}
-		if got < 3 {
-			t.Fatalf("%d exchanges in %v at a %v gate: the gate never opened", got, elapsed, gate)
-		}
-	})
-}
-
-// TestCloseLeavesExactCounts: Close exchanges whatever the gate says (here
-// it never opens), so the stats fetched afterwards are the exact
-// per-partition record counts of every writer, merged.
+// TestCloseLeavesExactCounts: after Close, a writer's Stats are its exact
+// per-partition record counts, so the merge of every writer's — what the
+// master makes of the producers' done records when the edge seals — is the
+// edge's, and its heavy list holds the key every writer saw most.
 func TestCloseLeavesExactCounts(t *testing.T) {
 	paths(t, func(t *testing.T, batch, tcp bool) {
 		ctx := context.Background()
-		st, exchangesOf := exchangeStore(t, tcp)
+		st := pathStore(t, tcp)
 		base := BaseMap("e", 4)
 		want := make(map[string]uint64)
 		var total uint64
+		got := &sketch.EdgeStats{}
+		ref := sketch.NewEdgeStats() // the writers' full stats, cells and all
 		for wi := 0; wi < 3; wi++ {
-			id := fmt.Sprintf("w%d", wi)
-			w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: id, StatsInterval: time.Hour})
+			w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4})
 			f := &feeder{w: w, batch: batch, next: uint64(1000 * wi)}
 			first := f.next
 			for i := 0; i <= wi; i++ {
 				f.writeBatch(t)
 			}
 			for k := first; k < f.next; k++ {
-				want[base.Route(key(k%97), 0)]++
+				want[base.Route(key(feedKey(k)), 0)]++
 				total++
 			}
 			if batch {
@@ -161,32 +132,47 @@ func TestCloseLeavesExactCounts(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := exchangesOf(id); got != 1 {
-				t.Fatalf("writer %s made %d exchanges behind a closed gate, want 1 (Close)", id, got)
+			if err := got.Merge(w.Stats()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Merge(closedStats(w)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		got, err := st.FetchSketch(ctx, "e")
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got.Total() != total {
-			t.Fatalf("fetched total %d, want %d", got.Total(), total)
+			t.Fatalf("merged total %d, want %d", got.Total(), total)
 		}
 		for leaf, n := range want {
 			if got.Counts[leaf] != n {
-				t.Fatalf("leaf %s: fetched %d, want %d (all: %v)", leaf, got.Counts[leaf], n, got.Counts)
+				t.Fatalf("leaf %s: merged %d, want %d (all: %v)", leaf, got.Counts[leaf], n, got.Counts)
 			}
 		}
 		if len(got.Counts) != len(want) {
-			t.Fatalf("fetched leaves %v, want %v", got.Counts, want)
+			t.Fatalf("merged leaves %v, want %v", got.Counts, want)
+		}
+		// Without the cells, the merge keeps every count and candidate the
+		// merge of the writers' full stats does.
+		if got.CM != nil || !reflect.DeepEqual(got.Counts, ref.Counts) || !reflect.DeepEqual(got.Heavy, ref.Heavy) {
+			t.Fatalf("merged stats %+v, the full stats merge to %+v", got, ref)
+		}
+		if len(got.Heavy) == 0 || !bytes.Equal(got.Heavy[0].Key, key(0)) || got.Heavy[0].Count < total/4 {
+			t.Fatalf("heavy list %v: key 0 took a quarter of %d records", got.Heavy, total)
 		}
 	})
+}
+
+// closedStats is all a closed writer knows of its edge: its Stats and the
+// count-min cells that priced the candidates.
+func closedStats(w *Writer) *sketch.EdgeStats {
+	st := w.Stats()
+	st.CM = w.stats.CM
+	return st
 }
 
 func countsOf(pm *PartitionMap, from, to uint64) map[string]uint64 {
 	out := make(map[string]uint64)
 	for k := from; k < to; k++ {
-		out[pm.Route(key(k%97), 0)]++
+		out[pm.Route(key(feedKey(k)), 0)]++
 	}
 	return out
 }
@@ -200,30 +186,6 @@ func partOf(pm *PartitionMap, leaf string) int {
 	panic("not a base partition: " + leaf)
 }
 
-// TestCorruptWriterIsSkippedAtFetch: one producer's garbage costs the master
-// that producer's stats, not the edge's.
-func TestCorruptWriterIsSkippedAtFetch(t *testing.T) {
-	ctx := context.Background()
-	st, _ := exchangeStore(t, false)
-	for wi := 0; wi < 2; wi++ {
-		w := NewWriter(ctx, WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: fmt.Sprintf("w%d", wi)})
-		(&feeder{w: w}).writeBatch(t)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.ExchangeSketch(ctx, "e", "broken", []byte("not stats")); err != nil {
-		t.Fatalf("the node validates nothing on the exchange path, yet: %v", err)
-	}
-	got, err := st.FetchSketch(ctx, "e")
-	if err != nil {
-		t.Fatalf("fetch failed on one corrupt writer: %v", err)
-	}
-	if got.Total() != 2*tickEvery {
-		t.Fatalf("fetched total %d, want the two honest writers' %d", got.Total(), 2*tickEvery)
-	}
-}
-
 // TestShuffleBytesCountEncodedChunks: hurricane_shuffle_bytes_total has one
 // meaning — encoded chunk bytes handed to the edge's inserters — whichever
 // layout the codec writes and whichever API wrote the record, so it equals
@@ -233,7 +195,7 @@ func TestShuffleBytesCountEncodedChunks(t *testing.T) {
 	for view, codec := range views[tuple](tupleCodec) {
 		st := newTestStore(t, 1, 1<<10)
 		o := obs.New(0)
-		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, WriterID: "w0", Obs: o, Job: "j"})
+		w := NewWriter(context.Background(), WriterConfig{Store: st, Edge: "e", Parts: 4, Obs: o, Job: "j"})
 		s := NewScatter(w, codec, tupleKey)
 		var batch []tuple
 		for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package shuffle
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bag"
@@ -10,17 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
-
-// DefaultStatsInterval stands in for WriterConfig.StatsInterval where the
-// writer does not know its master's: the paper's 2 s decision cadence
-// (§4.2).
-const DefaultStatsInterval = 2 * time.Second
-
-// exchangesPerInterval is how many control exchanges a writer makes, at
-// most, per master stats fetch: enough that the stats a fetch merges are
-// never staler than a quarter of the master's own period, few enough that
-// control traffic is set by the master's clock and not by the record rate.
-const exchangesPerInterval = 4
 
 // heavyAdmitFraction is the share of the stream that guarantees a key a
 // place among the heavy-hitter candidates: 1/heavyAdmitFraction of the
@@ -46,14 +36,8 @@ type WriterConfig struct {
 	// Map is the edge's seed map, fixed when its job was submitted (the
 	// engine fills it in). Nil means BaseMap(Edge, Parts).
 	Map *PartitionMap
-	// WriterID identifies this producer worker for cumulative sketch
-	// pushes (typically the worker's blueprint ID).
+	// WriterID does nothing; the frozen benchmark's routing probe sets it.
 	WriterID string
-	// StatsInterval is the interval at which the edge's master fetches the
-	// merged producer stats (MasterConfig.SplitInterval; the engine fills it
-	// in). The writer makes its control exchange at most four times per
-	// interval. Zero means DefaultStatsInterval.
-	StatsInterval time.Duration
 	// Obs, when set, receives the edge's record/byte counters (flushed at
 	// Close, off the per-record hot path). Job labels the series.
 	Obs *obs.Observer
@@ -85,14 +69,10 @@ type leafOut struct {
 // count-min sketch and the candidate list (noteHeavy).
 // Insertion (InsertBatchChunk) takes the chunks those records were encoded
 // into — by a Scatter's leaf encoders — and owns the
-// per-leaf inserters and record counts. Its whole control plane is one
-// push to the edge's home slot (bag.Store.ExchangeSketch): it leaves its
-// cumulative stats there for the master. The push is gated on time, not on
-// records — at most once per gate at a tick, the first one gate after
-// NewWriter, and once more at Close — so its cost follows the master's
-// decision cadence whatever the record rate. A Writer is used by
-// one producer worker goroutine; concurrent producer workers each create
-// their own (their stats merge storage-side).
+// per-leaf inserters and record counts. A writer has no control traffic:
+// its statistics (Stats) travel once, in its worker's done record, and the
+// master merges the producers' at seal. A Writer is used by one producer
+// worker goroutine; concurrent producer workers each create their own.
 type Writer struct {
 	ctx context.Context
 	cfg WriterConfig
@@ -123,10 +103,6 @@ type Writer struct {
 	feeds   uint64 // keys the drains fed to the sketch
 	bytes   uint64 // encoded chunk bytes handed to the inserters
 
-	gate      time.Duration // minimum gap between exchanges
-	exchanged time.Time     // when the last exchange started, or NewWriter ran
-	statsLen  int           // size of the last stats blob, to size the next
-
 	// Routing scratch (route.go): the routing vector of the last
 	// PartitionBatchUint64 and the exact key count table between drains.
 	refs  []RouteRef
@@ -142,18 +118,12 @@ type Writer struct {
 // NewWriter creates a writer for the edge, routing by cfg.Map for its whole
 // life.
 func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
-	if cfg.StatsInterval <= 0 {
-		cfg.StatsInterval = DefaultStatsInterval
-	}
 	w := &Writer{
-		ctx:       ctx,
-		cfg:       cfg,
-		gate:      cfg.StatsInterval / exchangesPerInterval,
-		statsLen:  5 << 10, // first guess: a byte per fresh sketch counter, and change
-		outs:      make(map[RouteRef]*leafOut),
-		stats:     sketch.NewEdgeStats(),
-		heavyIdx:  make(map[string]int),
-		exchanged: time.Now(),
+		ctx:      ctx,
+		cfg:      cfg,
+		outs:     make(map[RouteRef]*leafOut),
+		stats:    sketch.NewEdgeStats(),
+		heavyIdx: make(map[string]int),
 	}
 	pm := cfg.Map
 	if pm == nil {
@@ -265,41 +235,21 @@ func (w *Writer) noteHeavy(key []byte, est uint64) {
 	w.heavyIdx[string(key)] = i
 }
 
-// tick is the work a writer does once per tickEvery records, ahead of the
-// first of them: the exact key counts of the stretch just routed go to the
-// sketch, and the control exchange runs if its gate has passed.
-func (w *Writer) tick() {
-	w.drainCounts()
-	if time.Since(w.exchanged) >= w.gate {
-		w.exchange()
-	}
-}
-
-// exchange leaves the writer's cumulative stats on the edge's home slot;
-// a writer that has routed nothing has none to leave. Per-leaf counts live
-// on the leaf pipelines during writing and are snapshotted here.
-// Best-effort: detection is advisory, and a lost push costs the master
-// fresh statistics, never a record.
-func (w *Writer) exchange() {
-	w.exchanged = time.Now()
-	if w.n == 0 {
-		return
-	}
-	// The leaves only grow, so refilling the one map leaves no stale entry
-	// behind.
+// Stats returns the writer's statistics of its edge: the exact record
+// count of every leaf it wrote and the heavy-key candidates, without the
+// count-min cells that priced them. After Close they are the writer's
+// totals, which its worker's done record carries to the master.
+func (w *Writer) Stats() *sketch.EdgeStats {
+	st := &sketch.EdgeStats{Counts: make(map[string]uint64, len(w.outs)), Heavy: slices.Clone(w.stats.Heavy)}
 	for _, out := range w.outs {
-		w.stats.Counts[out.name] = out.count
+		st.Counts[out.name] = out.count
 	}
-	// A blob of its own per exchange: the storage node keeps the one it is
-	// given (transport.Request.Data).
-	stats := w.stats.AppendTo(make([]byte, 0, w.statsLen+w.statsLen/8))
-	w.statsLen = len(stats)
-	_ = w.cfg.Store.ExchangeSketch(w.ctx, w.cfg.Edge, w.cfg.WriterID, stats)
+	return st
 }
 
 // Close flushes the raw-record scatter's open chunks, waits for all
-// outstanding inserts, and makes a final exchange, whatever the gate says,
-// so the stats the master fetches afterwards are the writer's exact totals.
+// outstanding inserts, and drains the last stretch of key counts, so that
+// Stats returns the writer's exact totals.
 // A typed Scatter over this writer closes its own leaf encoders first
 // (Scatter.Close). It must be called (and its error checked) before the
 // producer reports completion — the engine's TaskCtx.OnFinish hook does
@@ -320,7 +270,6 @@ func (w *Writer) Close() error {
 		firstErr = err
 	}
 	w.drainCounts()
-	w.exchange()
 	w.flushMetrics()
 	if w.cfg.OnSpans != nil {
 		parts := make(map[string]int64, len(w.outs))

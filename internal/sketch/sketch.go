@@ -3,18 +3,18 @@
 // mergeable aggregate (§2.3); the shuffle subsystem additionally uses it on
 // the producer side, inside EdgeStats: every partitioned writer counts its
 // routed records per partition, exactly, and keeps a short list of
-// heavy-hitter candidates, storage nodes merge the per-producer statistics,
-// and the application master reads the merged partition counts and
-// candidates to find the hot partitions and the keys a later run should
+// heavy-hitter candidates; each producer worker's done record carries its
+// counts and candidates, and the application master merges them when the
+// edge seals, to find the hot partitions and the keys a later run should
 // isolate (in the spirit of Reshape's hot-partition detection and
 // SharesSkew's dedicated heavy-hitter handling). The count-min cells are
 // what prices a candidate: a writer feeds them only the keys heavy in some
 // stretch of its stream (internal/shuffle, route.go), so nothing reads them
-// for any other key.
+// for any other key, and they stay with the writer.
 //
-// The package sits below both the public hurricane package (which
-// re-exports CountMin) and internal/storage (which merges pushed sketches),
-// so it must not import any other engine package.
+// The package sits below the public hurricane package (which re-exports
+// CountMin) and the engine, so it must not import any other engine
+// package.
 package sketch
 
 import (
@@ -172,10 +172,11 @@ type HeavyKey struct {
 // EdgeStats aggregates what producers know about one shuffle edge: how many
 // records landed in each physical partition bag, a capped list of
 // heavy-hitter candidates, and the count-min sketch their counts came from.
-// Counts and Heavy are what the master, the policies, the planner and the
-// warm starts read. A shuffle writer's candidate count is never below the
-// key's true count by more than 1/64 of the writer's records, and never
-// above it by more than the count-min error over the keys the writer fed.
+// Counts and Heavy are what the master, the planner and the warm starts
+// read, and all a done record carries: CM is not marshalled to JSON. A
+// shuffle writer's candidate count is never below the key's true count by
+// more than 1/64 of the writer's records, and never above it by more than
+// the count-min error over the keys the writer fed.
 type EdgeStats struct {
 	// Counts maps physical partition bag name -> records routed there.
 	Counts map[string]uint64 `json:"counts,omitempty"`
@@ -338,8 +339,7 @@ const statsFormat = 0x01
 // AppendTo appends the stats' binary encoding to buf: the format byte, the
 // partition counts, the heavy-hitter candidates, and the count-min sketch
 // (absent when CM is nil) — uvarints and length-prefixed strings throughout,
-// no intermediate buffers, so a producer that sizes buf by its previous
-// push encodes with one allocation.
+// no intermediate buffers.
 func (e *EdgeStats) AppendTo(buf []byte) []byte {
 	buf = append(buf, statsFormat)
 	buf = binary.AppendUvarint(buf, uint64(len(e.Counts)))

@@ -12,7 +12,7 @@ import (
 //	                observer (hurricane_storage_op_* series from the
 //	                node and TCP-server meters)
 //	/debug/storage  the Node.Stats JSON summary: per-bag chunk/byte
-//	                counts, stored and taken, node totals, sketch edge count
+//	                counts, stored and taken, node totals
 //
 // Handlers read the same structures the request path writes, so they
 // are safe against a serving node. The registry is empty until Bind is

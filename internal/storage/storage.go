@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sketch"
 	"repro/internal/transport"
 )
 
@@ -140,15 +139,6 @@ type Node struct {
 	bags     map[string]*bagState
 	draining bool
 
-	// sketches holds the control state of the shuffle edges homed on this
-	// node (see transport.OpSketch): per edge, each producer's latest
-	// cumulative stats blob, exactly as it arrived — producers push
-	// cumulative (not delta) stats, so a re-push replaces rather than
-	// accumulates, and only a fetch decodes and merges. The node never
-	// looks inside a blob on the push path.
-	sketchMu sync.Mutex
-	sketches map[string]map[string][]byte // edge -> writer ID -> stats
-
 	newBackend func(bag string) (backend, error)
 
 	// meter, when bound, records per-op telemetry for every request
@@ -174,9 +164,8 @@ func WithDir(dir string) Option {
 // NewNode returns a storage node with the given name.
 func NewNode(name string, opts ...Option) *Node {
 	n := &Node{
-		name:     name,
-		bags:     make(map[string]*bagState),
-		sketches: make(map[string]map[string][]byte),
+		name: name,
+		bags: make(map[string]*bagState),
 		newBackend: func(string) (backend, error) {
 			return &memBackend{}, nil
 		},
@@ -220,12 +209,10 @@ type NodeStats struct {
 	Bags        []BagStats `json:"bags"`
 	TotalChunks int64      `json:"total_chunks"`
 	TotalBytes  int64      `json:"total_bytes"`
-	SketchEdges int        `json:"sketch_edges"`
 }
 
 // Stats summarizes the node: per-bag chunk/byte counts, stored and taken,
-// sorted by name, plus node-wide totals and the number of shuffle edges
-// with sketch state.
+// sorted by name, plus node-wide totals.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
 	st := NodeStats{Node: n.name, Draining: n.draining}
@@ -247,9 +234,6 @@ func (n *Node) Stats() NodeStats {
 		st.TotalBytes += tb
 	}
 	sort.Slice(st.Bags, func(i, j int) bool { return st.Bags[i].Bag < st.Bags[j].Bag })
-	n.sketchMu.Lock()
-	st.SketchEdges = len(n.sketches)
-	n.sketchMu.Unlock()
 	return st
 }
 
@@ -337,8 +321,6 @@ func (n *Node) handle(req *transport.Request) *transport.Response {
 		return n.handleRename(req)
 	case transport.OpReadAt:
 		return n.locked(req, (*bagState).handleReadAt)
-	case transport.OpSketch:
-		return n.handleSketch(req)
 	default:
 		return errResp(fmt.Errorf("storage: unknown op %v", req.Op))
 	}
@@ -472,10 +454,9 @@ func (n *Node) handleDelete(req *transport.Request) *transport.Response {
 }
 
 // handleDeletePrefix garbage collects every bag whose name starts with
-// req.Bag, and drops matching shuffle-edge sketch state. The scheduler
-// discards a completed job's namespace with one request per node, which
-// also covers runtime-derived names (partition bags, isolated-key bags,
-// clone partials) no client-side enumeration could produce.
+// req.Bag. Discarding a job sends one per node for each prefix the job
+// claims, which also covers runtime-derived names (partition bags, clone
+// partials) no client-side enumeration could produce.
 func (n *Node) handleDeletePrefix(req *transport.Request) *transport.Response {
 	if req.Bag == "" {
 		return errResp(fmt.Errorf("storage: refusing to delete the empty prefix"))
@@ -489,13 +470,6 @@ func (n *Node) handleDeletePrefix(req *transport.Request) *transport.Response {
 		}
 	}
 	n.mu.Unlock()
-	n.sketchMu.Lock()
-	for edge := range n.sketches {
-		if strings.HasPrefix(edge, req.Bag) {
-			delete(n.sketches, edge)
-		}
-	}
-	n.sketchMu.Unlock()
 	for _, bs := range victims {
 		bs.mu.Lock()
 		err := bs.b.destroy()
@@ -527,53 +501,6 @@ func (n *Node) handleRename(req *transport.Request) *transport.Response {
 	delete(n.bags, req.Bag)
 	n.bags[req.Dst] = bs
 	return &transport.Response{Status: transport.StatusOK}
-}
-
-// handleSketch serves the shuffle-edge control exchange; the three request
-// forms are described at transport.OpSketch. Edge state is advisory — it
-// only steers routing balance and what later runs warm-start from — so it
-// is deliberately not persisted.
-func (n *Node) handleSketch(req *transport.Request) *transport.Response {
-	switch {
-	case req.Dst != "":
-		// Producer push: keep the stats as received.
-		if len(req.Data) > 0 {
-			n.sketchMu.Lock()
-			if n.sketches[req.Bag] == nil {
-				n.sketches[req.Bag] = make(map[string][]byte)
-			}
-			n.sketches[req.Bag][req.Dst] = rightSize(req.Data)
-			n.sketchMu.Unlock()
-		}
-		return &transport.Response{Status: transport.StatusOK}
-	case req.Arg == transport.SketchClear:
-		n.sketchMu.Lock()
-		delete(n.sketches, req.Bag)
-		n.sketchMu.Unlock()
-		return &transport.Response{Status: transport.StatusOK}
-	}
-	n.sketchMu.Lock()
-	blobs := make([][]byte, 0, len(n.sketches[req.Bag]))
-	for _, b := range n.sketches[req.Bag] {
-		blobs = append(blobs, b)
-	}
-	n.sketchMu.Unlock()
-	return &transport.Response{Status: transport.StatusOK, Data: mergeStats(blobs).AppendTo(nil)}
-}
-
-// mergeStats decodes and merges the producers' stats blobs. Blobs are
-// stored unvalidated, so this is where a corrupt one surfaces: it is
-// skipped — as is one whose sketch dimensions disagree with the others' —
-// and the remaining producers still merge. Stats are advisory; one bad
-// producer must not blind the master to the rest.
-func mergeStats(blobs [][]byte) *sketch.EdgeStats {
-	merged := sketch.NewEdgeStats()
-	for _, b := range blobs {
-		if st, err := sketch.DecodeEdgeStats(b); err == nil {
-			_ = merged.Merge(st) // a failed Merge leaves merged untouched: skipped
-		}
-	}
-	return merged
 }
 
 // handleReadAt returns chunk req.Arg and its id without taking it,

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/sketch"
 	"repro/internal/transport"
 )
 
@@ -562,128 +560,8 @@ func TestUnknownOp(t *testing.T) {
 	}
 }
 
-// TestNodeSketchPushFetch: OpSketch with a payload stores a producer's
-// cumulative edge stats; without a payload it returns the merge across
-// producers. Cumulative re-pushes replace, so nothing double-counts.
-func TestNodeSketchPushFetch(t *testing.T) {
-	n := NewNode("s0")
-
-	push := func(writer string, counts map[string]uint64) {
-		t.Helper()
-		st := sketch.NewEdgeStats()
-		for k, v := range counts {
-			st.Counts[k] = v
-			st.CM.Add([]byte(k), v)
-		}
-		data, err := st.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := n.Handle(&transport.Request{
-			Op: transport.OpSketch, Bag: "shuf", Dst: writer, Data: data,
-		})
-		if !resp.OK() {
-			t.Fatalf("push: %+v", resp)
-		}
-	}
-	fetch := func() *sketch.EdgeStats {
-		t.Helper()
-		resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf"})
-		if !resp.OK() {
-			t.Fatalf("fetch: %+v", resp)
-		}
-		st, err := sketch.DecodeEdgeStats(resp.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	// Empty fetch: zero stats, not an error.
-	if st := fetch(); st.Total() != 0 {
-		t.Fatalf("empty edge reports total %d", st.Total())
-	}
-
-	push("w0", map[string]uint64{"shuf.p0": 100, "shuf.p1": 10})
-	push("w1", map[string]uint64{"shuf.p0": 50})
-	st := fetch()
-	if st.Counts["shuf.p0"] != 150 || st.Counts["shuf.p1"] != 10 {
-		t.Fatalf("merged counts %v", st.Counts)
-	}
-
-	// w0 re-pushes larger cumulative stats: replaces, not adds.
-	push("w0", map[string]uint64{"shuf.p0": 120, "shuf.p1": 30})
-	st = fetch()
-	if st.Counts["shuf.p0"] != 170 || st.Counts["shuf.p1"] != 30 {
-		t.Fatalf("counts after re-push %v", st.Counts)
-	}
-	if est := st.CM.Estimate([]byte("shuf.p0")); est < 170 {
-		t.Fatalf("merged count-min undercounts: %d", est)
-	}
-
-	// A push is stored as received, unvalidated: a corrupt blob is accepted
-	// and skipped when a fetch merges, and the other writers still merge.
-	resp := n.Handle(&transport.Request{
-		Op: transport.OpSketch, Bag: "shuf", Dst: "w2", Data: []byte("{"),
-	})
-	if !resp.OK() {
-		t.Fatalf("push is not validated, yet: %+v", resp)
-	}
-	if st := fetch(); st.Counts["shuf.p0"] != 170 || st.Counts["shuf.p1"] != 30 {
-		t.Fatalf("fetch with one corrupt writer: %v", st.Counts)
-	}
-
-	// Sketch state is per-edge.
-	if resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "other"}); !resp.OK() {
-		t.Fatalf("other edge fetch: %+v", resp)
-	} else if st, _ := sketch.DecodeEdgeStats(resp.Data); st.Total() != 0 {
-		t.Fatalf("edges share sketch state")
-	}
-
-	// So is a crafted blob with overflowing count-min dimensions, and one
-	// whose sketch dimensions disagree with the others' (it must not leave
-	// its counts behind either): skipped, not a panic (the TCP server has
-	// no recover), not a failed merge.
-	huge := append([]byte{0x01, 0, 0}, binary.AppendUvarint(binary.AppendUvarint(nil, 1<<63), 2)...)
-	odd := sketch.NewEdgeStats()
-	odd.Counts["shuf.p0"] = 1 << 40
-	odd.CM = sketch.NewCountMin(8, 2)
-	for writer, blob := range map[string][]byte{"w3": huge, "w4": odd.AppendTo(nil)} {
-		if resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Dst: writer, Data: blob}); !resp.OK() {
-			t.Fatalf("push %s: %+v", writer, resp)
-		}
-	}
-	if st := fetch(); st.Counts["shuf.p0"] != 170 || st.Counts["shuf.p1"] != 30 {
-		t.Fatalf("fetch with three bad writers: %v", st.Counts)
-	}
-
-	// SketchClear drops the edge's state.
-	if resp := n.Handle(&transport.Request{
-		Op: transport.OpSketch, Bag: "shuf", Arg: transport.SketchClear,
-	}); !resp.OK() {
-		t.Fatalf("clear: %+v", resp)
-	}
-	if st := fetch(); st.Total() != 0 {
-		t.Fatalf("state survived clear: %v", st.Counts)
-	}
-}
-
-// TestNodeSketchExchange: a producer's push is acknowledged with nothing
-// to carry back, and a stats-less push stores nothing.
-func TestNodeSketchExchange(t *testing.T) {
-	n := NewNode("s0")
-	resp := n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf", Dst: "w0"})
-	if !resp.OK() || resp.Data != nil {
-		t.Fatalf("stats-less push: %+v", resp)
-	}
-	resp = n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "shuf"})
-	if st, err := sketch.DecodeEdgeStats(resp.Data); err != nil || st.Total() != 0 {
-		t.Fatalf("fetch after a stats-less push: %v, %v", st, err)
-	}
-}
-
 // TestStoredPayloadsAreKeptNotCopied pins the ownership rule on the node: an
-// inserted chunk and a pushed blob are kept as the slice that arrived, and a
+// inserted chunk is kept as the slice that arrived, and a
 // payload in a mostly empty buffer — a flushed partial chunk — is copied to
 // its size so it cannot pin the buffer.
 func TestStoredPayloadsAreKeptNotCopied(t *testing.T) {
@@ -712,14 +590,6 @@ func TestNodeDeletePrefix(t *testing.T) {
 	for _, b := range []string{"j1/in#0", "j1/out~p0@e0#2", "j1/gb.shuf.p3.s1#0", "j2/in#0", "other#1"} {
 		insert(t, n, b, []byte{1})
 	}
-	// Sketch state under the prefix is dropped too.
-	st := sketch.NewEdgeStats()
-	blob, err := st.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Handle(&transport.Request{Op: transport.OpSketch, Bag: "j1/gb.shuf", Dst: "w0", Data: blob})
-
 	resp := n.Handle(&transport.Request{Op: transport.OpDeletePrefix, Bag: "j1/"})
 	if !resp.OK() {
 		t.Fatalf("delete prefix: %+v", resp)
@@ -732,12 +602,6 @@ func TestNodeDeletePrefix(t *testing.T) {
 	}
 	if len(names) != 2 {
 		t.Fatalf("remaining bags = %v, want j2/in#0 and other#1", names)
-	}
-	n.sketchMu.Lock()
-	_, sketchAlive := n.sketches["j1/gb.shuf"]
-	n.sketchMu.Unlock()
-	if sketchAlive {
-		t.Fatal("sketch state under deleted prefix survived")
 	}
 	// The empty prefix is refused outright.
 	if resp := n.Handle(&transport.Request{Op: transport.OpDeletePrefix, Bag: ""}); resp.OK() {

@@ -260,11 +260,6 @@ func (h *Handle) advance(srcs []*srcState) error {
 	}
 	wm = h.watermark
 	h.mu.Unlock()
-	if wm > 0 {
-		// Meaningful when event times track wall-clock time (negative
-		// synthetic-time lags clamp to zero inside the histogram).
-		h.mLag.Observe((time.Now().UnixNano() - wm) / 1000)
-	}
 	if !h.originSet {
 		return nil
 	}
@@ -465,10 +460,10 @@ func (h *Handle) finishWindow(lw *window, err error) {
 // ---- cross-window skew memory ----
 
 // captureMemory turns the finished window's edge records — each edge's
-// final partition map and merged sketch, as its master's control plane
-// last saw them — into the seed maps later windows are submitted with
-// (shuffle.WarmStart at the default isolate fraction and fan), keyed by the
-// template bag name.
+// final partition map and merged statistics, as its master's control
+// plane recorded them at the seal — into the seed maps later windows are
+// submitted with (shuffle.WarmStart at the default isolate fraction and
+// fan), keyed by the template bag name.
 func (h *Handle) captureMemory(lw *window) {
 	mem := lw.res.job.Master().EdgeMemory()
 	if h.spec.ColdStart || len(mem) == 0 {

@@ -38,10 +38,7 @@ func seedsCluster(t *testing.T) (*core.Cluster, *transport.Faulty) {
 		Node: core.NodeConfig{
 			MonitorInterval: 10 * time.Millisecond,
 		},
-		Master: core.MasterConfig{
-			CloneInterval: 10 * time.Millisecond,
-			SplitInterval: 5 * time.Millisecond,
-		},
+		Master: core.MasterConfig{CloneInterval: 5 * time.Millisecond},
 	})
 	t.Cleanup(cluster.Shutdown)
 	return cluster, f

@@ -206,11 +206,8 @@ func (r *WindowResult) Discard(ctx context.Context) error {
 
 // Stats is a point-in-time snapshot of the stream's progress.
 type Stats struct {
-	// Watermark is the stream's current event-time low watermark; Lag is
-	// wall-clock now minus the watermark (meaningful when event times
-	// track wall-clock time).
+	// Watermark is the stream's current event-time low watermark.
 	Watermark int64
-	Lag       time.Duration
 	// Ingested counts records appended to window bags; Late counts the
 	// records among them that arrived after their window sealed (each
 	// folded into the lowest open window).
@@ -276,7 +273,6 @@ type Handle struct {
 	mSealed   *obs.Counter
 	mRetried  *obs.Counter
 	mWarm     *obs.Counter
-	mLag      *obs.Histogram
 }
 
 // windowJobName names window idx's job (and bag namespace).
@@ -352,7 +348,6 @@ func Run(ctx context.Context, c *core.Cluster, spec Spec) (*Handle, error) {
 	h.mSealed = o.Counter("hurricane_stream_windows_sealed_total", sl...)
 	h.mRetried = o.Counter("hurricane_stream_window_retries_total", sl...)
 	h.mWarm = o.Counter("hurricane_stream_warm_starts_total", sl...)
-	h.mLag = o.Histogram("hurricane_stream_watermark_lag_us", sl...)
 	// Cluster shutdown must unblock source polls and storage waits too.
 	go func() {
 		select {
@@ -418,7 +413,7 @@ func (h *Handle) Next(ctx context.Context) (*WindowResult, error) {
 	}
 }
 
-// Stats snapshots the stream's watermark, lag, and window counters.
+// Stats snapshots the stream's watermark and window counters.
 func (h *Handle) Stats() Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -432,9 +427,6 @@ func (h *Handle) Stats() Stats {
 		Completed:    h.completed,
 		Failed:       h.failedCount,
 		MemoryWindow: h.memoryWin,
-	}
-	if h.originSet && h.watermark > 0 {
-		st.Lag = time.Duration(time.Now().UnixNano() - h.watermark)
 	}
 	return st
 }

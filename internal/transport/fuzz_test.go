@@ -25,7 +25,7 @@ func within(sub, body []byte) bool {
 // and whatever it accepts must survive an encode/decode round trip.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(EncodeRequest(nil, &Request{Op: OpInsert, Bag: "b#0", Data: []byte("chunk")}))
-	f.Add(EncodeRequest(nil, &Request{Op: OpSketch, Bag: "e", Dst: "t/w0@e0", Arg: 7, Data: []byte{1, 0, 0}}))
+	f.Add(EncodeRequest(nil, &Request{Op: OpRename, Bag: "e", Dst: "t/w0@e0", Arg: 7, Data: []byte{1, 0, 0}}))
 	f.Add(EncodeRequest(nil, &Request{Op: OpReadAt, Bag: "e!ready#1", Arg: -3}))
 	f.Add(EncodeRequest(nil, &Request{Op: OpTake, Bag: "b#2", Arg: -0x61c8864680b583eb}))
 	f.Add([]byte{})

@@ -40,38 +40,22 @@ const (
 	// tombstone, so the late insert arrives already taken. A client sends
 	// it to a slot's other replicas before it delivers a removed chunk.
 	OpTake
-	// OpSketch is the control exchange of one shuffle edge (Request.Bag),
-	// served by the edge's home slot. It is the only control traffic a
-	// producer generates, and it has three forms:
-	//
-	//   - producer push: Dst names the producer worker and Data is its
-	//     cumulative edge stats (partition counts + count-min sketch;
-	//     empty to report nothing). The node keeps the blob as received,
-	//     in place of the producer's previous one — pushes are
-	//     cumulative, so a re-push replaces rather than double-counts.
-	//   - fetch: Dst is empty and Arg is 0; the reply's Data is the merge
-	//     of every producer's stats, which the application master reads
-	//     to record the edge's heat and heavy keys.
-	//   - clear: Dst is empty and Arg is SketchClear; the node forgets the
-	//     edge (job completion / failure recovery).
-	OpSketch
-	// OpDeletePrefix garbage collects every bag (and every shuffle-edge
-	// sketch) whose name starts with Request.Bag. The multi-job scheduler
-	// uses it to discard a completed job's namespaced bags — work bags,
-	// runtime-derived partition bags — without having to
-	// enumerate names it cannot know in advance.
+	// Code 12 carried the retired shuffle-edge sketch exchange. It stays
+	// unassigned, so a request from an older client is refused as an
+	// unknown op rather than read as another.
+	_
+	// OpDeletePrefix garbage collects every bag whose name starts with
+	// Request.Bag. Discarding a job uses it for the bags named under a
+	// prefix the job claims (a stem's derived bags, a namespace), whose
+	// names it cannot enumerate in advance.
 	OpDeletePrefix
 )
-
-// SketchClear, passed in Request.Arg of an OpSketch without a producer,
-// drops the edge's state instead of fetching its stats.
-const SketchClear int64 = 1
 
 var opNames = map[Op]string{
 	OpInsert: "insert", OpRemove: "remove", OpSeal: "seal",
 	OpSample: "sample", OpRewind: "rewind", OpDiscard: "discard",
 	OpDelete: "delete", OpRename: "rename", OpReadAt: "readAt",
-	OpPing: "ping", OpTake: "take", OpSketch: "sketch",
+	OpPing: "ping", OpTake: "take",
 	OpDeletePrefix: "deletePrefix",
 }
 
@@ -86,9 +70,9 @@ func (o Op) String() string {
 type Request struct {
 	Op  Op
 	Bag string // target bag identifier
-	// Data is the payload: the chunk for OpInsert, a stats blob for
-	// OpSketch. It is immutable once the request is passed to a Client, and
-	// the receiving node may keep it: callers never write to it again.
+	// Data is the payload: the chunk for OpInsert. It is immutable once the
+	// request is passed to a Client, and the receiving node may keep it:
+	// callers never write to it again.
 	Data []byte
 	Arg  int64  // operation argument: chunk id (OpInsert, OpTake), chunk index (OpReadAt)
 	Dst  string // destination bag name for OpRename
@@ -108,9 +92,9 @@ const (
 type Response struct {
 	Status int
 	Err    string
-	// Data is the payload: the chunk for OpRemove / OpReadAt, a blob for
-	// OpSketch. Immutable like Request.Data: a node may hand one stored
-	// slice to any number of readers, so nobody writes to it.
+	// Data is the payload: the chunk for OpRemove / OpReadAt. Immutable
+	// like Request.Data: a node may hand one stored slice to any number of
+	// readers, so nobody writes to it.
 	Data []byte
 	// ID is the chunk's id, as its writer chose it (OpRemove, OpReadAt).
 	ID uint64

@@ -91,51 +91,12 @@ func TestResponseErrors(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	if OpInsert.String() != "insert" || OpTake.String() != "take" || OpSketch.String() != "sketch" {
+	if OpInsert.String() != "insert" || OpTake.String() != "take" || OpDeletePrefix.String() != "deletePrefix" {
 		t.Fatal("op names wrong")
 	}
 	if Op(200).String() == "" {
 		t.Fatal("unknown op must format")
 	}
-}
-
-// TestOpSketchOverTransports: the sketch op's push form (Bag + Dst writer
-// ID + payload) and fetch form (payload returned in Data) survive both the
-// in-process and the TCP transport unchanged.
-func TestOpSketchOverTransports(t *testing.T) {
-	ctx := context.Background()
-	req := &Request{Op: OpSketch, Bag: "shuf", Dst: "join/w2@e0", Data: []byte(`{"counts":{"shuf.p0":7}}`)}
-
-	check := func(t *testing.T, client Client, h *echoHandler) {
-		resp, err := client.Call(ctx, "node", req)
-		if err != nil || !resp.OK() {
-			t.Fatalf("call: %v %+v", err, resp)
-		}
-		if !bytes.Equal(resp.Data, req.Data) {
-			t.Fatalf("payload did not round-trip: %q", resp.Data)
-		}
-		if op, bag, dst := h.last(); op != OpSketch || dst != "join/w2@e0" || bag != "shuf" {
-			t.Fatalf("handler saw op=%v bag=%q dst=%q", op, bag, dst)
-		}
-	}
-	t.Run("inproc", func(t *testing.T) {
-		tr := NewInProc()
-		h := &echoHandler{}
-		tr.Register("node", h)
-		check(t, tr, h)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		h := &echoHandler{}
-		srv := NewTCPServer(h)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		client := NewTCPClient(map[string]string{"node": addr})
-		defer client.Close()
-		check(t, client, h)
-	})
 }
 
 // echoHandler returns the request payload with status OK. The TCP
